@@ -7,8 +7,8 @@ circuit breaker, sequential fallback, rebuild-on-broken-revision-chain,
 residual revalidation — is only trustworthy if faults are injected
 deliberately and the degraded output is validated against invariants.
 
-:class:`ChaosPolicy` is that injector.  Consumers (the parallel executor,
-its relaxation worker, and :class:`~repro.core.graph_manager.GraphManager`)
+:class:`ChaosPolicy` is that injector.  Consumers (the dual executors, the
+worker client, and :class:`~repro.core.graph_manager.GraphManager`)
 hold a ``chaos`` attribute that defaults to ``None``; every hook site is a
 single ``if chaos is not None`` guard, so the production path pays nothing.
 A policy decides per ``(fault, round_index)`` whether the fault fires,
@@ -20,9 +20,10 @@ two runs with the same seed inject the identical fault sequence.
 Fault classes (``FAULT_KINDS``):
 
 ``worker_kill``
-    SIGTERM the relaxation worker subprocess right after the round's
-    payload ships — the race sees pipe EOF mid-round and the parent-side
-    cost scaling serves the round unopposed.
+    Terminate the solver worker subprocess right after the round's
+    payload ships and drop its pipe (``WorkerClient.kill``) — the round is
+    never answered, so the parent-side solver always serves it unopposed
+    and the worker's breaker always counts one failure.
 ``pipe_break``
     Close the parent's end of the worker pipe before the send, so the
     ship raises ``OSError`` exactly like a broken pipe during a delta

@@ -11,6 +11,9 @@ no token and remain unscheduled (or are preempted if they were running).
 
 In the common case the algorithm touches every flow-carrying arc exactly
 once, i.e. it extracts all placements in a single pass over the graph.
+
+:func:`diff_assignments` then turns the extracted assignments into the
+round's actions by comparing them with where each task currently is.
 """
 
 from __future__ import annotations
@@ -93,6 +96,46 @@ def extract_placements(
                 to_visit.append(arc.src)
                 queued.add(arc.src)
     return mappings
+
+
+def diff_assignments(
+    state,
+    task_nodes: Dict[int, int],
+    assignments: Dict[int, int],
+    allow_migrations: bool,
+    decision,
+) -> None:
+    """Fold flow assignments into a decision's placements, migrations,
+    preemptions and unscheduled list.
+
+    Args:
+        state: The :class:`~repro.cluster.state.ClusterState` the round ran
+            against.
+        task_nodes: The task ids the solved network covered (a sharded
+            scheduler calls this once per cell).
+        assignments: ``{task_id: machine_id}`` from
+            :func:`extract_placements`.
+        allow_migrations: When False, running tasks stay where they are
+            whatever the flow says.
+        decision: The :class:`~repro.core.scheduler.SchedulingDecision` to
+            add to.
+    """
+    for task_id in task_nodes:
+        task = state.tasks.get(task_id)
+        if task is None:
+            continue
+        assigned_machine = assignments.get(task_id)
+        if task.is_running:
+            if not allow_migrations or assigned_machine == task.machine_id:
+                continue  # pinned, or already where the flow wants it
+            if assigned_machine is None:
+                decision.preemptions.append(task_id)
+            else:
+                decision.migrations[task_id] = assigned_machine
+        elif assigned_machine is None:
+            decision.unscheduled.append(task_id)
+        else:
+            decision.placements[task_id] = assigned_machine
 
 
 def unscheduled_tasks(

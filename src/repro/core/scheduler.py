@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.state import ClusterState
 from repro.core.graph_manager import GraphManager
-from repro.core.placement import extract_placements
+from repro.core.placement import diff_assignments, extract_placements
 from repro.core.policies.base import SchedulingPolicy
 from repro.flow.graph import FlowNetwork
 from repro.solvers import make_executor
@@ -125,7 +125,71 @@ class SchedulerStatistics:
         self.total_preemptions -= len(decision.preemptions)
 
 
-class FirmamentScheduler:
+class FlowScheduler:
+    """What the monolithic and the sharded flow scheduler share verbatim.
+
+    Subclasses implement :meth:`schedule`; applying a decision and holding
+    a dead round's pending tasks do not depend on how it was computed.
+    """
+
+    def schedule(self, state: ClusterState, now: float = 0.0) -> SchedulingDecision:
+        """Run one scheduling iteration against the given cluster state."""
+        raise NotImplementedError
+
+    def apply(self, state: ClusterState, decision: SchedulingDecision, now: float) -> None:
+        """Apply a scheduling decision to the cluster state.
+
+        Preemptions are applied first so their slots are free for the new
+        placements and migrations.
+        """
+        for task_id in decision.preemptions:
+            state.preempt_task(task_id, now)
+        for task_id, machine_id in decision.migrations.items():
+            state.migrate_task(task_id, machine_id, now)
+        for task_id, machine_id in decision.placements.items():
+            state.place_task(task_id, machine_id, now)
+
+    def schedule_and_apply(self, state: ClusterState, now: float = 0.0) -> SchedulingDecision:
+        """Convenience wrapper: schedule and immediately apply the decision."""
+        decision = self.schedule(state, now)
+        self.apply(state, decision, now)
+        return decision
+
+    @staticmethod
+    def _arm_deadline(solver: Solver, round_deadline_seconds: Optional[float]) -> None:
+        """Hand a per-round budget to a solver that can honour one."""
+        if round_deadline_seconds is None:
+            return
+        if not hasattr(solver, "round_deadline_seconds"):
+            raise ValueError(
+                "round_deadline_seconds requires a solver with deadline "
+                f"support; {type(solver).__name__} has none"
+            )
+        solver.round_deadline_seconds = round_deadline_seconds
+
+    @staticmethod
+    def _solve(solver: Solver, network: FlowNetwork, changes) -> SolverResult:
+        """Solve, handing over the round's typed change batch when the
+        solver can consume one (an incremental instance then patches its
+        persistent residual network in place instead of reconstructing it
+        from the flow network)."""
+        if changes is not None and getattr(solver, "accepts_change_batches", False):
+            return solver.solve(network, changes=changes)
+        return solver.solve(network)
+
+    @staticmethod
+    def _hold_pending(
+        state: ClusterState, task_nodes: Dict[int, int], decision: SchedulingDecision
+    ) -> None:
+        """A round died at its deadline: previous placements stand (no
+        preemptions or migrations), its pending tasks wait one round."""
+        for task_id in task_nodes:
+            task = state.tasks.get(task_id)
+            if task is not None and not task.is_running:
+                decision.unscheduled.append(task_id)
+
+
+class FirmamentScheduler(FlowScheduler):
     """Flow-based scheduler generalizing Quincy (the paper's core system)."""
 
     def __init__(
@@ -191,13 +255,7 @@ class FirmamentScheduler:
                 executor_policy=executor_policy or "race",
             )
         self.round_deadline_seconds = round_deadline_seconds
-        if round_deadline_seconds is not None:
-            if not hasattr(self.solver, "round_deadline_seconds"):
-                raise ValueError(
-                    "round_deadline_seconds requires a solver with deadline "
-                    f"support; {type(self.solver).__name__} has none"
-                )
-            self.solver.round_deadline_seconds = round_deadline_seconds
+        self._arm_deadline(self.solver, round_deadline_seconds)
         if chaos is not None and hasattr(self.solver, "chaos"):
             self.solver.chaos = chaos
         # Only pay for per-round network diffing when the solver can
@@ -225,17 +283,10 @@ class FirmamentScheduler:
             return decision
 
         solver_start = time.perf_counter()
-        changes = self.graph_manager.last_changes
         try:
-            if changes is not None and getattr(
-                self.solver, "accepts_change_batches", False
-            ):
-                # Hand the solver the typed change batch so an incremental
-                # instance can patch its persistent residual network in place
-                # instead of reconstructing it from the rebuilt flow network.
-                result = self.solver.solve(network, changes=changes)
-            else:
-                result = self.solver.solve(network)
+            result = self._solve(
+                self.solver, network, self.graph_manager.last_changes
+            )
         except RoundDeadlineExceeded:
             # No solver produced a feasible flow within the round budget.
             # Degrade gracefully instead of stalling: reuse the previous
@@ -271,7 +322,14 @@ class FirmamentScheduler:
             self.graph_manager.machine_nodes,
             self.graph_manager.sink_node,
         )
-        decision = self._diff_against_state(state, assignments)
+        decision = SchedulingDecision()
+        diff_assignments(
+            state,
+            self.graph_manager.task_nodes,
+            assignments,
+            self.allow_migrations,
+            decision,
+        )
         decision.algorithm_runtime = algorithm_runtime
         decision.graph_update_seconds = graph_seconds
         # Attribute graph maintenance alongside the solver's own counters so
@@ -302,30 +360,8 @@ class FirmamentScheduler:
             algorithm_runtime=algorithm_runtime,
             graph_update_seconds=graph_seconds,
         )
-        for task_id in self.graph_manager.task_nodes:
-            task = state.tasks.get(task_id)
-            if task is not None and not task.is_running:
-                decision.unscheduled.append(task_id)
+        self._hold_pending(state, self.graph_manager.task_nodes, decision)
         self.statistics.record(decision)
-        return decision
-
-    def apply(self, state: ClusterState, decision: SchedulingDecision, now: float) -> None:
-        """Apply a scheduling decision to the cluster state.
-
-        Preemptions are applied first so their slots are free for the new
-        placements and migrations.
-        """
-        for task_id in decision.preemptions:
-            state.preempt_task(task_id, now)
-        for task_id, machine_id in decision.migrations.items():
-            state.migrate_task(task_id, machine_id, now)
-        for task_id, machine_id in decision.placements.items():
-            state.place_task(task_id, machine_id, now)
-
-    def schedule_and_apply(self, state: ClusterState, now: float = 0.0) -> SchedulingDecision:
-        """Convenience wrapper: schedule and immediately apply the decision."""
-        decision = self.schedule(state, now)
-        self.apply(state, decision, now)
         return decision
 
     def close(self) -> None:
@@ -333,31 +369,3 @@ class FirmamentScheduler:
         close = getattr(self.solver, "close", None)
         if callable(close):
             close()
-
-    # ------------------------------------------------------------------ #
-    # Decision derivation
-    # ------------------------------------------------------------------ #
-    def _diff_against_state(
-        self, state: ClusterState, assignments: Dict[int, int]
-    ) -> SchedulingDecision:
-        """Translate flow assignments into placements/migrations/preemptions."""
-        decision = SchedulingDecision()
-        for task_id, node_id in self.graph_manager.task_nodes.items():
-            task = state.tasks.get(task_id)
-            if task is None:
-                continue
-            assigned_machine = assignments.get(task_id)
-            if task.is_running:
-                if assigned_machine is None:
-                    if self.allow_migrations:
-                        decision.preemptions.append(task_id)
-                elif assigned_machine != task.machine_id:
-                    if self.allow_migrations:
-                        decision.migrations[task_id] = assigned_machine
-                # Same machine: keep running, nothing to do.
-            else:
-                if assigned_machine is None:
-                    decision.unscheduled.append(task_id)
-                else:
-                    decision.placements[task_id] = assigned_machine
-        return decision

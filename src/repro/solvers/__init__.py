@@ -19,6 +19,9 @@ dual-algorithm executor of Section 6.1:
   :class:`~repro.solvers.parallel_executor.ParallelDualExecutor` (races a
   relaxation worker subprocess against parent-side incremental cost
   scaling for real)
+* :class:`~repro.solvers.worker.WorkerClient` /
+  :func:`~repro.solvers.worker.serve_solver` (the one out-of-process solver
+  transport, used by the parallel executor and the sharded scheduler)
 
 All solvers share the :class:`~repro.solvers.base.Solver` interface: they
 take a :class:`~repro.flow.graph.FlowNetwork`, assign an optimal flow to its
@@ -53,7 +56,8 @@ from repro.solvers.dual_executor import (
     RaceCostModel,
     SpeculativeDualExecutor,
 )
-from repro.solvers.parallel_executor import ParallelDualExecutor, RevisionChainCache
+from repro.solvers.parallel_executor import ParallelDualExecutor
+from repro.solvers.worker import RevisionChainCache, WorkerClient
 from repro.solvers.worker_health import WorkerCircuitBreaker
 
 __all__ = [
@@ -69,6 +73,7 @@ __all__ = [
     "RoundDeadlineExceeded",
     "SolveAborted",
     "WorkerCircuitBreaker",
+    "WorkerClient",
     "Solver",
     "SolverResult",
     "SolverStatistics",

@@ -4,22 +4,11 @@
 :class:`~repro.solvers.base.Solver` that races the paper's two algorithms
 for real instead of modeling the race:
 
-* **Relaxation** runs in a *persistent worker subprocess*, spawned once and
-  fed one request per scheduling round over a pipe.  The network crosses
-  the process boundary in the compact DIMACS text forms
-  (:mod:`repro.flow.dimacs`), never as a pickled object graph -- and, like
-  the real Firmament's out-of-process solver, usually only as a *delta*:
-  the worker keeps a persistent shadow network (plus the relaxation
-  solver's own persistent residual patched from the same changes), and the
-  parent keeps a :class:`RevisionChainCache` of every revision-chained
-  change batch it has seen.  A round whose batch chains directly onto the
-  worker's revision ships as :func:`~repro.flow.dimacs.write_incremental`
-  text (O(|changes|)); a round where the chain *broke* -- solo-solved
-  rounds, skipped rounds, any gap -- ships a **resync payload**: the
-  recorded batches composed from the worker's last known revision to the
-  current one, still O(|missed changes|).  Full ``write_dimacs`` snapshots
-  (O(graph), plus an O(graph) reparse and residual rebuild in the worker)
-  remain only for true cold starts, worker respawns, and worker errors.
+* **Relaxation** runs in a *persistent worker subprocess* behind a
+  :class:`~repro.solvers.worker.WorkerClient`.  :mod:`repro.solvers.worker`
+  documents the transport (DIMACS full/delta/resync payloads, the
+  answered-up send guard, the circuit breaker); this module only decides
+  *whether* a round consults the worker and who won.
 * **Incremental cost scaling** runs in the parent process, patching its
   persistent residual network from the round's
   :class:`~repro.flow.changes.ChangeBatch` exactly as in the sequential
@@ -29,9 +18,9 @@ First finisher wins:
 
 * If the parent's cost scaling run completes while the worker is still
   solving, cost scaling wins and the worker's round is **abandoned** -- the
-  parent returns immediately and discards the worker's stale response
-  whenever it eventually drains from the pipe.
-* While cost scaling runs, it polls the pipe through the cooperative
+  parent returns immediately and the client discards the worker's stale
+  response whenever it eventually drains from the pipe.
+* While cost scaling runs, it polls the client through the cooperative
   :attr:`~repro.solvers.cost_scaling.CostScalingSolver.abort_check` hook;
   when the worker's solution arrives first, the parent-side run is
   **cancelled** mid-flight (:class:`~repro.solvers.base.SolveAborted`) and
@@ -47,30 +36,24 @@ the guaranteed winner).  Under ``executor_policy="auto"`` the shared
 :class:`~repro.solvers.dual_executor.RaceCostModel` additionally skips the
 predictable loser on the remaining rounds (solo relaxation ships the round
 to the worker and waits; solo cost scaling leaves the worker idle and the
-revision-chain cache covers the gap).  The full race runs on exactly the
-rounds where Section 6.1's insurance matters: cold starts, post-seed
-rebuilds, oversized batches, and whenever the cost model is unsure.
+client's revision-chain cache covers the gap).  The full race runs on
+exactly the rounds where Section 6.1's insurance matters: cold starts,
+post-seed rebuilds, oversized batches, and whenever the cost model is
+unsure.
 
-When multiprocessing is unavailable (spawn failure, broken pipe, platforms
-without it) the executor transparently falls back to the sequential
+When no worker can be had (spawn failure, open breaker, platforms without
+multiprocessing) the executor transparently falls back to the sequential
 :class:`~repro.solvers.dual_executor.DualAlgorithmExecutor`, sharing the
 same component solver instances so warm state carries over.
 """
 
 from __future__ import annotations
 
-import os
+import functools
 import time
-from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Optional
 
-from repro.flow.changes import ChangeBatch, GraphChange, apply_changes
-from repro.flow.dimacs import (
-    read_dimacs,
-    read_incremental,
-    write_dimacs,
-    write_incremental,
-)
+from repro.flow.changes import ChangeBatch
 from repro.flow.graph import FlowNetwork
 from repro.solvers.base import (
     RoundDeadline,
@@ -87,16 +70,8 @@ from repro.solvers.dual_executor import (
 )
 from repro.solvers.incremental import IncrementalCostScalingSolver
 from repro.solvers.relaxation import RelaxationSolver
+from repro.solvers.worker import WorkerClient
 from repro.solvers.worker_health import WorkerCircuitBreaker
-
-#: The parent only ships a round when the worker has answered every
-#: previous request.  Besides keeping a slow worker from falling ever
-#: further behind on long-abandoned rounds, this is a deadlock guard: an
-#: answered-up worker is provably parked in ``recv``, so the parent's
-#: blocking ``send`` always finds a reader.  Shipping while an abandoned
-#: round is still in flight could wedge both processes on large graphs --
-#: parent blocked writing a request bigger than the pipe buffer, worker
-#: blocked writing the abandoned round's result, neither reading.
 
 #: Change-batch size up to which a *delta-armed* round skips speculation.
 #: When the incremental solver holds a revision-chained persistent residual,
@@ -109,229 +84,17 @@ from repro.solvers.worker_health import WorkerCircuitBreaker
 DELTA_SOLO_THRESHOLD = 1024
 
 #: How long the parent waits for the worker after the parent-side solver
-#: *failed* (e.g. infeasibility) before re-raising the parent's error.
+#: *failed* (e.g. infeasibility; the race is then an error against an
+#: error) before re-raising the parent's error.
 LOSER_GRACE_SECONDS = 30.0
 
-#: How many revision-chained change batches the parent remembers for
-#: worker resync.  At one batch per scheduling round this covers every
-#: realistic solo/skip streak; a worker further behind than this gets a
-#: full snapshot, exactly as before the cache existed.
-BATCH_HISTORY_LIMIT = 256
 
-#: A resync payload is worth shipping while it stays within this multiple
-#: of the full snapshot's line count (one line per change vs one line per
-#: node/arc): even at equal line counts the delta wins, because the worker
-#: patches its shadow and persistent residual in place instead of reparsing
-#: the whole document and rebuilding the residual from scratch -- roughly
-#: half of a cold round's cost.  Beyond ~2x, a churn-heavy history (adds
-#: later removed again) makes the composed payload pure overhead and the
-#: full document takes over.
-RESYNC_MAX_SNAPSHOT_MULTIPLE = 2
-
-
-class RevisionChainCache:
-    """Recent revision-chained change batches, for worker-side resync.
-
-    The parent records every revision-chained batch it sees (including the
-    rounds it solves solo, which is precisely when the worker's chain
-    breaks) keyed by base revision.  :meth:`compose` then rebuilds the
-    change sequence from the worker's last known revision to the current
-    one by walking the recorded chain, so a broken chain resyncs with an
-    O(|missed changes|) incremental payload instead of a full DIMACS
-    snapshot and reparse.
-    """
-
-    def __init__(self, max_entries: int = BATCH_HISTORY_LIMIT) -> None:
-        self.max_entries = max_entries
-        #: base_revision -> (target_revision, changes)
-        self._by_base: "OrderedDict[int, Tuple[int, List[GraphChange]]]" = (
-            OrderedDict()
-        )
-
-    def __len__(self) -> int:
-        return len(self._by_base)
-
-    def record(self, batch: ChangeBatch) -> None:
-        """Remember one revision-chained batch (unrevisioned ones are not
-        resyncable and are ignored)."""
-        base = batch.base_revision
-        target = batch.target_revision
-        if base is None or target is None or base == target:
-            return
-        self._by_base[base] = (target, list(batch))
-        self._by_base.move_to_end(base)
-        while len(self._by_base) > self.max_entries:
-            self._by_base.popitem(last=False)
-
-    def compose(
-        self, from_revision: int, to_revision: int, max_changes: Optional[int] = None
-    ) -> Optional[List[GraphChange]]:
-        """Return the concatenated changes leading ``from_revision`` to
-        ``to_revision``, or ``None`` when the recorded chain has a gap (or
-        the composition exceeds ``max_changes``)."""
-        if from_revision == to_revision:
-            return []
-        changes: List[GraphChange] = []
-        revision = from_revision
-        for _ in range(len(self._by_base)):
-            entry = self._by_base.get(revision)
-            if entry is None:
-                return None
-            target, recorded = entry
-            changes.extend(recorded)
-            if max_changes is not None and len(changes) > max_changes:
-                return None
-            if target == to_revision:
-                return changes
-            revision = target
-        return None
-
-
-def _relaxation_worker(conn, relaxation_kwargs: Dict[str, Any]) -> None:
-    """Entry point of the persistent relaxation worker subprocess.
-
-    Serves ``("full", round_id, dimacs_text, revision)`` and ``("delta",
-    round_id, incremental_text, base_revision, target_revision)`` requests
-    until a ``("shutdown",)`` message or pipe closure.  A full request
-    replaces the worker's shadow network (and, through the solve, the
-    relaxation solver's persistent residual); a delta request patches the
-    shadow in place (O(|changes|)) and hands the same batch to the solver,
-    whose persistent residual is patched rather than rebuilt -- so
-    steady-state rounds pay neither a full-document parse nor an O(graph)
-    residual construction.  Responses carry the round id so the parent can
-    discard answers to rounds it has already abandoned, and a monotonic
-    finish stamp so the parent can settle photo finishes (CLOCK_MONOTONIC
-    is system-wide, hence comparable across processes).
-    """
-    relaxation_kwargs = dict(relaxation_kwargs)
-    ascent_cap = relaxation_kwargs.pop("ascent_cap", None)
-    solver = RelaxationSolver(**relaxation_kwargs)
+def _make_relaxation(ascent_cap: Optional[int] = None, **kwargs) -> RelaxationSolver:
+    """Worker-side solver factory (``ascent_cap`` is an attribute, not a
+    constructor argument, of :class:`RelaxationSolver`)."""
+    solver = RelaxationSolver(**kwargs)
     solver.ascent_cap = ascent_cap
-    shadow = None
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            break
-        if message[0] == "shutdown":
-            break
-        if message[0] == "chaos_delay":
-            # Chaos harness: a one-way "sleep before serving the next
-            # round" message, standing in for a slow/overloaded worker.
-            time.sleep(message[1])
-            continue
-        kind, round_id, text = message[0], message[1], message[2]
-        try:
-            if kind == "full":
-                shadow = read_dimacs(text)
-                shadow.revision = message[3]
-                solver.invalidate_residual()
-                result = solver.solve(shadow)
-            elif shadow is None:
-                raise RuntimeError("delta request but no shadow network")
-            else:
-                base_revision, target_revision = message[3], message[4]
-                parsed = read_incremental(text)
-                apply_changes(shadow, parsed)
-                shadow.revision = target_revision
-                batch = ChangeBatch(
-                    changes=parsed,
-                    base_revision=base_revision,
-                    target_revision=target_revision,
-                )
-                result = solver.solve(shadow, changes=batch)
-            stats = result.statistics
-            response = (
-                "result",
-                round_id,
-                {
-                    "total_cost": result.total_cost,
-                    "flows": result.flows,
-                    "potentials": result.potentials,
-                    "runtime_seconds": result.runtime_seconds,
-                    "iterations": stats.iterations,
-                    "augmentations": stats.augmentations,
-                    "relaxation_tree_nodes": stats.relaxation_tree_nodes,
-                    "dual_ascents": stats.dual_ascents,
-                    "arcs_patched": stats.arcs_patched,
-                    "nodes_touched": stats.nodes_touched,
-                    "finished_at": time.monotonic(),
-                },
-            )
-        except Exception as error:
-            # The shadow (and the solver's residual) may be half-patched;
-            # drop both so the next full snapshot (which the parent sends
-            # after seeing any error) starts clean.
-            shadow = None
-            solver.invalidate_residual()
-            response = ("error", round_id, f"{type(error).__name__}: {error}")
-        try:
-            conn.send(response)
-        except (BrokenPipeError, OSError):  # pragma: no cover - parent died
-            break
-    try:
-        conn.close()
-    except OSError:  # pragma: no cover
-        pass
-
-
-class _RoundRace:
-    """Per-round view of the worker pipe for the parent-side race.
-
-    The instance doubles as the cost-scaling abort check: calling it drains
-    the pipe without blocking, discards responses to abandoned rounds, and
-    returns True exactly when the *current* round's relaxation result has
-    arrived (at which point the parent-side run should stop).
-    """
-
-    def __init__(self, conn, round_id: int, unanswered: set, on_error=None) -> None:
-        self._conn = conn
-        self._round_id = round_id
-        self._unanswered = unanswered
-        self._on_error = on_error
-        self.payload: Optional[Dict[str, Any]] = None
-        self.worker_error: Optional[str] = None
-        self.pipe_broken = False
-
-    def __call__(self) -> bool:
-        if self.payload is not None:
-            return True
-        if self.pipe_broken:
-            return False
-        try:
-            while self._conn.poll(0):
-                kind, round_id, body = self._conn.recv()
-                self._unanswered.discard(round_id)
-                if kind == "error" and self._on_error is not None:
-                    # Any error (current or abandoned round) means the
-                    # worker dropped its shadow network; the parent must
-                    # send a full snapshot next.
-                    self._on_error()
-                if round_id != self._round_id:
-                    continue  # response to an abandoned round
-                if kind == "result":
-                    self.payload = body
-                    return True
-                self.worker_error = body
-        except (EOFError, OSError):
-            self.pipe_broken = True
-        return False
-
-    def wait(self, timeout: float) -> bool:
-        """Block up to ``timeout`` seconds for the current round's result."""
-        deadline = time.monotonic() + timeout
-        while not self():
-            if self.pipe_broken or self.worker_error is not None:
-                return False
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return False
-            try:
-                self._conn.poll(min(remaining, 0.05))
-            except (EOFError, OSError):
-                self.pipe_broken = True
-                return False
-        return True
+    return solver
 
 
 class ParallelDualExecutor(SpeculativeDualExecutor):
@@ -354,17 +117,19 @@ class ParallelDualExecutor(SpeculativeDualExecutor):
         """
         return not self._last_round_fallback
 
+    @property
+    def breaker(self) -> WorkerCircuitBreaker:
+        """The worker's circuit breaker."""
+        return self.worker.breaker
+
     def __init__(
         self,
         relaxation: Optional[RelaxationSolver] = None,
         incremental: Optional[IncrementalCostScalingSolver] = None,
-        spawn_retries: int = 1,
-        loser_grace_seconds: float = LOSER_GRACE_SECONDS,
         delta_solo_threshold: int = DELTA_SOLO_THRESHOLD,
         price_refine: str = "auto",
         executor_policy: str = "race",
         cost_model: Optional[RaceCostModel] = None,
-        batch_history_limit: int = BATCH_HISTORY_LIMIT,
         breaker: Optional[WorkerCircuitBreaker] = None,
         round_deadline_seconds: Optional[float] = None,
         relaxation_ascent_cap: Optional[int] = None,
@@ -378,15 +143,6 @@ class ParallelDualExecutor(SpeculativeDualExecutor):
                 instance itself only solves when the executor has fallen
                 back to sequential mode.
             incremental: Incremental cost scaling instance run in the parent.
-            spawn_retries: Compatibility knob: when ``breaker`` is not
-                given, maps to a default breaker whose ``failure_threshold``
-                is ``1 + spawn_retries`` (the old one-shot semantics of "N
-                respawns, then fallback" become "N+1 consecutive failures
-                trip the breaker" -- but the breaker re-closes via probe
-                rounds instead of staying down forever).
-            loser_grace_seconds: How long to wait for the worker when the
-                parent-side solver failed (infeasible problems race an
-                error against an error).
             delta_solo_threshold: Skip speculation on delta-armed rounds
                 whose change batch is at most this large (0 races every
                 round); see :data:`DELTA_SOLO_THRESHOLD`.
@@ -400,11 +156,10 @@ class ParallelDualExecutor(SpeculativeDualExecutor):
                 loser (see :class:`~repro.solvers.dual_executor.
                 RaceCostModel`).
             cost_model: Model instance driving ``"auto"``.
-            batch_history_limit: How many revision-chained batches the
-                resync cache retains (see :class:`RevisionChainCache`).
-            breaker: Worker health state machine; defaults to a
+            breaker: Worker health state machine handed to the
+                :class:`~repro.solvers.worker.WorkerClient` (a default
                 :class:`~repro.solvers.worker_health.WorkerCircuitBreaker`
-                derived from ``spawn_retries``.
+                when omitted).
             round_deadline_seconds: Per-round wall-clock budget.  When set,
                 the parent-side cost scaling leg truncates its epsilon
                 ladder at the budget (still feasible and epsilon-optimal
@@ -426,190 +181,46 @@ class ParallelDualExecutor(SpeculativeDualExecutor):
             relaxation_ascent_cap=relaxation_ascent_cap,
             chaos=chaos,
         )
-        self._relaxation_kwargs = {
-            "arc_prioritization": self.relaxation.arc_prioritization,
-            "priority_probe_limit": self.relaxation.priority_probe_limit,
-            "ascent_cap": self.relaxation.ascent_cap,
-        }
-        self.loser_grace_seconds = loser_grace_seconds
         self.delta_solo_threshold = delta_solo_threshold
-        self._conn = None
-        self._process = None
-        self._round_id = 0
-        self._unanswered: set = set()
-        self.breaker = breaker or WorkerCircuitBreaker(
-            failure_threshold=1 + max(0, spawn_retries)
+        #: The relaxation worker; its transport counters (``snapshot_ships``,
+        #: ``delta_ships``, ``resync_ships``, ``skipped_rounds``,
+        #: ``respawns``) are the executor's.
+        self.worker = WorkerClient(
+            _make_relaxation,
+            {
+                "arc_prioritization": self.relaxation.arc_prioritization,
+                "priority_probe_limit": self.relaxation.priority_probe_limit,
+                "ascent_cap": self.relaxation.ascent_cap,
+            },
+            breaker=breaker,
         )
         self._fallback: Optional[DualAlgorithmExecutor] = None
         self._closed = False
-        self._spawned_once = False
         self._last_round_fallback = False
-        self._respawns_at_round_start = 0
-        #: Worker subprocesses respawned after the first (observability).
-        self.worker_respawns: int = 0
-        #: Revision of the network content the worker's shadow copy mirrors
-        #: (None forces the next request to be a full snapshot).
-        self._worker_revision: Optional[int] = None
-        #: Revision-chained batches seen recently, for worker resync.
-        self._batch_history = RevisionChainCache(max_entries=batch_history_limit)
+        #: The worker's (respawns, snapshot_ships, delta_ships) at round
+        #: start, so the round's own share can be stamped on its result.
+        self._round_start = (0, 0, 0)
         #: Rounds served by the sequential fallback (observability).
         self.fallback_rounds: int = 0
-        #: Rounds where the worker was skipped because it lagged too far.
-        self.skipped_worker_rounds: int = 0
         #: Delta-armed rounds solved solo (speculation skipped as futile).
         self.solo_delta_rounds: int = 0
-        #: Requests shipped as full DIMACS snapshots vs incremental deltas
-        #: (``delta_payloads`` includes both directly-chained rounds and
-        #: history-composed resyncs; the latter are additionally counted in
-        #: ``resync_payloads``).
-        self.full_payloads: int = 0
-        self.delta_payloads: int = 0
-        self.resync_payloads: int = 0
-
-    @property
-    def snapshot_ships(self) -> int:
-        """Alias of :attr:`full_payloads` (full DIMACS snapshots shipped)."""
-        return self.full_payloads
-
-    @property
-    def delta_ships(self) -> int:
-        """Alias of :attr:`delta_payloads` (incremental payloads shipped)."""
-        return self.delta_payloads
 
     def reset_counters(self) -> None:
         """Zero race and transport counters; worker and warm state persist."""
         super().reset_counters()
         self.fallback_rounds = 0
-        self.skipped_worker_rounds = 0
         self.solo_delta_rounds = 0
-        self.full_payloads = 0
-        self.delta_payloads = 0
-        self.resync_payloads = 0
-        self.worker_respawns = 0
-
-    # ------------------------------------------------------------------ #
-    # Worker lifecycle
-    # ------------------------------------------------------------------ #
-    def _ensure_worker(self) -> bool:
-        """Return True when a live worker exists (spawning one if needed).
-
-        Respawn attempts are gated by the circuit breaker: after the first
-        failure the retry is immediate, repeated failures back off
-        exponentially, and past ``failure_threshold`` consecutive failures
-        the breaker opens -- rounds run on the sequential fallback until a
-        periodic probe round re-closes it.
-        """
-        if self._conn is not None:
-            if self._process is None or self._process.is_alive():
-                return True
-            # The worker died between rounds: a process-level failure.
-            self._note_worker_failure()
-        if not self.breaker.allow_attempt():
-            return False
-        try:
-            import multiprocessing
-
-            context = multiprocessing.get_context()
-            parent_conn, child_conn = context.Pipe(duplex=True)
-            process = context.Process(
-                target=_relaxation_worker,
-                args=(child_conn, self._relaxation_kwargs),
-                daemon=True,
-                name="repro-relaxation-worker",
-            )
-            process.start()
-            child_conn.close()
-            self._conn = parent_conn
-            self._process = process
-            self._unanswered.clear()
-            self._worker_revision = None
-            if self._spawned_once:
-                self.worker_respawns += 1
-            self._spawned_once = True
-            return True
-        except Exception:
-            self.breaker.record_failure()
-            return False
-
-    def _ensure_fallback(self) -> None:
-        """Lazily build the sequential fallback executor (shared solvers)."""
-        if self._fallback is None:
-            self._fallback = DualAlgorithmExecutor(
-                relaxation=self.relaxation, incremental=self.incremental,
-                executor_policy=self.executor_policy, cost_model=self.cost_model,
-                round_deadline_seconds=self.round_deadline_seconds,
-            )
-
-    def _note_worker_error(self) -> None:
-        """The worker dropped its shadow; ship a full snapshot next round."""
-        self._worker_revision = None
-
-    def _note_worker_failure(self) -> None:
-        """Record a process-level failure (death, broken pipe, spawn fail)."""
-        self.breaker.record_failure()
-        self._teardown_worker()
-
-    def _settle_worker_health(self, race: Optional["_RoundRace"]) -> None:
-        """End-of-round health bookkeeping: exactly one breaker update.
-
-        Mid-round sites that discover a broken pipe only tear the worker
-        down; the failure itself is recorded here, once, so a single bad
-        round cannot double-count against the breaker's threshold.
-        """
-        if race is None:
-            return
-        if race.pipe_broken:
-            self._note_worker_failure()
-        else:
-            self.breaker.record_success()
-
-    def _drain_pending(self) -> None:
-        """Consume any queued responses to already-abandoned rounds."""
-        conn = self._conn
-        if conn is None:
-            return
-        try:
-            while conn.poll(0):
-                kind, round_id, _ = conn.recv()
-                self._unanswered.discard(round_id)
-                if kind == "error":
-                    self._note_worker_error()
-        except (EOFError, OSError):
-            self._note_worker_failure()
-
-    def _teardown_worker(self) -> None:
-        conn, process = self._conn, self._process
-        self._conn = None
-        self._process = None
-        self._unanswered.clear()
-        self._worker_revision = None
-        if conn is not None:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        if process is not None and process.is_alive():
-            process.terminate()
-            process.join(timeout=2.0)
+        self.worker.reset_counters()
 
     def close(self) -> None:
         """Shut the worker down gracefully; idempotent and terminal.
 
-        Safe to call twice and safe when the worker already died (the
-        shutdown send is best-effort and join on a dead process is a
-        no-op).  After close the executor refuses further rounds instead
-        of hanging on a dead pipe -- see :meth:`solve_detailed`.
+        After close the executor refuses further rounds instead of
+        silently respawning a worker nobody will shut down -- see
+        :meth:`solve_detailed`.
         """
         self._closed = True
-        conn, process = self._conn, self._process
-        if conn is not None:
-            try:
-                conn.send(("shutdown",))
-            except (BrokenPipeError, OSError):
-                pass
-        if process is not None:
-            process.join(timeout=2.0)
-        self._teardown_worker()
+        self.worker.close()
 
     # ------------------------------------------------------------------ #
     # The race
@@ -623,30 +234,24 @@ class ParallelDualExecutor(SpeculativeDualExecutor):
         """
         if self._closed:
             raise RuntimeError(
-                "ParallelDualExecutor is closed; create a new executor "
-                "(a solve after close would hang on the dead worker pipe)"
+                "ParallelDualExecutor is closed; create a new executor"
             )
         chaos, chaos_round = self._begin_chaos_round()
-        self.breaker.note_round()
-        self._respawns_at_round_start = self.worker_respawns
-        if changes is not None:
-            # Remember every revision-chained batch -- including the rounds
-            # solved solo below, which is exactly when the worker's chain
-            # would otherwise break and force a full snapshot.
-            self._batch_history.record(changes)
-        if not self._ensure_worker():
+        worker = self.worker
+        # Every revision-chained batch is remembered -- including the rounds
+        # solved solo below, which is exactly when the worker's chain would
+        # otherwise break and force a full snapshot.
+        worker.begin_round(changes)
+        self._round_start = (
+            worker.respawns, worker.snapshot_ships, worker.delta_ships
+        )
+        if not worker.ensure():
             return self._solve_fallback(network, changes)
-        self._drain_pending()
-        if self._conn is None:
-            # The drain found the pipe broken; try one respawn cycle.
-            if not self._ensure_worker():
-                return self._solve_fallback(network, changes)
 
         started = time.perf_counter()
         deadline: Optional[RoundDeadline] = None
         if self.round_deadline_seconds is not None:
             deadline = RoundDeadline(self.round_deadline_seconds)
-        strategy = "race"
         if (
             changes is not None
             and len(changes) <= self.delta_solo_threshold
@@ -662,71 +267,27 @@ class ParallelDualExecutor(SpeculativeDualExecutor):
             if strategy == "cost_scaling":
                 self.solo_cost_scaling_rounds += 1
 
-        race: Optional[_RoundRace] = None
-        ship_kind: Optional[str] = None
+        # None whenever the worker takes no part in the round (solo cost
+        # scaling, a busy or lost worker, a chaos kill): cost scaling then
+        # runs unopposed, with no retry -- the breaker's backoff decides
+        # when the next respawn attempt happens.
+        round_id: Optional[int] = None
         if strategy != "cost_scaling":
-            if not self._unanswered:
-                self._round_id += 1
-                round_id = self._round_id
-                try:
-                    message, ship_kind, shipped_revision = self._encode_request(
-                        round_id, network, changes
-                    )
-                    if chaos is not None:
-                        message = self._apply_send_chaos(
-                            chaos, chaos_round, message
-                        )
-                    self._conn.send(message)
-                    # Yield the timeslice so the worker starts on the
-                    # request immediately.  On a multi-core box this costs
-                    # nothing; on a shared core it stops the parent from
-                    # sitting on the CPU for a full scheduling quantum
-                    # before the race even starts.
-                    if hasattr(os, "sched_yield"):
-                        os.sched_yield()
-                    self._unanswered.add(round_id)
-                    self._worker_revision = shipped_revision
-                    if ship_kind == "delta":
-                        self.delta_payloads += 1
-                    else:
-                        self.full_payloads += 1
-                    race = _RoundRace(
-                        self._conn, round_id, self._unanswered,
-                        on_error=self._note_worker_error,
-                    )
-                    if (
-                        chaos is not None
-                        and self._process is not None
-                        and chaos.fires("worker_kill", chaos_round)
-                    ):
-                        self._process.terminate()
-                except (BrokenPipeError, OSError):
-                    # The ship itself failed: a process-level failure, now.
-                    # Serve the round with the parent-side solver unopposed
-                    # (no retry recursion -- the breaker's backoff decides
-                    # when the next respawn attempt happens).
-                    self._note_worker_failure()
-                    race = None
-                    ship_kind = None
-            else:
-                # The worker is still chewing on an older (abandoned) round;
-                # do not pile on -- see the deadlock note on the answered-up
-                # send precondition above.  Cost scaling runs this round
-                # unopposed; the revision-chain cache lets the *next*
-                # shipped round resync the worker with a delta payload.
-                self.skipped_worker_rounds += 1
+            round_id = worker.ship(network, changes, chaos, chaos_round)
 
-        if race is not None and strategy == "relaxation":
+        parent_ran = True
+        if round_id is not None and strategy == "relaxation":
             # The cost model picked solo relaxation: wait for the worker
             # instead of burning the parent core on the predicted loser.
             # The wait is bounded by the *cost-scaling* estimate (with
             # slack), not the failure-grace bound: if the worker has not
             # answered within a few multiples of what the skipped leg
             # would have taken, the prediction was wrong (e.g. a
-            # contention spike) and the parent-side solver takes over.
+            # contention spike) and the parent-side solver takes over,
+            # racing the still-pending worker round.
             self.solo_relaxation_rounds += 1
             scaling_estimate = self.cost_model.cost_scaling_seconds
-            timeout = self.loser_grace_seconds
+            timeout = LOSER_GRACE_SECONDS
             if scaling_estimate is not None:
                 timeout = min(timeout, max(0.05, 4.0 * scaling_estimate))
             if deadline is not None:
@@ -734,209 +295,80 @@ class ParallelDualExecutor(SpeculativeDualExecutor):
                     timeout,
                     max(0.01, deadline.remaining() + deadline.watchdog_period),
                 )
-            if race.wait(timeout):
-                self._settle_worker_health(race)
-                return self._finish_round(
-                    network, started, None,
-                    self._payload_to_result(race.payload),
-                    winner_is_relaxation=True, ship_kind=ship_kind,
-                    parent_ran=False,
-                )
-            # The worker failed or timed out; degrade to the parent-side
-            # solver (the race below, with the worker round still pending,
-            # simply runs cost scaling unopposed).  A broken pipe is
-            # recorded once, by the end-of-round health settlement.
+            parent_ran = not worker.wait(round_id, timeout)
 
         cost_scaling_result: Optional[SolverResult] = None
         parent_error: Optional[BaseException] = None
-        abort_check = None
-        if race is not None and deadline is not None:
-            hard_expired = deadline.hard_expired
-            current_race = race
-            abort_check = lambda: current_race() or hard_expired()  # noqa: E731
-        elif race is not None:
-            abort_check = race
-        elif deadline is not None:
-            abort_check = deadline.hard_expired
-        if abort_check is not None:
+        if parent_ran:
+            abort_check = None
+            if round_id is not None:
+                abort_check = functools.partial(worker.poll, round_id)
+                if deadline is not None:
+                    worker_answered, hard_expired = abort_check, deadline.hard_expired
+                    abort_check = lambda: worker_answered() or hard_expired()  # noqa: E731
+            elif deadline is not None:
+                abort_check = deadline.hard_expired
             self.incremental.abort_check = abort_check
-        if deadline is not None:
             self.incremental.deadline_check = deadline
-        try:
-            cost_scaling_result = self.incremental.solve(network, changes=changes)
-        except SolveAborted:
-            pass
-        except Exception as error:
-            parent_error = error
-        finally:
-            self.incremental.abort_check = None
-            self.incremental.deadline_check = None
+            try:
+                cost_scaling_result = self.incremental.solve(network, changes=changes)
+            except SolveAborted:
+                pass
+            except Exception as error:
+                parent_error = error
+            finally:
+                self.incremental.abort_check = None
+                self.incremental.deadline_check = None
         parent_finished_at = time.monotonic()
 
-        if race is None:
-            if parent_error is not None:
-                raise parent_error
-            if cost_scaling_result is None:
-                # The deadline hard-aborted the only leg before it produced
-                # a feasible flow (no worker to fall back on either).
-                self.deadline_exceeded_rounds += 1
-                raise RoundDeadlineExceeded(
-                    "no solver produced a feasible flow within the round "
-                    f"budget ({self.round_deadline_seconds:.3f}s)"
+        answered = deadline_hit = False
+        if round_id is not None:
+            # One last drain settles the photo finish (the worker may have
+            # crossed the line between the last abort check and now).
+            answered = worker.poll(round_id)
+            if not answered and parent_error is not None:
+                # The parent-side solver failed (e.g. infeasibility).  Give
+                # the worker a bounded grace period to disagree.
+                answered = worker.wait(round_id, LOSER_GRACE_SECONDS)
+            elif not answered and cost_scaling_result is None and deadline is not None:
+                # Deadline abort with the worker still in flight: grant one
+                # watchdog period of grace (the worker may be mid-send).
+                answered = deadline_hit = worker.wait(
+                    round_id, deadline.watchdog_period
                 )
-            return self._finish_round(
-                network, started, cost_scaling_result, None,
-                winner_is_relaxation=False, ship_kind=ship_kind,
-            )
+            worker.settle()
+        relaxation_result = worker.result if answered else None
 
         if cost_scaling_result is not None:
-            # Parent finished un-aborted; one last drain settles the photo
-            # finish (the worker may have crossed the line between the last
-            # abort check and now).
-            race()
-            relaxation_result = self._payload_to_result(race.payload)
-            worker_first = (
-                race.payload is not None
-                and race.payload["finished_at"] <= parent_finished_at
-            )
-            self._settle_worker_health(race)
             return self._finish_round(
-                network,
-                started,
-                cost_scaling_result,
-                relaxation_result,
-                winner_is_relaxation=worker_first,
-                ship_kind=ship_kind,
+                network, started, cost_scaling_result, relaxation_result,
+                winner_is_relaxation=(
+                    answered and worker.finished_at <= parent_finished_at
+                ),
+                raced=round_id is not None,
             )
-
-        if parent_error is None:
-            # Cost scaling was cancelled -- by the worker's finish, or (with
-            # a budget set) by the hard deadline.  One drain disambiguates.
-            race()
-            if race.payload is not None:
-                self._settle_worker_health(race)
-                return self._finish_round(
-                    network, started, None,
-                    self._payload_to_result(race.payload),
-                    winner_is_relaxation=True, ship_kind=ship_kind,
-                )
-            if deadline is not None:
-                # Deadline abort with the worker still in flight: grant one
-                # watchdog period of grace (the worker may be mid-send), then
-                # give up on the round entirely.
-                if race.wait(deadline.watchdog_period):
-                    self._settle_worker_health(race)
-                    return self._finish_round(
-                        network, started, None,
-                        self._payload_to_result(race.payload),
-                        winner_is_relaxation=True, ship_kind=ship_kind,
-                        deadline_hit=True,
-                    )
-                self._settle_worker_health(race)
-                self.deadline_exceeded_rounds += 1
-                raise RoundDeadlineExceeded(
-                    "no solver produced a feasible flow within the round "
-                    f"budget ({self.round_deadline_seconds:.3f}s)"
-                )
-            self._settle_worker_health(race)
+        if answered:
+            # Cost scaling never ran, or was cancelled by the worker's finish
+            # (or failed, or died at the deadline, and the worker delivered
+            # in grace).
+            return self._finish_round(
+                network, started, None, relaxation_result,
+                winner_is_relaxation=True, parent_ran=parent_ran,
+                deadline_hit=deadline_hit,
+            )
+        if parent_error is not None:
+            raise parent_error
+        if deadline is None:
             raise RuntimeError(
                 "cost scaling aborted without a worker result or deadline"
             )  # pragma: no cover - abort sources are exactly those two
-
-        # The parent-side solver failed (e.g. infeasibility).  Give the
-        # worker a bounded grace period to disagree; if it cannot produce a
-        # solution either, surface the parent's error.
-        if race.wait(self.loser_grace_seconds):
-            self._settle_worker_health(race)
-            return self._finish_round(
-                network, started, None,
-                self._payload_to_result(race.payload),
-                winner_is_relaxation=True, ship_kind=ship_kind,
-            )
-        self._settle_worker_health(race)
-        raise parent_error
-
-    def _apply_send_chaos(self, chaos, round_index: int, message: tuple) -> tuple:
-        """Deliver this round's send-path faults just before the ship.
-
-        ``pipe_break`` closes the transport out from under the send (the
-        caller's ``conn.send`` raises exactly like a real broken pipe);
-        ``corrupt_message`` appends garbage to the DIMACS text so the
-        worker's parser rejects it (exercising the error-reply + full
-        resnapshot path); ``worker_delay`` slips a sleep request in front
-        of the round so the worker answers late.
-        """
-        if chaos.fires("pipe_break", round_index):
-            self._conn.close()
-            return message
-        if chaos.fires("corrupt_message", round_index):
-            message = (
-                message[0], message[1],
-                message[2] + "\nthis is not DIMACS\n",
-            ) + tuple(message[3:])
-        if chaos.fires("worker_delay", round_index):
-            self._conn.send(("chaos_delay", chaos.delay_seconds))
-        return message
-
-    def _encode_request(
-        self,
-        round_id: int,
-        network: FlowNetwork,
-        changes: Optional[ChangeBatch],
-    ) -> Tuple[tuple, str, Optional[int]]:
-        """Serialize the round for the worker: a delta whenever possible.
-
-        Returns ``(message, kind, shipped_revision)``.  An incremental
-        payload is legal when the revision-chain cache can compose the
-        recorded batches from the exact revision the worker's shadow
-        mirrors to the round's target revision -- the directly-chained case
-        is just a one-batch composition.  Anything else (cold start, worker
-        respawn or error, a gap older than the cache, unserializable
-        batches, unrevisioned hand-built networks) ships a full snapshot.
-        """
-        # Only a revision-*tracked* round may ship incrementally: without a
-        # batch whose revisions vouch for the graph's lineage, two
-        # different networks could share a revision number (hand-built
-        # networks default to 0) and an "empty delta" would make the
-        # worker solve its stale shadow as if it were the new problem.
-        # Full snapshots still stamp the network's own revision so the
-        # next *tracked* round can chain onto them.
-        target = None
-        if (
-            changes is not None
-            and changes.base_revision is not None
-            and changes.target_revision is not None
-        ):
-            target = changes.target_revision
-        worker_revision = self._worker_revision
-        if worker_revision is not None and target is not None:
-            composed = self._batch_history.compose(
-                worker_revision,
-                target,
-                max_changes=RESYNC_MAX_SNAPSHOT_MULTIPLE
-                * (network.num_arcs + network.num_nodes),
-            )
-            if composed is not None:
-                try:
-                    text = write_incremental(
-                        composed,
-                        base_revision=worker_revision,
-                        target_revision=target,
-                    )
-                except (ValueError, TypeError):
-                    pass  # e.g. a NodeAddition without an explicit node id
-                else:
-                    if changes is None or worker_revision != changes.base_revision:
-                        # The payload bridges a gap beyond the current
-                        # round's own batch: a resync of a broken chain.
-                        self.resync_payloads += 1
-                    message = (
-                        "delta", round_id, text, worker_revision, target,
-                    )
-                    return message, "delta", target
-        text = write_dimacs(network, include_node_types=False)
-        shipped_revision = getattr(network, "revision", None)
-        return ("full", round_id, text, shipped_revision), "full", shipped_revision
+        # The deadline hard-aborted the parent leg before it produced a
+        # feasible flow, and no worker result arrived either.
+        self.deadline_exceeded_rounds += 1
+        raise RoundDeadlineExceeded(
+            "no solver produced a feasible flow within the round "
+            f"budget ({self.round_deadline_seconds:.3f}s)"
+        )
 
     # ------------------------------------------------------------------ #
     # Round assembly
@@ -944,45 +376,32 @@ class ParallelDualExecutor(SpeculativeDualExecutor):
     def _solve_fallback(
         self, network: FlowNetwork, changes: Optional[ChangeBatch]
     ) -> DualExecutionResult:
-        self._ensure_fallback()
+        if self._fallback is None:
+            # Built lazily; shares the component solvers so warm state
+            # carries over in both directions.
+            self._fallback = DualAlgorithmExecutor(
+                relaxation=self.relaxation, incremental=self.incremental,
+                executor_policy=self.executor_policy, cost_model=self.cost_model,
+                round_deadline_seconds=self.round_deadline_seconds,
+            )
         result = self._fallback.solve_detailed(network, changes)
         result.executor = "sequential_fallback"
         self.fallback_rounds += 1
         self._last_round_fallback = True
-        self._stamp_health_stats(result.winner.statistics)
+        self._stamp_worker_stats(result.winner.statistics)
         # Tally only: the inner sequential executor's _record_round already
         # folded the loser's stats and fed the (shared) cost model.
         self._tally_round(result)
         return result
 
-    def _stamp_health_stats(self, stats: SolverStatistics) -> None:
-        """Surface this round's breaker/respawn state on the winner's stats."""
+    def _stamp_worker_stats(self, stats: SolverStatistics) -> None:
+        """Surface the round's breaker state, respawns and ships on the
+        winner's stats (at most one of the two ship counters is 1)."""
+        respawns, snapshot_ships, delta_ships = self._round_start
         stats.breaker_open = 0 if self.breaker.is_closed else 1
-        stats.worker_respawns += (
-            self.worker_respawns - self._respawns_at_round_start
-        )
-
-    def _payload_to_result(
-        self, payload: Optional[Dict[str, Any]]
-    ) -> Optional[SolverResult]:
-        """Rebuild a relaxation :class:`SolverResult` from the IPC payload."""
-        if payload is None:
-            return None
-        return SolverResult(
-            algorithm=self.relaxation.name,
-            total_cost=payload["total_cost"],
-            flows=payload["flows"],
-            potentials=payload["potentials"],
-            runtime_seconds=payload["runtime_seconds"],
-            statistics=SolverStatistics(
-                iterations=payload["iterations"],
-                augmentations=payload["augmentations"],
-                relaxation_tree_nodes=payload.get("relaxation_tree_nodes", 0),
-                dual_ascents=payload.get("dual_ascents", 0),
-                arcs_patched=payload.get("arcs_patched", 0),
-                nodes_touched=payload.get("nodes_touched", 0),
-            ),
-        )
+        stats.worker_respawns += self.worker.respawns - respawns
+        stats.snapshot_ships = self.worker.snapshot_ships - snapshot_ships
+        stats.delta_ships = self.worker.delta_ships - delta_ships
 
     def _finish_round(
         self,
@@ -991,9 +410,9 @@ class ParallelDualExecutor(SpeculativeDualExecutor):
         cost_scaling_result: Optional[SolverResult],
         relaxation_result: Optional[SolverResult],
         winner_is_relaxation: bool,
-        ship_kind: Optional[str] = None,
         parent_ran: bool = True,
         deadline_hit: bool = False,
+        raced: bool = True,
     ) -> DualExecutionResult:
         wall_clock = time.perf_counter() - started
         if winner_is_relaxation:
@@ -1012,16 +431,12 @@ class ParallelDualExecutor(SpeculativeDualExecutor):
             work += wall_clock
         if relaxation_result is not None:
             work += relaxation_result.runtime_seconds
-        if ship_kind == "full":
-            winner.statistics.snapshot_ships = 1
-        elif ship_kind == "delta":
-            winner.statistics.delta_ships = 1
         if deadline_hit:
             winner.statistics.deadline_hits += 1
         if not winner.optimal:
             # A deadline-truncated epsilon ladder degraded this round.
             winner.statistics.degraded_round = 1
-        self._stamp_health_stats(winner.statistics)
+        self._stamp_worker_stats(winner.statistics)
         self._last_round_fallback = False
         result = DualExecutionResult(
             winner=winner,
@@ -1034,6 +449,6 @@ class ParallelDualExecutor(SpeculativeDualExecutor):
             # A round raced only when the worker was consulted *and* the
             # parent leg ran; solo rounds must not feed the cost model
             # censored loser samples (the skipped leg never started).
-            raced=ship_kind is not None and parent_ran,
+            raced=raced and parent_ran,
         )
         return self._record_round(result)

@@ -1,30 +1,27 @@
-"""Worker health state machine for the parallel dual executor.
+"""Worker health state machine behind every solver subprocess.
 
-The original :class:`~repro.solvers.parallel_executor.ParallelDualExecutor`
-carried a one-shot ``spawn_retries`` budget: once the relaxation worker had
-died that many times the executor fell back to the in-process sequential
-race *permanently*, even though worker failures in practice are bursty
-(e.g. a fork bomb elsewhere on the host, a transient fd limit) and the
-subprocess would spawn fine a minute later.
-
-:class:`WorkerCircuitBreaker` replaces that budget with the classic
-three-state breaker, measured in scheduling rounds (the executor's natural
-clock — there is no background thread to keep wall-clock timers):
+Worker failures in practice are bursty (e.g. a fork bomb elsewhere on the
+host, a transient fd limit): the subprocess that cannot be spawned now
+spawns fine a minute later, so giving up on it for good would be wrong and
+retrying every round wasteful.  :class:`WorkerCircuitBreaker` is the
+classic three-state breaker, measured in scheduling rounds (the caller's
+natural clock — there is no background thread to keep wall-clock timers):
 
 * ``closed`` — the worker is trusted.  Isolated failures respawn with an
   exponential backoff (first failure immediately, then 1, 2, 4, …
-  rounds served by the sequential fallback between attempts).
+  rounds served by the caller's parent-side fallback between attempts).
 * ``open`` — ``failure_threshold`` *consecutive* process-level failures
   (spawn failure, worker death, broken pipe; worker error *replies* do
   not count — the process is alive) tripped the breaker.  Rounds are
-  served by the sequential fallback, except that every
+  served by the fallback, except that every
   ``probe_interval_rounds`` one probe round is allowed to try a respawn.
 * ``half_open`` — a probe round is in flight.  A round that completes
   with the pipe intact re-closes the breaker and resets the failure
   count; another process failure re-opens it until the next probe.
 
-The breaker is pure bookkeeping: the executor calls :meth:`note_round`
-once per round, asks :meth:`allow_attempt` before spawning, and reports
+The breaker is pure bookkeeping: its one caller,
+:class:`~repro.solvers.worker.WorkerClient`, calls :meth:`note_round` once
+per round, asks :meth:`allow_attempt` before spawning, and reports
 :meth:`record_failure` / :meth:`record_success` as rounds settle.
 """
 
@@ -43,7 +40,7 @@ BREAKER_HALF_OPEN = "half_open"
 
 
 class WorkerCircuitBreaker:
-    """Circuit breaker governing relaxation-worker (re)spawn attempts.
+    """Circuit breaker governing solver-worker (re)spawn attempts.
 
     Args:
         failure_threshold: Consecutive process failures that trip the

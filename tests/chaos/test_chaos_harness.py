@@ -349,7 +349,7 @@ class TestFaultOracle:
             assert chaos.injected.get("pipe_break") == 6
             assert instance.fallback_rounds == 0
             assert instance.breaker.is_closed
-            assert instance.worker_respawns >= 5
+            assert instance.worker.respawns >= 5
         finally:
             instance.close()
 
@@ -463,11 +463,11 @@ class TestChaosSimulation:
                 # observably dead.  The recovery contract is "the next
                 # consulted round after the death is observable respawns":
                 # wait the death out and drive one more round.
-                if solver._process is not None:
-                    solver._process.join(timeout=5.0)
+                if solver.worker.process is not None:
+                    solver.worker.process.join(timeout=5.0)
                 state.submit_job(make_job(job_id=9, num_tasks=2, submit_time=50.0))
                 scheduler.schedule_and_apply(state, now=50.0)
-            assert solver.worker_respawns >= 1
+            assert solver.worker.respawns >= 1
             assert solver.breaker.is_closed
         finally:
             simulator.close()

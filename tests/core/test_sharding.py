@@ -24,6 +24,7 @@ from repro.core import CellPartition, ShardedScheduler
 from repro.core.policies import QuincyPolicy
 from repro.core.sharding import CellTopologyView
 from repro.simulation.failures import FailureInjector
+from repro.solvers.worker_health import BREAKER_OPEN, WorkerCircuitBreaker
 from tests.conftest import make_cluster_state, make_job
 
 
@@ -332,11 +333,62 @@ class TestWorkerMode:
         scheduler = build_sharded(num_cells=2, workers=True)
         try:
             scheduler.schedule_and_apply(state, now=0.0)
-            scheduler._clients[0].kill()
+            scheduler.clients[0].kill()
             state.submit_job(make_job(job_id=2, num_tasks=1, submit_time=5.0))
             decision = scheduler.schedule_and_apply(state, now=5.0)
             assert decision.placements or not decision.unscheduled
             transport = scheduler.cell_transport()
             assert transport[0]["respawns"] >= 1 or transport[0]["fallback_rounds"] >= 1
+        finally:
+            scheduler.close()
+
+    def test_worker_loss_opens_only_that_cells_breaker_and_a_probe_recloses_it(self):
+        # Chaos round r aims at cell r % 4: round 4 kills cell 0's worker.
+        # With a trip-on-first-failure breaker on that cell, the kill opens
+        # it, the next round is served inline without a spawn attempt, and
+        # the probe round after that respawns and re-closes it.
+        state = make_cluster_state(num_machines=16, machines_per_rack=4)
+        chaos = ChaosPolicy(schedule={"worker_kill": [4]})
+        scheduler = build_sharded(num_cells=4, workers=True, chaos=chaos)
+
+        def run_round(index):
+            for cell in range(4):  # one task per cell per round
+                state.submit_job(
+                    make_job(
+                        job_id=index * 4 + cell, num_tasks=1, submit_time=index * 5.0
+                    )
+                )
+            decision = scheduler.schedule_and_apply(state, now=index * 5.0)
+            assert len(decision.placements) == 4, "no cell may lose its round"
+            return scheduler.cell_transport()
+
+        try:
+            for index in range(4):
+                transport = run_round(index)
+            assert [t["fallback_rounds"] for t in transport] == [0, 0, 0, 0]
+            breaker = WorkerCircuitBreaker(failure_threshold=1, probe_interval_rounds=2)
+            scheduler.clients[0].breaker = breaker
+
+            transport = run_round(4)  # killed: breaker trips open
+            assert chaos.injected.get("worker_kill") == 1
+            assert breaker.state == BREAKER_OPEN
+            assert transport[0]["breaker_open"] == 1
+            assert transport[0]["fallback_rounds"] == 1
+
+            transport = run_round(5)  # still open: no spawn attempt burned
+            assert breaker.probes == 0
+            assert transport[0]["fallback_rounds"] == 2
+            assert transport[0]["respawns"] == 0
+
+            transport = run_round(6)  # probe window: respawn, re-close
+            assert breaker.is_closed
+            assert (breaker.trips, breaker.probes, breaker.reclosures) == (1, 1, 1)
+            assert transport[0]["breaker_open"] == 0
+            assert transport[0]["fallback_rounds"] == 2
+            assert transport[0]["respawns"] == 1
+            for cell in (1, 2, 3):
+                assert transport[cell]["fallback_rounds"] == 0
+                assert transport[cell]["breaker_open"] == 0
+                assert transport[cell]["respawns"] == 0
         finally:
             scheduler.close()

@@ -13,11 +13,9 @@ from repro.flow.dimacs import read_dimacs
 from repro.flow.validation import check_feasibility
 from repro.solvers.base import SolveAborted
 from repro.solvers.cost_scaling import CostScalingSolver
-from repro.solvers.parallel_executor import (
-    ParallelDualExecutor,
-    _RoundRace,
-)
+from repro.solvers.parallel_executor import ParallelDualExecutor
 from repro.solvers.relaxation import RelaxationSolver
+from repro.solvers.worker import WorkerClient, encode_result
 from repro.solvers.worker_health import BREAKER_OPEN, WorkerCircuitBreaker
 from tests.conftest import build_scheduling_network, reference_min_cost
 
@@ -67,7 +65,7 @@ class TestParallelRace:
             assert check_feasibility(network) == []
         assert executor.rounds == 5
         assert executor.fallback_rounds == 0
-        assert executor.full_payloads >= 1
+        assert executor.worker.snapshot_ships >= 1
         # Delta-armed rounds with small batches skip speculation entirely.
         assert executor.solo_delta_rounds == solo_armed_rounds
 
@@ -80,10 +78,10 @@ class TestParallelRace:
             for network, changes, expected in perturbed_rounds(seed=44, rounds=4):
                 result = instance.solve(network, changes=changes)
                 assert result.total_cost == expected
-            assert instance.full_payloads >= 1
+            assert instance.worker.snapshot_ships >= 1
             assert (
-                instance.delta_payloads >= 1
-                or instance.skipped_worker_rounds > 0
+                instance.worker.delta_ships >= 1
+                or instance.worker.skipped_rounds > 0
             )
         finally:
             instance.close()
@@ -106,14 +104,14 @@ class TestParallelRace:
         instance = ParallelDualExecutor()
         network = build_scheduling_network(seed=47)
         instance.solve(network)
-        process = instance._process
+        process = instance.worker.process
         assert process is not None and process.is_alive()
         instance.close()
         assert not process.is_alive()
         instance.close()  # idempotent
 
     def test_worker_death_triggers_transparent_respawn(self):
-        instance = ParallelDualExecutor(spawn_retries=1)
+        instance = ParallelDualExecutor()
         try:
             network = build_scheduling_network(seed=48, num_tasks=8)
             expected = reference_min_cost(network)
@@ -121,35 +119,26 @@ class TestParallelRace:
 
             # Kill the worker; the next round must respawn transparently
             # (the breaker backs an isolated first failure off zero rounds).
-            instance._process.terminate()
-            instance._process.join(timeout=5.0)
+            instance.worker.process.terminate()
+            instance.worker.process.join(timeout=5.0)
             assert instance.solve(network.copy()).total_cost == expected
             assert instance.fallback_rounds == 0
-            assert instance.worker_respawns == 1
+            assert instance.worker.respawns == 1
             assert instance.breaker.is_closed
 
             # A second isolated death respawns again: the served round in
             # between reset the consecutive-failure count.  (The old
             # one-shot spawn budget fell back permanently here.)
-            instance._process.terminate()
-            instance._process.join(timeout=5.0)
+            instance.worker.process.terminate()
+            instance.worker.process.join(timeout=5.0)
             result = instance.solve_detailed(network.copy())
             assert result.executor == "parallel"
             assert result.winner.total_cost == expected
-            assert instance.worker_respawns == 2
+            assert instance.worker.respawns == 2
             assert instance.fallback_rounds == 0
             assert instance.breaker.is_closed
         finally:
             instance.close()
-
-
-def drain_until_idle(instance, timeout=5.0):
-    """Wait until the worker has answered every shipped round."""
-    deadline = time.perf_counter() + timeout
-    while instance._unanswered and time.perf_counter() < deadline:
-        time.sleep(0.01)
-        instance._drain_pending()
-    assert not instance._unanswered
 
 
 class TestRecoveryPaths:
@@ -167,7 +156,7 @@ class TestRecoveryPaths:
             assert chaos.injected.get("worker_kill") == 1
             # One injected kill is an isolated failure: respawn, never
             # fallback, breaker stays closed.
-            assert instance.worker_respawns >= 1
+            assert instance.worker.respawns >= 1
             assert instance.fallback_rounds == 0
             assert instance.breaker.is_closed
         finally:
@@ -185,12 +174,12 @@ class TestRecoveryPaths:
             ):
                 result = instance.solve(network, changes=changes)
                 assert result.total_cost == expected
-                drain_until_idle(instance)
+                assert instance.worker.wait_idle(5.0)
             assert chaos.injected.get("pipe_break") == 1
-            assert instance.delta_payloads >= 1
+            assert instance.worker.delta_ships >= 1
             # The respawned worker has no shadow; the post-break round
             # ships a full snapshot (cold start's plus the resync's).
-            assert instance.full_payloads >= 2
+            assert instance.worker.snapshot_ships >= 2
             assert instance.fallback_rounds == 0
             assert instance.breaker.is_closed
         finally:
@@ -247,8 +236,8 @@ class TestRecoveryPaths:
     def test_close_with_already_dead_worker(self):
         instance = ParallelDualExecutor()
         instance.solve(build_scheduling_network(seed=63))
-        instance._process.terminate()
-        instance._process.join(timeout=5.0)
+        instance.worker.process.terminate()
+        instance.worker.process.join(timeout=5.0)
         instance.close()  # must not raise on the dead pipe
         instance.close()  # and stays idempotent
 
@@ -305,7 +294,7 @@ class TestAdaptivePolicy:
             assert detailed.winner.total_cost == expected
             assert detailed.relaxation is None
             assert instance.solo_cost_scaling_rounds == 1
-            assert instance.full_payloads + instance.delta_payloads == 0
+            assert instance.worker.snapshot_ships + instance.worker.delta_ships == 0
         finally:
             instance.close()
 
@@ -324,10 +313,10 @@ class TestAdaptivePolicy:
             # first answer has not drained yet (the documented busy-worker
             # path); what must never happen is an incremental bridge
             # between the two unrelated graphs.
-            assert instance.delta_payloads == 0
-            assert instance.full_payloads >= 1
+            assert instance.worker.delta_ships == 0
+            assert instance.worker.snapshot_ships >= 1
             assert (
-                instance.full_payloads + instance.skipped_worker_rounds == 2
+                instance.worker.snapshot_ships + instance.worker.skipped_rounds == 2
             )
         finally:
             instance.close()
@@ -446,24 +435,9 @@ class _InstantWorkerConn:
         kind, round_id, text = message[0], message[1], message[2]
         assert kind == "full"  # no revision chain exists in these tests
         self.requests += 1
-        result = RelaxationSolver().solve(read_dimacs(text))
-        self.responses.append(
-            (
-                "result",
-                round_id,
-                {
-                    "total_cost": result.total_cost,
-                    "flows": result.flows,
-                    "potentials": result.potentials,
-                    "runtime_seconds": result.runtime_seconds,
-                    "iterations": result.statistics.iterations,
-                    "augmentations": result.statistics.augmentations,
-                    "relaxation_tree_nodes": result.statistics.relaxation_tree_nodes,
-                    "dual_ascents": result.statistics.dual_ascents,
-                    "finished_at": float("-inf"),
-                },
-            )
-        )
+        body = encode_result(RelaxationSolver().solve(read_dimacs(text)))
+        body["finished_at"] = float("-inf")
+        self.responses.append(("result", round_id, body))
 
     def poll(self, timeout=0):
         return bool(self.responses)
@@ -478,8 +452,7 @@ class _InstantWorkerConn:
 class TestLoserCancellation:
     def test_relaxation_win_cancels_parent_and_seeds_warm_start(self):
         instance = ParallelDualExecutor()
-        instance._conn = _InstantWorkerConn()
-        instance._process = None  # treated as alive by _ensure_worker
+        instance.worker.attach(_InstantWorkerConn())  # no process: counts as alive
         try:
             network = build_scheduling_network(seed=51, num_tasks=10)
             expected = reference_min_cost(network)
@@ -491,7 +464,7 @@ class TestLoserCancellation:
             assert instance.incremental.has_state
             assert instance.relaxation_wins == 1
         finally:
-            instance._conn = None
+            instance.worker.attach(None)
             instance.close()
 
     def test_abort_check_cancels_cost_scaling_run(self):
@@ -506,28 +479,40 @@ class TestLoserCancellation:
         assert result.total_cost == reference_min_cost(network)
 
 
+def shipped_client():
+    """A client on a stand-in connection with round 1 shipped and answered."""
+    conn = _InstantWorkerConn()
+    client = WorkerClient(RelaxationSolver)
+    client.attach(conn)
+    assert client.ship(build_scheduling_network(seed=58, num_tasks=4), None) == 1
+    return client, conn
+
+
 class TestRoundRace:
     def test_stale_responses_are_discarded(self):
-        conn = _InstantWorkerConn()
-        # Queue a stale round-1 response and a current round-2 response.
-        conn.responses.append(("result", 1, {"finished_at": 0.0}))
-        payload = {"finished_at": 1.0}
-        conn.responses.append(("result", 2, payload))
-        unanswered = {1, 2}
-        race = _RoundRace(conn, round_id=2, unanswered=unanswered)
-        assert race() is True
-        assert race.payload is payload
-        assert unanswered == set()
+        client, conn = shipped_client()
+        # A stale response to an abandoned round sits in front of the
+        # current round's.
+        conn.responses.appendleft(("result", 0, {"finished_at": 0.0}))
+        body = conn.responses[-1][2]
+        assert client.poll(1) is True
+        assert client.result.total_cost == body["total_cost"]
+        assert client.finished_at == body["finished_at"]
+        assert not conn.responses
+        assert client.wait_idle(0.0)
 
     def test_worker_error_does_not_abort_parent(self):
-        conn = _InstantWorkerConn()
-        conn.responses.append(("error", 7, "InfeasibleProblemError: nope"))
-        race = _RoundRace(conn, round_id=7, unanswered={7})
-        assert race() is False
-        assert race.worker_error is not None
+        client, conn = shipped_client()
+        conn.responses.clear()
+        conn.responses.append(("error", 1, "InfeasibleProblemError: nope"))
+        assert client.poll(1) is False
+        # The error answered the round: waiting for it must not block.
+        assert client.wait(1, 5.0) is False
+        assert client.wait_idle(0.0)
 
     def test_wait_times_out(self):
-        race = _RoundRace(_InstantWorkerConn(), round_id=1, unanswered=set())
+        client, conn = shipped_client()
+        conn.responses.clear()
         start = time.perf_counter()
-        assert race.wait(0.05) is False
+        assert client.wait(1, 0.05) is False
         assert time.perf_counter() - start < 2.0

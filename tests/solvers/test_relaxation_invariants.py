@@ -336,16 +336,18 @@ def test_forced_chain_breaks_ship_deltas_not_snapshots():
         # Force the race back on: the worker is 3 revisions behind.
         executor.delta_solo_threshold = 0
         for _ in range(2):
+            # A worker still chewing on an abandoned round would make the
+            # next ship be skipped; wait until it has answered them all.
+            assert executor.worker.wait_idle(5.0)
             network, batch = perturb_network(rng, network)
             result = executor.solve(network.copy(), changes=batch)
             assert result.total_cost == reference_min_cost(network)
-        assert executor.full_payloads == 1, (
+        worker = executor.worker
+        assert worker.snapshot_ships == 1, (
             "every post-cold-start ship must be incremental "
-            f"(full={executor.full_payloads}, delta={executor.delta_payloads})"
+            f"(full={worker.snapshot_ships}, delta={worker.delta_ships})"
         )
-        assert executor.delta_payloads >= 2
-        assert executor.resync_payloads >= 1
-        assert executor.snapshot_ships == executor.full_payloads
-        assert executor.delta_ships == executor.delta_payloads
+        assert worker.delta_ships >= 2
+        assert worker.resync_ships >= 1
     finally:
         executor.close()
