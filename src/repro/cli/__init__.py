@@ -14,6 +14,9 @@ The ``firmament-repro`` entry point groups four subcommands:
   jobs over a JSON-lines TCP protocol and stream placement notifications
   back (:mod:`repro.cli.serve_command`).
 
+The scheduler-selection flags ``simulate`` and ``serve`` share are declared
+once, in :mod:`repro.cli.scheduler_options`.
+
 Every subcommand is importable and callable with an argument list, so the
 test suite exercises the CLI without spawning processes.
 """

@@ -27,11 +27,10 @@ import asyncio
 import signal
 
 from repro.chaos import CRASH_POINTS, CrashInjector
-from repro.cli.simulate_command import POLICIES, SCHEDULERS, _make_scheduler
+from repro.cli.scheduler_options import _make_scheduler, add_scheduler_arguments
 from repro.cluster.state import ClusterState
 from repro.cluster.topology import build_topology
 from repro.service import DurabilityLayer, SchedulerService, ServiceConfig, recover
-from repro.solvers import PRICE_REFINE_MODES
 
 
 def register(subparsers) -> None:
@@ -64,34 +63,7 @@ def register(subparsers) -> None:
         "--slots-per-machine", type=int, default=4,
         help="task slots per machine (default: 4)",
     )
-    parser.add_argument(
-        "--scheduler", choices=SCHEDULERS, default="firmament",
-        help="scheduler to serve (default: firmament)",
-    )
-    parser.add_argument(
-        "--policy", choices=POLICIES, default="quincy",
-        help="policy for the flow-based schedulers (default: quincy)",
-    )
-    parser.add_argument(
-        "--price-refine", choices=PRICE_REFINE_MODES, default="auto",
-        help="price-refine variant for the incremental solver (default: auto)",
-    )
-    parser.add_argument(
-        "--cells", type=int, default=0, metavar="N",
-        help="shard the cluster into N cells (ShardedScheduler; default: off)",
-    )
-    parser.add_argument(
-        "--cell-workers", action="store_true",
-        help="with --cells, solve each cell in a worker subprocess",
-    )
-    parser.add_argument(
-        "--round-deadline", type=float, default=None, metavar="SECONDS",
-        help=(
-            "per-round wall-clock budget (same plumbing as simulate "
-            "--round-deadline); degraded rounds are counted in the final "
-            "stats (default: no deadline)"
-        ),
-    )
+    add_scheduler_arguments(parser)
     parser.add_argument(
         "--round-interval", type=float, default=0.05, metavar="SECONDS",
         help=(

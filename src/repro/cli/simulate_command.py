@@ -3,45 +3,16 @@
 from __future__ import annotations
 
 import argparse
-from typing import Optional
 
 from repro.analysis.reporting import format_table
-from repro.baselines import (
-    KubernetesScheduler,
-    MesosScheduler,
-    SparrowScheduler,
-    SwarmKitScheduler,
-    make_quincy_scheduler,
-)
+from repro.cli.scheduler_options import _make_scheduler, add_scheduler_arguments
 from repro.cluster.state import ClusterState
 from repro.cluster.topology import build_topology
-from repro.core import FirmamentScheduler, ShardedScheduler
-from repro.core.policies import (
-    CpuMemoryPolicy,
-    LoadSpreadingPolicy,
-    NetworkAwarePolicy,
-    QuincyPolicy,
-    RandomPlacementPolicy,
-    ShortestJobFirstPolicy,
-)
 from repro.simulation.failures import FailureInjector
 from repro.simulation.ingest import SCHEMAS, read_trace
 from repro.simulation.simulator import ClusterSimulator, SimulationConfig
 from repro.simulation.trace import GoogleTraceGenerator, TraceConfig
-from repro.solvers import EXECUTOR_POLICIES, EXECUTORS, PRICE_REFINE_MODES
-
-#: Scheduler names accepted by ``--scheduler``.
-SCHEDULERS = ("firmament", "quincy", "sparrow", "swarmkit", "kubernetes", "mesos")
-
-#: Policy names accepted by ``--policy`` (Firmament and Quincy only).
-POLICIES = (
-    "quincy",
-    "load_spreading",
-    "network_aware",
-    "cpu_memory",
-    "shortest_job_first",
-    "random",
-)
+from repro.solvers import EXECUTOR_POLICIES, EXECUTORS
 
 
 def register(subparsers) -> None:
@@ -68,18 +39,7 @@ def register(subparsers) -> None:
     parser.add_argument(
         "--speedup", type=float, default=1.0, help="trace speedup factor (Figure 18)"
     )
-    parser.add_argument(
-        "--scheduler",
-        choices=SCHEDULERS,
-        default="firmament",
-        help="scheduler to drive (default: firmament)",
-    )
-    parser.add_argument(
-        "--policy",
-        choices=POLICIES,
-        default="quincy",
-        help="scheduling policy for the flow-based schedulers (default: quincy)",
-    )
+    add_scheduler_arguments(parser)
     parser.add_argument(
         "--executor",
         choices=EXECUTORS,
@@ -93,19 +53,6 @@ def register(subparsers) -> None:
         ),
     )
     parser.add_argument(
-        "--price-refine",
-        choices=PRICE_REFINE_MODES,
-        default="auto",
-        help=(
-            "price-refine variant for firmament's incremental cost scaling: "
-            "'spfa' is the deque-based label-correcting sweep, 'dijkstra' "
-            "the heap-based incremental repair seeded from the previous "
-            "round's potentials, 'auto' uses the seeded repair when the "
-            "violation count is small relative to the graph and the sweep "
-            "otherwise (default: auto)"
-        ),
-    )
-    parser.add_argument(
         "--executor-policy",
         choices=EXECUTOR_POLICIES,
         default="race",
@@ -115,40 +62,6 @@ def register(subparsers) -> None:
             "model fed by recent solver statistics pick per round between "
             "solo relaxation, solo incremental cost scaling, and the full "
             "race (default: race)"
-        ),
-    )
-    parser.add_argument(
-        "--cells",
-        type=int,
-        default=0,
-        help=(
-            "shard the cluster into this many scheduling cells (racks map "
-            "to cells round-robin) and run one incremental solver per cell "
-            "with cross-cell balancing, so round wall clock tracks the "
-            "slowest cell instead of the whole cluster; firmament only, "
-            "0 keeps the monolithic scheduler (default: 0)"
-        ),
-    )
-    parser.add_argument(
-        "--cell-workers",
-        action="store_true",
-        help=(
-            "with --cells, solve each cell in a persistent worker "
-            "subprocess instead of inline (real process parallelism)"
-        ),
-    )
-    parser.add_argument(
-        "--round-deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "per-round wall-clock budget for the flow-based schedulers "
-            "(PR 6 plumbing): the solver degrades at the budget (epsilon-"
-            "ladder truncation, relaxation abort) and a round where no "
-            "solver finished reuses the previous feasible placements "
-            "instead of stalling; degraded-round counts are reported in "
-            "the summary (firmament only, default: no deadline)"
         ),
     )
     parser.add_argument(
@@ -202,19 +115,20 @@ def run(args: argparse.Namespace) -> int:
     state = ClusterState(topology)
     scheduler = _make_scheduler(
         args.scheduler, args.policy, args.executor,
-        price_refine=getattr(args, "price_refine", "auto"),
-        executor_policy=getattr(args, "executor_policy", "race"),
-        cells=getattr(args, "cells", 0),
-        cell_workers=getattr(args, "cell_workers", False),
-        round_deadline_seconds=getattr(args, "round_deadline", None),
+        price_refine=args.price_refine,
+        executor_policy=args.executor_policy,
+        cells=args.cells,
+        cell_workers=args.cell_workers,
+        round_deadline_seconds=args.round_deadline,
     )
 
     simulator = ClusterSimulator(
         state, scheduler, SimulationConfig(max_time=args.duration)
     )
-    trace_csv = getattr(args, "trace_csv", None)
-    if trace_csv is not None:
-        simulator.submit_job_stream(read_trace(trace_csv, SCHEMAS[args.trace_schema]))
+    if args.trace_csv is not None:
+        simulator.submit_job_stream(
+            read_trace(args.trace_csv, SCHEMAS[args.trace_schema])
+        )
     else:
         trace_config = TraceConfig(
             num_machines=args.machines,
@@ -244,10 +158,9 @@ def run(args: argparse.Namespace) -> int:
     metrics = result.metrics
 
     executor_note = f", executor: {args.executor}" if args.scheduler == "firmament" else ""
-    cells = getattr(args, "cells", 0)
-    if args.scheduler == "firmament" and cells > 0:
-        executor_note = f", cells: {cells}" + (
-            " (worker subprocesses)" if getattr(args, "cell_workers", False) else " (inline)"
+    if args.scheduler == "firmament" and args.cells > 0:
+        executor_note = f", cells: {args.cells}" + (
+            " (worker subprocesses)" if args.cell_workers else " (inline)"
         )
     print(f"scheduler: {args.scheduler} (policy: {args.policy}{executor_note})")
     print(f"jobs submitted: {len(state.jobs)}, tasks placed: {metrics.tasks_placed}, "
@@ -257,7 +170,7 @@ def run(args: argparse.Namespace) -> int:
           f"{result.placements_applied}, drift-dropped: {result.placements_dropped})")
     if schedule is not None:
         print(f"machine failures injected: {schedule.num_failures}")
-    if getattr(args, "round_deadline", None) is not None:
+    if args.round_deadline is not None:
         # Degraded rounds are the price of the budget: epsilon-truncated
         # rounds plus rounds that reused the previous feasible placements.
         stats = getattr(scheduler, "statistics", None)
@@ -293,94 +206,3 @@ def run(args: argparse.Namespace) -> int:
             f"straggler rounds by cell: {attribution or 'none'}"
         )
     return 0
-
-
-def _make_policy(name: str):
-    if name == "quincy":
-        return QuincyPolicy()
-    if name == "load_spreading":
-        return LoadSpreadingPolicy()
-    if name == "network_aware":
-        return NetworkAwarePolicy()
-    if name == "cpu_memory":
-        return CpuMemoryPolicy()
-    if name == "shortest_job_first":
-        return ShortestJobFirstPolicy()
-    if name == "random":
-        return RandomPlacementPolicy()
-    raise ValueError(f"unknown policy {name!r}")
-
-
-def _make_scheduler(
-    scheduler_name: str,
-    policy_name: str,
-    executor: str = "sequential",
-    price_refine: str = "auto",
-    executor_policy: str = "race",
-    cells: int = 0,
-    cell_workers: bool = False,
-    round_deadline_seconds: Optional[float] = None,
-):
-    """Build the scheduler a CLI invocation asked for.
-
-    Knob combinations that cannot take effect are rejected loudly instead
-    of silently ignored: ``cells`` only applies to the firmament scheduler,
-    the dual-executor knobs (``executor``, ``executor_policy``) do not
-    exist in the sharded scheduler (each cell runs one incremental solver,
-    there is no race to configure), and ``round_deadline_seconds`` needs a
-    flow-based scheduler with deadline support.  ``price_refine`` *is* a
-    per-cell solver knob and is forwarded to the sharded scheduler's
-    inline and worker solvers alike.
-    """
-    if cells > 0 and scheduler_name != "firmament":
-        raise ValueError(
-            f"--cells only applies to the firmament scheduler, not "
-            f"{scheduler_name!r}"
-        )
-    if round_deadline_seconds is not None and scheduler_name != "firmament":
-        raise ValueError(
-            f"--round-deadline only applies to the firmament scheduler, not "
-            f"{scheduler_name!r} (the queue-based baselines have no round "
-            "budget to enforce)"
-        )
-    if scheduler_name == "firmament":
-        if cells > 0:
-            if executor != "sequential":
-                raise ValueError(
-                    f"--executor {executor!r} cannot combine with --cells: "
-                    "the sharded scheduler runs one incremental solver per "
-                    "cell (use --cell-workers for real process parallelism)"
-                )
-            if executor_policy != "race":
-                raise ValueError(
-                    f"--executor-policy {executor_policy!r} cannot combine "
-                    "with --cells: the sharded scheduler has no dual-"
-                    "algorithm race to steer"
-                )
-            return ShardedScheduler(
-                lambda: _make_policy(policy_name),
-                num_cells=cells,
-                workers=cell_workers,
-                price_refine=price_refine,
-                round_deadline_seconds=round_deadline_seconds,
-            )
-        if cell_workers:
-            raise ValueError("--cell-workers requires --cells")
-        return FirmamentScheduler(
-            _make_policy(policy_name), executor=executor,
-            price_refine=price_refine, executor_policy=executor_policy,
-            round_deadline_seconds=round_deadline_seconds,
-        )
-    if cell_workers:
-        raise ValueError("--cell-workers requires --cells")
-    if scheduler_name == "quincy":
-        return make_quincy_scheduler()
-    if scheduler_name == "sparrow":
-        return SparrowScheduler()
-    if scheduler_name == "swarmkit":
-        return SwarmKitScheduler()
-    if scheduler_name == "kubernetes":
-        return KubernetesScheduler()
-    if scheduler_name == "mesos":
-        return MesosScheduler()
-    raise ValueError(f"unknown scheduler {scheduler_name!r}")

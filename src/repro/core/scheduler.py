@@ -1,19 +1,47 @@
 """The Firmament scheduler: policy-driven flow scheduling with fast solvers.
 
-One call to :meth:`FirmamentScheduler.schedule` corresponds to one iteration
-of the loop in Figure 2b of the paper: update the flow network from cluster
+One call to :meth:`FlowScheduler.schedule` corresponds to one iteration of
+the loop in Figure 2b of the paper: update the flow network from cluster
 state, run the MCMF solver (by default the speculative dual-algorithm
 executor), extract task placements from the optimal flow, and compute the
 difference against the current assignment (placements, migrations,
 preemptions).  The caller -- the simulator, the testbed harness, or an
 example program -- applies the resulting decision to the cluster state.
+
+That loop is written once, over *cells* (:class:`RoundCell`: a state view,
+its :class:`~repro.core.graph_manager.GraphManager`, its solver):
+
+1. ``manager.update(view, now)`` for every cell taking part;
+2. solve every cell that has tasks, handing over the round's change batch;
+   a cell whose solver raises
+   :class:`~repro.solvers.base.RoundDeadlineExceeded` is *dead* for the
+   round;
+3. merge per cell: extract + diff for a solved cell (marked
+   ``epsilon_truncated`` when the result is not optimal), hold-pending for
+   a dead one (``round_deadline``);
+4. charge ``algorithm_runtime`` by one rule -- a cell costs its measured
+   wall clock if its solver ``charges_wall_clock`` (a physical race),
+   otherwise the runtime its result reports (falling back to wall clock);
+   the round costs the gather wall clock when the cells really ran
+   concurrently, otherwise its slowest cell, i.e. the latency of the
+   concurrent deployment being modeled;
+5. ``statistics.record``.
+
+:class:`FirmamentScheduler` is the one-cell case: the view is the
+:class:`~repro.cluster.state.ClusterState` itself, the solver is the dual
+executor, and the round's ``solver_result`` is the winning solver's own
+result.  :class:`~repro.core.sharding.ShardedScheduler` supplies many cells.
+Both do so through three hooks -- ``_round_cells`` (who takes part),
+``_solve_cells`` (inline in order, or shipped to workers and gathered) and
+``_round_result`` (what ``decision.solver_result`` carries) -- so
+deadlines, degradation, chaos and runtime charging have one implementation.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.cluster.state import ClusterState
 from repro.core.graph_manager import GraphManager
@@ -125,17 +153,171 @@ class SchedulerStatistics:
         self.total_preemptions -= len(decision.preemptions)
 
 
-class FlowScheduler:
-    """What the monolithic and the sharded flow scheduler share verbatim.
+class RoundCell(NamedTuple):
+    """One cell's part in a round: what its graph manager reads, the
+    manager holding the cell's flow network, and the solver that runs on
+    it.  The monolithic scheduler is the single cell whose view is the
+    whole :class:`ClusterState`."""
 
-    Subclasses implement :meth:`schedule`; applying a decision and holding
-    a dead round's pending tasks do not depend on how it was computed.
+    index: int
+    view: Any
+    manager: GraphManager
+    solver: Solver
+
+
+#: ``(cell, result, runtime)`` per solved cell; ``result`` is ``None`` for a
+#: cell whose round died at its deadline.
+CellOutcome = Tuple[RoundCell, Optional[SolverResult], float]
+
+
+class FlowScheduler:
+    """The round pipeline both flow schedulers run.
+
+    :meth:`schedule` is the only implementation of the round; a subclass
+    describes *what* is scheduled through three hooks: :meth:`_round_cells`
+    (the cells taking part, with their views prepared), :meth:`_solve_cells`
+    (how the prepared cells are solved; in-process and in order by default)
+    and :meth:`_round_result` (the decision's ``solver_result``).
     """
+
+    #: Whether :meth:`_solve_cells` runs the cells concurrently, in worker
+    #: subprocesses (the round is then charged its measured wall clock).
+    workers = False
 
     def schedule(self, state: ClusterState, now: float = 0.0) -> SchedulingDecision:
         """Run one scheduling iteration against the given cluster state."""
+        decision = SchedulingDecision()
+        active: List[RoundCell] = []
+        for cell in self._round_cells(state):
+            cell.manager.update(cell.view, now)
+            decision.graph_update_seconds += cell.manager.last_update_stats.seconds
+            if cell.manager.task_nodes:
+                active.append(cell)
+
+        outcomes: List[CellOutcome] = []
+        if active:
+            wall_start = time.perf_counter()
+            outcomes = self._solve_cells(active)
+            round_wall = time.perf_counter() - wall_start
+            for cell, result, _ in outcomes:
+                self._merge_cell(state, cell.manager, result, decision)
+            if self.workers:
+                # The cells really ran concurrently: the measured
+                # ship+gather wall clock is the round's placement latency.
+                decision.algorithm_runtime = round_wall
+            else:
+                # Inline cells ran back to back; charge the slowest cell,
+                # the effective latency of the concurrent deployment (same
+                # modeling convention as the sequential dual executor's
+                # race).  For one cell that is simply its runtime.
+                decision.algorithm_runtime = max(
+                    runtime for _, _, runtime in outcomes
+                )
+        decision.solver_result = self._round_result(state, decision, outcomes)
+        self.statistics.record(decision)
+        return decision
+
+    # ------------------------------------------------------------------ #
+    # Hooks
+    # ------------------------------------------------------------------ #
+    def _round_cells(self, state: ClusterState) -> Iterable[RoundCell]:
+        """The cells taking part in this round, views ready for update."""
         raise NotImplementedError
 
+    def _solve_cells(self, cells: List[RoundCell]) -> List[CellOutcome]:
+        """Solve every cell in-process, in cell order (deterministic)."""
+        return [(cell, *self._solve_cell(cell)) for cell in cells]
+
+    def _round_result(
+        self,
+        state: ClusterState,
+        decision: SchedulingDecision,
+        outcomes: List[CellOutcome],
+    ) -> Optional[SolverResult]:
+        """The round's ``solver_result``, built once the decision is merged
+        (``outcomes`` is empty when no cell had tasks)."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------ #
+    # Per-cell steps
+    # ------------------------------------------------------------------ #
+    def _solve_cell(self, cell: RoundCell) -> Tuple[Optional[SolverResult], float]:
+        """Solve one cell in this process: ``(result, runtime)``.
+
+        The round's typed change batch is handed over when the solver can
+        consume one (an incremental instance then patches its persistent
+        residual network in place instead of reconstructing it from the
+        flow network).  ``result`` is ``None`` when the cell's round died at
+        its deadline.
+        """
+        network, changes = cell.manager.network, cell.manager.last_changes
+        solver = cell.solver
+        start = time.perf_counter()
+        try:
+            if changes is not None and solver.accepts_change_batches:
+                result = solver.solve(network, changes=changes)
+            else:
+                result = solver.solve(network)
+        except RoundDeadlineExceeded:
+            return None, time.perf_counter() - start
+        wall_runtime = time.perf_counter() - start
+        if solver.charges_wall_clock:
+            # The parallel executor races the algorithms physically, so the
+            # measured wall clock *is* the placement latency (winner's
+            # runtime plus IPC overhead); charging the winner's solo runtime
+            # would hide the overhead the executor exists to measure.
+            return result, wall_runtime
+        # Use the solver-reported runtime when available: for the
+        # sequential dual executor that is the *winner's* runtime -- the
+        # effective placement latency of the paper's concurrent
+        # deployment (the two algorithms run on separate cores; the
+        # sequential executor runs them back to back, so wall-clock
+        # would double-charge the loser).
+        return result, result.runtime_seconds or wall_runtime
+
+    def _merge_cell(
+        self,
+        state: ClusterState,
+        manager: GraphManager,
+        result: Optional[SolverResult],
+        decision: SchedulingDecision,
+    ) -> None:
+        """Fold one cell's outcome into the round's decision."""
+        if result is None:
+            # No solver produced a feasible flow for this cell within the
+            # round budget.  Degrade gracefully instead of stalling: reuse
+            # the previous feasible placements (running tasks stay where
+            # they are, no preemptions or migrations) and let the cell's
+            # pending tasks wait one round.  The incremental solvers notice
+            # the revision gap next round and rebuild warm, so nothing
+            # stale survives.
+            decision.degraded = True
+            decision.degraded_reason = "round_deadline"
+            for task_id in manager.task_nodes:
+                task = state.tasks.get(task_id)
+                if task is not None and not task.is_running:
+                    decision.unscheduled.append(task_id)
+            return
+        assignments = extract_placements(
+            manager.network,
+            manager.task_nodes,
+            manager.machine_nodes,
+            manager.sink_node,
+        )
+        diff_assignments(
+            state, manager.task_nodes, assignments, self.allow_migrations, decision
+        )
+        decision.total_cost += result.total_cost
+        if not result.optimal:
+            # The round deadline truncated the epsilon ladder: the flow is
+            # feasible and epsilon-optimal at the coarser epsilon, but not
+            # the fully-scaled optimum.
+            decision.degraded = True
+            decision.degraded_reason = decision.degraded_reason or "epsilon_truncated"
+
+    # ------------------------------------------------------------------ #
+    # Applying a decision
+    # ------------------------------------------------------------------ #
     def apply(self, state: ClusterState, decision: SchedulingDecision, now: float) -> None:
         """Apply a scheduling decision to the cluster state.
 
@@ -166,27 +348,6 @@ class FlowScheduler:
                 f"support; {type(solver).__name__} has none"
             )
         solver.round_deadline_seconds = round_deadline_seconds
-
-    @staticmethod
-    def _solve(solver: Solver, network: FlowNetwork, changes) -> SolverResult:
-        """Solve, handing over the round's typed change batch when the
-        solver can consume one (an incremental instance then patches its
-        persistent residual network in place instead of reconstructing it
-        from the flow network)."""
-        if changes is not None and getattr(solver, "accepts_change_batches", False):
-            return solver.solve(network, changes=changes)
-        return solver.solve(network)
-
-    @staticmethod
-    def _hold_pending(
-        state: ClusterState, task_nodes: Dict[int, int], decision: SchedulingDecision
-    ) -> None:
-        """A round died at its deadline: previous placements stand (no
-        preemptions or migrations), its pending tasks wait one round."""
-        for task_id in task_nodes:
-            task = state.tasks.get(task_id)
-            if task is not None and not task.is_running:
-                decision.unscheduled.append(task_id)
 
 
 class FirmamentScheduler(FlowScheduler):
@@ -262,107 +423,37 @@ class FirmamentScheduler(FlowScheduler):
         # actually consume the change batches.
         self.graph_manager = GraphManager(
             policy,
-            track_changes=getattr(self.solver, "accepts_change_batches", False),
+            track_changes=self.solver.accepts_change_batches,
             chaos=chaos,
         )
         self.allow_migrations = allow_migrations
         self.statistics = SchedulerStatistics()
-        self.last_network: Optional[FlowNetwork] = None
 
-    # ------------------------------------------------------------------ #
-    # Scheduling
-    # ------------------------------------------------------------------ #
-    def schedule(self, state: ClusterState, now: float = 0.0) -> SchedulingDecision:
-        """Run one scheduling iteration against the given cluster state."""
-        network = self.graph_manager.update(state, now)
-        self.last_network = network
-        graph_seconds = self.graph_manager.last_update_stats.seconds
-        if not self.graph_manager.task_nodes:
-            decision = SchedulingDecision(graph_update_seconds=graph_seconds)
-            self.statistics.record(decision)
-            return decision
+    @property
+    def last_network(self) -> Optional[FlowNetwork]:
+        """The flow network of the most recent round (``None`` before the
+        first)."""
+        return self.graph_manager.network
 
-        solver_start = time.perf_counter()
-        try:
-            result = self._solve(
-                self.solver, network, self.graph_manager.last_changes
-            )
-        except RoundDeadlineExceeded:
-            # No solver produced a feasible flow within the round budget.
-            # Degrade gracefully instead of stalling: reuse the previous
-            # feasible placements (running tasks stay where they are, no
-            # preemptions or migrations) and let pending tasks wait one
-            # round.  The incremental solvers notice the revision gap next
-            # round and rebuild warm, so nothing stale survives.
-            return self._degraded_decision(
-                state,
-                reason="round_deadline",
-                algorithm_runtime=time.perf_counter() - solver_start,
-                graph_seconds=graph_seconds,
-            )
-        wall_runtime = time.perf_counter() - solver_start
-        if getattr(self.solver, "charges_wall_clock", False):
-            # The parallel executor races the algorithms physically, so the
-            # measured wall clock *is* the placement latency (winner's
-            # runtime plus IPC overhead); charging the winner's solo runtime
-            # would hide the overhead the executor exists to measure.
-            algorithm_runtime = wall_runtime
-        else:
-            # Use the solver-reported runtime when available: for the
-            # sequential dual executor that is the *winner's* runtime -- the
-            # effective placement latency of the paper's concurrent
-            # deployment (the two algorithms run on separate cores; the
-            # sequential executor runs them back to back, so wall-clock
-            # would double-charge the loser).
-            algorithm_runtime = result.runtime_seconds or wall_runtime
+    def _round_cells(self, state: ClusterState) -> Iterable[RoundCell]:
+        """One cell: the whole cluster, solved by the (dual) executor."""
+        return (RoundCell(0, state, self.graph_manager, self.solver),)
 
-        assignments = extract_placements(
-            network,
-            self.graph_manager.task_nodes,
-            self.graph_manager.machine_nodes,
-            self.graph_manager.sink_node,
-        )
-        decision = SchedulingDecision()
-        diff_assignments(
-            state,
-            self.graph_manager.task_nodes,
-            assignments,
-            self.allow_migrations,
-            decision,
-        )
-        decision.algorithm_runtime = algorithm_runtime
-        decision.graph_update_seconds = graph_seconds
-        # Attribute graph maintenance alongside the solver's own counters so
-        # per-round time can be split into graph vs solver work.
-        result.statistics.graph_update_seconds = graph_seconds
-        decision.solver_result = result
-        decision.total_cost = result.total_cost
-        if not result.optimal:
-            # The round deadline truncated the epsilon ladder: the flow is
-            # feasible and epsilon-optimal at the coarser epsilon, but not
-            # the fully-scaled optimum.
-            decision.degraded = True
-            decision.degraded_reason = "epsilon_truncated"
-        self.statistics.record(decision)
-        return decision
-
-    def _degraded_decision(
+    def _round_result(
         self,
         state: ClusterState,
-        reason: str,
-        algorithm_runtime: float,
-        graph_seconds: float,
-    ) -> SchedulingDecision:
-        """Build the previous-placements-reused decision for a dead round."""
-        decision = SchedulingDecision(
-            degraded=True,
-            degraded_reason=reason,
-            algorithm_runtime=algorithm_runtime,
-            graph_update_seconds=graph_seconds,
-        )
-        self._hold_pending(state, self.graph_manager.task_nodes, decision)
-        self.statistics.record(decision)
-        return decision
+        decision: SchedulingDecision,
+        outcomes: List[CellOutcome],
+    ) -> Optional[SolverResult]:
+        """The winning solver's own result (``None`` on an empty round and
+        on a round that died at its deadline)."""
+        result = outcomes[0][1] if outcomes else None
+        if result is not None:
+            # Attribute graph maintenance alongside the solver's own
+            # counters so per-round time can be split into graph vs solver
+            # work.
+            result.statistics.graph_update_seconds = decision.graph_update_seconds
+        return result
 
     def close(self) -> None:
         """Release solver resources (e.g. the parallel executor's worker)."""

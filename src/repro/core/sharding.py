@@ -20,17 +20,25 @@ schedules one cell), and this module does the same:
   as the monolithic manager consumes the full state, so the entire
   incremental graph path (typed dirty sets, in-place mutation, emitted
   :class:`~repro.flow.changes.ChangeBatch`) is reused unchanged per cell.
-* :class:`ShardedScheduler` drains the global dirty tracker once per round
-  and *routes* each mark to the owning cell's tracker, updates every
-  cell's network, and solves the cells either **inline** (deterministic;
-  the round charges the *slowest* cell's runtime, modeling concurrent
-  cells the same way the sequential dual executor models the race) or in
-  a pool of persistent **worker subprocesses** -- one incremental
-  cost-scaling solver per cell, each behind a
+* :class:`ShardedScheduler` is the many-cell case of the round pipeline in
+  :meth:`repro.core.scheduler.FlowScheduler.schedule` (graph update, solve
+  with per-cell deadline degradation, extract + diff, runtime charging all
+  live there, shared with the monolithic scheduler).  What is left here is
+  what only exists with more than one cell: draining the global dirty
+  tracker once per round and *routing* each mark to the owning cell's
+  tracker, bucketing tasks by home cell and skipping idle cells
+  (``_round_cells``); solving the cells either **inline** (the pipeline's
+  default: deterministic, the round charges the *slowest* cell's runtime,
+  modeling concurrent cells the same way the sequential dual executor
+  models the race) or in a pool of persistent **worker subprocesses** --
+  one incremental cost-scaling solver per cell, each behind a
   :class:`~repro.solvers.worker.WorkerClient` (see
-  :mod:`repro.solvers.worker` for the transport and its circuit breaker).
-  All cells ship before any gathers, so the round's wall clock approaches
-  the slowest cell rather than the sum.
+  :mod:`repro.solvers.worker` for the transport and its circuit breaker);
+  all cells ship before any gathers, so the round's wall clock approaches
+  the slowest cell rather than the sum, and a cell whose worker does not
+  answer is served by the pipeline's own per-cell solve (``_solve_cells``);
+  and the ``sharded[N]`` merged result with straggler attribution
+  (``_round_result``).
 * :class:`CrossCellBalancer` runs off the hot path, after the round's
   placements are extracted: a cell whose queued tasks exceed its free
   capacity (including a task with *no* feasible machine in its home cell)
@@ -46,7 +54,10 @@ and ``cross_cell_migrations``; the simulator forwards them through
 :class:`~repro.simulation.simulator.ScheduleRecord` into
 :class:`~repro.simulation.metrics.MetricsSummary`.  Per-cell transport
 ratios (snapshot vs delta ships, fallback rounds, respawns, breaker state)
-are exposed by :meth:`ShardedScheduler.cell_transport`.
+are exposed by :meth:`ShardedScheduler.cell_transport`, and each worker
+round's ships, respawns and breaker state are stamped on the cell's result
+(:meth:`~repro.solvers.worker.WorkerClient.stamp_round`), so the merged
+statistics carry the round's totals.
 
 Chaos: the scheduler honours the same :class:`~repro.chaos.ChaosPolicy`
 faults as the parallel executor, aimed at one cell per firing round
@@ -67,19 +78,14 @@ from repro.cluster.state import ClusterState
 from repro.cluster.task import Task
 from repro.cluster.topology import ClusterTopology
 from repro.core.graph_manager import GraphManager
-from repro.core.placement import diff_assignments, extract_placements
 from repro.core.scheduler import (
+    CellOutcome,
     FlowScheduler,
+    RoundCell,
     SchedulerStatistics,
     SchedulingDecision,
 )
-from repro.flow.changes import ChangeBatch
-from repro.flow.graph import FlowNetwork
-from repro.solvers.base import (
-    RoundDeadlineExceeded,
-    SolverResult,
-    SolverStatistics,
-)
+from repro.solvers.base import SolverResult, SolverStatistics
 from repro.solvers.incremental import IncrementalCostScalingSolver
 from repro.solvers.worker import WorkerClient
 
@@ -459,10 +465,9 @@ class ShardedScheduler(FlowScheduler):
         self.statistics = SchedulerStatistics()
         self.balancer = CrossCellBalancer(self.partition) if balance else None
 
-        self._state_id: Optional[int] = None
+        self._state: Optional[ClusterState] = None
         self._views: List[CellStateView] = []
-        self._managers: List[GraphManager] = []
-        self._solvers: List[Any] = []
+        self._cells: List[RoundCell] = []
         #: Per-cell solver workers (spawned on first use in worker mode).
         self.clients: List[WorkerClient] = []
         self._fallback_rounds: List[int] = []
@@ -480,32 +485,27 @@ class ShardedScheduler(FlowScheduler):
     def _bind(self, state: ClusterState) -> None:
         """(Re)attach to a cluster state: fresh views, managers, solvers."""
         self.close()
-        self._state_id = id(state)
+        self._state = state
         self._views = [
             CellStateView(state, self.partition, cell)
             for cell in range(self.num_cells)
         ]
-        self._managers = []
-        self._solvers = []
-        self.clients = []
         self._fallback_rounds = [0] * self.num_cells
-        for cell in range(self.num_cells):
-            policy = self._policy_factory()
-            self._managers.append(
-                GraphManager(policy, track_changes=True, chaos=self.chaos)
-            )
+        for view in self._views:
             solver = self._solver_factory()
             self._arm_deadline(solver, self.round_deadline_seconds)
-            self._solvers.append(solver)
+            manager = GraphManager(
+                self._policy_factory(), track_changes=True, chaos=self.chaos
+            )
+            self._cells.append(RoundCell(view.cell, view, manager, solver))
             self.clients.append(
                 WorkerClient(IncrementalCostScalingSolver, self._solver_kwargs)
             )
+            view.dirty.mark_all()
         self._cell_had_tasks = [False] * self.num_cells
         self._dirty_epoch = None
         self._task_home = {}
         self._job_cells = {}
-        for view in self._views:
-            view.dirty.mark_all()
 
     def _home_cell(self, task: Task) -> int:
         """Current home cell of a task.
@@ -515,7 +515,7 @@ class ShardedScheduler(FlowScheduler):
         balancer's override applies, falling back to the job-hash default.
         """
         if task.is_running and task.machine_id is not None:
-            machine = self._views[0]._state.topology.machines.get(task.machine_id)
+            machine = self._state.topology.machines.get(task.machine_id)
             if machine is not None:
                 return self.partition.cell_of_machine(machine)
         home = self._task_home.get(task.task_id)
@@ -602,171 +602,109 @@ class ShardedScheduler(FlowScheduler):
         return buckets
 
     # ------------------------------------------------------------------ #
-    # Scheduling
+    # Round-pipeline hooks (the round itself is FlowScheduler.schedule)
     # ------------------------------------------------------------------ #
-    def schedule(self, state: ClusterState, now: float = 0.0) -> SchedulingDecision:
-        """Run one sharded scheduling iteration."""
-        if self._state_id != id(state):
+    def _round_cells(self, state: ClusterState) -> List[RoundCell]:
+        """Route the round's dirty marks and tasks; return the active cells."""
+        if self._state is not state:
             self._bind(state)
         self._round_index += 1
         self._route_dirty(state)
-        buckets = self._bucket_tasks(state)
-
-        # Graph maintenance: every active cell's network, in cell order.
-        graph_seconds = 0.0
-        prepared: List[Tuple[int, FlowNetwork, Optional[ChangeBatch]]] = []
-        for cell in range(self.num_cells):
-            bucket = buckets[cell]
-            if not bucket and not self._cell_had_tasks[cell]:
+        active: List[RoundCell] = []
+        for cell, bucket in zip(self._cells, self._bucket_tasks(state)):
+            if not bucket and not self._cell_had_tasks[cell.index]:
                 continue  # an idle cell's tracker just accumulates marks
-            view = self._views[cell]
-            view.set_round_tasks(bucket)
-            manager = self._managers[cell]
-            network = manager.update(view, now)
-            graph_seconds += manager.last_update_stats.seconds
-            self._cell_had_tasks[cell] = bool(bucket)
-            if manager.task_nodes:
-                prepared.append((cell, network, manager.last_changes))
+            cell.view.set_round_tasks(bucket)
+            self._cell_had_tasks[cell.index] = bool(bucket)
+            active.append(cell)
+        return active
 
-        if not prepared:
-            decision = SchedulingDecision(graph_update_seconds=graph_seconds)
-            decision.solver_result = self._merged_result([], 0.0)
-            self.statistics.record(decision)
-            return decision
-
-        wall_start = time.perf_counter()
-        if self.workers:
-            cell_results = self._solve_cells_workers(prepared)
-        else:
-            cell_results = self._solve_cells_inline(prepared)
-        round_wall = time.perf_counter() - wall_start
-
-        # Merge per-cell outcomes into one decision.
-        decision = SchedulingDecision()
-        straggler_cell, straggler_seconds = -1, 0.0
-        results: List[SolverResult] = []
-        for cell, result, runtime in cell_results:
-            manager = self._managers[cell]
-            if result is None:
-                # The cell's round died at its deadline: previous
-                # placements stand, its pending tasks wait one round.
-                decision.degraded = True
-                decision.degraded_reason = "round_deadline"
-                self._hold_pending(state, manager.task_nodes, decision)
-            else:
-                results.append(result)
-                network = self._managers[cell].network
-                assignments = extract_placements(
-                    network,
-                    manager.task_nodes,
-                    manager.machine_nodes,
-                    manager.sink_node,
-                )
-                diff_assignments(
-                    state,
-                    manager.task_nodes,
-                    assignments,
-                    self.allow_migrations,
-                    decision,
-                )
-                decision.total_cost += result.total_cost
-                if not result.optimal:
-                    decision.degraded = True
-                    decision.degraded_reason = (
-                        decision.degraded_reason or "epsilon_truncated"
-                    )
-            if runtime >= straggler_seconds:
-                straggler_cell, straggler_seconds = cell, runtime
-
-        if self.workers:
-            # The cells really ran concurrently: the measured ship+gather
-            # wall clock is the round's placement latency.
-            algorithm_runtime = round_wall
-        else:
-            # Inline cells ran back to back; charge the slowest cell, the
-            # effective latency of the concurrent deployment (same modeling
-            # convention as the sequential dual executor's race).
-            algorithm_runtime = straggler_seconds
-        decision.algorithm_runtime = algorithm_runtime
-        decision.graph_update_seconds = graph_seconds
-
-        migrations = 0
-        if self.balancer is not None:
-            migrations = self._apply_rebalance(state, decision)
-
-        merged = self._merged_result(results, algorithm_runtime)
-        merged.statistics.cells_solved = len(cell_results)
-        merged.statistics.straggler_cell = straggler_cell
-        merged.statistics.straggler_seconds = straggler_seconds
-        merged.statistics.cross_cell_migrations = migrations
-        merged.statistics.graph_update_seconds = graph_seconds
-        if decision.degraded:
-            merged.statistics.degraded_round = 1
-        if straggler_cell >= 0:
-            self.straggler_rounds[straggler_cell] = (
-                self.straggler_rounds.get(straggler_cell, 0) + 1
-            )
-        decision.solver_result = merged
-        self.statistics.record(decision)
-        return decision
-
-    def _solve_cells_inline(
-        self, prepared: List[Tuple[int, FlowNetwork, Optional[ChangeBatch]]]
-    ) -> List[Tuple[int, Optional[SolverResult], float]]:
-        """Solve every cell in-process, in cell order (deterministic)."""
-        outcomes: List[Tuple[int, Optional[SolverResult], float]] = []
-        for cell, network, changes in prepared:
-            solver = self._solvers[cell]
-            start = time.perf_counter()
-            try:
-                result = self._solve(solver, network, changes)
-            except RoundDeadlineExceeded:
-                outcomes.append((cell, None, time.perf_counter() - start))
-                continue
-            runtime = result.runtime_seconds or (time.perf_counter() - start)
-            outcomes.append((cell, result, runtime))
-        return outcomes
-
-    def _solve_cells_workers(
-        self, prepared: List[Tuple[int, FlowNetwork, Optional[ChangeBatch]]]
-    ) -> List[Tuple[int, Optional[SolverResult], float]]:
-        """Ship every cell's round, then gather: wall ~ the slowest cell."""
+    def _solve_cells(self, cells: List[RoundCell]) -> List[CellOutcome]:
+        """Worker mode: ship every cell's round, then gather, so the wall
+        clock approaches the slowest cell; inline mode solves in order."""
+        if not self.workers:
+            return super()._solve_cells(cells)
         chaos_round = self._round_index - 1
         chaos_target = chaos_round % self.num_cells
-        shipped: List[Tuple[int, FlowNetwork, Optional[ChangeBatch], Optional[int]]] = []
-        for cell, network, changes in prepared:
-            client = self.clients[cell]
+        shipped: List[Tuple[RoundCell, Optional[int]]] = []
+        for cell in cells:
+            client = self.clients[cell.index]
+            changes = cell.manager.last_changes
             client.begin_round(changes)
             round_id = client.ship(
-                network,
+                cell.manager.network,
                 changes,
-                self.chaos if cell == chaos_target else None,
+                self.chaos if cell.index == chaos_target else None,
                 chaos_round,
             )
-            shipped.append((cell, network, changes, round_id))
+            shipped.append((cell, round_id))
 
         timeout = self.round_deadline_seconds or GATHER_TIMEOUT_SECONDS
         deadline = time.monotonic() + timeout
-        outcomes: List[Tuple[int, Optional[SolverResult], float]] = []
-        for cell, network, changes, round_id in shipped:
-            client = self.clients[cell]
+        outcomes: List[CellOutcome] = []
+        for cell, round_id in shipped:
+            client = self.clients[cell.index]
             answered = False
             if round_id is not None:
                 answered = client.wait(
                     round_id, max(deadline - time.monotonic(), 0.01)
                 )
                 client.settle()
-            if not answered:
+            if answered:
+                result = client.result
+                cell.manager.network.set_flows(result.flows)
+                runtime = result.runtime_seconds
+            else:
                 # Dead, erroring, or slow worker: the parent-side solver
                 # serves this cell's round so only this cell degrades to
                 # fallback latency -- never to a lost round.
-                self._fallback_rounds[cell] += 1
-                outcomes.extend(self._solve_cells_inline([(cell, network, changes)]))
-                continue
-            result = client.result
-            network.set_flows(result.flows)
-            outcomes.append((cell, result, result.runtime_seconds))
+                self._fallback_rounds[cell.index] += 1
+                result, runtime = self._solve_cell(cell)
+            if result is not None:
+                client.stamp_round(result.statistics)
+            outcomes.append((cell, result, runtime))
         return outcomes
+
+    def _round_result(
+        self,
+        state: ClusterState,
+        decision: SchedulingDecision,
+        outcomes: List[CellOutcome],
+    ) -> SolverResult:
+        """Rebalance, then merge the cells' results into ``sharded[N]``."""
+        migrations = 0
+        if self.balancer is not None:
+            migrations = self._apply_rebalance(state, decision)
+
+        stats = SolverStatistics()
+        optimal = True
+        straggler_cell, straggler_seconds = -1, 0.0
+        for cell, result, runtime in outcomes:
+            if result is not None:
+                stats = stats.merge(result.statistics)
+                optimal = optimal and result.optimal
+            if runtime >= straggler_seconds:
+                straggler_cell, straggler_seconds = cell.index, runtime
+        stats.cells_solved = len(outcomes)
+        stats.straggler_cell = straggler_cell
+        stats.straggler_seconds = straggler_seconds
+        stats.cross_cell_migrations = migrations
+        stats.graph_update_seconds = decision.graph_update_seconds
+        if decision.degraded:
+            stats.degraded_round = 1
+        if straggler_cell >= 0:
+            self.straggler_rounds[straggler_cell] = (
+                self.straggler_rounds.get(straggler_cell, 0) + 1
+            )
+        return SolverResult(
+            algorithm=f"sharded[{self.num_cells}]",
+            total_cost=decision.total_cost,
+            flows={},
+            potentials={},
+            runtime_seconds=decision.algorithm_runtime,
+            statistics=stats,
+            optimal=optimal,
+        )
 
     def _apply_rebalance(self, state: ClusterState, decision: SchedulingDecision) -> int:
         """Run the balancer; re-homes are ordinary dirty-set mutations."""
@@ -782,27 +720,6 @@ class ShardedScheduler(FlowScheduler):
                 self._views[source].dirty.mark_job(task.job_id)
                 self._views[target].dirty.mark_job(task.job_id)
         return len(moves)
-
-    def _merged_result(
-        self, results: List[SolverResult], runtime: float
-    ) -> SolverResult:
-        """Combine per-cell solver results into the round's merged result."""
-        stats = SolverStatistics()
-        total_cost = 0
-        optimal = True
-        for result in results:
-            stats = stats.merge(result.statistics)
-            total_cost += result.total_cost
-            optimal = optimal and result.optimal
-        return SolverResult(
-            algorithm=f"sharded[{self.num_cells}]",
-            total_cost=total_cost,
-            flows={},
-            potentials={},
-            runtime_seconds=runtime,
-            statistics=stats,
-            optimal=optimal,
-        )
 
     # ------------------------------------------------------------------ #
     # Observability and lifecycle
@@ -828,12 +745,14 @@ class ShardedScheduler(FlowScheduler):
         ]
 
     def close(self) -> None:
-        """Shut down every cell's worker and solver (idempotent)."""
+        """Shut down every cell's worker and solver (idempotent); a later
+        round binds afresh."""
         for client in self.clients:
             client.close()
-        for solver in self._solvers:
-            close = getattr(solver, "close", None)
+        for cell in self._cells:
+            close = getattr(cell.solver, "close", None)
             if callable(close):
                 close()
         self.clients = []
-        self._solvers = []
+        self._cells = []
+        self._state = None

@@ -132,10 +132,11 @@ class ScheduleRecord:
     #: what every round's relaxation leg cost.
     relaxation_tree_nodes: int = 0
     dual_ascents: int = 0
-    #: Worker transport of the round (parallel executor only): 1 when the
-    #: relaxation worker was fed a full DIMACS snapshot, resp. an
-    #: incremental delta/resync payload (both zero when the worker sat the
-    #: round out).
+    #: Worker transport of the round: how many solver workers (the
+    #: parallel executor's relaxation worker, or one per cell under
+    #: ``--cell-workers``) were fed a full DIMACS snapshot, resp. an
+    #: incremental delta/resync payload (both zero when no worker took
+    #: part in the round).
     snapshot_ships: int = 0
     delta_ships: int = 0
     #: Robustness observability of the round: 1 when the round degraded

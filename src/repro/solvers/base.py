@@ -58,10 +58,13 @@ class SolverStatistics:
     #: the relaxation work every round paid regardless of who won.
     relaxation_tree_nodes: int = 0
     dual_ascents: int = 0
-    #: Worker transport accounting of the round (parallel executor only):
-    #: whether the relaxation worker was fed a full DIMACS snapshot or an
-    #: incremental delta/resync payload this round (at most one of the two
-    #: is 1; both zero when the worker was not consulted).
+    #: Worker transport accounting of the round (stamped by
+    #: :meth:`repro.solvers.worker.WorkerClient.stamp_round`): whether a
+    #: solver worker -- the parallel executor's relaxation worker or a
+    #: sharded cell's solver worker -- was fed a full DIMACS snapshot or an
+    #: incremental delta/resync payload this round (per worker at most one
+    #: of the two is 1, a sharded round sums its cells; both zero when no
+    #: worker was consulted).
     snapshot_ships: int = 0
     delta_ships: int = 0
     #: Wall-clock seconds the graph manager spent producing this round's
@@ -72,9 +75,9 @@ class SolverStatistics:
     #: deadline firings that truncated or aborted work this round;
     #: ``degraded_round`` flags a round whose result is deliberately
     #: non-optimal (epsilon-truncated ladder or previous-placement reuse);
-    #: ``worker_respawns`` counts relaxation-worker respawns performed
-    #: during the round; ``breaker_open`` flags a round served while the
-    #: worker circuit breaker was not closed (sequential fallback rounds).
+    #: ``worker_respawns`` counts solver-worker respawns performed
+    #: during the round; ``breaker_open`` flags a round served while a
+    #: worker circuit breaker was not closed (parent-side fallback rounds).
     deadline_hits: int = 0
     degraded_round: int = 0
     worker_respawns: int = 0
@@ -170,6 +173,14 @@ class Solver(abc.ABC):
 
     #: Human-readable algorithm name; overridden by subclasses.
     name: str = "abstract"
+    #: Whether :meth:`solve` takes ``changes=ChangeBatch`` (the round's typed
+    #: change batch) to patch persistent state instead of rebuilding it.
+    accepts_change_batches: bool = False
+    #: Whether a round should be charged its measured wall clock instead of
+    #: the runtime the result reports (true while an executor races its
+    #: algorithms physically, so the reported winner's solo runtime would
+    #: hide the racing overhead).
+    charges_wall_clock: bool = False
 
     @abc.abstractmethod
     def solve(self, network: FlowNetwork) -> SolverResult:

@@ -10,8 +10,9 @@ latency.  Running both is cheap because each algorithm is single-threaded.
 The reproduction provides two executors sharing the race/seed/result logic
 in :class:`SpeculativeDualExecutor`:
 
-* :class:`DualAlgorithmExecutor` (this module) runs the algorithms
-  *sequentially* and models the concurrent deployment: the *effective*
+* :class:`DualAlgorithmExecutor` (this module) runs the base class's
+  inline race every round -- the algorithms run *sequentially* and the
+  concurrent deployment is modeled: the *effective*
   runtime reported for an iteration is the minimum of the two runtimes,
   exactly as if they had run on two cores, while the real wall-clock cost
   paid is the sum.  Both numbers are exposed so experiments can reason
@@ -255,9 +256,11 @@ class SpeculativeDualExecutor(Solver):
     """Shared race/seed/result logic of the two dual-algorithm executors.
 
     Subclasses implement :meth:`solve_detailed`; the base class owns the
-    component solvers, the winner-seeds-warm-start rule, the adaptive race
-    policy, and the race counters used by benchmarks and tests for
-    observability.
+    component solvers, the inline back-to-back race (every round of the
+    sequential executor, the no-worker rounds of the parallel one), the
+    one round assembly (:meth:`_finish_round`: winner-seeds-warm-start
+    rule, work accounting, race counters, cost-model observation), and the
+    adaptive race policy.
     """
 
     #: The scheduler may pass ``changes=ChangeBatch`` to :meth:`solve`; the
@@ -414,6 +417,143 @@ class SpeculativeDualExecutor(Solver):
         network.set_flows(relaxation_result.flows)
         self.incremental.seed(relaxation_result.flows, relaxation_result.potentials)
 
+    def _race_inline(
+        self,
+        network: FlowNetwork,
+        changes: Optional[ChangeBatch],
+        executor: str = "sequential",
+    ) -> DualExecutionResult:
+        """Run the legs back to back in this process and model the race.
+
+        The winning flow is the one left assigned on the network's arcs.
+        Under ``executor_policy="auto"`` the round may run a single leg;
+        the skipped leg's slot in the result is ``None``.
+
+        With ``round_deadline_seconds`` set, each leg runs under its own
+        :class:`RoundDeadline` (the legs model *concurrent* algorithms, so
+        each gets the full budget): relaxation is aborted at the hard
+        deadline or its ascent cap, cost scaling stops its epsilon ladder
+        at the soft deadline (``optimal=False``) and is aborted outright at
+        the hard one.  A leg that died degrades the round to the surviving
+        leg; if both died, :class:`RoundDeadlineExceeded` is raised so the
+        caller reuses the previous placements.
+        """
+        started = time.perf_counter()
+        strategy = self._choose_strategy(changes)
+        budget = self.round_deadline_seconds
+        deadline_hit = False
+
+        relaxation_result: Optional[SolverResult] = None
+        if strategy != "cost_scaling":
+            # Run relaxation on a copy so the network's arcs end up carrying
+            # the winner's flow regardless of execution order.  The round's
+            # change batch is forwarded so the solver can patch its
+            # persistent residual instead of rebuilding it.
+            relaxation_network = network.copy()
+            if budget is not None:
+                self.relaxation.abort_check = RoundDeadline(budget).hard_expired
+            try:
+                relaxation_result = self.relaxation.solve(
+                    relaxation_network, changes=changes
+                )
+            except SolveAborted:
+                # Hard deadline or ascent cap: degrade to the other leg.
+                deadline_hit = True
+            finally:
+                self.relaxation.abort_check = None
+
+        cost_scaling_result: Optional[SolverResult] = None
+        if strategy != "relaxation" or relaxation_result is None:
+            # The race, a policy solo, or a solo relaxation leg that died
+            # at the deadline: the cost-scaling leg runs.
+            deadline: Optional[RoundDeadline] = None
+            if budget is not None:
+                deadline = RoundDeadline(budget)
+                self.incremental.deadline_check = deadline
+                self.incremental.abort_check = deadline.hard_expired
+            try:
+                cost_scaling_result = self.incremental.solve(network, changes=changes)
+            except SolveAborted:
+                deadline_hit = True
+            finally:
+                if deadline is not None:
+                    self.incremental.deadline_check = None
+                    self.incremental.abort_check = None
+
+        if relaxation_result is None and cost_scaling_result is None:
+            self.deadline_exceeded_rounds += 1
+            raise RoundDeadlineExceeded(
+                "no solver produced a feasible flow within the round budget"
+                + (f" ({budget:.3f}s)" if budget is not None else "")
+            )
+        return self._finish_round(
+            network, started, relaxation_result, cost_scaling_result,
+            winner_is_relaxation=cost_scaling_result is None
+            or (
+                relaxation_result is not None
+                and relaxation_result.runtime_seconds
+                <= cost_scaling_result.runtime_seconds
+            ),
+            executor=executor,
+            raced=relaxation_result is not None and cost_scaling_result is not None,
+            deadline_hit=deadline_hit,
+        )
+
+    def _finish_round(
+        self,
+        network: FlowNetwork,
+        started: float,
+        relaxation_result: Optional[SolverResult],
+        cost_scaling_result: Optional[SolverResult],
+        winner_is_relaxation: bool,
+        executor: str,
+        raced: bool,
+        deadline_hit: bool = False,
+        parent_cancelled: bool = False,
+    ) -> DualExecutionResult:
+        """Install the winner, assemble the round's result and account it.
+
+        ``parent_cancelled`` marks a physically raced round whose
+        parent-side cost scaling run was cancelled mid-flight; ``raced``
+        is as on :class:`DualExecutionResult`.
+        """
+        wall_clock = time.perf_counter() - started
+        if winner_is_relaxation:
+            winner = relaxation_result
+            self._install_relaxation_win(network, relaxation_result)
+        else:
+            winner = cost_scaling_result
+        # A cancelled parent run consumed roughly the whole round's wall
+        # clock before it stopped (a solo-relaxation round's idle parent
+        # consumed nothing); an abandoned worker round is accounted only
+        # when its runtime is known (the stale result may never drain).
+        work = wall_clock if parent_cancelled else 0.0
+        for leg in (relaxation_result, cost_scaling_result):
+            if leg is not None:
+                work += leg.runtime_seconds
+        if deadline_hit:
+            winner.statistics.deadline_hits += 1
+        if not winner.optimal:
+            # A deadline-truncated epsilon ladder degraded this round.
+            winner.statistics.degraded_round = 1
+        return self._record_round(
+            DualExecutionResult(
+                winner=winner,
+                relaxation=relaxation_result,
+                cost_scaling=cost_scaling_result,
+                # A physical race is charged what it measurably took; legs
+                # run back to back model the concurrent deployment, whose
+                # latency is the winner's own runtime.
+                effective_runtime_seconds=(
+                    wall_clock if executor == "parallel" else winner.runtime_seconds
+                ),
+                total_work_seconds=work,
+                wall_clock_seconds=wall_clock,
+                executor=executor,
+                raced=raced,
+            )
+        )
+
     def _record_round(self, result: DualExecutionResult) -> DualExecutionResult:
         """Account a finished round in the executor's counters.
 
@@ -450,24 +590,6 @@ class SpeculativeDualExecutor(Solver):
             result.winner.statistics.dual_ascents += (
                 relaxation_loser.statistics.dual_ascents
             )
-        self._tally_round(result)
-        self.cost_model.observe(
-            result.relaxation,
-            result.cost_scaling,
-            wall_clock_seconds=result.wall_clock_seconds,
-            raced=result.raced,
-        )
-        return result
-
-    def _tally_round(self, result: DualExecutionResult) -> None:
-        """Accumulate one round into the executor's counters.
-
-        Shared by :meth:`_record_round` and the parallel executor's
-        fallback path (which must *not* re-run the stat folding or the
-        cost-model observation -- the inner sequential executor already
-        did both); every counter lives here so the two paths cannot
-        drift.
-        """
         self.rounds += 1
         if result.winner.algorithm == self.relaxation.name:
             self.relaxation_wins += 1
@@ -486,6 +608,13 @@ class SpeculativeDualExecutor(Solver):
         self.total_winner_runtime_seconds += result.winner.runtime_seconds
         self.total_work_seconds += result.total_work_seconds
         self.last_result = result
+        self.cost_model.observe(
+            result.relaxation,
+            result.cost_scaling,
+            wall_clock_seconds=result.wall_clock_seconds,
+            raced=result.raced,
+        )
+        return result
 
 
 class DualAlgorithmExecutor(SpeculativeDualExecutor):
@@ -497,140 +626,7 @@ class DualAlgorithmExecutor(SpeculativeDualExecutor):
     def solve_detailed(
         self, network: FlowNetwork, changes: Optional[ChangeBatch] = None
     ) -> DualExecutionResult:
-        """Solve the network and return both algorithms' results.
-
-        The winning flow is the one left assigned on the network's arcs.
-        Under ``executor_policy="auto"`` the round may run a single leg;
-        the skipped leg's slot in the result is ``None``.
-
-        With ``round_deadline_seconds`` set, each leg runs under its own
-        :class:`RoundDeadline` (the legs model *concurrent* algorithms, so
-        each gets the full budget): relaxation is aborted at the hard
-        deadline or its ascent cap, cost scaling stops its epsilon ladder
-        at the soft deadline (``optimal=False``) and is aborted outright at
-        the hard one.  A leg that died degrades the round to the surviving
-        leg; if both died, :class:`RoundDeadlineExceeded` is raised so the
-        caller reuses the previous placements.
-        """
-        started = time.perf_counter()
+        """Solve the network and return both algorithms' results; see
+        :meth:`SpeculativeDualExecutor._race_inline`."""
         self._begin_chaos_round()
-        strategy = self._choose_strategy(changes)
-        budget = self.round_deadline_seconds
-        deadline_hit = False
-
-        relaxation_result: Optional[SolverResult] = None
-        if strategy != "cost_scaling":
-            # Run relaxation on a copy so the network's arcs end up carrying
-            # the winner's flow regardless of execution order.  The round's
-            # change batch is forwarded so the solver can patch its
-            # persistent residual instead of rebuilding it.
-            relaxation_network = network.copy()
-            if budget is not None:
-                self.relaxation.abort_check = RoundDeadline(budget).hard_expired
-            try:
-                relaxation_result = self.relaxation.solve(
-                    relaxation_network, changes=changes
-                )
-            except SolveAborted:
-                # Hard deadline or ascent cap: degrade to the other leg.
-                relaxation_result = None
-                deadline_hit = True
-            finally:
-                self.relaxation.abort_check = None
-
-        if strategy == "relaxation" and relaxation_result is not None:
-            self._install_relaxation_win(network, relaxation_result)
-            runtime = relaxation_result.runtime_seconds
-            return self._record_round(
-                DualExecutionResult(
-                    winner=relaxation_result,
-                    relaxation=relaxation_result,
-                    cost_scaling=None,
-                    effective_runtime_seconds=runtime,
-                    total_work_seconds=runtime,
-                    wall_clock_seconds=time.perf_counter() - started,
-                    executor="sequential",
-                    raced=False,
-                )
-            )
-
-        cost_scaling_result: Optional[SolverResult] = None
-        deadline: Optional[RoundDeadline] = None
-        if budget is not None:
-            deadline = RoundDeadline(budget)
-            self.incremental.deadline_check = deadline
-            self.incremental.abort_check = deadline.hard_expired
-        try:
-            cost_scaling_result = self.incremental.solve(network, changes=changes)
-        except SolveAborted:
-            cost_scaling_result = None
-            deadline_hit = True
-        finally:
-            if deadline is not None:
-                self.incremental.deadline_check = None
-                self.incremental.abort_check = None
-
-        if relaxation_result is None and cost_scaling_result is None:
-            self.deadline_exceeded_rounds += 1
-            raise RoundDeadlineExceeded(
-                "no solver produced a feasible flow within the round budget"
-                + (f" ({budget:.3f}s)" if budget is not None else "")
-            )
-
-        if relaxation_result is None:
-            # Policy solo, or a raced/solo relaxation leg that died at the
-            # deadline: the cost-scaling leg serves the round alone.
-            if deadline_hit:
-                cost_scaling_result.statistics.deadline_hits += 1
-            runtime = cost_scaling_result.runtime_seconds
-            return self._record_round(
-                DualExecutionResult(
-                    winner=cost_scaling_result,
-                    relaxation=None,
-                    cost_scaling=cost_scaling_result,
-                    effective_runtime_seconds=runtime,
-                    total_work_seconds=runtime,
-                    wall_clock_seconds=time.perf_counter() - started,
-                    executor="sequential",
-                    raced=False,
-                )
-            )
-
-        if cost_scaling_result is None:
-            # Race round whose cost-scaling leg died at the hard deadline.
-            self._install_relaxation_win(network, relaxation_result)
-            relaxation_result.statistics.deadline_hits += 1
-            runtime = relaxation_result.runtime_seconds
-            return self._record_round(
-                DualExecutionResult(
-                    winner=relaxation_result,
-                    relaxation=relaxation_result,
-                    cost_scaling=None,
-                    effective_runtime_seconds=runtime,
-                    total_work_seconds=runtime,
-                    wall_clock_seconds=time.perf_counter() - started,
-                    executor="sequential",
-                    raced=False,
-                )
-            )
-
-        if relaxation_result.runtime_seconds <= cost_scaling_result.runtime_seconds:
-            winner = relaxation_result
-            self._install_relaxation_win(network, relaxation_result)
-        else:
-            winner = cost_scaling_result
-
-        result = DualExecutionResult(
-            winner=winner,
-            relaxation=relaxation_result,
-            cost_scaling=cost_scaling_result,
-            effective_runtime_seconds=min(
-                relaxation_result.runtime_seconds, cost_scaling_result.runtime_seconds
-            ),
-            total_work_seconds=(
-                relaxation_result.runtime_seconds + cost_scaling_result.runtime_seconds
-            ),
-            wall_clock_seconds=time.perf_counter() - started,
-            executor="sequential",
-        )
-        return self._record_round(result)
+        return self._race_inline(network, changes)

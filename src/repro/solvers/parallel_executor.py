@@ -42,9 +42,10 @@ post-seed rebuilds, oversized batches, and whenever the cost model is
 unsure.
 
 When no worker can be had (spawn failure, open breaker, platforms without
-multiprocessing) the executor transparently falls back to the sequential
-:class:`~repro.solvers.dual_executor.DualAlgorithmExecutor`, sharing the
-same component solver instances so warm state carries over.
+multiprocessing) the round runs the inline back-to-back race inherited from
+:class:`~repro.solvers.dual_executor.SpeculativeDualExecutor` -- what
+:class:`~repro.solvers.dual_executor.DualAlgorithmExecutor` runs every
+round -- on the same component solver instances, so warm state carries over.
 """
 
 from __future__ import annotations
@@ -60,10 +61,8 @@ from repro.solvers.base import (
     RoundDeadlineExceeded,
     SolveAborted,
     SolverResult,
-    SolverStatistics,
 )
 from repro.solvers.dual_executor import (
-    DualAlgorithmExecutor,
     DualExecutionResult,
     RaceCostModel,
     SpeculativeDualExecutor,
@@ -194,12 +193,8 @@ class ParallelDualExecutor(SpeculativeDualExecutor):
             },
             breaker=breaker,
         )
-        self._fallback: Optional[DualAlgorithmExecutor] = None
         self._closed = False
         self._last_round_fallback = False
-        #: The worker's (respawns, snapshot_ships, delta_ships) at round
-        #: start, so the round's own share can be stamped on its result.
-        self._round_start = (0, 0, 0)
         #: Rounds served by the sequential fallback (observability).
         self.fallback_rounds: int = 0
         #: Delta-armed rounds solved solo (speculation skipped as futile).
@@ -242,9 +237,6 @@ class ParallelDualExecutor(SpeculativeDualExecutor):
         # solved solo below, which is exactly when the worker's chain would
         # otherwise break and force a full snapshot.
         worker.begin_round(changes)
-        self._round_start = (
-            worker.respawns, worker.snapshot_ships, worker.delta_ships
-        )
         if not worker.ensure():
             return self._solve_fallback(network, changes)
 
@@ -339,116 +331,49 @@ class ParallelDualExecutor(SpeculativeDualExecutor):
             worker.settle()
         relaxation_result = worker.result if answered else None
 
-        if cost_scaling_result is not None:
-            return self._finish_round(
-                network, started, cost_scaling_result, relaxation_result,
-                winner_is_relaxation=(
-                    answered and worker.finished_at <= parent_finished_at
-                ),
-                raced=round_id is not None,
+        if cost_scaling_result is None and not answered:
+            if parent_error is not None:
+                raise parent_error
+            if deadline is None:
+                raise RuntimeError(
+                    "cost scaling aborted without a worker result or deadline"
+                )  # pragma: no cover - abort sources are exactly those two
+            # The deadline hard-aborted the parent leg before it produced a
+            # feasible flow, and no worker result arrived either.
+            self.deadline_exceeded_rounds += 1
+            raise RoundDeadlineExceeded(
+                "no solver produced a feasible flow within the round "
+                f"budget ({self.round_deadline_seconds:.3f}s)"
             )
-        if answered:
-            # Cost scaling never ran, or was cancelled by the worker's finish
-            # (or failed, or died at the deadline, and the worker delivered
-            # in grace).
-            return self._finish_round(
-                network, started, None, relaxation_result,
-                winner_is_relaxation=True, parent_ran=parent_ran,
-                deadline_hit=deadline_hit,
-            )
-        if parent_error is not None:
-            raise parent_error
-        if deadline is None:
-            raise RuntimeError(
-                "cost scaling aborted without a worker result or deadline"
-            )  # pragma: no cover - abort sources are exactly those two
-        # The deadline hard-aborted the parent leg before it produced a
-        # feasible flow, and no worker result arrived either.
-        self.deadline_exceeded_rounds += 1
-        raise RoundDeadlineExceeded(
-            "no solver produced a feasible flow within the round "
-            f"budget ({self.round_deadline_seconds:.3f}s)"
-        )
-
-    # ------------------------------------------------------------------ #
-    # Round assembly
-    # ------------------------------------------------------------------ #
-    def _solve_fallback(
-        self, network: FlowNetwork, changes: Optional[ChangeBatch]
-    ) -> DualExecutionResult:
-        if self._fallback is None:
-            # Built lazily; shares the component solvers so warm state
-            # carries over in both directions.
-            self._fallback = DualAlgorithmExecutor(
-                relaxation=self.relaxation, incremental=self.incremental,
-                executor_policy=self.executor_policy, cost_model=self.cost_model,
-                round_deadline_seconds=self.round_deadline_seconds,
-            )
-        result = self._fallback.solve_detailed(network, changes)
-        result.executor = "sequential_fallback"
-        self.fallback_rounds += 1
-        self._last_round_fallback = True
-        self._stamp_worker_stats(result.winner.statistics)
-        # Tally only: the inner sequential executor's _record_round already
-        # folded the loser's stats and fed the (shared) cost model.
-        self._tally_round(result)
-        return result
-
-    def _stamp_worker_stats(self, stats: SolverStatistics) -> None:
-        """Surface the round's breaker state, respawns and ships on the
-        winner's stats (at most one of the two ship counters is 1)."""
-        respawns, snapshot_ships, delta_ships = self._round_start
-        stats.breaker_open = 0 if self.breaker.is_closed else 1
-        stats.worker_respawns += self.worker.respawns - respawns
-        stats.snapshot_ships = self.worker.snapshot_ships - snapshot_ships
-        stats.delta_ships = self.worker.delta_ships - delta_ships
-
-    def _finish_round(
-        self,
-        network: FlowNetwork,
-        started: float,
-        cost_scaling_result: Optional[SolverResult],
-        relaxation_result: Optional[SolverResult],
-        winner_is_relaxation: bool,
-        parent_ran: bool = True,
-        deadline_hit: bool = False,
-        raced: bool = True,
-    ) -> DualExecutionResult:
-        wall_clock = time.perf_counter() - started
-        if winner_is_relaxation:
-            winner = relaxation_result
-            self._install_relaxation_win(network, relaxation_result)
-        else:
-            winner = cost_scaling_result
-        # A cancelled parent run consumed roughly the whole round's wall
-        # clock before it stopped (a solo-relaxation round's idle parent
-        # consumed nothing); an abandoned worker round is accounted only
-        # when its runtime is known (the stale result may never drain).
-        work = 0.0
-        if cost_scaling_result is not None:
-            work += cost_scaling_result.runtime_seconds
-        elif parent_ran:
-            work += wall_clock
-        if relaxation_result is not None:
-            work += relaxation_result.runtime_seconds
-        if deadline_hit:
-            winner.statistics.deadline_hits += 1
-        if not winner.optimal:
-            # A deadline-truncated epsilon ladder degraded this round.
-            winner.statistics.degraded_round = 1
-        self._stamp_worker_stats(winner.statistics)
-        self._last_round_fallback = False
-        result = DualExecutionResult(
-            winner=winner,
-            relaxation=relaxation_result,
-            cost_scaling=cost_scaling_result,
-            effective_runtime_seconds=wall_clock,
-            total_work_seconds=work,
-            wall_clock_seconds=wall_clock,
+        result = self._finish_round(
+            network, started, relaxation_result, cost_scaling_result,
+            # Without a parent result, cost scaling never ran, or was
+            # cancelled by the worker's finish (or failed, or died at the
+            # deadline, and the worker delivered in grace).
+            winner_is_relaxation=answered
+            and (
+                cost_scaling_result is None
+                or worker.finished_at <= parent_finished_at
+            ),
             executor="parallel",
             # A round raced only when the worker was consulted *and* the
             # parent leg ran; solo rounds must not feed the cost model
             # censored loser samples (the skipped leg never started).
-            raced=raced and parent_ran,
+            raced=round_id is not None and parent_ran,
+            deadline_hit=deadline_hit,
+            parent_cancelled=parent_ran and cost_scaling_result is None,
         )
-        return self._record_round(result)
+        worker.stamp_round(result.winner.statistics)
+        self._last_round_fallback = False
+        return result
+
+    def _solve_fallback(
+        self, network: FlowNetwork, changes: Optional[ChangeBatch]
+    ) -> DualExecutionResult:
+        """No worker can be had: run the inherited inline race on the same
+        component solvers, so warm state carries over in both directions."""
+        result = self._race_inline(network, changes, executor="sequential_fallback")
+        self.fallback_rounds += 1
+        self._last_round_fallback = True
+        self.worker.stamp_round(result.winner.statistics)
+        return result

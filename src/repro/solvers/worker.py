@@ -224,8 +224,9 @@ class WorkerClient:
     draining, the send-path chaos hooks and a
     :class:`~repro.solvers.worker_health.WorkerCircuitBreaker` gating
     respawns.  A round is ``begin_round`` -> ``ship`` -> ``poll`` /
-    ``wait`` -> ``settle``; whenever ``ship`` declines (returns ``None``)
-    the caller serves the round with its own parent-side solver.
+    ``wait`` -> ``settle`` -> ``stamp_round``; whenever ``ship`` declines
+    (returns ``None``) the caller serves the round with its own parent-side
+    solver.
 
     Args:
         solver_factory: Picklable callable building the worker's solver
@@ -270,6 +271,9 @@ class WorkerClient:
         self.skipped_rounds = 0
         #: Worker subprocesses spawned after the first.
         self.respawns = 0
+        #: ``(respawns, snapshot_ships, delta_ships)`` at :meth:`begin_round`,
+        #: so :meth:`stamp_round` can tell the round's own share.
+        self._round_start = (0, 0, 0)
 
     def reset_counters(self) -> None:
         """Zero the transport counters; the worker and its state persist."""
@@ -391,7 +395,8 @@ class WorkerClient:
     # Per-round transport
     # ------------------------------------------------------------------ #
     def begin_round(self, changes: Optional[ChangeBatch]) -> None:
-        """Advance the breaker's round clock and remember the round's batch.
+        """Advance the breaker's round clock, remember the round's batch
+        and take the counter baseline for :meth:`stamp_round`.
 
         Call once per round whether or not the round ships: the rounds
         solved without the worker are exactly the ones whose batches a
@@ -400,6 +405,16 @@ class WorkerClient:
         self.breaker.note_round()
         if changes is not None:
             self._cache.record(changes)
+        self._round_start = (self.respawns, self.snapshot_ships, self.delta_ships)
+
+    def stamp_round(self, stats: SolverStatistics) -> None:
+        """Surface the round's breaker state, respawns and ships on its
+        result's statistics (at most one of the two ship counters is 1)."""
+        respawns, snapshot_ships, delta_ships = self._round_start
+        stats.breaker_open = 0 if self.breaker.is_closed else 1
+        stats.worker_respawns += self.respawns - respawns
+        stats.snapshot_ships = self.snapshot_ships - snapshot_ships
+        stats.delta_ships = self.delta_ships - delta_ships
 
     def ship(
         self,

@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro.chaos import FAULT_KINDS, ChaosPolicy, corrupt_residual_potentials
-from repro.core import FirmamentScheduler, QuincyPolicy
+from repro.core import FirmamentScheduler, QuincyPolicy, ShardedScheduler
 from repro.flow.changes import ChangeBatch
 from repro.flow.validation import (
     check_feasibility,
@@ -202,7 +202,22 @@ class TestSchedulerDegradation:
         def solve(self, network, changes=None):
             raise RoundDeadlineExceeded("stubbed: no leg finished in budget")
 
-    def test_degraded_round_reuses_previous_placements(self):
+    @staticmethod
+    def _monolithic(solver_factory, **options):
+        return FirmamentScheduler(QuincyPolicy(), solver=solver_factory(), **options)
+
+    @staticmethod
+    def _sharded(solver_factory, **options):
+        return ShardedScheduler(
+            QuincyPolicy, num_cells=2, solver_factory=solver_factory, **options
+        )
+
+    both_schedulers = pytest.mark.parametrize(
+        "build", (_monolithic, _sharded), ids=("monolithic", "sharded")
+    )
+
+    @both_schedulers
+    def test_degraded_round_reuses_previous_placements(self, build):
         state = make_cluster_state(num_machines=4, slots_per_machine=2)
         healthy = FirmamentScheduler(QuincyPolicy())
         state.submit_job(make_job(job_id=1, num_tasks=3, submit_time=0.0))
@@ -213,10 +228,8 @@ class TestSchedulerDegradation:
         assert running_before  # the healthy round placed tasks
 
         # A second job arrives, but now every solve blows the budget.
-        degraded_scheduler = FirmamentScheduler(
-            QuincyPolicy(),
-            solver=self._DeadlineStubSolver(),
-            round_deadline_seconds=0.001,
+        degraded_scheduler = build(
+            self._DeadlineStubSolver, round_deadline_seconds=0.001
         )
         state.submit_job(make_job(job_id=2, num_tasks=2, submit_time=1.0))
         decision = degraded_scheduler.schedule(state, now=1.0)
@@ -235,6 +248,36 @@ class TestSchedulerDegradation:
         assert running_after == running_before
         assert degraded_scheduler.statistics.degraded_rounds == 1
         assert degraded_scheduler.statistics.deadline_abandoned_rounds == 1
+
+    def test_only_the_dead_cell_degrades(self):
+        # Rack 0 (machines 0-1) is cell 0, rack 1 (machines 2-3) is cell 1;
+        # job 2 homes to cell 0, job 1 to cell 1, whose solver blows the
+        # budget every round.
+        state = make_cluster_state(
+            num_machines=4, machines_per_rack=2, slots_per_machine=2
+        )
+        solvers = iter((IncrementalCostScalingSolver(), self._DeadlineStubSolver()))
+        scheduler = ShardedScheduler(
+            QuincyPolicy,
+            num_cells=2,
+            solver_factory=lambda: next(solvers),
+            balance=False,
+            round_deadline_seconds=5.0,
+        )
+        state.submit_job(make_job(job_id=1, num_tasks=2))
+        state.submit_job(make_job(job_id=2, num_tasks=2))
+        decision = scheduler.schedule(state, now=0.0)
+        # The healthy cell's placements land ...
+        assert set(decision.placements) == {2000, 2001}
+        assert set(decision.placements.values()) <= {0, 1}
+        # ... the dead cell's pending tasks wait a round, and the round
+        # says so.
+        assert set(decision.unscheduled) == {1000, 1001}
+        assert decision.degraded is True
+        assert decision.degraded_reason == "round_deadline"
+        assert decision.solver_result.statistics.cells_solved == 2
+        assert scheduler.statistics.degraded_rounds == 1
+        assert scheduler.statistics.deadline_abandoned_rounds == 1
 
     def test_epsilon_truncated_round_is_marked_degraded(self, monkeypatch):
         state = make_cluster_state(num_machines=4, slots_per_machine=2)
@@ -256,12 +299,14 @@ class TestSchedulerDegradation:
         assert scheduler.statistics.degraded_rounds == 1
         assert scheduler.statistics.deadline_abandoned_rounds == 0
 
-    def test_deadline_requires_capable_solver(self):
+    @both_schedulers
+    def test_deadline_requires_capable_solver(self, build):
         with pytest.raises(ValueError, match="deadline"):
-            FirmamentScheduler(
-                QuincyPolicy(),
-                solver=CostScalingSolver(),
-                round_deadline_seconds=1.0,
+            # The monolithic scheduler checks its solver at construction,
+            # the sharded one when it builds the per-cell solvers for the
+            # first state it is bound to.
+            build(CostScalingSolver, round_deadline_seconds=1.0).schedule(
+                make_cluster_state(num_machines=4)
             )
 
 

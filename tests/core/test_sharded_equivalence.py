@@ -22,13 +22,14 @@ import random
 import pytest
 
 from repro.core import FirmamentScheduler, ShardedScheduler
-from repro.core.policies import CpuMemoryPolicy, QuincyPolicy
+from repro.core.policies import CpuMemoryPolicy, LoadSpreadingPolicy, QuincyPolicy
 from repro.simulation.simulator import (
     ClusterSimulator,
     SimulationConfig,
     verify_placement_conservation,
 )
 from repro.simulation.trace import GoogleTraceGenerator, TraceConfig
+from repro.solvers.incremental import IncrementalCostScalingSolver
 from tests.conftest import make_cluster_state, make_job
 from tests.core.test_incremental_graph_equivalence import _random_job
 
@@ -160,6 +161,47 @@ def test_sharded_matches_monolithic_placement_quality(seed, policy_factory):
             f"seed {seed}, {num_cells} cells: sharded kept {sharded_running} "
             f"tasks running, monolithic kept {mono_running}"
         )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize(
+    "policy_factory",
+    (QuincyPolicy, CpuMemoryPolicy, LoadSpreadingPolicy),
+    ids=("quincy", "cpu_memory", "load_spreading"),
+)
+def test_one_cell_sharded_is_the_monolithic_scheduler(seed, policy_factory):
+    """One cell, no balancer, same solver: the same decision every round.
+
+    Both schedulers run the one round pipeline; with a single cell holding
+    the whole cluster nothing sharded is left to differ, so the decisions
+    must be *equal*, not merely equally good.
+    """
+    num_machines, machines_per_rack, rounds = make_churn_script(seed)
+    schedulers = (
+        ShardedScheduler(policy_factory, num_cells=1, balance=False),
+        FirmamentScheduler(policy_factory(), solver=IncrementalCostScalingSolver()),
+    )
+    states = [
+        make_cluster_state(
+            num_machines=num_machines, machines_per_rack=machines_per_rack
+        )
+        for _ in schedulers
+    ]
+    for round_index, (job_factories, toggles) in enumerate(rounds):
+        now = round_index * 10.0
+        decisions = []
+        for scheduler, state in zip(schedulers, states):
+            apply_script_round(state, job_factories, toggles, now)
+            decision = scheduler.schedule(state, now)
+            scheduler.apply(state, decision, now)
+            decisions.append(decision)
+        sharded, mono = decisions
+        assert sharded.placements == mono.placements, f"round {round_index}"
+        assert sharded.migrations == mono.migrations, f"round {round_index}"
+        assert sorted(sharded.preemptions) == sorted(mono.preemptions)
+        assert sorted(sharded.unscheduled) == sorted(mono.unscheduled)
+        assert sharded.total_cost == mono.total_cost, f"round {round_index}"
+        assert sharded.degraded == mono.degraded
 
 
 @pytest.mark.parametrize("seed", (0, 1))

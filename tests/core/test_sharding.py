@@ -304,6 +304,35 @@ class TestWorkerMode:
         finally:
             scheduler.close()
 
+    def test_worker_rounds_carry_their_transport_stamps(self):
+        # Each worker round's ships are stamped on the merged result (and
+        # from there reach ScheduleRecord), not only on cell_transport().
+        state = make_cluster_state(num_machines=8, machines_per_rack=2)
+        state.submit_job(make_job(job_id=0, num_tasks=2))
+        state.submit_job(make_job(job_id=1, num_tasks=2))
+        scheduler = build_sharded(num_cells=2, workers=True)
+        try:
+            rounds = []
+            for round_index in range(3):
+                state.submit_job(
+                    make_job(job_id=2 + round_index, num_tasks=1,
+                             submit_time=round_index * 5.0)
+                )
+                decision = scheduler.schedule_and_apply(state, now=round_index * 5.0)
+                rounds.append(decision.solver_result.statistics)
+            first = rounds[0]
+            assert first.snapshot_ships == first.cells_solved == 2
+            assert first.delta_ships == 0
+            transport = scheduler.cell_transport()
+            for counter in ("snapshot_ships", "delta_ships"):
+                assert sum(getattr(stats, counter) for stats in rounds) == sum(
+                    cell[counter] for cell in transport
+                )
+            assert sum(stats.delta_ships for stats in rounds) >= 1
+            assert all(stats.breaker_open == 0 for stats in rounds)
+        finally:
+            scheduler.close()
+
     def test_worker_kill_degrades_only_the_targeted_cell(self):
         # worker_kill always fires; the target is round_index % num_cells,
         # so round 1 (index 0) kills cell 0's worker only.  The round must

@@ -410,11 +410,22 @@ class TestSequentialFallback:
             lambda *a, **k: (_ for _ in ()).throw(OSError("unavailable")),
         )
         instance = ParallelDualExecutor()
+        calls = []
+        for leg in (instance.relaxation, instance.incremental):
+            def counted(*args, _solve=leg.solve, _name=leg.name, **kwargs):
+                calls.append(_name)
+                return _solve(*args, **kwargs)
+
+            monkeypatch.setattr(leg, "solve", counted)
         try:
+            assert not instance.incremental.has_state
             instance.solve(build_scheduling_network(seed=50))
-            assert instance._fallback is not None
-            assert instance._fallback.incremental is instance.incremental
-            assert instance._fallback.relaxation is instance.relaxation
+            # The round without multiprocessing was solved by the
+            # executor's own component solvers, and left the incremental
+            # instance warm for whichever path serves the next round.
+            assert calls == [instance.relaxation.name, instance.incremental.name]
+            assert instance.incremental.has_state
+            assert instance.fallback_rounds == 1
         finally:
             instance.close()
 
