@@ -27,10 +27,10 @@ committed baseline in ``perf_baseline.json``:
   event engine and ingestion path; normalized against the from-scratch
   solve like every other kernel (``bench_sim_scale.py`` is the full-size
   1k-machine/10^5-task version of the same path), and
-* the sharded-round kernel -- low-churn steady-state scheduling rounds at
-  256 machines solved by the monolithic incremental scheduler and by the
-  4-cell sharded scheduler (per-round latency charged as the straggler
-  cell's solve) -- guarding the sharding layer's round-latency win
+* the sharded-round kernel -- steady-state scheduling rounds (eight small
+  jobs per round) at 256 machines solved by the monolithic incremental
+  scheduler and by the 4-cell sharded scheduler (per-round latency charged
+  as the straggler cell's solve) -- guarding the sharding layer's round-latency win
   (``bench_shard_scaling.py`` is the full grid version), and
 * the service-round kernel -- a small closed-loop burst against an
   in-process :class:`SchedulerService` over loopback TCP (submit -> coalesced
@@ -41,7 +41,13 @@ committed baseline in ``perf_baseline.json``:
 * the durability-on service-round kernel -- the identical burst with a
   fsync'd write-ahead admission log and snapshots enabled -- guarding the
   crash-safety layer's overhead (``bench_durability.py`` measures its raw
-  append/replay rates).
+  append/replay rates), and
+* the dual-round kernel -- 50 steady-state rounds of the default scheduler
+  (sequential dual executor) at the service benchmark's shape, 128 machines
+  x 4 slots holding 128 tasks with 6 arrivals and 6 completions per round
+  -- guarding the inline race's per-round cost: both legs patch their
+  persistent residuals, so a reintroduced per-round rebuild, price refine
+  or graph copy shows as a multiple.
 
 The gates are host-normalized: the from-scratch solve (resp. the full
 rebuild) acts as the calibration workload, so requiring each measured
@@ -82,6 +88,9 @@ MACHINES = 64
 #: >= 256 machines, 4 cells).
 SHARD_MACHINES = 256
 SHARD_CELLS = 4
+#: The dual-round kernel runs at the e2e benchmark's ``steady_small`` shape.
+DUAL_MACHINES = 128
+DUAL_ROUNDS = 50
 RUNS = 5
 #: Fail when the host-normalized incremental solve regresses by more than
 #: 2x, i.e. the measured speedup falls below half the baseline's.
@@ -391,14 +400,18 @@ def measure_sim_replay_round() -> float:
 def measure_sharded_round() -> tuple:
     """Sharded-round kernel: (monolithic_seconds, sharded_seconds).
 
-    Three low-churn steady-state rounds at ``SHARD_MACHINES`` machines (a
-    small job arrives per round), summed so the kernel is not dominated by
-    timer noise.  Both sides are charged the same per-round latency
-    yardstick the simulator uses -- ``decision.algorithm_runtime``, which
-    for the sharded scheduler is the straggler cell's solve.  The cold
-    build round is excluded: the kernel guards the steady-state delta
-    path, where the sharding win (per-cell networks are 1/cells the size
-    and MCMF solve cost is superlinear) must hold.
+    Three steady-state rounds at ``SHARD_MACHINES`` machines (eight small
+    jobs arrive per round -- ``bench_shard_scaling.py``'s high-churn
+    profile), summed so the kernel is not dominated by timer noise.  Both
+    sides are charged the same per-round latency yardstick the simulator
+    uses -- ``decision.algorithm_runtime``, which for the sharded scheduler
+    is the straggler cell's solve.  The cold build round is excluded: the
+    kernel guards the steady-state delta path, where the sharding win (a
+    cell repairs only its slice of the round's change batch, on a network
+    1/cells the size) must hold.  One job per round was enough until the
+    monolithic repair stopped settling its whole zero-reduced-cost plateau
+    per new task (PR 14); such a round now costs the monolithic solver a
+    few dozen settled nodes, which no partition beats by 2x.
     """
     from benchmarks.common import make_job
     from repro.core import FirmamentScheduler, ShardedScheduler
@@ -418,9 +431,10 @@ def measure_sharded_round() -> tuple:
             scheduler.schedule_and_apply(state, now=0.0)  # cold build, untimed
             for round_index in range(1, 4):
                 now = round_index * 5.0
-                state.submit_job(make_job(job_id, 4, task_id, submit_time=now))
-                job_id += 1
-                task_id += 4
+                for _ in range(8):
+                    state.submit_job(make_job(job_id, 4, task_id, submit_time=now))
+                    job_id += 1
+                    task_id += 4
                 decision = scheduler.schedule_and_apply(state, now=now)
                 total += decision.algorithm_runtime
         finally:
@@ -535,6 +549,64 @@ def measure_service_round_durable() -> float:
         shutil.rmtree(state_dir, ignore_errors=True)
 
 
+def measure_dual_round() -> float:
+    """Dual-round kernel: mean seconds of one steady-state default round.
+
+    ``FirmamentScheduler.schedule`` + ``apply`` through the sequential
+    dual executor, on the ``e2e`` benchmark's ``steady_small`` shape: 128
+    machines x 4 slots, a 128-task prefill, then per round 6 completions
+    and 6 arrivals (a 4-task and a 2-task job).  Five warm-up rounds let
+    both legs build their persistent residuals; the 50 timed rounds must
+    then all be delta solves on the cost-scaling leg and residual reuses
+    on the relaxation leg.
+    """
+    import random
+
+    from benchmarks.common import make_job
+    from repro.core import FirmamentScheduler
+
+    state = build_cluster_state(DUAL_MACHINES, slots_per_machine=4)
+    scheduler = FirmamentScheduler(QuincyPolicy())
+    executor = scheduler.solver
+    rng = random.Random(7)
+    next_job, next_task, now = 1, 1, 0.0
+
+    def submit(num_tasks: int) -> None:
+        nonlocal next_job, next_task
+        state.submit_job(make_job(next_job, num_tasks, next_task, submit_time=now))
+        next_job += 1
+        next_task += num_tasks
+
+    def churn() -> None:
+        nonlocal now
+        now += 0.1
+        for task in rng.sample(state.running_tasks(), 6):
+            state.complete_task(task.task_id, now)
+        submit(4)
+        submit(2)
+
+    for _ in range(DUAL_MACHINES // 4):
+        submit(4)
+    scheduler.schedule_and_apply(state, now)
+    for _ in range(5):
+        churn()
+        scheduler.schedule_and_apply(state, now)
+    delta_solves = executor.incremental.delta_solves
+    total = 0.0
+    for _ in range(DUAL_ROUNDS):
+        churn()
+        start = time.perf_counter()
+        scheduler.schedule_and_apply(state, now)
+        total += time.perf_counter() - start
+    if executor.incremental.delta_solves - delta_solves != DUAL_ROUNDS:
+        raise AssertionError("perf smoke: a dual round rebuilt the residual")
+    if executor.relaxation.residual_rebuilds != 1:
+        raise AssertionError("perf smoke: relaxation rebuilt its residual")
+    if len(state.running_tasks()) != DUAL_MACHINES:
+        raise AssertionError("perf smoke: the dual rounds left tasks unplaced")
+    return total / DUAL_ROUNDS
+
+
 def main() -> int:
     update = "--update" in sys.argv[1:]
     scratch_runs, incremental_runs = [], []
@@ -546,6 +618,7 @@ def main() -> int:
     shard_mono_runs, shard_cell_runs = [], []
     service_round_runs = []
     service_durable_runs = []
+    dual_round_runs = []
     for _ in range(RUNS):
         scratch, incremental = measure_round()
         scratch_runs.append(scratch)
@@ -568,6 +641,7 @@ def main() -> int:
         shard_cell_runs.append(shard_cell)
         service_round_runs.append(measure_service_round())
         service_durable_runs.append(measure_service_round_durable())
+        dual_round_runs.append(measure_dual_round())
     measured = {
         "machines": MACHINES,
         "scratch_s": round(statistics.median(scratch_runs), 6),
@@ -589,6 +663,7 @@ def main() -> int:
         "service_round_durable_s": round(
             statistics.median(service_durable_runs), 6
         ),
+        "dual_round_s": round(statistics.median(dual_round_runs), 6),
     }
     measured["speedup"] = round(
         measured["scratch_s"] / max(measured["incremental_s"], 1e-9), 3
@@ -627,6 +702,11 @@ def main() -> int:
     # if the WAL append + snapshot path itself got slower.
     measured["service_durability_speedup"] = round(
         measured["scratch_s"] / max(measured["service_round_durable_s"], 1e-9), 3
+    )
+    # And for the dual round: the ratio only drops if the inline race's
+    # per-round cost (patch, repair, relaxation, write-back) itself grew.
+    measured["dual_round_speedup"] = round(
+        measured["scratch_s"] / max(measured["dual_round_s"], 1e-9), 3
     )
     print(f"measured: {json.dumps(measured)}")
 
@@ -744,6 +824,18 @@ def main() -> int:
             "FAIL: durability-on service round regressed >2x host-normalized: "
             f"speedup {measured['service_durability_speedup']:.2f}x vs "
             f"baseline {baseline_durability_speedup:.2f}x"
+        )
+        failed = True
+    baseline_dual_speedup = baseline.get("dual_round_speedup")
+    if (
+        baseline_dual_speedup
+        and measured["dual_round_speedup"]
+        < MAX_SPEEDUP_LOSS * baseline_dual_speedup
+    ):
+        print(
+            "FAIL: steady-state dual round regressed >2x host-normalized: "
+            f"speedup {measured['dual_round_speedup']:.2f}x vs baseline "
+            f"{baseline_dual_speedup:.2f}x"
         )
         failed = True
     if failed:

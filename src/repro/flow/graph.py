@@ -290,8 +290,9 @@ class FlowNetwork:
 
         Arcs not present in ``flows`` are reset to zero flow.
         """
-        for arc in self._arcs.values():
-            arc.flow = flows.get(arc.key(), 0)
+        get = flows.get
+        for key, arc in self._arcs.items():
+            arc.flow = get(key, 0)
 
     def flows(self) -> Dict[Tuple[int, int], int]:
         """Return a ``{(src, dst): flow}`` mapping of the current flow."""

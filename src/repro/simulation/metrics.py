@@ -36,6 +36,11 @@ class MetricsSummary:
     #: The dominant cost of warm-rebuild rounds, attributed separately so
     #: fig14-style runs can show where the solver's time goes.
     price_refine_times: List[float] = field(default_factory=list)
+    #: Per-run delta-path flags of the incremental cost scaling solve
+    #: (round-level like ``price_refine_times``; a sharded round counts its
+    #: cells): non-zero when the retained residual was repaired in place,
+    #: zero when the round rebuilt it.
+    delta_solve_rounds: List[int] = field(default_factory=list)
     #: Per-run relaxation-leg counters (zero for baselines), attributed at
     #: round level like ``price_refine_times``: tree nodes grown and dual
     #: ascents performed by the round's relaxation run whether or not it
@@ -171,6 +176,7 @@ def collect_metrics(
     cells_solved: Optional[Sequence[int]] = None,
     straggler_cells: Optional[Sequence[int]] = None,
     cross_cell_migrations: Optional[Sequence[int]] = None,
+    delta_solve_rounds: Optional[Sequence[int]] = None,
 ) -> MetricsSummary:
     """Build a :class:`MetricsSummary` from the final cluster state.
 
@@ -197,6 +203,8 @@ def collect_metrics(
         cells_solved: Per-run cell counts of the sharded scheduler.
         straggler_cells: Per-run straggler-cell indices (-1 when none).
         cross_cell_migrations: Per-run balancer re-homing counts.
+        delta_solve_rounds: Per-run delta-path flags of the incremental
+            cost scaling solve.
     """
     summary = MetricsSummary()
     if algorithm_runtimes:
@@ -205,6 +213,8 @@ def collect_metrics(
         summary.graph_update_times = list(graph_update_times)
     if price_refine_times:
         summary.price_refine_times = list(price_refine_times)
+    if delta_solve_rounds:
+        summary.delta_solve_rounds = list(delta_solve_rounds)
     if relaxation_tree_nodes:
         summary.relaxation_tree_nodes = list(relaxation_tree_nodes)
     if relaxation_dual_ascents:

@@ -124,6 +124,12 @@ class ScheduleRecord:
     #: exposes label-correcting degenerations in timelines.
     price_refine_seconds: float = 0.0
     price_refine_passes: int = 0
+    #: 1 when the round's incremental cost scaling solve repaired its
+    #: retained residual in place instead of rebuilding it (a sharded round
+    #: counts its cells; zero for baselines and non-incremental solvers).
+    #: Round-level like the price-refine fields: the leg's flag is folded
+    #: in even when relaxation wins.
+    delta_solve: int = 0
     #: Relaxation observability of the round (zero for baselines): nodes
     #: added across the relaxation leg's zero-reduced-cost trees and its
     #: dual-ascent count.  Round-level attribution like the price-refine
@@ -475,6 +481,7 @@ class SimulatorBridge:
         winning = ""
         refine_seconds = 0.0
         refine_passes = 0
+        delta_solve = 0
         relaxation_tree_nodes = 0
         dual_ascents = 0
         snapshot_ships = 0
@@ -492,6 +499,7 @@ class SimulatorBridge:
             statistics = decision.solver_result.statistics
             refine_seconds = statistics.price_refine_seconds
             refine_passes = statistics.price_refine_passes
+            delta_solve = statistics.delta_solve
             relaxation_tree_nodes = statistics.relaxation_tree_nodes
             dual_ascents = statistics.dual_ascents
             snapshot_ships = statistics.snapshot_ships
@@ -515,6 +523,7 @@ class SimulatorBridge:
                 graph_update_seconds=getattr(decision, "graph_update_seconds", 0.0),
                 price_refine_seconds=refine_seconds,
                 price_refine_passes=refine_passes,
+                delta_solve=delta_solve,
                 relaxation_tree_nodes=relaxation_tree_nodes,
                 dual_ascents=dual_ascents,
                 snapshot_ships=snapshot_ships,
@@ -712,6 +721,7 @@ class ClusterSimulator:
             algorithm_runtimes=[r.algorithm_runtime for r in records],
             graph_update_times=[r.graph_update_seconds for r in records],
             price_refine_times=[r.price_refine_seconds for r in records],
+            delta_solve_rounds=[r.delta_solve for r in records],
             relaxation_tree_nodes=[r.relaxation_tree_nodes for r in records],
             relaxation_dual_ascents=[r.dual_ascents for r in records],
             snapshot_ships=[r.snapshot_ships for r in records],

@@ -41,6 +41,14 @@ class SolverStatistics:
     #: batch (zero on rebuild rounds).
     arcs_patched: int = 0
     nodes_touched: int = 0
+    #: 1 when an incremental cost scaling solve repaired its retained
+    #: residual in place (``solve_delta``), 0 when it rebuilt.  Answers "is
+    #: the delta chain alive" per round: a change batch being *handed over*
+    #: says nothing about whether the solver could use it.  The dual
+    #: executors fold the cost-scaling leg's flag into the round's winning
+    #: result (like ``price_refine_seconds``); a sharded round sums its
+    #: cells.
+    delta_solve: int = 0
     #: Wall-clock seconds spent inside price refine during this run, and the
     #: number of label-queue pops its sweeps performed (SPFA dequeues plus
     #: Dijkstra heap settles).  Price refine dominates warm-rebuild rounds,
@@ -110,6 +118,7 @@ class SolverStatistics:
             warm_start=self.warm_start or other.warm_start,
             arcs_patched=self.arcs_patched + other.arcs_patched,
             nodes_touched=self.nodes_touched + other.nodes_touched,
+            delta_solve=self.delta_solve + other.delta_solve,
             price_refine_seconds=self.price_refine_seconds
             + other.price_refine_seconds,
             price_refine_passes=self.price_refine_passes

@@ -435,10 +435,23 @@ class CostScalingSolver(Solver):
         #: ``check_residual_epsilon_optimality`` validation.  ``None`` (the
         #: default) adds no per-phase work.
         self.deadline_check: Optional[callable] = None
+        #: Whether a solve writes its flow onto the network's arcs.  A dual
+        #: executor turns this off on its legs and writes the winner's
+        #: flows itself, once per round: the journaled write-back below
+        #: assumes the arcs still carry *this* solver's previous flows,
+        #: which is false once another leg's flows were installed.
+        self.assigns_flow: bool = True
         #: Details of the most recent deadline-truncated ladder:
         #: ``{"epsilon": int, "validated": bool, "problems": [...]}``;
         #: None when the last run finished its ladder (or never ran one).
         self.last_degradation: Optional[Dict] = None
+        # Scratch columns of the repair's shortest-path searches, shared by
+        # every augmentation and validated by a stamp instead of being
+        # reallocated (three n-sized lists per augmentation otherwise).
+        self._search_mark: List[int] = []
+        self._search_dist: List[int] = []
+        self._search_pred: List[int] = []
+        self._search_stamp: int = 0
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -728,6 +741,13 @@ class CostScalingSolver(Solver):
     def _route_excesses(self, residual: ResidualNetwork, stats: SolverStatistics) -> None:
         """Route every positive excess to a deficit along cheapest paths."""
         sources = residual.source_indices()
+        # The searches below share stamped scratch columns sized to the
+        # residual; grown here once, never cleared (see _augment...).
+        missing = residual.num_nodes - len(self._search_mark)
+        if missing > 0:
+            self._search_mark.extend([0] * missing)
+            self._search_dist.extend([0] * missing)
+            self._search_pred.extend([0] * missing)
         while sources:
             source = sources[-1]
             if residual.excess[source] <= 0:
@@ -749,8 +769,16 @@ class CostScalingSolver(Solver):
         Returns the amount routed (zero when no deficit is reachable).
         Potentials are updated with the Dijkstra distances so reduced costs
         stay non-negative for subsequent augmentations.
+
+        The work is proportional to the searched region, not the graph:
+        labels live in scratch columns validated by a per-search stamp
+        (``mark[v] == stamp`` labelled, ``stamp + 1`` settled, anything
+        lower stale), and only settled nodes have their potential moved.
+        The textbook update lowers every node by ``min(dist, target_dist)``;
+        reduced costs only see potential *differences*, so raising the
+        settled nodes by ``target_dist - dist`` and leaving the rest alone
+        is the same update shifted by the constant ``target_dist``.
         """
-        n = residual.num_nodes
         adjacency = residual.adjacency
         arc_residual = residual.arc_residual
         arc_cost = residual.arc_cost
@@ -759,48 +787,59 @@ class CostScalingSolver(Solver):
         potential = residual.potential
         excess = residual.excess
 
-        infinity = float("inf")
-        dist: List[float] = [infinity] * n
-        pred_arc: List[Optional[int]] = [None] * n
-        visited = bytearray(n)
+        mark = self._search_mark
+        dist = self._search_dist
+        pred_arc = self._search_pred
+        self._search_stamp = stamp = self._search_stamp + 2
+        settled_stamp = stamp + 1
+        mark[source] = stamp
         dist[source] = 0
-        heap: List[Tuple[float, int]] = [(0, source)]
+        heap: List[Tuple[int, int]] = [(0, source)]
+        settled: List[int] = []
         target = -1
-        iterations = 0
         arcs_scanned = 0
 
         while heap:
             d, u = heappop(heap)
-            if visited[u]:
+            if mark[u] == settled_stamp:
                 continue
-            visited[u] = 1
-            iterations += 1
+            mark[u] = settled_stamp
             if excess[u] < 0:
                 target = u
                 break
+            settled.append(u)
             pot_u = potential[u]
             for arc_index in adjacency[u]:
                 if arc_residual[arc_index] <= 0:
                     continue
                 v = arc_to[arc_index]
-                if visited[v]:
+                mark_v = mark[v]
+                if mark_v == settled_stamp:
                     continue
                 arcs_scanned += 1
                 new_dist = d + arc_cost[arc_index] - pot_u + potential[v]
-                if new_dist < dist[v]:
+                if mark_v != stamp or new_dist < dist[v]:
+                    mark[v] = stamp
                     dist[v] = new_dist
                     pred_arc[v] = arc_index
+                    if new_dist == d and excess[v] < 0:
+                        # A deficit across a zero-reduced-cost arc is as
+                        # near as anything left in the heap: stop here
+                        # instead of settling the rest of the tie.
+                        target = v
+                        break
                     heappush(heap, (new_dist, v))
-        stats.iterations += iterations
+            if target >= 0:
+                break
+        stats.iterations += len(settled) + (target >= 0)
         stats.arcs_scanned += arcs_scanned
 
         if target < 0:
             return 0
 
         target_dist = dist[target]
-        for i in range(n):
-            di = dist[i]
-            potential[i] -= int(di if di < target_dist else target_dist)
+        for u in settled:
+            potential[u] += target_dist - dist[u]
         stats.potential_updates += 1
 
         amount = min(excess[source], -excess[target])
@@ -832,7 +871,8 @@ class CostScalingSolver(Solver):
         algorithm: Optional[str] = None,
         optimal: bool = True,
     ) -> SolverResult:
-        """Record warm-start state, write flow back, and build the result.
+        """Record warm-start state, write flow back (unless an executor
+        owns the write-back), and build the result.
 
         When the solver polishes potentials, the residual is retained in
         scaled units (for a later :meth:`solve_delta`) and exposed as
@@ -848,7 +888,8 @@ class CostScalingSolver(Solver):
             self.last_residual = residual
         else:
             self.last_residual = None
-        residual.write_flow_back(network)
+        if self.assigns_flow:
+            residual.write_flow_back(network)
         runtime = time.perf_counter() - start
         return SolverResult(
             algorithm=algorithm or self.name,

@@ -24,9 +24,16 @@ in :class:`SpeculativeDualExecutor`:
   side).  Its measured wall clock per round approximates the winner's solo
   runtime instead of the sum.
 
-After each iteration the winning solution is installed as the warm-start
-state of the incremental cost scaling instance (via price refine, Section
-6.2), so the next run benefits regardless of which algorithm produced it.
+The executor owns the round's single flow write-back: the legs solve on
+their own persistent residuals and never touch ``network``'s arcs; the
+winner's flows are written once, after the race.  The incremental cost
+scaling instance is seeded from a relaxation win (price refine makes the
+potentials usable, Section 6.2) **iff it holds no residual of its own at
+this round's revision** -- its leg was skipped by the policy, cancelled by
+the parallel race, aborted, or truncated at the deadline.  A leg that ran
+to completion keeps its own 0-optimal residual, so the next round repairs
+it with ``solve_delta`` instead of paying an O(graph) warm rebuild plus a
+full price refine for a re-sync nothing invalidated.
 
 Racing every round is insurance, not a law: when one algorithm has been
 winning by a wide margin the loser's run is pure waste (CPU on the
@@ -71,7 +78,7 @@ class DualExecutionResult:
 
     Attributes:
         winner: The result whose algorithm finished first; its flow is the
-            one written to the network.
+            one the executor writes to the network.
         relaxation: The relaxation run's result; ``None`` when the parallel
             executor abandoned the worker's round before it finished or the
             adaptive policy skipped the leg.
@@ -258,9 +265,9 @@ class SpeculativeDualExecutor(Solver):
     Subclasses implement :meth:`solve_detailed`; the base class owns the
     component solvers, the inline back-to-back race (every round of the
     sequential executor, the no-worker rounds of the parallel one), the
-    one round assembly (:meth:`_finish_round`: winner-seeds-warm-start
-    rule, work accounting, race counters, cost-model observation), and the
-    adaptive race policy.
+    one round assembly (:meth:`_finish_round`: the flow write-back, the
+    seed-iff-no-current-residual rule, work accounting, race counters,
+    cost-model observation), and the adaptive race policy.
     """
 
     #: The scheduler may pass ``changes=ChangeBatch`` to :meth:`solve`; the
@@ -318,6 +325,11 @@ class SpeculativeDualExecutor(Solver):
         self.incremental = incremental or IncrementalCostScalingSolver(
             price_refine=price_refine
         )
+        # The executor writes the winner's flows itself (_finish_round); a
+        # leg writing too would cost an O(arcs) pass per leg and, for the
+        # loser, put flows on the arcs that the round did not choose.
+        self.relaxation.assigns_flow = False
+        self.incremental.assigns_flow = False
         self.executor_policy = executor_policy
         self.cost_model = cost_model or RaceCostModel()
         self.round_deadline_seconds = round_deadline_seconds
@@ -405,18 +417,6 @@ class SpeculativeDualExecutor(Solver):
             delta_armed=self.incremental.can_solve_delta(changes),
         )
 
-    def _install_relaxation_win(
-        self, network: FlowNetwork, relaxation_result: SolverResult
-    ) -> None:
-        """Make a winning relaxation solution the network's and the warm state.
-
-        The relaxation flow is written onto the network's arcs and handed to
-        the incremental cost scaling instance so its next warm start benefits
-        from it (price refine makes the potentials usable, Section 6.2).
-        """
-        network.set_flows(relaxation_result.flows)
-        self.incremental.seed(relaxation_result.flows, relaxation_result.potentials)
-
     def _race_inline(
         self,
         network: FlowNetwork,
@@ -425,7 +425,6 @@ class SpeculativeDualExecutor(Solver):
     ) -> DualExecutionResult:
         """Run the legs back to back in this process and model the race.
 
-        The winning flow is the one left assigned on the network's arcs.
         Under ``executor_policy="auto"`` the round may run a single leg;
         the skipped leg's slot in the result is ``None``.
 
@@ -445,17 +444,12 @@ class SpeculativeDualExecutor(Solver):
 
         relaxation_result: Optional[SolverResult] = None
         if strategy != "cost_scaling":
-            # Run relaxation on a copy so the network's arcs end up carrying
-            # the winner's flow regardless of execution order.  The round's
-            # change batch is forwarded so the solver can patch its
-            # persistent residual instead of rebuilding it.
-            relaxation_network = network.copy()
+            # The round's change batch is forwarded so the solver can patch
+            # its persistent residual instead of rebuilding it.
             if budget is not None:
                 self.relaxation.abort_check = RoundDeadline(budget).hard_expired
             try:
-                relaxation_result = self.relaxation.solve(
-                    relaxation_network, changes=changes
-                )
+                relaxation_result = self.relaxation.solve(network, changes=changes)
             except SolveAborted:
                 # Hard deadline or ascent cap: degrade to the other leg.
                 deadline_hit = True
@@ -513,16 +507,28 @@ class SpeculativeDualExecutor(Solver):
     ) -> DualExecutionResult:
         """Install the winner, assemble the round's result and account it.
 
+        The winner's flows are written onto ``network`` here, once; the
+        legs do not write.  A relaxation win seeds the incremental
+        instance only when the cost-scaling leg left no residual at this
+        round's revision (it did not run, or did not finish optimal);
+        otherwise the leg's own residual stays and the next round takes
+        ``solve_delta``.
+
         ``parent_cancelled`` marks a physically raced round whose
         parent-side cost scaling run was cancelled mid-flight; ``raced``
         is as on :class:`DualExecutionResult`.
         """
-        wall_clock = time.perf_counter() - started
         if winner_is_relaxation:
             winner = relaxation_result
-            self._install_relaxation_win(network, relaxation_result)
+            if (
+                cost_scaling_result is None
+                or self.incremental.persistent_residual is None
+            ):
+                self.incremental.seed(winner.flows, winner.potentials)
         else:
             winner = cost_scaling_result
+        network.set_flows(winner.flows)
+        wall_clock = time.perf_counter() - started
         # A cancelled parent run consumed roughly the whole round's wall
         # clock before it stopped (a solo-relaxation round's idle parent
         # consumed nothing); an abandoned worker round is accounted only
@@ -558,7 +564,8 @@ class SpeculativeDualExecutor(Solver):
         """Account a finished round in the executor's counters.
 
         Leg-cost attribution is *round-level*: the cost-scaling leg's
-        ``price_refine_seconds`` / ``price_refine_passes`` and the
+        ``price_refine_seconds`` / ``price_refine_passes`` / ``delta_solve``
+        and the
         relaxation leg's ``relaxation_tree_nodes`` / ``dual_ascents`` are
         folded into the winning result's statistics whenever the other leg
         won (mirroring how the scheduler attributes
@@ -578,6 +585,7 @@ class SpeculativeDualExecutor(Solver):
             result.winner.statistics.price_refine_passes += (
                 loser.statistics.price_refine_passes
             )
+            result.winner.statistics.delta_solve += loser.statistics.delta_solve
         relaxation_loser = result.relaxation
         if (
             relaxation_loser is not None

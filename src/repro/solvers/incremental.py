@@ -32,8 +32,9 @@ of reuse:
 Warm state is invalidated by :meth:`IncrementalCostScalingSolver.reset`;
 the persistent residual alone is dropped (falling back to warm rebuild)
 whenever :meth:`IncrementalCostScalingSolver.seed` installs an external
-solution, a change batch fails to apply, or a delta solve raises
-infeasibility mid-repair.
+solution (a dual executor does so only when this instance has no residual
+at the round's revision), a change batch fails to apply, or a delta solve
+raises infeasibility mid-repair.
 
 Section 5.3.2 adds the **efficient task removal** heuristic: removing a
 running task deletes a source node whose flow is still draped over the graph
@@ -75,16 +76,19 @@ def drain_removed_task_flow(network: FlowNetwork, warm_flows: Dict[Tuple[int, in
     Returns:
         The number of flow units drained.
     """
-    # Purge flow entries for arcs that no longer exist (their task or machine
-    # node was removed); only flow on live arcs can be reused anyway.
-    live_keys = {arc.key() for arc in network.arcs()}
-    for key in [k for k in warm_flows if k not in live_keys]:
-        del warm_flows[key]
-
+    # One pass over the warm flows (non-zero entries only, not every arc):
+    # purge entries for arcs that no longer exist (their task or machine
+    # node was removed; only flow on live arcs can be reused anyway) and
+    # total what is left per endpoint.
     inflow: Dict[int, int] = {}
     outflow: Dict[int, int] = {}
-    for arc in network.arcs():
-        flow = min(warm_flows.get(arc.key(), 0), arc.capacity)
+    find_arc = network.find_arc
+    for key in list(warm_flows):
+        arc = find_arc(*key)
+        if arc is None:
+            del warm_flows[key]
+            continue
+        flow = min(warm_flows[key], arc.capacity)
         if flow:
             outflow[arc.src] = outflow.get(arc.src, 0) + flow
             inflow[arc.dst] = inflow.get(arc.dst, 0) + flow
@@ -212,11 +216,21 @@ class IncrementalCostScalingSolver(Solver):
     def seed(self, flows: Dict[Tuple[int, int], int], potentials: Dict[int, int]) -> None:
         """Install an externally produced solution as the warm-start state.
 
-        Firmament uses this to hand the winning relaxation solution to the
-        incremental cost scaling instance so the next run starts from it.
+        This is the Section 6.2 hand-off: a dual executor calls it with
+        the winning relaxation solution **iff this instance holds no
+        residual of its own at the round's revision** -- its leg was
+        skipped by the race policy, cancelled by the parallel race,
+        aborted, or truncated at the deadline -- so the next run starts
+        from the winner's flow instead of from a stale or missing one.  A
+        leg that ran to completion is *not* seeded: its retained residual
+        is 0-optimal at the current revision, and dropping it would trade
+        the next round's ``solve_delta`` for an O(graph) rebuild plus a
+        full price refine.
+
         Relaxation potentials are exact in unscaled units, so the scaled
         state of any previous cost-scaling run -- including the persistent
-        residual -- is discarded and the next solve rebuilds.
+        residual -- is discarded and the next solve rebuilds warm (price
+        refine makes the handed-over potentials usable).
         """
         self._last_flows = dict(flows)
         self._last_potentials = dict(potentials)
@@ -247,6 +261,18 @@ class IncrementalCostScalingSolver(Solver):
     @abort_check.setter
     def abort_check(self, check) -> None:
         self._cost_scaling.abort_check = check
+
+    @property
+    def assigns_flow(self) -> bool:
+        """Whether a solve writes its flow onto the network's arcs,
+        forwarded to the inner solver; see
+        :attr:`repro.solvers.cost_scaling.CostScalingSolver.assigns_flow`.
+        """
+        return self._cost_scaling.assigns_flow
+
+    @assigns_flow.setter
+    def assigns_flow(self, value: bool) -> None:
+        self._cost_scaling.assigns_flow = value
 
     @property
     def deadline_check(self):
@@ -347,6 +373,7 @@ class IncrementalCostScalingSolver(Solver):
             try:
                 result = self._cost_scaling.solve_delta(residual, network, changes)
                 self.delta_solves += 1
+                result.statistics.delta_solve = 1
             except (KeyError, ValueError):
                 # The batch does not match the residual's structure; the
                 # half-patched residual is unusable, so drop it and rebuild.

@@ -62,9 +62,10 @@ core's data layout and avoids every avoidable indirection:
 Note on write-back: with a persistent residual, flow write-back and
 extraction run through the residual's dirty-flow journal, which is exact
 when the solver repeatedly writes to the same target network (the worker's
-shadow, a graph manager's persistent network) or when only the returned
-``flows`` mapping is consumed (the dual executors).  The result's ``flows``
-dict is always the authoritative solution.
+shadow, a graph manager's persistent network).  The dual executors turn the
+write-back off (:attr:`RelaxationSolver.assigns_flow`) and write the
+round's winning ``flows`` themselves, so a losing leg never touches the
+arcs.  The result's ``flows`` dict is always the authoritative solution.
 """
 
 from __future__ import annotations
@@ -136,6 +137,10 @@ class RelaxationSolver(Solver):
         #: termination): exceeding the cap raises ``SolveAborted`` so the
         #: round falls back to the other leg.  ``None`` disables the cap.
         self.ascent_cap: Optional[int] = None
+        #: Whether a solve writes its flow onto the network's arcs.  A dual
+        #: executor turns this off on its legs and writes the winner's
+        #: flows itself, once per round.
+        self.assigns_flow: bool = True
 
     def invalidate_residual(self) -> None:
         """Drop the persistent residual; the next solve rebuilds it."""
@@ -170,7 +175,8 @@ class RelaxationSolver(Solver):
         # Both paths leave all-zero potentials: a fresh build starts there,
         # and the reuse path went through reset_to_zero_flow.
         self._run(residual, stats, potentials_are_zero=True)
-        residual.write_flow_back(network)
+        if self.assigns_flow:
+            residual.write_flow_back(network)
         self.last_residual = residual
         runtime = time.perf_counter() - start
         return SolverResult(
@@ -203,7 +209,8 @@ class RelaxationSolver(Solver):
         residual.load_potentials(warm_potentials)
         stats = SolverStatistics(warm_start=True)
         self._run(residual, stats)
-        residual.write_flow_back(network)
+        if self.assigns_flow:
+            residual.write_flow_back(network)
         self.last_residual = residual
         self.residual_rebuilds += 1
         runtime = time.perf_counter() - start

@@ -1,13 +1,31 @@
 """Unit tests for the speculative dual-algorithm executor."""
 
+import itertools
+import random
+
 import pytest
 
-from repro.flow.validation import check_feasibility
+from repro.core import FirmamentScheduler
+from repro.core.policies import QuincyPolicy
+from repro.flow.graph import FlowNetwork
+from repro.flow.validation import (
+    check_feasibility,
+    check_residual_epsilon_optimality,
+)
 from repro.solvers.base import COMPLEXITY_TABLE, PRECONDITION_TABLE, SolverStatistics
+from repro.solvers.cost_scaling import CostScalingSolver
 from repro.solvers.dual_executor import DualAlgorithmExecutor, RaceCostModel
 from repro.solvers.incremental import IncrementalCostScalingSolver
+from repro.solvers.parallel_executor import ParallelDualExecutor
 from repro.solvers.relaxation import RelaxationSolver
-from tests.conftest import build_scheduling_network, reference_min_cost
+from tests.conftest import (
+    build_scheduling_network,
+    make_cluster_state,
+    reference_min_cost,
+)
+from tests.core.test_incremental_graph_equivalence import _random_job
+from tests.solvers.equivalence_harness import generate_network, perturb_network
+from tests.solvers.test_parallel_executor import _InstantWorkerConn
 
 
 def make_result(algorithm: str, runtime: float, **stats) -> "object":
@@ -218,6 +236,171 @@ class TestAdaptivePolicy:
             expected = reference_min_cost(network)
             assert executor.solve(network).total_cost == expected
         assert executor.rounds == 6
+
+
+def rig_race(monkeypatch, executor, relaxation_wins):
+    """Decide every round's winner: ``relaxation_wins(round_index)``.
+
+    The legs really solve; only the runtimes the modeled race compares are
+    overwritten, so the winner is scripted instead of timing-dependent.
+    """
+    rounds = itertools.count()
+    relaxation_solve = executor.relaxation.solve
+    incremental_solve = executor.incremental.solve
+
+    def relaxation(*args, **kwargs):
+        result = relaxation_solve(*args, **kwargs)
+        result.runtime_seconds = 1.0 if relaxation_wins(next(rounds)) else 3.0
+        return result
+
+    def incremental(*args, **kwargs):
+        result = incremental_solve(*args, **kwargs)
+        result.runtime_seconds = 2.0
+        return result
+
+    monkeypatch.setattr(executor.relaxation, "solve", relaxation)
+    monkeypatch.setattr(executor.incremental, "solve", incremental)
+
+
+def churn_rounds(scheduler, rounds, seed=5, num_machines=12):
+    """Drive ``scheduler`` through scripted churn on a fresh cluster.
+
+    Every round submits a fuzzed job and completes a few running tasks;
+    one machine fails a third of the way in (its node is removed, its
+    tasks are evicted) and recovers at two thirds (the node is added
+    back).  Yields the round index after each scheduled and applied round.
+    """
+    rng = random.Random(seed)
+    state = make_cluster_state(num_machines=num_machines, machines_per_rack=4)
+    for round_index in range(rounds):
+        now = round_index * 10.0
+        state.submit_job(_random_job(rng, round_index + 1, num_machines, now))
+        running = state.running_tasks()
+        for task in rng.sample(running, min(len(running), rng.randint(0, 3))):
+            state.complete_task(task.task_id, now)
+        if round_index == rounds // 3:
+            state.fail_machine(3, now)
+        if round_index == 2 * rounds // 3:
+            state.recover_machine(3, now)
+        scheduler.schedule_and_apply(state, now)
+        yield round_index
+
+
+class TestSurvivingDeltaChain:
+    """The cost-scaling leg keeps its residual across relaxation wins."""
+
+    def test_alternating_winner_stays_exact(self, monkeypatch):
+        scheduler = FirmamentScheduler(QuincyPolicy())
+        executor = scheduler.solver
+        # Two relaxation wins, one cost scaling win, repeating: a cost
+        # scaling win lands on arcs that carried relaxation's flows, and a
+        # relaxation win on a leg that keeps its own residual.
+        rig_race(monkeypatch, executor, lambda index: index % 3 != 2)
+        winners = []
+        for round_index in churn_rounds(scheduler, 36):
+            network = scheduler.last_network
+            winner = executor.last_result.winner
+            winners.append(winner.algorithm)
+            assert network.flows() == winner.flows, f"round {round_index}"
+            assert check_feasibility(network) == [], f"round {round_index}"
+            scratch = CostScalingSolver().solve(network.copy())
+            assert winner.total_cost == scratch.total_cost, f"round {round_index}"
+            residual = executor.incremental.persistent_residual
+            assert residual is not None, f"round {round_index}"
+            assert residual.revision == network.revision
+            assert check_residual_epsilon_optimality(residual, 0) == []
+        assert winners.count("relaxation") == 24
+        assert winners.count("incremental_cost_scaling") == 12
+        # One cold build, then the chain never broke.
+        assert executor.incremental.delta_solves == 35
+        assert executor.incremental.delta_fallbacks == 0
+
+    def test_steady_state_rounds_are_incremental_on_both_legs(self, monkeypatch):
+        scheduler = FirmamentScheduler(QuincyPolicy())
+        executor = scheduler.solver
+        rig_race(monkeypatch, executor, lambda index: True)
+
+        def no_copy(self):
+            raise AssertionError("the inline race copied the flow network")
+
+        monkeypatch.setattr(FlowNetwork, "copy", no_copy)
+        for round_index in churn_rounds(scheduler, 12):
+            detailed = executor.last_result
+            assert detailed.winning_algorithm == "relaxation"
+            assert executor.incremental.delta_solves == round_index
+            assert executor.relaxation.residual_rebuilds == 1
+            # Round-level attribution: the losing leg's flag is folded in.
+            assert detailed.winner.statistics.delta_solve == min(round_index, 1)
+            if round_index:
+                assert detailed.cost_scaling.statistics.price_refine_passes == 0
+
+    def hand_built_rounds(self, count, seed=9):
+        rng = random.Random(seed)
+        network = generate_network(rng)
+        yield network, None
+        for _ in range(count - 1):
+            network, changes = perturb_network(rng, network)
+            yield network, changes
+
+    def assert_reseeded_then_rebuilt(self, executor, rounds):
+        """After a round that left the leg without a residual: the
+        relaxation win seeded it, so the next round rebuilds (Section 6.2)
+        and only the one after that is a delta solve again."""
+        incremental = executor.incremental
+        assert incremental.persistent_residual is None
+        assert incremental.has_state
+        before = incremental.delta_solves
+        network, changes = next(rounds)
+        detailed = executor.solve_detailed(network, changes)
+        assert detailed.cost_scaling.statistics.delta_solve == 0
+        assert incremental.delta_solves == before
+        assert detailed.winner.total_cost == reference_min_cost(network)
+        network, changes = next(rounds)
+        detailed = executor.solve_detailed(network, changes)
+        assert detailed.cost_scaling.statistics.delta_solve == 1
+        assert detailed.winner.total_cost == reference_min_cost(network)
+
+    def test_policy_solo_relaxation_round_still_seeds(self, monkeypatch):
+        model = RaceCostModel()
+        executor = DualAlgorithmExecutor(executor_policy="auto", cost_model=model)
+        rig_race(monkeypatch, executor, lambda index: True)
+        rounds = self.hand_built_rounds(5)
+        executor.solve_detailed(*next(rounds))
+        executor.solve_detailed(*next(rounds))
+        assert executor.incremental.persistent_residual is not None
+        # The rigged runtimes (1 s vs 2 s) sit inside the margin; make the
+        # model sure of relaxation so it drops the cost-scaling leg.
+        model.relaxation_seconds = 1e-4
+        detailed = executor.solve_detailed(*next(rounds))
+        assert detailed.cost_scaling is None
+        model.rounds_since_race = model.probe_interval  # race again
+        self.assert_reseeded_then_rebuilt(executor, rounds)
+
+    def test_cancelled_parent_leg_still_seeds(self, monkeypatch):
+        executor = ParallelDualExecutor()
+        executor.worker.attach(_InstantWorkerConn())  # answers first, always
+        try:
+            detailed = executor.solve_detailed(build_scheduling_network(seed=53))
+            assert detailed.winning_algorithm == "relaxation"
+            assert detailed.cost_scaling is None
+            executor.worker.attach(None)
+            # No worker: the following rounds run the inherited inline race.
+            monkeypatch.setattr(executor.worker, "ensure", lambda: False)
+            rig_race(monkeypatch, executor, lambda index: True)
+            self.assert_reseeded_then_rebuilt(executor, self.hand_built_rounds(2))
+        finally:
+            executor.worker.attach(None)
+            executor.close()
+
+    def test_deadline_truncated_leg_still_seeds(self, monkeypatch):
+        executor = DualAlgorithmExecutor()
+        rig_race(monkeypatch, executor, lambda index: True)
+        rounds = self.hand_built_rounds(3)
+        executor.incremental.deadline_check = lambda: True
+        detailed = executor.solve_detailed(*next(rounds))
+        executor.incremental.deadline_check = None
+        assert not detailed.cost_scaling.optimal
+        self.assert_reseeded_then_rebuilt(executor, rounds)
 
 
 class TestLegAttribution:
