@@ -132,17 +132,14 @@ def test_fig14_parallel_executor_wall_clock_tracks_winner(benchmark):
     races the algorithms across processes for real.  On the fig14 workload
     its measured steady-state wall clock per round must track the winning
     algorithm's solo runtime -- the speculation is (measurably) cheap,
-    even when parent and worker share cores.  The tolerated ratio is 2x,
-    and it is a ratio of two shrinking numbers: since the PR 5 relaxation
-    overhaul the worker wins the raced rounds in a few milliseconds each,
-    and since PR 14 a delta-armed solo round is ~0.2 ms of solver time, so
-    the executor's fixed per-round work (chain bookkeeping, the IPC round
-    trip on raced rounds, and the one O(arcs) flow write-back it now owns
-    -- which the legs' reported runtimes used to include) is as large as
-    the winner's runtime on most rounds even though the absolute wall
-    clock per round went down.  What must stay impossible is the
-    sum-shaped cost, pinned against the sequential executor's measured
-    work below.
+    even when parent and worker share cores.  The tolerated ratio is 60 %:
+    since the PR 5 relaxation overhaul the worker side wins a substantial
+    share of the raced rounds in a few milliseconds each, so the fixed
+    IPC round trip (ship + response pickling + parent abort latency) is a
+    visibly larger *fraction* of the shrunken winner runtime even though
+    the absolute wall clock per round went down -- what must stay
+    impossible is the sum-shaped cost, pinned against the sequential
+    executor's measured work below.
     """
     sequential = DualAlgorithmExecutor()
     replay(FirmamentScheduler(QuincyPolicy(), solver=sequential), machines=RACE_MACHINES)
@@ -176,9 +173,9 @@ def test_fig14_parallel_executor_wall_clock_tracks_winner(benchmark):
         parallel.total_winner_runtime_seconds, 1e-9
     )
     print(f"parallel wall clock / winner solo runtime: {overhead:.3f}x")
-    # Acceptance criterion: measured wall clock within 2x of the winning
+    # Acceptance criterion: measured wall clock within 60 % of the winning
     # algorithm's solo runtime (not the sum of both algorithms) ...
-    assert overhead <= 2.0
+    assert overhead <= 1.6
     # ... and strictly below the sum the sequential executor pays for the
     # same rounds (racing must never cost sum-shaped wall clock).
     assert (

@@ -27,10 +27,10 @@ committed baseline in ``perf_baseline.json``:
   event engine and ingestion path; normalized against the from-scratch
   solve like every other kernel (``bench_sim_scale.py`` is the full-size
   1k-machine/10^5-task version of the same path), and
-* the sharded-round kernel -- steady-state scheduling rounds (eight small
-  jobs per round) at 256 machines solved by the monolithic incremental
-  scheduler and by the 4-cell sharded scheduler (per-round latency charged
-  as the straggler cell's solve) -- guarding the sharding layer's round-latency win
+* the sharded-round kernel -- low-churn steady-state scheduling rounds at
+  256 machines solved by the monolithic incremental scheduler and by the
+  4-cell sharded scheduler (per-round latency charged as the straggler
+  cell's solve) -- guarding the sharding layer's round-latency win
   (``bench_shard_scaling.py`` is the full grid version), and
 * the service-round kernel -- a small closed-loop burst against an
   in-process :class:`SchedulerService` over loopback TCP (submit -> coalesced
@@ -400,18 +400,14 @@ def measure_sim_replay_round() -> float:
 def measure_sharded_round() -> tuple:
     """Sharded-round kernel: (monolithic_seconds, sharded_seconds).
 
-    Three steady-state rounds at ``SHARD_MACHINES`` machines (eight small
-    jobs arrive per round -- ``bench_shard_scaling.py``'s high-churn
-    profile), summed so the kernel is not dominated by timer noise.  Both
-    sides are charged the same per-round latency yardstick the simulator
-    uses -- ``decision.algorithm_runtime``, which for the sharded scheduler
-    is the straggler cell's solve.  The cold build round is excluded: the
-    kernel guards the steady-state delta path, where the sharding win (a
-    cell repairs only its slice of the round's change batch, on a network
-    1/cells the size) must hold.  One job per round was enough until the
-    monolithic repair stopped settling its whole zero-reduced-cost plateau
-    per new task (PR 14); such a round now costs the monolithic solver a
-    few dozen settled nodes, which no partition beats by 2x.
+    Three low-churn steady-state rounds at ``SHARD_MACHINES`` machines (a
+    small job arrives per round), summed so the kernel is not dominated by
+    timer noise.  Both sides are charged the same per-round latency
+    yardstick the simulator uses -- ``decision.algorithm_runtime``, which
+    for the sharded scheduler is the straggler cell's solve.  The cold
+    build round is excluded: the kernel guards the steady-state delta
+    path, where the sharding win (per-cell networks are 1/cells the size
+    and MCMF solve cost is superlinear) must hold.
     """
     from benchmarks.common import make_job
     from repro.core import FirmamentScheduler, ShardedScheduler
@@ -431,10 +427,9 @@ def measure_sharded_round() -> tuple:
             scheduler.schedule_and_apply(state, now=0.0)  # cold build, untimed
             for round_index in range(1, 4):
                 now = round_index * 5.0
-                for _ in range(8):
-                    state.submit_job(make_job(job_id, 4, task_id, submit_time=now))
-                    job_id += 1
-                    task_id += 4
+                state.submit_job(make_job(job_id, 4, task_id, submit_time=now))
+                job_id += 1
+                task_id += 4
                 decision = scheduler.schedule_and_apply(state, now=now)
                 total += decision.algorithm_runtime
         finally:

@@ -290,9 +290,8 @@ class FlowNetwork:
 
         Arcs not present in ``flows`` are reset to zero flow.
         """
-        get = flows.get
-        for key, arc in self._arcs.items():
-            arc.flow = get(key, 0)
+        for arc in self._arcs.values():
+            arc.flow = flows.get(arc.key(), 0)
 
     def flows(self) -> Dict[Tuple[int, int], int]:
         """Return a ``{(src, dst): flow}`` mapping of the current flow."""

@@ -435,16 +435,14 @@ class CostScalingSolver(Solver):
         #: ``check_residual_epsilon_optimality`` validation.  ``None`` (the
         #: default) adds no per-phase work.
         self.deadline_check: Optional[callable] = None
-        #: Whether a solve writes its flow onto the network's arcs.  A dual
-        #: executor turns this off on its legs and writes the winner's
-        #: flows itself, once per round: the journaled write-back below
-        #: assumes the arcs still carry *this* solver's previous flows,
-        #: which is false once another leg's flows were installed.
-        self.assigns_flow: bool = True
         #: Details of the most recent deadline-truncated ladder:
         #: ``{"epsilon": int, "validated": bool, "problems": [...]}``;
         #: None when the last run finished its ladder (or never ran one).
         self.last_degradation: Optional[Dict] = None
+        # Cleared by IncrementalCostScalingSolver.solve(write_back=False) for
+        # the duration of one solve: a dual executor writes the round's
+        # winning flows itself.
+        self._write_back: bool = True
         # Scratch columns of the repair's shortest-path searches, shared by
         # every augmentation and validated by a stamp instead of being
         # reallocated (three n-sized lists per augmentation otherwise).
@@ -822,15 +820,7 @@ class CostScalingSolver(Solver):
                     mark[v] = stamp
                     dist[v] = new_dist
                     pred_arc[v] = arc_index
-                    if new_dist == d and excess[v] < 0:
-                        # A deficit across a zero-reduced-cost arc is as
-                        # near as anything left in the heap: stop here
-                        # instead of settling the rest of the tie.
-                        target = v
-                        break
                     heappush(heap, (new_dist, v))
-            if target >= 0:
-                break
         stats.iterations += len(settled) + (target >= 0)
         stats.arcs_scanned += arcs_scanned
 
@@ -888,7 +878,7 @@ class CostScalingSolver(Solver):
             self.last_residual = residual
         else:
             self.last_residual = None
-        if self.assigns_flow:
+        if self._write_back:
             residual.write_flow_back(network)
         runtime = time.perf_counter() - start
         return SolverResult(

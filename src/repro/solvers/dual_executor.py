@@ -325,11 +325,6 @@ class SpeculativeDualExecutor(Solver):
         self.incremental = incremental or IncrementalCostScalingSolver(
             price_refine=price_refine
         )
-        # The executor writes the winner's flows itself (_finish_round); a
-        # leg writing too would cost an O(arcs) pass per leg and, for the
-        # loser, put flows on the arcs that the round did not choose.
-        self.relaxation.assigns_flow = False
-        self.incremental.assigns_flow = False
         self.executor_policy = executor_policy
         self.cost_model = cost_model or RaceCostModel()
         self.round_deadline_seconds = round_deadline_seconds
@@ -449,7 +444,9 @@ class SpeculativeDualExecutor(Solver):
             if budget is not None:
                 self.relaxation.abort_check = RoundDeadline(budget).hard_expired
             try:
-                relaxation_result = self.relaxation.solve(network, changes=changes)
+                relaxation_result = self.relaxation.solve(
+                    network, changes=changes, write_back=False
+                )
             except SolveAborted:
                 # Hard deadline or ascent cap: degrade to the other leg.
                 deadline_hit = True
@@ -466,7 +463,9 @@ class SpeculativeDualExecutor(Solver):
                 self.incremental.deadline_check = deadline
                 self.incremental.abort_check = deadline.hard_expired
             try:
-                cost_scaling_result = self.incremental.solve(network, changes=changes)
+                cost_scaling_result = self.incremental.solve(
+                    network, changes=changes, write_back=False
+                )
             except SolveAborted:
                 deadline_hit = True
             finally:

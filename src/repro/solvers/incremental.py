@@ -76,19 +76,16 @@ def drain_removed_task_flow(network: FlowNetwork, warm_flows: Dict[Tuple[int, in
     Returns:
         The number of flow units drained.
     """
-    # One pass over the warm flows (non-zero entries only, not every arc):
-    # purge entries for arcs that no longer exist (their task or machine
-    # node was removed; only flow on live arcs can be reused anyway) and
-    # total what is left per endpoint.
+    # Purge flow entries for arcs that no longer exist (their task or machine
+    # node was removed); only flow on live arcs can be reused anyway.
+    live_keys = {arc.key() for arc in network.arcs()}
+    for key in [k for k in warm_flows if k not in live_keys]:
+        del warm_flows[key]
+
     inflow: Dict[int, int] = {}
     outflow: Dict[int, int] = {}
-    find_arc = network.find_arc
-    for key in list(warm_flows):
-        arc = find_arc(*key)
-        if arc is None:
-            del warm_flows[key]
-            continue
-        flow = min(warm_flows[key], arc.capacity)
+    for arc in network.arcs():
+        flow = min(warm_flows.get(arc.key(), 0), arc.capacity)
         if flow:
             outflow[arc.src] = outflow.get(arc.src, 0) + flow
             inflow[arc.dst] = inflow.get(arc.dst, 0) + flow
@@ -263,18 +260,6 @@ class IncrementalCostScalingSolver(Solver):
         self._cost_scaling.abort_check = check
 
     @property
-    def assigns_flow(self) -> bool:
-        """Whether a solve writes its flow onto the network's arcs,
-        forwarded to the inner solver; see
-        :attr:`repro.solvers.cost_scaling.CostScalingSolver.assigns_flow`.
-        """
-        return self._cost_scaling.assigns_flow
-
-    @assigns_flow.setter
-    def assigns_flow(self, value: bool) -> None:
-        self._cost_scaling.assigns_flow = value
-
-    @property
     def deadline_check(self):
         """Soft-deadline hook, forwarded to the inner solver.
 
@@ -325,7 +310,10 @@ class IncrementalCostScalingSolver(Solver):
         return residual
 
     def solve(
-        self, network: FlowNetwork, changes: Optional[ChangeBatch] = None
+        self,
+        network: FlowNetwork,
+        changes: Optional[ChangeBatch] = None,
+        write_back: bool = True,
     ) -> SolverResult:
         """Solve the network, reusing the previous solution when available.
 
@@ -336,6 +324,9 @@ class IncrementalCostScalingSolver(Solver):
                 :meth:`repro.core.graph_manager.GraphManager.update`).  When
                 supplied and applicable, the solve runs on the persistent
                 residual without reconstructing it.
+            write_back: Write the flow onto ``network``'s arcs.  A dual
+                executor passes False and writes the round's winning flows
+                itself, once.
         """
         # Per-solve soft deadline: truncate the epsilon ladder at the
         # budget.  An externally installed check (a dual executor running
@@ -349,9 +340,11 @@ class IncrementalCostScalingSolver(Solver):
                 self.round_deadline_seconds
             ).expired
             installed_deadline = True
+        self._cost_scaling._write_back = write_back
         try:
             return self._solve_inner(network, changes)
         finally:
+            self._cost_scaling._write_back = True
             if installed_deadline:
                 self._cost_scaling.deadline_check = None
 

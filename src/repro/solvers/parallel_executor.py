@@ -303,7 +303,9 @@ class ParallelDualExecutor(SpeculativeDualExecutor):
             self.incremental.abort_check = abort_check
             self.incremental.deadline_check = deadline
             try:
-                cost_scaling_result = self.incremental.solve(network, changes=changes)
+                cost_scaling_result = self.incremental.solve(
+                    network, changes=changes, write_back=False
+                )
             except SolveAborted:
                 pass
             except Exception as error:

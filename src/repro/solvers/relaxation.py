@@ -62,10 +62,10 @@ core's data layout and avoids every avoidable indirection:
 Note on write-back: with a persistent residual, flow write-back and
 extraction run through the residual's dirty-flow journal, which is exact
 when the solver repeatedly writes to the same target network (the worker's
-shadow, a graph manager's persistent network).  The dual executors turn the
-write-back off (:attr:`RelaxationSolver.assigns_flow`) and write the
-round's winning ``flows`` themselves, so a losing leg never touches the
-arcs.  The result's ``flows`` dict is always the authoritative solution.
+shadow, a graph manager's persistent network).  The dual executors call
+``solve(..., write_back=False)`` and write the round's winning ``flows``
+themselves, so a losing leg never touches the arcs.  The result's ``flows``
+dict is always the authoritative solution.
 """
 
 from __future__ import annotations
@@ -137,10 +137,6 @@ class RelaxationSolver(Solver):
         #: termination): exceeding the cap raises ``SolveAborted`` so the
         #: round falls back to the other leg.  ``None`` disables the cap.
         self.ascent_cap: Optional[int] = None
-        #: Whether a solve writes its flow onto the network's arcs.  A dual
-        #: executor turns this off on its legs and writes the winner's
-        #: flows itself, once per round.
-        self.assigns_flow: bool = True
 
     def invalidate_residual(self) -> None:
         """Drop the persistent residual; the next solve rebuilds it."""
@@ -150,7 +146,10 @@ class RelaxationSolver(Solver):
     # Public API
     # ------------------------------------------------------------------ #
     def solve(
-        self, network: FlowNetwork, changes: Optional[ChangeBatch] = None
+        self,
+        network: FlowNetwork,
+        changes: Optional[ChangeBatch] = None,
+        write_back: bool = True,
     ) -> SolverResult:
         """Compute a min-cost max-flow on the network.
 
@@ -161,6 +160,9 @@ class RelaxationSolver(Solver):
                 onto the retained residual's revision, the residual is
                 patched in place (O(|changes|)) instead of being rebuilt
                 (O(graph)); otherwise the batch is ignored.
+            write_back: Write the flow onto ``network``'s arcs.  A dual
+                executor passes False and writes the round's winning flows
+                itself, once.
         """
         start = time.perf_counter()
         stats = SolverStatistics()
@@ -175,7 +177,7 @@ class RelaxationSolver(Solver):
         # Both paths leave all-zero potentials: a fresh build starts there,
         # and the reuse path went through reset_to_zero_flow.
         self._run(residual, stats, potentials_are_zero=True)
-        if self.assigns_flow:
+        if write_back:
             residual.write_flow_back(network)
         self.last_residual = residual
         runtime = time.perf_counter() - start
@@ -209,8 +211,7 @@ class RelaxationSolver(Solver):
         residual.load_potentials(warm_potentials)
         stats = SolverStatistics(warm_start=True)
         self._run(residual, stats)
-        if self.assigns_flow:
-            residual.write_flow_back(network)
+        residual.write_flow_back(network)
         self.last_residual = residual
         self.residual_rebuilds += 1
         runtime = time.perf_counter() - start

@@ -104,6 +104,18 @@ class TestDualExecution:
         network = build_scheduling_network(seed=46)
         assert executor.solve(network).total_cost == reference_min_cost(network)
 
+    def test_injected_solvers_still_write_flow_on_their_own(self):
+        # The executor skips its legs' write-backs per call; a solver it
+        # was handed keeps writing its flow when used outside the executor.
+        relaxation = RelaxationSolver()
+        incremental = IncrementalCostScalingSolver()
+        executor = DualAlgorithmExecutor(relaxation=relaxation, incremental=incremental)
+        executor.solve(build_scheduling_network(seed=46))
+        for solver in (relaxation, incremental):
+            network = build_scheduling_network(seed=47)
+            result = solver.solve(network)
+            assert network.flows() == result.flows
+
 
 class TestRaceCostModel:
     def observe_rounds(self, model, relax_s, scaling_s, rounds=3, **relax_stats):
