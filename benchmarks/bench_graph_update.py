@@ -7,13 +7,16 @@ clusters.  This benchmark measures :meth:`GraphManager.update` wall time
 across machine counts and churn rates for the two paths:
 
 * ``incremental``: the dirty-set-driven persistent network (default), and
-* ``rebuild``: the old full-rebuild + :meth:`ChangeBatch.diff` path
+* ``rebuild``: the from-scratch build + :meth:`ChangeBatch.diff` baseline
   (``GraphManager(..., incremental=False)``).
 
 Both managers consume identical cluster mutations in lockstep, so the
 reported ratio is the per-round construction speedup the incremental layer
 delivers.  The acceptance bar of the incremental-construction PR is a >= 5x
-speedup on a low-churn round (<= 5 % of tasks changing, >= 48 machines).
+speedup on a low-churn round (<= 5 % of tasks changing, >= 48 machines),
+measured on Quincy.  A second table has one low-churn row per policy --
+every policy derives per entity, so every one of them patches a handful of
+arcs instead of rebuilding -- reported, not gated.
 
 Usage::
 
@@ -38,10 +41,28 @@ from benchmarks.common import (  # noqa: E402
 )
 from repro.analysis.reporting import format_table  # noqa: E402
 from repro.core import GraphManager, QuincyPolicy  # noqa: E402
+from repro.core.policies import (  # noqa: E402
+    CpuMemoryPolicy,
+    LoadSpreadingPolicy,
+    NetworkAwarePolicy,
+    RandomPlacementPolicy,
+    ShortestJobFirstPolicy,
+)
 
 MACHINE_COUNTS = [16, 48, 128]
 CHURN_FRACTIONS = [0.02, 0.05, 0.20]
 ROUNDS = 12
+#: The per-policy table's configuration: one low-churn point.
+POLICY_MACHINES = 48
+POLICY_CHURN = 0.02
+POLICIES = {
+    "quincy": QuincyPolicy,
+    "cpu_memory": CpuMemoryPolicy,
+    "load_spreading": LoadSpreadingPolicy,
+    "network_aware": NetworkAwarePolicy,
+    "random_placement": RandomPlacementPolicy,
+    "shortest_job_first": ShortestJobFirstPolicy,
+}
 
 
 def _churn(state, rng: random.Random, fraction: float, now: float, job_id: int) -> None:
@@ -68,15 +89,17 @@ def _churn(state, rng: random.Random, fraction: float, now: float, job_id: int) 
                 break
 
 
-def measure(machines: int, churn: float):
-    """Return (incremental medians, rebuild medians, arcs) for one config."""
+def measure(machines: int, churn: float, policy_factory=QuincyPolicy):
+    """Return (incremental median, rebuild median, arcs, median arcs
+    patched per incremental round) for one config."""
     incremental_times = []
     rebuild_times = []
+    patched = []
     arcs = 0
     state = build_cluster_state(machines, utilization=0.6, seed=7)
     add_pending_batch_job(state, machines // 2, seed=8)
-    inc_manager = GraphManager(QuincyPolicy())
-    reb_manager = GraphManager(QuincyPolicy(), incremental=False)
+    inc_manager = GraphManager(policy_factory())
+    reb_manager = GraphManager(policy_factory(), incremental=False)
     inc_manager.update(state, now=0.0)
     reb_manager.update(state, now=0.0)
 
@@ -90,6 +113,7 @@ def measure(machines: int, churn: float):
         incremental_times.append(time.perf_counter() - start)
         if inc_manager.last_update_stats.mode != "incremental":
             raise AssertionError("expected the incremental path")
+        patched.append(inc_manager.last_update_stats.arcs_patched)
 
         start = time.perf_counter()
         reb_manager.update(state, now)
@@ -100,6 +124,7 @@ def measure(machines: int, churn: float):
         statistics.median(incremental_times),
         statistics.median(rebuild_times),
         arcs,
+        statistics.median(patched),
     )
 
 
@@ -109,7 +134,7 @@ def run() -> list:
     results = []
     for machines in [m * scale for m in MACHINE_COUNTS]:
         for churn in CHURN_FRACTIONS:
-            incremental, rebuild, arcs = measure(machines, churn)
+            incremental, rebuild, arcs, _ = measure(machines, churn)
             speedup = rebuild / max(incremental, 1e-9)
             results.append((machines, churn, incremental, rebuild, speedup))
             rows.append(
@@ -140,9 +165,46 @@ def run() -> list:
     return results
 
 
+def run_policies() -> None:
+    """Print one low-churn row per policy (reported, not gated)."""
+    machines = POLICY_MACHINES * bench_scale()
+    rows = []
+    for name, factory in POLICIES.items():
+        incremental, rebuild, arcs, patched = measure(machines, POLICY_CHURN, factory)
+        rows.append(
+            [
+                name,
+                str(arcs),
+                f"{patched:.0f}",
+                f"{1000 * rebuild:.2f}",
+                f"{1000 * incremental:.2f}",
+                f"{rebuild / max(incremental, 1e-9):.1f}x",
+            ]
+        )
+    print()
+    print(
+        f"Graph-update latency per round by policy "
+        f"({machines} machines, {100 * POLICY_CHURN:.0f}% churn)"
+    )
+    print(
+        format_table(
+            [
+                "policy",
+                "arcs",
+                "arcs patched",
+                "rebuild [ms]",
+                "incremental [ms]",
+                "speedup",
+            ],
+            rows,
+        )
+    )
+
+
 def test_graph_update_incremental_beats_rebuild(benchmark):
     """Low-churn rounds must be >= 5x faster than rebuild+diff."""
     results = run()
+    run_policies()
     low_churn = [
         speedup
         for machines, churn, _, _, speedup in results
@@ -172,6 +234,7 @@ def test_graph_update_incremental_beats_rebuild(benchmark):
 
 if __name__ == "__main__":
     results = run()
+    run_policies()
     worst_low_churn = max(
         speedup
         for machines, churn, _, _, speedup in results

@@ -41,68 +41,85 @@ class RackAntiAffinityPolicy(SchedulingPolicy):
     #: Extra cost for exceeding a job's fair share of a rack.
     colocation_penalty: int = 40
 
-    def build(self, state: ClusterState, builder: PolicyNetworkBuilder, now: float) -> None:
-        topology = state.topology
-        tasks = state.schedulable_tasks()
-        if not tasks:
-            return
+    # A policy describes its network one scope at a time; the base class
+    # already derives what every policy has (each task's unscheduled and
+    # continuation arcs, machine -> sink, unscheduled aggregator -> sink),
+    # so only the rack backbone and the quota encoding are written here.
 
-        # Backbone: rack aggregator -> machines -> sink.
-        for rack_id, rack in topology.racks.items():
-            rack_node = builder.rack_node(rack_id)
-            for machine_id in rack.machine_ids:
-                machine = topology.machine(machine_id)
-                if not machine.is_available:
-                    continue
-                machine_node = builder.machine_node(machine_id)
-                builder.add_arc(rack_node, machine_node, machine.num_slots, 0)
-                builder.add_arc(machine_node, builder.sink, machine.num_slots, 0)
+    def arcs_for_machine(self, state, builder: PolicyNetworkBuilder, machine, now) -> None:
+        """Backbone: rack aggregator -> machine (-> sink, shared)."""
+        builder.add_arc(
+            builder.rack_node(machine.rack_id),
+            builder.machine_node(machine.machine_id),
+            machine.num_slots,
+            0,
+        )
+        super().arcs_for_machine(state, builder, machine, now)
 
-        tasks_per_job = defaultdict(int)
-        for task in tasks:
-            tasks_per_job[task.job_id] += 1
-
-        jobs_seen = set()
-        for task in tasks:
-            task_node = builder.task_node(task.task_id)
-            jobs_seen.add(task.job_id)
-            fair_share = math.ceil(tasks_per_job[task.job_id] / max(1, topology.num_racks))
-            for rack_id in topology.racks:
-                rack_node = builder.rack_node(rack_id)
-                # Cheap path, capped at the job's fair share of the rack.
-                quota_node = builder.aggregator(
-                    f"quota-j{task.job_id}-r{rack_id}", NodeType.OTHER
-                )
-                builder.add_arc(task_node, quota_node, 1, self.placement_base_cost)
-                builder.add_arc(quota_node, rack_node, fair_share, 0)
-                # Overflow path: allowed, but penalized.
-                builder.add_arc(
-                    task_node,
-                    rack_node,
-                    1,
-                    self.placement_base_cost + self.colocation_penalty,
-                )
+    def arcs_for_task(self, state, builder: PolicyNetworkBuilder, task, now) -> None:
+        """Per rack: a cheap arc through the job's quota node and a
+        penalized overflow arc straight to the rack."""
+        task_node = builder.task_node(task.task_id)
+        for rack_id in state.topology.racks:
             builder.add_arc(
-                task_node,
-                builder.unscheduled_node(task.job_id),
-                1,
-                self.unscheduled_cost(task, now),
+                task_node, self._quota_node(builder, task.job_id, rack_id), 1,
+                self.placement_base_cost,
             )
-            if task.is_running and task.machine_id is not None:
-                builder.add_arc(
-                    task_node,
-                    builder.machine_node(task.machine_id),
-                    1,
-                    self.continuation_cost(task),
-                )
-
-        for job_id in jobs_seen:
             builder.add_arc(
-                builder.unscheduled_node(job_id),
-                builder.sink,
-                state.jobs[job_id].num_tasks,
+                task_node, builder.rack_node(rack_id), 1,
+                self.placement_base_cost + self.colocation_penalty,
+            )
+        super().arcs_for_task(state, builder, task, now)
+
+    def refresh_aggregator(self, state, builder: PolicyNetworkBuilder, key, now) -> None:
+        """``("quota", job_id)``: each quota node's arc to its rack, capped
+        at the job's fair share of the rack."""
+        kind, job_id = key
+        if kind != "quota":
+            super().refresh_aggregator(state, builder, key, now)
+            return
+        racks = state.topology.racks
+        live = sum(1 for t in state.schedulable_tasks() if t.job_id == job_id)
+        fair_share = math.ceil(live / max(1, len(racks)))
+        for rack_id in racks:
+            builder.add_arc(
+                self._quota_node(builder, job_id, rack_id),
+                builder.rack_node(rack_id),
+                fair_share,
                 0,
             )
+
+    def dirty_aggregators(self, state, dirty, now, builder: PolicyNetworkBuilder):
+        """A job's quotas move whenever one of its tasks arrives or leaves."""
+        jobs = set(dirty.jobs)
+        jobs.update(
+            state.tasks[task_id].job_id for task_id in dirty.tasks if task_id in state.tasks
+        )
+        keys = [("quota", job_id) for job_id in sorted(jobs)]
+        return keys + super().dirty_aggregators(state, dirty, now, builder)
+
+    def owned_arcs(self, builder: PolicyNetworkBuilder, key):
+        """Ownership is read off the network: a machine also owns its arc
+        from the rack, a quota scope the arcs out of the job's quota nodes."""
+        kind, ident = key
+        if kind == "quota":
+            racks = builder.network.nodes_of_type(NodeType.RACK_AGGREGATOR)
+            return [
+                arc
+                for rack in racks
+                for arc in builder.outgoing(
+                    builder.find_aggregator(f"quota-j{ident}-r{rack.ref}")
+                )
+            ]
+        owned = super().owned_arcs(builder, key)
+        if kind == "machine":
+            owned = owned + builder.incoming(
+                builder.peek_machine_node(ident), NodeType.RACK_AGGREGATOR
+            )
+        return owned
+
+    def _quota_node(self, builder: PolicyNetworkBuilder, job_id: int, rack_id: int) -> int:
+        return builder.aggregator(f"quota-j{job_id}-r{rack_id}", NodeType.OTHER)
 
 
 def main() -> None:

@@ -1,7 +1,7 @@
 """The scheduler flags ``serve`` and ``simulate`` share, declared once.
 
 :func:`add_scheduler_arguments` declares ``--scheduler --policy
---price-refine --cells --cell-workers --round-deadline``;
+--cells --cell-workers --round-deadline``;
 :func:`_make_scheduler` turns the parsed values into a scheduler and rejects
 flag combinations that cannot take effect.
 """
@@ -26,7 +26,6 @@ from repro.core.policies import (
     RandomPlacementPolicy,
     ShortestJobFirstPolicy,
 )
-from repro.solvers import PRICE_REFINE_MODES
 
 #: ``--policy`` name -> policy class (Firmament and Quincy only).
 _POLICY_CLASSES = {
@@ -65,19 +64,6 @@ def add_scheduler_arguments(parser) -> None:
         choices=POLICIES,
         default="quincy",
         help="scheduling policy for the flow-based schedulers (default: quincy)",
-    )
-    parser.add_argument(
-        "--price-refine",
-        choices=PRICE_REFINE_MODES,
-        default="auto",
-        help=(
-            "price-refine variant for firmament's incremental cost scaling: "
-            "'spfa' is the deque-based label-correcting sweep, 'dijkstra' "
-            "the heap-based incremental repair seeded from the previous "
-            "round's potentials, 'auto' uses the seeded repair when the "
-            "violation count is small relative to the graph and the sweep "
-            "otherwise (default: auto)"
-        ),
     )
     parser.add_argument(
         "--cells",
@@ -126,7 +112,6 @@ def _make_scheduler(
     scheduler_name: str,
     policy_name: str,
     executor: str = "sequential",
-    price_refine: str = "auto",
     executor_policy: str = "race",
     cells: int = 0,
     cell_workers: bool = False,
@@ -139,9 +124,7 @@ def _make_scheduler(
     the dual-executor knobs (``executor``, ``executor_policy``) do not
     exist in the sharded scheduler (each cell runs one incremental solver,
     there is no race to configure), and ``round_deadline_seconds`` needs a
-    flow-based scheduler with deadline support.  ``price_refine`` *is* a
-    per-cell solver knob and is forwarded to the sharded scheduler's
-    inline and worker solvers alike.
+    flow-based scheduler with deadline support.
     """
     if cells > 0 and scheduler_name != "firmament":
         raise ValueError(
@@ -172,14 +155,13 @@ def _make_scheduler(
                 lambda: _make_policy(policy_name),
                 num_cells=cells,
                 workers=cell_workers,
-                price_refine=price_refine,
                 round_deadline_seconds=round_deadline_seconds,
             )
         if cell_workers:
             raise ValueError("--cell-workers requires --cells")
         return FirmamentScheduler(
             _make_policy(policy_name), executor=executor,
-            price_refine=price_refine, executor_policy=executor_policy,
+            executor_policy=executor_policy,
             round_deadline_seconds=round_deadline_seconds,
         )
     if cell_workers:

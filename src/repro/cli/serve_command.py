@@ -184,7 +184,6 @@ async def _serve(args) -> int:
         state = ClusterState(topology)
     scheduler = _make_scheduler(
         args.scheduler, args.policy,
-        price_refine=args.price_refine,
         cells=args.cells,
         cell_workers=args.cell_workers,
         round_deadline_seconds=args.round_deadline,

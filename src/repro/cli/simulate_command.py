@@ -115,7 +115,6 @@ def run(args: argparse.Namespace) -> int:
     state = ClusterState(topology)
     scheduler = _make_scheduler(
         args.scheduler, args.policy, args.executor,
-        price_refine=args.price_refine,
         executor_policy=args.executor_policy,
         cells=args.cells,
         cell_workers=args.cell_workers,

@@ -8,20 +8,19 @@ from typing import TextIO
 
 from repro.flow.dimacs import read_dimacs, write_dimacs
 from repro.flow.validation import check_feasibility
-from repro.solvers import EXECUTOR_POLICIES, PRICE_REFINE_MODES, make_solver
-
-#: Algorithms whose constructor accepts a ``price_refine`` variant.
-PRICE_REFINE_ALGORITHMS = frozenset(
-    {
-        "cost_scaling",
-        "incremental_cost_scaling",
-        "firmament_dual",
-        "firmament_dual_parallel",
-    }
+from repro.solvers import (
+    EXECUTOR_POLICIES,
+    PRICE_REFINE_MODES,
+    IncrementalCostScalingSolver,
+    make_solver,
 )
 
+#: Algorithms whose constructor accepts a ``price_refine`` variant.
+PRICE_REFINE_ALGORITHMS = frozenset({"cost_scaling", "incremental_cost_scaling"})
+
 #: Algorithms whose constructor accepts an ``executor_policy`` (the two
-#: speculative dual executors).
+#: speculative dual executors); their price-refine variant rides in on an
+#: injected cost-scaling leg.
 EXECUTOR_POLICY_ALGORITHMS = frozenset(
     {"firmament_dual", "firmament_dual_parallel"}
 )
@@ -105,10 +104,14 @@ def run(args: argparse.Namespace) -> int:
     text = _read_input(args.input)
     network = read_dimacs(text)
     solver_kwargs = {}
+    price_refine = getattr(args, "price_refine", "auto")
     if args.algorithm in PRICE_REFINE_ALGORITHMS:
-        solver_kwargs["price_refine"] = getattr(args, "price_refine", "auto")
+        solver_kwargs["price_refine"] = price_refine
     if args.algorithm in EXECUTOR_POLICY_ALGORITHMS:
         solver_kwargs["executor_policy"] = getattr(args, "executor_policy", "race")
+        solver_kwargs["incremental"] = IncrementalCostScalingSolver(
+            price_refine=price_refine
+        )
     solver = make_solver(args.algorithm, **solver_kwargs)
     try:
         result = solver.solve(network)

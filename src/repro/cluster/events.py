@@ -40,7 +40,8 @@ class DirtySnapshot:
         machines_load: Machines whose load changed (task placed/finished
             there, monitoring refresh) without an availability change.
         full: True when something happened that cannot be attributed to
-            individual entities; the consumer must rebuild from scratch.
+            individual entities; the consumer must treat every entity as
+            dirty.
     """
 
     epoch: int = 0
@@ -72,12 +73,12 @@ class DirtyTracker:
     from every mutator.  A consumer calls :meth:`drain` once per round; the
     returned snapshot's epoch chain lets it verify no other consumer drained
     events in between (in which case its derived state is stale and it must
-    fall back to a full rebuild).
+    treat every entity as dirty).
     """
 
     #: Once this many entities are pending, the tracker collapses to a
-    #: ``full`` snapshot: a consumer would rebuild rather than replay that
-    #: much churn anyway, and -- crucially -- a state whose tracker is never
+    #: ``full`` snapshot: a consumer would re-derive everything rather than
+    #: replay that much churn anyway, and -- crucially -- a state whose tracker is never
     #: drained (baseline schedulers, ``incremental=False`` managers) stays
     #: bounded instead of accumulating every entity id ever touched.
     MAX_PENDING = 65_536
@@ -123,7 +124,7 @@ class DirtyTracker:
             self._pending.machines_load.add(machine_id)
 
     def mark_all(self) -> None:
-        """Request a full rebuild (untracked or wholesale mutation).
+        """Mark everything dirty (untracked or wholesale mutation).
 
         Also clears the per-entity sets: a full snapshot supersedes them,
         so an undrained tracker stays O(1) once it has overflowed.

@@ -135,6 +135,10 @@ class KnowledgeBase:
         self._runtimes: Dict[Hashable, RuntimeStatistics] = {}
         self._job_runtimes: Dict[int, RuntimeStatistics] = {}
         self._usage: Dict[Hashable, UsageStatistics] = {}
+        #: Monotonically increasing; moves with every recorded observation,
+        #: so a consumer that priced from the estimates can tell they moved
+        #: (recording raises no cluster dirty event).
+        self.version = 0
 
     # ------------------------------------------------------------------ #
     # Classification
@@ -167,11 +171,13 @@ class KnowledgeBase:
         key = self.class_of(task)
         self._runtimes.setdefault(key, RuntimeStatistics()).record(runtime)
         self._job_runtimes.setdefault(task.job_id, RuntimeStatistics()).record(runtime)
+        self.version += 1
 
     def record_usage(self, task: Task, usage: ResourceVector) -> None:
         """Record one observation of a task's actual resource usage."""
         key = self.class_of(task)
         self._usage.setdefault(key, UsageStatistics()).record(usage)
+        self.version += 1
 
     def observe_completed_tasks(self, tasks: Iterable[Task]) -> int:
         """Record every finished task in ``tasks`` that has timing data.

@@ -17,12 +17,10 @@ scheme (Section 6.3), *driven by cluster change events*:
    dirty sets (:class:`~repro.cluster.events.DirtyTracker`) name as
    changed.
 
-For policies implementing the per-entity hooks
-(:meth:`~repro.core.policies.base.SchedulingPolicy.arcs_for_task`,
-:meth:`~repro.core.policies.base.SchedulingPolicy.arcs_for_machine`,
-:meth:`~repro.core.policies.base.SchedulingPolicy.refresh_aggregator`), the
-manager keeps **one persistent :class:`FlowNetwork` mutated in place**: the
-dirty entities' scopes are re-derived, the resulting mutations are applied
+Every policy describes its network per entity (see
+:mod:`repro.core.policies.base`), so after the first round the manager
+keeps **one persistent :class:`FlowNetwork` mutated in place**: the dirty
+entities' scopes are re-derived, the resulting mutations are applied
 through a :class:`~repro.flow.changes.ChangeBatchBuilder` that emits the
 round's :class:`~repro.flow.changes.ChangeBatch` directly -- no second
 network is built and no diff pass runs -- and isolated-node pruning is
@@ -31,26 +29,32 @@ O(|changes| + |affected arcs| + |tasks|) (the last term is the pure
 arithmetic of refreshing time-varying waiting costs), independent of
 cluster size on low-churn rounds.
 
-Policies without the hooks, the first round, rounds where the dirty-event
-chain broke (another consumer drained the tracker, or the workload emptied),
-and explicit ``incremental=False`` all use the original full-rebuild path,
-diffing consecutive networks with :meth:`ChangeBatch.diff`.
+A round whose dirty sets cannot be trusted -- another consumer drained the
+tracker, the tracker overflowed, the state object changed, the workload
+emptied or refilled, a departed task can no longer be resolved -- is not a
+different path: it is the same update with *every* scope dirty
+(:meth:`~repro.core.policies.base.DirtyView.everything`).  Building a
+network from scratch (:meth:`GraphManager._build_full_network`, diffed with
+:meth:`ChangeBatch.diff`) remains only for the first round, for the
+explicit ``incremental=False`` comparison baseline, and as the oracle of
+the ``verify_changes`` cross-check.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import Dict, Hashable, Iterable, Mapping, Optional, Set, Tuple
 
 from repro.cluster.state import ClusterState
-from repro.core.policies.base import PolicyNetworkBuilder, SchedulingPolicy
+from repro.core.policies.base import DirtyView, PolicyNetworkBuilder, SchedulingPolicy
 from repro.flow.changes import ChangeBatch, ChangeBatchBuilder
 from repro.flow.graph import FlowNetwork, NodeType
 
 
 class GraphConsistencyError(AssertionError):
-    """The incremental network diverged from the full rebuild (cross-check)."""
+    """The incremental network diverged from a from-scratch build (cross-check)."""
 
 
 @dataclass
@@ -65,33 +69,12 @@ class GraphUpdateStats:
     dirty_machines: int = 0  #: Machine scopes re-derived this round.
 
 
-@dataclass
-class _DirtyView:
-    """Dirty sets expanded/restricted to the current round's entities.
-
-    Handed to :meth:`SchedulingPolicy.dirty_aggregators`; all sets refer to
-    entities that exist this round (plus availability-dirty machines that
-    just left).
-    """
-
-    tasks: Set[int]
-    jobs: Set[int]
-    machines_availability: Set[int]
-    machines_load: Set[int]
-
-
-class _IncrementalFallback(Exception):
-    """Internal: this round cannot be applied incrementally."""
-
-
 class _IncrementalBuilder(PolicyNetworkBuilder):
-    """Policy builder for incremental re-derivation.
+    """Policy builder over the persistent network.
 
-    Arc emission inside a scope is *collected* (with the same merge
-    semantics as :meth:`PolicyNetworkBuilder.add_arc`) instead of applied,
-    so the manager can diff the scope's desired arcs against its current
-    arcs; node accessors re-materialize pruned nodes through the change
-    recorder; cost patches route through the recorder.
+    Node accessors re-materialize pruned nodes through the change recorder,
+    so a node a hook touches is back in the network (and in the round's
+    batch) before its arcs are patched in.
     """
 
     def __init__(self, manager: "GraphManager", recorder: ChangeBatchBuilder) -> None:
@@ -102,16 +85,15 @@ class _IncrementalBuilder(PolicyNetworkBuilder):
             rack_nodes=manager._rack_nodes,
             unscheduled_nodes=manager._unscheduled_nodes,
             sink_node=manager._node_for_sink(),
-            aggregator_factory=manager._recording_aggregator_factory,
+            aggregator_factory=manager._node_for_aggregator,
             aggregator_lookup=manager._aggregator_node_id,
         )
         self._manager = manager
         self.recorder = recorder
-        self._desired: Optional[Dict[Tuple[int, int], Tuple[int, int]]] = None
+        #: All-dirty rounds only: every arc a scope derived this round, so
+        #: the manager can drop what belongs to scopes that no longer exist.
+        self.derived: Optional[Set[Tuple[int, int]]] = None
 
-    # ------------------------------------------------------------------ #
-    # Ensure-on-access node accessors (pruned nodes come back recorded)
-    # ------------------------------------------------------------------ #
     def machine_node(self, machine_id: int) -> int:
         node_id = self._machine_nodes[machine_id]
         self._manager._ensure_node(
@@ -137,31 +119,6 @@ class _IncrementalBuilder(PolicyNetworkBuilder):
         )
         return node_id
 
-    # ------------------------------------------------------------------ #
-    # Scope collection
-    # ------------------------------------------------------------------ #
-    def add_arc(self, src: int, dst: int, capacity: int, cost: int) -> None:
-        if capacity <= 0:
-            return
-        if self._desired is None:
-            raise RuntimeError("incremental add_arc outside a derivation scope")
-        existing = self._desired.get((src, dst))
-        if existing is not None:
-            # Same merge rule as the full-build path: widest capacity,
-            # cheapest cost.
-            capacity = max(existing[0], capacity)
-            cost = min(existing[1], int(cost))
-        self._desired[(src, dst)] = (capacity, int(cost))
-
-    def collect(self, derive) -> Dict[Tuple[int, int], Tuple[int, int]]:
-        """Run a scope's derivation hook and return its desired arc set."""
-        self._desired = {}
-        try:
-            derive(self)
-            return self._desired
-        finally:
-            self._desired = None
-
 
 class GraphManager:
     """Builds and maintains the flow network for a scheduling policy."""
@@ -182,12 +139,11 @@ class GraphManager:
                 (:attr:`last_changes`) so an incremental solver can patch
                 its persistent residual instead of rebuilding it.
             incremental: Update the persistent network in place from the
-                cluster dirty sets when the policy implements the
-                per-entity hooks; ``False`` forces the full-rebuild path
-                every round (used by benchmarks as the comparison baseline).
+                cluster dirty sets; ``False`` rebuilds and diffs every
+                round (used by benchmarks as the comparison baseline).
             verify_changes: Cross-check mode: after every incremental
-                update, run the old full-rebuild path in parallel and
-                assert the persistent network matches the rebuild and the
+                update, build the network from scratch as an oracle and
+                assert the persistent network matches it and the
                 directly-emitted batch replays the previous network into
                 it.  Used by the equivalence tests; adds two O(graph)
                 passes per round, so it is off by default.
@@ -218,7 +174,8 @@ class GraphManager:
         self.last_changes: Optional[ChangeBatch] = None
         #: Observability record of the most recent update.
         self.last_update_stats = GraphUpdateStats()
-        #: Rounds served by the incremental path / the full-rebuild path.
+        #: Rounds that patched the persistent network / built one from
+        #: scratch (the first round; every round of ``incremental=False``).
         self.incremental_updates = 0
         self.full_updates = 0
 
@@ -232,6 +189,7 @@ class GraphManager:
         self._state_id: Optional[int] = None
         self._task_dependencies: Dict[int, Set[int]] = {}
         self._machine_dependents: Dict[int, Set[int]] = {}
+        self._pricing_version: Hashable = None
         # task_id -> (static_cost, rate, submit_time, unscheduled_arc_key):
         # the decomposed unscheduled cost cached at derivation time, so the
         # per-round waiting-cost refresh of clean tasks is pure arithmetic.
@@ -273,23 +231,17 @@ class GraphManager:
         return self._sink_node
 
     def _node_for_aggregator(self, key: str, node_type: NodeType) -> int:
-        if key not in self._aggregator_nodes:
-            self._aggregator_nodes[key] = (self._allocate(), node_type)
-        node_id, stored_type = self._aggregator_nodes[key]
-        if self.network is not None and not self.network.has_node(node_id):
-            self.network.add_node(
-                node_type=stored_type, supply=0, name=key, node_id=node_id
-            )
-        return node_id
+        """Aggregator node id for a key, (re)materialized on request.
 
-    def _recording_aggregator_factory(self, key: str, node_type: NodeType) -> int:
-        """Aggregator factory for the incremental path: re-adds through the
-        change recorder so the materialization lands in the batch."""
+        During an incremental round the node is re-added through the change
+        recorder so the materialization lands in the batch; a from-scratch
+        build adds it to the network under construction.
+        """
         if key not in self._aggregator_nodes:
             self._aggregator_nodes[key] = (self._allocate(), node_type)
         node_id, stored_type = self._aggregator_nodes[key]
         if not self.network.has_node(node_id):
-            self._recorder.add_node(
+            (self._recorder or self.network).add_node(
                 node_type=stored_type, supply=0, name=key, node_id=node_id
             )
         return node_id
@@ -317,14 +269,16 @@ class GraphManager:
     # Mappings needed by placement extraction and the scheduler
     # ------------------------------------------------------------------ #
     @property
-    def task_nodes(self) -> Dict[int, int]:
-        """Mapping from task id to flow-network node id."""
-        return dict(self._task_nodes)
+    def task_nodes(self) -> Mapping[int, int]:
+        """Read-only view of the task id -> flow-network node id mapping,
+        valid until the next :meth:`update`."""
+        return MappingProxyType(self._task_nodes)
 
     @property
-    def machine_nodes(self) -> Dict[int, int]:
-        """Mapping from machine id to flow-network node id."""
-        return dict(self._machine_nodes)
+    def machine_nodes(self) -> Mapping[int, int]:
+        """Read-only view of the machine id -> flow-network node id
+        mapping, valid until the next :meth:`update`."""
+        return MappingProxyType(self._machine_nodes)
 
     @property
     def sink_node(self) -> Optional[int]:
@@ -339,31 +293,19 @@ class GraphManager:
 
         Entities that disappeared since the previous run lose their nodes
         (their identifiers are retired, never reused); new entities receive
-        fresh nodes.  When the policy supports per-entity derivation, the
-        persistent network is patched in place from the cluster dirty sets
-        and :attr:`last_changes` is emitted directly from the mutations;
-        otherwise the network is rebuilt and diffed as before.  Either way
-        the batch carries the two revisions it connects so a consumer can
+        fresh nodes.  After the first round the persistent network is
+        patched in place from the cluster dirty sets and
+        :attr:`last_changes` is emitted directly from the mutations.  The
+        batch carries the two revisions it connects so a consumer can
         verify its derived state matches the batch's base before patching.
         """
         start = time.perf_counter()
         snapshot = self._drain_dirty(state)
         tasks = state.schedulable_tasks()
 
-        if self._can_update_incrementally(state, snapshot, tasks):
+        if self.incremental and self.network is not None:
             try:
                 network = self._update_incremental(state, now, snapshot, tasks)
-                self.incremental_updates += 1
-                self.last_update_stats.mode = "incremental"
-                self.last_update_stats.seconds = time.perf_counter() - start
-                if self.verify_changes:
-                    self._cross_check(state, now)
-                self._finish_round(state, network)
-                return network
-            except _IncrementalFallback:
-                # Raised strictly before any mutation: rebuilding in the
-                # same round is safe.
-                pass
             except Exception:
                 # The round died mid-mutation: the persistent network is
                 # half-patched and this round's dirty events are consumed.
@@ -375,10 +317,14 @@ class GraphManager:
                 self._dirty_epoch = None
                 self.last_changes = None
                 raise
-
-        network = self._update_full(state, now, tasks)
-        self.full_updates += 1
-        self.last_update_stats.seconds = time.perf_counter() - start
+            self.incremental_updates += 1
+            self.last_update_stats.seconds = time.perf_counter() - start
+            if self.verify_changes:
+                self._cross_check(state, now)
+        else:
+            network = self._update_full(state, now, tasks)
+            self.full_updates += 1
+            self.last_update_stats.seconds = time.perf_counter() - start
         self._finish_round(state, network)
         return network
 
@@ -399,9 +345,16 @@ class GraphManager:
             self.chain_breaks_injected += 1
 
     def _drain_dirty(self, state: ClusterState):
-        """Consume the state's dirty tracker when incremental updates can
-        use it; non-incremental managers leave the events for others."""
-        if not self.incremental or not self.policy.supports_incremental_build:
+        """Consume the state's dirty tracker; non-incremental managers
+        leave the events for others.
+
+        Returns the snapshot when this round may trust it, ``None`` when
+        every scope must be treated as dirty: the epoch chain broke
+        (another consumer drained events this manager never saw, or the
+        state object changed), the tracker overflowed, or the state has no
+        tracker.
+        """
+        if not self.incremental:
             return None
         tracker = getattr(state, "dirty", None)
         if tracker is None:
@@ -413,19 +366,10 @@ class GraphManager:
             and self._state_id == id(state)
         )
         self._dirty_epoch = snapshot.epoch
-        return snapshot if chain_intact else None
-
-    def _can_update_incrementally(self, state, snapshot, tasks) -> bool:
-        if snapshot is None or snapshot.full or self.network is None:
-            return False
-        # Emptiness transitions change the whole network shape (an empty
-        # workload prunes everything, including the sink); rebuild instead.
-        if not tasks or not self._prev_task_ids:
-            return False
-        return True
+        return snapshot if chain_intact and not snapshot.full else None
 
     # ------------------------------------------------------------------ #
-    # Full rebuild path (first round, unsupported policies, fallbacks)
+    # From-scratch build (first round, incremental=False, cross-check oracle)
     # ------------------------------------------------------------------ #
     def _update_full(self, state: ClusterState, now: float, tasks) -> FlowNetwork:
         previous = self.network
@@ -545,7 +489,9 @@ class GraphManager:
                 aggregator_factory=self._node_for_aggregator,
                 aggregator_lookup=self._aggregator_node_id,
             )
-            self.policy.build(state, builder, now)
+            desired = builder.collect(lambda b: self.policy.build(state, b, now))
+            for (src, dst), (capacity, cost) in desired.items():
+                network.add_arc(src, dst, capacity, cost)
             self._prune_isolated_nodes(network)
         finally:
             self.network = saved_network
@@ -572,25 +518,44 @@ class GraphManager:
         added_jobs = job_ids - self._prev_job_ids
         removed_racks = self._prev_rack_ids - rack_ids
 
-        # Policies resolve dirty tasks through ``state.tasks`` (e.g. to find
-        # a departed task's equivalence class); when a dirty task vanished
-        # from the state entirely (job removal), that attribution is
-        # impossible and the round rebuilds.
-        departed_tasks = (snapshot.tasks | removed_tasks) - task_ids
-        for task_id in departed_tasks:
-            if task_id not in state.tasks:
-                raise _IncrementalFallback(f"dirty task {task_id} unresolvable")
-
-        dirty_machines_avail = (
-            (snapshot.machines_availability | added_machines | removed_machines)
+        policy = self.policy
+        pricing_version = policy.pricing_version()
+        # Dirty tasks that are not schedulable any more.  Policies resolve
+        # them through ``state.tasks`` (e.g. to find a departed task's
+        # request class), which is impossible once the task vanished from
+        # the state entirely (job removal).
+        departed_tasks = (
+            set() if snapshot is None else (snapshot.tasks | removed_tasks) - task_ids
         )
-        dirty_machines_load = snapshot.machines_load | dirty_machines_avail
-        dirty_tasks = (snapshot.tasks & task_ids) | added_tasks
-        for machine_id in dirty_machines_avail:
-            dependents = self._machine_dependents.get(machine_id)
-            if dependents:
-                dirty_tasks |= dependents & task_ids
-        dirty_jobs = (snapshot.jobs & job_ids) | added_jobs
+        all_dirty = (
+            snapshot is None
+            # Emptiness transitions change the whole network shape (an
+            # empty workload prunes everything, including the sink).
+            or not tasks
+            or not self._prev_task_ids
+            or not departed_tasks <= state.tasks.keys()
+        )
+        if all_dirty:
+            dirty = DirtyView.everything(state, tasks)
+            dirty_tasks = dirty.tasks
+        else:
+            dirty_machines_avail = (
+                snapshot.machines_availability | added_machines | removed_machines
+            )
+            dirty_tasks = (snapshot.tasks & task_ids) | added_tasks
+            for machine_id in dirty_machines_avail:
+                dependents = self._machine_dependents.get(machine_id)
+                if dependents:
+                    dirty_tasks |= dependents & task_ids
+            if pricing_version != self._pricing_version:
+                dirty_tasks = task_ids
+            dirty = DirtyView(
+                tasks=dirty_tasks | departed_tasks,
+                jobs=(snapshot.jobs & job_ids) | added_jobs,
+                machines_availability=dirty_machines_avail,
+                machines_load=snapshot.machines_load | dirty_machines_avail,
+            )
+        self._pricing_version = pricing_version
 
         recorder = ChangeBatchBuilder(network, base_revision=self._revision)
         self._recorder = recorder
@@ -651,23 +616,16 @@ class GraphManager:
             # 4. Re-derive the dirty scopes: machines (backbone), policy
             # aggregators, then tasks.
             builder = _IncrementalBuilder(self, recorder)
-            policy = self.policy
-            for machine_id in sorted(dirty_machines_avail & machine_ids):
+            if all_dirty:
+                builder.derived = set()
+            for machine_id in sorted(dirty.machines_availability & machine_ids):
                 machine = state.topology.machine(machine_id)
                 self._apply_scope(
                     builder,
                     ("machine", machine_id),
                     lambda b, m=machine: policy.arcs_for_machine(state, b, m, now),
                 )
-            dirty_view = _DirtyView(
-                # Departed tasks are included so a policy can attribute
-                # their aggregator scopes (still resolvable via state.tasks).
-                tasks=dirty_tasks | departed_tasks,
-                jobs=dirty_jobs,
-                machines_availability=dirty_machines_avail,
-                machines_load=dirty_machines_load,
-            )
-            for key in policy.dirty_aggregators(state, dirty_view, now, builder):
+            for key in policy.dirty_aggregators(state, dirty, now, builder):
                 self._apply_scope(
                     builder,
                     key,
@@ -684,6 +642,13 @@ class GraphManager:
                     task_id, policy.task_machine_dependencies(state, task)
                 )
                 self._cache_task_cost_terms(task)
+            if all_dirty:
+                # Whatever no scope derived belongs to a scope that no
+                # longer exists (a class without members, a retired
+                # machine's chains, everything once the workload is empty).
+                for arc in list(network.arcs()):
+                    if arc.key() not in builder.derived:
+                        recorder.remove_arc(arc.src, arc.dst)
 
             # 5. Time-varying costs (waiting time) for the clean tasks: the
             # unscheduled cost grows with ``now`` for every task, so this is
@@ -733,7 +698,7 @@ class GraphManager:
                 nodes_touched=recorder.nodes_touched,
                 arcs_patched=recorder.arcs_patched,
                 dirty_tasks=len(dirty_tasks),
-                dirty_machines=len(dirty_machines_avail),
+                dirty_machines=len(dirty.machines_availability),
             )
         finally:
             self._recorder = None
@@ -748,6 +713,8 @@ class GraphManager:
         place -- all through the change recorder.
         """
         desired = builder.collect(derive)
+        if builder.derived is not None:
+            builder.derived.update(desired)
         recorder = builder.recorder
         network = self.network
         for arc in list(self.policy.owned_arcs(builder, key)):
@@ -808,8 +775,9 @@ class GraphManager:
     def _rebuild_dependency_index(self, state: ClusterState, tasks) -> None:
         # The index only feeds incremental rounds; a manager that will never
         # run one (incremental=False baselines) must not pay for it.
-        if not self.incremental or not self.policy.supports_incremental_build:
+        if not self.incremental:
             return
+        self._pricing_version = self.policy.pricing_version()
         self._task_dependencies = {}
         self._machine_dependents = {}
         self._task_cost_terms = {}
@@ -823,13 +791,13 @@ class GraphManager:
     # Cross-check mode
     # ------------------------------------------------------------------ #
     def _cross_check(self, state: ClusterState, now: float) -> None:
-        """Assert the incremental update matches the full-rebuild path."""
+        """Assert the incremental update matches a from-scratch build."""
         tasks = state.schedulable_tasks()
         rebuilt = self._build_full_network(state, now, tasks)
         problems = self.network.structurally_equal(rebuilt)
         if problems:
             raise GraphConsistencyError(
-                "incremental network diverged from full rebuild: "
+                "incremental network diverged from a from-scratch build: "
                 + "; ".join(problems[:20])
             )
         if self._verify_snapshot is not None and self.last_changes is not None:

@@ -19,15 +19,15 @@ round's actions by comparing them with where each task currently is.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.flow.graph import FlowNetwork, NodeType
 
 
 def extract_placements(
     network: FlowNetwork,
-    task_nodes: Dict[int, int],
-    machine_nodes: Dict[int, int],
+    task_nodes: Mapping[int, int],
+    machine_nodes: Mapping[int, int],
     sink_node: int,
 ) -> Dict[int, int]:
     """Extract task-to-machine assignments from the optimal flow.
@@ -100,7 +100,7 @@ def extract_placements(
 
 def diff_assignments(
     state,
-    task_nodes: Dict[int, int],
+    task_nodes: Mapping[int, int],
     assignments: Dict[int, int],
     allow_migrations: bool,
     decision,
@@ -140,7 +140,7 @@ def diff_assignments(
 
 def unscheduled_tasks(
     network: FlowNetwork,
-    task_nodes: Dict[int, int],
+    task_nodes: Mapping[int, int],
     placements: Dict[int, int],
 ) -> List[int]:
     """Return task ids whose flow the solver routed to an unscheduled aggregator."""

@@ -1,8 +1,10 @@
 """Scheduling policies: flow-network generators.
 
 A scheduling policy decides the structure and the costs of the flow network
-(Section 3.3 of the paper).  Three illustrative policies are provided,
-mirroring the ones the paper uses:
+(Section 3.3 of the paper).  Every policy describes its network per entity
+through the hooks of :class:`~repro.core.policies.base.SchedulingPolicy`,
+which also derives the arcs all policies share.  Three illustrative policies
+are provided, mirroring the ones the paper uses:
 
 * :class:`~repro.core.policies.load_spreading.LoadSpreadingPolicy` -- a
   trivial policy that balances the task count per machine through a single

@@ -22,19 +22,22 @@ which is exactly why the paper introduces aggregators.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.cluster.resources import ResourceVector, equivalence_class
 from repro.cluster.state import ClusterState
-from repro.core.policies.base import PolicyNetworkBuilder, SchedulingPolicy
-from repro.flow.graph import NodeType
+from repro.core.policies.base import (
+    PolicyNetworkBuilder,
+    RequestAggregatorPolicy,
+    SchedulingPolicy,
+)
 
 
-class CpuMemoryPolicy(SchedulingPolicy):
+class CpuMemoryPolicy(RequestAggregatorPolicy):
     """Multi-dimensional CPU/RAM policy using per-class request aggregators."""
 
     name = "cpu_memory"
-    supports_incremental_build = True
+    aggregator_arc_cost = SchedulingPolicy.placement_base_cost
 
     #: Cost units per percentage point of dominant-share load on a machine.
     load_cost_factor: int = 2
@@ -57,199 +60,32 @@ class CpuMemoryPolicy(SchedulingPolicy):
         self.ram_granularity_gb = ram_granularity_gb
 
     # ------------------------------------------------------------------ #
-    # Policy API
+    # Request classes (the scopes come from RequestAggregatorPolicy)
     # ------------------------------------------------------------------ #
-    def build(self, state: ClusterState, builder: PolicyNetworkBuilder, now: float) -> None:
-        """Add request aggregators, feasibility arcs, and fallback arcs.
-
-        Composed from the per-entity hooks below so the full build and the
-        incremental per-entity re-derivation can never diverge.
-        """
-        tasks = state.schedulable_tasks()
-        if not tasks:
-            return
-        topology = state.topology
-
-        # Machines -> sink arcs, one slot of capacity per schedulable task
-        # that fits; the per-class arcs below enforce the real capacity.
-        for machine in topology.healthy_machines():
-            self.arcs_for_machine(state, builder, machine, now)
-
-        jobs_seen = set()
-        for task in tasks:
-            jobs_seen.add(task.job_id)
-            self.arcs_for_task(state, builder, task, now)
-
-        # Class aggregator -> machine arcs where the class request fits.
-        for key in sorted(self._class_members(state, builder)):
-            self.refresh_aggregator(state, builder, ("class", key), now)
-
-        for job_id in jobs_seen:
-            self.refresh_aggregator(state, builder, ("job", job_id), now)
-
-    # ------------------------------------------------------------------ #
-    # Per-entity derivation hooks (incremental graph construction)
-    # ------------------------------------------------------------------ #
-    def arcs_for_task(
-        self, state: ClusterState, builder: PolicyNetworkBuilder, task, now: float
-    ) -> None:
-        """Emit one task's class-aggregator, unscheduled, and continuation
-        arcs."""
-        key = self._class_key(task)
-        aggregator = builder.aggregator(f"RA{key}", NodeType.REQUEST_AGGREGATOR)
-        task_node = builder.task_node(task.task_id)
-        builder.add_arc(task_node, aggregator, 1, self.placement_base_cost)
-        builder.add_arc(
-            task_node,
-            builder.unscheduled_node(task.job_id),
-            1,
-            self.unscheduled_cost(task, now),
-        )
-        if task.is_running and task.machine_id is not None:
-            builder.add_arc(
-                task_node,
-                builder.machine_node(task.machine_id),
-                1,
-                self.continuation_cost(task),
-            )
-
-    def arcs_for_machine(
-        self, state: ClusterState, builder: PolicyNetworkBuilder, machine, now: float
-    ) -> None:
-        """Emit one healthy machine's sink arc."""
-        builder.add_arc(
-            builder.machine_node(machine.machine_id),
-            builder.sink,
-            machine.num_slots,
-            0,
+    def request_class(self, task) -> Tuple[int, int]:
+        """Rounded CPU/RAM request buckets."""
+        return equivalence_class(
+            task,
+            cpu_granularity=self.cpu_granularity,
+            ram_granularity_gb=self.ram_granularity_gb,
         )
 
-    def refresh_aggregator(
-        self, state: ClusterState, builder: PolicyNetworkBuilder, key, now: float
-    ) -> None:
-        """Emit the arcs of one aggregator scope.
-
-        Scope keys: ``("class", class_key)`` re-derives a class's arcs to
-        *every* machine (membership changed), ``("class_machine",
-        class_key, machine_id)`` re-derives the single arc to one machine
-        (that machine's load or availability changed), and ``("job",
-        job_id)`` the job's unscheduled-to-sink arc.
-        """
-        kind = key[0]
-        if kind == "job":
-            job = state.jobs.get(key[1])
-            if job is None:
-                return
-            builder.add_arc(
-                builder.unscheduled_node(key[1]), builder.sink, job.num_tasks, 0
-            )
-            return
-
-        class_key = key[1]
-        members = self._class_members(state, builder).get(class_key, ())
-        if not members:
-            return
-        if kind == "class_machine":
-            machine = state.topology.machines.get(key[2])
-            if machine is None or not machine.is_available:
-                return
-            machines = (machine,)
-        else:
-            machines = state.topology.healthy_machines()
-        aggregator = builder.aggregator(f"RA{class_key}", NodeType.REQUEST_AGGREGATOR)
+    def class_machine_arc(
+        self, state: ClusterState, builder: PolicyNetworkBuilder, class_key, num_members, machine
+    ) -> Optional[Tuple[int, int]]:
+        """As many tasks as fit into the machine's spare resources and free
+        slots (never more than the class holds), priced by its load."""
+        machine_id = machine.machine_id
         request = self._class_request(class_key)
         spare, load = self._machine_statistics(state, builder)
-        for machine in machines:
-            machine_id = machine.machine_id
-            capacity = self._fitting_count(request, spare[machine_id])
-            capacity = min(capacity, state.free_slots(machine_id), len(members))
-            if capacity <= 0:
-                continue
-            cost = self.machine_cost(load[machine_id], request, machine)
-            builder.add_arc(
-                aggregator,
-                builder.machine_node(machine_id),
-                capacity,
-                cost,
-            )
-
-    def dirty_aggregators(self, state: ClusterState, dirty, now: float, builder):
-        """Scopes invalidated by the round's dirty sets.
-
-        Classes of dirty tasks re-derive fully (their membership, and hence
-        the ``len(members)`` capacity cap on every machine arc, may have
-        changed).  A machine whose load changed only shifts its *own* spare
-        capacity and load cost, so the remaining classes re-derive just
-        their arc to that machine -- O(classes x dirty machines), not
-        O(classes x machines).
-        """
-        full_classes = set()
-        for task_id in dirty.tasks:
-            task = state.tasks.get(task_id)
-            if task is not None:
-                full_classes.add(self._class_key(task))
-        keys = [("class", class_key) for class_key in sorted(full_classes)]
-        dirty_machines = sorted(
-            machine_id
-            for machine_id in dirty.machines_load
-            if machine_id in state.topology.machines
-            and state.topology.machines[machine_id].is_available
+        capacity = min(
+            self._fitting_count(request, spare[machine_id]),
+            state.free_slots(machine_id),
+            num_members,
         )
-        if dirty_machines:
-            # Shares the round cache with refresh_aggregator, so the
-            # class grouping runs once per round, not once per caller.
-            all_classes = set(self._class_members(state, builder))
-            for class_key in sorted(all_classes - full_classes):
-                for machine_id in dirty_machines:
-                    keys.append(("class_machine", class_key, machine_id))
-        keys.extend(("job", job_id) for job_id in sorted(dirty.jobs))
-        return keys
-
-    def owned_arcs(self, builder: PolicyNetworkBuilder, key):
-        """Structural scope ownership for the request-aggregator partition."""
-        network = builder.network
-        kind = key[0]
-        if kind == "machine":
-            return network.outgoing(builder.machine_node(key[1]))  # machine -> sink
-        if kind == "class":
-            node_id = builder.find_aggregator(f"RA{key[1]}")
-            if node_id is None or not network.has_node(node_id):
-                return []
-            return network.outgoing(node_id)  # RA -> machines
-        if kind == "class_machine":
-            node_id = builder.find_aggregator(f"RA{key[1]}")
-            if node_id is None or not network.has_node(node_id):
-                return []
-            arc = network.find_arc(node_id, builder.machine_node(key[2]))
-            return [arc] if arc is not None else []
-        if kind == "job":
-            unscheduled_node = builder.peek_unscheduled_node(key[1])
-            if unscheduled_node is None or not network.has_node(unscheduled_node):
-                return []
-            return network.outgoing(unscheduled_node)  # U -> sink
-        return super().owned_arcs(builder, key)
-
-    def task_machine_dependencies(self, state: ClusterState, task):
-        """Only the continuation arc depends on a specific machine."""
-        if task.machine_id is not None:
-            return (task.machine_id,)
-        return ()
-
-    # ------------------------------------------------------------------ #
-    # Per-round derived statistics (shared across scopes via round_cache)
-    # ------------------------------------------------------------------ #
-    def _class_members(
-        self, state: ClusterState, builder: PolicyNetworkBuilder
-    ) -> Dict[Hashable, List]:
-        """Group schedulable tasks by equivalence class, once per round."""
-        cache = builder.round_cache
-        members = cache.get("cpu_memory_class_members")
-        if members is None:
-            members = {}
-            for task in state.schedulable_tasks():
-                members.setdefault(self._class_key(task), []).append(task)
-            cache["cpu_memory_class_members"] = members
-        return members
+        if capacity <= 0:
+            return None
+        return capacity, self.machine_cost(load[machine_id], request, machine)
 
     def _machine_statistics(
         self, state: ClusterState, builder: PolicyNetworkBuilder
@@ -292,13 +128,6 @@ class CpuMemoryPolicy(SchedulingPolicy):
     # ------------------------------------------------------------------ #
     # Equivalence classes
     # ------------------------------------------------------------------ #
-    def _class_key(self, task) -> Tuple[int, int]:
-        return equivalence_class(
-            task,
-            cpu_granularity=self.cpu_granularity,
-            ram_granularity_gb=self.ram_granularity_gb,
-        )
-
     def _class_request(self, key: Tuple[int, int]) -> ResourceVector:
         """Return the (conservative) per-task request of an equivalence class."""
         cpu_bucket, ram_bucket = key

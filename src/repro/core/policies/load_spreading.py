@@ -38,49 +38,82 @@ class LoadSpreadingPolicy(SchedulingPolicy):
         """
         self.cost_per_running_task = cost_per_running_task
 
-    def build(self, state: ClusterState, builder: PolicyNetworkBuilder, now: float) -> None:
-        """Add the cluster aggregator, slot-level nodes, and all policy arcs."""
-        tasks = state.schedulable_tasks()
-        if not tasks:
+    # ------------------------------------------------------------------ #
+    # Derivation scopes: tasks -> X, ("levels", machine) slot-level chains
+    # ------------------------------------------------------------------ #
+    def arcs_for_task(
+        self, state: ClusterState, builder: PolicyNetworkBuilder, task, now: float
+    ) -> None:
+        """Emit one task's free arc to the cluster aggregator plus the
+        shared task arcs."""
+        builder.add_arc(
+            builder.task_node(task.task_id),
+            builder.aggregator("X", NodeType.CLUSTER_AGGREGATOR),
+            1,
+            0,
+        )
+        super().arcs_for_task(state, builder, task, now)
+
+    def _level_node(self, builder: PolicyNetworkBuilder, machine_id: int, level: int) -> int:
+        return builder.aggregator(f"L{machine_id}.{level}", NodeType.OTHER)
+
+    def refresh_aggregator(
+        self, state: ClusterState, builder: PolicyNetworkBuilder, key, now: float
+    ) -> None:
+        """Emit a ``("levels", machine_id)`` scope: aggregator -> slot-level
+        nodes -> machine, one chain per free slot.
+
+        The k-th task placed on a machine costs ``k *
+        cost_per_running_task``, so occupancy only grows once every other
+        machine has caught up.  The chains depend on the machine's *load*,
+        which is why they are an aggregator scope and not machine arcs.
+        """
+        kind, machine_id = key
+        if kind != "levels":
+            super().refresh_aggregator(state, builder, key, now)
+            return
+        machine = state.topology.machines.get(machine_id)
+        if machine is None or not machine.is_available:
             return
         cluster_agg = builder.aggregator("X", NodeType.CLUSTER_AGGREGATOR)
+        machine_node = builder.machine_node(machine_id)
+        for level in range(state.task_count_on_machine(machine_id), machine.num_slots):
+            level_node = self._level_node(builder, machine_id, level)
+            builder.add_arc(
+                cluster_agg,
+                level_node,
+                1,
+                level * self.cost_per_running_task + self.placement_base_cost,
+            )
+            builder.add_arc(level_node, machine_node, 1, 0)
 
-        # Aggregator -> slot-level nodes -> machines: the k-th task placed on
-        # a machine costs k * cost_per_running_task, so occupancy only grows
-        # once every other machine has caught up.
-        for machine in state.topology.healthy_machines():
-            machine_node = builder.machine_node(machine.machine_id)
-            running = state.task_count_on_machine(machine.machine_id)
-            builder.add_arc(machine_node, builder.sink, machine.num_slots, 0)
-            for level in range(running, machine.num_slots):
-                level_node = builder.aggregator(
-                    f"L{machine.machine_id}.{level}", NodeType.OTHER
-                )
-                builder.add_arc(
-                    cluster_agg,
-                    level_node,
-                    1,
-                    level * self.cost_per_running_task + self.placement_base_cost,
-                )
-                builder.add_arc(level_node, machine_node, 1, 0)
+    def dirty_aggregators(self, state: ClusterState, dirty, now: float, builder):
+        """Slot-level chains of the load-dirty machines, plus the shared
+        scopes."""
+        keys = [("levels", machine_id) for machine_id in sorted(dirty.machines_load)]
+        return keys + super().dirty_aggregators(state, dirty, now, builder)
 
-        # Tasks -> aggregator, current machine, and unscheduled aggregator.
-        jobs_seen = set()
-        for task in tasks:
-            task_node = builder.task_node(task.task_id)
-            builder.add_arc(task_node, cluster_agg, 1, 0)
-            if task.is_running and task.machine_id is not None:
-                builder.add_arc(
-                    task_node,
-                    builder.machine_node(task.machine_id),
-                    1,
-                    self.continuation_cost(task),
-                )
-            unsched = builder.unscheduled_node(task.job_id)
-            builder.add_arc(task_node, unsched, 1, self.unscheduled_cost(task, now))
-            jobs_seen.add(task.job_id)
+    def owned_arcs(self, builder: PolicyNetworkBuilder, key):
+        """A machine's slot-level chains: both arcs of every level node."""
+        kind, machine_id = key
+        if kind != "levels":
+            return super().owned_arcs(builder, key)
+        cluster_agg = builder.find_aggregator("X")
+        machine_node = builder.peek_machine_node(machine_id)
+        if machine_node is None:
+            # The machine's node is retired and took the level -> machine
+            # arcs with it; what is left of its chains (or any other retired
+            # machine's) are level nodes that lead nowhere.
+            return [
+                arc
+                for arc in builder.outgoing(cluster_agg)
+                if not builder.network.outgoing(arc.dst)
+            ]
+        levels = builder.incoming(machine_node, NodeType.OTHER)
+        return levels + [
+            arc
+            for level in levels
+            for arc in builder.incoming(level.src, NodeType.CLUSTER_AGGREGATOR)
+        ]
 
-        # Unscheduled aggregators -> sink.
-        for job_id in jobs_seen:
-            job = state.jobs[job_id]
-            builder.add_arc(builder.unscheduled_node(job_id), builder.sink, job.num_tasks, 0)
+    task_machine_dependencies = SchedulingPolicy.current_machine_only

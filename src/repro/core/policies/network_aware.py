@@ -15,12 +15,13 @@ compared to schedulers that ignore network interference.
 
 from __future__ import annotations
 
+from typing import Optional, Tuple
+
 from repro.cluster.state import ClusterState
-from repro.core.policies.base import PolicyNetworkBuilder, SchedulingPolicy
-from repro.flow.graph import NodeType
+from repro.core.policies.base import PolicyNetworkBuilder, RequestAggregatorPolicy
 
 
-class NetworkAwarePolicy(SchedulingPolicy):
+class NetworkAwarePolicy(RequestAggregatorPolicy):
     """Avoid overcommitting machine network bandwidth."""
 
     name = "network_aware"
@@ -47,78 +48,33 @@ class NetworkAwarePolicy(SchedulingPolicy):
         buckets = (request_mbps + self.bandwidth_bucket_mbps - 1) // self.bandwidth_bucket_mbps
         return buckets * self.bandwidth_bucket_mbps
 
-    def build(self, state: ClusterState, builder: PolicyNetworkBuilder, now: float) -> None:
-        """Add request aggregators and bandwidth-aware arcs."""
-        tasks = state.schedulable_tasks()
-        if not tasks:
-            return
-        topology = state.topology
+    def request_class(self, task) -> int:
+        """Tasks with similar bandwidth requests share one aggregator."""
+        return self.request_bucket(task.network_request_mbps)
 
-        # Machines -> sink.
-        for machine in topology.healthy_machines():
-            builder.add_arc(
-                builder.machine_node(machine.machine_id),
-                builder.sink,
-                machine.num_slots,
-                0,
-            )
+    def class_machine_arc(
+        self, state: ClusterState, builder: PolicyNetworkBuilder, class_key, num_members, machine
+    ) -> Optional[Tuple[int, int]]:
+        """Arc to a machine with sufficient spare bandwidth, priced by
+        request size plus current utilization.
 
-        # Group tasks by bandwidth request bucket.
-        buckets = {}
-        jobs_seen = set()
-        for task in tasks:
-            bucket = self.request_bucket(task.network_request_mbps)
-            buckets.setdefault(bucket, []).append(task)
-            jobs_seen.add(task.job_id)
-
-        for bucket, bucket_tasks in sorted(buckets.items()):
-            aggregator = builder.aggregator(
-                f"RA{bucket}", NodeType.REQUEST_AGGREGATOR
-            )
-            for task in bucket_tasks:
-                task_node = builder.task_node(task.task_id)
-                builder.add_arc(task_node, aggregator, 1, 0)
-                builder.add_arc(
-                    task_node,
-                    builder.unscheduled_node(task.job_id),
-                    1,
-                    self.unscheduled_cost(task, now),
-                )
-                if task.is_running and task.machine_id is not None:
-                    builder.add_arc(
-                        task_node,
-                        builder.machine_node(task.machine_id),
-                        1,
-                        self.continuation_cost(task),
-                    )
-
-            # Aggregator -> machines with sufficient spare bandwidth.  The
-            # cost reflects request size plus current utilization.  The arc
-            # capacity admits at most one *new* task with this request per
-            # machine per scheduling run: because arc costs are static within
-            # one MCMF run, a larger capacity would let the solver stack
-            # several bandwidth-hungry tasks on one machine at the same cost
-            # as spreading them; limiting the per-run capacity (the arcs are
-            # re-derived every run, so subsequent runs can add more) keeps
-            # the placement faithful to the policy's intent.
-            for machine in topology.healthy_machines():
-                spare = state.spare_network_bandwidth(machine.machine_id)
-                free_slots = state.free_slots(machine.machine_id)
-                if free_slots <= 0 and bucket > 0:
-                    continue
-                if bucket > 0:
-                    if spare < bucket:
-                        continue
-                    capacity = 1
-                else:
-                    capacity = max(1, free_slots)
-                used = machine.network_bandwidth_mbps - spare
-                cost = (
-                    int(round((bucket + used) * self.cost_per_mbps))
-                    + self.placement_base_cost
-                )
-                builder.add_arc(aggregator, builder.machine_node(machine.machine_id), capacity, cost)
-
-        for job_id in jobs_seen:
-            job = state.jobs[job_id]
-            builder.add_arc(builder.unscheduled_node(job_id), builder.sink, job.num_tasks, 0)
+        The capacity admits at most one *new* task with this request per
+        machine per scheduling run: because arc costs are static within one
+        MCMF run, a larger capacity would let the solver stack several
+        bandwidth-hungry tasks on one machine at the same cost as spreading
+        them; limiting the per-run capacity (the arc is re-derived whenever
+        the machine's load moves, so subsequent runs can add more) keeps
+        the placement faithful to the policy's intent.
+        """
+        bucket = class_key
+        spare = state.spare_network_bandwidth(machine.machine_id)
+        free_slots = state.free_slots(machine.machine_id)
+        if bucket > 0:
+            if free_slots <= 0 or spare < bucket:
+                return None
+            capacity = 1
+        else:
+            capacity = max(1, free_slots)
+        used = machine.network_bandwidth_mbps - spare
+        cost = int(round((bucket + used) * self.cost_per_mbps)) + self.placement_base_cost
+        return capacity, cost

@@ -25,7 +25,6 @@ class QuincyPolicy(SchedulingPolicy):
     """Data-locality policy with cluster and rack aggregators."""
 
     name = "quincy"
-    supports_incremental_build = True
 
     def __init__(
         self,
@@ -50,108 +49,62 @@ class QuincyPolicy(SchedulingPolicy):
         self.rack_preference_threshold = rack_preference_threshold
         self.max_preference_arcs = max_preference_arcs
 
-    def build(self, state: ClusterState, builder: PolicyNetworkBuilder, now: float) -> None:
-        """Add cluster/rack aggregators, preference arcs, and fallback arcs.
-
-        Composed from the per-entity hooks below so the full build and the
-        incremental per-entity re-derivation can never diverge.
-        """
-        tasks = state.schedulable_tasks()
-        if not tasks:
-            return
-        topology = state.topology
-
-        # Aggregation backbone: X -> racks -> machines -> sink.
-        for rack_id in topology.racks:
-            self.refresh_aggregator(state, builder, ("rack", rack_id), now)
-        for machine in topology.healthy_machines():
-            self.arcs_for_machine(state, builder, machine, now)
-
-        jobs_seen = set()
-        for task in tasks:
-            jobs_seen.add(task.job_id)
-            self.arcs_for_task(state, builder, task, now)
-
-        for job_id in jobs_seen:
-            self.refresh_aggregator(state, builder, ("job", job_id), now)
-
     # ------------------------------------------------------------------ #
-    # Per-entity derivation hooks (incremental graph construction)
+    # Derivation scopes: X -> racks -> machines backbone, preference arcs
     # ------------------------------------------------------------------ #
     def arcs_for_task(
         self, state: ClusterState, builder: PolicyNetworkBuilder, task, now: float
     ) -> None:
-        """Emit one task's fallback, unscheduled, continuation, and
-        preference arcs."""
+        """Emit one task's fallback and preference arcs plus the shared
+        task arcs."""
         task_node = builder.task_node(task.task_id)
-        cluster_agg = builder.aggregator("X", NodeType.CLUSTER_AGGREGATOR)
-
         # Fallback: schedule anywhere via the cluster aggregator, paying
         # for transferring the entire input across the core.
         builder.add_arc(
             task_node,
-            cluster_agg,
+            builder.aggregator("X", NodeType.CLUSTER_AGGREGATOR),
             1,
             self.transfer_cost(task, 0.0) + self.placement_base_cost,
         )
-
-        # Unscheduled / preemption arc.
-        builder.add_arc(
-            task_node,
-            builder.unscheduled_node(task.job_id),
-            1,
-            self.unscheduled_cost(task, now),
-        )
-
-        # Continuation arc for running tasks: data is already local.
-        if task.is_running and task.machine_id is not None:
-            builder.add_arc(
-                task_node,
-                builder.machine_node(task.machine_id),
-                1,
-                self.continuation_cost(task),
-            )
-
+        super().arcs_for_task(state, builder, task, now)
         self._add_preference_arcs(state, builder, task, task_node)
 
     def arcs_for_machine(
         self, state: ClusterState, builder: PolicyNetworkBuilder, machine, now: float
     ) -> None:
         """Emit one healthy machine's backbone arcs (rack in, sink out)."""
-        machine_node = builder.machine_node(machine.machine_id)
-        rack_node = builder.rack_node(machine.rack_id)
-        builder.add_arc(rack_node, machine_node, machine.num_slots, 0)
-        builder.add_arc(machine_node, builder.sink, machine.num_slots, 0)
+        builder.add_arc(
+            builder.rack_node(machine.rack_id),
+            builder.machine_node(machine.machine_id),
+            machine.num_slots,
+            0,
+        )
+        super().arcs_for_machine(state, builder, machine, now)
 
     def refresh_aggregator(
         self, state: ClusterState, builder: PolicyNetworkBuilder, key, now: float
     ) -> None:
-        """Emit the arcs of a ``("rack", id)`` or ``("job", id)`` scope."""
-        kind, ident = key
+        """Emit a ``("rack", id)`` scope: the cluster aggregator's arc to
+        the rack, as wide as the rack's available slots."""
+        kind, rack_id = key
+        if kind != "rack":
+            super().refresh_aggregator(state, builder, key, now)
+            return
         topology = state.topology
-        if kind == "rack":
-            rack = topology.racks.get(ident)
-            if rack is None:
-                return
-            rack_slots = sum(
-                topology.machine(m).num_slots
-                for m in rack.machine_ids
-                if topology.machine(m).is_available
-            )
-            if rack_slots <= 0:
-                return
+        rack = topology.racks.get(rack_id)
+        if rack is None:
+            return
+        rack_slots = sum(
+            topology.machine(m).num_slots
+            for m in rack.machine_ids
+            if topology.machine(m).is_available
+        )
+        if rack_slots > 0:
             cluster_agg = builder.aggregator("X", NodeType.CLUSTER_AGGREGATOR)
-            builder.add_arc(cluster_agg, builder.rack_node(ident), rack_slots, 0)
-        elif kind == "job":
-            job = state.jobs.get(ident)
-            if job is None:
-                return
-            builder.add_arc(
-                builder.unscheduled_node(ident), builder.sink, job.num_tasks, 0
-            )
+            builder.add_arc(cluster_agg, builder.rack_node(rack_id), rack_slots, 0)
 
     def dirty_aggregators(self, state: ClusterState, dirty, now: float, builder):
-        """Racks of availability-dirty machines, plus dirty jobs."""
+        """Racks of availability-dirty machines, plus the shared scopes."""
         topology = state.topology
         racks = set()
         for machine_id in dirty.machines_availability:
@@ -163,37 +116,22 @@ class QuincyPolicy(SchedulingPolicy):
                 # unknown, so refresh every rack (rare).
                 racks.update(topology.racks)
         keys = [("rack", rack_id) for rack_id in sorted(racks)]
-        keys.extend(("job", job_id) for job_id in sorted(dirty.jobs))
-        return keys
+        return keys + super().dirty_aggregators(state, dirty, now, builder)
 
     def owned_arcs(self, builder: PolicyNetworkBuilder, key):
-        """Structural scope ownership for Quincy's arc partition."""
-        network = builder.network
+        """A machine also owns its arc from the rack; a rack its arc from
+        the cluster aggregator."""
         kind, ident = key
-        if kind == "machine":
-            machine_node = builder.machine_node(ident)
-            owned = list(network.outgoing(machine_node))  # machine -> sink
-            owned.extend(
-                arc
-                for arc in network.incoming(machine_node)
-                if network.node(arc.src).node_type is NodeType.RACK_AGGREGATOR
-            )
-            return owned
         if kind == "rack":
-            rack_node = builder.peek_rack_node(ident)
-            if rack_node is None or not network.has_node(rack_node):
-                return []
-            return [
-                arc
-                for arc in network.incoming(rack_node)
-                if network.node(arc.src).node_type is NodeType.CLUSTER_AGGREGATOR
-            ]
-        if kind == "job":
-            unscheduled_node = builder.peek_unscheduled_node(ident)
-            if unscheduled_node is None or not network.has_node(unscheduled_node):
-                return []
-            return network.outgoing(unscheduled_node)  # U -> sink
-        return super().owned_arcs(builder, key)
+            return builder.incoming(
+                builder.peek_rack_node(ident), NodeType.CLUSTER_AGGREGATOR
+            )
+        owned = super().owned_arcs(builder, key)
+        if kind == "machine":
+            owned = owned + builder.incoming(
+                builder.peek_machine_node(ident), NodeType.RACK_AGGREGATOR
+            )
+        return owned
 
     def task_machine_dependencies(self, state: ClusterState, task):
         """Preference-arc machines plus the task's current machine."""

@@ -47,56 +47,57 @@ class RandomPlacementPolicy(SchedulingPolicy):
         self.preference_arcs_per_task = preference_arcs_per_task
         self.max_cost = max_cost
 
-    def build(self, state: ClusterState, builder: PolicyNetworkBuilder, now: float) -> None:
-        """Add random preference arcs plus a uniform cluster-aggregator fallback."""
-        tasks = state.schedulable_tasks()
-        if not tasks:
-            return
-        topology = state.topology
-        machines = topology.healthy_machines()
-        if not machines:
-            machines = []
-        cluster_agg = builder.aggregator("RANDOM", NodeType.CLUSTER_AGGREGATOR)
+    # ------------------------------------------------------------------ #
+    # Derivation scopes: RANDOM -> machine backbone, sampled task arcs
+    # ------------------------------------------------------------------ #
+    def arcs_for_task(
+        self, state: ClusterState, builder: PolicyNetworkBuilder, task, now: float
+    ) -> None:
+        """Emit one task's random preference arcs and its uniform
+        cluster-aggregator fallback, plus the shared task arcs.
 
-        for machine in machines:
-            machine_node = builder.machine_node(machine.machine_id)
-            builder.add_arc(cluster_agg, machine_node, machine.num_slots, self.max_cost)
-            builder.add_arc(machine_node, builder.sink, machine.num_slots, 0)
-
-        jobs_seen = set()
-        for task in tasks:
-            task_node = builder.task_node(task.task_id)
-            jobs_seen.add(task.job_id)
-            rng = random.Random(self.seed * 1_000_003 + task.task_id)
-
-            for machine in self._sample_machines(machines, rng):
-                builder.add_arc(
-                    task_node,
-                    builder.machine_node(machine.machine_id),
-                    1,
-                    self.placement_base_cost + rng.randrange(self.max_cost),
-                )
-
-            builder.add_arc(task_node, cluster_agg, 1, self.placement_base_cost + self.max_cost)
+        The sample is drawn from the healthy-machine list, so the task
+        depends on every machine's availability (the default
+        :meth:`task_machine_dependencies`).
+        """
+        task_node = builder.task_node(task.task_id)
+        rng = random.Random(self.seed * 1_000_003 + task.task_id)
+        for machine in self._sample_machines(state.topology.healthy_machines(), rng):
             builder.add_arc(
                 task_node,
-                builder.unscheduled_node(task.job_id),
+                builder.machine_node(machine.machine_id),
                 1,
-                self.unscheduled_cost(task, now),
+                self.placement_base_cost + rng.randrange(self.max_cost),
             )
-            if task.is_running and task.machine_id is not None:
-                builder.add_arc(
-                    task_node,
-                    builder.machine_node(task.machine_id),
-                    1,
-                    self.continuation_cost(task),
-                )
+        builder.add_arc(
+            task_node,
+            builder.aggregator("RANDOM", NodeType.CLUSTER_AGGREGATOR),
+            1,
+            self.placement_base_cost + self.max_cost,
+        )
+        super().arcs_for_task(state, builder, task, now)
 
-        for job_id in jobs_seen:
-            job = state.jobs[job_id]
-            builder.add_arc(
-                builder.unscheduled_node(job_id), builder.sink, job.num_tasks, 0
+    def arcs_for_machine(
+        self, state: ClusterState, builder: PolicyNetworkBuilder, machine, now: float
+    ) -> None:
+        """Emit one healthy machine's arc from the cluster aggregator plus
+        the shared sink arc."""
+        builder.add_arc(
+            builder.aggregator("RANDOM", NodeType.CLUSTER_AGGREGATOR),
+            builder.machine_node(machine.machine_id),
+            machine.num_slots,
+            self.max_cost,
+        )
+        super().arcs_for_machine(state, builder, machine, now)
+
+    def owned_arcs(self, builder: PolicyNetworkBuilder, key):
+        """A machine also owns its arc from the cluster aggregator."""
+        owned = super().owned_arcs(builder, key)
+        if key[0] == "machine":
+            owned = owned + builder.incoming(
+                builder.peek_machine_node(key[1]), NodeType.CLUSTER_AGGREGATOR
             )
+        return owned
 
     def _sample_machines(self, machines: List, rng: random.Random) -> List:
         """Return the task's random machine preferences (stable per task)."""

@@ -46,49 +46,61 @@ class ShortestJobFirstPolicy(SchedulingPolicy):
         """
         self.knowledge_base = knowledge_base if knowledge_base is not None else KnowledgeBase()
 
-    def build(self, state: ClusterState, builder: PolicyNetworkBuilder, now: float) -> None:
-        """Add a cluster aggregator with runtime-aware task arcs."""
-        tasks = state.schedulable_tasks()
-        if not tasks:
+    # ------------------------------------------------------------------ #
+    # Derivation scopes: tasks -> SJF, ("load", machine) aggregator arcs
+    # ------------------------------------------------------------------ #
+    def arcs_for_task(
+        self, state: ClusterState, builder: PolicyNetworkBuilder, task, now: float
+    ) -> None:
+        """Emit one task's runtime-priced arc to the cluster aggregator
+        plus the shared task arcs."""
+        builder.add_arc(
+            builder.task_node(task.task_id),
+            builder.aggregator("SJF", NodeType.CLUSTER_AGGREGATOR),
+            1,
+            self.scheduling_cost(task),
+        )
+        super().arcs_for_task(state, builder, task, now)
+
+    def refresh_aggregator(
+        self, state: ClusterState, builder: PolicyNetworkBuilder, key, now: float
+    ) -> None:
+        """Emit a ``("load", machine_id)`` scope: the aggregator's arc to
+        the machine, priced by how many tasks already run there."""
+        kind, machine_id = key
+        if kind != "load":
+            super().refresh_aggregator(state, builder, key, now)
             return
-        topology = state.topology
-        cluster_agg = builder.aggregator("SJF", NodeType.CLUSTER_AGGREGATOR)
-
-        for machine in topology.healthy_machines():
-            machine_node = builder.machine_node(machine.machine_id)
-            running = state.task_count_on_machine(machine.machine_id)
-            builder.add_arc(cluster_agg, machine_node, machine.num_slots, running)
-            builder.add_arc(machine_node, builder.sink, machine.num_slots, 0)
-
-        jobs_seen = set()
-        for task in tasks:
-            task_node = builder.task_node(task.task_id)
-            jobs_seen.add(task.job_id)
+        machine = state.topology.machines.get(machine_id)
+        if machine is not None and machine.is_available:
             builder.add_arc(
-                task_node,
-                cluster_agg,
-                1,
-                self.scheduling_cost(task),
+                builder.aggregator("SJF", NodeType.CLUSTER_AGGREGATOR),
+                builder.machine_node(machine_id),
+                machine.num_slots,
+                state.task_count_on_machine(machine_id),
             )
-            builder.add_arc(
-                task_node,
-                builder.unscheduled_node(task.job_id),
-                1,
-                self.unscheduled_cost(task, now),
-            )
-            if task.is_running and task.machine_id is not None:
-                builder.add_arc(
-                    task_node,
-                    builder.machine_node(task.machine_id),
-                    1,
-                    self.continuation_cost(task),
-                )
 
-        for job_id in jobs_seen:
-            job = state.jobs[job_id]
-            builder.add_arc(
-                builder.unscheduled_node(job_id), builder.sink, job.num_tasks, 0
-            )
+    def dirty_aggregators(self, state: ClusterState, dirty, now: float, builder):
+        """Aggregator arcs of the load-dirty machines, plus the shared
+        scopes."""
+        keys = [("load", machine_id) for machine_id in sorted(dirty.machines_load)]
+        return keys + super().dirty_aggregators(state, dirty, now, builder)
+
+    def owned_arcs(self, builder: PolicyNetworkBuilder, key):
+        """A load scope owns the aggregator's arc into the machine."""
+        kind, machine_id = key
+        if kind != "load":
+            return super().owned_arcs(builder, key)
+        return builder.incoming(
+            builder.peek_machine_node(machine_id), NodeType.CLUSTER_AGGREGATOR
+        )
+
+    task_machine_dependencies = SchedulingPolicy.current_machine_only
+
+    def pricing_version(self) -> int:
+        """Runtime estimates move with every recorded completion, which
+        raises no cluster dirty event."""
+        return self.knowledge_base.version
 
     def scheduling_cost(self, task) -> int:
         """Cost of scheduling a task anywhere, growing with expected runtime.

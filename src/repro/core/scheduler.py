@@ -359,7 +359,6 @@ class FirmamentScheduler(FlowScheduler):
         solver: Optional[Solver] = None,
         allow_migrations: bool = True,
         executor: Optional[str] = None,
-        price_refine: Optional[str] = None,
         executor_policy: Optional[str] = None,
         round_deadline_seconds: Optional[float] = None,
         chaos=None,
@@ -380,9 +379,6 @@ class FirmamentScheduler(FlowScheduler):
                 and models the race) or ``"parallel"`` (races a relaxation
                 worker subprocess against parent-side incremental cost
                 scaling for real).  Mutually exclusive with ``solver``.
-            price_refine: Price-refine variant for the default executor's
-                incremental cost scaling (``"spfa"``, ``"dijkstra"``, or
-                ``"auto"``); only valid when ``solver`` is omitted.
             executor_policy: Race policy for the default executor:
                 ``"race"`` (default) speculates every round as the paper
                 deploys, ``"auto"`` lets a cost model fed by recent solver
@@ -402,8 +398,6 @@ class FirmamentScheduler(FlowScheduler):
         """
         if solver is not None and executor is not None:
             raise ValueError("pass either solver= or executor=, not both")
-        if solver is not None and price_refine is not None:
-            raise ValueError("price_refine= only applies to the default executor")
         if solver is not None and executor_policy is not None:
             raise ValueError("executor_policy= only applies to the default executor")
         self.policy = policy
@@ -412,7 +406,6 @@ class FirmamentScheduler(FlowScheduler):
         else:
             self.solver = make_executor(
                 executor or "sequential",
-                price_refine=price_refine or "auto",
                 executor_policy=executor_policy or "race",
             )
         self.round_deadline_seconds = round_deadline_seconds

@@ -248,7 +248,7 @@ class CellStateView:
     The graph manager binds to ``id(state)`` and to the continuity of the
     state's dirty-epoch chain, so the view must be a long-lived object with
     its own :class:`DirtyTracker` (fed by the scheduler's routing) -- a
-    per-round throwaway wrapper would force a full rebuild every round.
+    per-round throwaway wrapper would make every scope dirty every round.
 
     Overridden surface: ``topology`` (the cell slice), ``dirty`` (the
     private tracker), and the task scans (``schedulable_tasks`` /
@@ -412,12 +412,6 @@ class ShardedScheduler(FlowScheduler):
         solver_factory: Zero-argument callable producing each cell's
             inline/fallback solver; defaults to
             ``IncrementalCostScalingSolver()``.
-        price_refine: Price-refine variant forwarded to every per-cell
-            solver -- the inline/fallback solvers *and* the worker
-            subprocesses (``"spfa"``, ``"dijkstra"``, or ``"auto"``; see
-            :data:`repro.solvers.cost_scaling.PRICE_REFINE_MODES`).  Only
-            valid with the default ``solver_factory``: a custom factory
-            already controls its solvers' construction.
         allow_migrations: As in :class:`FirmamentScheduler`.
         balance: Enable the cross-cell balancer.
         round_deadline_seconds: Per-round budget, applied per cell (cells
@@ -434,16 +428,11 @@ class ShardedScheduler(FlowScheduler):
         num_cells: int = 4,
         workers: bool = False,
         solver_factory=None,
-        price_refine: Optional[str] = None,
         allow_migrations: bool = True,
         balance: bool = True,
         round_deadline_seconds: Optional[float] = None,
         chaos=None,
     ) -> None:
-        if solver_factory is not None and price_refine is not None:
-            raise ValueError(
-                "price_refine= only applies to the default solver_factory"
-            )
         self.partition = CellPartition(num_cells)
         self.num_cells = num_cells
         self.workers = workers
@@ -455,8 +444,6 @@ class ShardedScheduler(FlowScheduler):
         # must travel as kwargs; the inline/fallback factory uses the same
         # kwargs so both modes solve identically configured.
         self._solver_kwargs: Dict[str, Any] = {}
-        if price_refine is not None:
-            self._solver_kwargs["price_refine"] = price_refine
         if solver_factory is None and round_deadline_seconds is not None:
             self._solver_kwargs["round_deadline_seconds"] = round_deadline_seconds
         self._solver_factory = solver_factory or (

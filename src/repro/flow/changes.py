@@ -16,8 +16,10 @@ implements that classification so the incremental solvers can decide how much
 repair work a batch of changes requires.
 
 :class:`ChangeBatch` groups one scheduling round's changes into a typed
-batch.  The graph manager emits one per rebuild (by diffing consecutive
-networks, :meth:`ChangeBatch.diff`), and the incremental cost-scaling
+batch.  The graph manager emits one per round, directly from the mutations
+it applies (:class:`ChangeBatchBuilder`; :meth:`ChangeBatch.diff` of two
+networks is the reference the tests and the ``incremental=False`` baseline
+use), and the incremental cost-scaling
 solver consumes it to patch its persistent residual network in place
 (:meth:`repro.solvers.residual.ResidualNetwork.apply_changes`) instead of
 reconstructing the residual from the flow-network object graph -- the key

@@ -279,7 +279,6 @@ class SpeculativeDualExecutor(Solver):
         self,
         relaxation: Optional[RelaxationSolver] = None,
         incremental: Optional[IncrementalCostScalingSolver] = None,
-        price_refine: str = "auto",
         executor_policy: str = "race",
         cost_model: Optional[RaceCostModel] = None,
         round_deadline_seconds: Optional[float] = None,
@@ -294,9 +293,6 @@ class SpeculativeDualExecutor(Solver):
             incremental: Incremental cost scaling instance (a default one
                 with price refine and efficient task removal is created when
                 omitted).
-            price_refine: Price-refine variant for the default incremental
-                instance (``"spfa"``, ``"dijkstra"``, or ``"auto"``);
-                ignored when ``incremental`` is passed explicitly.
             executor_policy: ``"race"`` (default) speculates every round,
                 exactly as the paper deploys; ``"auto"`` consults the
                 :class:`RaceCostModel` to skip the predictable loser's leg.
@@ -322,9 +318,7 @@ class SpeculativeDualExecutor(Solver):
                 f"choose from {EXECUTOR_POLICIES}"
             )
         self.relaxation = relaxation or RelaxationSolver(arc_prioritization=True)
-        self.incremental = incremental or IncrementalCostScalingSolver(
-            price_refine=price_refine
-        )
+        self.incremental = incremental or IncrementalCostScalingSolver()
         self.executor_policy = executor_policy
         self.cost_model = cost_model or RaceCostModel()
         self.round_deadline_seconds = round_deadline_seconds

@@ -126,7 +126,6 @@ class ParallelDualExecutor(SpeculativeDualExecutor):
         relaxation: Optional[RelaxationSolver] = None,
         incremental: Optional[IncrementalCostScalingSolver] = None,
         delta_solo_threshold: int = DELTA_SOLO_THRESHOLD,
-        price_refine: str = "auto",
         executor_policy: str = "race",
         cost_model: Optional[RaceCostModel] = None,
         breaker: Optional[WorkerCircuitBreaker] = None,
@@ -145,11 +144,6 @@ class ParallelDualExecutor(SpeculativeDualExecutor):
             delta_solo_threshold: Skip speculation on delta-armed rounds
                 whose change batch is at most this large (0 races every
                 round); see :data:`DELTA_SOLO_THRESHOLD`.
-            price_refine: Price-refine variant for the default parent-side
-                incremental instance; ignored when ``incremental`` is
-                passed explicitly.  Faster price refine shifts the
-                solo-vs-race crossover: warm rebuilds the parent used to
-                lose (racing pays) become rounds it wins solo.
             executor_policy: ``"race"`` (default) races every non-solo-delta
                 round; ``"auto"`` lets the cost model skip the predictable
                 loser (see :class:`~repro.solvers.dual_executor.
@@ -174,7 +168,7 @@ class ParallelDualExecutor(SpeculativeDualExecutor):
         """
         super().__init__(
             relaxation=relaxation, incremental=incremental,
-            price_refine=price_refine, executor_policy=executor_policy,
+            executor_policy=executor_policy,
             cost_model=cost_model,
             round_deadline_seconds=round_deadline_seconds,
             relaxation_ascent_cap=relaxation_ascent_cap,

@@ -185,20 +185,6 @@ class TestSchedulerKnobForwarding:
     """Regression: solver knobs must reach the sharded per-cell solvers
     and impossible knob combinations must fail loudly, not silently."""
 
-    def test_cells_forward_price_refine_to_cell_solvers(self):
-        from repro.cli.simulate_command import _make_scheduler
-        from repro.core import ShardedScheduler
-
-        scheduler = _make_scheduler(
-            "firmament", "quincy", cells=2, price_refine="spfa",
-        )
-        assert isinstance(scheduler, ShardedScheduler)
-        # The per-cell solver factory and the worker kwargs both carry the
-        # knob (pre-fix, ShardedScheduler never received it and every cell
-        # silently solved with the default).
-        assert scheduler._solver_factory().price_refine == "spfa"
-        assert scheduler._solver_kwargs == {"price_refine": "spfa"}
-
     def test_cells_forward_round_deadline(self):
         from repro.cli.simulate_command import _make_scheduler
 
@@ -243,7 +229,7 @@ class TestSchedulerKnobForwarding:
         code = main([
             "simulate", "--machines", "8", "--duration", "30",
             "--utilization", "0.5", "--seed", "1",
-            "--cells", "2", "--price-refine", "spfa",
+            "--cells", "2",
         ])
         assert code == 0
         assert "cells: 2" in capsys.readouterr().out

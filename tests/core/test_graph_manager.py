@@ -197,54 +197,59 @@ class TestIncrementalUpdatePath:
         manager.update(small_state, now=1.0)
         assert manager.full_updates == 2 and manager.incremental_updates == 0
 
-    def test_unsupported_policy_uses_full_path(self, small_state):
+    def test_every_policy_updates_incrementally(self, small_state):
         self._churned(small_state)
         manager = GraphManager(LoadSpreadingPolicy())
         manager.update(small_state, now=0.0)
         manager.update(small_state, now=1.0)
-        assert manager.last_update_stats.mode == "full"
-
-    def test_second_consumer_draining_forces_full_rebuild(self, small_state):
-        self._churned(small_state)
-        manager = GraphManager(QuincyPolicy())
-        manager.update(small_state, now=0.0)
-        # Another consumer drains the tracker: the epoch chain breaks and
-        # the manager must not trust its stale dirty view.
-        small_state.dirty.drain()
-        manager.update(small_state, now=1.0)
-        assert manager.last_update_stats.mode == "full"
-        # The chain re-forms afterwards.
-        manager.update(small_state, now=2.0)
         assert manager.last_update_stats.mode == "incremental"
 
-    def test_emptied_workload_falls_back_and_prunes_everything(self, small_state):
-        job = self._churned(small_state)
+    def test_second_consumer_draining_makes_every_scope_dirty(self, small_state):
+        self._churned(small_state)
         manager = GraphManager(QuincyPolicy(), verify_changes=True)
         manager.update(small_state, now=0.0)
+        # Another consumer drains the tracker: the epoch chain breaks and
+        # the manager must not trust its stale dirty view -- it re-derives
+        # every scope, on the same persistent network.
+        small_state.dirty.drain()
+        manager.update(small_state, now=1.0)
+        stats = manager.last_update_stats
+        assert stats.mode == "incremental"
+        assert (stats.dirty_tasks, stats.dirty_machines) == (4, 8)
+        # The chain re-forms afterwards.
+        manager.update(small_state, now=2.0)
+        stats = manager.last_update_stats
+        assert (stats.mode, stats.dirty_tasks) == ("incremental", 0)
+
+    def test_emptied_workload_prunes_everything_incrementally(self, small_state):
+        job = self._churned(small_state)
+        manager = GraphManager(QuincyPolicy(), verify_changes=True)
+        first = manager.update(small_state, now=0.0)
         for index, task in enumerate(job.tasks):
             small_state.place_task(task.task_id, index % 4, now=0.0)
             small_state.complete_task(task.task_id, now=1.0)
         network = manager.update(small_state, now=2.0)
-        assert manager.last_update_stats.mode == "full"
-        assert network.num_nodes == 0
-        # And the workload coming back re-enters the incremental path after
-        # one more full round.
+        assert network is first and network.num_nodes == 0
+        # The workload coming back refills the same network.
         small_state.submit_job(make_job(job_id=2, num_tasks=2))
-        manager.update(small_state, now=3.0)
-        assert manager.last_update_stats.mode == "full"
+        assert manager.update(small_state, now=3.0) is first
+        assert manager.last_update_stats.dirty_machines == 8
         manager.update(small_state, now=4.0)
-        assert manager.last_update_stats.mode == "incremental"
+        assert manager.last_update_stats.dirty_machines == 0
+        assert (manager.full_updates, manager.incremental_updates) == (1, 3)
 
-    def test_job_removal_of_pending_tasks_falls_back(self, small_state):
-        job = self._churned(small_state)
+    def test_job_removal_of_pending_tasks_makes_every_scope_dirty(self, small_state):
+        self._churned(small_state)
         small_state.submit_job(make_job(job_id=2, num_tasks=2))
         manager = GraphManager(QuincyPolicy(), verify_changes=True)
         manager.update(small_state, now=0.0)
         # Remove a job whose (pending) tasks vanish from state.tasks: the
-        # dirty tasks become unresolvable and the round must rebuild.
+        # dirty tasks become unresolvable, so nothing short of every scope
+        # can be trusted.
         small_state.remove_job(1)
         manager.update(small_state, now=1.0)
-        assert manager.last_update_stats.mode == "full"
+        stats = manager.last_update_stats
+        assert (stats.mode, stats.dirty_tasks) == ("incremental", 2)
 
     def test_update_stats_report_touched_counts(self, small_state):
         job = self._churned(small_state)
