@@ -553,7 +553,8 @@ def measure_dual_round() -> float:
     and 6 arrivals (a 4-task and a 2-task job).  Five warm-up rounds let
     both legs build their persistent residuals; the 50 timed rounds must
     then all be delta solves on the cost-scaling leg and residual reuses
-    on the relaxation leg.
+    on the relaxation leg, and their placement extraction must carry at
+    least four fifths of the task-rounds over instead of re-deriving them.
     """
     import random
 
@@ -588,13 +589,21 @@ def measure_dual_round() -> float:
         scheduler.schedule_and_apply(state, now)
     delta_solves = executor.incremental.delta_solves
     total = 0.0
+    reextracted = tasks = 0
     for _ in range(DUAL_ROUNDS):
         churn()
         start = time.perf_counter()
-        scheduler.schedule_and_apply(state, now)
+        decision = scheduler.schedule_and_apply(state, now)
         total += time.perf_counter() - start
+        reextracted += decision.solver_result.statistics.tasks_reextracted
+        tasks += len(scheduler.graph_manager.task_nodes)
     if executor.incremental.delta_solves - delta_solves != DUAL_ROUNDS:
         raise AssertionError("perf smoke: a dual round rebuilt the residual")
+    if reextracted > 0.2 * tasks:
+        raise AssertionError(
+            "perf smoke: placement extraction re-derived "
+            f"{reextracted} of {tasks} task-rounds (more than a fifth)"
+        )
     if executor.relaxation.residual_rebuilds != 1:
         raise AssertionError("perf smoke: relaxation rebuilt its residual")
     if len(state.running_tasks()) != DUAL_MACHINES:

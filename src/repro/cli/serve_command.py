@@ -40,8 +40,9 @@ def register(subparsers) -> None:
         help="serve the scheduler over a JSON-lines TCP API",
         description=(
             "Run the scheduler as a service: concurrent clients submit jobs "
-            "and machine events over a JSON-lines TCP protocol, submissions "
-            "arriving between rounds are coalesced into one admission batch, "
+            "and machine events over a JSON-lines TCP protocol, a round "
+            "starts when work arrives and whatever arrives while it solves "
+            "is coalesced into the next one's admission batch, "
             "and placement/preemption notifications stream back per client. "
             "With --state-dir the service write-ahead-logs every admission "
             "and snapshots periodically, and --recover restores after a "
@@ -67,8 +68,10 @@ def register(subparsers) -> None:
     parser.add_argument(
         "--round-interval", type=float, default=0.05, metavar="SECONDS",
         help=(
-            "minimum seconds between scheduling rounds; submissions "
-            "arriving in the gap are coalesced (default: 0.05)"
+            "longest that deferred work (a completion nobody is waiting "
+            "on, pending tasks the last round could not place) waits for "
+            "the round loop; everything else starts a round as soon as "
+            "the previous one has applied (default: 0.05)"
         ),
     )
     parser.add_argument(
@@ -184,6 +187,10 @@ async def _serve(args) -> int:
         state = ClusterState(topology)
     scheduler = _make_scheduler(
         args.scheduler, args.policy,
+        # A service pays for every solver leg it runs (the simulator's
+        # sequential executor only *models* the second core), so delta-armed
+        # rounds run the cost-scaling leg alone; cells have no race.
+        executor_policy="race" if args.cells else "auto",
         cells=args.cells,
         cell_workers=args.cell_workers,
         round_deadline_seconds=args.round_deadline,

@@ -38,6 +38,13 @@ network from scratch (:meth:`GraphManager._build_full_network`, diffed with
 :meth:`ChangeBatch.diff`) remains only for the first round, for the
 explicit ``incremental=False`` comparison baseline, and as the oracle of
 the ``verify_changes`` cross-check.
+
+What is read *off* the network persists beside it too: the manager keeps
+the task-to-machine assignments its flow implies
+(:meth:`GraphManager.extract_assignments`) and re-derives, once a solver
+has written a round's flow, only the tasks an arc whose flow changed
+touches, dropping those whose nodes the round's batch removed; the full
+Listing-1 walk is that map's ``verify_changes`` oracle.
 """
 
 from __future__ import annotations
@@ -48,6 +55,7 @@ from types import MappingProxyType
 from typing import Dict, Hashable, Iterable, Mapping, Optional, Set, Tuple
 
 from repro.cluster.state import ClusterState
+from repro.core.placement import FlowAssignments, extract_placements
 from repro.core.policies.base import DirtyView, PolicyNetworkBuilder, SchedulingPolicy
 from repro.flow.changes import ChangeBatch, ChangeBatchBuilder
 from repro.flow.graph import FlowNetwork, NodeType
@@ -196,6 +204,14 @@ class GraphManager:
         self._task_cost_terms: Dict[int, Tuple[int, float, float, Tuple[int, int]]] = {}
         self._verify_snapshot: Optional[FlowNetwork] = None
         self._recorder: Optional[ChangeBatchBuilder] = None
+        #: The assignments the network's flow implies, kept beside it and
+        #: brought up to date by :meth:`extract_assignments`.
+        self.flow_assignments = FlowAssignments()
+        # Tasks whose nodes the updates since the last extraction removed (a
+        # round without a solver result extracts nothing, so its departures
+        # wait for the next one); ``None`` while the maintained map cannot
+        # be carried over at all: round 1, a rebuild, an all-dirty round.
+        self._departed_tasks: Optional[Set[int]] = None
 
     # ------------------------------------------------------------------ #
     # Node identity management
@@ -284,6 +300,31 @@ class GraphManager:
     def sink_node(self) -> Optional[int]:
         """Node id of the sink, once the first network has been built."""
         return self._sink_node
+
+    def extract_assignments(self) -> Mapping[int, int]:
+        """Task-to-machine assignments of the flow a solver just wrote.
+
+        Re-derives only the tasks the arcs whose flow changed since the
+        previous extraction touch (see
+        :class:`~repro.core.placement.FlowAssignments`); the returned map
+        is the maintained one, valid until the next call.  In cross-check
+        mode it is compared with the full Listing-1 walk.
+        """
+        departed, self._departed_tasks = self._departed_tasks, set()
+        tracker = self.flow_assignments
+        assignments = tracker.update(self.network, self._task_nodes, departed)
+        if self.verify_changes:
+            problems = tracker.differences(
+                extract_placements(
+                    self.network, self._task_nodes, self._machine_nodes, self._sink_node
+                )
+            )
+            if problems:
+                raise GraphConsistencyError(
+                    "maintained assignments diverged from the full walk: "
+                    + "; ".join(problems[:20])
+                )
+        return assignments
 
     # ------------------------------------------------------------------ #
     # Network construction
@@ -383,6 +424,7 @@ class GraphManager:
         else:
             self.last_changes = None
 
+        self._departed_tasks = None
         self._record_round_entities(state, tasks)
         self._rebuild_dependency_index(state, tasks)
         if self.last_changes is not None:
@@ -688,6 +730,10 @@ class GraphManager:
             network.revision = self._revision
             batch = recorder.finish(self._revision)
             self.last_changes = batch if self.track_changes else None
+            if all_dirty:
+                self._departed_tasks = None
+            elif self._departed_tasks is not None:
+                self._departed_tasks |= removed_tasks
 
             self._prev_task_ids = task_ids
             self._prev_machine_ids = machine_ids

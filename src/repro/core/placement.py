@@ -12,16 +12,160 @@ no token and remain unscheduled (or are preempted if they were running).
 In the common case the algorithm touches every flow-carrying arc exactly
 once, i.e. it extracts all placements in a single pass over the graph.
 
+That pass is O(cluster) every round, although between two rounds of a
+running scheduler almost every task's unit of flow stays on the arc it was
+on.  :class:`FlowAssignments` therefore keeps the assignment map *beside*
+the graph manager's persistent network and re-derives, per round, only the
+tasks the round can have moved: those whose node is the source of an arc
+whose flow a writer changed (:attr:`FlowNetwork.flow_changes`), plus every
+task whose unit did not leave on an arc straight to a machine; tasks whose
+nodes the round's change batch removed are dropped.  Any other task left on
+``task -> machine`` with flow 1 last round and still does -- had that arc
+been removed, emptied or capped, the task's one unit would now leave on
+another arc, whose flow would have *risen* -- and for such a task the token
+walk can only answer that machine again.  The re-derivation is a *forward*
+path decomposition (the task's unit is followed downstream, with per-arc
+use counts, until it reaches a machine or the sink), so it needs no reverse
+maps: nodes carry their task and machine ids as ``ref``.
+:func:`extract_placements` remains as the oracle the maintained map is
+checked against (``GraphManager(verify_changes=True)`` and the tests).
+
 :func:`diff_assignments` then turns the extracted assignments into the
 round's actions by comparing them with where each task currently is.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, List, Mapping, Optional, Tuple
+from collections import Counter, deque
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.flow.graph import FlowNetwork, NodeType
+
+
+class FlowAssignments:
+    """Task-to-machine assignments of a persistent network's flow,
+    maintained across rounds at a cost proportional to what changed."""
+
+    def __init__(self) -> None:
+        #: ``{task_id: machine_id}`` of the flow last read; tasks the flow
+        #: leaves unscheduled are absent.
+        self.assignments: Dict[int, int] = {}
+        #: Tasks whose unit did not leave on an arc straight to a machine
+        #: (it crossed an aggregator, or drained to the sink unscheduled).
+        #: Aggregator arcs are shared, so these are re-derived together,
+        #: every round.
+        self.indirect: Set[int] = set()
+        #: Tasks the most recent :meth:`update` re-derived.
+        self.last_reextracted = 0
+
+    def update(
+        self,
+        network: FlowNetwork,
+        task_nodes: Mapping[int, int],
+        departed_tasks: Optional[Iterable[int]],
+    ) -> Dict[int, int]:
+        """Bring the map up to the flow now on ``network``; returns it.
+
+        Args:
+            network: The persistent network, flows written by the round's
+                solver.  Its :attr:`~FlowNetwork.flow_changes` are consumed.
+            task_nodes: Task id to node id of the tasks in the network.
+            departed_tasks: Tasks whose nodes were removed since the
+                previous call; ``None`` when the map cannot be carried over
+                (another network, an all-dirty rebuild).  That, or an
+                unknown changed-flow set, means every task is re-derived.
+        """
+        changed = network.take_flow_changes()
+        assignments = self.assignments
+        indirect = self.indirect
+        if departed_tasks is None or changed is None:
+            assignments.clear()
+            indirect.clear()
+            rederive = sorted(task_nodes)
+        else:
+            for task_id in departed_tasks:
+                assignments.pop(task_id, None)
+                indirect.discard(task_id)
+            suspects = set(indirect)
+            find_node = network.find_node
+            for src, _dst in changed:
+                node = find_node(src)
+                if node is not None and node.node_type is NodeType.TASK:
+                    suspects.add(node.ref)
+            rederive = sorted(suspects)
+        self.last_reextracted = len(rederive)
+
+        # Forward path decomposition.  Only a task's first arc is its own;
+        # every later arc may be shared, so units already routed over it
+        # are counted.  Task-id order makes the split of a shared arc's
+        # flow among its tasks the same whichever subset is re-derived.
+        used: Dict[Tuple[int, int], int] = {}
+        node_of = network.node
+        outgoing = network.iter_outgoing
+        longest_path = network.num_nodes
+        for task_id in rederive:
+            node_id = task_nodes[task_id]
+            machine = None
+            for hops in range(longest_path):
+                for arc in outgoing(node_id):
+                    if arc.flow <= 0:
+                        continue
+                    if hops:
+                        key = (arc.src, arc.dst)
+                        units = used.get(key, 0)
+                        if units >= arc.flow:
+                            continue
+                        used[key] = units + 1
+                    break
+                else:
+                    break  # no unit leaves here: not a conserved flow
+                node = node_of(arc.dst)
+                if node.node_type is NodeType.MACHINE:
+                    machine = node.ref
+                    break
+                if node.node_type is NodeType.SINK:
+                    break
+                node_id = arc.dst
+            else:
+                raise RuntimeError(
+                    f"the flow of task {task_id} does not reach a machine or "
+                    "the sink: the network's flow has a cycle"
+                )
+            if machine is None:
+                assignments.pop(task_id, None)
+                indirect.add(task_id)
+            else:
+                assignments[task_id] = machine
+                if hops:
+                    indirect.add(task_id)
+                else:
+                    indirect.discard(task_id)
+        return assignments
+
+    def differences(self, oracle: Mapping[int, int]) -> List[str]:
+        """How the maintained map departs from a full walk's (empty: not).
+
+        Both read the same flow, so they must agree on *which* tasks are
+        assigned, on how many each machine receives, and exactly on every
+        directly routed task; which of the tasks sharing an aggregator
+        gets which of its machines is the decomposition's free choice.
+        """
+        mine = self.assignments
+        problems = []
+        if mine.keys() != oracle.keys():
+            problems.append(
+                f"assigned only here {sorted(mine.keys() - oracle.keys())}, "
+                f"only in the full walk {sorted(oracle.keys() - mine.keys())}"
+            )
+        if Counter(mine.values()) != Counter(oracle.values()):
+            problems.append("per-machine task counts differ")
+        for task_id, machine in mine.items():
+            if task_id not in self.indirect and oracle.get(task_id) != machine:
+                problems.append(
+                    f"directly routed task {task_id}: {machine} here, "
+                    f"{oracle.get(task_id)} in the full walk"
+                )
+        return problems
 
 
 def extract_placements(

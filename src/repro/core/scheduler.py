@@ -16,9 +16,12 @@ its :class:`~repro.core.graph_manager.GraphManager`, its solver):
    a cell whose solver raises
    :class:`~repro.solvers.base.RoundDeadlineExceeded` is *dead* for the
    round;
-3. merge per cell: extract + diff for a solved cell (marked
+3. merge per cell: bring the cell's maintained assignments up to the new
+   flow (:meth:`GraphManager.extract_assignments`, proportional to the
+   arcs whose flow changed) + diff for a solved cell (marked
    ``epsilon_truncated`` when the result is not optimal), hold-pending for
-   a dead one (``round_deadline``);
+   a dead one (``round_deadline``; nothing is extracted, so the round's
+   changes wait for the next result);
 4. charge ``algorithm_runtime`` by one rule -- a cell costs its measured
    wall clock if its solver ``charges_wall_clock`` (a physical race),
    otherwise the runtime its result reports (falling back to wall clock);
@@ -45,7 +48,7 @@ from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.cluster.state import ClusterState
 from repro.core.graph_manager import GraphManager
-from repro.core.placement import diff_assignments, extract_placements
+from repro.core.placement import diff_assignments
 from repro.core.policies.base import SchedulingPolicy
 from repro.flow.graph import FlowNetwork
 from repro.solvers import make_executor
@@ -298,11 +301,9 @@ class FlowScheduler:
                 if task is not None and not task.is_running:
                     decision.unscheduled.append(task_id)
             return
-        assignments = extract_placements(
-            manager.network,
-            manager.task_nodes,
-            manager.machine_nodes,
-            manager.sink_node,
+        assignments = manager.extract_assignments()
+        result.statistics.tasks_reextracted = (
+            manager.flow_assignments.last_reextracted
         )
         diff_assignments(
             state, manager.task_nodes, assignments, self.allow_migrations, decision

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 
 class NodeType(enum.Enum):
@@ -122,6 +122,17 @@ class FlowNetwork:
         #: consumers of change batches verify a patch applies to the network
         #: revision their derived state mirrors.
         self.revision: int = 0
+        #: Keys of the arcs whose flow the flow writers (:meth:`set_flows`,
+        #: :meth:`ResidualNetwork.write_flow_back
+        #: <repro.solvers.residual.ResidualNetwork.write_flow_back>`) changed
+        #: since :meth:`take_flow_changes`; ``None`` while that set is
+        #: unknown (nothing taken yet, or a writer that does not compare
+        #: wrote), which readers must treat as "any arc may have changed".
+        self.flow_changes: Optional[Set[Tuple[int, int]]] = None
+        #: Token of the residual network that wrote the flows last (``None``
+        #: after any other writer): a residual may write only the arcs its
+        #: journal names iff it still finds its own token here.
+        self.flow_writer: Optional[object] = None
 
     # ------------------------------------------------------------------ #
     # Node management
@@ -164,6 +175,10 @@ class FlowNetwork:
     def node(self, node_id: int) -> Node:
         """Return the node with the given identifier."""
         return self._nodes[node_id]
+
+    def find_node(self, node_id: int) -> Optional[Node]:
+        """Return the node with the given identifier, or ``None``."""
+        return self._nodes.get(node_id)
 
     def has_node(self, node_id: int) -> bool:
         """Return whether a node with the given identifier exists."""
@@ -229,6 +244,11 @@ class FlowNetwork:
         """Return the outgoing arcs of a node (in insertion order)."""
         return list(self._out[node_id].values())
 
+    def iter_outgoing(self, node_id: int) -> Iterable[Arc]:
+        """Iterate a node's outgoing arcs in place (no list is built; the
+        network must not be mutated meanwhile)."""
+        return self._out[node_id].values()
+
     def incoming(self, node_id: int) -> List[Arc]:
         """Return the incoming arcs of a node (in insertion order)."""
         return list(self._in[node_id].values())
@@ -282,16 +302,43 @@ class FlowNetwork:
 
     def clear_flow(self) -> None:
         """Reset the flow on every arc to zero."""
-        for arc in self._arcs.values():
-            arc.flow = 0
+        self.load_flows({})
 
     def set_flows(self, flows: Dict[Tuple[int, int], int]) -> None:
         """Assign flow values to arcs from a ``{(src, dst): flow}`` mapping.
 
-        Arcs not present in ``flows`` are reset to zero flow.
+        Arcs not present in ``flows`` are reset to zero flow.  The arcs
+        whose flow actually moved are added to :attr:`flow_changes`.
         """
-        for arc in self._arcs.values():
-            arc.flow = flows.get(arc.key(), 0)
+        changed = self.flow_changes
+        get = flows.get
+        for key, arc in self._arcs.items():
+            flow = get(key, 0)
+            if arc.flow != flow:
+                arc.flow = flow
+                if changed is not None:
+                    changed.add(key)
+        self.flow_writer = None
+
+    def load_flows(self, flows: Dict[Tuple[int, int], int]) -> None:
+        """Assign a (possibly stale) solution's flows, clamped to today's
+        capacities: the warm-start preload.  Arcs absent from ``flows`` are
+        zeroed.  Untracked -- :attr:`flow_changes` becomes unknown."""
+        get = flows.get
+        for key, arc in self._arcs.items():
+            arc.flow = min(get(key, 0), arc.capacity)
+        self.forget_flow_changes()
+
+    def forget_flow_changes(self) -> None:
+        """Declare the changed-flow set unknown (an untracked write)."""
+        self.flow_changes = None
+        self.flow_writer = None
+
+    def take_flow_changes(self) -> Optional[Set[Tuple[int, int]]]:
+        """Return :attr:`flow_changes` and start a fresh, empty set."""
+        changed = self.flow_changes
+        self.flow_changes = set()
+        return changed
 
     def flows(self) -> Dict[Tuple[int, int], int]:
         """Return a ``{(src, dst): flow}`` mapping of the current flow."""

@@ -11,12 +11,24 @@ Everything runs on one asyncio event loop except the solver:
   what makes concurrent clients safe without locks: the handlers and the
   round loop interleave only at await points, and the state is touched by
   exactly one of them (the round loop, between solver runs).
-* **The round loop** drains the inbox at the top of each round, turning
-  every queued record into ordinary :class:`ClusterState` mutations
-  (``submit_job``, ``add_machine``, ``fail_machine``, ``complete_task``).
-  The state's :class:`~repro.cluster.state.DirtyTracker` picks the
-  mutations up exactly as it does under the simulator, so the scheduler's
-  incremental path keeps its O(|changes|) admission cost.  The solver then
+* **The round loop** is triggered by work, not by a clock (Figure 2b of
+  the paper: the solver re-runs as soon as the previous run has been
+  applied, folding in whatever arrived meanwhile).  A round starts as soon
+  as the previous one has applied and something that can change a decision
+  is queued -- a submission or machine event; a completion *while tasks are
+  pending*; or pending tasks left by a round that placed, moved, preempted
+  or re-homed at least one task.  Whatever arrives during a solve coalesces
+  into the next round; there is no timed window.  Work that cannot change a
+  decision now -- completions nobody is waiting on, pending tasks the last
+  round just failed to place -- is *deferred*: it rides along with the next
+  triggered round, or is looked at after ``round_interval`` at the latest,
+  which is also what keeps a full cluster from spinning.  An idle service
+  runs no rounds.  The round drains the inbox, turning every queued record
+  into ordinary :class:`ClusterState` mutations (``submit_job``,
+  ``add_machine``, ``fail_machine``, ``complete_task``).  The state's
+  :class:`~repro.cluster.state.DirtyTracker` picks the mutations up exactly
+  as it does under the simulator, so the scheduler's incremental path keeps
+  its O(|changes|) admission cost.  If tasks are pending the solver then
   runs in a worker thread (``run_in_executor``) so the loop stays
   responsive; because all mutation goes through the inbox, nothing touches
   the state while the solver reads it.
@@ -112,9 +124,14 @@ class ServiceConfig:
         host: Bind address.
         port: Bind port; 0 asks the kernel for an ephemeral port (read the
             actual one from :attr:`SchedulerService.port` after start).
-        round_interval: Minimum seconds between scheduling rounds.  Work
-            arriving mid-round is coalesced and admitted at the next round
-            boundary; an idle service sleeps until work arrives.
+        round_interval: Longest the round loop leaves *deferred* work
+            unlooked at: completions nobody is waiting on, and pending
+            tasks the last round failed to place.  Everything else --
+            submissions, machine events, a completion while tasks are
+            pending -- starts a round as soon as the previous one has
+            applied, so this is a ceiling on deferral (and the retry rate
+            of a full cluster: at most ``1 / round_interval`` rounds per
+            second), not a floor under rounds.
         client_queue_limit: Notification events buffered per client before
             the client is declared too slow and evicted (backpressure
             boundary between the round loop and a stalled TCP peer).
@@ -151,6 +168,13 @@ class ServiceStats:
     preemptions: int = 0
     completions: int = 0
     evicted_clients: int = 0
+    #: Pacing: rounds that ran the solver, inbox drains that had records to
+    #: apply and how many, and wall seconds spent inside rounds (drain to
+    #: apply) -- rounds/s, events/round and the busy ratio follow.
+    solver_rounds: int = 0
+    drains: int = 0
+    events_admitted: int = 0
+    round_busy_seconds: float = 0.0
 
     def pending(self) -> int:
         """Accepted tasks not yet placed nor voided (the derived leg)."""
@@ -175,6 +199,10 @@ class ServiceStats:
             "preemptions": self.preemptions,
             "completions": self.completions,
             "evicted_clients": self.evicted_clients,
+            "solver_rounds": self.solver_rounds,
+            "drains": self.drains,
+            "events_admitted": self.events_admitted,
+            "round_busy_seconds": round(self.round_busy_seconds, 6),
         }
 
 
@@ -240,8 +268,10 @@ class SchedulerService:
         self._next_task_id = 1 + max(state.tasks, default=-1)
         self._next_machine_id = 1 + max(state.topology.machines, default=-1)
         self._machines_per_rack = self._infer_machines_per_rack()
-        #: task_id -> owning client_id, for notification routing.  Entries
-        #: survive client eviction removal so counters stay exact.
+        #: task_id -> owning client_id, for notification routing, from
+        #: acceptance until the task completes (or is voided by a drain).
+        #: Entries survive their client's eviction: the client is gone from
+        #: ``_clients``, so its notifications are simply dropped.
         self._task_owner: Dict[int, int] = {}
         #: Tasks that have received their first placement (so re-placements
         #: after preemption are not double counted).
@@ -252,6 +282,14 @@ class SchedulerService:
         #: crash) gets the original ack instead of a second job.
         self._idempotency: Dict[str, Tuple[int, List[int]]] = {}
         self._duplicates = 0
+        #: Whether the inbox holds a record that can change a decision by
+        #: itself (anything but a completion); cleared by the drain.
+        self._decision_queued = False
+        #: Whether the last round changed the cluster (placed, moved,
+        #: preempted or re-homed a task), so what it left pending deserves
+        #: another round at once.  True at start: tasks a recovered state
+        #: brings along have not been looked at yet.
+        self._progressed = True
         self._draining = False
         self._stopped = asyncio.Event()
         self._t0 = time.monotonic()
@@ -513,8 +551,11 @@ class SchedulerService:
             self._duplicates += 1
             for task_id in task_ids:
                 # Notifications for the job now route to the resubmitting
-                # connection (the original owner is usually gone).
-                self._task_owner[task_id] = client.client_id
+                # connection (the original owner is usually gone) -- for
+                # the tasks that can still send one.
+                task = self.state.tasks.get(task_id)
+                if task is None or not task.is_finished:
+                    self._task_owner[task_id] = client.client_id
             self._notify(client.client_id, {
                 "event": "ack", "id": req_id, "job_id": job_id,
                 "accepted": 0, "duplicate": True, "task_ids": task_ids,
@@ -562,8 +603,7 @@ class SchedulerService:
         self.stats.accepted += num_tasks
         if key is not None:
             self._idempotency[key] = (job.job_id, list(task_ids))
-        self._inbox.append((_SUBMIT, (key, job)))
-        self._wake.set()
+        self._enqueue(_SUBMIT, (key, job))
         self._notify(client.client_id, {
             "event": "ack", "id": req_id, "job_id": job.job_id,
             "accepted": num_tasks, "task_ids": task_ids,
@@ -594,9 +634,8 @@ class SchedulerService:
                     template.network_bandwidth_mbps if template else 10_000
                 ),
             )
-            self._inbox.append((_ADD_MACHINE, machine))
+            self._enqueue(_ADD_MACHINE, machine)
             machine_ids.append(machine_id)
-        self._wake.set()
         self._notify(client.client_id, {
             "event": "ack", "id": req_id, "machine_ids": machine_ids,
         })
@@ -611,8 +650,7 @@ class SchedulerService:
                 "error": f"unknown machine: {machine_id!r}",
             })
             return
-        self._inbox.append((_REMOVE_MACHINE, machine_id))
-        self._wake.set()
+        self._enqueue(_REMOVE_MACHINE, machine_id)
         self._notify(client.client_id, {
             "event": "ack", "id": req_id, "machine_id": machine_id,
         })
@@ -680,50 +718,57 @@ class SchedulerService:
     # ------------------------------------------------------------------ #
     # Round loop
     # ------------------------------------------------------------------ #
+    def _enqueue(self, kind: str, payload: Any) -> None:
+        """Queue an admission record and wake the round loop."""
+        self._inbox.append((kind, payload))
+        if kind != _COMPLETE:
+            self._decision_queued = True
+        self._wake.set()
+
+    def _round_due(self) -> bool:
+        """Whether something that can change a decision is waiting.
+
+        A submission or machine event always can.  A completion can while
+        tasks are pending (it frees a slot), and so can the pending tasks
+        themselves right after a round that changed the cluster (a
+        preemption or a cross-cell re-home set up the round that places
+        them).  Anything else -- completions nobody waits on, tasks the
+        last round just failed to place -- is deferred work.
+        """
+        if self._decision_queued:
+            return True
+        return bool(
+            self.state.num_pending_tasks and (self._inbox or self._progressed)
+        )
+
     async def _round_loop(self) -> None:
-        loop = asyncio.get_running_loop()
+        # When deferred work must be looked at: ``round_interval`` after
+        # the loop first found it waiting.
+        look_by: Optional[float] = None
         while not self._draining:
-            if not self._inbox and not self.state.num_pending_tasks:
-                # Idle: sleep until a handler enqueues work (or drain).
-                await self._wake.wait()
-                self._wake.clear()
-                continue
-            # No await between the drain check above and this drain, so a
-            # concurrently starting drain cannot race submissions past the
-            # front door: they are either admitted here or voided below.
-            round_started = self.now()
-            self._drain_inbox(round_started)
-            if self.state.num_pending_tasks:
-                now = self.now()
-                try:
-                    decision = await loop.run_in_executor(
-                        None, self.scheduler.schedule, self.state, now
-                    )
-                except Exception as error:  # solver died: degrade, carry on
-                    self.stats.rounds += 1
-                    self.stats.degraded_rounds += 1
-                    self._broadcast({
-                        "event": "error",
-                        "error": f"scheduling round failed: {error}",
-                    })
+            if not self._round_due():
+                if not self._inbox and not self.state.num_pending_tasks:
+                    # Idle: sleep until a handler enqueues work (or drain).
+                    look_by, delay = None, None
                 else:
-                    self._apply_round(decision, now)
-            if self._durability is not None and self._durability.should_snapshot():
-                self._write_snapshot()
-            # Pace rounds: the interval is a hard minimum so submissions
-            # arriving in the gap coalesce into the next admission batch.
-            # Only a drain request cuts the gap short.
-            deadline = round_started + self.config.round_interval
-            while not self._draining:
-                delay = deadline - self.now()
-                if delay <= 0:
-                    break
-                try:
-                    await asyncio.wait_for(self._wake.wait(), timeout=delay)
-                except asyncio.TimeoutError:
-                    break
-                self._wake.clear()
-            self._wake.clear()
+                    if look_by is None:
+                        look_by = self.now() + self.config.round_interval
+                    delay = look_by - self.now()
+                if delay is None or delay > 0:
+                    # Nothing runs between the checks above and this wait,
+                    # so clearing here cannot lose a wake-up.
+                    self._wake.clear()
+                    try:
+                        await asyncio.wait_for(self._wake.wait(), delay)
+                    except asyncio.TimeoutError:
+                        pass
+                    continue
+            # No await between the drain check at the top of the loop and
+            # the round's inbox drain, so a concurrently starting drain
+            # cannot race submissions past the front door: they are either
+            # admitted by this round or voided below.
+            look_by = None
+            await self._run_round()
         # Drain: accepted-but-unadmitted submissions are voided as
         # rejected; remaining machine/completion events still apply so the
         # final state is honest.  No further scheduling rounds run -- what
@@ -731,6 +776,31 @@ class SchedulerService:
         # conservation law accounts for it exactly.
         self._void_queued_submissions()
         self._drain_inbox(self.now())
+
+    async def _run_round(self) -> None:
+        """Admit the inbox; schedule and apply if tasks are pending."""
+        busy_from = time.monotonic()
+        self._drain_inbox(self.now())
+        if self.state.num_pending_tasks:
+            now = self.now()
+            self.stats.solver_rounds += 1
+            try:
+                decision = await asyncio.get_running_loop().run_in_executor(
+                    None, self.scheduler.schedule, self.state, now
+                )
+            except Exception as error:  # solver died: degrade, carry on
+                self.stats.rounds += 1
+                self.stats.degraded_rounds += 1
+                self._progressed = False
+                self._broadcast({
+                    "event": "error",
+                    "error": f"scheduling round failed: {error}",
+                })
+            else:
+                self._apply_round(decision, now)
+        if self._durability is not None and self._durability.should_snapshot():
+            self._write_snapshot()
+        self.stats.round_busy_seconds += time.monotonic() - busy_from
 
     def _drain_inbox(self, now: float) -> None:
         """Apply every queued admission record as state mutations.
@@ -746,6 +816,9 @@ class SchedulerService:
             return
         batch = list(self._inbox)
         self._inbox.clear()
+        self._decision_queued = False
+        self.stats.drains += 1
+        self.stats.events_admitted += len(batch)
         if self._durability is not None and self._durability.active:
             self._durability.log_admission(admit_payload(
                 submissions=[p for k, p in batch if k == _SUBMIT],
@@ -784,7 +857,8 @@ class SchedulerService:
                 ):
                     self.state.complete_task(task_id, now)
                     self.stats.completions += 1
-                    self._notify(self._task_owner.get(task_id, -1), {
+                    # The task's last notification: its owner entry goes.
+                    self._notify(self._task_owner.pop(task_id, -1), {
                         "event": "completion", "task_id": task_id,
                         "job_id": task.job_id,
                     })
@@ -828,6 +902,11 @@ class SchedulerService:
         self.stats.rounds += 1
         if decision.degraded:
             self.stats.degraded_rounds += 1
+        solved = decision.solver_result
+        self._progressed = bool(
+            decision.placements or decision.migrations or decision.preemptions
+            or (solved is not None and solved.statistics.cross_cell_migrations)
+        )
         for task_id in decision.preemptions:
             self.stats.preemptions += 1
             task = self.state.tasks[task_id]
@@ -861,8 +940,7 @@ class SchedulerService:
     def _enqueue_completion(self, task_id: int, start_time: float) -> None:
         if self._stopped.is_set():
             return
-        self._inbox.append((_COMPLETE, (task_id, start_time)))
-        self._wake.set()
+        self._enqueue(_COMPLETE, (task_id, start_time))
 
     def _broadcast(self, payload: Dict[str, Any]) -> None:
         for client_id in list(self._clients):
@@ -884,10 +962,12 @@ class SchedulerService:
             for kind, payload in self._inbox
             if kind == _SUBMIT
         )
+        # Live tasks only: a completed task was placed first, so it could
+        # never count here, and ``state.tasks`` keeps all of history.
         unplaced = sum(
             1
-            for task_id in self.state.tasks
-            if task_id not in self._placed_ids
+            for task in self.state.live_tasks()
+            if task.task_id not in self._placed_ids
         )
         return queued + unplaced
 

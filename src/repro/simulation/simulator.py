@@ -130,6 +130,9 @@ class ScheduleRecord:
     #: Round-level like the price-refine fields: the leg's flag is folded
     #: in even when relaxation wins.
     delta_solve: int = 0
+    #: Tasks whose placement the round re-derived from the flow instead of
+    #: carrying it over (every task on the first round and on rebuilds).
+    tasks_reextracted: int = 0
     #: Relaxation observability of the round (zero for baselines): nodes
     #: added across the relaxation leg's zero-reduced-cost trees and its
     #: dual-ascent count.  Round-level attribution like the price-refine
@@ -482,6 +485,7 @@ class SimulatorBridge:
         refine_seconds = 0.0
         refine_passes = 0
         delta_solve = 0
+        tasks_reextracted = 0
         relaxation_tree_nodes = 0
         dual_ascents = 0
         snapshot_ships = 0
@@ -500,6 +504,7 @@ class SimulatorBridge:
             refine_seconds = statistics.price_refine_seconds
             refine_passes = statistics.price_refine_passes
             delta_solve = statistics.delta_solve
+            tasks_reextracted = statistics.tasks_reextracted
             relaxation_tree_nodes = statistics.relaxation_tree_nodes
             dual_ascents = statistics.dual_ascents
             snapshot_ships = statistics.snapshot_ships
@@ -524,6 +529,7 @@ class SimulatorBridge:
                 price_refine_seconds=refine_seconds,
                 price_refine_passes=refine_passes,
                 delta_solve=delta_solve,
+                tasks_reextracted=tasks_reextracted,
                 relaxation_tree_nodes=relaxation_tree_nodes,
                 dual_ascents=dual_ascents,
                 snapshot_ships=snapshot_ships,

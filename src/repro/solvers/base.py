@@ -41,6 +41,12 @@ class SolverStatistics:
     #: batch (zero on rebuild rounds).
     arcs_patched: int = 0
     nodes_touched: int = 0
+    #: Tasks whose placement the scheduler re-derived from the round's flow
+    #: (filled in by the scheduler, not the solver): the tasks touched by a
+    #: changed-flow arc or a structural graph change plus those routed
+    #: through aggregators; every task on round 1 and rebuild rounds.  A
+    #: sharded round sums its cells.
+    tasks_reextracted: int = 0
     #: 1 when an incremental cost scaling solve repaired its retained
     #: residual in place (``solve_delta``), 0 when it rebuilt.  Answers "is
     #: the delta chain alive" per round: a change batch being *handed over*
@@ -118,6 +124,7 @@ class SolverStatistics:
             warm_start=self.warm_start or other.warm_start,
             arcs_patched=self.arcs_patched + other.arcs_patched,
             nodes_touched=self.nodes_touched + other.nodes_touched,
+            tasks_reextracted=self.tasks_reextracted + other.tasks_reextracted,
             delta_solve=self.delta_solve + other.delta_solve,
             price_refine_seconds=self.price_refine_seconds
             + other.price_refine_seconds,

@@ -518,8 +518,7 @@ class CostScalingSolver(Solver):
         """
         start = time.perf_counter()
         self.last_degradation = None
-        for arc in network.arcs():
-            arc.flow = min(warm_flows.get(arc.key(), 0), arc.capacity)
+        network.load_flows(warm_flows)
         self._check_abort()
         residual = ResidualNetwork(
             network, use_existing_flow=True, abort_check=self.abort_check

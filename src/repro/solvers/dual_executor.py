@@ -39,14 +39,22 @@ Racing every round is insurance, not a law: when one algorithm has been
 winning by a wide margin the loser's run is pure waste (CPU on the
 sequential executor, a core plus IPC on the parallel one).  The
 ``executor_policy`` knob selects between the paper-faithful ``"race"``
-(default, always speculate) and ``"auto"``, which consults a small
-:class:`RaceCostModel` fed by recent :class:`~repro.solvers.base.
-SolverStatistics` -- last wall clocks of both legs, the round's change-batch
-size, and relaxation's contention proxy (dual ascents per augmentation, the
-mechanism behind the Figure 8/9 degradation) -- to pick per round between
-solo relaxation, solo incremental cost scaling, and the full race.  The
-model periodically forces a race so the skipped leg's estimate cannot go
-permanently stale.
+(default, always speculate) and ``"auto"``.  ``auto`` first applies the
+delta-solo rule (:data:`DELTA_SOLO_THRESHOLD`): a round whose small change
+batch chains onto cost scaling's persistent residual runs that leg alone,
+since a bounded repair cannot lose to from-scratch relaxation -- the rule
+the physically racing executor applies under either policy, where the
+second leg costs a core instead of modeling one.  The remaining rounds
+consult a small :class:`RaceCostModel` fed by recent :class:`~repro.solvers.
+base.SolverStatistics` -- last wall clocks of both legs, the round's
+change-batch size, and relaxation's contention proxy (dual ascents per
+augmentation, the mechanism behind the Figure 8/9 degradation) -- to pick
+per round between solo relaxation, solo incremental cost scaling, and the
+full race.  The model periodically forces a race so the skipped leg's
+estimate cannot go permanently stale.  ``serve`` schedules with ``auto``
+(it pays for every leg it runs); ``simulate`` and the figure benchmarks
+keep ``race``, where the sequential executor *models* two cores and
+charges the minimum.
 """
 
 from __future__ import annotations
@@ -70,6 +78,16 @@ from repro.solvers.relaxation import RelaxationSolver
 
 #: Executor policies accepted by the executors, the scheduler, and the CLI.
 EXECUTOR_POLICIES = ("race", "auto")
+
+#: Change-batch size up to which a *delta-armed* round skips speculation.
+#: When the incremental solver holds a revision-chained persistent residual,
+#: its round costs O(|changes| + repair) -- for batches this small that is
+#: far below any from-scratch relaxation run, so racing cannot change the
+#: winner; it only burns a second core (or, run back to back, the whole
+#: relaxation leg on the one core there is).  Rebuild rounds -- first round,
+#: post-seed rounds, oversized batches -- always race, which is where
+#: Section 6.1's tail-latency insurance actually pays.
+DELTA_SOLO_THRESHOLD = 1024
 
 
 @dataclass
@@ -325,6 +343,9 @@ class SpeculativeDualExecutor(Solver):
         if relaxation_ascent_cap is not None:
             self.relaxation.ascent_cap = relaxation_ascent_cap
         self.chaos = chaos
+        #: Largest change batch the delta-solo rule serves with the
+        #: cost-scaling leg alone (0 leaves only empty batches to it).
+        self.delta_solo_threshold: int = DELTA_SOLO_THRESHOLD
         #: Rounds that blew their hard deadline with no usable result
         #: (each raised :class:`RoundDeadlineExceeded`).
         self.deadline_exceeded_rounds: int = 0
@@ -340,6 +361,8 @@ class SpeculativeDualExecutor(Solver):
         #: Rounds the adaptive policy served with a single leg.
         self.solo_relaxation_rounds: int = 0
         self.solo_cost_scaling_rounds: int = 0
+        #: Delta-armed rounds solved solo (speculation skipped as futile).
+        self.solo_delta_rounds: int = 0
 
     def solve(
         self, network: FlowNetwork, changes: Optional[ChangeBatch] = None
@@ -372,6 +395,7 @@ class SpeculativeDualExecutor(Solver):
         self.total_work_seconds = 0.0
         self.solo_relaxation_rounds = 0
         self.solo_cost_scaling_rounds = 0
+        self.solo_delta_rounds = 0
 
     # ------------------------------------------------------------------ #
     # Shared race plumbing
@@ -397,14 +421,38 @@ class SpeculativeDualExecutor(Solver):
                 self.incremental.validate_residual = True
         return chaos, round_index
 
-    def _choose_strategy(self, changes: Optional[ChangeBatch]) -> str:
-        """Resolve the round's strategy under the configured policy."""
-        if self.executor_policy != "auto":
+    def _choose_strategy(
+        self, changes: Optional[ChangeBatch], physical: bool = False
+    ) -> str:
+        """Resolve the round's strategy: ``"race"``, ``"relaxation"`` or
+        ``"cost_scaling"``.
+
+        The delta-solo rule comes first -- before the cost model, whose
+        moving averages would otherwise put solo relaxation on exactly the
+        steady rounds where a delta repair is cheapest, dropping the
+        residual that makes it so.  It holds under ``auto``, and under
+        either policy for a ``physical`` race.
+        """
+        delta_armed = self.incremental.can_solve_delta(changes)
+        auto = self.executor_policy == "auto"
+        if (
+            (auto or physical)
+            and delta_armed
+            and len(changes) <= self.delta_solo_threshold
+        ):
+            # Cost scaling's repair is O(|changes|) and cannot lose to a
+            # from-scratch relaxation run.
+            self.solo_delta_rounds += 1
+            return "cost_scaling"
+        if not auto:
             return "race"
-        return self.cost_model.choose(
+        strategy = self.cost_model.choose(
             batch_size=len(changes) if changes is not None else None,
-            delta_armed=self.incremental.can_solve_delta(changes),
+            delta_armed=delta_armed,
         )
+        if strategy == "cost_scaling":
+            self.solo_cost_scaling_rounds += 1
+        return strategy
 
     def _race_inline(
         self,
@@ -473,6 +521,8 @@ class SpeculativeDualExecutor(Solver):
                 "no solver produced a feasible flow within the round budget"
                 + (f" ({budget:.3f}s)" if budget is not None else "")
             )
+        if strategy == "relaxation" and cost_scaling_result is None:
+            self.solo_relaxation_rounds += 1
         return self._finish_round(
             network, started, relaxation_result, cost_scaling_result,
             winner_is_relaxation=cost_scaling_result is None
@@ -596,15 +646,6 @@ class SpeculativeDualExecutor(Solver):
             self.relaxation_wins += 1
         else:
             self.cost_scaling_wins += 1
-        if not result.raced and result.executor != "parallel":
-            # Sequential and fallback solo rounds are classified here from
-            # the result shape; the parallel executor counts its own solo
-            # rounds at the decision site instead, where delta-solos and
-            # policy solos are distinguishable.
-            if result.cost_scaling is None:
-                self.solo_relaxation_rounds += 1
-            elif result.relaxation is None:
-                self.solo_cost_scaling_rounds += 1
         self.total_wall_clock_seconds += result.wall_clock_seconds
         self.total_winner_runtime_seconds += result.winner.runtime_seconds
         self.total_work_seconds += result.total_work_seconds

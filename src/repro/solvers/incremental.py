@@ -384,9 +384,12 @@ class IncrementalCostScalingSolver(Solver):
                 # (if any) mirrors an older revision and must not be reused.
                 self._cost_scaling.last_residual = None
                 raise
-        self._last_flows = dict(result.flows)
-        self._last_potentials = dict(result.potentials)
-        self._last_scaled_potentials = dict(self._cost_scaling.last_scaled_potentials or {})
+        # The warm state is only read after the residual was dropped, and
+        # then copied before use (_solve_rebuild): the result's and the
+        # inner solver's dicts, fresh per solve, are kept by reference.
+        self._last_flows = result.flows
+        self._last_potentials = result.potentials
+        self._last_scaled_potentials = self._cost_scaling.last_scaled_potentials
         self._last_scale = self._cost_scaling.last_scale
         return result
 

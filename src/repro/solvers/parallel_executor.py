@@ -29,7 +29,8 @@ First finisher wins:
 
 Speculation is adaptive: when the incremental solver holds a
 revision-chained persistent residual and the round's change batch is small
-(:data:`DELTA_SOLO_THRESHOLD`), the parent solves solo -- a bounded
+(:data:`~repro.solvers.dual_executor.DELTA_SOLO_THRESHOLD`; the rule lives
+in the shared ``_choose_strategy``), the parent solves solo -- a bounded
 O(|changes|) repair cannot lose to a from-scratch relaxation run, so racing
 would only waste a core (and on oversubscribed hosts would actively slow
 the guaranteed winner).  Under ``executor_policy="auto"`` the shared
@@ -63,6 +64,7 @@ from repro.solvers.base import (
     SolverResult,
 )
 from repro.solvers.dual_executor import (
+    DELTA_SOLO_THRESHOLD,
     DualExecutionResult,
     RaceCostModel,
     SpeculativeDualExecutor,
@@ -71,16 +73,6 @@ from repro.solvers.incremental import IncrementalCostScalingSolver
 from repro.solvers.relaxation import RelaxationSolver
 from repro.solvers.worker import WorkerClient
 from repro.solvers.worker_health import WorkerCircuitBreaker
-
-#: Change-batch size up to which a *delta-armed* round skips speculation.
-#: When the incremental solver holds a revision-chained persistent residual,
-#: its round costs O(|changes| + repair) -- for batches this small that is
-#: far below any from-scratch relaxation run, so racing the worker cannot
-#: change the winner; it only burns a second core (or, on shared cores,
-#: steals scheduling quanta from the guaranteed winner).  Rebuild rounds --
-#: first round, post-seed rounds, oversized batches -- always race, which
-#: is where Section 6.1's tail-latency insurance actually pays.
-DELTA_SOLO_THRESHOLD = 1024
 
 #: How long the parent waits for the worker after the parent-side solver
 #: *failed* (e.g. infeasibility; the race is then an error against an
@@ -143,7 +135,8 @@ class ParallelDualExecutor(SpeculativeDualExecutor):
             incremental: Incremental cost scaling instance run in the parent.
             delta_solo_threshold: Skip speculation on delta-armed rounds
                 whose change batch is at most this large (0 races every
-                round); see :data:`DELTA_SOLO_THRESHOLD`.
+                round); see :data:`~repro.solvers.dual_executor.
+                DELTA_SOLO_THRESHOLD`.
             executor_policy: ``"race"`` (default) races every non-solo-delta
                 round; ``"auto"`` lets the cost model skip the predictable
                 loser (see :class:`~repro.solvers.dual_executor.
@@ -191,14 +184,11 @@ class ParallelDualExecutor(SpeculativeDualExecutor):
         self._last_round_fallback = False
         #: Rounds served by the sequential fallback (observability).
         self.fallback_rounds: int = 0
-        #: Delta-armed rounds solved solo (speculation skipped as futile).
-        self.solo_delta_rounds: int = 0
 
     def reset_counters(self) -> None:
         """Zero race and transport counters; worker and warm state persist."""
         super().reset_counters()
         self.fallback_rounds = 0
-        self.solo_delta_rounds = 0
         self.worker.reset_counters()
 
     def close(self) -> None:
@@ -238,20 +228,7 @@ class ParallelDualExecutor(SpeculativeDualExecutor):
         deadline: Optional[RoundDeadline] = None
         if self.round_deadline_seconds is not None:
             deadline = RoundDeadline(self.round_deadline_seconds)
-        if (
-            changes is not None
-            and len(changes) <= self.delta_solo_threshold
-            and self.incremental.can_solve_delta(changes)
-        ):
-            # Delta-armed round with a bounded batch: cost scaling's repair
-            # is O(|changes|) and cannot lose to a from-scratch relaxation
-            # run, so speculation would only burn CPU.  Solve solo.
-            self.solo_delta_rounds += 1
-            strategy = "cost_scaling"
-        else:
-            strategy = self._choose_strategy(changes)
-            if strategy == "cost_scaling":
-                self.solo_cost_scaling_rounds += 1
+        strategy = self._choose_strategy(changes, physical=True)
 
         # None whenever the worker takes no part in the round (solo cost
         # scaling, a busy or lost worker, a chaos kill): cost scaling then

@@ -205,8 +205,7 @@ class RelaxationSolver(Solver):
         experiments that demonstrate exactly that behaviour.
         """
         start = time.perf_counter()
-        for arc in network.arcs():
-            arc.flow = min(warm_flows.get(arc.key(), 0), arc.capacity)
+        network.load_flows(warm_flows)
         residual = ResidualNetwork(network, use_existing_flow=True)
         residual.load_potentials(warm_potentials)
         stats = SolverStatistics(warm_start=True)

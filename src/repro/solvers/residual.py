@@ -131,6 +131,10 @@ class ResidualNetwork:
         # :meth:`invalidate_flow_journal`.
         self._flow_journal: Optional[set] = None
         self._flows_cache: Optional[Dict[Tuple[int, int], int]] = None
+        # The token this residual left in ``FlowNetwork.flow_writer`` when it
+        # last wrote a network; dropped as soon as journal entries are
+        # folded away without having been written (see write_flow_back).
+        self._write_token: Optional[object] = None
 
         ops_until_check = CONSTRUCTION_CHECK_INTERVAL
         for arc in network.arcs():
@@ -665,16 +669,22 @@ class ResidualNetwork:
         """Whether extractions are currently served from the journal."""
         return self._flow_journal is not None and self._flows_cache is not None
 
-    def _sync_flow_journal(self) -> Optional[Dict[Tuple[int, int], int]]:
+    def _sync_flow_journal(
+        self, written: bool = False
+    ) -> Optional[Dict[Tuple[int, int], int]]:
         """Fold pending journal entries into the flows cache.
 
         Returns the up-to-date cache, or ``None`` when tracking is off.
+        Entries folded away without having been ``written`` to the network
+        end this residual's claim to be that network's exact last writer.
         """
         journal = self._flow_journal
         cache = self._flows_cache
         if journal is None or cache is None:
             return None
         if journal:
+            if not written:
+                self._write_token = None
             arc_residual = self.arc_residual
             keys = self.forward_arc_keys
             for position in journal:
@@ -709,39 +719,43 @@ class ResidualNetwork:
     def write_flow_back(self, network: FlowNetwork) -> None:
         """Write the computed flow back onto the original network's arcs.
 
-        On the delta path (journal active) only the changed and non-zero
-        flows are written -- O(changed + non-zero flows).  The target
-        network may carry the *previous* round's flows on its arcs (the
-        graph manager mutates one persistent network in place), so arcs
-        whose journaled flow dropped to zero are explicitly zeroed before
-        the cache of non-zero flows is applied.
+        When this residual was the last to write ``network`` and has
+        journaled every flow it moved since (the steady state of a
+        persistent solver on the graph manager's persistent network), the
+        rest of the network already carries its flow: only the journaled
+        arcs are written, O(changed), and the ones whose value moved are
+        reported in :attr:`FlowNetwork.flow_changes`.  Any other write --
+        a fresh residual, a network someone else wrote in between, an
+        invalidated journal -- visits every live arc and leaves the
+        changed set unknown.
         """
-        journaled: Optional[List[Tuple[int, int]]] = None
-        if self._flow_journal is not None and self._flows_cache is not None:
-            journaled = [
-                key
-                for key in (
-                    self.forward_arc_keys[position]
-                    for position in self._flow_journal
-                )
-                if key is not None
-            ]
-        cache = self._sync_flow_journal()
-        if cache is not None:
-            if journaled:
-                for key in journaled:
-                    if key not in cache and network.has_arc(*key):
-                        network.arc(*key).flow = 0
-            for key, flow in cache.items():
-                if network.has_arc(*key):
-                    network.arc(*key).flow = flow
-            return
         arc_residual = self.arc_residual
-        for position, key in enumerate(self.forward_arc_keys):
-            if key is None:
-                continue
-            if network.has_arc(*key):
-                network.arc(*key).flow = arc_residual[2 * position + 1]
+        keys = self.forward_arc_keys
+        find_arc = network.find_arc
+        if (
+            self.flow_journal_active
+            and self._write_token is not None
+            and network.flow_writer is self._write_token
+        ):
+            changed = network.flow_changes
+            for position in self._flow_journal:
+                key = keys[position]
+                arc = find_arc(*key) if key is not None else None
+                if arc is None:
+                    continue
+                flow = arc_residual[2 * position + 1]
+                if arc.flow != flow:
+                    arc.flow = flow
+                    if changed is not None:
+                        changed.add(key)
+        else:
+            for position, key in enumerate(keys):
+                arc = find_arc(*key) if key is not None else None
+                if arc is not None:
+                    arc.flow = arc_residual[2 * position + 1]
+            network.forget_flow_changes()
+            self._write_token = network.flow_writer = object()
+        self._sync_flow_journal(written=True)
 
     def flows(self) -> Dict[Tuple[int, int], int]:
         """Return the computed flow as a ``{(src, dst): flow}`` mapping.
@@ -760,10 +774,20 @@ class ResidualNetwork:
         return dict(self._flows_cache)
 
     def total_cost(self) -> int:
-        """Return the total cost of the current flow (in original units)."""
+        """Return the total cost of the current flow (in original units).
+
+        Summed over the cache of non-zero flows while the journal tracks
+        them, over every live arc otherwise.
+        """
         total = 0
-        arc_residual = self.arc_residual
         arc_cost = self.arc_cost
+        cache = self._sync_flow_journal()
+        if cache is not None:
+            arc_position = self.arc_position
+            for key, flow in cache.items():
+                total += flow * arc_cost[2 * arc_position[key]]
+            return total // self.cost_scale
+        arc_residual = self.arc_residual
         for position, key in enumerate(self.forward_arc_keys):
             if key is None:
                 continue

@@ -25,7 +25,10 @@ scratch.
 On top of the structural check, each round is wired into the cross-solver
 equivalence harness: the incremental cost-scaling solver consumes the
 directly-emitted batches (delta path) and its optimal cost must match the
-networkx oracle, so solver results agree end to end.
+networkx oracle, so solver results agree end to end.  The placements read
+off that flow close the loop: the assignment map the manager maintains
+across rounds must match the full Listing-1 walk (assigned set, per-machine
+counts, exactly on directly routed tasks) and equal re-deriving every task.
 
 Tier-1 runs 12 seeds for each of the six policies; the CI job runs this
 file in a dedicated fail-fast step.
@@ -40,6 +43,7 @@ import pytest
 
 from repro.cluster.machine import Machine
 from repro.core import GraphManager
+from repro.core.placement import FlowAssignments
 from repro.core.policies import (
     CpuMemoryPolicy,
     LoadSpreadingPolicy,
@@ -162,6 +166,8 @@ class _CheckedRounds:
         self.solver = IncrementalCostScalingSolver()
         self.label = label
         self.rounds = 0
+        #: Rounds whose extraction carried some task's placement over.
+        self.partial_extractions = 0
 
     def feed_pricing_inputs(self, rng: random.Random, state) -> None:
         """Move the policy's pricing state that raises no dirty event: a
@@ -195,6 +201,14 @@ class _CheckedRounds:
             f"{where}: incremental solver found {result.total_cost}, "
             f"oracle says {expected}"
         )
+        # The maintained assignments: cross-checked against the full walk
+        # inside the manager, and equal to re-deriving every task.
+        maintained = dict(manager.extract_assignments())
+        self.partial_extractions += (
+            manager.flow_assignments.last_reextracted < len(manager.task_nodes)
+        )
+        every_task = FlowAssignments().update(network, manager.task_nodes, None)
+        assert maintained == every_task, where
         return stats
 
 
@@ -311,6 +325,8 @@ def test_directed_rounds_absorbed_by_the_incremental_path(name):
     # And the chain is whole again: a quiet round re-derives nothing.
     stats = rounds.update(state, now=rounds.rounds * 10.0)
     assert (stats.dirty_tasks, stats.dirty_machines) == (0, 0)
+    # The ordinary rounds carried placements over; all-dirty ones cannot.
+    assert rounds.partial_extractions >= 2
 
 
 def test_incremental_rounds_dominate_on_low_churn():

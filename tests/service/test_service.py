@@ -23,6 +23,7 @@ from repro.core import FirmamentScheduler, ShardedScheduler
 from repro.core.policies import QuincyPolicy
 from repro.service import SchedulerService, ServiceConfig
 from repro.service.loadgen import run_loadgen
+from tests.service.gated_scheduler import GatedScheduler
 
 
 def make_service(
@@ -81,28 +82,36 @@ class TestSubmissionStreaming:
         asyncio.run(asyncio.wait_for(scenario(), 30))
 
     def test_submissions_coalesce_into_shared_rounds(self):
-        """Many jobs submitted inside one round gap share admission rounds."""
+        """Everything that arrives while a round is in flight is admitted
+        by exactly one next round."""
 
         async def scenario():
-            service = make_service(machines=16, round_interval=0.1)
+            gated = GatedScheduler(FirmamentScheduler(QuincyPolicy()))
+            service = make_service(machines=16, scheduler=gated)
             await service.start()
             try:
                 reader, writer = await asyncio.open_connection(
                     "127.0.0.1", service.port
                 )
+                gated.hold()
                 for sequence in range(6):
                     await send(writer, {
                         "op": "submit", "tasks": 2, "id": sequence,
-                        "duration": 1.0,
+                        "job_type": "service",
                     })
-                placed = 0
-                while placed < 12:
-                    message = await recv(reader)
-                    if message["event"] == "placement":
-                        placed += 1
+                    await recv_until(reader, "ack")
+                    if sequence == 0:
+                        # The first job's round is now held open; the other
+                        # five arrive (and are acked) while it solves.
+                        await gated.round_in_flight()
+                gated.release()
+                for _ in range(12):
+                    await recv_until(reader, "placement")
                 writer.close()
-                # 6 jobs, but far fewer rounds: the burst was coalesced.
-                assert service.stats.rounds < 6
+                # 6 jobs, two rounds: the held one, and one for the rest.
+                assert service.stats.rounds == 2
+                assert service.stats.drains == 2
+                assert service.stats.events_admitted == 6
             finally:
                 await service.stop()
 
@@ -233,24 +242,32 @@ class TestDrainConservation:
         """Tasks accepted but still in the inbox at drain become rejected."""
 
         async def scenario():
-            # A long round interval so a submission sits in the inbox.
-            service = make_service(machines=4, round_interval=5.0)
+            gated = GatedScheduler(FirmamentScheduler(QuincyPolicy()))
+            service = make_service(machines=4, scheduler=gated)
             await service.start()
             reader, writer = await asyncio.open_connection(
                 "127.0.0.1", service.port
             )
-            # First submission wakes the idle loop and is admitted at once;
-            # the second lands in the inter-round gap and stays queued.
+            # The first submission's round is held open, so the second
+            # stays queued in the inbox; the drain starts before the round
+            # is let go, and the loop runs no round after it.
+            gated.hold()
             await send(writer, {"op": "submit", "tasks": 2, "id": 0,
                                 "job_type": "service"})
             await recv_until(reader, "ack")
-            for _ in range(2):
-                await recv_until(reader, "placement")
+            await gated.round_in_flight()
             await send(writer, {"op": "submit", "tasks": 3, "id": 1,
                                 "job_type": "service"})
             await recv_until(reader, "ack")
 
-            snapshot = await service.stop()
+            stopping = asyncio.create_task(service.stop())
+            await asyncio.sleep(0)
+            gated.release()
+            for _ in range(2):
+                await recv_until(reader, "placement")
+            rejected = await recv_until(reader, "rejected")
+            assert len(rejected["task_ids"]) == 3
+            snapshot = await stopping
             assert snapshot["accepted"] == 5
             assert snapshot["placed"] == 2
             assert snapshot["rejected"] == 3
@@ -259,6 +276,37 @@ class TestDrainConservation:
             writer.close()
 
         asyncio.run(asyncio.wait_for(scenario(), 30))
+
+
+class TestBoundedBookkeeping:
+    def test_the_service_forgets_completed_tasks(self):
+        """Owner entries live from acceptance to completion, and a stats
+        poll counts live tasks, not history."""
+
+        async def scenario():
+            service = make_service(machines=16)
+            await service.start()
+            try:
+                result = await run_loadgen(
+                    "127.0.0.1", service.port, clients=4, jobs_per_client=10,
+                    tasks_per_job=5, duration=1.0,
+                )
+                assert result.tasks_placed == 200
+                for _ in range(500):
+                    assert len(service._task_owner) == service.state.num_live_tasks
+                    if service.stats.completions == 200:
+                        break
+                    await asyncio.sleep(0.01)
+                assert service.stats.completions == 200
+                assert service._task_owner == {}
+                assert len(service.state.tasks) == 200  # history stays there
+                stats = service.stats.snapshot(service._pending_actual())
+                assert stats["conserved"] is True
+                assert (stats["placed"], stats["pending"]) == (200, 0)
+            finally:
+                await service.stop()
+
+        asyncio.run(asyncio.wait_for(scenario(), 60))
 
 
 class TestBackpressure:

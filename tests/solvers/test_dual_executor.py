@@ -14,7 +14,11 @@ from repro.flow.validation import (
 )
 from repro.solvers.base import COMPLEXITY_TABLE, PRECONDITION_TABLE, SolverStatistics
 from repro.solvers.cost_scaling import CostScalingSolver
-from repro.solvers.dual_executor import DualAlgorithmExecutor, RaceCostModel
+from repro.solvers.dual_executor import (
+    DELTA_SOLO_THRESHOLD,
+    DualAlgorithmExecutor,
+    RaceCostModel,
+)
 from repro.solvers.incremental import IncrementalCostScalingSolver
 from repro.solvers.parallel_executor import ParallelDualExecutor
 from repro.solvers.relaxation import RelaxationSolver
@@ -375,6 +379,9 @@ class TestSurvivingDeltaChain:
     def test_policy_solo_relaxation_round_still_seeds(self, monkeypatch):
         model = RaceCostModel()
         executor = DualAlgorithmExecutor(executor_policy="auto", cost_model=model)
+        # Every (non-empty) batch is oversized for the delta-solo rule, so
+        # the rounds are the cost model's to decide.
+        executor.delta_solo_threshold = 0
         rig_race(monkeypatch, executor, lambda index: True)
         rounds = self.hand_built_rounds(5)
         executor.solve_detailed(*next(rounds))
@@ -413,6 +420,60 @@ class TestSurvivingDeltaChain:
         executor.incremental.deadline_check = None
         assert not detailed.cost_scaling.optimal
         self.assert_reseeded_then_rebuilt(executor, rounds)
+
+
+class TestServicePathSingleLeg:
+    """``executor_policy="auto"`` (what ``serve`` schedules with): a small
+    batch chained onto cost scaling's residual runs that leg alone."""
+
+    def test_steady_rounds_are_solo_delta_solves(self):
+        scheduler = FirmamentScheduler(QuincyPolicy(), executor_policy="auto")
+        executor = scheduler.solver
+        for round_index in churn_rounds(scheduler, 24):
+            detailed = executor.last_result
+            network = scheduler.last_network
+            scratch = CostScalingSolver().solve(network.copy())
+            assert detailed.winner.total_cost == scratch.total_cost
+            assert check_feasibility(network) == []
+            if round_index == 0:
+                assert detailed.raced  # cold: nothing to chain onto
+                continue
+            # One leg, on the delta path: no relaxation run to lose, no
+            # residual dropped by a solo-relaxation win.
+            assert detailed.relaxation is None, f"round {round_index}"
+            assert executor.incremental.delta_solves == round_index
+            assert detailed.winner.statistics.delta_solve == 1
+        assert executor.solo_delta_rounds == 23
+        assert executor.solo_relaxation_rounds == 0
+        assert executor.relaxation.residual_rebuilds == 1
+
+    def test_oversized_or_chain_broken_batch_still_races(self):
+        scheduler = FirmamentScheduler(QuincyPolicy(), executor_policy="auto")
+        executor = scheduler.solver
+        rounds = churn_rounds(scheduler, 8)
+        for _ in range(3):
+            next(rounds)
+        assert executor.last_result.relaxation is None
+        # Oversized: no batch is small enough for the rule any more.
+        executor.delta_solo_threshold = -1
+        next(rounds)
+        assert executor.last_result.raced
+        assert executor.last_result.cost_scaling.statistics.delta_solve == 1
+        executor.delta_solo_threshold = DELTA_SOLO_THRESHOLD
+        next(rounds)
+        assert executor.last_result.relaxation is None
+        # Chain-broken: the manager's batch never reaches the solver.
+        scheduler.graph_manager.track_changes = False
+        next(rounds)
+        assert executor.last_result.raced
+        assert executor.last_result.cost_scaling.statistics.delta_solve == 0
+        assert executor.solo_delta_rounds == 3
+
+    def test_race_policy_still_races_every_round(self):
+        scheduler = FirmamentScheduler(QuincyPolicy())
+        for _ in churn_rounds(scheduler, 6):
+            assert scheduler.solver.last_result.raced
+        assert scheduler.solver.solo_delta_rounds == 0
 
 
 class TestLegAttribution:

@@ -86,18 +86,80 @@ class TestJournalBookkeeping:
         residual.flows()
         residual.push(2 * residual.arc_position[(0, 1)], 2)
         residual.push(2 * residual.arc_position[(1, 2)], 2)
+        residual.write_flow_back(network)  # the first write visits every arc
         residual.push(2 * residual.arc_position[(0, 2)], 1)
+        residual.push(2 * residual.arc_position[(0, 1)] + 1, 1)
 
-        journaled = network.copy()
         assert residual.flow_journal_active
-        residual.write_flow_back(journaled)
+        residual.write_flow_back(network)  # the second, the journaled two
 
         full = network.copy()
+        full.clear_flow()
         residual.invalidate_flow_journal()
         residual.write_flow_back(full)
 
-        for arc in full.arcs():
-            assert journaled.arc(arc.src, arc.dst).flow == arc.flow
+        assert network.flows() == full.flows() == {(0, 1): 1, (1, 2): 2, (0, 2): 1}
+
+
+class TestLastWriter:
+    """``write_flow_back`` writes only its journaled arcs -- and says which
+    flows moved -- iff the residual is provably the network's last writer
+    and has folded no journal entry away unwritten."""
+
+    def solved(self):
+        network = build_small_network()
+        residual = ResidualNetwork(network)
+        residual.flows()
+        residual.push(2 * residual.arc_position[(0, 1)], 2)
+        residual.push(2 * residual.arc_position[(1, 2)], 2)
+        residual.write_flow_back(network)
+        return network, residual
+
+    def test_first_write_leaves_the_changed_set_unknown(self):
+        network, residual = self.solved()
+        assert network.flows() == {(0, 1): 2, (1, 2): 2}
+        assert network.flow_changes is None
+
+    def test_steady_write_reports_exactly_the_flows_that_moved(self):
+        network, residual = self.solved()
+        network.take_flow_changes()
+        # One arc gains flow; another is pushed and pushed back (journaled,
+        # but its value did not move).
+        residual.push(2 * residual.arc_position[(0, 2)], 1)
+        residual.push(2 * residual.arc_position[(0, 1)], 1)
+        residual.push(2 * residual.arc_position[(0, 1)] + 1, 1)
+        residual.write_flow_back(network)
+        assert network.take_flow_changes() == {(0, 2)}
+        assert network.flows() == residual.full_flows()
+
+    def test_another_writer_in_between_forces_a_full_write(self):
+        network, residual = self.solved()
+        network.take_flow_changes()
+        network.set_flows({(0, 2): 2})  # e.g. the other leg won a round
+        assert network.take_flow_changes() == {(0, 1), (1, 2), (0, 2)}
+        residual.push(2 * residual.arc_position[(0, 2)], 1)
+        residual.write_flow_back(network)
+        # Not just the journaled arc: the other writer's flows are gone.
+        assert network.flows() == residual.full_flows()
+        assert network.flow_changes is None
+
+    def test_entries_folded_away_unwritten_force_a_full_write(self):
+        network, residual = self.solved()
+        network.take_flow_changes()
+        residual.push(2 * residual.arc_position[(0, 2)], 1)
+        residual.flows()  # a solve(write_back=False) extracts its result
+        residual.push(2 * residual.arc_position[(0, 1)] + 1, 1)
+        residual.write_flow_back(network)
+        assert network.flows() == residual.full_flows()
+        assert network.flow_changes is None
+
+    def test_untracked_preload_makes_the_set_unknown(self):
+        network, residual = self.solved()
+        network.take_flow_changes()
+        network.load_flows({(0, 1): 9})
+        assert network.flows() == {(0, 1): 3}  # clamped to the capacity
+        assert network.flow_changes is None
+        assert network.flow_writer is None
 
 
 class TestJournalOnDeltaRounds:
