@@ -26,6 +26,7 @@ from repro.core.policies import (
     RandomPlacementPolicy,
     ShortestJobFirstPolicy,
 )
+from repro.solvers import DualAlgorithmExecutor, ParallelDualExecutor
 
 #: ``--policy`` name -> policy class (Firmament and Quincy only).
 _POLICY_CLASSES = {
@@ -46,9 +47,16 @@ _BASELINES = {
     "mesos": MesosScheduler,
 }
 
-#: Names accepted by ``--scheduler`` and ``--policy``.
+#: ``--executor`` name -> dual-executor class (monolithic firmament only).
+_EXECUTOR_CLASSES = {
+    "sequential": DualAlgorithmExecutor,
+    "parallel": ParallelDualExecutor,
+}
+
+#: Names accepted by ``--scheduler``, ``--policy`` and ``--executor``.
 SCHEDULERS = ("firmament", *_BASELINES)
 POLICIES = tuple(_POLICY_CLASSES)
+EXECUTORS = tuple(_EXECUTOR_CLASSES)
 
 
 def add_scheduler_arguments(parser) -> None:
@@ -112,24 +120,36 @@ def _make_scheduler(
     scheduler_name: str,
     policy_name: str,
     executor: str = "sequential",
-    executor_policy: str = "race",
+    delta_solo_threshold: Optional[int] = None,
     cells: int = 0,
     cell_workers: bool = False,
     round_deadline_seconds: Optional[float] = None,
 ):
     """Build the scheduler a CLI invocation asked for.
 
-    Knob combinations that cannot take effect are rejected loudly instead
-    of silently ignored: ``cells`` only applies to the firmament scheduler,
-    the dual-executor knobs (``executor``, ``executor_policy``) do not
-    exist in the sharded scheduler (each cell runs one incremental solver,
-    there is no race to configure), and ``round_deadline_seconds`` needs a
-    flow-based scheduler with deadline support.
+    Flag combinations that cannot take effect are rejected loudly instead
+    of silently ignored: ``cells`` and ``executor`` only apply to the
+    firmament scheduler, ``executor`` does not exist in the sharded
+    scheduler (each cell runs one incremental solver, there is no race to
+    configure), and ``round_deadline_seconds`` needs a flow-based scheduler
+    with deadline support.
+
+    ``delta_solo_threshold`` is not a flag: it is the value a *caller*
+    sets on the monolithic scheduler's dual executor in place of that
+    executor's own default (``serve`` does, because it pays wall clock for
+    every leg of the inline executor; see
+    :meth:`~repro.solvers.dual_executor.SpeculativeDualExecutor._speculates`).
     """
     if cells > 0 and scheduler_name != "firmament":
         raise ValueError(
             f"--cells only applies to the firmament scheduler, not "
             f"{scheduler_name!r}"
+        )
+    if executor != "sequential" and scheduler_name != "firmament":
+        raise ValueError(
+            f"--executor {executor!r} only applies to the firmament "
+            f"scheduler, not {scheduler_name!r} (the baselines run no "
+            "dual-algorithm race)"
         )
     if round_deadline_seconds is not None and scheduler_name != "firmament":
         raise ValueError(
@@ -145,12 +165,6 @@ def _make_scheduler(
                     "the sharded scheduler runs one incremental solver per "
                     "cell (use --cell-workers for real process parallelism)"
                 )
-            if executor_policy != "race":
-                raise ValueError(
-                    f"--executor-policy {executor_policy!r} cannot combine "
-                    "with --cells: the sharded scheduler has no dual-"
-                    "algorithm race to steer"
-                )
             return ShardedScheduler(
                 lambda: _make_policy(policy_name),
                 num_cells=cells,
@@ -159,9 +173,11 @@ def _make_scheduler(
             )
         if cell_workers:
             raise ValueError("--cell-workers requires --cells")
+        solver = _EXECUTOR_CLASSES[executor]()
+        if delta_solo_threshold is not None:
+            solver.delta_solo_threshold = delta_solo_threshold
         return FirmamentScheduler(
-            _make_policy(policy_name), executor=executor,
-            executor_policy=executor_policy,
+            _make_policy(policy_name), solver=solver,
             round_deadline_seconds=round_deadline_seconds,
         )
     if cell_workers:

@@ -31,6 +31,7 @@ from repro.cli.scheduler_options import _make_scheduler, add_scheduler_arguments
 from repro.cluster.state import ClusterState
 from repro.cluster.topology import build_topology
 from repro.service import DurabilityLayer, SchedulerService, ServiceConfig, recover
+from repro.solvers.dual_executor import DELTA_SOLO_THRESHOLD
 
 
 def register(subparsers) -> None:
@@ -144,6 +145,21 @@ def run(args: argparse.Namespace) -> int:
     return asyncio.run(_serve(args))
 
 
+def _build_scheduler(args: argparse.Namespace):
+    """The scheduler ``serve`` runs for the parsed flags."""
+    return _make_scheduler(
+        args.scheduler, args.policy,
+        # A service pays wall clock for every solver leg it runs (the
+        # simulator's sequential executor only *models* the second core),
+        # so a round whose small batch chains onto cost scaling's residual
+        # runs that leg alone; cells and the baselines have no race.
+        delta_solo_threshold=DELTA_SOLO_THRESHOLD,
+        cells=args.cells,
+        cell_workers=args.cell_workers,
+        round_deadline_seconds=args.round_deadline,
+    )
+
+
 async def _serve(args) -> int:
     durability = None
     recovered = None
@@ -185,16 +201,7 @@ async def _serve(args) -> int:
             args.machines, slots_per_machine=args.slots_per_machine
         )
         state = ClusterState(topology)
-    scheduler = _make_scheduler(
-        args.scheduler, args.policy,
-        # A service pays for every solver leg it runs (the simulator's
-        # sequential executor only *models* the second core), so delta-armed
-        # rounds run the cost-scaling leg alone; cells have no race.
-        executor_policy="race" if args.cells else "auto",
-        cells=args.cells,
-        cell_workers=args.cell_workers,
-        round_deadline_seconds=args.round_deadline,
-    )
+    scheduler = _build_scheduler(args)
     config = ServiceConfig(
         host=args.host,
         port=args.port,

@@ -5,14 +5,17 @@ from __future__ import annotations
 import argparse
 
 from repro.analysis.reporting import format_table
-from repro.cli.scheduler_options import _make_scheduler, add_scheduler_arguments
+from repro.cli.scheduler_options import (
+    EXECUTORS,
+    _make_scheduler,
+    add_scheduler_arguments,
+)
 from repro.cluster.state import ClusterState
 from repro.cluster.topology import build_topology
 from repro.simulation.failures import FailureInjector
 from repro.simulation.ingest import SCHEMAS, read_trace
 from repro.simulation.simulator import ClusterSimulator, SimulationConfig
 from repro.simulation.trace import GoogleTraceGenerator, TraceConfig
-from repro.solvers import EXECUTOR_POLICIES, EXECUTORS
 
 
 def register(subparsers) -> None:
@@ -50,18 +53,6 @@ def register(subparsers) -> None:
             "the race, 'parallel' races them for real (relaxation in a worker "
             "subprocess) so each round costs one solver's wall clock "
             "(default: sequential)"
-        ),
-    )
-    parser.add_argument(
-        "--executor-policy",
-        choices=EXECUTOR_POLICIES,
-        default="race",
-        help=(
-            "firmament's speculation policy: 'race' runs both algorithms "
-            "every round exactly as the paper deploys, 'auto' lets a cost "
-            "model fed by recent solver statistics pick per round between "
-            "solo relaxation, solo incremental cost scaling, and the full "
-            "race (default: race)"
         ),
     )
     parser.add_argument(
@@ -115,7 +106,6 @@ def run(args: argparse.Namespace) -> int:
     state = ClusterState(topology)
     scheduler = _make_scheduler(
         args.scheduler, args.policy, args.executor,
-        executor_policy=args.executor_policy,
         cells=args.cells,
         cell_workers=args.cell_workers,
         round_deadline_seconds=args.round_deadline,

@@ -9,7 +9,6 @@ from typing import TextIO
 from repro.flow.dimacs import read_dimacs, write_dimacs
 from repro.flow.validation import check_feasibility
 from repro.solvers import (
-    EXECUTOR_POLICIES,
     PRICE_REFINE_MODES,
     IncrementalCostScalingSolver,
     make_solver,
@@ -18,10 +17,9 @@ from repro.solvers import (
 #: Algorithms whose constructor accepts a ``price_refine`` variant.
 PRICE_REFINE_ALGORITHMS = frozenset({"cost_scaling", "incremental_cost_scaling"})
 
-#: Algorithms whose constructor accepts an ``executor_policy`` (the two
-#: speculative dual executors); their price-refine variant rides in on an
-#: injected cost-scaling leg.
-EXECUTOR_POLICY_ALGORITHMS = frozenset(
+#: The two speculative dual executors; their price-refine variant rides in
+#: on an injected cost-scaling leg.
+DUAL_EXECUTOR_ALGORITHMS = frozenset(
     {"firmament_dual", "firmament_dual_parallel"}
 )
 
@@ -76,17 +74,6 @@ def register(subparsers) -> None:
         ),
     )
     parser.add_argument(
-        "--executor-policy",
-        choices=EXECUTOR_POLICIES,
-        default="race",
-        help=(
-            "speculation policy for the firmament_dual executors: 'race' "
-            "runs both algorithms every round, 'auto' lets a cost model "
-            "skip the predictable loser (default: race); ignored by the "
-            "single-algorithm solvers"
-        ),
-    )
-    parser.add_argument(
         "--print-flows",
         action="store_true",
         help="print every arc that carries flow in the optimal solution",
@@ -107,8 +94,7 @@ def run(args: argparse.Namespace) -> int:
     price_refine = getattr(args, "price_refine", "auto")
     if args.algorithm in PRICE_REFINE_ALGORITHMS:
         solver_kwargs["price_refine"] = price_refine
-    if args.algorithm in EXECUTOR_POLICY_ALGORITHMS:
-        solver_kwargs["executor_policy"] = getattr(args, "executor_policy", "race")
+    if args.algorithm in DUAL_EXECUTOR_ALGORITHMS:
         solver_kwargs["incremental"] = IncrementalCostScalingSolver(
             price_refine=price_refine
         )

@@ -51,7 +51,7 @@ from repro.core.graph_manager import GraphManager
 from repro.core.placement import diff_assignments
 from repro.core.policies.base import SchedulingPolicy
 from repro.flow.graph import FlowNetwork
-from repro.solvers import make_executor
+from repro.solvers import DualAlgorithmExecutor
 from repro.solvers.base import RoundDeadlineExceeded, Solver, SolverResult
 
 
@@ -124,7 +124,6 @@ class SchedulerStatistics:
     voided_rounds: int = 0
     placements_voided: int = 0
     algorithm_runtimes: List[float] = field(default_factory=list)
-    graph_update_times: List[float] = field(default_factory=list)
 
     def record(self, decision: SchedulingDecision) -> None:
         """Account one scheduling decision."""
@@ -139,7 +138,6 @@ class SchedulerStatistics:
         self.total_migrations += len(decision.migrations)
         self.total_preemptions += len(decision.preemptions)
         self.algorithm_runtimes.append(decision.algorithm_runtime)
-        self.graph_update_times.append(decision.graph_update_seconds)
 
     def record_void(self, decision: SchedulingDecision) -> None:
         """Account a decision the driver voided instead of applying.
@@ -359,8 +357,6 @@ class FirmamentScheduler(FlowScheduler):
         policy: SchedulingPolicy,
         solver: Optional[Solver] = None,
         allow_migrations: bool = True,
-        executor: Optional[str] = None,
-        executor_policy: Optional[str] = None,
         round_deadline_seconds: Optional[float] = None,
         chaos=None,
     ) -> None:
@@ -368,24 +364,18 @@ class FirmamentScheduler(FlowScheduler):
 
         Args:
             policy: Scheduling policy that shapes the flow network.
-            solver: MCMF solver; defaults to the speculative dual-algorithm
-                executor (relaxation plus incremental cost scaling).  Passing
-                a plain cost-scaling solver reproduces Quincy's behaviour.
+            solver: MCMF solver; defaults to a
+                :class:`~repro.solvers.dual_executor.DualAlgorithmExecutor`
+                (relaxation plus incremental cost scaling, run back to back
+                every round with the race modeled).  Pass a
+                :class:`~repro.solvers.parallel_executor.ParallelDualExecutor`
+                to race them for real, a dual executor with a
+                ``delta_solo_threshold`` to skip futile speculation, or a
+                plain cost-scaling solver to reproduce Quincy's behaviour.
             allow_migrations: When False, running tasks are pinned to their
                 machines and the scheduler only places pending tasks (useful
                 for comparing against queue-based schedulers that never
                 migrate).
-            executor: Dual-executor strategy used when ``solver`` is omitted:
-                ``"sequential"`` (default; runs both algorithms back to back
-                and models the race) or ``"parallel"`` (races a relaxation
-                worker subprocess against parent-side incremental cost
-                scaling for real).  Mutually exclusive with ``solver``.
-            executor_policy: Race policy for the default executor:
-                ``"race"`` (default) speculates every round as the paper
-                deploys, ``"auto"`` lets a cost model fed by recent solver
-                statistics pick per round between solo relaxation, solo
-                incremental cost scaling, and the full race.  Only valid
-                when ``solver`` is omitted.
             round_deadline_seconds: Per-round wall-clock budget.  The
                 solver degrades at the budget (epsilon-ladder truncation,
                 relaxation abort) and a round where no solver produced a
@@ -397,18 +387,8 @@ class FirmamentScheduler(FlowScheduler):
                 deterministic faults into the round pipeline (tests and
                 chaos benchmarks only).
         """
-        if solver is not None and executor is not None:
-            raise ValueError("pass either solver= or executor=, not both")
-        if solver is not None and executor_policy is not None:
-            raise ValueError("executor_policy= only applies to the default executor")
         self.policy = policy
-        if solver is not None:
-            self.solver = solver
-        else:
-            self.solver = make_executor(
-                executor or "sequential",
-                executor_policy=executor_policy or "race",
-            )
+        self.solver = solver if solver is not None else DualAlgorithmExecutor()
         self.round_deadline_seconds = round_deadline_seconds
         self._arm_deadline(self.solver, round_deadline_seconds)
         if chaos is not None and hasattr(self.solver, "chaos"):

@@ -1,4 +1,4 @@
-"""Scheduler-as-a-service front end (ISSUE 9 / ROADMAP item 3).
+"""Scheduler-as-a-service front end.
 
 The simulator drives the scheduler from a synthetic event queue; this
 package drives it from *live clients*.  :class:`SchedulerService` exposes

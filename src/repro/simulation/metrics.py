@@ -26,25 +26,11 @@ class MetricsSummary:
     response_times: List[float] = field(default_factory=list)
     job_response_times: List[float] = field(default_factory=list)
     algorithm_runtimes: List[float] = field(default_factory=list)
-    #: Per-run graph-maintenance wall times (flow-based schedulers only),
-    #: so runs can attribute time to graph updates vs the solver.
-    graph_update_times: List[float] = field(default_factory=list)
-    #: Per-run price-refine wall times (zero for baselines).  Round-level
-    #: attribution: the refine runs inside the cost-scaling leg whether or
-    #: not that leg wins the race, so the dual executors fold the leg's
-    #: refine cost into the round's statistics even when relaxation wins.
-    #: The dominant cost of warm-rebuild rounds, attributed separately so
-    #: fig14-style runs can show where the solver's time goes.
-    price_refine_times: List[float] = field(default_factory=list)
-    #: Per-run delta-path flags of the incremental cost scaling solve
-    #: (round-level like ``price_refine_times``; a sharded round counts its
-    #: cells): non-zero when the retained residual was repaired in place,
-    #: zero when the round rebuilt it.
-    delta_solve_rounds: List[int] = field(default_factory=list)
     #: Per-run relaxation-leg counters (zero for baselines), attributed at
-    #: round level like ``price_refine_times``: tree nodes grown and dual
-    #: ascents performed by the round's relaxation run whether or not it
-    #: won the race.  The ascent series is the contention signal behind
+    #: round level: tree nodes grown and dual ascents performed by the
+    #: round's relaxation run whether or not it won the race (the dual
+    #: executors fold the losing leg's counters into the round's
+    #: statistics).  The ascent series is the contention signal behind
     #: Figures 8/9 -- it explodes exactly where relaxation degrades.
     relaxation_tree_nodes: List[int] = field(default_factory=list)
     relaxation_dual_ascents: List[int] = field(default_factory=list)
@@ -93,24 +79,6 @@ class MetricsSummary:
         if not self.algorithm_runtimes:
             return 0.0
         return sum(self.algorithm_runtimes) / len(self.algorithm_runtimes)
-
-    def mean_graph_update_time(self) -> float:
-        """Return the mean per-run graph-maintenance time."""
-        if not self.graph_update_times:
-            return 0.0
-        return sum(self.graph_update_times) / len(self.graph_update_times)
-
-    def mean_price_refine_time(self) -> float:
-        """Return the mean per-run price-refine time of the winning solver."""
-        if not self.price_refine_times:
-            return 0.0
-        return sum(self.price_refine_times) / len(self.price_refine_times)
-
-    def mean_dual_ascents(self) -> float:
-        """Return the mean per-run dual-ascent count of the relaxation leg."""
-        if not self.relaxation_dual_ascents:
-            return 0.0
-        return sum(self.relaxation_dual_ascents) / len(self.relaxation_dual_ascents)
 
     def delta_ship_ratio(self) -> float:
         """Fraction of worker payloads shipped incrementally (delta/resync).
@@ -163,8 +131,6 @@ def collect_metrics(
     state: ClusterState,
     algorithm_runtimes: Optional[Sequence[float]] = None,
     batch_only: bool = True,
-    graph_update_times: Optional[Sequence[float]] = None,
-    price_refine_times: Optional[Sequence[float]] = None,
     relaxation_tree_nodes: Optional[Sequence[int]] = None,
     relaxation_dual_ascents: Optional[Sequence[int]] = None,
     snapshot_ships: Optional[Sequence[int]] = None,
@@ -176,7 +142,6 @@ def collect_metrics(
     cells_solved: Optional[Sequence[int]] = None,
     straggler_cells: Optional[Sequence[int]] = None,
     cross_cell_migrations: Optional[Sequence[int]] = None,
-    delta_solve_rounds: Optional[Sequence[int]] = None,
 ) -> MetricsSummary:
     """Build a :class:`MetricsSummary` from the final cluster state.
 
@@ -189,9 +154,6 @@ def collect_metrics(
             placement percentiles describe the same tasks the completion
             counts do (service tasks never complete; mixing them into the
             placement side only would skew the comparison).
-        graph_update_times: Per-run graph-maintenance wall times.
-        price_refine_times: Per-run price-refine wall times of the winning
-            solver.
         relaxation_tree_nodes: Per-run relaxation tree sizes (round-level).
         relaxation_dual_ascents: Per-run relaxation dual-ascent counts.
         snapshot_ships: Per-run full-snapshot worker payload counts.
@@ -203,18 +165,10 @@ def collect_metrics(
         cells_solved: Per-run cell counts of the sharded scheduler.
         straggler_cells: Per-run straggler-cell indices (-1 when none).
         cross_cell_migrations: Per-run balancer re-homing counts.
-        delta_solve_rounds: Per-run delta-path flags of the incremental
-            cost scaling solve.
     """
     summary = MetricsSummary()
     if algorithm_runtimes:
         summary.algorithm_runtimes = list(algorithm_runtimes)
-    if graph_update_times:
-        summary.graph_update_times = list(graph_update_times)
-    if price_refine_times:
-        summary.price_refine_times = list(price_refine_times)
-    if delta_solve_rounds:
-        summary.delta_solve_rounds = list(delta_solve_rounds)
     if relaxation_tree_nodes:
         summary.relaxation_tree_nodes = list(relaxation_tree_nodes)
     if relaxation_dual_ascents:

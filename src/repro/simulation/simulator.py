@@ -725,9 +725,6 @@ class ClusterSimulator:
         metrics = collect_metrics(
             self.state,
             algorithm_runtimes=[r.algorithm_runtime for r in records],
-            graph_update_times=[r.graph_update_seconds for r in records],
-            price_refine_times=[r.price_refine_seconds for r in records],
-            delta_solve_rounds=[r.delta_solve for r in records],
             relaxation_tree_nodes=[r.relaxation_tree_nodes for r in records],
             relaxation_dual_ascents=[r.dual_ascents for r in records],
             snapshot_ships=[r.snapshot_ships for r in records],

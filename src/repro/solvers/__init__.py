@@ -50,10 +50,8 @@ from repro.solvers.relaxation import RelaxationSolver
 from repro.solvers.incremental import IncrementalCostScalingSolver
 from repro.solvers.incremental_relaxation import IncrementalRelaxationSolver
 from repro.solvers.dual_executor import (
-    EXECUTOR_POLICIES,
     DualAlgorithmExecutor,
     DualExecutionResult,
-    RaceCostModel,
     SpeculativeDualExecutor,
 )
 from repro.solvers.parallel_executor import ParallelDualExecutor
@@ -62,10 +60,8 @@ from repro.solvers.worker_health import WorkerCircuitBreaker
 
 __all__ = [
     "COMPLEXITY_TABLE",
-    "EXECUTOR_POLICIES",
     "PRECONDITION_TABLE",
     "PRICE_REFINE_MODES",
-    "RaceCostModel",
     "RevisionChainCache",
     "price_refine_dijkstra",
     "price_refine_spfa",
@@ -87,12 +83,7 @@ __all__ = [
     "DualExecutionResult",
     "SpeculativeDualExecutor",
     "ParallelDualExecutor",
-    "make_executor",
 ]
-
-#: Executor names accepted by :func:`make_executor` (and the CLI/scheduler
-#: ``--executor`` option).
-EXECUTORS = ("sequential", "parallel")
 
 
 def make_solver(name: str, **kwargs) -> Solver:
@@ -117,16 +108,3 @@ def make_solver(name: str, **kwargs) -> Solver:
         raise ValueError(f"unknown solver {name!r}; choose from {sorted(registry)}")
     return registry[name](**kwargs)
 
-
-def make_executor(name: str = "sequential", **kwargs) -> SpeculativeDualExecutor:
-    """Construct a speculative dual-algorithm executor by strategy name.
-
-    ``"sequential"`` runs both algorithms back to back and models the race
-    (:class:`DualAlgorithmExecutor`); ``"parallel"`` races them for real
-    across processes (:class:`ParallelDualExecutor`).
-    """
-    if name == "sequential":
-        return DualAlgorithmExecutor(**kwargs)
-    if name == "parallel":
-        return ParallelDualExecutor(**kwargs)
-    raise ValueError(f"unknown executor {name!r}; choose from {EXECUTORS}")

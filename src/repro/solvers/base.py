@@ -178,11 +178,6 @@ class SolverResult:
     statistics: SolverStatistics = field(default_factory=SolverStatistics)
     optimal: bool = True
 
-    @property
-    def total_flow_out_of_sources(self) -> int:
-        """Return total flow leaving source nodes (for sanity checks)."""
-        return sum(self.flows.values())
-
 
 class Solver(abc.ABC):
     """Abstract base class for min-cost max-flow solvers."""
@@ -202,10 +197,6 @@ class Solver(abc.ABC):
     def solve(self, network: FlowNetwork) -> SolverResult:
         """Compute a min-cost max-flow and assign it to ``network``'s arcs."""
 
-    def _timed(self, start_time: float) -> float:
-        """Return elapsed wall-clock seconds since ``start_time``."""
-        return time.perf_counter() - start_time
-
 
 class SolverError(RuntimeError):
     """Raised when a solver cannot produce a feasible solution."""
@@ -223,8 +214,7 @@ class RoundDeadlineExceeded(SolverError):
     ascents); this error is the last resort — the hard deadline passed and
     *no* solver produced a feasible flow, so the scheduler must reuse the
     previous round's placements and record a degraded round rather than
-    stall (ROADMAP item 5's latency-budget half, fig10's approximation
-    claim applied to latency).
+    stall (fig10's approximation claim applied to latency).
     """
 
 
@@ -334,7 +324,3 @@ PRECONDITION_TABLE: Dict[str, Dict[str, bool]] = {
     },
 }
 
-
-def expected_total_supply(network: FlowNetwork) -> int:
-    """Return the total positive supply that a feasible solution must route."""
-    return sum(node.supply for node in network.nodes() if node.supply > 0)

@@ -10,8 +10,8 @@ latency.  Running both is cheap because each algorithm is single-threaded.
 The reproduction provides two executors sharing the race/seed/result logic
 in :class:`SpeculativeDualExecutor`:
 
-* :class:`DualAlgorithmExecutor` (this module) runs the base class's
-  inline race every round -- the algorithms run *sequentially* and the
+* :class:`DualAlgorithmExecutor` (this module) serves every round with the
+  base class's inline race -- the algorithms run *sequentially* and the
   concurrent deployment is modeled: the *effective*
   runtime reported for an iteration is the minimum of the two runtimes,
   exactly as if they had run on two cores, while the real wall-clock cost
@@ -29,32 +29,24 @@ their own persistent residuals and never touch ``network``'s arcs; the
 winner's flows are written once, after the race.  The incremental cost
 scaling instance is seeded from a relaxation win (price refine makes the
 potentials usable, Section 6.2) **iff it holds no residual of its own at
-this round's revision** -- its leg was skipped by the policy, cancelled by
-the parallel race, aborted, or truncated at the deadline.  A leg that ran
-to completion keeps its own 0-optimal residual, so the next round repairs
-it with ``solve_delta`` instead of paying an O(graph) warm rebuild plus a
-full price refine for a re-sync nothing invalidated.
+this round's revision** -- its leg was cancelled by the parallel race,
+aborted, or truncated at the deadline.  A leg that ran to completion keeps
+its own 0-optimal residual, so the next round repairs it with
+``solve_delta`` instead of paying an O(graph) warm rebuild plus a full
+price refine for a re-sync nothing invalidated.
 
-Racing every round is insurance, not a law: when one algorithm has been
-winning by a wide margin the loser's run is pure waste (CPU on the
-sequential executor, a core plus IPC on the parallel one).  The
-``executor_policy`` knob selects between the paper-faithful ``"race"``
-(default, always speculate) and ``"auto"``.  ``auto`` first applies the
-delta-solo rule (:data:`DELTA_SOLO_THRESHOLD`): a round whose small change
-batch chains onto cost scaling's persistent residual runs that leg alone,
-since a bounded repair cannot lose to from-scratch relaxation -- the rule
-the physically racing executor applies under either policy, where the
-second leg costs a core instead of modeling one.  The remaining rounds
-consult a small :class:`RaceCostModel` fed by recent :class:`~repro.solvers.
-base.SolverStatistics` -- last wall clocks of both legs, the round's
-change-batch size, and relaxation's contention proxy (dual ascents per
-augmentation, the mechanism behind the Figure 8/9 degradation) -- to pick
-per round between solo relaxation, solo incremental cost scaling, and the
-full race.  The model periodically forces a race so the skipped leg's
-estimate cannot go permanently stale.  ``serve`` schedules with ``auto``
-(it pays for every leg it runs); ``simulate`` and the figure benchmarks
-keep ``race``, where the sequential executor *models* two cores and
-charges the minimum.
+One rule picks a round's legs (:meth:`SpeculativeDualExecutor._speculates`):
+the cost-scaling leg runs every round, and it runs *alone* iff
+``delta_solo_threshold`` is set, the round's change batch chains onto that
+leg's persistent residual, and the batch is at most that large -- a repair
+bounded by |changes| cannot lose to from-scratch relaxation, so racing it
+would only burn a second core (or, run back to back, the whole relaxation
+leg on the one core there is).  Every other round runs both legs.  The
+threshold is the only dial: ``None`` on :class:`DualAlgorithmExecutor`,
+which *models* the second core and charges the minimum, so it speculates
+every round as the paper deploys (``simulate`` and the figure benchmarks);
+:data:`DELTA_SOLO_THRESHOLD` on the physically racing executor and on the
+inline executor ``serve`` builds, which both pay for every leg they run.
 """
 
 from __future__ import annotations
@@ -76,9 +68,6 @@ from repro.solvers.base import (
 from repro.solvers.incremental import IncrementalCostScalingSolver
 from repro.solvers.relaxation import RelaxationSolver
 
-#: Executor policies accepted by the executors, the scheduler, and the CLI.
-EXECUTOR_POLICIES = ("race", "auto")
-
 #: Change-batch size up to which a *delta-armed* round skips speculation.
 #: When the incremental solver holds a revision-chained persistent residual,
 #: its round costs O(|changes| + repair) -- for batches this small that is
@@ -97,12 +86,13 @@ class DualExecutionResult:
     Attributes:
         winner: The result whose algorithm finished first; its flow is the
             one the executor writes to the network.
-        relaxation: The relaxation run's result; ``None`` when the parallel
-            executor abandoned the worker's round before it finished or the
-            adaptive policy skipped the leg.
+        relaxation: The relaxation run's result; ``None`` on a solo delta
+            round (the leg did not run), when the parallel executor
+            abandoned the worker's round before it finished, and when the
+            leg was aborted at the deadline or its ascent cap.
         cost_scaling: The (incremental) cost scaling run's result; ``None``
             when the parallel executor cancelled the run mid-flight or the
-            adaptive policy skipped the leg.
+            hard deadline aborted it -- the leg itself runs every round.
         effective_runtime_seconds: The placement latency of the round: the
             modeled min of the two runtimes for the sequential executor,
             the *measured* wall clock for the parallel one.
@@ -125,12 +115,6 @@ class DualExecutionResult:
     total_work_seconds: float
     wall_clock_seconds: float = 0.0
     executor: str = "sequential"
-    #: Whether both legs actually started this round.  False for the
-    #: adaptive policy's solo rounds and the parallel executor's
-    #: delta-solo/skipped-worker rounds; True for raced rounds even when
-    #: the losing leg's result is ``None`` (cancelled or abandoned) -- the
-    #: cost model then learns from the censored observation.
-    raced: bool = True
 
     @property
     def winning_algorithm(self) -> str:
@@ -138,154 +122,15 @@ class DualExecutionResult:
         return self.winner.algorithm
 
 
-class RaceCostModel:
-    """Per-round strategy chooser behind ``executor_policy="auto"``.
-
-    A deliberately small first cut: exponential moving averages of the two
-    legs' recent runtimes plus relaxation's contention proxy (dual ascents
-    per augmentation -- the quantity that explodes exactly when relaxation
-    degrades, Figures 8/9).  A leg is only skipped when the other has been
-    winning by at least ``margin`` and the skipped leg's estimate is fresh;
-    every ``probe_interval`` non-raced rounds a full race is forced so a
-    stale estimate cannot lock the policy in.  Oversized change batches
-    always race: they are the rounds where Section 6.1's insurance pays.
-    """
-
-    def __init__(
-        self,
-        margin: float = 3.0,
-        ema_alpha: float = 0.5,
-        contention_limit: float = 3.0,
-        probe_interval: int = 8,
-        min_observations: int = 2,
-        always_race_batch_size: int = 8192,
-    ) -> None:
-        """Create the model.
-
-        Args:
-            margin: Minimum runtime ratio between the legs before the
-                slower one is dropped for the round.
-            ema_alpha: Weight of the newest observation in the EMAs.
-            contention_limit: Solo relaxation is off the table while the
-                dual-ascents-per-augmentation EMA exceeds this (contended
-                graphs are where relaxation collapses without warning).
-            probe_interval: Force a full race after this many consecutive
-                solo rounds so both estimates stay fresh.
-            min_observations: Race unconditionally until each leg has been
-                observed this many times.
-        """
-        self.margin = margin
-        self.ema_alpha = ema_alpha
-        self.contention_limit = contention_limit
-        self.probe_interval = probe_interval
-        self.min_observations = min_observations
-        self.always_race_batch_size = always_race_batch_size
-        self.relaxation_seconds: Optional[float] = None
-        self.cost_scaling_seconds: Optional[float] = None
-        self.contention: float = 0.0
-        self.relaxation_observations: int = 0
-        self.cost_scaling_observations: int = 0
-        self.rounds_since_race: int = 0
-
-    def _ema(self, previous: Optional[float], value: float) -> float:
-        if previous is None:
-            return value
-        alpha = self.ema_alpha
-        return alpha * value + (1.0 - alpha) * previous
-
-    def observe(
-        self,
-        relaxation: Optional[SolverResult],
-        cost_scaling: Optional[SolverResult],
-        wall_clock_seconds: Optional[float] = None,
-        raced: Optional[bool] = None,
-    ) -> None:
-        """Fold one finished round's leg results into the estimates.
-
-        A raced round whose losing leg was cancelled or abandoned (result
-        ``None``) still teaches the model: the loser provably needed *at
-        least* the round's wall clock, so that censored lower bound feeds
-        its EMA.  Without it, a dominant winner would cancel the loser
-        every round and the model could never gather the loser-side
-        observations it needs to stop racing.
-        """
-        if raced is None:
-            raced = relaxation is not None and cost_scaling is not None
-        if raced:
-            self.rounds_since_race = 0
-        else:
-            self.rounds_since_race += 1
-        if relaxation is not None:
-            self.relaxation_seconds = self._ema(
-                self.relaxation_seconds, relaxation.runtime_seconds
-            )
-            self.relaxation_observations += 1
-            stats = relaxation.statistics
-            ratio = stats.dual_ascents / max(1, stats.augmentations)
-            self.contention = self._ema(self.contention, ratio)
-        elif raced and wall_clock_seconds:
-            sample = wall_clock_seconds
-            if self.relaxation_seconds is not None:
-                sample = max(sample, self.relaxation_seconds)
-            self.relaxation_seconds = self._ema(self.relaxation_seconds, sample)
-            self.relaxation_observations += 1
-        if cost_scaling is not None:
-            self.cost_scaling_seconds = self._ema(
-                self.cost_scaling_seconds, cost_scaling.runtime_seconds
-            )
-            self.cost_scaling_observations += 1
-        elif raced and wall_clock_seconds:
-            sample = wall_clock_seconds
-            if self.cost_scaling_seconds is not None:
-                sample = max(sample, self.cost_scaling_seconds)
-            self.cost_scaling_seconds = self._ema(self.cost_scaling_seconds, sample)
-            self.cost_scaling_observations += 1
-
-    def choose(self, batch_size: Optional[int], delta_armed: bool) -> str:
-        """Pick this round's strategy.
-
-        Returns ``"race"``, ``"relaxation"``, or ``"cost_scaling"``.
-
-        Args:
-            batch_size: Size of the round's change batch (None when no
-                batch was supplied -- a rebuild-style round).
-            delta_armed: Whether incremental cost scaling would take the
-                pure delta path this round (bounded O(|changes|) repair).
-        """
-        if (
-            self.relaxation_observations < self.min_observations
-            or self.cost_scaling_observations < self.min_observations
-        ):
-            return "race"
-        if self.rounds_since_race >= self.probe_interval:
-            return "race"
-        if batch_size is None or batch_size > self.always_race_batch_size:
-            # Rebuild-style rounds (no change batch) and oversized batches
-            # are the highest-variance rounds -- exactly where Section
-            # 6.1's insurance pays -- so they always race.
-            return "race"
-        relax = self.relaxation_seconds
-        scaling = self.cost_scaling_seconds
-        if delta_armed and scaling is not None and scaling <= relax:
-            # A delta-armed repair that has also been *measuring* faster
-            # cannot lose to from-scratch relaxation.
-            return "cost_scaling"
-        if scaling * self.margin <= relax:
-            return "cost_scaling"
-        if relax * self.margin <= scaling and self.contention <= self.contention_limit:
-            return "relaxation"
-        return "race"
-
-
 class SpeculativeDualExecutor(Solver):
     """Shared race/seed/result logic of the two dual-algorithm executors.
 
     Subclasses implement :meth:`solve_detailed`; the base class owns the
-    component solvers, the inline back-to-back race (every round of the
-    sequential executor, the no-worker rounds of the parallel one), the
+    component solvers, the rule that picks a round's legs
+    (:meth:`_speculates`), the inline back-to-back race (every round of the
+    sequential executor, the no-worker rounds of the parallel one) and the
     one round assembly (:meth:`_finish_round`: the flow write-back, the
-    seed-iff-no-current-residual rule, work accounting, race counters,
-    cost-model observation), and the adaptive race policy.
+    seed-iff-no-current-residual rule, work accounting, race counters).
     """
 
     #: The scheduler may pass ``changes=ChangeBatch`` to :meth:`solve`; the
@@ -297,8 +142,7 @@ class SpeculativeDualExecutor(Solver):
         self,
         relaxation: Optional[RelaxationSolver] = None,
         incremental: Optional[IncrementalCostScalingSolver] = None,
-        executor_policy: str = "race",
-        cost_model: Optional[RaceCostModel] = None,
+        delta_solo_threshold: Optional[int] = None,
         round_deadline_seconds: Optional[float] = None,
         relaxation_ascent_cap: Optional[int] = None,
         chaos=None,
@@ -311,11 +155,11 @@ class SpeculativeDualExecutor(Solver):
             incremental: Incremental cost scaling instance (a default one
                 with price refine and efficient task removal is created when
                 omitted).
-            executor_policy: ``"race"`` (default) speculates every round,
-                exactly as the paper deploys; ``"auto"`` consults the
-                :class:`RaceCostModel` to skip the predictable loser's leg.
-            cost_model: Model instance driving ``"auto"`` (a default one is
-                created when omitted; ignored under ``"race"``).
+            delta_solo_threshold: Largest change batch a delta-armed round
+                serves with the cost-scaling leg alone (see
+                :meth:`_speculates`; 0 leaves only empty batches to it).
+                ``None`` (default) speculates every round, exactly as the
+                paper deploys.
             round_deadline_seconds: Optional per-round latency budget.  When
                 set, every leg runs under a :class:`RoundDeadline`: cost
                 scaling degrades to the current coarser epsilon at the soft
@@ -330,22 +174,13 @@ class SpeculativeDualExecutor(Solver):
             chaos: Optional :class:`repro.chaos.ChaosPolicy` injecting
                 deterministic faults; ``None`` (default) is a no-op.
         """
-        if executor_policy not in EXECUTOR_POLICIES:
-            raise ValueError(
-                f"unknown executor policy {executor_policy!r}; "
-                f"choose from {EXECUTOR_POLICIES}"
-            )
         self.relaxation = relaxation or RelaxationSolver(arc_prioritization=True)
         self.incremental = incremental or IncrementalCostScalingSolver()
-        self.executor_policy = executor_policy
-        self.cost_model = cost_model or RaceCostModel()
+        self.delta_solo_threshold = delta_solo_threshold
         self.round_deadline_seconds = round_deadline_seconds
         if relaxation_ascent_cap is not None:
             self.relaxation.ascent_cap = relaxation_ascent_cap
         self.chaos = chaos
-        #: Largest change batch the delta-solo rule serves with the
-        #: cost-scaling leg alone (0 leaves only empty batches to it).
-        self.delta_solo_threshold: int = DELTA_SOLO_THRESHOLD
         #: Rounds that blew their hard deadline with no usable result
         #: (each raised :class:`RoundDeadlineExceeded`).
         self.deadline_exceeded_rounds: int = 0
@@ -358,9 +193,6 @@ class SpeculativeDualExecutor(Solver):
         self.total_wall_clock_seconds: float = 0.0
         self.total_winner_runtime_seconds: float = 0.0
         self.total_work_seconds: float = 0.0
-        #: Rounds the adaptive policy served with a single leg.
-        self.solo_relaxation_rounds: int = 0
-        self.solo_cost_scaling_rounds: int = 0
         #: Delta-armed rounds solved solo (speculation skipped as futile).
         self.solo_delta_rounds: int = 0
 
@@ -393,8 +225,6 @@ class SpeculativeDualExecutor(Solver):
         self.total_wall_clock_seconds = 0.0
         self.total_winner_runtime_seconds = 0.0
         self.total_work_seconds = 0.0
-        self.solo_relaxation_rounds = 0
-        self.solo_cost_scaling_rounds = 0
         self.solo_delta_rounds = 0
 
     # ------------------------------------------------------------------ #
@@ -421,38 +251,20 @@ class SpeculativeDualExecutor(Solver):
                 self.incremental.validate_residual = True
         return chaos, round_index
 
-    def _choose_strategy(
-        self, changes: Optional[ChangeBatch], physical: bool = False
-    ) -> str:
-        """Resolve the round's strategy: ``"race"``, ``"relaxation"`` or
-        ``"cost_scaling"``.
+    def _speculates(self, changes: Optional[ChangeBatch]) -> bool:
+        """Whether this round runs the relaxation leg beside cost scaling.
 
-        The delta-solo rule comes first -- before the cost model, whose
-        moving averages would otherwise put solo relaxation on exactly the
-        steady rounds where a delta repair is cheapest, dropping the
-        residual that makes it so.  It holds under ``auto``, and under
-        either policy for a ``physical`` race.
+        The whole decision: the cost-scaling leg runs every round, and
+        alone iff ``delta_solo_threshold`` is set, the batch chains onto
+        the leg's persistent residual and is at most that large
+        (:data:`DELTA_SOLO_THRESHOLD` says why).
         """
-        delta_armed = self.incremental.can_solve_delta(changes)
-        auto = self.executor_policy == "auto"
-        if (
-            (auto or physical)
-            and delta_armed
-            and len(changes) <= self.delta_solo_threshold
-        ):
-            # Cost scaling's repair is O(|changes|) and cannot lose to a
-            # from-scratch relaxation run.
-            self.solo_delta_rounds += 1
-            return "cost_scaling"
-        if not auto:
-            return "race"
-        strategy = self.cost_model.choose(
-            batch_size=len(changes) if changes is not None else None,
-            delta_armed=delta_armed,
+        threshold = self.delta_solo_threshold
+        return not (
+            threshold is not None
+            and self.incremental.can_solve_delta(changes)
+            and len(changes) <= threshold
         )
-        if strategy == "cost_scaling":
-            self.solo_cost_scaling_rounds += 1
-        return strategy
 
     def _race_inline(
         self,
@@ -462,8 +274,9 @@ class SpeculativeDualExecutor(Solver):
     ) -> DualExecutionResult:
         """Run the legs back to back in this process and model the race.
 
-        Under ``executor_policy="auto"`` the round may run a single leg;
-        the skipped leg's slot in the result is ``None``.
+        A round that does not speculate (:meth:`_speculates`) runs the
+        cost-scaling leg alone; the relaxation slot of its result is
+        ``None``.
 
         With ``round_deadline_seconds`` set, each leg runs under its own
         :class:`RoundDeadline` (the legs model *concurrent* algorithms, so
@@ -475,12 +288,11 @@ class SpeculativeDualExecutor(Solver):
         caller reuses the previous placements.
         """
         started = time.perf_counter()
-        strategy = self._choose_strategy(changes)
         budget = self.round_deadline_seconds
         deadline_hit = False
 
         relaxation_result: Optional[SolverResult] = None
-        if strategy != "cost_scaling":
+        if self._speculates(changes):
             # The round's change batch is forwarded so the solver can patch
             # its persistent residual instead of rebuilding it.
             if budget is not None:
@@ -494,26 +306,25 @@ class SpeculativeDualExecutor(Solver):
                 deadline_hit = True
             finally:
                 self.relaxation.abort_check = None
+        else:
+            self.solo_delta_rounds += 1
 
         cost_scaling_result: Optional[SolverResult] = None
-        if strategy != "relaxation" or relaxation_result is None:
-            # The race, a policy solo, or a solo relaxation leg that died
-            # at the deadline: the cost-scaling leg runs.
-            deadline: Optional[RoundDeadline] = None
-            if budget is not None:
-                deadline = RoundDeadline(budget)
-                self.incremental.deadline_check = deadline
-                self.incremental.abort_check = deadline.hard_expired
-            try:
-                cost_scaling_result = self.incremental.solve(
-                    network, changes=changes, write_back=False
-                )
-            except SolveAborted:
-                deadline_hit = True
-            finally:
-                if deadline is not None:
-                    self.incremental.deadline_check = None
-                    self.incremental.abort_check = None
+        deadline: Optional[RoundDeadline] = None
+        if budget is not None:
+            deadline = RoundDeadline(budget)
+            self.incremental.deadline_check = deadline
+            self.incremental.abort_check = deadline.hard_expired
+        try:
+            cost_scaling_result = self.incremental.solve(
+                network, changes=changes, write_back=False
+            )
+        except SolveAborted:
+            deadline_hit = True
+        finally:
+            if deadline is not None:
+                self.incremental.deadline_check = None
+                self.incremental.abort_check = None
 
         if relaxation_result is None and cost_scaling_result is None:
             self.deadline_exceeded_rounds += 1
@@ -521,8 +332,6 @@ class SpeculativeDualExecutor(Solver):
                 "no solver produced a feasible flow within the round budget"
                 + (f" ({budget:.3f}s)" if budget is not None else "")
             )
-        if strategy == "relaxation" and cost_scaling_result is None:
-            self.solo_relaxation_rounds += 1
         return self._finish_round(
             network, started, relaxation_result, cost_scaling_result,
             winner_is_relaxation=cost_scaling_result is None
@@ -532,7 +341,6 @@ class SpeculativeDualExecutor(Solver):
                 <= cost_scaling_result.runtime_seconds
             ),
             executor=executor,
-            raced=relaxation_result is not None and cost_scaling_result is not None,
             deadline_hit=deadline_hit,
         )
 
@@ -544,22 +352,16 @@ class SpeculativeDualExecutor(Solver):
         cost_scaling_result: Optional[SolverResult],
         winner_is_relaxation: bool,
         executor: str,
-        raced: bool,
         deadline_hit: bool = False,
-        parent_cancelled: bool = False,
     ) -> DualExecutionResult:
         """Install the winner, assemble the round's result and account it.
 
         The winner's flows are written onto ``network`` here, once; the
         legs do not write.  A relaxation win seeds the incremental
         instance only when the cost-scaling leg left no residual at this
-        round's revision (it did not run, or did not finish optimal);
-        otherwise the leg's own residual stays and the next round takes
-        ``solve_delta``.
-
-        ``parent_cancelled`` marks a physically raced round whose
-        parent-side cost scaling run was cancelled mid-flight; ``raced``
-        is as on :class:`DualExecutionResult`.
+        round's revision (it was cancelled or aborted, or did not finish
+        optimal); otherwise the leg's own residual stays and the next round
+        takes ``solve_delta``.
         """
         if winner_is_relaxation:
             winner = relaxation_result
@@ -572,10 +374,11 @@ class SpeculativeDualExecutor(Solver):
             winner = cost_scaling_result
         network.set_flows(winner.flows)
         wall_clock = time.perf_counter() - started
-        # A cancelled parent run consumed roughly the whole round's wall
-        # clock before it stopped (a solo-relaxation round's idle parent
-        # consumed nothing); an abandoned worker round is accounted only
-        # when its runtime is known (the stale result may never drain).
+        # A physically raced round without a parent result: that run was
+        # cancelled mid-flight, having consumed roughly the whole round's
+        # wall clock; an abandoned worker round is accounted only when its
+        # runtime is known (the stale result may never drain).
+        parent_cancelled = executor == "parallel" and cost_scaling_result is None
         work = wall_clock if parent_cancelled else 0.0
         for leg in (relaxation_result, cost_scaling_result):
             if leg is not None:
@@ -599,7 +402,6 @@ class SpeculativeDualExecutor(Solver):
                 total_work_seconds=work,
                 wall_clock_seconds=wall_clock,
                 executor=executor,
-                raced=raced,
             )
         )
 
@@ -650,12 +452,6 @@ class SpeculativeDualExecutor(Solver):
         self.total_winner_runtime_seconds += result.winner.runtime_seconds
         self.total_work_seconds += result.total_work_seconds
         self.last_result = result
-        self.cost_model.observe(
-            result.relaxation,
-            result.cost_scaling,
-            wall_clock_seconds=result.wall_clock_seconds,
-            raced=result.raced,
-        )
         return result
 
 

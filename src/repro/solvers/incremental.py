@@ -216,8 +216,8 @@ class IncrementalCostScalingSolver(Solver):
         This is the Section 6.2 hand-off: a dual executor calls it with
         the winning relaxation solution **iff this instance holds no
         residual of its own at the round's revision** -- its leg was
-        skipped by the race policy, cancelled by the parallel race,
-        aborted, or truncated at the deadline -- so the next run starts
+        cancelled by the parallel race, aborted, or truncated at the
+        deadline -- so the next run starts
         from the winner's flow instead of from a stale or missing one.  A
         leg that ran to completion is *not* seeded: its retained residual
         is 0-optimal at the current revision, and dropping it would trade

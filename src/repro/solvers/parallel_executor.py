@@ -27,26 +27,25 @@ First finisher wins:
   relaxation wins.  The winning relaxation solution then seeds the
   incremental solver's warm state, as in the sequential executor.
 
-Speculation is adaptive: when the incremental solver holds a
-revision-chained persistent residual and the round's change batch is small
-(:data:`~repro.solvers.dual_executor.DELTA_SOLO_THRESHOLD`; the rule lives
-in the shared ``_choose_strategy``), the parent solves solo -- a bounded
-O(|changes|) repair cannot lose to a from-scratch relaxation run, so racing
-would only waste a core (and on oversubscribed hosts would actively slow
-the guaranteed winner).  Under ``executor_policy="auto"`` the shared
-:class:`~repro.solvers.dual_executor.RaceCostModel` additionally skips the
-predictable loser on the remaining rounds (solo relaxation ships the round
-to the worker and waits; solo cost scaling leaves the worker idle and the
-client's revision-chain cache covers the gap).  The full race runs on
+The parent-side leg runs every round; the shared
+:meth:`~repro.solvers.dual_executor.SpeculativeDualExecutor._speculates`
+decides whether the worker is consulted.  When the incremental solver holds
+a revision-chained persistent residual and the round's change batch is
+small (``delta_solo_threshold``, by default
+:data:`~repro.solvers.dual_executor.DELTA_SOLO_THRESHOLD`), the parent
+solves solo -- a bounded O(|changes|) repair cannot lose to a from-scratch
+relaxation run, so racing would only waste a core (and on oversubscribed
+hosts would actively slow the guaranteed winner); the worker stays idle and
+the client's revision-chain cache covers the gap.  The full race runs on
 exactly the rounds where Section 6.1's insurance matters: cold starts,
-post-seed rebuilds, oversized batches, and whenever the cost model is
-unsure.
+post-seed rebuilds and oversized batches.
 
 When no worker can be had (spawn failure, open breaker, platforms without
 multiprocessing) the round runs the inline back-to-back race inherited from
 :class:`~repro.solvers.dual_executor.SpeculativeDualExecutor` -- what
 :class:`~repro.solvers.dual_executor.DualAlgorithmExecutor` runs every
-round -- on the same component solver instances, so warm state carries over.
+round -- on the same component solver instances and under the same rule,
+so warm state carries over.
 """
 
 from __future__ import annotations
@@ -66,7 +65,6 @@ from repro.solvers.base import (
 from repro.solvers.dual_executor import (
     DELTA_SOLO_THRESHOLD,
     DualExecutionResult,
-    RaceCostModel,
     SpeculativeDualExecutor,
 )
 from repro.solvers.incremental import IncrementalCostScalingSolver
@@ -117,9 +115,7 @@ class ParallelDualExecutor(SpeculativeDualExecutor):
         self,
         relaxation: Optional[RelaxationSolver] = None,
         incremental: Optional[IncrementalCostScalingSolver] = None,
-        delta_solo_threshold: int = DELTA_SOLO_THRESHOLD,
-        executor_policy: str = "race",
-        cost_model: Optional[RaceCostModel] = None,
+        delta_solo_threshold: Optional[int] = DELTA_SOLO_THRESHOLD,
         breaker: Optional[WorkerCircuitBreaker] = None,
         round_deadline_seconds: Optional[float] = None,
         relaxation_ascent_cap: Optional[int] = None,
@@ -135,13 +131,9 @@ class ParallelDualExecutor(SpeculativeDualExecutor):
             incremental: Incremental cost scaling instance run in the parent.
             delta_solo_threshold: Skip speculation on delta-armed rounds
                 whose change batch is at most this large (0 races every
-                round); see :data:`~repro.solvers.dual_executor.
-                DELTA_SOLO_THRESHOLD`.
-            executor_policy: ``"race"`` (default) races every non-solo-delta
-                round; ``"auto"`` lets the cost model skip the predictable
-                loser (see :class:`~repro.solvers.dual_executor.
-                RaceCostModel`).
-            cost_model: Model instance driving ``"auto"``.
+                non-empty batch, ``None`` every round); the default is
+                :data:`~repro.solvers.dual_executor.DELTA_SOLO_THRESHOLD`
+                because this executor pays a core for the second leg.
             breaker: Worker health state machine handed to the
                 :class:`~repro.solvers.worker.WorkerClient` (a default
                 :class:`~repro.solvers.worker_health.WorkerCircuitBreaker`
@@ -161,13 +153,11 @@ class ParallelDualExecutor(SpeculativeDualExecutor):
         """
         super().__init__(
             relaxation=relaxation, incremental=incremental,
-            executor_policy=executor_policy,
-            cost_model=cost_model,
+            delta_solo_threshold=delta_solo_threshold,
             round_deadline_seconds=round_deadline_seconds,
             relaxation_ascent_cap=relaxation_ascent_cap,
             chaos=chaos,
         )
-        self.delta_solo_threshold = delta_solo_threshold
         #: The relaxation worker; its transport counters (``snapshot_ships``,
         #: ``delta_ships``, ``resync_ships``, ``skipped_rounds``,
         #: ``respawns``) are the executor's.
@@ -228,62 +218,40 @@ class ParallelDualExecutor(SpeculativeDualExecutor):
         deadline: Optional[RoundDeadline] = None
         if self.round_deadline_seconds is not None:
             deadline = RoundDeadline(self.round_deadline_seconds)
-        strategy = self._choose_strategy(changes, physical=True)
 
-        # None whenever the worker takes no part in the round (solo cost
-        # scaling, a busy or lost worker, a chaos kill): cost scaling then
+        # None whenever the worker takes no part in the round (a solo delta
+        # round, a busy or lost worker, a chaos kill): cost scaling then
         # runs unopposed, with no retry -- the breaker's backoff decides
         # when the next respawn attempt happens.
         round_id: Optional[int] = None
-        if strategy != "cost_scaling":
+        if self._speculates(changes):
             round_id = worker.ship(network, changes, chaos, chaos_round)
-
-        parent_ran = True
-        if round_id is not None and strategy == "relaxation":
-            # The cost model picked solo relaxation: wait for the worker
-            # instead of burning the parent core on the predicted loser.
-            # The wait is bounded by the *cost-scaling* estimate (with
-            # slack), not the failure-grace bound: if the worker has not
-            # answered within a few multiples of what the skipped leg
-            # would have taken, the prediction was wrong (e.g. a
-            # contention spike) and the parent-side solver takes over,
-            # racing the still-pending worker round.
-            self.solo_relaxation_rounds += 1
-            scaling_estimate = self.cost_model.cost_scaling_seconds
-            timeout = LOSER_GRACE_SECONDS
-            if scaling_estimate is not None:
-                timeout = min(timeout, max(0.05, 4.0 * scaling_estimate))
-            if deadline is not None:
-                timeout = min(
-                    timeout,
-                    max(0.01, deadline.remaining() + deadline.watchdog_period),
-                )
-            parent_ran = not worker.wait(round_id, timeout)
+        else:
+            self.solo_delta_rounds += 1
 
         cost_scaling_result: Optional[SolverResult] = None
         parent_error: Optional[BaseException] = None
-        if parent_ran:
-            abort_check = None
-            if round_id is not None:
-                abort_check = functools.partial(worker.poll, round_id)
-                if deadline is not None:
-                    worker_answered, hard_expired = abort_check, deadline.hard_expired
-                    abort_check = lambda: worker_answered() or hard_expired()  # noqa: E731
-            elif deadline is not None:
-                abort_check = deadline.hard_expired
-            self.incremental.abort_check = abort_check
-            self.incremental.deadline_check = deadline
-            try:
-                cost_scaling_result = self.incremental.solve(
-                    network, changes=changes, write_back=False
-                )
-            except SolveAborted:
-                pass
-            except Exception as error:
-                parent_error = error
-            finally:
-                self.incremental.abort_check = None
-                self.incremental.deadline_check = None
+        abort_check = None
+        if round_id is not None:
+            abort_check = functools.partial(worker.poll, round_id)
+            if deadline is not None:
+                worker_answered, hard_expired = abort_check, deadline.hard_expired
+                abort_check = lambda: worker_answered() or hard_expired()  # noqa: E731
+        elif deadline is not None:
+            abort_check = deadline.hard_expired
+        self.incremental.abort_check = abort_check
+        self.incremental.deadline_check = deadline
+        try:
+            cost_scaling_result = self.incremental.solve(
+                network, changes=changes, write_back=False
+            )
+        except SolveAborted:
+            pass
+        except Exception as error:
+            parent_error = error
+        finally:
+            self.incremental.abort_check = None
+            self.incremental.deadline_check = None
         parent_finished_at = time.monotonic()
 
         answered = deadline_hit = False
@@ -320,21 +288,16 @@ class ParallelDualExecutor(SpeculativeDualExecutor):
             )
         result = self._finish_round(
             network, started, relaxation_result, cost_scaling_result,
-            # Without a parent result, cost scaling never ran, or was
-            # cancelled by the worker's finish (or failed, or died at the
-            # deadline, and the worker delivered in grace).
+            # Without a parent result, cost scaling was cancelled by the
+            # worker's finish (or failed, or died at the deadline, and the
+            # worker delivered in grace).
             winner_is_relaxation=answered
             and (
                 cost_scaling_result is None
                 or worker.finished_at <= parent_finished_at
             ),
             executor="parallel",
-            # A round raced only when the worker was consulted *and* the
-            # parent leg ran; solo rounds must not feed the cost model
-            # censored loser samples (the skipped leg never started).
-            raced=round_id is not None and parent_ran,
             deadline_hit=deadline_hit,
-            parent_cancelled=parent_ran and cost_scaling_result is None,
         )
         worker.stamp_round(result.winner.statistics)
         self._last_round_fallback = False

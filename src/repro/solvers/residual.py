@@ -214,11 +214,6 @@ class ResidualNetwork:
         """Number of residual arc slots (twice the original arc pair slots)."""
         return len(self.arc_to)
 
-    @property
-    def num_live_arc_pairs(self) -> int:
-        """Number of live (non-removed) original arcs."""
-        return len(self.forward_arc_keys) - self.dead_arc_pairs
-
     def reverse(self, arc_index: int) -> int:
         """Return the index of the reverse residual arc."""
         return arc_index ^ 1
@@ -334,18 +329,6 @@ class ResidualNetwork:
         self.cost_scale *= multiplier
         if self._max_cost_cache is not None:
             self._max_cost_cache *= multiplier
-
-    def unscale_costs(self) -> None:
-        """Divide arc costs back to original units (``cost_scale`` 1)."""
-        divisor = self.cost_scale
-        if divisor == 1:
-            return
-        arc_cost = self.arc_cost
-        for arc_index in range(len(arc_cost)):
-            arc_cost[arc_index] //= divisor
-        self.cost_scale = 1
-        if self._max_cost_cache is not None:
-            self._max_cost_cache //= divisor
 
     def reset_current_arcs(self) -> None:
         """Reset every node's current-arc cursor to the start of its list."""

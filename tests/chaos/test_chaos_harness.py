@@ -521,7 +521,7 @@ class TestChaosSimulation:
         budget = 0.25
         state = make_cluster_state(num_machines=6, slots_per_machine=2)
         scheduler = FirmamentScheduler(
-            QuincyPolicy(), executor="sequential", round_deadline_seconds=budget
+            QuincyPolicy(), round_deadline_seconds=budget
         )
         simulator = ClusterSimulator(
             state, scheduler, SimulationConfig(max_time=60.0)

@@ -74,14 +74,6 @@ class TestSolveCommand:
             costs.add(int(cost_line.split(":")[1]))
         assert len(costs) == 1
 
-    def test_executor_policy_flag_accepted_by_dual_algorithms(self, dimacs_file, capsys):
-        assert main([
-            "solve", str(dimacs_file), "--algorithm", "firmament_dual",
-            "--executor-policy", "auto",
-        ]) == 0
-        output = capsys.readouterr().out
-        assert "total cost" in output
-
     def test_missing_file_reports_error(self, capsys):
         assert main(["solve", "/nonexistent/problem.dimacs"]) == 1
         assert "error" in capsys.readouterr().err.lower()
@@ -108,25 +100,6 @@ class TestSimulateCommand:
         output = capsys.readouterr().out
         assert "executor: parallel" in output
         assert "placement latency" in output
-
-    def test_auto_executor_policy_simulation(self, capsys):
-        code = main([
-            "simulate", "--machines", "8", "--duration", "60",
-            "--utilization", "0.5", "--seed", "1",
-            "--executor-policy", "auto",
-        ])
-        assert code == 0
-        output = capsys.readouterr().out
-        assert "placement latency" in output
-
-    def test_unknown_executor_policy_rejected(self):
-        import pytest
-
-        with pytest.raises(SystemExit):
-            main([
-                "simulate", "--machines", "4", "--duration", "10",
-                "--executor-policy", "always",
-            ])
 
     def test_baseline_scheduler_simulation(self, capsys):
         code = main([
@@ -211,12 +184,14 @@ class TestSchedulerKnobForwarding:
         ]) == 1
         assert "--executor" in capsys.readouterr().err
 
-    def test_cells_with_auto_executor_policy_fails_loudly(self, capsys):
+    def test_parallel_executor_with_baseline_scheduler_fails_loudly(self, capsys):
+        # Pre-fix, --executor parallel was silently ignored for the
+        # queue-based baselines (the run exited 0 on a plain sparrow).
         assert main([
             "simulate", "--machines", "4", "--duration", "10",
-            "--cells", "2", "--executor-policy", "auto",
+            "--scheduler", "sparrow", "--executor", "parallel",
         ]) == 1
-        assert "--executor-policy" in capsys.readouterr().err
+        assert "--executor" in capsys.readouterr().err
 
     def test_cell_workers_without_cells_fails_loudly(self, capsys):
         assert main([

@@ -39,7 +39,7 @@ class TestSimulatorBasics:
 
     def test_relaxation_observability_threads_into_metrics(self):
         """SolverStatistics relaxation counters flow through ScheduleRecord
-        into MetricsSummary (like price_refine_times in PR 4)."""
+        into MetricsSummary."""
         state = make_cluster_state(num_machines=4, slots_per_machine=2)
         simulator = ClusterSimulator(
             state, FirmamentScheduler(QuincyPolicy()), SimulationConfig(max_time=100.0)

@@ -5,7 +5,9 @@ import random
 
 import pytest
 
-from repro.core import FirmamentScheduler
+from repro.cli import serve_command
+from repro.cli.main import build_parser
+from repro.core import FirmamentScheduler, ShardedScheduler
 from repro.core.policies import QuincyPolicy
 from repro.flow.graph import FlowNetwork
 from repro.flow.validation import (
@@ -17,7 +19,6 @@ from repro.solvers.cost_scaling import CostScalingSolver
 from repro.solvers.dual_executor import (
     DELTA_SOLO_THRESHOLD,
     DualAlgorithmExecutor,
-    RaceCostModel,
 )
 from repro.solvers.incremental import IncrementalCostScalingSolver
 from repro.solvers.parallel_executor import ParallelDualExecutor
@@ -121,129 +122,100 @@ class TestDualExecution:
             assert network.flows() == result.flows
 
 
-class TestRaceCostModel:
-    def observe_rounds(self, model, relax_s, scaling_s, rounds=3, **relax_stats):
-        for _ in range(rounds):
-            model.observe(
-                make_result("relaxation", relax_s, augmentations=10, **relax_stats),
-                make_result("incremental_cost_scaling", scaling_s),
+class TestLegSelection:
+    """``SpeculativeDualExecutor._speculates``: the cost-scaling leg runs
+    every round, alone iff the batch chains onto its residual and fits
+    ``delta_solo_threshold``."""
+
+    @pytest.mark.parametrize(
+        "executor_class", [DualAlgorithmExecutor, ParallelDualExecutor]
+    )
+    @pytest.mark.parametrize("chain", ["alive", "broken", "no_batch"])
+    @pytest.mark.parametrize(
+        "threshold, fits",
+        [
+            (lambda size: None, False),
+            (lambda size: DELTA_SOLO_THRESHOLD, True),  # batch far below it
+            (lambda size: size, True),
+            (lambda size: size - 1, False),
+        ],
+        ids=["none", "default", "at", "above"],
+    )
+    def test_one_rule_picks_the_legs(
+        self, monkeypatch, executor_class, chain, threshold, fits
+    ):
+        rng = random.Random(9)
+        first = generate_network(rng)
+        network, changes = perturb_network(rng, first)
+        size = len(changes)
+        assert size >= 1
+        if chain == "broken":
+            # A round went missing: the batch no longer starts at the
+            # revision the cost-scaling residual mirrors.
+            network, changes = perturb_network(rng, network)
+            size = len(changes)
+        elif chain == "no_batch":
+            changes = None
+        speculates = not (chain == "alive" and fits)
+
+        executor = executor_class()
+        conn = None
+        try:
+            if executor_class is ParallelDualExecutor:
+                # Prime on the no-worker path so the cost-scaling leg
+                # finishes and keeps its residual, then hand the round
+                # under test a worker that answers first.
+                with monkeypatch.context() as patch:
+                    patch.setattr(executor.worker, "ensure", lambda: False)
+                    executor.solve_detailed(first)
+                conn = _InstantWorkerConn()
+                executor.worker.attach(conn)
+            else:
+                executor.solve_detailed(first)
+            assert executor.solo_delta_rounds == 0  # cold: nothing to chain onto
+            executor.delta_solo_threshold = threshold(size)
+
+            calls = []
+            for leg in (executor.relaxation, executor.incremental):
+                def counted(*args, _solve=leg.solve, _name=leg.name, **kwargs):
+                    calls.append(_name)
+                    return _solve(*args, **kwargs)
+
+                monkeypatch.setattr(leg, "solve", counted)
+            detailed = executor.solve_detailed(network, changes)
+
+            relaxation_runs = (
+                conn.requests if conn else calls.count(executor.relaxation.name)
             )
+            assert relaxation_runs == int(speculates)
+            assert calls.count(executor.incremental.name) == 1
+            assert (detailed.relaxation is not None) == speculates
+            assert executor.solo_delta_rounds == int(not speculates)
+            if conn is None or not speculates:
+                assert detailed.cost_scaling is not None
+            if detailed.cost_scaling is not None:
+                # (The instant worker cancels the parent leg mid-flight.)
+                delta_solve = detailed.winner.statistics.delta_solve
+                assert delta_solve == int(chain == "alive")
+            scratch = CostScalingSolver().solve(network.copy())
+            assert detailed.winner.total_cost == scratch.total_cost
+            assert network.flows() == detailed.winner.flows
+        finally:
+            if conn is not None:
+                executor.worker.attach(None)
+            executor.close()
 
-    def test_races_until_both_legs_observed(self):
-        model = RaceCostModel(min_observations=2)
-        assert model.choose(batch_size=5, delta_armed=False) == "race"
-        model.observe(make_result("relaxation", 0.001), None)
-        model.observe(make_result("relaxation", 0.001), None)
-        # Cost scaling still unobserved: keep racing.
-        assert model.choose(batch_size=5, delta_armed=False) == "race"
-
-    def test_rebuild_rounds_always_race(self):
-        model = RaceCostModel()
-        self.observe_rounds(model, relax_s=0.001, scaling_s=0.050)
-        # Solo would be chosen for a small batch, but a no-batch round is
-        # a rebuild round and must race.
-        assert model.choose(batch_size=10, delta_armed=False) == "relaxation"
-        assert model.choose(batch_size=None, delta_armed=False) == "race"
-
-    def test_wide_relaxation_margin_picks_solo_relaxation(self):
-        model = RaceCostModel()
-        self.observe_rounds(model, relax_s=0.001, scaling_s=0.050)
-        assert model.choose(batch_size=10, delta_armed=False) == "relaxation"
-
-    def test_wide_cost_scaling_margin_picks_solo_cost_scaling(self):
-        model = RaceCostModel()
-        self.observe_rounds(model, relax_s=0.050, scaling_s=0.001)
-        assert model.choose(batch_size=10, delta_armed=False) == "cost_scaling"
-
-    def test_contention_disables_solo_relaxation(self):
-        model = RaceCostModel(contention_limit=3.0)
-        # 10 augmentations vs 100 ascents: the Figure 8/9 regime.
-        self.observe_rounds(model, relax_s=0.001, scaling_s=0.050, dual_ascents=100)
-        assert model.choose(batch_size=10, delta_armed=False) == "race"
-
-    def test_probe_interval_forces_periodic_race(self):
-        model = RaceCostModel(probe_interval=3)
-        self.observe_rounds(model, relax_s=0.001, scaling_s=0.050)
-        for _ in range(3):  # solo rounds: only the relaxation leg reports
-            assert model.choose(batch_size=5, delta_armed=False) == "relaxation"
-            model.observe(make_result("relaxation", 0.001, augmentations=10), None)
-        assert model.choose(batch_size=5, delta_armed=False) == "race"
-
-    def test_oversized_batches_always_race(self):
-        model = RaceCostModel(always_race_batch_size=100)
-        self.observe_rounds(model, relax_s=0.001, scaling_s=0.050)
-        assert model.choose(batch_size=101, delta_armed=False) == "race"
-
-    def test_delta_armed_faster_scaling_solos_without_margin(self):
-        model = RaceCostModel(margin=100.0)
-        self.observe_rounds(model, relax_s=0.002, scaling_s=0.001)
-        assert model.choose(batch_size=10, delta_armed=True) == "cost_scaling"
-        # Without the delta arm the margin gate applies and the race runs.
-        assert model.choose(batch_size=10, delta_armed=False) == "race"
-
-
-class TestAdaptivePolicy:
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            DualAlgorithmExecutor(executor_policy="always")
-
-    def test_race_policy_preserves_dual_leg_results(self):
-        executor = DualAlgorithmExecutor(executor_policy="race")
+    def test_default_runs_and_reports_both_legs(self):
+        executor = DualAlgorithmExecutor()
+        assert executor.delta_solo_threshold is None
         network = build_scheduling_network(seed=61, num_tasks=10)
         detailed = executor.solve_detailed(network)
         assert detailed.relaxation is not None
         assert detailed.cost_scaling is not None
-        assert executor.solo_relaxation_rounds == 0
-        assert executor.solo_cost_scaling_rounds == 0
+        assert executor.solo_delta_rounds == 0
 
-    def test_auto_policy_solo_relaxation_round(self):
-        from repro.flow.changes import ChangeBatch
-
-        model = RaceCostModel()
-        model.relaxation_seconds = 0.0001
-        model.cost_scaling_seconds = 1.0
-        model.relaxation_observations = 5
-        model.cost_scaling_observations = 5
-        executor = DualAlgorithmExecutor(executor_policy="auto", cost_model=model)
-        network = build_scheduling_network(seed=62, num_tasks=10)
-        expected = reference_min_cost(network)
-        # Rebuild rounds (no batch) always race; a tracked batch arms the
-        # policy decision.
-        batch = ChangeBatch(changes=[], base_revision=7, target_revision=8)
-        detailed = executor.solve_detailed(network, changes=batch)
-        assert detailed.cost_scaling is None
-        assert detailed.winner.total_cost == expected
-        assert check_feasibility(network) == []
-        assert executor.solo_relaxation_rounds == 1
-        # The winning relaxation solution still seeds the warm state.
-        assert executor.incremental.has_state
-        assert detailed.effective_runtime_seconds == pytest.approx(
-            detailed.relaxation.runtime_seconds
-        )
-
-    def test_auto_policy_solo_cost_scaling_round(self):
-        model = RaceCostModel()
-        model.relaxation_seconds = 1.0
-        model.cost_scaling_seconds = 0.0001
-        model.relaxation_observations = 5
-        model.cost_scaling_observations = 5
-        executor = DualAlgorithmExecutor(executor_policy="auto", cost_model=model)
-        network = build_scheduling_network(seed=63, num_tasks=10)
-        expected = reference_min_cost(network)
-        from repro.flow.changes import ChangeBatch
-
-        batch = ChangeBatch(changes=[], base_revision=7, target_revision=8)
-        detailed = executor.solve_detailed(network, changes=batch)
-        assert detailed.relaxation is None
-        assert detailed.winner.total_cost == expected
-        assert check_feasibility(network) == []
-        assert executor.solo_cost_scaling_rounds == 1
-
-    def test_auto_policy_stays_optimal_across_rounds(self):
-        executor = DualAlgorithmExecutor(
-            executor_policy="auto",
-            cost_model=RaceCostModel(min_observations=1, probe_interval=2),
-        )
+    def test_delta_solo_threshold_stays_optimal_across_rounds(self):
+        executor = DualAlgorithmExecutor(delta_solo_threshold=DELTA_SOLO_THRESHOLD)
         base = build_scheduling_network(seed=64, num_tasks=10)
         for round_index in range(6):
             network = base.copy()
@@ -376,25 +348,6 @@ class TestSurvivingDeltaChain:
         assert detailed.cost_scaling.statistics.delta_solve == 1
         assert detailed.winner.total_cost == reference_min_cost(network)
 
-    def test_policy_solo_relaxation_round_still_seeds(self, monkeypatch):
-        model = RaceCostModel()
-        executor = DualAlgorithmExecutor(executor_policy="auto", cost_model=model)
-        # Every (non-empty) batch is oversized for the delta-solo rule, so
-        # the rounds are the cost model's to decide.
-        executor.delta_solo_threshold = 0
-        rig_race(monkeypatch, executor, lambda index: True)
-        rounds = self.hand_built_rounds(5)
-        executor.solve_detailed(*next(rounds))
-        executor.solve_detailed(*next(rounds))
-        assert executor.incremental.persistent_residual is not None
-        # The rigged runtimes (1 s vs 2 s) sit inside the margin; make the
-        # model sure of relaxation so it drops the cost-scaling leg.
-        model.relaxation_seconds = 1e-4
-        detailed = executor.solve_detailed(*next(rounds))
-        assert detailed.cost_scaling is None
-        model.rounds_since_race = model.probe_interval  # race again
-        self.assert_reseeded_then_rebuilt(executor, rounds)
-
     def test_cancelled_parent_leg_still_seeds(self, monkeypatch):
         executor = ParallelDualExecutor()
         executor.worker.attach(_InstantWorkerConn())  # answers first, always
@@ -422,13 +375,22 @@ class TestSurvivingDeltaChain:
         self.assert_reseeded_then_rebuilt(executor, rounds)
 
 
+def serve_scheduler(*flags):
+    """The scheduler ``serve`` builds for these flags, from its own factory."""
+    return serve_command._build_scheduler(
+        build_parser().parse_args(["serve", *flags])
+    )
+
+
 class TestServicePathSingleLeg:
-    """``executor_policy="auto"`` (what ``serve`` schedules with): a small
-    batch chained onto cost scaling's residual runs that leg alone."""
+    """``delta_solo_threshold=DELTA_SOLO_THRESHOLD`` on the inline executor
+    (what ``serve`` schedules with): a small batch chained onto cost
+    scaling's residual runs that leg alone."""
 
     def test_steady_rounds_are_solo_delta_solves(self):
-        scheduler = FirmamentScheduler(QuincyPolicy(), executor_policy="auto")
+        scheduler = serve_scheduler()
         executor = scheduler.solver
+        assert type(executor) is DualAlgorithmExecutor
         for round_index in churn_rounds(scheduler, 24):
             detailed = executor.last_result
             network = scheduler.last_network
@@ -436,28 +398,34 @@ class TestServicePathSingleLeg:
             assert detailed.winner.total_cost == scratch.total_cost
             assert check_feasibility(network) == []
             if round_index == 0:
-                assert detailed.raced  # cold: nothing to chain onto
+                # Cold: nothing to chain onto, both legs run.
+                assert detailed.relaxation is not None
+                assert detailed.cost_scaling is not None
                 continue
-            # One leg, on the delta path: no relaxation run to lose, no
-            # residual dropped by a solo-relaxation win.
+            # One leg, on the delta path: no relaxation run to lose.
             assert detailed.relaxation is None, f"round {round_index}"
             assert executor.incremental.delta_solves == round_index
             assert detailed.winner.statistics.delta_solve == 1
         assert executor.solo_delta_rounds == 23
-        assert executor.solo_relaxation_rounds == 0
         assert executor.relaxation.residual_rebuilds == 1
 
+    def test_serve_cells_run_the_sharded_scheduler(self):
+        assert isinstance(serve_scheduler("--cells", "2"), ShardedScheduler)
+
     def test_oversized_or_chain_broken_batch_still_races(self):
-        scheduler = FirmamentScheduler(QuincyPolicy(), executor_policy="auto")
+        scheduler = FirmamentScheduler(
+            QuincyPolicy(),
+            solver=DualAlgorithmExecutor(delta_solo_threshold=DELTA_SOLO_THRESHOLD),
+        )
         executor = scheduler.solver
         rounds = churn_rounds(scheduler, 8)
         for _ in range(3):
             next(rounds)
         assert executor.last_result.relaxation is None
         # Oversized: no batch is small enough for the rule any more.
-        executor.delta_solo_threshold = -1
+        executor.delta_solo_threshold = None
         next(rounds)
-        assert executor.last_result.raced
+        assert executor.last_result.relaxation is not None
         assert executor.last_result.cost_scaling.statistics.delta_solve == 1
         executor.delta_solo_threshold = DELTA_SOLO_THRESHOLD
         next(rounds)
@@ -465,14 +433,16 @@ class TestServicePathSingleLeg:
         # Chain-broken: the manager's batch never reaches the solver.
         scheduler.graph_manager.track_changes = False
         next(rounds)
-        assert executor.last_result.raced
+        assert executor.last_result.relaxation is not None
         assert executor.last_result.cost_scaling.statistics.delta_solve == 0
         assert executor.solo_delta_rounds == 3
 
-    def test_race_policy_still_races_every_round(self):
+    def test_default_scheduler_still_races_every_round(self):
         scheduler = FirmamentScheduler(QuincyPolicy())
         for _ in churn_rounds(scheduler, 6):
-            assert scheduler.solver.last_result.raced
+            detailed = scheduler.solver.last_result
+            assert detailed.relaxation is not None
+            assert detailed.cost_scaling is not None
         assert scheduler.solver.solo_delta_rounds == 0
 
 

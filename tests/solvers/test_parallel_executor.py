@@ -13,6 +13,7 @@ from repro.flow.dimacs import read_dimacs
 from repro.flow.validation import check_feasibility
 from repro.solvers.base import SolveAborted
 from repro.solvers.cost_scaling import CostScalingSolver
+from repro.solvers.dual_executor import DELTA_SOLO_THRESHOLD
 from repro.solvers.parallel_executor import ParallelDualExecutor
 from repro.solvers.relaxation import RelaxationSolver
 from repro.solvers.worker import WorkerClient, encode_result
@@ -250,54 +251,7 @@ class TestRecoveryPaths:
             instance.solve(network.copy())
 
 
-class TestAdaptivePolicy:
-    def test_auto_solo_relaxation_waits_on_worker(self):
-        from repro.solvers.dual_executor import RaceCostModel
-
-        model = RaceCostModel()
-        model.relaxation_seconds = 0.0001
-        model.cost_scaling_seconds = 10.0
-        model.relaxation_observations = 5
-        model.cost_scaling_observations = 5
-        instance = ParallelDualExecutor(executor_policy="auto", cost_model=model)
-        try:
-            network = build_scheduling_network(seed=54, num_tasks=10)
-            expected = reference_min_cost(network)
-            batch = ChangeBatch(changes=[], base_revision=7, target_revision=8)
-            detailed = instance.solve_detailed(network, changes=batch)
-            assert detailed.winner.total_cost == expected
-            assert detailed.winning_algorithm == "relaxation"
-            assert detailed.cost_scaling is None
-            assert instance.solo_relaxation_rounds == 1
-            assert check_feasibility(network) == []
-            # The idle parent contributed no speculation work.
-            assert detailed.total_work_seconds == pytest.approx(
-                detailed.relaxation.runtime_seconds
-            )
-        finally:
-            instance.close()
-
-    def test_auto_solo_cost_scaling_leaves_worker_idle(self):
-        from repro.solvers.dual_executor import RaceCostModel
-
-        model = RaceCostModel()
-        model.relaxation_seconds = 10.0
-        model.cost_scaling_seconds = 0.0001
-        model.relaxation_observations = 5
-        model.cost_scaling_observations = 5
-        instance = ParallelDualExecutor(executor_policy="auto", cost_model=model)
-        try:
-            network = build_scheduling_network(seed=55, num_tasks=10)
-            expected = reference_min_cost(network)
-            batch = ChangeBatch(changes=[], base_revision=7, target_revision=8)
-            detailed = instance.solve_detailed(network, changes=batch)
-            assert detailed.winner.total_cost == expected
-            assert detailed.relaxation is None
-            assert instance.solo_cost_scaling_rounds == 1
-            assert instance.worker.snapshot_ships + instance.worker.delta_ships == 0
-        finally:
-            instance.close()
-
+class TestLegSelection:
     def test_equal_revision_hand_built_networks_both_ship_full(self):
         """Two unrelated networks sharing the default revision must not be
         bridged by an empty delta: without a revision-chained batch the
@@ -321,42 +275,36 @@ class TestAdaptivePolicy:
         finally:
             instance.close()
 
-    def test_fallback_rounds_keep_solo_counters_live(self, monkeypatch):
+    def test_fallback_rounds_keep_solo_delta_counter_live(self, monkeypatch):
         import multiprocessing
-
-        from repro.solvers.dual_executor import RaceCostModel
 
         monkeypatch.setattr(
             multiprocessing,
             "get_context",
             lambda *a, **k: (_ for _ in ()).throw(OSError("unavailable")),
         )
-        model = RaceCostModel()
-        model.relaxation_seconds = 0.0001
-        model.cost_scaling_seconds = 1.0
-        model.relaxation_observations = 5
-        model.cost_scaling_observations = 5
-        instance = ParallelDualExecutor(executor_policy="auto", cost_model=model)
+        instance = ParallelDualExecutor()
         try:
-            network = build_scheduling_network(seed=57, num_tasks=8)
-            batch = ChangeBatch(changes=[], base_revision=7, target_revision=8)
-            detailed = instance.solve_detailed(network, changes=batch)
-            assert detailed.executor == "sequential_fallback"
-            # The inner sequential executor served the round solo; the
-            # outer executor's documented counters must reflect it.
-            assert instance.solo_relaxation_rounds == 1
-            assert instance.rounds == 1
+            for network, changes, expected in perturbed_rounds(seed=57, rounds=1):
+                detailed = instance.solve_detailed(network, changes=changes)
+                assert detailed.executor == "sequential_fallback"
+                assert detailed.winner.total_cost == expected
+            # The rule is the executor's, whichever path serves the round:
+            # the chained second round ran the cost-scaling leg alone.
+            assert detailed.relaxation is None
+            assert instance.solo_delta_rounds == 1
+            assert instance.rounds == 2
         finally:
             instance.close()
 
-    def test_race_policy_is_default_and_unchanged(self):
+    def test_delta_solo_threshold_is_default_and_cold_round_races(self):
         instance = ParallelDualExecutor()
         try:
-            assert instance.executor_policy == "race"
+            assert instance.delta_solo_threshold == DELTA_SOLO_THRESHOLD
             network = build_scheduling_network(seed=56, num_tasks=8)
             instance.solve(network)
-            assert instance.solo_relaxation_rounds == 0
-            assert instance.solo_cost_scaling_rounds == 0
+            assert instance.solo_delta_rounds == 0
+            assert instance.worker.snapshot_ships == 1
         finally:
             instance.close()
 
