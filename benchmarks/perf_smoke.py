@@ -1,6 +1,6 @@
 """Perf smoke job: guard the incremental hot paths against regression.
 
-Runs two kernels at ``REPRO_BENCH_SCALE=1`` and compares against the
+Runs eleven kernels at ``REPRO_BENCH_SCALE=1`` and compares against the
 committed baseline in ``perf_baseline.json``:
 
 * the Figure-11 kernel -- one realistic scheduling round solved from
@@ -27,11 +27,15 @@ committed baseline in ``perf_baseline.json``:
   event engine and ingestion path; normalized against the from-scratch
   solve like every other kernel (``bench_sim_scale.py`` is the full-size
   1k-machine/10^5-task version of the same path), and
-* the sharded-round kernel -- low-churn steady-state scheduling rounds at
-  256 machines solved by the monolithic incremental scheduler and by the
-  4-cell sharded scheduler (per-round latency charged as the straggler
-  cell's solve) -- guarding the sharding layer's round-latency win
-  (``bench_shard_scaling.py`` is the full grid version), and
+* the sharded-round kernel -- high-churn steady-state scheduling rounds
+  (eight 4-task jobs per round) at 256 machines solved by the monolithic
+  incremental scheduler and by the 4-cell sharded scheduler (per-round
+  latency charged as the straggler cell's solve) -- guarding the sharding
+  layer's round-latency win where it has one: since the delta repair
+  stops at the nearest deficit a *low*-churn monolithic round is too cheap
+  for four cells to beat by the gate's factor
+  (``bench_shard_scaling.py`` is the full grid version and prints that
+  crossover), and
 * the service-round kernel -- a small closed-loop burst against an
   in-process :class:`SchedulerService` over loopback TCP (submit -> coalesced
   admission -> round -> placement stream -> drain) -- guarding the
@@ -47,7 +51,15 @@ committed baseline in ``perf_baseline.json``:
   x 4 slots holding 128 tasks with 6 arrivals and 6 completions per round
   -- guarding the inline race's per-round cost: both legs patch their
   persistent residuals, so a reintroduced per-round rebuild, price refine
-  or graph copy shows as a multiple.
+  or graph copy shows as a multiple, and
+* the round-scaling kernel -- the same steady shape on a half-full cluster
+  (6 completions + 6 arrivals per round, ``serve``'s delta-solo scheduler)
+  at 128 and at 512 machines -- guarding "a steady round costs what
+  changed": the ratio of the two medians is the kernel's number (a pass
+  over the cluster creeping back into the round raises it), and the
+  repair's settled nodes per augmentation, which repeat exactly, may at
+  most double over the 4x (``bench_round_scaling.py`` is the three-size
+  version with the per-stage table).
 
 The gates are host-normalized: the from-scratch solve (resp. the full
 rebuild) acts as the calibration workload, so requiring each measured
@@ -85,9 +97,17 @@ BASELINE_PATH = Path(__file__).resolve().parent / "perf_baseline.json"
 MACHINES = 64
 #: The sharded-round kernel needs a cluster large enough that the
 #: monolithic solve visibly dominates the per-cell solves (ISSUE PR 8:
-#: >= 256 machines, 4 cells).
+#: >= 256 machines, 4 cells), and rounds with enough change in them
+#: (``bench_shard_scaling``'s high-churn profile: jobs x tasks per round).
 SHARD_MACHINES = 256
 SHARD_CELLS = 4
+SHARD_JOBS_PER_ROUND = 8
+SHARD_TASKS_PER_JOB = 4
+#: The round-scaling kernel's two cluster sizes and rounds per size.
+SCALING_MACHINES = (128, 512)
+SCALING_ROUNDS = 20
+#: Settled nodes per augmentation may grow this much over the 4x machines.
+SCALING_SETTLED_GROWTH = 2.0
 #: The dual-round kernel runs at the e2e benchmark's ``steady_small`` shape.
 DUAL_MACHINES = 128
 DUAL_ROUNDS = 50
@@ -400,14 +420,15 @@ def measure_sim_replay_round() -> float:
 def measure_sharded_round() -> tuple:
     """Sharded-round kernel: (monolithic_seconds, sharded_seconds).
 
-    Three low-churn steady-state rounds at ``SHARD_MACHINES`` machines (a
-    small job arrives per round), summed so the kernel is not dominated by
-    timer noise.  Both sides are charged the same per-round latency
-    yardstick the simulator uses -- ``decision.algorithm_runtime``, which
-    for the sharded scheduler is the straggler cell's solve.  The cold
-    build round is excluded: the kernel guards the steady-state delta
-    path, where the sharding win (per-cell networks are 1/cells the size
-    and MCMF solve cost is superlinear) must hold.
+    Three high-churn steady-state rounds at ``SHARD_MACHINES`` machines
+    (``SHARD_JOBS_PER_ROUND`` jobs of ``SHARD_TASKS_PER_JOB`` tasks arrive
+    per round), summed so the kernel is not dominated by timer noise.  Both
+    sides are charged the same per-round latency yardstick the simulator
+    uses -- ``decision.algorithm_runtime``, which for the sharded scheduler
+    is the straggler cell's solve.  The cold build round is excluded: the
+    kernel guards the steady-state delta path, where the sharding win (each
+    cell repairs its share of the batch on a network 1/cells the size)
+    must hold.
     """
     from benchmarks.common import make_job
     from repro.core import FirmamentScheduler, ShardedScheduler
@@ -427,9 +448,12 @@ def measure_sharded_round() -> tuple:
             scheduler.schedule_and_apply(state, now=0.0)  # cold build, untimed
             for round_index in range(1, 4):
                 now = round_index * 5.0
-                state.submit_job(make_job(job_id, 4, task_id, submit_time=now))
-                job_id += 1
-                task_id += 4
+                for _ in range(SHARD_JOBS_PER_ROUND):
+                    state.submit_job(
+                        make_job(job_id, SHARD_TASKS_PER_JOB, task_id, submit_time=now)
+                    )
+                    job_id += 1
+                    task_id += SHARD_TASKS_PER_JOB
                 decision = scheduler.schedule_and_apply(state, now=now)
                 total += decision.algorithm_runtime
         finally:
@@ -611,6 +635,31 @@ def measure_dual_round() -> float:
     return total / DUAL_ROUNDS
 
 
+def measure_round_scaling() -> tuple:
+    """Round-scaling kernel: (small_round_seconds, large_round_seconds).
+
+    Median steady round of ``bench_round_scaling.steady_rounds`` (which
+    asserts every timed round is a delta solve, solo under the threshold)
+    at the two ``SCALING_MACHINES`` sizes.  The count half of the gate is
+    checked here because it needs no baseline: settled nodes per
+    augmentation repeat exactly on every host.
+    """
+    from benchmarks.bench_round_scaling import steady_rounds
+
+    small, large = (
+        steady_rounds(machines, timed_rounds=SCALING_ROUNDS)
+        for machines in SCALING_MACHINES
+    )
+    growth = large["settled_per_augmentation"] / small["settled_per_augmentation"]
+    if growth > SCALING_SETTLED_GROWTH:
+        raise AssertionError(
+            "perf smoke: settled nodes per augmentation grew "
+            f"{growth:.2f}x from {SCALING_MACHINES[0]} to "
+            f"{SCALING_MACHINES[1]} machines (allowed {SCALING_SETTLED_GROWTH}x)"
+        )
+    return small["round_ms"] / 1e3, large["round_ms"] / 1e3
+
+
 def main() -> int:
     update = "--update" in sys.argv[1:]
     scratch_runs, incremental_runs = [], []
@@ -623,6 +672,7 @@ def main() -> int:
     service_round_runs = []
     service_durable_runs = []
     dual_round_runs = []
+    scaling_small_runs, scaling_large_runs = [], []
     for _ in range(RUNS):
         scratch, incremental = measure_round()
         scratch_runs.append(scratch)
@@ -646,6 +696,9 @@ def main() -> int:
         service_round_runs.append(measure_service_round())
         service_durable_runs.append(measure_service_round_durable())
         dual_round_runs.append(measure_dual_round())
+        scaling_small, scaling_large = measure_round_scaling()
+        scaling_small_runs.append(scaling_small)
+        scaling_large_runs.append(scaling_large)
     measured = {
         "machines": MACHINES,
         "scratch_s": round(statistics.median(scratch_runs), 6),
@@ -668,6 +721,8 @@ def main() -> int:
             statistics.median(service_durable_runs), 6
         ),
         "dual_round_s": round(statistics.median(dual_round_runs), 6),
+        "round_small_s": round(statistics.median(scaling_small_runs), 6),
+        "round_large_s": round(statistics.median(scaling_large_runs), 6),
     }
     measured["speedup"] = round(
         measured["scratch_s"] / max(measured["incremental_s"], 1e-9), 3
@@ -711,6 +766,11 @@ def main() -> int:
     # per-round cost (patch, repair, relaxation, write-back) itself grew.
     measured["dual_round_speedup"] = round(
         measured["scratch_s"] / max(measured["dual_round_s"], 1e-9), 3
+    )
+    # The round-scaling ratio is two same-host medians, so it needs no
+    # calibration; it *rises* when a pass over the cluster creeps back in.
+    measured["round_scaling_ratio"] = round(
+        measured["round_large_s"] / max(measured["round_small_s"], 1e-9), 3
     )
     print(f"measured: {json.dumps(measured)}")
 
@@ -840,6 +900,18 @@ def main() -> int:
             "FAIL: steady-state dual round regressed >2x host-normalized: "
             f"speedup {measured['dual_round_speedup']:.2f}x vs baseline "
             f"{baseline_dual_speedup:.2f}x"
+        )
+        failed = True
+    baseline_scaling_ratio = baseline.get("round_scaling_ratio")
+    if (
+        baseline_scaling_ratio
+        and measured["round_scaling_ratio"] > 2.0 * baseline_scaling_ratio
+    ):
+        print(
+            f"FAIL: a steady round at {SCALING_MACHINES[1]} machines costs "
+            f"{measured['round_scaling_ratio']:.2f}x the one at "
+            f"{SCALING_MACHINES[0]} (baseline {baseline_scaling_ratio:.2f}x): "
+            "something in the round scales with the cluster again"
         )
         failed = True
     if failed:

@@ -82,8 +82,13 @@ def add_scheduler_arguments(parser) -> None:
             "shard the cluster into this many scheduling cells (racks map "
             "to cells round-robin) and run one incremental solver per cell "
             "with cross-cell balancing, so round wall clock tracks the "
-            "slowest cell instead of the whole cluster; firmament only, "
-            "0 keeps the monolithic scheduler (default: 0)"
+            "slowest cell instead of the whole cluster.  Use when rounds "
+            "carry large change batches (tens of tasks or machine events "
+            "per round: 4 cells ~10x the monolithic round at 512 machines); "
+            "on low-churn rounds the monolithic delta solve already costs "
+            "only what changed and 4 cells gain ~2x on the solve, before "
+            "routing and merge overhead; firmament only, 0 keeps the "
+            "monolithic scheduler (default: 0)"
         ),
     )
     parser.add_argument(

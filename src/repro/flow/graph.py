@@ -24,8 +24,7 @@ class NodeType(enum.Enum):
 
     The node type is not interpreted by the MCMF solvers (they only see
     supplies, capacities, and costs), but the scheduler uses it to build the
-    network, to extract placements, and to apply problem-specific heuristics
-    such as the efficient task-removal handling of incremental cost scaling.
+    network and to extract placements.
     """
 
     TASK = "task"

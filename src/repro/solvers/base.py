@@ -15,7 +15,7 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.flow.graph import FlowNetwork
 
@@ -163,7 +163,10 @@ class SolverResult:
         algorithm: Name of the algorithm that produced the solution.
         total_cost: Cost of the computed min-cost flow.
         flows: Sparse ``{(src, dst): flow}`` mapping of non-zero arc flows.
-        potentials: Node potentials (dual variables) keyed by node id.
+        potentials: Node potentials (dual variables) keyed by node id.  A
+            solver that retains its residual returns a read-only view built
+            on first use (:class:`~repro.solvers.residual.RetainedPotentials`);
+            copy it to keep it past the solver's next solve.
         runtime_seconds: Wall-clock algorithm runtime.
         statistics: Low-level operation counters.
         optimal: Whether the solution is optimal (False only when a solver
@@ -173,7 +176,7 @@ class SolverResult:
     algorithm: str
     total_cost: int
     flows: Dict[Tuple[int, int], int]
-    potentials: Dict[int, int]
+    potentials: Mapping[int, int]
     runtime_seconds: float
     statistics: SolverStatistics = field(default_factory=SolverStatistics)
     optimal: bool = True

@@ -78,7 +78,8 @@ from __future__ import annotations
 import time
 from collections import deque
 from heapq import heappop, heappush
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.flow.changes import ChangeBatch
 from repro.flow.graph import FlowNetwork
@@ -90,7 +91,7 @@ from repro.solvers.base import (
     SolverResult,
     SolverStatistics,
 )
-from repro.solvers.residual import ResidualNetwork
+from repro.solvers.residual import ResidualNetwork, RetainedPotentials
 
 #: Default alpha scaling factor used by Goldberg's cs2 solver (and Quincy).
 DEFAULT_ALPHA = 2
@@ -420,6 +421,8 @@ class CostScalingSolver(Solver):
         #: algorithm).  ``None`` (the default) adds no per-operation work.
         self.abort_check: Optional[callable] = None
         #: Exact scaled potentials of the most recent run, for warm starts.
+        #: ``None`` while the run's residual is retained (they live there;
+        #: :meth:`release_residual` materialises them).
         self.last_scaled_potentials: Optional[Dict[int, int]] = None
         self.last_scale: Optional[int] = None
         #: The residual network of the most recent run, retained in scaled
@@ -439,6 +442,13 @@ class CostScalingSolver(Solver):
         #: ``{"epsilon": int, "validated": bool, "problems": [...]}``;
         #: None when the last run finished its ladder (or never ran one).
         self.last_degradation: Optional[Dict] = None
+        #: Optional instrumentation hook called as ``hook(residual,
+        #: "augment")`` after every augmentation of the repair (the same
+        #: contract as :attr:`RelaxationSolver.invariant_hook`): the
+        #: directed bound test installs one to assert 0-optimality between
+        #: the augmentations of a multi-source repair.  ``None`` (the
+        #: default) costs one predicate check per augmentation.
+        self.invariant_hook = None
         # Cleared by IncrementalCostScalingSolver.solve(write_back=False) for
         # the duration of one solve: a dual executor writes the round's
         # winning flows itself.
@@ -671,6 +681,12 @@ class CostScalingSolver(Solver):
         # and the retained residual was 0-optimal.  Saturate the violating
         # dirty arcs, then route every excess along shortest reduced-cost
         # paths (which keeps reduced costs non-negative everywhere).
+        # The retained residual carried a feasible flow, so an excess can
+        # only sit where the patch moved one or where a saturating push
+        # lands: the sources are collected from those, never by enumerating
+        # the nodes.
+        excess = residual.excess
+        pushed_into: List[int] = []
         repaired = False
         for position in dirty:
             for arc_index in (2 * position, 2 * position + 1):
@@ -678,10 +694,14 @@ class CostScalingSolver(Solver):
                     continue
                 if residual.reduced_cost(arc_index) < 0:
                     residual.push(arc_index, residual.arc_residual[arc_index])
+                    pushed_into.append(residual.arc_to[arc_index])
                     stats.pushes += 1
                     repaired = True
-        if any(e > 0 for e in residual.excess):
-            self._route_excesses(residual, stats)
+        sources = sorted(
+            {i for i in chain(residual.last_excess_moved, pushed_into) if excess[i] > 0}
+        )
+        if sources:
+            self._route_excesses(residual, stats, sources)
             repaired = True
         if repaired:
             stats.epsilon_phases += 1
@@ -733,11 +753,13 @@ class CostScalingSolver(Solver):
                 excess[u] -= r
                 excess[v] += r
                 stats.pushes += 1
-        self._route_excesses(residual, stats)
+        self._route_excesses(residual, stats, residual.source_indices())
 
-    def _route_excesses(self, residual: ResidualNetwork, stats: SolverStatistics) -> None:
-        """Route every positive excess to a deficit along cheapest paths."""
-        sources = residual.source_indices()
+    def _route_excesses(
+        self, residual: ResidualNetwork, stats: SolverStatistics, sources: List[int]
+    ) -> None:
+        """Route the excess of ``sources`` (ascending node indices covering
+        every positive excess) to deficits along cheapest paths."""
         # The searches below share stamped scratch columns sized to the
         # residual; grown here once, never cleared (see _augment...).
         missing = residual.num_nodes - len(self._search_mark)
@@ -745,6 +767,7 @@ class CostScalingSolver(Solver):
             self._search_mark.extend([0] * missing)
             self._search_dist.extend([0] * missing)
             self._search_pred.extend([0] * missing)
+        hook = self.invariant_hook
         while sources:
             source = sources[-1]
             if residual.excess[source] <= 0:
@@ -757,6 +780,8 @@ class CostScalingSolver(Solver):
                     "warm-start repair could not route all supply to a "
                     "deficit node; the updated flow network is infeasible"
                 )
+            if hook is not None:
+                hook(residual, "augment")
 
     def _augment_along_reduced_costs(
         self, residual: ResidualNetwork, source: int, stats: SolverStatistics
@@ -775,6 +800,30 @@ class CostScalingSolver(Solver):
         reduced costs only see potential *differences*, so raising the
         settled nodes by ``target_dist - dist`` and leaving the rest alone
         is the same update shifted by the constant ``target_dist``.
+
+        The search covers the region a change touched, not the plateau
+        behind it.  A 0-optimal residual is mostly one plateau of
+        zero-reduced-cost arcs (every arc carrying flow below its capacity
+        is tight both ways), so most deficits tie the distance of thousands
+        of other nodes, and a search that waits for the deficit to be
+        *popped* first settles every node that precedes it among the ties.
+        Two rules keep that from happening:
+
+        * A deficit is never expanded, only remembered: the search ends as
+          soon as the key ``d`` being processed reaches the nearest
+          labelled deficit's distance -- at once when a relaxed arc labels
+          one at ``d`` itself, since no unsettled node can be nearer.
+        * Nodes tying ``d`` are settled breadth-first over the
+          zero-reduced-cost arcs (a deque, no heap round trip), so what gets
+          settled before the deficit is labelled is bounded by the hop
+          radius of the shortest such path -- a rack, not the cluster --
+          where heap order would walk the ties by node index.
+
+        The settled-only update stays exact: every unsettled node is at
+        distance >= ``target_dist`` (shift 0), the node whose scan was cut
+        short sits at ``target_dist`` itself (shift 0, so its unrelaxed arcs
+        keep their reduced cost), hence reduced costs stay >= 0 on every
+        residual arc and only the choice among equally cheap paths differs.
         """
         adjacency = residual.adjacency
         arc_residual = residual.arc_residual
@@ -792,34 +841,50 @@ class CostScalingSolver(Solver):
         mark[source] = stamp
         dist[source] = 0
         heap: List[Tuple[int, int]] = [(0, source)]
+        plateau: deque = deque()
         settled: List[int] = []
-        target = -1
+        target = -1  # the nearest deficit labelled so far
+        found = False
         arcs_scanned = 0
 
-        while heap:
+        while heap and not found:
             d, u = heappop(heap)
             if mark[u] == settled_stamp:
                 continue
-            mark[u] = settled_stamp
-            if excess[u] < 0:
-                target = u
+            if target >= 0 and dist[target] <= d:
                 break
-            settled.append(u)
-            pot_u = potential[u]
-            for arc_index in adjacency[u]:
-                if arc_residual[arc_index] <= 0:
-                    continue
-                v = arc_to[arc_index]
-                mark_v = mark[v]
-                if mark_v == settled_stamp:
-                    continue
-                arcs_scanned += 1
-                new_dist = d + arc_cost[arc_index] - pot_u + potential[v]
-                if mark_v != stamp or new_dist < dist[v]:
-                    mark[v] = stamp
-                    dist[v] = new_dist
-                    pred_arc[v] = arc_index
-                    heappush(heap, (new_dist, v))
+            # Settle everything at distance d reachable over zero-reduced-
+            # cost arcs breadth-first, without a heap round trip per node.
+            plateau.append(u)
+            while plateau and not found:
+                u = plateau.popleft()
+                mark[u] = settled_stamp
+                settled.append(u)
+                pot_u = potential[u]
+                for arc_index in adjacency[u]:
+                    if arc_residual[arc_index] <= 0:
+                        continue
+                    v = arc_to[arc_index]
+                    mark_v = mark[v]
+                    if mark_v == settled_stamp:
+                        continue
+                    arcs_scanned += 1
+                    new_dist = d + arc_cost[arc_index] - pot_u + potential[v]
+                    if mark_v != stamp or new_dist < dist[v]:
+                        mark[v] = stamp
+                        dist[v] = new_dist
+                        pred_arc[v] = arc_index
+                        if excess[v] < 0:
+                            # Deficits are never expanded, only remembered.
+                            if target < 0 or new_dist < dist[target]:
+                                target = v
+                            if new_dist == d:
+                                found = True
+                                break
+                        elif new_dist == d:
+                            plateau.append(v)
+                        else:
+                            heappush(heap, (new_dist, v))
         stats.iterations += len(settled) + (target >= 0)
         stats.arcs_scanned += arcs_scanned
 
@@ -872,11 +937,22 @@ class CostScalingSolver(Solver):
         potentials are converted to original units on the way out.
         """
         scale = residual.cost_scale
-        self._record_scaled_state(residual, scale)
         if self.polish_potentials and self.max_phases is None and optimal:
+            # The retained residual *is* the warm-start state: its scaled
+            # potentials are read off it if it is ever released
+            # (:meth:`release_residual`), and the result's unscaled ones on
+            # first use -- no |nodes|-sized dict per solve.
             self.last_residual = residual
+            self.last_scaled_potentials = None
+            self.last_scale = scale
+            potentials: Mapping[int, int] = RetainedPotentials(residual)
         else:
             self.last_residual = None
+            self._record_scaled_state(residual)
+            potentials = {
+                node_id: value // scale
+                for node_id, value in self.last_scaled_potentials.items()
+            }
         if self._write_back:
             residual.write_flow_back(network)
         runtime = time.perf_counter() - start
@@ -884,11 +960,29 @@ class CostScalingSolver(Solver):
             algorithm=algorithm or self.name,
             total_cost=residual.total_cost(),
             flows=residual.flows(),
-            potentials=self._unscaled_potentials(residual, scale),
+            potentials=potentials,
             runtime_seconds=runtime,
             statistics=stats,
             optimal=optimal,
         )
+
+    def discard_warm_state(self) -> None:
+        """Forget the retained residual and every potential of the last run."""
+        self.last_residual = None
+        self.last_scaled_potentials = None
+        self.last_scale = None
+
+    def release_residual(self) -> None:
+        """Stop retaining the residual, keeping its scaled potentials.
+
+        The next solve then rebuilds warm from
+        :attr:`last_scaled_potentials` / :attr:`last_scale`; this is the one
+        place a retained residual's potentials become a dict.
+        """
+        residual = self.last_residual
+        if residual is not None:
+            self._record_scaled_state(residual)
+            self.last_residual = None
 
     def _polish(self, residual: ResidualNetwork, stats: SolverStatistics) -> None:
         """Restore exact (0-optimal) potentials after the epsilon ladder.
@@ -1007,14 +1101,10 @@ class CostScalingSolver(Solver):
             return self._price_refine(residual, stats, seed_arcs=violated)
         return self._price_refine(residual, stats)
 
-    def _record_scaled_state(self, residual: ResidualNetwork, scale: int) -> None:
+    def _record_scaled_state(self, residual: ResidualNetwork) -> None:
         """Remember the exact scaled potentials for the next warm start."""
-        self.last_scaled_potentials = {
-            nid: residual.potential[i]
-            for nid, i in residual.index.items()
-            if residual.node_alive[i]
-        }
-        self.last_scale = scale
+        self.last_scaled_potentials = residual.export_potentials()
+        self.last_scale = residual.cost_scale
 
     # ------------------------------------------------------------------ #
     # Cost scaling internals
@@ -1027,15 +1117,6 @@ class CostScalingSolver(Solver):
         for integer costs.
         """
         return residual.num_nodes + 1
-
-    def _unscaled_potentials(
-        self, residual: ResidualNetwork, scale: int
-    ) -> Dict[int, int]:
-        return {
-            nid: residual.potential[i] // scale
-            for nid, i in residual.index.items()
-            if residual.node_alive[i]
-        }
 
     def _max_violation(self, residual: ResidualNetwork) -> int:
         """Return the magnitude of the worst negative reduced cost on a

@@ -1,4 +1,4 @@
-"""Incremental cost scaling: delta solving plus the task-removal heuristic.
+"""Incremental cost scaling: delta solving with a warm-rebuild fallback.
 
 Section 5.2 of the paper observes that cluster state changes little between
 consecutive scheduling runs, so the MCMF solver should reuse its previous
@@ -21,9 +21,10 @@ of reuse:
   identifiers guard the patch: if the residual does not mirror the batch's
   base revision (a round was skipped, or external state was seeded), the
   solver falls back to the rebuild path below.
-* **Warm rebuild** (the fallback): the remembered flow and potentials of
-  the previous run, keyed by arc endpoints / node ids, are loaded into a
-  freshly built residual network
+* **Warm rebuild** (the fallback): the flow of the previous run, keyed by
+  arc endpoints, and its potentials -- read off the retained residual at
+  that moment, or handed over by :meth:`IncrementalCostScalingSolver.seed`
+  -- are loaded into a freshly built residual network
   (:meth:`~repro.solvers.cost_scaling.CostScalingSolver.solve_warm`).  This
   tolerates arbitrary divergence between rounds -- the way Firmament's
   graph manager rebuilds networks from scratch -- at O(nodes + arcs)
@@ -36,16 +37,17 @@ solution (a dual executor does so only when this instance has no residual
 at the round's revision), a change batch fails to apply, or a delta solve
 raises infeasibility mid-repair.
 
-Section 5.3.2 adds the **efficient task removal** heuristic: removing a
-running task deletes a source node whose flow is still draped over the graph
-downstream, which would create a deficit at the machine node where the task
-ran (expensive for cost scaling to fix).  On the warm-rebuild path the
-heuristic walks the removed task's flow forward to the sink, draining it so
-the only imbalance appears at the sink, co-located with the supply
-decrease.  On the delta path the same effect falls out of the residual
-patching: removing the task's arcs returns their flow to the adjacent
-nodes, and the repair routes the sink's surplus back along the short
-reverse-arc path.
+Section 5.3.2's **efficient task removal** needs no code of its own here:
+removing a running task deletes a source node whose flow is still draped
+over the graph downstream, and the paper drains that flow to the sink so
+the imbalance lands next to the supply decrease.  Both paths get the same
+effect from the repair itself: removing the task's arcs returns their flow
+to the adjacent nodes, and the sink's surplus reaches the vacated machine
+across one zero-reduced-cost reverse arc, where
+:meth:`~repro.solvers.cost_scaling.CostScalingSolver._augment_along_reduced_costs`
+stops.  (An O(arcs) pre-pass that walked the stale flow forward before a
+warm rebuild measured slower than that repair; it survives as a local
+ablation in ``benchmarks/bench_fig12_heuristics.py``.)
 """
 
 from __future__ import annotations
@@ -53,87 +55,10 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.flow.changes import ChangeBatch
-from repro.flow.graph import FlowNetwork, NodeType
+from repro.flow.graph import FlowNetwork
 from repro.flow.validation import check_residual_epsilon_optimality
-from repro.solvers.base import RoundDeadline, SolveAborted, Solver, SolverResult
+from repro.solvers.base import RoundDeadline, Solver, SolverResult
 from repro.solvers.cost_scaling import CostScalingSolver, DEFAULT_ALPHA
-
-
-def drain_removed_task_flow(network: FlowNetwork, warm_flows: Dict[Tuple[int, int], int]) -> int:
-    """Drain stale flow that used to originate at removed task nodes.
-
-    For every node whose warm-start inflow no longer matches its outflow
-    because an upstream task node (and its arcs) disappeared, walk the
-    surplus outflow forward to the sink and subtract it.  The imbalance then
-    cancels against the sink's reduced demand instead of leaving a deficit in
-    the middle of the graph.
-
-    Args:
-        network: The updated flow network (task nodes already removed).
-        warm_flows: Previous solution flow keyed by ``(src, dst)``; entries
-            for arcs that no longer exist are ignored.
-
-    Returns:
-        The number of flow units drained.
-    """
-    # Purge flow entries for arcs that no longer exist (their task or machine
-    # node was removed); only flow on live arcs can be reused anyway.
-    live_keys = {arc.key() for arc in network.arcs()}
-    for key in [k for k in warm_flows if k not in live_keys]:
-        del warm_flows[key]
-
-    inflow: Dict[int, int] = {}
-    outflow: Dict[int, int] = {}
-    for arc in network.arcs():
-        flow = min(warm_flows.get(arc.key(), 0), arc.capacity)
-        if flow:
-            outflow[arc.src] = outflow.get(arc.src, 0) + flow
-            inflow[arc.dst] = inflow.get(arc.dst, 0) + flow
-
-    drained_total = 0
-    for node in network.nodes():
-        if node.node_type in (NodeType.TASK, NodeType.SINK):
-            continue
-        surplus = outflow.get(node.node_id, 0) - inflow.get(node.node_id, 0) - max(node.supply, 0)
-        while surplus > 0:
-            drained = _drain_one_unit_path(network, warm_flows, node.node_id)
-            if drained == 0:
-                break
-            surplus -= drained
-            drained_total += drained
-    return drained_total
-
-
-def _drain_one_unit_path(
-    network: FlowNetwork, warm_flows: Dict[Tuple[int, int], int], start: int
-) -> int:
-    """Remove one unit of warm flow along a path from ``start`` to the sink."""
-    path = []
-    node_id = start
-    guard = network.num_nodes + 1
-    while guard > 0:
-        guard -= 1
-        node = network.node(node_id)
-        if node.node_type is NodeType.SINK:
-            break
-        next_arc = None
-        for arc in network.outgoing(node_id):
-            if warm_flows.get(arc.key(), 0) > 0:
-                next_arc = arc
-                break
-        if next_arc is None:
-            return 0
-        path.append(next_arc.key())
-        node_id = next_arc.dst
-    else:
-        return 0
-    if not path:
-        return 0
-    for key in path:
-        warm_flows[key] = warm_flows.get(key, 0) - 1
-        if warm_flows[key] <= 0:
-            warm_flows.pop(key, None)
-    return 1
 
 
 class IncrementalCostScalingSolver(Solver):
@@ -147,7 +72,6 @@ class IncrementalCostScalingSolver(Solver):
     def __init__(
         self,
         alpha: int = DEFAULT_ALPHA,
-        efficient_task_removal: bool = True,
         apply_price_refine: bool = True,
         price_refine: str = "auto",
         round_deadline_seconds: Optional[float] = None,
@@ -156,7 +80,6 @@ class IncrementalCostScalingSolver(Solver):
 
         Args:
             alpha: Epsilon division factor for the underlying cost scaling.
-            efficient_task_removal: Enable the Section 5.3.2 heuristic.
             apply_price_refine: Apply the price-refine heuristic before each
                 warm-started run (Section 6.2).
             price_refine: Price-refine variant forwarded to the underlying
@@ -179,14 +102,15 @@ class IncrementalCostScalingSolver(Solver):
         self._cost_scaling = CostScalingSolver(
             alpha=alpha, polish_potentials=True, price_refine=price_refine
         )
-        self.efficient_task_removal = efficient_task_removal
         self.apply_price_refine = apply_price_refine
         #: Per-solve soft budget; see ``round_deadline_seconds`` above.
         self.round_deadline_seconds = round_deadline_seconds
+        # Warm-rebuild state: the last solution's flow, plus the unscaled
+        # potentials a seed() handed over.  After a solve of its own the
+        # potentials live, scaled, on the inner solver (its retained
+        # residual, or last_scaled_potentials once that was released).
         self._last_flows: Optional[Dict[Tuple[int, int], int]] = None
         self._last_potentials: Optional[Dict[int, int]] = None
-        self._last_scaled_potentials: Optional[Dict[int, int]] = None
-        self._last_scale: Optional[int] = None
         #: Count of solves served by the pure delta path (observability).
         self.delta_solves: int = 0
         #: Count of delta attempts that had to fall back to a rebuild.
@@ -206,9 +130,7 @@ class IncrementalCostScalingSolver(Solver):
         """Discard the remembered solution; the next solve runs from scratch."""
         self._last_flows = None
         self._last_potentials = None
-        self._last_scaled_potentials = None
-        self._last_scale = None
-        self._cost_scaling.last_residual = None
+        self._cost_scaling.discard_warm_state()
 
     def seed(self, flows: Dict[Tuple[int, int], int], potentials: Dict[int, int]) -> None:
         """Install an externally produced solution as the warm-start state.
@@ -231,9 +153,7 @@ class IncrementalCostScalingSolver(Solver):
         """
         self._last_flows = dict(flows)
         self._last_potentials = dict(potentials)
-        self._last_scaled_potentials = None
-        self._last_scale = None
-        self._cost_scaling.last_residual = None
+        self._cost_scaling.discard_warm_state()
 
     @property
     def has_state(self) -> bool:
@@ -358,8 +278,9 @@ class IncrementalCostScalingSolver(Solver):
                 # The retained residual no longer proves 0-optimality
                 # (state corruption, a bug, a cosmic ray).  Repairing on
                 # top of bad potentials would silently produce a wrong
-                # flow, so drop the residual and rebuild warm instead.
-                self._cost_scaling.last_residual = None
+                # flow, so drop the residual *and* its potentials and
+                # rebuild warm from the flow alone.
+                self._cost_scaling.discard_warm_state()
                 self.residual_validation_failures += 1
                 residual = None
         if residual is not None:
@@ -369,28 +290,19 @@ class IncrementalCostScalingSolver(Solver):
                 result.statistics.delta_solve = 1
             except (KeyError, ValueError):
                 # The batch does not match the residual's structure; the
-                # half-patched residual is unusable, so drop it and rebuild.
-                self._cost_scaling.last_residual = None
+                # half-patched residual is unusable, so release it (its
+                # potentials still warm-start the rebuild) and rebuild.
                 self.delta_fallbacks += 1
                 result = self._solve_rebuild(network)
             except Exception:
-                self._cost_scaling.last_residual = None
+                self._cost_scaling.release_residual()
                 raise
         else:
-            try:
-                result = self._solve_rebuild(network)
-            except SolveAborted:
-                # The run was cancelled mid-rebuild; the retained residual
-                # (if any) mirrors an older revision and must not be reused.
-                self._cost_scaling.last_residual = None
-                raise
-        # The warm state is only read after the residual was dropped, and
-        # then copied before use (_solve_rebuild): the result's and the
-        # inner solver's dicts, fresh per solve, are kept by reference.
+            result = self._solve_rebuild(network)
+        # Read only by a later warm rebuild, which copies it first: the
+        # result's dict, fresh per solve, is kept by reference.
         self._last_flows = result.flows
-        self._last_potentials = result.potentials
-        self._last_scaled_potentials = self._cost_scaling.last_scaled_potentials
-        self._last_scale = self._cost_scaling.last_scale
+        self._last_potentials = None
         return result
 
     def _solve_rebuild(self, network: FlowNetwork) -> SolverResult:
@@ -407,19 +319,17 @@ class IncrementalCostScalingSolver(Solver):
                 optimal=result.optimal,
             )
         else:
-            warm_flows = dict(self._last_flows)
-            if self.efficient_task_removal:
-                drain_removed_task_flow(network, warm_flows)
-                # The drain walk is O(graph) without polling; surface a lost
-                # race at its boundary before the warm rebuild starts.
-                self._cost_scaling._check_abort()
+            # Whatever residual is still retained does not connect to this
+            # round (no batch, a revision gap, a failed patch): solve_warm
+            # builds a fresh one, and the old one's potentials seed it.
+            self._cost_scaling.release_residual()
             result = self._cost_scaling.solve_warm(
                 network,
-                warm_flows,
+                dict(self._last_flows),
                 warm_potentials=dict(self._last_potentials or {}),
                 apply_price_refine=self.apply_price_refine,
-                warm_scaled_potentials=self._last_scaled_potentials,
-                warm_scale=self._last_scale,
+                warm_scaled_potentials=self._cost_scaling.last_scaled_potentials,
+                warm_scale=self._cost_scaling.last_scale,
             )
             result.algorithm = self.name
         return result

@@ -36,7 +36,8 @@ previous scheduling run's solution rather than from scratch.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from collections.abc import Mapping as MappingABC
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.flow.graph import FlowNetwork
 from repro.solvers.base import SolveAborted
@@ -122,6 +123,14 @@ class ResidualNetwork:
         #: :meth:`apply_changes` call (surfaced via ``SolverStatistics``).
         self.last_arcs_patched: int = 0
         self.last_nodes_touched: int = 0
+        #: Node indices whose excess the most recent :meth:`apply_changes`
+        #: moved.  A residual that was feasible before the patch can have a
+        #: non-zero excess only there, so the repair collects its sources
+        #: from this set instead of enumerating every node.
+        self.last_excess_moved: set = set()
+        #: Number of :meth:`apply_changes` calls so far; lets a
+        #: :class:`RetainedPotentials` view notice it outlived its solve.
+        self.patches_applied: int = 0
         self._max_cost_cache: Optional[int] = None
         # Dirty-flow journal: forward pair positions whose flow changed since
         # the last extraction, plus a cache of the last extracted non-zero
@@ -193,6 +202,7 @@ class ResidualNetwork:
             self.excess[i] = supply
             self.potential[i] = 0
             self.current_arc[i] = 0
+            self.last_excess_moved.add(i)
             return i
         i = self.num_nodes
         self.node_ids.append(node_id)
@@ -204,6 +214,7 @@ class ResidualNetwork:
         self.current_arc.append(0)
         self.adjacency.append([])
         self.num_nodes += 1
+        self.last_excess_moved.add(i)
         return i
 
     # ------------------------------------------------------------------ #
@@ -404,6 +415,8 @@ class ResidualNetwork:
         from repro.flow import changes as ch
 
         self._maybe_compact()
+        self.patches_applied += 1
+        self.last_excess_moved = set()
         dirty: set = set()
         scale = self.cost_scale
         arcs_patched = 0
@@ -420,6 +433,7 @@ class ResidualNetwork:
                     raise ValueError(f"supply change on removed node {change.node_id}")
                 self.supply[i] += change.delta
                 self.excess[i] += change.delta
+                self.last_excess_moved.add(i)
             elif isinstance(change, ch.ArcCostChange):
                 position = self.arc_position[(change.src, change.dst)]
                 cost = change.new_cost * scale
@@ -472,13 +486,21 @@ class ResidualNetwork:
             # Clamp the carried flow; the clamped-off units return to the
             # endpoints as excess/deficit for the repair step to re-route.
             returned = flow - new_capacity
-            self.excess[self.arc_from[forward]] += returned
-            self.excess[self.arc_to[forward]] -= returned
+            self._return_flow(forward, returned)
             flow = new_capacity
             self.arc_residual[forward + 1] = flow
             if self._flow_journal is not None:
                 self._flow_journal.add(position)
         self.arc_residual[forward] = new_capacity - flow
+
+    def _return_flow(self, forward: int, amount: int) -> None:
+        """Hand ``amount`` units carried by a forward arc back to its endpoints."""
+        u = self.arc_from[forward]
+        v = self.arc_to[forward]
+        self.excess[u] += amount
+        self.excess[v] -= amount
+        self.last_excess_moved.add(u)
+        self.last_excess_moved.add(v)
 
     def _patch_add_arc(self, src: int, dst: int, capacity: int, cost: int) -> int:
         key = (src, dst)
@@ -506,9 +528,7 @@ class ResidualNetwork:
         forward = 2 * position
         flow = self.arc_residual[forward + 1]
         if flow:
-            # Return the carried flow to the endpoints.
-            self.excess[self.arc_from[forward]] += flow
-            self.excess[self.arc_to[forward]] -= flow
+            self._return_flow(forward, flow)
         # Dead slot: zero residual in both directions means no traversal ever
         # touches it again; zero cost keeps the max-cost cache an upper bound.
         self.arc_residual[forward] = 0
@@ -846,3 +866,45 @@ class ResidualNetwork:
                     f"supply-flow balance {balance[i]}"
                 )
         return problems
+
+
+class RetainedPotentials(MappingABC):
+    """Unscaled node potentials of a retained residual, built on first read.
+
+    A persistent solver returns this as ``SolverResult.potentials`` instead
+    of paying an |nodes|-sized dict on every solve that almost no caller
+    reads.  The values are those of the solve that created the view; a
+    first read after the residual was patched for a later solve raises
+    rather than return that later solve's potentials, so a reader that
+    wants them past the round copies (``dict(view)``) before the next one.
+    """
+
+    def __init__(self, residual: ResidualNetwork) -> None:
+        self._residual: Optional[ResidualNetwork] = residual
+        self._patches = residual.patches_applied
+        self._values: Optional[Dict[int, int]] = None
+
+    def _read(self) -> Dict[int, int]:
+        if self._values is None:
+            residual = self._residual
+            if residual.patches_applied != self._patches:
+                raise RuntimeError(
+                    "potentials of an earlier solve read after the retained "
+                    "residual was patched again; copy them within the round"
+                )
+            scale = residual.cost_scale
+            self._values = {
+                node_id: value // scale
+                for node_id, value in residual.export_potentials().items()
+            }
+            self._residual = None
+        return self._values
+
+    def __getitem__(self, node_id: int) -> int:
+        return self._read()[node_id]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._read())
+
+    def __len__(self) -> int:
+        return len(self._read())

@@ -1,13 +1,10 @@
-"""Unit tests for incremental cost scaling and the task-removal heuristic."""
+"""Unit tests for incremental cost scaling (warm rebuild and task removal)."""
 
 import pytest
 
 from repro.flow.graph import FlowNetwork, NodeType
 from repro.flow.validation import check_feasibility
-from repro.solvers.incremental import (
-    IncrementalCostScalingSolver,
-    drain_removed_task_flow,
-)
+from repro.solvers.incremental import IncrementalCostScalingSolver
 from tests.conftest import build_scheduling_network, reference_min_cost
 
 
@@ -102,45 +99,23 @@ class TestStatefulSolving:
         assert check_feasibility(evolved) == []
 
 
-class TestTaskRemovalHeuristic:
-    def test_drain_removes_stale_flow_path(self):
-        network, tasks, machines, aggregator, unsched, sink = quincy_like_network(num_tasks=3)
-        # Build a warm flow where task 0 ran via the aggregator on machine 0.
-        warm_flows = {
-            (tasks[0].node_id, aggregator.node_id): 1,
-            (aggregator.node_id, machines[0].node_id): 1,
-            (machines[0].node_id, sink.node_id): 1,
-        }
-        # The task node disappears (completion) before the next run.
-        network.remove_node(tasks[0].node_id)
-        network.set_supply(sink.node_id, -2)
-        drained = drain_removed_task_flow(network, warm_flows)
-        assert drained == 1
-        assert warm_flows == {}
-
-    def test_drain_keeps_flow_of_live_tasks(self):
-        network, tasks, machines, aggregator, unsched, sink = quincy_like_network(num_tasks=2)
-        warm_flows = {
-            (tasks[0].node_id, aggregator.node_id): 1,
-            (tasks[1].node_id, aggregator.node_id): 1,
-            (aggregator.node_id, machines[0].node_id): 2,
-            (machines[0].node_id, sink.node_id): 2,
-        }
-        drained = drain_removed_task_flow(network, dict_copy := dict(warm_flows))
-        assert drained == 0
-        assert dict_copy == warm_flows
-
-    def test_heuristic_toggle_produces_same_cost(self):
-        for enabled in (True, False):
-            solver = IncrementalCostScalingSolver(efficient_task_removal=enabled)
-            network, tasks, machines, aggregator, unsched, sink = quincy_like_network()
-            solver.solve(network)
-            evolved = network.copy()
-            evolved.remove_node(tasks[0].node_id)
-            evolved.set_supply(sink.node_id, sink.supply + 1)
-            evolved.clear_flow()
-            expected = reference_min_cost(evolved)
-            assert solver.solve(evolved).total_cost == expected
+class TestWarmRebuildOptions:
+    def test_task_removal_on_warm_rebuild_is_optimal(self):
+        """Section 5.3.2's change type: the plain repair drains a removed
+        task's stale flow (the pre-pass that used to do it is a
+        benchmark-local ablation in bench_fig12_heuristics.py)."""
+        solver = IncrementalCostScalingSolver()
+        network, tasks, machines, aggregator, unsched, sink = quincy_like_network()
+        solver.solve(network)
+        evolved = network.copy()
+        evolved.remove_node(tasks[0].node_id)
+        evolved.set_supply(sink.node_id, sink.supply + 1)
+        evolved.clear_flow()
+        expected = reference_min_cost(evolved)
+        result = solver.solve(evolved)
+        assert result.statistics.warm_start
+        assert result.total_cost == expected
+        assert check_feasibility(evolved) == []
 
     def test_price_refine_toggle_produces_same_cost(self):
         for enabled in (True, False):

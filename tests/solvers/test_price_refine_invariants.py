@@ -75,8 +75,8 @@ class InvariantCheckingSolver(CostScalingSolver):
         super()._repair_warm_solution(residual, stats)
         assert_epsilon_optimal(residual, 0)
 
-    def _route_excesses(self, residual, stats):
-        super()._route_excesses(residual, stats)
+    def _route_excesses(self, residual, stats, sources):
+        super()._route_excesses(residual, stats, sources)
         assert_epsilon_optimal(residual, 0)
 
 

@@ -21,6 +21,7 @@ from repro.flow.changes import (
 )
 from repro.flow.graph import FlowNetwork, NodeType
 from repro.solvers import cost_scaling as cost_scaling_module
+from repro.solvers.base import SolverStatistics
 from repro.solvers.cost_scaling import CostScalingSolver
 from repro.solvers.incremental import IncrementalCostScalingSolver
 from repro.solvers.residual import ResidualNetwork
@@ -210,6 +211,25 @@ class TestApplyChangesBookkeeping:
         assert residual.excess[t] == 1  # supply unit back at the task
         assert residual.flows() == {(machine.node_id, sink.node_id): 1}
 
+    def test_every_excess_the_patch_moves_is_reported(self):
+        """The repair collects its sources from ``last_excess_moved``, never
+        by enumerating the nodes: after any patch of a feasible residual,
+        every node with a non-zero excess must be in that set."""
+        rng = random.Random(11)
+        network = build_scheduling_network(seed=11, num_tasks=8, num_machines=4)
+        solver = IncrementalCostScalingSolver()
+        solver.solve(network.copy())
+        residual = solver.persistent_residual
+        for _ in range(6):
+            assert not any(residual.excess)
+            batch = random_change_batch(network, rng)
+            residual.apply_changes(batch)
+            imbalanced = {i for i, e in enumerate(residual.excess) if e}
+            assert imbalanced <= residual.last_excess_moved
+            # Put the flow back in balance for the next patch.
+            residual.invalidate_flow_journal()
+            solver._cost_scaling._repair_warm_solution(residual, SolverStatistics())
+
     def test_node_removal_rejects_unbalanced_state(self):
         net, task, machine, sink = self.build()
         net.arc(task.node_id, machine.node_id).flow = 1
@@ -314,6 +334,55 @@ class TestDeltaSolvePath:
         result = solver.solve(updated.copy(), changes=batch)
         assert solver.delta_solves == 0
         assert result.total_cost == reference_min_cost(updated)
+
+    def test_result_potentials_are_read_off_the_residual_on_demand(self):
+        """A persistent solver's result carries a view, not a dict per
+        solve: same values as the eager conversion, and a first read after
+        the residual moved on raises instead of answering for a later
+        round."""
+        network = build_scheduling_network(seed=45)
+        network.revision = 1
+        solver = IncrementalCostScalingSolver()
+        first = solver.solve(network.copy())
+        residual = solver.persistent_residual
+        scale = residual.cost_scale
+        expected = {
+            node_id: value // scale
+            for node_id, value in residual.export_potentials().items()
+        }
+        assert not isinstance(first.potentials, dict)
+        assert dict(first.potentials) == expected
+        assert first.potentials == expected and len(first.potentials) == len(expected)
+
+        updated, batch = self.evolve(network, random.Random(45), revision=2)
+        second = solver.solve(updated.copy(), changes=batch)
+        assert solver.delta_solves == 1
+        # Read within its round: fine, and stable afterwards.
+        kept = dict(second.potentials)
+        later, batch = self.evolve(updated, random.Random(46), revision=3)
+        third = solver.solve(later.copy(), changes=batch)
+        assert dict(second.potentials) == kept
+        # The first round's view was materialised above; one never read
+        # before the residual was patched again must refuse.
+        stale, batch = self.evolve(later, random.Random(47), revision=4)
+        solver.solve(stale.copy(), changes=batch)
+        with pytest.raises(RuntimeError):
+            dict(third.potentials)
+
+    def test_released_residual_still_warm_starts_the_rebuild(self):
+        """No batch next round: the retained residual is released, its
+        scaled potentials become the warm start, and the rebuild needs no
+        price refine to prove the unchanged optimum."""
+        network = build_scheduling_network(seed=46)
+        solver = IncrementalCostScalingSolver()
+        first = solver.solve(network.copy())
+        inner = solver._cost_scaling
+        assert inner.last_residual is not None
+        assert inner.last_scaled_potentials is None  # they live on the residual
+        second = solver.solve(network.copy())
+        assert second.statistics.warm_start
+        assert second.statistics.price_refine_passes == 0
+        assert second.total_cost == first.total_cost == reference_min_cost(network)
 
     def test_seed_drops_persistent_residual(self):
         from repro.solvers.relaxation import RelaxationSolver

@@ -60,7 +60,7 @@ class TestWarmStartRepair:
         assert result.total_cost == reference_min_cost(after)
         assert not check_feasibility(after)
 
-    def test_task_removal_without_drain_heuristic_still_correct(self):
+    def test_last_task_removal_is_repaired(self):
         before = build_scheduling_network(seed=24)
         after = before.copy()
         sink = after.nodes_of_type(NodeType.SINK)[0]
@@ -68,8 +68,9 @@ class TestWarmStartRepair:
         after.remove_node(task.node_id)
         after.set_supply(sink.node_id, sink.supply + 1)
 
-        result = warm_resolve(before, after, efficient_task_removal=False)
+        result = warm_resolve(before, after)
         assert result.total_cost == reference_min_cost(after)
+        assert not check_feasibility(after)
 
     def test_capacity_reduction_below_carried_flow(self):
         before = build_scheduling_network(seed=25, num_tasks=8, num_machines=3)

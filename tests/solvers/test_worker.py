@@ -84,6 +84,10 @@ def test_transport_full_delta_resync_error_and_stale(solver_factory):
         assert client.wait(solve(0), 10.0)
         assert client.result.total_cost == rounds[0][2]
         assert ships() == (1, 0, 0)
+        # The pipe carries values: a persistent solver's lazy potentials
+        # view is materialised by the worker, not pickled with its residual.
+        assert type(client.result.potentials) is dict
+        assert set(client.result.potentials) == set(rounds[0][0].node_ids())
 
         # Directly chained round: a delta.
         assert client.wait(solve(1), 10.0)
