@@ -56,10 +56,11 @@ committed baseline in ``perf_baseline.json``:
   (6 completions + 6 arrivals per round, ``serve``'s delta-solo scheduler)
   at 128 and at 512 machines -- guarding "a steady round costs what
   changed": the ratio of the two medians is the kernel's number (a pass
-  over the cluster creeping back into the round raises it), and the
-  repair's settled nodes per augmentation, which repeat exactly, may at
-  most double over the 4x (``bench_round_scaling.py`` is the three-size
-  version with the per-stage table).
+  over the cluster creeping back into the round raises it), the repair's
+  settled nodes per augmentation may at most double over the 4x, and a
+  null round (scheduled again with nothing mutated) must examine 0 tasks
+  and patch 0 arcs at both sizes (``bench_round_scaling.py`` is the
+  four-size version with the per-stage table and the law asserted).
 
 The gates are host-normalized: the from-scratch solve (resp. the full
 rebuild) acts as the calibration workload, so requiring each measured
@@ -640,9 +641,9 @@ def measure_round_scaling() -> tuple:
 
     Median steady round of ``bench_round_scaling.steady_rounds`` (which
     asserts every timed round is a delta solve, solo under the threshold)
+    and that a null round examines no task and patches no arc)
     at the two ``SCALING_MACHINES`` sizes.  The count half of the gate is
-    checked here because it needs no baseline: settled nodes per
-    augmentation repeat exactly on every host.
+    checked here because it needs no baseline.
     """
     from benchmarks.bench_round_scaling import steady_rounds
 

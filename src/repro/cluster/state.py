@@ -8,7 +8,7 @@ data") and the object the simulator mutates as events occur.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, KeysView, List, Optional, Tuple
 
 from repro.cluster.events import DirtyTracker
 from repro.cluster.machine import Machine
@@ -151,7 +151,10 @@ class ClusterState:
             if task.is_running:
                 raise ValueError(f"cannot remove job {job_id}: task {task.task_id} running")
             self.tasks.pop(task.task_id, None)
-            self._live_tasks.pop(task.task_id, None)
+            if self._live_tasks.pop(task.task_id, None) is not None:
+                # A task leaving the schedulable set is always marked, so a
+                # consumer never has to scan for departures.
+                self.dirty.mark_task(task.task_id)
             self._pending_tasks.pop(task.task_id, None)
         self.dirty.mark_job(job_id)
 
@@ -294,6 +297,23 @@ class ClusterState:
         return [
             t for t in self._live_tasks.values() if t.is_pending or t.is_running
         ]
+
+    def schedulable_task(self, task_id: int) -> Optional[Task]:
+        """The task if it is schedulable right now, else ``None``; O(1).
+
+        Every non-terminated task is pending or running, so the live index
+        answers this without looking at the task.
+        """
+        return self._live_tasks.get(task_id)
+
+    @property
+    def num_schedulable_tasks(self) -> int:
+        """``len(schedulable_tasks())`` in O(1)."""
+        return len(self._live_tasks)
+
+    def pending_task_ids(self) -> KeysView[int]:
+        """Ids of the tasks awaiting placement: a live view, not a copy."""
+        return self._pending_tasks.keys()
 
     @property
     def num_live_tasks(self) -> int:

@@ -25,37 +25,61 @@ through a :class:`~repro.flow.changes.ChangeBatchBuilder` that emits the
 round's :class:`~repro.flow.changes.ChangeBatch` directly -- no second
 network is built and no diff pass runs -- and isolated-node pruning is
 restricted to the endpoints of removed arcs.  Per-round update cost is
-O(|changes| + |affected arcs| + |tasks|) (the last term is the pure
-arithmetic of refreshing time-varying waiting costs), independent of
-cluster size on low-churn rounds.
+O(|dirty entities| + |affected arcs| + |waiting-cost ticks due|),
+independent of cluster size: the manager never enumerates the live tasks,
+machines or arcs on such a round.  Which tasks, jobs and machines the
+network covers is persistent state moved by the dirty marks (a marked task
+is added, removed or re-derived by asking the state whether it is
+schedulable *now*; per-job live counts say when a job's aggregator comes
+and goes; machines move on availability marks, racks with the topology's
+membership version), and the time-varying waiting cost of the *clean* tasks
+is refreshed from a **tick calendar**: ``int(rate * wait)`` moves once per
+``1 / rate`` seconds, so each task sits in a heap under the time its cost
+can next move and is re-priced -- with the derivation's own formula, hence
+the same :class:`ArcCostChange` a refresh of every task would emit -- when
+that time has come.  (A policy whose tasks share a submit time re-prices
+them in the same round -- Quincy's bunched ticks: one job's tasks, all at
+once, every ``1 / rate`` seconds.  That is policy, not plumbing.)
 
 A round whose dirty sets cannot be trusted -- another consumer drained the
 tracker, the tracker overflowed, the state object changed, the workload
 emptied or refilled, a departed task can no longer be resolved -- is not a
 different path: it is the same update with *every* scope dirty
-(:meth:`~repro.core.policies.base.DirtyView.everything`).  Building a
+(:meth:`~repro.core.policies.base.DirtyView.everything`): the same update
+reads its entity sets off a scan of the state instead of the marks, and
+starts the tick calendar afresh.  Building a
 network from scratch (:meth:`GraphManager._build_full_network`, diffed with
 :meth:`ChangeBatch.diff`) remains only for the first round, for the
 explicit ``incremental=False`` comparison baseline, and as the oracle of
-the ``verify_changes`` cross-check.
+the ``verify_changes`` cross-check -- which also compares the persistent
+entity sets with a scan and the restricted diff with the full one.
 
 What is read *off* the network persists beside it too: the manager keeps
 the task-to-machine assignments its flow implies
 (:meth:`GraphManager.extract_assignments`) and re-derives, once a solver
 has written a round's flow, only the tasks an arc whose flow changed
 touches, dropping those whose nodes the round's batch removed; the full
-Listing-1 walk is that map's ``verify_changes`` oracle.
+Listing-1 walk is that map's ``verify_changes`` oracle.  Turning the map
+into a round's actions (:meth:`GraphManager.diff_assignments`) likewise
+visits only the tasks that can produce one.
 """
 
 from __future__ import annotations
 
+import math
 import time
+from collections import Counter
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Dict, Hashable, Iterable, Mapping, Optional, Set, Tuple
+from heapq import heappop, heappush
+from types import MappingProxyType, SimpleNamespace
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.cluster.state import ClusterState
-from repro.core.placement import FlowAssignments, extract_placements
+from repro.core.placement import (
+    FlowAssignments,
+    diff_assignments,
+    extract_placements,
+)
 from repro.core.policies.base import DirtyView, PolicyNetworkBuilder, SchedulingPolicy
 from repro.flow.changes import ChangeBatch, ChangeBatchBuilder
 from repro.flow.graph import FlowNetwork, NodeType
@@ -75,6 +99,40 @@ class GraphUpdateStats:
     arcs_patched: int = 0  #: Arcs added, removed, or capacity/cost-patched.
     dirty_tasks: int = 0  #: Task scopes re-derived this round.
     dirty_machines: int = 0  #: Machine scopes re-derived this round.
+    #: Tasks the round looked at: the re-derived ones plus the clean ones
+    #: whose waiting cost came due on the tick calendar.  Zero on a round
+    #: nothing changed in, whatever the cluster's size.
+    tasks_examined: int = 0
+
+
+def _waiting_term(rate: float, submit_time: float, now: float) -> int:
+    """The time-varying part of a task's unscheduled cost (see
+    :meth:`SchedulingPolicy.unscheduled_cost_terms`)."""
+    wait = now - submit_time
+    return int(rate * wait) if wait > 0.0 else 0
+
+
+def _next_tick(rate: float, submit_time: float, now: float) -> float:
+    """The first time at which :func:`_waiting_term` exceeds its value at
+    ``now`` (never, for a cost that does not grow).
+
+    Exact to the float: the term is monotone in time, so the estimate
+    ``submit_time + (ticks + 1) / rate`` is walked to the smallest float at
+    which the term, *as the cost formula computes it*, has moved.  A
+    calendar entry therefore comes due on the very round a refresh of every
+    task would re-price it -- not a round late (a skipped change) and not a
+    round early (a task examined for nothing).
+    """
+    if rate <= 0.0:
+        return math.inf
+    ticks = _waiting_term(rate, submit_time, now)
+    due = submit_time + (ticks + 1) / rate
+    while _waiting_term(rate, submit_time, due) <= ticks:
+        due = math.nextafter(due, math.inf)
+    earlier = math.nextafter(due, -math.inf)
+    while _waiting_term(rate, submit_time, earlier) > ticks:
+        due, earlier = earlier, math.nextafter(earlier, -math.inf)
+    return due
 
 
 class _IncrementalBuilder(PolicyNetworkBuilder):
@@ -187,21 +245,30 @@ class GraphManager:
         self.incremental_updates = 0
         self.full_updates = 0
 
-        # Incremental bookkeeping: previous round's entity sets, the dirty
-        # epoch chain, and the machine -> dependent-tasks reverse index.
-        self._prev_task_ids: Set[int] = set()
-        self._prev_machine_ids: Set[int] = set()
-        self._prev_rack_ids: Set[int] = set()
-        self._prev_job_ids: Set[int] = set()
+        # Incremental bookkeeping.  The entity sets the network reflects are
+        # persistent truth, moved by the dirty marks (an all-dirty round
+        # re-reads them from the state): schedulable task -> its job, live
+        # tasks per job, healthy machines, racks (as of a topology version).
+        self._task_jobs: Dict[int, int] = {}
+        self._job_tasks: Dict[int, int] = {}
+        self._machine_ids: Set[int] = set()
+        self._rack_ids: Set[int] = set()
+        self._topology_version: Optional[int] = None
         self._dirty_epoch: Optional[int] = None
         self._state_id: Optional[int] = None
-        self._task_dependencies: Dict[int, Set[int]] = {}
-        self._machine_dependents: Dict[int, Set[int]] = {}
+        self._task_dependencies: Dict[int, Set[Optional[int]]] = {}
+        self._machine_dependents: Dict[Optional[int], Set[int]] = {}
         self._pricing_version: Hashable = None
-        # task_id -> (static_cost, rate, submit_time, unscheduled_arc_key):
-        # the decomposed unscheduled cost cached at derivation time, so the
-        # per-round waiting-cost refresh of clean tasks is pure arithmetic.
-        self._task_cost_terms: Dict[int, Tuple[int, float, float, Tuple[int, int]]] = {}
+        # task_id -> (static_cost, rate, submit_time, unscheduled_arc_key,
+        # due): the decomposed unscheduled cost cached at derivation time
+        # and the time its waiting term can next move.  ``_tick_calendar``
+        # is a heap of ``(due, task_id)``; an entry whose ``due`` is not the
+        # task's current one is stale and dropped when popped.
+        self._task_cost_terms: Dict[
+            int, Tuple[int, float, float, Tuple[int, int], float]
+        ] = {}
+        self._tick_calendar: List[Tuple[float, int]] = []
+        self._calendar_now = -math.inf
         self._verify_snapshot: Optional[FlowNetwork] = None
         self._recorder: Optional[ChangeBatchBuilder] = None
         #: The assignments the network's flow implies, kept beside it and
@@ -212,6 +279,11 @@ class GraphManager:
         # wait for the next one); ``None`` while the maintained map cannot
         # be carried over at all: round 1, a rebuild, an all-dirty round.
         self._departed_tasks: Optional[Set[int]] = None
+        # What the next :meth:`diff_assignments` must visit besides the
+        # re-extracted and the pending tasks: the tasks re-derived since the
+        # last one, and the running tasks that produced an action then (a
+        # decision nobody applied is emitted again).  ``None``: every task.
+        self._diff_carry: Optional[Set[int]] = None
 
     # ------------------------------------------------------------------ #
     # Node identity management
@@ -326,6 +398,65 @@ class GraphManager:
                 )
         return assignments
 
+    def diff_assignments(self, state, allow_migrations: bool, decision) -> None:
+        """Fold the extracted assignments into ``decision``, visiting only
+        the tasks that can produce an action.
+
+        Those are the tasks :meth:`extract_assignments` just re-derived,
+        the ones whose scope was re-derived since the previous diff (their
+        state changed), every pending task, and the running tasks the
+        previous diff moved -- if that decision was voided they are where
+        they were and must be moved again.  Every other task was in place
+        then and neither its machine nor its assignment changed.  An
+        all-dirty round visits every task, on the same code; in cross-check
+        mode the restricted visit is compared with the full one.
+        """
+        tracker = self.flow_assignments
+        carry, self._diff_carry = self._diff_carry, set()
+        candidates = None
+        if carry is not None and tracker.last_rederived is not None:
+            carry.update(tracker.last_rederived, state.pending_task_ids())
+            candidates = carry
+            if self.verify_changes:
+                self._check_restricted_diff(state, allow_migrations, candidates)
+        self._diff_carry.update(
+            diff_assignments(
+                state,
+                self._task_nodes,
+                tracker.assignments,
+                allow_migrations,
+                decision,
+                candidates,
+            )
+        )
+
+    def _check_restricted_diff(self, state, allow_migrations: bool, candidates) -> None:
+        outcomes = []
+        for visit in (candidates, None):
+            scratch = SimpleNamespace(
+                placements={}, migrations={}, preemptions=[], unscheduled=[]
+            )
+            diff_assignments(
+                state,
+                self._task_nodes,
+                self.flow_assignments.assignments,
+                allow_migrations,
+                scratch,
+                visit,
+            )
+            outcomes.append(
+                (
+                    list(scratch.placements.items()),
+                    list(scratch.migrations.items()),
+                    scratch.preemptions,
+                    scratch.unscheduled,
+                )
+            )
+        if outcomes[0] != outcomes[1]:
+            raise GraphConsistencyError(
+                f"restricted diff {outcomes[0]} != full diff {outcomes[1]}"
+            )
+
     # ------------------------------------------------------------------ #
     # Network construction
     # ------------------------------------------------------------------ #
@@ -342,11 +473,10 @@ class GraphManager:
         """
         start = time.perf_counter()
         snapshot = self._drain_dirty(state)
-        tasks = state.schedulable_tasks()
 
         if self.incremental and self.network is not None:
             try:
-                network = self._update_incremental(state, now, snapshot, tasks)
+                network = self._update_incremental(state, now, snapshot)
             except Exception:
                 # The round died mid-mutation: the persistent network is
                 # half-patched and this round's dirty events are consumed.
@@ -363,7 +493,7 @@ class GraphManager:
             if self.verify_changes:
                 self._cross_check(state, now)
         else:
-            network = self._update_full(state, now, tasks)
+            network = self._update_full(state, now, state.schedulable_tasks())
             self.full_updates += 1
             self.last_update_stats.seconds = time.perf_counter() - start
         self._finish_round(state, network)
@@ -425,8 +555,9 @@ class GraphManager:
             self.last_changes = None
 
         self._departed_tasks = None
+        self._diff_carry = None
         self._record_round_entities(state, tasks)
-        self._rebuild_dependency_index(state, tasks)
+        self._rebuild_dependency_index(state, tasks, now)
         if self.last_changes is not None:
             summary = self.last_changes.summary()
             nodes_touched = sum(
@@ -449,8 +580,9 @@ class GraphManager:
             mode="full",
             nodes_touched=nodes_touched,
             arcs_patched=arcs_patched,
-            dirty_tasks=len(self._prev_task_ids),
-            dirty_machines=len(self._prev_machine_ids),
+            dirty_tasks=len(tasks),
+            dirty_machines=len(self._machine_ids),
+            tasks_examined=len(tasks),
         )
         return network
 
@@ -542,41 +674,37 @@ class GraphManager:
     # ------------------------------------------------------------------ #
     # Incremental path (the paper's event-driven two-pass update)
     # ------------------------------------------------------------------ #
-    def _update_incremental(
-        self, state: ClusterState, now: float, snapshot, tasks
-    ) -> FlowNetwork:
+    def _update_incremental(self, state: ClusterState, now: float, snapshot) -> FlowNetwork:
         network = self.network
-        task_by_id = {t.task_id: t for t in tasks}
-        task_ids = set(task_by_id)
-        machine_ids = {m.machine_id for m in state.topology.healthy_machines()}
-        rack_ids = set(state.topology.racks)
-        job_ids = {t.job_id for t in tasks}
-
-        removed_tasks = self._prev_task_ids - task_ids
-        added_tasks = task_ids - self._prev_task_ids
-        removed_machines = self._prev_machine_ids - machine_ids
-        added_machines = machine_ids - self._prev_machine_ids
-        removed_jobs = self._prev_job_ids - job_ids
-        added_jobs = job_ids - self._prev_job_ids
-        removed_racks = self._prev_rack_ids - rack_ids
-
         policy = self.policy
+        lookup = state.schedulable_task
+        known = self._task_jobs
+
+        # Which entities joined or left: read off the dirty marks.  Only a
+        # round whose marks cannot be trusted scans the state for them.
+        moves = None
+        if snapshot is not None and known and state.num_schedulable_tasks:
+            # Emptiness transitions change the whole network shape (an empty
+            # workload prunes everything, including the sink), so they take
+            # the scan too.
+            moves = self._entity_moves_from_marks(state, snapshot)
+        all_dirty = moves is None
+        if all_dirty:
+            tasks = state.schedulable_tasks()
+            moves = self._entity_moves_from_scan(state, tasks)
+        (
+            added_tasks,
+            removed_tasks,
+            departed_tasks,
+            added_machines,
+            removed_machines,
+            removed_racks,
+        ) = moves
+        added_jobs, removed_jobs = self._move_tasks(added_tasks, removed_tasks)
+        machine_ids = self._machine_ids
+        num_tasks = len(known)
+
         pricing_version = policy.pricing_version()
-        # Dirty tasks that are not schedulable any more.  Policies resolve
-        # them through ``state.tasks`` (e.g. to find a departed task's
-        # request class), which is impossible once the task vanished from
-        # the state entirely (job removal).
-        departed_tasks = (
-            set() if snapshot is None else (snapshot.tasks | removed_tasks) - task_ids
-        )
-        all_dirty = (
-            snapshot is None
-            # Emptiness transitions change the whole network shape (an
-            # empty workload prunes everything, including the sink).
-            or not tasks
-            or not self._prev_task_ids
-            or not departed_tasks <= state.tasks.keys()
-        )
         if all_dirty:
             dirty = DirtyView.everything(state, tasks)
             dirty_tasks = dirty.tasks
@@ -584,16 +712,21 @@ class GraphManager:
             dirty_machines_avail = (
                 snapshot.machines_availability | added_machines | removed_machines
             )
-            dirty_tasks = (snapshot.tasks & task_ids) | added_tasks
-            for machine_id in dirty_machines_avail:
-                dependents = self._machine_dependents.get(machine_id)
-                if dependents:
-                    dirty_tasks |= dependents & task_ids
+            dirty_tasks = {t for t in snapshot.tasks if t in known}
+            if dirty_machines_avail:
+                # ``None`` collects the tasks that depend on the healthy set
+                # as a whole (a machine that just joined has no dependents
+                # of its own yet).
+                for machine_id in (None, *dirty_machines_avail):
+                    dependents = self._machine_dependents.get(machine_id)
+                    if dependents:
+                        dirty_tasks.update(t for t in dependents if t in known)
             if pricing_version != self._pricing_version:
-                dirty_tasks = task_ids
+                dirty_tasks = set(known)
+            job_tasks = self._job_tasks
             dirty = DirtyView(
                 tasks=dirty_tasks | departed_tasks,
-                jobs=(snapshot.jobs & job_ids) | added_jobs,
+                jobs={j for j in snapshot.jobs if j in job_tasks} | added_jobs,
                 machines_availability=dirty_machines_avail,
                 machines_load=snapshot.machines_load | dirty_machines_avail,
             )
@@ -623,9 +756,9 @@ class GraphManager:
             # 2. Sink supply tracks the number of schedulable tasks.
             sink = self._node_for_sink()
             self._ensure_node(
-                recorder, sink, NodeType.SINK, "S", None, supply=-len(tasks)
+                recorder, sink, NodeType.SINK, "S", None, supply=-num_tasks
             )
-            recorder.set_supply(sink, -len(tasks))
+            recorder.set_supply(sink, -num_tasks)
 
             # 3. Nodes for new entities (racks materialize on access).
             for machine_id in sorted(added_machines):
@@ -645,7 +778,7 @@ class GraphManager:
                     job_id,
                 )
             for task_id in sorted(added_tasks):
-                task = task_by_id[task_id]
+                task = added_tasks[task_id]
                 self._ensure_node(
                     recorder,
                     self._node_for_task(task_id),
@@ -673,8 +806,11 @@ class GraphManager:
                     key,
                     lambda b, k=key: policy.refresh_aggregator(state, b, k, now),
                 )
+            if all_dirty:
+                self._task_cost_terms.clear()
+                self._tick_calendar.clear()
             for task_id in sorted(dirty_tasks):
-                task = task_by_id[task_id]
+                task = lookup(task_id)
                 self._apply_scope(
                     builder,
                     ("task", task_id),
@@ -683,7 +819,7 @@ class GraphManager:
                 self._record_task_dependencies(
                     task_id, policy.task_machine_dependencies(state, task)
                 )
-                self._cache_task_cost_terms(task)
+                self._cache_task_cost_terms(task, now)
             if all_dirty:
                 # Whatever no scope derived belongs to a scope that no
                 # longer exists (a class without members, a retired
@@ -692,26 +828,10 @@ class GraphManager:
                     if arc.key() not in builder.derived:
                         recorder.remove_arc(arc.src, arc.dst)
 
-            # 5. Time-varying costs (waiting time) for the clean tasks: the
-            # unscheduled cost grows with ``now`` for every task, so this is
-            # an O(tasks) pass -- but of pure arithmetic on cached terms,
-            # not derivation.
-            cost_terms = self._task_cost_terms
-            find_arc = network.find_arc
-            patch_cost = recorder.patch_known_arc_cost
-            for task in tasks:
-                task_id = task.task_id
-                if task_id in dirty_tasks:
-                    continue
-                entry = cost_terms.get(task_id)
-                if entry is None:
-                    continue
-                static, rate, submit_time, arc_key = entry
-                wait = now - submit_time
-                cost = static + int(rate * wait) if wait > 0.0 else static
-                arc = find_arc(*arc_key)
-                if arc is not None and arc.cost != cost:
-                    patch_cost(arc_key, arc, cost)
+            # 5. Time-varying costs (waiting time): a clean task's
+            # unscheduled cost moves only when ``int(rate * wait)`` does, and
+            # the tick calendar names the tasks for which that is due.
+            ticked = self._refresh_waiting_costs(recorder, now)
 
             # 6. Incremental prune: only endpoints of removed arcs (and
             # fresh nodes) can have become isolated.
@@ -735,20 +855,165 @@ class GraphManager:
             elif self._departed_tasks is not None:
                 self._departed_tasks |= removed_tasks
 
-            self._prev_task_ids = task_ids
-            self._prev_machine_ids = machine_ids
-            self._prev_rack_ids = rack_ids
-            self._prev_job_ids = job_ids
+            if all_dirty:
+                self._diff_carry = None
+            elif self._diff_carry is not None:
+                self._diff_carry |= dirty_tasks
+                self._diff_carry -= removed_tasks
+
             self.last_update_stats = GraphUpdateStats(
                 mode="incremental",
                 nodes_touched=recorder.nodes_touched,
                 arcs_patched=recorder.arcs_patched,
                 dirty_tasks=len(dirty_tasks),
                 dirty_machines=len(dirty.machines_availability),
+                tasks_examined=len(dirty_tasks) + ticked,
             )
         finally:
             self._recorder = None
         return network
+
+    def _entity_moves_from_marks(self, state: ClusterState, snapshot):
+        """Entities that joined or left since the last round, per the marks.
+
+        Every mutator marks what it touches, so a task can only have joined
+        or left the schedulable set if it is marked (the view says which, by
+        whether it is schedulable *now*), a machine the healthy set if its
+        availability is, and racks only move with the topology's membership
+        version -- on which the machines are re-read too, the one case that
+        costs the cell's size.  Returns ``None`` when a departed task can no
+        longer be resolved through ``state.tasks`` (its job was removed):
+        policies look such tasks up, so the round is an all-dirty one.
+        """
+        lookup = state.schedulable_task
+        known = self._task_jobs
+        added_tasks: Dict[int, object] = {}
+        removed_tasks: Set[int] = set()
+        departed_tasks: Set[int] = set()
+        for task_id in snapshot.tasks:
+            task = lookup(task_id)
+            if task is None:
+                departed_tasks.add(task_id)
+                if task_id in known:
+                    removed_tasks.add(task_id)
+            elif task_id not in known:
+                added_tasks[task_id] = task
+        if not departed_tasks <= state.tasks.keys():
+            return None
+
+        topology = state.topology
+        machine_ids = self._machine_ids
+        if topology.version != self._topology_version:
+            added_machines, removed_machines, removed_racks = self._topology_moves(
+                topology
+            )
+        else:
+            added_machines, removed_machines, removed_racks = set(), set(), set()
+            machines = topology.machines
+            for machine_id in snapshot.machines_availability:
+                machine = machines.get(machine_id)
+                if machine is not None and machine.is_available:
+                    if machine_id not in machine_ids:
+                        added_machines.add(machine_id)
+                elif machine_id in machine_ids:
+                    removed_machines.add(machine_id)
+            machine_ids -= removed_machines
+            machine_ids |= added_machines
+        return (
+            added_tasks,
+            removed_tasks,
+            departed_tasks,
+            added_machines,
+            removed_machines,
+            removed_racks,
+        )
+
+    def _entity_moves_from_scan(self, state: ClusterState, tasks):
+        """:meth:`_entity_moves_from_marks` by comparing the state's full
+        entity sets with the persistent ones (all-dirty rounds)."""
+        known = self._task_jobs
+        task_by_id = {t.task_id: t for t in tasks}
+        added_tasks = {
+            task_id: task for task_id, task in task_by_id.items() if task_id not in known
+        }
+        removed_tasks = known.keys() - task_by_id.keys()
+        return (added_tasks, removed_tasks, set(), *self._topology_moves(state.topology))
+
+    def _topology_moves(self, topology):
+        """Move the persistent machine and rack sets to the topology's
+        membership by re-reading it; returns the machines that joined, the
+        machines that left and the racks that left."""
+        previous_machines, previous_racks = self._machine_ids, self._rack_ids
+        self._machine_ids = {m.machine_id for m in topology.healthy_machines()}
+        self._rack_ids = set(topology.racks)
+        self._topology_version = topology.version
+        return (
+            self._machine_ids - previous_machines,
+            previous_machines - self._machine_ids,
+            previous_racks - self._rack_ids,
+        )
+
+    def _move_tasks(self, added_tasks, removed_tasks):
+        """Apply task arrivals and departures to the persistent task and
+        per-job live counts; returns the jobs that gained their first live
+        task and those that lost their last."""
+        known = self._task_jobs
+        counts = self._job_tasks
+        before: Dict[int, int] = {}
+        for task_id in removed_tasks:
+            job_id = known.pop(task_id)
+            before.setdefault(job_id, counts[job_id])
+            counts[job_id] -= 1
+        for task_id, task in added_tasks.items():
+            job_id = known[task_id] = task.job_id
+            before.setdefault(job_id, counts.get(job_id, 0))
+            counts[job_id] = counts.get(job_id, 0) + 1
+        added_jobs, removed_jobs = set(), set()
+        for job_id, count in before.items():
+            if not counts[job_id]:
+                del counts[job_id]
+                if count:
+                    removed_jobs.add(job_id)
+            elif not count:
+                added_jobs.add(job_id)
+        return added_jobs, removed_jobs
+
+    def _refresh_waiting_costs(self, recorder: ChangeBatchBuilder, now: float) -> int:
+        """Re-price the clean tasks whose waiting cost is due to move.
+
+        A popped task is re-evaluated with the formula the derivation uses,
+        so the round's cost changes are exactly those a refresh of every
+        task would emit.  Time running backwards can *lower* costs, which
+        the calendar does not schedule: that round refreshes every task and
+        rebuilds it.  Returns the number of tasks re-evaluated.
+        """
+        cost_terms = self._task_cost_terms
+        calendar = self._tick_calendar
+        if now < self._calendar_now:
+            due = sorted(cost_terms)
+            calendar.clear()
+        else:
+            due = []
+            while calendar and calendar[0][0] <= now:
+                tick, task_id = heappop(calendar)
+                entry = cost_terms.get(task_id)
+                if entry is not None and entry[4] == tick:
+                    due.append(task_id)
+            due.sort()
+        self._calendar_now = now
+        find_arc = self.network.find_arc
+        patch_cost = recorder.patch_known_arc_cost
+        for task_id in due:
+            static, rate, submit_time, arc_key, _ = cost_terms[task_id]
+            cost = static + _waiting_term(rate, submit_time, now)
+            arc = find_arc(*arc_key)
+            if arc is not None and arc.cost != cost:
+                patch_cost(arc_key, arc, cost)
+            tick = _next_tick(rate, submit_time, now)
+            cost_terms[task_id] = (static, rate, submit_time, arc_key, tick)
+            if tick != math.inf:
+                heappush(calendar, (tick, task_id))
+        return len(due)
 
     def _apply_scope(self, builder: _IncrementalBuilder, key, derive) -> None:
         """Re-derive one scope: emit its desired arcs and patch the network.
@@ -776,21 +1041,28 @@ class GraphManager:
     # ------------------------------------------------------------------ #
     # Dependency bookkeeping (machine availability -> dependent tasks)
     # ------------------------------------------------------------------ #
-    def _cache_task_cost_terms(self, task) -> None:
-        """Cache the decomposed unscheduled cost for the waiting-cost
-        refresh (see :meth:`SchedulingPolicy.unscheduled_cost_terms`)."""
+    def _cache_task_cost_terms(self, task, now: float) -> None:
+        """Cache the decomposed unscheduled cost of a task derived at
+        ``now`` (see :meth:`SchedulingPolicy.unscheduled_cost_terms`) and
+        put its next waiting-cost tick on the calendar."""
         static, rate = self.policy.unscheduled_cost_terms(task)
-        self._task_cost_terms[task.task_id] = (
+        task_id = task.task_id
+        tick = _next_tick(rate, task.submit_time, now)
+        previous = self._task_cost_terms.get(task_id)
+        self._task_cost_terms[task_id] = (
             static,
             rate,
             task.submit_time,
-            (
-                self._task_nodes[task.task_id],
-                self._unscheduled_nodes[task.job_id],
-            ),
+            (self._task_nodes[task_id], self._unscheduled_nodes[task.job_id]),
+            tick,
         )
+        # A live entry for the same tick is already on the calendar.
+        if tick != math.inf and (previous is None or previous[4] != tick):
+            heappush(self._tick_calendar, (tick, task_id))
 
-    def _record_task_dependencies(self, task_id: int, machines: Iterable[int]) -> None:
+    def _record_task_dependencies(
+        self, task_id: int, machines: Iterable[Optional[int]]
+    ) -> None:
         previous = self._task_dependencies.get(task_id)
         if previous:
             for machine_id in previous:
@@ -811,14 +1083,11 @@ class GraphManager:
                     dependents.discard(task_id)
 
     def _record_round_entities(self, state: ClusterState, tasks) -> None:
-        self._prev_task_ids = {t.task_id for t in tasks}
-        self._prev_machine_ids = {
-            m.machine_id for m in state.topology.healthy_machines()
-        }
-        self._prev_rack_ids = set(state.topology.racks)
-        self._prev_job_ids = {t.job_id for t in tasks}
+        self._task_jobs = {t.task_id: t.job_id for t in tasks}
+        self._job_tasks = dict(Counter(self._task_jobs.values()))
+        self._topology_moves(state.topology)
 
-    def _rebuild_dependency_index(self, state: ClusterState, tasks) -> None:
+    def _rebuild_dependency_index(self, state: ClusterState, tasks, now: float) -> None:
         # The index only feeds incremental rounds; a manager that will never
         # run one (incremental=False baselines) must not pay for it.
         if not self.incremental:
@@ -827,11 +1096,13 @@ class GraphManager:
         self._task_dependencies = {}
         self._machine_dependents = {}
         self._task_cost_terms = {}
+        self._tick_calendar = []
+        self._calendar_now = now
         for task in tasks:
             self._record_task_dependencies(
                 task.task_id, self.policy.task_machine_dependencies(state, task)
             )
-            self._cache_task_cost_terms(task)
+            self._cache_task_cost_terms(task, now)
 
     # ------------------------------------------------------------------ #
     # Cross-check mode
@@ -839,6 +1110,17 @@ class GraphManager:
     def _cross_check(self, state: ClusterState, now: float) -> None:
         """Assert the incremental update matches a from-scratch build."""
         tasks = state.schedulable_tasks()
+        scanned = (
+            {t.task_id: t.job_id for t in tasks},
+            dict(Counter(t.job_id for t in tasks)),
+            {m.machine_id for m in state.topology.healthy_machines()},
+            set(state.topology.racks),
+        )
+        kept = (self._task_jobs, self._job_tasks, self._machine_ids, self._rack_ids)
+        if kept != scanned:
+            raise GraphConsistencyError(
+                f"persistent entity sets {kept} diverged from a scan {scanned}"
+            )
         rebuilt = self._build_full_network(state, now, tasks)
         problems = self.network.structurally_equal(rebuilt)
         if problems:

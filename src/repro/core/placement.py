@@ -31,7 +31,8 @@ maps: nodes carry their task and machine ids as ``ref``.
 checked against (``GraphManager(verify_changes=True)`` and the tests).
 
 :func:`diff_assignments` then turns the extracted assignments into the
-round's actions by comparing them with where each task currently is.
+round's actions by comparing them with where each task currently is --
+for the tasks that can produce an action, which the caller names.
 """
 
 from __future__ import annotations
@@ -55,8 +56,10 @@ class FlowAssignments:
         #: Aggregator arcs are shared, so these are re-derived together,
         #: every round.
         self.indirect: Set[int] = set()
-        #: Tasks the most recent :meth:`update` re-derived.
+        #: How many tasks the most recent :meth:`update` re-derived, and
+        #: which (ascending ids); ``None`` when it re-derived every task.
         self.last_reextracted = 0
+        self.last_rederived: Optional[List[int]] = None
 
     def update(
         self,
@@ -82,6 +85,7 @@ class FlowAssignments:
             assignments.clear()
             indirect.clear()
             rederive = sorted(task_nodes)
+            self.last_rederived = None
         else:
             for task_id in departed_tasks:
                 assignments.pop(task_id, None)
@@ -92,7 +96,7 @@ class FlowAssignments:
                 node = find_node(src)
                 if node is not None and node.node_type is NodeType.TASK:
                     suspects.add(node.ref)
-            rederive = sorted(suspects)
+            self.last_rederived = rederive = sorted(suspects)
         self.last_reextracted = len(rederive)
 
         # Forward path decomposition.  Only a task's first arc is its own;
@@ -242,30 +246,55 @@ def extract_placements(
     return mappings
 
 
+def in_network_order(task_ids: Iterable[int], task_nodes: Mapping[int, int]) -> List[int]:
+    """Those of ``task_ids`` the network covers, in the order ``task_nodes``
+    iterates them (ascending node id: nodes are allocated monotonically)."""
+    return sorted(
+        (task_id for task_id in task_ids if task_id in task_nodes),
+        key=task_nodes.__getitem__,
+    )
+
+
 def diff_assignments(
     state,
     task_nodes: Mapping[int, int],
-    assignments: Dict[int, int],
+    assignments: Mapping[int, int],
     allow_migrations: bool,
     decision,
-) -> None:
+    candidates: Optional[Iterable[int]] = None,
+) -> List[int]:
     """Fold flow assignments into a decision's placements, migrations,
     preemptions and unscheduled list.
+
+    A task contributes iff it is pending, or runs somewhere other than
+    where the flow wants it.  ``candidates`` names the tasks that can: the
+    caller passes those whose assignment or state may have changed since
+    the previous diff, every pending task, and the running tasks that
+    contributed then (see :meth:`GraphManager.diff_assignments
+    <repro.core.graph_manager.GraphManager.diff_assignments>`).  They are
+    visited :func:`in_network_order`, so the decision lists every action in
+    the same order as the full pass.
 
     Args:
         state: The :class:`~repro.cluster.state.ClusterState` the round ran
             against.
         task_nodes: The task ids the solved network covered (a sharded
             scheduler calls this once per cell).
-        assignments: ``{task_id: machine_id}`` from
-            :func:`extract_placements`.
+        assignments: ``{task_id: machine_id}`` of the round's flow.
         allow_migrations: When False, running tasks stay where they are
             whatever the flow says.
         decision: The :class:`~repro.core.scheduler.SchedulingDecision` to
             add to.
+        candidates: Task ids to visit; ``None`` visits every task.
+
+    Returns:
+        The running tasks that produced a migration or a preemption.
     """
-    for task_id in task_nodes:
-        task = state.tasks.get(task_id)
+    visit = task_nodes if candidates is None else in_network_order(candidates, task_nodes)
+    moved: List[int] = []
+    tasks = state.tasks
+    for task_id in visit:
+        task = tasks.get(task_id)
         if task is None:
             continue
         assigned_machine = assignments.get(task_id)
@@ -276,10 +305,12 @@ def diff_assignments(
                 decision.preemptions.append(task_id)
             else:
                 decision.migrations[task_id] = assigned_machine
+            moved.append(task_id)
         elif assigned_machine is None:
             decision.unscheduled.append(task_id)
         else:
             decision.placements[task_id] = assigned_machine
+    return moved
 
 
 def unscheduled_tasks(

@@ -372,14 +372,18 @@ class SchedulingPolicy(abc.ABC):
             return builder.outgoing(builder.peek_unscheduled_node(ident))
         raise NotImplementedError(f"unknown scope {key!r}")
 
-    def task_machine_dependencies(self, state: ClusterState, task: Task) -> Iterable[int]:
+    def task_machine_dependencies(
+        self, state: ClusterState, task: Task
+    ) -> Iterable[Optional[int]]:
         """Machine ids whose *availability* affects this task's arc set.
 
         When one of these machines joins or leaves the schedulable set, the
         task's scope must be re-derived even though the task itself did not
-        change.  The default is conservative: every machine.
+        change.  ``None`` stands for the healthy set as a whole -- any
+        machine, including one that joins later -- and is the default, the
+        conservative answer.
         """
-        return state.topology.machines.keys()
+        return (None,)
 
     def current_machine_only(self, state: ClusterState, task: Task) -> Iterable[int]:
         """:meth:`task_machine_dependencies` of a policy whose task scope

@@ -48,7 +48,7 @@ from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.cluster.state import ClusterState
 from repro.core.graph_manager import GraphManager
-from repro.core.placement import diff_assignments
+from repro.core.placement import in_network_order
 from repro.core.policies.base import SchedulingPolicy
 from repro.flow.graph import FlowNetwork
 from repro.solvers import DualAlgorithmExecutor
@@ -201,7 +201,7 @@ class FlowScheduler:
             outcomes = self._solve_cells(active)
             round_wall = time.perf_counter() - wall_start
             for cell, result, _ in outcomes:
-                self._merge_cell(state, cell.manager, result, decision)
+                self._merge_cell(cell, result, decision)
             if self.workers:
                 # The cells really ran concurrently: the measured
                 # ship+gather wall clock is the round's placement latency.
@@ -278,12 +278,12 @@ class FlowScheduler:
 
     def _merge_cell(
         self,
-        state: ClusterState,
-        manager: GraphManager,
+        cell: RoundCell,
         result: Optional[SolverResult],
         decision: SchedulingDecision,
     ) -> None:
         """Fold one cell's outcome into the round's decision."""
+        manager = cell.manager
         if result is None:
             # No solver produced a feasible flow for this cell within the
             # round budget.  Degrade gracefully instead of stalling: reuse
@@ -294,18 +294,15 @@ class FlowScheduler:
             # stale survives.
             decision.degraded = True
             decision.degraded_reason = "round_deadline"
-            for task_id in manager.task_nodes:
-                task = state.tasks.get(task_id)
-                if task is not None and not task.is_running:
-                    decision.unscheduled.append(task_id)
+            decision.unscheduled.extend(
+                in_network_order(cell.view.pending_task_ids(), manager.task_nodes)
+            )
             return
-        assignments = manager.extract_assignments()
+        manager.extract_assignments()
         result.statistics.tasks_reextracted = (
             manager.flow_assignments.last_reextracted
         )
-        diff_assignments(
-            state, manager.task_nodes, assignments, self.allow_migrations, decision
-        )
+        manager.diff_assignments(cell.view, self.allow_migrations, decision)
         decision.total_cost += result.total_cost
         if not result.optimal:
             # The round deadline truncated the epsilon ladder: the flow is

@@ -14,7 +14,8 @@ schedules one cell), and this module does the same:
   machine's cell follows its rack; existing machines never move).
 * :class:`CellStateView` is a persistent per-cell facade over the shared
   :class:`~repro.cluster.state.ClusterState`: a filtered topology (the
-  cell's racks and machines only), the round's task bucket, and a private
+  cell's racks and machines only), the cell's *persistent* task bucket
+  (with its pending subset), and a private
   :class:`~repro.cluster.events.DirtyTracker`.  Each cell's
   :class:`~repro.core.graph_manager.GraphManager` consumes its view exactly
   as the monolithic manager consumes the full state, so the entire
@@ -26,7 +27,14 @@ schedules one cell), and this module does the same:
   live there, shared with the monolithic scheduler).  What is left here is
   what only exists with more than one cell: draining the global dirty
   tracker once per round and *routing* each mark to the owning cell's
-  tracker, bucketing tasks by home cell and skipping idle cells
+  tracker -- which is also what keeps the cells' buckets: a marked task
+  enters its home cell's bucket, leaves it when it is no longer
+  schedulable, or moves (marked in both cells) when its home changed, so
+  a steady round never enumerates the live tasks; the full bucketing pass
+  runs only when the marks cannot be trusted, and as the cross-check
+  oracle -- homing a task that never had a home (its job-hash cell while
+  that has a free slot left, else the cell with the largest surplus), and
+  skipping idle cells
   (``_round_cells``); solving the cells either **inline** (the pipeline's
   default: deterministic, the round charges the *slowest* cell's runtime,
   modeling concurrent cells the same way the sequential dual executor
@@ -40,7 +48,8 @@ schedules one cell), and this module does the same:
   and the ``sharded[N]`` merged result with straggler attribution
   (``_round_result``).
 * :class:`CrossCellBalancer` runs off the hot path, after the round's
-  placements are extracted: a cell whose queued tasks exceed its free
+  placements are extracted, for capacity a cell loses *after* its tasks
+  were homed: a cell whose queued tasks exceed its free
   capacity (including a task with *no* feasible machine in its home cell)
   hands excess tasks to the cell with the most spare capacity.  A
   migration is nothing but a home-table update plus ordinary dirty marks
@@ -70,14 +79,14 @@ solving undisturbed.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster.events import DirtyTracker
 from repro.cluster.machine import Machine, Rack
 from repro.cluster.state import ClusterState
 from repro.cluster.task import Task
 from repro.cluster.topology import ClusterTopology
-from repro.core.graph_manager import GraphManager
+from repro.core.graph_manager import GraphConsistencyError, GraphManager
 from repro.core.scheduler import (
     CellOutcome,
     FlowScheduler,
@@ -111,10 +120,6 @@ MAX_MIGRATIONS_PER_ROUND = 64
 #: worker answers), so the bound trades a pathological hang for degraded
 #: cell-rounds.
 GATHER_TIMEOUT_SECONDS = 300.0
-
-#: Prune interval (in rounds) for the task-home and job-cell maps, which
-#: otherwise grow with workload history rather than the live set.
-HOME_PRUNE_INTERVAL = 256
 
 
 class CellPartition:
@@ -251,13 +256,15 @@ class CellStateView:
     per-round throwaway wrapper would make every scope dirty every round.
 
     Overridden surface: ``topology`` (the cell slice), ``dirty`` (the
-    private tracker), and the task scans (``schedulable_tasks`` /
-    ``pending_tasks``), which serve the round's pre-bucketed task list so
-    per-round cost across all cells stays O(live tasks), not
-    O(cells x live tasks).  Everything else -- ``tasks``, ``jobs``, slot
-    and resource queries, the monitor -- delegates to the shared state:
-    those queries are keyed by in-cell ids, and policies resolving a
-    *departed* task need the global ``tasks`` history.
+    private tracker), and the task reads (``schedulable_task[s]`` /
+    ``num_schedulable_tasks`` / ``pending_task[_id]s``), served from the
+    cell's *persistent* bucket: the scheduler moves a task in or out while
+    it routes the task's dirty mark (:meth:`put` / :meth:`drop`), so a
+    steady round neither enumerates the live tasks nor copies the bucket.
+    Everything else -- ``tasks``, ``jobs``, slot and resource queries, the
+    monitor -- delegates to the shared state: those queries are keyed by
+    in-cell ids, and policies resolving a *departed* task need the global
+    ``tasks`` history.
     """
 
     def __init__(self, state: ClusterState, partition: CellPartition, cell: int) -> None:
@@ -265,19 +272,46 @@ class CellStateView:
         self.cell = cell
         self.topology = CellTopologyView(state.topology, partition, cell)
         self.dirty = DirtyTracker()
-        self._round_tasks: List[Task] = []
+        self._bucket: Dict[int, Task] = {}
+        self._pending: Dict[int, Task] = {}
 
-    def set_round_tasks(self, tasks: List[Task]) -> None:
-        """Install the round's task bucket (scheduler routing step)."""
-        self._round_tasks = tasks
+    def put(self, task: Task) -> None:
+        """Home a task here, or refresh whether it is pending."""
+        self._bucket[task.task_id] = task
+        if task.is_pending:
+            self._pending[task.task_id] = task
+        else:
+            self._pending.pop(task.task_id, None)
+
+    def drop(self, task_id: int) -> Task:
+        """Take a task out of the cell; returns it."""
+        self._pending.pop(task_id, None)
+        return self._bucket.pop(task_id)
+
+    def clear(self) -> None:
+        """Empty the bucket (the scheduler's full pass refills it)."""
+        self._bucket.clear()
+        self._pending.clear()
 
     def schedulable_tasks(self) -> List[Task]:
-        """The cell's schedulable tasks, as bucketed for this round."""
-        return list(self._round_tasks)
+        """The cell's schedulable tasks (all-dirty rounds and oracles)."""
+        return list(self._bucket.values())
+
+    def schedulable_task(self, task_id: int) -> Optional[Task]:
+        """The task if it is homed here and schedulable, else ``None``."""
+        return self._bucket.get(task_id)
+
+    @property
+    def num_schedulable_tasks(self) -> int:
+        return len(self._bucket)
+
+    def pending_task_ids(self):
+        """Ids of the cell's tasks awaiting placement (a live view)."""
+        return self._pending.keys()
 
     def pending_tasks(self) -> List[Task]:
         """The cell's pending tasks, oldest submission first."""
-        pending = [t for t in self._round_tasks if t.is_pending]
+        pending = list(self._pending.values())
         pending.sort(key=lambda t: (t.submit_time, t.task_id))
         return pending
 
@@ -460,8 +494,16 @@ class ShardedScheduler(FlowScheduler):
         self._fallback_rounds: List[int] = []
         self._cell_had_tasks: List[bool] = []
         self._dirty_epoch: Optional[int] = None
+        #: Home cell of every schedulable task, and per job the number of
+        #: its tasks homed in each cell -- both hold live tasks only: an
+        #: entry leaves when routing sees the task leave for good.
         self._task_home: Dict[int, int] = {}
-        self._job_cells: Dict[int, Set[int]] = {}
+        self._job_cells: Dict[int, Dict[int, int]] = {}
+        #: Free slots per cell, and per machine the ``(cell, free slots)``
+        #: they were counted from; kept from the machine marks for homing
+        #: new tasks (balancer on only).
+        self._cell_free: List[int] = []
+        self._machine_free: Dict[int, Tuple[int, int]] = {}
         self._round_index = 0
         #: Rounds in which each cell was the straggler (observability).
         self.straggler_rounds: Dict[int, int] = {}
@@ -498,8 +540,10 @@ class ShardedScheduler(FlowScheduler):
         """Current home cell of a task.
 
         A running task belongs to the cell of its machine (its continuation
-        arc must resolve inside that cell's network); otherwise the
-        balancer's override applies, falling back to the job-hash default.
+        arc must resolve inside that cell's network); otherwise the task
+        sticks to the cell it was last homed in (so preemption does not
+        bounce it back to the default mid-flight), and a task that never
+        had a home gets one by :meth:`_first_home`.
         """
         if task.is_running and task.machine_id is not None:
             machine = self._state.topology.machines.get(task.machine_id)
@@ -508,85 +552,184 @@ class ShardedScheduler(FlowScheduler):
         home = self._task_home.get(task.task_id)
         if home is not None:
             return home
-        return self.partition.cell_of_job(task.job_id)
+        return self._first_home(task)
+
+    def _first_home(self, task: Task) -> int:
+        """Home of a task that never had one: its job-hash cell while that
+        cell has a free slot left for it, otherwise -- by the balancer's own
+        rule, one round before the balancer could apply it -- the cell with
+        the largest surplus, ties to the lowest id.  Without a balancer,
+        pure hashing."""
+        cell = self.partition.cell_of_job(task.job_id)
+        if self.balancer is None:
+            return cell
+        views = self._views
+        # Queued tasks include the ones this round already routed here.
+        surplus = [
+            free - len(view.pending_task_ids())
+            for free, view in zip(self._cell_free, views)
+        ]
+        if surplus[cell] > 0:
+            return cell
+        target = max(range(self.num_cells), key=lambda c: (surplus[c], -c))
+        return target if surplus[target] > 0 else cell
+
+    def _enter(self, task: Task, cell: int) -> None:
+        self._views[cell].put(task)
+        counts = self._job_cells.setdefault(task.job_id, {})
+        counts[cell] = counts.get(cell, 0) + 1
+
+    def _leave(self, task_id: int, cell: int) -> None:
+        task = self._views[cell].drop(task_id)
+        counts = self._job_cells[task.job_id]
+        counts[cell] -= 1
+        if not counts[cell]:
+            del counts[cell]
+            if not counts:
+                del self._job_cells[task.job_id]
+
+    def _count_machine(self, state: ClusterState, machine_id: int) -> None:
+        """Bring one machine's share of its cell's free-slot counter up to
+        date (a machine that left the topology stops counting)."""
+        counted = self._machine_free.pop(machine_id, None)
+        if counted is not None:
+            self._cell_free[counted[0]] -= counted[1]
+        machine = state.topology.machines.get(machine_id)
+        if machine is None:
+            return
+        free = state.free_slots(machine_id)
+        if free:
+            cell = self.partition.cell_of_machine(machine)
+            self._machine_free[machine_id] = (cell, free)
+            self._cell_free[cell] += free
 
     def _route_dirty(self, state: ClusterState) -> None:
-        """Drain the global dirty tracker once, route marks to cell trackers."""
+        """Drain the global dirty tracker once, route marks to cell trackers.
+
+        Routing a task's mark also keeps the cells' persistent buckets: the
+        task enters its home cell's, leaves it when it is not schedulable
+        any more, and moves (marked in both cells) when its home changed.
+        """
         snapshot = state.dirty.drain()
         chain_intact = (
             self._dirty_epoch is not None
             and snapshot.epoch == self._dirty_epoch + 1
         )
         self._dirty_epoch = snapshot.epoch
+        views = self._views
         if snapshot.full or not chain_intact:
-            for view in self._views:
+            for view in views:
                 view.dirty.mark_all()
+            self._bucket_tasks(state)
             return
-        tasks = state.tasks
+        # Machines first: homing a new task reads the free-slot counters.
         machines = state.topology.machines
-        for task_id in snapshot.tasks:
-            task = tasks.get(task_id)
-            if task is None:
-                # The task vanished (job removal) before it ever reached a
-                # cell's round bucket; the owning cell's manager detects
-                # the departure from its previous task set regardless, so
-                # the mark has no one left to inform.
-                home = self._task_home.get(task_id)
-                if home is not None:
-                    self._views[home].dirty.mark_task(task_id)
-                continue
-            self._views[self._home_cell(task)].dirty.mark_task(task_id)
-        for job_id in snapshot.jobs:
-            cells = self._job_cells.get(job_id)
-            if cells is None:
-                for view in self._views:
-                    view.dirty.mark_job(job_id)
+        count_free = self.balancer is not None
+        for machine_id in snapshot.machines_load:
+            if count_free:
+                self._count_machine(state, machine_id)
+            machine = machines.get(machine_id)
+            if machine is None:
+                for view in views:
+                    view.dirty.mark_machine_load(machine_id)
             else:
-                for cell in cells:
-                    self._views[cell].dirty.mark_job(job_id)
+                views[
+                    self.partition.cell_of_machine(machine)
+                ].dirty.mark_machine_load(machine_id)
         for machine_id in snapshot.machines_availability:
             machine = machines.get(machine_id)
             if machine is None:
-                for view in self._views:
+                for view in views:
                     view.dirty.mark_machine_availability(machine_id)
             else:
-                self._views[
+                views[
                     self.partition.cell_of_machine(machine)
                 ].dirty.mark_machine_availability(machine_id)
-        for machine_id in snapshot.machines_load:
-            machine = machines.get(machine_id)
-            if machine is None:
-                for view in self._views:
-                    view.dirty.mark_machine_load(machine_id)
+        # Known tasks before new ones, so the queue lengths a new task is
+        # homed by already reflect last round's placements.
+        homes = self._task_home
+        arrivals = []
+        for task_id in sorted(snapshot.tasks):
+            if task_id in homes:
+                self._route_task(state, task_id)
             else:
-                self._views[
-                    self.partition.cell_of_machine(machine)
-                ].dirty.mark_machine_load(machine_id)
+                arrivals.append(task_id)
+        for task_id in arrivals:
+            self._route_task(state, task_id)
+        # A job's mark goes to the cells holding its tasks; a job with none
+        # anywhere has no scope in any network.
+        for job_id in snapshot.jobs:
+            for cell in self._job_cells.get(job_id, ()):
+                views[cell].dirty.mark_job(job_id)
 
-    def _bucket_tasks(self, state: ClusterState) -> List[List[Task]]:
-        """Split the schedulable set into per-cell buckets (one O(live) pass)."""
-        buckets: List[List[Task]] = [[] for _ in range(self.num_cells)]
+    def _route_task(self, state: ClusterState, task_id: int) -> None:
+        old = self._task_home.get(task_id)
+        task = state.schedulable_task(task_id)
+        if task is None:
+            # Finished, or vanished with its job: the entry leaves for good.
+            if old is not None:
+                del self._task_home[task_id]
+                self._leave(task_id, old)
+                self._views[old].dirty.mark_task(task_id)
+            return
+        new = self._home_cell(task)
+        if old == new:
+            self._views[new].put(task)
+            self._views[new].dirty.mark_task(task_id)
+        else:
+            self._move(task, old, new)
+
+    def _move(self, task: Task, old: Optional[int], new: int) -> None:
+        """Home a task in ``new``, marking it in both cells: the old one
+        drops its node, the new one derives it."""
+        task_id = task.task_id
+        if old is not None:
+            self._leave(task_id, old)
+            self._views[old].dirty.mark_task(task_id)
+        self._task_home[task_id] = new
+        self._enter(task, new)
+        self._views[new].dirty.mark_task(task_id)
+
+    def _bucket_tasks(self, state: ClusterState) -> None:
+        """The full pass: rebuild every cell's bucket, the home and job
+        tables and the free-slot counters from the schedulable set.  Runs
+        when the marks cannot be trusted (first round, broken chain,
+        overflow) and as the oracle the maintained ones are compared with.
+        """
+        for view in self._views:
+            view.clear()
+        self._job_cells = {}
+        self._cell_free = [0] * self.num_cells
+        self._machine_free = {}
+        if self.balancer is not None:
+            for machine in state.machines_with_free_slots():
+                self._count_machine(state, machine.machine_id)
+        homes: Dict[int, int] = {}
         for task in state.schedulable_tasks():
-            cell = self._home_cell(task)
-            # Stick the task to its resolved cell so preemption does not
-            # bounce it back to the job-hash default mid-flight.
-            self._task_home[task.task_id] = cell
-            self._job_cells.setdefault(task.job_id, set()).add(cell)
-            buckets[cell].append(task)
-        if self._round_index % HOME_PRUNE_INTERVAL == 0:
-            live = state.tasks
-            self._task_home = {
-                task_id: cell
-                for task_id, cell in self._task_home.items()
-                if task_id in live
-            }
-            jobs = state.jobs
-            self._job_cells = {
-                job_id: cells
-                for job_id, cells in self._job_cells.items()
-                if job_id in jobs
-            }
-        return buckets
+            cell = homes[task.task_id] = self._home_cell(task)
+            self._enter(task, cell)
+        self._task_home = homes
+
+    def _check_buckets(self, state: ClusterState) -> None:
+        """Cross-check: the maintained tables against a full pass."""
+        kept = self._routing_tables()
+        self._bucket_tasks(state)
+        rebuilt = self._routing_tables()
+        if kept != rebuilt:
+            raise GraphConsistencyError(
+                f"maintained routing tables {kept} diverged from the full "
+                f"pass {rebuilt}"
+            )
+
+    def _routing_tables(self):
+        return (
+            [dict(view._bucket) for view in self._views],
+            [set(view._pending) for view in self._views],
+            dict(self._task_home),
+            {job: dict(cells) for job, cells in self._job_cells.items()},
+            list(self._cell_free),
+            dict(self._machine_free),
+        )
 
     # ------------------------------------------------------------------ #
     # Round-pipeline hooks (the round itself is FlowScheduler.schedule)
@@ -597,12 +740,14 @@ class ShardedScheduler(FlowScheduler):
             self._bind(state)
         self._round_index += 1
         self._route_dirty(state)
+        if self._cells[0].manager.verify_changes:
+            self._check_buckets(state)
         active: List[RoundCell] = []
-        for cell, bucket in zip(self._cells, self._bucket_tasks(state)):
-            if not bucket and not self._cell_had_tasks[cell.index]:
+        for cell in self._cells:
+            has_tasks = bool(cell.view.num_schedulable_tasks)
+            if not has_tasks and not self._cell_had_tasks[cell.index]:
                 continue  # an idle cell's tracker just accumulates marks
-            cell.view.set_round_tasks(bucket)
-            self._cell_had_tasks[cell.index] = bool(bucket)
+            self._cell_had_tasks[cell.index] = has_tasks
             active.append(cell)
         return active
 
@@ -696,16 +841,12 @@ class ShardedScheduler(FlowScheduler):
     def _apply_rebalance(self, state: ClusterState, decision: SchedulingDecision) -> int:
         """Run the balancer; re-homes are ordinary dirty-set mutations."""
         moves = self.balancer.plan(state, decision, self._home_cell)
-        tasks = state.tasks
+        views = self._views
         for task_id, source, target in moves:
-            self._task_home[task_id] = target
-            task = tasks.get(task_id)
-            self._views[source].dirty.mark_task(task_id)
-            self._views[target].dirty.mark_task(task_id)
-            if task is not None:
-                self._job_cells.setdefault(task.job_id, set()).add(target)
-                self._views[source].dirty.mark_job(task.job_id)
-                self._views[target].dirty.mark_job(task.job_id)
+            task = views[source].schedulable_task(task_id)
+            self._move(task, source, target)
+            views[source].dirty.mark_job(task.job_id)
+            views[target].dirty.mark_job(task.job_id)
         return len(moves)
 
     # ------------------------------------------------------------------ #

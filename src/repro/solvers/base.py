@@ -163,6 +163,10 @@ class SolverResult:
         algorithm: Name of the algorithm that produced the solution.
         total_cost: Cost of the computed min-cost flow.
         flows: Sparse ``{(src, dst): flow}`` mapping of non-zero arc flows.
+            The residual-based solvers return a read-only view of the
+            flows their residual tracks (nothing is copied per solve), so
+            it shows the *latest* solve of a solver that keeps its
+            residual: ``dict(result.flows)`` keeps a round's flows.
         potentials: Node potentials (dual variables) keyed by node id.  A
             solver that retains its residual returns a read-only view built
             on first use (:class:`~repro.solvers.residual.RetainedPotentials`);
@@ -175,7 +179,7 @@ class SolverResult:
 
     algorithm: str
     total_cost: int
-    flows: Dict[Tuple[int, int], int]
+    flows: Mapping[Tuple[int, int], int]
     potentials: Mapping[int, int]
     runtime_seconds: float
     statistics: SolverStatistics = field(default_factory=SolverStatistics)

@@ -24,9 +24,13 @@ in :class:`SpeculativeDualExecutor`:
   side).  Its measured wall clock per round approximates the winner's solo
   runtime instead of the sum.
 
-The executor owns the round's single flow write-back: the legs solve on
-their own persistent residuals and never touch ``network``'s arcs; the
-winner's flows are written once, after the race.  The incremental cost
+The executor owns a raced round's single flow write-back: the legs solve
+on their own persistent residuals and never touch ``network``'s arcs; the
+winner's flows are written once, after the race (``set_flows``, a compare
+pass over every arc).  A round that does not speculate has one leg, and
+that leg is the winner: it writes its own flow journal
+(:meth:`~repro.solvers.residual.ResidualNetwork.write_flow_back`, the arcs
+it moved and nothing else).  The incremental cost
 scaling instance is seeded from a relaxation win (price refine makes the
 potentials usable, Section 6.2) **iff it holds no residual of its own at
 this round's revision** -- its leg was cancelled by the parallel race,
@@ -294,7 +298,8 @@ class SpeculativeDualExecutor(Solver):
         deadline_hit = False
 
         relaxation_result: Optional[SolverResult] = None
-        if self._speculates(changes):
+        speculates = self._speculates(changes)
+        if speculates:
             # The round's change batch is forwarded so the solver can patch
             # its persistent residual instead of rebuilding it.
             if budget is not None:
@@ -318,8 +323,9 @@ class SpeculativeDualExecutor(Solver):
             self.incremental.deadline_check = deadline
             self.incremental.abort_check = deadline.hard_expired
         try:
+            # Alone, the leg is the winner and writes its own flow.
             cost_scaling_result = self.incremental.solve(
-                network, changes=changes, write_back=False
+                network, changes=changes, write_back=not speculates
             )
         except SolveAborted:
             deadline_hit = True
@@ -344,6 +350,7 @@ class SpeculativeDualExecutor(Solver):
             ),
             executor=executor,
             deadline_hit=deadline_hit,
+            written=not speculates,
         )
 
     def _finish_round(
@@ -355,11 +362,14 @@ class SpeculativeDualExecutor(Solver):
         winner_is_relaxation: bool,
         executor: str,
         deadline_hit: bool = False,
+        written: bool = False,
     ) -> DualExecutionResult:
         """Install the winner, assemble the round's result and account it.
 
-        The winner's flows are written onto ``network`` here, once; the
-        legs do not write.  A relaxation win seeds the incremental
+        The winner's flows are written onto ``network`` here, once, with
+        ``set_flows``' compare pass over every arc -- unless the round ran
+        the cost-scaling leg alone and that leg has ``written`` its own
+        journal already.  A relaxation win seeds the incremental
         instance only when the cost-scaling leg left no residual at this
         round's revision (it was cancelled or aborted, or did not finish
         optimal); otherwise the leg's own residual stays and the next round
@@ -374,7 +384,8 @@ class SpeculativeDualExecutor(Solver):
                 self.incremental.seed(winner.flows, winner.potentials)
         else:
             winner = cost_scaling_result
-        network.set_flows(winner.flows)
+        if not written:
+            network.set_flows(winner.flows)
         wall_clock = time.perf_counter() - started
         # A physically raced round without a parent result: that run was
         # cancelled mid-flight, having consumed roughly the whole round's

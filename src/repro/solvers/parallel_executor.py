@@ -242,8 +242,9 @@ class ParallelDualExecutor(SpeculativeDualExecutor):
         self.incremental.abort_check = abort_check
         self.incremental.deadline_check = deadline
         try:
+            # Unopposed, the leg is the winner and writes its own flow.
             cost_scaling_result = self.incremental.solve(
-                network, changes=changes, write_back=False
+                network, changes=changes, write_back=round_id is None
             )
         except SolveAborted:
             pass
@@ -298,6 +299,7 @@ class ParallelDualExecutor(SpeculativeDualExecutor):
             ),
             executor="parallel",
             deadline_hit=deadline_hit,
+            written=round_id is None,
         )
         worker.stamp_round(result.winner.statistics)
         self._last_round_fallback = False

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Mapping as MappingABC
+from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.flow.graph import FlowNetwork
@@ -140,6 +141,10 @@ class ResidualNetwork:
         # :meth:`invalidate_flow_journal`.
         self._flow_journal: Optional[set] = None
         self._flows_cache: Optional[Dict[Tuple[int, int], int]] = None
+        # Cost of the cached flows in stored (scaled) units, kept equal to
+        # sum(cache[key] * arc_cost[forward(key)]) through every mutation
+        # of either, so total_cost() is O(1) while the journal tracks.
+        self._flow_cost: int = 0
         # The token this residual left in ``FlowNetwork.flow_writer`` when it
         # last wrote a network; dropped as soon as journal entries are
         # folded away without having been written (see write_flow_back).
@@ -338,6 +343,7 @@ class ResidualNetwork:
         for arc_index in range(len(arc_cost)):
             arc_cost[arc_index] *= multiplier
         self.cost_scale *= multiplier
+        self._flow_cost *= multiplier
         if self._max_cost_cache is not None:
             self._max_cost_cache *= multiplier
 
@@ -435,8 +441,13 @@ class ResidualNetwork:
                 self.excess[i] += change.delta
                 self.last_excess_moved.add(i)
             elif isinstance(change, ch.ArcCostChange):
-                position = self.arc_position[(change.src, change.dst)]
+                key = (change.src, change.dst)
+                position = self.arc_position[key]
                 cost = change.new_cost * scale
+                if self._flows_cache is not None:
+                    cached = self._flows_cache.get(key)
+                    if cached:
+                        self._flow_cost += cached * (cost - self.arc_cost[2 * position])
                 self.arc_cost[2 * position] = cost
                 self.arc_cost[2 * position + 1] = -cost
                 dirty.add(position)
@@ -529,6 +540,14 @@ class ResidualNetwork:
         flow = self.arc_residual[forward + 1]
         if flow:
             self._return_flow(forward, flow)
+        # The slot dies: purge its cached flow (and that flow's cost) and
+        # drop any pending journal entry -- the position no longer maps to a
+        # live key.
+        if self._flows_cache is not None:
+            cached = self._flows_cache.pop(key, 0)
+            self._flow_cost -= cached * self.arc_cost[forward]
+        if self._flow_journal is not None:
+            self._flow_journal.discard(position)
         # Dead slot: zero residual in both directions means no traversal ever
         # touches it again; zero cost keeps the max-cost cache an upper bound.
         self.arc_residual[forward] = 0
@@ -538,12 +557,6 @@ class ResidualNetwork:
         self.forward_arc_keys[position] = None
         del self.arc_position[key]
         self.dead_arc_pairs += 1
-        # The slot is dead: purge its cached flow and drop any pending
-        # journal entry (the position no longer maps to a live key).
-        if self._flows_cache is not None:
-            self._flows_cache.pop(key, None)
-        if self._flow_journal is not None:
-            self._flow_journal.discard(position)
 
     def _patch_remove_node(self, node_id: int) -> None:
         i = self.index[node_id]
@@ -582,11 +595,13 @@ class ResidualNetwork:
         self.compact()
 
     def compact(self) -> None:
-        """Rebuild the arrays without dead node/arc slots (same node ids)."""
-        # Compaction renumbers pair positions, so pending journal entries
-        # would dangle; compaction is amortized-rare, so simply fall back to
-        # one full extraction afterwards.
-        self.invalidate_flow_journal()
+        """Rebuild the arrays without dead node/arc slots (same node ids).
+
+        Pair positions are renumbered, so the pending journal entries are
+        carried over through the same remap; the flows cache is keyed by
+        arc endpoints and does not notice.  The round after a compaction
+        therefore still writes and extracts only what it changed.
+        """
         keep = [i for i in range(self.num_nodes) if self.node_alive[i]]
         remap = {old: new for new, old in enumerate(keep)}
         self.node_ids = [self.node_ids[i] for i in keep]
@@ -636,6 +651,12 @@ class ResidualNetwork:
             self.adjacency[v].append(2 * new_position + 1)
             self.forward_arc_keys.append(key)
             self.arc_position[key] = new_position
+        if self._flow_journal is not None:
+            # Dead positions already left the journal with their arcs.
+            arc_position = self.arc_position
+            self._flow_journal = {
+                arc_position[old_keys[position]] for position in self._flow_journal
+            }
 
     # ------------------------------------------------------------------ #
     # Potentials / warm start
@@ -689,16 +710,20 @@ class ResidualNetwork:
             if not written:
                 self._write_token = None
             arc_residual = self.arc_residual
+            arc_cost = self.arc_cost
             keys = self.forward_arc_keys
+            moved_cost = 0
             for position in journal:
                 key = keys[position]
                 if key is None:
                     continue
                 flow = arc_residual[2 * position + 1]
+                moved_cost += (flow - cache.get(key, 0)) * arc_cost[2 * position]
                 if flow:
                     cache[key] = flow
                 else:
                     cache.pop(key, None)
+            self._flow_cost += moved_cost
             journal.clear()
         return cache
 
@@ -760,36 +785,41 @@ class ResidualNetwork:
             self._write_token = network.flow_writer = object()
         self._sync_flow_journal(written=True)
 
-    def flows(self) -> Dict[Tuple[int, int], int]:
+    def flows(self) -> Mapping[Tuple[int, int], int]:
         """Return the computed flow as a ``{(src, dst): flow}`` mapping.
 
-        With an active journal the scan is restricted to the positions whose
-        flow changed since the previous extraction (plus an O(non-zero
-        flows) copy of the cache).  Without one, a full scan of the live
-        arcs runs and primes the journal, so a persistent residual's
-        subsequent delta rounds are served incrementally.
+        The mapping is a read-only view of the cache of non-zero flows this
+        residual maintains -- nothing is copied -- so it shows the flow of
+        the *latest* extraction: a reader that needs a round's flows after
+        the residual has been solved again copies them (``dict(...)``)
+        first.  With an active journal only the positions whose flow
+        changed since the previous extraction are visited; without one, a
+        full scan of the live arcs primes the cache, so a persistent
+        residual's subsequent delta rounds are served incrementally.
         """
         cache = self._sync_flow_journal()
-        if cache is not None:
-            return dict(cache)
-        self._flows_cache = self.full_flows()
-        self._flow_journal = set()
-        return dict(self._flows_cache)
+        if cache is None:
+            cache = self._flows_cache = self.full_flows()
+            self._flow_journal = set()
+            arc_cost = self.arc_cost
+            arc_position = self.arc_position
+            self._flow_cost = sum(
+                flow * arc_cost[2 * arc_position[key]] for key, flow in cache.items()
+            )
+        return MappingProxyType(cache)
 
     def total_cost(self) -> int:
         """Return the total cost of the current flow (in original units).
 
-        Summed over the cache of non-zero flows while the journal tracks
-        them, over every live arc otherwise.
+        O(journaled arcs) while the journal tracks the flow: the cost is
+        kept beside the flows cache (folded in with every journaled flow
+        move, adjusted by cost patches and removals of flow-carrying arcs).
+        Summed over every live arc otherwise.
         """
+        if self._sync_flow_journal() is not None:
+            return self._flow_cost // self.cost_scale
         total = 0
         arc_cost = self.arc_cost
-        cache = self._sync_flow_journal()
-        if cache is not None:
-            arc_position = self.arc_position
-            for key, flow in cache.items():
-                total += flow * arc_cost[2 * arc_position[key]]
-            return total // self.cost_scale
         arc_residual = self.arc_residual
         for position, key in enumerate(self.forward_arc_keys):
             if key is None:

@@ -149,8 +149,9 @@ def encode_result(result: SolverResult) -> Dict[str, Any]:
     a monotonic ``finished_at`` stamp for settling photo finishes
     (CLOCK_MONOTONIC is system-wide, hence comparable across processes)."""
     body = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
-    # A persistent solver hands out a lazy view onto its residual; the pipe
+    # A persistent solver hands out views onto its residual; the pipe
     # carries the values, and this is where they are materialised.
+    body["flows"] = dict(result.flows)
     body["potentials"] = dict(result.potentials)
     body["statistics"] = dataclasses.asdict(result.statistics)
     body["finished_at"] = time.monotonic()

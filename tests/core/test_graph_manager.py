@@ -84,7 +84,7 @@ class TestNodeIdentityStability:
         manager = GraphManager(LoadSpreadingPolicy())
         manager.update(small_state, now=0.0)
         assert 0 in manager.machine_nodes
-        small_state.topology.machine(0).fail()
+        small_state.fail_machine(0, 1.0)
         manager.update(small_state, now=1.0)
         assert 0 not in manager.machine_nodes
 

@@ -338,3 +338,19 @@ def test_incremental_rounds_dominate_on_low_churn():
         manager.update(state, now=round_index * 5.0)
     assert manager.full_updates == 1  # only the initial build
     assert manager.incremental_updates == 4
+
+
+@pytest.mark.parametrize("name", sorted(POLICIES))
+def test_a_machine_that_joins_alone_reaches_every_dependent_task(name):
+    """A task whose arcs depend on the healthy set as a whole (the random
+    policy samples it) is re-derived when a machine *joins* -- a machine no
+    task could have named as a dependency before it existed."""
+    rng = random.Random(3)
+    state = make_cluster_state(num_machines=4, machines_per_rack=2)
+    state.submit_job(_random_job(rng, 1, 4, 0.0))
+    rounds = _CheckedRounds(POLICIES[name](), name)
+    rounds.update(state, 0.0)
+    state.add_machine(Machine(machine_id=40, rack_id=9, num_slots=2))
+    rounds.update(state, 1.0)
+    state.fail_machine(40, 2.0)
+    rounds.update(state, 2.0)

@@ -193,36 +193,47 @@ class TestShardedScheduling:
 class TestCrossCellBalancer:
     def test_overload_migrates_to_spare_cell(self):
         # 2 racks -> 2 cells of 2 machines x 2 slots = 4 slots each.  Job 0
-        # homes to cell 0 with 6 tasks: 2 overflow, and the balancer must
-        # re-home them to cell 1 so the next round places them.
+        # homes to cell 0 and fills it; then machine 0 fails, so two of its
+        # tasks queue in a cell with no slot left for them, and the
+        # balancer must re-home them to cell 1 so the next round places
+        # them.  (Overload that exists *before* a task is homed never
+        # reaches the balancer: see TestFirstHome.)
         state = make_cluster_state(num_machines=4, machines_per_rack=2)
-        state.submit_job(make_job(job_id=0, num_tasks=6))
+        state.submit_job(make_job(job_id=0, num_tasks=4))
         scheduler = build_sharded(num_cells=2)
         try:
             d1 = scheduler.schedule_and_apply(state, now=0.0)
-            assert len(d1.placements) == 4
-            assert len(d1.unscheduled) == 2
-            assert d1.solver_result.statistics.cross_cell_migrations == 2
-            d2 = scheduler.schedule_and_apply(state, now=5.0)
-            assert len(d2.placements) == 2
-            assert not d2.unscheduled
+            assert sorted(d1.placements.values()) == [0, 0, 1, 1]
+            assert len(state.fail_machine(0, now=1.0)) == 2
+            d2 = scheduler.schedule_and_apply(state, now=2.0)
+            assert not d2.placements
+            assert len(d2.unscheduled) == 2
+            assert d2.solver_result.statistics.cross_cell_migrations == 2
+            d3 = scheduler.schedule_and_apply(state, now=5.0)
+            assert len(d3.placements) == 2
+            assert set(d3.placements.values()) <= {2, 3}
+            assert not d3.unscheduled
         finally:
             scheduler.close()
 
     def test_infeasible_home_cell_rehomes_instead_of_starving(self):
-        # Cell 1 (rack 1) is entirely failed: a task homed there has no
-        # feasible machine at all and must be re-homed, not starved.
+        # Job 1 homes to cell 1 (rack 1) and runs there; then the whole
+        # cell fails.  Its tasks have no feasible machine at all in their
+        # home cell and must be re-homed, not starved.
         state = make_cluster_state(num_machines=4, machines_per_rack=2)
-        state.fail_machine(2, now=0.0)
-        state.fail_machine(3, now=0.0)
-        state.submit_job(make_job(job_id=1, num_tasks=2))  # homes to cell 1
+        state.submit_job(make_job(job_id=1, num_tasks=2))
         scheduler = build_sharded(num_cells=2)
         try:
-            d1 = scheduler.schedule_and_apply(state, now=0.0)
+            d0 = scheduler.schedule_and_apply(state, now=0.0)
+            assert set(d0.placements.values()) <= {2, 3}
+            state.fail_machine(2, now=1.0)
+            state.fail_machine(3, now=1.0)
+            d1 = scheduler.schedule_and_apply(state, now=2.0)
             assert len(d1.unscheduled) == 2
             assert d1.solver_result.statistics.cross_cell_migrations == 2
             d2 = scheduler.schedule_and_apply(state, now=5.0)
             assert len(d2.placements) == 2
+            assert set(d2.placements.values()) <= {0, 1}
         finally:
             scheduler.close()
 
@@ -230,13 +241,18 @@ class TestCrossCellBalancer:
         state = make_cluster_state(
             num_machines=8, machines_per_rack=4, slots_per_machine=4
         )
-        # Far more cell-0 overflow than the per-round migration ceiling.
-        state.submit_job(make_job(job_id=0, num_tasks=40))
+        # Job 0 fills cell 0 (16 slots); three of its four machines then
+        # fail: far more overflow than the per-round migration ceiling,
+        # with cell 1 empty.
+        state.submit_job(make_job(job_id=0, num_tasks=16))
         scheduler = build_sharded(num_cells=2)
         scheduler.balancer.max_migrations_per_round = 4
         try:
-            decision = scheduler.schedule_and_apply(state, now=0.0)
-            assert decision.solver_result.statistics.cross_cell_migrations <= 4
+            scheduler.schedule_and_apply(state, now=0.0)
+            evicted = sum(len(state.fail_machine(m, now=1.0)) for m in (0, 1, 2))
+            assert evicted == 12
+            decision = scheduler.schedule_and_apply(state, now=2.0)
+            assert decision.solver_result.statistics.cross_cell_migrations == 4
         finally:
             scheduler.close()
 

@@ -201,3 +201,67 @@ class TestJournalOnDeltaRounds:
         assert residual.flow_journal_active
         assert residual.flows() == residual.full_flows()
         assert result.total_cost == reference_min_cost(network)
+
+
+class TestStateKeptBesideTheJournal:
+    """What rides on the journal besides the flows: their total cost, and
+    both across a compaction."""
+
+    @staticmethod
+    def recomputed_cost(residual, network) -> int:
+        return sum(
+            flow * network.arc(*key).cost for key, flow in residual.full_flows().items()
+        )
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_total_cost_is_maintained_not_recomputed(self, seed):
+        """Pushes, cost patches on flow-carrying arcs, clamps, removals and
+        a mid-run compaction all keep ``total_cost()`` equal to the sum
+        over the arcs -- which it no longer visits."""
+        rng = random.Random(seed)
+        network = generate_network(rng)
+        solver = IncrementalCostScalingSolver()
+        changes = None
+        for round_index in range(8):
+            result = solver.solve(network, changes=changes)
+            residual = solver._cost_scaling.last_residual
+            assert residual.flow_journal_active
+            assert result.total_cost == self.recomputed_cost(residual, network)
+            assert result.total_cost == reference_min_cost(network)
+            if round_index == 4:
+                residual.compact()
+                assert residual.flow_journal_active
+                assert residual.total_cost() == result.total_cost
+            network, changes = perturb_network(rng, network)
+        assert solver.delta_solves >= 5
+
+    def test_compaction_carries_the_pending_journal_over(self):
+        """Positions are renumbered; the entries follow their arcs, so the
+        next write-back still touches only what moved."""
+        network = build_small_network()
+        residual = ResidualNetwork(network)
+        residual.flows()
+        residual.write_flow_back(network)
+        network.take_flow_changes()
+        # Kill the first slot so every later position shifts down by one.
+        residual.apply_changes(ChangeBatch(changes=[ArcRemoval(src=0, dst=1)]))
+        network.remove_arc(0, 1)
+        position = residual.arc_position[(0, 2)]
+        residual.push(2 * position, 2)
+        residual.compact()
+        assert residual.arc_position[(0, 2)] == position - 1
+        assert residual.flow_journal_active
+        residual.write_flow_back(network)
+        assert network.take_flow_changes() == {(0, 2)}
+        assert network.arc(0, 2).flow == 2
+        assert residual.flows() == residual.full_flows() == {(0, 2): 2}
+        assert residual.total_cost() == 10
+
+    def test_flows_is_a_read_only_view_of_the_latest_extraction(self):
+        residual = ResidualNetwork(build_small_network())
+        flows = residual.flows()
+        with pytest.raises(TypeError):
+            flows[(0, 1)] = 1
+        residual.push(2 * residual.arc_position[(0, 2)], 1)
+        residual.flows()
+        assert flows == {(0, 2): 1}
