@@ -1,13 +1,15 @@
 """Crash-recovery timing: WAL append/replay rates and snapshot sizes.
 
 The durability layer (:mod:`repro.service.durability`) buys crash safety
-with exactly two mechanical costs: a fsync'd framed append per admission
-batch / applied round, and a periodic full-state snapshot.  This
-benchmark measures both directly, without a service in the way:
+with exactly two mechanical costs: two framed appends and one fsync per
+round (the ``round`` record's sync covers the ``admit`` record before it),
+and a periodic full-state snapshot.  This benchmark measures both
+directly, without a service in the way:
 
 * **WAL append rate** -- framed ``admit``/``round`` records appended to a
-  real segment file, fsync on (the production cost) and off (pure
-  serialization, isolating disk latency);
+  real segment file round by round, fsync on (the production cost) and
+  off (pure serialization, isolating disk latency), with the syncs and
+  the WAL milliseconds each round paid;
 * **log replay rate** -- :func:`repro.service.durability.recover` replays
   the same records through the ``ClusterState`` mutators; the replayed
   state must equal an in-memory oracle that applied the identical
@@ -134,7 +136,14 @@ def test_wal_append_and_replay_rates(tmp_path, benchmark):
         )
         elapsed = _append_all(layer, records)
         layer.close()
-        rates[fsync] = (len(records) / elapsed, layer.bytes_appended / elapsed)
+        rates[fsync] = (
+            len(records) / elapsed,
+            layer.bytes_appended / elapsed,
+            layer.syncs / NUM_JOBS,
+            elapsed * 1000 / NUM_JOBS,
+        )
+    # Group commit: one sync per (admit, round) pair, none with fsync off.
+    assert rates[True][2] == 1.0 and rates[False][2] == 0.0
 
     # Replay the fsync'd directory and prove equivalence to the oracle.
     replay_start = time.perf_counter()
@@ -156,25 +165,32 @@ def test_wal_append_and_replay_rates(tmp_path, benchmark):
         f"{len(records)} records, {num_machines} machines)"
     )
     print(format_table(
-        ["path", "records/s", "MiB/s"],
+        ["path", "records/s", "MiB/s", "syncs/round", "WAL ms/round"],
         [
             ["append, fsync on", f"{rates[True][0]:.0f}",
-             f"{rates[True][1] / (1 << 20):.2f}"],
+             f"{rates[True][1] / (1 << 20):.2f}",
+             f"{rates[True][2]:.2f}", f"{rates[True][3]:.3f}"],
             ["append, fsync off", f"{rates[False][0]:.0f}",
-             f"{rates[False][1] / (1 << 20):.2f}"],
-            ["replay (recover)", f"{replay_rate:.0f}", "-"],
+             f"{rates[False][1] / (1 << 20):.2f}",
+             f"{rates[False][2]:.2f}", f"{rates[False][3]:.3f}"],
+            ["replay (recover)", f"{replay_rate:.0f}", "-", "-", "-"],
         ],
     ))
 
-    # pytest-benchmark kernel: one fsync'd admit append (the per-batch
-    # cost every admission pays on the serving path).
+    # pytest-benchmark kernel: one round's WAL work on the serving path --
+    # the admit append, the round append and the one sync behind both.
     layer = DurabilityLayer(tmp_path / "kernel", fsync=True)
     layer.write_snapshot(
         snapshot_cluster_state(build_cluster_state(8)), new_ledger(), 0.0
     )
-    payload = records[0][1]
+    admit, applied = records[0][1], records[1][1]
+
+    def one_round() -> None:
+        layer.log_admission(admit)
+        layer.log_round(applied)
+
     try:
-        benchmark(lambda: layer.log_admission(payload))
+        benchmark(one_round)
     finally:
         layer.close()
 

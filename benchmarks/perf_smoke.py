@@ -45,7 +45,8 @@ committed baseline in ``perf_baseline.json``:
 * the durability-on service-round kernel -- the identical burst with a
   fsync'd write-ahead admission log and snapshots enabled -- guarding the
   crash-safety layer's overhead (``bench_durability.py`` measures its raw
-  append/replay rates), and
+  append/replay rates), plus an exact count: the log was synced once per
+  round that appended to it (group commit), never once per record, and
 * the dual-round kernel -- 50 steady-state rounds of the default scheduler
   (sequential dual executor) at the service benchmark's shape, 128 machines
   x 4 slots holding 128 tasks with 6 arrivals and 6 completions per round
@@ -521,7 +522,9 @@ def measure_service_round_durable() -> float:
     :func:`measure_service_round`, but with a :class:`DurabilityLayer` on a
     throwaway state directory (fsync on -- the real crash-safety cost).
     Guards the write-ahead admission log + snapshot path from regressing
-    the service round by more than the gated factor.
+    the service round by more than the gated factor, and asserts the count
+    that needs no baseline: ``wal_syncs`` equals the rounds that appended
+    to the log (a round's ``admit`` and ``round`` records share one sync).
     """
     import asyncio
     import shutil
@@ -545,6 +548,19 @@ def measure_service_round_durable() -> float:
             ServiceConfig(round_interval=0.002, time_scale=0.01),
             durability=durability,
         )
+        # Count, from outside, the rounds that appended to the log.
+        run_round = service._run_round
+        logged = {"rounds": 0, "records": 0}
+
+        def count_logged() -> None:
+            logged["rounds"] += durability.records_appended > logged["records"]
+            logged["records"] = durability.records_appended
+
+        async def counted_round() -> None:
+            await run_round()
+            count_logged()
+
+        service._run_round = counted_round
         await service.start()
         try:
             result = await run_loadgen(
@@ -559,6 +575,13 @@ def measure_service_round_durable() -> float:
                 raise AssertionError(
                     "perf smoke: the durable service conservation law was "
                     "violated"
+                )
+            count_logged()  # what the drain admitted after the last round
+            if not 0 < snapshot["wal_syncs"] == logged["rounds"]:
+                raise AssertionError(
+                    f"perf smoke: {snapshot['wal_syncs']} WAL syncs for "
+                    f"{logged['rounds']} rounds that logged "
+                    f"({snapshot['wal_records']} records)"
                 )
 
     try:

@@ -171,11 +171,20 @@ class ChaosPolicy:
 #:     While appending the round's applied placements/preemptions record
 #:     (tearing supported); the round's effects were applied in memory but
 #:     never became durable nor were acknowledged to clients.
+#: ``round_sync``
+#:     After the round record was appended, before the sync that covers the
+#:     round's records returns: nothing was released to a client yet.  The
+#:     plain case leaves the whole record in the file (a killed process
+#:     keeps its page cache), so recovery applies a round nobody heard of;
+#:     tearing cuts the unsynced record back to a prefix, as a power loss
+#:     may.
 #: ``mid_snapshot``
 #:     Midway through writing the snapshot temp file, before the atomic
 #:     rename -- recovery must ignore the partial temp file and fall back
 #:     to the previous snapshot plus a longer log replay.
-CRASH_POINTS = ("admit_append", "mid_drain", "round_append", "mid_snapshot")
+CRASH_POINTS = (
+    "admit_append", "mid_drain", "round_append", "round_sync", "mid_snapshot",
+)
 
 
 class CrashInjector:
@@ -190,13 +199,17 @@ class CrashInjector:
     For the two log-append points the caller passes the framed record
     bytes and the open file; when ``tear_bytes`` is configured the
     injector first writes (and fsyncs) only that prefix, manufacturing a
-    torn final record for the recovery path to detect and drop.
+    torn final record for the recovery path to detect and drop.  At
+    ``round_sync`` the record is already in the file, so the caller passes
+    the offset it starts at and the tear truncates it back to that prefix.
 
     Args:
         point: The armed crash point (one of :data:`CRASH_POINTS`).
         hit: Crash on this occurrence of the point (1-based).
         tear_bytes: For append points, write this many bytes of the framed
-            record before dying (``None`` = crash before writing anything).
+            record before dying (``None`` = crash before writing anything);
+            for ``round_sync``, keep this many bytes of the written record
+            (``None`` = keep all of it).
     """
 
     def __init__(self, point: str, hit: int = 1, tear_bytes: Optional[int] = None) -> None:
@@ -225,28 +238,37 @@ class CrashInjector:
     def _die(self) -> None:
         os.kill(os.getpid(), signal.SIGKILL)
 
-    def hit(self, point: str, fileobj=None, pending_bytes: Optional[bytes] = None) -> None:
+    def hit(
+        self,
+        point: str,
+        fileobj=None,
+        pending_bytes: Optional[bytes] = None,
+        written_from: Optional[int] = None,
+    ) -> None:
         """Record one pass through ``point``; crash if this is the armed hit.
 
         Args:
             point: The crash point being passed.
             fileobj: Open binary file the caller was about to write to
-                (append points and the snapshot temp file).
+                (append points and the snapshot temp file) or has just
+                written, unsynced (``round_sync``).
             pending_bytes: The bytes the caller was about to write; with
                 ``tear_bytes`` configured, a prefix is written and fsynced
                 before the process dies so the tear is really on disk.
+            written_from: File offset at which the caller's flushed but
+                unsynced bytes start; with ``tear_bytes`` configured, the
+                file is cut to that many bytes past it.
         """
         if point != self.point:
             return
         self.hits += 1
         if self.hits != self.hit_at:
             return
-        if (
-            self.tear_bytes is not None
-            and fileobj is not None
-            and pending_bytes is not None
-        ):
-            fileobj.write(pending_bytes[: self.tear_bytes])
+        if self.tear_bytes is not None and fileobj is not None:
+            if pending_bytes is not None:
+                fileobj.write(pending_bytes[: self.tear_bytes])
+            elif written_from is not None:
+                fileobj.truncate(written_from + self.tear_bytes)
             fileobj.flush()
             os.fsync(fileobj.fileno())
         self._die()

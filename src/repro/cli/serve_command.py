@@ -265,6 +265,9 @@ async def _serve(args) -> int:
                 "degraded_rounds", "preemptions", "completions",
                 "evicted_clients"):
         print(f"  {key}: {snapshot[key]}")
+    for key in ("wal_records", "wal_syncs", "wal_bytes", "wal_snapshots"):
+        if key in snapshot:
+            print(f"  {key}: {snapshot[key]}")
     if not snapshot["conserved"]:
         print("  CONSERVATION VIOLATED: accepted != placed+pending+rejected")
         return 1

@@ -8,15 +8,23 @@ here is the classic one -- periodic snapshot plus replayable event log --
 with recovery *verified* against a fault-free oracle by the
 recovery-equivalence harness (``tests/service/test_recovery.py``):
 
-* **Write-ahead admission log.**  Every inbox drain appends one fsync'd
-  ``admit`` record (submissions with their client-supplied idempotency
-  keys, machine add/remove events, completion timer firings) *before* the
-  batch mutates :class:`~repro.cluster.state.ClusterState`; every applied
-  round appends one ``round`` record (placements, migrations,
-  preemptions) *before* the round's effects are acknowledged to clients.
+* **Write-ahead admission log.**  The rule is *appended before effects,
+  synced before release*.  Every inbox drain appends one ``admit`` record
+  (submissions with their client-supplied idempotency keys, machine
+  add/remove events, completion timer firings) *before* the batch mutates
+  :class:`~repro.cluster.state.ClusterState`; every applied round appends
+  one ``round`` record (placements, migrations, preemptions) right after
+  the in-memory apply.  An append writes and flushes but does not
+  ``fsync``: the round's one :meth:`DurabilityLayer.sync` -- issued by
+  :meth:`DurabilityLayer.log_round`, or by the service at the end of a
+  round that logged an ``admit`` only -- covers every record the round
+  appended (group commit), and the service releases nothing a record
+  caused (completions, preemptions, placements) to a client before the
+  sync that covers it has returned.  A record the process never synced
+  may or may not survive a power loss; either way no client was told.
   Records are length-prefixed and CRC32-checksummed, so a crash mid-append
-  leaves a *torn* tail that replay detects and drops -- a record is either
-  fully applied or void, never half-applied.
+  (or a lost unsynced suffix) leaves a *torn* tail that replay detects and
+  drops -- a record is either fully applied or void, never half-applied.
 * **Snapshots.**  Periodically (round-count- and log-size-triggered) the
   full :class:`ClusterState` plus the service ledger is serialized to a
   temp file, fsync'd, and atomically renamed; the log rotates to a fresh
@@ -408,8 +416,9 @@ class DurabilityLayer:
     Args:
         state_dir: Directory for snapshots and log segments (created if
             missing).
-        fsync: fsync every appended record and snapshot (turn off only in
-            benchmarks isolating serialization cost from disk latency).
+        fsync: fsync the log at every :meth:`sync` and every snapshot (turn
+            off only in benchmarks isolating serialization cost from disk
+            latency).
         snapshot_interval_rounds: Snapshot after this many logged rounds.
         snapshot_max_log_bytes: ... or when the active segment exceeds
             this size, whichever comes first.
@@ -442,10 +451,16 @@ class DurabilityLayer:
         self.crash = crash
         #: Last assigned record sequence number (monotonic across segments).
         self.seq = 0
+        #: Sequence number of the last record a :meth:`sync` covers; the
+        #: service releases a round's events only at ``synced_seq == seq``.
+        self.synced_seq = 0
         #: Snapshot/segment epoch; 0 until the first snapshot is written.
         self.epoch = 0
         self.records_appended = 0
         self.bytes_appended = 0
+        #: ``os.fsync`` calls on the active segment (one per round that
+        #: appended; 0 with ``fsync=False``).
+        self.syncs = 0
         self.snapshots_written = 0
         self._rounds_since_snapshot = 0
         self._file = None
@@ -465,7 +480,7 @@ class DurabilityLayer:
 
     def resume_from(self, recovered: "RecoveredState") -> None:
         """Continue sequence/epoch numbering after :func:`recover`."""
-        self.seq = recovered.seq
+        self.seq = self.synced_seq = recovered.seq
         self.epoch = recovered.epoch
 
     # ------------------------------------------------------------------ #
@@ -483,20 +498,42 @@ class DurabilityLayer:
             self.crash.hit(crash_point, fileobj=self._file, pending_bytes=framed)
         self._file.write(framed)
         self._file.flush()
-        if self.fsync:
-            os.fsync(self._file.fileno())
         self._segment_bytes += len(framed)
         self.bytes_appended += len(framed)
         self.records_appended += 1
 
+    def sync(self) -> None:
+        """Make every appended record durable: the round's one ``fsync``.
+
+        A no-op when nothing was appended since the last sync, so the
+        service can call it at every release point.  An ``OSError`` leaves
+        ``synced_seq`` behind ``seq`` -- the caller must not release.
+        """
+        if self.synced_seq == self.seq:
+            return
+        if self.fsync:
+            os.fsync(self._file.fileno())
+            self.syncs += 1
+        self.synced_seq = self.seq
+
     def log_admission(self, payload: Dict[str, Any]) -> None:
-        """Append one fsync'd ``admit`` record (before the batch applies)."""
+        """Append one ``admit`` record (before the batch applies).
+
+        Not synced here: the round's :meth:`sync` covers it, and nothing
+        the batch causes is released before that.
+        """
         self._append("admit", payload, "admit_append")
 
     def log_round(self, payload: Dict[str, Any]) -> None:
-        """Append one fsync'd ``round`` record (before clients are told)."""
+        """Append one ``round`` record and sync the round's records."""
+        record_start = self._segment_bytes
         self._append("round", payload, "round_append")
         self._rounds_since_snapshot += 1
+        if self.crash is not None:
+            self.crash.hit(
+                "round_sync", fileobj=self._file, written_from=record_start
+            )
+        self.sync()
 
     def crash_point(self, point: str) -> None:
         """Pass a non-append crash point (``mid_drain``) to the injector."""
@@ -523,8 +560,11 @@ class DurabilityLayer:
 
         The snapshot's barrier is the current log sequence number: records
         up to and including it are superseded by the snapshot, and
-        segments wholly behind the retained snapshots are deleted.
+        segments wholly behind the retained snapshots are deleted.  The
+        outgoing segment is synced first: recovery falls back to it when
+        this snapshot turns out corrupt.
         """
+        self.sync()
         self.epoch += 1
         body = json.dumps(
             {

@@ -33,9 +33,14 @@ Everything runs on one asyncio event loop except the solver:
   responsive; because all mutation goes through the inbox, nothing touches
   the state while the solver reads it.
 * **Notifications** fan out through per-client bounded queues drained by a
-  writer task that honours TCP backpressure (``await writer.drain()``).  A
-  client that stops reading eventually fills its queue and is evicted --
-  one slow consumer cannot stall the round loop or other clients.
+  writer task that hands the socket everything queued for its client in
+  one ``write`` per wake-up and honours TCP backpressure (``await
+  writer.drain()``).  A client that stops reading eventually fills its
+  queue and is evicted -- one slow consumer cannot stall the round loop or
+  other clients.  The events a round *causes* (completions, preemptions,
+  placements) are held in a per-round outbox and enter those queues only
+  at the round's release point, in the order the round produced them;
+  acks, ``stats``, ``ledger`` and error replies are queued at once.
 
 Conservation law
 ----------------
@@ -58,15 +63,27 @@ Durability (optional)
 ---------------------
 
 With a :class:`~repro.service.durability.DurabilityLayer` attached, the
-conservation law survives ``kill -9``: every inbox drain appends one
-fsync'd ``admit`` record *before* the batch mutates the state, every
-applied round appends one ``round`` record *before* its placements are
-acknowledged to clients, and snapshots rotate the log.  Submissions carry
-optional client-supplied idempotency ``key``s; a duplicate key gets the
-original ack back (``duplicate: true``) instead of a second job, which is
-what lets clients blindly resubmit across a crash.  The write path is
-synchronous inside the round loop on purpose -- a record is durable
-before any await point lets its effects escape to a client.
+conservation law survives ``kill -9`` and power loss under one rule:
+*appended before effects, synced before release*.  Every inbox drain
+appends one ``admit`` record before the batch mutates the state and every
+applied round appends one ``round`` record right after the in-memory
+apply; neither append waits for the disk.  The round's single ``fsync``
+covers both (group commit), and **release** -- the one point per round
+where the outbox is handed to the client queues -- comes only after it
+has returned, so no client ever hears of an effect a crash could take
+back.  A sync that fails releases nothing and ends the round loop with
+the error.  A service without a state directory takes the same outbox →
+release route with nothing to sync.  Snapshots rotate the log and are
+taken after the release, once the writers have had a loop turn.
+Submissions carry optional client-supplied idempotency ``key``s; a
+duplicate key gets the original ack back (``duplicate: true``) instead of
+a second job, which is what lets clients blindly resubmit across a crash.
+The ``stats`` counters are in-memory readings and may run one in-flight
+round ahead of the disk (a completion is counted when its batch is
+applied, before the solve the round then awaits); the ``ledger`` op never
+does, because apply → append → sync has no await point.  With a state
+directory ``stats`` also carries what the log did: ``wal_records``,
+``wal_syncs``, ``wal_bytes``, ``wal_snapshots``.
 
 Protocol (JSON lines, UTF-8, one object per line)
 -------------------------------------------------
@@ -262,6 +279,9 @@ class SchedulerService:
         self._wake = asyncio.Event()
         self._inbox: Deque[Tuple[str, Any]] = deque()
         self._clients: Dict[int, _Client] = {}
+        #: (client id, event) for everything the round in flight has caused
+        #: so far; handed to the client queues by :meth:`_release`.
+        self._outbox: List[Tuple[int, Dict[str, Any]]] = []
         self._handler_tasks: Set[asyncio.Task] = set()
         self._next_client_id = 1
         self._next_job_id = 1 + max(state.jobs, default=0)
@@ -387,7 +407,7 @@ class SchedulerService:
                 )
             except asyncio.TimeoutError:
                 pass
-        snapshot = self.stats.snapshot(self._pending_actual())
+        snapshot = self._stats_snapshot()
         for client in list(self._clients.values()):
             self._close_client(client)
         if self._server is not None:
@@ -495,7 +515,7 @@ class SchedulerService:
         elif op == "remove_machine":
             self._handle_remove_machine(client, request, req_id)
         elif op == "stats":
-            payload = self.stats.snapshot(self._pending_actual())
+            payload = self._stats_snapshot()
             payload["event"] = "stats"
             payload["id"] = req_id
             self._notify(client.client_id, payload)
@@ -515,7 +535,7 @@ class SchedulerService:
                 "duplicates": self._duplicates,
             })
         elif op == "shutdown":
-            payload = self.stats.snapshot(self._pending_actual())
+            payload = self._stats_snapshot()
             payload["event"] = "ack"
             payload["id"] = req_id
             self._notify(client.client_id, payload)
@@ -675,18 +695,45 @@ class SchedulerService:
             return
         client.queue.put_nowait(payload)
 
+    def _emit(self, client_id: int, payload: Dict[str, Any]) -> None:
+        """Hold an event the round in flight caused until its release."""
+        self._outbox.append((client_id, payload))
+
+    def _release(self) -> None:
+        """The round's durability point: sync the log, then let go.
+
+        Everything the round appended becomes durable with one sync (a
+        no-op when ``log_round`` already issued it, or nothing was
+        logged); only then do the held events enter the client queues.  A
+        sync that raises leaves the outbox held and propagates.
+        """
+        if self._durability is not None:
+            self._durability.sync()
+        outbox, self._outbox = self._outbox, []
+        for client_id, payload in outbox:
+            self._notify(client_id, payload)
+
     async def _client_writer(self, client: _Client) -> None:
-        """Drain one client's queue into its socket with backpressure."""
+        """Drain one client's queue into its socket with backpressure.
+
+        Everything queued at a wake-up goes out in one ``write`` (a round's
+        placements for one client are one socket send, not one each);
+        ``client_queue_limit`` still counts the events waiting here.
+        """
+        queue = client.queue
         try:
             while True:
-                payload = await client.queue.get()
+                payloads = [await queue.get()]
+                while not queue.empty():
+                    payloads.append(queue.get_nowait())
                 try:
-                    client.writer.write(
-                        json.dumps(payload).encode("utf-8") + b"\n"
-                    )
+                    client.writer.write("".join(
+                        json.dumps(payload) + "\n" for payload in payloads
+                    ).encode("utf-8"))
                     await client.writer.drain()
                 finally:
-                    client.queue.task_done()
+                    for _ in payloads:
+                        queue.task_done()
         except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
             pass
 
@@ -776,6 +823,7 @@ class SchedulerService:
         # conservation law accounts for it exactly.
         self._void_queued_submissions()
         self._drain_inbox(self.now())
+        self._release()
 
     async def _run_round(self) -> None:
         """Admit the inbox; schedule and apply if tasks are pending."""
@@ -798,19 +846,27 @@ class SchedulerService:
                 })
             else:
                 self._apply_round(decision, now)
+        self._release()
         if self._durability is not None and self._durability.should_snapshot():
+            # The snapshot blocks the loop for milliseconds: give the
+            # writers one turn to send what was just released first.  Only
+            # this loop starts rounds, so none runs in between, and the
+            # ledger excludes what handlers queue meanwhile.
+            await asyncio.sleep(0)
             self._write_snapshot()
         self.stats.round_busy_seconds += time.monotonic() - busy_from
 
     def _drain_inbox(self, now: float) -> None:
         """Apply every queued admission record as state mutations.
 
-        With durability attached, the whole batch is written to the
+        With durability attached, the whole batch is appended to the
         write-ahead log as one ``admit`` record *before* any of it mutates
         the state: a crash mid-drain replays the full batch from the log,
         a crash mid-append tears the record (detected by checksum and
         dropped) and the batch never happened -- either way no
-        half-applied admission survives.
+        half-applied admission survives.  The record is synced with the
+        rest of the round; the events the batch causes wait in the outbox
+        until then.
         """
         if not self._inbox:
             return
@@ -840,7 +896,7 @@ class SchedulerService:
                 for task_id in evicted:
                     self.stats.preemptions += 1
                     task = self.state.tasks[task_id]
-                    self._notify(self._task_owner.get(task_id, -1), {
+                    self._emit(self._task_owner.get(task_id, -1), {
                         "event": "preemption", "task_id": task_id,
                         "job_id": task.job_id,
                     })
@@ -858,7 +914,7 @@ class SchedulerService:
                     self.state.complete_task(task_id, now)
                     self.stats.completions += 1
                     # The task's last notification: its owner entry goes.
-                    self._notify(self._task_owner.pop(task_id, -1), {
+                    self._emit(self._task_owner.pop(task_id, -1), {
                         "event": "completion", "task_id": task_id,
                         "job_id": task.job_id,
                     })
@@ -888,12 +944,12 @@ class SchedulerService:
         self._inbox = kept
 
     def _apply_round(self, decision, now: float) -> None:
-        """Apply a decision, arm completion timers, publish notifications.
+        """Apply a decision, arm completion timers, hold its notifications.
 
-        The round's WAL record lands *after* the in-memory apply but
-        *before* any notification is queued: a crash in between loses the
-        round entirely (clients were never told), never acknowledges an
-        effect that did not become durable.
+        The round's WAL record is appended -- and the round's records
+        synced -- *after* the in-memory apply; the notifications go to the
+        outbox, which the caller releases next.  A crash anywhere before
+        the release loses at most effects no client was told about.
         """
         loop = asyncio.get_running_loop()
         self.scheduler.apply(self.state, decision, now)
@@ -910,7 +966,7 @@ class SchedulerService:
         for task_id in decision.preemptions:
             self.stats.preemptions += 1
             task = self.state.tasks[task_id]
-            self._notify(self._task_owner.get(task_id, -1), {
+            self._emit(self._task_owner.get(task_id, -1), {
                 "event": "preemption", "task_id": task_id,
                 "job_id": task.job_id,
             })
@@ -922,7 +978,7 @@ class SchedulerService:
             if task_id not in self._placed_ids:
                 self._placed_ids.add(task_id)
                 self.stats.placed += 1
-                self._notify(self._task_owner.get(task_id, -1), {
+                self._emit(self._task_owner.get(task_id, -1), {
                     "event": "placement", "task_id": task_id,
                     "job_id": task.job_id, "machine_id": machine_id,
                     "latency": round(now - task.submit_time, 6),
@@ -949,6 +1005,17 @@ class SchedulerService:
     # ------------------------------------------------------------------ #
     # Conservation
     # ------------------------------------------------------------------ #
+    def _stats_snapshot(self) -> Dict[str, Any]:
+        """The ``stats`` payload: the ledger, pacing and (durable) the log."""
+        payload = self.stats.snapshot(self._pending_actual())
+        log = self._durability
+        if log is not None:
+            payload["wal_records"] = log.records_appended
+            payload["wal_syncs"] = log.syncs
+            payload["wal_bytes"] = log.bytes_appended
+            payload["wal_snapshots"] = log.snapshots_written
+        return payload
+
     def _pending_actual(self) -> int:
         """Recompute pending from reality (inbox + unplaced state tasks).
 

@@ -6,7 +6,9 @@ Each matrix case arms a :class:`~repro.chaos.CrashInjector` inside a real
 ``serve`` subprocess (``--chaos-crash POINT:HIT[:TEAR]``), so the process
 dies by SIGKILL at a chosen instant of the durability protocol -- while
 appending the admission record (optionally tearing it), between applying
-admitted records, while appending the round record, or mid-snapshot.  One
+admitted records, while appending the round record, between that append
+and the return of the round's sync (the record whole, or cut back to a
+prefix as a power loss may leave an unsynced tail), or mid-snapshot.  One
 extra case kills from outside at a random-ish time.  The client then
 restarts the server against the same state directory, blindly resubmits
 every job under its original idempotency key, and asserts:
@@ -222,6 +224,8 @@ CRASH_MATRIX = [
     ("admit_append:3:10", True),
     ("round_append:2", False),
     ("round_append:3:6", True),
+    ("round_sync:2", False),
+    ("round_sync:3:6", True),
     ("mid_drain:2", False),
     ("mid_snapshot:3", False),
 ]

@@ -355,6 +355,120 @@ class TestBackpressure:
         asyncio.run(asyncio.wait_for(scenario(), 30))
 
 
+def spy_on_socket_writes(service):
+    """Record what each connected client's server-side writer hands its
+    socket: ``{client_id: [bytes per write call]}``."""
+    writes = {}
+    for client in service._clients.values():
+        calls = writes.setdefault(client.client_id, [])
+        socket_write = client.writer.write
+
+        def recording(data, calls=calls, socket_write=socket_write):
+            calls.append(data)
+            socket_write(data)
+
+        client.writer.write = recording
+    return writes
+
+
+async def connect(service):
+    """Open a connection the service has registered (one round trip)."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
+    await send(writer, {"op": "stats"})
+    await recv_until(reader, "stats")
+    return reader, writer
+
+
+class TestCoalescedWriter:
+    def test_a_jobs_placements_are_one_socket_write_in_task_order(self):
+        async def scenario():
+            service = make_service(machines=16)
+            await service.start()
+            try:
+                reader, writer = await connect(service)
+                (writes,) = spy_on_socket_writes(service).values()
+                await send(writer, {
+                    "op": "submit", "tasks": 16, "id": 0, "job_type": "service",
+                })
+                ack = await recv_until(reader, "ack")
+                placements = [
+                    await recv_until(reader, "placement") for _ in range(16)
+                ]
+                assert [p["task_id"] for p in placements] == ack["task_ids"]
+                carrying = [data for data in writes if b'"placement"' in data]
+                assert len(carrying) == 1
+                assert carrying[0].count(b"\n") == 16
+                writer.close()
+            finally:
+                await service.stop()
+
+        asyncio.run(asyncio.wait_for(scenario(), 30))
+
+    def test_interleaved_events_keep_per_client_order(self):
+        """One round places four jobs of two clients, alternating: each
+        client reads its events in the order the round produced them, out
+        of one write."""
+
+        async def scenario():
+            gated = GatedScheduler(FirmamentScheduler(QuincyPolicy()))
+            service = make_service(machines=16, scheduler=gated)
+            await service.start()
+            try:
+                first = await connect(service)
+                second = await connect(service)
+                produced = []
+                notify = service._notify
+
+                def recording(client_id, payload):
+                    if payload.get("event") == "placement":
+                        produced.append((client_id, payload))
+                    notify(client_id, payload)
+
+                service._notify = recording
+                # Hold a round open on a warm-up job, queue the four jobs
+                # behind it, and let one round place them all.
+                gated.hold()
+                await send(first[1], {"op": "submit", "tasks": 1, "id": 0,
+                                      "job_type": "service"})
+                await recv_until(first[0], "ack")
+                await gated.round_in_flight()
+                for sequence in range(1, 5):
+                    reader, writer = (first, second)[sequence % 2]
+                    await send(writer, {"op": "submit", "tasks": 3,
+                                        "id": sequence, "job_type": "service"})
+                    await recv_until(reader, "ack")
+                writes = spy_on_socket_writes(service)
+                gated.release()
+                got = {1: [], 2: []}
+                for client_id, (reader, _writer), expected in (
+                    (1, first, 1 + 6), (2, second, 6),
+                ):
+                    for _ in range(expected):
+                        got[client_id].append(await recv_until(reader, "placement"))
+                owners = [client_id for client_id, _ in produced[1:]]
+                assert owners == [2] * 3 + [1] * 3 + [2] * 3 + [1] * 3
+                for client_id in (1, 2):
+                    assert got[client_id] == [
+                        payload for owner, payload in produced if owner == client_id
+                    ]
+                # Each round's events for a client left in one write: the
+                # warm-up placement, then the shared round's six apiece.
+                lines_per_write = {
+                    client_id: [
+                        data.count(b"\n") for data in writes[client_id]
+                        if b'"placement"' in data
+                    ]
+                    for client_id in (1, 2)
+                }
+                assert lines_per_write == {1: [1, 6], 2: [6]}
+                first[1].close()
+                second[1].close()
+            finally:
+                await service.stop()
+
+        asyncio.run(asyncio.wait_for(scenario(), 30))
+
+
 class TestServiceChaos:
     def test_worker_kill_mid_round_behind_service(self):
         """A sharded scheduler with worker kills keeps serving placements.
