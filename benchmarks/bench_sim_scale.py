@@ -232,6 +232,10 @@ def test_sim_scale_sharded_flow_replay(benchmark, tmp_path):
     print(f"  tasks placed:       {result.metrics.tasks_placed}")
     print(f"  scheduler rounds:   {len(result.schedule_records)}")
     print(f"  straggler cells:    {sorted(stragglers)}")
+    per_round = 1.0 / max(len(rounds), 1)
+    print(f"  cells per round:    "
+          f"{per_round * sum(r.num_cells for r in rounds):.2f} solved, "
+          f"{per_round * sum(r.cells_deferred for r in rounds):.2f} deferred")
     print(f"  replay wall clock:  {wall:.1f} s")
 
     assert result.metrics.tasks_placed >= rows * 0.8
@@ -239,7 +243,12 @@ def test_sim_scale_sharded_flow_replay(benchmark, tmp_path):
         tallies["applied"] + tallies["dropped"] + tallies["voided"]
     )
     # The sharded observability chain is threaded through the records.
-    # Idle cells are skipped per round, so cells_solved ranges over
-    # [1, SHARDED_CELLS]; sustained churn must hit the full fan-out often.
-    assert rounds and all(1 <= r.num_cells <= SHARDED_CELLS for r in rounds)
+    # A round solves the cells with a task to place (every cell that has
+    # tasks when none is pending), so cells_solved ranges over
+    # [1, SHARDED_CELLS] and a cell left out with marks waiting is counted
+    # beside it; a round here batches 5 s of arrivals, which reach every
+    # cell, so sustained churn must still hit the full fan-out.
+    assert rounds and all(
+        1 <= r.num_cells <= SHARDED_CELLS - r.cells_deferred for r in rounds
+    )
     assert max(r.num_cells for r in rounds) == SHARDED_CELLS

@@ -30,7 +30,9 @@ committed baseline in ``perf_baseline.json``:
 * the sharded-round kernel -- high-churn steady-state scheduling rounds
   (eight 4-task jobs per round) at 256 machines solved by the monolithic
   incremental scheduler and by the 4-cell sharded scheduler (per-round
-  latency charged as the straggler cell's solve) -- guarding the sharding
+  latency charged as the straggler cell's solve; the cells that took
+  part must be exactly the cells with a task to place, a count) --
+  guarding the sharding
   layer's round-latency win where it has one: since the delta repair
   stops at the nearest deficit a *low*-churn monolithic round is too cheap
   for four cells to beat by the gate's factor
@@ -458,6 +460,16 @@ def measure_sharded_round() -> tuple:
                     task_id += SHARD_TASKS_PER_JOB
                 decision = scheduler.schedule_and_apply(state, now=now)
                 total += decision.algorithm_runtime
+                # A sharded round solves exactly the cells with a task to
+                # place (the views' pending sets are as routing left them).
+                cells = getattr(scheduler, "_cells", ())
+                placing = sum(bool(c.view.pending_task_ids()) for c in cells)
+                took_part = decision.solver_result.statistics.cells_solved
+                if cells and not 1 <= took_part == placing:
+                    raise AssertionError(
+                        f"perf smoke: {took_part} cells took part in a round "
+                        f"with {placing} cells placing"
+                    )
         finally:
             scheduler.close()
         return total

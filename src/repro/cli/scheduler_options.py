@@ -81,8 +81,11 @@ def add_scheduler_arguments(parser) -> None:
         help=(
             "shard the cluster into this many scheduling cells (racks map "
             "to cells round-robin) and run one incremental solver per cell "
-            "with cross-cell balancing, so round wall clock tracks the "
-            "slowest cell instead of the whole cluster.  Use when rounds "
+            "with cross-cell balancing.  A round solves only the cells "
+            "with a task waiting to be placed (every cell when none waits); "
+            "it costs those cells -- their sum inline, the slowest with "
+            "--cell-workers -- and the others keep their changes for their "
+            "next round.  Use when rounds "
             "carry large change batches (tens of tasks or machine events "
             "per round: 4 cells ~10x the monolithic round at 512 machines); "
             "on low-churn rounds the monolithic delta solve already costs "

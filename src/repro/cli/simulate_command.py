@@ -192,6 +192,7 @@ def run(args: argparse.Namespace) -> int:
         )
         print(
             f"cross-cell migrations: {metrics.total_cross_cell_migrations()}, "
+            f"deferred cell-rounds: {sum(metrics.cells_deferred)}, "
             f"straggler rounds by cell: {attribution or 'none'}"
         )
     return 0

@@ -11,7 +11,9 @@ example program -- applies the resulting decision to the cluster state.
 That loop is written once, over *cells* (:class:`RoundCell`: a state view,
 its :class:`~repro.core.graph_manager.GraphManager`, its solver):
 
-1. ``manager.update(view, now)`` for every cell taking part;
+1. ``manager.update(view, now)`` for every cell taking part (a sharded
+   round leaves out the cells with nothing to place while another has:
+   such a cell is not updated, solved, extracted or diffed);
 2. solve every cell that has tasks, handing over the round's change batch;
    a cell whose solver raises
    :class:`~repro.solvers.base.RoundDeadlineExceeded` is *dead* for the
@@ -66,7 +68,9 @@ class SchedulingDecision:
         unscheduled: Pending tasks left waiting this round.
         algorithm_runtime: Wall-clock seconds the winning solver needed.
         solver_result: The winning solver's full result.
-        total_cost: Cost of the optimal flow (placement quality proxy).
+        total_cost: Cost of the optimal flow (placement quality proxy),
+            always the whole cluster's: a sharded round adds the retained
+            cost of the cells it left out, whose flow did not move.
         per_task_latency: Optional per-task scheduling delay relative to the
             start of the run; queue-based baselines fill this in because they
             place tasks one at a time, while flow-based scheduling places the

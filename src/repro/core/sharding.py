@@ -34,11 +34,17 @@ schedules one cell), and this module does the same:
   runs only when the marks cannot be trusted, and as the cross-check
   oracle -- homing a task that never had a home (its job-hash cell while
   that has a free slot left, else the cell with the largest surplus), and
-  skipping idle cells
-  (``_round_cells``); solving the cells either **inline** (the pipeline's
-  default: deterministic, the round charges the *slowest* cell's runtime,
-  modeling concurrent cells the same way the sequential dual executor
-  models the race) or in a pool of persistent **worker subprocesses** --
+  choosing who takes part (``_round_cells``): while any cell has a pending
+  task, only the cells that have one; a cell holding nothing but
+  completions and placed-task marks keeps them in its tracker -- not
+  updated, solved, shipped, extracted or diffed -- until a task arrives
+  for it or a round finds nothing pending anywhere, and then consumes the
+  union in one chained delta solve.  So a round costs the cells that are
+  *placing*, not the cells that exist: their sum when solved **inline**
+  (the pipeline's default: deterministic; ``algorithm_runtime`` charges
+  the *slowest* cell, modeling concurrent cells the same way the
+  sequential dual executor models the race), the slowest one in a pool of
+  persistent **worker subprocesses** --
   one incremental cost-scaling solver per cell, each behind a
   :class:`~repro.solvers.worker.WorkerClient` (see
   :mod:`repro.solvers.worker` for the transport and its circuit breaker);
@@ -58,7 +64,8 @@ schedules one cell), and this module does the same:
 
 Observability: every round's merged
 :class:`~repro.solvers.base.SolverStatistics` carries ``cells_solved``,
-straggler-cell attribution (which cell bounded the round and by how much),
+``cells_deferred`` (cells left out with marks waiting), straggler-cell
+attribution (which cell bounded the round and by how much),
 and ``cross_cell_migrations``; the simulator forwards them through
 :class:`~repro.simulation.simulator.ScheduleRecord` into
 :class:`~repro.simulation.metrics.MetricsSummary`.  Per-cell transport
@@ -353,12 +360,14 @@ class CrossCellBalancer:
         state: ClusterState,
         decision: SchedulingDecision,
         home_of,
+        cell_free: List[int],
     ) -> List[Tuple[int, int, int]]:
         """Plan ``(task_id, from_cell, to_cell)`` migrations for this round.
 
-        ``home_of(task)`` maps a task to its current home cell.  Uses the
-        state's free-slot index, so the cost is O(|free machines| +
-        |unscheduled| + cells) -- off the hot path by construction.
+        ``home_of(task)`` maps a task to its current home cell and
+        ``cell_free`` holds the free slots per cell the scheduler keeps
+        from the machine marks, so the cost is O(|placed| + |unscheduled|
+        + cells) -- off the hot path by construction.
         """
         if not decision.unscheduled:
             return []
@@ -368,11 +377,7 @@ class CrossCellBalancer:
 
         # Remaining free slots per cell once this round's planned
         # placements land.
-        free = [0] * num_cells
-        for machine in state.machines_with_free_slots():
-            free[self.partition.cell_of_machine(machine)] += state.free_slots(
-                machine.machine_id
-            )
+        free = list(cell_free)
         machines = state.topology.machines
         for machine_id in decision.placements.values():
             machine = machines.get(machine_id)
@@ -492,7 +497,11 @@ class ShardedScheduler(FlowScheduler):
         #: Per-cell solver workers (spawned on first use in worker mode).
         self.clients: List[WorkerClient] = []
         self._fallback_rounds: List[int] = []
-        self._cell_had_tasks: List[bool] = []
+        #: Each cell's last solved ``total_cost``: a cell left out of a
+        #: round keeps its network and flow, so its retained cost is exact.
+        self._cell_cost: List[int] = []
+        #: Cells the current round left out with marks waiting.
+        self._cells_deferred = 0
         self._dirty_epoch: Optional[int] = None
         #: Home cell of every schedulable task, and per job the number of
         #: its tasks homed in each cell -- both hold live tasks only: an
@@ -531,7 +540,7 @@ class ShardedScheduler(FlowScheduler):
                 WorkerClient(IncrementalCostScalingSolver, self._solver_kwargs)
             )
             view.dirty.mark_all()
-        self._cell_had_tasks = [False] * self.num_cells
+        self._cell_cost = [0] * self.num_cells
         self._dirty_epoch = None
         self._task_home = {}
         self._job_cells = {}
@@ -735,19 +744,31 @@ class ShardedScheduler(FlowScheduler):
     # Round-pipeline hooks (the round itself is FlowScheduler.schedule)
     # ------------------------------------------------------------------ #
     def _round_cells(self, state: ClusterState) -> List[RoundCell]:
-        """Route the round's dirty marks and tasks; return the active cells."""
+        """Route the round's dirty marks and tasks; return the cells taking
+        part: those with something to solve (tasks, or a network that still
+        holds some) and -- unless nothing is pending anywhere, a
+        re-optimisation round -- something to place.  Cells share no arc,
+        so a cell without a pending task could only re-optimise running
+        tasks; it is left out whole, its marks waiting in its own tracker
+        for one chained update when it next takes part.
+        """
         if self._state is not state:
             self._bind(state)
         self._round_index += 1
         self._route_dirty(state)
         if self._cells[0].manager.verify_changes:
             self._check_buckets(state)
+        placing = any(view.pending_task_ids() for view in self._views)
+        self._cells_deferred = 0
         active: List[RoundCell] = []
         for cell in self._cells:
-            has_tasks = bool(cell.view.num_schedulable_tasks)
-            if not has_tasks and not self._cell_had_tasks[cell.index]:
+            view = cell.view
+            if not (view.num_schedulable_tasks or cell.manager.task_nodes):
                 continue  # an idle cell's tracker just accumulates marks
-            self._cell_had_tasks[cell.index] = has_tasks
+            if placing and not view.pending_task_ids():
+                self._cells_deferred += bool(view.dirty._pending)
+                continue
+            self._cell_cost[cell.index] = 0  # until its solve reports
             active.append(cell)
         return active
 
@@ -815,9 +836,13 @@ class ShardedScheduler(FlowScheduler):
             if result is not None:
                 stats = stats.merge(result.statistics)
                 optimal = optimal and result.optimal
+                self._cell_cost[cell.index] = result.total_cost
             if runtime >= straggler_seconds:
                 straggler_cell, straggler_seconds = cell.index, runtime
+        # The whole cluster's flow, the cells left out included.
+        decision.total_cost = sum(self._cell_cost)
         stats.cells_solved = len(outcomes)
+        stats.cells_deferred = self._cells_deferred
         stats.straggler_cell = straggler_cell
         stats.straggler_seconds = straggler_seconds
         stats.cross_cell_migrations = migrations
@@ -840,7 +865,9 @@ class ShardedScheduler(FlowScheduler):
 
     def _apply_rebalance(self, state: ClusterState, decision: SchedulingDecision) -> int:
         """Run the balancer; re-homes are ordinary dirty-set mutations."""
-        moves = self.balancer.plan(state, decision, self._home_cell)
+        moves = self.balancer.plan(
+            state, decision, self._home_cell, self._cell_free
+        )
         views = self._views
         for task_id, source, target in moves:
             task = views[source].schedulable_task(task_id)

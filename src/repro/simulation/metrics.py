@@ -53,8 +53,10 @@ class MetricsSummary:
     #: Per-run sharded-scheduler counters (empty/zero for monolithic
     #: schedulers and baselines): how many cells each round solved, which
     #: cell bounded each round's wall clock (-1 when no cell solved), and
-    #: how many tasks the cross-cell balancer re-homed per round.
+    #: how many tasks the cross-cell balancer re-homed per round, and how
+    #: many cells each round left out with dirty marks waiting.
     cells_solved: List[int] = field(default_factory=list)
+    cells_deferred: List[int] = field(default_factory=list)
     straggler_cells: List[int] = field(default_factory=list)
     cross_cell_migrations: List[int] = field(default_factory=list)
     tasks_completed: int = 0
@@ -140,6 +142,7 @@ def collect_metrics(
     worker_respawns: Optional[Sequence[int]] = None,
     breaker_open_rounds: Optional[Sequence[int]] = None,
     cells_solved: Optional[Sequence[int]] = None,
+    cells_deferred: Optional[Sequence[int]] = None,
     straggler_cells: Optional[Sequence[int]] = None,
     cross_cell_migrations: Optional[Sequence[int]] = None,
 ) -> MetricsSummary:
@@ -163,6 +166,7 @@ def collect_metrics(
         worker_respawns: Per-run relaxation-worker respawn counts.
         breaker_open_rounds: Per-run breaker-open flags.
         cells_solved: Per-run cell counts of the sharded scheduler.
+        cells_deferred: Per-run counts of cells left out with marks waiting.
         straggler_cells: Per-run straggler-cell indices (-1 when none).
         cross_cell_migrations: Per-run balancer re-homing counts.
     """
@@ -187,6 +191,8 @@ def collect_metrics(
         summary.breaker_open_rounds = list(breaker_open_rounds)
     if cells_solved:
         summary.cells_solved = list(cells_solved)
+    if cells_deferred:
+        summary.cells_deferred = list(cells_deferred)
     if straggler_cells:
         summary.straggler_cells = list(straggler_cells)
     if cross_cell_migrations:

@@ -161,8 +161,10 @@ class ScheduleRecord:
     #: Sharded-scheduler observability of the round (zero/negative for
     #: monolithic schedulers and baselines): how many cells solved, which
     #: cell bounded the round's wall clock (straggler attribution) and its
-    #: runtime, and how many tasks the cross-cell balancer re-homed.
+    #: runtime, how many tasks the cross-cell balancer re-homed, and how
+    #: many cells sat the round out with dirty marks waiting.
     num_cells: int = 0
+    cells_deferred: int = 0
     straggler_cell: int = -1
     straggler_seconds: float = 0.0
     cross_cell_migrations: int = 0
@@ -494,6 +496,7 @@ class SimulatorBridge:
         worker_respawns = 0
         breaker_open = 0
         num_cells = 0
+        cells_deferred = 0
         straggler_cell = -1
         straggler_seconds = 0.0
         cross_cell_migrations = 0
@@ -513,6 +516,7 @@ class SimulatorBridge:
             worker_respawns = statistics.worker_respawns
             breaker_open = statistics.breaker_open
             num_cells = statistics.cells_solved
+            cells_deferred = statistics.cells_deferred
             straggler_cell = statistics.straggler_cell
             straggler_seconds = statistics.straggler_seconds
             cross_cell_migrations = statistics.cross_cell_migrations
@@ -539,6 +543,7 @@ class SimulatorBridge:
                 worker_respawns=worker_respawns,
                 breaker_open=breaker_open,
                 num_cells=num_cells,
+                cells_deferred=cells_deferred,
                 straggler_cell=straggler_cell,
                 straggler_seconds=straggler_seconds,
                 cross_cell_migrations=cross_cell_migrations,
@@ -734,6 +739,7 @@ class ClusterSimulator:
             worker_respawns=[r.worker_respawns for r in records],
             breaker_open_rounds=[r.breaker_open for r in records],
             cells_solved=[r.num_cells for r in records],
+            cells_deferred=[r.cells_deferred for r in records],
             straggler_cells=[r.straggler_cell for r in records],
             cross_cell_migrations=[r.cross_cell_migrations for r in records],
         )

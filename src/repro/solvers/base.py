@@ -101,9 +101,12 @@ class SolverStatistics:
     #: wall clock in concurrent gather is the straggler's time, so tail
     #: latency is attributed to a specific cell rather than "the cluster"),
     #: that cell's solve seconds, and how many queued/unscheduled tasks the
-    #: cross-cell balancer re-homed after the round.  All zero (straggler
-    #: cell ``-1``) for monolithic schedulers.
+    #: cross-cell balancer re-homed after the round; ``cells_deferred``
+    #: counts the cells left out of the round with dirty marks waiting (a
+    #: cell without a pending task sits out while a neighbour places).  All
+    #: zero (straggler cell ``-1``) for monolithic schedulers.
     cells_solved: int = 0
+    cells_deferred: int = 0
     straggler_cell: int = -1
     straggler_seconds: float = 0.0
     cross_cell_migrations: int = 0
@@ -142,6 +145,7 @@ class SolverStatistics:
             worker_respawns=self.worker_respawns + other.worker_respawns,
             breaker_open=max(self.breaker_open, other.breaker_open),
             cells_solved=self.cells_solved + other.cells_solved,
+            cells_deferred=self.cells_deferred + other.cells_deferred,
             # The slower side's cell keeps the straggler attribution.
             straggler_cell=(
                 self.straggler_cell

@@ -252,6 +252,11 @@ def test_a_rehomed_task_leaves_its_old_cell():
         assert decision.solver_result.statistics.cross_cell_migrations == 2
         decision = checked_round(scheduler, managers, state, 2.0)
         assert decision.placements.keys() == moved
+        # Cell 0 had nothing to place in that round, so it sat it out with
+        # the re-home marks waiting; the next nothing-pending round is its.
+        assert decision.solver_result.statistics.cells_deferred == 1
+        assert moved <= managers[0].task_nodes.keys()
+        checked_round(scheduler, managers, state, 3.0)
         assert managers[0].last_update_stats.dirty_tasks == 0
         assert not moved & managers[0].task_nodes.keys()
         assert moved == managers[1].task_nodes.keys()

@@ -22,6 +22,7 @@ import pytest
 from repro.cluster.state import ClusterState
 from repro.cluster.topology import build_topology
 from repro.core import FirmamentScheduler, ShardedScheduler
+from repro.core.graph_manager import GraphManager
 from repro.core.policies import QuincyPolicy
 from repro.core.sharding import CellStateView
 from repro.flow.graph import FlowNetwork
@@ -96,6 +97,15 @@ def test_ten_steady_rounds_with_the_full_passes_patched_to_raise(cells, monkeypa
         for owner, name in FULL_PASSES:
             monkeypatch.setattr(owner, name, refuse(owner, name))
 
+        updated = []
+        update = GraphManager.update
+
+        def recording_update(manager, view, now):
+            updated.append(manager)
+            return update(manager, view, now)
+
+        monkeypatch.setattr(GraphManager, "update", recording_update)
+
         placed = 0
         for round_index in range(10):
             workload.churn()
@@ -103,11 +113,24 @@ def test_ten_steady_rounds_with_the_full_passes_patched_to_raise(cells, monkeypa
                 # Ordinary machine churn is steady too.
                 victim = max(state.topology.machines, key=state.task_count_on_machine)
                 state.fail_machine(victim, workload.now)
-            decision = scheduler.schedule_and_apply(state, workload.now)
+            del updated[:]
+            decision = scheduler.schedule(state, workload.now)
+            stats = decision.solver_result.statistics
+            if cells:
+                # The cells that took part are the ones with a task to
+                # place; the others' ``manager.update`` did not run.
+                placing = [
+                    cell.manager for cell in scheduler._cells
+                    if cell.view.pending_task_ids()
+                ]
+                assert 1 <= len(placing) < cells
+                assert updated == placing
+                assert stats.delta_solve == stats.cells_solved == len(placing)
+            else:
+                assert stats.delta_solve == 1
+            scheduler.apply(state, decision, workload.now)
             assert not decision.unscheduled
             placed += len(decision.placements)
-            stats = decision.solver_result.statistics
-            assert stats.delta_solve == (cells or 1)
             assert stats.tasks_reextracted < 16
         assert placed >= 40
         # ... and so is a round nothing changed in.
