@@ -201,14 +201,14 @@ def test_chaos_deadline_degradation_bounds_round_tail(benchmark):
         record
         for record in result.schedule_records
         if record.algorithm_runtime > budget + watchdog
-        and not record.degraded_round
+        and not record.statistics.degraded_round
     ]
     print()
     print(
         f"Deadline run: budget {budget:.2f}s, rounds "
         f"{len(result.schedule_records)}, degraded "
         f"{result.metrics.degraded_round_count()}, deadline hits "
-        f"{sum(result.metrics.deadline_hits)}"
+        f"{sum(r.deadline_hits for r in result.metrics.rounds)}"
     )
     assert result.metrics.tasks_unplaced == 0
     # No silently-late rounds: past budget + watchdog means degraded.

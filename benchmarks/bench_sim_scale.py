@@ -223,7 +223,9 @@ def test_sim_scale_sharded_flow_replay(benchmark, tmp_path):
     result, wall = holder["result"], holder["wall"]
 
     tallies = verify_placement_conservation(result)
-    rounds = [r for r in result.schedule_records if r.num_cells]
+    rounds = [
+        r.statistics for r in result.schedule_records if r.statistics.cells_solved
+    ]
     stragglers = {r.straggler_cell for r in rounds}
 
     print()
@@ -234,7 +236,7 @@ def test_sim_scale_sharded_flow_replay(benchmark, tmp_path):
     print(f"  straggler cells:    {sorted(stragglers)}")
     per_round = 1.0 / max(len(rounds), 1)
     print(f"  cells per round:    "
-          f"{per_round * sum(r.num_cells for r in rounds):.2f} solved, "
+          f"{per_round * sum(r.cells_solved for r in rounds):.2f} solved, "
           f"{per_round * sum(r.cells_deferred for r in rounds):.2f} deferred")
     print(f"  replay wall clock:  {wall:.1f} s")
 
@@ -249,6 +251,6 @@ def test_sim_scale_sharded_flow_replay(benchmark, tmp_path):
     # beside it; a round here batches 5 s of arrivals, which reach every
     # cell, so sustained churn must still hit the full fan-out.
     assert rounds and all(
-        1 <= r.num_cells <= SHARDED_CELLS - r.cells_deferred for r in rounds
+        1 <= r.cells_solved <= SHARDED_CELLS - r.cells_deferred for r in rounds
     )
-    assert max(r.num_cells for r in rounds) == SHARDED_CELLS
+    assert max(r.cells_solved for r in rounds) == SHARDED_CELLS

@@ -20,7 +20,7 @@ The package is organized around the paper's architecture (Figure 4):
 * :mod:`repro.analysis` -- CDF/percentile helpers, report formatting, and
   CSV/JSON result exports.
 * :mod:`repro.cli` -- the ``firmament-repro`` command-line interface
-  (``solve``, ``simulate``, ``trace``).
+  (``solve``, ``simulate``, ``trace``, ``serve``).
 * :mod:`repro.chaos` -- seeded, deterministic fault injection for the
   round pipeline (worker kills, pipe breaks, revision-chain breaks,
   residual corruption) behind zero-cost no-op defaults.

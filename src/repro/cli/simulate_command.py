@@ -185,14 +185,14 @@ def run(args: argparse.Namespace) -> int:
     ]
     print(format_table(["metric", "p50", "p90", "p99"], rows))
     print(f"input data locality: {100 * metrics.data_locality:.1f}%")
-    if metrics.cells_solved:
+    if any(r.cells_solved for r in metrics.rounds):
         stragglers = metrics.straggler_attribution()
         attribution = ", ".join(
             f"cell {cell}: {count}" for cell, count in sorted(stragglers.items())
         )
         print(
             f"cross-cell migrations: {metrics.total_cross_cell_migrations()}, "
-            f"deferred cell-rounds: {sum(metrics.cells_deferred)}, "
+            f"deferred cell-rounds: {sum(r.cells_deferred for r in metrics.rounds)}, "
             f"straggler rounds by cell: {attribution or 'none'}"
         )
     return 0

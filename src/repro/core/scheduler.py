@@ -422,13 +422,7 @@ class FirmamentScheduler(FlowScheduler):
     ) -> Optional[SolverResult]:
         """The winning solver's own result (``None`` on an empty round and
         on a round that died at its deadline)."""
-        result = outcomes[0][1] if outcomes else None
-        if result is not None:
-            # Attribute graph maintenance alongside the solver's own
-            # counters so per-round time can be split into graph vs solver
-            # work.
-            result.statistics.graph_update_seconds = decision.graph_update_seconds
-        return result
+        return outcomes[0][1] if outcomes else None
 
     def close(self) -> None:
         """Release solver resources (e.g. the parallel executor's worker)."""

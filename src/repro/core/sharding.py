@@ -66,9 +66,10 @@ Observability: every round's merged
 :class:`~repro.solvers.base.SolverStatistics` carries ``cells_solved``,
 ``cells_deferred`` (cells left out with marks waiting), straggler-cell
 attribution (which cell bounded the round and by how much),
-and ``cross_cell_migrations``; the simulator forwards them through
-:class:`~repro.simulation.simulator.ScheduleRecord` into
-:class:`~repro.simulation.metrics.MetricsSummary`.  Per-cell transport
+and ``cross_cell_migrations``; the simulator's
+:class:`~repro.simulation.simulator.ScheduleRecord` and
+:class:`~repro.simulation.metrics.MetricsSummary` carry that object.
+Per-cell transport
 ratios (snapshot vs delta ships, fallback rounds, respawns, breaker state)
 are exposed by :meth:`ShardedScheduler.cell_transport`, and each worker
 round's ships, respawns and breaker state are stamped on the cell's result
@@ -846,7 +847,6 @@ class ShardedScheduler(FlowScheduler):
         stats.straggler_cell = straggler_cell
         stats.straggler_seconds = straggler_seconds
         stats.cross_cell_migrations = migrations
-        stats.graph_update_seconds = decision.graph_update_seconds
         if decision.degraded:
             stats.degraded_round = 1
         if straggler_cell >= 0:

@@ -6,16 +6,22 @@ response time (submission to completion), and the scheduler's algorithm
 runtime per run.  Data locality -- the fraction of input data local to the
 machine a task ran on -- is additionally reported for the Quincy-policy
 experiments (Table 15b).
+
+Everything the scheduler counted per round is read off one list,
+:attr:`MetricsSummary.rounds`: the round records'
+:class:`~repro.solvers.base.SolverStatistics`, carried as they are, so a
+counter added there needs no field, parameter or copy here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.stats import percentile
 from repro.cluster.state import ClusterState
 from repro.cluster.task import JobType
+from repro.solvers.base import SolverStatistics
 
 
 @dataclass
@@ -26,39 +32,10 @@ class MetricsSummary:
     response_times: List[float] = field(default_factory=list)
     job_response_times: List[float] = field(default_factory=list)
     algorithm_runtimes: List[float] = field(default_factory=list)
-    #: Per-run relaxation-leg counters (zero for baselines), attributed at
-    #: round level: tree nodes grown and dual ascents performed by the
-    #: round's relaxation run whether or not it won the race (the dual
-    #: executors fold the losing leg's counters into the round's
-    #: statistics).  The ascent series is the contention signal behind
-    #: Figures 8/9 -- it explodes exactly where relaxation degrades.
-    relaxation_tree_nodes: List[int] = field(default_factory=list)
-    relaxation_dual_ascents: List[int] = field(default_factory=list)
-    #: Per-run worker-transport counters of the parallel executor: whether
-    #: the round fed the relaxation worker a full DIMACS snapshot or an
-    #: incremental delta/resync payload.  On a steady-state replay the
-    #: snapshot count should stay at the cold-start 1; see
-    #: :meth:`delta_ship_ratio`.
-    snapshot_ships: List[int] = field(default_factory=list)
-    delta_ships: List[int] = field(default_factory=list)
-    #: Per-run robustness counters (zero everywhere on a fault-free run
-    #: with no deadline configured): whether each round degraded (epsilon
-    #: truncation or previous-placement reuse), how many solver legs hit
-    #: the round deadline, worker respawns performed, and whether the
-    #: worker circuit breaker was open during the round.
-    degraded_rounds: List[int] = field(default_factory=list)
-    deadline_hits: List[int] = field(default_factory=list)
-    worker_respawns: List[int] = field(default_factory=list)
-    breaker_open_rounds: List[int] = field(default_factory=list)
-    #: Per-run sharded-scheduler counters (empty/zero for monolithic
-    #: schedulers and baselines): how many cells each round solved, which
-    #: cell bounded each round's wall clock (-1 when no cell solved), and
-    #: how many tasks the cross-cell balancer re-homed per round, and how
-    #: many cells each round left out with dirty marks waiting.
-    cells_solved: List[int] = field(default_factory=list)
-    cells_deferred: List[int] = field(default_factory=list)
-    straggler_cells: List[int] = field(default_factory=list)
-    cross_cell_migrations: List[int] = field(default_factory=list)
+    #: Every round's counters, one :class:`SolverStatistics` per run in
+    #: invocation order (the records' ``statistics``); the helpers below
+    #: read their series off it.
+    rounds: List[SolverStatistics] = field(default_factory=list)
     tasks_completed: int = 0
     tasks_placed: int = 0
     tasks_unplaced: int = 0
@@ -90,8 +67,8 @@ class MetricsSummary:
         rounds where the worker was not consulted at all (cold start
         excepted).  Returns 0.0 when the worker was never consulted.
         """
-        deltas = sum(self.delta_ships)
-        snapshots = sum(self.snapshot_ships)
+        deltas = sum(r.delta_ships for r in self.rounds)
+        snapshots = sum(r.snapshot_ships for r in self.rounds)
         total = deltas + snapshots
         if total == 0:
             return 0.0
@@ -99,19 +76,19 @@ class MetricsSummary:
 
     def degraded_round_count(self) -> int:
         """Number of rounds that finished degraded (never stalled)."""
-        return sum(1 for flag in self.degraded_rounds if flag)
+        return sum(1 for r in self.rounds if r.degraded_round)
 
     def total_worker_respawns(self) -> int:
         """Total relaxation-worker respawns across the run."""
-        return sum(self.worker_respawns)
+        return sum(r.worker_respawns for r in self.rounds)
 
     def breaker_open_round_count(self) -> int:
         """Number of rounds served while the worker breaker was open."""
-        return sum(1 for flag in self.breaker_open_rounds if flag)
+        return sum(1 for r in self.rounds if r.breaker_open)
 
     def total_cross_cell_migrations(self) -> int:
         """Tasks the balancer re-homed to another cell across the run."""
-        return sum(self.cross_cell_migrations)
+        return sum(r.cross_cell_migrations for r in self.rounds)
 
     def straggler_attribution(self) -> Dict[int, int]:
         """How often each cell bounded a round's wall clock.
@@ -123,7 +100,8 @@ class MetricsSummary:
         excluded.
         """
         counts: Dict[int, int] = {}
-        for cell in self.straggler_cells:
+        for r in self.rounds:
+            cell = r.straggler_cell
             if cell >= 0:
                 counts[cell] = counts.get(cell, 0) + 1
         return counts
@@ -133,18 +111,7 @@ def collect_metrics(
     state: ClusterState,
     algorithm_runtimes: Optional[Sequence[float]] = None,
     batch_only: bool = True,
-    relaxation_tree_nodes: Optional[Sequence[int]] = None,
-    relaxation_dual_ascents: Optional[Sequence[int]] = None,
-    snapshot_ships: Optional[Sequence[int]] = None,
-    delta_ships: Optional[Sequence[int]] = None,
-    degraded_rounds: Optional[Sequence[int]] = None,
-    deadline_hits: Optional[Sequence[int]] = None,
-    worker_respawns: Optional[Sequence[int]] = None,
-    breaker_open_rounds: Optional[Sequence[int]] = None,
-    cells_solved: Optional[Sequence[int]] = None,
-    cells_deferred: Optional[Sequence[int]] = None,
-    straggler_cells: Optional[Sequence[int]] = None,
-    cross_cell_migrations: Optional[Sequence[int]] = None,
+    rounds: Optional[Sequence[SolverStatistics]] = None,
 ) -> MetricsSummary:
     """Build a :class:`MetricsSummary` from the final cluster state.
 
@@ -157,46 +124,13 @@ def collect_metrics(
             placement percentiles describe the same tasks the completion
             counts do (service tasks never complete; mixing them into the
             placement side only would skew the comparison).
-        relaxation_tree_nodes: Per-run relaxation tree sizes (round-level).
-        relaxation_dual_ascents: Per-run relaxation dual-ascent counts.
-        snapshot_ships: Per-run full-snapshot worker payload counts.
-        delta_ships: Per-run incremental worker payload counts.
-        degraded_rounds: Per-run degraded-round flags.
-        deadline_hits: Per-run solver-leg deadline-hit counts.
-        worker_respawns: Per-run relaxation-worker respawn counts.
-        breaker_open_rounds: Per-run breaker-open flags.
-        cells_solved: Per-run cell counts of the sharded scheduler.
-        cells_deferred: Per-run counts of cells left out with marks waiting.
-        straggler_cells: Per-run straggler-cell indices (-1 when none).
-        cross_cell_migrations: Per-run balancer re-homing counts.
+        rounds: Per-run counters recorded by the driver.
     """
     summary = MetricsSummary()
     if algorithm_runtimes:
         summary.algorithm_runtimes = list(algorithm_runtimes)
-    if relaxation_tree_nodes:
-        summary.relaxation_tree_nodes = list(relaxation_tree_nodes)
-    if relaxation_dual_ascents:
-        summary.relaxation_dual_ascents = list(relaxation_dual_ascents)
-    if snapshot_ships:
-        summary.snapshot_ships = list(snapshot_ships)
-    if delta_ships:
-        summary.delta_ships = list(delta_ships)
-    if degraded_rounds:
-        summary.degraded_rounds = list(degraded_rounds)
-    if deadline_hits:
-        summary.deadline_hits = list(deadline_hits)
-    if worker_respawns:
-        summary.worker_respawns = list(worker_respawns)
-    if breaker_open_rounds:
-        summary.breaker_open_rounds = list(breaker_open_rounds)
-    if cells_solved:
-        summary.cells_solved = list(cells_solved)
-    if cells_deferred:
-        summary.cells_deferred = list(cells_deferred)
-    if straggler_cells:
-        summary.straggler_cells = list(straggler_cells)
-    if cross_cell_migrations:
-        summary.cross_cell_migrations = list(cross_cell_migrations)
+    if rounds:
+        summary.rounds = list(rounds)
 
     for task in state.tasks.values():
         job = state.jobs.get(task.job_id)

@@ -44,7 +44,7 @@ tasks) never materialize the whole workload in the queue.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.cluster.machine import Machine
@@ -53,6 +53,7 @@ from repro.cluster.task import Job, Task
 from repro.core.scheduler import SchedulingDecision
 from repro.simulation.events import EventManager, EventType, SimulationEvent
 from repro.simulation.metrics import MetricsSummary, collect_metrics
+from repro.solvers.base import SolverStatistics
 
 
 @dataclass
@@ -116,58 +117,11 @@ class ScheduleRecord:
     #: Graph-maintenance wall time of the round, attributed separately from
     #: the solver runtime (flow-based schedulers only; zero for baselines).
     graph_update_seconds: float = 0.0
-    #: Wall time the round spent in price refine and the label pops its
-    #: sweeps performed (zero for baseline schedulers).  Round-level
-    #: attribution: the dual executors fold the cost-scaling leg's refine
-    #: cost into the round even when relaxation wins, since the refine ran
-    #: either way; attributes warm-rebuild rounds' dominant cost and
-    #: exposes label-correcting degenerations in timelines.
-    price_refine_seconds: float = 0.0
-    price_refine_passes: int = 0
-    #: 1 when the round's incremental cost scaling solve repaired its
-    #: retained residual in place instead of rebuilding it (a sharded round
-    #: counts its cells; zero for baselines and non-incremental solvers).
-    #: Round-level like the price-refine fields: the leg's flag is folded
-    #: in even when relaxation wins.
-    delta_solve: int = 0
-    #: Tasks whose placement the round re-derived from the flow instead of
-    #: carrying it over (every task on the first round and on rebuilds).
-    tasks_reextracted: int = 0
-    #: Relaxation observability of the round (zero for baselines): nodes
-    #: added across the relaxation leg's zero-reduced-cost trees and its
-    #: dual-ascent count.  Round-level attribution like the price-refine
-    #: fields: the dual executors fold the relaxation leg's counters into
-    #: the winning result even when cost scaling wins, so timelines show
-    #: what every round's relaxation leg cost.
-    relaxation_tree_nodes: int = 0
-    dual_ascents: int = 0
-    #: Worker transport of the round: how many solver workers (the
-    #: parallel executor's relaxation worker, or one per cell under
-    #: ``--cell-workers``) were fed a full DIMACS snapshot, resp. an
-    #: incremental delta/resync payload (both zero when no worker took
-    #: part in the round).
-    snapshot_ships: int = 0
-    delta_ships: int = 0
-    #: Robustness observability of the round: 1 when the round degraded
-    #: (epsilon truncation or previous-placement reuse under a deadline),
-    #: deadline hits attributed to the round's solver legs, worker
-    #: respawns performed during the round, and 1 while the worker
-    #: circuit breaker was open (all zero for baselines and fault-free
-    #: sequential rounds).
-    degraded_round: int = 0
-    deadline_hits: int = 0
-    worker_respawns: int = 0
-    breaker_open: int = 0
-    #: Sharded-scheduler observability of the round (zero/negative for
-    #: monolithic schedulers and baselines): how many cells solved, which
-    #: cell bounded the round's wall clock (straggler attribution) and its
-    #: runtime, how many tasks the cross-cell balancer re-homed, and how
-    #: many cells sat the round out with dirty marks waiting.
-    num_cells: int = 0
-    cells_deferred: int = 0
-    straggler_cell: int = -1
-    straggler_seconds: float = 0.0
-    cross_cell_migrations: int = 0
+    #: The round's counters: a copy of the decision's
+    #: ``solver_result.statistics`` (defaults for baselines and rounds
+    #: without a result), ``degraded_round`` raised to 1 when the decision
+    #: degraded.
+    statistics: SolverStatistics = field(default_factory=SolverStatistics)
 
 
 @dataclass
@@ -483,44 +437,14 @@ class SimulatorBridge:
         pending_before = self.state.num_pending_tasks
         decision = self.scheduler.schedule(self.state, self.now)
         runtime = decision.algorithm_runtime * config.runtime_scale
-        winning = ""
-        refine_seconds = 0.0
-        refine_passes = 0
-        delta_solve = 0
-        tasks_reextracted = 0
-        relaxation_tree_nodes = 0
-        dual_ascents = 0
-        snapshot_ships = 0
-        delta_ships = 0
-        deadline_hits = 0
-        worker_respawns = 0
-        breaker_open = 0
-        num_cells = 0
-        cells_deferred = 0
-        straggler_cell = -1
-        straggler_seconds = 0.0
-        cross_cell_migrations = 0
-        degraded_round = 1 if getattr(decision, "degraded", False) else 0
-        if decision.solver_result is not None:
-            winning = decision.solver_result.algorithm
-            statistics = decision.solver_result.statistics
-            refine_seconds = statistics.price_refine_seconds
-            refine_passes = statistics.price_refine_passes
-            delta_solve = statistics.delta_solve
-            tasks_reextracted = statistics.tasks_reextracted
-            relaxation_tree_nodes = statistics.relaxation_tree_nodes
-            dual_ascents = statistics.dual_ascents
-            snapshot_ships = statistics.snapshot_ships
-            delta_ships = statistics.delta_ships
-            deadline_hits = statistics.deadline_hits
-            worker_respawns = statistics.worker_respawns
-            breaker_open = statistics.breaker_open
-            num_cells = statistics.cells_solved
-            cells_deferred = statistics.cells_deferred
-            straggler_cell = statistics.straggler_cell
-            straggler_seconds = statistics.straggler_seconds
-            cross_cell_migrations = statistics.cross_cell_migrations
-            degraded_round = max(degraded_round, statistics.degraded_round)
+        result = decision.solver_result
+        if result is None:
+            winning, statistics = "", SolverStatistics()
+        else:
+            winning, statistics = result.algorithm, replace(result.statistics)
+        statistics.degraded_round = max(
+            statistics.degraded_round, int(decision.degraded)
+        )
         record_index = len(self.schedule_records)
         self.schedule_records.append(
             ScheduleRecord(
@@ -529,24 +453,8 @@ class SimulatorBridge:
                 num_placements=decision.num_assignments,
                 num_pending_before=pending_before,
                 winning_algorithm=winning,
-                graph_update_seconds=getattr(decision, "graph_update_seconds", 0.0),
-                price_refine_seconds=refine_seconds,
-                price_refine_passes=refine_passes,
-                delta_solve=delta_solve,
-                tasks_reextracted=tasks_reextracted,
-                relaxation_tree_nodes=relaxation_tree_nodes,
-                dual_ascents=dual_ascents,
-                snapshot_ships=snapshot_ships,
-                delta_ships=delta_ships,
-                degraded_round=degraded_round,
-                deadline_hits=deadline_hits,
-                worker_respawns=worker_respawns,
-                breaker_open=breaker_open,
-                num_cells=num_cells,
-                cells_deferred=cells_deferred,
-                straggler_cell=straggler_cell,
-                straggler_seconds=straggler_seconds,
-                cross_cell_migrations=cross_cell_migrations,
+                graph_update_seconds=decision.graph_update_seconds,
+                statistics=statistics,
             )
         )
         self._last_schedule_start = self.now
@@ -730,18 +638,7 @@ class ClusterSimulator:
         metrics = collect_metrics(
             self.state,
             algorithm_runtimes=[r.algorithm_runtime for r in records],
-            relaxation_tree_nodes=[r.relaxation_tree_nodes for r in records],
-            relaxation_dual_ascents=[r.dual_ascents for r in records],
-            snapshot_ships=[r.snapshot_ships for r in records],
-            delta_ships=[r.delta_ships for r in records],
-            degraded_rounds=[r.degraded_round for r in records],
-            deadline_hits=[r.deadline_hits for r in records],
-            worker_respawns=[r.worker_respawns for r in records],
-            breaker_open_rounds=[r.breaker_open for r in records],
-            cells_solved=[r.num_cells for r in records],
-            cells_deferred=[r.cells_deferred for r in records],
-            straggler_cells=[r.straggler_cell for r in records],
-            cross_cell_migrations=[r.cross_cell_migrations for r in records],
+            rounds=[r.statistics for r in records],
         )
         return SimulationResult(
             state=self.state,

@@ -13,11 +13,21 @@ documentation can render them.
 from __future__ import annotations
 
 import abc
+import operator
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.flow.graph import FlowNetwork
+
+
+#: Merge rules a :class:`SolverStatistics` field can declare
+#: (``field(metadata=...)``); a field that declares none is summed.
+#: ``_SLOWER_SIDE`` takes the value of the side with the larger
+#: ``straggler_seconds`` (``self`` on a tie).
+_MAX = {"merge": max}
+_ANY = {"merge": operator.or_}
+_SLOWER_SIDE = {"merge": None}
 
 
 @dataclass
@@ -25,6 +35,10 @@ class SolverStatistics:
     """Counters collected by a solver during one run.
 
     Not every solver populates every counter; unused counters stay zero.
+    This is the one per-round record: the scheduler's ``solver_result``
+    carries it, and the simulator's ``ScheduleRecord.statistics`` and
+    ``MetricsSummary.rounds`` hold copies of it, so a counter declared here
+    (with its merge rule, if not a sum) reaches them with no further edit.
     """
 
     iterations: int = 0
@@ -35,7 +49,7 @@ class SolverStatistics:
     negative_cycles_canceled: int = 0
     arcs_scanned: int = 0
     epsilon_phases: int = 0
-    warm_start: bool = False
+    warm_start: bool = field(default=False, metadata=_ANY)
     #: Change-application counters of the delta path: arcs and nodes the
     #: solver patched in its persistent residual from the round's change
     #: batch (zero on rebuild rounds).
@@ -81,10 +95,6 @@ class SolverStatistics:
     #: worker was consulted).
     snapshot_ships: int = 0
     delta_ships: int = 0
-    #: Wall-clock seconds the graph manager spent producing this round's
-    #: network (filled in by the scheduler, not the solver), so fig14-style
-    #: runs can attribute per-round time to graph maintenance vs solving.
-    graph_update_seconds: float = 0.0
     #: Self-healing round pipeline attribution.  ``deadline_hits`` counts
     #: deadline firings that truncated or aborted work this round;
     #: ``degraded_round`` flags a round whose result is deliberately
@@ -93,9 +103,9 @@ class SolverStatistics:
     #: during the round; ``breaker_open`` flags a round served while a
     #: worker circuit breaker was not closed (parent-side fallback rounds).
     deadline_hits: int = 0
-    degraded_round: int = 0
+    degraded_round: int = field(default=0, metadata=_MAX)
     worker_respawns: int = 0
-    breaker_open: int = 0
+    breaker_open: int = field(default=0, metadata=_MAX)
     #: Sharded-round attribution (:mod:`repro.core.sharding`): how many
     #: cells solved this round, which cell's solve took longest (the round's
     #: wall clock in concurrent gather is the straggler's time, so tail
@@ -107,56 +117,27 @@ class SolverStatistics:
     #: zero (straggler cell ``-1``) for monolithic schedulers.
     cells_solved: int = 0
     cells_deferred: int = 0
-    straggler_cell: int = -1
-    straggler_seconds: float = 0.0
+    straggler_cell: int = field(default=-1, metadata=_SLOWER_SIDE)
+    straggler_seconds: float = field(default=0.0, metadata=_MAX)
     cross_cell_migrations: int = 0
 
     def merge(self, other: "SolverStatistics") -> "SolverStatistics":
-        """Return statistics summing this run with another."""
-        return SolverStatistics(
-            iterations=self.iterations + other.iterations,
-            augmentations=self.augmentations + other.augmentations,
-            pushes=self.pushes + other.pushes,
-            relabels=self.relabels + other.relabels,
-            potential_updates=self.potential_updates + other.potential_updates,
-            negative_cycles_canceled=(
-                self.negative_cycles_canceled + other.negative_cycles_canceled
-            ),
-            arcs_scanned=self.arcs_scanned + other.arcs_scanned,
-            epsilon_phases=self.epsilon_phases + other.epsilon_phases,
-            warm_start=self.warm_start or other.warm_start,
-            arcs_patched=self.arcs_patched + other.arcs_patched,
-            nodes_touched=self.nodes_touched + other.nodes_touched,
-            tasks_reextracted=self.tasks_reextracted + other.tasks_reextracted,
-            delta_solve=self.delta_solve + other.delta_solve,
-            price_refine_seconds=self.price_refine_seconds
-            + other.price_refine_seconds,
-            price_refine_passes=self.price_refine_passes
-            + other.price_refine_passes,
-            relaxation_tree_nodes=self.relaxation_tree_nodes
-            + other.relaxation_tree_nodes,
-            dual_ascents=self.dual_ascents + other.dual_ascents,
-            snapshot_ships=self.snapshot_ships + other.snapshot_ships,
-            delta_ships=self.delta_ships + other.delta_ships,
-            graph_update_seconds=self.graph_update_seconds
-            + other.graph_update_seconds,
-            deadline_hits=self.deadline_hits + other.deadline_hits,
-            degraded_round=max(self.degraded_round, other.degraded_round),
-            worker_respawns=self.worker_respawns + other.worker_respawns,
-            breaker_open=max(self.breaker_open, other.breaker_open),
-            cells_solved=self.cells_solved + other.cells_solved,
-            cells_deferred=self.cells_deferred + other.cells_deferred,
-            # The slower side's cell keeps the straggler attribution.
-            straggler_cell=(
-                self.straggler_cell
-                if self.straggler_seconds >= other.straggler_seconds
-                else other.straggler_cell
-            ),
-            straggler_seconds=max(self.straggler_seconds, other.straggler_seconds),
-            cross_cell_migrations=(
-                self.cross_cell_migrations + other.cross_cell_migrations
-            ),
-        )
+        """Return statistics combining this run with another, each field by
+        the rule it declares (a sum unless stated)."""
+        slower = self if self.straggler_seconds >= other.straggler_seconds else other
+        return SolverStatistics(**{
+            name: getattr(slower, name) if rule is None
+            else rule(getattr(self, name), getattr(other, name))
+            for name, rule in _MERGE_RULES
+        })
+
+
+#: ``(field name, rule)`` in declaration order, built once: ``rule`` combines
+#: the two sides' values, ``None`` takes the slower side's.
+_MERGE_RULES: Tuple[Tuple[str, Optional[Callable]], ...] = tuple(
+    (f.name, f.metadata.get("merge", operator.add))
+    for f in fields(SolverStatistics)
+)
 
 
 @dataclass

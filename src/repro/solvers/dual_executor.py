@@ -426,8 +426,7 @@ class SpeculativeDualExecutor(Solver):
         and the
         relaxation leg's ``relaxation_tree_nodes`` / ``dual_ascents`` are
         folded into the winning result's statistics whenever the other leg
-        won (mirroring how the scheduler attributes
-        ``graph_update_seconds``).  Timelines then show what every round
+        won.  Timelines then show what every round
         paid for each leg instead of only the rounds that leg happened to
         win.
         """

@@ -463,7 +463,7 @@ class TestChaosSimulation:
         assert len(result.schedule_records) >= 1
         # No deadline was configured, so no round may report degradation.
         assert metrics.degraded_round_count() == 0
-        assert sum(metrics.deadline_hits) == 0
+        assert sum(r.deadline_hits for r in metrics.rounds) == 0
 
     def test_worker_kill_simulation_actually_injected_and_recovered(self):
         # Deterministic variant: kill the worker on the first round and keep
@@ -496,11 +496,11 @@ class TestChaosSimulation:
             assert solver.fallback_rounds == 0
             # The respawn counters thread through ScheduleRecord into
             # MetricsSummary verbatim.
-            assert result.metrics.worker_respawns == [
-                r.worker_respawns for r in result.schedule_records
+            assert [r.worker_respawns for r in result.metrics.rounds] == [
+                r.statistics.worker_respawns for r in result.schedule_records
             ]
-            assert result.metrics.breaker_open_rounds == [
-                r.breaker_open for r in result.schedule_records
+            assert [r.breaker_open for r in result.metrics.rounds] == [
+                r.statistics.breaker_open for r in result.schedule_records
             ]
             if result.metrics.total_worker_respawns() == 0:
                 # The simulation's few scheduler rounds can all land inside
@@ -542,8 +542,8 @@ class TestChaosSimulation:
             # recorded degraded -- never silently late, never a stall.
             assert (
                 record.algorithm_runtime <= budget + watchdog
-                or record.degraded_round == 1
+                or record.statistics.degraded_round == 1
             )
-        assert result.metrics.degraded_rounds == [
-            r.degraded_round for r in result.schedule_records
+        assert [r.degraded_round for r in result.metrics.rounds] == [
+            r.statistics.degraded_round for r in result.schedule_records
         ]

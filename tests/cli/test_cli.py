@@ -34,6 +34,26 @@ class TestParser:
         assert main([]) == 2
         assert "usage" in capsys.readouterr().out.lower()
 
+    def test_module_entry_point_runs_once(self):
+        # The package re-exports main lazily, so runpy finds repro.cli.main
+        # unimported and executes it once, without a RuntimeWarning.
+        import os
+        import subprocess
+        import sys
+
+        env = dict(os.environ)
+        repo_src = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.dirname(__file__))), "src"
+        )
+        env["PYTHONPATH"] = repo_src + os.pathsep + env.get("PYTHONPATH", "")
+        completed = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.cli.main",
+             "--help"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert "simulate" in completed.stdout
+
 
 class TestSolveCommand:
     def test_solve_prints_cost_and_succeeds(self, dimacs_file, capsys):
@@ -145,6 +165,21 @@ class TestSimulateCommand:
         ])
         assert code == 0
         assert "degraded rounds" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "extra, sharded",
+        [((), False), (("--scheduler", "sparrow"), False), (("--cells", "2"), True)],
+        ids=["monolithic", "sparrow", "two-cells"],
+    )
+    def test_sharded_summary_only_when_a_cell_solved(self, capsys, extra, sharded):
+        code = main([
+            "simulate", "--machines", "16", "--duration", "30", "--seed", "1",
+            *extra,
+        ])
+        assert code == 0
+        output = capsys.readouterr().out
+        assert ("cross-cell migrations:" in output) is sharded
+        assert ("deferred cell-rounds:" in output) is sharded
 
     def test_round_deadline_rejected_for_baselines(self, capsys):
         assert main([

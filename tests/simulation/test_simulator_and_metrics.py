@@ -1,11 +1,19 @@
 """Unit and integration tests for the event-driven simulator and metrics."""
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.baselines import SparrowScheduler, SwarmKitScheduler
 from repro.core import FirmamentScheduler, LoadSpreadingPolicy, QuincyPolicy
-from repro.simulation.metrics import collect_metrics, input_data_locality
+from repro.core.sharding import ShardedScheduler
+from repro.simulation.metrics import (
+    MetricsSummary,
+    collect_metrics,
+    input_data_locality,
+)
 from repro.simulation.simulator import ClusterSimulator, SimulationConfig
+from repro.solvers.base import RoundDeadlineExceeded, SolverStatistics
 from repro.simulation.trace import GoogleTraceGenerator, TraceConfig
 from tests.conftest import make_cluster_state, make_job
 
@@ -50,22 +58,27 @@ class TestSimulatorBasics:
         assert len(records) >= 1
         # The sequential executor always runs the relaxation leg, so every
         # record carries its tree/ascent counters regardless of the winner.
-        assert any(r.relaxation_tree_nodes > 0 for r in records)
-        assert result.metrics.relaxation_tree_nodes == [
-            r.relaxation_tree_nodes for r in records
+        assert any(r.statistics.relaxation_tree_nodes > 0 for r in records)
+        rounds = result.metrics.rounds
+        assert [r.relaxation_tree_nodes for r in rounds] == [
+            r.statistics.relaxation_tree_nodes for r in records
         ]
-        assert result.metrics.relaxation_dual_ascents == [
-            r.dual_ascents for r in records
+        assert [r.dual_ascents for r in rounds] == [
+            r.statistics.dual_ascents for r in records
         ]
         # No worker exists on the sequential executor: no ships recorded.
-        assert sum(result.metrics.snapshot_ships) == 0
-        assert sum(result.metrics.delta_ships) == 0
+        assert sum(r.snapshot_ships for r in rounds) == 0
+        assert sum(r.delta_ships for r in rounds) == 0
         assert result.metrics.delta_ship_ratio() == 0.0
 
     def test_delta_ship_ratio(self):
-        from repro.simulation.metrics import MetricsSummary
-
-        summary = MetricsSummary(snapshot_ships=[1, 0, 0], delta_ships=[0, 1, 1])
+        summary = MetricsSummary(
+            rounds=[
+                SolverStatistics(snapshot_ships=1),
+                SolverStatistics(delta_ships=1),
+                SolverStatistics(delta_ships=1),
+            ]
+        )
         assert summary.delta_ship_ratio() == pytest.approx(2 / 3)
         assert MetricsSummary().delta_ship_ratio() == 0.0
 
@@ -138,6 +151,100 @@ class TestSimulatorBasics:
         simulator.submit_job(make_job(job_id=2, num_tasks=1, duration=1.0, submit_time=0.5))
         result = simulator.run()
         assert result.schedule_records
+
+
+def record_rounds(scheduler):
+    """Wrap ``scheduler.schedule`` to keep every round's decision beside a
+    field-by-field snapshot of its statistics, taken when it was returned
+    (``None`` for a round without a solver result)."""
+    rounds = []
+    schedule = scheduler.schedule
+
+    def recording(state, now):
+        decision = schedule(state, now)
+        result = decision.solver_result
+        rounds.append(
+            (decision, None if result is None else asdict(result.statistics))
+        )
+        return decision
+
+    scheduler.schedule = recording
+    return rounds
+
+
+class DeadlineSolver:
+    """Every solve blows the round budget: no round has a result."""
+
+    accepts_change_batches = False
+    charges_wall_clock = False
+    round_deadline_seconds = None
+
+    def solve(self, network, changes=None):
+        raise RoundDeadlineExceeded("stubbed: no leg finished in budget")
+
+
+class TestRoundRecords:
+    """A record's ``statistics`` is the round's solver statistics, carried
+    whole: every field reaches the record and ``MetricsSummary.rounds``."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: FirmamentScheduler(QuincyPolicy()),
+            lambda: ShardedScheduler(QuincyPolicy, num_cells=2),
+            lambda: SparrowScheduler(per_task_decision_seconds=0.01),
+        ],
+        ids=["monolithic", "two-cells", "baseline"],
+    )
+    def test_record_statistics_equal_the_rounds_solver_statistics(self, build):
+        state = make_cluster_state(num_machines=8, machines_per_rack=4)
+        scheduler = build()
+        rounds = record_rounds(scheduler)
+        simulator = ClusterSimulator(state, scheduler, SimulationConfig(max_time=60.0))
+        for job_id in range(1, 5):
+            simulator.submit_job(
+                make_job(job_id=job_id, num_tasks=3, duration=4.0,
+                         submit_time=2.0 * job_id)
+            )
+        try:
+            result = simulator.run()
+        finally:
+            simulator.close()
+        records = result.schedule_records
+        assert len(records) == len(rounds) >= 2
+        for record, (decision, expected) in zip(records, rounds):
+            if expected is None:
+                expected = asdict(SolverStatistics())
+                assert record.winning_algorithm == ""
+            else:
+                assert record.statistics is not decision.solver_result.statistics
+                assert record.winning_algorithm == decision.solver_result.algorithm
+            assert not decision.degraded
+            assert asdict(record.statistics) == expected
+            assert record.graph_update_seconds == decision.graph_update_seconds
+        assert result.metrics.rounds == [r.statistics for r in records]
+        solved = [r.statistics.cells_solved for r in records]
+        if isinstance(scheduler, ShardedScheduler):
+            assert all(1 <= n <= 2 for n in solved)
+        else:
+            assert solved == [0] * len(records)
+        if isinstance(scheduler, SparrowScheduler):
+            assert all(expected is None for _, expected in rounds)
+
+    def test_round_without_a_result_is_recorded_degraded(self):
+        state = make_cluster_state(num_machines=4, slots_per_machine=2)
+        scheduler = FirmamentScheduler(QuincyPolicy(), solver=DeadlineSolver())
+        rounds = record_rounds(scheduler)
+        simulator = ClusterSimulator(state, scheduler, SimulationConfig(max_time=10.0))
+        simulator.submit_job(make_job(job_id=1, num_tasks=2, submit_time=1.0))
+        result = simulator.run()
+        assert len(result.schedule_records) == len(rounds) == 1
+        decision, expected = rounds[0]
+        assert decision.degraded_reason == "round_deadline" and expected is None
+        record = result.schedule_records[0]
+        assert record.statistics == SolverStatistics(degraded_round=1)
+        assert record.winning_algorithm == ""
+        assert result.metrics.degraded_round_count() == 1
 
 
 class TestMetrics:

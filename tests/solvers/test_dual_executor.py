@@ -1,12 +1,12 @@
 """Unit tests for the speculative dual-algorithm executor."""
 
+import dataclasses
 import itertools
 import random
 
 import pytest
 
-from repro.cli import serve_command
-from repro.cli.main import build_parser
+from repro.cli import build_parser, serve_command
 from repro.core import FirmamentScheduler, ShardedScheduler
 from repro.core.policies import QuincyPolicy
 from repro.flow.graph import FlowNetwork
@@ -493,3 +493,34 @@ class TestStaticTables:
         assert merged.pushes == 3
         assert merged.relabels == 4
         assert merged.warm_start
+
+        # Every field, with distinct values on the two sides, merges by its
+        # rule: a sum unless listed here.
+        maxed = {"degraded_round", "breaker_open", "straggler_seconds"}
+        fast, slow = SolverStatistics(), SolverStatistics()
+        for index, field in enumerate(dataclasses.fields(SolverStatistics), 1):
+            if field.name == "warm_start":
+                values = (False, True)
+            else:
+                values = (field.default + index, field.default + 100 + 3 * index)
+            setattr(fast, field.name, values[0])
+            setattr(slow, field.name, values[1])
+        assert fast.straggler_seconds < slow.straggler_seconds
+        for merged in (fast.merge(slow), slow.merge(fast)):
+            for field in dataclasses.fields(SolverStatistics):
+                a, b = getattr(fast, field.name), getattr(slow, field.name)
+                if field.name == "warm_start":
+                    expected = a or b
+                elif field.name == "straggler_cell":
+                    expected = b  # the slower side's cell
+                elif field.name in maxed:
+                    expected = max(a, b)
+                else:
+                    expected = a + b
+                assert getattr(merged, field.name) == expected, field.name
+        assert not SolverStatistics().merge(SolverStatistics()).warm_start
+        # A straggler tie keeps the receiving side's cell.
+        left = SolverStatistics(straggler_cell=1, straggler_seconds=0.5)
+        right = SolverStatistics(straggler_cell=2, straggler_seconds=0.5)
+        assert left.merge(right).straggler_cell == 1
+        assert right.merge(left).straggler_cell == 2
