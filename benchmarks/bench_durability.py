@@ -11,7 +11,7 @@ directly, without a service in the way:
   off (pure serialization, isolating disk latency), with the syncs and
   the WAL milliseconds each round paid;
 * **log replay rate** -- :func:`repro.service.durability.recover` replays
-  the same records through the ``ClusterState`` mutators; the replayed
+  the same records through the service's two appliers; the replayed
   state must equal an in-memory oracle that applied the identical
   operations (``ClusterState.__eq__``), and the conservation counters
   must balance;
@@ -27,17 +27,18 @@ speed -- the printed rates are the EXPERIMENTS.md numbers.
 from __future__ import annotations
 
 import time
-from types import SimpleNamespace
 from typing import Dict, List, Tuple
 
 from benchmarks.common import bench_scale, build_cluster_state, make_job
 from repro.analysis.reporting import format_table
 from repro.service.durability import (
+    COMPLETE,
+    SUBMIT,
+    AdmitRecord,
     DurabilityLayer,
-    admit_payload,
-    new_ledger,
+    Ledger,
+    RoundRecord,
     recover,
-    round_payload,
     snapshot_cluster_state,
 )
 
@@ -51,7 +52,7 @@ SNAPSHOT_MACHINES = (128, 512)
 
 
 def _workload(num_machines: int) -> List[Tuple[str, Dict]]:
-    """Build the record stream: admit (submit + prior completions) then
+    """Build the record stream: admit (prior completions + submit) then
     round (placements), slots recycled so the cluster never overflows."""
     records: List[Tuple[str, Dict]] = []
     prev_completions: List[Tuple[int, float]] = []
@@ -63,28 +64,14 @@ def _workload(num_machines: int) -> List[Tuple[str, Dict]]:
             num_tasks=TASKS_PER_JOB,
             task_id_offset=(index + 1) * 1000,
         )
-        records.append((
-            "admit",
-            admit_payload(
-                submissions=[(f"bench-{index}", job)],
-                machines_added=[],
-                machines_removed=[],
-                completions=prev_completions,
-                now=now_admit,
-            ),
-        ))
+        events = [(COMPLETE, completion) for completion in prev_completions]
+        events.append((SUBMIT, (f"bench-{index}", job)))
+        records.append(("admit", AdmitRecord(now_admit, events).to_payload()))
         machine_id = index % num_machines
         placements = {task.task_id: machine_id for task in job.tasks}
-        records.append((
-            "round",
-            round_payload(
-                SimpleNamespace(
-                    placements=placements, migrations={}, preemptions=[],
-                    degraded=False,
-                ),
-                now=now_round,
-            ),
-        ))
+        records.append(
+            ("round", RoundRecord(now_round, placements).to_payload())
+        )
         prev_completions = [(task.task_id, now_round) for task in job.tasks]
     return records
 
@@ -132,7 +119,7 @@ def test_wal_append_and_replay_rates(tmp_path, benchmark):
         layer = DurabilityLayer(directory, fsync=fsync)
         layer.write_snapshot(
             snapshot_cluster_state(build_cluster_state(num_machines)),
-            new_ledger(), 0.0,
+            Ledger(), 0.0,
         )
         elapsed = _append_all(layer, records)
         layer.close()
@@ -153,10 +140,10 @@ def test_wal_append_and_replay_rates(tmp_path, benchmark):
     assert not recovered.torn_tail_dropped
     assert recovered.state == _oracle_state(num_machines)
     ledger = recovered.ledger
-    assert ledger["accepted"] == NUM_JOBS * TASKS_PER_JOB
-    assert ledger["placed"] == NUM_JOBS * TASKS_PER_JOB
-    assert ledger["completions"] == (NUM_JOBS - 1) * TASKS_PER_JOB
-    assert ledger["rounds"] == NUM_JOBS
+    assert ledger.accepted == NUM_JOBS * TASKS_PER_JOB
+    assert ledger.placed == NUM_JOBS * TASKS_PER_JOB
+    assert ledger.completions == (NUM_JOBS - 1) * TASKS_PER_JOB
+    assert ledger.rounds == NUM_JOBS
 
     replay_rate = recovered.replayed_records / max(replay_elapsed, 1e-9)
     print()
@@ -181,7 +168,7 @@ def test_wal_append_and_replay_rates(tmp_path, benchmark):
     # the admit append, the round append and the one sync behind both.
     layer = DurabilityLayer(tmp_path / "kernel", fsync=True)
     layer.write_snapshot(
-        snapshot_cluster_state(build_cluster_state(8)), new_ledger(), 0.0
+        snapshot_cluster_state(build_cluster_state(8)), Ledger(), 0.0
     )
     admit, applied = records[0][1], records[1][1]
 
@@ -203,7 +190,7 @@ def test_snapshot_size_and_restore_at_scale(tmp_path):
         layer = DurabilityLayer(tmp_path / f"m{num_machines}", fsync=True)
         write_start = time.perf_counter()
         path = layer.write_snapshot(
-            snapshot_cluster_state(state), new_ledger(),
+            snapshot_cluster_state(state), Ledger(),
             clock=1.0,
         )
         write_elapsed = time.perf_counter() - write_start

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional
 from repro.cluster.machine import Machine
 from repro.cluster.state import ClusterState
 from repro.cluster.task import Task
-from repro.core.scheduler import SchedulingDecision
+from repro.core.scheduler import SchedulingDecision, apply_decision
 
 
 class QueueBasedScheduler(abc.ABC):
@@ -141,9 +141,8 @@ class QueueBasedScheduler(abc.ABC):
         return decision
 
     def apply(self, state: ClusterState, decision: SchedulingDecision, now: float) -> None:
-        """Apply the decision's placements to the cluster state."""
-        for task_id, machine_id in decision.placements.items():
-            state.place_task(task_id, machine_id, now)
+        """Apply the decision (placements only) to the cluster state."""
+        apply_decision(state, decision, now)
 
     def schedule_and_apply(self, state: ClusterState, now: float = 0.0) -> SchedulingDecision:
         """Convenience wrapper: schedule and immediately apply the decision."""

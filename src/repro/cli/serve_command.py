@@ -187,7 +187,6 @@ async def _serve(args) -> int:
             print(
                 f"recovered from snapshot epoch {recovered.snapshot_epoch}: "
                 f"{recovered.replayed_records} records replayed, "
-                f"{recovered.duplicates_dropped} duplicates dropped, "
                 f"torn tail {torn}",
                 flush=True,
             )

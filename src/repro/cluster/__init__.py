@@ -22,15 +22,7 @@ from repro.cluster.knowledge_base import (
     RuntimeStatistics,
     UsageStatistics,
 )
-from repro.cluster.events import (
-    ClusterEvent,
-    DirtySnapshot,
-    DirtyTracker,
-    MachineAdded,
-    MachineFailed,
-    TaskCompleted,
-    TaskSubmitted,
-)
+from repro.cluster.events import DirtySnapshot, DirtyTracker
 from repro.cluster.monitor import MachineStatistics, ResourceMonitor
 
 __all__ = [
@@ -45,13 +37,8 @@ __all__ = [
     "build_topology",
     "ClusterState",
     "Placement",
-    "ClusterEvent",
     "DirtySnapshot",
     "DirtyTracker",
-    "MachineAdded",
-    "MachineFailed",
-    "TaskCompleted",
-    "TaskSubmitted",
     "MachineStatistics",
     "ResourceMonitor",
     "ResourceVector",

@@ -1,11 +1,7 @@
-"""Cluster events consumed by the simulator and the scheduler.
+"""The dirty-set tracker: cluster changes as the scheduler consumes them.
 
-Every event carries the (virtual) time at which it occurs.  The simulator
-keeps events in a priority queue ordered by time; the scheduler translates
-them into flow-network graph changes (Section 5.2 of the paper).
-
-The module also hosts the **dirty-set tracker** that makes graph
-construction itself event-driven: every :class:`~repro.cluster.state.ClusterState`
+The simulator's timed events live in :mod:`repro.simulation.events`; this
+module makes graph construction event-driven: every :class:`~repro.cluster.state.ClusterState`
 mutation (task submitted/placed/completed/evicted, machine
 added/removed/failed/recovered, load-statistics refresh) marks the touched
 entities dirty, and :meth:`repro.core.graph_manager.GraphManager.update`
@@ -16,9 +12,7 @@ dirty entities only instead of rebuilding the whole flow network.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set
-
-from repro.cluster.task import Job, Task
+from typing import Set
 
 
 @dataclass
@@ -151,50 +145,3 @@ class DirtyTracker:
         snapshot.epoch = self.epoch
         self._pending = DirtySnapshot()
         return snapshot
-
-
-@dataclass(order=True)
-class ClusterEvent:
-    """Base class for all cluster events, ordered by time."""
-
-    time: float
-    sequence: int = field(default=0, compare=True)
-
-    def kind(self) -> str:
-        """Return a short name for the event type (used in logs/metrics)."""
-        return type(self).__name__
-
-
-@dataclass(order=True)
-class TaskSubmitted(ClusterEvent):
-    """A job (and all its tasks) was submitted to the cluster manager."""
-
-    job: Optional[Job] = field(default=None, compare=False)
-
-
-@dataclass(order=True)
-class TaskCompleted(ClusterEvent):
-    """A running task finished."""
-
-    task_id: int = field(default=-1, compare=False)
-
-
-@dataclass(order=True)
-class MachineFailed(ClusterEvent):
-    """A machine failed; its tasks must be rescheduled."""
-
-    machine_id: int = field(default=-1, compare=False)
-
-
-@dataclass(order=True)
-class MachineAdded(ClusterEvent):
-    """A machine (re)joined the cluster."""
-
-    machine_id: int = field(default=-1, compare=False)
-    num_slots: int = field(default=4, compare=False)
-    rack_id: int = field(default=0, compare=False)
-
-
-@dataclass(order=True)
-class SchedulerWakeup(ClusterEvent):
-    """The scheduler should run (used when no other event triggers it)."""

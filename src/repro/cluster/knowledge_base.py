@@ -227,10 +227,6 @@ class KnowledgeBase:
             return ResourceVector.for_task(task)
         return stats.average
 
-    def runtime_statistics(self, task: Task) -> Optional[RuntimeStatistics]:
-        """Return the raw runtime statistics for a task's class, if any."""
-        return self._runtimes.get(self.class_of(task))
-
     @property
     def num_classes(self) -> int:
         """Number of equivalence classes with at least one runtime sample."""

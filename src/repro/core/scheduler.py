@@ -105,6 +105,21 @@ class SchedulingDecision:
         return len(self.placements) + len(self.migrations)
 
 
+def apply_decision(state: ClusterState, decision, now: float) -> None:
+    """Put a round's decision on the cluster state: preempt, migrate, place.
+
+    Preemptions go first so their slots are free for the rest.  Every
+    scheduler's ``apply`` and the service's round replay (which passes its
+    logged record) change the state through this one order.
+    """
+    for task_id in decision.preemptions:
+        state.preempt_task(task_id, now)
+    for task_id, machine_id in decision.migrations.items():
+        state.migrate_task(task_id, machine_id, now)
+    for task_id, machine_id in decision.placements.items():
+        state.place_task(task_id, machine_id, now)
+
+
 @dataclass
 class SchedulerStatistics:
     """Aggregate statistics over a scheduler's lifetime."""
@@ -319,17 +334,8 @@ class FlowScheduler:
     # Applying a decision
     # ------------------------------------------------------------------ #
     def apply(self, state: ClusterState, decision: SchedulingDecision, now: float) -> None:
-        """Apply a scheduling decision to the cluster state.
-
-        Preemptions are applied first so their slots are free for the new
-        placements and migrations.
-        """
-        for task_id in decision.preemptions:
-            state.preempt_task(task_id, now)
-        for task_id, machine_id in decision.migrations.items():
-            state.migrate_task(task_id, machine_id, now)
-        for task_id, machine_id in decision.placements.items():
-            state.place_task(task_id, machine_id, now)
+        """Apply a scheduling decision to the cluster state (:func:`apply_decision`)."""
+        apply_decision(state, decision, now)
 
     def schedule_and_apply(self, state: ClusterState, now: float = 0.0) -> SchedulingDecision:
         """Convenience wrapper: schedule and immediately apply the decision."""

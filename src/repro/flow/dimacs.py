@@ -21,7 +21,7 @@ scheduling semantics needed for placement extraction.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.flow.changes import (
     ArcAddition,
@@ -332,13 +332,3 @@ def read_incremental(text: Union[str, Iterable[str]]) -> List[GraphChange]:
                 f"line {line_number}: unknown incremental command {command!r}"
             )
     return changes
-
-
-def write_dimacs_file(network: FlowNetwork, stream: TextIO) -> None:
-    """Write a network to an open text stream in DIMACS format."""
-    stream.write(write_dimacs(network))
-
-
-def read_dimacs_file(stream: TextIO) -> FlowNetwork:
-    """Read a network from an open text stream in DIMACS format."""
-    return read_dimacs(stream.read())

@@ -13,10 +13,11 @@ notifications back with backpressure.
 Since ISSUE 10 the service is optionally *crash-safe*: a
 :class:`DurabilityLayer` write-ahead-logs every admission batch and
 applied round, snapshots the full cluster state periodically, and
-:func:`recover` rebuilds an equivalent service after ``kill -9`` -- with
-duplicate resubmissions deduplicated by client-supplied idempotency keys
-and ``accepted == placed + pending + rejected`` preserved across the
-crash boundary.
+:func:`recover` rebuilds an equivalent service after ``kill -9`` by
+replaying the log through the same appliers the live service changes its
+state with -- with duplicate resubmissions deduplicated by client-supplied
+idempotency keys and ``accepted == placed + pending + rejected``
+preserved across the crash boundary.
 
 The package is pure stdlib (``asyncio`` + ``json`` + ``struct``); no new
 dependencies.
@@ -31,6 +32,7 @@ Modules:
 
 from repro.service.durability import (
     DurabilityLayer,
+    Ledger,
     RecoveredState,
     RecoveryError,
     recover,
@@ -41,6 +43,7 @@ from repro.service.server import SchedulerService, ServiceConfig, ServiceStats
 
 __all__ = [
     "DurabilityLayer",
+    "Ledger",
     "RecoveredState",
     "RecoveryError",
     "SchedulerService",

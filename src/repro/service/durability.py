@@ -8,17 +8,24 @@ here is the classic one -- periodic snapshot plus replayable event log --
 with recovery *verified* against a fault-free oracle by the
 recovery-equivalence harness (``tests/service/test_recovery.py``):
 
-* **Write-ahead admission log.**  The rule is *appended before effects,
-  synced before release*.  Every inbox drain appends one ``admit`` record
-  (submissions with their client-supplied idempotency keys, machine
-  add/remove events, completion timer firings) *before* the batch mutates
-  :class:`~repro.cluster.state.ClusterState`; every applied round appends
-  one ``round`` record (placements, migrations, preemptions) right after
-  the in-memory apply.  An append writes and flushes but does not
-  ``fsync``: the round's one :meth:`DurabilityLayer.sync` -- issued by
-  :meth:`DurabilityLayer.log_round`, or by the service at the end of a
-  round that logged an ``admit`` only -- covers every record the round
-  appended (group commit), and the service releases nothing a record
+* **The log is how the service changes state.**  Each of the two record
+  kinds has one applier, which the live service calls and :func:`recover`
+  calls on replay, so both change
+  :class:`~repro.cluster.state.ClusterState` and the :class:`Ledger` in
+  one order and return the same effects.  An ``admit`` record
+  (:class:`AdmitRecord`, :func:`apply_admission`) is one inbox drain in
+  arrival order: keyed submissions, machine add/remove events, completion
+  timer firings.  A ``round`` record (:class:`RoundRecord`,
+  :func:`apply_round`) is one applied decision, put on the state by
+  :func:`~repro.core.scheduler.apply_decision` like the schedulers' own.
+* **Write-ahead log.**  The rule is *appended before effects, synced
+  before release*.  An ``admit`` record is appended *before* its batch
+  mutates the state, a ``round`` record right after the apply (so only a
+  decision the state accepted is logged).  An append writes and flushes
+  but does not ``fsync``: the round's one :meth:`DurabilityLayer.sync` --
+  issued by :meth:`DurabilityLayer.log_round`, or by the service at the
+  end of a round that logged an ``admit`` only -- covers every record the
+  round appended (group commit), and the service releases nothing a record
   caused (completions, preemptions, placements) to a client before the
   sync that covers it has returned.  A record the process never synced
   may or may not survive a power loss; either way no client was told.
@@ -31,10 +38,11 @@ recovery-equivalence harness (``tests/service/test_recovery.py``):
   segment and segments wholly behind the retained snapshots are deleted.
   A crash mid-snapshot leaves only an ignored ``.tmp`` file.
 * **Recovery.**  :func:`recover` loads the newest *valid* snapshot
-  (falling back past corrupt ones), replays the log tail through the same
-  ``ClusterState`` mutations the live admission path uses, deduplicates
-  submissions by idempotency key, and returns a state that resumes
-  serving with conservation intact.
+  (falling back past corrupt ones), replays the log tail through the two
+  appliers, and returns the state and ledger the live service held at
+  its last durable record, so serving resumes with conservation intact.
+  An ``admit`` record in the older grouped format is read in the order
+  its replay always applied it (:meth:`AdmitRecord.from_payload`).
 
 Record framing (one record)::
 
@@ -54,25 +62,32 @@ and no service-path mutation feeds it.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.chaos import CrashInjector
+from repro.cluster.events import DirtySnapshot
 from repro.cluster.machine import Machine, MachineState, Rack
 from repro.cluster.state import ClusterState
 from repro.cluster.task import Job, JobType, Task, TaskState
 from repro.cluster.topology import ClusterTopology
+from repro.core.scheduler import apply_decision
 
 __all__ = [
+    "AdmitRecord",
     "DurabilityLayer",
+    "Ledger",
     "RecoveredState",
     "RecoveryError",
-    "new_ledger",
+    "RoundRecord",
+    "apply_admission",
+    "apply_round",
     "read_segment",
     "recover",
     "restore_cluster_state",
@@ -92,97 +107,55 @@ class RecoveryError(Exception):
 # --------------------------------------------------------------------- #
 # ClusterState serialization
 # --------------------------------------------------------------------- #
+def _fields(obj) -> Dict[str, Any]:
+    """A dataclass instance's fields by name, in declaration order."""
+    return {name: getattr(obj, name) for name in obj.__dataclass_fields__}
+
+
 def _task_to_payload(task: Task) -> Dict[str, Any]:
     return {
-        "task_id": task.task_id,
-        "job_id": task.job_id,
-        "duration": task.duration,
-        "submit_time": task.submit_time,
-        "cpu_request": task.cpu_request,
-        "ram_request_gb": task.ram_request_gb,
-        "network_request_mbps": task.network_request_mbps,
-        "input_size_gb": task.input_size_gb,
+        **_fields(task),
         "input_locality": {str(k): v for k, v in task.input_locality.items()},
-        "priority": task.priority,
         "state": task.state.value,
-        "placement_time": task.placement_time,
-        "start_time": task.start_time,
-        "finish_time": task.finish_time,
-        "machine_id": task.machine_id,
-        "last_machine_id": task.last_machine_id,
     }
 
 
 def _task_from_payload(payload: Dict[str, Any]) -> Task:
-    return Task(
-        task_id=payload["task_id"],
-        job_id=payload["job_id"],
-        duration=payload["duration"],
-        submit_time=payload["submit_time"],
-        cpu_request=payload["cpu_request"],
-        ram_request_gb=payload["ram_request_gb"],
-        network_request_mbps=payload["network_request_mbps"],
-        input_size_gb=payload["input_size_gb"],
-        input_locality={int(k): v for k, v in payload["input_locality"].items()},
-        priority=payload["priority"],
-        state=TaskState(payload["state"]),
-        placement_time=payload["placement_time"],
-        start_time=payload["start_time"],
-        finish_time=payload["finish_time"],
-        machine_id=payload["machine_id"],
-        last_machine_id=payload["last_machine_id"],
-    )
+    return Task(**{
+        **payload,
+        "input_locality": {int(k): v for k, v in payload["input_locality"].items()},
+        "state": TaskState(payload["state"]),
+    })
 
 
 def _job_to_payload(job: Job) -> Dict[str, Any]:
     return {
-        "job_id": job.job_id,
+        **_fields(job),
         "job_type": job.job_type.value,
-        "submit_time": job.submit_time,
-        "priority": job.priority,
-        "name": job.name,
         "tasks": [_task_to_payload(task) for task in job.tasks],
     }
 
 
 def _job_from_payload(payload: Dict[str, Any]) -> Job:
-    job = Job(
-        job_id=payload["job_id"],
-        job_type=JobType(payload["job_type"]),
-        submit_time=payload["submit_time"],
-        priority=payload["priority"],
-        name=payload["name"],
-    )
-    # Bypass Job.add_task: it rewrites job_id/priority on the task, and a
+    # Not Job.add_task: it rewrites job_id/priority on the task, and a
     # restore must reproduce the serialized fields bit for bit.
-    job.tasks = [_task_from_payload(task) for task in payload["tasks"]]
-    return job
+    return Job(**{
+        **payload,
+        "job_type": JobType(payload["job_type"]),
+        "tasks": [_task_from_payload(task) for task in payload["tasks"]],
+    })
 
 
 def _machine_to_payload(machine: Machine) -> Dict[str, Any]:
-    return {
-        "machine_id": machine.machine_id,
-        "rack_id": machine.rack_id,
-        "num_slots": machine.num_slots,
-        "cpu_cores": machine.cpu_cores,
-        "ram_gb": machine.ram_gb,
-        "network_bandwidth_mbps": machine.network_bandwidth_mbps,
-        "state": machine.state.value,
-        "name": machine.name,
-    }
+    return {**_fields(machine), "state": machine.state.value}
 
 
 def _machine_from_payload(payload: Dict[str, Any]) -> Machine:
-    return Machine(
-        machine_id=payload["machine_id"],
-        rack_id=payload["rack_id"],
-        num_slots=payload["num_slots"],
-        cpu_cores=payload["cpu_cores"],
-        ram_gb=payload["ram_gb"],
-        network_bandwidth_mbps=payload["network_bandwidth_mbps"],
-        state=MachineState(payload["state"]),
-        name=payload["name"],
-    )
+    return Machine(**{**payload, "state": MachineState(payload["state"])})
+
+
+#: The dirty tracker's per-entity sets, as a snapshot carries them.
+_DIRTY_SETS = ("tasks", "jobs", "machines_availability", "machines_load")
 
 
 def snapshot_cluster_state(state: ClusterState) -> Dict[str, Any]:
@@ -201,16 +174,9 @@ def snapshot_cluster_state(state: ClusterState) -> Dict[str, Any]:
     return {
         "topology": {
             "version": state.topology.version,
-            "machines": [
-                _machine_to_payload(machine)
-                for machine in state.topology.machines.values()
-            ],
+            "machines": [_machine_to_payload(m) for m in state.topology.machines.values()],
             "racks": [
-                {
-                    "rack_id": rack.rack_id,
-                    "machine_ids": list(rack.machine_ids),
-                    "name": rack.name,
-                }
+                {**_fields(rack), "machine_ids": list(rack.machine_ids)}
                 for rack in state.topology.racks.values()
             ],
         },
@@ -218,10 +184,7 @@ def snapshot_cluster_state(state: ClusterState) -> Dict[str, Any]:
         "dirty": {
             "epoch": state.dirty.epoch,
             "full": dirty.full,
-            "tasks": sorted(dirty.tasks),
-            "jobs": sorted(dirty.jobs),
-            "machines_availability": sorted(dirty.machines_availability),
-            "machines_load": sorted(dirty.machines_load),
+            **{name: sorted(getattr(dirty, name)) for name in _DIRTY_SETS},
         },
     }
 
@@ -233,11 +196,7 @@ def restore_cluster_state(payload: Dict[str, Any]) -> ClusterState:
         machine = _machine_from_payload(machine_payload)
         topology.machines[machine.machine_id] = machine
     for rack_payload in payload["topology"]["racks"]:
-        topology.racks[rack_payload["rack_id"]] = Rack(
-            rack_id=rack_payload["rack_id"],
-            machine_ids=list(rack_payload["machine_ids"]),
-            name=rack_payload["name"],
-        )
+        topology.racks[rack_payload["rack_id"]] = Rack(**rack_payload)
     topology.version = payload["topology"]["version"]
 
     state = ClusterState(topology)
@@ -260,80 +219,229 @@ def restore_cluster_state(payload: Dict[str, Any]) -> ClusterState:
     # drives the incremental graph path identically to the original.
     dirty_payload = payload["dirty"]
     state.dirty.epoch = dirty_payload["epoch"]
-    pending = state.dirty._pending
-    pending.full = dirty_payload["full"]
-    pending.tasks = set(dirty_payload["tasks"])
-    pending.jobs = set(dirty_payload["jobs"])
-    pending.machines_availability = set(dirty_payload["machines_availability"])
-    pending.machines_load = set(dirty_payload["machines_load"])
+    state.dirty._pending = DirtySnapshot(full=dirty_payload["full"], **{
+        name: set(dirty_payload[name]) for name in _DIRTY_SETS
+    })
     return state
 
 
 # --------------------------------------------------------------------- #
-# WAL record payload builders (writer side lives in the server)
+# The ledger, the two record kinds and their appliers
 # --------------------------------------------------------------------- #
-def admit_payload(
-    submissions: List[Tuple[Optional[str], Job]],
-    machines_added: List[Machine],
-    machines_removed: List[int],
-    completions: List[Tuple[int, float]],
+#: Admission events: ``(SUBMIT, (key, job))``, ``(ADD_MACHINE, machine)``,
+#: ``(REMOVE_MACHINE, machine_id)``, ``(COMPLETE, (task_id, start_time))``.
+SUBMIT, ADD_MACHINE, REMOVE_MACHINE, COMPLETE = (
+    "submit", "add_machine", "remove_machine", "complete",
+)
+#: Effects an applier returns, in the order the state took them: ``(kind,
+#: task_id)``.  A ``preemption``, ``completion`` or first ``placement`` is
+#: one client notification; a ``restart`` (a migration, or a re-placement
+#: after a preemption) only re-arms the task's completion timer.
+PREEMPTION, COMPLETION, PLACEMENT, RESTART = (
+    "preemption", "completion", "placement", "restart",
+)
+Effect = Tuple[str, int]
+
+
+@dataclass
+class Ledger:
+    """The service's conservation ledger, as of the last applied record.
+
+    Only the two appliers below write it, plus a drain that voids queued
+    submissions: those never reached the log, so they are ``accepted`` and
+    ``rejected`` at once and become durable with the drain's snapshot.
+    Replaying the log therefore rebuilds the ledger the live service
+    held.  It is snapshotted and restored whole.
+    """
+
+    accepted: int = 0
+    placed: int = 0
+    rejected: int = 0
+    preemptions: int = 0
+    completions: int = 0
+    rounds: int = 0
+    degraded_rounds: int = 0
+    #: Tasks that have had their first placement (a re-placement after a
+    #: preemption is not counted twice).
+    placed_ids: Set[int] = field(default_factory=set)
+    #: Idempotency key -> job id, for every admitted keyed submission.
+    idempotency: Dict[str, int] = field(default_factory=dict)
+
+    def to_payload(self) -> Dict[str, Any]:
+        payload = dict(vars(self))
+        payload["placed_ids"] = sorted(self.placed_ids)
+        return payload
+
+    @classmethod
+    def from_payload(cls, payload: Dict[str, Any]) -> "Ledger":
+        """Read a snapshot's ledger; a key that is no field is ignored."""
+        known = {f.name for f in fields(cls)}
+        ledger = cls(**{k: v for k, v in payload.items() if k in known})
+        ledger.placed_ids = set(ledger.placed_ids)
+        return ledger
+
+
+#: Per admission event kind: (to payload, from payload).
+_EVENT_CODECS = {
+    SUBMIT: (
+        lambda sub: {"key": sub[0], "job": _job_to_payload(sub[1])},
+        lambda sub: (sub["key"], _job_from_payload(sub["job"])),
+    ),
+    ADD_MACHINE: (_machine_to_payload, _machine_from_payload),
+    REMOVE_MACHINE: (int, int),
+    COMPLETE: (list, tuple),
+}
+
+#: The grouped ``admit`` format: one list per event kind, which replay
+#: applied in this order.
+_GROUPED_ADMIT = (
+    ("submissions", SUBMIT), ("machines_added", ADD_MACHINE),
+    ("machines_removed", REMOVE_MACHINE), ("completions", COMPLETE),
+)
+
+
+@dataclass
+class AdmitRecord:
+    """One inbox drain: its events in arrival order, admitted at ``now``."""
+
+    now: float
+    events: List[Tuple[str, Any]]
+
+    def to_payload(self) -> Dict[str, Any]:
+        return {
+            "now": self.now,
+            "events": [
+                [kind, _EVENT_CODECS[kind][0](payload)]
+                for kind, payload in self.events
+            ],
+        }
+
+    @classmethod
+    def from_payload(cls, payload: Dict[str, Any]) -> "AdmitRecord":
+        """Read an ``admit`` record, in either format.
+
+        A record without ``events`` is grouped by kind; its events are
+        read submissions first, then added machines, removed machines and
+        completions -- the order its replay has always applied them in.
+        """
+        if "events" in payload:
+            listed = payload["events"]
+        else:
+            listed = [
+                (kind, item) for group, kind in _GROUPED_ADMIT
+                for item in payload[group]
+            ]
+        return cls(payload["now"], [
+            (kind, _EVENT_CODECS[kind][1](item)) for kind, item in listed
+        ])
+
+
+@dataclass
+class RoundRecord:
+    """One applied round: the decision it put on the state, at ``now``."""
+
+    now: float
+    placements: Dict[int, int] = field(default_factory=dict)
+    migrations: Dict[int, int] = field(default_factory=dict)
+    preemptions: List[int] = field(default_factory=list)
+    degraded: bool = False
+
+    @classmethod
+    def of(cls, decision, now: float) -> "RoundRecord":
+        return cls(
+            now, decision.placements, decision.migrations,
+            decision.preemptions, bool(decision.degraded),
+        )
+
+    def to_payload(self) -> Dict[str, Any]:
+        return {
+            "now": self.now,
+            "placements": {str(t): m for t, m in self.placements.items()},
+            "migrations": {str(t): m for t, m in self.migrations.items()},
+            "preemptions": list(self.preemptions),
+            "degraded": self.degraded,
+        }
+
+    @classmethod
+    def from_payload(cls, payload: Dict[str, Any]) -> "RoundRecord":
+        return cls(
+            payload["now"],
+            {int(t): m for t, m in payload["placements"].items()},
+            {int(t): m for t, m in payload["migrations"].items()},
+            list(payload["preemptions"]),
+            payload["degraded"],
+        )
+
+
+def apply_admission(
+    state: ClusterState,
+    ledger: Ledger,
+    record: AdmitRecord,
+    crash: Optional[CrashInjector] = None,
+) -> List[Effect]:
+    """The admission applier: one drained batch onto the state and ledger.
+
+    Events apply in arrival order.  Keys were deduplicated at the front
+    door before anything was logged, so every submission here is new.
+    ``crash`` (live only) is hit at ``mid_drain`` before each event.
+    """
+    now = record.now
+    effects: List[Effect] = []
+    for kind, payload in record.events:
+        if crash is not None:
+            crash.hit("mid_drain")
+        if kind == SUBMIT:
+            key, job = payload
+            state.submit_job(job)
+            ledger.accepted += len(job.tasks)
+            if key is not None:
+                ledger.idempotency[key] = job.job_id
+        elif kind == ADD_MACHINE:
+            state.add_machine(payload)
+        elif kind == REMOVE_MACHINE:
+            evicted = state.fail_machine(payload, now)
+            ledger.preemptions += len(evicted)
+            effects.extend((PREEMPTION, task_id) for task_id in evicted)
+        else:
+            task_id, start_time = payload
+            task = state.tasks.get(task_id)
+            # Stale-completion guard: the timer that fired belongs to this
+            # execution only if the task still runs from the same start.
+            # Preempted/migrated tasks re-arm on re-placement.
+            if task is not None and task.is_running and task.start_time == start_time:
+                state.complete_task(task_id, now)
+                ledger.completions += 1
+                effects.append((COMPLETION, task_id))
+    return effects
+
+
+def apply_round(
+    state: ClusterState,
+    ledger: Ledger,
+    decision,
     now: float,
-) -> Dict[str, Any]:
-    """Build the ``admit`` record payload for one inbox drain."""
-    return {
-        "now": now,
-        "submissions": [
-            {"key": key, "job": _job_to_payload(job)} for key, job in submissions
-        ],
-        "machines_added": [_machine_to_payload(m) for m in machines_added],
-        "machines_removed": list(machines_removed),
-        "completions": [[task_id, start] for task_id, start in completions],
-    }
+    apply: Callable = apply_decision,
+) -> List[Effect]:
+    """The round applier: one round's decision onto the state and ledger.
 
-
-def round_payload(decision, now: float) -> Dict[str, Any]:
-    """Build the ``round`` record payload for one applied decision."""
-    return {
-        "now": now,
-        "placements": {str(t): m for t, m in decision.placements.items()},
-        "migrations": {str(t): m for t, m in decision.migrations.items()},
-        "preemptions": list(decision.preemptions),
-        "degraded": bool(decision.degraded),
-    }
-
-
-# --------------------------------------------------------------------- #
-# The service ledger (durable half of ServiceStats)
-# --------------------------------------------------------------------- #
-def new_ledger() -> Dict[str, Any]:
-    """Conservation counters plus the idempotency and first-placement maps."""
-    return {
-        "accepted": 0,
-        "placed": 0,
-        "rejected": 0,
-        "preemptions": 0,
-        "completions": 0,
-        "rounds": 0,
-        "degraded_rounds": 0,
-        "duplicates": 0,
-        "placed_ids": set(),
-        "idempotency": {},
-    }
-
-
-def _ledger_to_payload(ledger: Dict[str, Any]) -> Dict[str, Any]:
-    payload = dict(ledger)
-    payload["placed_ids"] = sorted(ledger["placed_ids"])
-    payload["idempotency"] = dict(ledger["idempotency"])
-    return payload
-
-
-def _ledger_from_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
-    ledger = new_ledger()
-    ledger.update(payload)
-    ledger["placed_ids"] = set(payload.get("placed_ids", ()))
-    ledger["idempotency"] = dict(payload.get("idempotency", {}))
-    return ledger
+    ``decision`` is the round's :class:`SchedulingDecision` live and its
+    :class:`RoundRecord` on replay.  ``apply`` is the decision applier
+    (:func:`~repro.core.scheduler.apply_decision`), which the live service
+    reaches through its scheduler's ``apply``.
+    """
+    apply(state, decision, now)
+    ledger.rounds += 1
+    ledger.degraded_rounds += bool(decision.degraded)
+    ledger.preemptions += len(decision.preemptions)
+    effects: List[Effect] = [(PREEMPTION, task_id) for task_id in decision.preemptions]
+    for task_id in itertools.chain(decision.migrations, decision.placements):
+        if task_id in ledger.placed_ids:
+            effects.append((RESTART, task_id))
+        else:
+            ledger.placed_ids.add(task_id)
+            ledger.placed += 1
+            effects.append((PLACEMENT, task_id))
+    return effects
 
 
 # --------------------------------------------------------------------- #
@@ -535,11 +643,6 @@ class DurabilityLayer:
             )
         self.sync()
 
-    def crash_point(self, point: str) -> None:
-        """Pass a non-append crash point (``mid_drain``) to the injector."""
-        if self.crash is not None:
-            self.crash.hit(point)
-
     # ------------------------------------------------------------------ #
     # Snapshots
     # ------------------------------------------------------------------ #
@@ -553,7 +656,7 @@ class DurabilityLayer:
     def write_snapshot(
         self,
         state_payload: Dict[str, Any],
-        ledger: Dict[str, Any],
+        ledger: Ledger,
         clock: float,
     ) -> Path:
         """Write a snapshot atomically and rotate to a fresh segment.
@@ -572,7 +675,7 @@ class DurabilityLayer:
                 "barrier_seq": self.seq,
                 "clock": clock,
                 "state": state_payload,
-                "ledger": _ledger_to_payload(ledger),
+                "ledger": ledger.to_payload(),
             },
             separators=(",", ":"),
         ).encode("utf-8")
@@ -645,7 +748,7 @@ class RecoveredState:
     """Everything :func:`recover` reconstructs from the state directory."""
 
     state: ClusterState
-    ledger: Dict[str, Any]
+    ledger: Ledger
     #: Service clock at the last durable record, so a restarted service
     #: resumes its monotonic time instead of rewinding to zero.
     clock: float = 0.0
@@ -653,62 +756,8 @@ class RecoveredState:
     epoch: int = 0
     snapshot_epoch: int = 0
     replayed_records: int = 0
-    duplicates_dropped: int = 0
     torn_tail_dropped: bool = False
     snapshots_skipped: int = 0
-
-
-def _replay_admit(state: ClusterState, ledger: Dict[str, Any], record: Dict[str, Any]) -> int:
-    """Re-apply one admission batch; returns duplicates dropped."""
-    now = record["now"]
-    duplicates = 0
-    for submission in record["submissions"]:
-        key = submission.get("key")
-        if key is not None and key in ledger["idempotency"]:
-            duplicates += 1
-            ledger["duplicates"] += 1
-            continue
-        job = _job_from_payload(submission["job"])
-        state.submit_job(job)
-        ledger["accepted"] += len(job.tasks)
-        if key is not None:
-            ledger["idempotency"][key] = job.job_id
-    for machine_payload in record["machines_added"]:
-        state.add_machine(_machine_from_payload(machine_payload))
-    for machine_id in record["machines_removed"]:
-        evicted = state.fail_machine(machine_id, now)
-        ledger["preemptions"] += len(evicted)
-    for task_id, start in record["completions"]:
-        task = state.tasks.get(task_id)
-        # Same stale-completion guard as the live path: the timer firing
-        # belongs to this execution only if the task still runs from the
-        # recorded start.
-        if task is not None and task.is_running and task.start_time == start:
-            state.complete_task(task_id, now)
-            ledger["completions"] += 1
-    return duplicates
-
-
-def _replay_round(state: ClusterState, ledger: Dict[str, Any], record: Dict[str, Any]) -> None:
-    """Re-apply one round's logged effects (preempt, migrate, place)."""
-    now = record["now"]
-    for task_id in record["preemptions"]:
-        state.preempt_task(task_id, now)
-        ledger["preemptions"] += 1
-    started: List[int] = []
-    for task_id, machine_id in record["migrations"].items():
-        state.migrate_task(int(task_id), machine_id, now)
-        started.append(int(task_id))
-    for task_id, machine_id in record["placements"].items():
-        state.place_task(int(task_id), machine_id, now)
-        started.append(int(task_id))
-    for task_id in started:
-        if task_id not in ledger["placed_ids"]:
-            ledger["placed_ids"].add(task_id)
-            ledger["placed"] += 1
-    ledger["rounds"] += 1
-    if record["degraded"]:
-        ledger["degraded_rounds"] += 1
 
 
 def recover(state_dir) -> RecoveredState:
@@ -735,7 +784,7 @@ def recover(state_dir) -> RecoveredState:
         raise RecoveryError(f"every snapshot in {directory} is corrupt")
 
     state = restore_cluster_state(chosen["state"])
-    ledger = _ledger_from_payload(chosen["ledger"])
+    ledger = Ledger.from_payload(chosen["ledger"])
     recovered = RecoveredState(
         state=state,
         ledger=ledger,
@@ -757,11 +806,10 @@ def recover(state_dir) -> RecoveredState:
                 continue
             try:
                 if record["kind"] == "admit":
-                    recovered.duplicates_dropped += _replay_admit(
-                        state, ledger, record
-                    )
+                    apply_admission(state, ledger, AdmitRecord.from_payload(record))
                 elif record["kind"] == "round":
-                    _replay_round(state, ledger, record)
+                    decided = RoundRecord.from_payload(record)
+                    apply_round(state, ledger, decided, decided.now)
                 else:
                     raise RecoveryError(f"unknown record kind {record['kind']!r}")
             except (KeyError, ValueError) as error:

@@ -23,9 +23,13 @@ Everything runs on one asyncio event loop except the solver:
   round just failed to place -- is *deferred*: it rides along with the next
   triggered round, or is looked at after ``round_interval`` at the latest,
   which is also what keeps a full cluster from spinning.  An idle service
-  runs no rounds.  The round drains the inbox, turning every queued record
-  into ordinary :class:`ClusterState` mutations (``submit_job``,
-  ``add_machine``, ``fail_machine``, ``complete_task``).  The state's
+  runs no rounds.  The round drains the inbox into one admission record,
+  which :func:`~repro.service.durability.apply_admission` turns into
+  ordinary :class:`ClusterState` mutations (``submit_job``,
+  ``add_machine``, ``fail_machine``, ``complete_task``) in arrival order;
+  a decision reaches the state through
+  :func:`~repro.service.durability.apply_round`.  Recovery replays the log
+  with the same two appliers.  The state's
   :class:`~repro.cluster.state.DirtyTracker` picks the mutations up exactly
   as it does under the simulator, so the scheduler's incremental path keeps
   its O(|changes|) admission cost.  If tasks are pending the solver then
@@ -54,9 +58,11 @@ snapshot and at final drain::
 where *placed* counts tasks that received their first placement, *pending*
 counts accepted tasks still waiting (queued in the inbox or unplaced in
 the state), and *rejected* counts accepted tasks voided by a drain before
-admission.  ``stats`` recomputes the right-hand side from the actual
-cluster state and reports ``conserved`` so clients (and the SLO benchmark)
-can verify the law end to end, mirroring the simulator's
+admission.  The counters live in one
+:class:`~repro.service.durability.Ledger` that only the appliers write
+(and a drain's voids); ``stats`` recomputes *pending* from the actual
+cluster state and reports ``conserved`` so clients (and the SLO
+benchmark) can verify the law end to end, mirroring the simulator's
 ``verify_placement_conservation``.
 
 Durability (optional)
@@ -64,20 +70,26 @@ Durability (optional)
 
 With a :class:`~repro.service.durability.DurabilityLayer` attached, the
 conservation law survives ``kill -9`` and power loss under one rule:
-*appended before effects, synced before release*.  Every inbox drain
-appends one ``admit`` record before the batch mutates the state and every
-applied round appends one ``round`` record right after the in-memory
-apply; neither append waits for the disk.  The round's single ``fsync``
-covers both (group commit), and **release** -- the one point per round
-where the outbox is handed to the client queues -- comes only after it
-has returned, so no client ever hears of an effect a crash could take
-back.  A sync that fails releases nothing and ends the round loop with
-the error.  A service without a state directory takes the same outbox →
-release route with nothing to sync.  Snapshots rotate the log and are
+*appended before effects, synced before release*.  The log is how the
+service changes state: every inbox drain appends one ``admit`` record
+before the admission applier runs it, and every round -- a round whose
+solve raised included, as an empty ``degraded`` one -- appends one
+``round`` record right after the round applier put it on the state;
+neither append waits for the disk.  Replaying the log runs the same
+appliers in the same order, so ``recover()`` rebuilds the state and
+ledger the service held at its last durable record.  The round's single
+``fsync`` covers both (group commit), and **release** -- the one point
+per round where the outbox is handed to the client queues -- comes only
+after it has returned, so no client ever hears of an effect a crash
+could take back.  A sync that fails releases nothing and ends the round
+loop with the error.  A service without a state directory takes the same
+outbox → release route with nothing to sync.  Snapshots rotate the log and are
 taken after the release, once the writers have had a loop turn.
 Submissions carry optional client-supplied idempotency ``key``s; a
 duplicate key gets the original ack back (``duplicate: true``) instead of
 a second job, which is what lets clients blindly resubmit across a crash.
+A duplicate changes no state and is logged nowhere: the ``ledger`` op's
+``duplicates`` counts this process's, like ``evicted_clients``.
 The ``stats`` counters are in-memory readings and may run one in-flight
 round ahead of the disk (a completion is counted when its batch is
 applied, before the solve the round then awaits); the ``ledger`` op never
@@ -112,6 +124,7 @@ Responses/events::
 from __future__ import annotations
 
 import asyncio
+import itertools
 import json
 import time
 from collections import deque
@@ -121,12 +134,23 @@ from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 from repro.cluster.machine import Machine
 from repro.cluster.state import ClusterState
 from repro.cluster.task import Job, JobType, Task
+from repro.core.scheduler import apply_decision
 from repro.service.durability import (
+    ADD_MACHINE,
+    COMPLETE,
+    COMPLETION,
+    PLACEMENT,
+    REMOVE_MACHINE,
+    RESTART,
+    SUBMIT,
+    AdmitRecord,
     DurabilityLayer,
+    Effect,
+    Ledger,
     RecoveredState,
-    admit_payload,
-    new_ledger,
-    round_payload,
+    RoundRecord,
+    apply_admission,
+    apply_round,
     snapshot_cluster_state,
 )
 
@@ -175,15 +199,15 @@ class ServiceConfig:
 
 @dataclass
 class ServiceStats:
-    """Conservation counters plus round observability."""
+    """What this process saw at its front door and in its round loop.
 
-    accepted: int = 0
-    placed: int = 0
-    rejected: int = 0
-    rounds: int = 0
-    degraded_rounds: int = 0
-    preemptions: int = 0
-    completions: int = 0
+    None of it is durable: the conservation counters are the
+    :class:`~repro.service.durability.Ledger`, which the log rebuilds.
+    """
+
+    #: Keyed resubmissions answered with their original ack (a refused
+    #: duplicate changes no state, so it leaves no record).
+    duplicates: int = 0
     evicted_clients: int = 0
     #: Pacing: rounds that ran the solver, inbox drains that had records to
     #: apply and how many, and wall seconds spent inside rounds (drain to
@@ -192,35 +216,6 @@ class ServiceStats:
     drains: int = 0
     events_admitted: int = 0
     round_busy_seconds: float = 0.0
-
-    def pending(self) -> int:
-        """Accepted tasks not yet placed nor voided (the derived leg)."""
-        return self.accepted - self.placed - self.rejected
-
-    def snapshot(self, pending_actual: int) -> Dict[str, Any]:
-        """Stats payload with the conservation law checked against reality.
-
-        Args:
-            pending_actual: Pending count recomputed from the inbox and the
-                cluster state, independently of the incremental counters.
-        """
-        return {
-            "accepted": self.accepted,
-            "placed": self.placed,
-            "pending": pending_actual,
-            "rejected": self.rejected,
-            "conserved": self.accepted
-            == self.placed + pending_actual + self.rejected,
-            "rounds": self.rounds,
-            "degraded_rounds": self.degraded_rounds,
-            "preemptions": self.preemptions,
-            "completions": self.completions,
-            "evicted_clients": self.evicted_clients,
-            "solver_rounds": self.solver_rounds,
-            "drains": self.drains,
-            "events_admitted": self.events_admitted,
-            "round_busy_seconds": round(self.round_busy_seconds, 6),
-        }
 
 
 @dataclass
@@ -232,12 +227,6 @@ class _Client:
     queue: asyncio.Queue = field(default_factory=asyncio.Queue)
     writer_task: Optional[asyncio.Task] = None
     evicted: bool = False
-
-
-#: Inbox record kinds, applied in arrival order at the round boundary.
-_SUBMIT, _ADD_MACHINE, _REMOVE_MACHINE, _COMPLETE = (
-    "submit", "add_machine", "remove_machine", "complete",
-)
 
 
 class SchedulerService:
@@ -255,9 +244,10 @@ class SchedulerService:
             (the default) keeps the PR 9 in-memory-only behaviour.
         recovered: Output of :func:`repro.service.durability.recover` to
             resume from.  ``state`` must be ``recovered.state``; the
-            ledger reseeds the conservation counters, the idempotency
-            map, and the service clock, so ``accepted == placed +
-            pending + rejected`` holds across the crash boundary.
+            service continues ``recovered.ledger`` (conservation counters,
+            first placements, idempotency keys) and its clock, so
+            ``accepted == placed + pending + rejected`` holds across the
+            crash boundary.
     """
 
     def __init__(
@@ -272,6 +262,8 @@ class SchedulerService:
         self.scheduler = scheduler
         self.config = config or ServiceConfig()
         self.stats = ServiceStats()
+        #: Written only by the appliers (and by a drain's voids).
+        self.ledger = recovered.ledger if recovered is not None else Ledger()
         self._durability = durability
         self._recovered = recovered
         self._server: Optional[asyncio.AbstractServer] = None
@@ -293,15 +285,11 @@ class SchedulerService:
         #: Entries survive their client's eviction: the client is gone from
         #: ``_clients``, so its notifications are simply dropped.
         self._task_owner: Dict[int, int] = {}
-        #: Tasks that have received their first placement (so re-placements
-        #: after preemption are not double counted).
-        self._placed_ids: Set[int] = set()
-        #: Idempotency key -> (job_id, task_ids) for every accepted
-        #: submission that carried a key; consulted at the front door so a
-        #: resubmission (same client retrying, or a reconnect after a
-        #: crash) gets the original ack instead of a second job.
-        self._idempotency: Dict[str, Tuple[int, List[int]]] = {}
-        self._duplicates = 0
+        #: Idempotency key -> job for the keyed submissions still in the
+        #: inbox; with the ledger's admitted keys, what the front door
+        #: consults so a resubmission (same client retrying, or a
+        #: reconnect after a crash) gets the original ack, not a second job.
+        self._queued_keys: Dict[str, Job] = {}
         #: Whether the inbox holds a record that can change a decision by
         #: itself (anything but a completion); cleared by the drain.
         self._decision_queued = False
@@ -314,22 +302,6 @@ class SchedulerService:
         self._stopped = asyncio.Event()
         self._t0 = time.monotonic()
         if recovered is not None:
-            ledger = recovered.ledger
-            self.stats.accepted = ledger["accepted"]
-            self.stats.placed = ledger["placed"]
-            self.stats.rejected = ledger["rejected"]
-            self.stats.rounds = ledger["rounds"]
-            self.stats.degraded_rounds = ledger["degraded_rounds"]
-            self.stats.preemptions = ledger["preemptions"]
-            self.stats.completions = ledger["completions"]
-            self._duplicates = ledger["duplicates"]
-            self._placed_ids = set(ledger["placed_ids"])
-            for key, job_id in ledger["idempotency"].items():
-                job = state.jobs.get(job_id)
-                if job is not None:
-                    self._idempotency[key] = (
-                        job_id, [task.task_id for task in job.tasks]
-                    )
             # Resume the service clock where the log ended, so recorded
             # times stay monotonic across the restart.
             self._t0 = time.monotonic() - recovered.clock
@@ -522,17 +494,18 @@ class SchedulerService:
         elif op == "ledger":
             # Per-idempotency-key placement ledger, for the recovery
             # harness to compare a recovered service against its oracle.
-            keys = {
-                key: {
-                    "job_id": job_id,
+            keys = {}
+            for key in itertools.chain(self.ledger.idempotency, self._queued_keys):
+                job = self._keyed_job(key)
+                task_ids = [task.task_id for task in job.tasks]
+                keys[key] = {
+                    "job_id": job.job_id,
                     "task_ids": task_ids,
-                    "placed": [t for t in task_ids if t in self._placed_ids],
+                    "placed": [t for t in task_ids if t in self.ledger.placed_ids],
                 }
-                for key, (job_id, task_ids) in self._idempotency.items()
-            }
             self._notify(client.client_id, {
                 "event": "ledger", "id": req_id, "keys": keys,
-                "duplicates": self._duplicates,
+                "duplicates": self.stats.duplicates,
             })
         elif op == "shutdown":
             payload = self._stats_snapshot()
@@ -563,12 +536,13 @@ class SchedulerService:
                 "error": "key must be a string",
             })
             return
-        if key is not None and key in self._idempotency:
+        known = None if key is None else self._keyed_job(key)
+        if known is not None:
             # Duplicate submission (a retry, or a resubmit across a
             # crash): return the *original* ack so the client can resume
             # waiting on the surviving tasks; nothing is accepted twice.
-            job_id, task_ids = self._idempotency[key]
-            self._duplicates += 1
+            job_id, task_ids = known.job_id, [task.task_id for task in known.tasks]
+            self.stats.duplicates += 1
             for task_id in task_ids:
                 # Notifications for the job now route to the resubmitting
                 # connection (the original owner is usually gone) -- for
@@ -580,7 +554,7 @@ class SchedulerService:
                 "event": "ack", "id": req_id, "job_id": job_id,
                 "accepted": 0, "duplicate": True, "task_ids": task_ids,
                 "placed_task_ids": [
-                    t for t in task_ids if t in self._placed_ids
+                    t for t in task_ids if t in self.ledger.placed_ids
                 ],
             })
             return
@@ -620,10 +594,9 @@ class SchedulerService:
             job.add_task(task)
             task_ids.append(task.task_id)
             self._task_owner[task.task_id] = client.client_id
-        self.stats.accepted += num_tasks
         if key is not None:
-            self._idempotency[key] = (job.job_id, list(task_ids))
-        self._enqueue(_SUBMIT, (key, job))
+            self._queued_keys[key] = job
+        self._enqueue(SUBMIT, (key, job))
         self._notify(client.client_id, {
             "event": "ack", "id": req_id, "job_id": job.job_id,
             "accepted": num_tasks, "task_ids": task_ids,
@@ -654,7 +627,7 @@ class SchedulerService:
                     template.network_bandwidth_mbps if template else 10_000
                 ),
             )
-            self._enqueue(_ADD_MACHINE, machine)
+            self._enqueue(ADD_MACHINE, machine)
             machine_ids.append(machine_id)
         self._notify(client.client_id, {
             "event": "ack", "id": req_id, "machine_ids": machine_ids,
@@ -670,7 +643,7 @@ class SchedulerService:
                 "error": f"unknown machine: {machine_id!r}",
             })
             return
-        self._enqueue(_REMOVE_MACHINE, machine_id)
+        self._enqueue(REMOVE_MACHINE, machine_id)
         self._notify(client.client_id, {
             "event": "ack", "id": req_id, "machine_id": machine_id,
         })
@@ -766,9 +739,9 @@ class SchedulerService:
     # Round loop
     # ------------------------------------------------------------------ #
     def _enqueue(self, kind: str, payload: Any) -> None:
-        """Queue an admission record and wake the round loop."""
+        """Queue an admission event and wake the round loop."""
         self._inbox.append((kind, payload))
-        if kind != _COMPLETE:
+        if kind != COMPLETE:
             self._decision_queued = True
         self._wake.set()
 
@@ -837,15 +810,21 @@ class SchedulerService:
                     None, self.scheduler.schedule, self.state, now
                 )
             except Exception as error:  # solver died: degrade, carry on
-                self.stats.rounds += 1
-                self.stats.degraded_rounds += 1
+                # An empty degraded round, logged like any other, so the
+                # recovered ledger counts it too.
+                self._apply_round(RoundRecord(now, degraded=True), now, apply_decision)
                 self._progressed = False
                 self._broadcast({
                     "event": "error",
                     "error": f"scheduling round failed: {error}",
                 })
             else:
-                self._apply_round(decision, now)
+                self._apply_round(decision, now, self.scheduler.apply)
+                solved = decision.solver_result
+                self._progressed = bool(
+                    decision.placements or decision.migrations or decision.preemptions
+                    or (solved is not None and solved.statistics.cross_cell_migrations)
+                )
         self._release()
         if self._durability is not None and self._durability.should_snapshot():
             # The snapshot blocks the loop for milliseconds: give the
@@ -857,7 +836,7 @@ class SchedulerService:
         self.stats.round_busy_seconds += time.monotonic() - busy_from
 
     def _drain_inbox(self, now: float) -> None:
-        """Apply every queued admission record as state mutations.
+        """Admit every queued event: one ``admit`` record, then its applier.
 
         With durability attached, the whole batch is appended to the
         write-ahead log as one ``admit`` record *before* any of it mutates
@@ -870,71 +849,39 @@ class SchedulerService:
         """
         if not self._inbox:
             return
-        batch = list(self._inbox)
+        record = AdmitRecord(now, list(self._inbox))
         self._inbox.clear()
+        self._queued_keys.clear()
         self._decision_queued = False
         self.stats.drains += 1
-        self.stats.events_admitted += len(batch)
-        if self._durability is not None and self._durability.active:
-            self._durability.log_admission(admit_payload(
-                submissions=[p for k, p in batch if k == _SUBMIT],
-                machines_added=[p for k, p in batch if k == _ADD_MACHINE],
-                machines_removed=[p for k, p in batch if k == _REMOVE_MACHINE],
-                completions=[p for k, p in batch if k == _COMPLETE],
-                now=now,
-            ))
-        for kind, payload in batch:
-            if self._durability is not None:
-                self._durability.crash_point("mid_drain")
-            if kind == _SUBMIT:
-                _key, job = payload
-                self.state.submit_job(job)
-            elif kind == _ADD_MACHINE:
-                self.state.add_machine(payload)
-            elif kind == _REMOVE_MACHINE:
-                evicted = self.state.fail_machine(payload, now)
-                for task_id in evicted:
-                    self.stats.preemptions += 1
-                    task = self.state.tasks[task_id]
-                    self._emit(self._task_owner.get(task_id, -1), {
-                        "event": "preemption", "task_id": task_id,
-                        "job_id": task.job_id,
-                    })
-            elif kind == _COMPLETE:
-                task_id, start_time = payload
-                task = self.state.tasks.get(task_id)
-                # Stale-completion guard: the timer that fired belongs to
-                # this execution only if the task still runs from the same
-                # start.  Preempted/migrated tasks re-arm on re-placement.
-                if (
-                    task is not None
-                    and task.is_running
-                    and task.start_time == start_time
-                ):
-                    self.state.complete_task(task_id, now)
-                    self.stats.completions += 1
-                    # The task's last notification: its owner entry goes.
-                    self._emit(self._task_owner.pop(task_id, -1), {
-                        "event": "completion", "task_id": task_id,
-                        "job_id": task.job_id,
-                    })
+        self.stats.events_admitted += len(record.events)
+        log = self._durability
+        if log is not None and log.active:
+            log.log_admission(record.to_payload())
+        crash = None if log is None else log.crash
+        self._hold(apply_admission(self.state, self.ledger, record, crash), now)
 
     def _void_queued_submissions(self) -> None:
-        """Reject accepted-but-unadmitted submissions during drain."""
+        """Reject accepted-but-unadmitted submissions during drain.
+
+        They never reached the log, so the ledger takes them as accepted
+        and rejected at once; the drain's final snapshot makes that
+        durable, and a crash before it loses both legs together.
+        """
         kept: Deque[Tuple[str, Any]] = deque()
         while self._inbox:
             kind, payload = self._inbox.popleft()
-            if kind != _SUBMIT:
+            if kind != SUBMIT:
                 kept.append((kind, payload))
                 continue
             key, job = payload
-            if key is not None:
-                # The job never became durable: forget its key so a
-                # resubmission after restart is accepted, not deduped
-                # into a job that does not exist.
-                self._idempotency.pop(key, None)
+            # The job never became durable: forget its key so a
+            # resubmission after restart is accepted, not deduped into a
+            # job that does not exist.
+            self._queued_keys.pop(key, None)
             task_ids = [task.task_id for task in job.tasks]
-            self.stats.rejected += len(task_ids)
+            self.ledger.accepted += len(task_ids)
+            self.ledger.rejected += len(task_ids)
             owner = self._task_owner.get(task_ids[0], -1) if task_ids else -1
             for task_id in task_ids:
                 self._task_owner.pop(task_id, None)
@@ -943,47 +890,41 @@ class SchedulerService:
             })
         self._inbox = kept
 
-    def _apply_round(self, decision, now: float) -> None:
-        """Apply a decision, arm completion timers, hold its notifications.
+    def _apply_round(self, decision, now: float, apply) -> None:
+        """Apply a round with the round applier, log it, hold its effects.
 
         The round's WAL record is appended -- and the round's records
-        synced -- *after* the in-memory apply; the notifications go to the
-        outbox, which the caller releases next.  A crash anywhere before
-        the release loses at most effects no client was told about.
+        synced -- *after* the in-memory apply, so only a decision the state
+        accepted is logged; the notifications go to the outbox, which the
+        caller releases next.  A crash anywhere before the release loses
+        at most effects no client was told about.
         """
-        loop = asyncio.get_running_loop()
-        self.scheduler.apply(self.state, decision, now)
+        effects = apply_round(self.state, self.ledger, decision, now, apply)
         if self._durability is not None and self._durability.active:
-            self._durability.log_round(round_payload(decision, now))
-        self.stats.rounds += 1
-        if decision.degraded:
-            self.stats.degraded_rounds += 1
-        solved = decision.solver_result
-        self._progressed = bool(
-            decision.placements or decision.migrations or decision.preemptions
-            or (solved is not None and solved.statistics.cross_cell_migrations)
-        )
-        for task_id in decision.preemptions:
-            self.stats.preemptions += 1
+            self._durability.log_round(RoundRecord.of(decision, now).to_payload())
+        self._hold(effects, now)
+
+    def _hold(self, effects: List[Effect], now: float) -> None:
+        """An applier's effects as held notifications and completion timers."""
+        loop = asyncio.get_running_loop()
+        for kind, task_id in effects:
             task = self.state.tasks[task_id]
-            self._emit(self._task_owner.get(task_id, -1), {
-                "event": "preemption", "task_id": task_id,
-                "job_id": task.job_id,
-            })
-        started = list(decision.placements.items()) + list(
-            decision.migrations.items()
-        )
-        for task_id, machine_id in started:
-            task = self.state.tasks[task_id]
-            if task_id not in self._placed_ids:
-                self._placed_ids.add(task_id)
-                self.stats.placed += 1
-                self._emit(self._task_owner.get(task_id, -1), {
-                    "event": "placement", "task_id": task_id,
-                    "job_id": task.job_id, "machine_id": machine_id,
+            if kind == COMPLETION:
+                # The task's last notification: its owner entry goes.
+                owner = self._task_owner.pop(task_id, -1)
+            else:
+                owner = self._task_owner.get(task_id, -1)
+            if kind == PLACEMENT:
+                self._emit(owner, {
+                    "event": kind, "task_id": task_id, "job_id": task.job_id,
+                    "machine_id": task.machine_id,
                     "latency": round(now - task.submit_time, 6),
                 })
-            if task.duration is not None:
+            elif kind != RESTART:
+                self._emit(owner, {
+                    "event": kind, "task_id": task_id, "job_id": task.job_id,
+                })
+            if kind in (PLACEMENT, RESTART) and task.duration is not None:
                 # Completion timer for this execution; a stale timer from a
                 # previous execution is neutralised by the start_time guard.
                 loop.call_later(
@@ -996,7 +937,7 @@ class SchedulerService:
     def _enqueue_completion(self, task_id: int, start_time: float) -> None:
         if self._stopped.is_set():
             return
-        self._enqueue(_COMPLETE, (task_id, start_time))
+        self._enqueue(COMPLETE, (task_id, start_time))
 
     def _broadcast(self, payload: Dict[str, Any]) -> None:
         for client_id in list(self._clients):
@@ -1006,8 +947,39 @@ class SchedulerService:
     # Conservation
     # ------------------------------------------------------------------ #
     def _stats_snapshot(self) -> Dict[str, Any]:
-        """The ``stats`` payload: the ledger, pacing and (durable) the log."""
-        payload = self.stats.snapshot(self._pending_actual())
+        """The ``stats`` payload: the ledger, pacing and (durable) the log.
+
+        ``accepted`` adds the queued submissions to the ledger's.
+        ``pending`` is recomputed from reality (queued tasks plus live
+        tasks with no first placement), before and after recovery alike.
+        """
+        ledger, stats = self.ledger, self.stats
+        queued = sum(
+            len(payload[1].tasks) for kind, payload in self._inbox if kind == SUBMIT
+        )
+        accepted = ledger.accepted + queued
+        # Live tasks only: a completed task was placed first, so it could
+        # never count here, and ``state.tasks`` keeps all of history.
+        pending = queued + sum(
+            1 for task in self.state.live_tasks()
+            if task.task_id not in ledger.placed_ids
+        )
+        payload = {
+            "accepted": accepted,
+            "placed": ledger.placed,
+            "pending": pending,
+            "rejected": ledger.rejected,
+            "conserved": accepted == ledger.placed + pending + ledger.rejected,
+            "rounds": ledger.rounds,
+            "degraded_rounds": ledger.degraded_rounds,
+            "preemptions": ledger.preemptions,
+            "completions": ledger.completions,
+            "evicted_clients": stats.evicted_clients,
+            "solver_rounds": stats.solver_rounds,
+            "drains": stats.drains,
+            "events_admitted": stats.events_admitted,
+            "round_busy_seconds": round(stats.round_busy_seconds, 6),
+        }
         log = self._durability
         if log is not None:
             payload["wal_records"] = log.records_appended
@@ -1016,64 +988,17 @@ class SchedulerService:
             payload["wal_snapshots"] = log.snapshots_written
         return payload
 
-    def _pending_actual(self) -> int:
-        """Recompute pending from reality (inbox + unplaced state tasks).
-
-        Derived from the cluster state rather than the per-connection
-        owner map: owners do not survive a crash, but every accepted task
-        that reached the state and never got its first placement is by
-        definition still pending, before and after recovery alike.
-        """
-        queued = sum(
-            len(payload[1].tasks)
-            for kind, payload in self._inbox
-            if kind == _SUBMIT
-        )
-        # Live tasks only: a completed task was placed first, so it could
-        # never count here, and ``state.tasks`` keeps all of history.
-        unplaced = sum(
-            1
-            for task in self.state.live_tasks()
-            if task.task_id not in self._placed_ids
-        )
-        return queued + unplaced
+    def _keyed_job(self, key: str) -> Optional[Job]:
+        """The job an idempotency key names: admitted, or still queued."""
+        job_id = self.ledger.idempotency.get(key)
+        return self._queued_keys.get(key) if job_id is None else self.state.jobs[job_id]
 
     # ------------------------------------------------------------------ #
     # Durability
     # ------------------------------------------------------------------ #
-    def _build_ledger(self) -> Dict[str, Any]:
-        """The durable half of the counters, as of the last WAL record.
-
-        Submissions still queued in the inbox were acked but not yet
-        logged, so they are excluded from the durable ``accepted`` leg
-        (and their idempotency keys from the durable map): after a crash
-        they are exactly the work clients must resubmit.
-        """
-        queued = sum(
-            len(payload[1].tasks)
-            for kind, payload in self._inbox
-            if kind == _SUBMIT
-        )
-        ledger = new_ledger()
-        ledger["accepted"] = self.stats.accepted - queued
-        ledger["placed"] = self.stats.placed
-        ledger["rejected"] = self.stats.rejected
-        ledger["preemptions"] = self.stats.preemptions
-        ledger["completions"] = self.stats.completions
-        ledger["rounds"] = self.stats.rounds
-        ledger["degraded_rounds"] = self.stats.degraded_rounds
-        ledger["duplicates"] = self._duplicates
-        ledger["placed_ids"] = set(self._placed_ids)
-        ledger["idempotency"] = {
-            key: job_id
-            for key, (job_id, _task_ids) in self._idempotency.items()
-            if job_id in self.state.jobs
-        }
-        return ledger
-
     def _write_snapshot(self) -> None:
+        # The ledger holds what the log admitted, never the inbox: after a
+        # crash, queued submissions are exactly what clients resubmit.
         self._durability.write_snapshot(
-            snapshot_cluster_state(self.state),
-            self._build_ledger(),
-            clock=self.now(),
+            snapshot_cluster_state(self.state), self.ledger, clock=self.now()
         )

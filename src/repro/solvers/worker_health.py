@@ -86,10 +86,6 @@ class WorkerCircuitBreaker:
     def is_closed(self) -> bool:
         return self.state == BREAKER_CLOSED
 
-    @property
-    def rounds_seen(self) -> int:
-        return self._rounds_seen
-
     def note_round(self) -> None:
         """Advance the breaker's round clock; call once per executor round."""
         self._rounds_seen += 1

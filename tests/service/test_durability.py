@@ -30,7 +30,7 @@ from repro.service import (
     restore_cluster_state,
     snapshot_cluster_state,
 )
-from repro.service.durability import new_ledger, read_segment
+from repro.service.durability import Ledger, read_segment
 from tests.conftest import make_cluster_state, make_job
 
 _HEADER = struct.Struct("<II")
@@ -44,7 +44,7 @@ def make_layer(tmp_path, **kwargs) -> DurabilityLayer:
 def bootstrap(layer: DurabilityLayer, state=None) -> None:
     """Write the initial snapshot so the log accepts appends."""
     state = state or make_cluster_state(num_machines=2)
-    layer.write_snapshot(snapshot_cluster_state(state), new_ledger(), clock=0.0)
+    layer.write_snapshot(snapshot_cluster_state(state), Ledger(), clock=0.0)
 
 
 class TestFraming:
@@ -221,15 +221,15 @@ class TestInProcessCrashEquivalence:
                 if event.get("event") == "placement":
                     placed.add(event["task_id"])
             captured = snapshot_cluster_state(service.state)
-            stats = service.stats
+            stats = service.ledger
             abandon(service)
             writer.close()
 
             recovered = recover(tmp_path / "state")
             assert recovered.state == restore_cluster_state(captured)
-            assert recovered.ledger["accepted"] == stats.accepted == 6
-            assert recovered.ledger["placed"] == stats.placed == 6
-            assert recovered.ledger["idempotency"] == {"a": ack["job_id"]}
+            assert recovered.ledger.accepted == stats.accepted == 6
+            assert recovered.ledger.placed == stats.placed == 6
+            assert recovered.ledger.idempotency == {"a": ack["job_id"]}
 
         run(scenario())
 

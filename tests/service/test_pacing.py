@@ -43,7 +43,7 @@ def test_an_idle_service_runs_no_rounds():
         try:
             await asyncio.sleep(0.2)  # twenty intervals of the old floor
             stats = service.stats
-            assert (stats.rounds, stats.solver_rounds, stats.drains) == (0, 0, 0)
+            assert (service.ledger.rounds, stats.solver_rounds, stats.drains) == (0, 0, 0)
             assert stats.round_busy_seconds == 0.0
         finally:
             await service.stop()
@@ -63,7 +63,7 @@ def test_back_to_back_submissions_do_not_wait_for_the_interval():
                 for _ in range(2):
                     await asyncio.wait_for(recv_until(reader, "placement"), 1.0)
             assert time.monotonic() - started < 1.0
-            assert service.stats.rounds == 2
+            assert service.ledger.rounds == 2
             writer.close()
         finally:
             await service.stop()
@@ -89,8 +89,8 @@ def test_completion_with_nothing_pending_is_deferred_not_solved():
             # Deferred for the interval (not solved at once), and no longer.
             assert 0.01 + interval * 0.5 < waited < 0.01 + interval + 0.5
             stats = service.stats
-            assert (stats.rounds, stats.solver_rounds) == (1, 1)
-            assert (stats.drains, stats.completions) == (2, 1)
+            assert (service.ledger.rounds, stats.solver_rounds) == (1, 1)
+            assert (stats.drains, service.ledger.completions) == (2, 1)
             assert service.state.num_live_tasks == 0
             writer.close()
         finally:
@@ -133,9 +133,9 @@ def test_unplaceable_pending_tasks_retry_once_per_interval_at_most():
             for _ in range(4):
                 await recv_until(reader, "placement")
             await asyncio.sleep(2 * interval)  # the follow-up round is over
-            before, window = service.stats.rounds, 0.5
+            before, window = service.ledger.rounds, 0.5
             await asyncio.sleep(window)
-            retries = service.stats.rounds - before
+            retries = service.ledger.rounds - before
             # It keeps looking (a slot may free up outside its view) ...
             assert retries >= 2
             # ... but a full cluster cannot make the loop spin.

@@ -43,7 +43,7 @@ from repro.service import (
     recover,
     snapshot_cluster_state,
 )
-from repro.service.durability import new_ledger
+from repro.service.durability import Ledger
 from tests.conftest import make_cluster_state
 
 ROUND_EFFECTS = ("placement", "preemption", "completion")
@@ -148,7 +148,7 @@ class Watch:
         if task is None:
             return "task unknown"
         if payload["event"] == "placement":
-            if payload["task_id"] not in recovered.ledger["placed_ids"]:
+            if payload["task_id"] not in recovered.ledger.placed_ids:
                 return "not in the placed ledger"
             if not task.is_running or task.machine_id != payload["machine_id"]:
                 return f"recovered as {task.state} on {task.machine_id}"
@@ -157,7 +157,7 @@ class Watch:
                 return f"recovered as {task.state}"
         else:
             self._preemptions += 1
-            if recovered.ledger["preemptions"] < self._preemptions:
+            if recovered.ledger.preemptions < self._preemptions:
                 return "preemption not in the ledger"
         return None
 
@@ -368,7 +368,7 @@ def test_appends_do_not_sync_and_one_sync_covers_them(tmp_path, monkeypatch):
     disk = Disk(monkeypatch)
     layer = DurabilityLayer(tmp_path / "state", fsync=True)
     state_payload = snapshot_cluster_state(make_cluster_state(num_machines=2))
-    layer.write_snapshot(state_payload, new_ledger(), clock=0.0)
+    layer.write_snapshot(state_payload, Ledger(), clock=0.0)
     admit = {"now": 1.0, "submissions": [], "machines_added": [],
              "machines_removed": [], "completions": []}
     layer.log_admission(admit)
@@ -385,7 +385,7 @@ def test_appends_do_not_sync_and_one_sync_covers_them(tmp_path, monkeypatch):
     assert (layer.synced_seq, layer.syncs, disk.segment_syncs) == (3, 2, 2)
     layer.log_admission(admit)
     # Rotation never leaves an unsynced tail behind.
-    layer.write_snapshot(state_payload, new_ledger(), clock=3.0)
+    layer.write_snapshot(state_payload, Ledger(), clock=3.0)
     assert disk.synced_length(segment) == segment.stat().st_size
     assert (layer.records_appended, layer.syncs, layer.snapshots_written) == (4, 3, 2)
     assert layer.bytes_appended == segment.stat().st_size

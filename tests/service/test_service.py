@@ -109,7 +109,7 @@ class TestSubmissionStreaming:
                     await recv_until(reader, "placement")
                 writer.close()
                 # 6 jobs, two rounds: the held one, and one for the rest.
-                assert service.stats.rounds == 2
+                assert service.ledger.rounds == 2
                 assert service.stats.drains == 2
                 assert service.stats.events_admitted == 6
             finally:
@@ -294,13 +294,13 @@ class TestBoundedBookkeeping:
                 assert result.tasks_placed == 200
                 for _ in range(500):
                     assert len(service._task_owner) == service.state.num_live_tasks
-                    if service.stats.completions == 200:
+                    if service.ledger.completions == 200:
                         break
                     await asyncio.sleep(0.01)
-                assert service.stats.completions == 200
+                assert service.ledger.completions == 200
                 assert service._task_owner == {}
                 assert len(service.state.tasks) == 200  # history stays there
-                stats = service.stats.snapshot(service._pending_actual())
+                stats = service._stats_snapshot()
                 assert stats["conserved"] is True
                 assert (stats["placed"], stats["pending"]) == (200, 0)
             finally:
@@ -345,7 +345,7 @@ class TestBackpressure:
                         break
                     await asyncio.sleep(0.02)
                 assert service.stats.evicted_clients >= 1
-                stats = service.stats.snapshot(service._pending_actual())
+                stats = service._stats_snapshot()
                 assert stats["conserved"] is True
                 assert stats["accepted"] == 16 + 8
                 slow_writer.close()
