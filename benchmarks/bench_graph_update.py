@@ -6,9 +6,10 @@ previous round -- as the dominant per-round cost on large, low-churn
 clusters.  This benchmark measures :meth:`GraphManager.update` wall time
 across machine counts and churn rates for the two paths:
 
-* ``incremental``: the dirty-set-driven persistent network (default), and
+* ``incremental``: the dirty-set-driven persistent network
+  (:meth:`GraphManager.update`, the only update path), and
 * ``rebuild``: the from-scratch build + :meth:`ChangeBatch.diff` baseline
-  (``GraphManager(..., incremental=False)``).
+  (``benchmarks.common.rebuild_graph_round``).
 
 Both managers consume identical cluster mutations in lockstep, so the
 reported ratio is the per-round construction speedup the incremental layer
@@ -38,6 +39,7 @@ from benchmarks.common import (  # noqa: E402
     add_pending_batch_job,
     bench_scale,
     build_cluster_state,
+    rebuild_graph_round,
 )
 from repro.analysis.reporting import format_table  # noqa: E402
 from repro.core import GraphManager, QuincyPolicy  # noqa: E402
@@ -99,9 +101,9 @@ def measure(machines: int, churn: float, policy_factory=QuincyPolicy):
     state = build_cluster_state(machines, utilization=0.6, seed=7)
     add_pending_batch_job(state, machines // 2, seed=8)
     inc_manager = GraphManager(policy_factory())
-    reb_manager = GraphManager(policy_factory(), incremental=False)
+    reb_manager = GraphManager(policy_factory())
     inc_manager.update(state, now=0.0)
-    reb_manager.update(state, now=0.0)
+    rebuilt = rebuild_graph_round(reb_manager, state, 0.0, None)
 
     rng = random.Random(9)
     for round_index in range(1, ROUNDS + 1):
@@ -116,7 +118,7 @@ def measure(machines: int, churn: float, policy_factory=QuincyPolicy):
         patched.append(inc_manager.last_update_stats.arcs_patched)
 
         start = time.perf_counter()
-        reb_manager.update(state, now)
+        rebuilt = rebuild_graph_round(reb_manager, state, now, rebuilt)
         rebuild_times.append(time.perf_counter() - start)
         arcs = network.num_arcs
 

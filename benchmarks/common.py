@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.cluster import ClusterState, Job, Task, build_topology
 from repro.core import GraphManager, QuincyPolicy
 from repro.core.policies.base import SchedulingPolicy
+from repro.flow.changes import ChangeBatch
 from repro.flow.graph import FlowNetwork
 from repro.simulation import fill_cluster_to_utilization
 
@@ -121,6 +122,22 @@ def build_policy_network(
     manager = GraphManager(policy or QuincyPolicy())
     network = manager.update(state, now=now)
     return manager, network
+
+
+def rebuild_graph_round(
+    manager: GraphManager,
+    state: ClusterState,
+    now: float,
+    previous: Optional[FlowNetwork],
+) -> FlowNetwork:
+    """The rebuild baseline of one graph round: build the network from
+    scratch and diff it against the previous round's (``None`` on the
+    first round).  ``manager`` must not be one that also runs
+    :meth:`GraphManager.update` -- the build re-syncs its node maps."""
+    network = manager._build_full_network(state, now, state.schedulable_tasks())
+    if previous is not None:
+        ChangeBatch.diff(previous, network)
+    return network
 
 
 def scheduling_network(

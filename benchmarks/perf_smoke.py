@@ -7,8 +7,9 @@ committed baseline in ``perf_baseline.json``:
   scratch and via the change-batch delta path -- guarding the incremental
   *solver*,
 * the graph-update kernel -- one low-churn round applied through the
-  dirty-set-driven incremental graph manager and through the old
-  rebuild+diff path -- guarding incremental *graph construction*, and
+  dirty-set-driven incremental graph manager and through a from-scratch
+  build + ``ChangeBatch.diff`` -- guarding incremental *graph
+  construction*, and
 * the price-refine kernel -- the potential-derivation step of one
   post-seed warm-rebuild round, run with the SPFA sweep and with the
   seeded Dijkstra (incremental) refine -- guarding the *price refine*
@@ -89,7 +90,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-from benchmarks.common import add_pending_batch_job, build_cluster_state  # noqa: E402
+from benchmarks.common import (  # noqa: E402
+    add_pending_batch_job,
+    build_cluster_state,
+    rebuild_graph_round,
+)
 from repro.core import GraphManager, QuincyPolicy  # noqa: E402
 from repro.solvers import (  # noqa: E402
     CostScalingSolver,
@@ -164,9 +169,9 @@ def measure_graph_round() -> tuple:
     state = build_cluster_state(MACHINES, utilization=0.6, seed=41)
     add_pending_batch_job(state, MACHINES // 2, seed=42)
     incremental_manager = GraphManager(QuincyPolicy())
-    rebuild_manager = GraphManager(QuincyPolicy(), incremental=False)
+    rebuild_manager = GraphManager(QuincyPolicy())
     incremental_manager.update(state, now=10.0)
-    rebuild_manager.update(state, now=10.0)
+    previous = rebuild_graph_round(rebuild_manager, state, 10.0, None)
 
     # Low churn: a handful of completions and a small arriving job (~5%).
     rng = random.Random(43)
@@ -183,7 +188,7 @@ def measure_graph_round() -> tuple:
         raise AssertionError("perf smoke: the incremental graph path was not taken")
 
     start = time.perf_counter()
-    rebuild_manager.update(state, now=20.0)
+    rebuild_graph_round(rebuild_manager, state, 20.0, previous)
     rebuild_time = time.perf_counter() - start
     return rebuild_time, incremental_time
 

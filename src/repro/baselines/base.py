@@ -32,8 +32,6 @@ class QueueBasedScheduler(abc.ABC):
     def __init__(
         self,
         per_task_decision_seconds: float = 0.002,
-        check_slots: bool = True,
-        check_network: bool = False,
         seed: int = 42,
     ) -> None:
         """Create the scheduler.
@@ -43,15 +41,9 @@ class QueueBasedScheduler(abc.ABC):
                 k-th task dequeued in a run is placed after ``k`` times this
                 amount (queue-based schedulers pipeline, but each decision
                 still takes time).
-            check_slots: Feasibility-check free slots (always true for real
-                systems; disabling it is only useful in unit tests).
-            check_network: Also require spare network bandwidth to cover the
-                task's request during the feasibility check.
             seed: Seed for any randomized selection the subclass performs.
         """
         self.per_task_decision_seconds = per_task_decision_seconds
-        self.check_slots = check_slots
-        self.check_network = check_network
         self.rng = random.Random(seed)
         self.tasks_scheduled = 0
         self.runs = 0
@@ -86,28 +78,20 @@ class QueueBasedScheduler(abc.ABC):
         return state.free_slots(machine_id) - self._round_placements.get(machine_id, 0)
 
     def feasible_machines(self, task: Task, state: ClusterState) -> List[Machine]:
-        """Return machines that pass the feasibility check for the task.
+        """Return the machines with a free slot left for the task, net of
+        the placements made earlier in this run.
 
-        With slot checking on (the default), candidates come from the
-        cluster state's incrementally maintained free-slot index, so the
-        per-task cost is bounded by the number of machines with free
-        capacity -- on a busy large cluster a small fraction of the fleet
-        -- instead of a full O(|machines|) topology scan per dequeue.
+        Candidates come from the cluster state's incrementally maintained
+        free-slot index, so the per-task cost is bounded by the number of
+        machines with free capacity -- on a busy large cluster a small
+        fraction of the fleet -- instead of a full O(|machines|) topology
+        scan per dequeue.
         """
-        if self.check_slots:
-            pool = state.machines_with_free_slots()
-        else:
-            pool = state.topology.healthy_machines()
-        candidates: List[Machine] = []
-        for machine in pool:
-            if (
-                self.check_network
-                and task.network_request_mbps > 0
-                and state.spare_network_bandwidth(machine.machine_id) < task.network_request_mbps
-            ):
-                continue
-            candidates.append(machine)
-        return candidates
+        return [
+            machine
+            for machine in state.machines_with_free_slots()
+            if self.effective_free_slots(state, machine.machine_id) > 0
+        ]
 
     def schedule(self, state: ClusterState, now: float = 0.0) -> SchedulingDecision:
         """Process the queue of pending tasks once, oldest first.
@@ -121,10 +105,7 @@ class QueueBasedScheduler(abc.ABC):
         elapsed = 0.0
         for task in state.pending_tasks():
             elapsed += self.per_task_decision_seconds
-            candidates = [
-                m for m in self.feasible_machines(task, state)
-                if self.effective_free_slots(state, m.machine_id) > 0
-            ]
+            candidates = self.feasible_machines(task, state)
             if not candidates:
                 decision.unscheduled.append(task.task_id)
                 continue

@@ -34,8 +34,6 @@ class SparrowScheduler(QueueBasedScheduler):
         if sample_size < 1:
             raise ValueError("sample size must be at least 1")
         self.sample_size = sample_size
-        # Sparrow's probes do not model per-machine bandwidth reservations.
-        self.check_network = False
 
     def select_machine(
         self, task: Task, candidates: List[Machine], state: ClusterState

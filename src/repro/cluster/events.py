@@ -73,8 +73,8 @@ class DirtyTracker:
     #: Once this many entities are pending, the tracker collapses to a
     #: ``full`` snapshot: a consumer would re-derive everything rather than
     #: replay that much churn anyway, and -- crucially -- a state whose tracker is never
-    #: drained (baseline schedulers, ``incremental=False`` managers) stays
-    #: bounded instead of accumulating every entity id ever touched.
+    #: drained (queue-based baseline schedulers) stays bounded instead of
+    #: accumulating every entity id ever touched.
     MAX_PENDING = 65_536
 
     def __init__(self) -> None:

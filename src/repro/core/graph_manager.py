@@ -18,8 +18,8 @@ scheme (Section 6.3), *driven by cluster change events*:
    changed.
 
 Every policy describes its network per entity (see
-:mod:`repro.core.policies.base`), so after the first round the manager
-keeps **one persistent :class:`FlowNetwork` mutated in place**: the dirty
+:mod:`repro.core.policies.base`), so the manager keeps **one persistent
+:class:`FlowNetwork` mutated in place** and builds it one way: the dirty
 entities' scopes are re-derived, the resulting mutations are applied
 through a :class:`~repro.flow.changes.ChangeBatchBuilder` that emits the
 round's :class:`~repro.flow.changes.ChangeBatch` directly -- no second
@@ -47,12 +47,15 @@ emptied or refilled, a departed task can no longer be resolved -- is not a
 different path: it is the same update with *every* scope dirty
 (:meth:`~repro.core.policies.base.DirtyView.everything`): the same update
 reads its entity sets off a scan of the state instead of the marks, and
-starts the tick calendar afresh.  Building a
-network from scratch (:meth:`GraphManager._build_full_network`, diffed with
-:meth:`ChangeBatch.diff`) remains only for the first round, for the
-explicit ``incremental=False`` comparison baseline, and as the oracle of
+starts the tick calendar afresh.  The first round, and the round after an
+update died mid-mutation, are such rounds too: they start from an empty
+network and no known entity, so every node and arc is added by the same
+scope derivation (as Firmament's own graph manager grows its graph from
+empty with the calls every later round makes).  Building a network from
+scratch (:meth:`GraphManager._build_full_network`) is only the oracle of
 the ``verify_changes`` cross-check -- which also compares the persistent
-entity sets with a scan and the restricted diff with the full one.
+entity sets with a scan and the restricted diff with the full one -- and,
+diffed with :meth:`ChangeBatch.diff`, the benchmarks' rebuild baseline.
 
 What is read *off* the network persists beside it too: the manager keeps
 the task-to-machine assignments its flow implies
@@ -192,8 +195,6 @@ class GraphManager:
     def __init__(
         self,
         policy: SchedulingPolicy,
-        track_changes: bool = True,
-        incremental: bool = True,
         verify_changes: bool = False,
         chaos=None,
     ) -> None:
@@ -201,14 +202,8 @@ class GraphManager:
 
         Args:
             policy: Scheduling policy that shapes the flow network.
-            track_changes: Emit a typed :class:`ChangeBatch` per update
-                (:attr:`last_changes`) so an incremental solver can patch
-                its persistent residual instead of rebuilding it.
-            incremental: Update the persistent network in place from the
-                cluster dirty sets; ``False`` rebuilds and diffs every
-                round (used by benchmarks as the comparison baseline).
-            verify_changes: Cross-check mode: after every incremental
-                update, build the network from scratch as an oracle and
+            verify_changes: Cross-check mode: after every update, the first
+                included, build the network from scratch as an oracle and
                 assert the persistent network matches it and the
                 directly-emitted batch replays the previous network into
                 it.  Used by the equivalence tests; adds two O(graph)
@@ -219,8 +214,6 @@ class GraphManager:
                 broken-revision-chain recovery paths (tests only).
         """
         self.policy = policy
-        self.track_changes = track_changes
-        self.incremental = incremental
         self.verify_changes = verify_changes
         self.chaos = chaos
         self._chaos_round = 0
@@ -228,36 +221,24 @@ class GraphManager:
         self.chain_breaks_injected = 0
         self._next_node_id = 0
         self._sink_node: Optional[int] = None
-        self._task_nodes: Dict[int, int] = {}
-        self._machine_nodes: Dict[int, int] = {}
-        self._rack_nodes: Dict[int, int] = {}
-        self._unscheduled_nodes: Dict[int, int] = {}
         self._aggregator_nodes: Dict[str, Tuple[int, NodeType]] = {}
+        #: The persistent network; ``None`` until the first update and after
+        #: an update that died mid-mutation (the next one starts empty).
         self.network: Optional[FlowNetwork] = None
         self._revision = 0
         #: Change batch transforming the previous :meth:`update`'s network
-        #: into the latest one; ``None`` until the second update.
+        #: into the latest one; ``None`` after a round that started from an
+        #: empty network.
         self.last_changes: Optional[ChangeBatch] = None
         #: Observability record of the most recent update.
         self.last_update_stats = GraphUpdateStats()
-        #: Rounds that patched the persistent network / built one from
-        #: scratch (the first round; every round of ``incremental=False``).
+        #: Rounds that patched the persistent network / started from an
+        #: empty one (the first round, and the round after a failed update).
         self.incremental_updates = 0
         self.full_updates = 0
-
-        # Incremental bookkeeping.  The entity sets the network reflects are
-        # persistent truth, moved by the dirty marks (an all-dirty round
-        # re-reads them from the state): schedulable task -> its job, live
-        # tasks per job, healthy machines, racks (as of a topology version).
-        self._task_jobs: Dict[int, int] = {}
-        self._job_tasks: Dict[int, int] = {}
-        self._machine_ids: Set[int] = set()
-        self._rack_ids: Set[int] = set()
-        self._topology_version: Optional[int] = None
+        self._forget_entities()
         self._dirty_epoch: Optional[int] = None
         self._state_id: Optional[int] = None
-        self._task_dependencies: Dict[int, Set[Optional[int]]] = {}
-        self._machine_dependents: Dict[Optional[int], Set[int]] = {}
         self._pricing_version: Hashable = None
         # task_id -> (static_cost, rate, submit_time, unscheduled_arc_key,
         # due): the decomposed unscheduled cost cached at derivation time
@@ -277,7 +258,7 @@ class GraphManager:
         # Tasks whose nodes the updates since the last extraction removed (a
         # round without a solver result extracts nothing, so its departures
         # wait for the next one); ``None`` while the maintained map cannot
-        # be carried over at all: round 1, a rebuild, an all-dirty round.
+        # be carried over at all: an all-dirty round (round 1 among them).
         self._departed_tasks: Optional[Set[int]] = None
         # What the next :meth:`diff_assignments` must visit besides the
         # re-extracted and the pending tasks: the tasks re-derived since the
@@ -288,6 +269,27 @@ class GraphManager:
     # ------------------------------------------------------------------ #
     # Node identity management
     # ------------------------------------------------------------------ #
+    def _forget_entities(self) -> None:
+        """Know no entity: what a round starting from an empty network has.
+
+        The entity-to-node maps and the entity sets the network reflects
+        are persistent truth, moved by the dirty marks (an all-dirty round
+        re-reads the sets from the state): schedulable task -> its job, live
+        tasks per job, healthy machines, racks (as of a topology version),
+        plus the index of which tasks depend on which machines.
+        """
+        self._task_nodes: Dict[int, int] = {}
+        self._machine_nodes: Dict[int, int] = {}
+        self._rack_nodes: Dict[int, int] = {}
+        self._unscheduled_nodes: Dict[int, int] = {}
+        self._task_jobs: Dict[int, int] = {}
+        self._job_tasks: Dict[int, int] = {}
+        self._machine_ids: Set[int] = set()
+        self._rack_ids: Set[int] = set()
+        self._topology_version: Optional[int] = None
+        self._task_dependencies: Dict[int, Set[Optional[int]]] = {}
+        self._machine_dependents: Dict[Optional[int], Set[int]] = {}
+
     def _allocate(self) -> int:
         node_id = self._next_node_id
         self._next_node_id += 1
@@ -465,37 +467,45 @@ class GraphManager:
 
         Entities that disappeared since the previous run lose their nodes
         (their identifiers are retired, never reused); new entities receive
-        fresh nodes.  After the first round the persistent network is
-        patched in place from the cluster dirty sets and
-        :attr:`last_changes` is emitted directly from the mutations.  The
-        batch carries the two revisions it connects so a consumer can
-        verify its derived state matches the batch's base before patching.
+        fresh nodes.  There is one path: the persistent network is patched
+        in place from the cluster dirty sets and :attr:`last_changes` is
+        emitted directly from the mutations.  The batch carries the two
+        revisions it connects so a consumer can verify its derived state
+        matches the batch's base before patching.  With no network held
+        (the first round, or the round after an update raised) the round
+        starts from an empty one at the current revision and no known
+        entity -- an all-dirty round reported as ``mode="full"`` -- and
+        publishes no batch: nothing downstream holds the empty network it
+        would start from, so every consumer starts cold.
         """
         start = time.perf_counter()
         snapshot = self._drain_dirty(state)
-
-        if self.incremental and self.network is not None:
-            try:
-                network = self._update_incremental(state, now, snapshot)
-            except Exception:
-                # The round died mid-mutation: the persistent network is
-                # half-patched and this round's dirty events are consumed.
-                # Poison both the network (next round builds from scratch,
-                # with no change batch for the half-mutated state) and the
-                # epoch chain, so nothing derived from the wreckage
-                # survives.
-                self.network = None
-                self._dirty_epoch = None
-                self.last_changes = None
-                raise
-            self.incremental_updates += 1
-            self.last_update_stats.seconds = time.perf_counter() - start
-            if self.verify_changes:
-                self._cross_check(state, now)
-        else:
-            network = self._update_full(state, now, state.schedulable_tasks())
+        cold = self.network is None
+        if cold:
+            self._forget_entities()
+            self.network = FlowNetwork()
+            self.network.revision = self._revision
+        try:
+            network = self._update_incremental(state, now, snapshot)
+        except Exception:
+            # The round died mid-mutation: the persistent network is
+            # half-patched and this round's dirty events are consumed.
+            # Drop both the network (the next round starts from an empty
+            # one, with no change batch for the half-mutated state) and the
+            # epoch chain, so nothing derived from the wreckage survives.
+            self.network = None
+            self._dirty_epoch = None
+            self.last_changes = None
+            raise
+        if cold:
+            self.last_changes = None
+            self.last_update_stats.mode = "full"
             self.full_updates += 1
-            self.last_update_stats.seconds = time.perf_counter() - start
+        else:
+            self.incremental_updates += 1
+        self.last_update_stats.seconds = time.perf_counter() - start
+        if self.verify_changes:
+            self._cross_check(state, now)
         self._finish_round(state, network)
         return network
 
@@ -516,17 +526,15 @@ class GraphManager:
             self.chain_breaks_injected += 1
 
     def _drain_dirty(self, state: ClusterState):
-        """Consume the state's dirty tracker; non-incremental managers
-        leave the events for others.
+        """Consume the state's dirty tracker.
 
         Returns the snapshot when this round may trust it, ``None`` when
-        every scope must be treated as dirty: the epoch chain broke
-        (another consumer drained events this manager never saw, or the
-        state object changed), the tracker overflowed, or the state has no
-        tracker.
+        every scope must be treated as dirty: there is no chain yet (the
+        first round, the round after a failed update), the epoch chain
+        broke (another consumer drained events this manager never saw, or
+        the state object changed), the tracker overflowed, or the state has
+        no tracker.
         """
-        if not self.incremental:
-            return None
         tracker = getattr(state, "dirty", None)
         if tracker is None:
             return None
@@ -540,59 +548,17 @@ class GraphManager:
         return snapshot if chain_intact and not snapshot.full else None
 
     # ------------------------------------------------------------------ #
-    # From-scratch build (first round, incremental=False, cross-check oracle)
+    # From-scratch build (cross-check oracle, benchmark rebuild baseline)
     # ------------------------------------------------------------------ #
-    def _update_full(self, state: ClusterState, now: float, tasks) -> FlowNetwork:
-        previous = self.network
-        network = self._build_full_network(state, now, tasks)
-        self.network = network
-
-        self._revision += 1
-        network.revision = self._revision
-        if self.track_changes and previous is not None:
-            self.last_changes = ChangeBatch.diff(previous, network)
-        else:
-            self.last_changes = None
-
-        self._departed_tasks = None
-        self._diff_carry = None
-        self._record_round_entities(state, tasks)
-        self._rebuild_dependency_index(state, tasks, now)
-        if self.last_changes is not None:
-            summary = self.last_changes.summary()
-            nodes_touched = sum(
-                count
-                for kind, count in summary.items()
-                if kind in ("NodeAddition", "NodeRemoval", "SupplyChange")
-            )
-            arcs_patched = sum(
-                count
-                for kind, count in summary.items()
-                if kind
-                in ("ArcAddition", "ArcRemoval", "ArcCapacityChange", "ArcCostChange")
-            )
-        else:
-            # No batch to attribute against (first round, or change
-            # tracking off): the rebuild touched the whole graph.
-            nodes_touched = network.num_nodes
-            arcs_patched = network.num_arcs
-        self.last_update_stats = GraphUpdateStats(
-            mode="full",
-            nodes_touched=nodes_touched,
-            arcs_patched=arcs_patched,
-            dirty_tasks=len(tasks),
-            dirty_machines=len(self._machine_ids),
-            tasks_examined=len(tasks),
-        )
-        return network
-
     def _build_full_network(self, state: ClusterState, now: float, tasks) -> FlowNetwork:
-        """Build a fresh network from scratch (shared with the cross-check).
+        """Build a fresh network from scratch: the cross-check's oracle and,
+        diffed with :meth:`ChangeBatch.diff`, the benchmarks' rebuild
+        baseline.  The persistent network is left untouched.
 
         Retires node-id mappings of disappeared entities and allocates
         mappings for new ones; both operations are idempotent, so running
-        this after an incremental update (which already synchronized the
-        mappings) reuses the exact same identifiers.
+        this after an update (which already synchronized the mappings)
+        reuses the exact same identifiers.
         """
         task_ids = {t.task_id for t in tasks}
         machine_ids = {m.machine_id for m in state.topology.healthy_machines()}
@@ -849,7 +815,7 @@ class GraphManager:
             self._revision += 1
             network.revision = self._revision
             batch = recorder.finish(self._revision)
-            self.last_changes = batch if self.track_changes else None
+            self.last_changes = batch
             if all_dirty:
                 self._departed_tasks = None
             elif self._departed_tasks is not None:
@@ -1082,33 +1048,11 @@ class GraphManager:
                 if dependents is not None:
                     dependents.discard(task_id)
 
-    def _record_round_entities(self, state: ClusterState, tasks) -> None:
-        self._task_jobs = {t.task_id: t.job_id for t in tasks}
-        self._job_tasks = dict(Counter(self._task_jobs.values()))
-        self._topology_moves(state.topology)
-
-    def _rebuild_dependency_index(self, state: ClusterState, tasks, now: float) -> None:
-        # The index only feeds incremental rounds; a manager that will never
-        # run one (incremental=False baselines) must not pay for it.
-        if not self.incremental:
-            return
-        self._pricing_version = self.policy.pricing_version()
-        self._task_dependencies = {}
-        self._machine_dependents = {}
-        self._task_cost_terms = {}
-        self._tick_calendar = []
-        self._calendar_now = now
-        for task in tasks:
-            self._record_task_dependencies(
-                task.task_id, self.policy.task_machine_dependencies(state, task)
-            )
-            self._cache_task_cost_terms(task, now)
-
     # ------------------------------------------------------------------ #
     # Cross-check mode
     # ------------------------------------------------------------------ #
     def _cross_check(self, state: ClusterState, now: float) -> None:
-        """Assert the incremental update matches a from-scratch build."""
+        """Assert the update matches a from-scratch build."""
         tasks = state.schedulable_tasks()
         scanned = (
             {t.task_id: t.job_id for t in tasks},

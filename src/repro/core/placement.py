@@ -75,7 +75,7 @@ class FlowAssignments:
             task_nodes: Task id to node id of the tasks in the network.
             departed_tasks: Tasks whose nodes were removed since the
                 previous call; ``None`` when the map cannot be carried over
-                (another network, an all-dirty rebuild).  That, or an
+                (another network, an all-dirty round).  That, or an
                 unknown changed-flow set, means every task is re-derived.
         """
         changed = network.take_flow_changes()
@@ -311,12 +311,3 @@ def diff_assignments(
         else:
             decision.placements[task_id] = assigned_machine
     return moved
-
-
-def unscheduled_tasks(
-    network: FlowNetwork,
-    task_nodes: Mapping[int, int],
-    placements: Dict[int, int],
-) -> List[int]:
-    """Return task ids whose flow the solver routed to an unscheduled aggregator."""
-    return [task_id for task_id in task_nodes if task_id not in placements]

@@ -400,13 +400,9 @@ class FirmamentScheduler(FlowScheduler):
         self._arm_deadline(self.solver, round_deadline_seconds)
         if chaos is not None and hasattr(self.solver, "chaos"):
             self.solver.chaos = chaos
-        # Only pay for per-round network diffing when the solver can
-        # actually consume the change batches.
-        self.graph_manager = GraphManager(
-            policy,
-            track_changes=self.solver.accepts_change_batches,
-            chaos=chaos,
-        )
+        # The manager emits each round's change batch from the mutations it
+        # applies; a solver that cannot consume one just rebuilds.
+        self.graph_manager = GraphManager(policy, chaos=chaos)
         self.allow_migrations = allow_migrations
         self.statistics = SchedulerStatistics()
 

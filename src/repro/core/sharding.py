@@ -533,9 +533,7 @@ class ShardedScheduler(FlowScheduler):
         for view in self._views:
             solver = self._solver_factory()
             self._arm_deadline(solver, self.round_deadline_seconds)
-            manager = GraphManager(
-                self._policy_factory(), track_changes=True, chaos=self.chaos
-            )
+            manager = GraphManager(self._policy_factory(), chaos=self.chaos)
             self._cells.append(RoundCell(view.cell, view, manager, solver))
             self.clients.append(
                 WorkerClient(IncrementalCostScalingSolver, self._solver_kwargs)

@@ -18,7 +18,7 @@ repair work a batch of changes requires.
 :class:`ChangeBatch` groups one scheduling round's changes into a typed
 batch.  The graph manager emits one per round, directly from the mutations
 it applies (:class:`ChangeBatchBuilder`; :meth:`ChangeBatch.diff` of two
-networks is the reference the tests and the ``incremental=False`` baseline
+networks is the reference the tests and the benchmarks' rebuild baseline
 use), and the incremental cost-scaling
 solver consumes it to patch its persistent residual network in place
 (:meth:`repro.solvers.residual.ResidualNetwork.apply_changes`) instead of
@@ -202,10 +202,6 @@ class ChangeBatch:
     def apply_to(self, network: FlowNetwork) -> None:
         """Apply the batch to a flow network in order."""
         apply_changes(network, self.changes)
-
-    def summary(self) -> Dict[str, int]:
-        """Count the batch's changes by kind."""
-        return summarize_changes(self.changes)
 
     @classmethod
     def diff(cls, old: FlowNetwork, new: FlowNetwork) -> "ChangeBatch":
@@ -548,44 +544,3 @@ def classify_arc_change(
             return ChangeEffect.BREAKS_OPTIMALITY
         return ChangeEffect.NONE
     return ChangeEffect.NONE
-
-
-def summarize_changes(changes: Sequence[GraphChange]) -> Dict[str, int]:
-    """Count changes by kind.
-
-    Used by the scheduler for logging and by the incremental solver to decide
-    whether a warm start is worthwhile (a batch dominated by node additions
-    and removals breaks feasibility everywhere, limiting reuse).
-    """
-    summary: Dict[str, int] = {}
-    for change in changes:
-        key = type(change).__name__
-        summary[key] = summary.get(key, 0) + 1
-    return summary
-
-
-def changes_break_feasibility(
-    network: FlowNetwork, changes: Sequence[GraphChange]
-) -> bool:
-    """Return True if any change in the batch can break flow feasibility.
-
-    Node additions with non-zero supply, node removals, and capacity
-    reductions below the carried flow all break feasibility of the previous
-    solution; cost changes only ever break optimality (Table 3).
-    """
-    for change in changes:
-        if isinstance(change, NodeAddition) and change.supply != 0:
-            return True
-        if isinstance(change, NodeRemoval):
-            return True
-        if isinstance(change, SupplyChange) and change.delta != 0:
-            return True
-        if isinstance(change, (ArcRemoval,)):
-            if network.has_arc(change.src, change.dst):
-                if network.arc(change.src, change.dst).flow > 0:
-                    return True
-        if isinstance(change, ArcCapacityChange):
-            if network.has_arc(change.src, change.dst):
-                if network.arc(change.src, change.dst).flow > change.new_capacity:
-                    return True
-    return False

@@ -279,26 +279,6 @@ class FlowNetwork:
         """Sum of all (positive and negative) node supplies."""
         return sum(n.supply for n in self._nodes.values())
 
-    def source_nodes(self) -> List[Node]:
-        """Return nodes with positive supply."""
-        return [n for n in self._nodes.values() if n.supply > 0]
-
-    def sink_nodes(self) -> List[Node]:
-        """Return nodes with negative supply."""
-        return [n for n in self._nodes.values() if n.supply < 0]
-
-    def max_arc_cost(self) -> int:
-        """Return the largest absolute arc cost, or zero on an empty graph."""
-        if not self._arcs:
-            return 0
-        return max(abs(a.cost) for a in self._arcs.values())
-
-    def max_arc_capacity(self) -> int:
-        """Return the largest arc capacity, or zero on an empty graph."""
-        if not self._arcs:
-            return 0
-        return max(a.capacity for a in self._arcs.values())
-
     def clear_flow(self) -> None:
         """Reset the flow on every arc to zero."""
         self.load_flows({})

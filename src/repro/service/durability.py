@@ -72,7 +72,6 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.chaos import CrashInjector
-from repro.cluster.events import DirtySnapshot
 from repro.cluster.machine import Machine, MachineState, Rack
 from repro.cluster.state import ClusterState
 from repro.cluster.task import Job, JobType, Task, TaskState
@@ -154,23 +153,20 @@ def _machine_from_payload(payload: Dict[str, Any]) -> Machine:
     return Machine(**{**payload, "state": MachineState(payload["state"])})
 
 
-#: The dirty tracker's per-entity sets, as a snapshot carries them.
-_DIRTY_SETS = ("tasks", "jobs", "machines_availability", "machines_load")
-
-
 def snapshot_cluster_state(state: ClusterState) -> Dict[str, Any]:
     """Serialize a :class:`ClusterState` to a JSON-safe payload.
 
     Covers every index :func:`restore_cluster_state` must reproduce: the
     topology (machines with their health state, racks with their member
-    order, the membership version), the full job/task ledger including
-    terminated history, and the dirty tracker's epoch plus pending sets.
-    The derived indexes (live/terminated split, pending index, free-slot
-    index, per-machine task sets) are *not* serialized -- they are
-    recomputed from task states on restore, which is what the round-trip
-    test pins as ``==``-equivalent.
+    order, the membership version) and the full job/task ledger including
+    terminated history.  The derived indexes (live/terminated split,
+    pending index, free-slot index, per-machine task sets) are *not*
+    serialized -- they are recomputed from task states on restore, which is
+    what the round-trip test pins as ``==``-equivalent.  Neither is the
+    dirty tracker: it is process-local bookkeeping, and whoever reads a
+    restored state is a fresh scheduler whose first round derives every
+    scope anyway.
     """
-    dirty = state.dirty._pending
     return {
         "topology": {
             "version": state.topology.version,
@@ -181,16 +177,15 @@ def snapshot_cluster_state(state: ClusterState) -> Dict[str, Any]:
             ],
         },
         "jobs": [_job_to_payload(job) for job in state.jobs.values()],
-        "dirty": {
-            "epoch": state.dirty.epoch,
-            "full": dirty.full,
-            **{name: sorted(getattr(dirty, name)) for name in _DIRTY_SETS},
-        },
     }
 
 
 def restore_cluster_state(payload: Dict[str, Any]) -> ClusterState:
-    """Rebuild a :class:`ClusterState` from :func:`snapshot_cluster_state`."""
+    """Rebuild a :class:`ClusterState` from :func:`snapshot_cluster_state`.
+
+    A ``dirty`` section (snapshots written by older versions carry one) is
+    ignored.
+    """
     topology = ClusterTopology()
     for machine_payload in payload["topology"]["machines"]:
         machine = _machine_from_payload(machine_payload)
@@ -213,15 +208,6 @@ def restore_cluster_state(payload: Dict[str, Any]) -> ClusterState:
                 state._machine_tasks[task.machine_id].add(task.task_id)
     for machine_id in topology.machines:
         state._refresh_free_slot_entry(machine_id)
-
-    # The constructor marked nothing dirty; reinstate the serialized
-    # tracker state exactly (pending sets and epoch), so a restored state
-    # drives the incremental graph path identically to the original.
-    dirty_payload = payload["dirty"]
-    state.dirty.epoch = dirty_payload["epoch"]
-    state.dirty._pending = DirtySnapshot(full=dirty_payload["full"], **{
-        name: set(dirty_payload[name]) for name in _DIRTY_SETS
-    })
     return state
 
 
@@ -530,12 +516,14 @@ class DurabilityLayer:
         snapshot_interval_rounds: Snapshot after this many logged rounds.
         snapshot_max_log_bytes: ... or when the active segment exceeds
             this size, whichever comes first.
-        keep_snapshots: Retained snapshot generations.  Two by default, so
-            a crash that corrupts the newest snapshot (or tears it
-            mid-write) still recovers from the previous one plus its log.
         crash: Optional :class:`~repro.chaos.CrashInjector` for the
             kill -9 harness; ``None`` costs nothing.
     """
+
+    #: Retained snapshot generations: two, so a crash that corrupts the
+    #: newest snapshot (or tears it mid-write) still recovers from the
+    #: previous one plus its log.
+    KEEP_SNAPSHOTS = 2
 
     def __init__(
         self,
@@ -543,19 +531,15 @@ class DurabilityLayer:
         fsync: bool = True,
         snapshot_interval_rounds: int = 64,
         snapshot_max_log_bytes: int = 4 * 1024 * 1024,
-        keep_snapshots: int = 2,
         crash: Optional[CrashInjector] = None,
     ) -> None:
         if snapshot_interval_rounds < 1:
             raise ValueError("snapshot_interval_rounds must be >= 1")
-        if keep_snapshots < 1:
-            raise ValueError("keep_snapshots must be >= 1")
         self.directory = Path(state_dir)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.fsync = fsync
         self.snapshot_interval_rounds = snapshot_interval_rounds
         self.snapshot_max_log_bytes = snapshot_max_log_bytes
-        self.keep_snapshots = keep_snapshots
         self.crash = crash
         #: Last assigned record sequence number (monotonic across segments).
         self.seq = 0
@@ -720,9 +704,9 @@ class DurabilityLayer:
     def _prune(self) -> None:
         """Drop snapshots beyond the retention count and superseded segments."""
         snapshots = _indexed_files(self.directory, _SNAPSHOT_PREFIX, ".json")
-        keep = snapshots[-self.keep_snapshots:]
+        keep = snapshots[-self.KEEP_SNAPSHOTS:]
         oldest_kept = keep[0][0] if keep else self.epoch
-        for epoch, path in snapshots[: -self.keep_snapshots]:
+        for epoch, path in snapshots[: -self.KEEP_SNAPSHOTS]:
             path.unlink(missing_ok=True)
         for epoch, path in _indexed_files(self.directory, _SEGMENT_PREFIX, ".log"):
             # Segment N holds records appended *after* snapshot N; it is
@@ -823,7 +807,7 @@ def recover(state_dir) -> RecoveredState:
         recovered.epoch = max(recovered.epoch, epoch)
 
     # Whatever graph state a scheduler had is gone with the old process;
-    # force the first post-recovery round to rebuild from scratch instead
-    # of trusting a stale-looking epoch chain.
+    # make the first post-recovery round an all-dirty one instead of
+    # trusting a stale-looking epoch chain.
     state.dirty.mark_all()
     return recovered

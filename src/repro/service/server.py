@@ -156,6 +156,9 @@ from repro.service.durability import (
 
 __all__ = ["SchedulerService", "ServiceConfig", "ServiceStats"]
 
+#: Seconds :meth:`SchedulerService.stop` waits for the in-flight round, and
+#: then for each client's notification queue, to flush.
+DRAIN_TIMEOUT_SECONDS = 10.0
 
 @dataclass
 class ServiceConfig:
@@ -180,8 +183,6 @@ class ServiceConfig:
             Task durations are multiplied by this before the completion
             timer is armed; tests and benchmarks use small values so
             finite tasks free their slots quickly.
-        drain_timeout: Seconds :meth:`SchedulerService.stop` waits for the
-            in-flight round and the notification queues to flush.
         max_request_bytes: Upper bound on one JSON-lines request.  A
             client sending a longer line (or undecodable bytes) gets an
             ``error`` reply and is disconnected -- the reader never
@@ -193,7 +194,6 @@ class ServiceConfig:
     round_interval: float = 0.05
     client_queue_limit: int = 1024
     time_scale: float = 1.0
-    drain_timeout: float = 10.0
     max_request_bytes: int = 1 << 20
 
 
@@ -367,7 +367,7 @@ class SchedulerService:
         if self._round_task is not None:
             try:
                 await asyncio.wait_for(
-                    self._round_task, timeout=self.config.drain_timeout
+                    self._round_task, timeout=DRAIN_TIMEOUT_SECONDS
                 )
             except asyncio.TimeoutError:
                 self._round_task.cancel()
@@ -375,7 +375,7 @@ class SchedulerService:
         for client in list(self._clients.values()):
             try:
                 await asyncio.wait_for(
-                    client.queue.join(), timeout=self.config.drain_timeout
+                    client.queue.join(), timeout=DRAIN_TIMEOUT_SECONDS
                 )
             except asyncio.TimeoutError:
                 pass

@@ -266,10 +266,6 @@ class ResidualNetwork:
         if self._flow_journal is not None and amount:
             self._flow_journal.add(arc_index >> 1)
 
-    def flow_on_forward_arc(self, forward_position: int) -> int:
-        """Return the flow on the ``forward_position``-th original arc."""
-        return self.arc_residual[2 * forward_position + 1]
-
     def total_excess(self) -> int:
         """Return the sum of positive node excesses (remaining supply)."""
         return sum(e for e in self.excess if e > 0)
@@ -277,10 +273,6 @@ class ResidualNetwork:
     def source_indices(self) -> List[int]:
         """Return node indices with positive excess."""
         return [i for i, e in enumerate(self.excess) if e > 0]
-
-    def deficit_indices(self) -> List[int]:
-        """Return node indices with negative excess (demand)."""
-        return [i for i, e in enumerate(self.excess) if e < 0]
 
     def violated_arcs(self, epsilon: int = 0) -> Tuple[int, List[int]]:
         """Scan for epsilon-optimality violations under current potentials.

@@ -45,12 +45,10 @@ class WorkerCircuitBreaker:
     Args:
         failure_threshold: Consecutive process failures that trip the
             breaker open.  ``1`` trips on the first failure.
-        backoff_base_rounds: Backoff unit for pre-trip respawns: the k-th
-            consecutive failure (k >= 2) waits
-            ``min(backoff_max_rounds, backoff_base_rounds * 2**(k-2))``
-            rounds before the next attempt; the first failure retries
-            immediately.
-        backoff_max_rounds: Cap on the exponential backoff.
+        backoff_max_rounds: Cap on the exponential backoff of pre-trip
+            respawns: the k-th consecutive failure (k >= 2) waits
+            ``min(backoff_max_rounds, 2**(k-2))`` rounds before the next
+            attempt; the first failure retries immediately.
         probe_interval_rounds: While open, one half-open probe spawn is
             allowed every this many rounds.
     """
@@ -58,18 +56,16 @@ class WorkerCircuitBreaker:
     def __init__(
         self,
         failure_threshold: int = 2,
-        backoff_base_rounds: int = 1,
         backoff_max_rounds: int = 32,
         probe_interval_rounds: int = 8,
     ) -> None:
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
-        if backoff_base_rounds < 0 or backoff_max_rounds < 0:
-            raise ValueError("backoff rounds must be >= 0")
+        if backoff_max_rounds < 0:
+            raise ValueError("backoff_max_rounds must be >= 0")
         if probe_interval_rounds < 1:
             raise ValueError("probe_interval_rounds must be >= 1")
         self.failure_threshold = failure_threshold
-        self.backoff_base_rounds = backoff_base_rounds
         self.backoff_max_rounds = backoff_max_rounds
         self.probe_interval_rounds = probe_interval_rounds
         self.state = BREAKER_CLOSED
@@ -134,5 +130,4 @@ class WorkerCircuitBreaker:
     def _backoff_rounds(self) -> int:
         if self.consecutive_failures <= 1:
             return 0
-        penalty = self.backoff_base_rounds * (2 ** (self.consecutive_failures - 2))
-        return min(self.backoff_max_rounds, penalty)
+        return min(self.backoff_max_rounds, 2 ** (self.consecutive_failures - 2))

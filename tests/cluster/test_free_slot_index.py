@@ -8,7 +8,7 @@ both sides of the bargain:
 
 * exactness: after any fuzzed mutation sequence, the index equals the
   ground truth recomputed from scratch;
-* the scan-count pin: with slot checking on, ``feasible_machines`` never
+* the scan-count pin: ``feasible_machines`` never
   touches ``topology.healthy_machines()`` (the full scan), and the
   candidate pool it does build is bounded by the number of machines with
   free capacity, not the fleet size.
@@ -141,7 +141,7 @@ def test_index_order_is_deterministic():
 
 class TestFeasibilityScanPin:
     def test_feasible_machines_never_full_scans(self, monkeypatch):
-        """With slot checking on, the O(machines) scan must be gone."""
+        """The O(machines) scan must be gone."""
         state = make_cluster_state(num_machines=16, slots_per_machine=1)
         calls = {"healthy": 0}
         original = state.topology.healthy_machines
@@ -170,6 +170,15 @@ class TestFeasibilityScanPin:
         candidates = scheduler.feasible_machines(task, state)
         assert len(candidates) == 1  # only machine 15 has a free slot
         assert candidates[0].machine_id == 15
+
+    def test_one_run_never_overcommits_a_machine(self):
+        """Candidates are net of the placements made earlier in the run."""
+        state = make_cluster_state(num_machines=2, slots_per_machine=1)
+        state.submit_job(make_job(job_id=1, num_tasks=3))
+        scheduler = SparrowScheduler()
+        decision = scheduler.schedule(state, now=0.0)
+        assert sorted(decision.placements.values()) == [0, 1]
+        assert len(decision.unscheduled) == 1
 
     def test_scheduling_behavior_unchanged(self):
         """The index is an optimization: placements stay exactly as before."""

@@ -1,5 +1,7 @@
 """Unit tests for the graph manager (node identity and network construction)."""
 
+import inspect
+
 import pytest
 
 from repro.core.graph_manager import GraphManager
@@ -135,13 +137,10 @@ class TestChangeBatchEmission:
         assert batch.base_revision == first_revision
         assert batch.target_revision == second.revision
 
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_emitted_batch_replays_previous_network_into_new(
-        self, small_state, incremental
-    ):
+    def test_emitted_batch_replays_previous_network_into_new(self, small_state):
         job = make_job(job_id=1, num_tasks=3)
         small_state.submit_job(job)
-        manager = GraphManager(QuincyPolicy(), incremental=incremental)
+        manager = GraphManager(QuincyPolicy())
         # Snapshot: the persistent network is mutated in place by the
         # incremental path, so a plain reference would alias the new round.
         first = manager.update(small_state, now=0.0).copy()
@@ -151,8 +150,7 @@ class TestChangeBatchEmission:
         small_state.complete_task(job.tasks[0].task_id, now=1.0)
         small_state.submit_job(make_job(job_id=2, num_tasks=2))
         second = manager.update(small_state, now=10.0)
-        expected_mode = "incremental" if incremental else "full"
-        assert manager.last_update_stats.mode == expected_mode
+        assert manager.last_update_stats.mode == "incremental"
 
         replayed = first.copy()
         manager.last_changes.apply_to(replayed)
@@ -165,13 +163,6 @@ class TestChangeBatchEmission:
         assert {n.node_id: n.supply for n in replayed.nodes()} == {
             n.node_id: n.supply for n in second.nodes()
         }
-
-    def test_change_tracking_can_be_disabled(self, small_state):
-        small_state.submit_job(make_job(job_id=1, num_tasks=2))
-        manager = GraphManager(QuincyPolicy(), track_changes=False)
-        manager.update(small_state, now=0.0)
-        manager.update(small_state, now=10.0)
-        assert manager.last_changes is None
 
 
 class TestIncrementalUpdatePath:
@@ -189,13 +180,6 @@ class TestIncrementalUpdatePath:
         assert manager.last_update_stats.mode == "full"
         manager.update(small_state, now=1.0)
         assert manager.last_update_stats.mode == "incremental"
-
-    def test_incremental_can_be_disabled(self, small_state):
-        self._churned(small_state)
-        manager = GraphManager(QuincyPolicy(), incremental=False)
-        manager.update(small_state, now=0.0)
-        manager.update(small_state, now=1.0)
-        assert manager.full_updates == 2 and manager.incremental_updates == 0
 
     def test_every_policy_updates_incrementally(self, small_state):
         self._churned(small_state)
@@ -278,7 +262,7 @@ class TestIncrementalUpdatePath:
 
     def test_exception_mid_incremental_poisons_the_round_state(self, small_state):
         """A hook blowing up mid-mutation must not leave a half-patched
-        network behind: the next round rebuilds from scratch."""
+        network behind: the next round starts from an empty one."""
         self._churned(small_state)
         policy = QuincyPolicy()
         manager = GraphManager(policy)
@@ -302,10 +286,101 @@ class TestIncrementalUpdatePath:
         with pytest.raises(RuntimeError):
             manager.update(small_state, now=1.0)
 
-        # The wreckage is discarded: the next update is a from-scratch full
-        # build with no change batch derived from the half-mutated state.
+        # The wreckage is discarded: the next update starts from an empty
+        # network, with no change batch derived from the half-mutated state.
         policy.arcs_for_task = original
         network = manager.update(small_state, now=2.0)
         assert manager.last_update_stats.mode == "full"
         assert manager.last_changes is None
         assert network.validate_structure() == []
+
+
+def _fail_one_update(manager, policy, state, now):
+    """Make ``manager.update`` raise mid-mutation once, on its second task
+    scope, then restore the policy hook."""
+    original = policy.arcs_for_task
+    calls = {"n": 0}
+
+    def exploding(state, builder, task, now):
+        calls["n"] += 1
+        if calls["n"] >= 2:
+            raise RuntimeError("boom")
+        original(state, builder, task, now)
+
+    policy.arcs_for_task = exploding
+    state.dirty.mark_all()
+    try:
+        with pytest.raises(RuntimeError):
+            manager.update(state, now=now)
+    finally:
+        policy.arcs_for_task = original
+
+
+class TestOneUpdatePath:
+    """Round 1 and the round after a failed update grow an empty network
+    with the same derivation every later round runs."""
+
+    def test_constructor_takes_only_policy_verify_changes_and_chaos(self):
+        parameters = inspect.signature(GraphManager.__init__).parameters
+        assert list(parameters) == ["self", "policy", "verify_changes", "chaos"]
+
+    def test_round_one_grows_an_empty_network_by_derivation(
+        self, small_state, monkeypatch
+    ):
+        small_state.submit_job(make_job(job_id=1, num_tasks=3))
+        manager = GraphManager(QuincyPolicy())
+
+        def no_rebuild(*args, **kwargs):
+            raise AssertionError("round 1 built a network from scratch")
+
+        monkeypatch.setattr(GraphManager, "_build_full_network", no_rebuild)
+        network = manager.update(small_state, now=0.0)
+        stats = manager.last_update_stats
+        assert (stats.mode, stats.dirty_tasks, stats.dirty_machines) == ("full", 3, 8)
+        # Every node and arc of the network was added by this round.
+        assert stats.nodes_touched == network.num_nodes
+        assert stats.arcs_patched == network.num_arcs
+        assert (manager.full_updates, manager.incremental_updates) == (1, 0)
+        assert manager.last_changes is None
+        assert network.revision == 1
+
+    @pytest.mark.parametrize(
+        "mutation", ["complete_task", "fail_machine", "remove_job", "submit_job"]
+    )
+    def test_round_after_a_failed_update_reads_the_state_afresh(
+        self, small_state, mutation
+    ):
+        """The entity sets the failed round left behind are forgotten: the
+        retry matches a scan and a from-scratch build, however the state
+        moved while the manager held no network."""
+        first = make_job(job_id=1, num_tasks=4)
+        small_state.submit_job(first)
+        small_state.submit_job(make_job(job_id=2, num_tasks=2))
+        small_state.place_task(first.tasks[0].task_id, 0, now=0.0)
+        policy = QuincyPolicy()
+        manager = GraphManager(policy)
+        manager.update(small_state, now=0.0)
+        _fail_one_update(manager, policy, small_state, now=1.0)
+        assert manager.network is None
+
+        if mutation == "complete_task":
+            small_state.complete_task(first.tasks[0].task_id, now=1.5)
+        elif mutation == "fail_machine":
+            small_state.fail_machine(0, now=1.5)
+        elif mutation == "remove_job":
+            small_state.remove_job(2)
+        else:
+            small_state.submit_job(make_job(job_id=3, num_tasks=2, submit_time=1.5))
+        manager.verify_changes = True
+        network = manager.update(small_state, now=2.0)
+        assert manager.last_update_stats.mode == "full"
+        assert manager.last_changes is None
+        assert (manager.full_updates, manager.incremental_updates) == (2, 0)
+        assert set(manager.task_nodes) == {
+            t.task_id for t in small_state.schedulable_tasks()
+        }
+        assert network.validate_structure() == []
+        # The chain re-forms: the next round patches the new network.
+        manager.update(small_state, now=3.0)
+        assert manager.last_update_stats.mode == "incremental"
+        assert manager.last_changes is not None

@@ -37,6 +37,7 @@ from repro.cluster.machine import Machine
 from repro.core import FirmamentScheduler, ShardedScheduler
 from repro.core.graph_manager import GraphConsistencyError, _next_tick
 from repro.core.policies import QuincyPolicy
+from repro.flow.changes import ChangeBatchBuilder
 from repro.solvers import DualAlgorithmExecutor
 from repro.solvers.dual_executor import DELTA_SOLO_THRESHOLD
 from tests.conftest import make_cluster_state, make_job, reference_min_cost
@@ -230,6 +231,32 @@ def test_directed_edges_of_the_persistent_state(name, cells):
         # Every one of those was an incremental update of one network.
         for manager in managers:
             assert manager.full_updates <= 1
+    finally:
+        scheduler.close()
+
+
+@pytest.mark.parametrize("cells", CELLS)
+def test_round_one_is_cross_checked_too(cells, monkeypatch):
+    """Round 1 grows the network from empty through the same scope
+    derivation as every later round, so the oracle covers it: a mutant
+    that drops the first arc the round adds is caught on round 1."""
+    state = make_cluster_state(num_machines=8, machines_per_rack=2)
+    state.submit_job(make_job(job_id=1, num_tasks=4))
+    scheduler, _ = verified_scheduler(QuincyPolicy, state, cells)
+    add_arc = ChangeBatchBuilder.add_arc
+    dropped = []
+
+    def drop_the_first(builder, src, dst, capacity, cost):
+        if dropped:
+            add_arc(builder, src, dst, capacity, cost)
+        else:
+            dropped.append((src, dst))
+
+    monkeypatch.setattr(ChangeBatchBuilder, "add_arc", drop_the_first)
+    try:
+        with pytest.raises(GraphConsistencyError, match="from-scratch build"):
+            scheduler.schedule(state, 0.0)
+        assert dropped
     finally:
         scheduler.close()
 

@@ -6,7 +6,10 @@ raise and the rounds must still go through -- the monolith (one
 delta-armed cost-scaling leg per round) and four inline cells alike.  The
 passes: ``ClusterState.schedulable_tasks`` (and the cells' version), the
 full ``ShardedScheduler._bucket_tasks``, ``FlowNetwork.set_flows``' compare
-pass over every arc and ``ResidualNetwork.full_flows``.
+pass over every arc and ``ResidualNetwork.full_flows``.  The graph manager
+never builds from scratch at all: round 1 and the round after a failed
+update run with ``GraphManager._build_full_network`` and
+``ChangeBatch.diff`` patched to raise.
 
 Around it, what the persistent cell tables make possible: a new task is
 homed where there is room, one round before the balancer could move it, so
@@ -25,6 +28,7 @@ from repro.core import FirmamentScheduler, ShardedScheduler
 from repro.core.graph_manager import GraphManager
 from repro.core.policies import QuincyPolicy
 from repro.core.sharding import CellStateView
+from repro.flow.changes import ChangeBatch
 from repro.flow.graph import FlowNetwork
 from repro.solvers import DualAlgorithmExecutor
 from repro.solvers.dual_executor import DELTA_SOLO_THRESHOLD
@@ -136,6 +140,64 @@ def test_ten_steady_rounds_with_the_full_passes_patched_to_raise(cells, monkeypa
         # ... and so is a round nothing changed in.
         decision = scheduler.schedule(state, workload.now)
         assert not (decision.placements or decision.migrations or decision.preemptions)
+    finally:
+        monkeypatch.undo()
+        scheduler.close()
+
+
+@pytest.mark.parametrize("cells", (0, 4))
+def test_every_round_grows_one_network_without_a_from_scratch_build(
+    cells, monkeypatch
+):
+    """The graph manager builds its network one way.  Ten rounds -- round
+    1, steady rounds, a round after another consumer broke the dirty
+    chain, a round whose policy hook raises and the round after it -- run
+    with the from-scratch build and ``ChangeBatch.diff`` patched to raise:
+    round 1 and the round after the failure start from an empty network
+    and add everything through the same scope derivation."""
+    for owner, name in ((GraphManager, "_build_full_network"), (ChangeBatch, "diff")):
+        def refuse(*args, _name=f"{owner.__name__}.{name}", **kwargs):
+            raise AssertionError(f"{_name} ran")
+        monkeypatch.setattr(owner, name, refuse)
+
+    def explode(self, state, builder, task, now):
+        raise RuntimeError("policy hook failed")
+
+    state = ClusterState(build_topology(64, machines_per_rack=8, slots_per_machine=2))
+    scheduler = serve_scheduler(cells)
+    managers = (
+        (lambda: [cell.manager for cell in scheduler._cells])
+        if cells
+        else (lambda: [scheduler.graph_manager])
+    )
+    workload = Workload(state)
+    try:
+        workload.submit(24)
+        for round_index in range(10):
+            workload.churn()
+            if round_index == 4:
+                state.dirty.drain()  # another consumer: the chain breaks
+            if round_index == 6:
+                with monkeypatch.context() as patch:
+                    patch.setattr(QuincyPolicy, "arcs_for_task", explode)
+                    with pytest.raises(RuntimeError, match="policy hook failed"):
+                        scheduler.schedule(state, workload.now)
+                failed = [m for m in managers() if m.network is None]
+                assert len(failed) == 1 and failed[0].last_changes is None
+                continue
+            decision = scheduler.schedule_and_apply(state, workload.now)
+            assert not decision.unscheduled, f"round {round_index}"
+            if round_index == 0:
+                # (A cell with nothing to place has not started yet.)
+                started = [m for m in managers() if m.network is not None]
+                assert started and all(m.full_updates == 1 for m in started)
+                assert all(m.last_changes is None for m in started)
+            if round_index == 7:
+                stats = failed[0].last_update_stats
+                assert (stats.mode, failed[0].full_updates) == ("full", 2)
+                assert failed[0].last_changes is None
+        # One start from empty per manager, plus the failed one's restart.
+        assert [m.full_updates for m in managers() if m.full_updates > 1] == [2]
     finally:
         monkeypatch.undo()
         scheduler.close()

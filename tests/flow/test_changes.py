@@ -12,9 +12,7 @@ from repro.flow.changes import (
     NodeRemoval,
     SupplyChange,
     apply_changes,
-    changes_break_feasibility,
     classify_arc_change,
-    summarize_changes,
 )
 from repro.flow.graph import FlowNetwork, NodeType
 
@@ -80,16 +78,6 @@ class TestChangeApplication:
         assert not net.has_arc(task.node_id, machine.node_id)
         assert net.has_arc(task.node_id, sink.node_id)
 
-    def test_summarize_changes(self):
-        summary = summarize_changes(
-            [
-                SupplyChange(0, 1),
-                SupplyChange(1, -1),
-                ArcCostChange(0, 1, 5),
-            ]
-        )
-        assert summary == {"SupplyChange": 2, "ArcCostChange": 1}
-
 
 class TestTable3Classification:
     """The classification mirrors Table 3 of the paper."""
@@ -152,34 +140,6 @@ class TestTable3Classification:
                 new_capacity=2,
                 new_reduced_cost=1,
             )
-
-
-class TestFeasibilityScreening:
-    def test_node_addition_with_supply_breaks_feasibility(self):
-        net, *_ = simple_network()
-        changes = [NodeAddition(node_type=NodeType.TASK, supply=1)]
-        assert changes_break_feasibility(net, changes)
-
-    def test_cost_change_does_not_break_feasibility(self):
-        net, task, machine, _ = simple_network()
-        changes = [ArcCostChange(task.node_id, machine.node_id, 50)]
-        assert not changes_break_feasibility(net, changes)
-
-    def test_capacity_reduction_below_flow_breaks_feasibility(self):
-        net, task, machine, _ = simple_network()
-        net.arc(task.node_id, machine.node_id).flow = 1
-        changes = [ArcCapacityChange(task.node_id, machine.node_id, 0)]
-        assert changes_break_feasibility(net, changes)
-
-    def test_arc_removal_with_flow_breaks_feasibility(self):
-        net, task, machine, _ = simple_network()
-        net.arc(task.node_id, machine.node_id).flow = 1
-        changes = [ArcRemoval(task.node_id, machine.node_id)]
-        assert changes_break_feasibility(net, changes)
-
-    def test_node_removal_breaks_feasibility(self):
-        net, task, *_ = simple_network()
-        assert changes_break_feasibility(net, [NodeRemoval(task.node_id)])
 
 
 class TestChangeBatchDiff:

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.chaos import ChaosPolicy
 from repro.cli import build_parser, serve_command
 from repro.core import FirmamentScheduler, ShardedScheduler
 from repro.core.policies import QuincyPolicy
@@ -416,6 +417,8 @@ class TestServicePathSingleLeg:
         scheduler = FirmamentScheduler(
             QuincyPolicy(),
             solver=DualAlgorithmExecutor(delta_solo_threshold=DELTA_SOLO_THRESHOLD),
+            # Round 5's batch is dropped before it reaches the solver.
+            chaos=ChaosPolicy(schedule={"chain_break": [5]}),
         )
         executor = scheduler.solver
         rounds = churn_rounds(scheduler, 8)
@@ -431,8 +434,8 @@ class TestServicePathSingleLeg:
         next(rounds)
         assert executor.last_result.relaxation is None
         # Chain-broken: the manager's batch never reaches the solver.
-        scheduler.graph_manager.track_changes = False
         next(rounds)
+        assert scheduler.graph_manager.chain_breaks_injected == 1
         assert executor.last_result.relaxation is not None
         assert executor.last_result.cost_scaling.statistics.delta_solve == 0
         assert executor.solo_delta_rounds == 3

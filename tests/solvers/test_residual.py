@@ -35,7 +35,6 @@ class TestConstruction:
         assert residual.excess[residual.index[sink.node_id]] == -1
         assert residual.total_excess() == 1
         assert residual.source_indices() == [residual.index[task.node_id]]
-        assert residual.deficit_indices() == [residual.index[sink.node_id]]
 
     def test_warm_start_loads_existing_flow(self):
         net, task, machine, _ = small_network(flow_on_first_arc=1)
@@ -45,7 +44,8 @@ class TestConstruction:
         # The task's supply has already been pushed one hop.
         assert residual.excess[task_index] == 0
         assert residual.excess[machine_index] == 1
-        assert residual.flow_on_forward_arc(0) == 1
+        # One of the arc's two units is used: one left forward, one back.
+        assert (residual.arc_residual[0], residual.arc_residual[1]) == (1, 1)
 
     def test_warm_start_rejects_invalid_flow(self):
         net, task, machine, _ = small_network()
