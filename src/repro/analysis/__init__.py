@@ -1,39 +1,12 @@
-"""Analysis helpers: percentiles, CDFs, box-plot statistics, report tables, exports."""
+"""Analysis helpers: percentiles, box-plot statistics, report tables."""
 
-from repro.analysis.stats import (
-    BoxplotStats,
-    boxplot_stats,
-    cdf_points,
-    fraction_below,
-    mean,
-    percentile,
-)
-from repro.analysis.reporting import format_cdf, format_series, format_table
-from repro.analysis.export import (
-    FigureData,
-    Series,
-    read_figure_json,
-    write_cdf_csv,
-    write_figure_json,
-    write_series_csv,
-    write_table_csv,
-)
+from repro.analysis.stats import BoxplotStats, boxplot_stats, mean, percentile
+from repro.analysis.reporting import format_table
 
 __all__ = [
     "BoxplotStats",
     "boxplot_stats",
-    "cdf_points",
-    "fraction_below",
     "mean",
     "percentile",
-    "format_cdf",
-    "format_series",
     "format_table",
-    "FigureData",
-    "Series",
-    "read_figure_json",
-    "write_cdf_csv",
-    "write_figure_json",
-    "write_series_csv",
-    "write_table_csv",
 ]

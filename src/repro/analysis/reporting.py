@@ -8,7 +8,7 @@ easy to copy into EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
@@ -28,27 +28,6 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> st
     ]
     for row in materialized:
         lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
-    return "\n".join(lines)
-
-
-def format_series(name: str, points: Sequence[Tuple[object, object]]) -> str:
-    """Render a named series of ``(x, y)`` points, one point per line."""
-    lines = [f"{name}:"]
-    for x, y in points:
-        lines.append(f"  {_fmt(x)} -> {_fmt(y)}")
-    return "\n".join(lines)
-
-
-def format_cdf(name: str, samples: Sequence[float], points: int = 10) -> str:
-    """Render an empirical CDF at evenly spaced quantiles."""
-    from repro.analysis.stats import percentile
-
-    lines = [f"{name} (n={len(samples)}):"]
-    if not samples:
-        return lines[0] + " no samples"
-    for index in range(points + 1):
-        q = 100.0 * index / points
-        lines.append(f"  p{q:5.1f}: {percentile(samples, q):.4f}")
     return "\n".join(lines)
 
 

@@ -1,6 +1,6 @@
 """Statistical helpers used by experiments and benchmarks.
 
-The paper reports results as CDFs, percentile box plots (1st/25th/50th/75th/
+The paper reports results as percentiles, box plots (1st/25th/50th/75th/
 99th percentiles plus maximum, as in Figure 3 and Figure 18), and averages.
 These helpers compute exactly those summaries from raw samples without
 pulling in plotting dependencies.
@@ -9,7 +9,7 @@ pulling in plotting dependencies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 
 def mean(samples: Sequence[float]) -> float:
@@ -71,20 +71,3 @@ def boxplot_stats(samples: Sequence[float]) -> BoxplotStats:
         maximum=maximum,
         count=len(data),
     )
-
-
-def cdf_points(samples: Sequence[float]) -> List[Tuple[float, float]]:
-    """Return the empirical CDF as a list of ``(value, cumulative_fraction)``."""
-    data = sorted(samples)
-    n = len(data)
-    if n == 0:
-        return []
-    return [(value, (index + 1) / n) for index, value in enumerate(data)]
-
-
-def fraction_below(samples: Sequence[float], threshold: float) -> float:
-    """Return the fraction of samples at or below a threshold."""
-    data = list(samples)
-    if not data:
-        return 0.0
-    return sum(1 for value in data if value <= threshold) / len(data)

@@ -75,13 +75,13 @@ class FlowAssignments:
             task_nodes: Task id to node id of the tasks in the network.
             departed_tasks: Tasks whose nodes were removed since the
                 previous call; ``None`` when the map cannot be carried over
-                (another network, an all-dirty round).  That, or an
-                unknown changed-flow set, means every task is re-derived.
+                (another network, an all-dirty round), which means every
+                task is re-derived.
         """
         changed = network.take_flow_changes()
         assignments = self.assignments
         indirect = self.indirect
-        if departed_tasks is None or changed is None:
+        if departed_tasks is None:
             assignments.clear()
             indirect.clear()
             rederive = sorted(task_nodes)

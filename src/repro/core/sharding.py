@@ -347,13 +347,8 @@ class CrossCellBalancer:
     incremental even after a storm.
     """
 
-    def __init__(
-        self,
-        partition: CellPartition,
-        max_migrations_per_round: int = MAX_MIGRATIONS_PER_ROUND,
-    ) -> None:
+    def __init__(self, partition: CellPartition) -> None:
         self.partition = partition
-        self.max_migrations_per_round = max_migrations_per_round
         self.total_migrations = 0
 
     def plan(
@@ -409,7 +404,7 @@ class CrossCellBalancer:
         surplus = [free[c] - demand[c] for c in range(num_cells)]
         moves: List[Tuple[int, int, int]] = []
         for task_id, home in movable:
-            if len(moves) >= self.max_migrations_per_round:
+            if len(moves) >= MAX_MIGRATIONS_PER_ROUND:
                 break
             if surplus[home] >= 0:
                 continue  # the home cell can absorb its own queue

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 
 class NodeType(enum.Enum):
@@ -124,10 +124,10 @@ class FlowNetwork:
         #: Keys of the arcs whose flow the flow writers (:meth:`set_flows`,
         #: :meth:`ResidualNetwork.write_flow_back
         #: <repro.solvers.residual.ResidualNetwork.write_flow_back>`) changed
-        #: since :meth:`take_flow_changes`; ``None`` while that set is
-        #: unknown (nothing taken yet, or a writer that does not compare
-        #: wrote), which readers must treat as "any arc may have changed".
-        self.flow_changes: Optional[Set[Tuple[int, int]]] = None
+        #: since :meth:`take_flow_changes` (since construction before the
+        #: first take), less the arcs removed since.  Every writer reports
+        #: the arcs it moved, so the set is always exact.
+        self.flow_changes: Set[Tuple[int, int]] = set()
         #: Token of the residual network that wrote the flows last (``None``
         #: after any other writer): a residual may write only the arcs its
         #: journal names iff it still finds its own token here.
@@ -222,6 +222,8 @@ class FlowNetwork:
         self._arcs.pop((src, dst))
         del self._out[src][dst]
         del self._in[dst][src]
+        # A network nobody takes the changes of keeps only live arcs there.
+        self.flow_changes.discard((src, dst))
 
     def arc(self, src: int, dst: int) -> Arc:
         """Return the arc between the two nodes."""
@@ -281,9 +283,9 @@ class FlowNetwork:
 
     def clear_flow(self) -> None:
         """Reset the flow on every arc to zero."""
-        self.load_flows({})
+        self.set_flows({})
 
-    def set_flows(self, flows: Dict[Tuple[int, int], int]) -> None:
+    def set_flows(self, flows: Mapping[Tuple[int, int], int]) -> None:
         """Assign flow values to arcs from a ``{(src, dst): flow}`` mapping.
 
         Arcs not present in ``flows`` are reset to zero flow.  The arcs
@@ -295,25 +297,10 @@ class FlowNetwork:
             flow = get(key, 0)
             if arc.flow != flow:
                 arc.flow = flow
-                if changed is not None:
-                    changed.add(key)
+                changed.add(key)
         self.flow_writer = None
 
-    def load_flows(self, flows: Dict[Tuple[int, int], int]) -> None:
-        """Assign a (possibly stale) solution's flows, clamped to today's
-        capacities: the warm-start preload.  Arcs absent from ``flows`` are
-        zeroed.  Untracked -- :attr:`flow_changes` becomes unknown."""
-        get = flows.get
-        for key, arc in self._arcs.items():
-            arc.flow = min(get(key, 0), arc.capacity)
-        self.forget_flow_changes()
-
-    def forget_flow_changes(self) -> None:
-        """Declare the changed-flow set unknown (an untracked write)."""
-        self.flow_changes = None
-        self.flow_writer = None
-
-    def take_flow_changes(self) -> Optional[Set[Tuple[int, int]]]:
+    def take_flow_changes(self) -> Set[Tuple[int, int]]:
         """Return :attr:`flow_changes` and start a fresh, empty set."""
         changed = self.flow_changes
         self.flow_changes = set()

@@ -14,6 +14,10 @@ dual-algorithm executor of Section 6.1:
 * :class:`~repro.solvers.incremental.IncrementalCostScalingSolver`
 * :class:`~repro.solvers.incremental_relaxation.IncrementalRelaxationSolver`
   (the warm-start variant Section 5.2 argues against; kept for the ablation)
+
+  Both are subclasses of the solver they make incremental, and each is the
+  one owner of its warm state: a warm start loads the previous flow into
+  the residual it builds and never writes the network being solved.
 * :class:`~repro.solvers.dual_executor.DualAlgorithmExecutor` (sequential,
   models the race) and
   :class:`~repro.solvers.parallel_executor.ParallelDualExecutor` (races a
@@ -25,7 +29,9 @@ dual-algorithm executor of Section 6.1:
 
 All solvers share the :class:`~repro.solvers.base.Solver` interface: they
 take a :class:`~repro.flow.graph.FlowNetwork`, assign an optimal flow to its
-arcs, and return a :class:`~repro.solvers.base.SolverResult` with statistics.
+arcs (every write reports the arcs it moved in
+:attr:`~repro.flow.graph.FlowNetwork.flow_changes`), and return a
+:class:`~repro.solvers.base.SolverResult` with statistics.
 """
 
 from repro.solvers.base import (

@@ -276,7 +276,7 @@ class SolveAborted(Exception):
     delivers its solution first, the check fires and the losing run is
     cancelled mid-flight instead of finishing pointless work.  A solver
     whose run was aborted makes no guarantee about its internal state;
-    stateful wrappers must discard or re-seed their warm state.
+    stateful solvers must discard or re-seed their warm state.
     """
 
 

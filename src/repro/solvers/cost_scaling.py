@@ -449,10 +449,6 @@ class CostScalingSolver(Solver):
         #: the augmentations of a multi-source repair.  ``None`` (the
         #: default) costs one predicate check per augmentation.
         self.invariant_hook = None
-        # Cleared by IncrementalCostScalingSolver.solve(write_back=False) for
-        # the duration of one solve: a dual executor writes the round's
-        # winning flows itself.
-        self._write_back: bool = True
         # Scratch columns of the repair's shortest-path searches, shared by
         # every augmentation and validated by a stamp instead of being
         # reallocated (three n-sized lists per augmentation otherwise).
@@ -464,8 +460,13 @@ class CostScalingSolver(Solver):
     # ------------------------------------------------------------------ #
     # Public API
     # ------------------------------------------------------------------ #
-    def solve(self, network: FlowNetwork) -> SolverResult:
-        """Compute a min-cost max-flow from scratch."""
+    def solve(self, network: FlowNetwork, write_back: bool = True) -> SolverResult:
+        """Compute a min-cost max-flow from scratch.
+
+        ``write_back=False`` leaves ``network``'s arcs alone (a dual
+        executor writes the round's winning flows itself); the same flag
+        exists on :meth:`solve_warm` and :meth:`solve_delta`.
+        """
         start = time.perf_counter()
         self.last_degradation = None
         residual = ResidualNetwork(network, abort_check=self.abort_check)
@@ -486,22 +487,25 @@ class CostScalingSolver(Solver):
             residual,
             stats,
             start,
+            write_back,
             optimal=self.max_phases is None and not truncated,
         )
 
     def solve_warm(
         self,
         network: FlowNetwork,
-        warm_flows: Dict[Tuple[int, int], int],
-        warm_potentials: Optional[Dict[int, int]] = None,
+        warm_flows: Mapping[Tuple[int, int], int],
+        warm_potentials: Optional[Mapping[int, int]] = None,
         apply_price_refine: bool = True,
         warm_scaled_potentials: Optional[Dict[int, int]] = None,
         warm_scale: Optional[int] = None,
+        write_back: bool = True,
     ) -> SolverResult:
         """Re-optimize starting from a previous solution.
 
-        The warm flow is loaded arc by arc (clamped to the arc's current
-        capacity) and node potentials are recovered -- from the previous
+        The warm flow is loaded arc by arc into a fresh residual (clamped
+        to the arc's current capacity; ``network`` is written only by the
+        write-back) and node potentials are recovered -- from the previous
         run's scaled potentials if available, via the price-refine heuristic
         (Section 6.2) otherwise.  Optimality is then repaired cheaply:
         residual arcs whose reduced cost turned negative are saturated, and
@@ -528,10 +532,9 @@ class CostScalingSolver(Solver):
         """
         start = time.perf_counter()
         self.last_degradation = None
-        network.load_flows(warm_flows)
         self._check_abort()
         residual = ResidualNetwork(
-            network, use_existing_flow=True, abort_check=self.abort_check
+            network, flows=warm_flows, abort_check=self.abort_check
         )
         stats = SolverStatistics(warm_start=True)
 
@@ -547,6 +550,7 @@ class CostScalingSolver(Solver):
         have_good_potentials = True
         refine_proved_optimal = False
         refine_failed = False
+        optimal = True
         if warm_scaled_potentials is not None and warm_scale:
             multiplier = scale // warm_scale
             for node_id, value in warm_scaled_potentials.items():
@@ -623,30 +627,19 @@ class CostScalingSolver(Solver):
             # starting from the worst observed violation.
             self._establish_feasible_flow(residual, stats)
             violation = self._max_violation(residual)
-            truncated = False
             if violation > 0:
-                truncated = self._run_phases(residual, max(1, violation), stats)
-            if not truncated:
+                optimal = not self._run_phases(residual, max(1, violation), stats)
+            if optimal:
                 self._polish(residual, stats)
-            if truncated:
-                return self._finish(
-                    network,
-                    residual,
-                    stats,
-                    start,
-                    algorithm="incremental_cost_scaling",
-                    optimal=False,
-                )
 
-        return self._finish(
-            network, residual, stats, start, algorithm="incremental_cost_scaling"
-        )
+        return self._finish(network, residual, stats, start, write_back, optimal)
 
     def solve_delta(
         self,
         residual: ResidualNetwork,
         network: FlowNetwork,
         changes: ChangeBatch,
+        write_back: bool = True,
     ) -> SolverResult:
         """Re-optimize a persistent residual network after a change batch.
 
@@ -706,13 +699,7 @@ class CostScalingSolver(Solver):
         if repaired:
             stats.epsilon_phases += 1
 
-        return self._finish(
-            network,
-            residual,
-            stats,
-            start,
-            algorithm="incremental_cost_scaling",
-        )
+        return self._finish(network, residual, stats, start, write_back)
 
     # ------------------------------------------------------------------ #
     # Warm-start repair
@@ -922,7 +909,7 @@ class CostScalingSolver(Solver):
         residual: ResidualNetwork,
         stats: SolverStatistics,
         start: float,
-        algorithm: Optional[str] = None,
+        write_back: bool,
         optimal: bool = True,
     ) -> SolverResult:
         """Record warm-start state, write flow back (unless an executor
@@ -953,11 +940,11 @@ class CostScalingSolver(Solver):
                 node_id: value // scale
                 for node_id, value in self.last_scaled_potentials.items()
             }
-        if self._write_back:
+        if write_back:
             residual.write_flow_back(network)
         runtime = time.perf_counter() - start
         return SolverResult(
-            algorithm=algorithm or self.name,
+            algorithm=self.name,
             total_cost=residual.total_cost(),
             flows=residual.flows(),
             potentials=potentials,

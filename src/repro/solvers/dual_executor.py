@@ -251,7 +251,7 @@ class SpeculativeDualExecutor(Solver):
         round_index = self._chaos_round
         self._chaos_round += 1
         if chaos is not None:
-            residual = self.incremental.persistent_residual
+            residual = self.incremental.last_residual
             if residual is not None and chaos.fires("residual_corruption", round_index):
                 corrupt_residual_potentials(residual, seed=chaos.seed + round_index)
                 self.incremental.validate_residual = True
@@ -379,7 +379,7 @@ class SpeculativeDualExecutor(Solver):
             winner = relaxation_result
             if (
                 cost_scaling_result is None
-                or self.incremental.persistent_residual is None
+                or self.incremental.last_residual is None
             ):
                 self.incremental.seed(winner.flows, winner.potentials)
         else:

@@ -7,8 +7,10 @@ though graph changes break its feasibility/epsilon-optimality preconditions:
 it recovers by repairing only what the changes broke, rather than
 restarting from the maximum arc cost.
 
-:class:`IncrementalCostScalingSolver` is stateful and supports two levels
-of reuse:
+:class:`IncrementalCostScalingSolver` is a
+:class:`~repro.solvers.cost_scaling.CostScalingSolver` that owns its warm
+state -- the retained residual and scaled potentials it inherits, plus the
+last solution's flow -- and supports two levels of reuse:
 
 * **Delta solving** (the fast path): when the caller supplies the typed
   :class:`~repro.flow.changes.ChangeBatch` that transforms the previously
@@ -28,7 +30,9 @@ of reuse:
   (:meth:`~repro.solvers.cost_scaling.CostScalingSolver.solve_warm`).  This
   tolerates arbitrary divergence between rounds -- the way Firmament's
   graph manager rebuilds networks from scratch -- at O(nodes + arcs)
-  reconstruction cost.
+  reconstruction cost.  The stale flow goes to the residual, never onto
+  the network being solved: the network's arcs are written only by the
+  write-back, which reports every arc it moved.
 
 Warm state is invalidated by :meth:`IncrementalCostScalingSolver.reset`;
 the persistent residual alone is dropped (falling back to warm rebuild)
@@ -52,16 +56,16 @@ ablation in ``benchmarks/bench_fig12_heuristics.py``.)
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.flow.changes import ChangeBatch
 from repro.flow.graph import FlowNetwork
 from repro.flow.validation import check_residual_epsilon_optimality
-from repro.solvers.base import RoundDeadline, Solver, SolverResult
+from repro.solvers.base import RoundDeadline, SolverResult
 from repro.solvers.cost_scaling import CostScalingSolver, DEFAULT_ALPHA
 
 
-class IncrementalCostScalingSolver(Solver):
+class IncrementalCostScalingSolver(CostScalingSolver):
     """Stateful cost-scaling solver that warm-starts from its previous run."""
 
     name = "incremental_cost_scaling"
@@ -79,12 +83,12 @@ class IncrementalCostScalingSolver(Solver):
         """Create the solver.
 
         Args:
-            alpha: Epsilon division factor for the underlying cost scaling.
+            alpha: Epsilon division factor of the cost scaling.
             apply_price_refine: Apply the price-refine heuristic before each
                 warm-started run (Section 6.2).
-            price_refine: Price-refine variant forwarded to the underlying
-                cost scaling (``"spfa"``, ``"dijkstra"``, or ``"auto"``;
-                see :data:`repro.solvers.cost_scaling.PRICE_REFINE_MODES`).
+            price_refine: Price-refine variant (``"spfa"``, ``"dijkstra"``,
+                or ``"auto"``; see
+                :data:`repro.solvers.cost_scaling.PRICE_REFINE_MODES`).
                 The Dijkstra variant seeds warm rebuilds from the previous
                 round's potentials so refine work tracks inter-round drift
                 instead of network size.
@@ -99,17 +103,15 @@ class IncrementalCostScalingSolver(Solver):
         """
         # polish_potentials keeps the retained residual 0-optimal, which is
         # what makes it legal to hand back to solve_delta next round.
-        self._cost_scaling = CostScalingSolver(
-            alpha=alpha, polish_potentials=True, price_refine=price_refine
-        )
+        super().__init__(alpha=alpha, polish_potentials=True, price_refine=price_refine)
         self.apply_price_refine = apply_price_refine
         #: Per-solve soft budget; see ``round_deadline_seconds`` above.
         self.round_deadline_seconds = round_deadline_seconds
         # Warm-rebuild state: the last solution's flow, plus the unscaled
         # potentials a seed() handed over.  After a solve of its own the
-        # potentials live, scaled, on the inner solver (its retained
-        # residual, or last_scaled_potentials once that was released).
-        self._last_flows: Optional[Dict[Tuple[int, int], int]] = None
+        # potentials live, scaled, on the retained residual (or in
+        # last_scaled_potentials once that was released).
+        self._last_flows: Optional[Mapping[Tuple[int, int], int]] = None
         self._last_potentials: Optional[Dict[int, int]] = None
         #: Count of solves served by the pure delta path (observability).
         self.delta_solves: int = 0
@@ -130,7 +132,7 @@ class IncrementalCostScalingSolver(Solver):
         """Discard the remembered solution; the next solve runs from scratch."""
         self._last_flows = None
         self._last_potentials = None
-        self._cost_scaling.discard_warm_state()
+        self.discard_warm_state()
 
     def seed(self, flows: Dict[Tuple[int, int], int], potentials: Dict[int, int]) -> None:
         """Install an externally produced solution as the warm-start state.
@@ -153,63 +155,19 @@ class IncrementalCostScalingSolver(Solver):
         """
         self._last_flows = dict(flows)
         self._last_potentials = dict(potentials)
-        self._cost_scaling.discard_warm_state()
+        self.discard_warm_state()
 
     @property
     def has_state(self) -> bool:
         """Return whether a previous solution is available for warm starting."""
         return self._last_flows is not None
 
-    @property
-    def price_refine(self) -> str:
-        """Price-refine variant of the underlying cost scaling solver."""
-        return self._cost_scaling.price_refine
-
-    @property
-    def abort_check(self):
-        """Cooperative cancellation hook, forwarded to the inner solver.
-
-        Set by the speculative parallel executor for the duration of a race
-        so the losing cost-scaling run can be cancelled mid-flight; see
-        :attr:`repro.solvers.cost_scaling.CostScalingSolver.abort_check`.
-        """
-        return self._cost_scaling.abort_check
-
-    @abort_check.setter
-    def abort_check(self, check) -> None:
-        self._cost_scaling.abort_check = check
-
-    @property
-    def deadline_check(self):
-        """Soft-deadline hook, forwarded to the inner solver.
-
-        Polled at epsilon-phase boundaries; firing stops the scaling
-        ladder at the current coarser epsilon (fig10-style approximate
-        solving) instead of cancelling the run; see
-        :attr:`repro.solvers.cost_scaling.CostScalingSolver.deadline_check`.
-        """
-        return self._cost_scaling.deadline_check
-
-    @deadline_check.setter
-    def deadline_check(self, check) -> None:
-        self._cost_scaling.deadline_check = check
-
-    @property
-    def persistent_residual(self):
-        """The retained residual of the inner solver (None when absent)."""
-        return self._cost_scaling.last_residual
-
-    @property
-    def last_degradation(self):
-        """Deadline-degradation record of the most recent inner run."""
-        return self._cost_scaling.last_degradation
-
     def can_solve_delta(self, changes: Optional[ChangeBatch]) -> bool:
         """Whether the next solve with this batch takes the pure delta path.
 
         True when a persistent residual exists and the batch's revision
         chain connects to it, so the round's cost is O(|changes| + repair)
-        rather than O(graph).  The parallel executor consults this to skip
+        rather than O(graph).  The dual executors consult this to skip
         pointless speculation: from-scratch relaxation cannot beat a small
         bounded delta repair.
         """
@@ -219,7 +177,7 @@ class IncrementalCostScalingSolver(Solver):
         """Return the persistent residual if the change batch applies to it."""
         if changes is None or not self.has_state:
             return None
-        residual = self._cost_scaling.last_residual
+        residual = self.last_residual
         if residual is None:
             return None
         # Revision guard: the batch must connect the snapshot the residual
@@ -246,90 +204,73 @@ class IncrementalCostScalingSolver(Solver):
                 residual without reconstructing it.
             write_back: Write the flow onto ``network``'s arcs.  A dual
                 executor passes False and writes the round's winning flows
-                itself, once.
+                itself, once; no path writes the network otherwise.
         """
         # Per-solve soft deadline: truncate the epsilon ladder at the
         # budget.  An externally installed check (a dual executor running
         # its own RoundDeadline) is never clobbered.
-        installed_deadline = False
-        if (
-            self.round_deadline_seconds is not None
-            and self._cost_scaling.deadline_check is None
-        ):
-            self._cost_scaling.deadline_check = RoundDeadline(
-                self.round_deadline_seconds
-            ).expired
-            installed_deadline = True
-        self._cost_scaling._write_back = write_back
+        installed_deadline = (
+            self.round_deadline_seconds is not None and self.deadline_check is None
+        )
+        if installed_deadline:
+            self.deadline_check = RoundDeadline(self.round_deadline_seconds).expired
         try:
-            return self._solve_inner(network, changes)
+            result = self._solve_once(network, changes, write_back)
         finally:
-            self._cost_scaling._write_back = True
             if installed_deadline:
-                self._cost_scaling.deadline_check = None
+                self.deadline_check = None
+        # Read only by a later warm rebuild: the result's mapping, fresh per
+        # solve, is kept by reference.
+        self._last_flows = result.flows
+        self._last_potentials = None
+        return result
 
-    def _solve_inner(
-        self, network: FlowNetwork, changes: Optional[ChangeBatch] = None
+    def _solve_once(
+        self, network: FlowNetwork, changes: Optional[ChangeBatch], write_back: bool
     ) -> SolverResult:
+        """The delta / warm / cold choice."""
         residual = self._deltable_residual(changes)
         if residual is not None and self.validate_residual:
-            problems = check_residual_epsilon_optimality(residual, 0)
-            if problems:
+            if check_residual_epsilon_optimality(residual, 0):
                 # The retained residual no longer proves 0-optimality
                 # (state corruption, a bug, a cosmic ray).  Repairing on
                 # top of bad potentials would silently produce a wrong
                 # flow, so drop the residual *and* its potentials and
                 # rebuild warm from the flow alone.
-                self._cost_scaling.discard_warm_state()
+                self.discard_warm_state()
                 self.residual_validation_failures += 1
                 residual = None
-        if residual is not None:
-            try:
-                result = self._cost_scaling.solve_delta(residual, network, changes)
-                self.delta_solves += 1
-                result.statistics.delta_solve = 1
-            except (KeyError, ValueError):
-                # The batch does not match the residual's structure; the
-                # half-patched residual is unusable, so release it (its
-                # potentials still warm-start the rebuild) and rebuild.
-                self.delta_fallbacks += 1
-                result = self._solve_rebuild(network)
-            except Exception:
-                self._cost_scaling.release_residual()
-                raise
-        else:
-            result = self._solve_rebuild(network)
-        # Read only by a later warm rebuild, which copies it first: the
-        # result's dict, fresh per solve, is kept by reference.
-        self._last_flows = result.flows
-        self._last_potentials = None
+        if residual is None:
+            return self._solve_rebuild(network, write_back)
+        try:
+            result = self.solve_delta(residual, network, changes, write_back)
+        except (KeyError, ValueError):
+            # The batch does not match the residual's structure; the
+            # half-patched residual is unusable, so release it (its
+            # potentials still warm-start the rebuild) and rebuild.
+            self.delta_fallbacks += 1
+            return self._solve_rebuild(network, write_back)
+        except Exception:
+            self.release_residual()
+            raise
+        self.delta_solves += 1
+        result.statistics.delta_solve = 1
         return result
 
-    def _solve_rebuild(self, network: FlowNetwork) -> SolverResult:
+    def _solve_rebuild(self, network: FlowNetwork, write_back: bool) -> SolverResult:
         """Solve by (re)building a residual network (cold or warm)."""
         if not self.has_state:
-            result = self._cost_scaling.solve(network)
-            result = SolverResult(
-                algorithm=self.name,
-                total_cost=result.total_cost,
-                flows=result.flows,
-                potentials=result.potentials,
-                runtime_seconds=result.runtime_seconds,
-                statistics=result.statistics,
-                optimal=result.optimal,
-            )
-        else:
-            # Whatever residual is still retained does not connect to this
-            # round (no batch, a revision gap, a failed patch): solve_warm
-            # builds a fresh one, and the old one's potentials seed it.
-            self._cost_scaling.release_residual()
-            result = self._cost_scaling.solve_warm(
-                network,
-                dict(self._last_flows),
-                warm_potentials=dict(self._last_potentials or {}),
-                apply_price_refine=self.apply_price_refine,
-                warm_scaled_potentials=self._cost_scaling.last_scaled_potentials,
-                warm_scale=self._cost_scaling.last_scale,
-            )
-            result.algorithm = self.name
-        return result
+            return super().solve(network, write_back=write_back)
+        # Whatever residual is still retained does not connect to this
+        # round (no batch, a revision gap, a failed patch): solve_warm
+        # builds a fresh one, and the old one's potentials seed it.
+        self.release_residual()
+        return self.solve_warm(
+            network,
+            self._last_flows,
+            warm_potentials=self._last_potentials or {},
+            apply_price_refine=self.apply_price_refine,
+            warm_scaled_potentials=self.last_scaled_potentials,
+            warm_scale=self.last_scale,
+            write_back=write_back,
+        )

@@ -11,42 +11,47 @@ from scratch".  Firmament therefore pairs relaxation (from scratch) with
 dual executor.
 
 :class:`IncrementalRelaxationSolver` exists to make that design decision
-reproducible: it is the stateful warm-starting wrapper around
+reproducible: it is the stateful warm-starting
 :class:`~repro.solvers.relaxation.RelaxationSolver` that Firmament chose not
 to use, and ``benchmarks/bench_ablation_incremental_relaxation.py`` measures
 it against the from-scratch solver on both uncontested and contended graphs.
 
-The wrapper's warm state has exactly one source of truth: the
-``(flows, potentials)`` pair installed through :meth:`_install_state`, the
-single code path behind :meth:`seed`, :meth:`reset`, and the post-solve
-update.  The underlying solver's persistent residual carries flow and
-potential state of its own, so every state installation also drops it --
-two independently mutated copies of the same solution is how warm-start
-bugs are born.
+Its warm state has exactly one source of truth: the ``(flows, potentials)``
+pair installed through :meth:`~IncrementalRelaxationSolver._install_state`,
+the single code path behind :meth:`~IncrementalRelaxationSolver.seed`,
+:meth:`~IncrementalRelaxationSolver.reset`, and the post-solve update.  The
+persistent residual the solver inherits carries flow and potential state of
+its own, so every state installation also drops it -- two independently
+mutated copies of the same solution is how warm-start bugs are born.  A warm
+solve hands the stale flow to the residual it builds, never to the network
+being solved.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.flow.graph import FlowNetwork
-from repro.solvers.base import Solver, SolverResult
+from repro.solvers.base import SolverResult
 from repro.solvers.relaxation import RelaxationSolver
 
 
-class IncrementalRelaxationSolver(Solver):
+class IncrementalRelaxationSolver(RelaxationSolver):
     """Stateful relaxation solver that warm-starts from its previous run."""
 
     name = "incremental_relaxation"
+
+    #: Every solve builds its residual from the warm state: :meth:`solve`
+    #: takes no change batch.
+    accepts_change_batches = False
 
     def __init__(self, arc_prioritization: bool = True) -> None:
         """Create the solver.
 
         Args:
-            arc_prioritization: Enable the Section 5.3.1 tree-growth heuristic
-                in the underlying relaxation algorithm.
+            arc_prioritization: Enable the Section 5.3.1 tree-growth heuristic.
         """
-        self._relaxation = RelaxationSolver(arc_prioritization=arc_prioritization)
+        super().__init__(arc_prioritization=arc_prioritization)
         #: The remembered solution, or ``None`` for a cold start.  Only
         #: ever written by :meth:`_install_state`.
         self._warm_state: Optional[
@@ -55,21 +60,21 @@ class IncrementalRelaxationSolver(Solver):
 
     def _install_state(
         self,
-        flows: Optional[Dict[Tuple[int, int], int]],
-        potentials: Optional[Dict[int, int]],
+        flows: Optional[Mapping[Tuple[int, int], int]],
+        potentials: Optional[Mapping[int, int]],
     ) -> None:
         """Install (or clear, with ``flows=None``) the warm-start state.
 
         The one code path through which seeding, resetting, and the
-        post-solve update all go; it also invalidates the underlying
-        solver's persistent residual so the wrapper's dicts remain the
-        single authoritative copy of the solution.
+        post-solve update all go; it also drops the persistent residual so
+        the installed dicts remain the single authoritative copy of the
+        solution.
         """
         if flows is None:
             self._warm_state = None
         else:
             self._warm_state = (dict(flows), dict(potentials or {}))
-        self._relaxation.invalidate_residual()
+        self.invalidate_residual()
 
     def reset(self) -> None:
         """Discard the remembered solution; the next solve runs from scratch."""
@@ -86,20 +91,9 @@ class IncrementalRelaxationSolver(Solver):
 
     def solve(self, network: FlowNetwork) -> SolverResult:
         """Solve the network, reusing the previous solution when available."""
-        if not self.has_state:
-            result = self._relaxation.solve(network)
-            result = SolverResult(
-                algorithm=self.name,
-                total_cost=result.total_cost,
-                flows=result.flows,
-                potentials=result.potentials,
-                runtime_seconds=result.runtime_seconds,
-                statistics=result.statistics,
-                optimal=result.optimal,
-            )
+        if self.has_state:
+            result = self.solve_warm(network, *self._warm_state)
         else:
-            warm_flows, warm_potentials = self._warm_state
-            result = self._relaxation.solve_warm(network, warm_flows, warm_potentials)
-            result.algorithm = self.name
+            result = super().solve(network)
         self._install_state(result.flows, result.potentials)
         return result

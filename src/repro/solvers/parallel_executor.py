@@ -165,7 +165,6 @@ class ParallelDualExecutor(SpeculativeDualExecutor):
             _make_relaxation,
             {
                 "arc_prioritization": self.relaxation.arc_prioritization,
-                "priority_probe_limit": self.relaxation.priority_probe_limit,
                 "ascent_cap": self.relaxation.ascent_cap,
             },
             breaker=breaker,

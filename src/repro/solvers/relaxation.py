@@ -64,8 +64,10 @@ extraction run through the residual's dirty-flow journal, which is exact
 when the solver repeatedly writes to the same target network (the worker's
 shadow, a graph manager's persistent network).  The dual executors call
 ``solve(..., write_back=False)`` and write the round's winning ``flows``
-themselves, so a losing leg never touches the arcs.  The result's ``flows``
-dict is always the authoritative solution.
+themselves, and no solver writes ``network`` anywhere else -- a warm start
+hands its stale flow to the residual it builds, not to the arcs -- so a
+losing leg never touches the arcs.  The result's ``flows`` dict is always
+the authoritative solution.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from heapq import heapify, heappop, heappush
-from typing import Dict, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 from repro.flow.changes import ChangeBatch
 from repro.flow.graph import FlowNetwork
@@ -86,6 +88,11 @@ from repro.solvers.base import (
 )
 from repro.solvers.residual import ResidualNetwork
 
+#: Maximum number of a discovered node's arcs the arc-prioritization
+#: heuristic probes when deciding whether it leads to a demand node; keeps
+#: the heuristic's bookkeeping cheap on high-degree aggregators.
+PRIORITY_PROBE_LIMIT = 32
+
 
 class RelaxationSolver(Solver):
     """Bertsekas-Tseng relaxation (dual ascent with tree augmentation)."""
@@ -97,22 +104,14 @@ class RelaxationSolver(Solver):
     #: residual instead of rebuilding it from the flow network.
     accepts_change_batches = True
 
-    def __init__(
-        self,
-        arc_prioritization: bool = True,
-        priority_probe_limit: int = 32,
-    ) -> None:
+    def __init__(self, arc_prioritization: bool = True) -> None:
         """Create the solver.
 
         Args:
             arc_prioritization: Enable the Section 5.3.1 heuristic that
                 biases tree growth towards nodes with demand.
-            priority_probe_limit: Maximum number of a discovered node's arcs
-                probed when deciding whether it leads to a demand node; keeps
-                the heuristic's bookkeeping cheap on high-degree aggregators.
         """
         self.arc_prioritization = arc_prioritization
-        self.priority_probe_limit = priority_probe_limit
         #: The residual network of the most recent run, retained for the
         #: delta hand-off path (None until the first solve).
         self.last_residual: Optional[ResidualNetwork] = None
@@ -177,24 +176,13 @@ class RelaxationSolver(Solver):
         # Both paths leave all-zero potentials: a fresh build starts there,
         # and the reuse path went through reset_to_zero_flow.
         self._run(residual, stats, potentials_are_zero=True)
-        if write_back:
-            residual.write_flow_back(network)
-        self.last_residual = residual
-        runtime = time.perf_counter() - start
-        return SolverResult(
-            algorithm=self.name,
-            total_cost=residual.total_cost(),
-            flows=residual.flows(),
-            potentials=residual.export_potentials(),
-            runtime_seconds=runtime,
-            statistics=stats,
-        )
+        return self._finish(network, residual, stats, start, write_back)
 
     def solve_warm(
         self,
         network: FlowNetwork,
-        warm_flows: Dict[Tuple[int, int], int],
-        warm_potentials: Dict[int, int],
+        warm_flows: Mapping[Tuple[int, int], int],
+        warm_potentials: Mapping[int, int],
     ) -> SolverResult:
         """Re-optimize starting from a previous solution.
 
@@ -202,20 +190,34 @@ class RelaxationSolver(Solver):
         (Section 5.2): the warm solution already contains large
         zero-reduced-cost trees that must be re-traversed for every new
         source.  The capability is provided for completeness and for the
-        experiments that demonstrate exactly that behaviour.
+        experiments that demonstrate exactly that behaviour.  The warm flow
+        goes straight into a fresh residual (clamped to today's
+        capacities); ``network`` is written only by the write-back.
         """
         start = time.perf_counter()
-        network.load_flows(warm_flows)
-        residual = ResidualNetwork(network, use_existing_flow=True)
+        residual = ResidualNetwork(network, flows=warm_flows)
         residual.load_potentials(warm_potentials)
+        self.residual_rebuilds += 1
         stats = SolverStatistics(warm_start=True)
         self._run(residual, stats)
-        residual.write_flow_back(network)
+        return self._finish(network, residual, stats, start, write_back=True)
+
+    def _finish(
+        self,
+        network: FlowNetwork,
+        residual: ResidualNetwork,
+        stats: SolverStatistics,
+        start: float,
+        write_back: bool,
+    ) -> SolverResult:
+        """Write the flow back (unless an executor owns that), retain the
+        residual and build the result."""
+        if write_back:
+            residual.write_flow_back(network)
         self.last_residual = residual
-        self.residual_rebuilds += 1
         runtime = time.perf_counter() - start
         return SolverResult(
-            algorithm="incremental_relaxation",
+            algorithm=self.name,
             total_cost=residual.total_cost(),
             flows=residual.flows(),
             potentials=residual.export_potentials(),
@@ -348,7 +350,7 @@ class RelaxationSolver(Solver):
         potential = residual.potential
         excess = residual.excess
         prioritize = self.arc_prioritization
-        probe_limit = self.priority_probe_limit
+        probe_limit = PRIORITY_PROBE_LIMIT
         hook = self.invariant_hook
         check = self.abort_check
         cap = self.ascent_cap

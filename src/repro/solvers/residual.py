@@ -68,17 +68,22 @@ class ResidualNetwork:
     def __init__(
         self,
         network: FlowNetwork,
-        use_existing_flow: bool = False,
+        flows: Optional[Mapping[Tuple[int, int], int]] = None,
         abort_check=None,
     ) -> None:
         """Build the residual network from a flow network.
 
+        ``network`` is only read: its arcs' own ``flow`` values are ignored.
+
         Args:
             network: The scheduling flow network.
-            use_existing_flow: When True the arcs' current ``flow`` values are
-                loaded into the residual capacities and the node excesses are
-                reduced accordingly (warm start); otherwise flow starts at
-                zero and every source node carries its full supply as excess.
+            flows: Optional warm-start solution keyed by arc endpoints,
+                possibly a previous round's: each arc's flow is clamped to
+                its current capacity and loaded into the residual
+                capacities, and the node excesses are reduced accordingly.
+                Arcs it does not name start at zero flow, as every arc does
+                without it (every source then carries its full supply as
+                excess).  A negative flow raises ``ValueError``.
             abort_check: Optional cooperative cancellation hook polled every
                 few hundred arcs during construction (the build is O(graph)
                 with no other polling opportunity); returning True raises
@@ -150,6 +155,7 @@ class ResidualNetwork:
         # folded away without having been written (see write_flow_back).
         self._write_token: Optional[object] = None
 
+        warm_flow = flows.get if flows else None
         ops_until_check = CONSTRUCTION_CHECK_INTERVAL
         for arc in network.arcs():
             if abort_check is not None:
@@ -162,19 +168,22 @@ class ResidualNetwork:
                         )
             u = self.index[arc.src]
             v = self.index[arc.dst]
-            flow = arc.flow if use_existing_flow else 0
-            if flow < 0 or flow > arc.capacity:
-                raise ValueError(
-                    f"arc {arc.src}->{arc.dst} has invalid warm-start flow {flow}"
-                )
+            key = (arc.src, arc.dst)
+            flow = 0
+            if warm_flow is not None:
+                flow = min(warm_flow(key, 0), arc.capacity)
+                if flow < 0:
+                    raise ValueError(
+                        f"arc {arc.src}->{arc.dst} has negative warm-start flow {flow}"
+                    )
+                if flow:
+                    self.excess[u] -= flow
+                    self.excess[v] += flow
             position = self._add_arc_pair(u, v, arc.capacity, arc.cost, flow)
             if arc.cost < 0:
                 self.has_negative_costs = True
-            self.forward_arc_keys.append((arc.src, arc.dst))
-            self.arc_position[(arc.src, arc.dst)] = position
-            if use_existing_flow and flow:
-                self.excess[u] -= flow
-                self.excess[v] += flow
+            self.forward_arc_keys.append(key)
+            self.arc_position[key] = position
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -743,20 +752,20 @@ class ResidualNetwork:
         journaled every flow it moved since (the steady state of a
         persistent solver on the graph manager's persistent network), the
         rest of the network already carries its flow: only the journaled
-        arcs are written, O(changed), and the ones whose value moved are
-        reported in :attr:`FlowNetwork.flow_changes`.  Any other write --
-        a fresh residual, a network someone else wrote in between, an
-        invalidated journal -- visits every live arc and leaves the
-        changed set unknown.
+        arcs are written, O(changed).  Any other write -- a fresh residual,
+        a network someone else wrote in between, an invalidated journal --
+        is :meth:`FlowNetwork.set_flows`' compare pass over every arc.
+        Either way the arcs whose value moved are reported in
+        :attr:`FlowNetwork.flow_changes`.
         """
-        arc_residual = self.arc_residual
-        keys = self.forward_arc_keys
-        find_arc = network.find_arc
         if (
             self.flow_journal_active
             and self._write_token is not None
             and network.flow_writer is self._write_token
         ):
+            arc_residual = self.arc_residual
+            keys = self.forward_arc_keys
+            find_arc = network.find_arc
             changed = network.flow_changes
             for position in self._flow_journal:
                 key = keys[position]
@@ -766,14 +775,9 @@ class ResidualNetwork:
                 flow = arc_residual[2 * position + 1]
                 if arc.flow != flow:
                     arc.flow = flow
-                    if changed is not None:
-                        changed.add(key)
+                    changed.add(key)
         else:
-            for position, key in enumerate(keys):
-                arc = find_arc(*key) if key is not None else None
-                if arc is not None:
-                    arc.flow = arc_residual[2 * position + 1]
-            network.forget_flow_changes()
+            network.set_flows(self.flows())
             self._write_token = network.flow_writer = object()
         self._sync_flow_journal(written=True)
 

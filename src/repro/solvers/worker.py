@@ -96,8 +96,7 @@ class RevisionChainCache:
     full DIMACS snapshot and reparse.
     """
 
-    def __init__(self, max_entries: int = BATCH_HISTORY_LIMIT) -> None:
-        self.max_entries = max_entries
+    def __init__(self) -> None:
         #: base_revision -> (target_revision, changes)
         self._by_base: "OrderedDict[int, Tuple[int, List[GraphChange]]]" = (
             OrderedDict()
@@ -115,7 +114,7 @@ class RevisionChainCache:
             return
         self._by_base[base] = (target, list(batch))
         self._by_base.move_to_end(base)
-        while len(self._by_base) > self.max_entries:
+        while len(self._by_base) > BATCH_HISTORY_LIMIT:
             self._by_base.popitem(last=False)
 
     def compose(

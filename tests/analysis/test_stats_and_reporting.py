@@ -4,14 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.analysis.reporting import format_cdf, format_series, format_table
-from repro.analysis.stats import (
-    boxplot_stats,
-    cdf_points,
-    fraction_below,
-    mean,
-    percentile,
-)
+from repro.analysis.reporting import format_table
+from repro.analysis.stats import boxplot_stats, mean, percentile
 
 
 class TestPercentile:
@@ -64,17 +58,6 @@ class TestSummaries:
         assert stats.maximum == 0.0
         assert stats.count == 0
 
-    def test_cdf_points(self):
-        points = cdf_points([3.0, 1.0, 2.0])
-        assert points == [(1.0, pytest.approx(1 / 3)), (2.0, pytest.approx(2 / 3)), (3.0, 1.0)]
-        assert cdf_points([]) == []
-
-    def test_fraction_below(self):
-        data = [1.0, 2.0, 3.0, 4.0]
-        assert fraction_below(data, 2.5) == 0.5
-        assert fraction_below(data, 0.0) == 0.0
-        assert fraction_below([], 1.0) == 0.0
-
     def test_mean(self):
         assert mean([1.0, 2.0, 3.0]) == 2.0
 
@@ -90,16 +73,3 @@ class TestReporting:
         assert lines[0].startswith("name")
         assert "relaxation" in lines[2]
         assert "0.1235" in lines[2]
-
-    def test_format_series(self):
-        text = format_series("runtime", [(100, 0.5), (200, 1.5)])
-        assert "runtime:" in text
-        assert "100 -> 0.5" in text
-
-    def test_format_cdf(self):
-        text = format_cdf("latency", [1.0, 2.0, 3.0, 4.0], points=4)
-        assert "latency (n=4):" in text
-        assert "p100.0" in text
-
-    def test_format_cdf_empty(self):
-        assert "no samples" in format_cdf("latency", [])

@@ -339,7 +339,7 @@ class TestSolverStateFaults:
         solver = IncrementalCostScalingSolver()
         network = build_scheduling_network(seed=84, num_tasks=10)
         solver.solve(network)
-        residual = solver.persistent_residual
+        residual = solver.last_residual
         assert residual is not None
         assert check_residual_epsilon_optimality(residual, 0) == []
         assert corrupt_residual_potentials(residual, seed=3) is True

@@ -19,7 +19,9 @@ writer).  This file directs the scheduler at the edges: the executor's
 round, machine removal under running tasks (monolithic and across cells,
 where evicted tasks leave their cell's network), an aggregator-routed task
 turning direct, unscheduled-then-placed, preemption, a round that is never
-applied, a round without a solver result, and worker-mode cells.
+applied, a round without a solver result, and worker-mode cells -- and pins
+that no round after a manager's first re-derives every task: not a
+chain-broken one, not the one after a race.
 """
 
 from __future__ import annotations
@@ -29,11 +31,17 @@ import random
 
 import pytest
 
+from repro.chaos import ChaosPolicy
 from repro.core import FirmamentScheduler, ShardedScheduler
 from repro.core.placement import FlowAssignments, extract_placements
 from repro.core.policies import QuincyPolicy
-from repro.solvers import CostScalingSolver, IncrementalCostScalingSolver
+from repro.solvers import (
+    CostScalingSolver,
+    DualAlgorithmExecutor,
+    IncrementalCostScalingSolver,
+)
 from repro.solvers.base import RoundDeadlineExceeded
+from repro.solvers.dual_executor import DELTA_SOLO_THRESHOLD
 from tests.conftest import make_cluster_state, make_job
 from tests.core.test_incremental_graph_equivalence import POLICIES, _random_job
 from tests.core.test_priority_preemption import submit_task
@@ -106,6 +114,49 @@ def test_every_policy_through_the_scheduler(name):
         else:
             partial += reextracted(scheduler) < live
     assert partial >= 6, "placements were hardly ever carried over"
+
+
+#: The three schedulers a round can go through: the modeled race every
+#: round, the race only where a delta cannot be solo (``serve``'s), cells.
+SCHEDULERS = {
+    "dual": lambda policy, chaos: FirmamentScheduler(
+        policy(), solver=DualAlgorithmExecutor(), chaos=chaos
+    ),
+    "dual_solo": lambda policy, chaos: FirmamentScheduler(
+        policy(),
+        solver=DualAlgorithmExecutor(delta_solo_threshold=DELTA_SOLO_THRESHOLD),
+        chaos=chaos,
+    ),
+    "sharded": lambda policy, chaos: ShardedScheduler(policy, num_cells=4, chaos=chaos),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEDULERS))
+@pytest.mark.parametrize("name", sorted(POLICIES))
+def test_no_round_after_the_first_rederives_every_task(name, kind):
+    """Every flow write reports the arcs it moved, so every round after a
+    manager's first carries its map over -- the chain-broken rounds (a
+    warm rebuild from a stale flow) and the round after a raced one (the
+    full write) included -- and the carried map is the full walk's."""
+    rng = random.Random(31)
+    state = make_cluster_state(num_machines=8, machines_per_rack=2)
+    chaos = ChaosPolicy(schedule={"chain_break": [2, 4, 6]})
+    scheduler = SCHEDULERS[kind](POLICIES[name], chaos)
+    if isinstance(scheduler, ShardedScheduler):
+        scheduler._bind(state)
+    for manager in managers(scheduler):
+        manager.verify_changes = True
+    for round_index in range(10):
+        now = round_index * 10.0
+        churn(rng, state, now, round_index + 1)
+        before = [manager.incremental_updates for manager in managers(scheduler)]
+        checked_round(scheduler, state, now, where=f"{name}/{kind}")
+        for manager, updates in zip(managers(scheduler), before):
+            if manager.incremental_updates > updates:
+                assert manager.flow_assignments.last_rederived is not None, (
+                    f"{name}/{kind} t={now}: every task re-derived"
+                )
+    assert chaos.injected.get("chain_break", 0) >= 1
 
 
 def test_alternating_race_winners(monkeypatch):

@@ -22,6 +22,7 @@ from repro.chaos import ChaosPolicy
 from repro.cluster.machine import Machine
 from repro.core import CellPartition, ShardedScheduler
 from repro.core.policies import QuincyPolicy
+from repro.core import sharding
 from repro.core.sharding import CellTopologyView
 from repro.simulation.failures import FailureInjector
 from repro.solvers.worker_health import BREAKER_OPEN, WorkerCircuitBreaker
@@ -237,7 +238,7 @@ class TestCrossCellBalancer:
         finally:
             scheduler.close()
 
-    def test_migration_volume_bounded_per_round(self):
+    def test_migration_volume_bounded_per_round(self, monkeypatch):
         state = make_cluster_state(
             num_machines=8, machines_per_rack=4, slots_per_machine=4
         )
@@ -246,7 +247,7 @@ class TestCrossCellBalancer:
         # with cell 1 empty.
         state.submit_job(make_job(job_id=0, num_tasks=16))
         scheduler = build_sharded(num_cells=2)
-        scheduler.balancer.max_migrations_per_round = 4
+        monkeypatch.setattr(sharding, "MAX_MIGRATIONS_PER_ROUND", 4)
         try:
             scheduler.schedule_and_apply(state, now=0.0)
             evicted = sum(len(state.fail_machine(m, now=1.0)) for m in (0, 1, 2))

@@ -311,7 +311,7 @@ def test_a_compaction_does_not_blind_the_next_round():
         for round_index in range(16):
             workload.churn()
             if round_index == compact_at:
-                residual = scheduler.solver.incremental.persistent_residual
+                residual = scheduler.solver.incremental.last_residual
                 assert residual.dead_arc_pairs > 0
                 residual.compact()
                 assert residual.dead_arc_pairs == 0

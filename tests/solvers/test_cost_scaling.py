@@ -63,7 +63,7 @@ class TestPriceRefine:
     def test_price_refine_on_optimal_flow_installs_valid_potentials(self):
         network = build_scheduling_network(seed=4, num_tasks=10)
         RelaxationSolver().solve(network)
-        residual = ResidualNetwork(network, use_existing_flow=True)
+        residual = ResidualNetwork(network, flows=network.flows())
         assert price_refine(residual)
         # No residual arc may have negative reduced cost afterwards.
         for arc_index in range(residual.num_arcs):
@@ -83,7 +83,7 @@ class TestPriceRefine:
         # Deliberately non-optimal flow through the expensive machine.
         network.arc(task.node_id, bad.node_id).flow = 1
         network.arc(bad.node_id, sink.node_id).flow = 1
-        residual = ResidualNetwork(network, use_existing_flow=True)
+        residual = ResidualNetwork(network, flows=network.flows())
         assert not price_refine(residual)
 
     def test_price_refine_empty_network(self):

@@ -188,7 +188,7 @@ def test_zero_optimal_after_every_augmentation_of_a_multi_source_repair(width):
         assert check_residual_epsilon_optimality(residual, 0) == []
         checked.append(event)
 
-    solver._cost_scaling.invariant_hook = hook
+    solver.invariant_hook = hook
 
     def churn(net):
         for task in (tasks[0], tasks[1], tasks[width // 2], tasks[-1]):
@@ -207,7 +207,7 @@ def test_zero_optimal_after_every_augmentation_of_a_multi_source_repair(width):
     assert result.statistics.delta_solve == 1
     assert result.statistics.augmentations == 4
     assert checked == ["augment"] * result.statistics.augmentations
-    assert check_residual_epsilon_optimality(solver.persistent_residual, 0) == []
+    assert check_residual_epsilon_optimality(solver.last_residual, 0) == []
     assert check_feasibility(solved) == []
     assert_matches_scratch_solvers(after, result.total_cost)
 
@@ -238,7 +238,7 @@ def test_full_cluster_routes_the_arrival_through_its_unscheduled_arc(width):
     assert result.statistics.delta_solve == 1
     assert result.optimal
     assert result.total_cost == first.total_cost + 50
-    assert check_residual_epsilon_optimality(solver.persistent_residual, 0) == []
+    assert check_residual_epsilon_optimality(solver.last_residual, 0) == []
     assert check_feasibility(solved) == []
     assert_matches_scratch_solvers(after, result.total_cost)
 
@@ -256,7 +256,7 @@ def test_churn_rounds_stay_optimal_with_the_residual_validated(seed):
     def hook(residual, event):
         assert check_residual_epsilon_optimality(residual, 0) == []
 
-    solver._cost_scaling.invariant_hook = hook
+    solver.invariant_hook = hook
     changes = None
     for round_index in range(CHURN_ROUNDS + 1):
         solved = network.copy()

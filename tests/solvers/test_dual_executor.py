@@ -294,7 +294,7 @@ class TestSurvivingDeltaChain:
             assert check_feasibility(network) == [], f"round {round_index}"
             scratch = CostScalingSolver().solve(network.copy())
             assert winner.total_cost == scratch.total_cost, f"round {round_index}"
-            residual = executor.incremental.persistent_residual
+            residual = executor.incremental.last_residual
             assert residual is not None, f"round {round_index}"
             assert residual.revision == network.revision
             assert check_residual_epsilon_optimality(residual, 0) == []
@@ -336,7 +336,7 @@ class TestSurvivingDeltaChain:
         relaxation win seeded it, so the next round rebuilds (Section 6.2)
         and only the one after that is a delta solve again."""
         incremental = executor.incremental
-        assert incremental.persistent_residual is None
+        assert incremental.last_residual is None
         assert incremental.has_state
         before = incremental.delta_solves
         network, changes = next(rounds)

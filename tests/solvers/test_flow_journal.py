@@ -8,6 +8,7 @@ import pytest
 
 from repro.flow.changes import ArcCapacityChange, ArcRemoval, ChangeBatch
 from repro.flow.graph import FlowNetwork, NodeType
+from repro.solvers import CostScalingSolver
 from repro.solvers.incremental import IncrementalCostScalingSolver
 from repro.solvers.residual import ResidualNetwork
 from tests.conftest import build_scheduling_network, reference_min_cost
@@ -102,9 +103,9 @@ class TestJournalBookkeeping:
 
 
 class TestLastWriter:
-    """``write_flow_back`` writes only its journaled arcs -- and says which
-    flows moved -- iff the residual is provably the network's last writer
-    and has folded no journal entry away unwritten."""
+    """``write_flow_back`` writes only its journaled arcs iff the residual
+    is provably the network's last writer and has folded no journal entry
+    away unwritten; either way it reports exactly the flows that moved."""
 
     def solved(self):
         network = build_small_network()
@@ -115,10 +116,10 @@ class TestLastWriter:
         residual.write_flow_back(network)
         return network, residual
 
-    def test_first_write_leaves_the_changed_set_unknown(self):
+    def test_first_write_reports_every_arc_it_moved(self):
         network, residual = self.solved()
         assert network.flows() == {(0, 1): 2, (1, 2): 2}
-        assert network.flow_changes is None
+        assert network.flow_changes == {(0, 1), (1, 2)}
 
     def test_steady_write_reports_exactly_the_flows_that_moved(self):
         network, residual = self.solved()
@@ -141,7 +142,7 @@ class TestLastWriter:
         residual.write_flow_back(network)
         # Not just the journaled arc: the other writer's flows are gone.
         assert network.flows() == residual.full_flows()
-        assert network.flow_changes is None
+        assert network.flow_changes == {(0, 1), (1, 2), (0, 2)}
 
     def test_entries_folded_away_unwritten_force_a_full_write(self):
         network, residual = self.solved()
@@ -151,15 +152,26 @@ class TestLastWriter:
         residual.push(2 * residual.arc_position[(0, 1)] + 1, 1)
         residual.write_flow_back(network)
         assert network.flows() == residual.full_flows()
-        assert network.flow_changes is None
+        assert network.flow_changes == {(0, 1), (0, 2)}
 
-    def test_untracked_preload_makes_the_set_unknown(self):
-        network, residual = self.solved()
+
+class TestWarmStartsLeaveTheNetworkAlone:
+    """A warm start hands its stale flow to the residual it builds: with
+    ``write_back=False`` the network is not written at all."""
+
+    def test_incremental_cost_scaling_warm_rebuild(self):
+        network = build_scheduling_network(seed=21, num_tasks=8)
+        current = dict(CostScalingSolver().solve(network).flows)
         network.take_flow_changes()
-        network.load_flows({(0, 1): 9})
-        assert network.flows() == {(0, 1): 3}  # clamped to the capacity
-        assert network.flow_changes is None
-        assert network.flow_writer is None
+        # Every arc one unit off the current flow: some above capacity.
+        stale = {key: flow + 1 for key, flow in current.items()}
+        solver = IncrementalCostScalingSolver()
+        solver.seed(stale, {})
+        result = solver.solve(network, None, write_back=False)
+        assert result.statistics.warm_start
+        assert result.total_cost == reference_min_cost(network)
+        assert network.flows() == current
+        assert network.flow_changes == set()
 
 
 class TestJournalOnDeltaRounds:
@@ -173,7 +185,7 @@ class TestJournalOnDeltaRounds:
         for round_index in range(6):
             result = solver.solve(network, changes=changes)
             assert result.total_cost == reference_min_cost(network)
-            residual = solver._cost_scaling.last_residual
+            residual = solver.last_residual
             assert residual is not None
             # The journal-served extraction must match a journal-bypassing
             # full scan of the same residual, arc for arc.
@@ -184,7 +196,7 @@ class TestJournalOnDeltaRounds:
         previous = build_scheduling_network(seed=13, num_tasks=8)
         solver = IncrementalCostScalingSolver()
         solver.solve(previous)
-        residual = solver._cost_scaling.last_residual
+        residual = solver.last_residual
         assert residual is not None and residual.flow_journal_active
 
         network = previous.copy()
@@ -197,7 +209,7 @@ class TestJournalOnDeltaRounds:
         assert solver.delta_solves == 1
         # The delta round kept the journal alive (no full-scan fallback) and
         # its extraction equals both the full scan and the oracle.
-        residual = solver._cost_scaling.last_residual
+        residual = solver.last_residual
         assert residual.flow_journal_active
         assert residual.flows() == residual.full_flows()
         assert result.total_cost == reference_min_cost(network)
@@ -224,7 +236,7 @@ class TestStateKeptBesideTheJournal:
         changes = None
         for round_index in range(8):
             result = solver.solve(network, changes=changes)
-            residual = solver._cost_scaling.last_residual
+            residual = solver.last_residual
             assert residual.flow_journal_active
             assert result.total_cost == self.recomputed_cost(residual, network)
             assert result.total_cost == reference_min_cost(network)

@@ -89,11 +89,12 @@ class TestIncrementalRelaxation:
     def test_available_through_make_solver(self):
         solver = make_solver("incremental_relaxation")
         assert isinstance(solver, IncrementalRelaxationSolver)
+        assert isinstance(solver, RelaxationSolver)
 
 
 class TestSingleStatePath:
     """Seeding, resetting, and the post-solve update share one code path,
-    and the wrapper's dicts are the only live copy of the solution."""
+    and the installed dicts are the only live copy of the solution."""
 
     def test_state_mutations_drop_underlying_residual(self):
         solver = IncrementalRelaxationSolver()
@@ -101,16 +102,16 @@ class TestSingleStatePath:
         solver.solve(network.copy())
         # The post-solve install must already have dropped the residual the
         # underlying solve created: one source of truth, not two.
-        assert solver._relaxation.last_residual is None
+        assert solver.last_residual is None
 
         from_scratch = RelaxationSolver().solve(network.copy())
         solver.seed(from_scratch.flows, from_scratch.potentials)
-        assert solver._relaxation.last_residual is None
+        assert solver.last_residual is None
         assert solver.has_state
 
         solver.reset()
         assert not solver.has_state
-        assert solver._relaxation.last_residual is None
+        assert solver.last_residual is None
 
     def test_seed_copies_its_inputs(self):
         solver = IncrementalRelaxationSolver()

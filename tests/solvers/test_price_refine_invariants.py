@@ -57,9 +57,10 @@ VARIANTS = ("spfa", "dijkstra")
 SEEDS = range(12)
 
 
-class InvariantCheckingSolver(CostScalingSolver):
-    """Cost scaling with the epsilon-optimality invariant asserted after
-    every internal step that claims to establish or preserve it."""
+class InvariantChecks:
+    """Mixin for either cost-scaling class: the epsilon-optimality
+    invariant asserted after every internal step that claims to establish
+    or preserve it."""
 
     def _refine(self, residual, epsilon, stats):
         super()._refine(residual, epsilon, stats)
@@ -80,21 +81,17 @@ class InvariantCheckingSolver(CostScalingSolver):
         assert_epsilon_optimal(residual, 0)
 
 
-def make_invariant_checked_incremental(mode: str) -> IncrementalCostScalingSolver:
-    """An incremental solver whose inner cost scaling asserts the invariant."""
-    solver = IncrementalCostScalingSolver(price_refine=mode)
-    solver._cost_scaling = InvariantCheckingSolver(
-        polish_potentials=True, price_refine=mode
-    )
-    return solver
+class InvariantCheckingSolver(InvariantChecks, CostScalingSolver):
+    """From-scratch and warm-started cost scaling, invariant-checked."""
+
+
+class InvariantCheckingIncrementalSolver(InvariantChecks, IncrementalCostScalingSolver):
+    """Delta / warm / cold incremental cost scaling, invariant-checked."""
 
 
 def build_warm_residual(network, flows) -> ResidualNetwork:
     """Build a scaled residual carrying ``flows``, zero potentials."""
-    net = network.copy()
-    for arc in net.arcs():
-        arc.flow = min(flows.get(arc.key(), 0), arc.capacity)
-    residual = ResidualNetwork(net, use_existing_flow=True)
+    residual = ResidualNetwork(network, flows=flows)
     residual.scale_costs(residual.num_nodes + 1)
     return residual
 
@@ -197,7 +194,7 @@ def test_invariant_holds_through_multi_round_solves(seed, mode):
     the 0-optimality persistence contract, and costs match the oracle."""
     rng = random.Random(seed)
     network = generate_network(rng)
-    solver = make_invariant_checked_incremental(mode)
+    solver = InvariantCheckingIncrementalSolver(price_refine=mode)
 
     changes = None
     for round_index in range(4):
@@ -207,7 +204,7 @@ def test_invariant_holds_through_multi_round_solves(seed, mode):
             f"seed {seed} round {round_index} mode {mode}: cost "
             f"{result.total_cost} != oracle {expected}"
         )
-        retained = solver._cost_scaling.last_residual
+        retained = solver.last_residual
         assert retained is not None
         assert_epsilon_optimal(retained, 0)
         network, changes = perturb_network(rng, network)
@@ -219,7 +216,7 @@ def test_invariant_holds_through_relaxation_handoffs(mode):
     flow and potentials) keep the invariant for every variant."""
     rng = random.Random(17)
     network = generate_network(rng)
-    solver = make_invariant_checked_incremental(mode)
+    solver = InvariantCheckingIncrementalSolver(price_refine=mode)
 
     for round_index in range(3):
         relaxation = RelaxationSolver().solve(network.copy())
@@ -228,9 +225,23 @@ def test_invariant_holds_through_relaxation_handoffs(mode):
         expected = reference_min_cost(network)
         result = solver.solve(network.copy(), changes=None)
         assert result.total_cost == expected
-        retained = solver._cost_scaling.last_residual
+        retained = solver.last_residual
         assert retained is not None
         assert_epsilon_optimal(retained, 0)
+
+
+@pytest.mark.parametrize("mode", PRICE_REFINE_MODES)
+def test_invariant_holds_through_plain_cold_and_warm_solves(mode):
+    """The plain solver under the same checks: a from-scratch ladder, then
+    a warm start from a relaxation hand-off on a perturbed network."""
+    rng = random.Random(19)
+    network = generate_network(rng)
+    solver = InvariantCheckingSolver(price_refine=mode)
+    assert solver.solve(network.copy()).total_cost == reference_min_cost(network)
+    relaxation = RelaxationSolver().solve(network.copy())
+    network, _ = perturb_network(rng, network)
+    warm = solver.solve_warm(network.copy(), relaxation.flows, relaxation.potentials)
+    assert warm.total_cost == reference_min_cost(network)
 
 
 def test_checker_reports_violations():

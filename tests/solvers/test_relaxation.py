@@ -5,6 +5,7 @@ import pytest
 from repro.flow.graph import FlowNetwork, NodeType
 from repro.flow.validation import assert_optimal, check_feasibility
 from repro.solvers.base import InfeasibleProblemError
+from repro.solvers import relaxation
 from repro.solvers.relaxation import RelaxationSolver
 from tests.conftest import (
     build_contended_network,
@@ -124,8 +125,9 @@ class TestArcPrioritization:
             <= without_heuristic.statistics.arcs_scanned * 1.05
         )
 
-    def test_probe_limit_caps_lookahead(self):
-        solver = RelaxationSolver(arc_prioritization=True, priority_probe_limit=1)
+    def test_probe_limit_caps_lookahead(self, monkeypatch):
+        monkeypatch.setattr(relaxation, "PRIORITY_PROBE_LIMIT", 1)
+        solver = RelaxationSolver(arc_prioritization=True)
         network = build_scheduling_network(seed=12, num_tasks=10)
         expected = reference_min_cost(network)
         assert solver.solve(network).total_cost == expected

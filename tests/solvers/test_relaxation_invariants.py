@@ -41,6 +41,7 @@ from repro.flow.dimacs import read_dimacs, read_incremental, write_dimacs, write
 from repro.flow.graph import FlowNetwork
 from repro.flow.validation import assert_epsilon_optimal
 from repro.solvers import ParallelDualExecutor, RelaxationSolver, RevisionChainCache
+from repro.solvers import worker as worker_module
 from repro.solvers.base import InfeasibleProblemError
 from repro.solvers.residual import ResidualNetwork
 from tests.conftest import reference_min_cost
@@ -295,8 +296,9 @@ def test_resync_payload_reproduces_full_snapshot_state(seed):
     assert RelaxationSolver().solve(fresh).total_cost == expected
 
 
-def test_revision_chain_cache_gaps_and_bounds():
-    cache = RevisionChainCache(max_entries=3)
+def test_revision_chain_cache_gaps_and_bounds(monkeypatch):
+    monkeypatch.setattr(worker_module, "BATCH_HISTORY_LIMIT", 3)
+    cache = RevisionChainCache()
     batches = []
     for base in range(1, 6):
         batch = ChangeBatch(base_revision=base, target_revision=base + 1)

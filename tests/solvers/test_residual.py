@@ -38,7 +38,7 @@ class TestConstruction:
 
     def test_warm_start_loads_existing_flow(self):
         net, task, machine, _ = small_network(flow_on_first_arc=1)
-        residual = ResidualNetwork(net, use_existing_flow=True)
+        residual = ResidualNetwork(net, flows=net.flows())
         task_index = residual.index[task.node_id]
         machine_index = residual.index[machine.node_id]
         # The task's supply has already been pushed one hop.
@@ -47,11 +47,19 @@ class TestConstruction:
         # One of the arc's two units is used: one left forward, one back.
         assert (residual.arc_residual[0], residual.arc_residual[1]) == (1, 1)
 
+    def test_warm_start_clamps_flow_to_capacity(self):
+        net, task, machine, sink = small_network()
+        residual = ResidualNetwork(net, flows={(task.node_id, machine.node_id): 5})
+        # Clamped to the arc's capacity of 2: both units pushed one hop.
+        assert (residual.arc_residual[0], residual.arc_residual[1]) == (0, 2)
+        assert residual.excess[residual.index[task.node_id]] == -1
+        assert residual.excess[residual.index[machine.node_id]] == 2
+        assert net.flows() == {}  # the network itself is only read
+
     def test_warm_start_rejects_invalid_flow(self):
         net, task, machine, _ = small_network()
-        net.arc(task.node_id, machine.node_id).flow = 5  # above capacity
         with pytest.raises(ValueError):
-            ResidualNetwork(net, use_existing_flow=True)
+            ResidualNetwork(net, flows={(task.node_id, machine.node_id): -1})
 
 
 class TestOperations:

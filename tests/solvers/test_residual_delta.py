@@ -184,7 +184,7 @@ class TestApplyChangesBookkeeping:
         net.arc(machine.node_id, sink.node_id).flow = 2
         net.set_supply(task.node_id, 2)
         net.set_supply(sink.node_id, -2)
-        residual = ResidualNetwork(net, use_existing_flow=True)
+        residual = ResidualNetwork(net, flows=net.flows())
         t = residual.index[task.node_id]
         m = residual.index[machine.node_id]
         residual.apply_changes(
@@ -201,7 +201,7 @@ class TestApplyChangesBookkeeping:
         net, task, machine, sink = self.build()
         net.arc(task.node_id, machine.node_id).flow = 1
         net.arc(machine.node_id, sink.node_id).flow = 1
-        residual = ResidualNetwork(net, use_existing_flow=True)
+        residual = ResidualNetwork(net, flows=net.flows())
         residual.apply_changes(
             ChangeBatch([ArcRemoval(src=task.node_id, dst=machine.node_id)])
         )
@@ -219,7 +219,7 @@ class TestApplyChangesBookkeeping:
         network = build_scheduling_network(seed=11, num_tasks=8, num_machines=4)
         solver = IncrementalCostScalingSolver()
         solver.solve(network.copy())
-        residual = solver.persistent_residual
+        residual = solver.last_residual
         for _ in range(6):
             assert not any(residual.excess)
             batch = random_change_batch(network, rng)
@@ -228,13 +228,13 @@ class TestApplyChangesBookkeeping:
             assert imbalanced <= residual.last_excess_moved
             # Put the flow back in balance for the next patch.
             residual.invalidate_flow_journal()
-            solver._cost_scaling._repair_warm_solution(residual, SolverStatistics())
+            solver._repair_warm_solution(residual, SolverStatistics())
 
     def test_node_removal_rejects_unbalanced_state(self):
         net, task, machine, sink = self.build()
         net.arc(task.node_id, machine.node_id).flow = 1
         net.arc(machine.node_id, sink.node_id).flow = 1
-        residual = ResidualNetwork(net, use_existing_flow=True)
+        residual = ResidualNetwork(net, flows=net.flows())
         # Simulate unresolved excess parked at the task (as after a failed
         # repair): removing the node would silently drop supply, so the
         # patch must refuse and force the caller back to a rebuild.
@@ -313,7 +313,7 @@ class TestDeltaSolvePath:
             updated, batch = self.evolve(network, rng, revision)
             result = solver.solve(updated.copy(), changes=batch)
             assert result.total_cost == reference_min_cost(updated)
-            retained = solver._cost_scaling.last_residual
+            retained = solver.last_residual
             assert retained is not None
             assert retained.consistency_errors(updated) == []
             network = updated
@@ -344,7 +344,7 @@ class TestDeltaSolvePath:
         network.revision = 1
         solver = IncrementalCostScalingSolver()
         first = solver.solve(network.copy())
-        residual = solver.persistent_residual
+        residual = solver.last_residual
         scale = residual.cost_scale
         expected = {
             node_id: value // scale
@@ -376,9 +376,8 @@ class TestDeltaSolvePath:
         network = build_scheduling_network(seed=46)
         solver = IncrementalCostScalingSolver()
         first = solver.solve(network.copy())
-        inner = solver._cost_scaling
-        assert inner.last_residual is not None
-        assert inner.last_scaled_potentials is None  # they live on the residual
+        assert solver.last_residual is not None
+        assert solver.last_scaled_potentials is None  # they live on the residual
         second = solver.solve(network.copy())
         assert second.statistics.warm_start
         assert second.statistics.price_refine_passes == 0
@@ -391,10 +390,10 @@ class TestDeltaSolvePath:
         network.revision = 1
         solver = IncrementalCostScalingSolver()
         solver.solve(network.copy())
-        assert solver._cost_scaling.last_residual is not None
+        assert solver.last_residual is not None
         relaxed = RelaxationSolver().solve(network.copy())
         solver.seed(relaxed.flows, relaxed.potentials)
-        assert solver._cost_scaling.last_residual is None
+        assert solver.last_residual is None
 
     def test_scheduler_drives_delta_path_end_to_end(self):
         from repro.core import FirmamentScheduler, QuincyPolicy
