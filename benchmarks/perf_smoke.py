@@ -494,7 +494,7 @@ def measure_service_round() -> float:
     An in-process :class:`SchedulerService` on an ephemeral loopback port,
     driven by the closed-loop load generator (2 clients x 2 jobs x 4
     tasks), then drained.  Covers the whole service path -- JSON-lines
-    parsing, coalesced admission, the executor-backed round, the
+    parsing, coalesced admission, the round solved on the event loop, the
     per-client notification queues, and drain -- with the conservation law
     asserted so the timed run is also a correct one.
     """

@@ -3,14 +3,14 @@
 Architecture
 ------------
 
-Everything runs on one asyncio event loop except the solver:
+Everything runs on one asyncio event loop, the solver included:
 
 * **Client handlers** parse JSON-lines requests.  They never mutate the
   cluster state directly -- a submission is validated, acked, and appended
   to the service *inbox* (a plain deque of admission records).  This is
   what makes concurrent clients safe without locks: the handlers and the
   round loop interleave only at await points, and the state is touched by
-  exactly one of them (the round loop, between solver runs).
+  exactly one of them (the round loop).
 * **The round loop** is triggered by work, not by a clock (Figure 2b of
   the paper: the solver re-runs as soon as the previous run has been
   applied, folding in whatever arrived meanwhile).  A round starts as soon
@@ -32,10 +32,13 @@ Everything runs on one asyncio event loop except the solver:
   with the same two appliers.  The state's
   :class:`~repro.cluster.state.DirtyTracker` picks the mutations up exactly
   as it does under the simulator, so the scheduler's incremental path keeps
-  its O(|changes|) admission cost.  If tasks are pending the solver then
-  runs in a worker thread (``run_in_executor``) so the loop stays
-  responsive; because all mutation goes through the inbox, nothing touches
-  the state while the solver reads it.
+  its O(|changes|) admission cost.  If tasks are pending the scheduler
+  then runs inline, solve and apply back to back as in the paper's loop
+  (a pure-Python solve holds the GIL: a thread would free nothing).  A
+  round yields once, at its top -- the writers send what is queued, and
+  what the readers take joins the round -- and nothing else runs from its
+  drain to its release: a request arriving mid-round is read after it
+  (with worker processes, after their pipe too, bounded by the deadline).
 * **Notifications** fan out through per-client bounded queues drained by a
   writer task that hands the socket everything queued for its client in
   one ``write`` per wake-up and honours TCP backpressure (``await
@@ -90,12 +93,10 @@ duplicate key gets the original ack back (``duplicate: true``) instead of
 a second job, which is what lets clients blindly resubmit across a crash.
 A duplicate changes no state and is logged nowhere: the ``ledger`` op's
 ``duplicates`` counts this process's, like ``evicted_clients``.
-The ``stats`` counters are in-memory readings and may run one in-flight
-round ahead of the disk (a completion is counted when its batch is
-applied, before the solve the round then awaits); the ``ledger`` op never
-does, because apply → append → sync has no await point.  With a state
-directory ``stats`` also carries what the log did: ``wal_records``,
-``wal_syncs``, ``wal_bytes``, ``wal_snapshots``.
+Neither ``stats`` nor ``ledger`` can observe a round half-done, so both
+answer from a synced log.  With a state directory ``stats`` also carries
+what the log did: ``wal_records``, ``wal_syncs``, ``wal_bytes``,
+``wal_snapshots``.
 
 Protocol (JSON lines, UTF-8, one object per line)
 -------------------------------------------------
@@ -156,8 +157,8 @@ from repro.service.durability import (
 
 __all__ = ["SchedulerService", "ServiceConfig", "ServiceStats"]
 
-#: Seconds :meth:`SchedulerService.stop` waits for the in-flight round, and
-#: then for each client's notification queue, to flush.
+#: Seconds :meth:`SchedulerService.stop` waits for each client's
+#: notification queue to flush.
 DRAIN_TIMEOUT_SECONDS = 10.0
 
 @dataclass
@@ -210,8 +211,8 @@ class ServiceStats:
     duplicates: int = 0
     evicted_clients: int = 0
     #: Pacing: rounds that ran the solver, inbox drains that had records to
-    #: apply and how many, and wall seconds spent inside rounds (drain to
-    #: apply) -- rounds/s, events/round and the busy ratio follow.
+    #: apply and how many, and loop seconds inside rounds (drain through
+    #: release and snapshot) -- rounds/s, events/round and busy ratio follow.
     solver_rounds: int = 0
     drains: int = 0
     events_admitted: int = 0
@@ -365,12 +366,9 @@ class SchedulerService:
         self._draining = True
         self._wake.set()
         if self._round_task is not None:
-            try:
-                await asyncio.wait_for(
-                    self._round_task, timeout=DRAIN_TIMEOUT_SECONDS
-                )
-            except asyncio.TimeoutError:
-                self._round_task.cancel()
+            # Parked at an await, never mid-round: it runs no further
+            # round, voids what is queued and drains.
+            await self._round_task
         # Flush what the notification queues still hold.
         for client in list(self._clients.values()):
             try:
@@ -783,11 +781,14 @@ class SchedulerService:
                     except asyncio.TimeoutError:
                         pass
                     continue
-            # No await between the drain check at the top of the loop and
-            # the round's inbox drain, so a concurrently starting drain
-            # cannot race submissions past the front door: they are either
-            # admitted by this round or voided below.
+            # The round's one yield, before its drain: writers send what is
+            # queued and readers add to this round.  Nothing awaits from here
+            # to the release, and a drain begun during the yield voids the
+            # queue instead of racing it into a round.
             look_by = None
+            await asyncio.sleep(0)
+            if self._draining:
+                break
             await self._run_round()
         # Drain: accepted-but-unadmitted submissions are voided as
         # rejected; remaining machine/completion events still apply so the
@@ -799,16 +800,14 @@ class SchedulerService:
         self._release()
 
     async def _run_round(self) -> None:
-        """Admit the inbox; schedule and apply if tasks are pending."""
+        """Admit the inbox; schedule and apply, inline, if tasks are pending."""
         busy_from = time.monotonic()
         self._drain_inbox(self.now())
         if self.state.num_pending_tasks:
             now = self.now()
             self.stats.solver_rounds += 1
             try:
-                decision = await asyncio.get_running_loop().run_in_executor(
-                    None, self.scheduler.schedule, self.state, now
-                )
+                decision = self.scheduler.schedule(self.state, now)
             except Exception as error:  # solver died: degrade, carry on
                 # An empty degraded round, logged like any other, so the
                 # recovered ledger counts it too.

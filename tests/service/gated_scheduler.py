@@ -1,54 +1,39 @@
-"""A scheduler whose rounds a test can hold open.
+"""A scheduler that runs a test's hook inside each round.
 
-The service runs ``scheduler.schedule`` in a worker thread; wrapping the
-real scheduler so that ``schedule`` first waits for a gate lets a pacing
-test *choose* what arrives while a round is in flight -- hold the gate,
-send the requests, release -- instead of guessing with sleeps and a long
-``round_interval``.
+The service solves on its event loop, so while ``schedule`` runs nothing
+else does: no reader, no writer, no ``stats`` reply.  Wrapping the real
+scheduler so that ``schedule`` first calls a test-supplied hook lets a
+pacing test *choose* what arrives while a round is in flight -- the hook
+writes requests to a socket, the kernel holds them until the round ends,
+and the loop reads them after its release -- instead of guessing with
+sleeps and a long ``round_interval``.
 """
 
 from __future__ import annotations
 
-import asyncio
-import threading
-import time
+from typing import Callable, Optional
 
 
 class GatedScheduler:
-    """Delegates to ``inner``; ``schedule`` blocks while the gate is held."""
+    """Delegates to ``inner``; ``schedule`` first calls ``hook(call)``."""
 
-    def __init__(self, inner) -> None:
+    def __init__(self, inner, hook: Optional[Callable[[int], None]] = None) -> None:
         self.inner = inner
-        self._open = threading.Event()
-        self._open.set()
-        self._waiting = threading.Event()
-
-    def hold(self) -> None:
-        """Make the next ``schedule`` call block until :meth:`release`."""
-        self._waiting.clear()
-        self._open.clear()
-
-    def release(self) -> None:
-        self._open.set()
-
-    async def round_in_flight(self, timeout: float = 10.0) -> None:
-        """Return once a ``schedule`` call is blocked at the gate."""
-        deadline = time.monotonic() + timeout
-        while not self._waiting.is_set():
-            assert time.monotonic() < deadline, "no round reached the gate"
-            await asyncio.sleep(0.001)
+        #: Called with the 1-based number of the ``schedule`` call, on the
+        #: thread that runs the round, before the solve.
+        self.hook = hook
+        self.calls = 0
 
     def schedule(self, state, now):
-        if not self._open.is_set():
-            self._waiting.set()
-            assert self._open.wait(timeout=30.0), "the gate was never released"
+        self.calls += 1
+        if self.hook is not None:
+            self.hook(self.calls)
         return self.inner.schedule(state, now)
 
     def apply(self, state, decision, now) -> None:
         self.inner.apply(state, decision, now)
 
     def close(self) -> None:
-        self.release()
         close = getattr(self.inner, "close", None)
         if callable(close):
             close()

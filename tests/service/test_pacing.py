@@ -3,11 +3,13 @@
 A round starts as soon as the previous one has applied and something that
 can change a decision is queued; ``round_interval`` only bounds how long
 *deferred* work (completions nobody waits on, tasks a round just failed to
-place) can wait for the loop to look at it.  The cases that need an
-interleaving choose it with :class:`GatedScheduler` (see also the two
-coalescing/drain cases in ``test_service.py``); the ones below that sleep
-do so because what they measure *is* wall time: that nothing happens while
-idle, a retry rate, a deferral bound.
+place) can wait for the loop to look at it.  The round is solved on the
+event loop, so a case that needs an interleaving cannot await while a
+round is in flight: it chooses what arrives during one with the hook of
+:class:`GatedScheduler` (the coalescing, drain and per-client-order cases
+in ``test_service.py``).  The ones below that sleep do so because what
+they measure *is* wall time: that nothing happens while idle, a retry
+rate, a deferral bound.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 Covers the ISSUE 9 service contract: concurrent submission with placement
 streaming, drain-on-shutdown conservation, slow-client backpressure
 (eviction, not stalling), machine events, and a chaos case with a worker
-kill mid-round behind the service.
+kill mid-round behind the service.  The round runs on the event loop:
+no executor thread, and no reply while a round is in flight.
 
 The suite is stdlib-only: each test drives a real asyncio TCP service on
 an ephemeral port inside ``asyncio.run`` (no pytest-asyncio dependency).
@@ -13,6 +14,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
+import time
 
 import pytest
 
@@ -21,7 +24,7 @@ from repro.cluster.state import ClusterState
 from repro.cluster.topology import build_topology
 from repro.core import FirmamentScheduler, ShardedScheduler
 from repro.core.policies import QuincyPolicy
-from repro.service import SchedulerService, ServiceConfig
+from repro.service import DurabilityLayer, SchedulerService, ServiceConfig
 from repro.service.loadgen import run_loadgen
 from tests.service.gated_scheduler import GatedScheduler
 
@@ -38,8 +41,12 @@ def make_service(
     return SchedulerService(state, scheduler, ServiceConfig(**defaults))
 
 
+def request_line(payload: dict) -> bytes:
+    return json.dumps(payload).encode() + b"\n"
+
+
 async def send(writer: asyncio.StreamWriter, payload: dict) -> None:
-    writer.write(json.dumps(payload).encode() + b"\n")
+    writer.write(request_line(payload))
     await writer.drain()
 
 
@@ -54,6 +61,15 @@ async def recv_until(reader: asyncio.StreamReader, event: str) -> dict:
         message = await recv(reader)
         if message.get("event") == event:
             return message
+
+
+async def recv_events(reader: asyncio.StreamReader, **wanted: int) -> list:
+    """Read until ``wanted[event]`` events of each kind have arrived;
+    return every event name read, in order."""
+    events = []
+    while any(events.count(event) < count for event, count in wanted.items()):
+        events.append((await recv(reader)).get("event"))
+    return events
 
 
 class TestSubmissionStreaming:
@@ -93,22 +109,24 @@ class TestSubmissionStreaming:
                 reader, writer = await asyncio.open_connection(
                     "127.0.0.1", service.port
                 )
-                gated.hold()
-                for sequence in range(6):
-                    await send(writer, {
-                        "op": "submit", "tasks": 2, "id": sequence,
-                        "job_type": "service",
-                    })
-                    await recv_until(reader, "ack")
-                    if sequence == 0:
-                        # The first job's round is now held open; the other
-                        # five arrive (and are acked) while it solves.
-                        await gated.round_in_flight()
-                gated.release()
-                for _ in range(12):
-                    await recv_until(reader, "placement")
+
+                def five_more(call):
+                    # The first job's round is in flight: the other five
+                    # arrive while it solves, and are acked after it.
+                    if call == 1:
+                        writer.write(b"".join(request_line({
+                            "op": "submit", "tasks": 2, "id": sequence,
+                            "job_type": "service",
+                        }) for sequence in range(1, 6)))
+
+                gated.hook = five_more
+                await send(writer, {
+                    "op": "submit", "tasks": 2, "id": 0, "job_type": "service",
+                })
+                events = await recv_events(reader, placement=12)
+                assert events.count("ack") == 6
                 writer.close()
-                # 6 jobs, two rounds: the held one, and one for the rest.
+                # 6 jobs, two rounds: the first job's, and one for the rest.
                 assert service.ledger.rounds == 2
                 assert service.stats.drains == 2
                 assert service.stats.events_admitted == 6
@@ -248,26 +266,30 @@ class TestDrainConservation:
             reader, writer = await asyncio.open_connection(
                 "127.0.0.1", service.port
             )
-            # The first submission's round is held open, so the second
-            # stays queued in the inbox; the drain starts before the round
-            # is let go, and the loop runs no round after it.
-            gated.hold()
+            # While the first submission's round is in flight, a second
+            # submission and then a shutdown arrive.  Both are read after
+            # that round, in one go: the second is acked and queued, the
+            # drain starts, and the loop runs no round after it.
+            def submit_then_shut_down(call):
+                if call == 1:
+                    writer.write(
+                        request_line({"op": "submit", "tasks": 3, "id": 1,
+                                      "job_type": "service"})
+                        + request_line({"op": "shutdown", "id": 2})
+                    )
+
+            gated.hook = submit_then_shut_down
             await send(writer, {"op": "submit", "tasks": 2, "id": 0,
                                 "job_type": "service"})
             await recv_until(reader, "ack")
-            await gated.round_in_flight()
-            await send(writer, {"op": "submit", "tasks": 3, "id": 1,
-                                "job_type": "service"})
-            await recv_until(reader, "ack")
-
-            stopping = asyncio.create_task(service.stop())
-            await asyncio.sleep(0)
-            gated.release()
             for _ in range(2):
                 await recv_until(reader, "placement")
+            ack = await recv_until(reader, "ack")
+            assert (ack["id"], ack["accepted"]) == (1, 3)
             rejected = await recv_until(reader, "rejected")
-            assert len(rejected["task_ids"]) == 3
-            snapshot = await stopping
+            assert rejected["task_ids"] == ack["task_ids"]
+            snapshot = await service.stop()
+            assert gated.calls == 1
             assert snapshot["accepted"] == 5
             assert snapshot["placed"] == 2
             assert snapshot["rejected"] == 3
@@ -425,20 +447,25 @@ class TestCoalescedWriter:
                     notify(client_id, payload)
 
                 service._notify = recording
-                # Hold a round open on a warm-up job, queue the four jobs
-                # behind it, and let one round place them all.
-                gated.hold()
+
+                # Four jobs arrive while a warm-up job's round is in flight,
+                # alternating between the clients, and one round places them
+                # all.  A reader takes its connection's whole buffer at once,
+                # so requests written to two sockets would reach the inbox
+                # grouped by client: the front door is called directly.
+                def four_jobs_behind(call):
+                    if call == 1:
+                        for sequence in range(1, 5):
+                            service._dispatch(
+                                service._clients[(1, 2)[sequence % 2]],
+                                {"op": "submit", "tasks": 3, "id": sequence,
+                                 "job_type": "service"},
+                            )
+
+                gated.hook = four_jobs_behind
+                writes = spy_on_socket_writes(service)
                 await send(first[1], {"op": "submit", "tasks": 1, "id": 0,
                                       "job_type": "service"})
-                await recv_until(first[0], "ack")
-                await gated.round_in_flight()
-                for sequence in range(1, 5):
-                    reader, writer = (first, second)[sequence % 2]
-                    await send(writer, {"op": "submit", "tasks": 3,
-                                        "id": sequence, "job_type": "service"})
-                    await recv_until(reader, "ack")
-                writes = spy_on_socket_writes(service)
-                gated.release()
                 got = {1: [], 2: []}
                 for client_id, (reader, _writer), expected in (
                     (1, first, 1 + 6), (2, second, 6),
@@ -452,21 +479,115 @@ class TestCoalescedWriter:
                         payload for owner, payload in produced if owner == client_id
                     ]
                 # Each round's events for a client left in one write: the
-                # warm-up placement, then the shared round's six apiece.
-                lines_per_write = {
+                # warm-up placement (behind the acks of the jobs that came
+                # in during its round), then the shared round's six apiece.
+                placements_per_write = {
                     client_id: [
-                        data.count(b"\n") for data in writes[client_id]
+                        data.count(b'"placement"') for data in writes[client_id]
                         if b'"placement"' in data
                     ]
                     for client_id in (1, 2)
                 }
-                assert lines_per_write == {1: [1, 6], 2: [6]}
+                assert placements_per_write == {1: [1, 6], 2: [6]}
                 first[1].close()
                 second[1].close()
             finally:
                 await service.stop()
 
         asyncio.run(asyncio.wait_for(scenario(), 30))
+
+
+def service_around(gated, **kwargs) -> SchedulerService:
+    """16 machines in four racks of four, so ``--cells 4`` has a rack each."""
+    state = ClusterState(build_topology(16, machines_per_rack=4))
+    config = ServiceConfig(round_interval=0.01, time_scale=0.01)
+    return SchedulerService(state, gated, config, **kwargs)
+
+
+class TestRoundRunsOnTheLoop:
+    """The service solves on its event loop, so no round is handed to a
+    thread and nothing answers a client while a round is in flight."""
+
+    @pytest.mark.parametrize("cells", [None, 4])
+    def test_schedule_runs_on_the_loop_thread(self, cells, monkeypatch):
+        handed_off = []
+
+        def refuse(loop, *args):
+            handed_off.append(args)
+            raise AssertionError("work was handed to an executor thread")
+
+        monkeypatch.setattr(asyncio.BaseEventLoop, "run_in_executor", refuse)
+        threads = []
+        gated = GatedScheduler(
+            FirmamentScheduler(QuincyPolicy()) if cells is None
+            else ShardedScheduler(QuincyPolicy, num_cells=cells),
+            hook=lambda call: threads.append(threading.get_ident()),
+        )
+
+        async def scenario():
+            service = service_around(gated)
+            await service.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", service.port
+                )
+                for sequence in range(20):
+                    await send(writer, {"op": "submit", "tasks": 1,
+                                        "id": sequence, "job_type": "service"})
+                    await asyncio.wait_for(recv_until(reader, "placement"), 5.0)
+                writer.close()
+            finally:
+                await service.stop()
+            ledger = service.ledger
+            assert (ledger.rounds, ledger.degraded_rounds, ledger.placed) == (20, 0, 20)
+            return threading.get_ident()
+
+        loop_thread = asyncio.run(asyncio.wait_for(scenario(), 30))
+        assert threads == [loop_thread] * 20
+        assert handed_off == []
+
+    def test_no_request_is_answered_mid_round(self, tmp_path):
+        """A ``stats`` request written from inside ``schedule`` is answered
+        after the round's release, from a synced log.  The hook sleeps so
+        that a loop running beside the solve would have time to answer it
+        early; an inline round just waits the sleep out."""
+        layer = DurabilityLayer(tmp_path / "state", fsync=False)
+        gated = GatedScheduler(FirmamentScheduler(QuincyPolicy()))
+
+        async def scenario():
+            service = service_around(gated, durability=layer)
+            readings = []
+            stats_snapshot = service._stats_snapshot
+
+            def reading_the_log():
+                readings.append((layer.synced_seq, layer.seq))
+                return stats_snapshot()
+
+            service._stats_snapshot = reading_the_log
+            await service.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", service.port
+                )
+
+                def ask_for_stats(call):
+                    writer.write(request_line({"op": "stats", "id": call}))
+                    time.sleep(0.05)
+
+                gated.hook = ask_for_stats
+                for sequence in range(3):
+                    await send(writer, {"op": "submit", "tasks": 1,
+                                        "id": sequence, "job_type": "service"})
+                    events = await recv_events(reader, placement=1, stats=1)
+                    assert events.index("placement") < events.index("stats")
+                writer.close()
+            finally:
+                await service.stop()
+            return readings
+
+        readings = asyncio.run(asyncio.wait_for(scenario(), 30))
+        assert gated.calls == 3 and len(readings) >= 3
+        assert all(synced == appended for synced, appended in readings)
 
 
 class TestServiceChaos:
