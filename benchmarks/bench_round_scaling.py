@@ -5,8 +5,8 @@ incremental round costs the change, not the cluster.  Every other kernel in
 this directory holds the cluster at 64-512 machines, where an O(cluster) pass
 costs a fraction of a millisecond and hides.  This one holds the *change*
 fixed -- 6 completions and 6 arrivals (a 4-task and a 2-task job) per round on
-a half-full Quincy cluster, the scheduler ``serve`` builds (one delta-armed
-cost-scaling leg per round) -- and grows the cluster 128 -> 512 -> 2 048 ->
+a half-full Quincy cluster, the scheduler ``serve`` builds (one incremental
+cost-scaling solver, no race) -- and grows the cluster 128 -> 512 -> 2 048 ->
 4 096 machines x 4 slots.
 
 Printed per size: median milliseconds per stage (graph update / solve /
@@ -33,9 +33,8 @@ Asserted as well are counts that repeat exactly on every host:
   earlier jobs more -- except on the *bunched* tick of the prefill, whose
   tasks share a submit time and are all re-priced in one round every
   ``1 / rate`` seconds (policy, not plumbing);
-* every timed round is a delta solve, and a solo one (the executor's
-  ``solo_delta_rounds`` advances) unless its batch is over
-  ``DELTA_SOLO_THRESHOLD`` -- which only those bunched rounds are; and
+* every timed round is a delta solve, the bunched rounds' large batches
+  included; and
 * the repair's settled nodes per augmentation grow at most 4x from 128 to
   2 048 machines (16x the cluster).  A search that walks the
   zero-reduced-cost plateau grows ~20x here; the breadth-first search grows
@@ -60,8 +59,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from benchmarks.common import bench_scale, build_cluster_state, make_job  # noqa: E402
 from repro.analysis.reporting import format_table  # noqa: E402
-from repro.cli.scheduler_options import _make_scheduler  # noqa: E402
-from repro.solvers.dual_executor import DELTA_SOLO_THRESHOLD  # noqa: E402
+from repro.cli import build_parser, serve_command  # noqa: E402
 
 MACHINE_GRID = tuple(m * bench_scale() for m in (128, 512, 2048, 4096))
 SLOTS_PER_MACHINE = 4
@@ -93,8 +91,8 @@ def steady_rounds(
 ) -> Dict:
     """Run the steady shape at one cluster size; per-stage medians + counts."""
     state = build_cluster_state(num_machines, slots_per_machine=SLOTS_PER_MACHINE)
-    scheduler = _make_scheduler(
-        "firmament", "quincy", delta_solo_threshold=DELTA_SOLO_THRESHOLD, cells=cells
+    scheduler = serve_command._build_scheduler(
+        build_parser().parse_args(["serve", "--cells", str(cells)])
     )
     solve_seconds = [0.0]
 
@@ -123,19 +121,17 @@ def steady_rounds(
         submit(4)
     scheduler.schedule_and_apply(state, now)
     if cells:
-        executor = None
         managers = [cell.manager for cell in scheduler._cells]
         for cell in scheduler._cells:
             cell.solver.solve = timed(cell.solver.solve)
     else:
-        executor = scheduler.solver
         managers = [scheduler.graph_manager]
-        executor.solve = timed(executor.solve)
+        scheduler.solver.solve = timed(scheduler.solver.solve)
 
     samples: Dict[str, List[float]] = {stage: [] for stage in STAGES}
     rounds_ms: List[float] = []
     examined = 0  # the most on a round with no tick due
-    settled = augmentations = oversized = bunched = allowance = 0
+    settled = augmentations = bunched = allowance = 0
     try:
         for round_index in range(WARMUP_ROUNDS + timed_rounds):
             now += 0.1
@@ -143,7 +139,6 @@ def steady_rounds(
                 state.complete_task(task.task_id, now)
             for num_tasks in ARRIVALS:
                 submit(num_tasks)
-            solo_before = executor.solo_delta_rounds if executor else 0
             solve_seconds[0] = 0.0
             start = time.perf_counter()
             decision = scheduler.schedule(state, now)
@@ -170,16 +165,12 @@ def steady_rounds(
                     )
             updates = [manager.last_update_stats for manager in took_part]
             ticks = sum(u.tasks_examined - u.dirty_tasks for u in updates)
-            if executor is not None:
-                batch = len(scheduler.graph_manager.last_changes)
-                solo = executor.solo_delta_rounds - solo_before
-                if stats.delta_solve != 1 or solo != (batch <= DELTA_SOLO_THRESHOLD):
-                    raise AssertionError(
-                        f"round {round_index} at {num_machines} machines: "
-                        f"delta_solve={stats.delta_solve}, solo={solo}, a batch "
-                        f"of {batch} changes"
-                    )
-                oversized += not solo
+            if not cells and stats.delta_solve != 1:
+                raise AssertionError(
+                    f"round {round_index} at {num_machines} machines rebuilt: "
+                    f"a batch of {len(scheduler.graph_manager.last_changes)} "
+                    "changes"
+                )
             if ticks > BUNCHED_TICK:
                 bunched += 1
             else:
@@ -229,7 +220,6 @@ def steady_rounds(
         "null_ms": null_ms,
         "examined": examined,
         "bunched_rounds": bunched,
-        "oversized_rounds": oversized,
         "settled": settled,
         "augmentations": augmentations,
         "settled_per_augmentation": settled / max(augmentations, 1),
@@ -290,13 +280,11 @@ def run_grid() -> Dict[int, Dict]:
     print()
     print(format_table(
         ["machines", "tasks examined, tick-free rounds", "bunched-tick rounds",
-         "settled nodes", "augmentations", "settled / augmentation",
-         f"rounds over {DELTA_SOLO_THRESHOLD} changes (raced)"],
+         "settled nodes", "augmentations", "settled / augmentation"],
         [
             [m, results[m]["examined"], results[m]["bunched_rounds"],
              results[m]["settled"], results[m]["augmentations"],
-             f"{results[m]['settled_per_augmentation']:.1f}",
-             results[m]["oversized_rounds"]]
+             f"{results[m]['settled_per_augmentation']:.1f}"]
             for m in MACHINE_GRID
         ],
     ))

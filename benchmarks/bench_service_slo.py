@@ -279,18 +279,17 @@ def test_wal_overhead_p99_durability_on_vs_off(tmp_path, benchmark):
 def _inprocess_burst() -> None:
     import asyncio
 
+    from repro.cli import build_parser, serve_command
     from repro.cluster.state import ClusterState
     from repro.cluster.topology import build_topology
-    from repro.core import FirmamentScheduler
-    from repro.core.policies import QuincyPolicy
-
     from repro.service import SchedulerService, ServiceConfig
 
     async def burst():
         state = ClusterState(build_topology(32))
         service = SchedulerService(
             state,
-            FirmamentScheduler(QuincyPolicy()),
+            # The scheduler ``serve`` builds with its default flags.
+            serve_command._build_scheduler(build_parser().parse_args(["serve"])),
             ServiceConfig(round_interval=0.005, time_scale=0.01),
         )
         await service.start()

@@ -40,7 +40,8 @@ committed baseline in ``perf_baseline.json``:
   (``bench_shard_scaling.py`` is the full grid version and prints that
   crossover), and
 * the service-round kernel -- a small closed-loop burst against an
-  in-process :class:`SchedulerService` over loopback TCP (submit -> coalesced
+  in-process :class:`SchedulerService` running the scheduler ``serve``
+  builds, over loopback TCP (submit -> coalesced
   admission -> round -> placement stream -> drain) -- guarding the
   scheduler-as-a-service front end; normalized against the from-scratch
   solve like the sim-replay kernel (``bench_service_slo.py`` is the
@@ -57,7 +58,7 @@ committed baseline in ``perf_baseline.json``:
   persistent residuals, so a reintroduced per-round rebuild, price refine
   or graph copy shows as a multiple, and
 * the round-scaling kernel -- the same steady shape on a half-full cluster
-  (6 completions + 6 arrivals per round, ``serve``'s delta-solo scheduler)
+  (6 completions + 6 arrivals per round, ``serve``'s scheduler)
   at 128 and at 512 machines -- guarding "a steady round costs what
   changed": the ratio of the two medians is the kernel's number (a pass
   over the cluster creeping back into the round raises it), the repair's
@@ -488,6 +489,13 @@ def measure_sharded_round() -> tuple:
     return mono, sharded
 
 
+def serve_scheduler():
+    """The scheduler ``serve`` builds with its default flags."""
+    from repro.cli import build_parser, serve_command
+
+    return serve_command._build_scheduler(build_parser().parse_args(["serve"]))
+
+
 def measure_service_round() -> float:
     """Service-round kernel: wall seconds for one closed-loop service burst.
 
@@ -496,14 +504,13 @@ def measure_service_round() -> float:
     tasks), then drained.  Covers the whole service path -- JSON-lines
     parsing, coalesced admission, the round solved on the event loop, the
     per-client notification queues, and drain -- with the conservation law
-    asserted so the timed run is also a correct one.
+    asserted so the timed run is also a correct one.  The scheduler is the
+    one ``serve`` builds (:func:`serve_scheduler`).
     """
     import asyncio
 
     from repro.cluster.state import ClusterState
     from repro.cluster.topology import build_topology
-    from repro.core import FirmamentScheduler
-    from repro.core.policies import QuincyPolicy as ServiceQuincyPolicy
     from repro.service import SchedulerService, ServiceConfig
     from repro.service.loadgen import run_loadgen
 
@@ -511,7 +518,7 @@ def measure_service_round() -> float:
         state = ClusterState(build_topology(16))
         service = SchedulerService(
             state,
-            FirmamentScheduler(ServiceQuincyPolicy()),
+            serve_scheduler(),
             ServiceConfig(round_interval=0.002, time_scale=0.01),
         )
         await service.start()
@@ -549,8 +556,6 @@ def measure_service_round_durable() -> float:
 
     from repro.cluster.state import ClusterState
     from repro.cluster.topology import build_topology
-    from repro.core import FirmamentScheduler
-    from repro.core.policies import QuincyPolicy as ServiceQuincyPolicy
     from repro.service import DurabilityLayer, SchedulerService, ServiceConfig
     from repro.service.loadgen import run_loadgen
 
@@ -561,7 +566,7 @@ def measure_service_round_durable() -> float:
         durability = DurabilityLayer(state_dir, fsync=True)
         service = SchedulerService(
             state,
-            FirmamentScheduler(ServiceQuincyPolicy()),
+            serve_scheduler(),
             ServiceConfig(round_interval=0.002, time_scale=0.01),
             durability=durability,
         )
@@ -680,8 +685,8 @@ def measure_round_scaling() -> tuple:
     """Round-scaling kernel: (small_round_seconds, large_round_seconds).
 
     Median steady round of ``bench_round_scaling.steady_rounds`` (which
-    asserts every timed round is a delta solve, solo under the threshold)
-    and that a null round examines no task and patches no arc)
+    asserts every timed round is a delta solve and that a null round
+    examines no task and patches no arc)
     at the two ``SCALING_MACHINES`` sizes.  The count half of the gate is
     checked here because it needs no baseline.
     """

@@ -26,7 +26,11 @@ from repro.core.policies import (
     RandomPlacementPolicy,
     ShortestJobFirstPolicy,
 )
-from repro.solvers import DualAlgorithmExecutor, ParallelDualExecutor
+from repro.solvers import (
+    DualAlgorithmExecutor,
+    IncrementalCostScalingSolver,
+    ParallelDualExecutor,
+)
 
 #: ``--policy`` name -> policy class (Firmament and Quincy only).
 _POLICY_CLASSES = {
@@ -109,11 +113,15 @@ def add_scheduler_arguments(parser) -> None:
         metavar="SECONDS",
         help=(
             "per-round wall-clock budget for the flow-based schedulers: "
-            "the solver degrades at the budget (epsilon-ladder truncation, "
-            "relaxation abort) and a round where no solver finished reuses "
-            "the previous feasible placements instead of stalling; "
-            "degraded-round counts are reported in the summary (firmament "
-            "only, default: no deadline)"
+            "at the budget cost scaling stops its epsilon ladder (and a "
+            "racing relaxation leg is aborted); a delta repair still "
+            "running one watchdog period later is aborted, and a round "
+            "(with --cells: a cell) where no solver finished reuses the "
+            "previous feasible placements and rebuilds next round instead "
+            "of stalling.  serve's monolith runs incremental cost scaling "
+            "alone, so its round is that one solve.  Degraded-round counts "
+            "are reported in the summary (firmament only, default: no "
+            "deadline)"
         ),
     )
 
@@ -127,33 +135,32 @@ def _make_policy(name: str):
 def _make_scheduler(
     scheduler_name: str,
     policy_name: str,
-    executor: str = "sequential",
-    delta_solo_threshold: Optional[int] = None,
+    executor: Optional[str] = "sequential",
     cells: int = 0,
     cell_workers: bool = False,
     round_deadline_seconds: Optional[float] = None,
 ):
     """Build the scheduler a CLI invocation asked for.
 
-    Flag combinations that cannot take effect are rejected loudly instead
-    of silently ignored: ``cells`` and ``executor`` only apply to the
-    firmament scheduler, ``executor`` does not exist in the sharded
-    scheduler (each cell runs one incremental solver, there is no race to
-    configure), and ``round_deadline_seconds`` needs a flow-based scheduler
-    with deadline support.
+    ``executor`` picks the monolithic firmament scheduler's solver:
+    ``"sequential"`` / ``"parallel"`` are the two dual executors of
+    ``simulate --executor``, and ``None`` is no race at all -- one
+    :class:`~repro.solvers.incremental.IncrementalCostScalingSolver`, the
+    solver every sharded cell runs, which is what ``serve`` asks for.
 
-    ``delta_solo_threshold`` is not a flag: it is the value a *caller*
-    sets on the monolithic scheduler's dual executor in place of that
-    executor's own default (``serve`` does, because it pays wall clock for
-    every leg of the inline executor; see
-    :meth:`~repro.solvers.dual_executor.SpeculativeDualExecutor._speculates`).
+    Flag combinations that cannot take effect are rejected loudly instead
+    of silently ignored: ``cells`` and the parallel executor only apply to
+    the firmament scheduler, the parallel executor does not exist in the
+    sharded scheduler (each cell runs one incremental solver, there is no
+    race to configure), and ``round_deadline_seconds`` needs a flow-based
+    scheduler with deadline support.
     """
     if cells > 0 and scheduler_name != "firmament":
         raise ValueError(
             f"--cells only applies to the firmament scheduler, not "
             f"{scheduler_name!r}"
         )
-    if executor != "sequential" and scheduler_name != "firmament":
+    if executor == "parallel" and scheduler_name != "firmament":
         raise ValueError(
             f"--executor {executor!r} only applies to the firmament "
             f"scheduler, not {scheduler_name!r} (the baselines run no "
@@ -167,7 +174,7 @@ def _make_scheduler(
         )
     if scheduler_name == "firmament":
         if cells > 0:
-            if executor != "sequential":
+            if executor == "parallel":
                 raise ValueError(
                     f"--executor {executor!r} cannot combine with --cells: "
                     "the sharded scheduler runs one incremental solver per "
@@ -181,9 +188,11 @@ def _make_scheduler(
             )
         if cell_workers:
             raise ValueError("--cell-workers requires --cells")
-        solver = _EXECUTOR_CLASSES[executor]()
-        if delta_solo_threshold is not None:
-            solver.delta_solo_threshold = delta_solo_threshold
+        solver = (
+            IncrementalCostScalingSolver()
+            if executor is None
+            else _EXECUTOR_CLASSES[executor]()
+        )
         return FirmamentScheduler(
             _make_policy(policy_name), solver=solver,
             round_deadline_seconds=round_deadline_seconds,

@@ -13,6 +13,15 @@ SIGTERM and SIGINT take the same graceful path: the signal requests a
 drain (void unadmitted submissions, flush notifications, print the
 conservation verdict) instead of killing the process mid-round.
 
+A round is one solve by one solver: the monolithic scheduler runs
+:class:`~repro.solvers.incremental.IncrementalCostScalingSolver` alone (no
+relaxation race -- the service has one event-loop thread to pay for every
+leg), the same solver each ``--cells`` cell runs.  ``--round-deadline`` is
+that solver's budget: the epsilon ladder stops at it, and a delta repair
+still running one watchdog period later is aborted -- the round (or the
+cell) reuses the previous placements, and the next one rebuilds, which is
+never aborted.
+
 With ``--state-dir`` the service is crash-safe (write-ahead admission log
 plus periodic snapshots; see :mod:`repro.service.durability`), and
 ``--recover`` restores from an existing state directory after a crash --
@@ -31,7 +40,6 @@ from repro.cli.scheduler_options import _make_scheduler, add_scheduler_arguments
 from repro.cluster.state import ClusterState
 from repro.cluster.topology import build_topology
 from repro.service import DurabilityLayer, SchedulerService, ServiceConfig, recover
-from repro.solvers.dual_executor import DELTA_SOLO_THRESHOLD
 
 
 def register(subparsers) -> None:
@@ -149,11 +157,11 @@ def _build_scheduler(args: argparse.Namespace):
     """The scheduler ``serve`` runs for the parsed flags."""
     return _make_scheduler(
         args.scheduler, args.policy,
-        # A service pays wall clock for every solver leg it runs (the
-        # simulator's sequential executor only *models* the second core),
-        # so a round whose small batch chains onto cost scaling's residual
-        # runs that leg alone; cells and the baselines have no race.
-        delta_solo_threshold=DELTA_SOLO_THRESHOLD,
+        # No race: a service pays the wall clock of every solver leg it
+        # runs on its one event-loop thread (the simulator's sequential
+        # executor only *models* the second core), so the monolith solves
+        # with incremental cost scaling alone, like every cell.
+        executor=None,
         cells=args.cells,
         cell_workers=args.cell_workers,
         round_deadline_seconds=args.round_deadline,

@@ -162,8 +162,10 @@ def run(args: argparse.Namespace) -> int:
     if args.round_deadline is not None:
         # Degraded rounds are the price of the budget: epsilon-truncated
         # rounds plus rounds that reused the previous feasible placements.
-        stats = getattr(scheduler, "statistics", None)
-        abandoned = getattr(stats, "deadline_abandoned_rounds", 0)
+        abandoned = sum(
+            record.degraded_reason == "round_deadline"
+            for record in result.schedule_records
+        )
         print(
             f"round deadline: {args.round_deadline:.3f}s, degraded rounds: "
             f"{metrics.degraded_round_count()} "

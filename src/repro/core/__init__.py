@@ -13,7 +13,7 @@ from repro.core.graph_manager import (
     GraphUpdateStats,
 )
 from repro.core.placement import extract_placements
-from repro.core.scheduler import FirmamentScheduler, SchedulingDecision, SchedulerStatistics
+from repro.core.scheduler import FirmamentScheduler, SchedulingDecision
 from repro.core.sharding import (
     CellPartition,
     CellStateView,
@@ -38,7 +38,6 @@ __all__ = [
     "extract_placements",
     "FirmamentScheduler",
     "SchedulingDecision",
-    "SchedulerStatistics",
     "CellPartition",
     "CellStateView",
     "CellTopologyView",

@@ -29,14 +29,20 @@ its :class:`~repro.core.graph_manager.GraphManager`, its solver):
    otherwise the runtime its result reports (falling back to wall clock);
    the round costs the gather wall clock when the cells really ran
    concurrently, otherwise its slowest cell, i.e. the latency of the
-   concurrent deployment being modeled;
-5. ``statistics.record``.
+   concurrent deployment being modeled.
+
+The scheduler keeps no per-round history: a round's counters travel on
+its decision (``decision.solver_result.statistics``), and a caller that
+wants a history keeps the decisions or records it is handed (the
+simulator's :class:`~repro.simulation.simulator.ScheduleRecord`).
 
 :class:`FirmamentScheduler` is the one-cell case: the view is the
-:class:`~repro.cluster.state.ClusterState` itself, the solver is the dual
-executor, and the round's ``solver_result`` is the winning solver's own
-result.  :class:`~repro.core.sharding.ShardedScheduler` supplies many cells.
-Both do so through three hooks -- ``_round_cells`` (who takes part),
+:class:`~repro.cluster.state.ClusterState` itself, the solver is whatever
+the caller chose (the modeled dual executor by default; ``serve`` passes
+the incremental cost-scaling solver every cell runs), and the round's
+``solver_result`` is that solver's own result.
+:class:`~repro.core.sharding.ShardedScheduler` supplies many cells.  Both
+do so through three hooks -- ``_round_cells`` (who takes part),
 ``_solve_cells`` (inline in order, or shipped to workers and gathered) and
 ``_round_result`` (what ``decision.solver_result`` carries) -- so
 deadlines, degradation, chaos and runtime charging have one implementation.
@@ -106,71 +112,20 @@ class SchedulingDecision:
 
 
 def apply_decision(state: ClusterState, decision, now: float) -> None:
-    """Put a round's decision on the cluster state: preempt, migrate, place.
+    """Put a round's decision on the cluster state: vacate, then place.
 
-    Preemptions go first so their slots are free for the rest.  Every
-    scheduler's ``apply`` and the service's round replay (which passes its
-    logged record) change the state through this one order.
+    Every preempted and every migrating task leaves its machine before any
+    task lands, so the slots they free are there for the rest -- a round
+    may swap two tasks between full machines.  Every scheduler's ``apply``
+    and the service's round replay (which passes its logged record) change
+    the state through this one order.
     """
-    for task_id in decision.preemptions:
+    for task_id in (*decision.preemptions, *decision.migrations):
         state.preempt_task(task_id, now)
-    for task_id, machine_id in decision.migrations.items():
-        state.migrate_task(task_id, machine_id, now)
-    for task_id, machine_id in decision.placements.items():
+    for task_id, machine_id in (
+        *decision.migrations.items(), *decision.placements.items()
+    ):
         state.place_task(task_id, machine_id, now)
-
-
-@dataclass
-class SchedulerStatistics:
-    """Aggregate statistics over a scheduler's lifetime."""
-
-    runs: int = 0
-    total_algorithm_runtime: float = 0.0
-    total_graph_update_time: float = 0.0
-    total_placements: int = 0
-    total_migrations: int = 0
-    total_preemptions: int = 0
-    #: Rounds that finished degraded (epsilon truncation or previous-
-    #: placement reuse); every round is still *served* -- never a stall.
-    degraded_rounds: int = 0
-    #: Degraded rounds where no solver finished and the previous feasible
-    #: placements were reused (a subset of ``degraded_rounds``).
-    deadline_abandoned_rounds: int = 0
-    #: Rounds whose decision was produced but never applied: the driver
-    #: (e.g. the simulator at its ``max_time``/hard-stop boundary) voided
-    #: the round via :meth:`record_void` instead of applying it, so the
-    #: placement totals above stay truthful about cluster state.
-    voided_rounds: int = 0
-    placements_voided: int = 0
-    algorithm_runtimes: List[float] = field(default_factory=list)
-
-    def record(self, decision: SchedulingDecision) -> None:
-        """Account one scheduling decision."""
-        self.runs += 1
-        if decision.degraded:
-            self.degraded_rounds += 1
-            if decision.degraded_reason == "round_deadline":
-                self.deadline_abandoned_rounds += 1
-        self.total_algorithm_runtime += decision.algorithm_runtime
-        self.total_graph_update_time += decision.graph_update_seconds
-        self.total_placements += len(decision.placements)
-        self.total_migrations += len(decision.migrations)
-        self.total_preemptions += len(decision.preemptions)
-        self.algorithm_runtimes.append(decision.algorithm_runtime)
-
-    def record_void(self, decision: SchedulingDecision) -> None:
-        """Account a decision the driver voided instead of applying.
-
-        :meth:`record` already counted the decision's placements when the
-        scheduler produced it; a voided round backs those actions out of
-        the lifetime placement totals (they never reached cluster state)
-        and tallies the void itself.
-        """
-        self.voided_rounds += 1
-        self.placements_voided += decision.num_assignments
-        self.total_placements -= len(decision.placements)
-        self.total_migrations -= len(decision.migrations)
-        self.total_preemptions -= len(decision.preemptions)
 
 
 class RoundCell(NamedTuple):
@@ -234,7 +189,6 @@ class FlowScheduler:
                     runtime for _, _, runtime in outcomes
                 )
         decision.solver_result = self._round_result(state, decision, outcomes)
-        self.statistics.record(decision)
         return decision
 
     # ------------------------------------------------------------------ #
@@ -376,8 +330,9 @@ class FirmamentScheduler(FlowScheduler):
                 (relaxation plus incremental cost scaling, run back to back
                 every round with the race modeled).  Pass a
                 :class:`~repro.solvers.parallel_executor.ParallelDualExecutor`
-                to race them for real, a dual executor with a
-                ``delta_solo_threshold`` to skip futile speculation, or a
+                to race them for real, an
+                :class:`~repro.solvers.incremental.IncrementalCostScalingSolver`
+                to solve each round with one leg (what ``serve`` runs), or a
                 plain cost-scaling solver to reproduce Quincy's behaviour.
             allow_migrations: When False, running tasks are pinned to their
                 machines and the scheduler only places pending tasks (useful
@@ -389,7 +344,7 @@ class FirmamentScheduler(FlowScheduler):
                 feasible flow reuses the previous placements instead of
                 stalling; both outcomes are recorded as degraded rounds.
                 Requires a solver that supports round deadlines (the dual
-                executors do).
+                executors and the incremental cost-scaling solver do).
             chaos: Optional :class:`repro.chaos.ChaosPolicy` injecting
                 deterministic faults into the round pipeline (tests and
                 chaos benchmarks only).
@@ -404,7 +359,6 @@ class FirmamentScheduler(FlowScheduler):
         # applies; a solver that cannot consume one just rebuilds.
         self.graph_manager = GraphManager(policy, chaos=chaos)
         self.allow_migrations = allow_migrations
-        self.statistics = SchedulerStatistics()
 
     @property
     def last_network(self) -> Optional[FlowNetwork]:

@@ -87,7 +87,7 @@ solving undisturbed.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.events import DirtyTracker
 from repro.cluster.machine import Machine, Rack
@@ -99,7 +99,6 @@ from repro.core.scheduler import (
     CellOutcome,
     FlowScheduler,
     RoundCell,
-    SchedulerStatistics,
     SchedulingDecision,
 )
 from repro.solvers.base import SolverResult, SolverStatistics
@@ -427,8 +426,8 @@ class ShardedScheduler(FlowScheduler):
     """Flow scheduling over a rack-partitioned cluster, one solver per cell.
 
     Drop-in for :class:`~repro.core.scheduler.FirmamentScheduler` (same
-    ``schedule`` / ``apply`` / ``schedule_and_apply`` / ``close`` /
-    ``statistics`` surface), so the simulator, CLI, and testbed drive it
+    ``schedule`` / ``apply`` / ``schedule_and_apply`` / ``close``
+    surface), so the simulator, CLI, and testbed drive it
     unchanged.
 
     Args:
@@ -450,9 +449,14 @@ class ShardedScheduler(FlowScheduler):
         allow_migrations: As in :class:`FirmamentScheduler`.
         balance: Enable the cross-cell balancer.
         round_deadline_seconds: Per-round budget, applied per cell (cells
-            are concurrent, so each gets the full budget).  A cell that
-            misses it degrades alone: its pending tasks wait a round while
-            the other cells' placements land normally.
+            are concurrent, so each gets the full budget) as each in-process
+            solver's own ``round_deadline_seconds``: a cell whose delta
+            repair outlasts the hard deadline is aborted and degrades alone
+            -- its pending tasks wait a round while the other cells'
+            placements land normally -- and rebuilds next round.  A
+            worker-mode cell's worker solves without a budget; the gather
+            waits at most the budget before the parent-side solver, under
+            the budget, serves the cell.
         chaos: Optional :class:`~repro.chaos.ChaosPolicy`; worker-directed
             faults hit cell ``round_index % num_cells`` only.
     """
@@ -475,16 +479,7 @@ class ShardedScheduler(FlowScheduler):
         self.round_deadline_seconds = round_deadline_seconds
         self.chaos = chaos
         self._policy_factory = policy_factory
-        # The worker subprocesses construct their own solvers, so the knobs
-        # must travel as kwargs; the inline/fallback factory uses the same
-        # kwargs so both modes solve identically configured.
-        self._solver_kwargs: Dict[str, Any] = {}
-        if solver_factory is None and round_deadline_seconds is not None:
-            self._solver_kwargs["round_deadline_seconds"] = round_deadline_seconds
-        self._solver_factory = solver_factory or (
-            lambda: IncrementalCostScalingSolver(**self._solver_kwargs)
-        )
-        self.statistics = SchedulerStatistics()
+        self._solver_factory = solver_factory or IncrementalCostScalingSolver
         self.balancer = CrossCellBalancer(self.partition) if balance else None
 
         self._state: Optional[ClusterState] = None
@@ -530,9 +525,9 @@ class ShardedScheduler(FlowScheduler):
             self._arm_deadline(solver, self.round_deadline_seconds)
             manager = GraphManager(self._policy_factory(), chaos=self.chaos)
             self._cells.append(RoundCell(view.cell, view, manager, solver))
-            self.clients.append(
-                WorkerClient(IncrementalCostScalingSolver, self._solver_kwargs)
-            )
+            # A worker's solver has no budget of its own: the gather bounds
+            # the round, and a worker that aborted would drop its shadow.
+            self.clients.append(WorkerClient(IncrementalCostScalingSolver))
             view.dirty.mark_all()
         self._cell_cost = [0] * self.num_cells
         self._dirty_epoch = None

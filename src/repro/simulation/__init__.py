@@ -24,10 +24,10 @@ Drain and void rules
     run continues past ``max_time`` until queued work settles, applying
     in-flight rounds.  With ``drain=False``, events past ``max_time`` are
     skipped, but a skipped ``SCHEDULER_DONE`` voids its round: the record
-    is marked ``voided``, the scheduler's statistics are rolled back, and
-    the run's ``rounds_voided`` counter increments.  The invariant --
-    recorded placements == applied + drift-dropped + voided -- is checked
-    by :func:`~repro.simulation.simulator.verify_placement_conservation`.
+    is marked ``voided`` and the run's ``rounds_voided`` counter
+    increments.  The invariant -- recorded placements == applied +
+    drift-dropped + voided -- is checked by
+    :func:`~repro.simulation.simulator.verify_placement_conservation`.
 
 Ingestion schema
     :mod:`repro.simulation.ingest` maps column-schema CSV traces

@@ -117,6 +117,9 @@ class ScheduleRecord:
     #: Graph-maintenance wall time of the round, attributed separately from
     #: the solver runtime (flow-based schedulers only; zero for baselines).
     graph_update_seconds: float = 0.0
+    #: The decision's ``degraded_reason``: ``"round_deadline"`` when no
+    #: solver finished in budget and the previous placements were reused.
+    degraded_reason: str = ""
     #: The round's counters: a copy of the decision's
     #: ``solver_result.statistics`` (defaults for baselines and rounds
     #: without a result), ``degraded_round`` raised to 1 when the decision
@@ -320,21 +323,13 @@ class SimulatorBridge:
         """Explicitly void an in-flight round whose decision never lands.
 
         The round's record is marked ``voided`` and tallied in
-        ``rounds_voided``; the scheduler is released so accounting stays
-        truthful.  Called for ``SCHEDULER_DONE`` events that fall outside
+        ``rounds_voided``, and the scheduler is released.  Called for ``SCHEDULER_DONE`` events that fall outside
         the simulation window -- the decision is *not* applied.
         """
-        decision, record_index = event.payload
-        record = self.schedule_records[record_index]
-        record.voided = True
+        _, record_index = event.payload
+        self.schedule_records[record_index].voided = True
         self.rounds_voided += 1
         self._scheduler_busy = False
-        # Keep scheduler-lifetime statistics truthful too: the scheduler
-        # recorded this decision's placements when it produced them.
-        statistics = getattr(self.scheduler, "statistics", None)
-        record_void = getattr(statistics, "record_void", None)
-        if callable(record_void):
-            record_void(decision)
 
     def finalize(self) -> None:
         """Drain the queue on exit, voiding any still-queued rounds.
@@ -454,6 +449,7 @@ class SimulatorBridge:
                 num_pending_before=pending_before,
                 winning_algorithm=winning,
                 graph_update_seconds=decision.graph_update_seconds,
+                degraded_reason=decision.degraded_reason,
                 statistics=statistics,
             )
         )

@@ -55,11 +55,7 @@ from repro.solvers.cost_scaling import (
 from repro.solvers.relaxation import RelaxationSolver
 from repro.solvers.incremental import IncrementalCostScalingSolver
 from repro.solvers.incremental_relaxation import IncrementalRelaxationSolver
-from repro.solvers.dual_executor import (
-    DualAlgorithmExecutor,
-    DualExecutionResult,
-    SpeculativeDualExecutor,
-)
+from repro.solvers.dual_executor import DualAlgorithmExecutor, DualExecutionResult
 from repro.solvers.parallel_executor import ParallelDualExecutor
 from repro.solvers.worker import RevisionChainCache, WorkerClient
 from repro.solvers.worker_health import WorkerCircuitBreaker
@@ -87,7 +83,6 @@ __all__ = [
     "IncrementalRelaxationSolver",
     "DualAlgorithmExecutor",
     "DualExecutionResult",
-    "SpeculativeDualExecutor",
     "ParallelDualExecutor",
 ]
 

@@ -7,28 +7,33 @@ relaxation wins by a wide margin; under oversubscription or heavy contention
 relaxation degrades badly and incremental cost scaling bounds the placement
 latency.  Running both is cheap because each algorithm is single-threaded.
 
-The reproduction provides two executors sharing the race/seed/result logic
-in :class:`SpeculativeDualExecutor`:
+The reproduction provides two executors:
 
-* :class:`DualAlgorithmExecutor` (this module) serves every round with the
-  base class's inline race -- the algorithms run *sequentially* and the
-  concurrent deployment is modeled: the *effective*
+* :class:`DualAlgorithmExecutor` (this module) runs both legs every round,
+  *sequentially*, and models the concurrent deployment: the *effective*
   runtime reported for an iteration is the minimum of the two runtimes,
   exactly as if they had run on two cores, while the real wall-clock cost
   paid is the sum.  Both numbers are exposed so experiments can reason
-  about either.
-* :class:`~repro.solvers.parallel_executor.ParallelDualExecutor` races the
-  algorithms *for real*: relaxation runs in a persistent worker subprocess
-  while incremental cost scaling runs in the parent, the first finisher
-  wins, and the loser is cancelled (parent side) or abandoned (worker
-  side).  Its measured wall clock per round approximates the winner's solo
-  runtime instead of the sum.
+  about either.  ``simulate`` and the figure benchmarks run it.
+* :class:`~repro.solvers.parallel_executor.ParallelDualExecutor`, its
+  subclass, races the algorithms *for real*: relaxation runs in a
+  persistent worker subprocess while incremental cost scaling runs in the
+  parent, the first finisher wins, and the loser is cancelled (parent side)
+  or abandoned (worker side).  Its measured wall clock per round
+  approximates the winner's solo runtime instead of the sum.  It alone
+  skips the relaxation leg on small revision-chained batches (its
+  solo-delta rule), because it alone pays a second core for that leg.
+
+``serve`` runs neither: a service pays the wall clock of every leg it runs
+on its one event-loop thread, so its monolithic scheduler solves each
+round with :class:`~repro.solvers.incremental.IncrementalCostScalingSolver`
+alone, the solver every ``--cells`` cell runs.
 
 The executor owns a raced round's single flow write-back: the legs solve
 on their own persistent residuals and never touch ``network``'s arcs; the
 winner's flows are written once, after the race (``set_flows``, a compare
-pass over every arc).  A round that does not speculate has one leg, and
-that leg is the winner: it writes its own flow journal
+pass over every arc).  A round the parallel executor solves solo has one
+leg, and that leg is the winner: it writes its own flow journal
 (:meth:`~repro.solvers.residual.ResidualNetwork.write_flow_back`, the arcs
 it moved and nothing else).  The incremental cost
 scaling instance is seeded from a relaxation win (price refine makes the
@@ -38,19 +43,6 @@ aborted, or truncated at the deadline.  A leg that ran to completion keeps
 its own 0-optimal residual, so the next round repairs it with
 ``solve_delta`` instead of paying an O(graph) warm rebuild plus a full
 price refine for a re-sync nothing invalidated.
-
-One rule picks a round's legs (:meth:`SpeculativeDualExecutor._speculates`):
-the cost-scaling leg runs every round, and it runs *alone* iff
-``delta_solo_threshold`` is set, the round's change batch chains onto that
-leg's persistent residual, and the batch is at most that large -- a repair
-bounded by |changes| cannot lose to from-scratch relaxation, so racing it
-would only burn a second core (or, run back to back, the whole relaxation
-leg on the one core there is).  Every other round runs both legs.  The
-threshold is the only dial: ``None`` on :class:`DualAlgorithmExecutor`,
-which *models* the second core and charges the minimum, so it speculates
-every round as the paper deploys (``simulate`` and the figure benchmarks);
-:data:`DELTA_SOLO_THRESHOLD` on the physically racing executor and on the
-inline executor ``serve`` builds, which both pay for every leg they run.
 """
 
 from __future__ import annotations
@@ -72,19 +64,6 @@ from repro.solvers.base import (
 from repro.solvers.incremental import IncrementalCostScalingSolver
 from repro.solvers.relaxation import RelaxationSolver
 
-#: Change-batch size up to which a *delta-armed* round skips speculation.
-#: When the incremental solver holds a revision-chained persistent residual,
-#: its round costs O(|changes| + repair), and the repair stops each search
-#: at the nearest deficit instead of settling the zero-reduced-cost plateau
-#: behind it (``_augment_along_reduced_costs``): ~0.4 ms at 128 machines
-#: and ~1 ms at 512 for a dozen changed tasks -- for batches this small far
-#: below any from-scratch relaxation run, so racing cannot change the
-#: winner; it only burns a second core (or, run back to back, the whole
-#: relaxation leg on the one core there is).  Rebuild rounds -- first round,
-#: post-seed rounds, oversized batches -- always race, which is where
-#: Section 6.1's tail-latency insurance actually pays.
-DELTA_SOLO_THRESHOLD = 1024
-
 
 @dataclass
 class DualExecutionResult:
@@ -93,8 +72,8 @@ class DualExecutionResult:
     Attributes:
         winner: The result whose algorithm finished first; its flow is the
             one the executor writes to the network.
-        relaxation: The relaxation run's result; ``None`` on a solo delta
-            round (the leg did not run), when the parallel executor
+        relaxation: The relaxation run's result; ``None`` on the parallel
+            executor's solo delta rounds (the leg did not run), when it
             abandoned the worker's round before it finished, and when the
             leg was aborted at the deadline or its ascent cap.
         cost_scaling: The (incremental) cost scaling run's result; ``None``
@@ -129,16 +108,18 @@ class DualExecutionResult:
         return self.winner.algorithm
 
 
-class SpeculativeDualExecutor(Solver):
-    """Shared race/seed/result logic of the two dual-algorithm executors.
+class DualAlgorithmExecutor(Solver):
+    """Run relaxation and incremental cost scaling back to back every round,
+    keep the faster answer (the modeled concurrent deployment).
 
-    Subclasses implement :meth:`solve_detailed`; the base class owns the
-    component solvers, the rule that picks a round's legs
-    (:meth:`_speculates`), the inline back-to-back race (every round of the
-    sequential executor, the no-worker rounds of the parallel one) and the
-    one round assembly (:meth:`_finish_round`: the flow write-back, the
+    Owns the component solvers, the inline race (:meth:`_race_inline`,
+    which :class:`~repro.solvers.parallel_executor.ParallelDualExecutor`
+    also runs on its no-worker rounds) and the one round assembly
+    (:meth:`_finish_round`: the flow write-back, the
     seed-iff-no-current-residual rule, work accounting, race counters).
     """
+
+    name = "firmament_dual"
 
     #: The scheduler may pass ``changes=ChangeBatch`` to :meth:`solve`; the
     #: batch is forwarded to the incremental cost scaling instance so it can
@@ -149,43 +130,33 @@ class SpeculativeDualExecutor(Solver):
         self,
         relaxation: Optional[RelaxationSolver] = None,
         incremental: Optional[IncrementalCostScalingSolver] = None,
-        delta_solo_threshold: Optional[int] = None,
         round_deadline_seconds: Optional[float] = None,
-        relaxation_ascent_cap: Optional[int] = None,
         chaos=None,
     ) -> None:
         """Create the executor.
 
         Args:
             relaxation: Relaxation solver instance (a default one with arc
-                prioritization enabled is created when omitted).
+                prioritization enabled is created when omitted); its
+                ``ascent_cap`` attribute caps dual ascents per run (exceeded
+                -> the round falls back to the cost-scaling leg).
             incremental: Incremental cost scaling instance (a default one
                 with price refine is created when omitted).
-            delta_solo_threshold: Largest change batch a delta-armed round
-                serves with the cost-scaling leg alone (see
-                :meth:`_speculates`; 0 leaves only empty batches to it).
-                ``None`` (default) speculates every round, exactly as the
-                paper deploys.
             round_deadline_seconds: Optional per-round latency budget.  When
-                set, every leg runs under a :class:`RoundDeadline`: cost
-                scaling degrades to the current coarser epsilon at the soft
-                deadline, relaxation (and any leg still running at the hard
-                deadline) is aborted, and a round in which *no* leg produced
-                a feasible flow raises :class:`RoundDeadlineExceeded` so the
-                scheduler can reuse the previous placements instead of
-                stalling.
-            relaxation_ascent_cap: Optional cap on relaxation dual ascents
-                per run (the relaxation-side degradation knob; exceeded →
-                the round falls back to the cost-scaling leg).
+                set, relaxation is aborted at the hard deadline of its
+                :class:`RoundDeadline`, cost scaling runs under the
+                incremental solver's own ``round_deadline_seconds`` rule
+                (coarser epsilon at the soft deadline, a delta repair
+                aborted at the hard one), and a round in which *no* leg
+                produced a feasible flow raises
+                :class:`RoundDeadlineExceeded` so the scheduler can reuse
+                the previous placements instead of stalling.
             chaos: Optional :class:`repro.chaos.ChaosPolicy` injecting
                 deterministic faults; ``None`` (default) is a no-op.
         """
         self.relaxation = relaxation or RelaxationSolver(arc_prioritization=True)
         self.incremental = incremental or IncrementalCostScalingSolver()
-        self.delta_solo_threshold = delta_solo_threshold
         self.round_deadline_seconds = round_deadline_seconds
-        if relaxation_ascent_cap is not None:
-            self.relaxation.ascent_cap = relaxation_ascent_cap
         self.chaos = chaos
         #: Rounds that blew their hard deadline with no usable result
         #: (each raised :class:`RoundDeadlineExceeded`).
@@ -199,8 +170,10 @@ class SpeculativeDualExecutor(Solver):
         self.total_wall_clock_seconds: float = 0.0
         self.total_winner_runtime_seconds: float = 0.0
         self.total_work_seconds: float = 0.0
-        #: Delta-armed rounds solved solo (speculation skipped as futile).
-        self.solo_delta_rounds: int = 0
+
+    #: Rounds that ran the cost-scaling leg alone.  A constant here, where
+    #: both legs run every round; the parallel executor counts its own.
+    solo_delta_rounds: int = 0
 
     def solve(
         self, network: FlowNetwork, changes: Optional[ChangeBatch] = None
@@ -211,8 +184,10 @@ class SpeculativeDualExecutor(Solver):
     def solve_detailed(
         self, network: FlowNetwork, changes: Optional[ChangeBatch] = None
     ) -> DualExecutionResult:
-        """Solve the network and return both algorithms' results."""
-        raise NotImplementedError
+        """Solve the network and return both algorithms' results; see
+        :meth:`_race_inline`."""
+        self._begin_chaos_round()
+        return self._race_inline(network, changes)
 
     def close(self) -> None:
         """Release executor resources (worker processes); idempotent."""
@@ -231,10 +206,9 @@ class SpeculativeDualExecutor(Solver):
         self.total_wall_clock_seconds = 0.0
         self.total_winner_runtime_seconds = 0.0
         self.total_work_seconds = 0.0
-        self.solo_delta_rounds = 0
 
     # ------------------------------------------------------------------ #
-    # Shared race plumbing
+    # Race plumbing (the parallel executor's too)
     # ------------------------------------------------------------------ #
     def _begin_chaos_round(self):
         """Advance the chaos round clock and inject solver-state faults.
@@ -257,48 +231,33 @@ class SpeculativeDualExecutor(Solver):
                 self.incremental.validate_residual = True
         return chaos, round_index
 
-    def _speculates(self, changes: Optional[ChangeBatch]) -> bool:
-        """Whether this round runs the relaxation leg beside cost scaling.
-
-        The whole decision: the cost-scaling leg runs every round, and
-        alone iff ``delta_solo_threshold`` is set, the batch chains onto
-        the leg's persistent residual and is at most that large
-        (:data:`DELTA_SOLO_THRESHOLD` says why).
-        """
-        threshold = self.delta_solo_threshold
-        return not (
-            threshold is not None
-            and self.incremental.can_solve_delta(changes)
-            and len(changes) <= threshold
-        )
-
     def _race_inline(
         self,
         network: FlowNetwork,
         changes: Optional[ChangeBatch],
+        speculates: bool = True,
         executor: str = "sequential",
     ) -> DualExecutionResult:
         """Run the legs back to back in this process and model the race.
 
-        A round that does not speculate (:meth:`_speculates`) runs the
-        cost-scaling leg alone; the relaxation slot of its result is
-        ``None``.
+        A round that does not ``speculate`` (the parallel executor's
+        solo-delta rule said so) runs the cost-scaling leg alone; the
+        relaxation slot of its result is ``None``.
 
-        With ``round_deadline_seconds`` set, each leg runs under its own
-        :class:`RoundDeadline` (the legs model *concurrent* algorithms, so
-        each gets the full budget): relaxation is aborted at the hard
-        deadline or its ascent cap, cost scaling stops its epsilon ladder
-        at the soft deadline (``optimal=False``) and is aborted outright at
-        the hard one.  A leg that died degrades the round to the surviving
-        leg; if both died, :class:`RoundDeadlineExceeded` is raised so the
-        caller reuses the previous placements.
+        With ``round_deadline_seconds`` set, each leg gets the full budget
+        (the legs model *concurrent* algorithms): relaxation is aborted at
+        the hard deadline or its ascent cap, and cost scaling follows the
+        incremental solver's own rule (its ``round_deadline_seconds``: the
+        epsilon ladder stops at the soft deadline, a delta repair is
+        aborted at the hard one).  A leg that died degrades the round to
+        the surviving leg; if both died, :class:`RoundDeadlineExceeded` is
+        raised so the caller reuses the previous placements.
         """
         started = time.perf_counter()
         budget = self.round_deadline_seconds
         deadline_hit = False
 
         relaxation_result: Optional[SolverResult] = None
-        speculates = self._speculates(changes)
         if speculates:
             # The round's change batch is forwarded so the solver can patch
             # its persistent residual instead of rebuilding it.
@@ -313,26 +272,17 @@ class SpeculativeDualExecutor(Solver):
                 deadline_hit = True
             finally:
                 self.relaxation.abort_check = None
-        else:
-            self.solo_delta_rounds += 1
 
         cost_scaling_result: Optional[SolverResult] = None
-        deadline: Optional[RoundDeadline] = None
-        if budget is not None:
-            deadline = RoundDeadline(budget)
-            self.incremental.deadline_check = deadline
-            self.incremental.abort_check = deadline.hard_expired
+        # The leg's budget is the solver's own deadline rule.
+        self.incremental.round_deadline_seconds = budget
         try:
             # Alone, the leg is the winner and writes its own flow.
             cost_scaling_result = self.incremental.solve(
                 network, changes=changes, write_back=not speculates
             )
-        except SolveAborted:
+        except (RoundDeadlineExceeded, SolveAborted):
             deadline_hit = True
-        finally:
-            if deadline is not None:
-                self.incremental.deadline_check = None
-                self.incremental.abort_check = None
 
         if relaxation_result is None and cost_scaling_result is None:
             self.deadline_exceeded_rounds += 1
@@ -465,18 +415,3 @@ class SpeculativeDualExecutor(Solver):
         self.total_work_seconds += result.total_work_seconds
         self.last_result = result
         return result
-
-
-class DualAlgorithmExecutor(SpeculativeDualExecutor):
-    """Run relaxation and incremental cost scaling sequentially, keep the
-    faster answer (the modeled concurrent deployment)."""
-
-    name = "firmament_dual"
-
-    def solve_detailed(
-        self, network: FlowNetwork, changes: Optional[ChangeBatch] = None
-    ) -> DualExecutionResult:
-        """Solve the network and return both algorithms' results; see
-        :meth:`SpeculativeDualExecutor._race_inline`."""
-        self._begin_chaos_round()
-        return self._race_inline(network, changes)

@@ -61,7 +61,12 @@ from typing import Dict, Mapping, Optional, Tuple
 from repro.flow.changes import ChangeBatch
 from repro.flow.graph import FlowNetwork
 from repro.flow.validation import check_residual_epsilon_optimality
-from repro.solvers.base import RoundDeadline, SolverResult
+from repro.solvers.base import (
+    RoundDeadline,
+    RoundDeadlineExceeded,
+    SolveAborted,
+    SolverResult,
+)
 from repro.solvers.cost_scaling import CostScalingSolver, DEFAULT_ALPHA
 
 
@@ -93,19 +98,29 @@ class IncrementalCostScalingSolver(CostScalingSolver):
                 round's potentials so refine work tracks inter-round drift
                 instead of network size.
             round_deadline_seconds: Optional per-solve wall-clock budget.
-                Each :meth:`solve` call runs under its own soft
-                :class:`~repro.solvers.base.RoundDeadline`: the epsilon
-                ladder stops at the current coarser epsilon when the budget
-                expires, so the result is still a feasible epsilon-optimal
+                Each :meth:`solve` call runs under its own
+                :class:`~repro.solvers.base.RoundDeadline`: at the soft
+                deadline the epsilon ladder stops at the current coarser
+                epsilon, so the result is still a feasible epsilon-optimal
                 flow, marked ``optimal=False`` (fig10-style approximate
-                solving).  An externally installed :attr:`deadline_check`
-                (e.g. a dual executor's) takes precedence.
+                solving); a *delta repair* still running at the hard
+                deadline is aborted, the retained residual released, and
+                :class:`~repro.solvers.base.RoundDeadlineExceeded` raised,
+                so the scheduler reuses the previous placements.  The
+                released residual makes the next round a rebuild, and a
+                rebuild or cold solve is never aborted -- it stops only at
+                the soft truncation -- so a degraded round is always
+                followed by one that places.  This is the budget of
+                ``serve``'s monolith, of every inline sharded cell and of
+                the inline dual executor's cost-scaling leg.  Externally
+                installed :attr:`deadline_check` / :attr:`abort_check`
+                hooks (the parallel executor's) take precedence.
         """
         # polish_potentials keeps the retained residual 0-optimal, which is
         # what makes it legal to hand back to solve_delta next round.
         super().__init__(alpha=alpha, polish_potentials=True, price_refine=price_refine)
         self.apply_price_refine = apply_price_refine
-        #: Per-solve soft budget; see ``round_deadline_seconds`` above.
+        #: Per-solve budget; see ``round_deadline_seconds`` above.
         self.round_deadline_seconds = round_deadline_seconds
         # Warm-rebuild state: the last solution's flow, plus the unscaled
         # potentials a seed() handed over.  After a solve of its own the
@@ -206,18 +221,17 @@ class IncrementalCostScalingSolver(CostScalingSolver):
                 executor passes False and writes the round's winning flows
                 itself, once; no path writes the network otherwise.
         """
-        # Per-solve soft deadline: truncate the epsilon ladder at the
-        # budget.  An externally installed check (a dual executor running
-        # its own RoundDeadline) is never clobbered.
-        installed_deadline = (
-            self.round_deadline_seconds is not None and self.deadline_check is None
-        )
-        if installed_deadline:
-            self.deadline_check = RoundDeadline(self.round_deadline_seconds).expired
+        # Per-solve deadline (see ``round_deadline_seconds``).  An externally
+        # installed check -- the parallel executor's race -- is never
+        # clobbered.
+        deadline: Optional[RoundDeadline] = None
+        if self.round_deadline_seconds is not None and self.deadline_check is None:
+            deadline = RoundDeadline(self.round_deadline_seconds)
+            self.deadline_check = deadline
         try:
-            result = self._solve_once(network, changes, write_back)
+            result = self._solve_once(network, changes, write_back, deadline)
         finally:
-            if installed_deadline:
+            if deadline is not None:
                 self.deadline_check = None
         # Read only by a later warm rebuild: the result's mapping, fresh per
         # solve, is kept by reference.
@@ -226,7 +240,11 @@ class IncrementalCostScalingSolver(CostScalingSolver):
         return result
 
     def _solve_once(
-        self, network: FlowNetwork, changes: Optional[ChangeBatch], write_back: bool
+        self,
+        network: FlowNetwork,
+        changes: Optional[ChangeBatch],
+        write_back: bool,
+        deadline: Optional[RoundDeadline],
     ) -> SolverResult:
         """The delta / warm / cold choice."""
         residual = self._deltable_residual(changes)
@@ -242,17 +260,36 @@ class IncrementalCostScalingSolver(CostScalingSolver):
                 residual = None
         if residual is None:
             return self._solve_rebuild(network, write_back)
+        # Only a delta repair is aborted at the hard deadline: the abort
+        # releases the residual, so the next round rebuilds, and a rebuild
+        # stops only at the soft truncation -- it always finishes.
+        armed = deadline is not None and self.abort_check is None
+        if armed:
+            self.abort_check = deadline.hard_expired
         try:
             result = self.solve_delta(residual, network, changes, write_back)
         except (KeyError, ValueError):
             # The batch does not match the residual's structure; the
-            # half-patched residual is unusable, so release it (its
-            # potentials still warm-start the rebuild) and rebuild.
-            self.delta_fallbacks += 1
-            return self._solve_rebuild(network, write_back)
+            # half-patched residual is unusable, and the rebuild below
+            # releases it (its potentials still warm-start the rebuild).
+            result = None
+        except SolveAborted:
+            self.release_residual()
+            if not armed:
+                raise
+            raise RoundDeadlineExceeded(
+                "incremental cost scaling's delta repair did not finish "
+                f"within the round budget ({deadline.budget_seconds:.3f}s)"
+            ) from None
         except Exception:
             self.release_residual()
             raise
+        finally:
+            if armed:
+                self.abort_check = None
+        if result is None:
+            self.delta_fallbacks += 1
+            return self._solve_rebuild(network, write_back)
         self.delta_solves += 1
         result.statistics.delta_solve = 1
         return result

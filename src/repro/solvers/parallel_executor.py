@@ -27,25 +27,25 @@ First finisher wins:
   relaxation wins.  The winning relaxation solution then seeds the
   incremental solver's warm state, as in the sequential executor.
 
-The parent-side leg runs every round; the shared
-:meth:`~repro.solvers.dual_executor.SpeculativeDualExecutor._speculates`
+The parent-side leg runs every round; :meth:`ParallelDualExecutor._speculates`
 decides whether the worker is consulted.  When the incremental solver holds
 a revision-chained persistent residual and the round's change batch is
-small (``delta_solo_threshold``, by default
-:data:`~repro.solvers.dual_executor.DELTA_SOLO_THRESHOLD`), the parent
-solves solo -- a bounded O(|changes|) repair cannot lose to a from-scratch
-relaxation run, so racing would only waste a core (and on oversubscribed
-hosts would actively slow the guaranteed winner); the worker stays idle and
-the client's revision-chain cache covers the gap.  The full race runs on
-exactly the rounds where Section 6.1's insurance matters: cold starts,
-post-seed rebuilds and oversized batches.
+small (``delta_solo_threshold``, by default :data:`DELTA_SOLO_THRESHOLD`),
+the parent solves solo -- a bounded O(|changes|) repair cannot lose to a
+from-scratch relaxation run, so racing would only waste a core (and on
+oversubscribed hosts would actively slow the guaranteed winner); the
+worker stays idle and the client's revision-chain cache covers the gap.
+The full race runs on exactly the rounds where Section 6.1's insurance
+matters: cold starts, post-seed rebuilds and oversized batches.  The rule
+and its threshold exist only here: the inline
+:class:`~repro.solvers.dual_executor.DualAlgorithmExecutor` models the
+second core and races every round.
 
 When no worker can be had (spawn failure, open breaker, platforms without
 multiprocessing) the round runs the inline back-to-back race inherited from
-:class:`~repro.solvers.dual_executor.SpeculativeDualExecutor` -- what
-:class:`~repro.solvers.dual_executor.DualAlgorithmExecutor` runs every
-round -- on the same component solver instances and under the same rule,
-so warm state carries over.
+:class:`~repro.solvers.dual_executor.DualAlgorithmExecutor` on the same
+component solver instances and under the same rule, so warm state carries
+over.
 """
 
 from __future__ import annotations
@@ -62,11 +62,7 @@ from repro.solvers.base import (
     SolveAborted,
     SolverResult,
 )
-from repro.solvers.dual_executor import (
-    DELTA_SOLO_THRESHOLD,
-    DualExecutionResult,
-    SpeculativeDualExecutor,
-)
+from repro.solvers.dual_executor import DualAlgorithmExecutor, DualExecutionResult
 from repro.solvers.incremental import IncrementalCostScalingSolver
 from repro.solvers.relaxation import RelaxationSolver
 from repro.solvers.worker import WorkerClient
@@ -77,6 +73,18 @@ from repro.solvers.worker_health import WorkerCircuitBreaker
 #: error) before re-raising the parent's error.
 LOSER_GRACE_SECONDS = 30.0
 
+#: Change-batch size up to which a *delta-armed* round skips speculation.
+#: When the incremental solver holds a revision-chained persistent residual,
+#: its round costs O(|changes| + repair), and the repair stops each search
+#: at the nearest deficit instead of settling the zero-reduced-cost plateau
+#: behind it (``_augment_along_reduced_costs``): ~0.4 ms at 128 machines
+#: and ~1 ms at 512 for a dozen changed tasks -- for batches this small far
+#: below any from-scratch relaxation run, so racing cannot change the
+#: winner; it only burns a second core.  Rebuild rounds -- first round,
+#: post-seed rounds, oversized batches -- always race, which is where
+#: Section 6.1's tail-latency insurance actually pays.
+DELTA_SOLO_THRESHOLD = 1024
+
 
 def _make_relaxation(ascent_cap: Optional[int] = None, **kwargs) -> RelaxationSolver:
     """Worker-side solver factory (``ascent_cap`` is an attribute, not a
@@ -86,7 +94,7 @@ def _make_relaxation(ascent_cap: Optional[int] = None, **kwargs) -> RelaxationSo
     return solver
 
 
-class ParallelDualExecutor(SpeculativeDualExecutor):
+class ParallelDualExecutor(DualAlgorithmExecutor):
     """Race relaxation (worker subprocess) against incremental cost scaling
     (parent process); the first finisher's solution is installed."""
 
@@ -118,7 +126,6 @@ class ParallelDualExecutor(SpeculativeDualExecutor):
         delta_solo_threshold: Optional[int] = DELTA_SOLO_THRESHOLD,
         breaker: Optional[WorkerCircuitBreaker] = None,
         round_deadline_seconds: Optional[float] = None,
-        relaxation_ascent_cap: Optional[int] = None,
         chaos=None,
     ) -> None:
         """Create the executor.
@@ -127,13 +134,15 @@ class ParallelDualExecutor(SpeculativeDualExecutor):
             relaxation: Relaxation configuration template; its settings (not
                 the instance) are shipped to the worker subprocess.  The
                 instance itself only solves when the executor has fallen
-                back to sequential mode.
+                back to sequential mode.  Its ``ascent_cap`` attribute (the
+                cap on dual ascents per run, past which the leg aborts) is
+                shipped too.
             incremental: Incremental cost scaling instance run in the parent.
             delta_solo_threshold: Skip speculation on delta-armed rounds
                 whose change batch is at most this large (0 races every
                 non-empty batch, ``None`` every round); the default is
-                :data:`~repro.solvers.dual_executor.DELTA_SOLO_THRESHOLD`
-                because this executor pays a core for the second leg.
+                :data:`DELTA_SOLO_THRESHOLD` because this executor pays a
+                core for the second leg.
             breaker: Worker health state machine handed to the
                 :class:`~repro.solvers.worker.WorkerClient` (a default
                 :class:`~repro.solvers.worker_health.WorkerCircuitBreaker`
@@ -142,22 +151,19 @@ class ParallelDualExecutor(SpeculativeDualExecutor):
                 the parent-side cost scaling leg truncates its epsilon
                 ladder at the budget (still feasible and epsilon-optimal
                 at the coarser epsilon) and both legs are hard-aborted one
-                watchdog period later; a round where *no* leg produced a
+                watchdog period later (a fallback round follows the inline
+                executor's rule instead); a round where *no* leg produced a
                 feasible flow raises :class:`RoundDeadlineExceeded` so the
                 scheduler can degrade to the previous placements.
-            relaxation_ascent_cap: Cap on dual ascents per relaxation run
-                (shipped to the worker); the leg aborts past the cap.
             chaos: Optional :class:`repro.chaos.ChaosPolicy` injecting
                 deterministic faults into the round pipeline (tests only;
                 None keeps every hook a no-op).
         """
         super().__init__(
             relaxation=relaxation, incremental=incremental,
-            delta_solo_threshold=delta_solo_threshold,
-            round_deadline_seconds=round_deadline_seconds,
-            relaxation_ascent_cap=relaxation_ascent_cap,
-            chaos=chaos,
+            round_deadline_seconds=round_deadline_seconds, chaos=chaos,
         )
+        self.delta_solo_threshold = delta_solo_threshold
         #: The relaxation worker; its transport counters (``snapshot_ships``,
         #: ``delta_ships``, ``resync_ships``, ``skipped_rounds``,
         #: ``respawns``) are the executor's.
@@ -173,11 +179,15 @@ class ParallelDualExecutor(SpeculativeDualExecutor):
         self._last_round_fallback = False
         #: Rounds served by the sequential fallback (observability).
         self.fallback_rounds: int = 0
+        #: Rounds the solo-delta rule ran the cost-scaling leg alone, on
+        #: the worker path and the fallback alike.
+        self.solo_delta_rounds: int = 0
 
     def reset_counters(self) -> None:
         """Zero race and transport counters; worker and warm state persist."""
         super().reset_counters()
         self.fallback_rounds = 0
+        self.solo_delta_rounds = 0
         self.worker.reset_counters()
 
     def close(self) -> None:
@@ -210,8 +220,10 @@ class ParallelDualExecutor(SpeculativeDualExecutor):
         # solved solo below, which is exactly when the worker's chain would
         # otherwise break and force a full snapshot.
         worker.begin_round(changes)
+        speculates = self._speculates(changes)
+        self.solo_delta_rounds += not speculates
         if not worker.ensure():
-            return self._solve_fallback(network, changes)
+            return self._solve_fallback(network, changes, speculates)
 
         started = time.perf_counter()
         deadline: Optional[RoundDeadline] = None
@@ -223,10 +235,8 @@ class ParallelDualExecutor(SpeculativeDualExecutor):
         # runs unopposed, with no retry -- the breaker's backoff decides
         # when the next respawn attempt happens.
         round_id: Optional[int] = None
-        if self._speculates(changes):
+        if speculates:
             round_id = worker.ship(network, changes, chaos, chaos_round)
-        else:
-            self.solo_delta_rounds += 1
 
         cost_scaling_result: Optional[SolverResult] = None
         parent_error: Optional[BaseException] = None
@@ -304,12 +314,30 @@ class ParallelDualExecutor(SpeculativeDualExecutor):
         self._last_round_fallback = False
         return result
 
+    def _speculates(self, changes: Optional[ChangeBatch]) -> bool:
+        """Whether this round runs the relaxation leg beside cost scaling.
+
+        The whole decision: the cost-scaling leg runs every round, and
+        alone iff ``delta_solo_threshold`` is set, the batch chains onto
+        the leg's persistent residual and is at most that large
+        (:data:`DELTA_SOLO_THRESHOLD` says why).
+        """
+        threshold = self.delta_solo_threshold
+        return not (
+            threshold is not None
+            and self.incremental.can_solve_delta(changes)
+            and len(changes) <= threshold
+        )
+
     def _solve_fallback(
-        self, network: FlowNetwork, changes: Optional[ChangeBatch]
+        self, network: FlowNetwork, changes: Optional[ChangeBatch], speculates: bool
     ) -> DualExecutionResult:
         """No worker can be had: run the inherited inline race on the same
-        component solvers, so warm state carries over in both directions."""
-        result = self._race_inline(network, changes, executor="sequential_fallback")
+        component solvers and under the same rule, so warm state carries
+        over in both directions."""
+        result = self._race_inline(
+            network, changes, speculates, executor="sequential_fallback"
+        )
         self.fallback_rounds += 1
         self._last_round_fallback = True
         self.worker.stamp_round(result.winner.statistics)

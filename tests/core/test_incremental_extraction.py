@@ -41,7 +41,6 @@ from repro.solvers import (
     IncrementalCostScalingSolver,
 )
 from repro.solvers.base import RoundDeadlineExceeded
-from repro.solvers.dual_executor import DELTA_SOLO_THRESHOLD
 from tests.conftest import make_cluster_state, make_job
 from tests.core.test_incremental_graph_equivalence import POLICIES, _random_job
 from tests.core.test_priority_preemption import submit_task
@@ -117,15 +116,13 @@ def test_every_policy_through_the_scheduler(name):
 
 
 #: The three schedulers a round can go through: the modeled race every
-#: round, the race only where a delta cannot be solo (``serve``'s), cells.
+#: round, one incremental cost-scaling solver (``serve``'s monolith), cells.
 SCHEDULERS = {
     "dual": lambda policy, chaos: FirmamentScheduler(
         policy(), solver=DualAlgorithmExecutor(), chaos=chaos
     ),
-    "dual_solo": lambda policy, chaos: FirmamentScheduler(
-        policy(),
-        solver=DualAlgorithmExecutor(delta_solo_threshold=DELTA_SOLO_THRESHOLD),
-        chaos=chaos,
+    "serve": lambda policy, chaos: FirmamentScheduler(
+        policy(), solver=IncrementalCostScalingSolver(), chaos=chaos
     ),
     "sharded": lambda policy, chaos: ShardedScheduler(policy, num_cells=4, chaos=chaos),
 }
@@ -242,7 +239,6 @@ def test_a_round_that_is_never_applied():
         checked_round(scheduler, state, round_index * 10.0)
     churn(rng, state, 30.0, 4)
     voided = checked_round(scheduler, state, 30.0, apply=False)
-    scheduler.statistics.record_void(voided)
     assert voided.placements
     again = checked_round(scheduler, state, 31.0)
     assert again.placements.keys() == voided.placements.keys()

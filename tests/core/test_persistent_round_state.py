@@ -38,8 +38,7 @@ from repro.core import FirmamentScheduler, ShardedScheduler
 from repro.core.graph_manager import GraphConsistencyError, _next_tick
 from repro.core.policies import QuincyPolicy
 from repro.flow.changes import ChangeBatchBuilder
-from repro.solvers import DualAlgorithmExecutor
-from repro.solvers.dual_executor import DELTA_SOLO_THRESHOLD
+from repro.solvers import IncrementalCostScalingSolver
 from tests.conftest import make_cluster_state, make_job, reference_min_cost
 from tests.core.test_incremental_graph_equivalence import (
     POLICIES,
@@ -58,8 +57,7 @@ def verified_scheduler(policy_factory, state, cells: int):
         managers = [cell.manager for cell in scheduler._cells]
     else:
         scheduler = FirmamentScheduler(
-            policy_factory(),
-            solver=DualAlgorithmExecutor(delta_solo_threshold=DELTA_SOLO_THRESHOLD),
+            policy_factory(), solver=IncrementalCostScalingSolver()
         )
         managers = [scheduler.graph_manager]
     for manager in managers:

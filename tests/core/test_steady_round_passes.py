@@ -3,7 +3,8 @@
 In the style of the ``FlowNetwork.copy`` pin of the dual-executor suite:
 once the scheduler ``serve`` builds is warm, the full passes are patched to
 raise and the rounds must still go through -- the monolith (one
-delta-armed cost-scaling leg per round) and four inline cells alike.  The
+incremental cost-scaling solver, delta-solving every round) and four
+inline cells alike.  The
 passes: ``ClusterState.schedulable_tasks`` (and the cells' version), the
 full ``ShardedScheduler._bucket_tasks``, ``FlowNetwork.set_flows``' compare
 pass over every arc and ``ResidualNetwork.full_flows``.  The graph manager
@@ -22,16 +23,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cli import build_parser, serve_command
 from repro.cluster.state import ClusterState
 from repro.cluster.topology import build_topology
-from repro.core import FirmamentScheduler, ShardedScheduler
+from repro.core import ShardedScheduler
 from repro.core.graph_manager import GraphManager
 from repro.core.policies import QuincyPolicy
 from repro.core.sharding import CellStateView
 from repro.flow.changes import ChangeBatch
 from repro.flow.graph import FlowNetwork
-from repro.solvers import DualAlgorithmExecutor
-from repro.solvers.dual_executor import DELTA_SOLO_THRESHOLD
 from repro.solvers.residual import ResidualNetwork
 from tests.conftest import make_job
 
@@ -45,11 +45,10 @@ FULL_PASSES = (
 
 
 def serve_scheduler(cells: int):
-    if cells:
-        return ShardedScheduler(QuincyPolicy, num_cells=cells)
-    return FirmamentScheduler(
-        QuincyPolicy(),
-        solver=DualAlgorithmExecutor(delta_solo_threshold=DELTA_SOLO_THRESHOLD),
+    """The scheduler ``serve --cells <cells>`` builds, from its own factory."""
+    flags = ["--cells", str(cells)] if cells else []
+    return serve_command._build_scheduler(
+        build_parser().parse_args(["serve", *flags])
     )
 
 
@@ -311,7 +310,7 @@ def test_a_compaction_does_not_blind_the_next_round():
         for round_index in range(16):
             workload.churn()
             if round_index == compact_at:
-                residual = scheduler.solver.incremental.last_residual
+                residual = scheduler.solver.last_residual
                 assert residual.dead_arc_pairs > 0
                 residual.compact()
                 assert residual.dead_arc_pairs == 0

@@ -223,21 +223,3 @@ class TestDrainSemantics:
         assert tallies["applied"] == result.placements_applied
         assert result.metrics.tasks_placed > 0
 
-
-class TestSchedulerStatisticsVoidRollback:
-    def test_record_void_reverses_decision_counts(self):
-        state = make_cluster_state(num_machines=2, slots_per_machine=1)
-        scheduler = FirmamentScheduler(QuincyPolicy())
-        jobs = [make_job(job_id=1, num_tasks=2, duration=1.0, submit_time=0.0)]
-        config = SimulationConfig(max_time=0.5, runtime_scale=50_000.0, drain=False)
-        result = run_and_verify(state, scheduler, config, jobs)
-        assert result.rounds_voided >= 1
-        stats = scheduler.statistics
-        assert stats.voided_rounds == result.rounds_voided
-        voided_placements = sum(
-            r.num_placements for r in result.schedule_records if r.voided
-        )
-        assert stats.placements_voided == voided_placements
-        # The lifetime placement counter excludes what never landed.
-        applied_records = [r for r in result.schedule_records if not r.voided]
-        assert stats.total_placements <= sum(r.num_placements for r in applied_records)

@@ -3,11 +3,16 @@
 import dataclasses
 import itertools
 import random
+import time
+from array import array
+from collections import deque
 
 import pytest
 
 from repro.chaos import ChaosPolicy
 from repro.cli import build_parser, serve_command
+from repro.cluster.state import ClusterState
+from repro.cluster.topology import build_topology
 from repro.core import FirmamentScheduler, ShardedScheduler
 from repro.core.policies import QuincyPolicy
 from repro.flow.graph import FlowNetwork
@@ -15,14 +20,16 @@ from repro.flow.validation import (
     check_feasibility,
     check_residual_epsilon_optimality,
 )
-from repro.solvers.base import COMPLEXITY_TABLE, PRECONDITION_TABLE, SolverStatistics
-from repro.solvers.cost_scaling import CostScalingSolver
-from repro.solvers.dual_executor import (
-    DELTA_SOLO_THRESHOLD,
-    DualAlgorithmExecutor,
+from repro.solvers.base import (
+    COMPLEXITY_TABLE,
+    PRECONDITION_TABLE,
+    RoundDeadline,
+    SolverStatistics,
 )
+from repro.solvers.cost_scaling import CostScalingSolver
+from repro.solvers.dual_executor import DualAlgorithmExecutor
 from repro.solvers.incremental import IncrementalCostScalingSolver
-from repro.solvers.parallel_executor import ParallelDualExecutor
+from repro.solvers.parallel_executor import DELTA_SOLO_THRESHOLD, ParallelDualExecutor
 from repro.solvers.relaxation import RelaxationSolver
 from tests.conftest import (
     build_scheduling_network,
@@ -30,6 +37,7 @@ from tests.conftest import (
     reference_min_cost,
 )
 from tests.core.test_incremental_graph_equivalence import _random_job
+from tests.core.test_steady_round_passes import Workload
 from tests.solvers.equivalence_harness import generate_network, perturb_network
 from tests.solvers.test_parallel_executor import _InstantWorkerConn
 
@@ -124,27 +132,16 @@ class TestDualExecution:
 
 
 class TestLegSelection:
-    """``SpeculativeDualExecutor._speculates``: the cost-scaling leg runs
-    every round, alone iff the batch chains onto its residual and fits
-    ``delta_solo_threshold``."""
+    """``ParallelDualExecutor._speculates``: the cost-scaling leg runs every
+    round, alone iff the batch chains onto its residual and fits
+    ``delta_solo_threshold`` -- on the worker path and on the no-worker
+    fallback alike.  The inline ``DualAlgorithmExecutor`` has no rule: it
+    runs both legs every round."""
 
-    @pytest.mark.parametrize(
-        "executor_class", [DualAlgorithmExecutor, ParallelDualExecutor]
-    )
-    @pytest.mark.parametrize("chain", ["alive", "broken", "no_batch"])
-    @pytest.mark.parametrize(
-        "threshold, fits",
-        [
-            (lambda size: None, False),
-            (lambda size: DELTA_SOLO_THRESHOLD, True),  # batch far below it
-            (lambda size: size, True),
-            (lambda size: size - 1, False),
-        ],
-        ids=["none", "default", "at", "above"],
-    )
-    def test_one_rule_picks_the_legs(
-        self, monkeypatch, executor_class, chain, threshold, fits
-    ):
+    @staticmethod
+    def chained_round(chain):
+        """A primed network and the round under test: ``(first, network,
+        changes, size)``, the batch chained, broken or withheld."""
         rng = random.Random(9)
         first = generate_network(rng)
         network, changes = perturb_network(rng, first)
@@ -157,32 +154,53 @@ class TestLegSelection:
             size = len(changes)
         elif chain == "no_batch":
             changes = None
+        return first, network, changes, size
+
+    @staticmethod
+    def count_leg_calls(monkeypatch, executor):
+        calls = []
+        for leg in (executor.relaxation, executor.incremental):
+            def counted(*args, _solve=leg.solve, _name=leg.name, **kwargs):
+                calls.append(_name)
+                return _solve(*args, **kwargs)
+
+            monkeypatch.setattr(leg, "solve", counted)
+        return calls
+
+    @pytest.mark.parametrize("path", ["worker", "fallback"])
+    @pytest.mark.parametrize("chain", ["alive", "broken", "no_batch"])
+    @pytest.mark.parametrize(
+        "threshold, fits",
+        [
+            (lambda size: None, False),
+            (lambda size: DELTA_SOLO_THRESHOLD, True),  # batch far below it
+            (lambda size: size, True),
+            (lambda size: size - 1, False),
+        ],
+        ids=["none", "default", "at", "above"],
+    )
+    def test_one_rule_picks_the_legs(
+        self, monkeypatch, path, chain, threshold, fits
+    ):
+        first, network, changes, size = self.chained_round(chain)
         speculates = not (chain == "alive" and fits)
 
-        executor = executor_class()
+        executor = ParallelDualExecutor()
         conn = None
         try:
-            if executor_class is ParallelDualExecutor:
-                # Prime on the no-worker path so the cost-scaling leg
-                # finishes and keeps its residual, then hand the round
-                # under test a worker that answers first.
-                with monkeypatch.context() as patch:
-                    patch.setattr(executor.worker, "ensure", lambda: False)
-                    executor.solve_detailed(first)
+            # Prime on the no-worker path so the cost-scaling leg finishes
+            # and keeps its residual.
+            monkeypatch.setattr(executor.worker, "ensure", lambda: False)
+            executor.solve_detailed(first)
+            if path == "worker":
+                # The round under test gets a worker that answers first.
+                monkeypatch.undo()
                 conn = _InstantWorkerConn()
                 executor.worker.attach(conn)
-            else:
-                executor.solve_detailed(first)
             assert executor.solo_delta_rounds == 0  # cold: nothing to chain onto
             executor.delta_solo_threshold = threshold(size)
 
-            calls = []
-            for leg in (executor.relaxation, executor.incremental):
-                def counted(*args, _solve=leg.solve, _name=leg.name, **kwargs):
-                    calls.append(_name)
-                    return _solve(*args, **kwargs)
-
-                monkeypatch.setattr(leg, "solve", counted)
+            calls = self.count_leg_calls(monkeypatch, executor)
             detailed = executor.solve_detailed(network, changes)
 
             relaxation_runs = (
@@ -206,25 +224,63 @@ class TestLegSelection:
                 executor.worker.attach(None)
             executor.close()
 
+    @pytest.mark.parametrize("chain", ["alive", "broken", "no_batch"])
+    def test_inline_executor_runs_both_legs_every_round(self, monkeypatch, chain):
+        first, network, changes, _ = self.chained_round(chain)
+        executor = DualAlgorithmExecutor()
+        assert not hasattr(executor, "delta_solo_threshold")
+        executor.solve_detailed(first)
+        calls = self.count_leg_calls(monkeypatch, executor)
+        detailed = executor.solve_detailed(network, changes)
+        assert calls == [executor.relaxation.name, executor.incremental.name]
+        assert detailed.relaxation is not None
+        assert detailed.cost_scaling is not None
+        assert detailed.cost_scaling.statistics.delta_solve == int(chain == "alive")
+        assert executor.solo_delta_rounds == 0
+        scratch = CostScalingSolver().solve(network.copy())
+        assert detailed.winner.total_cost == scratch.total_cost
+        assert network.flows() == detailed.winner.flows
+
     def test_default_runs_and_reports_both_legs(self):
         executor = DualAlgorithmExecutor()
-        assert executor.delta_solo_threshold is None
         network = build_scheduling_network(seed=61, num_tasks=10)
         detailed = executor.solve_detailed(network)
         assert detailed.relaxation is not None
         assert detailed.cost_scaling is not None
         assert executor.solo_delta_rounds == 0
 
-    def test_delta_solo_threshold_stays_optimal_across_rounds(self):
-        executor = DualAlgorithmExecutor(delta_solo_threshold=DELTA_SOLO_THRESHOLD)
-        base = build_scheduling_network(seed=64, num_tasks=10)
-        for round_index in range(6):
-            network = base.copy()
-            arc = next(a for a in network.arcs() if a.cost > 0)
-            network.set_arc_cost(arc.src, arc.dst, arc.cost + round_index)
-            expected = reference_min_cost(network)
-            assert executor.solve(network).total_cost == expected
-        assert executor.rounds == 6
+    def test_oversized_or_chain_broken_batch_still_races(self, monkeypatch):
+        executor = ParallelDualExecutor()
+        # The no-worker fallback keeps the rule; it keeps the test inline.
+        monkeypatch.setattr(executor.worker, "ensure", lambda: False)
+        scheduler = FirmamentScheduler(
+            QuincyPolicy(),
+            solver=executor,
+            # Round 5's batch is dropped before it reaches the solver.
+            chaos=ChaosPolicy(schedule={"chain_break": [5]}),
+        )
+        try:
+            rounds = churn_rounds(scheduler, 8)
+            for _ in range(3):
+                next(rounds)
+            assert executor.last_result.relaxation is None
+            # Oversized: no batch is small enough for the rule any more.
+            executor.delta_solo_threshold = None
+            next(rounds)
+            assert executor.last_result.relaxation is not None
+            assert executor.last_result.cost_scaling.statistics.delta_solve == 1
+            executor.delta_solo_threshold = DELTA_SOLO_THRESHOLD
+            next(rounds)
+            assert executor.last_result.relaxation is None
+            # Chain-broken: the manager's batch never reaches the solver.
+            next(rounds)
+            assert scheduler.graph_manager.chain_breaks_injected == 1
+            assert executor.last_result.relaxation is not None
+            assert executor.last_result.cost_scaling.statistics.delta_solve == 0
+            assert executor.solo_delta_rounds == 3
+            assert executor.fallback_rounds == 6
+        finally:
+            scheduler.close()
 
 
 def rig_race(monkeypatch, executor, relaxation_wins):
@@ -251,13 +307,14 @@ def rig_race(monkeypatch, executor, relaxation_wins):
     monkeypatch.setattr(executor.incremental, "solve", incremental)
 
 
-def churn_rounds(scheduler, rounds, seed=5, num_machines=12):
+def churn_rounds(scheduler, rounds, seed=5, num_machines=12, decisions=None):
     """Drive ``scheduler`` through scripted churn on a fresh cluster.
 
     Every round submits a fuzzed job and completes a few running tasks;
     one machine fails a third of the way in (its node is removed, its
     tasks are evicted) and recovers at two thirds (the node is added
-    back).  Yields the round index after each scheduled and applied round.
+    back).  Yields the round index after each scheduled and applied round,
+    whose decision is appended to ``decisions`` when a list is given.
     """
     rng = random.Random(seed)
     state = make_cluster_state(num_machines=num_machines, machines_per_rack=4)
@@ -271,7 +328,9 @@ def churn_rounds(scheduler, rounds, seed=5, num_machines=12):
             state.fail_machine(3, now)
         if round_index == 2 * rounds // 3:
             state.recover_machine(3, now)
-        scheduler.schedule_and_apply(state, now)
+        decision = scheduler.schedule_and_apply(state, now)
+        if decisions is not None:
+            decisions.append(decision)
         yield round_index
 
 
@@ -376,6 +435,43 @@ class TestSurvivingDeltaChain:
         self.assert_reseeded_then_rebuilt(executor, rounds)
 
 
+def managers_of(scheduler):
+    if isinstance(scheduler, ShardedScheduler):
+        return [cell.manager for cell in scheduler._cells]
+    return [scheduler.graph_manager]
+
+
+def container_lengths(root):
+    """``{path: total length}`` of every container reachable from ``root``
+    through the package's own objects (a ``ClusterState`` excepted: it is
+    the caller's); the items of one container share its path + ``[]``."""
+    lengths = {}
+    seen = set()
+    stack = [("", root)]
+    while stack:
+        path, obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, ClusterState):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (list, tuple, set, frozenset, dict, deque, array)):
+            lengths[path] = lengths.get(path, 0) + len(obj)
+            items = obj.values() if isinstance(obj, dict) else obj
+            stack.extend(
+                (path + "[]", item) for item in items
+                if not isinstance(item, (int, float, str, bool, type(None)))
+            )
+        elif type(obj).__module__.startswith("repro."):
+            fields = getattr(obj, "__dict__", None)
+            if fields is None:
+                fields = {
+                    name: getattr(obj, name)
+                    for name in getattr(type(obj), "__slots__", ())
+                    if hasattr(obj, name)
+                }
+            stack.extend((f"{path}.{name}", value) for name, value in fields.items())
+    return lengths
+
+
 def serve_scheduler(*flags):
     """The scheduler ``serve`` builds for these flags, from its own factory."""
     return serve_command._build_scheduler(
@@ -384,61 +480,168 @@ def serve_scheduler(*flags):
 
 
 class TestServicePathSingleLeg:
-    """``delta_solo_threshold=DELTA_SOLO_THRESHOLD`` on the inline executor
-    (what ``serve`` schedules with): a small batch chained onto cost
-    scaling's residual runs that leg alone."""
+    """``serve`` solves a round with one solver: its monolith runs the
+    incremental cost-scaling solver every ``--cells`` cell runs, never the
+    relaxation leg, under the one deadline rule; and a served scheduler
+    keeps no per-round history."""
 
-    def test_steady_rounds_are_solo_delta_solves(self):
+    def test_relaxation_never_runs_and_every_round_after_the_first_is_a_delta(
+        self, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("serve ran the relaxation leg")
+
+        monkeypatch.setattr(RelaxationSolver, "solve", refuse)
         scheduler = serve_scheduler()
-        executor = scheduler.solver
-        assert type(executor) is DualAlgorithmExecutor
-        for round_index in churn_rounds(scheduler, 24):
-            detailed = executor.last_result
+        solver = scheduler.solver
+        assert type(solver) is IncrementalCostScalingSolver
+        decisions = []
+        for round_index in churn_rounds(scheduler, 24, decisions=decisions):
+            result = decisions[-1].solver_result
             network = scheduler.last_network
             scratch = CostScalingSolver().solve(network.copy())
-            assert detailed.winner.total_cost == scratch.total_cost
+            assert result.total_cost == scratch.total_cost, f"round {round_index}"
             assert check_feasibility(network) == []
-            if round_index == 0:
-                # Cold: nothing to chain onto, both legs run.
-                assert detailed.relaxation is not None
-                assert detailed.cost_scaling is not None
-                continue
-            # One leg, on the delta path: no relaxation run to lose.
-            assert detailed.relaxation is None, f"round {round_index}"
-            assert executor.incremental.delta_solves == round_index
-            assert detailed.winner.statistics.delta_solve == 1
-        assert executor.solo_delta_rounds == 23
-        assert executor.relaxation.residual_rebuilds == 1
+            assert solver.delta_solves == round_index
+            assert result.statistics.delta_solve == int(round_index > 0)
+        assert solver.delta_fallbacks == 0
 
     def test_serve_cells_run_the_sharded_scheduler(self):
         assert isinstance(serve_scheduler("--cells", "2"), ShardedScheduler)
 
-    def test_oversized_or_chain_broken_batch_still_races(self):
-        scheduler = FirmamentScheduler(
-            QuincyPolicy(),
-            solver=DualAlgorithmExecutor(delta_solo_threshold=DELTA_SOLO_THRESHOLD),
-            # Round 5's batch is dropped before it reaches the solver.
-            chaos=ChaosPolicy(schedule={"chain_break": [5]}),
+    @pytest.mark.parametrize(
+        "flags", [(), ("--cells", "2")], ids=["monolith", "two-inline-cells"]
+    )
+    def test_a_solve_past_the_hard_deadline_reuses_the_previous_placements(
+        self, monkeypatch, flags
+    ):
+        budget = 0.05
+        hard = budget + RoundDeadline(budget).watchdog_period
+        scheduler = serve_scheduler("--round-deadline", str(budget), *flags)
+        slow = []
+        solve_once = IncrementalCostScalingSolver._solve_once
+
+        def outlasting(solver, *args, **kwargs):
+            if slow:
+                time.sleep(hard + 0.05)  # the repair's next abort poll fires
+            return solve_once(solver, *args, **kwargs)
+
+        monkeypatch.setattr(IncrementalCostScalingSolver, "_solve_once", outlasting)
+        decisions = []
+        try:
+            for round_index in churn_rounds(scheduler, 7, decisions=decisions):
+                decision = decisions[-1]
+                slow[:] = [True] if round_index == 3 else []  # the next round
+                if round_index == 4:
+                    # No solver finished: nothing moves, the arrivals wait.
+                    assert decision.degraded_reason == "round_deadline"
+                    assert not (
+                        decision.placements or decision.migrations
+                        or decision.preemptions
+                    )
+                    assert decision.unscheduled
+                    continue
+                assert not decision.degraded, f"round {round_index}"
+                solved = [
+                    manager for manager in managers_of(scheduler)
+                    if manager.network is not None and manager.task_nodes
+                ]
+                assert decision.total_cost == sum(
+                    CostScalingSolver().solve(m.network.copy()).total_cost
+                    for m in solved
+                ), f"round {round_index}"
+                if round_index == 5:
+                    # Exact again, and the waiting tasks are placed.
+                    assert decision.placements
+        finally:
+            scheduler.close()
+
+    @pytest.mark.parametrize(
+        "flags", [(), ("--cells", "2")], ids=["monolith", "two-inline-cells"]
+    )
+    def test_the_round_after_a_missed_deadline_places_even_past_the_budget(
+        self, monkeypatch, flags
+    ):
+        """Every rebuild here outlasts the hard deadline: only the delta
+        repair may be aborted, so a round that lost its repair is followed
+        by a rebuild that finishes, and placements resume."""
+        budget = 0.01
+        hard = budget + RoundDeadline(budget).watchdog_period
+        scheduler = serve_scheduler("--round-deadline", str(budget), *flags)
+        rebuild = IncrementalCostScalingSolver._solve_rebuild
+        delta = IncrementalCostScalingSolver.solve_delta
+        slow_delta = []
+
+        def slow_rebuild(solver, *args, **kwargs):
+            time.sleep(hard + 0.02)
+            return rebuild(solver, *args, **kwargs)
+
+        def outlasting_delta(solver, *args, **kwargs):
+            if slow_delta:
+                time.sleep(hard + 0.02)  # the repair's next abort poll fires
+            return delta(solver, *args, **kwargs)
+
+        monkeypatch.setattr(IncrementalCostScalingSolver, "_solve_rebuild", slow_rebuild)
+        monkeypatch.setattr(IncrementalCostScalingSolver, "solve_delta", outlasting_delta)
+        decisions = []
+        try:
+            for round_index in churn_rounds(scheduler, 8, decisions=decisions):
+                decision = decisions[-1]
+                slow_delta[:] = [True] if round_index == 3 else []  # the next round
+                if round_index == 4:
+                    assert decision.degraded_reason == "round_deadline"
+                    assert decision.unscheduled
+                    continue
+                # Every other round places, the cold solves and the
+                # rebuilds that ran past the budget included (two cells
+                # here take turns, so the cell that missed rebuilds two
+                # rounds later).
+                assert decision.degraded_reason != "round_deadline", round_index
+                assert decision.placements, round_index
+        finally:
+            scheduler.close()
+
+    def test_worker_cells_solve_without_a_budget_of_their_own(self):
+        """A worker-side abort would drop the worker's shadow network: the
+        gather bounds a worker cell's round, and only the parent-side
+        solvers carry the budget."""
+        scheduler = serve_scheduler(
+            "--round-deadline", "0.05", "--cells", "2", "--cell-workers"
         )
-        executor = scheduler.solver
-        rounds = churn_rounds(scheduler, 8)
-        for _ in range(3):
-            next(rounds)
-        assert executor.last_result.relaxation is None
-        # Oversized: no batch is small enough for the rule any more.
-        executor.delta_solo_threshold = None
-        next(rounds)
-        assert executor.last_result.relaxation is not None
-        assert executor.last_result.cost_scaling.statistics.delta_solve == 1
-        executor.delta_solo_threshold = DELTA_SOLO_THRESHOLD
-        next(rounds)
-        assert executor.last_result.relaxation is None
-        # Chain-broken: the manager's batch never reaches the solver.
-        next(rounds)
-        assert scheduler.graph_manager.chain_breaks_injected == 1
-        assert executor.last_result.relaxation is not None
-        assert executor.last_result.cost_scaling.statistics.delta_solve == 0
-        assert executor.solo_delta_rounds == 3
+        scheduler._bind(make_cluster_state(num_machines=8, machines_per_rack=4))
+        try:
+            for cell, client in zip(scheduler._cells, scheduler.clients):
+                assert cell.solver.round_deadline_seconds == 0.05
+                worker_solver = client._solver_factory(**client._solver_kwargs)
+                assert worker_solver.round_deadline_seconds is None
+        finally:
+            scheduler.close()
+
+    @pytest.mark.parametrize("flags", [(), ("--cells", "2")], ids=["monolith", "two-cells"])
+    def test_steady_rounds_grow_no_container_on_the_scheduler(self, flags):
+        """``serve`` runs for as long as it is up: 200 more steady rounds
+        must not leave one more entry per round anywhere the scheduler
+        holds (the cluster state's own history is the caller's)."""
+        state = ClusterState(build_topology(16, machines_per_rack=4, slots_per_machine=2))
+        scheduler = serve_scheduler(*flags)
+        workload = Workload(state)
+        try:
+            readings = []
+            for round_index in range(300):
+                workload.churn()
+                scheduler.schedule_and_apply(state, workload.now)
+                if round_index in (99, 299):
+                    readings.append(container_lengths(scheduler))
+        finally:
+            scheduler.close()
+        before, after = readings
+        grown = {
+            path: (before.get(path, 0), length)
+            for path, length in after.items()
+            if length - before.get(path, 0) >= 100
+        }
+        assert grown == {}
+
 
     def test_default_scheduler_still_races_every_round(self):
         scheduler = FirmamentScheduler(QuincyPolicy())

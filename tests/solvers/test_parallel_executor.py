@@ -13,8 +13,7 @@ from repro.flow.dimacs import read_dimacs
 from repro.flow.validation import check_feasibility
 from repro.solvers.base import SolveAborted
 from repro.solvers.cost_scaling import CostScalingSolver
-from repro.solvers.dual_executor import DELTA_SOLO_THRESHOLD
-from repro.solvers.parallel_executor import ParallelDualExecutor
+from repro.solvers.parallel_executor import DELTA_SOLO_THRESHOLD, ParallelDualExecutor
 from repro.solvers.relaxation import RelaxationSolver
 from repro.solvers.worker import WorkerClient, encode_result
 from repro.solvers.worker_health import BREAKER_OPEN, WorkerCircuitBreaker
