@@ -5,11 +5,14 @@ submitting increasingly large jobs: relaxation's runtime rises rapidly and
 crosses cost scaling at roughly 93 % slot utilization, while cost scaling is
 insensitive to load.  The benchmark reproduces the sweep at reduced scale
 and checks (i) relaxation's runtime grows much faster than cost scaling's
-and (ii) a crossover exists in the oversubscribed regime.
+and (ii) relaxation wins the uncontended regime.  Each timing is the median
+of ``SAMPLES`` from-scratch solves, so one scheduling hiccup cannot decide
+a growth ratio.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import pytest
@@ -29,6 +32,8 @@ BASE_UTILIZATION = 0.90
 #: Pending-job sizes expressed as a fraction of the cluster's free slots;
 #: above 1.0 the cluster is oversubscribed.
 PRESSURE_LEVELS = [0.25, 0.75, 1.5, 3.0, 6.0]
+#: Solves timed per solver and pressure level; the median is reported.
+SAMPLES = 5
 
 
 def build_network(pressure: float, seed: int = 0):
@@ -44,6 +49,17 @@ def build_network(pressure: float, seed: int = 0):
     return network, utilization_after
 
 
+def median_solve_seconds(solver_class, network) -> float:
+    """Median wall clock of ``SAMPLES`` from-scratch solves of ``network``."""
+    samples = []
+    for _ in range(SAMPLES):
+        copy = network.copy()
+        start = time.perf_counter()
+        solver_class().solve(copy)
+        samples.append(time.perf_counter() - start)
+    return statistics.median(samples)
+
+
 def test_fig08_relaxation_degrades_under_oversubscription(benchmark):
     """Regenerates Figure 8 (scaled down)."""
     # Warm both solvers once so the first pressure level's sample is not a
@@ -57,12 +73,8 @@ def test_fig08_relaxation_degrades_under_oversubscription(benchmark):
     cost_scaling_times = []
     for pressure in PRESSURE_LEVELS:
         network, utilization = build_network(pressure)
-        start = time.perf_counter()
-        RelaxationSolver().solve(network.copy())
-        relaxation_time = time.perf_counter() - start
-        start = time.perf_counter()
-        CostScalingSolver().solve(network.copy())
-        cost_scaling_time = time.perf_counter() - start
+        relaxation_time = median_solve_seconds(RelaxationSolver, network)
+        cost_scaling_time = median_solve_seconds(CostScalingSolver, network)
         relaxation_times.append(relaxation_time)
         cost_scaling_times.append(cost_scaling_time)
         rows.append([
@@ -71,7 +83,8 @@ def test_fig08_relaxation_degrades_under_oversubscription(benchmark):
             f"{cost_scaling_time:.3f}",
         ])
     print()
-    print(f"Figure 8: runtime vs slot utilization ({MACHINES} machines, 90% base load)")
+    print(f"Figure 8: runtime vs slot utilization ({MACHINES} machines, 90% base "
+          f"load, median of {SAMPLES} solves)")
     print(format_table(["target utilization", "relaxation [s]", "cost scaling [s]"], rows))
 
     # Relaxation degrades much faster than cost scaling as pressure rises.

@@ -156,7 +156,7 @@ def run(args: argparse.Namespace) -> int:
           f"tasks completed: {metrics.tasks_completed}")
     print(f"scheduler rounds: {len(result.schedule_records)} "
           f"(voided: {result.rounds_voided}, placements applied: "
-          f"{result.placements_applied}, drift-dropped: {result.placements_dropped})")
+          f"{result.placements_applied})")
     if schedule is not None:
         print(f"machine failures injected: {schedule.num_failures}")
     if args.round_deadline is not None:

@@ -111,21 +111,30 @@ class SchedulingDecision:
         return len(self.placements) + len(self.migrations)
 
 
-def apply_decision(state: ClusterState, decision, now: float) -> None:
+def apply_decision(
+    state: ClusterState,
+    decision,
+    now: float,
+    start_times: Optional[Dict[int, float]] = None,
+) -> None:
     """Put a round's decision on the cluster state: vacate, then place.
 
     Every preempted and every migrating task leaves its machine before any
     task lands, so the slots they free are there for the rest -- a round
-    may swap two tasks between full machines.  Every scheduler's ``apply``
-    and the service's round replay (which passes its logged record) change
-    the state through this one order.
+    may swap two tasks between full machines.  Every scheduler's ``apply``,
+    the service's round replay (which passes its logged record) and the
+    simulator change the state through this one order.  A task named in
+    ``start_times`` starts at that time instead of ``now`` (the simulator's
+    queue-based baselines start a task once its own decision elapsed).
+    An infeasible action raises.
     """
+    starts = start_times or {}
     for task_id in (*decision.preemptions, *decision.migrations):
         state.preempt_task(task_id, now)
     for task_id, machine_id in (
         *decision.migrations.items(), *decision.placements.items()
     ):
-        state.place_task(task_id, machine_id, now)
+        state.place_task(task_id, machine_id, starts.get(task_id, now))
 
 
 class RoundCell(NamedTuple):

@@ -10,23 +10,28 @@ Event semantics
     The engine mirrors Firmament's own simulator (``simulator.cc`` /
     ``event_manager.cc``): a single typed event queue
     (:class:`~repro.simulation.events.EventManager`) popped in timestamp
-    order, interpreted by a :class:`~repro.simulation.simulator.SimulatorBridge`
+    order, interpreted by a :class:`~repro.simulation.simulator.ClusterSimulator`
     that mutates cluster state and drives the scheduler off the event
     clock.  Event kinds: ``TASK_SUBMIT``, ``TASK_END_RUNTIME``,
-    ``ADD_MACHINE``, ``REMOVE_MACHINE``, ``SCHEDULER_DONE`` (an in-flight
-    round's algorithm runtime elapsing), and ``SCHEDULER_WAKE`` (a deferred
+    ``ADD_MACHINE``, ``REMOVE_MACHINE`` and ``SCHEDULER_WAKE`` (a deferred
     batch-mode retry).  Same-timestamp events are FIFO unless a
     ``tie_break_seed`` randomizes the interleaving (the fuzz suite's hook).
+    A round is atomic, as in ``serve``: it is decided and applied at its
+    charged finish (``start + algorithm_runtime * runtime_scale``), through
+    :func:`~repro.core.scheduler.apply_decision`, and every event falling
+    inside the charged solve is admitted after the apply, all of them
+    before the next round starts.
 
 Drain and void rules
-    Every recorded scheduler round is either *applied* or explicitly
-    *voided* -- never silently lost.  With ``drain=True`` (default) the
-    run continues past ``max_time`` until queued work settles, applying
-    in-flight rounds.  With ``drain=False``, events past ``max_time`` are
-    skipped, but a skipped ``SCHEDULER_DONE`` voids its round: the record
-    is marked ``voided`` and the run's ``rounds_voided`` counter
-    increments.  The invariant -- recorded placements == applied +
-    drift-dropped + voided -- is checked by
+    Every recorded scheduler round is either *applied* or *voided* --
+    never silently lost.  With ``drain=True`` (default) the run continues
+    past ``max_time`` until queued work settles, admitting everything but
+    submissions.  With ``drain=False``, events past ``max_time`` are
+    skipped.  A round whose finish falls outside the window (past
+    ``max_time`` without draining, or past the hard stop) is voided when it
+    is decided -- the record is marked ``voided`` and counted in
+    ``rounds_voided`` -- and it is the run's last round.  The invariant --
+    recorded placements == applied + voided -- is checked by
     :func:`~repro.simulation.simulator.verify_placement_conservation`.
 
 Ingestion schema

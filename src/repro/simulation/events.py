@@ -3,11 +3,13 @@
 Mirrors Firmament's own simulator architecture (``src/sim/event_manager.cc``
 and ``src/sim/simulator.cc``): the simulation is a single priority queue of
 *typed* events -- task submissions, task runtime expirations, machine
-additions and removals, and scheduler completions -- popped in timestamp
-order.  The :class:`EventManager` owns nothing but the queue; interpreting
-an event (mutating cluster state, invoking the scheduler) is the simulator
-bridge's job, so the queue can be fuzzed, inspected, and drained
-independently of the scheduling logic.
+additions and removals, and batch-mode scheduler wake-ups -- popped in
+timestamp order.  A scheduling round is not an event: it is decided and
+applied at one point on the virtual clock, and the events falling inside
+its charged solve are popped after the apply.  The :class:`EventManager`
+owns nothing but the queue; interpreting an event (mutating cluster state,
+invoking the scheduler) is the simulator's job, so the queue can be fuzzed
+and inspected independently of the scheduling logic.
 
 Same-timestamp ordering is FIFO by default (insertion order), exactly like
 the previous sequence-counter implementation.  Passing ``tie_break_rng``
@@ -25,30 +27,28 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 
 class EventType(enum.IntEnum):
-    """Event kinds understood by the simulator bridge.
+    """Event kinds understood by the simulator.
 
     The names follow Firmament's ``EventDescriptor`` types: a task arrives
     (``TASK_SUBMIT``), a running task's duration expires
     (``TASK_END_RUNTIME``), a machine joins or rejoins the cluster
-    (``ADD_MACHINE``), a machine fails or is decommissioned
-    (``REMOVE_MACHINE``), and an in-flight scheduling round's algorithm
-    runtime elapses so its decision becomes visible (``SCHEDULER_DONE``).
-    ``SCHEDULER_WAKE`` is the one addition over Firmament's set: a deferred
-    batch-mode scheduler retry fires at the next ``min_scheduler_interval``
-    boundary; it carries no payload and exists only to advance the clock to
-    a point where the bridge re-checks whether a round should start.
+    (``ADD_MACHINE``), and a machine fails or is decommissioned
+    (``REMOVE_MACHINE``).  ``SCHEDULER_WAKE`` is the one addition over
+    Firmament's set: a deferred batch-mode scheduler retry fires at the next
+    ``min_scheduler_interval`` boundary; it carries no payload and exists
+    only to advance the clock to a point where the simulator re-checks
+    whether a round should start.
     """
 
     TASK_SUBMIT = 0
     TASK_END_RUNTIME = 1
-    SCHEDULER_DONE = 2
-    REMOVE_MACHINE = 3
-    ADD_MACHINE = 4
-    SCHEDULER_WAKE = 5
+    REMOVE_MACHINE = 2
+    ADD_MACHINE = 3
+    SCHEDULER_WAKE = 4
 
 
 @dataclass(frozen=True)
@@ -99,16 +99,6 @@ class EventManager:
         if not self._heap:
             return float("inf")
         return self._heap[0][0]
-
-    def drain(self) -> Iterator[SimulationEvent]:
-        """Pop every remaining event in time order.
-
-        The simulator's exit path uses this to account for events that will
-        never be *processed* -- in particular in-flight ``SCHEDULER_DONE``
-        rounds, which must be explicitly voided rather than silently lost.
-        """
-        while self._heap:
-            yield self.pop()
 
     def __len__(self) -> int:
         return len(self._heap)
