@@ -1,6 +1,6 @@
 """Perf smoke job: guard the incremental hot paths against regression.
 
-Runs eleven kernels at ``REPRO_BENCH_SCALE=1`` and compares against the
+Runs twelve kernels at ``REPRO_BENCH_SCALE=1`` and compares against the
 committed baseline in ``perf_baseline.json``:
 
 * the Figure-11 kernel -- one realistic scheduling round solved from
@@ -65,7 +65,11 @@ committed baseline in ``perf_baseline.json``:
   settled nodes per augmentation may at most double over the 4x, and a
   null round (scheduled again with nothing mutated) must examine 0 tasks
   and patch 0 arcs at both sizes (``bench_round_scaling.py`` is the
-  four-size version with the per-stage table and the law asserted).
+  four-size version with the per-stage table and the law asserted), and
+* the cold-feasibility kernel -- a count, not a time: the arcs the
+  from-scratch solve's feasibility pass scans per augmentation on a cold
+  round at 1 024 machines, which must stay within 2x the baseline's (a
+  search that walks every task it routed before reads ~280x).
 
 The gates are host-normalized: the from-scratch solve (resp. the full
 rebuild) acts as the calibration workload, so requiring each measured
@@ -101,7 +105,9 @@ from repro.solvers import (  # noqa: E402
     CostScalingSolver,
     IncrementalCostScalingSolver,
     RelaxationSolver,
+    SolverStatistics,
 )
+from repro.solvers.residual import ResidualNetwork  # noqa: E402
 
 BASELINE_PATH = Path(__file__).resolve().parent / "perf_baseline.json"
 MACHINES = 64
@@ -121,6 +127,14 @@ SCALING_SETTLED_GROWTH = 2.0
 #: The dual-round kernel runs at the e2e benchmark's ``steady_small`` shape.
 DUAL_MACHINES = 128
 DUAL_ROUNDS = 50
+#: Refines summed per side of the price-refine kernel, the sides
+#: interleaved.  Summing 3 let the kernel's ratio spread 1.19-1.67x over 12
+#: runs; 20 held 12 runs to 1.54-1.71x.  More do not narrow it further
+#: (40: 1.45-1.69x): what is left is the host's load moving between runs.
+PRICE_REFINE_REPEATS = 20
+#: The cold-feasibility count: a from-scratch round at this many machines
+#: with twice as many tasks pending and none running (``serve``'s round 1).
+COLD_MACHINES = 1024
 RUNS = 5
 #: Fail when the host-normalized incremental solve regresses by more than
 #: 2x, i.e. the measured speedup falls below half the baseline's.
@@ -201,8 +215,9 @@ def measure_price_refine_round() -> tuple:
     waiting costs drifted since): the only step that differs between the
     two runs is how complementary-slackness potentials are derived -- the
     full SPFA sweep vs the Dijkstra refine seeded from the handed-off
-    potentials.  Each measurement sums a few repetitions of the refine
-    attribution so the kernel is not dominated by timer noise.
+    potentials.  Each side sums ``PRICE_REFINE_REPEATS`` refines of
+    ~0.7 ms, the two sides interleaved, so the ratio is not dominated by
+    timer noise or host drift.
     """
     # A deep pending backlog (the oversubscribed regime where warm rebuilds
     # dominate and SPFA's sweep needs several correction passes).
@@ -227,8 +242,10 @@ def measure_price_refine_round() -> tuple:
             )
         return result.statistics.price_refine_seconds
 
-    spfa = sum(refine_seconds("spfa") for _ in range(3))
-    dijkstra = sum(refine_seconds("auto") for _ in range(3))
+    spfa = dijkstra = 0.0
+    for _ in range(PRICE_REFINE_REPEATS):
+        spfa += refine_seconds("spfa")
+        dijkstra += refine_seconds("auto")
     return spfa, dijkstra
 
 
@@ -706,6 +723,24 @@ def measure_round_scaling() -> tuple:
     return small["round_ms"] / 1e3, large["round_ms"] / 1e3
 
 
+def measure_cold_feasibility() -> float:
+    """Cold-feasibility kernel: arcs the from-scratch solve's feasibility
+    pass scans per augmentation at ``COLD_MACHINES`` machines.
+
+    A count, so it needs one run and no calibration: it grows with the
+    cluster if the pass walks what it routed before (a pop-time search
+    walked ~2 100 arcs per augmentation here; the pass scans ~8).
+    """
+    state = build_cluster_state(COLD_MACHINES)
+    add_pending_batch_job(state, 2 * COLD_MACHINES, seed=92)
+    network = GraphManager(QuincyPolicy()).update(state, now=10.0)
+    stats = SolverStatistics()
+    CostScalingSolver().establish_feasible_flow(ResidualNetwork(network), stats)
+    if stats.augmentations != 2 * COLD_MACHINES:
+        raise AssertionError("perf smoke: the cold pass routed a task in pieces")
+    return stats.arcs_scanned / stats.augmentations
+
+
 def main() -> int:
     update = "--update" in sys.argv[1:]
     scratch_runs, incremental_runs = [], []
@@ -769,6 +804,9 @@ def main() -> int:
         "dual_round_s": round(statistics.median(dual_round_runs), 6),
         "round_small_s": round(statistics.median(scaling_small_runs), 6),
         "round_large_s": round(statistics.median(scaling_large_runs), 6),
+        "cold_feasibility_scans_per_augmentation": round(
+            measure_cold_feasibility(), 3
+        ),
     }
     measured["speedup"] = round(
         measured["scratch_s"] / max(measured["incremental_s"], 1e-9), 3
@@ -958,6 +996,19 @@ def main() -> int:
             f"{measured['round_scaling_ratio']:.2f}x the one at "
             f"{SCALING_MACHINES[0]} (baseline {baseline_scaling_ratio:.2f}x): "
             "something in the round scales with the cluster again"
+        )
+        failed = True
+    baseline_cold_scans = baseline.get("cold_feasibility_scans_per_augmentation")
+    if (
+        baseline_cold_scans
+        and measured["cold_feasibility_scans_per_augmentation"]
+        > 2.0 * baseline_cold_scans
+    ):
+        print(
+            "FAIL: the cold feasibility pass scans "
+            f"{measured['cold_feasibility_scans_per_augmentation']:.1f} arcs "
+            f"per augmentation at {COLD_MACHINES} machines (baseline "
+            f"{baseline_cold_scans:.1f}): it walks what it routed again"
         )
         failed = True
     if failed:

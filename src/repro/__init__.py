@@ -24,7 +24,15 @@ The package is organized around the paper's architecture (Figure 4):
 * :mod:`repro.chaos` -- seeded, deterministic fault injection for the
   round pipeline (worker kills, pipe breaks, revision-chain breaks,
   residual corruption) behind zero-cost no-op defaults.
+
+A subpackage re-exports its public names through :func:`lazy_exports`:
+importing it loads none of its modules, and a name loads its own module on
+first use, so a process compiles only the modules it runs.
 """
+
+import importlib
+import sys
+from typing import Mapping, Sequence
 
 __version__ = "1.1.0"
 
@@ -40,3 +48,26 @@ __all__ = [
     "cli",
     "chaos",
 ]
+
+
+def lazy_exports(package: str, exports: Mapping[str, Sequence[str]]):
+    """PEP 562 hooks that re-export names of ``package``'s submodules.
+
+    ``exports`` maps each submodule (relative name) to the public names it
+    defines.  A name's submodule is imported on the name's first use, so
+    importing the package imports none of them.  Returns ``__all__``,
+    ``__getattr__`` and ``__dir__`` for the package to bind.
+    """
+    owner = {name: module for module, names in exports.items() for name in names}
+
+    def __getattr__(name):
+        if name not in owner:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(f"{package}.{owner[name]}"), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    def __dir__():
+        return sorted({*vars(sys.modules[package]), *owner})
+
+    return list(owner), __getattr__, __dir__

@@ -19,18 +19,13 @@ them interchangeably with Firmament:
   solver (what the original system used via cs2).
 """
 
-from repro.baselines.base import QueueBasedScheduler
-from repro.baselines.sparrow import SparrowScheduler
-from repro.baselines.swarmkit import SwarmKitScheduler
-from repro.baselines.kubernetes import KubernetesScheduler
-from repro.baselines.mesos import MesosScheduler
-from repro.baselines.quincy import make_quincy_scheduler
+from repro import lazy_exports
 
-__all__ = [
-    "QueueBasedScheduler",
-    "SparrowScheduler",
-    "SwarmKitScheduler",
-    "KubernetesScheduler",
-    "MesosScheduler",
-    "make_quincy_scheduler",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "base": ("QueueBasedScheduler",),
+    "sparrow": ("SparrowScheduler",),
+    "swarmkit": ("SwarmKitScheduler",),
+    "kubernetes": ("KubernetesScheduler",),
+    "mesos": ("MesosScheduler",),
+    "quincy": ("make_quincy_scheduler",),
+})

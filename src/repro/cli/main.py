@@ -3,15 +3,23 @@
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
-from typing import List, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from repro.cli import serve_command, simulate_command, solve_command, trace_command
 from repro.solvers.base import SolverError
 
+#: Subcommand -> the module that registers and runs it.
+COMMANDS = {
+    "solve": "repro.cli.solve_command",
+    "simulate": "repro.cli.simulate_command",
+    "trace": "repro.cli.trace_command",
+    "serve": "repro.cli.serve_command",
+}
 
-def build_parser() -> argparse.ArgumentParser:
-    """Build the top-level parser with all subcommands registered."""
+
+def build_parser(commands: Iterable[str] = COMMANDS) -> argparse.ArgumentParser:
+    """Build the top-level parser with ``commands`` (default: all) registered."""
     parser = argparse.ArgumentParser(
         prog="firmament-repro",
         description=(
@@ -20,17 +28,18 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     subparsers = parser.add_subparsers(dest="command", metavar="command")
-    solve_command.register(subparsers)
-    simulate_command.register(subparsers)
-    trace_command.register(subparsers)
-    serve_command.register(subparsers)
+    for command in commands:
+        importlib.import_module(COMMANDS[command]).register(subparsers)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run the CLI and return a process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(list(argv) if argv is not None else None)
+    argv = list(argv) if argv is not None else sys.argv[1:]
+    # A command line that names its subcommand loads only that one's module.
+    named = argv[:1] if argv[:1] and argv[0] in COMMANDS else COMMANDS
+    parser = build_parser(named)
+    args = parser.parse_args(argv)
     if not getattr(args, "command", None):
         parser.print_help()
         return 2

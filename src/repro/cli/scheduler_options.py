@@ -10,51 +10,39 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.baselines import (
-    KubernetesScheduler,
-    MesosScheduler,
-    SparrowScheduler,
-    SwarmKitScheduler,
-    make_quincy_scheduler,
-)
-from repro.core import FirmamentScheduler, ShardedScheduler
-from repro.core.policies import (
-    CpuMemoryPolicy,
-    LoadSpreadingPolicy,
-    NetworkAwarePolicy,
-    QuincyPolicy,
-    RandomPlacementPolicy,
-    ShortestJobFirstPolicy,
-)
-from repro.solvers import (
-    DualAlgorithmExecutor,
-    IncrementalCostScalingSolver,
-    ParallelDualExecutor,
-)
+from repro import solvers
+from repro.core import policies
+from repro.core.scheduler import FirmamentScheduler
 
-#: ``--policy`` name -> policy class (Firmament and Quincy only).
+# The factories below name their classes, and a class's module is imported
+# when a scheduler is built with it, so ``serve`` loads only what it runs.
+
+#: ``--policy`` name -> policy class in :mod:`repro.core.policies`
+#: (Firmament and Quincy only).
 _POLICY_CLASSES = {
-    "quincy": QuincyPolicy,
-    "load_spreading": LoadSpreadingPolicy,
-    "network_aware": NetworkAwarePolicy,
-    "cpu_memory": CpuMemoryPolicy,
-    "shortest_job_first": ShortestJobFirstPolicy,
-    "random": RandomPlacementPolicy,
+    "quincy": "QuincyPolicy",
+    "load_spreading": "LoadSpreadingPolicy",
+    "network_aware": "NetworkAwarePolicy",
+    "cpu_memory": "CpuMemoryPolicy",
+    "shortest_job_first": "ShortestJobFirstPolicy",
+    "random": "RandomPlacementPolicy",
 }
 
-#: ``--scheduler`` name -> factory, for everything but ``firmament``.
+#: ``--scheduler`` name -> factory in :mod:`repro.baselines`, for
+#: everything but ``firmament``.
 _BASELINES = {
-    "quincy": make_quincy_scheduler,
-    "sparrow": SparrowScheduler,
-    "swarmkit": SwarmKitScheduler,
-    "kubernetes": KubernetesScheduler,
-    "mesos": MesosScheduler,
+    "quincy": "make_quincy_scheduler",
+    "sparrow": "SparrowScheduler",
+    "swarmkit": "SwarmKitScheduler",
+    "kubernetes": "KubernetesScheduler",
+    "mesos": "MesosScheduler",
 }
 
-#: ``--executor`` name -> dual-executor class (monolithic firmament only).
+#: ``--executor`` name -> dual-executor class in :mod:`repro.solvers`
+#: (monolithic firmament only).
 _EXECUTOR_CLASSES = {
-    "sequential": DualAlgorithmExecutor,
-    "parallel": ParallelDualExecutor,
+    "sequential": "DualAlgorithmExecutor",
+    "parallel": "ParallelDualExecutor",
 }
 
 #: Names accepted by ``--scheduler``, ``--policy`` and ``--executor``.
@@ -126,10 +114,10 @@ def add_scheduler_arguments(parser) -> None:
     )
 
 
-def _make_policy(name: str):
+def _policy_class(name: str):
     if name not in _POLICY_CLASSES:
         raise ValueError(f"unknown policy {name!r}")
-    return _POLICY_CLASSES[name]()
+    return getattr(policies, _POLICY_CLASSES[name])
 
 
 def _make_scheduler(
@@ -180,25 +168,29 @@ def _make_scheduler(
                     "the sharded scheduler runs one incremental solver per "
                     "cell (use --cell-workers for real process parallelism)"
                 )
+            from repro.core.sharding import ShardedScheduler
+
             return ShardedScheduler(
-                lambda: _make_policy(policy_name),
+                _policy_class(policy_name),
                 num_cells=cells,
                 workers=cell_workers,
                 round_deadline_seconds=round_deadline_seconds,
             )
         if cell_workers:
             raise ValueError("--cell-workers requires --cells")
-        solver = (
-            IncrementalCostScalingSolver()
-            if executor is None
-            else _EXECUTOR_CLASSES[executor]()
-        )
+        solver = getattr(
+            solvers,
+            "IncrementalCostScalingSolver" if executor is None
+            else _EXECUTOR_CLASSES[executor],
+        )()
         return FirmamentScheduler(
-            _make_policy(policy_name), solver=solver,
+            _policy_class(policy_name)(), solver=solver,
             round_deadline_seconds=round_deadline_seconds,
         )
     if cell_workers:
         raise ValueError("--cell-workers requires --cells")
     if scheduler_name not in _BASELINES:
         raise ValueError(f"unknown scheduler {scheduler_name!r}")
-    return _BASELINES[scheduler_name]()
+    from repro import baselines
+
+    return getattr(baselines, _BASELINES[scheduler_name])()

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 
-from repro.analysis.reporting import format_table
 from repro.cli.scheduler_options import (
     EXECUTORS,
     _make_scheduler,
@@ -12,10 +11,10 @@ from repro.cli.scheduler_options import (
 )
 from repro.cluster.state import ClusterState
 from repro.cluster.topology import build_topology
-from repro.simulation.failures import FailureInjector
-from repro.simulation.ingest import SCHEMAS, read_trace
-from repro.simulation.simulator import ClusterSimulator, SimulationConfig
-from repro.simulation.trace import GoogleTraceGenerator, TraceConfig
+
+#: ``--trace-schema`` choices: the keys of
+#: :data:`repro.simulation.ingest.SCHEMAS`, which loads only with a run.
+TRACE_SCHEMAS = ("alibaba", "generic", "google")
 
 
 def register(subparsers) -> None:
@@ -75,7 +74,7 @@ def register(subparsers) -> None:
     )
     parser.add_argument(
         "--trace-schema",
-        choices=sorted(SCHEMAS),
+        choices=TRACE_SCHEMAS,
         default="generic",
         help="column schema of --trace-csv (default: generic)",
     )
@@ -97,6 +96,12 @@ def register(subparsers) -> None:
 
 def run(args: argparse.Namespace) -> int:
     """Execute the ``simulate`` subcommand."""
+    from repro.analysis.reporting import format_table
+    from repro.simulation.failures import FailureInjector
+    from repro.simulation.ingest import SCHEMAS, read_trace
+    from repro.simulation.simulator import ClusterSimulator, SimulationConfig
+    from repro.simulation.trace import GoogleTraceGenerator, TraceConfig
+
     if args.machines <= 0:
         raise ValueError("--machines must be positive")
     if not 0.0 < args.utilization <= 1.0:

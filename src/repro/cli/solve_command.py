@@ -6,13 +6,7 @@ import argparse
 import sys
 from typing import TextIO
 
-from repro.flow.dimacs import read_dimacs, write_dimacs
-from repro.flow.validation import check_feasibility
-from repro.solvers import (
-    PRICE_REFINE_MODES,
-    IncrementalCostScalingSolver,
-    make_solver,
-)
+from repro.solvers.cost_scaling import PRICE_REFINE_MODES
 
 #: Algorithms whose constructor accepts a ``price_refine`` variant.
 PRICE_REFINE_ALGORITHMS = frozenset({"cost_scaling", "incremental_cost_scaling"})
@@ -88,6 +82,10 @@ def register(subparsers) -> None:
 
 def run(args: argparse.Namespace) -> int:
     """Execute the ``solve`` subcommand."""
+    from repro.flow.dimacs import read_dimacs, write_dimacs
+    from repro.flow.validation import check_feasibility
+    from repro.solvers import IncrementalCostScalingSolver, make_solver
+
     text = _read_input(args.input)
     network = read_dimacs(text)
     solver_kwargs = {}

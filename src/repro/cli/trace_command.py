@@ -6,10 +6,7 @@ import argparse
 import csv
 from typing import List, Optional
 
-from repro.analysis.reporting import format_table
-from repro.analysis.stats import percentile
 from repro.cluster.task import JobType
-from repro.simulation.trace import GoogleTraceGenerator, TraceConfig
 
 
 def register(subparsers) -> None:
@@ -34,6 +31,10 @@ def register(subparsers) -> None:
 
 def run(args: argparse.Namespace) -> int:
     """Execute the ``trace`` subcommand."""
+    from repro.analysis.reporting import format_table
+    from repro.analysis.stats import percentile
+    from repro.simulation.trace import GoogleTraceGenerator, TraceConfig
+
     config = TraceConfig(
         num_machines=args.machines,
         target_utilization=args.utilization,

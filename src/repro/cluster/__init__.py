@@ -8,43 +8,19 @@ resource requests, durations, and data locality), the mutable cluster state
 network bandwidth use) that scheduling policies consume.
 """
 
-from repro.cluster.machine import Machine, MachineState, Rack
-from repro.cluster.task import Job, JobType, Task, TaskState
-from repro.cluster.topology import ClusterTopology, build_topology
-from repro.cluster.state import ClusterState, Placement
-from repro.cluster.resources import (
-    ResourceVector,
-    equivalence_class,
-    task_fits_on_machine,
-)
-from repro.cluster.knowledge_base import (
-    KnowledgeBase,
-    RuntimeStatistics,
-    UsageStatistics,
-)
-from repro.cluster.events import DirtySnapshot, DirtyTracker
-from repro.cluster.monitor import MachineStatistics, ResourceMonitor
+from repro import lazy_exports
 
-__all__ = [
-    "Machine",
-    "MachineState",
-    "Rack",
-    "Job",
-    "JobType",
-    "Task",
-    "TaskState",
-    "ClusterTopology",
-    "build_topology",
-    "ClusterState",
-    "Placement",
-    "DirtySnapshot",
-    "DirtyTracker",
-    "MachineStatistics",
-    "ResourceMonitor",
-    "ResourceVector",
-    "equivalence_class",
-    "task_fits_on_machine",
-    "KnowledgeBase",
-    "RuntimeStatistics",
-    "UsageStatistics",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "machine": ("Machine", "MachineState", "Rack"),
+    "task": ("Job", "JobType", "Task", "TaskState"),
+    "topology": ("ClusterTopology", "build_topology"),
+    "state": ("ClusterState", "Placement"),
+    "events": ("DirtySnapshot", "DirtyTracker"),
+    "monitor": ("MachineStatistics", "ResourceMonitor"),
+    "resources": (
+        "ResourceVector", "equivalence_class", "task_fits_on_machine",
+    ),
+    "knowledge_base": (
+        "KnowledgeBase", "RuntimeStatistics", "UsageStatistics",
+    ),
+})

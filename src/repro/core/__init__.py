@@ -7,47 +7,21 @@ solver computes the optimal flow, and the placements implied by that flow
 are extracted with the Listing-1 traversal and applied to the cluster.
 """
 
-from repro.core.graph_manager import (
-    GraphConsistencyError,
-    GraphManager,
-    GraphUpdateStats,
-)
-from repro.core.placement import extract_placements
-from repro.core.scheduler import FirmamentScheduler, SchedulingDecision
-from repro.core.sharding import (
-    CellPartition,
-    CellStateView,
-    CellTopologyView,
-    CrossCellBalancer,
-    ShardedScheduler,
-)
-from repro.core.policies import (
-    CpuMemoryPolicy,
-    LoadSpreadingPolicy,
-    NetworkAwarePolicy,
-    QuincyPolicy,
-    RandomPlacementPolicy,
-    SchedulingPolicy,
-    ShortestJobFirstPolicy,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "GraphConsistencyError",
-    "GraphManager",
-    "GraphUpdateStats",
-    "extract_placements",
-    "FirmamentScheduler",
-    "SchedulingDecision",
-    "CellPartition",
-    "CellStateView",
-    "CellTopologyView",
-    "CrossCellBalancer",
-    "ShardedScheduler",
-    "CpuMemoryPolicy",
-    "LoadSpreadingPolicy",
-    "NetworkAwarePolicy",
-    "QuincyPolicy",
-    "RandomPlacementPolicy",
-    "SchedulingPolicy",
-    "ShortestJobFirstPolicy",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "graph_manager": (
+        "GraphConsistencyError", "GraphManager", "GraphUpdateStats",
+    ),
+    "placement": ("extract_placements",),
+    "scheduler": ("FirmamentScheduler", "SchedulingDecision"),
+    "sharding": (
+        "CellPartition", "CellStateView", "CellTopologyView",
+        "CrossCellBalancer", "ShardedScheduler",
+    ),
+    "policies": (
+        "CpuMemoryPolicy", "LoadSpreadingPolicy", "NetworkAwarePolicy",
+        "QuincyPolicy", "RandomPlacementPolicy", "SchedulingPolicy",
+        "ShortestJobFirstPolicy",
+    ),
+})

@@ -29,21 +29,14 @@ paper's figures (the open-source scheduler ships analogous models):
   seeded-random placement-quality floor and solver stress generator.
 """
 
-from repro.core.policies.base import PolicyNetworkBuilder, SchedulingPolicy
-from repro.core.policies.load_spreading import LoadSpreadingPolicy
-from repro.core.policies.quincy import QuincyPolicy
-from repro.core.policies.network_aware import NetworkAwarePolicy
-from repro.core.policies.cpu_memory import CpuMemoryPolicy
-from repro.core.policies.shortest_job_first import ShortestJobFirstPolicy
-from repro.core.policies.random_placement import RandomPlacementPolicy
+from repro import lazy_exports
 
-__all__ = [
-    "PolicyNetworkBuilder",
-    "SchedulingPolicy",
-    "LoadSpreadingPolicy",
-    "QuincyPolicy",
-    "NetworkAwarePolicy",
-    "CpuMemoryPolicy",
-    "ShortestJobFirstPolicy",
-    "RandomPlacementPolicy",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "base": ("PolicyNetworkBuilder", "SchedulingPolicy"),
+    "load_spreading": ("LoadSpreadingPolicy",),
+    "quincy": ("QuincyPolicy",),
+    "network_aware": ("NetworkAwarePolicy",),
+    "cpu_memory": ("CpuMemoryPolicy",),
+    "shortest_job_first": ("ShortestJobFirstPolicy",),
+    "random_placement": ("RandomPlacementPolicy",),
+})

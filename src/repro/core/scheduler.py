@@ -59,7 +59,6 @@ from repro.core.graph_manager import GraphManager
 from repro.core.placement import in_network_order
 from repro.core.policies.base import SchedulingPolicy
 from repro.flow.graph import FlowNetwork
-from repro.solvers import DualAlgorithmExecutor
 from repro.solvers.base import RoundDeadlineExceeded, Solver, SolverResult
 
 
@@ -359,7 +358,11 @@ class FirmamentScheduler(FlowScheduler):
                 chaos benchmarks only).
         """
         self.policy = policy
-        self.solver = solver if solver is not None else DualAlgorithmExecutor()
+        if solver is None:
+            from repro.solvers.dual_executor import DualAlgorithmExecutor
+
+            solver = DualAlgorithmExecutor()
+        self.solver = solver
         self.round_deadline_seconds = round_deadline_seconds
         self._arm_deadline(self.solver, round_deadline_seconds)
         if chaos is not None and hasattr(self.solver, "chaos"):

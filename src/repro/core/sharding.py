@@ -87,7 +87,7 @@ solving undisturbed.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.cluster.events import DirtyTracker
 from repro.cluster.machine import Machine, Rack
@@ -103,7 +103,9 @@ from repro.core.scheduler import (
 )
 from repro.solvers.base import SolverResult, SolverStatistics
 from repro.solvers.incremental import IncrementalCostScalingSolver
-from repro.solvers.worker import WorkerClient
+
+if TYPE_CHECKING:
+    from repro.solvers.worker import WorkerClient
 
 __all__ = [
     "CellPartition",
@@ -485,8 +487,13 @@ class ShardedScheduler(FlowScheduler):
         self._state: Optional[ClusterState] = None
         self._views: List[CellStateView] = []
         self._cells: List[RoundCell] = []
-        #: Per-cell solver workers (spawned on first use in worker mode).
+        #: Per-cell solver workers (worker mode only, spawned on first use).
         self.clients: List[WorkerClient] = []
+        if workers:
+            # Imported with the scheduler, so no import runs inside a round.
+            from repro.solvers.worker import WorkerClient
+
+            self._client_class = WorkerClient
         self._fallback_rounds: List[int] = []
         #: Each cell's last solved ``total_cost``: a cell left out of a
         #: round keeps its network and flow, so its retained cost is exact.
@@ -520,14 +527,18 @@ class ShardedScheduler(FlowScheduler):
             for cell in range(self.num_cells)
         ]
         self._fallback_rounds = [0] * self.num_cells
+        if self.workers:
+            # A worker's solver has no budget of its own: the gather bounds
+            # the round, and a worker that aborted would drop its shadow.
+            self.clients = [
+                self._client_class(IncrementalCostScalingSolver)
+                for _ in self._views
+            ]
         for view in self._views:
             solver = self._solver_factory()
             self._arm_deadline(solver, self.round_deadline_seconds)
             manager = GraphManager(self._policy_factory(), chaos=self.chaos)
             self._cells.append(RoundCell(view.cell, view, manager, solver))
-            # A worker's solver has no budget of its own: the gather bounds
-            # the round, and a worker that aborted would drop its shadow.
-            self.clients.append(WorkerClient(IncrementalCostScalingSolver))
             view.dirty.mark_all()
         self._cell_cost = [0] * self.num_cells
         self._dirty_epoch = None
@@ -870,8 +881,9 @@ class ShardedScheduler(FlowScheduler):
     def cell_transport(self) -> List[Dict[str, int]]:
         """Per-cell transport/health counters (worker mode observability).
 
-        One dict per cell: ``snapshot_ships`` / ``delta_ships`` (the
-        per-cell delta-ship ratio is ``delta / (delta + snapshot)``),
+        One dict per cell in worker mode (none inline): ``snapshot_ships``
+        / ``delta_ships`` (the per-cell delta-ship ratio is
+        ``delta / (delta + snapshot)``),
         ``fallback_rounds`` (rounds the parent served after a worker
         failure, error or timeout), ``respawns``, and ``breaker_open``
         (1 while the cell's worker circuit breaker is not closed).

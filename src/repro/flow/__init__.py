@@ -16,59 +16,21 @@ min-cost max-flow solvers:
   incremental-change text format used towards an out-of-process solver.
 """
 
-from repro.flow.graph import Arc, FlowNetwork, Node, NodeType
-from repro.flow.changes import (
-    ArcAddition,
-    ArcCapacityChange,
-    ArcCostChange,
-    ArcRemoval,
-    ChangeBatch,
-    ChangeEffect,
-    GraphChange,
-    NodeAddition,
-    NodeRemoval,
-    SupplyChange,
-    apply_changes,
-    classify_arc_change,
-)
-from repro.flow.dimacs import (
-    DimacsFormatError,
-    read_dimacs,
-    read_incremental,
-    write_dimacs,
-    write_incremental,
-)
-from repro.flow.validation import (
-    check_epsilon_optimality,
-    check_feasibility,
-    check_reduced_cost_optimality,
-    flow_cost,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Arc",
-    "FlowNetwork",
-    "Node",
-    "NodeType",
-    "ArcAddition",
-    "ArcCapacityChange",
-    "ArcCostChange",
-    "ArcRemoval",
-    "ChangeBatch",
-    "ChangeEffect",
-    "GraphChange",
-    "NodeAddition",
-    "NodeRemoval",
-    "SupplyChange",
-    "apply_changes",
-    "classify_arc_change",
-    "DimacsFormatError",
-    "read_dimacs",
-    "read_incremental",
-    "write_dimacs",
-    "write_incremental",
-    "check_epsilon_optimality",
-    "check_feasibility",
-    "check_reduced_cost_optimality",
-    "flow_cost",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "graph": ("Arc", "FlowNetwork", "Node", "NodeType"),
+    "changes": (
+        "ArcAddition", "ArcCapacityChange", "ArcCostChange", "ArcRemoval",
+        "ChangeBatch", "ChangeEffect", "GraphChange", "NodeAddition",
+        "NodeRemoval", "SupplyChange", "apply_changes", "classify_arc_change",
+    ),
+    "dimacs": (
+        "DimacsFormatError", "read_dimacs", "read_incremental",
+        "write_dimacs", "write_incremental",
+    ),
+    "validation": (
+        "check_epsilon_optimality", "check_feasibility",
+        "check_reduced_cost_optimality", "flow_cost",
+    ),
+})

@@ -104,7 +104,7 @@ Protocol (JSON lines, UTF-8, one object per line)
 Requests::
 
     {"op": "submit", "tasks": N, "duration": 5.0, "job_type": "batch",
-     "cpu": 1.0, "ram": 1.0, "id": <echoed>}
+     "cpu": 1.0, "ram": 1.0, "priority": 0, "id": <echoed>}
     {"op": "add_machine", "count": 1}
     {"op": "remove_machine", "machine_id": M}
     {"op": "stats"}
@@ -127,6 +127,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -160,6 +161,42 @@ __all__ = ["SchedulerService", "ServiceConfig", "ServiceStats"]
 #: Seconds :meth:`SchedulerService.stop` waits for each client's
 #: notification queue to flush.
 DRAIN_TIMEOUT_SECONDS = 10.0
+
+
+def _is_integer(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_amount(value: Any) -> bool:
+    return (
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+        and 0 <= value < math.inf
+    )
+
+
+def _submit_error(request: Dict[str, Any]) -> Optional[str]:
+    """Why a ``submit`` request cannot be admitted, or None if it can.
+
+    Counts and priorities are JSON integers (``true`` is not 1); duration,
+    cpu and ram are finite non-negative numbers (``NaN`` and ``Infinity``
+    parse, and are refused here); only duration may be null (no end).
+    """
+    tasks = request.get("tasks", 1)
+    if not _is_integer(tasks) or tasks <= 0:
+        return "tasks must be a positive integer"
+    key = request.get("key")
+    if key is not None and not isinstance(key, str):
+        return "key must be a string"
+    duration = request.get("duration")
+    if duration is not None and not _is_amount(duration):
+        return "duration must be a finite non-negative number"
+    for name in ("cpu", "ram"):
+        if not _is_amount(request.get(name, 1.0)):
+            return f"{name} must be a finite non-negative number"
+    if not _is_integer(request.get("priority", 0)):
+        return "priority must be an integer"
+    return None
+
 
 @dataclass
 class ServiceConfig:
@@ -520,20 +557,14 @@ class SchedulerService:
     def _handle_submit(
         self, client: _Client, request: Dict[str, Any], req_id: Any
     ) -> None:
+        error = _submit_error(request)
+        if error is not None:
+            self._notify(client.client_id, {
+                "event": "error", "id": req_id, "error": error,
+            })
+            return
         num_tasks = request.get("tasks", 1)
-        if not isinstance(num_tasks, int) or num_tasks <= 0:
-            self._notify(client.client_id, {
-                "event": "error", "id": req_id,
-                "error": "tasks must be a positive integer",
-            })
-            return
         key = request.get("key")
-        if key is not None and not isinstance(key, str):
-            self._notify(client.client_id, {
-                "event": "error", "id": req_id,
-                "error": "key must be a string",
-            })
-            return
         known = None if key is None else self._keyed_job(key)
         if known is not None:
             # Duplicate submission (a retry, or a resubmit across a
@@ -575,7 +606,7 @@ class SchedulerService:
             job_id=self._next_job_id,
             job_type=job_type,
             submit_time=submit_time,
-            priority=int(request.get("priority", 0)),
+            priority=request.get("priority", 0),
         )
         self._next_job_id += 1
         task_ids: List[int] = []

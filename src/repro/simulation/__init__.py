@@ -43,57 +43,23 @@ Ingestion schema
     materializing the workload.
 """
 
-from repro.simulation.events import EventManager, EventType, SimulationEvent
-from repro.simulation.simulator import (
-    ClusterSimulator,
-    SimulationConfig,
-    SimulationResult,
-    verify_placement_conservation,
-)
-from repro.simulation.trace import GoogleTraceGenerator, TraceConfig
-from repro.simulation.ingest import (
-    ALIBABA_SCHEMA,
-    GOOGLE_SCHEMA,
-    SCHEMAS,
-    TraceSchema,
-    read_trace,
-    write_jobs_csv,
-)
-from repro.simulation.workload import (
-    fill_cluster_to_utilization,
-    make_job_of_short_tasks,
-    make_single_large_job,
-)
-from repro.simulation.metrics import (
-    MetricsSummary,
-    collect_metrics,
-    input_data_locality,
-)
-from repro.simulation.failures import FailureEvent, FailureInjector, FailureSchedule
+from repro import lazy_exports
 
-__all__ = [
-    "ClusterSimulator",
-    "SimulationConfig",
-    "SimulationResult",
-    "EventManager",
-    "EventType",
-    "SimulationEvent",
-    "verify_placement_conservation",
-    "FailureEvent",
-    "FailureInjector",
-    "FailureSchedule",
-    "GoogleTraceGenerator",
-    "TraceConfig",
-    "ALIBABA_SCHEMA",
-    "GOOGLE_SCHEMA",
-    "SCHEMAS",
-    "TraceSchema",
-    "read_trace",
-    "write_jobs_csv",
-    "fill_cluster_to_utilization",
-    "make_job_of_short_tasks",
-    "make_single_large_job",
-    "MetricsSummary",
-    "collect_metrics",
-    "input_data_locality",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "simulator": (
+        "ClusterSimulator", "SimulationConfig", "SimulationResult",
+        "verify_placement_conservation",
+    ),
+    "events": ("EventManager", "EventType", "SimulationEvent"),
+    "failures": ("FailureEvent", "FailureInjector", "FailureSchedule"),
+    "trace": ("GoogleTraceGenerator", "TraceConfig"),
+    "ingest": (
+        "ALIBABA_SCHEMA", "GOOGLE_SCHEMA", "SCHEMAS", "TraceSchema",
+        "read_trace", "write_jobs_csv",
+    ),
+    "workload": (
+        "fill_cluster_to_utilization", "make_job_of_short_tasks",
+        "make_single_large_job",
+    ),
+    "metrics": ("MetricsSummary", "collect_metrics", "input_data_locality"),
+})

@@ -34,60 +34,43 @@ arcs (every write reports the arcs it moved in
 :class:`~repro.solvers.base.SolverResult` with statistics.
 """
 
-from repro.solvers.base import (
-    COMPLEXITY_TABLE,
-    PRECONDITION_TABLE,
-    RoundDeadline,
-    RoundDeadlineExceeded,
-    SolveAborted,
-    Solver,
-    SolverResult,
-    SolverStatistics,
-)
-from repro.solvers.cycle_canceling import CycleCancelingSolver
-from repro.solvers.successive_shortest_path import SuccessiveShortestPathSolver
-from repro.solvers.cost_scaling import (
-    PRICE_REFINE_MODES,
-    CostScalingSolver,
-    price_refine_dijkstra,
-    price_refine_spfa,
-)
-from repro.solvers.relaxation import RelaxationSolver
-from repro.solvers.incremental import IncrementalCostScalingSolver
-from repro.solvers.incremental_relaxation import IncrementalRelaxationSolver
-from repro.solvers.dual_executor import DualAlgorithmExecutor, DualExecutionResult
-from repro.solvers.parallel_executor import ParallelDualExecutor
-from repro.solvers.worker import RevisionChainCache, WorkerClient
-from repro.solvers.worker_health import WorkerCircuitBreaker
+from repro import lazy_exports
 
-__all__ = [
-    "COMPLEXITY_TABLE",
-    "PRECONDITION_TABLE",
-    "PRICE_REFINE_MODES",
-    "RevisionChainCache",
-    "price_refine_dijkstra",
-    "price_refine_spfa",
-    "RoundDeadline",
-    "RoundDeadlineExceeded",
-    "SolveAborted",
-    "WorkerCircuitBreaker",
-    "WorkerClient",
-    "Solver",
-    "SolverResult",
-    "SolverStatistics",
-    "CycleCancelingSolver",
-    "SuccessiveShortestPathSolver",
-    "CostScalingSolver",
-    "RelaxationSolver",
-    "IncrementalCostScalingSolver",
-    "IncrementalRelaxationSolver",
-    "DualAlgorithmExecutor",
-    "DualExecutionResult",
-    "ParallelDualExecutor",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "base": (
+        "COMPLEXITY_TABLE", "PRECONDITION_TABLE", "RoundDeadline",
+        "RoundDeadlineExceeded", "SolveAborted", "Solver", "SolverResult",
+        "SolverStatistics",
+    ),
+    "cycle_canceling": ("CycleCancelingSolver",),
+    "successive_shortest_path": ("SuccessiveShortestPathSolver",),
+    "cost_scaling": (
+        "PRICE_REFINE_MODES", "CostScalingSolver", "price_refine_dijkstra",
+        "price_refine_spfa",
+    ),
+    "relaxation": ("RelaxationSolver",),
+    "incremental": ("IncrementalCostScalingSolver",),
+    "incremental_relaxation": ("IncrementalRelaxationSolver",),
+    "dual_executor": ("DualAlgorithmExecutor", "DualExecutionResult"),
+    "parallel_executor": ("ParallelDualExecutor",),
+    "worker": ("RevisionChainCache", "WorkerClient"),
+    "worker_health": ("WorkerCircuitBreaker",),
+})
+
+#: ``make_solver`` name -> solver class name.
+_SOLVER_CLASSES = {
+    "cycle_canceling": "CycleCancelingSolver",
+    "successive_shortest_path": "SuccessiveShortestPathSolver",
+    "cost_scaling": "CostScalingSolver",
+    "relaxation": "RelaxationSolver",
+    "incremental_cost_scaling": "IncrementalCostScalingSolver",
+    "incremental_relaxation": "IncrementalRelaxationSolver",
+    "firmament_dual": "DualAlgorithmExecutor",
+    "firmament_dual_parallel": "ParallelDualExecutor",
+}
 
 
-def make_solver(name: str, **kwargs) -> Solver:
+def make_solver(name: str, **kwargs) -> "Solver":
     """Construct a solver by name.
 
     Recognized names: ``cycle_canceling``, ``successive_shortest_path``,
@@ -95,17 +78,8 @@ def make_solver(name: str, **kwargs) -> Solver:
     ``incremental_relaxation``, ``firmament_dual`` (sequential dual
     executor), ``firmament_dual_parallel`` (subprocess-racing executor).
     """
-    registry = {
-        "cycle_canceling": CycleCancelingSolver,
-        "successive_shortest_path": SuccessiveShortestPathSolver,
-        "cost_scaling": CostScalingSolver,
-        "relaxation": RelaxationSolver,
-        "incremental_cost_scaling": IncrementalCostScalingSolver,
-        "incremental_relaxation": IncrementalRelaxationSolver,
-        "firmament_dual": DualAlgorithmExecutor,
-        "firmament_dual_parallel": ParallelDualExecutor,
-    }
-    if name not in registry:
-        raise ValueError(f"unknown solver {name!r}; choose from {sorted(registry)}")
-    return registry[name](**kwargs)
-
+    if name not in _SOLVER_CLASSES:
+        raise ValueError(
+            f"unknown solver {name!r}; choose from {sorted(_SOLVER_CLASSES)}"
+        )
+    return __getattr__(_SOLVER_CLASSES[name])(**kwargs)

@@ -475,7 +475,7 @@ class CostScalingSolver(Solver):
         residual.scale_costs(scale)
 
         # Establish a feasible flow first (costs ignored): route all supply.
-        self._establish_feasible_flow(residual, stats)
+        self.establish_feasible_flow(residual, stats)
 
         epsilon = max(1, residual.max_cost())
         truncated = self._run_phases(residual, epsilon, stats)
@@ -625,7 +625,7 @@ class CostScalingSolver(Solver):
             # from-scratch solver except for reusing the warm flow -- route
             # all supply ignoring costs, then run the full scaling ladder
             # starting from the worst observed violation.
-            self._establish_feasible_flow(residual, stats)
+            self.establish_feasible_flow(residual, stats)
             violation = self._max_violation(residual)
             if violation > 0:
                 optimal = not self._run_phases(residual, max(1, violation), stats)
@@ -747,13 +747,7 @@ class CostScalingSolver(Solver):
     ) -> None:
         """Route the excess of ``sources`` (ascending node indices covering
         every positive excess) to deficits along cheapest paths."""
-        # The searches below share stamped scratch columns sized to the
-        # residual; grown here once, never cleared (see _augment...).
-        missing = residual.num_nodes - len(self._search_mark)
-        if missing > 0:
-            self._search_mark.extend([0] * missing)
-            self._search_dist.extend([0] * missing)
-            self._search_pred.extend([0] * missing)
+        self._grow_search_columns(residual)
         hook = self.invariant_hook
         while sources:
             source = sources[-1]
@@ -769,6 +763,15 @@ class CostScalingSolver(Solver):
                 )
             if hook is not None:
                 hook(residual, "augment")
+
+    def _grow_search_columns(self, residual: ResidualNetwork) -> None:
+        """Size the searches' stamped scratch columns to ``residual``; they
+        grow, are never cleared (see :meth:`_augment_along_reduced_costs`)."""
+        missing = residual.num_nodes - len(self._search_mark)
+        if missing > 0:
+            self._search_mark.extend([0] * missing)
+            self._search_dist.extend([0] * missing)
+            self._search_pred.extend([0] * missing)
 
     def _augment_along_reduced_costs(
         self, residual: ResidualNetwork, source: int, stats: SolverStatistics
@@ -1167,72 +1170,119 @@ class CostScalingSolver(Solver):
             epsilon = max(1, epsilon // self.alpha)
         return False
 
-    def _establish_feasible_flow(
+    def establish_feasible_flow(
         self, residual: ResidualNetwork, stats: SolverStatistics
     ) -> None:
         """Route all positive excess to deficit nodes, ignoring costs.
 
         Uses breadth-first augmentation; this corresponds to the max-flow
-        computation that precedes cost optimization.  Raises
-        :class:`InfeasibleProblemError` when supply cannot be routed.
+        computation that precedes cost optimization (cycle canceling runs
+        the same pass).  Raises :class:`InfeasibleProblemError` when supply
+        cannot be routed.
         """
+        self._grow_search_columns(residual)
+        arc_residual = residual.arc_residual
+        arc_from = residual.arc_from
+        arc_to = residual.arc_to
+        adjacency = residual.adjacency
+        excess = residual.excess
+        pred_arc = self._search_pred
+        # into_deficit[u]: u's residual arcs into a deficit node.  A push
+        # can only saturate its path's last arc (the rest of the path is
+        # not a deficit, nor is any node a reverse arc enters), and a
+        # deficit that fills up takes its in-arcs out, so the count stays
+        # exact for the whole pass.
+        into_deficit = [0] * residual.num_nodes
+        for node in range(residual.num_nodes):
+            if excess[node] < 0:
+                for arc_index in adjacency[node]:
+                    if arc_residual[arc_index ^ 1] > 0:
+                        into_deficit[arc_to[arc_index]] += 1
         for source in range(residual.num_nodes):
-            while residual.excess[source] > 0:
+            while excess[source] > 0:
                 self._check_abort()
-                path = self._bfs_path_to_deficit(residual, source, stats)
-                if path is None:
+                target = self._bfs_path_to_deficit(
+                    residual, source, into_deficit, stats
+                )
+                if target < 0:
                     raise InfeasibleProblemError(
                         "cannot route all supply to the sink; scheduling graphs "
                         "must always provide unscheduled aggregator capacity"
                     )
-                target = residual.arc_to[path[-1]]
-                amount = min(residual.excess[source], -residual.excess[target])
-                amount = min(
-                    amount, min(residual.arc_residual[arc_index] for arc_index in path)
-                )
-                for arc_index in path:
+                path: List[int] = []
+                node = target
+                while node != source:
+                    arc_index = pred_arc[node]
+                    path.append(arc_index)
+                    node = arc_from[arc_index]
+                amount = min(excess[source], -excess[target])
+                amount = min(amount, min(arc_residual[arc_index] for arc_index in path))
+                for arc_index in reversed(path):
                     residual.push(arc_index, amount)
                 stats.augmentations += 1
+                if arc_residual[path[0]] == 0:
+                    into_deficit[arc_from[path[0]]] -= 1
+                if excess[target] == 0:
+                    for arc_index in adjacency[target]:
+                        if arc_residual[arc_index ^ 1] > 0:
+                            into_deficit[arc_to[arc_index]] -= 1
 
     def _bfs_path_to_deficit(
-        self, residual: ResidualNetwork, source: int, stats: SolverStatistics
-    ) -> Optional[List[int]]:
+        self,
+        residual: ResidualNetwork,
+        source: int,
+        into_deficit: List[int],
+        stats: SolverStatistics,
+    ) -> int:
+        """The deficit a breadth-first search from ``source`` labels first,
+        or -1 if none is reachable; its path is left in ``_search_pred``.
+
+        The search runs a level at a time and expands a level only when
+        none of its nodes has an arc into a deficit (``into_deficit``);
+        otherwise the first such node's first such arc ends it.  That is
+        the deficit, and the predecessor arcs, a FIFO search that checked
+        each node as it popped it would reach, but without walking what it
+        queues meanwhile: on a scheduling graph, every task routed so far
+        and the cluster aggregator's arcs to every rack.
+        """
         arc_residual = residual.arc_residual
         arc_to = residual.arc_to
         adjacency = residual.adjacency
         excess = residual.excess
-
-        pred_arc: List[Optional[int]] = [None] * residual.num_nodes
-        visited = bytearray(residual.num_nodes)
-        visited[source] = 1
-        queue = deque([source])
-        target = -1
+        mark = self._search_mark
+        pred_arc = self._search_pred
+        # Stamps advance by two, as in the repair (which also uses stamp + 1).
+        self._search_stamp = stamp = self._search_stamp + 2
+        mark[source] = stamp
+        level = [source]
         arcs_scanned = 0
-        while queue:
-            u = queue.popleft()
-            if excess[u] < 0:
-                target = u
-                break
-            for arc_index in adjacency[u]:
-                if arc_residual[arc_index] <= 0:
+        while level:
+            for u in level:
+                if not into_deficit[u]:
                     continue
-                v = arc_to[arc_index]
-                arcs_scanned += 1
-                if not visited[v]:
-                    visited[v] = 1
-                    pred_arc[v] = arc_index
-                    queue.append(v)
+                for arc_index in adjacency[u]:
+                    if arc_residual[arc_index] <= 0:
+                        continue
+                    arcs_scanned += 1
+                    v = arc_to[arc_index]
+                    if excess[v] < 0:
+                        pred_arc[v] = arc_index
+                        stats.arcs_scanned += arcs_scanned
+                        return v
+            frontier = level
+            level = []
+            for u in frontier:
+                for arc_index in adjacency[u]:
+                    if arc_residual[arc_index] <= 0:
+                        continue
+                    arcs_scanned += 1
+                    v = arc_to[arc_index]
+                    if mark[v] != stamp:
+                        mark[v] = stamp
+                        pred_arc[v] = arc_index
+                        level.append(v)
         stats.arcs_scanned += arcs_scanned
-        if target < 0:
-            return None
-        path: List[int] = []
-        node = target
-        while node != source:
-            arc_index = pred_arc[node]
-            path.append(arc_index)
-            node = residual.arc_from[arc_index]
-        path.reverse()
-        return path
+        return -1
 
     def _refine(
         self, residual: ResidualNetwork, epsilon: int, stats: SolverStatistics

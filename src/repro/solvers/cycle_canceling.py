@@ -14,16 +14,11 @@ completeness and as a correctness cross-check.
 from __future__ import annotations
 
 import time
-from collections import deque
 from typing import List, Optional
 
 from repro.flow.graph import FlowNetwork
-from repro.solvers.base import (
-    InfeasibleProblemError,
-    Solver,
-    SolverResult,
-    SolverStatistics,
-)
+from repro.solvers.base import Solver, SolverResult, SolverStatistics
+from repro.solvers.cost_scaling import CostScalingSolver
 from repro.solvers.residual import ResidualNetwork
 
 
@@ -48,7 +43,8 @@ class CycleCancelingSolver(Solver):
         residual = ResidualNetwork(network)
         stats = SolverStatistics()
 
-        self._establish_feasible_flow(residual, stats)
+        # Phase 1, feasibility (costs ignored): cost scaling's BFS pass.
+        CostScalingSolver().establish_feasible_flow(residual, stats)
 
         canceled = 0
         while True:
@@ -74,75 +70,6 @@ class CycleCancelingSolver(Solver):
             statistics=stats,
             optimal=self.max_iterations is None,
         )
-
-    # ------------------------------------------------------------------ #
-    # Phase 1: feasibility (maximum flow, costs ignored)
-    # ------------------------------------------------------------------ #
-    def _establish_feasible_flow(
-        self, residual: ResidualNetwork, stats: SolverStatistics
-    ) -> None:
-        """Route all supply to deficit nodes along BFS augmenting paths."""
-        while True:
-            sources = [i for i in range(residual.num_nodes) if residual.excess[i] > 0]
-            if not sources:
-                return
-            routed_any = False
-            for source in sources:
-                while residual.excess[source] > 0:
-                    path = self._bfs_augmenting_path(residual, source, stats)
-                    if path is None:
-                        break
-                    target = residual.arc_to[path[-1]]
-                    amount = min(
-                        residual.excess[source], -residual.excess[target]
-                    )
-                    amount = min(
-                        amount,
-                        min(residual.arc_residual[arc_index] for arc_index in path),
-                    )
-                    for arc_index in path:
-                        residual.push(arc_index, amount)
-                    stats.augmentations += 1
-                    routed_any = True
-            if not routed_any:
-                raise InfeasibleProblemError(
-                    "cannot route all task supply to the sink; the scheduling "
-                    "graph is missing unscheduled aggregator capacity"
-                )
-
-    def _bfs_augmenting_path(
-        self, residual: ResidualNetwork, source: int, stats: SolverStatistics
-    ) -> Optional[List[int]]:
-        """Find any path of residual arcs from ``source`` to a deficit node."""
-        pred_arc: List[Optional[int]] = [None] * residual.num_nodes
-        visited = [False] * residual.num_nodes
-        visited[source] = True
-        queue = deque([source])
-        target = -1
-        while queue:
-            u = queue.popleft()
-            if residual.excess[u] < 0:
-                target = u
-                break
-            for arc_index in residual.adjacency[u]:
-                if residual.arc_residual[arc_index] <= 0:
-                    continue
-                v = residual.arc_to[arc_index]
-                stats.arcs_scanned += 1
-                if not visited[v]:
-                    visited[v] = True
-                    pred_arc[v] = arc_index
-                    queue.append(v)
-        if target < 0:
-            return None
-        path: List[int] = []
-        node = target
-        while node != source:
-            arc_index = pred_arc[node]
-            path.append(arc_index)
-            node = residual.arc_from[arc_index]
-        path.reverse()
-        return path
 
     # ------------------------------------------------------------------ #
     # Phase 2: optimality (negative cycle cancellation)

@@ -30,6 +30,13 @@ class TestParser:
         args = parser.parse_args(["trace", "--duration", "10"])
         assert args.command == "trace"
 
+    def test_trace_schema_choices_are_the_ingest_schemas(self):
+        # Declared by name, so parsing a command line loads no simulator.
+        from repro.cli.simulate_command import TRACE_SCHEMAS
+        from repro.simulation.ingest import SCHEMAS
+
+        assert TRACE_SCHEMAS == tuple(sorted(SCHEMAS))
+
     def test_no_command_prints_help_and_fails(self, capsys):
         assert main([]) == 2
         assert "usage" in capsys.readouterr().out.lower()

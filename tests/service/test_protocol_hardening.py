@@ -168,6 +168,47 @@ class TestProtocolHardening:
 
         run(scenario())
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"tasks": True},
+            {"duration": float("nan")},
+            {"duration": float("inf")},
+            {"duration": -1.0},
+            {"duration": "2"},
+            {"cpu": "lots"},
+            {"ram": [1]},
+            {"ram": None},
+            {"priority": "high"},
+            {"priority": 1.5},
+        ],
+        ids=repr,
+    )
+    def test_bad_submit_field_is_rejected(self, fields):
+        """A bool is not a task count, NaN / Infinity / a negative value is
+        not a duration, and a value that is not a number is not a size or
+        a priority: each gets a reasoned error naming its field, and the
+        service accepts nothing."""
+        (name,) = fields
+
+        async def scenario():
+            service = make_service()
+            await service.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", service.port
+            )
+            request = {"op": "submit", "tasks": 1, "id": 1, **fields}
+            await send_raw(writer, json.dumps(request).encode() + b"\n")
+            reply = await recv(reader)
+            assert reply["event"] == "error" and reply["id"] == 1
+            assert reply["error"].startswith(f"{name} must be"), reply
+            await send_raw(writer, b'{"op": "stats", "id": 2}\n')
+            assert (await recv(reader))["accepted"] == 0
+            writer.close()
+            await service.stop()
+
+        run(scenario())
+
     def test_seeded_garbage_fuzz_never_kills_the_service(self):
         """Random garbage -- binary, truncated JSON, huge-ish lines, valid
         requests interleaved -- never takes the service down and never
