@@ -46,8 +46,7 @@ def measure_regime(policy_factory, label: str, arriving_tasks: int, seed: int):
 
     # Round 0: establish the warm-start state, then place the pending work.
     add_pending_batch_job(state, MACHINES // 2, seed=seed + 1)
-    network = manager.update(state, now=10.0)
-    incremental.solve(network)
+    incremental.solve(manager.update(state, now=10.0).copy())
     for task in state.pending_tasks():
         for machine_id in state.topology.machines:
             if state.free_slots(machine_id) > 0:

@@ -51,8 +51,7 @@ def measure_speedup(fraction: float):
     manager = GraphManager(QuincyPolicy())
     incremental = IncrementalCostScalingSolver()
 
-    network = manager.update(state, now=10.0)
-    incremental.solve(network)
+    incremental.solve(manager.update(state, now=10.0).copy())
 
     churn_state(state, fraction, seed=int(fraction * 100) + 3)
     network = manager.update(state, now=20.0)

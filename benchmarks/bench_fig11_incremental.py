@@ -45,8 +45,7 @@ def measure_policy(policy_factory, label):
     incremental = IncrementalCostScalingSolver()
 
     # Round 0 establishes the warm-start state.
-    network = manager.update(state, now=10.0)
-    incremental.solve(network)
+    incremental.solve(manager.update(state, now=10.0).copy())
     # Place the pending tasks somewhere so the next round has churn.
     for task in state.pending_tasks():
         for machine_id in state.topology.machines:

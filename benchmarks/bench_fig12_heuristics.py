@@ -203,13 +203,13 @@ def test_fig12b_efficient_task_removal(benchmark):
         # What IncrementalCostScalingSolver's warm rebuild does, spelled out
         # so the pre-pass can sit between the two solves.
         solver = CostScalingSolver(polish_potentials=True)
-        first = solver.solve(manager.update(state, now=10.0))
+        first = solver.solve(manager.update(state, now=10.0).copy())
         solver.release_residual()
         # A wave of running tasks completes (the Figure 12b change type).
         running = state.running_tasks()
         for task in rng.sample(running, len(running) // 3):
             state.complete_task(task.task_id, now=20.0)
-        network = manager.update(state, now=20.0)
+        network = manager.update(state, now=20.0).copy()
         start = time.perf_counter()
         warm_flows = dict(first.flows)
         if drain:

@@ -51,7 +51,7 @@ def round_pair(machines: int):
         state.complete_task(task.task_id, now=20.0)
     add_pending_batch_job(state, machines // 4, seed=54, job_id=810_000,
                           submit_time=20.0)
-    after = manager.update(state, now=20.0)
+    after = manager.update(state, now=20.0).copy()
     return before, after, manager.last_changes
 
 

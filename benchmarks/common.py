@@ -120,7 +120,7 @@ def build_policy_network(
 ) -> Tuple[GraphManager, FlowNetwork]:
     """Build the scheduling flow network for the state under a policy."""
     manager = GraphManager(policy or QuincyPolicy())
-    network = manager.update(state, now=now)
+    network = manager.update(state, now=now).copy()
     return manager, network
 
 

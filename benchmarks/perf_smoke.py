@@ -1,6 +1,6 @@
 """Perf smoke job: guard the incremental hot paths against regression.
 
-Runs twelve kernels at ``REPRO_BENCH_SCALE=1`` and compares against the
+Runs thirteen kernels at ``REPRO_BENCH_SCALE=1`` and compares against the
 committed baseline in ``perf_baseline.json``:
 
 * the Figure-11 kernel -- one realistic scheduling round solved from
@@ -69,7 +69,12 @@ committed baseline in ``perf_baseline.json``:
 * the cold-feasibility kernel -- a count, not a time: the arcs the
   from-scratch solve's feasibility pass scans per augmentation on a cold
   round at 1 024 machines, which must stay within 2x the baseline's (a
-  search that walks every task it routed before reads ~280x).
+  search that walks every task it routed before reads ~280x), and
+* the graph-memory kernel -- a count too: the bytes ``serve``'s graph
+  retains per live arc at 512 machines after its build and 40 steady
+  rounds (``tracemalloc``; ``tests/core/test_graph_memory.py`` is the same
+  measurement), which must stay within 2x the baseline's (a FlowNetwork
+  kept beside the residual reads ~2.2x).
 
 The gates are host-normalized: the from-scratch solve (resp. the full
 rebuild) acts as the calibration workload, so requiring each measured
@@ -150,8 +155,7 @@ def measure_round() -> tuple:
     manager = GraphManager(QuincyPolicy())
     incremental = IncrementalCostScalingSolver()
 
-    network = manager.update(state, now=10.0)
-    incremental.solve(network)
+    incremental.solve(manager.update(state, now=10.0).copy())
     for task in state.pending_tasks():
         for machine_id in state.topology.machines:
             if state.free_slots(machine_id) > 0:
@@ -741,6 +745,13 @@ def measure_cold_feasibility() -> float:
     return stats.arcs_scanned / stats.augmentations
 
 
+def measure_graph_memory() -> float:
+    """Graph-memory kernel: bytes ``serve``'s graph retains per live arc."""
+    from tests.core.test_graph_memory import serve_graph_bytes_per_arc
+
+    return serve_graph_bytes_per_arc()[0]
+
+
 def main() -> int:
     update = "--update" in sys.argv[1:]
     scratch_runs, incremental_runs = [], []
@@ -807,6 +818,7 @@ def main() -> int:
         "cold_feasibility_scans_per_augmentation": round(
             measure_cold_feasibility(), 3
         ),
+        "graph_bytes_per_arc": round(measure_graph_memory(), 1),
     }
     measured["speedup"] = round(
         measured["scratch_s"] / max(measured["incremental_s"], 1e-9), 3
@@ -1009,6 +1021,18 @@ def main() -> int:
             f"{measured['cold_feasibility_scans_per_augmentation']:.1f} arcs "
             f"per augmentation at {COLD_MACHINES} machines (baseline "
             f"{baseline_cold_scans:.1f}): it walks what it routed again"
+        )
+        failed = True
+    baseline_graph_bytes = baseline.get("graph_bytes_per_arc")
+    if (
+        baseline_graph_bytes
+        and measured["graph_bytes_per_arc"] > 2.0 * baseline_graph_bytes
+    ):
+        print(
+            "FAIL: serve's graph retains "
+            f"{measured['graph_bytes_per_arc']:.0f} bytes per live arc "
+            f"(baseline {baseline_graph_bytes:.0f}): a second copy of the "
+            "arcs is back"
         )
         failed = True
     if failed:

@@ -21,7 +21,7 @@ class MachineState(enum.Enum):
     DRAINED = "drained"
 
 
-@dataclass
+@dataclass(slots=True)
 class Machine:
     """A cluster machine.
 
@@ -66,7 +66,7 @@ class Machine:
         self.state = MachineState.HEALTHY
 
 
-@dataclass
+@dataclass(slots=True)
 class Rack:
     """A rack grouping machines that share a top-of-rack switch.
 

@@ -13,13 +13,13 @@ monitor build on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Tuple
+from typing import ClassVar, Iterable, Mapping, Tuple
 
 from repro.cluster.machine import Machine
 from repro.cluster.task import Task
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResourceVector:
     """An amount of resources in every scheduling dimension.
 
@@ -36,7 +36,7 @@ class ResourceVector:
     disk_gb: float = 0.0
 
     #: Names of the dimensions, in a fixed order used by :meth:`as_tuple`.
-    DIMENSIONS: Tuple[str, ...] = ("cpu_cores", "ram_gb", "network_mbps", "disk_gb")
+    DIMENSIONS: ClassVar[Tuple[str, ...]] = ("cpu_cores", "ram_gb", "network_mbps", "disk_gb")
 
     def __post_init__(self) -> None:
         for dimension in self.DIMENSIONS:

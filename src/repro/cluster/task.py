@@ -36,7 +36,7 @@ class JobType(enum.Enum):
     SERVICE = "service"
 
 
-@dataclass
+@dataclass(slots=True)
 class Task:
     """A schedulable unit of work.
 
@@ -119,7 +119,7 @@ class Task:
         return sum(self.input_locality.get(m, 0.0) for m in machine_ids)
 
 
-@dataclass
+@dataclass(slots=True)
 class Job:
     """A job: a collection of parallel tasks submitted together.
 

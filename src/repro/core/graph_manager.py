@@ -19,12 +19,14 @@ scheme (Section 6.3), *driven by cluster change events*:
 
 Every policy describes its network per entity (see
 :mod:`repro.core.policies.base`), so the manager keeps **one persistent
-:class:`FlowNetwork` mutated in place** and builds it one way: the dirty
-entities' scopes are re-derived, the resulting mutations are applied
-through a :class:`~repro.flow.changes.ChangeBatchBuilder` that emits the
-round's :class:`~repro.flow.changes.ChangeBatch` directly -- no second
-network is built and no diff pass runs -- and isolated-node pruning is
-restricted to the endpoints of removed arcs.  Per-round update cost is
+graph mutated in place** -- a :class:`~repro.solvers.residual.FlowGraph`,
+whose storage is the residual network an in-place solver repairs -- and
+builds it one way: the dirty entities' scopes are re-derived, the
+resulting mutations are applied through a
+:class:`~repro.flow.changes.ChangeBatchBuilder` that emits the round's
+:class:`~repro.flow.changes.ChangeBatch` directly -- no second network is
+built and no diff pass runs -- and isolated-node pruning is restricted to
+the endpoints of removed arcs.  Per-round update cost is
 O(|dirty entities| + |affected arcs| + |waiting-cost ticks due|),
 independent of cluster size: the manager never enumerates the live tasks,
 machines or arcs on such a round.  Which tasks, jobs and machines the
@@ -59,10 +61,11 @@ diffed with :meth:`ChangeBatch.diff`, the benchmarks' rebuild baseline.
 
 What is read *off* the network persists beside it too: the manager keeps
 the task-to-machine assignments its flow implies
-(:meth:`GraphManager.extract_assignments`) and re-derives, once a solver
-has written a round's flow, only the tasks an arc whose flow changed
-touches, dropping those whose nodes the round's batch removed; the full
-Listing-1 walk is that map's ``verify_changes`` oracle.  Turning the map
+(:meth:`GraphManager.extract_assignments`) and re-derives, once a round's
+flow is in the graph, only the tasks an arc whose flow changed touches
+(the residual's flow journal says which), dropping those whose nodes the
+round's batch removed; the full Listing-1 walk is that map's
+``verify_changes`` oracle.  Turning the map
 into a round's actions (:meth:`GraphManager.diff_assignments`) likewise
 visits only the tasks that can produce one.
 """
@@ -86,6 +89,7 @@ from repro.core.placement import (
 from repro.core.policies.base import DirtyView, PolicyNetworkBuilder, SchedulingPolicy
 from repro.flow.changes import ChangeBatch, ChangeBatchBuilder
 from repro.flow.graph import FlowNetwork, NodeType
+from repro.solvers.residual import FlowGraph
 
 
 class GraphConsistencyError(AssertionError):
@@ -165,26 +169,20 @@ class _IncrementalBuilder(PolicyNetworkBuilder):
 
     def machine_node(self, machine_id: int) -> int:
         node_id = self._machine_nodes[machine_id]
-        self._manager._ensure_node(
-            self.recorder, node_id, NodeType.MACHINE, f"M{machine_id}", machine_id
-        )
+        self._manager._ensure_node(self.recorder, node_id, NodeType.MACHINE, machine_id)
         return node_id
 
     def rack_node(self, rack_id: int) -> int:
         node_id = self._manager._node_for_rack(rack_id)
         self._manager._ensure_node(
-            self.recorder, node_id, NodeType.RACK_AGGREGATOR, f"R{rack_id}", rack_id
+            self.recorder, node_id, NodeType.RACK_AGGREGATOR, rack_id
         )
         return node_id
 
     def unscheduled_node(self, job_id: int) -> int:
         node_id = self._unscheduled_nodes[job_id]
         self._manager._ensure_node(
-            self.recorder,
-            node_id,
-            NodeType.UNSCHEDULED_AGGREGATOR,
-            f"U{job_id}",
-            job_id,
+            self.recorder, node_id, NodeType.UNSCHEDULED_AGGREGATOR, job_id
         )
         return node_id
 
@@ -222,9 +220,9 @@ class GraphManager:
         self._next_node_id = 0
         self._sink_node: Optional[int] = None
         self._aggregator_nodes: Dict[str, Tuple[int, NodeType]] = {}
-        #: The persistent network; ``None`` until the first update and after
+        #: The persistent graph; ``None`` until the first update and after
         #: an update that died mid-mutation (the next one starts empty).
-        self.network: Optional[FlowNetwork] = None
+        self.network: Optional[FlowGraph] = None
         self._revision = 0
         #: Change batch transforming the previous :meth:`update`'s network
         #: into the latest one; ``None`` after a round that started from an
@@ -251,6 +249,9 @@ class GraphManager:
         self._tick_calendar: List[Tuple[float, int]] = []
         self._calendar_now = -math.inf
         self._verify_snapshot: Optional[FlowNetwork] = None
+        # The FlowNetwork handed to a solver that takes one (see
+        # :meth:`network_view`); ``None`` until one asks.
+        self._view: Optional[FlowNetwork] = None
         self._recorder: Optional[ChangeBatchBuilder] = None
         #: The assignments the network's flow implies, kept beside it and
         #: brought up to date by :meth:`extract_assignments`.
@@ -332,7 +333,7 @@ class GraphManager:
         node_id, stored_type = self._aggregator_nodes[key]
         if not self.network.has_node(node_id):
             (self._recorder or self.network).add_node(
-                node_type=stored_type, supply=0, name=key, node_id=node_id
+                node_type=stored_type, supply=0, name=key, ref=key, node_id=node_id
             )
         return node_id
 
@@ -346,14 +347,11 @@ class GraphManager:
         recorder: ChangeBatchBuilder,
         node_id: int,
         node_type: NodeType,
-        name: str,
         ref,
         supply: int = 0,
     ) -> None:
-        if not self.network.has_node(node_id):
-            recorder.add_node(
-                node_type=node_type, supply=supply, name=name, ref=ref, node_id=node_id
-            )
+        if not self.network.residual.has_node(node_id):
+            recorder.add_node(node_type, supply, ref=ref, node_id=node_id)
 
     # ------------------------------------------------------------------ #
     # Mappings needed by placement extraction and the scheduler
@@ -375,6 +373,20 @@ class GraphManager:
         """Node id of the sink, once the first network has been built."""
         return self._sink_node
 
+    def network_view(self) -> FlowNetwork:
+        """The graph as a :class:`FlowNetwork`, for a solver that takes one
+        (a dual executor's race): the previous view with the round's batch
+        replayed onto it when the batch chains from it -- O(changes), as a
+        worker follows its shadow -- and a fresh one from the graph
+        otherwise."""
+        view, batch = self._view, self.last_changes
+        if view is None or batch is None or view.revision != batch.base_revision:
+            view = self._view = self.network.copy()
+        else:
+            batch.apply_to(view)
+            view.revision = batch.target_revision
+        return view
+
     def extract_assignments(self) -> Mapping[int, int]:
         """Task-to-machine assignments of the flow a solver just wrote.
 
@@ -390,7 +402,10 @@ class GraphManager:
         if self.verify_changes:
             problems = tracker.differences(
                 extract_placements(
-                    self.network, self._task_nodes, self._machine_nodes, self._sink_node
+                    self.network.copy(),
+                    self._task_nodes,
+                    self._machine_nodes,
+                    self._sink_node,
                 )
             )
             if problems:
@@ -462,7 +477,7 @@ class GraphManager:
     # ------------------------------------------------------------------ #
     # Network construction
     # ------------------------------------------------------------------ #
-    def update(self, state: ClusterState, now: float = 0.0) -> FlowNetwork:
+    def update(self, state: ClusterState, now: float = 0.0) -> FlowGraph:
         """Update the flow network to reflect the current cluster state.
 
         Entities that disappeared since the previous run lose their nodes
@@ -483,8 +498,7 @@ class GraphManager:
         cold = self.network is None
         if cold:
             self._forget_entities()
-            self.network = FlowNetwork()
-            self.network.revision = self._revision
+            self.network = FlowGraph(self._revision)
         try:
             network = self._update_incremental(state, now, snapshot)
         except Exception:
@@ -509,7 +523,7 @@ class GraphManager:
         self._finish_round(state, network)
         return network
 
-    def _finish_round(self, state: ClusterState, network: FlowNetwork) -> None:
+    def _finish_round(self, state: ClusterState, network: FlowGraph) -> None:
         self._state_id = id(state)
         if self.verify_changes:
             self._verify_snapshot = network.copy()
@@ -640,8 +654,10 @@ class GraphManager:
     # ------------------------------------------------------------------ #
     # Incremental path (the paper's event-driven two-pass update)
     # ------------------------------------------------------------------ #
-    def _update_incremental(self, state: ClusterState, now: float, snapshot) -> FlowNetwork:
+    def _update_incremental(self, state: ClusterState, now: float, snapshot) -> FlowGraph:
         network = self.network
+        residual = network.residual
+        residual.maybe_compact()
         policy = self.policy
         lookup = state.schedulable_task
         known = self._task_jobs
@@ -721,37 +737,24 @@ class GraphManager:
 
             # 2. Sink supply tracks the number of schedulable tasks.
             sink = self._node_for_sink()
-            self._ensure_node(
-                recorder, sink, NodeType.SINK, "S", None, supply=-num_tasks
-            )
+            self._ensure_node(recorder, sink, NodeType.SINK, None, supply=-num_tasks)
             recorder.set_supply(sink, -num_tasks)
 
             # 3. Nodes for new entities (racks materialize on access).
             for machine_id in sorted(added_machines):
                 self._ensure_node(
-                    recorder,
-                    self._node_for_machine(machine_id),
-                    NodeType.MACHINE,
-                    f"M{machine_id}",
-                    machine_id,
+                    recorder, self._node_for_machine(machine_id), NodeType.MACHINE, machine_id
                 )
             for job_id in sorted(added_jobs):
                 self._ensure_node(
                     recorder,
                     self._node_for_job(job_id),
                     NodeType.UNSCHEDULED_AGGREGATOR,
-                    f"U{job_id}",
                     job_id,
                 )
             for task_id in sorted(added_tasks):
-                task = added_tasks[task_id]
                 self._ensure_node(
-                    recorder,
-                    self._node_for_task(task_id),
-                    NodeType.TASK,
-                    f"T{task.job_id},{task.task_id}",
-                    task_id,
-                    supply=1,
+                    recorder, self._node_for_task(task_id), NodeType.TASK, task_id, supply=1
                 )
 
             # 4. Re-derive the dirty scopes: machines (backbone), policy
@@ -790,9 +793,9 @@ class GraphManager:
                 # Whatever no scope derived belongs to a scope that no
                 # longer exists (a class without members, a retired
                 # machine's chains, everything once the workload is empty).
-                for arc in list(network.arcs()):
-                    if arc.key() not in builder.derived:
-                        recorder.remove_arc(arc.src, arc.dst)
+                for arc in list(residual.arc_position):
+                    if arc not in builder.derived:
+                        recorder.remove_arc(*arc)
 
             # 5. Time-varying costs (waiting time): a clean task's
             # unscheduled cost moves only when ``int(rate * wait)`` does, and
@@ -802,13 +805,10 @@ class GraphManager:
             # 6. Incremental prune: only endpoints of removed arcs (and
             # fresh nodes) can have become isolated.
             for node_id in sorted(recorder.prune_candidates):
-                if not network.has_node(node_id):
-                    continue
-                node = network.node(node_id)
                 if (
-                    node.supply == 0
-                    and not network.outgoing(node_id)
-                    and not network.incoming(node_id)
+                    residual.has_node(node_id)
+                    and residual.supply_of(node_id) == 0
+                    and residual.is_isolated(node_id)
                 ):
                     recorder.remove_node(node_id)
 
@@ -967,14 +967,13 @@ class GraphManager:
                     due.append(task_id)
             due.sort()
         self._calendar_now = now
-        find_arc = self.network.find_arc
+        arc_position = self.network.residual.arc_position
         patch_cost = recorder.patch_known_arc_cost
         for task_id in due:
             static, rate, submit_time, arc_key, _ = cost_terms[task_id]
-            cost = static + _waiting_term(rate, submit_time, now)
-            arc = find_arc(*arc_key)
-            if arc is not None and arc.cost != cost:
-                patch_cost(arc_key, arc, cost)
+            position = arc_position.get(arc_key)
+            if position is not None:
+                patch_cost(arc_key, position, static + _waiting_term(rate, submit_time, now))
             tick = _next_tick(rate, submit_time, now)
             cost_terms[task_id] = (static, rate, submit_time, arc_key, tick)
             if tick != math.inf:
@@ -993,12 +992,12 @@ class GraphManager:
         if builder.derived is not None:
             builder.derived.update(desired)
         recorder = builder.recorder
-        network = self.network
+        arcs = self.network.residual.arc_position
         for arc in list(self.policy.owned_arcs(builder, key)):
-            if arc.key() not in desired:
-                recorder.remove_arc(arc.src, arc.dst)
+            if arc not in desired:
+                recorder.remove_arc(*arc)
         for (src, dst), (capacity, cost) in desired.items():
-            if network.has_arc(src, dst):
+            if (src, dst) in arcs:
                 recorder.set_arc_capacity(src, dst, capacity)
                 recorder.set_arc_cost(src, dst, cost)
             else:

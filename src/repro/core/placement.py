@@ -15,20 +15,21 @@ once, i.e. it extracts all placements in a single pass over the graph.
 That pass is O(cluster) every round, although between two rounds of a
 running scheduler almost every task's unit of flow stays on the arc it was
 on.  :class:`FlowAssignments` therefore keeps the assignment map *beside*
-the graph manager's persistent network and re-derives, per round, only the
+the graph manager's persistent graph and re-derives, per round, only the
 tasks the round can have moved: those whose node is the source of an arc
-whose flow a writer changed (:attr:`FlowNetwork.flow_changes`), plus every
+whose flow moved (the graph residual's flow journal names them,
+:meth:`~repro.solvers.residual.ResidualNetwork.take_flow_changes`), plus every
 task whose unit did not leave on an arc straight to a machine; tasks whose
 nodes the round's change batch removed are dropped.  Any other task left on
 ``task -> machine`` with flow 1 last round and still does -- had that arc
 been removed, emptied or capped, the task's one unit would now leave on
 another arc, whose flow would have *risen* -- and for such a task the token
 walk can only answer that machine again.  The re-derivation is a *forward*
-path decomposition (the task's unit is followed downstream, with per-arc
-use counts, until it reaches a machine or the sink), so it needs no reverse
-maps: nodes carry their task and machine ids as ``ref``.
-:func:`extract_placements` remains as the oracle the maintained map is
-checked against (``GraphManager(verify_changes=True)`` and the tests).
+path decomposition over the residual's columns (the task's unit is followed
+downstream, with per-arc use counts, to a machine or the sink; nodes carry
+their task and machine ids as ``ref``).  :func:`extract_placements` is the
+oracle the maintained map is checked against
+(``GraphManager(verify_changes=True)`` and the tests).
 
 :func:`diff_assignments` then turns the extracted assignments into the
 round's actions by comparing them with where each task currently is --
@@ -63,22 +64,27 @@ class FlowAssignments:
 
     def update(
         self,
-        network: FlowNetwork,
+        graph,
         task_nodes: Mapping[int, int],
         departed_tasks: Optional[Iterable[int]],
     ) -> Dict[int, int]:
-        """Bring the map up to the flow now on ``network``; returns it.
+        """Bring the map up to the flow now in ``graph``; returns it.
 
         Args:
-            network: The persistent network, flows written by the round's
-                solver.  Its :attr:`~FlowNetwork.flow_changes` are consumed.
+            graph: The persistent :class:`~repro.solvers.residual.FlowGraph`
+                holding the round's flow.  The arcs whose flow moved since
+                the previous call are consumed from its journal.
             task_nodes: Task id to node id of the tasks in the network.
             departed_tasks: Tasks whose nodes were removed since the
                 previous call; ``None`` when the map cannot be carried over
                 (another network, an all-dirty round), which means every
                 task is re-derived.
         """
-        changed = network.take_flow_changes()
+        residual = graph.residual
+        changed = residual.take_flow_changes()
+        index = residual.index
+        node_types = residual.node_types
+        node_refs = residual.node_refs
         assignments = self.assignments
         indirect = self.indirect
         if departed_tasks is None:
@@ -91,45 +97,50 @@ class FlowAssignments:
                 assignments.pop(task_id, None)
                 indirect.discard(task_id)
             suspects = set(indirect)
-            find_node = network.find_node
+            alive = residual.node_alive
             for src, _dst in changed:
-                node = find_node(src)
-                if node is not None and node.node_type is NodeType.TASK:
-                    suspects.add(node.ref)
+                i = index.get(src)
+                if i is not None and alive[i] and node_types[i] is NodeType.TASK:
+                    suspects.add(node_refs[i])
             self.last_rederived = rederive = sorted(suspects)
         self.last_reextracted = len(rederive)
 
-        # Forward path decomposition.  Only a task's first arc is its own;
-        # every later arc may be shared, so units already routed over it
-        # are counted.  Task-id order makes the split of a shared arc's
-        # flow among its tasks the same whichever subset is re-derived.
-        used: Dict[Tuple[int, int], int] = {}
-        node_of = network.node
-        outgoing = network.iter_outgoing
-        longest_path = network.num_nodes
+        # Forward path decomposition over the residual's columns: a forward
+        # arc's flow is its reverse's residual capacity.  Only a task's
+        # first arc is its own; every later arc may be shared, so units
+        # already routed over it are counted.  Task-id order makes the
+        # split of a shared arc's flow among its tasks the same whichever
+        # subset is re-derived.
+        used: Dict[int, int] = {}
+        adjacency = residual.adjacency
+        arc_residual = residual.arc_residual
+        arc_to = residual.arc_to
+        longest_path = graph.num_nodes
         for task_id in rederive:
-            node_id = task_nodes[task_id]
+            node = index[task_nodes[task_id]]
             machine = None
             for hops in range(longest_path):
-                for arc in outgoing(node_id):
-                    if arc.flow <= 0:
+                for arc in adjacency[node]:
+                    if arc & 1:
+                        continue
+                    flow = arc_residual[arc + 1]
+                    if flow <= 0:
                         continue
                     if hops:
-                        key = (arc.src, arc.dst)
-                        units = used.get(key, 0)
-                        if units >= arc.flow:
+                        units = used.get(arc, 0)
+                        if units >= flow:
                             continue
-                        used[key] = units + 1
+                        used[arc] = units + 1
                     break
                 else:
                     break  # no unit leaves here: not a conserved flow
-                node = node_of(arc.dst)
-                if node.node_type is NodeType.MACHINE:
-                    machine = node.ref
+                node = arc_to[arc]
+                kind = node_types[node]
+                if kind is NodeType.MACHINE:
+                    machine = node_refs[node]
                     break
-                if node.node_type is NodeType.SINK:
+                if kind is NodeType.SINK:
                     break
-                node_id = arc.dst
             else:
                 raise RuntimeError(
                     f"the flow of task {task_id} does not reach a machine or "

@@ -36,7 +36,10 @@ from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tupl
 
 from repro.cluster.state import ClusterState
 from repro.cluster.task import Task
-from repro.flow.graph import Arc, FlowNetwork, NodeType
+from repro.flow.graph import FlowNetwork, NodeType
+
+#: An arc's ``(src, dst)`` node ids: how scope ownership names arcs.
+ArcKey = Tuple[int, int]
 
 
 @dataclass
@@ -169,23 +172,25 @@ class PolicyNetworkBuilder:
             return None
         return self._aggregator_lookup(key)
 
-    def outgoing(self, node_id: Optional[int]) -> List[Arc]:
-        """Arcs out of a node; none for an unmapped or pruned node."""
-        if node_id is None or not self.network.has_node(node_id):
-            return []
-        return self.network.outgoing(node_id)
-
-    def incoming(self, node_id: Optional[int], src_type: NodeType) -> List[Arc]:
-        """Arcs into a node from nodes of one type; none for an unmapped or
+    def outgoing(self, node_id: Optional[int]) -> List[ArcKey]:
+        """``(src, dst)`` of the arcs out of a node; none for an unmapped or
         pruned node."""
-        network = self.network
-        if node_id is None or not network.has_node(node_id):
+        if node_id is None:
             return []
-        return [
-            arc
-            for arc in network.incoming(node_id)
-            if network.node(arc.src).node_type is src_type
-        ]
+        return self.network.residual.incident_keys(node_id)
+
+    def incoming(self, node_id: Optional[int], src_type: NodeType) -> List[ArcKey]:
+        """``(src, dst)`` of the arcs into a node from nodes of one type;
+        none for an unmapped or pruned node."""
+        if node_id is None:
+            return []
+        residual = self.network.residual
+        keys = residual.incident_keys(node_id, incoming=True)
+        return [k for k in keys if residual.node_types[residual.index[k[0]]] is src_type]
+
+    def has_arc(self, src: Optional[int], dst: Optional[int]) -> bool:
+        """Whether the network has an arc between the two nodes."""
+        return (src, dst) in self.network.residual.arc_position
 
     # ------------------------------------------------------------------ #
     # Arc emission
@@ -352,8 +357,9 @@ class SchedulingPolicy(abc.ABC):
         """
         return [("job", job_id) for job_id in sorted(dirty.jobs)]
 
-    def owned_arcs(self, builder: PolicyNetworkBuilder, key: Tuple) -> Iterable[Arc]:
-        """Return the arcs currently in the network that belong to a scope.
+    def owned_arcs(self, builder: PolicyNetworkBuilder, key: Tuple) -> Iterable[ArcKey]:
+        """Return the ``(src, dst)`` of the arcs currently in the network
+        that belong to a scope.
 
         Ownership is structural -- derived from the network itself, through
         the builder's side-effect-free queries -- so it stays correct
@@ -566,7 +572,7 @@ class RequestAggregatorPolicy(SchedulingPolicy):
         aggregator = builder.find_aggregator(self._aggregator_key(key[1]))
         if kind == "class":
             return builder.outgoing(aggregator)
-        arc = builder.network.find_arc(aggregator, builder.peek_machine_node(key[2]))
-        return [] if arc is None else [arc]
+        arc = (aggregator, builder.peek_machine_node(key[2]))
+        return [arc] if builder.has_arc(*arc) else []
 
     task_machine_dependencies = SchedulingPolicy.current_machine_only

@@ -107,13 +107,13 @@ class LoadSpreadingPolicy(SchedulingPolicy):
             return [
                 arc
                 for arc in builder.outgoing(cluster_agg)
-                if not builder.network.outgoing(arc.dst)
+                if not builder.outgoing(arc[1])
             ]
         levels = builder.incoming(machine_node, NodeType.OTHER)
         return levels + [
             arc
-            for level in levels
-            for arc in builder.incoming(level.src, NodeType.CLUSTER_AGGREGATOR)
+            for level, _machine in levels
+            for arc in builder.incoming(level, NodeType.CLUSTER_AGGREGATOR)
         ]
 
     task_machine_dependencies = SchedulingPolicy.current_machine_only

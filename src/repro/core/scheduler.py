@@ -226,14 +226,20 @@ class FlowScheduler:
     def _solve_cell(self, cell: RoundCell) -> Tuple[Optional[SolverResult], float]:
         """Solve one cell in this process: ``(result, runtime)``.
 
-        The round's typed change batch is handed over when the solver can
-        consume one (an incremental instance then patches its persistent
-        residual network in place instead of reconstructing it from the
-        flow network).  ``result`` is ``None`` when the cell's round died at
-        its deadline.
+        A solver that :attr:`~repro.solvers.base.Solver.solves_in_place`
+        gets the manager's graph itself and repairs its residual.  Any other
+        solver gets the manager's :class:`FlowNetwork` view of the graph
+        (:meth:`GraphManager.network_view`), and the flow it returns is
+        loaded into the graph, where the placements are read.  The round's typed change batch is handed over when the
+        solver can consume one (an incremental instance then patches its
+        persistent residual network in place instead of reconstructing it
+        from the flow network).  ``result`` is ``None`` when the cell's
+        round died at its deadline.
         """
-        network, changes = cell.manager.network, cell.manager.last_changes
-        solver = cell.solver
+        manager, solver = cell.manager, cell.solver
+        graph, changes = manager.network, manager.last_changes
+        in_place = getattr(solver, "solves_in_place", False)
+        network = graph if in_place else manager.network_view()
         start = time.perf_counter()
         try:
             if changes is not None and solver.accepts_change_batches:
@@ -243,6 +249,8 @@ class FlowScheduler:
         except RoundDeadlineExceeded:
             return None, time.perf_counter() - start
         wall_runtime = time.perf_counter() - start
+        if network is not graph:
+            graph.set_flows(result.flows)
         if solver.charges_wall_clock:
             # The parallel executor races the algorithms physically, so the
             # measured wall clock *is* the placement latency (winner's
@@ -374,9 +382,10 @@ class FirmamentScheduler(FlowScheduler):
 
     @property
     def last_network(self) -> Optional[FlowNetwork]:
-        """The flow network of the most recent round (``None`` before the
-        first)."""
-        return self.graph_manager.network
+        """The flow network of the most recent round, flows included, built
+        from the manager's graph (``None`` before the first round)."""
+        graph = self.graph_manager.network
+        return None if graph is None else graph.copy()
 
     def _round_cells(self, state: ClusterState) -> Iterable[RoundCell]:
         """One cell: the whole cluster, solved by the (dual) executor."""

@@ -16,14 +16,13 @@ implements that classification so the incremental solvers can decide how much
 repair work a batch of changes requires.
 
 :class:`ChangeBatch` groups one scheduling round's changes into a typed
-batch.  The graph manager emits one per round, directly from the mutations
-it applies (:class:`ChangeBatchBuilder`; :meth:`ChangeBatch.diff` of two
-networks is the reference the tests and the benchmarks' rebuild baseline
-use), and the incremental cost-scaling
-solver consumes it to patch its persistent residual network in place
-(:meth:`repro.solvers.residual.ResidualNetwork.apply_changes`) instead of
-reconstructing the residual from the flow-network object graph -- the key
-to per-round solver work proportional to the change, not the graph.
+batch: the record the graph manager emits from the mutations it applies to
+its graph (:class:`ChangeBatchBuilder`; :meth:`ChangeBatch.diff` of two
+networks is the tests' and benchmarks' reference).  A consumer that holds
+its own copy of the graph -- a worker's shadow, a dual executor's legs --
+replays it (:meth:`repro.solvers.residual.ResidualNetwork.apply_changes`)
+instead of rebuilding its residual: solver work proportional to the
+change, not the graph.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ class ChangeEffect(enum.Enum):
     BREAKS_FEASIBILITY = "breaks_feasibility"
 
 
-@dataclass
+@dataclass(slots=True)
 class GraphChange:
     """Base class for all graph changes applied between scheduling runs."""
 
@@ -52,7 +51,7 @@ class GraphChange:
         raise NotImplementedError
 
 
-@dataclass
+@dataclass(slots=True)
 class SupplyChange(GraphChange):
     """Change the supply of an existing node by ``delta``."""
 
@@ -64,7 +63,7 @@ class SupplyChange(GraphChange):
         network.set_supply(self.node_id, node.supply + self.delta)
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeAddition(GraphChange):
     """Add a node (typically a task node with unit supply) and its arcs.
 
@@ -102,7 +101,7 @@ class NodeAddition(GraphChange):
             network.add_arc(src, node.node_id, capacity, cost)
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeRemoval(GraphChange):
     """Remove a node (typically a completed task or failed machine)."""
 
@@ -112,7 +111,7 @@ class NodeRemoval(GraphChange):
         network.remove_node(self.node_id)
 
 
-@dataclass
+@dataclass(slots=True)
 class ArcCapacityChange(GraphChange):
     """Change the capacity of an arc; capacity zero models arc removal."""
 
@@ -124,7 +123,7 @@ class ArcCapacityChange(GraphChange):
         network.set_arc_capacity(self.src, self.dst, self.new_capacity)
 
 
-@dataclass
+@dataclass(slots=True)
 class ArcCostChange(GraphChange):
     """Change the cost of an arc."""
 
@@ -136,7 +135,7 @@ class ArcCostChange(GraphChange):
         network.set_arc_cost(self.src, self.dst, self.new_cost)
 
 
-@dataclass
+@dataclass(slots=True)
 class ArcAddition(GraphChange):
     """Add a new arc between existing nodes."""
 
@@ -149,7 +148,7 @@ class ArcAddition(GraphChange):
         network.add_arc(self.src, self.dst, self.capacity, self.cost)
 
 
-@dataclass
+@dataclass(slots=True)
 class ArcRemoval(GraphChange):
     """Remove an existing arc."""
 
@@ -272,13 +271,15 @@ class ChangeBatch:
 
 
 class ChangeBatchBuilder:
-    """Builds a :class:`ChangeBatch` by applying mutations to a network.
+    """Applies a round's mutations to a graph and records them as a
+    :class:`ChangeBatch`.
 
-    The graph manager's incremental update path mutates its persistent
-    :class:`FlowNetwork` in place; routing every mutation through this
-    builder both applies it and records the corresponding typed change, so
-    the round's :class:`ChangeBatch` is emitted *directly from the
-    mutations* -- no second network is built and no diff pass runs.
+    The graph manager keeps its network in a
+    :class:`~repro.solvers.residual.FlowGraph`; routing every mutation
+    through this builder both applies it to the graph's residual and
+    records the corresponding typed change, so the round's
+    :class:`ChangeBatch` is emitted *directly from the mutations* -- no
+    second network is built and no diff pass runs.
 
     The builder coalesces redundant records so the finished batch matches
     what :meth:`ChangeBatch.diff` would have produced against a snapshot:
@@ -295,8 +296,8 @@ class ChangeBatchBuilder:
     sequentially is always valid.
     """
 
-    def __init__(self, network: FlowNetwork, base_revision: Optional[int]) -> None:
-        self.network = network
+    def __init__(self, graph, base_revision: Optional[int]) -> None:
+        self._residual = graph.residual
         self.base_revision = base_revision
         # Ordered dicts keyed by arc endpoints / node id; values described
         # per mutator below.
@@ -304,9 +305,9 @@ class ChangeBatchBuilder:
         self._removed_nodes: Dict[int, NodeRemoval] = {}
         self._added_nodes: Dict[int, NodeAddition] = {}
         self._added_arcs: Dict[Tuple[int, int], ArcAddition] = {}
-        # (src, dst) -> (arc, original_capacity, original_cost) at first
-        # touch; holding the Arc object saves a lookup per patch at finish.
-        self._patched_arcs: Dict[Tuple[int, int], Tuple[object, int, int]] = {}
+        # (src, dst) -> (residual position, original capacity, original
+        # stored cost) at first touch (positions hold within a round).
+        self._patched_arcs: Dict[Tuple[int, int], Tuple[int, int, int]] = {}
         # node_id -> original supply at first touch.
         self._supply_origin: Dict[int, int] = {}
         #: Node ids whose incident arcs were removed this round plus nodes
@@ -324,28 +325,29 @@ class ChangeBatchBuilder:
         name: str = "",
         ref: Optional[object] = None,
         node_id: Optional[int] = None,
-    ):
-        """Add a node to the network and record the addition."""
-        node = self.network.add_node(
-            node_type=node_type, supply=supply, name=name, ref=ref, node_id=node_id
-        )
-        self._added_nodes[node.node_id] = NodeAddition(
+    ) -> int:
+        """Add a node to the graph and record the addition; returns its id."""
+        if node_id is None:
+            raise ValueError("a graph node needs an explicit node id")
+        self._residual.add_node(node_id, supply, node_type, ref)
+        self._added_nodes[node_id] = NodeAddition(
             node_type=node_type,
             supply=supply,
             name=name,
             ref=ref,
-            node_id=node.node_id,
+            node_id=node_id,
         )
-        self.prune_candidates.add(node.node_id)
-        return node
+        self.prune_candidates.add(node_id)
+        return node_id
 
     def remove_node(self, node_id: int) -> None:
         """Remove a node (recording removals for its live incident arcs)."""
-        for arc in self.network.outgoing(node_id):
-            self._record_arc_removal(arc.key())
-        for arc in self.network.incoming(node_id):
-            self._record_arc_removal(arc.key())
-        self.network.remove_node(node_id)
+        residual = self._residual
+        for key in residual.incident_keys(node_id) + residual.incident_keys(
+            node_id, incoming=True
+        ):
+            self._record_arc_removal(key)
+        residual.remove_node(node_id)
         self._supply_origin.pop(node_id, None)
         if node_id in self._added_nodes:
             # Added and removed within the same round: net no-op.
@@ -356,15 +358,15 @@ class ChangeBatchBuilder:
 
     def set_supply(self, node_id: int, supply: int) -> None:
         """Set a node's supply, recording the net change for the round."""
-        node = self.network.node(node_id)
-        if node.supply == supply:
+        current = self._residual.supply_of(node_id)
+        if current == supply:
             return
         if node_id in self._added_nodes:
             # Fold into the pending addition record.
             self._added_nodes[node_id].supply = supply
         else:
-            self._supply_origin.setdefault(node_id, node.supply)
-        self.network.set_supply(node_id, supply)
+            self._supply_origin.setdefault(node_id, current)
+        self._residual.set_supply(node_id, supply)
 
     # ------------------------------------------------------------------ #
     # Arc mutations
@@ -376,7 +378,9 @@ class ChangeBatchBuilder:
         as removal plus addition; removals precede additions in the finished
         batch, so the sequence applies cleanly.
         """
-        self.network.add_arc(src, dst, capacity, cost)
+        if capacity < 0:
+            raise ValueError("arc capacity must be non-negative")
+        self._residual.add_arc(src, dst, capacity, cost)
         self._added_arcs[(src, dst)] = ArcAddition(
             src=src, dst=dst, capacity=capacity, cost=cost
         )
@@ -384,47 +388,44 @@ class ChangeBatchBuilder:
     def remove_arc(self, src: int, dst: int) -> None:
         """Remove an arc and record the removal."""
         self._record_arc_removal((src, dst))
-        self.network.remove_arc(src, dst)
+        self._residual.remove_arc(src, dst)
 
     def set_arc_capacity(self, src: int, dst: int, capacity: int) -> None:
         """Patch an arc's capacity, recording the net change."""
-        arc = self.network.arc(src, dst)
-        if arc.capacity == capacity:
-            return
+        residual = self._residual
         key = (src, dst)
+        position = residual.arc_position[key]
+        if residual.arc_capacity(position) == capacity:
+            return
         if key in self._added_arcs:
             self._added_arcs[key].capacity = capacity
-        else:
-            self._patched_arcs.setdefault(key, (arc, arc.capacity, arc.cost))
-        self.network.set_arc_capacity(src, dst, capacity)
+        elif key not in self._patched_arcs:
+            self._patched_arcs[key] = self._origin(residual, position)
+        residual.set_arc_capacity(src, dst, capacity)
 
     def set_arc_cost(self, src: int, dst: int, cost: int) -> None:
         """Patch an arc's cost, recording the net change."""
-        arc = self.network.arc(src, dst)
-        if arc.cost == cost:
-            return
         key = (src, dst)
-        if key in self._added_arcs:
-            self._added_arcs[key].cost = cost
-        else:
-            self._patched_arcs.setdefault(key, (arc, arc.capacity, arc.cost))
-        self.network.set_arc_cost(src, dst, cost)
+        self.patch_known_arc_cost(key, self._residual.arc_position[key], cost)
 
-    def patch_known_arc_cost(self, key: Tuple[int, int], arc, cost: int) -> None:
-        """Hot-loop variant of :meth:`set_arc_cost`: the caller already
-        resolved the arc object for ``key`` and vouches it is live.
-
-        The graph manager's per-round waiting-cost refresh touches every
-        clean task; this skips the redundant arc lookup and the
-        ``network.set_arc_cost`` indirection.
-        """
-        if arc.cost == cost:
+    def patch_known_arc_cost(self, key: Tuple[int, int], position: int, cost: int) -> None:
+        """:meth:`set_arc_cost` of an arc whose residual position the
+        caller already resolved (the graph manager's per-round
+        waiting-cost refresh, which touches many arcs)."""
+        residual = self._residual
+        if residual.arc_cost[2 * position] == cost * residual.cost_scale:
             return
         if key in self._added_arcs:
             self._added_arcs[key].cost = cost
-        else:
-            self._patched_arcs.setdefault(key, (arc, arc.capacity, arc.cost))
-        arc.cost = cost
+        elif key not in self._patched_arcs:
+            self._patched_arcs[key] = self._origin(residual, position)
+        residual.patch_cost(position, cost)
+
+    @staticmethod
+    def _origin(residual, position: int) -> Tuple[int, int, int]:
+        forward = 2 * position
+        flows = residual.arc_residual
+        return position, flows[forward] + flows[forward + 1], residual.arc_cost[forward]
 
     def _record_arc_removal(self, key: Tuple[int, int]) -> None:
         self._patched_arcs.pop(key, None)
@@ -459,22 +460,30 @@ class ChangeBatchBuilder:
         batch = ChangeBatch(
             base_revision=self.base_revision, target_revision=target_revision
         )
+        residual = self._residual
         changes = batch.changes
         changes.extend(self._removed_arcs.values())
         changes.extend(self._removed_nodes.values())
         changes.extend(self._added_nodes.values())
         for node_id, original in self._supply_origin.items():
-            current = self.network.node(node_id).supply
+            current = residual.supply_of(node_id)
             if current != original:
                 changes.append(SupplyChange(node_id=node_id, delta=current - original))
         changes.extend(self._added_arcs.values())
-        for (src, dst), (arc, capacity, cost) in self._patched_arcs.items():
-            if arc.capacity != capacity:
+        arc_residual, arc_cost = residual.arc_residual, residual.arc_cost
+        for (src, dst), (position, capacity, cost) in self._patched_arcs.items():
+            forward = 2 * position
+            current = arc_residual[forward] + arc_residual[forward + 1]
+            if current != capacity:
                 changes.append(
-                    ArcCapacityChange(src=src, dst=dst, new_capacity=arc.capacity)
+                    ArcCapacityChange(src=src, dst=dst, new_capacity=current)
                 )
-            if arc.cost != cost:
-                changes.append(ArcCostChange(src=src, dst=dst, new_cost=arc.cost))
+            if arc_cost[forward] != cost:
+                changes.append(
+                    ArcCostChange(
+                        src=src, dst=dst, new_cost=arc_cost[forward] // residual.cost_scale
+                    )
+                )
         return batch
 
 

@@ -6,17 +6,18 @@ sources of one unit of flow, the single sink node drains all flow, and the
 intermediate nodes (cluster/rack/request aggregators, machines, unscheduled
 aggregators) shape where that flow may go and at what cost.
 
-The :class:`FlowNetwork` here is deliberately a plain adjacency-list graph
-with explicit integer node identifiers so that solvers can convert it into a
-compact residual representation (:mod:`repro.solvers.residual`) cheaply, and
-so that incremental graph updates can be expressed as small deltas.
+The :class:`FlowNetwork` here is a plain adjacency-list graph with explicit
+integer node identifiers: the interface of the solvers, the DIMACS codec and
+the oracles.  A graph manager keeps its own network in a residual instead
+(:class:`~repro.solvers.residual.FlowGraph`) and builds one of these from
+it only where one is the interface.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 
 class NodeType(enum.Enum):
@@ -37,7 +38,7 @@ class NodeType(enum.Enum):
     OTHER = "other"
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     """A node of the flow network.
 
@@ -62,7 +63,7 @@ class Node:
         return f"Node({self.node_id}, {self.node_type.value}, supply={self.supply}, {label})"
 
 
-@dataclass
+@dataclass(slots=True)
 class Arc:
     """A directed arc of the flow network.
 
@@ -121,17 +122,6 @@ class FlowNetwork:
         #: consumers of change batches verify a patch applies to the network
         #: revision their derived state mirrors.
         self.revision: int = 0
-        #: Keys of the arcs whose flow the flow writers (:meth:`set_flows`,
-        #: :meth:`ResidualNetwork.write_flow_back
-        #: <repro.solvers.residual.ResidualNetwork.write_flow_back>`) changed
-        #: since :meth:`take_flow_changes` (since construction before the
-        #: first take), less the arcs removed since.  Every writer reports
-        #: the arcs it moved, so the set is always exact.
-        self.flow_changes: Set[Tuple[int, int]] = set()
-        #: Token of the residual network that wrote the flows last (``None``
-        #: after any other writer): a residual may write only the arcs its
-        #: journal names iff it still finds its own token here.
-        self.flow_writer: Optional[object] = None
 
     # ------------------------------------------------------------------ #
     # Node management
@@ -174,10 +164,6 @@ class FlowNetwork:
     def node(self, node_id: int) -> Node:
         """Return the node with the given identifier."""
         return self._nodes[node_id]
-
-    def find_node(self, node_id: int) -> Optional[Node]:
-        """Return the node with the given identifier, or ``None``."""
-        return self._nodes.get(node_id)
 
     def has_node(self, node_id: int) -> bool:
         """Return whether a node with the given identifier exists."""
@@ -222,16 +208,10 @@ class FlowNetwork:
         self._arcs.pop((src, dst))
         del self._out[src][dst]
         del self._in[dst][src]
-        # A network nobody takes the changes of keeps only live arcs there.
-        self.flow_changes.discard((src, dst))
 
     def arc(self, src: int, dst: int) -> Arc:
         """Return the arc between the two nodes."""
         return self._arcs[(src, dst)]
-
-    def find_arc(self, src: int, dst: int) -> Optional[Arc]:
-        """Return the arc between the two nodes, or ``None`` (one lookup)."""
-        return self._arcs.get((src, dst))
 
     def has_arc(self, src: int, dst: int) -> bool:
         """Return whether an arc exists between the two nodes."""
@@ -244,11 +224,6 @@ class FlowNetwork:
     def outgoing(self, node_id: int) -> List[Arc]:
         """Return the outgoing arcs of a node (in insertion order)."""
         return list(self._out[node_id].values())
-
-    def iter_outgoing(self, node_id: int) -> Iterable[Arc]:
-        """Iterate a node's outgoing arcs in place (no list is built; the
-        network must not be mutated meanwhile)."""
-        return self._out[node_id].values()
 
     def incoming(self, node_id: int) -> List[Arc]:
         """Return the incoming arcs of a node (in insertion order)."""
@@ -288,23 +263,11 @@ class FlowNetwork:
     def set_flows(self, flows: Mapping[Tuple[int, int], int]) -> None:
         """Assign flow values to arcs from a ``{(src, dst): flow}`` mapping.
 
-        Arcs not present in ``flows`` are reset to zero flow.  The arcs
-        whose flow actually moved are added to :attr:`flow_changes`.
+        Arcs not present in ``flows`` are reset to zero flow.
         """
-        changed = self.flow_changes
         get = flows.get
         for key, arc in self._arcs.items():
-            flow = get(key, 0)
-            if arc.flow != flow:
-                arc.flow = flow
-                changed.add(key)
-        self.flow_writer = None
-
-    def take_flow_changes(self) -> Set[Tuple[int, int]]:
-        """Return :attr:`flow_changes` and start a fresh, empty set."""
-        changed = self.flow_changes
-        self.flow_changes = set()
-        return changed
+            arc.flow = get(key, 0)
 
     def flows(self) -> Dict[Tuple[int, int], int]:
         """Return a ``{(src, dst): flow}`` mapping of the current flow."""

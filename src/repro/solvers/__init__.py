@@ -29,9 +29,9 @@ dual-algorithm executor of Section 6.1:
 
 All solvers share the :class:`~repro.solvers.base.Solver` interface: they
 take a :class:`~repro.flow.graph.FlowNetwork`, assign an optimal flow to its
-arcs (every write reports the arcs it moved in
-:attr:`~repro.flow.graph.FlowNetwork.flow_changes`), and return a
-:class:`~repro.solvers.base.SolverResult` with statistics.
+arcs, and return a :class:`~repro.solvers.base.SolverResult` with
+statistics; incremental cost scaling also solves a graph manager's
+:class:`~repro.solvers.residual.FlowGraph` in place.
 """
 
 from repro import lazy_exports

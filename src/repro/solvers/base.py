@@ -179,6 +179,10 @@ class Solver(abc.ABC):
     #: Whether :meth:`solve` takes ``changes=ChangeBatch`` (the round's typed
     #: change batch) to patch persistent state instead of rebuilding it.
     accepts_change_batches: bool = False
+    #: Whether :meth:`solve` takes a graph manager's
+    #: :class:`~repro.solvers.residual.FlowGraph` and solves its residual in
+    #: place (the scheduler then builds no :class:`FlowNetwork` for it).
+    solves_in_place: bool = False
     #: Whether a round should be charged its measured wall clock instead of
     #: the runtime the result reports (true while an executor races its
     #: algorithms physically, so the reported winner's solo runtime would

@@ -75,6 +75,7 @@ residual is retained.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from heapq import heappop, heappush
@@ -91,7 +92,7 @@ from repro.solvers.base import (
     SolverResult,
     SolverStatistics,
 )
-from repro.solvers.residual import ResidualNetwork, RetainedPotentials
+from repro.solvers.residual import FlowGraph, ResidualNetwork, RetainedPotentials
 
 #: Default alpha scaling factor used by Goldberg's cs2 solver (and Quincy).
 DEFAULT_ALPHA = 2
@@ -465,14 +466,22 @@ class CostScalingSolver(Solver):
 
         ``write_back=False`` leaves ``network``'s arcs alone (a dual
         executor writes the round's winning flows itself); the same flag
-        exists on :meth:`solve_warm` and :meth:`solve_delta`.
+        exists on :meth:`solve_warm` and :meth:`solve_delta`.  A solver
+        that :attr:`solves_in_place` solves a :class:`FlowGraph`'s own
+        residual, from zero flow and potentials, and leaves the result
+        there.
         """
         start = time.perf_counter()
         self.last_degradation = None
-        residual = ResidualNetwork(network, abort_check=self.abort_check)
+        residual = self._in_place(network)
+        if residual is not None:
+            residual.load_flows({})
+            residual.potential = [0] * residual.num_nodes
+        else:
+            residual = ResidualNetwork(network, abort_check=self.abort_check)
         stats = SolverStatistics()
-        scale = self._cost_scale(residual)
-        residual.scale_costs(scale)
+        # At least n + 1 (a residual solved before may hold more already).
+        residual.scale_costs(-(-self._cost_scale(residual) // residual.cost_scale))
 
         # Establish a feasible flow first (costs ignored): route all supply.
         self.establish_feasible_flow(residual, stats)
@@ -505,7 +514,8 @@ class CostScalingSolver(Solver):
 
         The warm flow is loaded arc by arc into a fresh residual (clamped
         to the arc's current capacity; ``network`` is written only by the
-        write-back) and node potentials are recovered -- from the previous
+        write-back; a :class:`FlowGraph`'s own residual takes it in place)
+        and node potentials are recovered -- from the previous
         run's scaled potentials if available, via the price-refine heuristic
         (Section 6.2) otherwise.  Optimality is then repaired cheaply:
         residual arcs whose reduced cost turned negative are saturated, and
@@ -533,19 +543,23 @@ class CostScalingSolver(Solver):
         start = time.perf_counter()
         self.last_degradation = None
         self._check_abort()
-        residual = ResidualNetwork(
-            network, flows=warm_flows, abort_check=self.abort_check
-        )
+        residual = self._in_place(network)
+        if residual is not None:
+            residual.load_flows(warm_flows)
+        else:
+            residual = ResidualNetwork(
+                network, flows=warm_flows, abort_check=self.abort_check
+            )
         stats = SolverStatistics(warm_start=True)
 
-        scale = self._cost_scale(residual)
+        # Choose the new scale as an integer multiple of the previous one
+        # (and of the residual's own) so the stored potentials transfer
+        # exactly (no rounding, hence no spurious epsilon-optimality).
+        unit = residual.cost_scale
         if warm_scaled_potentials is not None and warm_scale:
-            # Choose the new scale as an integer multiple of the previous one
-            # so the stored potentials transfer exactly (no rounding, hence
-            # no spurious epsilon-optimality violations).
-            multiplier = max(1, -(-scale // warm_scale))  # ceil division
-            scale = warm_scale * multiplier
-        residual.scale_costs(scale)
+            unit = math.lcm(unit, warm_scale)
+        scale = unit * max(1, -(-self._cost_scale(residual) // unit))  # ceil
+        residual.scale_costs(scale // residual.cost_scale)
 
         have_good_potentials = True
         refine_proved_optimal = False
@@ -648,7 +662,9 @@ class CostScalingSolver(Solver):
         run (scaled costs, exact potentials proving the previous optimum,
         the previous flow loaded); ``changes`` transforms the previous flow
         network into ``network``.  The batch is patched in place and only
-        the patched arcs are checked for optimality violations.
+        the patched arcs are checked for optimality violations.  A
+        :class:`FlowGraph`'s residual was patched by its own mutations: the
+        patch taken is theirs, and the batch is not replayed.
 
         Raises:
             ValueError / KeyError: when the batch does not apply to the
@@ -660,14 +676,17 @@ class CostScalingSolver(Solver):
         start = time.perf_counter()
         self.last_degradation = None
         stats = SolverStatistics(warm_start=True)
-        dirty = residual.apply_changes(changes)
+        if self._in_place(network) is residual:
+            dirty = residual.take_dirty()
+        else:
+            dirty = residual.apply_changes(changes)
+            residual.revision = (
+                changes.target_revision
+                if changes.target_revision is not None
+                else getattr(network, "revision", None)
+            )
         stats.arcs_patched = residual.last_arcs_patched
         stats.nodes_touched = residual.last_nodes_touched
-        residual.revision = (
-            changes.target_revision
-            if changes.target_revision is not None
-            else getattr(network, "revision", None)
-        )
 
         # Only dirty arcs can have acquired a negative reduced cost: every
         # untouched arc kept its cost, capacity, and endpoint potentials,
@@ -693,6 +712,7 @@ class CostScalingSolver(Solver):
         sources = sorted(
             {i for i in chain(residual.last_excess_moved, pushed_into) if excess[i] > 0}
         )
+        residual.last_excess_moved = set()
         if sources:
             self._route_excesses(residual, stats, sources)
             repaired = True
@@ -943,8 +963,8 @@ class CostScalingSolver(Solver):
                 node_id: value // scale
                 for node_id, value in self.last_scaled_potentials.items()
             }
-        if write_back:
-            residual.write_flow_back(network)
+        if write_back and self._in_place(network) is None:
+            network.set_flows(residual.flows())
         runtime = time.perf_counter() - start
         return SolverResult(
             algorithm=self.name,
@@ -955,6 +975,13 @@ class CostScalingSolver(Solver):
             statistics=stats,
             optimal=optimal,
         )
+
+    def _in_place(self, network) -> Optional[ResidualNetwork]:
+        """The residual a solve works on in place: a :class:`FlowGraph`'s,
+        when this solver :attr:`solves_in_place`."""
+        if self.solves_in_place and isinstance(network, FlowGraph):
+            return network.residual
+        return None
 
     def discard_warm_state(self) -> None:
         """Forget the retained residual and every potential of the last run."""

@@ -59,7 +59,7 @@ class CycleCancelingSolver(Solver):
             canceled += 1
             stats.negative_cycles_canceled += 1
 
-        residual.write_flow_back(network)
+        network.set_flows(residual.flows())
         runtime = time.perf_counter() - start
         return SolverResult(
             algorithm=self.name,

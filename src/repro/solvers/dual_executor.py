@@ -29,14 +29,10 @@ on its one event-loop thread, so its monolithic scheduler solves each
 round with :class:`~repro.solvers.incremental.IncrementalCostScalingSolver`
 alone, the solver every ``--cells`` cell runs.
 
-The executor owns a raced round's single flow write-back: the legs solve
-on their own persistent residuals and never touch ``network``'s arcs; the
-winner's flows are written once, after the race (``set_flows``, a compare
-pass over every arc).  A round the parallel executor solves solo has one
-leg, and that leg is the winner: it writes its own flow journal
-(:meth:`~repro.solvers.residual.ResidualNetwork.write_flow_back`, the arcs
-it moved and nothing else).  The incremental cost
-scaling instance is seeded from a relaxation win (price refine makes the
+The executor owns a round's single flow write-back: the legs solve on
+their own persistent residuals and never touch ``network``'s arcs; the
+winner's flows are written once, after the race (``set_flows``).  The
+incremental cost scaling instance is seeded from a relaxation win (price refine makes the
 potentials usable, Section 6.2) **iff it holds no residual of its own at
 this round's revision** -- its leg was cancelled by the parallel race,
 aborted, or truncated at the deadline.  A leg that ran to completion keeps
@@ -277,9 +273,8 @@ class DualAlgorithmExecutor(Solver):
         # The leg's budget is the solver's own deadline rule.
         self.incremental.round_deadline_seconds = budget
         try:
-            # Alone, the leg is the winner and writes its own flow.
             cost_scaling_result = self.incremental.solve(
-                network, changes=changes, write_back=not speculates
+                network, changes=changes, write_back=False
             )
         except (RoundDeadlineExceeded, SolveAborted):
             deadline_hit = True
@@ -300,7 +295,6 @@ class DualAlgorithmExecutor(Solver):
             ),
             executor=executor,
             deadline_hit=deadline_hit,
-            written=not speculates,
         )
 
     def _finish_round(
@@ -312,15 +306,11 @@ class DualAlgorithmExecutor(Solver):
         winner_is_relaxation: bool,
         executor: str,
         deadline_hit: bool = False,
-        written: bool = False,
     ) -> DualExecutionResult:
         """Install the winner, assemble the round's result and account it.
 
-        The winner's flows are written onto ``network`` here, once, with
-        ``set_flows``' compare pass over every arc -- unless the round ran
-        the cost-scaling leg alone and that leg has ``written`` its own
-        journal already.  A relaxation win seeds the incremental
-        instance only when the cost-scaling leg left no residual at this
+        The winner's flows are written onto ``network`` here, once.  A
+        relaxation win seeds the incremental instance only when the cost-scaling leg left no residual at this
         round's revision (it was cancelled or aborted, or did not finish
         optimal); otherwise the leg's own residual stays and the next round
         takes ``solve_delta``.
@@ -334,8 +324,7 @@ class DualAlgorithmExecutor(Solver):
                 self.incremental.seed(winner.flows, winner.potentials)
         else:
             winner = cost_scaling_result
-        if not written:
-            network.set_flows(winner.flows)
+        network.set_flows(winner.flows)
         wall_clock = time.perf_counter() - started
         # A physically raced round without a parent result: that run was
         # cancelled mid-flight, having consumed roughly the whole round's

@@ -32,7 +32,13 @@ last solution's flow -- and supports two levels of reuse:
   graph manager rebuilds networks from scratch -- at O(nodes + arcs)
   reconstruction cost.  The stale flow goes to the residual, never onto
   the network being solved: the network's arcs are written only by the
-  write-back, which reports every arc it moved.
+  write-back.
+
+Handed a graph manager's :class:`~repro.solvers.residual.FlowGraph` (what
+``serve`` does), the solver keeps the graph's own residual: the manager's
+mutations already patched it, so a chained round repairs what they touched
+-- no batch replayed, no residual built, no flow written -- and an
+unchained round's "rebuild" loads the stale flow into that residual.
 
 Warm state is invalidated by :meth:`IncrementalCostScalingSolver.reset`;
 the persistent residual alone is dropped (falling back to warm rebuild)
@@ -75,8 +81,10 @@ class IncrementalCostScalingSolver(CostScalingSolver):
 
     name = "incremental_cost_scaling"
 
-    #: The scheduler may pass ``changes=ChangeBatch`` to :meth:`solve`.
+    #: The scheduler may pass ``changes=ChangeBatch`` to :meth:`solve`, and
+    #: hands it the graph manager's :class:`FlowGraph` itself.
     accepts_change_batches = True
+    solves_in_place = True
 
     def __init__(
         self,
@@ -134,7 +142,8 @@ class IncrementalCostScalingSolver(CostScalingSolver):
         self.delta_fallbacks: int = 0
         #: When True, the retained residual's 0-optimality invariant is
         #: re-checked (``check_residual_epsilon_optimality(residual, 0)``)
-        #: before every delta solve; a corrupted residual is dropped and the
+        #: before every delta solve that replays a batch (a graph's residual
+        #: reaches the solve patched already); a corrupted residual is dropped and the
         #: round falls back to a warm rebuild instead of repairing on top
         #: of garbage potentials.  Off by default — the check is O(arcs)
         #: per round; the chaos harness (and paranoid deployments) turn it
@@ -142,6 +151,13 @@ class IncrementalCostScalingSolver(CostScalingSolver):
         self.validate_residual: bool = False
         #: Count of retained residuals the validation check rejected.
         self.residual_validation_failures: int = 0
+        # The retained residual's revision and patch count when it was
+        # solved, and whether it is a graph's: a batch chains onto it iff it
+        # starts at that revision, nothing patched it or loaded another
+        # solver's flow since, and it is solved the same way.
+        self._solved_revision: Optional[int] = None
+        self._solved_patches = 0
+        self._solved_in_place = False
 
     def reset(self) -> None:
         """Discard the remembered solution; the next solve runs from scratch."""
@@ -186,19 +202,25 @@ class IncrementalCostScalingSolver(CostScalingSolver):
         pointless speculation: from-scratch relaxation cannot beat a small
         bounded delta repair.
         """
-        return self._deltable_residual(changes) is not None
+        return self._deltable_residual(None, changes) is not None
 
-    def _deltable_residual(self, changes: Optional[ChangeBatch]):
+    def _deltable_residual(self, network, changes: Optional[ChangeBatch]):
         """Return the persistent residual if the change batch applies to it."""
         if changes is None or not self.has_state:
             return None
         residual = self.last_residual
         if residual is None:
             return None
+        graph = self._in_place(network)
+        if self._solved_in_place != (graph is not None) or graph not in (None, residual):
+            return None
         # Revision guard: the batch must connect the snapshot the residual
         # mirrors to the network being solved.  (Both None -- hand-built
         # networks -- is accepted; the caller vouches for consistency.)
-        if residual.revision != changes.base_revision:
+        if (
+            self._solved_revision != changes.base_revision
+            or residual.patches_applied != self._solved_patches
+        ):
             return None
         return residual
 
@@ -211,7 +233,8 @@ class IncrementalCostScalingSolver(CostScalingSolver):
         """Solve the network, reusing the previous solution when available.
 
         Args:
-            network: The flow network to solve.
+            network: The flow network to solve, or a graph manager's
+                :class:`FlowGraph`, whose residual is solved in place.
             changes: Optional typed batch transforming the previously solved
                 network into ``network`` (as emitted by
                 :meth:`repro.core.graph_manager.GraphManager.update`).  When
@@ -237,6 +260,10 @@ class IncrementalCostScalingSolver(CostScalingSolver):
         # solve, is kept by reference.
         self._last_flows = result.flows
         self._last_potentials = None
+        if self.last_residual is not None:
+            self._solved_revision = self.last_residual.revision
+            self._solved_patches = self.last_residual.patches_applied
+            self._solved_in_place = self._in_place(network) is not None
         return result
 
     def _solve_once(
@@ -247,8 +274,10 @@ class IncrementalCostScalingSolver(CostScalingSolver):
         deadline: Optional[RoundDeadline],
     ) -> SolverResult:
         """The delta / warm / cold choice."""
-        residual = self._deltable_residual(changes)
-        if residual is not None and self.validate_residual:
+        residual = self._deltable_residual(network, changes)
+        graph = self._in_place(network)
+        # (A graph's residual is patched already: the check would flag that.)
+        if residual is not None and self.validate_residual and residual is not graph:
             if check_residual_epsilon_optimality(residual, 0):
                 # The retained residual no longer proves 0-optimality
                 # (state corruption, a bug, a cosmic ray).  Repairing on

@@ -251,9 +251,8 @@ class ParallelDualExecutor(DualAlgorithmExecutor):
         self.incremental.abort_check = abort_check
         self.incremental.deadline_check = deadline
         try:
-            # Unopposed, the leg is the winner and writes its own flow.
             cost_scaling_result = self.incremental.solve(
-                network, changes=changes, write_back=round_id is None
+                network, changes=changes, write_back=False
             )
         except SolveAborted:
             pass
@@ -308,7 +307,6 @@ class ParallelDualExecutor(DualAlgorithmExecutor):
             ),
             executor="parallel",
             deadline_hit=deadline_hit,
-            written=round_id is None,
         )
         worker.stamp_round(result.winner.statistics)
         self._last_round_fallback = False

@@ -51,23 +51,17 @@ core's data layout and avoids every avoidable indirection:
   revision-chained :class:`~repro.flow.changes.ChangeBatch` that transforms
   the previously solved network into the current one (the same contract as
   :class:`~repro.solvers.incremental.IncrementalCostScalingSolver`), the
-  residual is patched in place
-  (:meth:`~repro.solvers.residual.ResidualNetwork.apply_changes`) and reset
-  to the zero-flow start state with pure array arithmetic
-  (:meth:`~repro.solvers.residual.ResidualNetwork.reset_to_zero_flow`) --
-  no index rebuild and no O(graph) object traversal.  Relaxation still runs
+  residual is reset to the zero-flow start state
+  (:meth:`~repro.solvers.residual.ResidualNetwork.load_flows` of no flow)
+  and patched in place
+  (:meth:`~repro.solvers.residual.ResidualNetwork.apply_changes`) -- no
+  index rebuild and no O(graph) object traversal.  Relaxation still runs
   *from scratch* on the patched residual (Section 5.2: warm-starting
   relaxation does not pay), only the problem hand-off is incremental.
 
-Note on write-back: with a persistent residual, flow write-back and
-extraction run through the residual's dirty-flow journal, which is exact
-when the solver repeatedly writes to the same target network (the worker's
-shadow, a graph manager's persistent network).  The dual executors call
-``solve(..., write_back=False)`` and write the round's winning ``flows``
-themselves, and no solver writes ``network`` anywhere else -- a warm start
-hands its stale flow to the residual it builds, not to the arcs -- so a
-losing leg never touches the arcs.  The result's ``flows`` dict is always
-the authoritative solution.
+The dual executors call ``solve(..., write_back=False)`` and write the
+round's winning ``flows`` themselves, so a losing leg never touches the
+arcs; the result's ``flows`` are always the authoritative solution.
 """
 
 from __future__ import annotations
@@ -174,7 +168,7 @@ class RelaxationSolver(Solver):
             residual = ResidualNetwork(network)
             self.residual_rebuilds += 1
         # Both paths leave all-zero potentials: a fresh build starts there,
-        # and the reuse path went through reset_to_zero_flow.
+        # and the reuse path was reset to zero flow and potentials.
         self._run(residual, stats, potentials_are_zero=True)
         return self._finish(network, residual, stats, start, write_back)
 
@@ -213,7 +207,7 @@ class RelaxationSolver(Solver):
         """Write the flow back (unless an executor owns that), retain the
         residual and build the result."""
         if write_back:
-            residual.write_flow_back(network)
+            network.set_flows(residual.flows())
         self.last_residual = residual
         runtime = time.perf_counter() - start
         return SolverResult(
@@ -248,7 +242,11 @@ class RelaxationSolver(Solver):
         if residual.revision != changes.base_revision:
             return None
         try:
-            residual.reset_to_zero_flow()
+            # Back to the zero-flow, zero-potential start state (the dropped
+            # flow is journaled, so extraction stays O(changed)).
+            residual.load_flows({})
+            residual.potential = [0] * residual.num_nodes
+            residual.reset_current_arcs()
             residual.apply_changes(changes)
         except (KeyError, ValueError):
             self.last_residual = None

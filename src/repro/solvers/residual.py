@@ -1,36 +1,32 @@
 """Compact, persistent residual-network representation for the MCMF solvers.
 
-The scheduler-facing :class:`~repro.flow.graph.FlowNetwork` is an object
-graph optimized for incremental mutation by scheduling policies.  The
-solvers instead operate on this array-based residual network: nodes are
-renumbered ``0..n-1`` and every original arc is stored as a pair of directed
-residual arcs (forward at an even index, its reverse at the following odd
-index), so that the reverse of arc ``k`` is always ``k ^ 1``.
+Nodes are renumbered ``0..n-1`` and every original arc is stored as a pair
+of directed residual arcs (forward at an even index, its reverse at the
+following odd index), so that the reverse of arc ``k`` is always ``k ^ 1``.
+Arc attributes live in parallel ``array('q')`` columns rather than Python
+lists of boxed ints, and per-node adjacency is a flat list of arc indices
+with a *current-arc* cursor (:attr:`ResidualNetwork.current_arc`) that cost
+scaling's discharge loop resumes from.
 
-Arc attributes live in parallel ``array('q')`` columns (64-bit signed
-integers) rather than Python lists of boxed ints, and per-node adjacency is
-a flat list of arc indices with a *current-arc* cursor
-(:attr:`ResidualNetwork.current_arc`) that cost scaling's discharge loop
-uses to resume scanning where it left off.
+The structure is *persistent* across scheduling rounds (paper, Section 5.2
+-- solver work proportional to the change, not the graph):
 
-Two features make the structure *persistent* across scheduling rounds
-(paper, Section 5.2 -- solver work proportional to the change, not the
-graph):
-
-* :meth:`ResidualNetwork.apply_changes` patches the structure in place from
-  a typed :class:`~repro.flow.changes.ChangeBatch` (supply, capacity, and
-  cost changes, node/arc additions and removals) instead of requiring a
-  rebuild from the :class:`FlowNetwork` object graph.  Removed arcs become
-  *dead slots* (zero residual in both directions, never traversed); the
-  arrays are compacted automatically once dead slots dominate.
-* Costs may be held in scaled units between runs
+* its mutators patch it in place -- node, arc, supply, capacity and cost
+  changes, or a whole :class:`~repro.flow.changes.ChangeBatch`
+  (:meth:`ResidualNetwork.apply_changes`) -- recording what a repair must
+  look at; removed arcs become *dead slots* (zero residual both ways,
+  never traversed), compacted away once they dominate;
+* costs may be held in scaled units between runs
   (:attr:`ResidualNetwork.cost_scale`), so an incremental cost-scaling
-  solver can keep its exact scaled potentials without an O(arcs) rescale
-  per round.
+  solver keeps its exact scaled potentials without an O(arcs) rescale;
+* a dirty-flow journal serves each extraction in O(changed arcs).
 
-The representation also supports warm starts: an existing flow and set of
-node potentials can be loaded so the incremental solvers resume from the
-previous scheduling run's solution rather than from scratch.
+A graph manager keeps its network in one residual (:class:`FlowGraph`):
+a round's mutations go straight into it, an in-place solver repairs
+exactly what they touched, and the placements are read off the journal.
+A :class:`FlowNetwork` is built from it (:meth:`ResidualNetwork.to_network`)
+only where one is the interface: the oracles, DIMACS snapshots, and
+solvers that take one.
 """
 
 from __future__ import annotations
@@ -38,9 +34,9 @@ from __future__ import annotations
 from array import array
 from collections.abc import Mapping as MappingABC
 from types import MappingProxyType
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
-from repro.flow.graph import FlowNetwork
+from repro.flow.graph import FlowNetwork, NodeType
 from repro.solvers.base import SolveAborted
 
 #: Arcs loaded between two polls of the construction abort hook (the build
@@ -61,19 +57,22 @@ class ResidualNetwork:
         excess / potential / supply: per-node integer columns.
         cost_scale: integer factor the stored ``arc_cost`` values (and
             potentials) are multiplied by; 1 for a freshly built network.
+        node_types / node_refs: per-node role and scheduler entity (what a
+            :class:`~repro.flow.graph.Node` carries besides its supply).
         revision: identity of the :class:`FlowNetwork` snapshot this
             residual mirrors (used to validate delta patches).
     """
 
     def __init__(
         self,
-        network: FlowNetwork,
+        network: Optional[FlowNetwork] = None,
         flows: Optional[Mapping[Tuple[int, int], int]] = None,
         abort_check=None,
     ) -> None:
         """Build the residual network from a flow network.
 
         ``network`` is only read: its arcs' own ``flow`` values are ignored.
+        Without one the residual starts empty (the mutators grow it).
 
         Args:
             network: The scheduling flow network.
@@ -89,16 +88,15 @@ class ResidualNetwork:
                 with no other polling opportunity); returning True raises
                 :class:`~repro.solvers.base.SolveAborted`.
         """
-        self.node_ids: List[int] = list(network.node_ids())
+        nodes = list(network.nodes()) if network is not None else []
+        self.node_ids: List[int] = [node.node_id for node in nodes]
         self.index: Dict[int, int] = {nid: i for i, nid in enumerate(self.node_ids)}
         self.num_nodes: int = len(self.node_ids)
 
-        self.supply: List[int] = [0] * self.num_nodes
-        self.excess: List[int] = [0] * self.num_nodes
-        for node in network.nodes():
-            i = self.index[node.node_id]
-            self.supply[i] = node.supply
-            self.excess[i] = node.supply
+        self.supply: List[int] = [node.supply for node in nodes]
+        self.excess: List[int] = list(self.supply)
+        self.node_types: List[NodeType] = [node.node_type for node in nodes]
+        self.node_refs: List[object] = [node.ref for node in nodes]
 
         self.potential: List[int] = [0] * self.num_nodes
         self.node_alive: bytearray = bytearray(b"\x01" * self.num_nodes)
@@ -125,23 +123,34 @@ class ResidualNetwork:
         self.revision: Optional[int] = getattr(network, "revision", None)
         self.dead_arc_pairs: int = 0
         self.dead_nodes: int = 0
-        #: Change-application counters of the most recent
-        #: :meth:`apply_changes` call (surfaced via ``SolverStatistics``).
+        #: Counters of the patch :meth:`take_dirty` last took (surfaced via
+        #: ``SolverStatistics``).
         self.last_arcs_patched: int = 0
         self.last_nodes_touched: int = 0
-        #: Node indices whose excess the most recent :meth:`apply_changes`
-        #: moved.  A residual that was feasible before the patch can have a
-        #: non-zero excess only there, so the repair collects its sources
-        #: from this set instead of enumerating every node.
+        #: Node indices whose excess the mutators moved since the repair
+        #: last consumed them.  A residual that was feasible before the
+        #: patch can have a non-zero excess only there, so the repair
+        #: collects its sources from this set.
         self.last_excess_moved: set = set()
-        #: Number of :meth:`apply_changes` calls so far; lets a
-        #: :class:`RetainedPotentials` view notice it outlived its solve.
+        #: Forward pair positions whose capacity, cost or existence the
+        #: mutators changed since :meth:`take_dirty` (only these can have
+        #: acquired a negative reduced cost).
+        self.pending_dirty: set = set()
+        self._arcs_touched = 0
+        self._nodes_touched = 0
+        #: Number of patches taken (:meth:`take_dirty`) or dropped
+        #: (:meth:`load_flows`) so far; lets a :class:`RetainedPotentials`
+        #: view, or a solver retaining the residual, notice a later one.
         self.patches_applied: int = 0
+        #: Arc keys whose extracted flow moved since
+        #: :meth:`take_flow_changes` (``None``: nobody reads them).
+        self.flow_changes: Optional[set] = None
         self._max_cost_cache: Optional[int] = None
         # Dirty-flow journal: forward pair positions whose flow changed since
         # the last extraction, plus a cache of the last extracted non-zero
-        # flows.  ``None`` means "not tracking" -- extraction then scans all
-        # live arcs and (re)primes the journal.  Mutation paths that bypass
+        # flows.  A ``None`` journal means "not tracking" -- extraction then
+        # scans all live arcs and (re)primes the journal, diffing against
+        # the cache of the extraction before.  Mutation paths that bypass
         # :meth:`push` (the inlined hot loops of the scaling ladder) must call
         # :meth:`invalidate_flow_journal`.
         self._flow_journal: Optional[set] = None
@@ -150,12 +159,9 @@ class ResidualNetwork:
         # sum(cache[key] * arc_cost[forward(key)]) through every mutation
         # of either, so total_cost() is O(1) while the journal tracks.
         self._flow_cost: int = 0
-        # The token this residual left in ``FlowNetwork.flow_writer`` when it
-        # last wrote a network; dropped as soon as journal entries are
-        # folded away without having been written (see write_flow_back).
-        self._write_token: Optional[object] = None
 
-        warm_flow = flows.get if flows else None
+        if network is None:
+            return
         ops_until_check = CONSTRUCTION_CHECK_INTERVAL
         for arc in network.arcs():
             if abort_check is not None:
@@ -166,45 +172,39 @@ class ResidualNetwork:
                         raise SolveAborted(
                             "residual construction cancelled by abort check"
                         )
-            u = self.index[arc.src]
-            v = self.index[arc.dst]
             key = (arc.src, arc.dst)
-            flow = 0
-            if warm_flow is not None:
-                flow = min(warm_flow(key, 0), arc.capacity)
-                if flow < 0:
-                    raise ValueError(
-                        f"arc {arc.src}->{arc.dst} has negative warm-start flow {flow}"
-                    )
-                if flow:
-                    self.excess[u] -= flow
-                    self.excess[v] += flow
-            position = self._add_arc_pair(u, v, arc.capacity, arc.cost, flow)
+            self.arc_position[key] = self._add_arc_pair(
+                self.index[arc.src], self.index[arc.dst], arc.capacity, arc.cost
+            )
+            self.forward_arc_keys.append(key)
             if arc.cost < 0:
                 self.has_negative_costs = True
-            self.forward_arc_keys.append(key)
-            self.arc_position[key] = position
+        if flows:
+            self.load_flows(flows)
 
     # ------------------------------------------------------------------ #
     # Construction helpers
     # ------------------------------------------------------------------ #
-    def _add_arc_pair(self, u: int, v: int, capacity: int, cost: int, flow: int) -> int:
-        """Append a forward/reverse arc pair; return the pair position."""
+    def _add_arc_pair(self, u: int, v: int, capacity: int, cost: int) -> int:
+        """Append a forward/reverse arc pair (zero flow); return the pair
+        position."""
         forward_index = len(self.arc_to)
         self.arc_from.append(u)
         self.arc_to.append(v)
-        self.arc_residual.append(capacity - flow)
+        self.arc_residual.append(capacity)
         self.arc_cost.append(cost)
         self.adjacency[u].append(forward_index)
 
         self.arc_from.append(v)
         self.arc_to.append(u)
-        self.arc_residual.append(flow)
+        self.arc_residual.append(0)
         self.arc_cost.append(-cost)
         self.adjacency[v].append(forward_index + 1)
         return forward_index // 2
 
-    def _add_node_slot(self, node_id: int, supply: int) -> int:
+    def _add_node_slot(
+        self, node_id: int, supply: int, node_type: NodeType, ref: object
+    ) -> int:
         """Append (or revive) a node slot for ``node_id``; return its index."""
         if node_id in self.index:
             i = self.index[node_id]
@@ -216,6 +216,8 @@ class ResidualNetwork:
             self.excess[i] = supply
             self.potential[i] = 0
             self.current_arc[i] = 0
+            self.node_types[i] = node_type
+            self.node_refs[i] = ref
             self.last_excess_moved.add(i)
             return i
         i = self.num_nodes
@@ -227,6 +229,8 @@ class ResidualNetwork:
         self.node_alive.append(1)
         self.current_arc.append(0)
         self.adjacency.append([])
+        self.node_types.append(node_type)
+        self.node_refs.append(ref)
         self.num_nodes += 1
         self.last_excess_moved.add(i)
         return i
@@ -352,144 +356,188 @@ class ResidualNetwork:
         """Reset every node's current-arc cursor to the start of its list."""
         self.current_arc = [0] * self.num_nodes
 
-    def reset_to_zero_flow(self) -> None:
-        """Return the residual to the zero-flow, zero-potential start state.
-
-        From-scratch solvers that keep a *persistent* residual between
-        rounds (the relaxation fast path) patch the structure with
-        :meth:`apply_changes` and then reset the carried solution instead
-        of rebuilding the whole object from the flow network: forward
-        residuals return to the arcs' capacities, every node's excess
-        returns to its supply, and potentials and scan cursors are zeroed.
-        The reset is pure array arithmetic -- no dict rebuilds, no object
-        traversal -- which is what makes reuse cheaper than reconstruction.
-
-        The dirty-flow journal survives: every arc whose carried flow is
-        being dropped is recorded as dirty, so a following solve still
-        extracts its result in O(changed + non-zero) instead of O(arcs).
-        """
-        arc_residual = self.arc_residual
-        journal = self._flow_journal
-        for position, key in enumerate(self.forward_arc_keys):
-            if key is None:
-                continue
-            forward = 2 * position
-            flow = arc_residual[forward + 1]
-            if flow:
-                arc_residual[forward] += flow
-                arc_residual[forward + 1] = 0
-                if journal is not None:
-                    journal.add(position)
-        supply = self.supply
-        excess = self.excess
-        potential = self.potential
-        node_alive = self.node_alive
-        for i in range(self.num_nodes):
-            excess[i] = supply[i] if node_alive[i] else 0
-            potential[i] = 0
-        self.reset_current_arcs()
-
     # ------------------------------------------------------------------ #
-    # Delta patching
+    # Delta patching: the mutators
     # ------------------------------------------------------------------ #
+    # Each mutator patches the structure in place (costs in original units,
+    # stored times :attr:`cost_scale`), keeps the carried flow where it stays
+    # valid -- a capacity cut or a removed arc hands its flow back to the
+    # endpoints as excess, for the repair to re-route -- and records what a
+    # repair must look at: :attr:`pending_dirty` and
+    # :attr:`last_excess_moved`.  A mutation that does not match the
+    # structure raises ``ValueError`` / ``KeyError``.
+
+    def add_node(
+        self, node_id: int, supply: int = 0, node_type=NodeType.OTHER, ref=None
+    ) -> None:
+        """Add (or revive) a node; its supply becomes excess to route."""
+        self._add_node_slot(node_id, supply, node_type, ref)
+        self._nodes_touched += 1
+
+    def remove_node(self, node_id: int) -> None:
+        """Remove a node with its incident arcs."""
+        self._patch_remove_node(node_id)
+        self._nodes_touched += 1
+
+    def set_supply(self, node_id: int, supply: int) -> None:
+        """Set a live node's supply; the difference becomes excess."""
+        i = self.index[node_id]
+        if not self.node_alive[i]:
+            raise ValueError(f"supply change on removed node {node_id}")
+        delta = supply - self.supply[i]
+        if delta:
+            self.supply[i] = supply
+            self.excess[i] += delta
+            self.last_excess_moved.add(i)
+            self._nodes_touched += 1
+
+    def add_arc(self, src: int, dst: int, capacity: int, cost: int) -> None:
+        """Add an arc (zero flow) between live nodes."""
+        key = (src, dst)
+        if key in self.arc_position:
+            raise ValueError(f"arc {src}->{dst} already exists in the residual")
+        u = self.index[src]
+        v = self.index[dst]
+        if not (self.node_alive[u] and self.node_alive[v]):
+            raise ValueError(f"arc {src}->{dst} references a removed node")
+        cost *= self.cost_scale
+        position = self.arc_position[key] = self._add_arc_pair(u, v, capacity, cost)
+        self.forward_arc_keys.append(key)
+        self.pending_dirty.add(position)
+        self._arcs_touched += 1
+        if cost < 0:
+            self.has_negative_costs = True
+            cost = -cost
+        if self._max_cost_cache is not None and cost > self._max_cost_cache:
+            self._max_cost_cache = cost
+
+    def remove_arc(self, src: int, dst: int) -> None:
+        """Remove an arc."""
+        self._remove_arc_pair(self.arc_position[(src, dst)])
+        self._arcs_touched += 1
+
+    def set_arc_capacity(self, src: int, dst: int, capacity: int) -> None:
+        """Change an arc's capacity."""
+        position = self.arc_position[(src, dst)]
+        self._patch_capacity(position, capacity)
+        self.pending_dirty.add(position)
+        self._arcs_touched += 1
+
+    def patch_cost(self, position: int, cost: int) -> None:
+        """Change the cost of the arc at a forward pair position."""
+        forward = 2 * position
+        cost *= self.cost_scale
+        if self._flows_cache is not None:
+            carried = self._flows_cache.get(self.forward_arc_keys[position])
+            if carried:
+                self._flow_cost += carried * (cost - self.arc_cost[forward])
+        self.arc_cost[forward] = cost
+        self.arc_cost[forward + 1] = -cost
+        self.pending_dirty.add(position)
+        self._arcs_touched += 1
+        if cost < 0:
+            self.has_negative_costs = True
+            cost = -cost
+        if self._max_cost_cache is not None and cost > self._max_cost_cache:
+            self._max_cost_cache = cost
+
+    def take_dirty(self) -> List[int]:
+        """The forward pair positions whose capacity, cost or existence the
+        mutators changed since the last call, sorted -- only these can have
+        acquired a negative reduced cost -- and the patch's counters
+        (:attr:`last_arcs_patched`, :attr:`last_nodes_touched`)."""
+        dirty = sorted(self.pending_dirty)
+        self.pending_dirty = set()
+        self.last_arcs_patched, self._arcs_touched = self._arcs_touched, 0
+        self.last_nodes_touched, self._nodes_touched = self._nodes_touched, 0
+        self.patches_applied += 1
+        return dirty
+
     def apply_changes(self, batch) -> List[int]:
-        """Patch the residual in place from a change batch.
-
-        Accepts a :class:`~repro.flow.changes.ChangeBatch` (or any iterable
-        of :class:`~repro.flow.changes.GraphChange` objects) whose costs are
-        expressed in *original* (unscaled) units; they are multiplied by
-        :attr:`cost_scale` on the way in, so a persistent scaled residual
-        stays consistent.
-
-        The previous flow is preserved where it remains valid: capacity
-        reductions clamp the carried flow and return the difference to the
-        endpoints' excesses, and removing an arc (or a node with its
-        incident arcs) returns the arc's flow the same way.  The caller is
-        responsible for re-routing the resulting excesses (that is the
-        repair step of incremental cost scaling).
-
-        Returns:
-            Sorted list of *dirty* forward pair positions: arcs whose
-            capacity, cost, or existence changed (including every arc
-            incident to an added node).  Only these can have acquired a
-            negative reduced cost, so optimality repair may restrict its
-            violation scan to them.
-
-        Raises:
-            ValueError / KeyError: when the batch does not match the
-                residual's current structure (e.g. patching an unknown arc).
-        """
+        """Replay a change batch (any iterable of
+        :class:`~repro.flow.changes.GraphChange`) through the mutators:
+        how a holder of its own residual -- a worker's shadow, a dual
+        executor's legs -- follows a graph it does not own.  Returns
+        :meth:`take_dirty` of the batch."""
         from repro.flow import changes as ch
 
-        self._maybe_compact()
-        self.patches_applied += 1
+        self.maybe_compact()
         self.last_excess_moved = set()
-        dirty: set = set()
-        scale = self.cost_scale
-        arcs_patched = 0
-        nodes_touched = 0
-
+        self.pending_dirty = set()
         for change in batch:
-            if isinstance(change, (ch.SupplyChange, ch.NodeAddition, ch.NodeRemoval)):
-                nodes_touched += 1
-            else:
-                arcs_patched += 1
-            if isinstance(change, ch.SupplyChange):
-                i = self.index[change.node_id]
-                if not self.node_alive[i]:
-                    raise ValueError(f"supply change on removed node {change.node_id}")
-                self.supply[i] += change.delta
-                self.excess[i] += change.delta
-                self.last_excess_moved.add(i)
-            elif isinstance(change, ch.ArcCostChange):
-                key = (change.src, change.dst)
-                position = self.arc_position[key]
-                cost = change.new_cost * scale
-                if self._flows_cache is not None:
-                    cached = self._flows_cache.get(key)
-                    if cached:
-                        self._flow_cost += cached * (cost - self.arc_cost[2 * position])
-                self.arc_cost[2 * position] = cost
-                self.arc_cost[2 * position + 1] = -cost
-                dirty.add(position)
-                if cost < 0:
-                    self.has_negative_costs = True
-                if self._max_cost_cache is not None:
-                    scaled = cost if cost >= 0 else -cost
-                    if scaled > self._max_cost_cache:
-                        self._max_cost_cache = scaled
-            elif isinstance(change, ch.ArcCapacityChange):
-                position = self.arc_position[(change.src, change.dst)]
-                self._patch_capacity(position, change.new_capacity)
-                dirty.add(position)
-            elif isinstance(change, ch.ArcAddition):
-                dirty.add(
-                    self._patch_add_arc(
-                        change.src, change.dst, change.capacity, change.cost
-                    )
-                )
-            elif isinstance(change, ch.ArcRemoval):
-                position = self.arc_position[(change.src, change.dst)]
-                self._remove_arc_pair(position)
-            elif isinstance(change, ch.NodeAddition):
+            kind = type(change)
+            if kind is ch.ArcCostChange:
+                self.patch_cost(self.arc_position[(change.src, change.dst)], change.new_cost)
+            elif kind is ch.SupplyChange:
+                node_id = change.node_id
+                self.set_supply(node_id, self.supply[self.index[node_id]] + change.delta)
+            elif kind is ch.ArcCapacityChange:
+                self.set_arc_capacity(change.src, change.dst, change.new_capacity)
+            elif kind is ch.ArcAddition:
+                self.add_arc(change.src, change.dst, change.capacity, change.cost)
+            elif kind is ch.ArcRemoval:
+                self.remove_arc(change.src, change.dst)
+            elif kind is ch.NodeAddition:
                 if change.node_id is None:
-                    raise ValueError(
-                        "NodeAddition must carry an explicit node_id to be "
-                        "applied to a residual network"
-                    )
-                self._add_node_slot(change.node_id, change.supply)
+                    raise ValueError("a NodeAddition needs an explicit node_id here")
+                self.add_node(change.node_id, change.supply, change.node_type, change.ref)
                 for dst, capacity, cost in change.arcs_out:
-                    dirty.add(self._patch_add_arc(change.node_id, dst, capacity, cost))
+                    self.add_arc(change.node_id, dst, capacity, cost)
                 for src, capacity, cost in change.arcs_in:
-                    dirty.add(self._patch_add_arc(src, change.node_id, capacity, cost))
-            elif isinstance(change, ch.NodeRemoval):
-                self._patch_remove_node(change.node_id)
+                    self.add_arc(src, change.node_id, capacity, cost)
+            elif kind is ch.NodeRemoval:
+                self.remove_node(change.node_id)
             else:
-                raise ValueError(f"unsupported change type {type(change).__name__}")
+                raise ValueError(f"unsupported change type {kind.__name__}")
+        return self.take_dirty()
 
-        self.last_arcs_patched = arcs_patched
-        self.last_nodes_touched = nodes_touched
-        return sorted(dirty)
+    # ------------------------------------------------------------------ #
+    # Graph reads (the graph manager's and the policies')
+    # ------------------------------------------------------------------ #
+    def has_node(self, node_id: int) -> bool:
+        """Whether a live node has this identifier."""
+        i = self.index.get(node_id)
+        return i is not None and bool(self.node_alive[i])
+
+    def supply_of(self, node_id: int) -> int:
+        return self.supply[self.index[node_id]]
+
+    def arc_capacity(self, position: int) -> int:
+        return self.arc_residual[2 * position] + self.arc_residual[2 * position + 1]
+
+    def incident_keys(self, node_id: int, incoming: bool = False) -> List[Tuple[int, int]]:
+        """``(src, dst)`` of a node's live outgoing (incoming) arcs, in the
+        order they were added; none for an unknown or removed node."""
+        if not self.has_node(node_id):
+            return []
+        keys = self.forward_arc_keys
+        return [
+            keys[arc >> 1]
+            for arc in self.adjacency[self.index[node_id]]
+            if (arc & 1) == incoming and keys[arc >> 1] is not None
+        ]
+
+    def is_isolated(self, node_id: int) -> bool:
+        """Whether a node has no live incident arc (stops at the first)."""
+        keys = self.forward_arc_keys
+        return all(keys[arc >> 1] is None for arc in self.adjacency[self.index[node_id]])
+
+    def to_network(self) -> FlowNetwork:
+        """The live nodes and arcs as a :class:`FlowNetwork`, with flows
+        and revision (original cost units)."""
+        network = FlowNetwork()
+        for i, node_id in enumerate(self.node_ids):
+            if self.node_alive[i]:
+                network.add_node(
+                    self.node_types[i], self.supply[i], ref=self.node_refs[i], node_id=node_id
+                )
+        for position, key in enumerate(self.forward_arc_keys):
+            if key is not None:
+                cost = self.arc_cost[2 * position] // self.cost_scale
+                arc = network.add_arc(*key, self.arc_capacity(position), cost)
+                arc.flow = self.arc_residual[2 * position + 1]
+        network.revision = self.revision
+        return network
 
     def _patch_capacity(self, position: int, new_capacity: int) -> None:
         forward = 2 * position
@@ -513,25 +561,6 @@ class ResidualNetwork:
         self.excess[v] -= amount
         self.last_excess_moved.add(u)
         self.last_excess_moved.add(v)
-
-    def _patch_add_arc(self, src: int, dst: int, capacity: int, cost: int) -> int:
-        key = (src, dst)
-        if key in self.arc_position:
-            raise ValueError(f"arc {src}->{dst} already exists in the residual")
-        u = self.index[src]
-        v = self.index[dst]
-        if not (self.node_alive[u] and self.node_alive[v]):
-            raise ValueError(f"arc {src}->{dst} references a removed node")
-        position = self._add_arc_pair(u, v, capacity, cost * self.cost_scale, 0)
-        if cost < 0:
-            self.has_negative_costs = True
-        self.forward_arc_keys.append(key)
-        self.arc_position[key] = position
-        if self._max_cost_cache is not None:
-            scaled = abs(cost * self.cost_scale)
-            if scaled > self._max_cost_cache:
-                self._max_cost_cache = scaled
-        return position
 
     def _remove_arc_pair(self, position: int) -> None:
         key = self.forward_arc_keys[position]
@@ -582,7 +611,7 @@ class ResidualNetwork:
         self.potential[i] = 0
         self.dead_nodes += 1
 
-    def _maybe_compact(self) -> None:
+    def maybe_compact(self) -> None:
         """Compact away dead slots once they dominate the arrays.
 
         Amortized O(1) per change: a compaction costs O(nodes + arcs) but
@@ -598,10 +627,11 @@ class ResidualNetwork:
     def compact(self) -> None:
         """Rebuild the arrays without dead node/arc slots (same node ids).
 
-        Pair positions are renumbered, so the pending journal entries are
-        carried over through the same remap; the flows cache is keyed by
-        arc endpoints and does not notice.  The round after a compaction
-        therefore still writes and extracts only what it changed.
+        Pair positions and node indices are renumbered, so the pending
+        journal entries and the pending patch are carried over through the
+        same remap; the flows cache is keyed by arc endpoints and does not
+        notice.  The round after a compaction therefore still repairs and
+        extracts only what it changed.
         """
         keep = [i for i in range(self.num_nodes) if self.node_alive[i]]
         remap = {old: new for new, old in enumerate(keep)}
@@ -610,6 +640,11 @@ class ResidualNetwork:
         self.supply = [self.supply[i] for i in keep]
         self.excess = [self.excess[i] for i in keep]
         self.potential = [self.potential[i] for i in keep]
+        self.node_types = [self.node_types[i] for i in keep]
+        self.node_refs = [self.node_refs[i] for i in keep]
+        self.last_excess_moved = {
+            remap[i] for i in self.last_excess_moved if i in remap
+        }
         self.num_nodes = len(keep)
         self.node_alive = bytearray(b"\x01" * self.num_nodes)
         self.current_arc = [0] * self.num_nodes
@@ -652,12 +687,17 @@ class ResidualNetwork:
             self.adjacency[v].append(2 * new_position + 1)
             self.forward_arc_keys.append(key)
             self.arc_position[key] = new_position
+        arc_position = self.arc_position
         if self._flow_journal is not None:
             # Dead positions already left the journal with their arcs.
-            arc_position = self.arc_position
             self._flow_journal = {
                 arc_position[old_keys[position]] for position in self._flow_journal
             }
+        self.pending_dirty = {
+            arc_position[old_keys[position]]
+            for position in self.pending_dirty
+            if old_keys[position] is not None
+        }
 
     # ------------------------------------------------------------------ #
     # Potentials / warm start
@@ -684,46 +724,48 @@ class ResidualNetwork:
 
         Must be called by any code path that mutates ``arc_residual``
         without going through :meth:`push` or the delta-patching helpers
-        (the inlined discharge loops of the scaling ladder do this).
+        (the inlined discharge loops of the scaling ladder do this).  The
+        last extraction's cache is kept: the scan that re-primes the
+        journal diffs against it to tell which flows moved.
         """
         self._flow_journal = None
-        self._flows_cache = None
 
     @property
     def flow_journal_active(self) -> bool:
         """Whether extractions are currently served from the journal."""
         return self._flow_journal is not None and self._flows_cache is not None
 
-    def _sync_flow_journal(
-        self, written: bool = False
-    ) -> Optional[Dict[Tuple[int, int], int]]:
+    def _sync_flow_journal(self) -> Optional[Dict[Tuple[int, int], int]]:
         """Fold pending journal entries into the flows cache.
 
         Returns the up-to-date cache, or ``None`` when tracking is off.
-        Entries folded away without having been ``written`` to the network
-        end this residual's claim to be that network's exact last writer.
+        The arcs whose cached flow moved join :attr:`flow_changes`.
         """
         journal = self._flow_journal
         cache = self._flows_cache
         if journal is None or cache is None:
             return None
         if journal:
-            if not written:
-                self._write_token = None
             arc_residual = self.arc_residual
             arc_cost = self.arc_cost
             keys = self.forward_arc_keys
+            changes = self.flow_changes
             moved_cost = 0
             for position in journal:
                 key = keys[position]
                 if key is None:
                     continue
                 flow = arc_residual[2 * position + 1]
-                moved_cost += (flow - cache.get(key, 0)) * arc_cost[2 * position]
+                moved = flow - cache.get(key, 0)
+                if not moved:
+                    continue
+                moved_cost += moved * arc_cost[2 * position]
                 if flow:
                     cache[key] = flow
                 else:
-                    cache.pop(key, None)
+                    del cache[key]
+                if changes is not None:
+                    changes.add(key)
             self._flow_cost += moved_cost
             journal.clear()
         return cache
@@ -745,42 +787,6 @@ class ResidualNetwork:
                 result[key] = flow
         return result
 
-    def write_flow_back(self, network: FlowNetwork) -> None:
-        """Write the computed flow back onto the original network's arcs.
-
-        When this residual was the last to write ``network`` and has
-        journaled every flow it moved since (the steady state of a
-        persistent solver on the graph manager's persistent network), the
-        rest of the network already carries its flow: only the journaled
-        arcs are written, O(changed).  Any other write -- a fresh residual,
-        a network someone else wrote in between, an invalidated journal --
-        is :meth:`FlowNetwork.set_flows`' compare pass over every arc.
-        Either way the arcs whose value moved are reported in
-        :attr:`FlowNetwork.flow_changes`.
-        """
-        if (
-            self.flow_journal_active
-            and self._write_token is not None
-            and network.flow_writer is self._write_token
-        ):
-            arc_residual = self.arc_residual
-            keys = self.forward_arc_keys
-            find_arc = network.find_arc
-            changed = network.flow_changes
-            for position in self._flow_journal:
-                key = keys[position]
-                arc = find_arc(*key) if key is not None else None
-                if arc is None:
-                    continue
-                flow = arc_residual[2 * position + 1]
-                if arc.flow != flow:
-                    arc.flow = flow
-                    changed.add(key)
-        else:
-            network.set_flows(self.flows())
-            self._write_token = network.flow_writer = object()
-        self._sync_flow_journal(written=True)
-
     def flows(self) -> Mapping[Tuple[int, int], int]:
         """Return the computed flow as a ``{(src, dst): flow}`` mapping.
 
@@ -795,8 +801,14 @@ class ResidualNetwork:
         """
         cache = self._sync_flow_journal()
         if cache is None:
+            previous = self._flows_cache or {}
             cache = self._flows_cache = self.full_flows()
             self._flow_journal = set()
+            if self.flow_changes is not None:
+                self.flow_changes.update(
+                    key for key in previous.keys() | cache.keys()
+                    if previous.get(key) != cache.get(key)
+                )
             arc_cost = self.arc_cost
             arc_position = self.arc_position
             self._flow_cost = sum(
@@ -804,26 +816,52 @@ class ResidualNetwork:
             )
         return MappingProxyType(cache)
 
+    def take_flow_changes(self) -> set:
+        """The arc keys whose flow moved since the previous call (which
+        starts :attr:`flow_changes` recording), up to the latest flow."""
+        self.flows()
+        changes = self.flow_changes or set()
+        self.flow_changes = set()
+        return changes
+
+    def load_flows(self, flows: Mapping[Tuple[int, int], int]) -> None:
+        """Make ``flows`` the residual's flow (clamped to capacity; arcs it
+        does not name carry zero): a warm start's, or that of a solver that
+        did not solve this residual.  Only the arcs whose flow moves are
+        touched (found against the flows cache) and journaled; the pending
+        patch is dropped, as nobody repairs it now."""
+        current = dict(self.flows())
+        residual = self.arc_residual
+        for key in current.keys() | flows.keys():
+            position = self.arc_position.get(key)
+            if position is None:
+                continue
+            flow = flows.get(key, 0)
+            if flow < 0:
+                raise ValueError(f"arc {key[0]}->{key[1]} has negative flow {flow}")
+            forward = 2 * position
+            flow = min(flow, self.arc_capacity(position))
+            moved = flow - residual[forward + 1]
+            if moved:
+                residual[forward] -= moved
+                residual[forward + 1] = flow
+                self.excess[self.arc_from[forward]] -= moved
+                self.excess[self.arc_to[forward]] += moved
+                self._flow_journal.add(position)
+        self.pending_dirty = set()
+        self.last_excess_moved = set()
+        self.patches_applied += 1
+
     def total_cost(self) -> int:
         """Return the total cost of the current flow (in original units).
 
         O(journaled arcs) while the journal tracks the flow: the cost is
         kept beside the flows cache (folded in with every journaled flow
         move, adjusted by cost patches and removals of flow-carrying arcs).
-        Summed over every live arc otherwise.
+        Without a journal, the extraction that primes one sums it.
         """
-        if self._sync_flow_journal() is not None:
-            return self._flow_cost // self.cost_scale
-        total = 0
-        arc_cost = self.arc_cost
-        arc_residual = self.arc_residual
-        for position, key in enumerate(self.forward_arc_keys):
-            if key is None:
-                continue
-            flow = arc_residual[2 * position + 1]
-            if flow:
-                total += flow * arc_cost[2 * position]
-        return total // self.cost_scale
+        self.flows()
+        return self._flow_cost // self.cost_scale
 
     # ------------------------------------------------------------------ #
     # Consistency checking (used by the delta-equivalence tests)
@@ -832,59 +870,23 @@ class ResidualNetwork:
         """Return discrepancies between this residual and ``network``.
 
         A delta-patched residual must be arc-for-arc equivalent to one
-        freshly built from the updated flow network: same live node set and
+        freshly built from the updated flow network: same live nodes and
         supplies, same arcs with the same capacities and (unscaled) costs,
-        and internally consistent flow/excess bookkeeping.
+        and internally consistent cost/flow/excess bookkeeping.
         """
-        problems: List[str] = []
-        live_ids = {nid for nid, i in self.index.items() if self.node_alive[i]}
-        network_ids = set(network.node_ids())
-        if live_ids != network_ids:
-            problems.append(
-                f"node sets differ: residual-only {sorted(live_ids - network_ids)}, "
-                f"network-only {sorted(network_ids - live_ids)}"
-            )
-        for nid in live_ids & network_ids:
-            if self.supply[self.index[nid]] != network.node(nid).supply:
-                problems.append(
-                    f"node {nid} supply {self.supply[self.index[nid]]} != "
-                    f"network supply {network.node(nid).supply}"
-                )
-        network_keys = {arc.key() for arc in network.arcs()}
-        if set(self.arc_position) != network_keys:
-            problems.append(
-                f"arc sets differ: residual-only "
-                f"{sorted(set(self.arc_position) - network_keys)}, network-only "
-                f"{sorted(network_keys - set(self.arc_position))}"
-            )
-        for key, position in self.arc_position.items():
-            if key not in network_keys:
-                continue
-            arc = network.arc(*key)
-            forward = 2 * position
-            capacity = self.arc_residual[forward] + self.arc_residual[forward + 1]
-            if capacity != arc.capacity:
-                problems.append(
-                    f"arc {key} capacity {capacity} != network {arc.capacity}"
-                )
-            if self.arc_cost[forward] != arc.cost * self.cost_scale:
-                problems.append(
-                    f"arc {key} cost {self.arc_cost[forward]} != scaled network "
-                    f"cost {arc.cost * self.cost_scale}"
-                )
-            if self.arc_cost[forward + 1] != -self.arc_cost[forward]:
-                problems.append(f"arc {key} reverse cost is not the negation")
-            if self.arc_residual[forward] < 0 or self.arc_residual[forward + 1] < 0:
-                problems.append(f"arc {key} has negative residual capacity")
-        # Excess bookkeeping: excess = supply - outflow + inflow.
-        balance = list(self.supply)
+        problems = self.to_network().structurally_equal(network)
+        balance = list(self.supply)  # excess = supply - outflow + inflow
         for position, key in enumerate(self.forward_arc_keys):
             if key is None:
                 continue
-            flow = self.arc_residual[2 * position + 1]
-            if flow:
-                balance[self.arc_from[2 * position]] -= flow
-                balance[self.arc_to[2 * position]] += flow
+            forward = 2 * position
+            cost, flow = self.arc_cost[forward], self.arc_residual[forward + 1]
+            if cost % self.cost_scale or self.arc_cost[forward + 1] != -cost:
+                problems.append(f"arc {key} costs are not scaled negations")
+            if self.arc_residual[forward] < 0 or flow < 0:
+                problems.append(f"arc {key} has negative residual capacity")
+            balance[self.arc_from[forward]] -= flow
+            balance[self.arc_to[forward]] += flow
         for i in range(self.num_nodes):
             if self.node_alive[i] and balance[i] != self.excess[i]:
                 problems.append(
@@ -934,3 +936,54 @@ class RetainedPotentials(MappingABC):
 
     def __len__(self) -> int:
         return len(self._read())
+
+
+class FlowGraph:
+    """A graph manager's flow network, held in one :class:`ResidualNetwork`.
+
+    Its mutations patch :attr:`residual` in place, a solver that
+    :attr:`~repro.solvers.base.Solver.solves_in_place` repairs that same
+    residual, and the placements are read off its flow journal.  Counts
+    have a network's meaning (live nodes and arcs); any other read of the
+    :class:`FlowNetwork` interface (``nodes()``, ``arcs()``, ...) is
+    answered by a :class:`FlowNetwork` built for it (:meth:`copy`) -- the
+    interface of the oracles, DIMACS snapshots and tests, not of a round.
+    """
+
+    def __init__(self, revision: Optional[int] = None) -> None:
+        self.residual = ResidualNetwork()
+        self.residual.revision = revision
+        self.residual.flow_changes = set()
+
+    @property
+    def revision(self) -> Optional[int]:
+        return self.residual.revision
+
+    @revision.setter
+    def revision(self, value: Optional[int]) -> None:
+        self.residual.revision = value
+
+    @property
+    def num_nodes(self) -> int:
+        return self.residual.num_nodes - self.residual.dead_nodes
+
+    @property
+    def num_arcs(self) -> int:
+        return len(self.residual.arc_position)
+
+    def has_node(self, node_id: int) -> bool:
+        return self.residual.has_node(node_id)
+
+    def set_flows(self, flows: Mapping[Tuple[int, int], int]) -> None:
+        """Make another solver's flow the graph's: a raced round's winner, a
+        worker's answer (:meth:`ResidualNetwork.load_flows`)."""
+        self.residual.load_flows(flows)
+
+    def copy(self) -> FlowNetwork:
+        """The graph as a :class:`FlowNetwork`: nodes, arcs, flows, revision."""
+        return self.residual.to_network()
+
+    def __getattr__(self, name: str):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return getattr(self.copy(), name)

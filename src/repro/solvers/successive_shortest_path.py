@@ -57,7 +57,7 @@ class SuccessiveShortestPathSolver(Solver):
                     "unscheduled aggregator arcs)"
                 )
 
-        residual.write_flow_back(network)
+        network.set_flows(residual.flows())
         runtime = time.perf_counter() - start
         return SolverResult(
             algorithm=self.name,

@@ -256,7 +256,8 @@ class TestIncrementalUpdatePath:
         # Corrupt the persistent network behind the manager's back; the
         # cross-check must refuse the next incremental round.
         arc = next(iter(network.arcs()))
-        arc.cost += 1000
+        residual = network.residual
+        residual.patch_cost(residual.arc_position[arc.key()], arc.cost + 1000)
         with pytest.raises(GraphConsistencyError):
             manager.update(small_state, now=1.0)
 

@@ -199,4 +199,4 @@ class TestNetworkAwarePolicy:
         _, network = build_network(small_state, NetworkAwarePolicy())
         aggs = network.nodes_of_type(NodeType.REQUEST_AGGREGATOR)
         assert len(aggs) == 1
-        assert aggs[0].name == "RA0"
+        assert aggs[0].ref == "RA0"

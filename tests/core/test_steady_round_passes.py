@@ -325,3 +325,41 @@ def test_a_compaction_does_not_blind_the_next_round():
     assert readings[0] == readings[1]
     live = 16 + 4 * Workload.LIFE
     assert readings[1][12][0] < live // 3
+
+
+@pytest.mark.parametrize("cells", (0, 4))
+def test_serve_rounds_build_no_flow_network(cells, monkeypatch):
+    """``serve``'s graph is the residual its solver repairs: with the
+    :class:`FlowNetwork` constructor and ``FlowNetwork.add_arc`` patched to
+    raise from before round 1, round 1 (built by the scope derivation,
+    solved cold in place) and ten steady rounds -- a machine failure among
+    them -- go through, monolithic and four-cell."""
+
+    def refuse(name):
+        def build(*args, **kwargs):
+            raise AssertionError(f"FlowNetwork.{name} ran on a serve round")
+        return build
+
+    state = ClusterState(build_topology(64, machines_per_rack=8, slots_per_machine=2))
+    scheduler = serve_scheduler(cells)
+    monkeypatch.setattr(FlowNetwork, "__init__", refuse("__init__"))
+    monkeypatch.setattr(FlowNetwork, "add_arc", refuse("add_arc"))
+    workload = Workload(state)
+    try:
+        workload.submit(24)
+        decision = scheduler.schedule_and_apply(state, workload.now)
+        assert len(decision.placements) == 24
+        placed = 0
+        for round_index in range(10):
+            workload.churn()
+            if round_index == 5:
+                victim = max(state.topology.machines, key=state.task_count_on_machine)
+                state.fail_machine(victim, workload.now)
+            decision = scheduler.schedule_and_apply(state, workload.now)
+            assert decision.solver_result is not None
+            assert not decision.unscheduled
+            placed += len(decision.placements)
+        assert placed >= 40
+    finally:
+        monkeypatch.undo()
+        scheduler.close()

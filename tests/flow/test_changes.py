@@ -11,10 +11,12 @@ from repro.flow.changes import (
     NodeAddition,
     NodeRemoval,
     SupplyChange,
+    ChangeBatchBuilder,
     apply_changes,
     classify_arc_change,
 )
 from repro.flow.graph import FlowNetwork, NodeType
+from repro.solvers.residual import FlowGraph
 
 
 def simple_network():
@@ -197,86 +199,83 @@ class TestChangeBatchDiff:
         assert len(ChangeBatch.diff(old, new)) == 0
 
 
+def simple_graph():
+    """:func:`simple_network` held in a :class:`FlowGraph`, plus the
+    network itself (the graph's starting point) and the three node ids."""
+    net, task, machine, sink = simple_network()
+    graph = FlowGraph()
+    for node in net.nodes():
+        graph.residual.add_node(node.node_id, node.supply, node.node_type, node.ref)
+    for arc in net.arcs():
+        graph.residual.add_arc(arc.src, arc.dst, arc.capacity, arc.cost)
+    return graph, net, task.node_id, machine.node_id, sink.node_id
+
+
 class TestChangeBatchBuilder:
     """The builder applies mutations and emits the equivalent batch directly."""
 
-    def _replay_matches(self, before, builder_network, batch):
+    def _replay_matches(self, before, graph, batch):
         replayed = before.copy()
         batch.apply_to(replayed)
-        assert replayed.structurally_equal(builder_network) == []
+        assert replayed.structurally_equal(graph.copy()) == []
 
     def test_mutations_round_trip_through_the_emitted_batch(self):
-        from repro.flow.changes import ChangeBatchBuilder
+        graph, before, task, machine, sink = simple_graph()
+        builder = ChangeBatchBuilder(graph, base_revision=1)
 
-        net, task, machine, sink = simple_network()
-        before = net.copy()
-        builder = ChangeBatchBuilder(net, base_revision=1)
-
-        other = builder.add_node(NodeType.TASK, supply=1, name="T2")
-        builder.add_arc(other.node_id, machine.node_id, 1, 7)
-        builder.set_supply(sink.node_id, -2)
-        builder.set_arc_cost(task.node_id, machine.node_id, 9)
-        builder.set_arc_capacity(machine.node_id, sink.node_id, 2)
+        other = builder.add_node(NodeType.TASK, supply=1, name="T2", node_id=7)
+        builder.add_arc(other, machine, 1, 7)
+        builder.set_supply(sink, -2)
+        builder.set_arc_cost(task, machine, 9)
+        builder.set_arc_capacity(machine, sink, 2)
 
         batch = builder.finish(target_revision=2)
         assert batch.base_revision == 1 and batch.target_revision == 2
-        self._replay_matches(before, net, batch)
+        self._replay_matches(before, graph, batch)
 
     def test_node_removal_records_incident_arc_removals_first(self):
-        from repro.flow.changes import ChangeBatchBuilder
-
-        net, task, machine, sink = simple_network()
-        before = net.copy()
-        builder = ChangeBatchBuilder(net, base_revision=1)
-        builder.set_supply(sink.node_id, 0)
-        builder.remove_node(task.node_id)
+        graph, before, task, machine, sink = simple_graph()
+        builder = ChangeBatchBuilder(graph, base_revision=1)
+        builder.set_supply(sink, 0)
+        builder.remove_node(task)
         batch = builder.finish(target_revision=2)
 
         kinds = [type(c).__name__ for c in batch]
         assert kinds.index("ArcRemoval") < kinds.index("NodeRemoval")
-        self._replay_matches(before, net, batch)
+        self._replay_matches(before, graph, batch)
 
     def test_same_round_add_and_remove_cancels(self):
-        from repro.flow.changes import ChangeBatchBuilder
-
-        net, task, machine, sink = simple_network()
-        before = net.copy()
-        builder = ChangeBatchBuilder(net, base_revision=1)
-        ephemeral = builder.add_node(NodeType.OTHER, name="tmp")
-        builder.add_arc(machine.node_id, ephemeral.node_id, 1, 0)
-        builder.remove_arc(machine.node_id, ephemeral.node_id)
-        builder.remove_node(ephemeral.node_id)
+        graph, before, task, machine, sink = simple_graph()
+        builder = ChangeBatchBuilder(graph, base_revision=1)
+        ephemeral = builder.add_node(NodeType.OTHER, name="tmp", node_id=7)
+        builder.add_arc(machine, ephemeral, 1, 0)
+        builder.remove_arc(machine, ephemeral)
+        builder.remove_node(ephemeral)
         batch = builder.finish(target_revision=2)
         assert len(batch) == 0
-        self._replay_matches(before, net, batch)
+        self._replay_matches(before, graph, batch)
 
     def test_patch_back_to_original_value_is_dropped(self):
-        from repro.flow.changes import ChangeBatchBuilder
-
-        net, task, machine, _ = simple_network()
-        builder = ChangeBatchBuilder(net, base_revision=1)
-        builder.set_arc_cost(task.node_id, machine.node_id, 11)
-        builder.set_arc_cost(task.node_id, machine.node_id, 3)  # original
+        graph, _, task, machine, _ = simple_graph()
+        builder = ChangeBatchBuilder(graph, base_revision=1)
+        builder.set_arc_cost(task, machine, 11)
+        builder.set_arc_cost(task, machine, 3)  # original
         batch = builder.finish(target_revision=2)
         assert len(batch) == 0
 
     def test_supply_patch_folds_into_same_round_node_addition(self):
-        from repro.flow.changes import ChangeBatchBuilder
-
-        net, _, _, _ = simple_network()
-        builder = ChangeBatchBuilder(net, base_revision=1)
-        node = builder.add_node(NodeType.TASK, supply=1, name="T9")
-        builder.set_supply(node.node_id, 3)
+        graph, _, _, _, _ = simple_graph()
+        builder = ChangeBatchBuilder(graph, base_revision=1)
+        node = builder.add_node(NodeType.TASK, supply=1, name="T9", node_id=7)
+        builder.set_supply(node, 3)
         batch = builder.finish(target_revision=2)
         additions = [c for c in batch if isinstance(c, NodeAddition)]
         assert len(additions) == 1 and additions[0].supply == 3
         assert not [c for c in batch if isinstance(c, SupplyChange)]
 
     def test_prune_candidates_track_removed_arc_endpoints(self):
-        from repro.flow.changes import ChangeBatchBuilder
-
-        net, task, machine, sink = simple_network()
-        builder = ChangeBatchBuilder(net, base_revision=1)
-        builder.remove_arc(machine.node_id, sink.node_id)
-        assert machine.node_id in builder.prune_candidates
-        assert sink.node_id in builder.prune_candidates
+        graph, _, task, machine, sink = simple_graph()
+        builder = ChangeBatchBuilder(graph, base_revision=1)
+        builder.remove_arc(machine, sink)
+        assert machine in builder.prune_candidates
+        assert sink in builder.prune_candidates

@@ -81,78 +81,77 @@ class TestJournalBookkeeping:
         assert residual.flows() == {}
         assert residual.flows() == residual.full_flows()
 
-    def test_write_flow_back_journal_path_matches_full_path(self):
-        network = build_small_network()
-        residual = ResidualNetwork(network)
-        residual.flows()
-        residual.push(2 * residual.arc_position[(0, 1)], 2)
-        residual.push(2 * residual.arc_position[(1, 2)], 2)
-        residual.write_flow_back(network)  # the first write visits every arc
-        residual.push(2 * residual.arc_position[(0, 2)], 1)
-        residual.push(2 * residual.arc_position[(0, 1)] + 1, 1)
+    def test_journal_and_rescan_report_the_same_flow_changes(self):
+        def moved(invalidate):
+            residual = ResidualNetwork(build_small_network())
+            residual.flows()
+            residual.take_flow_changes()
+            residual.push(2 * residual.arc_position[(0, 1)], 2)
+            residual.push(2 * residual.arc_position[(1, 2)], 2)
+            residual.flows()
+            residual.push(2 * residual.arc_position[(0, 2)], 1)
+            residual.push(2 * residual.arc_position[(0, 1)] + 1, 1)
+            if invalidate:
+                residual.invalidate_flow_journal()
+            changes = residual.take_flow_changes()
+            assert residual.flows() == {(0, 1): 1, (1, 2): 2, (0, 2): 1}
+            return changes
 
-        assert residual.flow_journal_active
-        residual.write_flow_back(network)  # the second, the journaled two
-
-        full = network.copy()
-        full.clear_flow()
-        residual.invalidate_flow_journal()
-        residual.write_flow_back(full)
-
-        assert network.flows() == full.flows() == {(0, 1): 1, (1, 2): 2, (0, 2): 1}
+        assert moved(False) == moved(True) == {(0, 1), (1, 2), (0, 2)}
 
 
-class TestLastWriter:
-    """``write_flow_back`` writes only its journaled arcs iff the residual
-    is provably the network's last writer and has folded no journal entry
-    away unwritten; either way it reports exactly the flows that moved."""
+class TestFlowChanges:
+    """The residual reports exactly the arcs whose flow moved since the
+    last take, however it moved: journaled pushes, a scan after the journal
+    was invalidated, another solver's flow loaded in."""
 
     def solved(self):
-        network = build_small_network()
-        residual = ResidualNetwork(network)
-        residual.flows()
+        residual = ResidualNetwork(build_small_network())
+        residual.take_flow_changes()  # starts recording
         residual.push(2 * residual.arc_position[(0, 1)], 2)
         residual.push(2 * residual.arc_position[(1, 2)], 2)
-        residual.write_flow_back(network)
-        return network, residual
+        return residual
 
-    def test_first_write_reports_every_arc_it_moved(self):
-        network, residual = self.solved()
-        assert network.flows() == {(0, 1): 2, (1, 2): 2}
-        assert network.flow_changes == {(0, 1), (1, 2)}
+    def test_first_take_reports_every_arc_that_moved(self):
+        residual = self.solved()
+        assert residual.take_flow_changes() == {(0, 1), (1, 2)}
+        assert residual.flows() == {(0, 1): 2, (1, 2): 2}
 
-    def test_steady_write_reports_exactly_the_flows_that_moved(self):
-        network, residual = self.solved()
-        network.take_flow_changes()
+    def test_steady_take_reports_exactly_the_flows_that_moved(self):
+        residual = self.solved()
+        residual.take_flow_changes()
         # One arc gains flow; another is pushed and pushed back (journaled,
         # but its value did not move).
         residual.push(2 * residual.arc_position[(0, 2)], 1)
         residual.push(2 * residual.arc_position[(0, 1)], 1)
         residual.push(2 * residual.arc_position[(0, 1)] + 1, 1)
-        residual.write_flow_back(network)
-        assert network.take_flow_changes() == {(0, 2)}
-        assert network.flows() == residual.full_flows()
+        assert residual.take_flow_changes() == {(0, 2)}
+        assert residual.take_flow_changes() == set()
 
-    def test_another_writer_in_between_forces_a_full_write(self):
-        network, residual = self.solved()
-        network.take_flow_changes()
-        network.set_flows({(0, 2): 2})  # e.g. the other leg won a round
-        assert network.take_flow_changes() == {(0, 1), (1, 2), (0, 2)}
-        residual.push(2 * residual.arc_position[(0, 2)], 1)
-        residual.write_flow_back(network)
-        # Not just the journaled arc: the other writer's flows are gone.
-        assert network.flows() == residual.full_flows()
-        assert network.flow_changes == {(0, 1), (1, 2), (0, 2)}
+    def test_another_solvers_flow_loaded_in_is_reported(self):
+        residual = self.solved()
+        residual.take_flow_changes()
+        residual.load_flows({(0, 2): 2})  # e.g. the other leg won a round
+        assert residual.take_flow_changes() == {(0, 1), (1, 2), (0, 2)}
+        assert residual.flows() == residual.full_flows() == {(0, 2): 2}
+        assert residual.excess == [1, 0, -1]  # supply 3 at node 0, -3 at 2
+        assert residual.patches_applied == 1
 
-    def test_entries_folded_away_unwritten_force_a_full_write(self):
-        network, residual = self.solved()
-        network.take_flow_changes()
+    def test_loaded_flows_are_clamped_to_capacity(self):
+        residual = self.solved()
+        residual.load_flows({(0, 1): 5, (1, 2): 5})
+        assert residual.full_flows() == {(0, 1): 3, (1, 2): 3}
+        with pytest.raises(ValueError):
+            residual.load_flows({(0, 2): -1})
+
+    def test_entries_folded_before_a_rescan_are_reported_once(self):
+        residual = self.solved()
+        residual.take_flow_changes()
         residual.push(2 * residual.arc_position[(0, 2)], 1)
-        residual.flows()  # a solve(write_back=False) extracts its result
+        residual.flows()  # a solve extracts its result
         residual.push(2 * residual.arc_position[(0, 1)] + 1, 1)
-        residual.write_flow_back(network)
-        assert network.flows() == residual.full_flows()
-        assert network.flow_changes == {(0, 1), (0, 2)}
+        residual.invalidate_flow_journal()
+        assert residual.take_flow_changes() == {(0, 1), (0, 2)}
 
 
 class TestWarmStartsLeaveTheNetworkAlone:
@@ -162,7 +161,6 @@ class TestWarmStartsLeaveTheNetworkAlone:
     def test_incremental_cost_scaling_warm_rebuild(self):
         network = build_scheduling_network(seed=21, num_tasks=8)
         current = dict(CostScalingSolver().solve(network).flows)
-        network.take_flow_changes()
         # Every arc one unit off the current flow: some above capacity.
         stale = {key: flow + 1 for key, flow in current.items()}
         solver = IncrementalCostScalingSolver()
@@ -171,7 +169,6 @@ class TestWarmStartsLeaveTheNetworkAlone:
         assert result.statistics.warm_start
         assert result.total_cost == reference_min_cost(network)
         assert network.flows() == current
-        assert network.flow_changes == set()
 
 
 class TestJournalOnDeltaRounds:
@@ -249,23 +246,19 @@ class TestStateKeptBesideTheJournal:
 
     def test_compaction_carries_the_pending_journal_over(self):
         """Positions are renumbered; the entries follow their arcs, so the
-        next write-back still touches only what moved."""
+        next extraction still reports only what moved."""
         network = build_small_network()
         residual = ResidualNetwork(network)
-        residual.flows()
-        residual.write_flow_back(network)
-        network.take_flow_changes()
+        residual.take_flow_changes()
         # Kill the first slot so every later position shifts down by one.
         residual.apply_changes(ChangeBatch(changes=[ArcRemoval(src=0, dst=1)]))
-        network.remove_arc(0, 1)
         position = residual.arc_position[(0, 2)]
         residual.push(2 * position, 2)
         residual.compact()
         assert residual.arc_position[(0, 2)] == position - 1
         assert residual.flow_journal_active
-        residual.write_flow_back(network)
-        assert network.take_flow_changes() == {(0, 2)}
-        assert network.arc(0, 2).flow == 2
+        assert residual.take_flow_changes() == {(0, 2)}
+        assert residual.to_network().arc(0, 2).flow == 2
         assert residual.flows() == residual.full_flows() == {(0, 2): 2}
         assert residual.total_cost() == 10
 

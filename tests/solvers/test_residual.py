@@ -106,14 +106,15 @@ class TestOperations:
         residual.load_potentials({999: 5})
         assert all(p == 0 for p in residual.potential)
 
-    def test_write_flow_back_and_cost(self):
+    def test_network_view_carries_the_flow_and_cost(self):
         net, task, machine, sink = small_network()
         residual = ResidualNetwork(net)
         residual.push(0, 1)
         residual.push(2, 1)
-        residual.write_flow_back(net)
-        assert net.arc(task.node_id, machine.node_id).flow == 1
-        assert net.arc(machine.node_id, sink.node_id).flow == 1
+        view = residual.to_network()
+        assert view.arc(task.node_id, machine.node_id).flow == 1
+        assert view.arc(machine.node_id, sink.node_id).flow == 1
+        assert view.structurally_equal(net) == []
         assert residual.total_cost() == 5
         assert residual.flows() == {
             (task.node_id, machine.node_id): 1,
