@@ -1,6 +1,6 @@
 """Perf smoke job: guard the incremental hot paths against regression.
 
-Runs thirteen kernels at ``REPRO_BENCH_SCALE=1`` and compares against the
+Runs fourteen kernels at ``REPRO_BENCH_SCALE=1`` and compares against the
 committed baseline in ``perf_baseline.json``:
 
 * the Figure-11 kernel -- one realistic scheduling round solved from
@@ -74,7 +74,13 @@ committed baseline in ``perf_baseline.json``:
   retains per live arc at 512 machines after its build and 40 steady
   rounds (``tracemalloc``; ``tests/core/test_graph_memory.py`` is the same
   measurement), which must stay within 2x the baseline's (a FlowNetwork
-  kept beside the residual reads ~2.2x).
+  kept beside the residual reads ~2.2x), and
+* the graph-calls kernel -- a count as well: the Python calls a steady
+  graph update makes per changed arc or node on a short
+  ``burst_large``-shaped replay through ``serve``'s scheduler
+  (``tests/core/test_graph_update_constant.py`` is the longer version),
+  which must stay within ``GRAPH_CALLS_GROWTH`` times the baseline's (a
+  layer back between the derivation and the residual reads ~1.8x).
 
 The gates are host-normalized: the from-scratch solve (resp. the full
 rebuild) acts as the calibration workload, so requiring each measured
@@ -140,6 +146,10 @@ PRICE_REFINE_REPEATS = 20
 #: The cold-feasibility count: a from-scratch round at this many machines
 #: with twice as many tasks pending and none running (``serve``'s round 1).
 COLD_MACHINES = 1024
+#: The graph-calls count: steady rounds of its replay, and how far above
+#: the baseline's count it may read (calls are exact for one interpreter).
+GRAPH_CALLS_ROUNDS = 40
+GRAPH_CALLS_GROWTH = 1.25
 RUNS = 5
 #: Fail when the host-normalized incremental solve regresses by more than
 #: 2x, i.e. the measured speedup falls below half the baseline's.
@@ -752,6 +762,14 @@ def measure_graph_memory() -> float:
     return serve_graph_bytes_per_arc()[0]
 
 
+def measure_graph_calls() -> float:
+    """Graph-calls kernel: Python calls per changed arc or node of a
+    steady graph update."""
+    from tests.core.test_graph_update_constant import graph_calls_per_change
+
+    return graph_calls_per_change(GRAPH_CALLS_ROUNDS)[0]
+
+
 def main() -> int:
     update = "--update" in sys.argv[1:]
     scratch_runs, incremental_runs = [], []
@@ -819,6 +837,7 @@ def main() -> int:
             measure_cold_feasibility(), 3
         ),
         "graph_bytes_per_arc": round(measure_graph_memory(), 1),
+        "graph_calls_per_change": round(measure_graph_calls(), 3),
     }
     measured["speedup"] = round(
         measured["scratch_s"] / max(measured["incremental_s"], 1e-9), 3
@@ -1033,6 +1052,18 @@ def main() -> int:
             f"{measured['graph_bytes_per_arc']:.0f} bytes per live arc "
             f"(baseline {baseline_graph_bytes:.0f}): a second copy of the "
             "arcs is back"
+        )
+        failed = True
+    baseline_graph_calls = baseline.get("graph_calls_per_change")
+    if (
+        baseline_graph_calls
+        and measured["graph_calls_per_change"]
+        > GRAPH_CALLS_GROWTH * baseline_graph_calls
+    ):
+        print(
+            "FAIL: a steady graph update makes "
+            f"{measured['graph_calls_per_change']:.2f} Python calls per change "
+            f"(baseline {baseline_graph_calls:.2f}): a layer is back on its path"
         )
         failed = True
     if failed:

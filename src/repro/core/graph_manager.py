@@ -21,12 +21,13 @@ Every policy describes its network per entity (see
 :mod:`repro.core.policies.base`), so the manager keeps **one persistent
 graph mutated in place** -- a :class:`~repro.solvers.residual.FlowGraph`,
 whose storage is the residual network an in-place solver repairs -- and
-builds it one way: the dirty entities' scopes are re-derived, the
-resulting mutations are applied through a
-:class:`~repro.flow.changes.ChangeBatchBuilder` that emits the round's
-:class:`~repro.flow.changes.ChangeBatch` directly -- no second network is
-built and no diff pass runs -- and isolated-node pruning is restricted to
-the endpoints of removed arcs.  Per-round update cost is
+builds it one way: the dirty entities' scopes are re-derived, each desired
+arc is added or patched by one call on the graph's residual, whose change
+journal yields the round's :class:`~repro.flow.changes.ChangeBatch`
+(:meth:`~repro.flow.changes.ChangeBatch.from_journal`) -- no second network
+is built and no diff pass runs -- and isolated-node pruning is restricted
+to the nodes the journal names and the endpoints of removed arcs.
+Per-round update cost is
 O(|dirty entities| + |affected arcs| + |waiting-cost ticks due|),
 independent of cluster size: the manager never enumerates the live tasks,
 machines or arcs on such a round.  Which tasks, jobs and machines the
@@ -36,12 +37,15 @@ schedulable *now*; per-job live counts say when a job's aggregator comes
 and goes; machines move on availability marks, racks with the topology's
 membership version), and the time-varying waiting cost of the *clean* tasks
 is refreshed from a **tick calendar**: ``int(rate * wait)`` moves once per
-``1 / rate`` seconds, so each task sits in a heap under the time its cost
-can next move and is re-priced -- with the derivation's own formula, hence
-the same :class:`ArcCostChange` a refresh of every task would emit -- when
-that time has come.  (A policy whose tasks share a submit time re-prices
-them in the same round -- Quincy's bunched ticks: one job's tasks, all at
-once, every ``1 / rate`` seconds.  That is policy, not plumbing.)
+``1 / rate`` seconds, so the tasks are grouped by ``(rate, submit_time)``
+-- the waiting term's only inputs -- and each group sits in a heap under
+the time its cost can next move; when that time has come the group's
+term is computed once and its members are re-priced in one loop, with the
+derivation's own formula, hence the same :class:`ArcCostChange` a refresh
+of every task would emit.  (A policy whose tasks share a submit time
+re-prices them in the same round -- Quincy's bunched ticks: one job's
+tasks, all at once, every ``1 / rate`` seconds.  That is policy, not
+plumbing.)
 
 A round whose dirty sets cannot be trusted -- another consumer drained the
 tracker, the tracker overflowed, the state object changed, the workload
@@ -86,8 +90,13 @@ from repro.core.placement import (
     diff_assignments,
     extract_placements,
 )
-from repro.core.policies.base import DirtyView, PolicyNetworkBuilder, SchedulingPolicy
-from repro.flow.changes import ChangeBatch, ChangeBatchBuilder
+from repro.core.policies.base import (
+    DirtyView,
+    PolicyNetworkBuilder,
+    SchedulingPolicy,
+    waiting_term,
+)
+from repro.flow.changes import ChangeBatch
 from repro.flow.graph import FlowNetwork, NodeType
 from repro.solvers.residual import FlowGraph
 
@@ -112,15 +121,8 @@ class GraphUpdateStats:
     tasks_examined: int = 0
 
 
-def _waiting_term(rate: float, submit_time: float, now: float) -> int:
-    """The time-varying part of a task's unscheduled cost (see
-    :meth:`SchedulingPolicy.unscheduled_cost_terms`)."""
-    wait = now - submit_time
-    return int(rate * wait) if wait > 0.0 else 0
-
-
 def _next_tick(rate: float, submit_time: float, now: float) -> float:
-    """The first time at which :func:`_waiting_term` exceeds its value at
+    """The first time at which :func:`waiting_term` exceeds its value at
     ``now`` (never, for a cost that does not grow).
 
     Exact to the float: the term is monotone in time, so the estimate
@@ -132,25 +134,25 @@ def _next_tick(rate: float, submit_time: float, now: float) -> float:
     """
     if rate <= 0.0:
         return math.inf
-    ticks = _waiting_term(rate, submit_time, now)
+    ticks = waiting_term(rate, submit_time, now)
     due = submit_time + (ticks + 1) / rate
-    while _waiting_term(rate, submit_time, due) <= ticks:
+    while waiting_term(rate, submit_time, due) <= ticks:
         due = math.nextafter(due, math.inf)
     earlier = math.nextafter(due, -math.inf)
-    while _waiting_term(rate, submit_time, earlier) > ticks:
+    while waiting_term(rate, submit_time, earlier) > ticks:
         due, earlier = earlier, math.nextafter(earlier, -math.inf)
     return due
 
 
 class _IncrementalBuilder(PolicyNetworkBuilder):
-    """Policy builder over the persistent network.
+    """Policy builder over the persistent graph.
 
-    Node accessors re-materialize pruned nodes through the change recorder,
-    so a node a hook touches is back in the network (and in the round's
-    batch) before its arcs are patched in.
+    Node accessors re-materialize pruned nodes in the graph's residual (read
+    off its columns), so a node a hook touches is back in the network (and
+    in the round's journal) before its arcs are patched in.
     """
 
-    def __init__(self, manager: "GraphManager", recorder: ChangeBatchBuilder) -> None:
+    def __init__(self, manager: "GraphManager", state: ClusterState, now: float) -> None:
         super().__init__(
             network=manager.network,
             task_nodes=manager._task_nodes,
@@ -158,33 +160,79 @@ class _IncrementalBuilder(PolicyNetworkBuilder):
             rack_nodes=manager._rack_nodes,
             unscheduled_nodes=manager._unscheduled_nodes,
             sink_node=manager._node_for_sink(),
-            aggregator_factory=manager._node_for_aggregator,
+            aggregator_factory=None,
             aggregator_lookup=manager._aggregator_node_id,
         )
         self._manager = manager
-        self.recorder = recorder
+        self._aggregators = manager._aggregator_nodes
+        self._residual = manager.network.residual
+        self._policy = manager.policy
+        self._state = state
+        self._now = now
         #: All-dirty rounds only: every arc a scope derived this round, so
         #: the manager can drop what belongs to scopes that no longer exist.
         self.derived: Optional[Set[Tuple[int, int]]] = None
 
+    # The node accessors read the residual's columns: a node a hook names
+    # that is not live (never added, or pruned) is added back.
+
     def machine_node(self, machine_id: int) -> int:
         node_id = self._machine_nodes[machine_id]
-        self._manager._ensure_node(self.recorder, node_id, NodeType.MACHINE, machine_id)
+        residual = self._residual
+        i = residual.index.get(node_id)
+        if i is None or not residual.node_alive[i]:
+            residual.add_node(node_id, 0, NodeType.MACHINE, machine_id)
         return node_id
 
     def rack_node(self, rack_id: int) -> int:
         node_id = self._manager._node_for_rack(rack_id)
-        self._manager._ensure_node(
-            self.recorder, node_id, NodeType.RACK_AGGREGATOR, rack_id
-        )
+        residual = self._residual
+        i = residual.index.get(node_id)
+        if i is None or not residual.node_alive[i]:
+            residual.add_node(node_id, 0, NodeType.RACK_AGGREGATOR, rack_id)
         return node_id
 
     def unscheduled_node(self, job_id: int) -> int:
         node_id = self._unscheduled_nodes[job_id]
-        self._manager._ensure_node(
-            self.recorder, node_id, NodeType.UNSCHEDULED_AGGREGATOR, job_id
-        )
+        residual = self._residual
+        i = residual.index.get(node_id)
+        if i is None or not residual.node_alive[i]:
+            residual.add_node(node_id, 0, NodeType.UNSCHEDULED_AGGREGATOR, job_id)
         return node_id
+
+    def aggregator(self, key: str, node_type: NodeType = NodeType.OTHER) -> int:
+        entry = self._aggregators.get(key)
+        if entry is None:
+            entry = self._aggregators[key] = (self._manager._allocate(), node_type)
+        residual = self._residual
+        i = residual.index.get(entry[0])
+        if i is None or not residual.node_alive[i]:
+            residual.add_node(entry[0], 0, entry[1], key)
+        return entry[0]
+
+    def apply_scope(self, key, derive, entity) -> None:
+        """Re-derive one scope -- ``derive(state, builder, entity, now)``,
+        a policy hook -- and merge its desired arcs into the graph.
+
+        The scope's current arcs come from the policy's structural
+        ownership (:meth:`SchedulingPolicy.owned_arcs`); arcs no longer
+        desired are removed, and each desired arc is added or patched in
+        place by one call (:meth:`ResidualNetwork.put_arc`).
+        """
+        desired = self._desired = {}
+        try:
+            derive(self._state, self, entity, self._now)
+        finally:
+            self._desired = None
+        if self.derived is not None:
+            self.derived.update(desired)
+        residual = self._residual
+        for arc in list(self._policy.owned_arcs(self, key)):
+            if arc not in desired:
+                residual.remove_arc(*arc)
+        put = residual.put_arc
+        for (src, dst), (capacity, cost) in desired.items():
+            put(src, dst, capacity, cost)
 
 
 class GraphManager:
@@ -238,21 +286,22 @@ class GraphManager:
         self._dirty_epoch: Optional[int] = None
         self._state_id: Optional[int] = None
         self._pricing_version: Hashable = None
-        # task_id -> (static_cost, rate, submit_time, unscheduled_arc_key,
-        # due): the decomposed unscheduled cost cached at derivation time
-        # and the time its waiting term can next move.  ``_tick_calendar``
-        # is a heap of ``(due, task_id)``; an entry whose ``due`` is not the
-        # task's current one is stale and dropped when popped.
-        self._task_cost_terms: Dict[
-            int, Tuple[int, float, float, Tuple[int, int], float]
-        ] = {}
-        self._tick_calendar: List[Tuple[float, int]] = []
+        # The waiting-cost tick calendar.  A task's waiting term depends on
+        # its ``(rate, submit_time)`` group only, so ``_tick_groups`` maps a
+        # group to ``[due, {task_id: (static cost, unscheduled arc key)}]``
+        # -- the decomposed cost its derivation used, and the time the
+        # group's term next moves -- and ``_task_group`` names each task's
+        # group.  ``_tick_calendar`` is a heap of ``(due, group)``; an entry
+        # whose ``due`` is not its group's current one is stale and dropped
+        # when popped.
+        self._tick_groups: Dict[Tuple[float, float], list] = {}
+        self._task_group: Dict[int, Tuple[float, float]] = {}
+        self._tick_calendar: List[Tuple[float, Tuple[float, float]]] = []
         self._calendar_now = -math.inf
         self._verify_snapshot: Optional[FlowNetwork] = None
         # The FlowNetwork handed to a solver that takes one (see
         # :meth:`network_view`); ``None`` until one asks.
         self._view: Optional[FlowNetwork] = None
-        self._recorder: Optional[ChangeBatchBuilder] = None
         #: The assignments the network's flow implies, kept beside it and
         #: brought up to date by :meth:`extract_assignments`.
         self.flow_assignments = FlowAssignments()
@@ -321,18 +370,16 @@ class GraphManager:
             self._sink_node = self._allocate()
         return self._sink_node
 
-    def _node_for_aggregator(self, key: str, node_type: NodeType) -> int:
-        """Aggregator node id for a key, (re)materialized on request.
-
-        During an incremental round the node is re-added through the change
-        recorder so the materialization lands in the batch; a from-scratch
-        build adds it to the network under construction.
-        """
+    def _node_for_aggregator(
+        self, network: FlowNetwork, key: str, node_type: NodeType
+    ) -> int:
+        """Aggregator node id for a key, (re)materialized in a from-scratch
+        build's ``network`` (the incremental builder materializes its own)."""
         if key not in self._aggregator_nodes:
             self._aggregator_nodes[key] = (self._allocate(), node_type)
         node_id, stored_type = self._aggregator_nodes[key]
-        if not self.network.has_node(node_id):
-            (self._recorder or self.network).add_node(
+        if not network.has_node(node_id):
+            network.add_node(
                 node_type=stored_type, supply=0, name=key, ref=key, node_id=node_id
             )
         return node_id
@@ -341,17 +388,6 @@ class GraphManager:
         """Non-creating aggregator lookup for scope-ownership queries."""
         entry = self._aggregator_nodes.get(key)
         return entry[0] if entry is not None else None
-
-    def _ensure_node(
-        self,
-        recorder: ChangeBatchBuilder,
-        node_id: int,
-        node_type: NodeType,
-        ref,
-        supply: int = 0,
-    ) -> None:
-        if not self.network.residual.has_node(node_id):
-            recorder.add_node(node_type, supply, ref=ref, node_id=node_id)
 
     # ------------------------------------------------------------------ #
     # Mappings needed by placement extraction and the scheduler
@@ -484,7 +520,7 @@ class GraphManager:
         (their identifiers are retired, never reused); new entities receive
         fresh nodes.  There is one path: the persistent network is patched
         in place from the cluster dirty sets and :attr:`last_changes` is
-        emitted directly from the mutations.  The batch carries the two
+        read off the graph's change journal.  The batch carries the two
         revisions it connects so a consumer can verify its derived state
         matches the batch's base before patching.  With no network held
         (the first round, or the round after an update raised) the round
@@ -500,7 +536,7 @@ class GraphManager:
             self._forget_entities()
             self.network = FlowGraph(self._revision)
         try:
-            network = self._update_incremental(state, now, snapshot)
+            network = self._update_incremental(state, now, snapshot, cold)
         except Exception:
             # The round died mid-mutation: the persistent network is
             # half-patched and this round's dirty events are consumed.
@@ -589,72 +625,69 @@ class GraphManager:
             j: n for j, n in self._unscheduled_nodes.items() if j in job_ids
         }
 
-        saved_network = self.network
         network = FlowNetwork()
-        # _node_for_aggregator consults self.network to re-materialize
-        # pruned aggregators, so point it at the network under construction.
-        self.network = network
-        try:
-            sink = self._node_for_sink()
+        sink = self._node_for_sink()
+        network.add_node(
+            node_type=NodeType.SINK, supply=-len(tasks), name="S", node_id=sink
+        )
+
+        for machine_id in sorted(machine_ids):
             network.add_node(
-                node_type=NodeType.SINK, supply=-len(tasks), name="S", node_id=sink
+                node_type=NodeType.MACHINE,
+                supply=0,
+                name=f"M{machine_id}",
+                ref=machine_id,
+                node_id=self._node_for_machine(machine_id),
+            )
+        for rack_id in sorted(rack_ids):
+            network.add_node(
+                node_type=NodeType.RACK_AGGREGATOR,
+                supply=0,
+                name=f"R{rack_id}",
+                ref=rack_id,
+                node_id=self._node_for_rack(rack_id),
+            )
+        for job_id in sorted(job_ids):
+            network.add_node(
+                node_type=NodeType.UNSCHEDULED_AGGREGATOR,
+                supply=0,
+                name=f"U{job_id}",
+                ref=job_id,
+                node_id=self._node_for_job(job_id),
+            )
+        for task in tasks:
+            network.add_node(
+                node_type=NodeType.TASK,
+                supply=1,
+                name=f"T{task.job_id},{task.task_id}",
+                ref=task.task_id,
+                node_id=self._node_for_task(task.task_id),
             )
 
-            for machine_id in sorted(machine_ids):
-                network.add_node(
-                    node_type=NodeType.MACHINE,
-                    supply=0,
-                    name=f"M{machine_id}",
-                    ref=machine_id,
-                    node_id=self._node_for_machine(machine_id),
-                )
-            for rack_id in sorted(rack_ids):
-                network.add_node(
-                    node_type=NodeType.RACK_AGGREGATOR,
-                    supply=0,
-                    name=f"R{rack_id}",
-                    ref=rack_id,
-                    node_id=self._node_for_rack(rack_id),
-                )
-            for job_id in sorted(job_ids):
-                network.add_node(
-                    node_type=NodeType.UNSCHEDULED_AGGREGATOR,
-                    supply=0,
-                    name=f"U{job_id}",
-                    ref=job_id,
-                    node_id=self._node_for_job(job_id),
-                )
-            for task in tasks:
-                network.add_node(
-                    node_type=NodeType.TASK,
-                    supply=1,
-                    name=f"T{task.job_id},{task.task_id}",
-                    ref=task.task_id,
-                    node_id=self._node_for_task(task.task_id),
-                )
-
-            builder = PolicyNetworkBuilder(
-                network=network,
-                task_nodes=self._task_nodes,
-                machine_nodes=self._machine_nodes,
-                rack_nodes=self._rack_nodes,
-                unscheduled_nodes=self._unscheduled_nodes,
-                sink_node=sink,
-                aggregator_factory=self._node_for_aggregator,
-                aggregator_lookup=self._aggregator_node_id,
-            )
-            desired = builder.collect(lambda b: self.policy.build(state, b, now))
-            for (src, dst), (capacity, cost) in desired.items():
-                network.add_arc(src, dst, capacity, cost)
-            self._prune_isolated_nodes(network)
-        finally:
-            self.network = saved_network
+        builder = PolicyNetworkBuilder(
+            network=network,
+            task_nodes=self._task_nodes,
+            machine_nodes=self._machine_nodes,
+            rack_nodes=self._rack_nodes,
+            unscheduled_nodes=self._unscheduled_nodes,
+            sink_node=sink,
+            aggregator_factory=lambda key, node_type: self._node_for_aggregator(
+                network, key, node_type
+            ),
+            aggregator_lookup=self._aggregator_node_id,
+        )
+        desired = builder.collect(lambda b: self.policy.build(state, b, now))
+        for (src, dst), (capacity, cost) in desired.items():
+            network.add_arc(src, dst, capacity, cost)
+        self._prune_isolated_nodes(network)
         return network
 
     # ------------------------------------------------------------------ #
     # Incremental path (the paper's event-driven two-pass update)
     # ------------------------------------------------------------------ #
-    def _update_incremental(self, state: ClusterState, now: float, snapshot) -> FlowGraph:
+    def _update_incremental(
+        self, state: ClusterState, now: float, snapshot, cold: bool
+    ) -> FlowGraph:
         network = self.network
         residual = network.residual
         residual.maybe_compact()
@@ -675,6 +708,7 @@ class GraphManager:
             tasks = state.schedulable_tasks()
             moves = self._entity_moves_from_scan(state, tasks)
         (
+            live_tasks,
             added_tasks,
             removed_tasks,
             departed_tasks,
@@ -714,129 +748,119 @@ class GraphManager:
             )
         self._pricing_version = pricing_version
 
-        recorder = ChangeBatchBuilder(network, base_revision=self._revision)
-        self._recorder = recorder
-        try:
-            # 1. Retire nodes of entities that no longer exist.
-            for task_id in sorted(removed_tasks):
-                recorder.remove_node(self._task_nodes.pop(task_id))
-                self._drop_task_dependencies(task_id)
-                self._task_cost_terms.pop(task_id, None)
-            for machine_id in sorted(removed_machines):
-                node_id = self._machine_nodes.pop(machine_id)
-                if network.has_node(node_id):
-                    recorder.remove_node(node_id)
-            for job_id in sorted(removed_jobs):
-                node_id = self._unscheduled_nodes.pop(job_id)
-                if network.has_node(node_id):
-                    recorder.remove_node(node_id)
-            for rack_id in sorted(removed_racks):
-                node_id = self._rack_nodes.pop(rack_id)
-                if network.has_node(node_id):
-                    recorder.remove_node(node_id)
+        # 1. Retire nodes of entities that no longer exist.
+        for task_id in sorted(removed_tasks):
+            residual.remove_node(self._task_nodes.pop(task_id))
+            self._drop_task_dependencies(task_id)
+            self._leave_tick_group(task_id)
+        for nodes, ids in (
+            (self._machine_nodes, removed_machines),
+            (self._unscheduled_nodes, removed_jobs),
+            (self._rack_nodes, removed_racks),
+        ):
+            for entity_id in sorted(ids):
+                node_id = nodes.pop(entity_id)
+                if residual.has_node(node_id):
+                    residual.remove_node(node_id)
 
-            # 2. Sink supply tracks the number of schedulable tasks.
-            sink = self._node_for_sink()
-            self._ensure_node(recorder, sink, NodeType.SINK, None, supply=-num_tasks)
-            recorder.set_supply(sink, -num_tasks)
+        # 2. Sink supply tracks the number of schedulable tasks.
+        sink = self._node_for_sink()
+        if residual.has_node(sink):
+            residual.set_supply(sink, -num_tasks)
+        else:
+            residual.add_node(sink, -num_tasks, NodeType.SINK)
 
-            # 3. Nodes for new entities (racks materialize on access).
-            for machine_id in sorted(added_machines):
-                self._ensure_node(
-                    recorder, self._node_for_machine(machine_id), NodeType.MACHINE, machine_id
-                )
-            for job_id in sorted(added_jobs):
-                self._ensure_node(
-                    recorder,
-                    self._node_for_job(job_id),
-                    NodeType.UNSCHEDULED_AGGREGATOR,
-                    job_id,
-                )
-            for task_id in sorted(added_tasks):
-                self._ensure_node(
-                    recorder, self._node_for_task(task_id), NodeType.TASK, task_id, supply=1
-                )
+        # 3. Nodes for new entities (racks materialize on access).
+        for machine_id in sorted(added_machines):
+            node_id = self._node_for_machine(machine_id)
+            if not residual.has_node(node_id):
+                residual.add_node(node_id, 0, NodeType.MACHINE, machine_id)
+        for job_id in sorted(added_jobs):
+            node_id = self._node_for_job(job_id)
+            if not residual.has_node(node_id):
+                residual.add_node(node_id, 0, NodeType.UNSCHEDULED_AGGREGATOR, job_id)
+        task_nodes = self._task_nodes
+        for task_id in sorted(added_tasks):
+            node_id = task_nodes.get(task_id)
+            if node_id is None:
+                node_id = task_nodes[task_id] = self._allocate()
+            residual.add_node(node_id, 1, NodeType.TASK, task_id)
 
-            # 4. Re-derive the dirty scopes: machines (backbone), policy
-            # aggregators, then tasks.
-            builder = _IncrementalBuilder(self, recorder)
-            if all_dirty:
-                builder.derived = set()
-            for machine_id in sorted(dirty.machines_availability & machine_ids):
-                machine = state.topology.machine(machine_id)
-                self._apply_scope(
-                    builder,
-                    ("machine", machine_id),
-                    lambda b, m=machine: policy.arcs_for_machine(state, b, m, now),
-                )
-            for key in policy.dirty_aggregators(state, dirty, now, builder):
-                self._apply_scope(
-                    builder,
-                    key,
-                    lambda b, k=key: policy.refresh_aggregator(state, b, k, now),
-                )
-            if all_dirty:
-                self._task_cost_terms.clear()
-                self._tick_calendar.clear()
-            for task_id in sorted(dirty_tasks):
-                task = lookup(task_id)
-                self._apply_scope(
-                    builder,
-                    ("task", task_id),
-                    lambda b, t=task: policy.arcs_for_task(state, b, t, now),
-                )
-                self._record_task_dependencies(
-                    task_id, policy.task_machine_dependencies(state, task)
-                )
-                self._cache_task_cost_terms(task, now)
-            if all_dirty:
-                # Whatever no scope derived belongs to a scope that no
-                # longer exists (a class without members, a retired
-                # machine's chains, everything once the workload is empty).
-                for arc in list(residual.arc_position):
-                    if arc not in builder.derived:
-                        recorder.remove_arc(*arc)
-
-            # 5. Time-varying costs (waiting time): a clean task's
-            # unscheduled cost moves only when ``int(rate * wait)`` does, and
-            # the tick calendar names the tasks for which that is due.
-            ticked = self._refresh_waiting_costs(recorder, now)
-
-            # 6. Incremental prune: only endpoints of removed arcs (and
-            # fresh nodes) can have become isolated.
-            for node_id in sorted(recorder.prune_candidates):
-                if (
-                    residual.has_node(node_id)
-                    and residual.supply_of(node_id) == 0
-                    and residual.is_isolated(node_id)
-                ):
-                    recorder.remove_node(node_id)
-
-            self._revision += 1
-            network.revision = self._revision
-            batch = recorder.finish(self._revision)
-            self.last_changes = batch
-            if all_dirty:
-                self._departed_tasks = None
-            elif self._departed_tasks is not None:
-                self._departed_tasks |= removed_tasks
-
-            if all_dirty:
-                self._diff_carry = None
-            elif self._diff_carry is not None:
-                self._diff_carry |= dirty_tasks
-                self._diff_carry -= removed_tasks
-
-            self.last_update_stats = GraphUpdateStats(
-                mode="incremental",
-                nodes_touched=recorder.nodes_touched,
-                arcs_patched=recorder.arcs_patched,
-                dirty_tasks=len(dirty_tasks),
-                dirty_machines=len(dirty.machines_availability),
-                tasks_examined=len(dirty_tasks) + ticked,
+        # 4. Re-derive the dirty scopes: machines (backbone), policy
+        # aggregators, then tasks.
+        builder = _IncrementalBuilder(self, state, now)
+        apply_scope = builder.apply_scope
+        if all_dirty:
+            builder.derived = set()
+        for machine_id in sorted(dirty.machines_availability & machine_ids):
+            apply_scope(
+                ("machine", machine_id),
+                policy.arcs_for_machine,
+                state.topology.machine(machine_id),
             )
-        finally:
-            self._recorder = None
+        for key in policy.dirty_aggregators(state, dirty, now, builder):
+            apply_scope(key, policy.refresh_aggregator, key)
+        if all_dirty:
+            self._tick_groups.clear()
+            self._task_group.clear()
+            self._tick_calendar.clear()
+        arcs_for_task = policy.arcs_for_task
+        dependencies = policy.task_machine_dependencies
+        for task_id in sorted(dirty_tasks):
+            task = live_tasks.get(task_id) or lookup(task_id)
+            builder.unscheduled_terms = None
+            apply_scope(("task", task_id), arcs_for_task, task)
+            self._record_task_dependencies(task_id, dependencies(state, task))
+            self._join_tick_group(task, builder.unscheduled_terms, now)
+        if all_dirty:
+            # Whatever no scope derived belongs to a scope that no
+            # longer exists (a class without members, a retired
+            # machine's chains, everything once the workload is empty).
+            for arc in list(residual.arc_position):
+                if arc not in builder.derived:
+                    residual.remove_arc(*arc)
+
+        # 5. Time-varying costs (waiting time): a clean task's unscheduled
+        # cost moves only when ``int(rate * wait)`` does, and the tick
+        # calendar names the groups for which that is due.
+        ticked = self._refresh_waiting_costs(residual, now, dirty_tasks)
+
+        # 6. Incremental prune: only the nodes the journal names and the
+        # endpoints of removed arcs can have become isolated.
+        supply, index, alive = residual.supply, residual.index, residual.node_alive
+        for node_id in sorted(residual.prune_candidates()):
+            i = index[node_id]
+            if alive[i] and supply[i] == 0 and residual.is_isolated(node_id):
+                residual.remove_node(node_id)
+
+        base_revision = self._revision
+        self._revision += 1
+        network.revision = self._revision
+        stats = GraphUpdateStats(
+            mode="incremental",
+            nodes_touched=len(residual.node_journal),
+            arcs_patched=len(residual.arc_journal),
+            dirty_tasks=len(dirty_tasks),
+            dirty_machines=len(dirty.machines_availability),
+            tasks_examined=len(dirty_tasks) + ticked,
+        )
+        if cold:
+            residual.take_journal()
+        else:
+            self.last_changes = ChangeBatch.from_journal(
+                residual, base_revision, self._revision
+            )
+        if all_dirty:
+            self._departed_tasks = None
+        elif self._departed_tasks is not None:
+            self._departed_tasks |= removed_tasks
+
+        if all_dirty:
+            self._diff_carry = None
+        elif self._diff_carry is not None:
+            self._diff_carry |= dirty_tasks
+            self._diff_carry -= removed_tasks
+        self.last_update_stats = stats
         return network
 
     def _entity_moves_from_marks(self, state: ClusterState, snapshot):
@@ -847,12 +871,15 @@ class GraphManager:
         whether it is schedulable *now*), a machine the healthy set if its
         availability is, and racks only move with the topology's membership
         version -- on which the machines are re-read too, the one case that
-        costs the cell's size.  Returns ``None`` when a departed task can no
-        longer be resolved through ``state.tasks`` (its job was removed):
-        policies look such tasks up, so the round is an all-dirty one.
+        costs the cell's size.  The marked tasks that are schedulable come
+        first, by id, so the derivation does not look them up again.
+        Returns ``None`` when a departed task can no longer be resolved
+        through ``state.tasks`` (its job was removed): policies look such
+        tasks up, so the round is an all-dirty one.
         """
         lookup = state.schedulable_task
         known = self._task_jobs
+        live_tasks: Dict[int, object] = {}
         added_tasks: Dict[int, object] = {}
         removed_tasks: Set[int] = set()
         departed_tasks: Set[int] = set()
@@ -862,7 +889,9 @@ class GraphManager:
                 departed_tasks.add(task_id)
                 if task_id in known:
                     removed_tasks.add(task_id)
-            elif task_id not in known:
+                continue
+            live_tasks[task_id] = task
+            if task_id not in known:
                 added_tasks[task_id] = task
         if not departed_tasks <= state.tasks.keys():
             return None
@@ -886,6 +915,7 @@ class GraphManager:
             machine_ids -= removed_machines
             machine_ids |= added_machines
         return (
+            live_tasks,
             added_tasks,
             removed_tasks,
             departed_tasks,
@@ -903,7 +933,13 @@ class GraphManager:
             task_id: task for task_id, task in task_by_id.items() if task_id not in known
         }
         removed_tasks = known.keys() - task_by_id.keys()
-        return (added_tasks, removed_tasks, set(), *self._topology_moves(state.topology))
+        return (
+            task_by_id,
+            added_tasks,
+            removed_tasks,
+            set(),
+            *self._topology_moves(state.topology),
+        )
 
     def _topology_moves(self, topology):
         """Move the persistent machine and rack sets to the topology's
@@ -944,87 +980,90 @@ class GraphManager:
                 added_jobs.add(job_id)
         return added_jobs, removed_jobs
 
-    def _refresh_waiting_costs(self, recorder: ChangeBatchBuilder, now: float) -> int:
+    def _refresh_waiting_costs(self, residual, now: float, rederived: Set[int]) -> int:
         """Re-price the clean tasks whose waiting cost is due to move.
 
-        A popped task is re-evaluated with the formula the derivation uses,
-        so the round's cost changes are exactly those a refresh of every
-        task would emit.  Time running backwards can *lower* costs, which
-        the calendar does not schedule: that round refreshes every task and
-        rebuilds it.  Returns the number of tasks re-evaluated.
+        A due group's waiting term is computed once, and each member not
+        re-derived this round (the derivation priced it at ``now``) is
+        re-priced with the formula the derivation uses, so the round's cost
+        changes are exactly those a refresh of every task would emit.  Time
+        running backwards can *lower* costs, which the calendar does not
+        schedule: that round re-prices every task and rebuilds the
+        calendar.  Returns the number of tasks re-evaluated.
         """
-        cost_terms = self._task_cost_terms
+        groups = self._tick_groups
         calendar = self._tick_calendar
         if now < self._calendar_now:
-            due = sorted(cost_terms)
+            due = list(groups)
             calendar.clear()
+            rederived = ()
         else:
             due = []
             while calendar and calendar[0][0] <= now:
-                tick, task_id = heappop(calendar)
-                entry = cost_terms.get(task_id)
-                if entry is not None and entry[4] == tick:
-                    due.append(task_id)
-            due.sort()
+                tick, key = heappop(calendar)
+                group = groups.get(key)
+                if group is not None and group[0] == tick:
+                    group[0] = None  # a duplicate entry is stale now
+                    due.append(key)
         self._calendar_now = now
-        arc_position = self.network.residual.arc_position
-        patch_cost = recorder.patch_known_arc_cost
-        for task_id in due:
-            static, rate, submit_time, arc_key, _ = cost_terms[task_id]
-            position = arc_position.get(arc_key)
-            if position is not None:
-                patch_cost(arc_key, position, static + _waiting_term(rate, submit_time, now))
-            tick = _next_tick(rate, submit_time, now)
-            cost_terms[task_id] = (static, rate, submit_time, arc_key, tick)
+        arc_position = residual.arc_position
+        arc_cost = residual.arc_cost
+        scale = residual.cost_scale
+        examined = 0
+        for key in due:
+            rate, submit_time = key
+            group = groups[key]
+            waiting = waiting_term(rate, submit_time, now)
+            for task_id, (static, arc) in group[1].items():
+                if task_id in rederived:
+                    continue
+                examined += 1
+                position = arc_position.get(arc)
+                cost = static + waiting
+                if position is not None and arc_cost[2 * position] != cost * scale:
+                    residual.patch_cost(position, cost)
+            tick = group[0] = _next_tick(rate, submit_time, now)
             if tick != math.inf:
-                heappush(calendar, (tick, task_id))
-        return len(due)
+                heappush(calendar, (tick, key))
+        return examined
 
-    def _apply_scope(self, builder: _IncrementalBuilder, key, derive) -> None:
-        """Re-derive one scope: emit its desired arcs and patch the network.
+    def _join_tick_group(self, task, terms: Tuple[int, float], now: float) -> None:
+        """Keep the decomposed unscheduled cost a task was just derived with
+        (``terms``, see :meth:`SchedulingPolicy.unscheduled_cost_terms`) in
+        its tick group, creating the group -- and its calendar entry, at
+        the time its waiting term next moves -- if it is new.  A group
+        that is due this round keeps its entry: its other members are
+        re-priced by :meth:`_refresh_waiting_costs`."""
+        static, rate = terms
+        task_id = task.task_id
+        key = (rate, task.submit_time)
+        previous = self._task_group.get(task_id)
+        if previous != key:
+            if previous is not None:
+                self._leave_tick_group(task_id)
+            self._task_group[task_id] = key
+        group = self._tick_groups.get(key)
+        if group is None:
+            tick = _next_tick(rate, task.submit_time, now)
+            group = self._tick_groups[key] = [tick, {}]
+            if tick != math.inf:
+                heappush(self._tick_calendar, (tick, key))
+        group[1][task_id] = (
+            static,
+            (self._task_nodes[task_id], self._unscheduled_nodes[task.job_id]),
+        )
 
-        The scope's current arcs come from the policy's structural
-        ownership (:meth:`SchedulingPolicy.owned_arcs`); arcs no longer
-        desired are removed, new ones added, surviving ones patched in
-        place -- all through the change recorder.
-        """
-        desired = builder.collect(derive)
-        if builder.derived is not None:
-            builder.derived.update(desired)
-        recorder = builder.recorder
-        arcs = self.network.residual.arc_position
-        for arc in list(self.policy.owned_arcs(builder, key)):
-            if arc not in desired:
-                recorder.remove_arc(*arc)
-        for (src, dst), (capacity, cost) in desired.items():
-            if (src, dst) in arcs:
-                recorder.set_arc_capacity(src, dst, capacity)
-                recorder.set_arc_cost(src, dst, cost)
-            else:
-                recorder.add_arc(src, dst, capacity, cost)
+    def _leave_tick_group(self, task_id: int) -> None:
+        key = self._task_group.pop(task_id, None)
+        if key is not None:
+            members = self._tick_groups[key][1]
+            del members[task_id]
+            if not members:
+                del self._tick_groups[key]
 
     # ------------------------------------------------------------------ #
     # Dependency bookkeeping (machine availability -> dependent tasks)
     # ------------------------------------------------------------------ #
-    def _cache_task_cost_terms(self, task, now: float) -> None:
-        """Cache the decomposed unscheduled cost of a task derived at
-        ``now`` (see :meth:`SchedulingPolicy.unscheduled_cost_terms`) and
-        put its next waiting-cost tick on the calendar."""
-        static, rate = self.policy.unscheduled_cost_terms(task)
-        task_id = task.task_id
-        tick = _next_tick(rate, task.submit_time, now)
-        previous = self._task_cost_terms.get(task_id)
-        self._task_cost_terms[task_id] = (
-            static,
-            rate,
-            task.submit_time,
-            (self._task_nodes[task_id], self._unscheduled_nodes[task.job_id]),
-            tick,
-        )
-        # A live entry for the same tick is already on the calendar.
-        if tick != math.inf and (previous is None or previous[4] != tick):
-            heappush(self._tick_calendar, (tick, task_id))
-
     def _record_task_dependencies(
         self, task_id: int, machines: Iterable[Optional[int]]
     ) -> None:

@@ -42,6 +42,14 @@ from repro.flow.graph import FlowNetwork, NodeType
 ArcKey = Tuple[int, int]
 
 
+def waiting_term(rate: float, submit_time: float, now: float) -> int:
+    """The time-varying part of a task's unscheduled cost (see
+    :meth:`SchedulingPolicy.unscheduled_cost_terms`): ``int(rate * wait)``
+    for a positive wait, else 0."""
+    wait = now - submit_time
+    return int(rate * wait) if wait > 0.0 else 0
+
+
 @dataclass
 class DirtyView:
     """The scopes invalidated this round, as sets of entity ids.
@@ -114,6 +122,10 @@ class PolicyNetworkBuilder:
         #: for the others.  It is per-round because the graph manager makes
         #: a fresh builder for every update.
         self.round_cache: Dict[object, object] = {}
+        #: ``(static, rate)`` of the unscheduled arc the last task scope
+        #: emitted (:meth:`SchedulingPolicy.unscheduled_cost_terms`), which
+        #: the graph manager's waiting-cost calendar keeps.
+        self.unscheduled_terms: Optional[Tuple[int, float]] = None
 
     @property
     def sink(self) -> int:
@@ -297,11 +309,12 @@ class SchedulingPolicy(abc.ABC):
         task the continuation arc to its current machine.
         """
         task_node = builder.task_node(task.task_id)
+        static, rate = builder.unscheduled_terms = self.unscheduled_cost_terms(task)
         builder.add_arc(
             task_node,
             builder.unscheduled_node(task.job_id),
             1,
-            self.unscheduled_cost(task, now),
+            static + waiting_term(rate, task.submit_time, now),
         )
         if task.is_running and task.machine_id is not None:
             builder.add_arc(
@@ -412,13 +425,13 @@ class SchedulingPolicy(abc.ABC):
         """Decompose :meth:`unscheduled_cost` into ``(static, rate)``.
 
         The unscheduled cost at time ``now`` is
-        ``static + int(rate * max(0, now - task.submit_time))``.  Waiting
-        cost grows with ``now`` even for untouched tasks, so the graph
-        manager refreshes every clean task's unscheduled arc each round;
-        with the cost decomposed it caches the terms at derivation time and
-        the refresh is pure arithmetic (no attribute chasing, no policy
-        call).  A policy that overrides :meth:`unscheduled_cost` must
-        override this decomposition to match.
+        ``static + waiting_term(rate, task.submit_time, now)``.  Waiting
+        cost grows with ``now`` even for untouched tasks; with the cost
+        decomposed the graph manager keeps the terms the derivation used
+        and re-prices a clean task's unscheduled arc by pure arithmetic
+        when its waiting term moves (no attribute chasing, no policy
+        call).  The task scope prices its unscheduled arc from these
+        terms, so a policy changes that price by overriding this method.
         """
         static = self.base_unscheduled_cost
         static += self.priority_unscheduled_weight * max(0, task.priority)
@@ -437,8 +450,7 @@ class SchedulingPolicy(abc.ABC):
         refresh of waiting costs and the full build agree by construction.
         """
         static, rate = self.unscheduled_cost_terms(task)
-        wait = max(0.0, now - task.submit_time)
-        return static + int(rate * wait)
+        return static + waiting_term(rate, task.submit_time, now)
 
     def transfer_cost(self, task: Task, locality_fraction: float) -> int:
         """Cost of transferring the non-local part of a task's input data."""

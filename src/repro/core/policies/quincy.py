@@ -151,6 +151,8 @@ class QuincyPolicy(SchedulingPolicy):
         task_node: int,
     ) -> None:
         """Add machine and rack preference arcs for one task."""
+        if not task.input_locality:
+            return
         topology = state.topology
         arcs_added = 0
 

@@ -16,8 +16,8 @@ implements that classification so the incremental solvers can decide how much
 repair work a batch of changes requires.
 
 :class:`ChangeBatch` groups one scheduling round's changes into a typed
-batch: the record the graph manager emits from the mutations it applies to
-its graph (:class:`ChangeBatchBuilder`; :meth:`ChangeBatch.diff` of two
+batch: the record the graph manager reads off its graph's change journal
+(:meth:`ChangeBatch.from_journal`; :meth:`ChangeBatch.diff` of two
 networks is the tests' and benchmarks' reference).  A consumer that holds
 its own copy of the graph -- a worker's shadow, a dual executor's legs --
 replays it (:meth:`repro.solvers.residual.ResidualNetwork.apply_changes`)
@@ -29,9 +29,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.flow.graph import FlowNetwork, NodeType
+
+#: Change-journal origins (:attr:`repro.solvers.residual.ResidualNetwork.
+#: arc_journal`): the node or arc did not exist when the journal was last
+#: taken / did, and was removed since.
+ADDED = "added"
+REMOVED = "removed"
 
 
 class ChangeEffect(enum.Enum):
@@ -269,222 +275,70 @@ class ChangeBatch:
                 )
         return batch
 
+    @classmethod
+    def from_journal(
+        cls, residual, base_revision: Optional[int], target_revision: Optional[int]
+    ) -> "ChangeBatch":
+        """Take a residual's change journal
+        (:meth:`~repro.solvers.residual.ResidualNetwork.take_journal`) as
+        the batch :meth:`diff` would read between the residual then and now.
 
-class ChangeBatchBuilder:
-    """Applies a round's mutations to a graph and records them as a
-    :class:`ChangeBatch`.
-
-    The graph manager keeps its network in a
-    :class:`~repro.solvers.residual.FlowGraph`; routing every mutation
-    through this builder both applies it to the graph's residual and
-    records the corresponding typed change, so the round's
-    :class:`ChangeBatch` is emitted *directly from the mutations* -- no
-    second network is built and no diff pass runs.
-
-    The builder coalesces redundant records so the finished batch matches
-    what :meth:`ChangeBatch.diff` would have produced against a snapshot:
-
-    * capacity/cost patches keep only the final value, and are dropped when
-      the final value equals the round's starting value;
-    * supply changes record the net delta against the starting supply;
-    * an arc (or node) added and removed within the same round cancels out,
-      and patches to same-round-added arcs fold into the addition record.
-
-    :meth:`finish` orders the surviving changes the way :meth:`ChangeBatch.diff`
-    does -- arc removals, node removals, node additions, supply changes,
-    arc additions, capacity/cost patches -- so applying the batch
-    sequentially is always valid.
-    """
-
-    def __init__(self, graph, base_revision: Optional[int]) -> None:
-        self._residual = graph.residual
-        self.base_revision = base_revision
-        # Ordered dicts keyed by arc endpoints / node id; values described
-        # per mutator below.
-        self._removed_arcs: Dict[Tuple[int, int], ArcRemoval] = {}
-        self._removed_nodes: Dict[int, NodeRemoval] = {}
-        self._added_nodes: Dict[int, NodeAddition] = {}
-        self._added_arcs: Dict[Tuple[int, int], ArcAddition] = {}
-        # (src, dst) -> (residual position, original capacity, original
-        # stored cost) at first touch (positions hold within a round).
-        self._patched_arcs: Dict[Tuple[int, int], Tuple[int, int, int]] = {}
-        # node_id -> original supply at first touch.
-        self._supply_origin: Dict[int, int] = {}
-        #: Node ids whose incident arcs were removed this round plus nodes
-        #: added this round -- the only candidates that can have become
-        #: isolated, consumed by the graph manager's incremental prune.
-        self.prune_candidates: set = set()
-
-    # ------------------------------------------------------------------ #
-    # Node mutations
-    # ------------------------------------------------------------------ #
-    def add_node(
-        self,
-        node_type: NodeType,
-        supply: int = 0,
-        name: str = "",
-        ref: Optional[object] = None,
-        node_id: Optional[int] = None,
-    ) -> int:
-        """Add a node to the graph and record the addition; returns its id."""
-        if node_id is None:
-            raise ValueError("a graph node needs an explicit node id")
-        self._residual.add_node(node_id, supply, node_type, ref)
-        self._added_nodes[node_id] = NodeAddition(
-            node_type=node_type,
-            supply=supply,
-            name=name,
-            ref=ref,
-            node_id=node_id,
-        )
-        self.prune_candidates.add(node_id)
-        return node_id
-
-    def remove_node(self, node_id: int) -> None:
-        """Remove a node (recording removals for its live incident arcs)."""
-        residual = self._residual
-        for key in residual.incident_keys(node_id) + residual.incident_keys(
-            node_id, incoming=True
-        ):
-            self._record_arc_removal(key)
-        residual.remove_node(node_id)
-        self._supply_origin.pop(node_id, None)
-        if node_id in self._added_nodes:
-            # Added and removed within the same round: net no-op.
-            del self._added_nodes[node_id]
-        else:
-            self._removed_nodes[node_id] = NodeRemoval(node_id=node_id)
-        self.prune_candidates.discard(node_id)
-
-    def set_supply(self, node_id: int, supply: int) -> None:
-        """Set a node's supply, recording the net change for the round."""
-        current = self._residual.supply_of(node_id)
-        if current == supply:
-            return
-        if node_id in self._added_nodes:
-            # Fold into the pending addition record.
-            self._added_nodes[node_id].supply = supply
-        else:
-            self._supply_origin.setdefault(node_id, current)
-        self._residual.set_supply(node_id, supply)
-
-    # ------------------------------------------------------------------ #
-    # Arc mutations
-    # ------------------------------------------------------------------ #
-    def add_arc(self, src: int, dst: int, capacity: int, cost: int) -> None:
-        """Add an arc and record the addition.
-
-        An arc removed earlier in the same round and re-added stays recorded
-        as removal plus addition; removals precede additions in the finished
-        batch, so the sequence applies cleanly.
+        The journal holds each touched entity's first-touch origin, so the
+        records coalesce: a patch carries only a final value that differs
+        from its origin, a supply change the net delta, an arc (or node)
+        added and removed in between leaves nothing, and one removed and
+        re-added stays a removal plus an addition with its final values.
+        Ordered as :meth:`diff` orders a batch -- arc removals, node
+        removals, node additions, supply changes, arc additions,
+        capacity/cost patches -- so applying it in order is always valid.
         """
-        if capacity < 0:
-            raise ValueError("arc capacity must be non-negative")
-        self._residual.add_arc(src, dst, capacity, cost)
-        self._added_arcs[(src, dst)] = ArcAddition(
-            src=src, dst=dst, capacity=capacity, cost=cost
-        )
-
-    def remove_arc(self, src: int, dst: int) -> None:
-        """Remove an arc and record the removal."""
-        self._record_arc_removal((src, dst))
-        self._residual.remove_arc(src, dst)
-
-    def set_arc_capacity(self, src: int, dst: int, capacity: int) -> None:
-        """Patch an arc's capacity, recording the net change."""
-        residual = self._residual
-        key = (src, dst)
-        position = residual.arc_position[key]
-        if residual.arc_capacity(position) == capacity:
-            return
-        if key in self._added_arcs:
-            self._added_arcs[key].capacity = capacity
-        elif key not in self._patched_arcs:
-            self._patched_arcs[key] = self._origin(residual, position)
-        residual.set_arc_capacity(src, dst, capacity)
-
-    def set_arc_cost(self, src: int, dst: int, cost: int) -> None:
-        """Patch an arc's cost, recording the net change."""
-        key = (src, dst)
-        self.patch_known_arc_cost(key, self._residual.arc_position[key], cost)
-
-    def patch_known_arc_cost(self, key: Tuple[int, int], position: int, cost: int) -> None:
-        """:meth:`set_arc_cost` of an arc whose residual position the
-        caller already resolved (the graph manager's per-round
-        waiting-cost refresh, which touches many arcs)."""
-        residual = self._residual
-        if residual.arc_cost[2 * position] == cost * residual.cost_scale:
-            return
-        if key in self._added_arcs:
-            self._added_arcs[key].cost = cost
-        elif key not in self._patched_arcs:
-            self._patched_arcs[key] = self._origin(residual, position)
-        residual.patch_cost(position, cost)
-
-    @staticmethod
-    def _origin(residual, position: int) -> Tuple[int, int, int]:
-        forward = 2 * position
-        flows = residual.arc_residual
-        return position, flows[forward] + flows[forward + 1], residual.arc_cost[forward]
-
-    def _record_arc_removal(self, key: Tuple[int, int]) -> None:
-        self._patched_arcs.pop(key, None)
-        self.prune_candidates.update(key)
-        if key in self._added_arcs:
-            # Added and removed within the same round: net no-op.
-            del self._added_arcs[key]
-            return
-        self._removed_arcs[key] = ArcRemoval(src=key[0], dst=key[1])
-
-    # ------------------------------------------------------------------ #
-    # Counters and batch assembly
-    # ------------------------------------------------------------------ #
-    @property
-    def nodes_touched(self) -> int:
-        """Nodes added, removed, or whose supply changed this round."""
-        return (
-            len(self._added_nodes)
-            + len(self._removed_nodes)
-            + len(self._supply_origin)
-        )
-
-    @property
-    def arcs_patched(self) -> int:
-        """Arcs added, removed, or patched (capacity/cost) this round."""
-        return (
-            len(self._added_arcs) + len(self._removed_arcs) + len(self._patched_arcs)
-        )
-
-    def finish(self, target_revision: Optional[int]) -> ChangeBatch:
-        """Assemble the recorded mutations into a canonical change batch."""
-        batch = ChangeBatch(
-            base_revision=self.base_revision, target_revision=target_revision
-        )
-        residual = self._residual
-        changes = batch.changes
-        changes.extend(self._removed_arcs.values())
-        changes.extend(self._removed_nodes.values())
-        changes.extend(self._added_nodes.values())
-        for node_id, original in self._supply_origin.items():
-            current = residual.supply_of(node_id)
-            if current != original:
-                changes.append(SupplyChange(node_id=node_id, delta=current - original))
-        changes.extend(self._added_arcs.values())
-        arc_residual, arc_cost = residual.arc_residual, residual.arc_cost
-        for (src, dst), (position, capacity, cost) in self._patched_arcs.items():
-            forward = 2 * position
-            current = arc_residual[forward] + arc_residual[forward + 1]
-            if current != capacity:
-                changes.append(
-                    ArcCapacityChange(src=src, dst=dst, new_capacity=current)
+        nodes, arcs = residual.take_journal()
+        removed_arcs: List[GraphChange] = []
+        removed_nodes: List[GraphChange] = []
+        added_nodes: List[GraphChange] = []
+        supplies: List[GraphChange] = []
+        added_arcs: List[GraphChange] = []
+        patches: List[GraphChange] = []
+        index, alive, supply = residual.index, residual.node_alive, residual.supply
+        for node_id, origin in nodes.items():
+            i = index[node_id]
+            if origin is REMOVED:
+                removed_nodes.append(NodeRemoval(node_id))
+                if not alive[i]:
+                    continue
+            elif origin is not ADDED:
+                if supply[i] != origin:
+                    supplies.append(SupplyChange(node_id, supply[i] - origin))
+                continue
+            added_nodes.append(
+                NodeAddition(
+                    node_type=residual.node_types[i],
+                    supply=supply[i],
+                    ref=residual.node_refs[i],
+                    node_id=node_id,
                 )
-            if arc_cost[forward] != cost:
-                changes.append(
-                    ArcCostChange(
-                        src=src, dst=dst, new_cost=arc_cost[forward] // residual.cost_scale
-                    )
-                )
-        return batch
+            )
+        position_of = residual.arc_position
+        flows, costs, scale = residual.arc_residual, residual.arc_cost, residual.cost_scale
+        for key, origin in arcs.items():
+            if origin is REMOVED:
+                removed_arcs.append(ArcRemoval(*key))
+                if key not in position_of:
+                    continue
+            forward = 2 * position_of[key]
+            capacity = flows[forward] + flows[forward + 1]
+            if origin is ADDED or origin is REMOVED:
+                added_arcs.append(ArcAddition(*key, capacity, costs[forward] // scale))
+                continue
+            if capacity != origin[0]:
+                patches.append(ArcCapacityChange(*key, capacity))
+            if costs[forward] != origin[1]:
+                patches.append(ArcCostChange(*key, costs[forward] // scale))
+        return cls(
+            removed_arcs + removed_nodes + added_nodes + supplies + added_arcs + patches,
+            base_revision,
+            target_revision,
+        )
 
 
 def classify_arc_change(

@@ -698,15 +698,23 @@ class CostScalingSolver(Solver):
         # lands: the sources are collected from those, never by enumerating
         # the nodes.
         excess = residual.excess
+        arc_residual, arc_cost = residual.arc_residual, residual.arc_cost
+        arc_from, arc_to = residual.arc_from, residual.arc_to
+        potential = residual.potential
         pushed_into: List[int] = []
         repaired = False
         for position in dirty:
             for arc_index in (2 * position, 2 * position + 1):
-                if residual.arc_residual[arc_index] <= 0:
+                if arc_residual[arc_index] <= 0:
                     continue
-                if residual.reduced_cost(arc_index) < 0:
-                    residual.push(arc_index, residual.arc_residual[arc_index])
-                    pushed_into.append(residual.arc_to[arc_index])
+                if (
+                    arc_cost[arc_index]
+                    - potential[arc_from[arc_index]]
+                    + potential[arc_to[arc_index]]
+                    < 0
+                ):
+                    residual.push(arc_index, arc_residual[arc_index])
+                    pushed_into.append(arc_to[arc_index])
                     stats.pushes += 1
                     repaired = True
         sources = sorted(

@@ -22,8 +22,10 @@ The structure is *persistent* across scheduling rounds (paper, Section 5.2
 * a dirty-flow journal serves each extraction in O(changed arcs).
 
 A graph manager keeps its network in one residual (:class:`FlowGraph`):
-a round's mutations go straight into it, an in-place solver repairs
-exactly what they touched, and the placements are read off the journal.
+a round's mutations go straight into it, journaled (first-touch origins),
+so the round's :class:`~repro.flow.changes.ChangeBatch` is read off the
+change journal, an in-place solver repairs exactly what they touched, and
+the placements are read off the flow journal.
 A :class:`FlowNetwork` is built from it (:meth:`ResidualNetwork.to_network`)
 only where one is the interface: the oracles, DIMACS snapshots, and
 solvers that take one.
@@ -36,6 +38,7 @@ from collections.abc import Mapping as MappingABC
 from types import MappingProxyType
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
+from repro.flow.changes import ADDED, REMOVED
 from repro.flow.graph import FlowNetwork, NodeType
 from repro.solvers.base import SolveAborted
 
@@ -145,6 +148,14 @@ class ResidualNetwork:
         #: Arc keys whose extracted flow moved since
         #: :meth:`take_flow_changes` (``None``: nobody reads them).
         self.flow_changes: Optional[set] = None
+        #: The mutators' change journal since :meth:`take_journal`
+        #: (``None``: nobody reads it): each touched node id's supply at
+        #: first touch, each touched arc key's ``(capacity, stored cost)``
+        #: at first touch -- or :data:`~repro.flow.changes.ADDED` /
+        #: :data:`~repro.flow.changes.REMOVED`.  An entity
+        #: added and removed in between leaves no entry.
+        self.node_journal: Optional[Dict[int, object]] = None
+        self.arc_journal: Optional[Dict[Tuple[int, int], object]] = None
         self._max_cost_cache: Optional[int] = None
         # Dirty-flow journal: forward pair positions whose flow changed since
         # the last extraction, plus a cache of the last extracted non-zero
@@ -172,68 +183,12 @@ class ResidualNetwork:
                         raise SolveAborted(
                             "residual construction cancelled by abort check"
                         )
-            key = (arc.src, arc.dst)
-            self.arc_position[key] = self._add_arc_pair(
-                self.index[arc.src], self.index[arc.dst], arc.capacity, arc.cost
-            )
-            self.forward_arc_keys.append(key)
-            if arc.cost < 0:
-                self.has_negative_costs = True
+            self.put_arc(arc.src, arc.dst, arc.capacity, arc.cost)
+        # What the network holds is no patch for a repair to look at.
+        self.pending_dirty = set()
+        self._arcs_touched = 0
         if flows:
             self.load_flows(flows)
-
-    # ------------------------------------------------------------------ #
-    # Construction helpers
-    # ------------------------------------------------------------------ #
-    def _add_arc_pair(self, u: int, v: int, capacity: int, cost: int) -> int:
-        """Append a forward/reverse arc pair (zero flow); return the pair
-        position."""
-        forward_index = len(self.arc_to)
-        self.arc_from.append(u)
-        self.arc_to.append(v)
-        self.arc_residual.append(capacity)
-        self.arc_cost.append(cost)
-        self.adjacency[u].append(forward_index)
-
-        self.arc_from.append(v)
-        self.arc_to.append(u)
-        self.arc_residual.append(0)
-        self.arc_cost.append(-cost)
-        self.adjacency[v].append(forward_index + 1)
-        return forward_index // 2
-
-    def _add_node_slot(
-        self, node_id: int, supply: int, node_type: NodeType, ref: object
-    ) -> int:
-        """Append (or revive) a node slot for ``node_id``; return its index."""
-        if node_id in self.index:
-            i = self.index[node_id]
-            if self.node_alive[i]:
-                raise ValueError(f"node {node_id} already exists in the residual")
-            self.node_alive[i] = 1
-            self.dead_nodes -= 1
-            self.supply[i] = supply
-            self.excess[i] = supply
-            self.potential[i] = 0
-            self.current_arc[i] = 0
-            self.node_types[i] = node_type
-            self.node_refs[i] = ref
-            self.last_excess_moved.add(i)
-            return i
-        i = self.num_nodes
-        self.node_ids.append(node_id)
-        self.index[node_id] = i
-        self.supply.append(supply)
-        self.excess.append(supply)
-        self.potential.append(0)
-        self.node_alive.append(1)
-        self.current_arc.append(0)
-        self.adjacency.append([])
-        self.node_types.append(node_type)
-        self.node_refs.append(ref)
-        self.num_nodes += 1
-        self.last_excess_moved.add(i)
-        return i
 
     # ------------------------------------------------------------------ #
     # Basic queries
@@ -371,13 +326,65 @@ class ResidualNetwork:
         self, node_id: int, supply: int = 0, node_type=NodeType.OTHER, ref=None
     ) -> None:
         """Add (or revive) a node; its supply becomes excess to route."""
-        self._add_node_slot(node_id, supply, node_type, ref)
+        i = self.index.get(node_id)
+        if i is None:
+            i = self.index[node_id] = self.num_nodes
+            self.node_ids.append(node_id)
+            self.supply.append(supply)
+            self.excess.append(supply)
+            self.potential.append(0)
+            self.node_alive.append(1)
+            self.current_arc.append(0)
+            self.adjacency.append([])
+            self.node_types.append(node_type)
+            self.node_refs.append(ref)
+            self.num_nodes += 1
+        elif self.node_alive[i]:
+            raise ValueError(f"node {node_id} already exists in the residual")
+        else:
+            self.node_alive[i] = 1
+            self.dead_nodes -= 1
+            self.supply[i] = supply
+            self.excess[i] = supply
+            self.potential[i] = 0
+            self.current_arc[i] = 0
+            self.node_types[i] = node_type
+            self.node_refs[i] = ref
+        self.last_excess_moved.add(i)
         self._nodes_touched += 1
+        journal = self.node_journal
+        if journal is not None and node_id not in journal:
+            journal[node_id] = ADDED
 
     def remove_node(self, node_id: int) -> None:
-        """Remove a node with its incident arcs."""
-        self._patch_remove_node(node_id)
+        """Remove a node with its incident arcs (one walk of its adjacency:
+        the arcs out of it, and via their reverse halves the arcs into it)."""
+        i = self.index[node_id]
+        if not self.node_alive[i]:
+            raise ValueError(f"node {node_id} is already removed")
+        keys = self.forward_arc_keys
+        for arc_index in self.adjacency[i]:
+            if keys[arc_index >> 1] is not None:
+                self._remove_arc_pair(arc_index >> 1)
+        # Retiring the node retires its supply; a consistent batch leaves the
+        # node balanced once its arcs' flow has been returned.
+        self.excess[i] -= self.supply[i]
+        self.supply[i] = 0
+        if self.excess[i] != 0:
+            raise ValueError(
+                f"node {node_id} still has excess {self.excess[i]} after removal; "
+                "the change batch is inconsistent with the stored flow"
+            )
+        self.node_alive[i] = 0
+        self.potential[i] = 0
+        self.dead_nodes += 1
         self._nodes_touched += 1
+        journal = self.node_journal
+        if journal is not None:
+            if journal.get(node_id) is ADDED:
+                del journal[node_id]
+            else:
+                journal[node_id] = REMOVED
 
     def set_supply(self, node_id: int, supply: int) -> None:
         """Set a live node's supply; the difference becomes excess."""
@@ -386,6 +393,9 @@ class ResidualNetwork:
             raise ValueError(f"supply change on removed node {node_id}")
         delta = supply - self.supply[i]
         if delta:
+            journal = self.node_journal
+            if journal is not None and node_id not in journal:
+                journal[node_id] = self.supply[i]
             self.supply[i] = supply
             self.excess[i] += delta
             self.last_excess_moved.add(i)
@@ -393,18 +403,51 @@ class ResidualNetwork:
 
     def add_arc(self, src: int, dst: int, capacity: int, cost: int) -> None:
         """Add an arc (zero flow) between live nodes."""
-        key = (src, dst)
-        if key in self.arc_position:
+        if (src, dst) in self.arc_position:
             raise ValueError(f"arc {src}->{dst} already exists in the residual")
+        self.put_arc(src, dst, capacity, cost)
+
+    def put_arc(self, src: int, dst: int, capacity: int, cost: int) -> None:
+        """Make ``src -> dst`` an arc of ``capacity`` at ``cost``: patch what
+        differs (capacity first, then cost), or add it (zero flow, between
+        live nodes) -- what a graph update does with each arc a derivation
+        emits, in one call."""
+        key = (src, dst)
+        position = self.arc_position.get(key)
+        if position is not None:
+            forward = 2 * position
+            residual = self.arc_residual
+            if residual[forward] + residual[forward + 1] != capacity:
+                self.set_arc_capacity(src, dst, capacity)
+            if self.arc_cost[forward] != cost * self.cost_scale:
+                self.patch_cost(position, cost)
+            return
+        if capacity < 0:
+            raise ValueError("arc capacity must be non-negative")
         u = self.index[src]
         v = self.index[dst]
         if not (self.node_alive[u] and self.node_alive[v]):
             raise ValueError(f"arc {src}->{dst} references a removed node")
         cost *= self.cost_scale
-        position = self.arc_position[key] = self._add_arc_pair(u, v, capacity, cost)
+        # A forward/reverse pair of residual arcs, the flow zero.
+        forward = len(self.arc_to)
+        self.arc_from.append(u)
+        self.arc_to.append(v)
+        self.arc_residual.append(capacity)
+        self.arc_cost.append(cost)
+        self.adjacency[u].append(forward)
+        self.arc_from.append(v)
+        self.arc_to.append(u)
+        self.arc_residual.append(0)
+        self.arc_cost.append(-cost)
+        self.adjacency[v].append(forward + 1)
+        position = self.arc_position[key] = forward >> 1
         self.forward_arc_keys.append(key)
         self.pending_dirty.add(position)
         self._arcs_touched += 1
+        journal = self.arc_journal
+        if journal is not None and key not in journal:
+            journal[key] = ADDED
         if cost < 0:
             self.has_negative_costs = True
             cost = -cost
@@ -418,7 +461,15 @@ class ResidualNetwork:
 
     def set_arc_capacity(self, src: int, dst: int, capacity: int) -> None:
         """Change an arc's capacity."""
-        position = self.arc_position[(src, dst)]
+        key = (src, dst)
+        position = self.arc_position[key]
+        journal = self.arc_journal
+        if journal is not None and key not in journal:
+            forward = 2 * position
+            journal[key] = (
+                self.arc_residual[forward] + self.arc_residual[forward + 1],
+                self.arc_cost[forward],
+            )
         self._patch_capacity(position, capacity)
         self.pending_dirty.add(position)
         self._arcs_touched += 1
@@ -426,6 +477,14 @@ class ResidualNetwork:
     def patch_cost(self, position: int, cost: int) -> None:
         """Change the cost of the arc at a forward pair position."""
         forward = 2 * position
+        journal = self.arc_journal
+        if journal is not None:
+            key = self.forward_arc_keys[position]
+            if key not in journal:
+                journal[key] = (
+                    self.arc_residual[forward] + self.arc_residual[forward + 1],
+                    self.arc_cost[forward],
+                )
         cost *= self.cost_scale
         if self._flows_cache is not None:
             carried = self._flows_cache.get(self.forward_arc_keys[position])
@@ -440,6 +499,22 @@ class ResidualNetwork:
             cost = -cost
         if self._max_cost_cache is not None and cost > self._max_cost_cache:
             self._max_cost_cache = cost
+
+    def prune_candidates(self) -> set:
+        """The nodes the change journal names plus the endpoints of the
+        arcs it records as removed: the only nodes that can have become
+        isolated since it was taken."""
+        candidates = set(self.node_journal)
+        for key, origin in self.arc_journal.items():
+            if origin is REMOVED:
+                candidates.update(key)
+        return candidates
+
+    def take_journal(self) -> Tuple[Dict[int, object], Dict[Tuple[int, int], object]]:
+        """Hand over the change journal (nodes, arcs) and start a new one."""
+        taken = self.node_journal, self.arc_journal
+        self.node_journal, self.arc_journal = {}, {}
+        return taken
 
     def take_dirty(self) -> List[int]:
         """The forward pair positions whose capacity, cost or existence the
@@ -499,28 +574,29 @@ class ResidualNetwork:
         i = self.index.get(node_id)
         return i is not None and bool(self.node_alive[i])
 
-    def supply_of(self, node_id: int) -> int:
-        return self.supply[self.index[node_id]]
-
     def arc_capacity(self, position: int) -> int:
         return self.arc_residual[2 * position] + self.arc_residual[2 * position + 1]
 
     def incident_keys(self, node_id: int, incoming: bool = False) -> List[Tuple[int, int]]:
         """``(src, dst)`` of a node's live outgoing (incoming) arcs, in the
         order they were added; none for an unknown or removed node."""
-        if not self.has_node(node_id):
-            return []
+        i = self.index.get(node_id)
+        found = []
+        if i is None or not self.node_alive[i]:
+            return found
         keys = self.forward_arc_keys
-        return [
-            keys[arc >> 1]
-            for arc in self.adjacency[self.index[node_id]]
-            if (arc & 1) == incoming and keys[arc >> 1] is not None
-        ]
+        for arc in self.adjacency[i]:
+            if (arc & 1) == incoming and keys[arc >> 1] is not None:
+                found.append(keys[arc >> 1])
+        return found
 
     def is_isolated(self, node_id: int) -> bool:
         """Whether a node has no live incident arc (stops at the first)."""
         keys = self.forward_arc_keys
-        return all(keys[arc >> 1] is None for arc in self.adjacency[self.index[node_id]])
+        for arc in self.adjacency[self.index[node_id]]:
+            if keys[arc >> 1] is not None:
+                return False
+        return True
 
     def to_network(self) -> FlowNetwork:
         """The live nodes and arcs as a :class:`FlowNetwork`, with flows
@@ -587,29 +663,12 @@ class ResidualNetwork:
         self.forward_arc_keys[position] = None
         del self.arc_position[key]
         self.dead_arc_pairs += 1
-
-    def _patch_remove_node(self, node_id: int) -> None:
-        i = self.index[node_id]
-        if not self.node_alive[i]:
-            raise ValueError(f"node {node_id} is already removed")
-        # Remove every live incident arc first (both the arcs out of the node
-        # and, via their reverse halves in our adjacency, the arcs into it).
-        for arc_index in self.adjacency[i]:
-            position = arc_index >> 1
-            if self.forward_arc_keys[position] is not None:
-                self._remove_arc_pair(position)
-        # Retiring the node retires its supply; a consistent batch leaves the
-        # node balanced once its arcs' flow has been returned.
-        self.excess[i] -= self.supply[i]
-        self.supply[i] = 0
-        if self.excess[i] != 0:
-            raise ValueError(
-                f"node {node_id} still has excess {self.excess[i]} after removal; "
-                "the change batch is inconsistent with the stored flow"
-            )
-        self.node_alive[i] = 0
-        self.potential[i] = 0
-        self.dead_nodes += 1
+        journal = self.arc_journal
+        if journal is not None:
+            if journal.get(key) is ADDED:
+                del journal[key]
+            else:
+                journal[key] = REMOVED
 
     def maybe_compact(self) -> None:
         """Compact away dead slots once they dominate the arrays.
@@ -941,7 +1000,9 @@ class RetainedPotentials(MappingABC):
 class FlowGraph:
     """A graph manager's flow network, held in one :class:`ResidualNetwork`.
 
-    Its mutations patch :attr:`residual` in place, a solver that
+    Its mutations patch :attr:`residual` in place and are journaled (the
+    round's batch is :meth:`~repro.flow.changes.ChangeBatch.from_journal`;
+    residuals that only replay batches keep no journal), a solver that
     :attr:`~repro.solvers.base.Solver.solves_in_place` repairs that same
     residual, and the placements are read off its flow journal.  Counts
     have a network's meaning (live nodes and arcs); any other read of the
@@ -954,6 +1015,7 @@ class FlowGraph:
         self.residual = ResidualNetwork()
         self.residual.revision = revision
         self.residual.flow_changes = set()
+        self.residual.take_journal()  # starts the change journal
 
     @property
     def revision(self) -> Optional[int]:

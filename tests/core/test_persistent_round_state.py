@@ -37,8 +37,8 @@ from repro.cluster.machine import Machine
 from repro.core import FirmamentScheduler, ShardedScheduler
 from repro.core.graph_manager import GraphConsistencyError, _next_tick
 from repro.core.policies import QuincyPolicy
-from repro.flow.changes import ChangeBatchBuilder
 from repro.solvers import IncrementalCostScalingSolver
+from repro.solvers.residual import ResidualNetwork
 from tests.conftest import make_cluster_state, make_job, reference_min_cost
 from tests.core.test_incremental_graph_equivalence import (
     POLICIES,
@@ -241,16 +241,16 @@ def test_round_one_is_cross_checked_too(cells, monkeypatch):
     state = make_cluster_state(num_machines=8, machines_per_rack=2)
     state.submit_job(make_job(job_id=1, num_tasks=4))
     scheduler, _ = verified_scheduler(QuincyPolicy, state, cells)
-    add_arc = ChangeBatchBuilder.add_arc
+    put_arc = ResidualNetwork.put_arc
     dropped = []
 
-    def drop_the_first(builder, src, dst, capacity, cost):
-        if dropped:
-            add_arc(builder, src, dst, capacity, cost)
+    def drop_the_first(residual, src, dst, capacity, cost):
+        if dropped or (src, dst) in residual.arc_position:
+            put_arc(residual, src, dst, capacity, cost)
         else:
             dropped.append((src, dst))
 
-    monkeypatch.setattr(ChangeBatchBuilder, "add_arc", drop_the_first)
+    monkeypatch.setattr(ResidualNetwork, "put_arc", drop_the_first)
     try:
         with pytest.raises(GraphConsistencyError, match="from-scratch build"):
             scheduler.schedule(state, 0.0)

@@ -11,12 +11,12 @@ from repro.flow.changes import (
     NodeAddition,
     NodeRemoval,
     SupplyChange,
-    ChangeBatchBuilder,
+    ChangeBatch,
     apply_changes,
     classify_arc_change,
 )
 from repro.flow.graph import FlowNetwork, NodeType
-from repro.solvers.residual import FlowGraph
+from repro.solvers.residual import FlowGraph, ResidualNetwork
 
 
 def simple_network():
@@ -200,45 +200,52 @@ class TestChangeBatchDiff:
 
 
 def simple_graph():
-    """:func:`simple_network` held in a :class:`FlowGraph`, plus the
-    network itself (the graph's starting point) and the three node ids."""
+    """:func:`simple_network` held in a :class:`FlowGraph` (its journal
+    taken, so it starts empty), plus the network itself (the graph's
+    starting point) and the three node ids."""
     net, task, machine, sink = simple_network()
     graph = FlowGraph()
     for node in net.nodes():
         graph.residual.add_node(node.node_id, node.supply, node.node_type, node.ref)
     for arc in net.arcs():
         graph.residual.add_arc(arc.src, arc.dst, arc.capacity, arc.cost)
+    graph.residual.take_journal()
     return graph, net, task.node_id, machine.node_id, sink.node_id
 
 
-class TestChangeBatchBuilder:
-    """The builder applies mutations and emits the equivalent batch directly."""
+class TestChangeJournal:
+    """A graph's mutators journal themselves; the batch read off the
+    journal is the one the mutations amount to."""
 
     def _replay_matches(self, before, graph, batch):
         replayed = before.copy()
         batch.apply_to(replayed)
         assert replayed.structurally_equal(graph.copy()) == []
 
+    @staticmethod
+    def _set_arc_cost(residual, src, dst, cost):
+        residual.patch_cost(residual.arc_position[(src, dst)], cost)
+
     def test_mutations_round_trip_through_the_emitted_batch(self):
         graph, before, task, machine, sink = simple_graph()
-        builder = ChangeBatchBuilder(graph, base_revision=1)
+        residual = graph.residual
 
-        other = builder.add_node(NodeType.TASK, supply=1, name="T2", node_id=7)
-        builder.add_arc(other, machine, 1, 7)
-        builder.set_supply(sink, -2)
-        builder.set_arc_cost(task, machine, 9)
-        builder.set_arc_capacity(machine, sink, 2)
+        residual.add_node(7, 1, NodeType.TASK)
+        residual.add_arc(7, machine, 1, 7)
+        residual.set_supply(sink, -2)
+        self._set_arc_cost(residual, task, machine, 9)
+        residual.set_arc_capacity(machine, sink, 2)
 
-        batch = builder.finish(target_revision=2)
+        batch = ChangeBatch.from_journal(residual, 1, 2)
         assert batch.base_revision == 1 and batch.target_revision == 2
         self._replay_matches(before, graph, batch)
+        assert residual.node_journal == {} and residual.arc_journal == {}
 
     def test_node_removal_records_incident_arc_removals_first(self):
         graph, before, task, machine, sink = simple_graph()
-        builder = ChangeBatchBuilder(graph, base_revision=1)
-        builder.set_supply(sink, 0)
-        builder.remove_node(task)
-        batch = builder.finish(target_revision=2)
+        graph.residual.set_supply(sink, 0)
+        graph.residual.remove_node(task)
+        batch = ChangeBatch.from_journal(graph.residual, 1, 2)
 
         kinds = [type(c).__name__ for c in batch]
         assert kinds.index("ArcRemoval") < kinds.index("NodeRemoval")
@@ -246,36 +253,102 @@ class TestChangeBatchBuilder:
 
     def test_same_round_add_and_remove_cancels(self):
         graph, before, task, machine, sink = simple_graph()
-        builder = ChangeBatchBuilder(graph, base_revision=1)
-        ephemeral = builder.add_node(NodeType.OTHER, name="tmp", node_id=7)
-        builder.add_arc(machine, ephemeral, 1, 0)
-        builder.remove_arc(machine, ephemeral)
-        builder.remove_node(ephemeral)
-        batch = builder.finish(target_revision=2)
+        residual = graph.residual
+        residual.add_node(7, 0, NodeType.OTHER)
+        residual.add_arc(machine, 7, 1, 0)
+        residual.remove_arc(machine, 7)
+        residual.remove_node(7)
+        batch = ChangeBatch.from_journal(residual, 1, 2)
+        assert len(batch) == 0
+        self._replay_matches(before, graph, batch)
+
+    def test_node_added_and_removed_with_its_arcs_leaves_nothing(self):
+        graph, before, task, machine, sink = simple_graph()
+        residual = graph.residual
+        residual.add_node(7, 0, NodeType.OTHER)
+        residual.add_arc(machine, 7, 1, 0)
+        residual.add_arc(7, sink, 1, 0)
+        residual.remove_node(7)
+        batch = ChangeBatch.from_journal(residual, 1, 2)
         assert len(batch) == 0
         self._replay_matches(before, graph, batch)
 
     def test_patch_back_to_original_value_is_dropped(self):
         graph, _, task, machine, _ = simple_graph()
-        builder = ChangeBatchBuilder(graph, base_revision=1)
-        builder.set_arc_cost(task, machine, 11)
-        builder.set_arc_cost(task, machine, 3)  # original
-        batch = builder.finish(target_revision=2)
+        self._set_arc_cost(graph.residual, task, machine, 11)
+        self._set_arc_cost(graph.residual, task, machine, 3)  # original
+        batch = ChangeBatch.from_journal(graph.residual, 1, 2)
         assert len(batch) == 0
+
+    def test_patches_keep_only_the_final_value(self):
+        graph, before, task, machine, sink = simple_graph()
+        residual = graph.residual
+        residual.set_arc_capacity(machine, sink, 4)
+        residual.set_arc_capacity(machine, sink, 2)
+        self._set_arc_cost(residual, machine, sink, 6)
+        batch = ChangeBatch.from_journal(residual, 1, 2)
+        assert [(type(c).__name__, c.src, c.dst) for c in batch] == [
+            ("ArcCapacityChange", machine, sink),
+            ("ArcCostChange", machine, sink),
+        ]
+        assert batch.changes[0].new_capacity == 2 and batch.changes[1].new_cost == 6
+        self._replay_matches(before, graph, batch)
 
     def test_supply_patch_folds_into_same_round_node_addition(self):
         graph, _, _, _, _ = simple_graph()
-        builder = ChangeBatchBuilder(graph, base_revision=1)
-        node = builder.add_node(NodeType.TASK, supply=1, name="T9", node_id=7)
-        builder.set_supply(node, 3)
-        batch = builder.finish(target_revision=2)
+        graph.residual.add_node(7, 1, NodeType.TASK)
+        graph.residual.set_supply(7, 3)
+        batch = ChangeBatch.from_journal(graph.residual, 1, 2)
         additions = [c for c in batch if isinstance(c, NodeAddition)]
         assert len(additions) == 1 and additions[0].supply == 3
         assert not [c for c in batch if isinstance(c, SupplyChange)]
 
+    def test_arc_patch_folds_into_same_round_arc_addition(self):
+        graph, before, task, machine, sink = simple_graph()
+        residual = graph.residual
+        residual.add_arc(task, sink, 1, 5)
+        residual.set_arc_capacity(task, sink, 2)
+        self._set_arc_cost(residual, task, sink, 8)
+        batch = ChangeBatch.from_journal(residual, 1, 2)
+        assert [type(c).__name__ for c in batch] == ["ArcAddition"]
+        assert (batch.changes[0].capacity, batch.changes[0].cost) == (2, 8)
+        self._replay_matches(before, graph, batch)
+
+    def test_supply_records_the_net_delta(self):
+        graph, before, task, machine, sink = simple_graph()
+        residual = graph.residual
+        residual.set_supply(sink, -3)
+        residual.set_supply(sink, -2)
+        residual.set_supply(task, 1)  # unchanged: not recorded
+        batch = ChangeBatch.from_journal(residual, 1, 2)
+        assert [(type(c).__name__, c.node_id, c.delta) for c in batch] == [
+            ("SupplyChange", sink, -1)
+        ]
+        residual.set_supply(sink, -4)
+        residual.set_supply(sink, -2)  # back to the journal's origin
+        assert len(ChangeBatch.from_journal(residual, 2, 3)) == 0
+
+    def test_arc_removed_then_readded_stays_removal_plus_addition(self):
+        graph, before, task, machine, sink = simple_graph()
+        residual = graph.residual
+        residual.remove_arc(task, machine)
+        residual.add_arc(task, machine, 1, 4)
+        batch = ChangeBatch.from_journal(residual, 1, 2)
+        assert [(type(c).__name__, c.src, c.dst) for c in batch] == [
+            ("ArcRemoval", task, machine),
+            ("ArcAddition", task, machine),
+        ]
+        assert batch.changes[1].cost == 4
+        self._replay_matches(before, graph, batch)
+
     def test_prune_candidates_track_removed_arc_endpoints(self):
         graph, _, task, machine, sink = simple_graph()
-        builder = ChangeBatchBuilder(graph, base_revision=1)
-        builder.remove_arc(machine, sink)
-        assert machine in builder.prune_candidates
-        assert sink in builder.prune_candidates
+        graph.residual.remove_arc(machine, sink)
+        assert machine in graph.residual.prune_candidates()
+        assert sink in graph.residual.prune_candidates()
+
+    def test_replay_residuals_keep_no_journal(self):
+        net, task, machine, sink = simple_network()
+        residual = ResidualNetwork(net)
+        residual.apply_changes([ArcCostChange(task.node_id, machine.node_id, 5)])
+        assert residual.node_journal is None and residual.arc_journal is None
