@@ -3,8 +3,11 @@
 The paper's production claim (Section 5.2, fig10/fig14) is sub-second task
 placement *sustained* -- which a single bad worker process, broken pipe, or
 corrupted solver state must not be able to break.  This benchmark replays
-the fig14-style synthetic trace once fault-free and once per chaos fault
-class (at an aggressive 50 % per-round rate), and reports per class:
+the fig14-style synthetic trace once per chaos fault class (at an
+aggressive 50 % per-round rate) on the scheduler the fault reaches -- two
+worker-mode cells (``--cells 2 --cell-workers``) for the transport faults,
+the monolithic scheduler's dual executor for the solver- and graph-state
+faults -- and once fault-free on each, and reports per class:
 
 * the placement-quality delta vs the fault-free run (tasks placed, and the
   p50 placement latency ratio),
@@ -26,28 +29,33 @@ from benchmarks.common import bench_scale, build_cluster_state
 from repro.analysis.reporting import format_table
 from repro.analysis.stats import percentile
 from repro.chaos import FAULT_KINDS, ChaosPolicy
-from repro.core import FirmamentScheduler, QuincyPolicy
+from repro.core import FirmamentScheduler, QuincyPolicy, ShardedScheduler
 from repro.simulation import (
     ClusterSimulator,
     GoogleTraceGenerator,
     SimulationConfig,
     TraceConfig,
 )
-from repro.solvers import ParallelDualExecutor
 
 MACHINES = 32 * bench_scale()
 UTILIZATION = 0.8
 TRACE_SECONDS = 45.0
 FAULT_RATE = 0.5
 
+#: The fault classes delivered on the worker transport.
+WORKER_FAULTS = ("worker_kill", "pipe_break", "corrupt_message", "worker_delay")
 
-def replay_with_chaos(chaos=None):
-    """Replay the synthetic trace snippet under an optional chaos policy."""
+
+def replay_with_chaos(chaos=None, workers=False):
+    """Replay the synthetic trace snippet under an optional chaos policy,
+    on two worker-mode cells or on the monolithic dual executor."""
     state = build_cluster_state(MACHINES, utilization=UTILIZATION, seed=61)
-    # delta_solo_threshold=0 consults the worker every round so the
-    # transport fault classes are actually exercised each round.
-    solver = ParallelDualExecutor(delta_solo_threshold=0)
-    scheduler = FirmamentScheduler(QuincyPolicy(), solver=solver, chaos=chaos)
+    if workers:
+        scheduler = ShardedScheduler(
+            QuincyPolicy, num_cells=2, workers=True, chaos=chaos
+        )
+    else:
+        scheduler = FirmamentScheduler(QuincyPolicy(), chaos=chaos)
     config = TraceConfig(
         num_machines=MACHINES,
         slots_per_machine=4,
@@ -69,32 +77,34 @@ def replay_with_chaos(chaos=None):
         result = simulator.run()
     finally:
         simulator.close()
-    return result, solver
+    return result
 
 
 def test_chaos_robustness_placement_quality_and_round_latency(benchmark):
     """Every fault class completes the trace at fault-free placement quality."""
-    baseline, _ = replay_with_chaos(None)
-    base_runtimes = baseline.metrics.algorithm_runtimes
-    base_p50_latency = percentile(baseline.metrics.placement_latencies, 50)
-    base_p99_round = percentile(base_runtimes, 99)
-
-    rows = [
-        [
-            "fault-free",
-            "-",
-            baseline.metrics.tasks_placed,
-            "+0",
-            f"{1e3 * percentile(base_runtimes, 50):.1f}",
-            f"{1e3 * base_p99_round:.1f}",
-            0,
-            0,
-            0,
-        ]
-    ]
+    baselines = {workers: replay_with_chaos(None, workers) for workers in (False, True)}
+    rows = []
+    for workers, baseline in baselines.items():
+        base_runtimes = baseline.metrics.algorithm_runtimes
+        rows.append(
+            [
+                "fault-free (cell workers)" if workers else "fault-free",
+                "-",
+                baseline.metrics.tasks_placed,
+                "+0",
+                f"{1e3 * percentile(base_runtimes, 50):.1f}",
+                f"{1e3 * percentile(base_runtimes, 99):.1f}",
+                0,
+                0,
+                0,
+            ]
+        )
     for fault in FAULT_KINDS:
+        workers = fault in WORKER_FAULTS
+        baseline = baselines[workers]
+        base_p99_round = percentile(baseline.metrics.algorithm_runtimes, 99)
         chaos = ChaosPolicy(seed=63, rates={fault: FAULT_RATE}, delay_seconds=0.002)
-        run, solver = replay_with_chaos(chaos)
+        run = replay_with_chaos(chaos, workers)
         metrics = run.metrics
         runtimes = metrics.algorithm_runtimes
         placed_delta = metrics.tasks_placed - baseline.metrics.tasks_placed
@@ -150,15 +160,17 @@ def test_chaos_robustness_placement_quality_and_round_latency(benchmark):
     )
     print(
         "fault-free p50 placement latency: "
-        f"{base_p50_latency:.3f}s (virtual)"
+        f"{percentile(baselines[False].metrics.placement_latencies, 50):.3f}s "
+        "(virtual)"
     )
 
-    # Benchmark kernel: the mixed-fault replay (every class armed at once).
+    # Benchmark kernel: the mixed-fault replay on cell workers (every
+    # class armed at once; the residual corruption reaches no cell solver).
     mixed = {fault: FAULT_RATE for fault in FAULT_KINDS}
 
     def kernel():
-        run, _ = replay_with_chaos(
-            ChaosPolicy(seed=64, rates=mixed, delay_seconds=0.002)
+        run = replay_with_chaos(
+            ChaosPolicy(seed=64, rates=mixed, delay_seconds=0.002), workers=True
         )
         assert run.metrics.tasks_unplaced == 0
         return run
@@ -170,10 +182,7 @@ def test_chaos_deadline_degradation_bounds_round_tail(benchmark):
     """With a round deadline, every round is in budget or recorded degraded."""
     budget = 0.5
     state = build_cluster_state(MACHINES, utilization=UTILIZATION, seed=61)
-    solver = ParallelDualExecutor(
-        delta_solo_threshold=0, round_deadline_seconds=budget
-    )
-    scheduler = FirmamentScheduler(QuincyPolicy(), solver=solver)
+    scheduler = FirmamentScheduler(QuincyPolicy(), round_deadline_seconds=budget)
     config = TraceConfig(
         num_machines=MACHINES,
         slots_per_machine=4,

@@ -2,8 +2,8 @@
 
 The tier-1 suite (``tests/solvers/test_cross_solver_equivalence.py``) runs a
 few dozen seeds with three change rounds each.  This sweep pushes the same
-harness much further -- more seeds, deeper perturbation chains, and the
-subprocess-racing executor on every seed -- and is collected only when named
+harness much further -- more seeds and deeper perturbation chains -- and is
+collected only when named
 explicitly (every item under ``benchmarks/`` carries the ``benchmark``
 marker).  Scale with ``REPRO_BENCH_SCALE``.
 """
@@ -20,5 +20,5 @@ SEEDS = range(100, 100 + 50 * bench_scale())
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_equivalence_sweep(seed):
-    """Deep fuzz: every solver and both executors, eight change rounds."""
-    run_equivalence_rounds(seed, rounds=8, include_subprocess=seed % 5 == 0)
+    """Deep fuzz: every solver and the dual executor, eight change rounds."""
+    run_equivalence_rounds(seed, rounds=8)

@@ -16,14 +16,14 @@ forever, so beyond roughly 8x service work swallowed every slot and the
 experiment stopped exercising batch placement at all (see EXPERIMENTS.md,
 PR 1).  With it the sweep pushes to 16x and beyond.
 
-The Firmament replays race with the subprocess-backed
-:class:`~repro.solvers.parallel_executor.ParallelDualExecutor`: at 16x the
-incremental cost-scaling side degrades badly under the per-round churn
-(hundreds of task arrivals and completions per batch), and the sequential
-executor would grind every losing run to completion -- 165 s of real CPU
-for the replay, versus ~25 s when the race cancels the loser.  A second
-test pins that wall-clock advantage against the sequential executor at a
-moderate speedup where running both to completion is still affordable.
+The Firmament replays run the
+:class:`~repro.solvers.dual_executor.DualAlgorithmExecutor`: a round whose
+batch chains onto the cost-scaling leg's residual (every round after the
+first here, hundreds of task arrivals and completions per batch at 16x)
+runs incremental cost scaling alone, and only a round that does not chain
+races relaxation against it.  A second test pins that only the first
+round races at every speedup, and the executor's real wall clock per round
+to within 60 % of the winner's solo runtime from 4x on.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from repro.simulation import (
     SimulationConfig,
     TraceConfig,
 )
-from repro.solvers import ParallelDualExecutor, RelaxationSolver
+from repro.solvers import DualAlgorithmExecutor, RelaxationSolver
 
 MACHINES = 32 * bench_scale()
 SPEEDUPS = [1.0, 4.0, 16.0]
@@ -69,11 +69,10 @@ def replay(speedup: float, solver):
         FirmamentScheduler(QuincyPolicy())
     # Batch scheduling rounds at 2 Hz and skip the drain phase: the
     # scheduler gets charged the *effective* (winner's) runtime, so
-    # without an interval the simulator would re-run both solvers after
+    # without an interval the simulator would re-run the solver after
     # every single completion event -- hundreds of rounds per simulated
     # minute measuring the same latencies at many times the benchmark's
-    # wall cost (each simulated round costs real CPU for two full solver
-    # runs).  All configurations share the settings, so the comparison is
+    # wall cost.  All configurations share the settings, so the comparison is
     # unchanged.
     simulator = ClusterSimulator(
         state,
@@ -95,11 +94,7 @@ def test_fig18_firmament_keeps_up_with_accelerated_traces(benchmark):
     rows = []
     stats = {}
     for speedup in SPEEDUPS:
-        executor = ParallelDualExecutor()
-        try:
-            firmament_run, _ = replay(speedup, solver=executor)
-        finally:
-            executor.close()
+        firmament_run, _ = replay(speedup, solver=DualAlgorithmExecutor())
         relaxation_run, _ = replay(speedup, solver=RelaxationSolver())
         firmament_p99 = percentile(firmament_run.metrics.placement_latencies, 99)
         relaxation_p99 = percentile(relaxation_run.metrics.placement_latencies, 99)
@@ -140,70 +135,48 @@ def test_fig18_firmament_keeps_up_with_accelerated_traces(benchmark):
     # work at every speedup, so calibrated multi-round timing would cost
     # minutes for no extra signal.
     def timed_replay():
-        executor = ParallelDualExecutor()
-        try:
-            replay(SPEEDUPS[1], solver=executor)
-        finally:
-            executor.close()
+        replay(SPEEDUPS[1], solver=DualAlgorithmExecutor())
 
     benchmark.pedantic(timed_replay, rounds=1, iterations=1)
 
 
-def test_fig18_parallel_executor_real_wall_clock(benchmark):
-    """The real race beats the sequential executor's wall clock per round.
+def test_fig18_executor_wall_clock_tracks_winner(benchmark):
+    """The executor's real wall clock per round tracks the winner's runtime.
 
-    The sequential executor charges the simulator the modeled winner's
-    runtime but pays the sum of both algorithms in real CPU; the parallel
-    executor's measured wall clock approximates the winner alone because
-    the losing run is cancelled or abandoned.  This turns the paper's
-    "running both is cheap" claim into a measured property.  The
-    comparison runs at a moderate speedup: at 16x the sequential
-    executor's losing cost-scaling runs alone cost minutes of CPU, which
-    is precisely why the sweep above races with the parallel executor.
+    On a round that does not chain the executor runs both legs back to
+    back: the winner's runtime is the modeled latency, and the wall clock
+    pays the sum.  Every other round runs cost scaling alone, so the wall
+    clock is that one leg.  At every speedup only the replay's first round
+    races.  From 4x on, where the replay has tens of rounds, the measured
+    wall clock must stay within 60 % of the winner's solo runtime -- the
+    race's second leg is paid only on the round where it is contested.
+    The 1x replay has four rounds, so its ratio (~3.8x) is mostly round
+    1's cold race, whose loser -- a cold cost-scaling solve -- is paid by
+    design; it is printed, not bounded.
     """
-    speedup = 8.0
-    _, sequential_scheduler = replay(speedup, solver=None)
-    sequential = sequential_scheduler.solver
-
-    parallel = ParallelDualExecutor()
-    try:
-        parallel_run, _ = replay(speedup, solver=parallel)
-        print()
-        print(f"Figure 18 executor wall clock at {speedup:.0f}x "
-              f"({MACHINES} machines)")
-        print(format_table(
-            EXECUTOR_RACE_HEADER,
-            [
-                executor_race_row("sequential (modeled race)", sequential),
-                executor_race_row("parallel (subprocess race)", parallel),
-            ],
-        ))
-
-        assert parallel.rounds > 0
-        assert parallel.fallback_rounds == 0
-        assert parallel_run.metrics.tasks_placed > 0
-        # The real race's mean wall clock per round must undercut the
-        # sequential executor's (which pays the sum of both algorithms).
-        # The 5 % allowance absorbs single-core scheduling noise: when
-        # parent and worker time-slice one CPU the loser steals roughly
-        # half the cycles until cancelled, so the structural gap observed
-        # here (parallel at 0.7-0.9x of sequential) is itself a worst
-        # case relative to any multi-core host.
-        parallel_per_round = parallel.total_wall_clock_seconds / parallel.rounds
-        sequential_per_round = (
-            sequential.total_wall_clock_seconds / max(sequential.rounds, 1)
+    rows = []
+    overheads = {}
+    for speedup in sorted({*SPEEDUPS, 8.0}):
+        executor = DualAlgorithmExecutor()
+        run, _ = replay(speedup, solver=executor)
+        assert executor.rounds > 0
+        assert run.metrics.tasks_placed > 0
+        assert executor.rounds - executor.solo_delta_rounds == 1, speedup
+        overheads[speedup] = executor.total_wall_clock_seconds / max(
+            executor.total_winner_runtime_seconds, 1e-9
         )
-        print(f"wall clock per round: parallel {1e3 * parallel_per_round:.2f} ms "
-              f"vs sequential {1e3 * sequential_per_round:.2f} ms")
-        assert parallel_per_round < sequential_per_round * 1.05
-    finally:
-        parallel.close()
+        rows.append(executor_race_row(f"{speedup:.0f}x", executor))
+    print()
+    print(f"Figure 18 executor wall clock ({MACHINES} machines)")
+    print(format_table(EXECUTOR_RACE_HEADER, rows))
+    print("wall clock / winner solo runtime: " + ", ".join(
+        f"{speedup:.0f}x {overhead:.3f}" for speedup, overhead in overheads.items()
+    ))
+    for speedup, overhead in overheads.items():
+        if speedup >= 4.0:
+            assert overhead <= 1.6, f"{speedup:.0f}x: {overhead:.3f}"
 
     def timed_replay():
-        executor = ParallelDualExecutor()
-        try:
-            replay(speedup, solver=executor)
-        finally:
-            executor.close()
+        replay(8.0, solver=DualAlgorithmExecutor())
 
     benchmark.pedantic(timed_replay, rounds=1, iterations=1)

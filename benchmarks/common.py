@@ -166,7 +166,7 @@ EXECUTOR_RACE_HEADER = [
 def executor_race_row(name: str, executor) -> List:
     """One ``format_table`` row of a dual executor's race counters.
 
-    Shared by the fig14 and fig18 executor-comparison benchmarks so the
+    Shared by the fig14 and fig18 executor wall-clock benchmarks so the
     two figures' tables cannot drift apart.
     """
     rounds = max(executor.rounds, 1)

@@ -22,7 +22,7 @@ committed baseline in ``perf_baseline.json``:
 * the worker-resync kernel -- one chain-broken worker round served by the
   full-snapshot path (DIMACS serialize + reparse + cold solve) and by the
   resync path (composed incremental payload + shadow patch + persistent
-  solve) -- guarding the parallel executor's delta transport, and
+  solve) -- guarding the cell workers' delta transport, and
 * the sim-replay kernel -- a small ingested-trace replay (CSV ->
   ``read_trace`` -> streamed event-driven simulation) -- guarding the
   event engine and ingestion path; normalized against the from-scratch
@@ -52,11 +52,12 @@ committed baseline in ``perf_baseline.json``:
   append/replay rates), plus an exact count: the log was synced once per
   round that appended to it (group commit), never once per record, and
 * the dual-round kernel -- 50 steady-state rounds of the default scheduler
-  (sequential dual executor) at the service benchmark's shape, 128 machines
-  x 4 slots holding 128 tasks with 6 arrivals and 6 completions per round
-  -- guarding the inline race's per-round cost: both legs patch their
-  persistent residuals, so a reintroduced per-round rebuild, price refine
-  or graph copy shows as a multiple, and
+  (the dual executor) at the service benchmark's shape, 128 machines x 4
+  slots holding 128 tasks with 6 arrivals and 6 completions per round --
+  guarding the executor's per-round cost: every steady round chains, so
+  cost scaling runs alone and patches its persistent residual, and a
+  reintroduced per-round rebuild, price refine, graph copy or relaxation
+  leg shows as a multiple, and
 * the round-scaling kernel -- the same steady shape on a half-full cluster
   (6 completions + 6 arrivals per round, ``serve``'s scheduler)
   at 128 and at 512 machines -- guarding "a steady round costs what
@@ -306,9 +307,10 @@ def measure_relaxation_round() -> tuple:
     excluded, its batch is placement-sized).  The cold path builds a fresh
     residual network from the flow network and solves; the warm path is a
     persistent solver whose retained residual is patched in place from the
-    round's change batch (the relaxation leg of a steady-state dual-race
-    round).  Each measurement sums a few repetitions so the kernel is not
-    dominated by timer noise.
+    round's change batch (the path the relaxation ablations take; the dual
+    executor races relaxation only on rounds that do not chain).  Each
+    measurement sums a few repetitions so the kernel is not dominated by
+    timer noise.
     """
     from repro.solvers import RelaxationSolver as Relaxation
 
@@ -648,13 +650,14 @@ def measure_service_round_durable() -> float:
 def measure_dual_round() -> float:
     """Dual-round kernel: mean seconds of one steady-state default round.
 
-    ``FirmamentScheduler.schedule`` + ``apply`` through the sequential
-    dual executor, on the ``e2e`` benchmark's ``steady_small`` shape: 128
-    machines x 4 slots, a 128-task prefill, then per round 6 completions
-    and 6 arrivals (a 4-task and a 2-task job).  Five warm-up rounds let
-    both legs build their persistent residuals; the 50 timed rounds must
-    then all be delta solves on the cost-scaling leg and residual reuses
-    on the relaxation leg, and their placement extraction must carry at
+    ``FirmamentScheduler.schedule`` + ``apply`` through the dual executor,
+    on the ``e2e`` benchmark's ``steady_small`` shape: 128 machines x 4
+    slots, a 128-task prefill, then per round 6 completions and 6 arrivals
+    (a 4-task and a 2-task job).  The prefill round does not chain, so it
+    races both legs; every later round chains and runs cost scaling alone.
+    After five warm-up rounds the 50 timed rounds must all be delta solves
+    on the cost-scaling leg, relaxation must not have built a residual
+    since the prefill round, and their placement extraction must carry at
     least four fifths of the task-rounds over instead of re-deriving them.
     """
     import random

@@ -3,11 +3,11 @@
 The paper's production claim (Section 5.2, fig10) is that Firmament keeps
 sub-second placement latency *even when the environment misbehaves*.  The
 recovery machinery that backs that claim here — worker respawn with a
-circuit breaker, sequential fallback, rebuild-on-broken-revision-chain,
+circuit breaker, parent-side fallback, rebuild-on-broken-revision-chain,
 residual revalidation — is only trustworthy if faults are injected
 deliberately and the degraded output is validated against invariants.
 
-:class:`ChaosPolicy` is that injector.  Consumers (the dual executors, the
+:class:`ChaosPolicy` is that injector.  Consumers (the dual executor, the
 worker client, and :class:`~repro.core.graph_manager.GraphManager`)
 hold a ``chaos`` attribute that defaults to ``None``; every hook site is a
 single ``if chaos is not None`` guard, so the production path pays nothing.
@@ -34,8 +34,8 @@ Fault classes (``FAULT_KINDS``):
     ships a full snapshot next round.
 ``worker_delay``
     Prepend a ``("chaos_delay", seconds)`` message the worker sleeps on
-    before serving the round — a slow-worker stand-in for deadline and
-    photo-finish paths.
+    before serving the round — a slow-worker stand-in for the gather's
+    deadline path.
 ``chain_break``
     Drop the round's emitted :class:`ChangeBatch` in the graph manager,
     forcing the downstream revision-chain guards (warm rebuild, worker

@@ -38,17 +38,9 @@ _BASELINES = {
     "mesos": "MesosScheduler",
 }
 
-#: ``--executor`` name -> dual-executor class in :mod:`repro.solvers`
-#: (monolithic firmament only).
-_EXECUTOR_CLASSES = {
-    "sequential": "DualAlgorithmExecutor",
-    "parallel": "ParallelDualExecutor",
-}
-
-#: Names accepted by ``--scheduler``, ``--policy`` and ``--executor``.
+#: Names accepted by ``--scheduler`` and ``--policy``.
 SCHEDULERS = ("firmament", *_BASELINES)
 POLICIES = tuple(_POLICY_CLASSES)
-EXECUTORS = tuple(_EXECUTOR_CLASSES)
 
 
 def add_scheduler_arguments(parser) -> None:
@@ -101,15 +93,17 @@ def add_scheduler_arguments(parser) -> None:
         metavar="SECONDS",
         help=(
             "per-round wall-clock budget for the flow-based schedulers: "
-            "at the budget cost scaling stops its epsilon ladder (and a "
-            "racing relaxation leg is aborted); a delta repair still "
-            "running one watchdog period later is aborted, and a round "
-            "(with --cells: a cell) where no solver finished reuses the "
-            "previous feasible placements and rebuilds next round instead "
-            "of stalling.  serve's monolith runs incremental cost scaling "
-            "alone, so its round is that one solve.  Degraded-round counts "
-            "are reported in the summary (firmament only, default: no "
-            "deadline)"
+            "at the budget cost scaling stops its epsilon ladder; a delta "
+            "repair still running one watchdog period later is aborted, "
+            "and a round (with --cells: a cell) where no solver finished "
+            "reuses the previous feasible placements and rebuilds next "
+            "round instead of stalling.  Only simulate's monolithic rounds "
+            "that do not chain onto the previous solve (the first, a "
+            "broken chain, the round after an abort) also race a "
+            "relaxation leg, aborted at the same deadline; every other "
+            "round, and every serve round, is the one cost-scaling solve.  "
+            "Degraded-round counts are reported in the summary (firmament "
+            "only, default: no deadline)"
         ),
     )
 
@@ -123,36 +117,28 @@ def _policy_class(name: str):
 def _make_scheduler(
     scheduler_name: str,
     policy_name: str,
-    executor: Optional[str] = "sequential",
+    executor: bool = True,
     cells: int = 0,
     cell_workers: bool = False,
     round_deadline_seconds: Optional[float] = None,
 ):
     """Build the scheduler a CLI invocation asked for.
 
-    ``executor`` picks the monolithic firmament scheduler's solver:
-    ``"sequential"`` / ``"parallel"`` are the two dual executors of
-    ``simulate --executor``, and ``None`` is no race at all -- one
+    ``executor`` picks the monolithic firmament scheduler's solver: the
+    :class:`~repro.solvers.dual_executor.DualAlgorithmExecutor`
+    (``simulate``), or with ``False`` no race at all -- one
     :class:`~repro.solvers.incremental.IncrementalCostScalingSolver`, the
     solver every sharded cell runs, which is what ``serve`` asks for.
 
     Flag combinations that cannot take effect are rejected loudly instead
-    of silently ignored: ``cells`` and the parallel executor only apply to
-    the firmament scheduler, the parallel executor does not exist in the
-    sharded scheduler (each cell runs one incremental solver, there is no
-    race to configure), and ``round_deadline_seconds`` needs a flow-based
-    scheduler with deadline support.
+    of silently ignored: ``cells`` only applies to the firmament scheduler,
+    and ``round_deadline_seconds`` needs a flow-based scheduler with
+    deadline support.
     """
     if cells > 0 and scheduler_name != "firmament":
         raise ValueError(
             f"--cells only applies to the firmament scheduler, not "
             f"{scheduler_name!r}"
-        )
-    if executor == "parallel" and scheduler_name != "firmament":
-        raise ValueError(
-            f"--executor {executor!r} only applies to the firmament "
-            f"scheduler, not {scheduler_name!r} (the baselines run no "
-            "dual-algorithm race)"
         )
     if round_deadline_seconds is not None and scheduler_name != "firmament":
         raise ValueError(
@@ -162,12 +148,6 @@ def _make_scheduler(
         )
     if scheduler_name == "firmament":
         if cells > 0:
-            if executor == "parallel":
-                raise ValueError(
-                    f"--executor {executor!r} cannot combine with --cells: "
-                    "the sharded scheduler runs one incremental solver per "
-                    "cell (use --cell-workers for real process parallelism)"
-                )
             from repro.core.sharding import ShardedScheduler
 
             return ShardedScheduler(
@@ -180,8 +160,8 @@ def _make_scheduler(
             raise ValueError("--cell-workers requires --cells")
         solver = getattr(
             solvers,
-            "IncrementalCostScalingSolver" if executor is None
-            else _EXECUTOR_CLASSES[executor],
+            "DualAlgorithmExecutor" if executor
+            else "IncrementalCostScalingSolver",
         )()
         return FirmamentScheduler(
             _policy_class(policy_name)(), solver=solver,

@@ -158,10 +158,11 @@ def _build_scheduler(args: argparse.Namespace):
     return _make_scheduler(
         args.scheduler, args.policy,
         # No race: a service pays the wall clock of every solver leg it
-        # runs on its one event-loop thread (the simulator's sequential
-        # executor only *models* the second core), so the monolith solves
-        # with incremental cost scaling alone, like every cell.
-        executor=None,
+        # runs on its one event-loop thread (the simulator's dual executor
+        # only *models* the second core on the rounds it races), so the
+        # monolith solves with incremental cost scaling alone, like every
+        # cell.
+        executor=False,
         cells=args.cells,
         cell_workers=args.cell_workers,
         round_deadline_seconds=args.round_deadline,

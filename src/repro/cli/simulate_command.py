@@ -4,11 +4,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro.cli.scheduler_options import (
-    EXECUTORS,
-    _make_scheduler,
-    add_scheduler_arguments,
-)
+from repro.cli.scheduler_options import _make_scheduler, add_scheduler_arguments
 from repro.cluster.state import ClusterState
 from repro.cluster.topology import build_topology
 
@@ -42,18 +38,6 @@ def register(subparsers) -> None:
         "--speedup", type=float, default=1.0, help="trace speedup factor (Figure 18)"
     )
     add_scheduler_arguments(parser)
-    parser.add_argument(
-        "--executor",
-        choices=EXECUTORS,
-        default="sequential",
-        help=(
-            "firmament's dual-algorithm execution strategy: 'sequential' runs "
-            "relaxation and incremental cost scaling back to back and models "
-            "the race, 'parallel' races them for real (relaxation in a worker "
-            "subprocess) so each round costs one solver's wall clock "
-            "(default: sequential)"
-        ),
-    )
     parser.add_argument(
         "--constant-service-load",
         action="store_true",
@@ -110,7 +94,7 @@ def run(args: argparse.Namespace) -> int:
     topology = build_topology(args.machines, slots_per_machine=args.slots_per_machine)
     state = ClusterState(topology)
     scheduler = _make_scheduler(
-        args.scheduler, args.policy, args.executor,
+        args.scheduler, args.policy,
         cells=args.cells,
         cell_workers=args.cell_workers,
         round_deadline_seconds=args.round_deadline,
@@ -151,12 +135,12 @@ def run(args: argparse.Namespace) -> int:
         simulator.close()
     metrics = result.metrics
 
-    executor_note = f", executor: {args.executor}" if args.scheduler == "firmament" else ""
+    cells_note = ""
     if args.scheduler == "firmament" and args.cells > 0:
-        executor_note = f", cells: {args.cells}" + (
+        cells_note = f", cells: {args.cells}" + (
             " (worker subprocesses)" if args.cell_workers else " (inline)"
         )
-    print(f"scheduler: {args.scheduler} (policy: {args.policy}{executor_note})")
+    print(f"scheduler: {args.scheduler} (policy: {args.policy}{cells_note})")
     print(f"jobs submitted: {len(state.jobs)}, tasks placed: {metrics.tasks_placed}, "
           f"tasks completed: {metrics.tasks_completed}")
     print(f"scheduler rounds: {len(result.schedule_records)} "

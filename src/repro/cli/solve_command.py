@@ -11,15 +11,9 @@ from repro.solvers.cost_scaling import PRICE_REFINE_MODES
 #: Algorithms whose constructor accepts a ``price_refine`` variant.
 PRICE_REFINE_ALGORITHMS = frozenset({"cost_scaling", "incremental_cost_scaling"})
 
-#: The two speculative dual executors; their price-refine variant rides in
-#: on an injected cost-scaling leg.
-DUAL_EXECUTOR_ALGORITHMS = frozenset(
-    {"firmament_dual", "firmament_dual_parallel"}
-)
-
-#: Algorithm names accepted by ``--algorithm``.  The two ``firmament_dual``
-#: entries are the speculative executors: sequential (modeled race) and
-#: parallel (a real race against a relaxation worker subprocess).
+#: Algorithm names accepted by ``--algorithm``.  ``firmament_dual`` is the
+#: speculative dual executor; its price-refine variant rides in on an
+#: injected cost-scaling leg.
 ALGORITHMS = (
     "relaxation",
     "cost_scaling",
@@ -27,7 +21,6 @@ ALGORITHMS = (
     "successive_shortest_path",
     "cycle_canceling",
     "firmament_dual",
-    "firmament_dual_parallel",
 )
 
 
@@ -92,17 +85,11 @@ def run(args: argparse.Namespace) -> int:
     price_refine = getattr(args, "price_refine", "auto")
     if args.algorithm in PRICE_REFINE_ALGORITHMS:
         solver_kwargs["price_refine"] = price_refine
-    if args.algorithm in DUAL_EXECUTOR_ALGORITHMS:
+    if args.algorithm == "firmament_dual":
         solver_kwargs["incremental"] = IncrementalCostScalingSolver(
             price_refine=price_refine
         )
-    solver = make_solver(args.algorithm, **solver_kwargs)
-    try:
-        result = solver.solve(network)
-    finally:
-        close = getattr(solver, "close", None)
-        if callable(close):
-            close()
+    result = make_solver(args.algorithm, **solver_kwargs).solve(network)
 
     violations = check_feasibility(network)
     print(f"algorithm:  {result.algorithm}")

@@ -411,7 +411,7 @@ class GraphManager:
 
     def network_view(self) -> FlowNetwork:
         """The graph as a :class:`FlowNetwork`, for a solver that takes one
-        (a dual executor's race): the previous view with the round's batch
+        (the dual executor): the previous view with the round's batch
         replayed onto it when the batch chains from it -- O(changes), as a
         worker follows its shadow -- and a fresh one from the graph
         otherwise."""

@@ -24,12 +24,11 @@ its :class:`~repro.core.graph_manager.GraphManager`, its solver):
    ``epsilon_truncated`` when the result is not optimal), hold-pending for
    a dead one (``round_deadline``; nothing is extracted, so the round's
    changes wait for the next result);
-4. charge ``algorithm_runtime`` by one rule -- a cell costs its measured
-   wall clock if its solver ``charges_wall_clock`` (a physical race),
-   otherwise the runtime its result reports (falling back to wall clock);
-   the round costs the gather wall clock when the cells really ran
-   concurrently, otherwise its slowest cell, i.e. the latency of the
-   concurrent deployment being modeled.
+4. charge ``algorithm_runtime`` by one rule -- a cell costs the runtime
+   its result reports (falling back to wall clock); the round costs the
+   gather wall clock when the cells really ran concurrently, otherwise its
+   slowest cell, i.e. the latency of the concurrent deployment being
+   modeled.
 
 The scheduler keeps no per-round history: a round's counters travel on
 its decision (``decision.solver_result.statistics``), and a caller that
@@ -191,8 +190,8 @@ class FlowScheduler:
             else:
                 # Inline cells ran back to back; charge the slowest cell,
                 # the effective latency of the concurrent deployment (same
-                # modeling convention as the sequential dual executor's
-                # race).  For one cell that is simply its runtime.
+                # modeling convention as the dual executor's raced
+                # rounds).  For one cell that is simply its runtime.
                 decision.algorithm_runtime = max(
                     runtime for _, _, runtime in outcomes
                 )
@@ -251,18 +250,11 @@ class FlowScheduler:
         wall_runtime = time.perf_counter() - start
         if network is not graph:
             graph.set_flows(result.flows)
-        if solver.charges_wall_clock:
-            # The parallel executor races the algorithms physically, so the
-            # measured wall clock *is* the placement latency (winner's
-            # runtime plus IPC overhead); charging the winner's solo runtime
-            # would hide the overhead the executor exists to measure.
-            return result, wall_runtime
-        # Use the solver-reported runtime when available: for the
-        # sequential dual executor that is the *winner's* runtime -- the
-        # effective placement latency of the paper's concurrent
-        # deployment (the two algorithms run on separate cores; the
-        # sequential executor runs them back to back, so wall-clock
-        # would double-charge the loser).
+        # Use the solver-reported runtime when available: for the dual
+        # executor that is the *winner's* runtime -- on a raced round the
+        # effective placement latency of the paper's concurrent deployment
+        # (the two algorithms run on separate cores; the executor runs them
+        # back to back, so wall clock would double-charge the loser).
         return result, result.runtime_seconds or wall_runtime
 
     def _merge_cell(
@@ -343,10 +335,10 @@ class FirmamentScheduler(FlowScheduler):
             policy: Scheduling policy that shapes the flow network.
             solver: MCMF solver; defaults to a
                 :class:`~repro.solvers.dual_executor.DualAlgorithmExecutor`
-                (relaxation plus incremental cost scaling, run back to back
-                every round with the race modeled).  Pass a
-                :class:`~repro.solvers.parallel_executor.ParallelDualExecutor`
-                to race them for real, an
+                (incremental cost scaling alone on a round whose batch
+                chains onto its residual, raced back to back against
+                relaxation, with the race modeled, on every other round).
+                Pass an
                 :class:`~repro.solvers.incremental.IncrementalCostScalingSolver`
                 to solve each round with one leg (what ``serve`` runs), or a
                 plain cost-scaling solver to reproduce Quincy's behaviour.
@@ -360,7 +352,7 @@ class FirmamentScheduler(FlowScheduler):
                 feasible flow reuses the previous placements instead of
                 stalling; both outcomes are recorded as degraded rounds.
                 Requires a solver that supports round deadlines (the dual
-                executors and the incremental cost-scaling solver do).
+                executor and the incremental cost-scaling solver do).
             chaos: Optional :class:`repro.chaos.ChaosPolicy` injecting
                 deterministic faults into the round pipeline (tests and
                 chaos benchmarks only).
@@ -402,7 +394,7 @@ class FirmamentScheduler(FlowScheduler):
         return outcomes[0][1] if outcomes else None
 
     def close(self) -> None:
-        """Release solver resources (e.g. the parallel executor's worker)."""
+        """Release solver resources, if the solver holds any."""
         close = getattr(self.solver, "close", None)
         if callable(close):
             close()

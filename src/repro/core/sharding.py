@@ -43,7 +43,7 @@ schedules one cell), and this module does the same:
   *placing*, not the cells that exist: their sum when solved **inline**
   (the pipeline's default: deterministic; ``algorithm_runtime`` charges
   the *slowest* cell, modeling concurrent cells the same way the
-  sequential dual executor models the race), the slowest one in a pool of
+  dual executor models a raced round), the slowest one in a pool of
   persistent **worker subprocesses** --
   one incremental cost-scaling solver per cell, each behind a
   :class:`~repro.solvers.worker.WorkerClient` (see
@@ -76,8 +76,8 @@ round's ships, respawns and breaker state are stamped on the cell's result
 (:meth:`~repro.solvers.worker.WorkerClient.stamp_round`), so the merged
 statistics carry the round's totals.
 
-Chaos: the scheduler honours the same :class:`~repro.chaos.ChaosPolicy`
-faults as the parallel executor, aimed at one cell per firing round
+Chaos: the scheduler delivers the worker-transport faults of
+:class:`~repro.chaos.ChaosPolicy` to one cell per firing round
 (``round_index % num_cells``), so a ``worker_kill`` degrades exactly the
 affected cell -- its round is served by the parent-side fallback solver and
 its own breaker counts the failure -- while every other cell's worker keeps
@@ -443,8 +443,8 @@ class ShardedScheduler(FlowScheduler):
             (ship all, then gather: wall clock ~ slowest cell).  ``False``
             (default) solves cells inline in cell order and charges the
             *maximum* cell runtime -- fully deterministic, modeling the
-            concurrent deployment exactly as the sequential dual executor
-            models the race.
+            concurrent deployment exactly as the dual executor models a
+            raced round.
         solver_factory: Zero-argument callable producing each cell's
             inline/fallback solver; defaults to
             ``IncrementalCostScalingSolver()``.

@@ -487,9 +487,9 @@ class ClusterSimulator:
     def close(self) -> None:
         """Release scheduler resources (worker subprocesses and the like).
 
-        Call after the last :meth:`run` when the scheduler uses the parallel
-        dual executor; a simulator driving a plain solver has nothing to
-        release and the call is a no-op.
+        Call after the last :meth:`run` when the scheduler runs cell worker
+        subprocesses; a simulator driving an in-process solver has nothing
+        to release and the call is a no-op.
         """
         close = getattr(self.scheduler, "close", None)
         if callable(close):

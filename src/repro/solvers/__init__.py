@@ -18,14 +18,13 @@ dual-algorithm executor of Section 6.1:
   Both are subclasses of the solver they make incremental, and each is the
   one owner of its warm state: a warm start loads the previous flow into
   the residual it builds and never writes the network being solved.
-* :class:`~repro.solvers.dual_executor.DualAlgorithmExecutor` (sequential,
-  models the race) and
-  :class:`~repro.solvers.parallel_executor.ParallelDualExecutor` (races a
-  relaxation worker subprocess against parent-side incremental cost
-  scaling for real)
+* :class:`~repro.solvers.dual_executor.DualAlgorithmExecutor` (incremental
+  cost scaling alone on a round whose batch chains onto its residual; the
+  two legs raced back to back, with the race modeled, on every other
+  round)
 * :class:`~repro.solvers.worker.WorkerClient` /
-  :func:`~repro.solvers.worker.serve_solver` (the one out-of-process solver
-  transport, used by the parallel executor and the sharded scheduler)
+  :func:`~repro.solvers.worker.serve_solver` (the out-of-process solver
+  transport of the sharded scheduler's ``--cell-workers``)
 
 All solvers share the :class:`~repro.solvers.base.Solver` interface: they
 take a :class:`~repro.flow.graph.FlowNetwork`, assign an optimal flow to its
@@ -52,7 +51,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "incremental": ("IncrementalCostScalingSolver",),
     "incremental_relaxation": ("IncrementalRelaxationSolver",),
     "dual_executor": ("DualAlgorithmExecutor", "DualExecutionResult"),
-    "parallel_executor": ("ParallelDualExecutor",),
     "worker": ("RevisionChainCache", "WorkerClient"),
     "worker_health": ("WorkerCircuitBreaker",),
 })
@@ -66,7 +64,6 @@ _SOLVER_CLASSES = {
     "incremental_cost_scaling": "IncrementalCostScalingSolver",
     "incremental_relaxation": "IncrementalRelaxationSolver",
     "firmament_dual": "DualAlgorithmExecutor",
-    "firmament_dual_parallel": "ParallelDualExecutor",
 }
 
 
@@ -75,8 +72,7 @@ def make_solver(name: str, **kwargs) -> "Solver":
 
     Recognized names: ``cycle_canceling``, ``successive_shortest_path``,
     ``cost_scaling``, ``relaxation``, ``incremental_cost_scaling``,
-    ``incremental_relaxation``, ``firmament_dual`` (sequential dual
-    executor), ``firmament_dual_parallel`` (subprocess-racing executor).
+    ``incremental_relaxation``, ``firmament_dual`` (the dual executor).
     """
     if name not in _SOLVER_CLASSES:
         raise ValueError(

@@ -88,8 +88,7 @@ class SolverStatistics:
     dual_ascents: int = 0
     #: Worker transport accounting of the round (stamped by
     #: :meth:`repro.solvers.worker.WorkerClient.stamp_round`): whether a
-    #: solver worker -- the parallel executor's relaxation worker or a
-    #: sharded cell's solver worker -- was fed a full DIMACS snapshot or an
+    #: sharded cell's solver worker was fed a full DIMACS snapshot or an
     #: incremental delta/resync payload this round (per worker at most one
     #: of the two is 1, a sharded round sums its cells; both zero when no
     #: worker was consulted).
@@ -183,11 +182,6 @@ class Solver(abc.ABC):
     #: :class:`~repro.solvers.residual.FlowGraph` and solves its residual in
     #: place (the scheduler then builds no :class:`FlowNetwork` for it).
     solves_in_place: bool = False
-    #: Whether a round should be charged its measured wall clock instead of
-    #: the runtime the result reports (true while an executor races its
-    #: algorithms physically, so the reported winner's solo runtime would
-    #: hide the racing overhead).
-    charges_wall_clock: bool = False
 
     @abc.abstractmethod
     def solve(self, network: FlowNetwork) -> SolverResult:
@@ -274,13 +268,13 @@ class RoundDeadline:
 class SolveAborted(Exception):
     """Raised when a cooperative abort check cancelled a solver run.
 
-    The speculative parallel executor (Section 6.1 deployed for real,
-    :mod:`repro.solvers.parallel_executor`) installs an abort check on the
-    parent-side cost scaling run; when the relaxation worker subprocess
-    delivers its solution first, the check fires and the losing run is
-    cancelled mid-flight instead of finishing pointless work.  A solver
-    whose run was aborted makes no guarantee about its internal state;
-    stateful solvers must discard or re-seed their warm state.
+    The dual executor installs a round deadline's
+    :meth:`RoundDeadline.hard_expired` as the relaxation leg's abort check,
+    and relaxation raises it past its ascent cap, so a leg that cannot
+    finish in budget yields the round to the other leg instead of stalling
+    it.  A solver whose run was aborted makes no guarantee about its
+    internal state; stateful solvers must discard or re-seed their warm
+    state.
     """
 
 

@@ -161,9 +161,9 @@ def price_refine_spfa(residual: ResidualNetwork, abort_check=None, stats=None) -
         abort_check: Optional cooperative cancellation hook, polled every
             :data:`PRICE_REFINE_CHECK_INTERVAL` dequeued labels; returning
             True raises :class:`~repro.solvers.base.SolveAborted`.  Price
-            refine dominates the warm-start path's runtime, so a
-            parallel-executor race that cannot cancel it would notice the
-            other algorithm's finish tens of milliseconds late.
+            refine dominates the warm-start path's runtime, so a hard
+            deadline that cannot cancel it would fire tens of milliseconds
+            late.
         stats: Optional :class:`~repro.solvers.base.SolverStatistics`;
             dequeued labels are accumulated into ``price_refine_passes``.
 
@@ -418,8 +418,8 @@ class CostScalingSolver(Solver):
         #: polled every :data:`ABORT_CHECK_INTERVAL` operations inside the
         #: long-running loops.  Returning True raises
         #: :class:`~repro.solvers.base.SolveAborted`, cancelling the run
-        #: (the speculative parallel executor uses this to stop the losing
-        #: algorithm).  ``None`` (the default) adds no per-operation work.
+        #: (a round deadline's hard expiry aborts a delta repair through
+        #: it).  ``None`` (the default) adds no per-operation work.
         self.abort_check: Optional[callable] = None
         #: Exact scaled potentials of the most recent run, for warm starts.
         #: ``None`` while the run's residual is retained (they live there;

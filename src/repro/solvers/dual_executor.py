@@ -1,44 +1,43 @@
 """Speculative dual-algorithm execution (Section 6.1 of the paper).
 
-Firmament's MCMF solver always runs two algorithms on every scheduling
-iteration -- from-scratch relaxation and incremental cost scaling -- and
-picks the solution of whichever finishes first.  In the common case
-relaxation wins by a wide margin; under oversubscription or heavy contention
-relaxation degrades badly and incremental cost scaling bounds the placement
-latency.  Running both is cheap because each algorithm is single-threaded.
+Firmament's MCMF solver runs two algorithms on a scheduling iteration --
+from-scratch relaxation and incremental cost scaling -- and picks the
+solution of whichever finishes first, because neither dominates:
+relaxation usually wins a cold solve by a wide margin, and incremental
+cost scaling bounds the placement latency under oversubscription and heavy
+contention.
 
-The reproduction provides two executors:
+:class:`DualAlgorithmExecutor` keeps that insurance where it is contested
+and drops it where it is not.  One rule picks a round's legs: incremental
+cost scaling runs **alone** iff the round's change batch chains onto the
+residual its previous run kept
+(:meth:`~repro.solvers.incremental.IncrementalCostScalingSolver.can_solve_delta`),
+whatever the batch's size -- that round is a delta repair, costing the
+batch plus the repair, which a from-scratch relaxation run rarely beats
+(``benchmarks/bench_race_table.py`` times both legs on every round of the
+figure replays).  Every round that does not chain -- the first, a broken
+revision chain, the round after the residual was released, a call with no
+batch -- runs both legs back to back
+and models the concurrent deployment: the *effective* runtime is the
+winner's own, as if the legs had run on two cores, while the wall clock
+paid is the sum.  Both numbers are exposed.  ``simulate`` and the figure
+benchmarks run this executor.
 
-* :class:`DualAlgorithmExecutor` (this module) runs both legs every round,
-  *sequentially*, and models the concurrent deployment: the *effective*
-  runtime reported for an iteration is the minimum of the two runtimes,
-  exactly as if they had run on two cores, while the real wall-clock cost
-  paid is the sum.  Both numbers are exposed so experiments can reason
-  about either.  ``simulate`` and the figure benchmarks run it.
-* :class:`~repro.solvers.parallel_executor.ParallelDualExecutor`, its
-  subclass, races the algorithms *for real*: relaxation runs in a
-  persistent worker subprocess while incremental cost scaling runs in the
-  parent, the first finisher wins, and the loser is cancelled (parent side)
-  or abandoned (worker side).  Its measured wall clock per round
-  approximates the winner's solo runtime instead of the sum.  It alone
-  skips the relaxation leg on small revision-chained batches (its
-  solo-delta rule), because it alone pays a second core for that leg.
-
-``serve`` runs neither: a service pays the wall clock of every leg it runs
-on its one event-loop thread, so its monolithic scheduler solves each
-round with :class:`~repro.solvers.incremental.IncrementalCostScalingSolver`
+``serve`` does not: a service pays the wall clock of every leg it runs on
+its one event-loop thread, so its monolithic scheduler solves each round
+with :class:`~repro.solvers.incremental.IncrementalCostScalingSolver`
 alone, the solver every ``--cells`` cell runs.
 
 The executor owns a round's single flow write-back: the legs solve on
 their own persistent residuals and never touch ``network``'s arcs; the
-winner's flows are written once, after the race (``set_flows``).  The
-incremental cost scaling instance is seeded from a relaxation win (price refine makes the
-potentials usable, Section 6.2) **iff it holds no residual of its own at
-this round's revision** -- its leg was cancelled by the parallel race,
-aborted, or truncated at the deadline.  A leg that ran to completion keeps
-its own 0-optimal residual, so the next round repairs it with
-``solve_delta`` instead of paying an O(graph) warm rebuild plus a full
-price refine for a re-sync nothing invalidated.
+winner's flows are written once, after the legs ran (``set_flows``).  The
+incremental cost scaling instance is seeded from a relaxation win (price
+refine makes the potentials usable, Section 6.2) **iff it holds no residual
+of its own at this round's revision** -- its leg was aborted or truncated
+at the deadline.  A leg that ran to completion keeps its own 0-optimal
+residual, so the next round repairs it with ``solve_delta`` instead of
+paying an O(graph) warm rebuild plus a full price refine for a re-sync
+nothing invalidated.
 """
 
 from __future__ import annotations
@@ -68,26 +67,19 @@ class DualExecutionResult:
     Attributes:
         winner: The result whose algorithm finished first; its flow is the
             one the executor writes to the network.
-        relaxation: The relaxation run's result; ``None`` on the parallel
-            executor's solo delta rounds (the leg did not run), when it
-            abandoned the worker's round before it finished, and when the
-            leg was aborted at the deadline or its ascent cap.
+        relaxation: The relaxation run's result; ``None`` on a chained
+            round (the leg did not run) and when the leg was aborted at
+            the deadline or its ascent cap.
         cost_scaling: The (incremental) cost scaling run's result; ``None``
-            when the parallel executor cancelled the run mid-flight or the
-            hard deadline aborted it -- the leg itself runs every round.
+            when the hard deadline aborted it -- the leg itself runs every
+            round.
         effective_runtime_seconds: The placement latency of the round: the
-            modeled min of the two runtimes for the sequential executor,
-            the *measured* wall clock for the parallel one.
-        total_work_seconds: CPU seconds paid for the speculation (sum of
-            the known runtimes; a cancelled run is accounted at the wall
-            clock it consumed before cancellation).
+            winner's own runtime (the modeled concurrent deployment on a
+            raced round, the one leg's runtime on a chained one).
+        total_work_seconds: CPU seconds paid for the round (the sum of the
+            runtimes of the legs that ran).
         wall_clock_seconds: Real elapsed time of the round in the calling
-            process.  For the sequential executor this is the sum of the
-            runtimes; for the parallel executor it approximates the
-            winner's solo runtime plus IPC overhead.
-        executor: Which execution strategy produced this round
-            (``"sequential"``, ``"parallel"``, or ``"sequential_fallback"``
-            when the parallel executor could not use multiprocessing).
+            process: the legs that ran plus the flow write-back.
     """
 
     winner: SolverResult
@@ -96,7 +88,6 @@ class DualExecutionResult:
     effective_runtime_seconds: float
     total_work_seconds: float
     wall_clock_seconds: float = 0.0
-    executor: str = "sequential"
 
     @property
     def winning_algorithm(self) -> str:
@@ -105,15 +96,9 @@ class DualExecutionResult:
 
 
 class DualAlgorithmExecutor(Solver):
-    """Run relaxation and incremental cost scaling back to back every round,
-    keep the faster answer (the modeled concurrent deployment).
-
-    Owns the component solvers, the inline race (:meth:`_race_inline`,
-    which :class:`~repro.solvers.parallel_executor.ParallelDualExecutor`
-    also runs on its no-worker rounds) and the one round assembly
-    (:meth:`_finish_round`: the flow write-back, the
-    seed-iff-no-current-residual rule, work accounting, race counters).
-    """
+    """Run incremental cost scaling alone on a round that chains onto its
+    residual; race relaxation against it, back to back, on every other
+    round and keep the faster answer."""
 
     name = "firmament_dual"
 
@@ -163,13 +148,11 @@ class DualAlgorithmExecutor(Solver):
         self.rounds: int = 0
         self.relaxation_wins: int = 0
         self.cost_scaling_wins: int = 0
+        #: Rounds that chained, so ran the cost-scaling leg alone.
+        self.solo_delta_rounds: int = 0
         self.total_wall_clock_seconds: float = 0.0
         self.total_winner_runtime_seconds: float = 0.0
         self.total_work_seconds: float = 0.0
-
-    #: Rounds that ran the cost-scaling leg alone.  A constant here, where
-    #: both legs run every round; the parallel executor counts its own.
-    solo_delta_rounds: int = 0
 
     def solve(
         self, network: FlowNetwork, changes: Optional[ChangeBatch] = None
@@ -177,45 +160,29 @@ class DualAlgorithmExecutor(Solver):
         """Solve the network and return the winning algorithm's result."""
         return self.solve_detailed(network, changes).winner
 
-    def solve_detailed(
-        self, network: FlowNetwork, changes: Optional[ChangeBatch] = None
-    ) -> DualExecutionResult:
-        """Solve the network and return both algorithms' results; see
-        :meth:`_race_inline`."""
-        self._begin_chaos_round()
-        return self._race_inline(network, changes)
-
-    def close(self) -> None:
-        """Release executor resources (worker processes); idempotent."""
-
     def reset_counters(self) -> None:
         """Zero the race counters (e.g. after a warm-up round).
 
-        Benchmarks measuring steady-state racing call this after priming
-        the executor, so one-time costs (worker spawn, interpreter warm-up,
-        the first full-snapshot serialization) do not pollute the per-round
-        accounting.  Solver warm state is left untouched.
+        Benchmarks measuring steady-state rounds call this after priming
+        the executor, so one-time costs (interpreter warm-up, the cold
+        solve) do not pollute the per-round accounting.  Solver warm state
+        is left untouched.
         """
         self.rounds = 0
         self.relaxation_wins = 0
         self.cost_scaling_wins = 0
+        self.solo_delta_rounds = 0
         self.total_wall_clock_seconds = 0.0
         self.total_winner_runtime_seconds = 0.0
         self.total_work_seconds = 0.0
 
-    # ------------------------------------------------------------------ #
-    # Race plumbing (the parallel executor's too)
-    # ------------------------------------------------------------------ #
-    def _begin_chaos_round(self):
+    def _inject_chaos(self) -> None:
         """Advance the chaos round clock and inject solver-state faults.
 
-        Returns ``(chaos, round_index)``; both executors call this once at
-        the top of :meth:`solve_detailed`.  ``residual_corruption`` is the
-        one fault injected here because it lives in shared solver state
-        (the incremental solver's persistent residual); the worker-process
-        faults only exist in the parallel subclass.  Corrupting also arms
-        ``validate_residual`` so the poisoned state must be *detected*, not
-        merely survived.
+        ``residual_corruption`` is the one fault injected here because it
+        lives in solver state (the incremental solver's persistent
+        residual).  Corrupting also arms ``validate_residual`` so the
+        poisoned state must be *detected*, not merely survived.
         """
         chaos = self.chaos
         round_index = self._chaos_round
@@ -225,38 +192,33 @@ class DualAlgorithmExecutor(Solver):
             if residual is not None and chaos.fires("residual_corruption", round_index):
                 corrupt_residual_potentials(residual, seed=chaos.seed + round_index)
                 self.incremental.validate_residual = True
-        return chaos, round_index
 
-    def _race_inline(
-        self,
-        network: FlowNetwork,
-        changes: Optional[ChangeBatch],
-        speculates: bool = True,
-        executor: str = "sequential",
+    def solve_detailed(
+        self, network: FlowNetwork, changes: Optional[ChangeBatch] = None
     ) -> DualExecutionResult:
-        """Run the legs back to back in this process and model the race.
+        """Solve the network and return both legs' results.
 
-        A round that does not ``speculate`` (the parallel executor's
-        solo-delta rule said so) runs the cost-scaling leg alone; the
-        relaxation slot of its result is ``None``.
-
-        With ``round_deadline_seconds`` set, each leg gets the full budget
-        (the legs model *concurrent* algorithms): relaxation is aborted at
-        the hard deadline or its ascent cap, and cost scaling follows the
+        The cost-scaling leg runs every round; the relaxation leg runs
+        first, and only when the batch does not chain onto the cost-scaling
+        residual (see the module docstring).  With
+        ``round_deadline_seconds`` set, each leg gets the full budget (the
+        legs model *concurrent* algorithms): relaxation is aborted at the
+        hard deadline or its ascent cap, and cost scaling follows the
         incremental solver's own rule (its ``round_deadline_seconds``: the
         epsilon ladder stops at the soft deadline, a delta repair is
         aborted at the hard one).  A leg that died degrades the round to
-        the surviving leg; if both died, :class:`RoundDeadlineExceeded` is
-        raised so the caller reuses the previous placements.
+        the surviving leg; if every leg that ran died,
+        :class:`RoundDeadlineExceeded` is raised so the caller reuses the
+        previous placements.
         """
+        self._inject_chaos()
         started = time.perf_counter()
         budget = self.round_deadline_seconds
         deadline_hit = False
+        races = not self.incremental.can_solve_delta(changes)
 
         relaxation_result: Optional[SolverResult] = None
-        if speculates:
-            # The round's change batch is forwarded so the solver can patch
-            # its persistent residual instead of rebuilding it.
+        if races:
             if budget is not None:
                 self.relaxation.abort_check = RoundDeadline(budget).hard_expired
             try:
@@ -285,38 +247,15 @@ class DualAlgorithmExecutor(Solver):
                 "no solver produced a feasible flow within the round budget"
                 + (f" ({budget:.3f}s)" if budget is not None else "")
             )
-        return self._finish_round(
-            network, started, relaxation_result, cost_scaling_result,
-            winner_is_relaxation=cost_scaling_result is None
-            or (
-                relaxation_result is not None
-                and relaxation_result.runtime_seconds
-                <= cost_scaling_result.runtime_seconds
-            ),
-            executor=executor,
-            deadline_hit=deadline_hit,
-        )
-
-    def _finish_round(
-        self,
-        network: FlowNetwork,
-        started: float,
-        relaxation_result: Optional[SolverResult],
-        cost_scaling_result: Optional[SolverResult],
-        winner_is_relaxation: bool,
-        executor: str,
-        deadline_hit: bool = False,
-    ) -> DualExecutionResult:
-        """Install the winner, assemble the round's result and account it.
-
-        The winner's flows are written onto ``network`` here, once.  A
-        relaxation win seeds the incremental instance only when the cost-scaling leg left no residual at this
-        round's revision (it was cancelled or aborted, or did not finish
-        optimal); otherwise the leg's own residual stays and the next round
-        takes ``solve_delta``.
-        """
-        if winner_is_relaxation:
+        if cost_scaling_result is None or (
+            relaxation_result is not None
+            and relaxation_result.runtime_seconds
+            <= cost_scaling_result.runtime_seconds
+        ):
             winner = relaxation_result
+            # Seed only a leg left without a residual at this revision (it
+            # was aborted, or did not finish optimal); a finished leg keeps
+            # its own and the next round takes ``solve_delta``.
             if (
                 cost_scaling_result is None
                 or self.incremental.last_residual is None
@@ -325,35 +264,24 @@ class DualAlgorithmExecutor(Solver):
         else:
             winner = cost_scaling_result
         network.set_flows(winner.flows)
-        wall_clock = time.perf_counter() - started
-        # A physically raced round without a parent result: that run was
-        # cancelled mid-flight, having consumed roughly the whole round's
-        # wall clock; an abandoned worker round is accounted only when its
-        # runtime is known (the stale result may never drain).
-        parent_cancelled = executor == "parallel" and cost_scaling_result is None
-        work = wall_clock if parent_cancelled else 0.0
-        for leg in (relaxation_result, cost_scaling_result):
-            if leg is not None:
-                work += leg.runtime_seconds
         if deadline_hit:
             winner.statistics.deadline_hits += 1
         if not winner.optimal:
             # A deadline-truncated epsilon ladder degraded this round.
             winner.statistics.degraded_round = 1
+        self.solo_delta_rounds += not races
         return self._record_round(
             DualExecutionResult(
                 winner=winner,
                 relaxation=relaxation_result,
                 cost_scaling=cost_scaling_result,
-                # A physical race is charged what it measurably took; legs
-                # run back to back model the concurrent deployment, whose
-                # latency is the winner's own runtime.
-                effective_runtime_seconds=(
-                    wall_clock if executor == "parallel" else winner.runtime_seconds
+                effective_runtime_seconds=winner.runtime_seconds,
+                total_work_seconds=sum(
+                    leg.runtime_seconds
+                    for leg in (relaxation_result, cost_scaling_result)
+                    if leg is not None
                 ),
-                total_work_seconds=work,
-                wall_clock_seconds=wall_clock,
-                executor=executor,
+                wall_clock_seconds=time.perf_counter() - started,
             )
         )
 

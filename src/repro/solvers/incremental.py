@@ -43,7 +43,7 @@ unchained round's "rebuild" loads the stale flow into that residual.
 Warm state is invalidated by :meth:`IncrementalCostScalingSolver.reset`;
 the persistent residual alone is dropped (falling back to warm rebuild)
 whenever :meth:`IncrementalCostScalingSolver.seed` installs an external
-solution (a dual executor does so only when this instance has no residual
+solution (the dual executor does so only when this instance has no residual
 at the round's revision), a change batch fails to apply, or a delta solve
 raises infeasibility mid-repair.
 
@@ -120,9 +120,9 @@ class IncrementalCostScalingSolver(CostScalingSolver):
                 the soft truncation -- so a degraded round is always
                 followed by one that places.  This is the budget of
                 ``serve``'s monolith, of every inline sharded cell and of
-                the inline dual executor's cost-scaling leg.  Externally
+                the dual executor's cost-scaling leg.  Externally
                 installed :attr:`deadline_check` / :attr:`abort_check`
-                hooks (the parallel executor's) take precedence.
+                hooks take precedence.
         """
         # polish_potentials keeps the retained residual 0-optimal, which is
         # what makes it legal to hand back to solve_delta next round.
@@ -171,8 +171,7 @@ class IncrementalCostScalingSolver(CostScalingSolver):
         This is the Section 6.2 hand-off: a dual executor calls it with
         the winning relaxation solution **iff this instance holds no
         residual of its own at the round's revision** -- its leg was
-        cancelled by the parallel race, aborted, or truncated at the
-        deadline -- so the next run starts
+        aborted or truncated at the deadline -- so the next run starts
         from the winner's flow instead of from a stale or missing one.  A
         leg that ran to completion is *not* seeded: its retained residual
         is 0-optimal at the current revision, and dropping it would trade
@@ -198,9 +197,9 @@ class IncrementalCostScalingSolver(CostScalingSolver):
 
         True when a persistent residual exists and the batch's revision
         chain connects to it, so the round's cost is O(|changes| + repair)
-        rather than O(graph).  The dual executors consult this to skip
-        pointless speculation: from-scratch relaxation cannot beat a small
-        bounded delta repair.
+        rather than O(graph).  The dual executor runs this solver alone
+        exactly when it holds: a from-scratch relaxation run rarely beats
+        the delta repair, whatever the batch's size.
         """
         return self._deltable_residual(None, changes) is not None
 
@@ -245,8 +244,7 @@ class IncrementalCostScalingSolver(CostScalingSolver):
                 itself, once; no path writes the network otherwise.
         """
         # Per-solve deadline (see ``round_deadline_seconds``).  An externally
-        # installed check -- the parallel executor's race -- is never
-        # clobbered.
+        # installed check is never clobbered.
         deadline: Optional[RoundDeadline] = None
         if self.round_deadline_seconds is not None and self.deadline_check is None:
             deadline = RoundDeadline(self.round_deadline_seconds)

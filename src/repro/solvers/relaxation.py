@@ -59,8 +59,8 @@ core's data layout and avoids every avoidable indirection:
   *from scratch* on the patched residual (Section 5.2: warm-starting
   relaxation does not pay), only the problem hand-off is incremental.
 
-The dual executors call ``solve(..., write_back=False)`` and write the
-round's winning ``flows`` themselves, so a losing leg never touches the
+The dual executor calls ``solve(..., write_back=False)`` and writes the
+round's winning ``flows`` itself, so a losing leg never touches the
 arcs; the result's ``flows`` are always the authoritative solution.
 """
 
@@ -93,7 +93,7 @@ class RelaxationSolver(Solver):
 
     name = "relaxation"
 
-    #: The dual executors may pass ``changes=ChangeBatch`` to :meth:`solve`;
+    #: The dual executor may pass ``changes=ChangeBatch`` to :meth:`solve`;
     #: a revision-chained batch lets the solver patch its persistent
     #: residual instead of rebuilding it from the flow network.
     accepts_change_batches = True

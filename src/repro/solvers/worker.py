@@ -4,11 +4,9 @@ Firmament runs its MCMF solver out of process and feeds it incremental
 DIMACS deltas (Section 6).  Every subprocess in this package goes through
 this module: :func:`serve_solver` is the worker's request loop around
 whatever solver a factory builds, and :class:`WorkerClient` is the parent's
-handle on one such worker.  The speculative race of Section 6.1
-(:class:`~repro.solvers.parallel_executor.ParallelDualExecutor`, a
-relaxation worker) and the per-cell solvers of
-:class:`~repro.core.sharding.ShardedScheduler` (incremental cost scaling
-workers) differ only in the factory they pass.
+handle on one such worker.  The per-cell solvers of
+:class:`~repro.core.sharding.ShardedScheduler` with ``workers=True``
+(``--cell-workers``: incremental cost scaling workers) are its user.
 
 Wire protocol (tuples over a duplex :mod:`multiprocessing` pipe; networks
 cross as the DIMACS text forms of :mod:`repro.flow.dimacs`, never as a
@@ -69,8 +67,8 @@ __all__ = [
 
 #: How many revision-chained change batches the parent remembers for
 #: worker resync.  At one batch per scheduling round this covers every
-#: realistic solo/skip streak; a worker further behind than this gets a
-#: full snapshot.
+#: realistic streak of rounds the worker sat out; a worker further behind
+#: than this gets a full snapshot.
 BATCH_HISTORY_LIMIT = 256
 
 #: A resync payload is worth shipping while it stays within this multiple
@@ -88,8 +86,8 @@ class RevisionChainCache:
     """Recent revision-chained change batches, for worker-side resync.
 
     The parent records every revision-chained batch it sees (including the
-    rounds it solves without the worker, which is precisely when the
-    worker's chain breaks) keyed by base revision.  :meth:`compose` then
+    rounds its own solver served, which is precisely when the worker's
+    chain breaks) keyed by base revision.  :meth:`compose` then
     rebuilds the change sequence from the worker's last known revision to
     the current one by walking the recorded chain, so a broken chain
     resyncs with an O(|missed changes|) incremental payload instead of a
@@ -144,25 +142,21 @@ class RevisionChainCache:
 def encode_result(result: SolverResult) -> Dict[str, Any]:
     """Flatten a result for the pipe: every :class:`SolverResult` field,
     ``statistics`` as ``dataclasses.asdict`` (so a counter added to
-    :class:`SolverStatistics` crosses without being listed anywhere), plus
-    a monotonic ``finished_at`` stamp for settling photo finishes
-    (CLOCK_MONOTONIC is system-wide, hence comparable across processes)."""
+    :class:`SolverStatistics` crosses without being listed anywhere)."""
     body = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
     # A persistent solver hands out views onto its residual; the pipe
     # carries the values, and this is where they are materialised.
     body["flows"] = dict(result.flows)
     body["potentials"] = dict(result.potentials)
     body["statistics"] = dataclasses.asdict(result.statistics)
-    body["finished_at"] = time.monotonic()
     return body
 
 
-def decode_result(body: Dict[str, Any]) -> Tuple[SolverResult, float]:
-    """Inverse of :func:`encode_result`: ``(result, finished_at)``."""
+def decode_result(body: Dict[str, Any]) -> SolverResult:
+    """Inverse of :func:`encode_result`."""
     fields = dict(body)
-    finished_at = fields.pop("finished_at")
     fields["statistics"] = SolverStatistics(**fields["statistics"])
-    return SolverResult(**fields), finished_at
+    return SolverResult(**fields)
 
 
 def serve_solver(conn, solver_factory: Callable, solver_kwargs: Dict[str, Any]) -> None:
@@ -226,10 +220,10 @@ class WorkerClient:
     full/delta/resync encoding, the answered-up send guard, stale-reply
     draining, the send-path chaos hooks and a
     :class:`~repro.solvers.worker_health.WorkerCircuitBreaker` gating
-    respawns.  A round is ``begin_round`` -> ``ship`` -> ``poll`` /
-    ``wait`` -> ``settle`` -> ``stamp_round``; whenever ``ship`` declines
-    (returns ``None``) the caller serves the round with its own parent-side
-    solver.
+    respawns.  A round is ``begin_round`` -> ``ship`` -> ``wait`` ->
+    ``settle`` -> ``stamp_round``; whenever ``ship`` declines (returns
+    ``None``) or ``wait`` comes back empty, the caller serves the round
+    with its own parent-side solver.
 
     Args:
         solver_factory: Picklable callable building the worker's solver
@@ -263,7 +257,6 @@ class WorkerClient:
         self._result_round: Optional[int] = None
         #: The reply most recently reported by :meth:`poll` / :meth:`wait`.
         self.result: Optional[SolverResult] = None
-        self.finished_at: Optional[float] = None
         #: Requests shipped as full DIMACS snapshots vs incremental deltas
         #: (``delta_ships`` includes history-composed resyncs, which are
         #: additionally counted in ``resync_ships``).
@@ -277,14 +270,6 @@ class WorkerClient:
         #: ``(respawns, snapshot_ships, delta_ships)`` at :meth:`begin_round`,
         #: so :meth:`stamp_round` can tell the round's own share.
         self._round_start = (0, 0, 0)
-
-    def reset_counters(self) -> None:
-        """Zero the transport counters; the worker and its state persist."""
-        self.snapshot_ships = 0
-        self.delta_ships = 0
-        self.resync_ships = 0
-        self.skipped_rounds = 0
-        self.respawns = 0
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -538,8 +523,7 @@ class WorkerClient:
         Replies to other (abandoned) rounds are discarded; any error reply
         means the worker dropped its shadow, so the next ship is a full
         snapshot.  A truthy return leaves the round's reply in
-        :attr:`result` / :attr:`finished_at`.  Usable directly as the
-        cost-scaling ``abort_check``; ``poll(None)`` just drains.
+        :attr:`result`; ``poll(None)`` just drains.
         """
         if round_id is not None and self._result_round == round_id:
             return True
@@ -553,7 +537,7 @@ class WorkerClient:
                 if kind == "error":
                     self._worker_revision = None
                 elif answered == round_id:
-                    self.result, self.finished_at = decode_result(body)
+                    self.result = decode_result(body)
                     self._result_round = round_id
                     return True
         except (EOFError, OSError):
@@ -573,18 +557,6 @@ class WorkerClient:
             if round_id not in self._unanswered or not self._pause(deadline):
                 return False
         return True
-
-    def wait_idle(self, timeout: float) -> bool:
-        """Block until the worker has answered every shipped round.
-
-        Between rounds this makes the next :meth:`ship` certain not to be
-        skipped by the answered-up guard.
-        """
-        deadline = time.monotonic() + timeout
-        self.poll(None)
-        while self._unanswered and self._pause(deadline):
-            self.poll(None)
-        return not self._unanswered
 
     def _pause(self, deadline: float) -> bool:
         """Sleep on the pipe until data or ``deadline``; False once past it."""

@@ -26,7 +26,6 @@ from repro.solvers import (
     CostScalingSolver,
     DualAlgorithmExecutor,
     IncrementalCostScalingSolver,
-    ParallelDualExecutor,
     RoundDeadline,
     RoundDeadlineExceeded,
     SolveAborted,
@@ -39,7 +38,11 @@ from tests.conftest import (
     make_job,
     reference_min_cost,
 )
-from tests.solvers.test_parallel_executor import perturbed_rounds
+from tests.solvers.round_helpers import perturbed_rounds
+
+#: The fault classes delivered on the worker transport (the sharded
+#: scheduler's cell workers); the others hit solver and graph state.
+WORKER_FAULTS = ("worker_kill", "pipe_break", "corrupt_message", "worker_delay")
 
 
 # --------------------------------------------------------------------- #
@@ -172,25 +175,20 @@ class TestRoundDeadline:
 
     def test_round_wall_clock_bounded_under_deadline(self):
         budget = 0.2
-        instance = ParallelDualExecutor(
-            round_deadline_seconds=budget, delta_solo_threshold=0
-        )
+        instance = DualAlgorithmExecutor(round_deadline_seconds=budget)
         watchdog = RoundDeadline(budget).watchdog_period
-        try:
-            for network, changes, expected in perturbed_rounds(seed=83, rounds=3):
-                started = time.perf_counter()
-                try:
-                    result = instance.solve(network, changes=changes)
-                except RoundDeadlineExceeded:
-                    result = None
-                elapsed = time.perf_counter() - started
-                # Budget + watchdog is the contract; the extra slack only
-                # absorbs CI scheduling jitter around the abort polls.
-                assert elapsed <= budget + watchdog + 0.5
-                if result is not None and result.optimal:
-                    assert result.total_cost == expected
-        finally:
-            instance.close()
+        for network, changes, expected in perturbed_rounds(seed=83, rounds=3):
+            started = time.perf_counter()
+            try:
+                result = instance.solve(network, changes=changes)
+            except RoundDeadlineExceeded:
+                result = None
+            elapsed = time.perf_counter() - started
+            # Budget + watchdog is the contract; the extra slack only
+            # absorbs CI scheduling jitter around the abort polls.
+            assert elapsed <= budget + watchdog + 0.5
+            if result is not None and result.optimal:
+                assert result.total_cost == expected
 
 
 class TestSchedulerDegradation:
@@ -371,33 +369,63 @@ class TestSolverStateFaults:
 # --------------------------------------------------------------------- #
 # Fault-free oracle equivalence under transport faults
 # --------------------------------------------------------------------- #
+def churn_script(state, round_index):
+    """One round of scripted churn: a two-task job arrives, and from the
+    third round on the oldest running task completes."""
+    now = 5.0 * round_index
+    state.submit_job(make_job(job_id=round_index + 1, num_tasks=2, submit_time=now))
+    running = sorted(state.running_tasks(), key=lambda task: task.task_id)
+    if round_index >= 2 and running:
+        state.complete_task(running[0].task_id, now)
+    return now
+
+
+def cell_optimum(scheduler):
+    """What a from-scratch solve of every cell's network costs."""
+    return sum(
+        CostScalingSolver().solve(cell.manager.network.copy()).total_cost
+        for cell in scheduler._cells
+        if cell.manager.network is not None and cell.manager.task_nodes
+    )
+
+
 class TestFaultOracle:
     def test_pipe_breaks_every_round_match_fault_free_flows(self):
-        # Break the pipe under every single ship: the worker never
-        # participates, so the parent-side incremental solver must produce
-        # *exactly* the flows of an identically-configured solo solver fed
-        # the same change batches -- not just the same cost.
+        # Break the pipe under every single ship of a one-cell worker-mode
+        # scheduler: the worker never participates, so the parent-side
+        # incremental solver must produce *exactly* the flows of an inline
+        # twin fed the same rounds -- not just the same cost.
         chaos = ChaosPolicy(schedule={"pipe_break": range(16)})
-        breaker = WorkerCircuitBreaker(
+        chaotic = ShardedScheduler(QuincyPolicy, num_cells=1, workers=True, chaos=chaos)
+        oracle = ShardedScheduler(QuincyPolicy, num_cells=1)
+        chaotic_state = make_cluster_state(num_machines=8)
+        oracle_state = make_cluster_state(num_machines=8)
+        chaotic._bind(chaotic_state)
+        chaotic.clients[0].breaker = breaker = WorkerCircuitBreaker(
             failure_threshold=10**9, backoff_max_rounds=0
         )
-        instance = ParallelDualExecutor(
-            chaos=chaos, breaker=breaker, delta_solo_threshold=0
-        )
-        oracle = IncrementalCostScalingSolver(price_refine="auto")
         try:
-            for network, changes, expected in perturbed_rounds(seed=86, rounds=5):
-                chaotic = instance.solve(network, changes=changes)
-                reference = oracle.solve(network, changes=changes)
-                assert chaotic.algorithm == reference.algorithm
-                assert chaotic.total_cost == expected
-                assert chaotic.flows == reference.flows
+            for round_index in range(6):
+                now = churn_script(chaotic_state, round_index)
+                churn_script(oracle_state, round_index)
+                faulty = chaotic.schedule_and_apply(chaotic_state, now)
+                reference = oracle.schedule_and_apply(oracle_state, now)
+                assert faulty.placements == reference.placements
+                assert faulty.total_cost == reference.total_cost
+                assert (
+                    chaotic._cells[0].manager.network.copy().flows()
+                    == oracle._cells[0].manager.network.copy().flows()
+                ), f"round {round_index}"
             assert chaos.injected.get("pipe_break") == 6
-            assert instance.fallback_rounds == 0
-            assert instance.breaker.is_closed
-            assert instance.worker.respawns >= 5
+            transport = chaotic.cell_transport()[0]
+            # Every round was served by the parent-side solver, and every
+            # round after the first respawned the worker the break killed.
+            assert transport["fallback_rounds"] == 6
+            assert transport["respawns"] >= 5
+            assert breaker.is_closed
         finally:
-            instance.close()
+            chaotic.close()
+            oracle.close()
 
     def test_mixed_fault_storm_stays_optimal_with_matching_counters(self):
         schedule = {
@@ -406,34 +434,45 @@ class TestFaultOracle:
             "worker_delay": [3],
         }
         chaos = ChaosPolicy(schedule=schedule, delay_seconds=0.01)
-        instance = ParallelDualExecutor(chaos=chaos, delta_solo_threshold=0)
+        scheduler = ShardedScheduler(QuincyPolicy, num_cells=2, workers=True, chaos=chaos)
+        state = make_cluster_state(num_machines=8)
         try:
-            for network, changes, expected in perturbed_rounds(seed=87, rounds=6):
-                result = instance.solve(network, changes=changes)
-                assert result.total_cost == expected
-                assert check_feasibility(network) == []
+            for round_index in range(7):
+                now = churn_script(state, round_index)
+                decision = scheduler.schedule_and_apply(state, now)
+                assert decision.total_cost == cell_optimum(scheduler), (
+                    f"round {round_index}"
+                )
+                for cell in scheduler._cells:
+                    if cell.manager.network is not None:
+                        assert check_feasibility(cell.manager.network.copy()) == []
             # Every delivered fault is recorded against the round it hit
-            # (rounds where the worker sat out deliver nothing, so compare
-            # against the policy's own injection log, not the schedule).
+            # (rounds where the targeted cell sat out deliver nothing, so
+            # compare against the policy's own injection log, not the
+            # schedule).
             for fault, rounds in chaos.injected_rounds.items():
                 assert set(rounds) <= set(schedule[fault])
-            assert instance.fallback_rounds == 0
-            assert instance.breaker.is_closed
+            assert all(
+                transport["breaker_open"] == 0
+                for transport in scheduler.cell_transport()
+            )
         finally:
-            instance.close()
+            scheduler.close()
 
 
 # --------------------------------------------------------------------- #
 # Fig14-style closed-loop simulations under each fault class
 # --------------------------------------------------------------------- #
-def run_chaos_simulation(fault: str):
-    chaos = ChaosPolicy(seed=13, rates={fault: 0.6}, delay_seconds=0.01)
+def chaos_scheduler(fault: str, chaos: ChaosPolicy):
+    """The scheduler a fault class reaches: two worker-mode cells for the
+    transport faults, the default dual executor for the others."""
+    if fault in WORKER_FAULTS:
+        return ShardedScheduler(QuincyPolicy, num_cells=2, workers=True, chaos=chaos)
+    return FirmamentScheduler(QuincyPolicy(), chaos=chaos)
+
+
+def chaos_simulator(scheduler):
     state = make_cluster_state(num_machines=6, slots_per_machine=2)
-    # delta_solo_threshold=0 consults the worker every round, so the
-    # worker-transport fault classes actually get a chance to fire in a
-    # short simulation (solo rounds never touch the pipe).
-    solver = ParallelDualExecutor(delta_solo_threshold=0)
-    scheduler = FirmamentScheduler(QuincyPolicy(), solver=solver, chaos=chaos)
     simulator = ClusterSimulator(state, scheduler, SimulationConfig(max_time=60.0))
     for job_id in range(1, 4):
         simulator.submit_job(
@@ -444,6 +483,12 @@ def run_chaos_simulation(fault: str):
                 submit_time=float(job_id - 1) * 3.0,
             )
         )
+    return state, simulator
+
+
+def run_chaos_simulation(fault: str):
+    chaos = ChaosPolicy(seed=13, rates={fault: 0.6}, delay_seconds=0.01)
+    _, simulator = chaos_simulator(chaos_scheduler(fault, chaos))
     try:
         result = simulator.run()
     finally:
@@ -467,34 +512,21 @@ class TestChaosSimulation:
         assert sum(r.deadline_hits for r in metrics.rounds) == 0
 
     def test_worker_kill_simulation_actually_injected_and_recovered(self):
-        # Deterministic variant: kill the worker on the first round and keep
-        # the breaker pinned closed, so a respawn is guaranteed at the next
-        # consulted round no matter how the SIGTERM races the reply.
-        chaos = ChaosPolicy(schedule={"worker_kill": [0]})
-        state = make_cluster_state(num_machines=6, slots_per_machine=2)
-        solver = ParallelDualExecutor(
-            breaker=WorkerCircuitBreaker(
-                failure_threshold=10**9, backoff_max_rounds=0
-            ),
-            delta_solo_threshold=0,
+        # Deterministic variant: kill a worker on the run's last round
+        # (round 2 aims at cell 0, which takes part in it: rounds 0 and 1
+        # place the first two jobs in cells 1 and 0).  The kill is
+        # synchronous (terminate, join, detach), so the next round cell 0
+        # takes part respawns behind the breaker's zero-round backoff.
+        chaos = ChaosPolicy(schedule={"worker_kill": [2]})
+        scheduler = ShardedScheduler(
+            QuincyPolicy, num_cells=2, workers=True, chaos=chaos
         )
-        scheduler = FirmamentScheduler(QuincyPolicy(), solver=solver, chaos=chaos)
-        simulator = ClusterSimulator(state, scheduler, SimulationConfig(max_time=60.0))
-        for job_id in range(1, 4):
-            simulator.submit_job(
-                make_job(
-                    job_id=job_id,
-                    num_tasks=4,
-                    duration=6.0,
-                    submit_time=float(job_id - 1) * 3.0,
-                )
-            )
+        state, simulator = chaos_simulator(scheduler)
         try:
             result = simulator.run()
             assert chaos.injected.get("worker_kill", 0) == 1
             assert result.metrics.tasks_unplaced == 0
             assert result.metrics.tasks_completed == 12
-            assert solver.fallback_rounds == 0
             # The respawn counters thread through ScheduleRecord into
             # MetricsSummary verbatim.
             assert [r.worker_respawns for r in result.metrics.rounds] == [
@@ -503,18 +535,19 @@ class TestChaosSimulation:
             assert [r.breaker_open for r in result.metrics.rounds] == [
                 r.statistics.breaker_open for r in result.schedule_records
             ]
-            if result.metrics.total_worker_respawns() == 0:
-                # The simulation's few scheduler rounds can all land inside
-                # the few-ms window before the SIGTERM'd worker is
-                # observably dead.  The recovery contract is "the next
-                # consulted round after the death is observable respawns":
-                # wait the death out and drive one more round.
-                if solver.worker.process is not None:
-                    solver.worker.process.join(timeout=5.0)
-                state.submit_job(make_job(job_id=9, num_tasks=2, submit_time=50.0))
-                scheduler.schedule_and_apply(state, now=50.0)
-            assert solver.worker.respawns >= 1
-            assert solver.breaker.is_closed
+            transport = scheduler.cell_transport()[0]
+            # The killed round was served by the parent-side solver.
+            assert transport["fallback_rounds"] == 1
+            assert not scheduler.clients[0].alive
+            # One more round, with a job too large for one cell, makes cell
+            # 0 take part again: its worker comes back.
+            state.submit_job(make_job(job_id=9, num_tasks=12, submit_time=60.0))
+            decision = scheduler.schedule_and_apply(state, now=60.0)
+            assert decision.solver_result.statistics.worker_respawns == 1
+            transport = scheduler.cell_transport()[0]
+            assert transport["respawns"] == 1
+            assert transport["fallback_rounds"] == 1
+            assert scheduler.clients[0].breaker.is_closed
         finally:
             simulator.close()
 

@@ -37,6 +37,23 @@ class TestParser:
 
         assert TRACE_SCHEMAS == tuple(sorted(SCHEMAS))
 
+    @pytest.mark.parametrize("command", ["simulate", "serve"])
+    def test_round_deadline_help_says_what_still_races(self, command):
+        import argparse
+
+        subparsers = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        option = next(
+            action for action in subparsers.choices[command]._actions
+            if "--round-deadline" in action.option_strings
+        )
+        # Only rounds that do not chain race a relaxation leg; serve never
+        # races.
+        assert "do not chain" in option.help
+        assert "every serve round" in option.help
+
     def test_no_command_prints_help_and_fails(self, capsys):
         assert main([]) == 2
         assert "usage" in capsys.readouterr().out.lower()
@@ -94,7 +111,7 @@ class TestSolveCommand:
 
     def test_dual_executor_algorithms_match_relaxation_cost(self, dimacs_file, capsys):
         costs = set()
-        for algorithm in ("relaxation", "firmament_dual", "firmament_dual_parallel"):
+        for algorithm in ("relaxation", "firmament_dual"):
             assert main(["solve", str(dimacs_file), "--algorithm", algorithm]) == 0
             output = capsys.readouterr().out
             cost_line = [l for l in output.splitlines() if l.startswith("total cost")][0]
@@ -117,16 +134,17 @@ class TestSimulateCommand:
         assert "placement latency" in output
         assert "firmament" in output
 
-    def test_parallel_executor_simulation(self, capsys):
+    def test_summary_names_no_executor(self, capsys):
         code = main([
-            "simulate", "--machines", "8", "--duration", "40",
+            "simulate", "--machines", "8", "--duration", "30",
             "--utilization", "0.5", "--seed", "1",
-            "--executor", "parallel", "--constant-service-load",
         ])
         assert code == 0
         output = capsys.readouterr().out
-        assert "executor: parallel" in output
-        assert "placement latency" in output
+        assert "algorithm runtime" in output
+        assert not any(
+            line.strip().startswith("executor") for line in output.splitlines()
+        )
 
     def test_baseline_scheduler_simulation(self, capsys):
         code = main([
@@ -217,30 +235,27 @@ class TestSchedulerKnobForwarding:
         ]) == 1
         assert "--cells" in capsys.readouterr().err
 
-    def test_cells_with_parallel_executor_fails_loudly(self, capsys):
-        # Pre-fix, --executor parallel was silently dropped when --cells
-        # was given (ShardedScheduler has no dual race to configure).
-        assert main([
-            "simulate", "--machines", "4", "--duration", "10",
-            "--cells", "2", "--executor", "parallel",
-        ]) == 1
-        assert "--executor" in capsys.readouterr().err
-
-    def test_parallel_executor_with_baseline_scheduler_fails_loudly(self, capsys):
-        # Pre-fix, --executor parallel was silently ignored for the
-        # queue-based baselines (the run exited 0 on a plain sparrow).
-        assert main([
-            "simulate", "--machines", "4", "--duration", "10",
-            "--scheduler", "sparrow", "--executor", "parallel",
-        ]) == 1
-        assert "--executor" in capsys.readouterr().err
-
     def test_cell_workers_without_cells_fails_loudly(self, capsys):
         assert main([
             "simulate", "--machines", "4", "--duration", "10",
             "--cell-workers",
         ]) == 1
         assert "--cell-workers" in capsys.readouterr().err
+
+    def test_executor_flag_is_gone(self, capsys):
+        # One dual executor is left, so there is nothing to choose.
+        with pytest.raises(SystemExit) as raised:
+            main(["simulate", "--machines", "4", "--executor", "parallel"])
+        assert raised.value.code == 2
+        assert "--executor" in capsys.readouterr().err
+
+    def test_parallel_dual_algorithm_is_gone(self, dimacs_file, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main([
+                "solve", str(dimacs_file), "--algorithm", "firmament_dual_parallel",
+            ])
+        assert raised.value.code == 2
+        assert "firmament_dual_parallel" in capsys.readouterr().err
 
     def test_sharded_cli_run_with_knobs_succeeds(self, capsys):
         code = main([

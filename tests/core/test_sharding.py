@@ -438,3 +438,67 @@ class TestWorkerMode:
                 assert transport[cell]["respawns"] == 0
         finally:
             scheduler.close()
+
+    def test_cells_solve_inline_without_process_support(self, monkeypatch):
+        import multiprocessing
+
+        def broken_get_context(*args, **kwargs):
+            raise OSError("no process support in this environment")
+
+        def run(workers):
+            state = make_cluster_state(num_machines=8, machines_per_rack=2)
+            scheduler = build_sharded(num_cells=2, workers=workers)
+            placed = []
+            try:
+                for round_index in range(3):
+                    state.submit_job(
+                        make_job(job_id=round_index, num_tasks=3,
+                                 submit_time=round_index * 5.0)
+                    )
+                    decision = scheduler.schedule_and_apply(
+                        state, now=round_index * 5.0
+                    )
+                    placed.append(len(decision.placements))
+                return placed, scheduler.cell_transport()
+            finally:
+                scheduler.close()
+
+        inline, _ = run(workers=False)
+        monkeypatch.setattr(multiprocessing, "get_context", broken_get_context)
+        placed, transport = run(workers=True)
+        # Every round a cell solved was served by its parent-side solver,
+        # and no worker ever shipped.
+        assert placed == inline
+        assert sum(cell["fallback_rounds"] for cell in transport) >= 3
+        for cell in transport:
+            assert cell["snapshot_ships"] == cell["delta_ships"] == 0
+            assert cell["respawns"] == 0
+
+    def test_a_round_after_close_binds_fresh_workers(self):
+        state = make_cluster_state(num_machines=8, machines_per_rack=2)
+        scheduler = build_sharded(num_cells=2, workers=True)
+        try:
+            for round_index in range(2):
+                state.submit_job(
+                    make_job(job_id=round_index, num_tasks=2,
+                             submit_time=round_index * 5.0)
+                )
+                decision = scheduler.schedule_and_apply(state, now=round_index * 5.0)
+                assert len(decision.placements) == 2
+                if round_index == 0:
+                    processes = [
+                        client.process for client in scheduler.clients
+                        if client.process is not None
+                    ]
+                    assert processes
+                    scheduler.close()
+                    assert scheduler.clients == []
+                    assert not any(process.is_alive() for process in processes)
+            # The round after the close spawned a worker per cell again,
+            # cold: each cell consulted shipped a snapshot.
+            assert len(scheduler.clients) == 2
+            transport = scheduler.cell_transport()
+            assert sum(cell["snapshot_ships"] for cell in transport) >= 1
+            assert all(cell["delta_ships"] == 0 for cell in transport)
+        finally:
+            scheduler.close()

@@ -56,8 +56,9 @@ class TestSimulatorBasics:
         result = simulator.run()
         records = result.schedule_records
         assert len(records) >= 1
-        # The sequential executor always runs the relaxation leg, so every
-        # record carries its tree/ascent counters regardless of the winner.
+        # The executor runs the relaxation leg on the rounds that do not
+        # chain (round 1 among them), and such a record carries its
+        # tree/ascent counters regardless of the winner.
         assert any(r.statistics.relaxation_tree_nodes > 0 for r in records)
         rounds = result.metrics.rounds
         assert [r.relaxation_tree_nodes for r in rounds] == [
@@ -66,7 +67,7 @@ class TestSimulatorBasics:
         assert [r.dual_ascents for r in rounds] == [
             r.statistics.dual_ascents for r in records
         ]
-        # No worker exists on the sequential executor: no ships recorded.
+        # No worker exists on the monolithic scheduler: no ships recorded.
         assert sum(r.snapshot_ships for r in rounds) == 0
         assert sum(r.delta_ships for r in rounds) == 0
         assert result.metrics.delta_ship_ratio() == 0.0
@@ -176,7 +177,6 @@ class DeadlineSolver:
     """Every solve blows the round budget: no round has a result."""
 
     accepts_change_batches = False
-    charges_wall_clock = False
     round_deadline_seconds = None
 
     def solve(self, network, changes=None):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.flow.validation import check_feasibility
-from repro.solvers.base import InfeasibleProblemError
+from repro.solvers.base import InfeasibleProblemError, SolveAborted
 from repro.solvers.cost_scaling import (
     DEFAULT_ALPHA,
     TUNED_ALPHA,
@@ -138,3 +138,16 @@ class TestWarmStart:
         warm = solver.solve_warm(grown, first.flows, first.potentials)
         assert warm.total_cost == expected
         assert check_feasibility(grown) == []
+
+
+class TestAbortCheck:
+    def test_abort_check_cancels_cost_scaling_run(self):
+        solver = CostScalingSolver()
+        solver.abort_check = lambda: True
+        network = build_scheduling_network(seed=52, num_tasks=10)
+        with pytest.raises(SolveAborted):
+            solver.solve(network)
+        # Clearing the hook restores normal operation.
+        solver.abort_check = None
+        result = solver.solve(network)
+        assert result.total_cost == reference_min_cost(network)

@@ -15,6 +15,7 @@ from repro.cluster.state import ClusterState
 from repro.cluster.topology import build_topology
 from repro.core import FirmamentScheduler, ShardedScheduler
 from repro.core.policies import QuincyPolicy
+from repro.flow.changes import ArcCostChange, ChangeBatch
 from repro.flow.graph import FlowNetwork
 from repro.flow.validation import (
     check_feasibility,
@@ -24,22 +25,22 @@ from repro.solvers.base import (
     COMPLEXITY_TABLE,
     PRECONDITION_TABLE,
     RoundDeadline,
+    SolveAborted,
     SolverStatistics,
 )
 from repro.solvers.cost_scaling import CostScalingSolver
 from repro.solvers.dual_executor import DualAlgorithmExecutor
 from repro.solvers.incremental import IncrementalCostScalingSolver
-from repro.solvers.parallel_executor import DELTA_SOLO_THRESHOLD, ParallelDualExecutor
 from repro.solvers.relaxation import RelaxationSolver
 from tests.conftest import (
     build_scheduling_network,
     make_cluster_state,
+    make_job,
     reference_min_cost,
 )
 from tests.core.test_incremental_graph_equivalence import _random_job
 from tests.core.test_steady_round_passes import Workload
 from tests.solvers.equivalence_harness import generate_network, perturb_network
-from tests.solvers.test_parallel_executor import _InstantWorkerConn
 
 
 def make_result(algorithm: str, runtime: float, **stats) -> "object":
@@ -131,30 +132,45 @@ class TestDualExecution:
             assert network.flows() == result.flows
 
 
+def cost_storm(rng, base, size):
+    """``base`` with ``size`` arc-cost changes, and their revision-chained
+    batch (an arc may change more than once; the last change stands)."""
+    network = base.copy()
+    arcs = [arc for arc in network.arcs() if arc.cost > 0]
+    changes = []
+    for index in range(size):
+        arc = arcs[index % len(arcs)]
+        cost = rng.randint(1, 15)
+        network.set_arc_cost(arc.src, arc.dst, cost)
+        changes.append(ArcCostChange(arc.src, arc.dst, cost))
+    network.revision = base.revision + 1
+    return network, ChangeBatch(changes, base.revision, network.revision)
+
+
 class TestLegSelection:
-    """``ParallelDualExecutor._speculates``: the cost-scaling leg runs every
-    round, alone iff the batch chains onto its residual and fits
-    ``delta_solo_threshold`` -- on the worker path and on the no-worker
-    fallback alike.  The inline ``DualAlgorithmExecutor`` has no rule: it
-    runs both legs every round."""
+    """The one rule: the cost-scaling leg runs every round, and alone iff
+    the round's batch chains onto the residual its previous run kept --
+    whatever the batch's size.  Every other round races both legs."""
 
     @staticmethod
-    def chained_round(chain):
+    def round_under_test(chain, size):
         """A primed network and the round under test: ``(first, network,
-        changes, size)``, the batch chained, broken or withheld."""
+        changes)``, the batch chained, broken or withheld; a small mixed
+        batch or a storm of ``size`` cost changes."""
         rng = random.Random(9)
         first = generate_network(rng)
-        network, changes = perturb_network(rng, first)
-        size = len(changes)
-        assert size >= 1
+        base = first
         if chain == "broken":
             # A round went missing: the batch no longer starts at the
             # revision the cost-scaling residual mirrors.
-            network, changes = perturb_network(rng, network)
-            size = len(changes)
-        elif chain == "no_batch":
+            base, _ = perturb_network(rng, first)
+        if size == "small":
+            network, changes = perturb_network(rng, base)
+        else:
+            network, changes = cost_storm(rng, base, int(size))
+        if chain == "no_batch":
             changes = None
-        return first, network, changes, size
+        return first, network, changes
 
     @staticmethod
     def count_leg_calls(monkeypatch, executor):
@@ -167,76 +183,51 @@ class TestLegSelection:
             monkeypatch.setattr(leg, "solve", counted)
         return calls
 
-    @pytest.mark.parametrize("path", ["worker", "fallback"])
+    # The storms straddle 1 024 changes, where a size cap once made
+    # chained rounds race again; the rule has no size term at all.
+    @pytest.mark.parametrize("primed_by", ["cost_scaling", "relaxation"])
+    @pytest.mark.parametrize("size", ["1", "small", "1024", "1025", "2000"])
     @pytest.mark.parametrize("chain", ["alive", "broken", "no_batch"])
-    @pytest.mark.parametrize(
-        "threshold, fits",
-        [
-            (lambda size: None, False),
-            (lambda size: DELTA_SOLO_THRESHOLD, True),  # batch far below it
-            (lambda size: size, True),
-            (lambda size: size - 1, False),
-        ],
-        ids=["none", "default", "at", "above"],
-    )
-    def test_one_rule_picks_the_legs(
-        self, monkeypatch, path, chain, threshold, fits
-    ):
-        first, network, changes, size = self.chained_round(chain)
-        speculates = not (chain == "alive" and fits)
-
-        executor = ParallelDualExecutor()
-        conn = None
-        try:
-            # Prime on the no-worker path so the cost-scaling leg finishes
-            # and keeps its residual.
-            monkeypatch.setattr(executor.worker, "ensure", lambda: False)
-            executor.solve_detailed(first)
-            if path == "worker":
-                # The round under test gets a worker that answers first.
-                monkeypatch.undo()
-                conn = _InstantWorkerConn()
-                executor.worker.attach(conn)
-            assert executor.solo_delta_rounds == 0  # cold: nothing to chain onto
-            executor.delta_solo_threshold = threshold(size)
-
-            calls = self.count_leg_calls(monkeypatch, executor)
-            detailed = executor.solve_detailed(network, changes)
-
-            relaxation_runs = (
-                conn.requests if conn else calls.count(executor.relaxation.name)
-            )
-            assert relaxation_runs == int(speculates)
-            assert calls.count(executor.incremental.name) == 1
-            assert (detailed.relaxation is not None) == speculates
-            assert executor.solo_delta_rounds == int(not speculates)
-            if conn is None or not speculates:
-                assert detailed.cost_scaling is not None
-            if detailed.cost_scaling is not None:
-                # (The instant worker cancels the parent leg mid-flight.)
-                delta_solve = detailed.winner.statistics.delta_solve
-                assert delta_solve == int(chain == "alive")
-            scratch = CostScalingSolver().solve(network.copy())
-            assert detailed.winner.total_cost == scratch.total_cost
-            assert network.flows() == detailed.winner.flows
-        finally:
-            if conn is not None:
-                executor.worker.attach(None)
-            executor.close()
-
-    @pytest.mark.parametrize("chain", ["alive", "broken", "no_batch"])
-    def test_inline_executor_runs_both_legs_every_round(self, monkeypatch, chain):
-        first, network, changes, _ = self.chained_round(chain)
+    def test_one_rule_picks_the_legs(self, monkeypatch, chain, size, primed_by):
+        first, network, changes = self.round_under_test(chain, size)
+        races = chain != "alive"
         executor = DualAlgorithmExecutor()
-        assert not hasattr(executor, "delta_solo_threshold")
-        executor.solve_detailed(first)
+        # Script the cold round's winner: a relaxation win must leave the
+        # cost-scaling leg's residual to chain onto all the same.  Raced
+        # rounds after it go to cost scaling.
+        rig_race(
+            monkeypatch,
+            executor,
+            lambda index: primed_by == "relaxation" and index == 0,
+        )
+        primed = executor.solve_detailed(first)
+        assert primed.winning_algorithm == (
+            "relaxation" if primed_by == "relaxation" else "incremental_cost_scaling"
+        )
+        assert executor.solo_delta_rounds == 0  # cold: nothing to chain onto
+
         calls = self.count_leg_calls(monkeypatch, executor)
         detailed = executor.solve_detailed(network, changes)
-        assert calls == [executor.relaxation.name, executor.incremental.name]
-        assert detailed.relaxation is not None
-        assert detailed.cost_scaling is not None
-        assert detailed.cost_scaling.statistics.delta_solve == int(chain == "alive")
-        assert executor.solo_delta_rounds == 0
+
+        expected_calls = [executor.incremental.name]
+        if races:
+            expected_calls.insert(0, executor.relaxation.name)
+        assert calls == expected_calls
+        assert (detailed.relaxation is not None) == races
+        assert executor.solo_delta_rounds == int(not races)
+        assert detailed.cost_scaling.statistics.delta_solve == int(not races)
+        assert detailed.winner.statistics.delta_solve == int(not races)
+        if not races:
+            assert detailed.winner is detailed.cost_scaling
+        # A round is charged its winner's runtime and paid every leg it ran.
+        assert detailed.effective_runtime_seconds == detailed.winner.runtime_seconds
+        assert detailed.total_work_seconds == pytest.approx(
+            sum(
+                leg.runtime_seconds
+                for leg in (detailed.relaxation, detailed.cost_scaling)
+                if leg is not None
+            )
+        )
         scratch = CostScalingSolver().solve(network.copy())
         assert detailed.winner.total_cost == scratch.total_cost
         assert network.flows() == detailed.winner.flows
@@ -249,42 +240,73 @@ class TestLegSelection:
         assert detailed.cost_scaling is not None
         assert executor.solo_delta_rounds == 0
 
-    def test_oversized_or_chain_broken_batch_still_races(self, monkeypatch):
-        executor = ParallelDualExecutor()
-        # The no-worker fallback keeps the rule; it keeps the test inline.
-        monkeypatch.setattr(executor.worker, "ensure", lambda: False)
-        scheduler = FirmamentScheduler(
-            QuincyPolicy(),
-            solver=executor,
-            # Round 5's batch is dropped before it reaches the solver.
-            chaos=ChaosPolicy(schedule={"chain_break": [5]}),
-        )
-        try:
-            rounds = churn_rounds(scheduler, 8)
-            for _ in range(3):
-                next(rounds)
-            assert executor.last_result.relaxation is None
-            # Oversized: no batch is small enough for the rule any more.
-            executor.delta_solo_threshold = None
-            next(rounds)
-            assert executor.last_result.relaxation is not None
-            assert executor.last_result.cost_scaling.statistics.delta_solve == 1
-            executor.delta_solo_threshold = DELTA_SOLO_THRESHOLD
-            next(rounds)
-            assert executor.last_result.relaxation is None
-            # Chain-broken: the manager's batch never reaches the solver.
-            next(rounds)
-            assert scheduler.graph_manager.chain_breaks_injected == 1
-            assert executor.last_result.relaxation is not None
-            assert executor.last_result.cost_scaling.statistics.delta_solve == 0
-            assert executor.solo_delta_rounds == 3
-            assert executor.fallback_rounds == 6
-        finally:
-            scheduler.close()
+    @pytest.mark.parametrize("unchained", ["broken", "no_batch", "released"])
+    def test_chain_reforms_after_an_unchained_round(self, monkeypatch, unchained):
+        rng = random.Random(11)
+        networks = [generate_network(rng)]
+        batches = [None]
+        for _ in range(4):
+            network, changes = perturb_network(rng, networks[-1])
+            networks.append(network)
+            batches.append(changes)
+        executor = DualAlgorithmExecutor()
+        calls = self.count_leg_calls(monkeypatch, executor)
+        relaxation, incremental = executor.relaxation.name, executor.incremental.name
+
+        executor.solve_detailed(networks[0])
+        executor.solve_detailed(networks[1], batches[1])
+        assert calls == [relaxation, incremental, incremental]
+        # The round that does not chain: a skipped revision, no batch, or
+        # a residual released since the last solve.
+        if unchained == "broken":
+            index, changes = 3, batches[3]
+        elif unchained == "no_batch":
+            index, changes = 2, None
+        else:
+            executor.incremental.release_residual()
+            index, changes = 2, batches[2]
+        assert not executor.incremental.can_solve_delta(changes)
+        del calls[:]
+        detailed = executor.solve_detailed(networks[index], changes)
+        assert calls == [relaxation, incremental]
+        assert detailed.cost_scaling.statistics.delta_solve == 0
+        # The race rebuilt the residual at this round's revision, so the
+        # very next batch chains onto it and runs alone again.
+        del calls[:]
+        detailed = executor.solve_detailed(networks[index + 1], batches[index + 1])
+        assert calls == [incremental]
+        assert detailed.relaxation is None
+        assert detailed.winner.statistics.delta_solve == 1
+        assert executor.solo_delta_rounds == 2
+        scratch = CostScalingSolver().solve(networks[index + 1].copy())
+        assert detailed.winner.total_cost == scratch.total_cost
+
+    def test_an_oversized_chained_batch_from_the_scheduler_runs_solo(self):
+        scheduler = FirmamentScheduler(QuincyPolicy())
+        executor = scheduler.solver
+        state = make_cluster_state(num_machines=12, machines_per_rack=4)
+        state.submit_job(make_job(job_id=1, num_tasks=4))
+        scheduler.schedule_and_apply(state, 0.0)
+        # One job big enough that its round's batch exceeds 1 024 changes.
+        state.submit_job(make_job(job_id=2, num_tasks=400, submit_time=10.0))
+        scheduler.schedule_and_apply(state, 10.0)
+        detailed = executor.last_result
+        batch = scheduler.graph_manager.last_changes
+        assert batch is not None and len(batch) > 1024
+        assert detailed.relaxation is None
+        assert detailed.winner is detailed.cost_scaling
+        assert detailed.winner.statistics.delta_solve == 1
+        assert executor.solo_delta_rounds == 1
+        network = scheduler.last_network
+        assert network.flows() == detailed.winner.flows
+        scratch = CostScalingSolver().solve(network.copy())
+        assert detailed.winner.total_cost == scratch.total_cost
+        scheduler.close()
 
 
 def rig_race(monkeypatch, executor, relaxation_wins):
-    """Decide every round's winner: ``relaxation_wins(round_index)``.
+    """Decide every raced round's winner: ``relaxation_wins(race_index)``,
+    counting the rounds the relaxation leg ran.
 
     The legs really solve; only the runtimes the modeled race compares are
     overwritten, so the winner is scripted instead of timing-dependent.
@@ -338,17 +360,26 @@ class TestSurvivingDeltaChain:
     """The cost-scaling leg keeps its residual across relaxation wins."""
 
     def test_alternating_winner_stays_exact(self, monkeypatch):
-        scheduler = FirmamentScheduler(QuincyPolicy())
+        # Every third round's batch is dropped, so rounds 0, 2, 5, ... do
+        # not chain and race; the rest run cost scaling alone.
+        broken = list(range(2, 36, 3))
+        scheduler = FirmamentScheduler(
+            QuincyPolicy(), chaos=ChaosPolicy(schedule={"chain_break": broken})
+        )
         executor = scheduler.solver
-        # Two relaxation wins, one cost scaling win, repeating: a cost
-        # scaling win lands on arcs that carried relaxation's flows, and a
-        # relaxation win on a leg that keeps its own residual.
+        # Of the raced rounds two go to relaxation, one to cost scaling,
+        # repeating: a cost scaling win lands on arcs that carried
+        # relaxation's flows, and a relaxation win on a leg that keeps its
+        # own residual.
         rig_race(monkeypatch, executor, lambda index: index % 3 != 2)
         winners = []
         for round_index in churn_rounds(scheduler, 36):
             network = scheduler.last_network
-            winner = executor.last_result.winner
+            detailed = executor.last_result
+            winner = detailed.winner
             winners.append(winner.algorithm)
+            races = round_index == 0 or round_index in broken
+            assert (detailed.relaxation is not None) == races, f"round {round_index}"
             assert network.flows() == winner.flows, f"round {round_index}"
             assert check_feasibility(network) == [], f"round {round_index}"
             scratch = CostScalingSolver().solve(network.copy())
@@ -357,30 +388,40 @@ class TestSurvivingDeltaChain:
             assert residual is not None, f"round {round_index}"
             assert residual.revision == network.revision
             assert check_residual_epsilon_optimality(residual, 0) == []
-        assert winners.count("relaxation") == 24
-        assert winners.count("incremental_cost_scaling") == 12
-        # One cold build, then the chain never broke.
-        assert executor.incremental.delta_solves == 35
+        assert scheduler.graph_manager.chain_breaks_injected == len(broken)
+        raced = 1 + len(broken)
+        assert executor.solo_delta_rounds == 36 - raced
+        assert winners.count("relaxation") == 9
+        assert winners.count("incremental_cost_scaling") == 36 - 9
+        # One cold build and a rebuild per dropped batch; every round after
+        # a relaxation win still chained onto the leg's own residual.
+        assert executor.incremental.delta_solves == 36 - raced
         assert executor.incremental.delta_fallbacks == 0
 
-    def test_steady_state_rounds_are_incremental_on_both_legs(self, monkeypatch):
+    def test_steady_state_rounds_run_cost_scaling_alone_and_incrementally(
+        self, monkeypatch
+    ):
         scheduler = FirmamentScheduler(QuincyPolicy())
         executor = scheduler.solver
         rig_race(monkeypatch, executor, lambda index: True)
 
         def no_copy(self):
-            raise AssertionError("the inline race copied the flow network")
+            raise AssertionError("the executor copied the flow network")
 
         monkeypatch.setattr(FlowNetwork, "copy", no_copy)
         for round_index in churn_rounds(scheduler, 12):
             detailed = executor.last_result
-            assert detailed.winning_algorithm == "relaxation"
+            # Only round 1 does not chain, so only round 1 races.
+            assert (detailed.relaxation is not None) == (round_index == 0)
+            assert detailed.winning_algorithm == (
+                "relaxation" if round_index == 0 else "incremental_cost_scaling"
+            )
             assert executor.incremental.delta_solves == round_index
             assert executor.relaxation.residual_rebuilds == 1
-            # Round-level attribution: the losing leg's flag is folded in.
             assert detailed.winner.statistics.delta_solve == min(round_index, 1)
             if round_index:
                 assert detailed.cost_scaling.statistics.price_refine_passes == 0
+        assert executor.solo_delta_rounds == 11
 
     def hand_built_rounds(self, count, seed=9):
         rng = random.Random(seed)
@@ -408,21 +449,21 @@ class TestSurvivingDeltaChain:
         assert detailed.cost_scaling.statistics.delta_solve == 1
         assert detailed.winner.total_cost == reference_min_cost(network)
 
-    def test_cancelled_parent_leg_still_seeds(self, monkeypatch):
-        executor = ParallelDualExecutor()
-        executor.worker.attach(_InstantWorkerConn())  # answers first, always
-        try:
-            detailed = executor.solve_detailed(build_scheduling_network(seed=53))
-            assert detailed.winning_algorithm == "relaxation"
-            assert detailed.cost_scaling is None
-            executor.worker.attach(None)
-            # No worker: the following rounds run the inherited inline race.
-            monkeypatch.setattr(executor.worker, "ensure", lambda: False)
-            rig_race(monkeypatch, executor, lambda index: True)
-            self.assert_reseeded_then_rebuilt(executor, self.hand_built_rounds(2))
-        finally:
-            executor.worker.attach(None)
-            executor.close()
+    def test_aborted_parent_leg_still_seeds(self, monkeypatch):
+        executor = DualAlgorithmExecutor()
+        rig_race(monkeypatch, executor, lambda index: True)
+        rounds = self.hand_built_rounds(3)
+        incremental_solve = executor.incremental.solve
+
+        def aborted(*args, **kwargs):
+            raise SolveAborted("leg aborted by test")
+
+        monkeypatch.setattr(executor.incremental, "solve", aborted)
+        detailed = executor.solve_detailed(*next(rounds))
+        monkeypatch.setattr(executor.incremental, "solve", incremental_solve)
+        assert detailed.winning_algorithm == "relaxation"
+        assert detailed.cost_scaling is None
+        self.assert_reseeded_then_rebuilt(executor, rounds)
 
     def test_deadline_truncated_leg_still_seeds(self, monkeypatch):
         executor = DualAlgorithmExecutor()
@@ -643,13 +684,13 @@ class TestServicePathSingleLeg:
         assert grown == {}
 
 
-    def test_default_scheduler_still_races_every_round(self):
+    def test_default_scheduler_races_exactly_the_rounds_that_do_not_chain(self):
         scheduler = FirmamentScheduler(QuincyPolicy())
-        for _ in churn_rounds(scheduler, 6):
+        for round_index in churn_rounds(scheduler, 6):
             detailed = scheduler.solver.last_result
-            assert detailed.relaxation is not None
+            assert (detailed.relaxation is not None) == (round_index == 0)
             assert detailed.cost_scaling is not None
-        assert scheduler.solver.solo_delta_rounds == 0
+        assert scheduler.solver.solo_delta_rounds == 5
 
 
 class TestLegAttribution:

@@ -4,8 +4,10 @@ import pytest
 
 from repro.flow.graph import FlowNetwork, NodeType
 from repro.flow.validation import check_feasibility
+from repro.solvers.base import SolveAborted
 from repro.solvers.incremental import IncrementalCostScalingSolver
 from tests.conftest import build_scheduling_network, reference_min_cost
+from tests.solvers.round_helpers import perturbed_rounds
 
 
 def quincy_like_network(num_tasks=6, num_machines=3):
@@ -127,3 +129,28 @@ class TestWarmRebuildOptions:
             changed.set_arc_cost(arc.src, arc.dst, arc.cost + 7)
             expected = reference_min_cost(changed)
             assert solver.solve(changed).total_cost == expected
+
+
+class TestAbortedDeltaRepair:
+    def test_an_aborted_delta_repair_releases_the_residual(self):
+        rounds = list(perturbed_rounds(seed=73, rounds=3))
+        solver = IncrementalCostScalingSolver()
+        solver.solve(rounds[0][0])
+        network, changes, _ = rounds[1]
+        assert solver.can_solve_delta(changes)
+        solver.abort_check = lambda: True
+        with pytest.raises(SolveAborted):
+            solver.solve(network, changes)
+        solver.abort_check = None
+        # The half-repaired residual is gone: the round is solved again by
+        # a warm rebuild, and the next batch chains onto the rebuilt one.
+        assert solver.last_residual is None
+        assert not solver.can_solve_delta(changes)
+        result = solver.solve(network, changes)
+        assert result.statistics.delta_solve == 0
+        assert result.total_cost == rounds[1][2]
+        network, changes, expected = rounds[2]
+        result = solver.solve(network, changes)
+        assert result.statistics.delta_solve == 1
+        assert result.total_cost == expected
+        assert solver.delta_solves == 1

@@ -25,13 +25,14 @@ enforced* under fuzzing:
 * The worker resync path is pinned against the full-snapshot path: across
   forced chain breaks, a shadow network brought up to date by the
   composed incremental payload must equal the freshly parsed snapshot,
-  and the parallel executor must ship *no* full snapshot after the cold
-  start on a chained replay.
+  and a worker-mode sharded cell must ship *no* full snapshot after the
+  cold start on a chained replay whose worker sat rounds out.
 """
 
 from __future__ import annotations
 
 import random
+import time
 from collections import deque
 
 import pytest
@@ -40,11 +41,13 @@ from repro.flow.changes import ChangeBatch
 from repro.flow.dimacs import read_dimacs, read_incremental, write_dimacs, write_incremental
 from repro.flow.graph import FlowNetwork
 from repro.flow.validation import assert_epsilon_optimal
-from repro.solvers import ParallelDualExecutor, RelaxationSolver, RevisionChainCache
+from repro.chaos import ChaosPolicy
+from repro.core import QuincyPolicy, ShardedScheduler
+from repro.solvers import CostScalingSolver, RelaxationSolver, RevisionChainCache
 from repro.solvers import worker as worker_module
 from repro.solvers.base import InfeasibleProblemError
 from repro.solvers.residual import ResidualNetwork
-from tests.conftest import reference_min_cost
+from tests.conftest import make_cluster_state, make_job, reference_min_cost
 from tests.solvers.equivalence_harness import generate_network, perturb_network
 
 #: Fuzz seeds for the instrumented and old-vs-new sweeps.
@@ -316,40 +319,43 @@ def test_revision_chain_cache_gaps_and_bounds(monkeypatch):
 
 
 def test_forced_chain_breaks_ship_deltas_not_snapshots():
-    """End to end: solo-delta rounds break the worker's chain; the next
-    raced round must resync with an incremental payload, leaving the cold
-    start as the only full DIMACS ship."""
-    rng = random.Random(3)
-    network = generate_network(rng)
-    executor = ParallelDualExecutor()
+    """End to end on a worker-mode cell: a late worker breaks its chain --
+    the gather gives up on round 2, round 3 finds the worker still owing
+    round 2 and is served without it -- and the next round the worker
+    takes part in must resync with an incremental payload, leaving the
+    cold start as the only full DIMACS ship."""
+    budget = 0.2
+    chaos = ChaosPolicy(schedule={"worker_delay": [2]}, delay_seconds=0.6)
+    # One cell: every worker-directed fault aims at it.  The budget bounds
+    # the gather, so the delayed round is served by the parent.
+    scheduler = ShardedScheduler(
+        QuincyPolicy, num_cells=1, workers=True,
+        round_deadline_seconds=budget, chaos=chaos,
+    )
+    state = make_cluster_state(num_machines=8)
     try:
-        assert executor.solve(network.copy()).total_cost == reference_min_cost(
-            network
-        )
-        # If relaxation won the photo finish, the seed dropped the
-        # incremental solver's persistent residual; re-arm it so the solo
-        # rounds below take the delta path deterministically.
-        executor.incremental.solve(network.copy())
-        for _ in range(3):  # small chained batches: solved solo, not shipped
-            network, batch = perturb_network(rng, network)
-            result = executor.solve(network.copy(), changes=batch)
-            assert result.total_cost == reference_min_cost(network)
-        assert executor.solo_delta_rounds == 3
-        # Force the race back on: the worker is 3 revisions behind.
-        executor.delta_solo_threshold = 0
-        for _ in range(2):
-            # A worker still chewing on an abandoned round would make the
-            # next ship be skipped; wait until it has answered them all.
-            assert executor.worker.wait_idle(5.0)
-            network, batch = perturb_network(rng, network)
-            result = executor.solve(network.copy(), changes=batch)
-            assert result.total_cost == reference_min_cost(network)
-        worker = executor.worker
-        assert worker.snapshot_ships == 1, (
+        for round_index in range(6):
+            if round_index == 4:
+                # Let the late worker answer round 2 before round 4 ships.
+                time.sleep(1.5)
+            now = 5.0 * round_index
+            state.submit_job(
+                make_job(job_id=round_index + 1, num_tasks=2, submit_time=now)
+            )
+            decision = scheduler.schedule_and_apply(state, now)
+            manager = scheduler._cells[0].manager
+            optimum = CostScalingSolver().solve(manager.network.copy()).total_cost
+            assert decision.total_cost == optimum, f"round {round_index}"
+        assert chaos.injected.get("worker_delay") == 1
+        client = scheduler.clients[0]
+        transport = scheduler.cell_transport()[0]
+        assert transport["fallback_rounds"] >= 2
+        assert client.skipped_rounds >= 1
+        assert client.snapshot_ships == 1, (
             "every post-cold-start ship must be incremental "
-            f"(full={worker.snapshot_ships}, delta={worker.delta_ships})"
+            f"(full={client.snapshot_ships}, delta={client.delta_ships})"
         )
-        assert worker.delta_ships >= 2
-        assert worker.resync_ships >= 1
+        assert client.delta_ships >= 2
+        assert client.resync_ships >= 1
     finally:
-        executor.close()
+        scheduler.close()
