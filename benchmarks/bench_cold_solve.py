@@ -35,7 +35,7 @@ def cold_network(machines: int) -> FlowNetwork:
     state = build_cluster_state(machines)
     for job in range(machines * TASKS_PER_MACHINE // TASKS_PER_JOB):
         add_pending_batch_job(state, TASKS_PER_JOB, seed=job, job_id=job)
-    return GraphManager(QuincyPolicy()).update(state, now=10.0)
+    return GraphManager(QuincyPolicy()).update(state, now=10.0).copy()
 
 
 def test_cold_solve_scales_with_the_tasks_it_routes():

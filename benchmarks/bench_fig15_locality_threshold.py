@@ -57,7 +57,7 @@ def measure(threshold: float):
                           max_preference_arcs=20)
     state = build_state()
     manager = GraphManager(policy)
-    network = manager.update(state, now=5.0)
+    network = manager.update(state, now=5.0).copy()
 
     start = time.perf_counter()
     RelaxationSolver().solve(network)

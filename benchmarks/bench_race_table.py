@@ -8,7 +8,11 @@ figures' own workloads by timing **both legs on every round, on purpose**:
 the executor solves each round as usual, and a second
 :class:`~repro.solvers.relaxation.RelaxationSolver` fed the same networks
 and batches (so it keeps its own persistent residual, as the relaxation leg
-did when every round raced) solves it beside it.
+did when every round raced) solves it beside it.  The executor is handed
+the manager's graph and repairs it in place; the probe is handed a
+:class:`~repro.flow.graph.FlowNetwork` copy of it that each chained batch
+is replayed onto (``ChangeBatch.apply_to``), so it patches its residual
+exactly as when the executor's legs took one.
 
 Shapes: fig14's 96-machine race replay, fig18 at 4x / 8x / 16x, fig16's
 four oversubscribed rounds (no batches: every round races) and fig09's
@@ -33,7 +37,7 @@ from __future__ import annotations
 import statistics
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import pytest
 
@@ -49,7 +53,9 @@ from repro.analysis.reporting import format_table
 from repro.cluster import Job, Task
 from repro.core import FirmamentScheduler, QuincyPolicy
 from repro.core.policies import LoadSpreadingPolicy
+from repro.flow.graph import FlowNetwork
 from repro.solvers import CostScalingSolver, DualAlgorithmExecutor, RelaxationSolver
+from repro.solvers.residual import FlowGraph
 
 #: One round: ``(chained, relaxation seconds, cost-scaling seconds)``.
 Sample = Tuple[bool, float, float]
@@ -61,11 +67,27 @@ class BothLegs(DualAlgorithmExecutor):
     def __init__(self) -> None:
         super().__init__()
         self.probe = RelaxationSolver(arc_prioritization=True)
+        self.shadow: Optional[FlowNetwork] = None
         self.samples: List[Sample] = []
 
+    def follow(self, network, changes) -> FlowNetwork:
+        """The probe's network: a graph's copy, kept in step by replaying
+        each batch that chains from it; any other network as handed."""
+        if not isinstance(network, FlowGraph):
+            return network
+        shadow = self.shadow
+        if shadow is None or changes is None or shadow.revision != changes.base_revision:
+            shadow = self.shadow = network.copy()
+        else:
+            changes.apply_to(shadow)
+            shadow.revision = changes.target_revision
+        return shadow
+
     def solve_detailed(self, network, changes=None):
-        chained = self.incremental.can_solve_delta(changes)
-        relaxation = self.probe.solve(network, changes=changes, write_back=False)
+        chained = self.incremental.can_solve_delta(changes, network)
+        relaxation = self.probe.solve(
+            self.follow(network, changes), changes=changes, write_back=False
+        )
         detailed = super().solve_detailed(network, changes)
         scratch = CostScalingSolver().solve(network.copy())
         assert detailed.winner.total_cost == scratch.total_cost, (

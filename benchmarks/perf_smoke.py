@@ -750,7 +750,7 @@ def measure_cold_feasibility() -> float:
     """
     state = build_cluster_state(COLD_MACHINES)
     add_pending_batch_job(state, 2 * COLD_MACHINES, seed=92)
-    network = GraphManager(QuincyPolicy()).update(state, now=10.0)
+    network = GraphManager(QuincyPolicy()).update(state, now=10.0).copy()
     stats = SolverStatistics()
     CostScalingSolver().establish_feasible_flow(ResidualNetwork(network), stats)
     if stats.augmentations != 2 * COLD_MACHINES:

@@ -103,7 +103,7 @@ class RackAntiAffinityPolicy(SchedulingPolicy):
         from the rack, a quota scope the arcs out of the job's quota nodes."""
         kind, ident = key
         if kind == "quota":
-            racks = builder.network.nodes_of_type(NodeType.RACK_AGGREGATOR)
+            racks = builder.network.copy().nodes_of_type(NodeType.RACK_AGGREGATOR)
             return [
                 arc
                 for rack in racks

@@ -59,7 +59,7 @@ def build_problem() -> ClusterState:
 
 def main() -> None:
     state = build_problem()
-    network = GraphManager(QuincyPolicy()).update(state, now=0.0)
+    network = GraphManager(QuincyPolicy()).update(state, now=0.0).copy()
 
     # Round-trip the problem through the DIMACS text format, as the real
     # Firmament does across its scheduler/solver process boundary.

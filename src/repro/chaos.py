@@ -277,15 +277,18 @@ class CrashInjector:
 def corrupt_residual_potentials(residual, seed: int = 0) -> bool:
     """Make one residual arc violate 0-optimality by bumping a potential.
 
-    Picks a seeded arc with remaining residual capacity and raises its
-    tail's potential just past the arc's reduced cost, guaranteeing the
+    Picks a seeded arc with remaining residual capacity, outside the
+    pending patch (its arcs the next repair re-examines anyway), and raises
+    its tail's potential just past the arc's reduced cost, guaranteeing the
     arc's reduced cost goes negative — exactly the corruption
     ``check_residual_epsilon_optimality(residual, 0)`` exists to catch.
-    Returns False when the residual has no arc with capacity left (nothing
-    to violate, so the corruption would be unobservable and is skipped).
+    Returns False when no such arc is left (nothing to violate, so the
+    corruption would be unobservable and is skipped).
     """
+    patched = residual.pending_dirty
     candidates = [
-        index for index in range(len(residual.arc_residual)) if residual.arc_residual[index] > 0
+        index for index in range(len(residual.arc_residual))
+        if residual.arc_residual[index] > 0 and index >> 1 not in patched
     ]
     if not candidates:
         return False

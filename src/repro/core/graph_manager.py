@@ -411,7 +411,7 @@ class GraphManager:
 
     def network_view(self) -> FlowNetwork:
         """The graph as a :class:`FlowNetwork`, for a solver that takes one
-        (the dual executor): the previous view with the round's batch
+        (relaxation alone, Quincy's): the previous view with the round's batch
         replayed onto it when the batch chains from it -- O(changes), as a
         worker follows its shadow -- and a fresh one from the graph
         otherwise."""
@@ -1104,7 +1104,7 @@ class GraphManager:
                 f"persistent entity sets {kept} diverged from a scan {scanned}"
             )
         rebuilt = self._build_full_network(state, now, tasks)
-        problems = self.network.structurally_equal(rebuilt)
+        problems = self.network.copy().structurally_equal(rebuilt)
         if problems:
             raise GraphConsistencyError(
                 "incremental network diverged from a from-scratch build: "

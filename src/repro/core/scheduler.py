@@ -226,14 +226,13 @@ class FlowScheduler:
         """Solve one cell in this process: ``(result, runtime)``.
 
         A solver that :attr:`~repro.solvers.base.Solver.solves_in_place`
-        gets the manager's graph itself and repairs its residual.  Any other
-        solver gets the manager's :class:`FlowNetwork` view of the graph
-        (:meth:`GraphManager.network_view`), and the flow it returns is
-        loaded into the graph, where the placements are read.  The round's typed change batch is handed over when the
-        solver can consume one (an incremental instance then patches its
-        persistent residual network in place instead of reconstructing it
-        from the flow network).  ``result`` is ``None`` when the cell's
-        round died at its deadline.
+        (the dual executor, incremental cost scaling) gets the manager's
+        graph and leaves its flow in the graph's residual, where the
+        placements are read.  Any other solver gets the manager's
+        :class:`FlowNetwork` view (:meth:`GraphManager.network_view`), and
+        the flow it returns is loaded into the graph.  The round's change
+        batch is handed over when the solver can consume one.  ``result``
+        is ``None`` when the cell's round died at its deadline.
         """
         manager, solver = cell.manager, cell.solver
         graph, changes = manager.network, manager.last_changes
@@ -335,9 +334,9 @@ class FirmamentScheduler(FlowScheduler):
             policy: Scheduling policy that shapes the flow network.
             solver: MCMF solver; defaults to a
                 :class:`~repro.solvers.dual_executor.DualAlgorithmExecutor`
-                (incremental cost scaling alone on a round whose batch
-                chains onto its residual, raced back to back against
-                relaxation, with the race modeled, on every other round).
+                (incremental cost scaling alone, repairing the graph's
+                residual, on a round whose batch chains onto it; raced back
+                to back against relaxation, modeled, on every other round).
                 Pass an
                 :class:`~repro.solvers.incremental.IncrementalCostScalingSolver`
                 to solve each round with one leg (what ``serve`` runs), or a

@@ -102,7 +102,7 @@ def check_epsilon_optimality(
     return problems
 
 
-def check_residual_epsilon_optimality(residual, epsilon: float) -> List[str]:
+def check_residual_epsilon_optimality(residual, epsilon: float, skip=()) -> List[str]:
     """Check epsilon-optimality directly on a solver residual network.
 
     The solvers operate on the array-based
@@ -121,6 +121,7 @@ def check_residual_epsilon_optimality(residual, epsilon: float) -> List[str]:
             / ``arc_to`` / ``potential`` / ``node_ids``).
         epsilon: The bound, in the residual's *stored* cost units (scaled
             units for a persistent cost-scaling residual).
+        skip: Forward pair positions (``arc_index >> 1``) left unchecked.
     """
     problems: List[str] = []
     arc_residual = residual.arc_residual
@@ -135,7 +136,7 @@ def check_residual_epsilon_optimality(residual, epsilon: float) -> List[str]:
         u = arc_from[arc_index]
         v = arc_to[arc_index]
         rc = arc_cost[arc_index] - potential[u] + potential[v]
-        if rc < -epsilon:
+        if rc < -epsilon and arc_index >> 1 not in skip:
             problems.append(
                 f"residual arc {node_ids[u]}->{node_ids[v]} (index {arc_index}) "
                 f"has reduced cost {rc} < -epsilon ({-epsilon})"

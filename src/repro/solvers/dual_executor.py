@@ -28,16 +28,17 @@ its one event-loop thread, so its monolithic scheduler solves each round
 with :class:`~repro.solvers.incremental.IncrementalCostScalingSolver`
 alone, the solver every ``--cells`` cell runs.
 
-The executor owns a round's single flow write-back: the legs solve on
-their own persistent residuals and never touch ``network``'s arcs; the
-winner's flows are written once, after the legs ran (``set_flows``).  The
-incremental cost scaling instance is seeded from a relaxation win (price
-refine makes the potentials usable, Section 6.2) **iff it holds no residual
-of its own at this round's revision** -- its leg was aborted or truncated
-at the deadline.  A leg that ran to completion keeps its own 0-optimal
-residual, so the next round repairs it with ``solve_delta`` instead of
-paying an O(graph) warm rebuild plus a full price refine for a re-sync
-nothing invalidated.
+Handed a graph manager's :class:`~repro.solvers.residual.FlowGraph` (it
+:attr:`solves_in_place`), the cost-scaling leg repairs the graph's own
+residual -- a chained round builds, replays and writes nothing -- and a
+raced round's relaxation leg solves ``graph.copy()``, keeping no residual
+past the race; a :class:`FlowNetwork` input gets the winner's flow written
+once.  A relaxation win is handed over (Section 6.2) on the cost-scaling
+leg's residual whenever it holds one at this round's revision -- in place,
+the graph's own: the winner's flow and exact potentials are loaded into it
+(:meth:`~repro.solvers.incremental.IncrementalCostScalingSolver.adopt`), so
+the next round still repairs it with ``solve_delta``.  A leg left without
+one (aborted, or truncated at the deadline) is seeded and rebuilds warm.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from repro.solvers.base import (
 )
 from repro.solvers.incremental import IncrementalCostScalingSolver
 from repro.solvers.relaxation import RelaxationSolver
+from repro.solvers.residual import FlowGraph
 
 
 @dataclass
@@ -66,7 +68,7 @@ class DualExecutionResult:
 
     Attributes:
         winner: The result whose algorithm finished first; its flow is the
-            one the executor writes to the network.
+            one the network (or the graph's residual) carries.
         relaxation: The relaxation run's result; ``None`` on a chained
             round (the leg did not run) and when the leg was aborted at
             the deadline or its ascent cap.
@@ -79,7 +81,7 @@ class DualExecutionResult:
         total_work_seconds: CPU seconds paid for the round (the sum of the
             runtimes of the legs that ran).
         wall_clock_seconds: Real elapsed time of the round in the calling
-            process: the legs that ran plus the flow write-back.
+            process: the legs that ran, a race's graph copy and hand-off.
     """
 
     winner: SolverResult
@@ -102,10 +104,11 @@ class DualAlgorithmExecutor(Solver):
 
     name = "firmament_dual"
 
-    #: The scheduler may pass ``changes=ChangeBatch`` to :meth:`solve`; the
-    #: batch is forwarded to the incremental cost scaling instance so it can
-    #: patch its persistent residual network instead of rebuilding it.
+    #: The scheduler may pass ``changes=ChangeBatch`` to :meth:`solve`, and
+    #: hands it the graph manager's :class:`FlowGraph` itself; the batch is
+    #: forwarded to the incremental cost scaling instance.
     accepts_change_batches = True
+    solves_in_place = True
 
     def __init__(
         self,
@@ -215,7 +218,8 @@ class DualAlgorithmExecutor(Solver):
         started = time.perf_counter()
         budget = self.round_deadline_seconds
         deadline_hit = False
-        races = not self.incremental.can_solve_delta(changes)
+        graph = network if isinstance(network, FlowGraph) else None
+        races = not self.incremental.can_solve_delta(changes, network)
 
         relaxation_result: Optional[SolverResult] = None
         if races:
@@ -223,13 +227,14 @@ class DualAlgorithmExecutor(Solver):
                 self.relaxation.abort_check = RoundDeadline(budget).hard_expired
             try:
                 relaxation_result = self.relaxation.solve(
-                    network, changes=changes, write_back=False
+                    network if graph is None else graph.copy(), write_back=False
                 )
             except SolveAborted:
                 # Hard deadline or ascent cap: degrade to the other leg.
                 deadline_hit = True
             finally:
                 self.relaxation.abort_check = None
+                self.relaxation.invalidate_residual()  # no race chains onto it
 
         cost_scaling_result: Optional[SolverResult] = None
         # The leg's budget is the solver's own deadline rule.
@@ -253,17 +258,19 @@ class DualAlgorithmExecutor(Solver):
             <= cost_scaling_result.runtime_seconds
         ):
             winner = relaxation_result
-            # Seed only a leg left without a residual at this revision (it
-            # was aborted, or did not finish optimal); a finished leg keeps
-            # its own and the next round takes ``solve_delta``.
-            if (
-                cost_scaling_result is None
-                or self.incremental.last_residual is None
-            ):
+            # A finished leg's residual (in place, the graph's) takes the
+            # winner's solution and the next round takes ``solve_delta``;
+            # a leg left without one (aborted, or not optimal) is seeded.
+            if cost_scaling_result is None or self.incremental.last_residual is None:
                 self.incremental.seed(winner.flows, winner.potentials)
+                if graph is not None:
+                    graph.set_flows(winner.flows)
+            else:
+                self.incremental.adopt(winner.flows, winner.potentials)
         else:
             winner = cost_scaling_result
-        network.set_flows(winner.flows)
+        if graph is None:
+            network.set_flows(winner.flows)
         if deadline_hit:
             winner.statistics.deadline_hits += 1
         if not winner.optimal:

@@ -34,11 +34,11 @@ last solution's flow -- and supports two levels of reuse:
   the network being solved: the network's arcs are written only by the
   write-back.
 
-Handed a graph manager's :class:`~repro.solvers.residual.FlowGraph` (what
-``serve`` does), the solver keeps the graph's own residual: the manager's
-mutations already patched it, so a chained round repairs what they touched
--- no batch replayed, no residual built, no flow written -- and an
-unchained round's "rebuild" loads the stale flow into that residual.
+Handed a graph manager's :class:`~repro.solvers.residual.FlowGraph` (by
+``serve`` or the dual executor), the solver keeps the graph's own residual:
+the manager's mutations already patched it, so a chained round repairs what
+they touched -- no batch replayed, no residual built, no flow written -- and
+an unchained round's "rebuild" loads the stale flow into that residual.
 
 Warm state is invalidated by :meth:`IncrementalCostScalingSolver.reset`;
 the persistent residual alone is dropped (falling back to warm rebuild)
@@ -142,8 +142,8 @@ class IncrementalCostScalingSolver(CostScalingSolver):
         self.delta_fallbacks: int = 0
         #: When True, the retained residual's 0-optimality invariant is
         #: re-checked (``check_residual_epsilon_optimality(residual, 0)``)
-        #: before every delta solve that replays a batch (a graph's residual
-        #: reaches the solve patched already); a corrupted residual is dropped and the
+        #: before every delta solve, on every arc but those a graph's
+        #: pending patch touched; a corrupted residual is dropped and the
         #: round falls back to a warm rebuild instead of repairing on top
         #: of garbage potentials.  Off by default — the check is O(arcs)
         #: per round; the chaos harness (and paranoid deployments) turn it
@@ -173,10 +173,10 @@ class IncrementalCostScalingSolver(CostScalingSolver):
         residual of its own at the round's revision** -- its leg was
         aborted or truncated at the deadline -- so the next run starts
         from the winner's flow instead of from a stale or missing one.  A
-        leg that ran to completion is *not* seeded: its retained residual
-        is 0-optimal at the current revision, and dropping it would trade
-        the next round's ``solve_delta`` for an O(graph) rebuild plus a
-        full price refine.
+        leg that ran to completion :meth:`adopt`s the winner instead: its
+        retained residual is at the current revision, and dropping it would
+        trade the next round's ``solve_delta`` for an O(graph) rebuild plus
+        a full price refine.
 
         Relaxation potentials are exact in unscaled units, so the scaled
         state of any previous cost-scaling run -- including the persistent
@@ -192,8 +192,17 @@ class IncrementalCostScalingSolver(CostScalingSolver):
         """Return whether a previous solution is available for warm starting."""
         return self._last_flows is not None
 
-    def can_solve_delta(self, changes: Optional[ChangeBatch]) -> bool:
-        """Whether the next solve with this batch takes the pure delta path.
+    def adopt(self, flows: Mapping[Tuple[int, int], int], potentials: Mapping[int, int]) -> None:
+        """Load another solver's optimal flow and exact potentials into the
+        retained residual (scaled to its units): the Section 6.2 hand-off
+        that keeps it 0-optimal, so the next round still chains onto it."""
+        residual = self.last_residual
+        residual.load_flows(flows)
+        residual.load_potentials({n: p * residual.cost_scale for n, p in potentials.items()})
+        self._solved_patches = residual.patches_applied
+
+    def can_solve_delta(self, changes: Optional[ChangeBatch], network=None) -> bool:
+        """Whether the next solve of ``network`` with this batch is a delta.
 
         True when a persistent residual exists and the batch's revision
         chain connects to it, so the round's cost is O(|changes| + repair)
@@ -201,7 +210,7 @@ class IncrementalCostScalingSolver(CostScalingSolver):
         exactly when it holds: a from-scratch relaxation run rarely beats
         the delta repair, whatever the batch's size.
         """
-        return self._deltable_residual(None, changes) is not None
+        return self._deltable_residual(network, changes) is not None
 
     def _deltable_residual(self, network, changes: Optional[ChangeBatch]):
         """Return the persistent residual if the change batch applies to it."""
@@ -273,10 +282,10 @@ class IncrementalCostScalingSolver(CostScalingSolver):
     ) -> SolverResult:
         """The delta / warm / cold choice."""
         residual = self._deltable_residual(network, changes)
-        graph = self._in_place(network)
-        # (A graph's residual is patched already: the check would flag that.)
-        if residual is not None and self.validate_residual and residual is not graph:
-            if check_residual_epsilon_optimality(residual, 0):
+        # A graph's residual is patched already: the arcs its patch touched
+        # are the repair's to check.
+        if residual is not None and self.validate_residual:
+            if check_residual_epsilon_optimality(residual, 0, skip=residual.pending_dirty):
                 # The retained residual no longer proves 0-optimality
                 # (state corruption, a bug, a cosmic ray).  Repairing on
                 # top of bad potentials would silently produce a wrong

@@ -58,10 +58,13 @@ core's data layout and avoids every avoidable indirection:
   index rebuild and no O(graph) object traversal.  Relaxation still runs
   *from scratch* on the patched residual (Section 5.2: warm-starting
   relaxation does not pay), only the problem hand-off is incremental.
+  A solver driven directly with chained batches (fig18's relaxation-only
+  replay, the ablations) reuses it; the dual executor releases it after
+  each race, whose successor by definition does not chain.
 
-The dual executor calls ``solve(..., write_back=False)`` and writes the
-round's winning ``flows`` itself, so a losing leg never touches the
-arcs; the result's ``flows`` are always the authoritative solution.
+The dual executor calls ``solve(..., write_back=False)`` (on a raced
+round's copy of the graph) and hands the round's winning ``flows`` over
+itself; the result's ``flows`` are always the authoritative solution.
 """
 
 from __future__ import annotations

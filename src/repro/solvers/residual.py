@@ -1005,9 +1005,9 @@ class FlowGraph:
     residuals that only replay batches keep no journal), a solver that
     :attr:`~repro.solvers.base.Solver.solves_in_place` repairs that same
     residual, and the placements are read off its flow journal.  Counts
-    have a network's meaning (live nodes and arcs); any other read of the
-    :class:`FlowNetwork` interface (``nodes()``, ``arcs()``, ...) is
-    answered by a :class:`FlowNetwork` built for it (:meth:`copy`) -- the
+    have a network's meaning (live nodes and arcs); the rest of the
+    :class:`FlowNetwork` interface (``nodes()``, ``arcs()``, ...) is a
+    :class:`FlowNetwork` built for it, by name (:meth:`copy`) -- the
     interface of the oracles, DIMACS snapshots and tests, not of a round.
     """
 
@@ -1044,8 +1044,3 @@ class FlowGraph:
     def copy(self) -> FlowNetwork:
         """The graph as a :class:`FlowNetwork`: nodes, arcs, flows, revision."""
         return self.residual.to_network()
-
-    def __getattr__(self, name: str):
-        if name.startswith("_"):
-            raise AttributeError(name)
-        return getattr(self.copy(), name)

@@ -55,6 +55,7 @@ from repro.flow.dimacs import (
 )
 from repro.flow.graph import FlowNetwork
 from repro.solvers.base import SolverResult, SolverStatistics
+from repro.solvers.residual import FlowGraph
 from repro.solvers.worker_health import WorkerCircuitBreaker
 
 __all__ = [
@@ -511,8 +512,10 @@ class WorkerClient:
                 else:
                     message = ("delta", round_id, text, worker_revision, target)
                     return message, target, int(worker_revision != changes.base_revision)
-        # A snapshot still stamps the network's own revision, so the next
-        # *tracked* round can chain onto it.
+        # A snapshot (of a graph: of its copy) still stamps the network's
+        # own revision, so the next *tracked* round can chain onto it.
+        if isinstance(network, FlowGraph):
+            network = network.copy()
         text = write_dimacs(network, include_node_types=False)
         revision = getattr(network, "revision", None)
         return ("full", round_id, text, revision), revision, 0

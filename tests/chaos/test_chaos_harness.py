@@ -365,6 +365,30 @@ class TestSolverStateFaults:
         assert chaos.injected.get("residual_corruption") == 2
         assert executor.incremental.residual_validation_failures == 2
 
+    def test_residual_corruption_is_caught_on_the_graphs_residual(self):
+        """The default scheduler hands the executor its graph, so the
+        corruption lands in the residual the manager has just patched:
+        the check skips only the patched arcs, and every injection is
+        caught and rebuilt from, whichever leg won the cold round."""
+        injected_rounds = [2, 4, 6]
+        chaos = ChaosPolicy(schedule={"residual_corruption": injected_rounds})
+        scheduler = FirmamentScheduler(QuincyPolicy(), chaos=chaos)
+        executor = scheduler.solver
+        state = make_cluster_state(num_machines=12, machines_per_rack=4)
+        for round_index in range(8):
+            now = churn_script(state, round_index)
+            decision = scheduler.schedule_and_apply(state, now)
+            network = scheduler.last_network
+            scratch = CostScalingSolver().solve(network.copy())
+            assert decision.total_cost == scratch.total_cost, f"round {round_index}"
+            assert check_feasibility(network) == [], f"round {round_index}"
+            graph = scheduler.graph_manager.network
+            assert executor.incremental.last_residual is graph.residual
+        assert chaos.injected.get("residual_corruption") == len(injected_rounds)
+        assert executor.incremental.residual_validation_failures == len(
+            injected_rounds
+        )
+
 
 # --------------------------------------------------------------------- #
 # Fault-free oracle equivalence under transport faults

@@ -177,8 +177,8 @@ class TestChangeBatchEquivalence:
     def test_fresh_managers_build_identical_networks(self):
         original = make_busy_state()
         restored = roundtrip(original)
-        net_a = GraphManager(QuincyPolicy()).update(original, now=10.0)
-        net_b = GraphManager(QuincyPolicy()).update(restored, now=10.0)
+        net_a = GraphManager(QuincyPolicy()).update(original, now=10.0).copy()
+        net_b = GraphManager(QuincyPolicy()).update(restored, now=10.0).copy()
         assert (
             sorted((n.node_type.value, n.supply) for n in net_a.nodes())
             == sorted((n.node_type.value, n.supply) for n in net_b.nodes())

@@ -22,7 +22,7 @@ from tests.conftest import make_cluster_state, make_job
 def solve_with_policy(policy, state, now=0.0):
     """Build the policy's network, solve it, and return (network, result)."""
     manager = GraphManager(policy)
-    network = manager.update(state, now=now)
+    network = manager.update(state, now=now).copy()
     result = RelaxationSolver().solve(network)
     return network, result
 
@@ -93,7 +93,7 @@ class TestCpuMemoryPolicy:
         state.submit_job(job)
         state.place_task(job.tasks[0].task_id, 0, now=0.0)
         manager = GraphManager(CpuMemoryPolicy())
-        network = manager.update(state, now=1.0)
+        network = manager.update(state, now=1.0).copy()
         task_node = manager.task_nodes[job.tasks[0].task_id]
         machine_node = manager.machine_nodes[0]
         assert network.has_arc(task_node, machine_node)
@@ -161,8 +161,8 @@ class TestRandomPlacementPolicy:
         state.submit_job(make_job(job_id=1, num_tasks=4))
         policy = RandomPlacementPolicy(seed=9)
         manager = GraphManager(policy)
-        first = manager.update(state, now=0.0)
-        second = manager.update(state, now=1.0)
+        first = manager.update(state, now=0.0).copy()
+        second = manager.update(state, now=1.0).copy()
         task_arcs_first = {
             arc.key(): arc.cost
             for arc in first.arcs()
@@ -183,7 +183,7 @@ class TestRandomPlacementPolicy:
         arcs = []
         for seed in (1, 2):
             manager = GraphManager(RandomPlacementPolicy(seed=seed))
-            network = manager.update(state, now=0.0)
+            network = manager.update(state, now=0.0).copy()
             arcs.append(
                 {
                     arc.key()

@@ -14,7 +14,7 @@ class TestNetworkConstruction:
     def test_basic_structure(self, small_state):
         small_state.submit_job(make_job(job_id=1, num_tasks=3))
         manager = GraphManager(LoadSpreadingPolicy())
-        network = manager.update(small_state, now=0.0)
+        network = manager.update(small_state, now=0.0).copy()
 
         tasks = network.nodes_of_type(NodeType.TASK)
         machines = network.nodes_of_type(NodeType.MACHINE)
@@ -29,13 +29,13 @@ class TestNetworkConstruction:
     def test_every_task_can_reach_the_sink(self, small_state):
         small_state.submit_job(make_job(job_id=1, num_tasks=4))
         manager = GraphManager(QuincyPolicy())
-        network = manager.update(small_state, now=0.0)
+        network = manager.update(small_state, now=0.0).copy()
         for task_id, node_id in manager.task_nodes.items():
             assert network.outgoing(node_id), f"task {task_id} has no outgoing arcs"
 
     def test_empty_workload_produces_trivial_network(self, small_state):
         manager = GraphManager(LoadSpreadingPolicy())
-        network = manager.update(small_state, now=0.0)
+        network = manager.update(small_state, now=0.0).copy()
         assert manager.task_nodes == {}
         assert network.nodes_of_type(NodeType.TASK) == []
 
@@ -44,7 +44,7 @@ class TestNetworkConstruction:
         # aggregator nodes should survive pruning.
         small_state.submit_job(make_job(job_id=1, num_tasks=2))
         manager = GraphManager(LoadSpreadingPolicy())
-        network = manager.update(small_state, now=0.0)
+        network = manager.update(small_state, now=0.0).copy()
         assert network.nodes_of_type(NodeType.RACK_AGGREGATOR) == []
 
 
@@ -94,9 +94,9 @@ class TestNodeIdentityStability:
         small_state.submit_job(make_job(job_id=1, num_tasks=2))
         manager = GraphManager(LoadSpreadingPolicy())
         first = manager.update(small_state, now=0.0)
-        agg_first = first.nodes_of_type(NodeType.CLUSTER_AGGREGATOR)[0].node_id
+        agg_first = first.copy().nodes_of_type(NodeType.CLUSTER_AGGREGATOR)[0].node_id
         second = manager.update(small_state, now=1.0)
-        agg_second = second.nodes_of_type(NodeType.CLUSTER_AGGREGATOR)[0].node_id
+        agg_second = second.copy().nodes_of_type(NodeType.CLUSTER_AGGREGATOR)[0].node_id
         assert agg_first == agg_second
 
 
@@ -149,7 +149,7 @@ class TestChangeBatchEmission:
         small_state.place_task(job.tasks[0].task_id, 0, now=0.0)
         small_state.complete_task(job.tasks[0].task_id, now=1.0)
         small_state.submit_job(make_job(job_id=2, num_tasks=2))
-        second = manager.update(small_state, now=10.0)
+        second = manager.update(small_state, now=10.0).copy()
         assert manager.last_update_stats.mode == "incremental"
 
         replayed = first.copy()
@@ -255,7 +255,7 @@ class TestIncrementalUpdatePath:
         network = manager.update(small_state, now=0.0)
         # Corrupt the persistent network behind the manager's back; the
         # cross-check must refuse the next incremental round.
-        arc = next(iter(network.arcs()))
+        arc = next(iter(network.copy().arcs()))
         residual = network.residual
         residual.patch_cost(residual.arc_position[arc.key()], arc.cost + 1000)
         with pytest.raises(GraphConsistencyError):
@@ -293,7 +293,7 @@ class TestIncrementalUpdatePath:
         network = manager.update(small_state, now=2.0)
         assert manager.last_update_stats.mode == "full"
         assert manager.last_changes is None
-        assert network.validate_structure() == []
+        assert network.copy().validate_structure() == []
 
 
 def _fail_one_update(manager, policy, state, now):
@@ -380,7 +380,7 @@ class TestOneUpdatePath:
         assert set(manager.task_nodes) == {
             t.task_id for t in small_state.schedulable_tasks()
         }
-        assert network.validate_structure() == []
+        assert network.copy().validate_structure() == []
         # The chain re-forms: the next round patches the new network.
         manager.update(small_state, now=3.0)
         assert manager.last_update_stats.mode == "incremental"

@@ -64,3 +64,15 @@ def test_network_view_equals_a_from_scratch_build(name, seed):
         rebuilt.set_flows(view.flows())
         assert check_feasibility(rebuilt) == [], where
         assert flow_cost(rebuilt) == result.total_cost == reference_min_cost(rebuilt)
+
+
+def test_a_graph_answers_no_network_read_but_by_copy():
+    """A :class:`FlowNetwork` read on the graph raises: the O(graph) build
+    behind it is asked for by name (``copy()``), never by attribute."""
+    state = make_cluster_state(num_machines=4, machines_per_rack=2)
+    state.submit_job(_random_job(random.Random(1), 1, 4, 0.0))
+    graph = GraphManager(POLICIES["quincy"]()).update(state, 0.0)
+    for name in ("nodes", "arcs", "outgoing", "structurally_equal"):
+        with pytest.raises(AttributeError):
+            getattr(graph, name)
+    assert graph.copy().num_nodes == graph.num_nodes

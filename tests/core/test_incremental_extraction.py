@@ -52,7 +52,7 @@ def assert_maintained(manager, where=""):
         return
     network, tracker = manager.network, manager.flow_assignments
     oracle = extract_placements(
-        network, manager.task_nodes, manager.machine_nodes, manager.sink_node
+        network.copy(), manager.task_nodes, manager.machine_nodes, manager.sink_node
     )
     assert tracker.differences(oracle) == [], where
     every_task = FlowAssignments().update(network, manager.task_nodes, None)

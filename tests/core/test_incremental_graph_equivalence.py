@@ -186,7 +186,7 @@ class _CheckedRounds:
         stats = manager.last_update_stats
         assert stats.mode == ("incremental" if self.rounds else "full"), where
         assert manager.full_updates == 1, where
-        assert network.validate_structure() == [], f"{where}: invalid network"
+        assert network.copy().validate_structure() == [], f"{where}: invalid network"
         self.rounds += 1
         if not manager.task_nodes:
             assert network.num_nodes == 0, where

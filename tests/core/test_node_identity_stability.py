@@ -39,8 +39,8 @@ class TestNodeIdentityStability:
         state.submit_job(make_job(job_id=1, num_tasks=4))
         manager = GraphManager(policy_factory())
 
-        first = manager.update(state, now=0.0)
-        second = manager.update(state, now=5.0)
+        first = manager.update(state, now=0.0).copy()
+        second = manager.update(state, now=5.0).copy()
 
         def aggregator_ids(network):
             return {
@@ -80,7 +80,7 @@ class TestNodeIdentityStability:
         assert 0 in manager.machine_nodes
 
         state.fail_machine(0, now=1.0)
-        network = manager.update(state, now=2.0)
+        network = manager.update(state, now=2.0).copy()
         assert 0 not in manager.machine_nodes
         machine_refs = {
             node.ref for node in network.nodes() if node.node_type is NodeType.MACHINE

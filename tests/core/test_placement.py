@@ -75,7 +75,7 @@ class TestExtraction:
         state = make_cluster_state(num_machines=6, slots_per_machine=2)
         state.submit_job(make_job(job_id=1, num_tasks=8))
         manager = GraphManager(QuincyPolicy())
-        network = manager.update(state, now=0.0)
+        network = manager.update(state, now=0.0).copy()
         CostScalingSolver().solve(network)
         placements = extract_placements(
             network, manager.task_nodes, manager.machine_nodes, manager.sink_node

@@ -16,7 +16,7 @@ from tests.conftest import make_cluster_state, make_job
 
 def build_network(state, policy, now=0.0):
     manager = GraphManager(policy)
-    network = manager.update(state, now)
+    network = manager.update(state, now).copy()
     return manager, network
 
 

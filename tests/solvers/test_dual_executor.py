@@ -13,7 +13,7 @@ from repro.chaos import ChaosPolicy
 from repro.cli import build_parser, serve_command
 from repro.cluster.state import ClusterState
 from repro.cluster.topology import build_topology
-from repro.core import FirmamentScheduler, ShardedScheduler
+from repro.core import FirmamentScheduler, GraphManager, ShardedScheduler
 from repro.core.policies import QuincyPolicy
 from repro.flow.changes import ArcCostChange, ChangeBatch
 from repro.flow.graph import FlowNetwork
@@ -32,6 +32,7 @@ from repro.solvers.cost_scaling import CostScalingSolver
 from repro.solvers.dual_executor import DualAlgorithmExecutor
 from repro.solvers.incremental import IncrementalCostScalingSolver
 from repro.solvers.relaxation import RelaxationSolver
+from repro.solvers.residual import FlowGraph, ResidualNetwork
 from tests.conftest import (
     build_scheduling_network,
     make_cluster_state,
@@ -474,6 +475,95 @@ class TestSurvivingDeltaChain:
         executor.incremental.deadline_check = None
         assert not detailed.cost_scaling.optimal
         self.assert_reseeded_then_rebuilt(executor, rounds)
+
+
+class TestSimulateKeepsOneGraph:
+    """The default scheduler hands the executor its manager's graph: a
+    chained round repairs the graph's own residual and writes no flow, a
+    relaxation win is handed over on that residual, and the relaxation leg
+    keeps nothing past a race."""
+
+    def test_simulate_chained_rounds_build_no_flow_network(self, monkeypatch):
+        state = ClusterState(build_topology(64, machines_per_rack=8, slots_per_machine=2))
+        scheduler = FirmamentScheduler(QuincyPolicy())
+        executor = scheduler.solver
+        workload = Workload(state)
+        workload.submit(24)
+        decision = scheduler.schedule_and_apply(state, workload.now)
+        assert executor.last_result.relaxation is not None  # round 1 races
+        assert len(decision.placements) == 24
+        assert executor.relaxation.last_residual is None
+
+        def refuse(name):
+            def build(*args, **kwargs):
+                raise AssertionError(f"{name} ran on a chained round")
+            return build
+
+        for owner, name in (
+            (FlowNetwork, "__init__"),
+            (FlowGraph, "copy"),
+            (GraphManager, "network_view"),
+            (ResidualNetwork, "apply_changes"),
+        ):
+            monkeypatch.setattr(owner, name, refuse(f"{owner.__name__}.{name}"))
+        writes = []
+        for owner, name in (
+            (FlowGraph, "set_flows"),
+            (FlowNetwork, "set_flows"),
+            (ResidualNetwork, "load_flows"),
+        ):
+            def counted(*args, _write=getattr(owner, name), _name=name, **kwargs):
+                writes.append(_name)
+                return _write(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        graph = scheduler.graph_manager.network
+        placed = 0
+        try:
+            for round_index in range(10):
+                workload.churn()
+                if round_index == 5:
+                    victim = max(state.topology.machines, key=state.task_count_on_machine)
+                    state.fail_machine(victim, workload.now)
+                decision = scheduler.schedule_and_apply(state, workload.now)
+                detailed = executor.last_result
+                assert detailed.relaxation is None, f"round {round_index}"
+                assert detailed.winner.statistics.delta_solve == 1
+                assert executor.incremental.last_residual is graph.residual
+                assert not decision.unscheduled
+                placed += len(decision.placements)
+        finally:
+            monkeypatch.undo()
+        assert writes == []
+        assert placed >= 40
+        assert executor.solo_delta_rounds == 10
+        scratch = CostScalingSolver().solve(scheduler.last_network)
+        assert decision.total_cost == scratch.total_cost
+
+    def test_a_relaxation_win_is_handed_over_on_the_graphs_residual(
+        self, monkeypatch
+    ):
+        scheduler = FirmamentScheduler(QuincyPolicy())
+        executor = scheduler.solver
+        rig_race(monkeypatch, executor, lambda index: True)
+        for round_index in churn_rounds(scheduler, 3):
+            detailed = executor.last_result
+            residual = scheduler.graph_manager.network.residual
+            # The winner's flow is the graph's, and the leg that lost the
+            # cold race kept the graph's residual, 0-optimal under it.
+            assert executor.incremental.last_residual is residual
+            assert check_residual_epsilon_optimality(residual, 0) == []
+            assert residual.full_flows() == dict(detailed.winner.flows)
+            if round_index == 0:
+                assert detailed.winning_algorithm == "relaxation"
+            else:
+                assert detailed.relaxation is None
+                assert detailed.winner.statistics.delta_solve == 1
+            scratch = CostScalingSolver().solve(scheduler.last_network)
+            assert detailed.winner.total_cost == scratch.total_cost
+        assert executor.incremental.delta_solves == 2
+        assert executor.incremental.delta_fallbacks == 0
+        assert executor.relaxation.last_residual is None
 
 
 def managers_of(scheduler):

@@ -126,7 +126,8 @@ def quincy_state(
 
 
 def quincy_network(num_tasks: int, **kwargs) -> FlowNetwork:
-    return GraphManager(QuincyPolicy()).update(quincy_state(num_tasks, **kwargs), 10.0)
+    state = quincy_state(num_tasks, **kwargs)
+    return GraphManager(QuincyPolicy()).update(state, 10.0).copy()
 
 
 def random_network(rng: random.Random) -> FlowNetwork:

@@ -57,7 +57,7 @@ def test_property_policy_networks_are_well_formed_and_feasible(state, policy_ind
     """Every policy produces a balanced network every solver can route."""
     policy = POLICIES[policy_index]()
     manager = GraphManager(policy)
-    network = manager.update(state, now=1.0)
+    network = manager.update(state, now=1.0).copy()
     assert network.validate_structure() == []
     RelaxationSolver().solve(network)
     assert check_feasibility(network) == []
@@ -70,7 +70,7 @@ def test_property_placements_respect_slot_capacity(state, policy_index):
     placed task appears exactly once."""
     policy = POLICIES[policy_index]()
     manager = GraphManager(policy)
-    network = manager.update(state, now=0.0)
+    network = manager.update(state, now=0.0).copy()
     CostScalingSolver().solve(network)
     placements = extract_placements(
         network, manager.task_nodes, manager.machine_nodes, manager.sink_node
