@@ -21,9 +21,10 @@ the same code, as the host's load moved while one size ran.  The law is **assert
 the stages above the solver -- graph update, extract + diff, apply, and the
 4-cell routing + merge -- which keep what they used to recompute as
 persistent state fed by the dirty sets.  The solve stays printed: what it
-still owes the law is the hub-adjacency scan inside the repair (it relaxes a
-hub's whole adjacency whenever it crosses the cluster aggregator or the
-sink).
+still owes the law is the hub-adjacency scan inside the repair (a search
+relaxes a hub's whole adjacency whenever it crosses the cluster aggregator
+or the sink; the round's sources are routed in multi-source waves, so the
+count table prints the searches per round beside the augmentations).
 
 Asserted as well are counts that repeat exactly on every host:
 
@@ -137,7 +138,7 @@ def steady_rounds(
     samples: Dict[str, List[float]] = {stage: [] for stage in STAGES}
     rounds_ms: List[float] = []
     examined = 0  # the most on a round with no tick due
-    settled = augmentations = bunched = allowance = 0
+    settled = augmentations = searches = bunched = allowance = 0
     try:
         for round_index in range(WARMUP_ROUNDS + timed_rounds):
             now += 0.1
@@ -204,6 +205,7 @@ def steady_rounds(
             rounds_ms.append(1e3 * (applied - start))
             settled += stats.iterations
             augmentations += stats.augmentations
+            searches += stats.searches
 
         # A null round: scheduled again with nothing mutated in between.
         scheduler.schedule(state, now)
@@ -228,6 +230,7 @@ def steady_rounds(
         "bunched_rounds": bunched,
         "settled": settled,
         "augmentations": augmentations,
+        "searches_per_round": searches / timed_rounds,
         "settled_per_augmentation": settled / max(augmentations, 1),
     }
 
@@ -309,11 +312,13 @@ def run_grid() -> Dict[int, Dict]:
     print()
     print(format_table(
         ["machines", "tasks examined, tick-free rounds", "bunched-tick rounds",
-         "settled nodes", "augmentations", "settled / augmentation"],
+         "settled nodes", "augmentations", "settled / augmentation",
+         "searches / round"],
         [
             [m, results[m]["examined"], results[m]["bunched_rounds"],
              results[m]["settled"], results[m]["augmentations"],
-             f"{results[m]['settled_per_augmentation']:.1f}"]
+             f"{results[m]['settled_per_augmentation']:.1f}",
+             f"{results[m]['searches_per_round']:.1f}"]
             for m in MACHINE_GRID
         ],
     ))

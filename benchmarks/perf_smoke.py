@@ -1,6 +1,6 @@
 """Perf smoke job: guard the incremental hot paths against regression.
 
-Runs fourteen kernels at ``REPRO_BENCH_SCALE=1`` and compares against the
+Runs fifteen kernels at ``REPRO_BENCH_SCALE=1`` and compares against the
 committed baseline in ``perf_baseline.json``:
 
 * the Figure-11 kernel -- one realistic scheduling round solved from
@@ -81,7 +81,13 @@ committed baseline in ``perf_baseline.json``:
   ``burst_large``-shaped replay through ``serve``'s scheduler
   (``tests/core/test_graph_update_constant.py`` is the longer version),
   which must stay within ``GRAPH_CALLS_GROWTH`` times the baseline's (a
-  layer back between the derivation and the residual reads ~1.8x).
+  layer back between the derivation and the residual reads ~1.8x), and
+* the arrival-waves kernel -- a count once more: the augmentations per
+  search of the delta repair on fig09's chained 384-task arrival (48
+  machines at 10 %, load spreading, the default dual executor), which
+  must stay at least ``ARRIVAL_MIN_AUGMENTATIONS_PER_SEARCH`` and at least
+  half the baseline's (the multi-source waves read ~77; one search per
+  task reads 1).
 
 The gates are host-normalized: the from-scratch solve (resp. the full
 rebuild) acts as the calibration workload, so requiring each measured
@@ -151,6 +157,10 @@ COLD_MACHINES = 1024
 #: the baseline's count it may read (calls are exact for one interpreter).
 GRAPH_CALLS_ROUNDS = 40
 GRAPH_CALLS_GROWTH = 1.25
+#: The arrival-waves count: fig09's largest arrival, and the fewest
+#: augmentations its repair may make per search.
+ARRIVAL_TASKS = 384
+ARRIVAL_MIN_AUGMENTATIONS_PER_SEARCH = 10
 RUNS = 5
 #: Fail when the host-normalized incremental solve regresses by more than
 #: 2x, i.e. the measured speedup falls below half the baseline's.
@@ -773,6 +783,29 @@ def measure_graph_calls() -> float:
     return graph_calls_per_change(GRAPH_CALLS_ROUNDS)[0]
 
 
+def measure_arrival_waves() -> float:
+    """Arrival-waves kernel: augmentations per search of the delta repair
+    that places fig09's chained ``ARRIVAL_TASKS``-task arrival."""
+    from benchmarks import bench_fig09_large_job as fig09
+    from repro.cluster import Job, Task
+    from repro.core import FirmamentScheduler
+    from repro.core.policies import LoadSpreadingPolicy
+
+    state = build_cluster_state(fig09.MACHINES, utilization=0.10, seed=1)
+    scheduler = FirmamentScheduler(LoadSpreadingPolicy())
+    scheduler.schedule_and_apply(state, now=0.0)
+    job = Job(job_id=7_000, submit_time=1.0)
+    for index in range(ARRIVAL_TASKS):
+        job.add_task(Task(task_id=7_000_000 + index, job_id=7_000, duration=300.0))
+    state.submit_job(job)
+    stats = scheduler.schedule(state, now=1.0).solver_result.statistics
+    if stats.delta_solve != 1 or stats.augmentations != ARRIVAL_TASKS:
+        raise AssertionError(
+            "perf smoke: the arrival was not one delta repair placing every task"
+        )
+    return stats.augmentations / stats.searches
+
+
 def main() -> int:
     update = "--update" in sys.argv[1:]
     scratch_runs, incremental_runs = [], []
@@ -841,6 +874,7 @@ def main() -> int:
         ),
         "graph_bytes_per_arc": round(measure_graph_memory(), 1),
         "graph_calls_per_change": round(measure_graph_calls(), 3),
+        "arrival_augmentations_per_search": round(measure_arrival_waves(), 3),
     }
     measured["speedup"] = round(
         measured["scratch_s"] / max(measured["incremental_s"], 1e-9), 3
@@ -1067,6 +1101,19 @@ def main() -> int:
             "FAIL: a steady graph update makes "
             f"{measured['graph_calls_per_change']:.2f} Python calls per change "
             f"(baseline {baseline_graph_calls:.2f}): a layer is back on its path"
+        )
+        failed = True
+    baseline_waves = baseline.get("arrival_augmentations_per_search")
+    floor = max(
+        ARRIVAL_MIN_AUGMENTATIONS_PER_SEARCH,
+        MAX_SPEEDUP_LOSS * (baseline_waves or 0),
+    )
+    if measured["arrival_augmentations_per_search"] < floor:
+        print(
+            f"FAIL: fig09's {ARRIVAL_TASKS}-task arrival makes "
+            f"{measured['arrival_augmentations_per_search']:.1f} augmentations "
+            f"per search (floor {floor:.1f}): the repair searches once per "
+            "task again"
         )
         failed = True
     if failed:

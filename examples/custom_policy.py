@@ -103,12 +103,11 @@ class RackAntiAffinityPolicy(SchedulingPolicy):
         from the rack, a quota scope the arcs out of the job's quota nodes."""
         kind, ident = key
         if kind == "quota":
-            racks = builder.network.copy().nodes_of_type(NodeType.RACK_AGGREGATOR)
             return [
                 arc
-                for rack in racks
+                for rack_id in builder.peek_rack_ids()
                 for arc in builder.outgoing(
-                    builder.find_aggregator(f"quota-j{ident}-r{rack.ref}")
+                    builder.find_aggregator(f"quota-j{ident}-r{rack_id}")
                 )
             ]
         owned = super().owned_arcs(builder, key)

@@ -173,6 +173,10 @@ class PolicyNetworkBuilder:
         """Rack node id without materializing it, ``None`` if unmapped."""
         return self._rack_nodes.get(rack_id)
 
+    def peek_rack_ids(self) -> List[int]:
+        """Ids of the racks that have a node, without materializing one."""
+        return list(self._rack_nodes)
+
     def peek_unscheduled_node(self, job_id: int) -> Optional[int]:
         """Unscheduled node id without materializing it, ``None`` if unmapped."""
         return self._unscheduled_nodes.get(job_id)

@@ -43,6 +43,8 @@ class SolverStatistics:
 
     iterations: int = 0
     augmentations: int = 0
+    #: A delta repair's shortest-path searches (a multi-source wave is one).
+    searches: int = 0
     pushes: int = 0
     relabels: int = 0
     potential_updates: int = 0

@@ -61,7 +61,8 @@ prove the previous optimum) and a typed
 :class:`~repro.flow.changes.ChangeBatch`.  The batch is patched into the
 residual in place -- O(|changes|) -- and only the patched ("dirty") arcs
 can violate reduced-cost optimality, so the repair saturates those and
-re-routes the resulting excesses along shortest reduced-cost paths.
+re-routes the resulting excesses along shortest reduced-cost paths (many
+sources in multi-source waves).
 Per-round work is therefore proportional to the size of the change and the
 repair paths, never to the graph.
 
@@ -138,6 +139,10 @@ SEEDED_REFINE_POP_BUDGET_FLOOR = 256
 #: which strips the heap of its set-once guarantee on every label.)
 AUTO_SEED_MAX_VIOLATION_FLOOR = 32
 AUTO_SEED_NODE_DIVISOR = 8
+
+#: A delta repair routes its sources in waves while this many hold excess:
+#: the crossover ``benchmarks/bench_wave_crossover.py`` measures.
+WAVE_MIN_SOURCES = 7
 
 
 def price_refine_spfa(residual: ResidualNetwork, abort_check=None, stats=None) -> bool:
@@ -662,7 +667,8 @@ class CostScalingSolver(Solver):
         run (scaled costs, exact potentials proving the previous optimum,
         the previous flow loaded); ``changes`` transforms the previous flow
         network into ``network``.  The batch is patched in place and only
-        the patched arcs are checked for optimality violations.  A
+        the patched arcs are checked for optimality violations; a job's
+        arrival is routed in a few searches (:meth:`_route_excesses`).  A
         :class:`FlowGraph`'s residual was patched by its own mutations: the
         patch taken is theirs, and the batch is not replayed.
 
@@ -774,23 +780,159 @@ class CostScalingSolver(Solver):
         self, residual: ResidualNetwork, stats: SolverStatistics, sources: List[int]
     ) -> None:
         """Route the excess of ``sources`` (ascending node indices covering
-        every positive excess) to deficits along cheapest paths."""
+        every positive excess) to deficits along cheapest paths: in waves
+        while :data:`WAVE_MIN_SOURCES` sources hold excess, else (or after a
+        wave that routed nothing) by one search for the last source."""
         self._grow_search_columns(residual)
-        hook = self.invariant_hook
+        excess = residual.excess
         while sources:
-            source = sources[-1]
-            if residual.excess[source] <= 0:
+            if excess[sources[-1]] <= 0:
                 sources.pop()
                 continue
             self._check_abort()
-            routed = self._augment_along_reduced_costs(residual, source, stats)
-            if routed == 0:
+            wave = len(sources) >= WAVE_MIN_SOURCES
+            if wave and self._route_wave(residual, sources, stats):
+                sources = [s for s in sources if excess[s] > 0]
+                continue
+            if self._augment_along_reduced_costs(residual, sources[-1], stats) == 0:
                 raise InfeasibleProblemError(
                     "warm-start repair could not route all supply to a "
                     "deficit node; the updated flow network is infeasible"
                 )
-            if hook is not None:
-                hook(residual, "augment")
+            if self.invariant_hook is not None:
+                self.invariant_hook(residual, "augment")
+
+    def _route_wave(
+        self, residual: ResidualNetwork, sources: List[int], stats: SolverStatistics
+    ) -> int:
+        """One search from every source, then a blocking flow; returns the
+        amount routed.  The search is :meth:`_augment_along_reduced_costs`'
+        with every source at distance 0, and it settles the plateau at the
+        nearest deficit's distance ``D`` only until the arcs labelling
+        deficits there carry what the settled sources with an arc of at most
+        ``D`` need.  The arcs that set a label (now tight) are kept, and a
+        depth-first search from each settled source pushes along those still
+        tight into deficits through settled nodes, with current-arc cursors
+        (pred column) and range ends (dist column): a hub is walked once.
+        """
+        adjacency, arc_residual = residual.adjacency, residual.arc_residual
+        arc_cost, arc_to = residual.arc_cost, residual.arc_to
+        potential, excess = residual.potential, residual.excess
+        mark, dist, cursor = self._search_mark, self._search_dist, self._search_pred
+        stamp = self._search_stamp + 2  # labelled; then settled, on path, dead
+        self._search_stamp = stamp + 2
+        settled_stamp, on_path, dead = stamp + 1, stamp + 2, stamp + 3
+        plateau = deque(s for s in sources if excess[s] > 0)
+        for s in plateau:
+            mark[s], dist[s] = stamp, 0
+        heap, settled, kept, exits = [], [], [], []  # exits: (cheapest, excess)
+        reach = covered = need_reach = -1
+        d = need = arcs_scanned = 0
+        while True:
+            while plateau:
+                u = plateau.popleft()
+                if mark[u] == settled_stamp or reach == d and excess[u] > 0:
+                    continue  # a source not settled before D waits a wave
+                mark[u], cursor[u] = settled_stamp, len(kept)
+                settled.append(u)
+                pot_u, cheapest = potential[u], math.inf
+                for arc_index in adjacency[u]:
+                    r = arc_residual[arc_index]
+                    if r <= 0:
+                        continue
+                    v = arc_to[arc_index]
+                    mark_v = mark[v]
+                    if mark_v == settled_stamp:
+                        continue
+                    arcs_scanned += 1
+                    new_dist = d + arc_cost[arc_index] - pot_u + potential[v]
+                    if new_dist < cheapest:
+                        cheapest = new_dist
+                    if excess[v] < 0:
+                        if reach < 0 or new_dist < reach:
+                            reach, covered = new_dist, 0
+                        if new_dist == reach:
+                            kept.append(arc_index)
+                            covered += min(r, -excess[v])
+                    elif mark_v != stamp or new_dist <= dist[v]:
+                        kept.append(arc_index)
+                        if mark_v != stamp or new_dist < dist[v]:
+                            mark[v], dist[v] = stamp, new_dist
+                            if new_dist == d:
+                                plateau.append(v)
+                            else:
+                                heappush(heap, (new_dist, v))
+                if excess[u] > 0:  # a source: its cheapest arc out
+                    exits.append((cheapest, excess[u]))
+                    need += excess[u] if cheapest <= need_reach else 0
+                if reach != need_reach:
+                    need_reach = reach
+                    need = sum(e for cheapest, e in exits if cheapest <= reach)
+                if reach == d and covered >= need:
+                    plateau.clear()
+            while heap and mark[heap[0][1]] == settled_stamp:
+                heappop(heap)
+            if not heap or reach >= 0 and (
+                heap[0][0] > reach or heap[0][0] == reach and covered >= need
+            ):
+                break
+            d, u = heappop(heap)
+            plateau.append(u)
+        stats.iterations += len(settled) + (reach >= 0)
+        stats.arcs_scanned += arcs_scanned
+        stats.searches += 1
+        if reach < 0:
+            return 0
+        for k, u in enumerate(settled, 1):
+            potential[u] += reach - dist[u]
+            dist[u] = cursor[settled[k]] if k < len(settled) else len(kept)
+        stats.potential_updates += 1
+
+        routed = 0
+        path, arcs = [], []  # from a source, and the arcs joining the path
+        for source in sources:
+            if mark[source] != settled_stamp:
+                continue
+            path.append(source)
+            mark[source] = on_path
+            while path and excess[source] > 0:
+                u = path[-1]
+                i, end, pot_u = cursor[u], dist[u], potential[u]
+                while i < end:
+                    arc_index = kept[i]
+                    v = arc_to[arc_index]
+                    if (
+                        arc_residual[arc_index] > 0
+                        and arc_cost[arc_index] - pot_u + potential[v] == 0
+                        and (excess[v] < 0 or mark[v] == settled_stamp)
+                    ):
+                        break
+                    i += 1
+                cursor[u] = i
+                if i == end:
+                    mark[path.pop()] = dead
+                    del arcs[-1:]
+                    continue
+                arcs.append(arc_index)
+                if excess[v] >= 0:
+                    mark[v] = on_path
+                    path.append(v)
+                    continue
+                amount = min(map(arc_residual.__getitem__, arcs))
+                amount = min(amount, excess[source], -excess[v])
+                for arc_index in arcs:
+                    residual.push(arc_index, amount)
+                routed += amount
+                stats.augmentations += 1
+                if self.invariant_hook is not None:
+                    self.invariant_hook(residual, "augment")
+                for u in path[1:]:  # back to the source; cursors remember
+                    mark[u] = settled_stamp
+                del path[1:], arcs[:]
+            for u in path:
+                mark[u] = settled_stamp
+            del path[:], arcs[:]
+        return routed
 
     def _grow_search_columns(self, residual: ResidualNetwork) -> None:
         """Size the searches' stamped scratch columns to ``residual``; they
@@ -808,7 +950,8 @@ class CostScalingSolver(Solver):
 
         Returns the amount routed (zero when no deficit is reachable).
         Potentials are updated with the Dijkstra distances so reduced costs
-        stay non-negative for subsequent augmentations.
+        stay non-negative for subsequent augmentations.  One search, one
+        path: the repair of a small batch (:meth:`_route_wave` for a large).
 
         The work is proportional to the searched region, not the graph:
         labels live in scratch columns validated by a per-search stamp
@@ -905,6 +1048,7 @@ class CostScalingSolver(Solver):
                             heappush(heap, (new_dist, v))
         stats.iterations += len(settled) + (target >= 0)
         stats.arcs_scanned += arcs_scanned
+        stats.searches += 1
 
         if target < 0:
             return 0

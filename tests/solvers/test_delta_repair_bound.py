@@ -21,6 +21,15 @@ adjacency order alike:
 * 24 churn seeds the cross-solver suite does not use, with the retained
   residual re-validated before every delta solve.
 
+A batch of at least ``WAVE_MIN_SOURCES`` sources is routed in multi-source
+waves (one search, then a blocking flow along tight arcs).  The last part
+of this file pins them: a 12-task arrival on the plateau is one wave that
+settles the same nodes at every plateau width, 0-optimal after every
+augmentation; a batch no wave can route still ends in
+``InfeasibleProblemError``; and a fuzz over random, multi-deficit, Quincy
+and load-spreading rounds finds the wave and the per-source repair at the
+same optimum every round.
+
 Deleting the exit from the relax loop (``if new_dist == d: found = True``)
 fails exactly the two ``test_settled_nodes_do_not_grow_with_the_plateau``
 cases (EXPERIMENTS.md, "PR 21"); everything else here is about what the
@@ -32,9 +41,13 @@ target's distance, so deleting it fails the suites at large.)
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
+from repro.cluster import Job, Task
+from repro.core.graph_manager import GraphManager
+from repro.core.policies import LoadSpreadingPolicy, QuincyPolicy
 from repro.flow.changes import ChangeBatch
 from repro.flow.graph import FlowNetwork, NodeType
 from repro.flow.validation import (
@@ -46,8 +59,11 @@ from repro.solvers import (
     IncrementalCostScalingSolver,
     SuccessiveShortestPathSolver,
 )
+from repro.solvers import cost_scaling
+from repro.solvers.base import InfeasibleProblemError
 from tests.conftest import reference_min_cost
 from tests.solvers.equivalence_harness import generate_network, perturb_network
+from tests.solvers.test_feasibility_pass import quincy_state, random_network
 
 PLATEAU_SIZES = (64, 1024)
 
@@ -268,3 +284,171 @@ def test_churn_rounds_stay_optimal_with_the_residual_validated(seed):
         network, changes = perturb_network(rng, network)
     assert solver.residual_validation_failures == 0
     assert solver.delta_solves + solver.delta_fallbacks == CHURN_ROUNDS
+
+
+# --------------------------------------------------------------------- #
+# The multi-source wave
+# --------------------------------------------------------------------- #
+
+#: Arrivals of the directed wave cases: past ``WAVE_MIN_SOURCES``.
+ARRIVALS = 12
+WAVE_SEEDS = range(12)
+
+
+def arrival_round(width: int):
+    """The plateau, and a round in which ``ARRIVALS`` tasks arrive, each
+    with an arc of cost 3 to one of the last machines (highest node
+    indices, last in the sink's adjacency)."""
+    network, sink, unscheduled, machines, _tasks = plateau_network(width)
+
+    def arrive(net):
+        for machine in machines[-ARRIVALS:]:
+            add_task_to(net, sink, unscheduled, machine, cost=3)
+
+    return network, next_round(network, arrive)
+
+
+def test_a_wave_settles_what_the_arrival_needs_not_the_plateau():
+    """Twelve sources, one deficit (the sink): one search labels the
+    arrivals' machines, stops once their free slots cover the twelve units,
+    and the blocking flow routes all twelve -- settling the same nodes
+    whether 64 or 1 024 machines tie behind them."""
+    settled = {}
+    for width in PLATEAU_SIZES:
+        network, (after, batch) = arrival_round(width)
+        solver = IncrementalCostScalingSolver()
+        solver.solve(network.copy())
+        checked = []
+
+        def hook(residual, event):
+            assert check_residual_epsilon_optimality(residual, 0) == []
+            checked.append(event)
+
+        solver.invariant_hook = hook
+        solved = after.copy()
+        result = solver.solve(solved, changes=batch)
+
+        stats = result.statistics
+        assert stats.delta_solve == 1
+        assert stats.augmentations == ARRIVALS
+        assert stats.searches == 1
+        assert checked == ["augment"] * ARRIVALS
+        assert check_feasibility(solved) == []
+        assert_matches_scratch_solvers(after, result.total_cost)
+        settled[width] = stats.iterations
+    assert settled[PLATEAU_SIZES[0]] == settled[PLATEAU_SIZES[-1]] < 4 * ARRIVALS
+
+
+def test_a_batch_no_wave_can_route_is_infeasible(monkeypatch):
+    """Stranded arrivals (no arc out): the wave routes nothing, the
+    single-source search that follows finds no deficit either, and the
+    repair raises instead of searching again."""
+    network, sink, _unscheduled, _machines, _tasks = plateau_network(64)
+    solver = IncrementalCostScalingSolver()
+    solver.solve(network.copy())
+
+    def strand(net):
+        for _ in range(ARRIVALS):
+            net.add_node(NodeType.TASK, supply=1)
+        net.set_supply(sink.node_id, net.node(sink.node_id).supply - ARRIVALS)
+
+    after, batch = next_round(network, strand)
+    waves = []
+    route_wave = cost_scaling.CostScalingSolver._route_wave
+
+    def counted(self, *args):
+        waves.append(args)
+        assert len(waves) <= ARRIVALS, "a wave that routed nothing ran again"
+        return route_wave(self, *args)
+
+    monkeypatch.setattr(cost_scaling.CostScalingSolver, "_route_wave", counted)
+    with pytest.raises(InfeasibleProblemError):
+        solver.solve(after.copy(), changes=batch)
+    assert waves
+
+
+def policy_rounds(policy, seed: int, rounds: int = 4):
+    """``(network, batch)`` per round of a 64-task Quincy-shaped cluster
+    (40 % running) under ``policy``: the first round's batch is ``None``,
+    each later round completes four tasks and admits a 12-task job."""
+    rng = random.Random(seed)
+    state = quincy_state(64, seed=seed, running_share=0.4, machines_per_rack=8)
+    manager = GraphManager(policy)
+    network = manager.update(state, 10.0).copy()
+    yield network, None
+    for index in range(rounds):
+        now = 11.0 + index
+        for task in rng.sample(state.running_tasks(), 4):
+            state.complete_task(task.task_id, now)
+        job = Job(job_id=9_000 + index, submit_time=now)
+        for offset in range(ARRIVALS):
+            job.add_task(
+                Task(task_id=900_000 + 100 * index + offset, job_id=job.job_id,
+                     duration=60.0)
+            )
+        state.submit_job(job)
+        later = manager.update(state, now).copy()
+        yield later, ChangeBatch.diff(network, later)
+        network = later
+
+
+def churn_rounds(seed: int):
+    rng = random.Random(seed)
+    network, changes = generate_network(rng), None
+    for _ in range(CHURN_ROUNDS + 1):
+        yield network, changes
+        network, changes = perturb_network(rng, network)
+
+
+def all_at_once_rounds(seed: int):
+    """A random multi-deficit network, first with no supply, then with all
+    of it: one batch whose every source and deficit is new."""
+    network = random_network(random.Random(seed))
+    empty = network.copy()
+    for node in empty.nodes():
+        empty.set_supply(node.node_id, 0)
+    empty.revision, network.revision = 1, 2
+    yield empty, None
+    yield network, ChangeBatch.diff(empty, network)
+
+
+FAMILIES = {
+    "random churn": churn_rounds,
+    "random multi-deficit": all_at_once_rounds,
+    "quincy": lambda seed: policy_rounds(QuincyPolicy(), seed),
+    "load spreading": lambda seed: policy_rounds(LoadSpreadingPolicy(), seed),
+}
+
+
+@pytest.mark.parametrize("seed", WAVE_SEEDS)
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_waves_and_single_source_searches_reach_the_same_optimum(
+    family, seed, monkeypatch
+):
+    """Twin solvers repair every round, one in waves (any batch of two or
+    more sources), one with a search per source; both are 0-optimal after
+    every augmentation and cost what the oracle says, every round."""
+    wave, single = IncrementalCostScalingSolver(), IncrementalCostScalingSolver()
+
+    def hook(residual, event):
+        assert check_residual_epsilon_optimality(residual, 0) == []
+
+    wave.invariant_hook = single.invariant_hook = hook
+    waves = 0  # delta rounds the wave routed in fewer searches than units
+    for network, changes in FAMILIES[family](seed):
+        expected = reference_min_cost(network)
+        costs = {}
+        for solver, wave_min in ((wave, 2), (single, sys.maxsize)):
+            monkeypatch.setattr(cost_scaling, "WAVE_MIN_SOURCES", wave_min)
+            solved = network.copy()
+            result = solver.solve(solved, changes=changes)
+            assert check_feasibility(solved) == []
+            costs[wave_min] = result.total_cost
+            stats = result.statistics
+            if wave_min == 2 and stats.delta_solve:
+                waves += stats.searches < stats.augmentations
+        assert costs == {2: expected, sys.maxsize: expected}, f"{family} seed {seed}"
+    assert wave.delta_solves == single.delta_solves
+    if family in ("quincy", "load spreading"):
+        # Every arrival took fewer searches than augmentations.
+        assert waves == wave.delta_solves == 4

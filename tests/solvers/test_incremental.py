@@ -154,3 +154,48 @@ class TestAbortedDeltaRepair:
         assert result.statistics.delta_solve == 1
         assert result.total_cost == expected
         assert solver.delta_solves == 1
+
+    def test_a_repair_aborted_between_waves_releases_the_residual(self):
+        """Two kinds of arrival in one batch take two waves; the abort hook
+        (polled before every search) fires once the first wave has routed.
+        The half-repaired residual is released, the round is rebuilt, and
+        the next batch chains onto the rebuild."""
+        from tests.solvers.test_delta_repair_bound import (
+            add_task_to,
+            next_round,
+            plateau_network,
+        )
+
+        network, sink, unscheduled, machines, _tasks = plateau_network(64)
+
+        def arrivals(net):
+            for machine in machines[:8]:
+                add_task_to(net, sink, unscheduled, machine, cost=3)
+            for machine in machines[8:16]:
+                add_task_to(net, sink, unscheduled, machine, cost=60)
+
+        after, batch = next_round(network, arrivals)
+        later, later_batch = next_round(
+            after, lambda net: add_task_to(net, sink, unscheduled, machines[20])
+        )
+        unaborted = IncrementalCostScalingSolver()
+        unaborted.solve(network.copy())
+        assert unaborted.solve(after.copy(), changes=batch).statistics.searches >= 2
+
+        solver = IncrementalCostScalingSolver()
+        solver.solve(network.copy())
+        routed = []
+        solver.invariant_hook = lambda residual, event: routed.append(event)
+        solver.abort_check = lambda: bool(routed)
+        with pytest.raises(SolveAborted):
+            solver.solve(after.copy(), changes=batch)
+        solver.invariant_hook = solver.abort_check = None
+        assert routed
+        assert solver.last_residual is None
+        assert not solver.can_solve_delta(batch)
+        result = solver.solve(after.copy(), changes=batch)
+        assert result.statistics.delta_solve == 0
+        assert result.total_cost == reference_min_cost(after)
+        result = solver.solve(later.copy(), changes=later_batch)
+        assert result.statistics.delta_solve == 1
+        assert result.total_cost == reference_min_cost(later)
