@@ -61,8 +61,7 @@ prove the previous optimum) and a typed
 :class:`~repro.flow.changes.ChangeBatch`.  The batch is patched into the
 residual in place -- O(|changes|) -- and only the patched ("dirty") arcs
 can violate reduced-cost optimality, so the repair saturates those and
-re-routes the resulting excesses along shortest reduced-cost paths (many
-sources in multi-source waves).
+re-routes the resulting excesses along shortest reduced-cost paths.
 Per-round work is therefore proportional to the size of the change and the
 repair paths, never to the graph.
 
@@ -140,9 +139,11 @@ SEEDED_REFINE_POP_BUDGET_FLOOR = 256
 AUTO_SEED_MAX_VIOLATION_FLOOR = 32
 AUTO_SEED_NODE_DIVISOR = 8
 
-#: A delta repair routes its sources in waves while this many hold excess:
-#: the crossover ``benchmarks/bench_wave_crossover.py`` measures.
-WAVE_MIN_SOURCES = 7
+#: A delta repair routes its sources in waves while this many hold excess,
+#: if its first search walked this many adjacency entries (crossed a hub):
+#: the crossovers ``benchmarks/bench_wave_crossover.py`` measures.
+WAVE_MIN_SOURCES = 8
+WAVE_MIN_WALK = 256
 
 
 def price_refine_spfa(residual: ResidualNetwork, abort_check=None, stats=None) -> bool:
@@ -780,21 +781,25 @@ class CostScalingSolver(Solver):
         self, residual: ResidualNetwork, stats: SolverStatistics, sources: List[int]
     ) -> None:
         """Route the excess of ``sources`` (ascending node indices covering
-        every positive excess) to deficits along cheapest paths: in waves
-        while :data:`WAVE_MIN_SOURCES` sources hold excess, else (or after a
-        wave that routed nothing) by one search for the last source."""
+        every positive excess) to deficits along cheapest paths: one search
+        for the last source; in waves if that first one crossed a hub
+        (:data:`WAVE_MIN_WALK`) while :data:`WAVE_MIN_SOURCES` hold excess."""
         self._grow_search_columns(residual)
-        excess = residual.excess
+        excess, augment = residual.excess, self._augment_along_reduced_costs
+        waves = None  # the first search's verdict
         while sources:
             if excess[sources[-1]] <= 0:
                 sources.pop()
                 continue
             self._check_abort()
-            wave = len(sources) >= WAVE_MIN_SOURCES
-            if wave and self._route_wave(residual, sources, stats):
+            if waves and len(sources) >= WAVE_MIN_SOURCES and self._route_wave(
+                residual, sources, stats
+            ):
                 sources = [s for s in sources if excess[s] > 0]
                 continue
-            if self._augment_along_reduced_costs(residual, sources[-1], stats) == 0:
+            routed, walked = augment(residual, sources[-1], stats)
+            waves = walked >= WAVE_MIN_WALK if waves is None else waves
+            if routed == 0:
                 raise InfeasibleProblemError(
                     "warm-start repair could not route all supply to a "
                     "deficit node; the updated flow network is infeasible"
@@ -805,16 +810,13 @@ class CostScalingSolver(Solver):
     def _route_wave(
         self, residual: ResidualNetwork, sources: List[int], stats: SolverStatistics
     ) -> int:
-        """One search from every source, then a blocking flow; returns the
-        amount routed.  The search is :meth:`_augment_along_reduced_costs`'
-        with every source at distance 0, and it settles the plateau at the
+        """One search from every source at distance 0 (otherwise
+        :meth:`_augment_along_reduced_costs`'), settling the plateau at the
         nearest deficit's distance ``D`` only until the arcs labelling
-        deficits there carry what the settled sources with an arc of at most
-        ``D`` need.  The arcs that set a label (now tight) are kept, and a
-        depth-first search from each settled source pushes along those still
-        tight into deficits through settled nodes, with current-arc cursors
-        (pred column) and range ends (dist column): a hub is walked once.
-        """
+        deficits there carry what the sources with an arc of at most ``D``
+        need; then a depth-first blocking flow along the label-setting arcs
+        still tight, through settled nodes, with cursors in the pred column
+        and range ends in the dist column.  Returns the amount routed."""
         adjacency, arc_residual = residual.adjacency, residual.arc_residual
         arc_cost, arc_to = residual.arc_cost, residual.arc_to
         potential, excess = residual.potential, residual.excess
@@ -889,12 +891,10 @@ class CostScalingSolver(Solver):
         stats.potential_updates += 1
 
         routed = 0
-        path, arcs = [], []  # from a source, and the arcs joining the path
         for source in sources:
             if mark[source] != settled_stamp:
                 continue
-            path.append(source)
-            mark[source] = on_path
+            path, arcs, mark[source] = [source], [], on_path  # arcs join path
             while path and excess[source] > 0:
                 u = path[-1]
                 i, end, pot_u = cursor[u], dist[u], potential[u]
@@ -931,7 +931,6 @@ class CostScalingSolver(Solver):
                 del path[1:], arcs[:]
             for u in path:
                 mark[u] = settled_stamp
-            del path[:], arcs[:]
         return routed
 
     def _grow_search_columns(self, residual: ResidualNetwork) -> None:
@@ -948,10 +947,10 @@ class CostScalingSolver(Solver):
     ) -> int:
         """Send flow from ``source`` to the nearest deficit by reduced cost.
 
-        Returns the amount routed (zero when no deficit is reachable).
-        Potentials are updated with the Dijkstra distances so reduced costs
-        stay non-negative for subsequent augmentations.  One search, one
-        path: the repair of a small batch (:meth:`_route_wave` for a large).
+        Returns the amount routed (zero when no deficit is reachable) and
+        the adjacency entries walked.  Potentials are updated with the
+        Dijkstra distances so reduced costs stay non-negative for subsequent
+        augmentations.  One search, one path (:meth:`_route_wave`: many).
 
         The work is proportional to the searched region, not the graph:
         labels live in scratch columns validated by a per-search stamp
@@ -1049,9 +1048,10 @@ class CostScalingSolver(Solver):
         stats.iterations += len(settled) + (target >= 0)
         stats.arcs_scanned += arcs_scanned
         stats.searches += 1
+        walked = sum(map(len, map(adjacency.__getitem__, settled)))
 
         if target < 0:
-            return 0
+            return 0, walked
 
         target_dist = dist[target]
         for u in settled:
@@ -1073,7 +1073,7 @@ class CostScalingSolver(Solver):
             residual.push(arc_index, amount)
             node = arc_from[arc_index]
         stats.augmentations += 1
-        return amount
+        return amount, walked
 
     # ------------------------------------------------------------------ #
     # Result assembly and state retention

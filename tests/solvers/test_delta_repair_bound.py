@@ -21,11 +21,14 @@ adjacency order alike:
 * 24 churn seeds the cross-solver suite does not use, with the retained
   residual re-validated before every delta solve.
 
-A batch of at least ``WAVE_MIN_SOURCES`` sources is routed in multi-source
-waves (one search, then a blocking flow along tight arcs).  The last part
-of this file pins them: a 12-task arrival on the plateau is one wave that
-settles the same nodes at every plateau width, 0-optimal after every
-augmentation; a batch no wave can route still ends in
+A batch whose first search crossed a hub (walked ``WAVE_MIN_WALK``
+adjacency entries) is routed in multi-source waves (one search, then a
+blocking flow along tight arcs) while ``WAVE_MIN_SOURCES`` sources hold
+excess.  The last part of this file pins them: an arrival through a hub
+goes in waves and one straight onto the plateau does not; with the walk
+threshold at 0, a 12-task arrival on the plateau is one search and one
+wave that settle the same nodes at every plateau width, 0-optimal after
+every augmentation; a batch no wave can route still ends in
 ``InfeasibleProblemError``; and a fuzz over random, multi-deficit, Quincy
 and load-spreading rounds finds the wave and the per-source repair at the
 same optimum every round.
@@ -308,11 +311,48 @@ def arrival_round(width: int):
     return network, next_round(network, arrive)
 
 
-def test_a_wave_settles_what_the_arrival_needs_not_the_plateau():
-    """Twelve sources, one deficit (the sink): one search labels the
-    arrivals' machines, stops once their free slots cover the twelve units,
-    and the blocking flow routes all twelve -- settling the same nodes
-    whether 64 or 1 024 machines tie behind them."""
+def hub_arrival_round(width: int):
+    """The plateau behind a cluster aggregator with an arc to every
+    machine, and a round in which ``ARRIVALS`` tasks arrive with an arc of
+    cost 3 to the aggregator: every search for them walks its adjacency."""
+    network, sink, unscheduled, machines, _tasks = plateau_network(width)
+    hub = network.add_node(NodeType.CLUSTER_AGGREGATOR, name="X")
+    for machine in machines:
+        network.add_arc(hub.node_id, machine.node_id, len(machines), 0)
+
+    def arrive(net):
+        for _ in range(ARRIVALS):
+            add_task_to(net, sink, unscheduled, hub, cost=3)
+
+    return network, next_round(network, arrive)
+
+
+@pytest.mark.parametrize(
+    "arrival, waves", [(arrival_round, False), (hub_arrival_round, True)],
+    ids=["onto the plateau", "through a hub"],
+)
+def test_the_first_search_chooses_the_waves(arrival, waves):
+    """The batch's first search decides: one that walked a hub's adjacency
+    (1 025 machines) leaves the rest to waves, one that walked a handful of
+    entries leaves a search per source."""
+    network, (after, batch) = arrival(1024)
+    solver = IncrementalCostScalingSolver()
+    solver.solve(network.copy())
+    result = solver.solve(after.copy(), changes=batch)
+    stats = result.statistics
+    assert stats.delta_solve == 1
+    assert stats.augmentations == ARRIVALS
+    assert (stats.searches < ARRIVALS) == waves
+    assert_matches_scratch_solvers(after, result.total_cost)
+
+
+def test_a_wave_settles_what_the_arrival_needs_not_the_plateau(monkeypatch):
+    """Twelve sources, one deficit (the sink), waves whatever the first
+    search walked: it routes one source, then one wave labels the other
+    arrivals' machines, stops once their free slots cover the eleven
+    units, and the blocking flow routes all eleven -- settling the same
+    nodes whether 64 or 1 024 machines tie behind them."""
+    monkeypatch.setattr(cost_scaling, "WAVE_MIN_WALK", 0)
     settled = {}
     for width in PLATEAU_SIZES:
         network, (after, batch) = arrival_round(width)
@@ -331,7 +371,7 @@ def test_a_wave_settles_what_the_arrival_needs_not_the_plateau():
         stats = result.statistics
         assert stats.delta_solve == 1
         assert stats.augmentations == ARRIVALS
-        assert stats.searches == 1
+        assert stats.searches == 2
         assert checked == ["augment"] * ARRIVALS
         assert check_feasibility(solved) == []
         assert_matches_scratch_solvers(after, result.total_cost)
@@ -340,10 +380,12 @@ def test_a_wave_settles_what_the_arrival_needs_not_the_plateau():
 
 
 def test_a_batch_no_wave_can_route_is_infeasible(monkeypatch):
-    """Stranded arrivals (no arc out): the wave routes nothing, the
-    single-source search that follows finds no deficit either, and the
-    repair raises instead of searching again."""
-    network, sink, _unscheduled, _machines, _tasks = plateau_network(64)
+    """Stranded arrivals (no arc out) behind one that can leave: the first
+    search routes that one, the wave routes nothing, the single-source
+    search that follows finds no deficit either, and the repair raises
+    instead of searching again."""
+    monkeypatch.setattr(cost_scaling, "WAVE_MIN_WALK", 0)
+    network, sink, unscheduled, machines, _tasks = plateau_network(64)
     solver = IncrementalCostScalingSolver()
     solver.solve(network.copy())
 
@@ -351,6 +393,7 @@ def test_a_batch_no_wave_can_route_is_infeasible(monkeypatch):
         for _ in range(ARRIVALS):
             net.add_node(NodeType.TASK, supply=1)
         net.set_supply(sink.node_id, net.node(sink.node_id).supply - ARRIVALS)
+        add_task_to(net, sink, unscheduled, machines[0])
 
     after, batch = next_round(network, strand)
     waves = []
@@ -364,7 +407,7 @@ def test_a_batch_no_wave_can_route_is_infeasible(monkeypatch):
     monkeypatch.setattr(cost_scaling.CostScalingSolver, "_route_wave", counted)
     with pytest.raises(InfeasibleProblemError):
         solver.solve(after.copy(), changes=batch)
-    assert waves
+    assert len(waves) == 1
 
 
 def policy_rounds(policy, seed: int, rounds: int = 4):
@@ -425,30 +468,40 @@ FAMILIES = {
 def test_waves_and_single_source_searches_reach_the_same_optimum(
     family, seed, monkeypatch
 ):
-    """Twin solvers repair every round, one in waves (any batch of two or
-    more sources), one with a search per source; both are 0-optimal after
-    every augmentation and cost what the oracle says, every round."""
+    """Twin solvers repair every round, one in waves (after the first
+    search of any batch of two or more sources), one with a search per
+    source; both are 0-optimal after every augmentation and cost what the
+    oracle says, every round."""
+    monkeypatch.setattr(cost_scaling, "WAVE_MIN_WALK", 0)
     wave, single = IncrementalCostScalingSolver(), IncrementalCostScalingSolver()
 
     def hook(residual, event):
         assert check_residual_epsilon_optimality(residual, 0) == []
 
     wave.invariant_hook = single.invariant_hook = hook
-    waves = 0  # delta rounds the wave routed in fewer searches than units
+    routed_in_waves = []
+    route_wave = cost_scaling.CostScalingSolver._route_wave
+
+    def counted(self, *args):
+        routed_in_waves.append(route_wave(self, *args))
+        return routed_in_waves[-1]
+
+    monkeypatch.setattr(cost_scaling.CostScalingSolver, "_route_wave", counted)
+    waves = 0  # delta rounds in which a wave routed
     for network, changes in FAMILIES[family](seed):
         expected = reference_min_cost(network)
         costs = {}
         for solver, wave_min in ((wave, 2), (single, sys.maxsize)):
             monkeypatch.setattr(cost_scaling, "WAVE_MIN_SOURCES", wave_min)
             solved = network.copy()
+            del routed_in_waves[:]
             result = solver.solve(solved, changes=changes)
             assert check_feasibility(solved) == []
             costs[wave_min] = result.total_cost
-            stats = result.statistics
-            if wave_min == 2 and stats.delta_solve:
-                waves += stats.searches < stats.augmentations
+            if wave_min == 2 and result.statistics.delta_solve:
+                waves += sum(routed_in_waves) > 0
         assert costs == {2: expected, sys.maxsize: expected}, f"{family} seed {seed}"
     assert wave.delta_solves == single.delta_solves
     if family in ("quincy", "load spreading"):
-        # Every arrival took fewer searches than augmentations.
+        # A wave routed part of every arrival.
         assert waves == wave.delta_solves == 4

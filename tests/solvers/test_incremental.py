@@ -155,23 +155,28 @@ class TestAbortedDeltaRepair:
         assert result.total_cost == expected
         assert solver.delta_solves == 1
 
-    def test_a_repair_aborted_between_waves_releases_the_residual(self):
-        """Two kinds of arrival in one batch take two waves; the abort hook
-        (polled before every search) fires once the first wave has routed.
-        The half-repaired residual is released, the round is rebuilt, and
-        the next batch chains onto the rebuild."""
+    def test_a_repair_aborted_between_waves_releases_the_residual(
+        self, monkeypatch
+    ):
+        """Two kinds of arrival in one batch take a search and two waves
+        (whatever the first search walked); the abort hook (polled before
+        every search) fires once the first wave has routed.  The
+        half-repaired residual is released, the round is rebuilt, and the
+        next batch chains onto the rebuild."""
+        from repro.solvers import cost_scaling
         from tests.solvers.test_delta_repair_bound import (
             add_task_to,
             next_round,
             plateau_network,
         )
 
+        monkeypatch.setattr(cost_scaling, "WAVE_MIN_WALK", 0)
         network, sink, unscheduled, machines, _tasks = plateau_network(64)
 
         def arrivals(net):
             for machine in machines[:8]:
                 add_task_to(net, sink, unscheduled, machine, cost=3)
-            for machine in machines[8:16]:
+            for machine in machines[8:17]:
                 add_task_to(net, sink, unscheduled, machine, cost=60)
 
         after, batch = next_round(network, arrivals)
@@ -180,17 +185,17 @@ class TestAbortedDeltaRepair:
         )
         unaborted = IncrementalCostScalingSolver()
         unaborted.solve(network.copy())
-        assert unaborted.solve(after.copy(), changes=batch).statistics.searches >= 2
+        assert unaborted.solve(after.copy(), changes=batch).statistics.searches == 3
 
         solver = IncrementalCostScalingSolver()
         solver.solve(network.copy())
         routed = []
         solver.invariant_hook = lambda residual, event: routed.append(event)
-        solver.abort_check = lambda: bool(routed)
+        solver.abort_check = lambda: len(routed) > 1  # past the first wave
         with pytest.raises(SolveAborted):
             solver.solve(after.copy(), changes=batch)
         solver.invariant_hook = solver.abort_check = None
-        assert routed
+        assert 1 < len(routed) < 17
         assert solver.last_residual is None
         assert not solver.can_solve_delta(batch)
         result = solver.solve(after.copy(), changes=batch)
