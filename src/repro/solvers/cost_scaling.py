@@ -668,8 +668,8 @@ class CostScalingSolver(Solver):
         run (scaled costs, exact potentials proving the previous optimum,
         the previous flow loaded); ``changes`` transforms the previous flow
         network into ``network``.  The batch is patched in place and only
-        the patched arcs are checked for optimality violations; a job's
-        arrival is routed in a few searches (:meth:`_route_excesses`).  A
+        the patched arcs are checked for optimality violations; an arrival
+        through a hub is routed in a few searches (:meth:`_route_excesses`).  A
         :class:`FlowGraph`'s residual was patched by its own mutations: the
         patch taken is theirs, and the batch is not replayed.
 
