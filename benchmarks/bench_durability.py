@@ -3,8 +3,9 @@
 The durability layer (:mod:`repro.service.durability`) buys crash safety
 with exactly two mechanical costs: two framed appends and one fsync per
 round (the ``round`` record's sync covers the ``admit`` record before it),
-and a periodic full-state snapshot.  This benchmark measures both
-directly, without a service in the way:
+and a periodic full-state snapshot, written from the state itself with
+each finished job encoded once.  This benchmark measures both directly,
+without a service in the way:
 
 * **WAL append rate** -- framed ``admit``/``round`` records appended to a
   real segment file round by round, fsync on (the production cost) and
@@ -18,15 +19,24 @@ directly, without a service in the way:
 * **snapshot size and restore time at 128/512 machines** -- a half-loaded
   cluster snapshotted through :meth:`DurabilityLayer.write_snapshot`
   (temp file + atomic rename, fsync on), then restored and compared
-  ``==`` to the original.
+  ``==`` to the original;
+* **snapshot cost against history (ROADMAP item 9(a))** -- at 500, 5 000
+  and 20 000 finished 4-task jobs behind ten running ones: the file's
+  bytes, the CPU ms of the first snapshot (which encodes every job) and
+  of a steady one (which reuses the finished jobs' encodings), and the
+  ``tracemalloc`` peak a steady snapshot allocates above what it found.
+  The file must be the oracle's: ``json.dumps`` of
+  :func:`snapshot_cluster_state` and the ledger, byte for byte.
 
-The assertions pin correctness (equivalence, counts), never absolute
-speed -- the printed rates are the EXPERIMENTS.md numbers.
+The assertions pin correctness (equivalence, counts, bytes), never
+absolute speed -- the printed rates are the EXPERIMENTS.md numbers.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
+import tracemalloc
 from typing import Dict, List, Tuple
 
 from benchmarks.common import bench_scale, build_cluster_state, make_job
@@ -39,8 +49,8 @@ from repro.service.durability import (
     Ledger,
     RoundRecord,
     recover,
-    snapshot_cluster_state,
 )
+from tests.service.test_durability import oracle_bytes
 
 #: Jobs in the replay workload; each contributes one admit record (with the
 #: previous job's completions) and one round record (its placements).
@@ -49,6 +59,10 @@ TASKS_PER_JOB = 4
 
 #: Snapshot-size grid (ISSUE 10: 128 and 512 machines).
 SNAPSHOT_MACHINES = (128, 512)
+
+#: Finished jobs behind the history-growth table, and the running ones.
+HISTORY_JOBS = (500, 5_000, 20_000)
+LIVE_JOBS = 10
 
 
 def _workload(num_machines: int) -> List[Tuple[str, Dict]]:
@@ -117,10 +131,7 @@ def test_wal_append_and_replay_rates(tmp_path, benchmark):
     for fsync in (True, False):
         directory = tmp_path / ("fsync-on" if fsync else "fsync-off")
         layer = DurabilityLayer(directory, fsync=fsync)
-        layer.write_snapshot(
-            snapshot_cluster_state(build_cluster_state(num_machines)),
-            Ledger(), 0.0,
-        )
+        layer.write_snapshot(build_cluster_state(num_machines), Ledger(), 0.0)
         elapsed = _append_all(layer, records)
         layer.close()
         rates[fsync] = (
@@ -167,9 +178,7 @@ def test_wal_append_and_replay_rates(tmp_path, benchmark):
     # pytest-benchmark kernel: one round's WAL work on the serving path --
     # the admit append, the round append and the one sync behind both.
     layer = DurabilityLayer(tmp_path / "kernel", fsync=True)
-    layer.write_snapshot(
-        snapshot_cluster_state(build_cluster_state(8)), Ledger(), 0.0
-    )
+    layer.write_snapshot(build_cluster_state(8), Ledger(), 0.0)
     admit, applied = records[0][1], records[1][1]
 
     def one_round() -> None:
@@ -189,10 +198,7 @@ def test_snapshot_size_and_restore_at_scale(tmp_path):
         state = build_cluster_state(num_machines, utilization=0.5)
         layer = DurabilityLayer(tmp_path / f"m{num_machines}", fsync=True)
         write_start = time.perf_counter()
-        path = layer.write_snapshot(
-            snapshot_cluster_state(state), Ledger(),
-            clock=1.0,
-        )
+        path = layer.write_snapshot(state, Ledger(), clock=1.0)
         write_elapsed = time.perf_counter() - write_start
         layer.close()
         size = path.stat().st_size
@@ -216,5 +222,81 @@ def test_snapshot_size_and_restore_at_scale(tmp_path):
     print("Snapshot size and restore time (50% slot utilization, fsync on)")
     print(format_table(
         ["machines", "tasks", "size [KiB]", "write [ms]", "restore [ms]"],
+        rows,
+    ))
+
+
+def _history(num_jobs: int):
+    """``num_jobs`` finished jobs behind ``LIVE_JOBS`` running ones, each
+    of ``TASKS_PER_JOB`` tasks, and the ledger a service would hold."""
+    state = build_cluster_state(128)
+    ledger = Ledger()
+    machines = len(state.topology.machines)
+    for index in range(num_jobs + LIVE_JOBS):
+        job = make_job(
+            job_id=index + 1,
+            num_tasks=TASKS_PER_JOB,
+            task_id_offset=(index + 1) * 1000,
+            submit_time=float(index),
+        )
+        state.submit_job(job)
+        ledger.accepted += TASKS_PER_JOB
+        ledger.idempotency[f"bench-{index}"] = job.job_id
+        for task in job.tasks:
+            state.place_task(task.task_id, index % machines, now=index + 0.5)
+            ledger.placed_ids.add(task.task_id)
+        if index < num_jobs:
+            for task in job.tasks:
+                state.complete_task(task.task_id, now=index + 1.0)
+                ledger.completions += 1
+    ledger.placed = len(ledger.placed_ids)
+    return state, ledger
+
+
+def _cpu_ms(write) -> float:
+    start = time.process_time()
+    write()
+    return (time.process_time() - start) * 1000
+
+
+def test_snapshot_cost_against_history(tmp_path):
+    """Bytes, CPU ms and temporary memory of a snapshot as history grows."""
+    rows = []
+    for num_jobs in HISTORY_JOBS:
+        state, ledger = _history(num_jobs)
+        layer = DurabilityLayer(tmp_path / f"h{num_jobs}", fsync=False)
+
+        def write():
+            return layer.write_snapshot(state, ledger, clock=1.0)
+
+        first_ms = _cpu_ms(write)
+        steady_ms = statistics.median(_cpu_ms(write) for _ in range(3))
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            path = write()
+            temporary = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        layer.close()
+        assert path.read_bytes() == oracle_bytes(layer, state, ledger, 1.0), (
+            f"snapshot at {num_jobs} finished jobs is not the oracle's"
+        )
+        rows.append([
+            str(num_jobs),
+            f"{path.stat().st_size / 1024:.0f}",
+            f"{first_ms:.1f}",
+            f"{steady_ms:.1f}",
+            f"{temporary / (1 << 20):.2f}",
+        ])
+
+    print()
+    print(
+        f"Snapshot cost against history ({TASKS_PER_JOB}-task jobs, "
+        f"{LIVE_JOBS} running, fsync off)"
+    )
+    print(format_table(
+        ["finished jobs", "size [KiB]", "first [CPU ms]", "steady [CPU ms]",
+         "steady temp peak [MiB]"],
         rows,
     ))

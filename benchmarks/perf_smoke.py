@@ -474,7 +474,8 @@ def measure_sim_replay_round() -> float:
 
 
 def measure_sharded_round() -> tuple:
-    """Sharded-round kernel: (monolithic_seconds, sharded_seconds).
+    """Sharded-round kernel: (monolithic_seconds, sharded_seconds,
+    monolithic searches per round, straggler cell's searches per round).
 
     Three high-churn steady-state rounds at ``SHARD_MACHINES`` machines
     (``SHARD_JOBS_PER_ROUND`` jobs of ``SHARD_TASKS_PER_JOB`` tasks arrive
@@ -484,12 +485,14 @@ def measure_sharded_round() -> tuple:
     is the straggler cell's solve.  The cold build round is excluded: the
     kernel guards the steady-state delta path, where the sharding win (each
     cell repairs its share of the batch on a network 1/cells the size)
-    must hold.
+    must hold.  The searches are the delta repair's (a multi-source wave
+    is one), of the round's one solve on the monolith and of the straggler
+    cell's solve sharded: the ratio of the times follows theirs.
     """
     from benchmarks.common import make_job
     from repro.core import FirmamentScheduler, ShardedScheduler
 
-    def run(make_scheduler) -> float:
+    def run(make_scheduler) -> tuple:
         state = build_cluster_state(
             SHARD_MACHINES,
             slots_per_machine=4,
@@ -500,6 +503,15 @@ def measure_sharded_round() -> tuple:
         scheduler = make_scheduler()
         job_id, task_id = 910_000, 91_000_000
         total = 0.0
+        searches = 0
+        solve_cells = scheduler._solve_cells
+        outcomes = []
+
+        def recorded(cells):
+            outcomes[:] = solve_cells(cells)
+            return outcomes
+
+        scheduler._solve_cells = recorded
         try:
             scheduler.schedule_and_apply(state, now=0.0)  # cold build, untimed
             for round_index in range(1, 4):
@@ -522,17 +534,25 @@ def measure_sharded_round() -> tuple:
                         f"perf smoke: {took_part} cells took part in a round "
                         f"with {placing} cells placing"
                     )
+                straggler = decision.solver_result.statistics.straggler_cell
+                searches += sum(
+                    result.statistics.searches
+                    for cell, result, _ in outcomes
+                    if not cells or cell.index == straggler
+                )
         finally:
             scheduler.close()
-        return total
+        return total, searches / 3
 
-    mono = run(
+    mono, mono_searches = run(
         lambda: FirmamentScheduler(
             QuincyPolicy(), solver=IncrementalCostScalingSolver()
         )
     )
-    sharded = run(lambda: ShardedScheduler(QuincyPolicy, num_cells=SHARD_CELLS))
-    return mono, sharded
+    sharded, straggler_searches = run(
+        lambda: ShardedScheduler(QuincyPolicy, num_cells=SHARD_CELLS)
+    )
+    return mono, sharded, mono_searches, straggler_searches
 
 
 def serve_scheduler():
@@ -818,6 +838,7 @@ def main() -> int:
     resync_snapshot_runs, resync_delta_runs = [], []
     sim_replay_runs = []
     shard_mono_runs, shard_cell_runs = [], []
+    shard_mono_searches, shard_cell_searches = [], []
     service_round_runs = []
     service_durable_runs = []
     dual_round_runs = []
@@ -839,9 +860,13 @@ def main() -> int:
         resync_snapshot_runs.append(resync_snapshot)
         resync_delta_runs.append(resync_delta)
         sim_replay_runs.append(measure_sim_replay_round())
-        shard_mono, shard_cell = measure_sharded_round()
+        shard_mono, shard_cell, mono_searches, cell_searches = (
+            measure_sharded_round()
+        )
         shard_mono_runs.append(shard_mono)
         shard_cell_runs.append(shard_cell)
+        shard_mono_searches.append(mono_searches)
+        shard_cell_searches.append(cell_searches)
         service_round_runs.append(measure_service_round())
         service_durable_runs.append(measure_service_round_durable())
         dual_round_runs.append(measure_dual_round())
@@ -865,6 +890,12 @@ def main() -> int:
         "sim_replay_s": round(statistics.median(sim_replay_runs), 6),
         "sharded_mono_s": round(statistics.median(shard_mono_runs), 6),
         "sharded_cell_s": round(statistics.median(shard_cell_runs), 6),
+        "sharded_mono_searches_per_round": round(
+            statistics.median(shard_mono_searches), 3
+        ),
+        "sharded_cell_searches_per_round": round(
+            statistics.median(shard_cell_searches), 3
+        ),
         "service_round_s": round(statistics.median(service_round_runs), 6),
         "service_round_durable_s": round(
             statistics.median(service_durable_runs), 6
@@ -1007,6 +1038,14 @@ def main() -> int:
             f"{baseline_sim_speedup:.2f}x"
         )
         failed = True
+    # The count beside the gate: a repair search the monolith stopped
+    # making and the cell did not moves the ratio (ROADMAP item 19).
+    print(
+        f"sharded round: speedup {measured['sharded_speedup']:.2f}x; the "
+        f"monolith searches {measured['sharded_mono_searches_per_round']:.1f} "
+        "times a round, the straggler cell "
+        f"{measured['sharded_cell_searches_per_round']:.1f}"
+    )
     baseline_sharded_speedup = baseline.get("sharded_speedup")
     if baseline_sharded_speedup and (
         measured["sharded_speedup"] < MAX_SPEEDUP_LOSS * baseline_sharded_speedup

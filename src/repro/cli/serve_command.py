@@ -273,7 +273,8 @@ async def _serve(args) -> int:
                 "degraded_rounds", "preemptions", "completions",
                 "evicted_clients"):
         print(f"  {key}: {snapshot[key]}")
-    for key in ("wal_records", "wal_syncs", "wal_bytes", "wal_snapshots"):
+    for key in ("wal_records", "wal_syncs", "wal_bytes", "wal_snapshots",
+                "wal_snapshot_bytes", "wal_snapshot_seconds"):
         if key in snapshot:
             print(f"  {key}: {snapshot[key]}")
     if not snapshot["conserved"]:

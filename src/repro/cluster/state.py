@@ -45,6 +45,11 @@ class ClusterState:
         #: *every* event, so the answer must be O(1) rather than a scan of
         #: the live set; every mutator below keeps this index exact.
         self._pending_tasks: Dict[int, Task] = {}
+        #: Compact JSON of each finished job, by job id, which the snapshot
+        #: writer (:mod:`repro.service.durability`) encodes once: a job
+        #: whose tasks have all terminated never changes again.  A mutator
+        #: that changes a job's task list drops its entry.
+        self.encoded_jobs: Dict[int, bytes] = {}
         #: Typed dirty sets accumulated between scheduling rounds; every
         #: mutator below marks the entities it touches so the graph manager
         #: can update the flow network incrementally.
@@ -136,6 +141,7 @@ class ClusterState:
         if task.task_id in self.tasks:
             raise ValueError(f"task {task.task_id} already submitted")
         job.add_task(task)
+        self.encoded_jobs.pop(task.job_id, None)
         self.tasks[task.task_id] = task
         if not task.is_finished:
             self._live_tasks[task.task_id] = task
@@ -147,6 +153,7 @@ class ClusterState:
     def remove_job(self, job_id: int) -> None:
         """Remove a job and its tasks (all tasks must have terminated)."""
         job = self.jobs.pop(job_id)
+        self.encoded_jobs.pop(job_id, None)
         for task in job.tasks:
             if task.is_running:
                 raise ValueError(f"cannot remove job {job_id}: task {task.task_id} running")

@@ -36,7 +36,11 @@ recovery-equivalence harness (``tests/service/test_recovery.py``):
   full :class:`ClusterState` plus the service ledger is serialized to a
   temp file, fsync'd, and atomically renamed; the log rotates to a fresh
   segment and segments wholly behind the retained snapshots are deleted.
-  A crash mid-snapshot leaves only an ignored ``.tmp`` file.
+  A crash mid-snapshot leaves only an ignored ``.tmp`` file.  The file
+  holds the bytes of ``json.dumps`` over :func:`snapshot_cluster_state`,
+  but the writer encodes only what changed: a finished job's encoding is
+  kept in :attr:`ClusterState.encoded_jobs` and reused, and the file is
+  streamed from byte parts, so no copy of the history is built.
 * **Recovery.**  :func:`recover` loads the newest *valid* snapshot
   (falling back past corrupt ones), replays the log tail through the two
   appliers, and returns the state and ledger the live service held at
@@ -66,10 +70,11 @@ import itertools
 import json
 import os
 import struct
+import time
 import zlib
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.chaos import CrashInjector
 from repro.cluster.machine import Machine, MachineState, Rack
@@ -94,6 +99,11 @@ __all__ = [
 ]
 
 _HEADER = struct.Struct("<II")
+
+#: ``json.dumps(..., separators=(",", ":"))``, built once.
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+#: Items per part when a snapshot encodes a ledger's list or dict.
+_CHUNK = 1024
 
 _SNAPSHOT_PREFIX = "snapshot-"
 _SEGMENT_PREFIX = "wal-"
@@ -153,6 +163,17 @@ def _machine_from_payload(payload: Dict[str, Any]) -> Machine:
     return Machine(**{**payload, "state": MachineState(payload["state"])})
 
 
+def _topology_to_payload(topology: ClusterTopology) -> Dict[str, Any]:
+    return {
+        "version": topology.version,
+        "machines": [_machine_to_payload(m) for m in topology.machines.values()],
+        "racks": [
+            {**_fields(rack), "machine_ids": list(rack.machine_ids)}
+            for rack in topology.racks.values()
+        ],
+    }
+
+
 def snapshot_cluster_state(state: ClusterState) -> Dict[str, Any]:
     """Serialize a :class:`ClusterState` to a JSON-safe payload.
 
@@ -168,14 +189,7 @@ def snapshot_cluster_state(state: ClusterState) -> Dict[str, Any]:
     scope anyway.
     """
     return {
-        "topology": {
-            "version": state.topology.version,
-            "machines": [_machine_to_payload(m) for m in state.topology.machines.values()],
-            "racks": [
-                {**_fields(rack), "machine_ids": list(rack.machine_ids)}
-                for rack in state.topology.racks.values()
-            ],
-        },
+        "topology": _topology_to_payload(state.topology),
         "jobs": [_job_to_payload(job) for job in state.jobs.values()],
     }
 
@@ -489,6 +503,84 @@ def _indexed_files(directory: Path, prefix: str, suffix: str) -> List[Tuple[int,
     return sorted(found)
 
 
+def _compact(value: Any) -> bytes:
+    return _COMPACT.encode(value).encode("utf-8")
+
+
+def _encoded_job(state: ClusterState, job: Job) -> bytes:
+    """One job's compact JSON; a finished job's is encoded once and kept
+    in ``state.encoded_jobs``, a live job's afresh every time."""
+    encoded = state.encoded_jobs.get(job.job_id)
+    if encoded is None:
+        encoded = _compact(_job_to_payload(job))
+        if all(task.is_finished for task in job.tasks):
+            state.encoded_jobs[job.job_id] = encoded
+    return encoded
+
+
+def _chunked(items, brackets: bytes, encode: Callable[[list], bytes]) -> Iterator[bytes]:
+    """A JSON list or object from ``items``, ``_CHUNK`` of them per part."""
+    yield brackets[:1]
+    separator = b""
+    while chunk := list(itertools.islice(items, _CHUNK)):
+        yield separator + encode(chunk)[1:-1]
+        separator = b","
+    yield brackets[1:]
+
+
+def _ledger_parts(ledger: Ledger) -> Iterator[bytes]:
+    """``_compact(ledger.to_payload())`` in parts: its ids and keys grow
+    with history, so no one string holds them whole."""
+    yield b"{"
+    separator = b""
+    for key, value in ledger.to_payload().items():
+        yield separator + _compact(key) + b":"
+        separator = b","
+        if isinstance(value, dict):
+            yield from _chunked(iter(value.items()), b"{}", lambda chunk: _compact(dict(chunk)))
+        elif isinstance(value, list):
+            yield from _chunked(iter(value), b"[]", _compact)
+        else:
+            yield _compact(value)
+    yield b"}"
+
+
+def _snapshot_parts(
+    epoch: int, barrier_seq: int, clock: float, state: ClusterState, ledger: Ledger
+) -> List[bytes]:
+    """A snapshot's body as byte parts, none the size of the history.
+
+    Joined, they are ``json.dumps`` (compact separators) of ``{"epoch",
+    "barrier_seq", "clock", "state": snapshot_cluster_state(state),
+    "ledger": ledger.to_payload()}``, byte for byte.
+    """
+    parts = [
+        b'{"epoch":', _compact(epoch),
+        b',"barrier_seq":', _compact(barrier_seq),
+        b',"clock":', _compact(clock),
+        b',"state":{"topology":', _compact(_topology_to_payload(state.topology)),
+        b',"jobs":[',
+    ]
+    for job in state.jobs.values():
+        parts += (_encoded_job(state, job), b",")
+    if state.jobs:
+        parts.pop()
+    parts.append(b']},"ledger":')
+    parts.extend(_ledger_parts(ledger))
+    parts.append(b"}")
+    return parts
+
+
+def _prefix(parts: List[bytes], size: int) -> bytes:
+    """The first ``size`` bytes of ``parts`` joined."""
+    prefix = bytearray()
+    for part in parts:
+        if len(prefix) >= size:
+            break
+        prefix += part
+    return bytes(prefix[:size])
+
+
 def _load_snapshot(path: Path) -> Optional[Dict[str, Any]]:
     """Load a CRC-guarded snapshot; ``None`` on any corruption."""
     try:
@@ -506,6 +598,11 @@ def _load_snapshot(path: Path) -> Optional[Dict[str, Any]]:
 # --------------------------------------------------------------------- #
 class DurabilityLayer:
     """Owns a state directory: the active WAL segment and snapshot rotation.
+
+    Snapshots are written from the :class:`ClusterState` itself
+    (:meth:`write_snapshot`), which keeps its finished jobs' encodings, so
+    a snapshot encodes the live jobs, the topology and the ledger; the
+    counters below say what the snapshots cost.
 
     Args:
         state_dir: Directory for snapshots and log segments (created if
@@ -554,6 +651,10 @@ class DurabilityLayer:
         #: appended; 0 with ``fsync=False``).
         self.syncs = 0
         self.snapshots_written = 0
+        #: Size of the last snapshot file, and wall seconds spent in
+        #: :meth:`write_snapshot` in total.
+        self.last_snapshot_bytes = 0
+        self.snapshot_seconds = 0.0
         self._rounds_since_snapshot = 0
         self._file = None
         self._segment_bytes = 0
@@ -639,11 +740,18 @@ class DurabilityLayer:
 
     def write_snapshot(
         self,
-        state_payload: Dict[str, Any],
+        state: ClusterState,
         ledger: Ledger,
         clock: float,
     ) -> Path:
-        """Write a snapshot atomically and rotate to a fresh segment.
+        """Write a snapshot of ``state`` atomically and rotate to a fresh segment.
+
+        The file is ``<CRC32 of the body, 8 hex digits>\\n<body>``, the body
+        the compact ``json.dumps`` of the epoch, the barrier, ``clock``,
+        :func:`snapshot_cluster_state` of ``state`` and the ledger.  It is
+        streamed from byte parts (:func:`_snapshot_parts`) with the CRC
+        taken part by part; finished jobs come from ``state.encoded_jobs``,
+        so only live jobs are encoded.
 
         The snapshot's barrier is the current log sequence number: records
         up to and including it are superseded by the snapshot, and
@@ -651,19 +759,16 @@ class DurabilityLayer:
         outgoing segment is synced first: recovery falls back to it when
         this snapshot turns out corrupt.
         """
+        start = time.perf_counter()
         self.sync()
         self.epoch += 1
-        body = json.dumps(
-            {
-                "epoch": self.epoch,
-                "barrier_seq": self.seq,
-                "clock": clock,
-                "state": state_payload,
-                "ledger": ledger.to_payload(),
-            },
-            separators=(",", ":"),
-        ).encode("utf-8")
-        content = f"{zlib.crc32(body):08x}".encode("ascii") + b"\n" + body
+        # Part 0 is the header, filled in once the body's CRC is known.
+        parts = [b""] + _snapshot_parts(self.epoch, self.seq, clock, state, ledger)
+        crc = 0
+        for part in itertools.islice(parts, 1, None):
+            crc = zlib.crc32(part, crc)
+        parts[0] = f"{crc:08x}\n".encode("ascii")
+        size = sum(map(len, parts))
         final = _snapshot_path(self.directory, self.epoch)
         tmp = final.with_suffix(".json.tmp")
         with open(tmp, "wb") as handle:
@@ -673,9 +778,9 @@ class DurabilityLayer:
                 self.crash.hit(
                     "mid_snapshot",
                     fileobj=handle,
-                    pending_bytes=content[: max(1, len(content) // 2)],
+                    pending_bytes=_prefix(parts, max(1, size // 2)),
                 )
-            handle.write(content)
+            handle.writelines(parts)
             handle.flush()
             if self.fsync:
                 os.fsync(handle.fileno())
@@ -690,6 +795,8 @@ class DurabilityLayer:
         self._rounds_since_snapshot = 0
         self.snapshots_written += 1
         self._prune()
+        self.last_snapshot_bytes = size
+        self.snapshot_seconds += time.perf_counter() - start
         return final
 
     def _fsync_directory(self) -> None:

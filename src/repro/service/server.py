@@ -96,7 +96,8 @@ A duplicate changes no state and is logged nowhere: the ``ledger`` op's
 Neither ``stats`` nor ``ledger`` can observe a round half-done, so both
 answer from a synced log.  With a state directory ``stats`` also carries
 what the log did: ``wal_records``, ``wal_syncs``, ``wal_bytes``,
-``wal_snapshots``.
+``wal_snapshots``, and what the snapshots cost: ``wal_snapshot_bytes``
+(the last one's size) and ``wal_snapshot_seconds`` (all of them).
 
 Protocol (JSON lines, UTF-8, one object per line)
 -------------------------------------------------
@@ -153,7 +154,6 @@ from repro.service.durability import (
     RoundRecord,
     apply_admission,
     apply_round,
-    snapshot_cluster_state,
 )
 
 __all__ = ["SchedulerService", "ServiceConfig", "ServiceStats"]
@@ -1016,6 +1016,8 @@ class SchedulerService:
             payload["wal_syncs"] = log.syncs
             payload["wal_bytes"] = log.bytes_appended
             payload["wal_snapshots"] = log.snapshots_written
+            payload["wal_snapshot_bytes"] = log.last_snapshot_bytes
+            payload["wal_snapshot_seconds"] = round(log.snapshot_seconds, 6)
         return payload
 
     def _keyed_job(self, key: str) -> Optional[Job]:
@@ -1029,6 +1031,4 @@ class SchedulerService:
     def _write_snapshot(self) -> None:
         # The ledger holds what the log admitted, never the inbox: after a
         # crash, queued submissions are exactly what clients resubmit.
-        self._durability.write_snapshot(
-            snapshot_cluster_state(self.state), self.ledger, clock=self.now()
-        )
+        self._durability.write_snapshot(self.state, self.ledger, clock=self.now())

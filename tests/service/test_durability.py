@@ -1,6 +1,10 @@
 """Unit tests for the durability layer: framing, torn tails, snapshots,
 retention, recovery, and the in-process crash-equivalence contract.
 
+The snapshot writer encodes only what changed; its files are pinned to
+the framed ``json.dumps`` of :func:`snapshot_cluster_state` and the
+ledger (:func:`oracle_bytes`), and what it encodes and holds is counted.
+
 The subprocess ``kill -9`` matrix lives in ``test_recovery.py``; this file
 exercises the same machinery deterministically in process, simulating a
 crash by abandoning the service without a drain (so no final snapshot is
@@ -12,6 +16,7 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -30,6 +35,7 @@ from repro.service import (
     restore_cluster_state,
     snapshot_cluster_state,
 )
+from repro.service import durability
 from repro.service.durability import Ledger, read_segment
 from tests.conftest import make_cluster_state, make_job
 
@@ -41,10 +47,43 @@ def make_layer(tmp_path, **kwargs) -> DurabilityLayer:
     return DurabilityLayer(tmp_path / "state", **kwargs)
 
 
+def oracle_bytes(layer: DurabilityLayer, state, ledger: Ledger, clock: float) -> bytes:
+    """The file ``layer``'s last snapshot must be: the whole state and
+    ledger through ``json.dumps``, behind its CRC header."""
+    body = json.dumps(
+        {
+            "epoch": layer.epoch,
+            "barrier_seq": layer.seq,
+            "clock": clock,
+            "state": snapshot_cluster_state(state),
+            "ledger": ledger.to_payload(),
+        },
+        separators=(",", ":"),
+    ).encode("utf-8")
+    return f"{zlib.crc32(body):08x}\n".encode("ascii") + body
+
+
+def run_jobs(state, ledger: Ledger, job_ids, tasks_per_job: int, finish=True) -> None:
+    """Submit and place each job in turn, and with ``finish`` complete it."""
+    machines = len(state.topology.machines)
+    for job_id in job_ids:
+        job = make_job(job_id=job_id, num_tasks=tasks_per_job, submit_time=float(job_id))
+        state.submit_job(job)
+        ledger.accepted += tasks_per_job
+        ledger.idempotency[f"key-{job_id}"] = job_id
+        for task in job.tasks:
+            state.place_task(task.task_id, job_id % machines, now=job_id + 0.5)
+            ledger.placed_ids.add(task.task_id)
+            ledger.placed += 1
+        if finish:
+            for task in job.tasks:
+                state.complete_task(task.task_id, now=job_id + 1.0)
+
+
 def bootstrap(layer: DurabilityLayer, state=None) -> None:
     """Write the initial snapshot so the log accepts appends."""
     state = state or make_cluster_state(num_machines=2)
-    layer.write_snapshot(snapshot_cluster_state(state), Ledger(), clock=0.0)
+    layer.write_snapshot(state, Ledger(), clock=0.0)
 
 
 class TestFraming:
@@ -164,6 +203,94 @@ class TestSnapshotsAndRetention:
         (layer.directory / "snapshot-00000099.json.tmp").write_bytes(b"par")
         recovered = recover(layer.directory)
         assert recovered.snapshot_epoch == 1
+
+
+class TestIncrementalSnapshot:
+    """A finished job is encoded once; the file stays the oracle's."""
+
+    def test_a_second_snapshot_encodes_only_what_changed(self, tmp_path, monkeypatch):
+        state = ClusterState(build_topology(8, slots_per_machine=4))
+        ledger = Ledger()
+        run_jobs(state, ledger, range(1, 1001), tasks_per_job=2)
+        run_jobs(state, ledger, range(1001, 1011), tasks_per_job=2, finish=False)
+        encoded = []
+        job_to_payload = durability._job_to_payload
+        monkeypatch.setattr(
+            durability, "_job_to_payload",
+            lambda job: encoded.append(job.job_id) or job_to_payload(job),
+        )
+        layer = make_layer(tmp_path)
+        layer.write_snapshot(state, ledger, clock=1.0)
+        assert len(encoded) == 1010
+
+        finished = (1001, 1004, 1010)
+        for job_id in finished:
+            for task in state.jobs[job_id].tasks:
+                state.complete_task(task.task_id, now=2000.0)
+        encoded.clear()
+        path = layer.write_snapshot(state, ledger, clock=2.0)
+        # The ten that were live at the first snapshot, three of them
+        # finished since: nothing of the thousand before.
+        assert sorted(encoded) == list(range(1001, 1011))
+        assert path.read_bytes() == oracle_bytes(layer, state, ledger, 2.0)
+
+        state.remove_job(1)
+        assert 1 not in state.encoded_jobs
+        encoded.clear()
+        path = layer.write_snapshot(state, ledger, clock=3.0)
+        assert sorted(encoded) == sorted(set(range(1001, 1011)) - set(finished))
+        assert path.read_bytes() == oracle_bytes(layer, state, ledger, 3.0)
+        layer.close()
+
+    def test_a_new_state_object_starts_with_nothing_encoded(self, tmp_path):
+        """Job 1 finishes at a different time in each of two states: the
+        second state's snapshot is its own job, not the first's encoding."""
+        layer = make_layer(tmp_path)
+        for finish_time in (5.0, 7.0):
+            state = make_cluster_state(num_machines=2)
+            state.submit_job(make_job(job_id=1, num_tasks=1))
+            (task,) = state.jobs[1].tasks
+            state.place_task(task.task_id, 0, now=1.0)
+            state.complete_task(task.task_id, now=finish_time)
+            path = layer.write_snapshot(state, Ledger(), clock=finish_time)
+            assert path.read_bytes() == oracle_bytes(layer, state, Ledger(), finish_time)
+        layer.close()
+        assert recover(layer.directory).state.encoded_jobs == {}
+
+    def test_a_snapshot_holds_less_than_half_its_size_in_temporaries(self, tmp_path):
+        """At 5 000 finished 4-task jobs, once they are encoded, a snapshot
+        allocates less than half its file's size above what it found."""
+        state = ClusterState(build_topology(8, slots_per_machine=4))
+        ledger = Ledger()
+        run_jobs(state, ledger, range(1, 5001), tasks_per_job=4)
+        run_jobs(state, ledger, range(5001, 5005), tasks_per_job=4, finish=False)
+        layer = make_layer(tmp_path)
+        layer.write_snapshot(state, ledger, clock=1.0)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            path = layer.write_snapshot(state, ledger, clock=2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        layer.close()
+        size = path.stat().st_size
+        assert size == layer.last_snapshot_bytes
+        assert peak - held < size / 2, (peak - held, size)
+        assert path.read_bytes() == oracle_bytes(layer, state, ledger, 2.0)
+
+    @pytest.mark.parametrize("entries", [0, 1, 1023, 1024, 1025, 2049])
+    def test_a_ledger_of_any_length_is_the_oracles(self, tmp_path, entries):
+        """The ledger's ids and keys go out in parts; their seams vanish."""
+        ledger = Ledger(
+            placed_ids=set(range(0, 3 * entries, 3)),
+            idempotency={f"key-{n}\u00e9": n for n in range(entries)},
+        )
+        layer = make_layer(tmp_path)
+        state = make_cluster_state(num_machines=2)
+        path = layer.write_snapshot(state, ledger, clock=0.5)
+        assert path.read_bytes() == oracle_bytes(layer, state, ledger, 0.5)
+        layer.close()
 
 
 def run(coro, timeout=30):
@@ -312,6 +439,29 @@ class TestInProcessCrashEquivalence:
             # The stop() snapshot sits at the log tip: nothing to replay.
             assert recovered.replayed_records == 0
             assert recovered.state == restore_cluster_state(final)
+
+        run(scenario())
+
+    def test_stats_report_what_the_snapshots_cost(self, tmp_path):
+        async def scenario():
+            service = make_durable_service(tmp_path)
+            await service.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", service.port
+            )
+            await send(writer, {"op": "stats", "id": 1})
+            stats = await recv(reader)
+            first = tmp_path / "state" / "snapshot-00000001.json"
+            assert stats["wal_snapshots"] == 1
+            assert stats["wal_snapshot_bytes"] == first.stat().st_size
+            assert stats["wal_snapshot_seconds"] > 0
+            await service.stop()
+            writer.close()
+            # The stop's snapshot: the last one's size, the total's time.
+            layer = service._durability
+            second = tmp_path / "state" / "snapshot-00000002.json"
+            assert layer.last_snapshot_bytes == second.stat().st_size
+            assert layer.snapshot_seconds > stats["wal_snapshot_seconds"]
 
         run(scenario())
 

@@ -41,7 +41,6 @@ from repro.service import (
     SchedulerService,
     ServiceConfig,
     recover,
-    snapshot_cluster_state,
 )
 from repro.service.durability import Ledger
 from tests.conftest import make_cluster_state
@@ -367,8 +366,8 @@ def test_appends_do_not_sync_and_one_sync_covers_them(tmp_path, monkeypatch):
     """The layer's half of the rule, without a service in the way."""
     disk = Disk(monkeypatch)
     layer = DurabilityLayer(tmp_path / "state", fsync=True)
-    state_payload = snapshot_cluster_state(make_cluster_state(num_machines=2))
-    layer.write_snapshot(state_payload, Ledger(), clock=0.0)
+    state = make_cluster_state(num_machines=2)
+    layer.write_snapshot(state, Ledger(), clock=0.0)
     admit = {"now": 1.0, "submissions": [], "machines_added": [],
              "machines_removed": [], "completions": []}
     layer.log_admission(admit)
@@ -385,7 +384,7 @@ def test_appends_do_not_sync_and_one_sync_covers_them(tmp_path, monkeypatch):
     assert (layer.synced_seq, layer.syncs, disk.segment_syncs) == (3, 2, 2)
     layer.log_admission(admit)
     # Rotation never leaves an unsynced tail behind.
-    layer.write_snapshot(state_payload, Ledger(), clock=3.0)
+    layer.write_snapshot(state, Ledger(), clock=3.0)
     assert disk.synced_length(segment) == segment.stat().st_size
     assert (layer.records_appended, layer.syncs, layer.snapshots_written) == (4, 3, 2)
     assert layer.bytes_appended == segment.stat().st_size

@@ -9,7 +9,10 @@ order.
   duplicate resubmits, completions -- stale ones too --, machine adds and
   removals, a solve that raises once, snapshots under the run) where
   every release is followed by ``recover()`` of a copy of the state
-  directory, which must equal the live state and the live ledger;
+  directory, which must equal the live state and the live ledger, and by
+  a snapshot of the live state into a side directory, whose file must be
+  the framed ``json.dumps`` of the whole state and ledger byte for byte
+  (the writer reuses finished jobs' encodings, so a stale one shows);
 * the grouped ``admit`` format older state directories hold, which must
   still recover in the order its replay has always applied it.
 
@@ -42,6 +45,7 @@ from repro.service import (
 )
 from repro.service.durability import Ledger
 from tests.conftest import make_cluster_state, make_job
+from tests.service.test_durability import oracle_bytes
 
 #: A client with no connection: the handlers' replies go nowhere.
 NOBODY = SimpleNamespace(client_id=0)
@@ -163,6 +167,7 @@ def test_recovery_equals_the_live_service_after_every_release(tmp_path, seed):
             tmp_path, scheduler=scheduler, snapshot_interval_rounds=5
         )
         release = service._release
+        side = DurabilityLayer(tmp_path / "side", fsync=False)
 
         def release_then_recover():
             release()
@@ -170,6 +175,11 @@ def test_recovery_equals_the_live_service_after_every_release(tmp_path, seed):
             assert recovered.state == service.state
             assert recovered.ledger == durable_part(service.ledger)
             assert service._stats_snapshot()["conserved"]
+            clock = service.now()
+            written = side.write_snapshot(service.state, service.ledger, clock)
+            assert written.read_bytes() == oracle_bytes(
+                side, service.state, service.ledger, clock
+            )
             checked.append(recovered.replayed_records)
 
         service._release = release_then_recover
@@ -187,6 +197,7 @@ def test_recovery_equals_the_live_service_after_every_release(tmp_path, seed):
         recovered = recover(layer.directory)
         assert recovered.state == service.state
         assert recovered.ledger == service.ledger
+        side.close()
         return service, layer
 
     service, layer = asyncio.run(scenario())
@@ -194,6 +205,7 @@ def test_recovery_equals_the_live_service_after_every_release(tmp_path, seed):
     # The run exercised what it is meant to.
     assert ledger.degraded_rounds == 1 and scheduler.calls > scheduler.nth
     assert ledger.completions and ledger.preemptions and service.stats.duplicates
+    assert service.state.encoded_jobs  # finished jobs' encodings were reused
     assert layer.snapshots_written > 3 and len(checked) == 31 and any(checked)
 
 
@@ -235,7 +247,7 @@ def test_a_grouped_admit_record_recovers_in_its_replay_order(tmp_path):
     state.place_task(task.task_id, 0, now=1.0)
     layer = DurabilityLayer(tmp_path / "state", fsync=False)
     layer.write_snapshot(
-        snapshot_cluster_state(state),
+        state,
         Ledger(accepted=1, placed=1, rounds=1, placed_ids={task.task_id}),
         clock=1.0,
     )
