@@ -486,8 +486,7 @@ def measure_sharded_round() -> tuple:
     kernel guards the steady-state delta path, where the sharding win (each
     cell repairs its share of the batch on a network 1/cells the size)
     must hold.  The searches are the delta repair's (a multi-source wave
-    is one), of the round's one solve on the monolith and of the straggler
-    cell's solve sharded: the ratio of the times follows theirs.
+    is one): the monolith's one solve, and the straggler cell's solve.
     """
     from benchmarks.common import make_job
     from repro.core import FirmamentScheduler, ShardedScheduler
@@ -542,7 +541,7 @@ def measure_sharded_round() -> tuple:
                 )
         finally:
             scheduler.close()
-        return total, searches / 3
+        return total, searches / 3  # three timed rounds
 
     mono, mono_searches = run(
         lambda: FirmamentScheduler(

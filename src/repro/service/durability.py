@@ -571,16 +571,6 @@ def _snapshot_parts(
     return parts
 
 
-def _prefix(parts: List[bytes], size: int) -> bytes:
-    """The first ``size`` bytes of ``parts`` joined."""
-    prefix = bytearray()
-    for part in parts:
-        if len(prefix) >= size:
-            break
-        prefix += part
-    return bytes(prefix[:size])
-
-
 def _load_snapshot(path: Path) -> Optional[Dict[str, Any]]:
     """Load a CRC-guarded snapshot; ``None`` on any corruption."""
     try:
@@ -778,7 +768,7 @@ class DurabilityLayer:
                 self.crash.hit(
                     "mid_snapshot",
                     fileobj=handle,
-                    pending_bytes=_prefix(parts, max(1, size // 2)),
+                    pending_bytes=b"".join(parts)[: max(1, size // 2)],
                 )
             handle.writelines(parts)
             handle.flush()
