@@ -230,8 +230,7 @@ async def _serve(args) -> int:
 
     def _request_drain(signame: str) -> None:
         signalled.append(signame)
-        service._draining = True
-        service._wake.set()
+        service.request_drain()
 
     installed = []
     for signame in ("SIGTERM", "SIGINT"):

@@ -5,12 +5,13 @@ Architecture
 
 Everything runs on one asyncio event loop, the solver included:
 
-* **Client handlers** parse JSON-lines requests.  They never mutate the
-  cluster state directly -- a submission is validated, acked, and appended
-  to the service *inbox* (a plain deque of admission records).  This is
-  what makes concurrent clients safe without locks: the handlers and the
-  round loop interleave only at await points, and the state is touched by
-  exactly one of them (the round loop).
+* **Connections** are :class:`asyncio.Protocol` objects.  They never
+  mutate the cluster state directly -- each complete request line is
+  decoded, parsed and dispatched as it arrives; a submission is validated,
+  acked, and appended to the service *inbox* (a plain deque of admission
+  records).  This is what makes concurrent clients safe without locks: the
+  protocol callbacks and the round loop interleave only at await points,
+  and the state is touched by exactly one of them (the round loop).
 * **The round loop** is triggered by work, not by a clock (Figure 2b of
   the paper: the solver re-runs as soon as the previous run has been
   applied, folding in whatever arrived meanwhile).  A round starts as soon
@@ -35,19 +36,22 @@ Everything runs on one asyncio event loop, the solver included:
   its O(|changes|) admission cost.  If tasks are pending the scheduler
   then runs inline, solve and apply back to back as in the paper's loop
   (a pure-Python solve holds the GIL: a thread would free nothing).  A
-  round yields once, at its top -- the writers send what is queued, and
-  what the readers take joins the round -- and nothing else runs from its
-  drain to its release: a request arriving mid-round is read after it
-  (with worker processes, after their pipe too, bounded by the deadline).
-* **Notifications** fan out through per-client bounded queues drained by a
-  writer task that hands the socket everything queued for its client in
-  one ``write`` per wake-up and honours TCP backpressure (``await
-  writer.drain()``).  A client that stops reading eventually fills its
-  queue and is evicted -- one slow consumer cannot stall the round loop or
-  other clients.  The events a round *causes* (completions, preemptions,
-  placements) are held in a per-round outbox and enter those queues only
-  at the round's release point, in the order the round produced them;
-  acks, ``stats``, ``ledger`` and error replies are queued at once.
+  round yields once, at its top -- the connections write what is queued
+  -- and nothing else runs from its drain to its release: a request
+  arriving mid-round is read after it (with worker processes, after their
+  pipe too, bounded by the deadline), in the next round's yield but after
+  its drain when that round was due anyway.
+* **Notifications** are encoded once, into a per-client list of lines
+  that one ``call_soon`` per loop turn hands the transport in one
+  ``write``; while the transport has paused writing (TCP backpressure)
+  they are held.  A client that stops reading eventually holds
+  ``client_queue_limit`` lines and is evicted -- one slow consumer cannot
+  stall the round loop or other clients.  The events a round *causes*
+  (completions, preemptions, placements) are held in a per-round outbox
+  and are queued only at the round's release point, in the order the
+  round produced them; acks, ``stats``, ``ledger`` and error replies are
+  queued at once.  Completions come from one timer per distinct duration
+  among the tasks a batch of effects started.
 
 Conservation law
 ----------------
@@ -82,12 +86,12 @@ neither append waits for the disk.  Replaying the log runs the same
 appliers in the same order, so ``recover()`` rebuilds the state and
 ledger the service held at its last durable record.  The round's single
 ``fsync`` covers both (group commit), and **release** -- the one point
-per round where the outbox is handed to the client queues -- comes only
+per round where the outbox is queued for the clients -- comes only
 after it has returned, so no client ever hears of an effect a crash
 could take back.  A sync that fails releases nothing and ends the round
 loop with the error.  A service without a state directory takes the same
 outbox → release route with nothing to sync.  Snapshots rotate the log and are
-taken after the release, once the writers have had a loop turn.
+taken after the release, once the client writes have had a loop turn.
 Submissions carry optional client-supplied idempotency ``key``s; a
 duplicate key gets the original ack back (``duplicate: true``) instead of
 a second job, which is what lets clients blindly resubmit across a crash.
@@ -131,8 +135,8 @@ import json
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.cluster.machine import Machine
 from repro.cluster.state import ClusterState
@@ -143,6 +147,7 @@ from repro.service.durability import (
     COMPLETE,
     COMPLETION,
     PLACEMENT,
+    PREEMPTION,
     REMOVE_MACHINE,
     RESTART,
     SUBMIT,
@@ -158,9 +163,40 @@ from repro.service.durability import (
 
 __all__ = ["SchedulerService", "ServiceConfig", "ServiceStats"]
 
-#: Seconds :meth:`SchedulerService.stop` waits for each client's
-#: notification queue to flush.
+#: Seconds :meth:`SchedulerService.stop` waits, in all, for every client's
+#: queued event lines to be handed to its transport.
 DRAIN_TIMEOUT_SECONDS = 10.0
+
+_PLACEMENT_KEYS = ("event", "task_id", "job_id", "machine_id", "latency")
+_PLACEMENT_LINE = (
+    '{"event": "placement", "task_id": %d, "job_id": %d, "machine_id": %d, '
+    '"latency": %r}\n'
+)
+_TASK_EVENT_KEYS = ("event", "task_id", "job_id")
+_TASK_EVENT_LINE = '{"event": "%s", "task_id": %d, "job_id": %d}\n'
+
+
+def _encode(payload: Dict[str, Any]) -> str:
+    """``json.dumps(payload) + "\\n"``; a round effect's line is formatted.
+
+    The payloads :meth:`SchedulerService._hold` builds (its keys in its
+    order, int ids, a finite float latency) format into the same bytes:
+    ``", "`` / ``": "`` separators and a float's ``repr``.
+    """
+    keys = tuple(payload)
+    if keys == _PLACEMENT_KEYS:
+        event, task_id, job_id, machine_id, latency = payload.values()
+        if (
+            event == PLACEMENT
+            and type(task_id) is type(job_id) is type(machine_id) is int
+            and type(latency) is float and latency - latency == 0.0
+        ):
+            return _PLACEMENT_LINE % (task_id, job_id, machine_id, latency)
+    elif keys == _TASK_EVENT_KEYS:
+        event, task_id, job_id = payload.values()
+        if event in (COMPLETION, PREEMPTION) and type(task_id) is type(job_id) is int:
+            return _TASK_EVENT_LINE % (event, task_id, job_id)
+    return json.dumps(payload) + "\n"
 
 
 def _is_integer(value: Any) -> bool:
@@ -223,7 +259,7 @@ class ServiceConfig:
             finite tasks free their slots quickly.
         max_request_bytes: Upper bound on one JSON-lines request.  A
             client sending a longer line (or undecodable bytes) gets an
-            ``error`` reply and is disconnected -- the reader never
+            ``error`` reply and is disconnected -- the service never
             buffers unboundedly on behalf of a hostile or broken peer.
     """
 
@@ -256,15 +292,83 @@ class ServiceStats:
     round_busy_seconds: float = 0.0
 
 
-@dataclass
-class _Client:
-    """Connection-scoped notification plumbing."""
+class _Client(asyncio.Protocol):
+    """One connection: request lines in, encoded event lines out.
 
-    client_id: int
-    writer: asyncio.StreamWriter
-    queue: asyncio.Queue = field(default_factory=asyncio.Queue)
-    writer_task: Optional[asyncio.Task] = None
-    evicted: bool = False
+    The first line queued in a loop turn arms one :meth:`flush` of every
+    line to ``writer`` (the transport); while it has paused writing the
+    lines are held, and count against ``client_queue_limit``.
+    """
+
+    def __init__(self, service: "SchedulerService") -> None:
+        self.service = service
+        self.client_id = 0
+        self.writer: Optional[asyncio.Transport] = None
+        #: Received bytes after the last complete request line.
+        self.buffer = bytearray()
+        #: Encoded event lines not yet handed to the transport.
+        self.lines: List[str] = []
+        self.paused = False
+        self.evicted = False
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        service = self.service
+        self.writer, self.client_id = transport, service._next_client_id
+        service._next_client_id += 1
+        service._clients[self.client_id] = self
+
+    def data_received(self, data: bytes) -> None:
+        """Handle every complete line; hang up on one that is too long.
+
+        As ``StreamReader.readline`` did, a line's bytes before its newline
+        (or an unterminated tail's) may number up to ``max_request_bytes``.
+        """
+        buffer, service = self.buffer, self.service
+        limit = service.config.max_request_bytes
+        scanned = len(buffer)
+        buffer += data
+        start, end = 0, buffer.find(b"\n", scanned)
+        while end >= 0 and end - start <= limit and not self.evicted:
+            service._handle_line(self, buffer[start:end + 1])
+            start, end = end + 1, buffer.find(b"\n", end + 1)
+        del buffer[:start]
+        if not self.evicted and (end >= 0 or len(buffer) > limit):
+            # Resynchronising inside an oversized line is guesswork, and
+            # buffering it is the attack.
+            service._hangup(self, "request line too long")
+
+    def eof_received(self) -> bool:
+        """An unterminated last line is still a request (``readline``
+        returned it); what is queued is written before the transport
+        closes."""
+        if self.buffer and not self.evicted:
+            self.service._handle_line(self, self.buffer)
+        self.send()
+        return False
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        # Stop writing to the client, but keep its submitted tasks -- jobs
+        # outlive their submitter's connection.
+        if not self.evicted:
+            self.service._close_client(self)
+
+    def pause_writing(self) -> None:
+        self.paused = True
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        self.flush()
+
+    def flush(self) -> None:
+        """The loop turn's write, unless the transport has paused writing."""
+        if not self.paused:
+            self.send()
+
+    def send(self) -> None:
+        """Hand the transport every queued line in one ``write``."""
+        if self.lines and not self.evicted:
+            self.writer.write("".join(self.lines).encode("utf-8"))
+            self.lines.clear()
 
 
 class SchedulerService:
@@ -306,13 +410,13 @@ class SchedulerService:
         self._recovered = recovered
         self._server: Optional[asyncio.AbstractServer] = None
         self._round_task: Optional[asyncio.Task] = None
-        self._wake = asyncio.Event()
+        #: The idle round loop's wake-up, while it waits for one.
+        self._waiter: Optional[asyncio.Future] = None
         self._inbox: Deque[Tuple[str, Any]] = deque()
         self._clients: Dict[int, _Client] = {}
         #: (client id, event) for everything the round in flight has caused
-        #: so far; handed to the client queues by :meth:`_release`.
+        #: so far; queued for the clients by :meth:`_release`.
         self._outbox: List[Tuple[int, Dict[str, Any]]] = []
-        self._handler_tasks: Set[asyncio.Task] = set()
         self._next_client_id = 1
         self._next_job_id = 1 + max(state.jobs, default=0)
         self._next_task_id = 1 + max(state.tasks, default=-1)
@@ -375,20 +479,9 @@ class SchedulerService:
             # progress before the crash is not tracked, so a recovered
             # task runs its duration again from the restart (documented
             # conservative choice: slots stay conserved, finish is late).
-            loop = asyncio.get_running_loop()
-            for task in self.state.running_tasks():
-                if task.duration is not None:
-                    loop.call_later(
-                        max(task.duration * self.config.time_scale, 0.0),
-                        self._enqueue_completion,
-                        task.task_id,
-                        task.start_time,
-                    )
-        self._server = await asyncio.start_server(
-            self._handle_client,
-            self.config.host,
-            self.config.port,
-            limit=self.config.max_request_bytes,
+            self._arm_completions(self.state.running_tasks())
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Client(self), self.config.host, self.config.port
         )
         self._round_task = asyncio.create_task(self._round_loop())
 
@@ -400,32 +493,24 @@ class SchedulerService:
         *rejected* (with a notification to their still-connected owners),
         so the conservation law holds exactly at shutdown.
         """
-        self._draining = True
-        self._wake.set()
+        self.request_drain()
         if self._round_task is not None:
             # Parked at an await, never mid-round: it runs no further
             # round, voids what is queued and drains.
             await self._round_task
-        # Flush what the notification queues still hold.
-        for client in list(self._clients.values()):
-            try:
-                await asyncio.wait_for(
-                    client.queue.join(), timeout=DRAIN_TIMEOUT_SECONDS
-                )
-            except asyncio.TimeoutError:
-                pass
+        # Let every transport take the lines still queued for it; a paused
+        # one has until its peer reads them, DRAIN_TIMEOUT_SECONDS at most.
+        deadline = time.monotonic() + DRAIN_TIMEOUT_SECONDS
+        while time.monotonic() < deadline and any(
+            client.lines for client in self._clients.values()
+        ):
+            await asyncio.sleep(0.005)
         snapshot = self._stats_snapshot()
         for client in list(self._clients.values()):
             self._close_client(client)
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        # Reap the per-connection reader tasks so no cancelled coroutine
-        # outlives the service into the event loop's teardown.
-        for task in list(self._handler_tasks):
-            task.cancel()
-        if self._handler_tasks:
-            await asyncio.gather(*self._handler_tasks, return_exceptions=True)
         self._stopped.set()
         if self._durability is not None:
             # A graceful stop leaves a snapshot at the very tip of the
@@ -437,6 +522,12 @@ class SchedulerService:
             close()
         return snapshot
 
+    def request_drain(self) -> None:
+        """Begin the graceful drain :meth:`stop` completes: refuse new
+        submissions; the round loop voids the queued ones and ends."""
+        self._draining = True
+        self._wake_loop()
+
     def _infer_machines_per_rack(self) -> int:
         racks = self.state.topology.racks
         if not racks:
@@ -446,71 +537,36 @@ class SchedulerService:
     # ------------------------------------------------------------------ #
     # Client handling
     # ------------------------------------------------------------------ #
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        client = _Client(self._next_client_id, writer)
-        self._next_client_id += 1
-        self._clients[client.client_id] = client
-        self._handler_tasks.add(asyncio.current_task())
-        client.writer_task = asyncio.create_task(self._client_writer(client))
+    def _handle_line(self, client: _Client, line: bytes) -> None:
+        """One request line: decode, parse and dispatch it, or say why not."""
         try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except ValueError:
-                    # The stream limit tripped: the peer sent a line
-                    # longer than max_request_bytes.  Reply and hang up --
-                    # resynchronising inside an oversized line is
-                    # guesswork, and buffering it is the attack.
-                    self._hangup(client, "request line too long")
-                    break
-                if not line:
-                    break
-                try:
-                    text = line.decode("utf-8")
-                except UnicodeDecodeError:
-                    self._hangup(client, "request is not valid UTF-8")
-                    break
-                try:
-                    request = json.loads(text)
-                except json.JSONDecodeError as error:
-                    # Malformed (or truncated) JSON on an intact line:
-                    # recoverable, the next line may be fine.
-                    self._notify(client.client_id, {
-                        "event": "error", "error": f"bad json: {error}",
-                    })
-                    continue
-                if not isinstance(request, dict):
-                    self._notify(client.client_id, {
-                        "event": "error",
-                        "error": "request must be a JSON object",
-                    })
-                    continue
-                try:
-                    self._dispatch(client, request)
-                except Exception as error:
-                    # A handler bug must not silently kill the reader
-                    # task: the client keeps its connection and learns why
-                    # the request failed.
-                    self._notify(client.client_id, {
-                        "event": "error", "id": request.get("id"),
-                        "error": f"internal error: {error}",
-                    })
-        except (ConnectionResetError, asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            # Service teardown cancels reader tasks mid-readline.  Absorb
-            # the cancellation so the streams protocol's done-callback
-            # (which calls task.exception()) does not re-raise it into the
-            # event loop's exception handler.
-            pass
-        finally:
-            # The client hung up: stop writing to it, but keep its
-            # submitted tasks -- jobs outlive their submitter's connection.
-            self._handler_tasks.discard(asyncio.current_task())
-            if not client.evicted:
-                self._close_client(client)
+            text = line.decode("utf-8")
+        except UnicodeDecodeError:
+            self._hangup(client, "request is not valid UTF-8")
+            return
+        try:
+            request = json.loads(text)
+        except json.JSONDecodeError as error:
+            # Malformed (or truncated) JSON on an intact line: recoverable,
+            # the next line may be fine.
+            self._notify(client.client_id, {
+                "event": "error", "error": f"bad json: {error}",
+            })
+            return
+        if not isinstance(request, dict):
+            self._notify(client.client_id, {
+                "event": "error", "error": "request must be a JSON object",
+            })
+            return
+        try:
+            self._dispatch(client, request)
+        except Exception as error:
+            # A handler bug must not silently kill the connection: the
+            # client keeps it and learns why the request failed.
+            self._notify(client.client_id, {
+                "event": "error", "id": request.get("id"),
+                "error": f"internal error: {error}",
+            })
 
     def _dispatch(self, client: _Client, request: Dict[str, Any]) -> None:
         op = request.get("op")
@@ -547,8 +603,7 @@ class SchedulerService:
             payload["event"] = "ack"
             payload["id"] = req_id
             self._notify(client.client_id, payload)
-            self._draining = True
-            self._wake.set()
+            self.request_drain()
         else:
             self._notify(client.client_id, {
                 "event": "error", "id": req_id, "error": f"unknown op: {op!r}",
@@ -681,7 +736,7 @@ class SchedulerService:
     # Notification fan-out
     # ------------------------------------------------------------------ #
     def _notify(self, client_id: int, payload: Dict[str, Any]) -> None:
-        """Queue an event for one client; evict the client if it is full.
+        """Queue an event's line for one client; evict the client if full.
 
         Dropping the whole client (instead of silently dropping events) is
         deliberate: a notification stream with holes is worse than a
@@ -691,11 +746,14 @@ class SchedulerService:
         client = self._clients.get(client_id)
         if client is None or client.evicted:
             return
-        if client.queue.qsize() >= self.config.client_queue_limit:
+        lines = client.lines
+        if len(lines) >= self.config.client_queue_limit:
             self.stats.evicted_clients += 1
             self._close_client(client)
             return
-        client.queue.put_nowait(payload)
+        if not lines:
+            asyncio.get_running_loop().call_soon(client.flush)
+        lines.append(_encode(payload))
 
     def _emit(self, client_id: int, payload: Dict[str, Any]) -> None:
         """Hold an event the round in flight caused until its release."""
@@ -706,7 +764,7 @@ class SchedulerService:
 
         Everything the round appended becomes durable with one sync (a
         no-op when ``log_round`` already issued it, or nothing was
-        logged); only then do the held events enter the client queues.  A
+        logged); only then are the held events queued for the clients.  A
         sync that raises leaves the outbox held and propagates.
         """
         if self._durability is not None:
@@ -715,50 +773,20 @@ class SchedulerService:
         for client_id, payload in outbox:
             self._notify(client_id, payload)
 
-    async def _client_writer(self, client: _Client) -> None:
-        """Drain one client's queue into its socket with backpressure.
-
-        Everything queued at a wake-up goes out in one ``write`` (a round's
-        placements for one client are one socket send, not one each);
-        ``client_queue_limit`` still counts the events waiting here.
-        """
-        queue = client.queue
-        try:
-            while True:
-                payloads = [await queue.get()]
-                while not queue.empty():
-                    payloads.append(queue.get_nowait())
-                try:
-                    client.writer.write("".join(
-                        json.dumps(payload) + "\n" for payload in payloads
-                    ).encode("utf-8"))
-                    await client.writer.drain()
-                finally:
-                    for _ in payloads:
-                        queue.task_done()
-        except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
-            pass
-
     def _hangup(self, client: _Client, reason: str) -> None:
-        """Best-effort error reply written directly before disconnecting.
+        """Write what is queued and a reasoned error, then disconnect.
 
         Used when the *stream* is no longer trustworthy (oversized line,
-        undecodable bytes) -- the notification queue may never flush once
-        the reader breaks out, so the reply bypasses it.
+        undecodable bytes); the reply goes out even if the transport has
+        paused writing.
         """
-        try:
-            client.writer.write(
-                json.dumps({"event": "error", "error": reason}).encode("utf-8")
-                + b"\n"
-            )
-        except Exception:
-            pass
+        client.lines.append(_encode({"event": "error", "error": reason}))
+        client.send()
+        self._close_client(client)
 
     def _close_client(self, client: _Client) -> None:
         client.evicted = True
         self._clients.pop(client.client_id, None)
-        if client.writer_task is not None:
-            client.writer_task.cancel()
         try:
             client.writer.close()
         except Exception:
@@ -772,7 +800,13 @@ class SchedulerService:
         self._inbox.append((kind, payload))
         if kind != COMPLETE:
             self._decision_queued = True
-        self._wake.set()
+        self._wake_loop()
+
+    def _wake_loop(self) -> None:
+        """End the idle round loop's wait, if it is waiting."""
+        waiter = self._waiter
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
 
     def _round_due(self) -> bool:
         """Whether something that can change a decision is waiting.
@@ -797,7 +831,7 @@ class SchedulerService:
         while not self._draining:
             if not self._round_due():
                 if not self._inbox and not self.state.num_pending_tasks:
-                    # Idle: sleep until a handler enqueues work (or drain).
+                    # Idle: sleep until a request enqueues work (or drain).
                     look_by, delay = None, None
                 else:
                     if look_by is None:
@@ -805,17 +839,24 @@ class SchedulerService:
                     delay = look_by - self.now()
                 if delay is None or delay > 0:
                     # Nothing runs between the checks above and this wait,
-                    # so clearing here cannot lose a wake-up.
-                    self._wake.clear()
+                    # so no wake-up can come before it.
+                    loop = asyncio.get_running_loop()
+                    self._waiter = loop.create_future()
+                    timer = None if delay is None else loop.call_later(
+                        delay, self._wake_loop
+                    )
                     try:
-                        await asyncio.wait_for(self._wake.wait(), delay)
-                    except asyncio.TimeoutError:
-                        pass
+                        await self._waiter
+                    finally:
+                        self._waiter = None
+                        if timer is not None:
+                            timer.cancel()
                     continue
-            # The round's one yield, before its drain: writers send what is
-            # queued and readers add to this round.  Nothing awaits from here
-            # to the release, and a drain begun during the yield voids the
-            # queue instead of racing it into a round.
+            # The round's one yield, before its drain: queued lines are
+            # written (what connections read in this turn is dispatched
+            # after the drain).  Nothing awaits from here to the release,
+            # and a drain begun during the yield voids the queue instead of
+            # racing it into a round.
             look_by = None
             await asyncio.sleep(0)
             if self._draining:
@@ -936,7 +977,7 @@ class SchedulerService:
 
     def _hold(self, effects: List[Effect], now: float) -> None:
         """An applier's effects as held notifications and completion timers."""
-        loop = asyncio.get_running_loop()
+        started: List[Task] = []
         for kind, task_id in effects:
             task = self.state.tasks[task_id]
             if kind == COMPLETION:
@@ -954,20 +995,38 @@ class SchedulerService:
                 self._emit(owner, {
                     "event": kind, "task_id": task_id, "job_id": task.job_id,
                 })
-            if kind in (PLACEMENT, RESTART) and task.duration is not None:
-                # Completion timer for this execution; a stale timer from a
-                # previous execution is neutralised by the start_time guard.
-                loop.call_later(
-                    max(task.duration * self.config.time_scale, 0.0),
-                    self._enqueue_completion,
-                    task_id,
-                    task.start_time,
-                )
+            if kind in (PLACEMENT, RESTART):
+                started.append(task)
+        if started:
+            self._arm_completions(started)
 
-    def _enqueue_completion(self, task_id: int, start_time: float) -> None:
+    def _arm_completions(self, tasks: Iterable[Task]) -> None:
+        """Completion timers for ``tasks``: one per distinct duration, with
+        its tasks' ``(task_id, start_time)`` in order (the applier's
+        ``start_time`` guard drops a stale execution's)."""
+        batches: Dict[float, List[Tuple[int, float]]] = {}
+        for task in tasks:
+            if task.duration is not None:
+                batches.setdefault(task.duration, []).append(
+                    (task.task_id, task.start_time)
+                )
+        loop = asyncio.get_running_loop()
+        for duration, started in batches.items():
+            loop.call_later(
+                max(duration * self.config.time_scale, 0.0),
+                self._enqueue_completions,
+                started,
+            )
+
+    def _enqueue_completions(self, started: List[Tuple[int, float]]) -> None:
+        """A timer fired: one ``complete`` record per task, one wake-up."""
         if self._stopped.is_set():
             return
-        self._enqueue(COMPLETE, (task_id, start_time))
+        self._inbox.extend((COMPLETE, pair) for pair in started)
+        self._wake_loop()
+
+    def _enqueue_completion(self, task_id: int, start_time: float) -> None:
+        self._enqueue_completions([(task_id, start_time)])
 
     def _broadcast(self, payload: Dict[str, Any]) -> None:
         for client_id in list(self._clients):

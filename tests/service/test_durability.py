@@ -149,18 +149,24 @@ class TestSnapshotsAndRetention:
 
     def test_round_count_trigger(self, tmp_path):
         layer = make_layer(tmp_path, snapshot_interval_rounds=2)
-        bootstrap(layer)
-        layer.log_round(self.round_record(1.0))
-        assert not layer.should_snapshot()
-        layer.log_round(self.round_record(2.0))
-        assert layer.should_snapshot()
+        try:
+            bootstrap(layer)
+            layer.log_round(self.round_record(1.0))
+            assert not layer.should_snapshot()
+            layer.log_round(self.round_record(2.0))
+            assert layer.should_snapshot()
+        finally:
+            layer.close()
 
     def test_log_size_trigger(self, tmp_path):
         layer = make_layer(tmp_path, snapshot_interval_rounds=10_000,
                            snapshot_max_log_bytes=64)
-        bootstrap(layer)
-        layer.log_round(self.round_record(1.0))
-        assert layer.should_snapshot()
+        try:
+            bootstrap(layer)
+            layer.log_round(self.round_record(1.0))
+            assert layer.should_snapshot()
+        finally:
+            layer.close()
 
     def test_retention_keeps_two_snapshots_and_their_segments(self, tmp_path):
         layer = make_layer(tmp_path, snapshot_interval_rounds=1)

@@ -19,6 +19,7 @@ from repro.cluster.topology import build_topology
 from repro.core import FirmamentScheduler
 from repro.core.policies import QuincyPolicy
 from repro.service import SchedulerService, ServiceConfig
+from repro.service import server as server_module
 
 
 def make_service(max_request_bytes: int = 4096) -> SchedulerService:
@@ -256,5 +257,186 @@ class TestProtocolHardening:
             await service_still_works(service)
             snapshot = await service.stop()
             assert snapshot["conserved"], snapshot
+
+        run(scenario())
+
+
+def server_side(service):
+    """The one connection the service has registered."""
+    (client,) = service._clients.values()
+    return client
+
+
+async def a_turn():
+    """Long enough for the loop to deliver what a peer just wrote."""
+    await asyncio.sleep(0.01)
+
+
+class TestFrontDoor:
+    """Requests are split into lines however the bytes arrive, a line is
+    refused at the limit ``StreamReader.readline`` drew, and a client's
+    events leave in one write per loop turn, held while its transport has
+    paused writing."""
+
+    def test_one_request_in_three_segments_and_three_in_one(self):
+        async def scenario():
+            service = make_service()
+            await service.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", service.port
+            )
+            line = json.dumps({"op": "stats", "id": 1}).encode() + b"\n"
+            for part in (line[:5], line[5:12], line[12:]):
+                await send_raw(writer, part)
+                await a_turn()
+            reply = await recv(reader)
+            assert (reply["event"], reply["id"]) == ("stats", 1)
+            await send_raw(writer, b"".join(
+                json.dumps({"op": "stats", "id": i}).encode() + b"\n"
+                for i in (2, 3, 4)
+            ))
+            assert [(await recv(reader))["id"] for _ in range(3)] == [2, 3, 4]
+            writer.close()
+            await service.stop()
+
+        run(scenario())
+
+    def test_unterminated_last_line_before_eof_is_admitted(self):
+        async def scenario():
+            service = make_service()
+            await service.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", service.port
+            )
+            request = {"op": "submit", "tasks": 3, "duration": 1.0, "id": 5}
+            await send_raw(writer, json.dumps(request).encode())
+            writer.write_eof()
+            ack = await recv(reader)
+            assert (ack["event"], ack["id"], ack["accepted"]) == ("ack", 5, 3)
+            assert await reader.read() == b""  # and the server closed
+            writer.close()
+            snapshot = await service.stop()
+            assert (snapshot["accepted"], snapshot["conserved"]) == (3, True)
+            assert service.ledger.accepted == 3
+
+        run(scenario())
+
+    def test_a_line_of_exactly_the_limit_is_served_one_byte_more_is_not(self):
+        limit = 1024
+
+        def padded(size: int) -> bytes:
+            body = json.dumps({"op": "stats", "id": size}).encode()
+            return body + b" " * (size - len(body)) + b"\n"
+
+        async def scenario():
+            service = make_service(max_request_bytes=limit)
+            await service.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", service.port
+            )
+            await send_raw(writer, padded(limit))
+            reply = await recv(reader)
+            assert (reply["event"], reply["id"]) == ("stats", limit)
+            await send_raw(writer, padded(limit + 1))
+            reply = await recv(reader)
+            assert reply["event"] == "error" and "too long" in reply["error"]
+            assert await reader.read() == b""
+            writer.close()
+            await service.stop()
+
+        run(scenario())
+
+    def test_an_unterminated_stream_is_cut_at_the_limit(self, monkeypatch):
+        """1 KiB chunks of one endless line: the service hangs up on the
+        chunk that crosses the limit, having buffered at most the limit
+        plus that chunk."""
+        limit, chunk = 4096, 1024
+        buffered = []
+        data_received = server_module._Client.data_received
+
+        def measured(client, data):
+            data_received(client, data)
+            buffered.append(len(client.buffer))
+
+        monkeypatch.setattr(server_module._Client, "data_received", measured)
+
+        async def scenario():
+            service = make_service(max_request_bytes=limit)
+            await service.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", service.port
+            )
+            for sent in range(1, 65):
+                await send_raw(writer, b"x" * chunk)
+                await a_turn()
+                if not service._clients:
+                    break
+            assert sent == limit // chunk + 1
+            reply = await recv(reader)
+            assert reply["event"] == "error" and "too long" in reply["error"]
+            assert await reader.read() == b""
+            writer.close()
+            await service_still_works(service)
+            await service.stop()
+
+        run(scenario())
+        assert max(buffered) <= limit + chunk
+
+    def test_a_paused_client_is_evicted_at_the_queue_limit(self):
+        async def scenario():
+            service = make_service()
+            service.config.client_queue_limit = 4
+            await service.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", service.port
+            )
+            # Unpaused, every turn's reply is written: no eviction however
+            # many requests go by one at a time.
+            for request_id in range(8):
+                await send_raw(writer, b'{"op": "stats", "id": %d}\n' % request_id)
+                assert (await recv(reader))["id"] == request_id
+            client = server_side(service)
+            client.pause_writing()
+            for request_id in range(4):
+                await send_raw(writer, b'{"op": "stats", "id": %d}\n' % request_id)
+                await a_turn()
+            assert len(client.lines) == 4 and service.stats.evicted_clients == 0
+            await send_raw(writer, b'{"op": "stats", "id": 4}\n')
+            await a_turn()
+            assert service.stats.evicted_clients == 1 and not service._clients
+            assert await reader.read() == b""  # the held lines went with it
+            writer.close()
+            await service.stop()
+
+        run(scenario())
+
+    def test_resume_writes_the_held_lines_at_once_in_order(self):
+        async def scenario():
+            service = make_service()
+            await service.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", service.port
+            )
+            await send_raw(writer, b'{"op": "stats", "id": 0}\n')
+            await recv(reader)
+            client = server_side(service)
+            writes = []
+            socket_write = client.writer.write
+
+            def recording(data):
+                writes.append(data)
+                socket_write(data)
+
+            client.writer.write = recording
+            client.pause_writing()
+            for request_id in (1, 2, 3):
+                await send_raw(writer, b'{"op": "stats", "id": %d}\n' % request_id)
+                await a_turn()
+            assert writes == []
+            client.resume_writing()
+            assert len(writes) == 1 and writes[0].count(b"\n") == 3
+            assert [(await recv(reader))["id"] for _ in range(3)] == [1, 2, 3]
+            writer.close()
+            await service.stop()
 
         run(scenario())

@@ -26,6 +26,7 @@ from repro.core import FirmamentScheduler, ShardedScheduler
 from repro.core.policies import QuincyPolicy
 from repro.service import DurabilityLayer, SchedulerService, ServiceConfig
 from repro.service.loadgen import run_loadgen
+from repro.service.server import _encode
 from tests.service.gated_scheduler import GatedScheduler
 
 
@@ -492,6 +493,101 @@ class TestCoalescedWriter:
                 first[1].close()
                 second[1].close()
             finally:
+                await service.stop()
+
+        asyncio.run(asyncio.wait_for(scenario(), 30))
+
+
+class TestEventLines:
+    """An event is encoded once, into the line ``json.dumps`` writes; a
+    round's effects are formatted without it."""
+
+    FAST = [
+        {"event": "placement", "task_id": task_id, "job_id": job_id,
+         "machine_id": machine_id, "latency": latency}
+        for task_id, job_id, machine_id in ((0, 0, 0), (2**40, 7, 2**40))
+        for latency in (0.0, 1e-06, 123456.789012)
+    ] + [
+        {"event": event, "task_id": task_id, "job_id": job_id}
+        for event in ("completion", "preemption")
+        for task_id, job_id in ((0, 0), (2**40, 2**40 + 1))
+    ]
+    OTHER = [
+        {"event": "ack", "id": 1, "job_id": 2, "accepted": 1, "task_ids": [3]},
+        {"event": "error", "id": None, "error": "bad json: \u00e9\n"},
+        {"event": "placement", "job_id": 1, "task_id": 2, "machine_id": 3,
+         "latency": 0.5},
+        {"event": "placement", "task_id": 1, "job_id": 2, "machine_id": None,
+         "latency": 0.5},
+        {"event": "placement", "task_id": True, "job_id": 2, "machine_id": 3,
+         "latency": 0.5},
+        {"event": "placement", "task_id": 1, "job_id": 2, "machine_id": 3,
+         "latency": float("nan")},
+        {"event": "placement", "task_id": 1, "job_id": 2, "machine_id": 3,
+         "latency": 1},
+        {"event": "restart", "task_id": 1, "job_id": 2},
+        {"event": "completion", "task_id": 1.0, "job_id": 2},
+    ]
+
+    def test_each_line_is_the_json_dumps_line(self, monkeypatch):
+        dumped = []
+        dumps = json.dumps
+
+        def counting(obj, *args, **kwargs):
+            dumped.append(obj)
+            return dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", counting)
+        for payload in self.FAST:
+            assert _encode(payload) == dumps(payload) + "\n", payload
+        assert dumped == []
+        for payload in self.OTHER:
+            assert _encode(payload) == dumps(payload) + "\n", payload
+        assert dumped == self.OTHER
+
+    def test_a_jobs_placements_cost_no_dumps_one_write_one_timer(self, monkeypatch):
+        """The count twin of the coalesced writer: a 16-task job's
+        placements are formatted (no ``json.dumps``), leave in one
+        ``write``, and arm one completion timer between them."""
+
+        async def scenario():
+            service = make_service(machines=16)
+            await service.start()
+            try:
+                reader, writer = await connect(service)
+                (writes,) = spy_on_socket_writes(service).values()
+                dumped, timers = [], []
+                dumps = json.dumps
+
+                def counting_dumps(obj, *args, **kwargs):
+                    dumped.append(obj.get("event") if isinstance(obj, dict) else obj)
+                    return dumps(obj, *args, **kwargs)
+
+                loop = asyncio.get_running_loop()
+                call_later = loop.call_later
+
+                def counting_call_later(delay, callback, *args):
+                    timers.append(delay)
+                    return call_later(delay, callback, *args)
+
+                monkeypatch.setattr(json, "dumps", counting_dumps)
+                monkeypatch.setattr(loop, "call_later", counting_call_later)
+                await send(writer, {
+                    "op": "submit", "tasks": 16, "id": 0, "duration": 100.0,
+                    "job_type": "service",
+                })
+                ack = await recv_until(reader, "ack")
+                placements = [
+                    await recv_until(reader, "placement") for _ in range(16)
+                ]
+                assert [p["task_id"] for p in placements] == ack["task_ids"]
+                assert "placement" not in dumped and "ack" in dumped
+                assert [data.count(b'"placement"') for data in writes
+                        if b'"placement"' in data] == [16]
+                assert timers == [pytest.approx(100.0 * service.config.time_scale)]
+                writer.close()
+            finally:
+                monkeypatch.undo()
                 await service.stop()
 
         asyncio.run(asyncio.wait_for(scenario(), 30))
