@@ -270,7 +270,8 @@ async def _serve(args) -> int:
     print("service drained")
     for key in ("accepted", "placed", "pending", "rejected", "rounds",
                 "degraded_rounds", "preemptions", "completions",
-                "evicted_clients"):
+                "evicted_clients", "round_busy_seconds", "prepares",
+                "prepare_seconds", "prepare_failures"):
         print(f"  {key}: {snapshot[key]}")
     for key in ("wal_records", "wal_syncs", "wal_bytes", "wal_snapshots",
                 "wal_snapshot_bytes", "wal_snapshot_seconds"):

@@ -23,10 +23,12 @@ graph mutated in place** -- a :class:`~repro.solvers.residual.FlowGraph`,
 whose storage is the residual network an in-place solver repairs -- and
 builds it one way: the dirty entities' scopes are re-derived, each desired
 arc is added or patched by one call on the graph's residual, whose change
-journal yields the round's :class:`~repro.flow.changes.ChangeBatch`
-(:meth:`~repro.flow.changes.ChangeBatch.from_journal`) -- no second network
-is built and no diff pass runs -- and isolated-node pruning is restricted
-to the nodes the journal names and the endpoints of removed arcs.
+journal yields a :class:`~repro.flow.changes.ChangeBatch` where one is read
+(:attr:`GraphManager.last_changes`, built lazily by
+:meth:`~repro.flow.changes.ChangeBatch.from_journal` over every update since
+the last read) -- no second network is built and no diff pass runs -- and
+isolated-node pruning is restricted to the nodes the update's journal names
+and the endpoints of removed arcs.
 Per-round update cost is
 O(|dirty entities| + |affected arcs| + |waiting-cost ticks due|),
 independent of cluster size: the manager never enumerates the live tasks,
@@ -96,7 +98,7 @@ from repro.core.policies.base import (
     SchedulingPolicy,
     waiting_term,
 )
-from repro.flow.changes import ChangeBatch
+from repro.flow.changes import ChangeBatch, Journal
 from repro.flow.graph import FlowNetwork, NodeType
 from repro.solvers.residual import FlowGraph
 
@@ -272,10 +274,18 @@ class GraphManager:
         #: an update that died mid-mutation (the next one starts empty).
         self.network: Optional[FlowGraph] = None
         self._revision = 0
-        #: Change batch transforming the previous :meth:`update`'s network
-        #: into the latest one; ``None`` after a round that started from an
-        #: empty network.
-        self.last_changes: Optional[ChangeBatch] = None
+        # The change record :attr:`last_changes` is read off: the graph's
+        # journal accumulates from ``_journal_base`` (the revision of the
+        # last take) over every update since, the earlier updates' parts
+        # taken off the residual into ``_earlier_journals`` (so each update
+        # still counts and prunes its own).  ``_changes`` is the batch built
+        # since the last update; ``_journal_patches`` the residual's patch
+        # count when the last update ended -- a solve in between consumed
+        # the record, and the next update drops what nobody took.
+        self._journal_base = 0
+        self._earlier_journals: List[Journal] = []
+        self._changes: Optional[ChangeBatch] = None
+        self._journal_patches = 0
         #: Observability record of the most recent update.
         self.last_update_stats = GraphUpdateStats()
         #: Rounds that patched the persistent network / started from an
@@ -409,6 +419,41 @@ class GraphManager:
         """Node id of the sink, once the first network has been built."""
         return self._sink_node
 
+    @property
+    def last_changes(self) -> Optional[ChangeBatch]:
+        """The change batch from the revision of the last one read (or
+        dropped) to the latest update's, covering every update in between;
+        ``None`` after a round that started from an empty network or lost
+        its record (``chain_break``).
+
+        Built from the graph's change journal on first read after an
+        update (:meth:`ChangeBatch.from_journal`), which takes the journal:
+        the next batch starts here.  An in-place solver reads none -- it
+        chains on the graph itself -- so a steady ``serve`` round builds no
+        batch, and the first update after a solve drops the record nobody
+        read (every consumer of a batch reads it before its solve).
+        """
+        if self._changes is None and self.network is not None:
+            if self._journal_base != self._revision:
+                self._changes = ChangeBatch.from_journal(
+                    self.network.residual,
+                    self._journal_base,
+                    self._revision,
+                    self._earlier_journals,
+                )
+                self._earlier_journals = []
+                self._journal_base = self._revision
+        return self._changes
+
+    def _drop_changes(self) -> None:
+        """Forget the change record up to the current revision (nobody
+        read it, or a round started from scratch / lost it)."""
+        if self.network is not None:
+            self.network.residual.take_journal()
+        self._earlier_journals = []
+        self._journal_base = self._revision
+        self._changes = None
+
     def network_view(self) -> FlowNetwork:
         """The graph as a :class:`FlowNetwork`, for a solver that takes one
         (relaxation alone, Quincy's): the previous view with the round's batch
@@ -519,8 +564,8 @@ class GraphManager:
         Entities that disappeared since the previous run lose their nodes
         (their identifiers are retired, never reused); new entities receive
         fresh nodes.  There is one path: the persistent network is patched
-        in place from the cluster dirty sets and :attr:`last_changes` is
-        read off the graph's change journal.  The batch carries the two
+        in place from the cluster dirty sets, its mutators journaling what
+        :attr:`last_changes` is read off.  The batch carries the two
         revisions it connects so a consumer can verify its derived state
         matches the batch's base before patching.  With no network held
         (the first round, or the round after an update raised) the round
@@ -532,9 +577,19 @@ class GraphManager:
         start = time.perf_counter()
         snapshot = self._drain_dirty(state)
         cold = self.network is None
+        self._changes = None
         if cold:
             self._forget_entities()
             self.network = FlowGraph(self._revision)
+        elif self.network.residual.patches_applied != self._journal_patches:
+            # Solved since the last update: an in-place solver repaired the
+            # graph without reading its record, every other consumer read
+            # it before solving.
+            self._drop_changes()
+        elif self.network.residual.arc_journal or self.network.residual.node_journal:
+            # Nobody read the last update's record and nothing consumed it:
+            # it joins this update's, which starts a journal of its own.
+            self._earlier_journals.append(self.network.residual.take_journal())
         try:
             network = self._update_incremental(state, now, snapshot, cold)
         except Exception:
@@ -545,10 +600,12 @@ class GraphManager:
             # epoch chain, so nothing derived from the wreckage survives.
             self.network = None
             self._dirty_epoch = None
-            self.last_changes = None
+            self._earlier_journals = []
             raise
         if cold:
-            self.last_changes = None
+            # Nothing downstream holds the empty network a batch would
+            # start from.
+            self._drop_changes()
             self.last_update_stats.mode = "full"
             self.full_updates += 1
         else:
@@ -556,10 +613,10 @@ class GraphManager:
         self.last_update_stats.seconds = time.perf_counter() - start
         if self.verify_changes:
             self._cross_check(state, now)
-        self._finish_round(state, network)
+        self._finish_round(state, network, cold)
         return network
 
-    def _finish_round(self, state: ClusterState, network: FlowGraph) -> None:
+    def _finish_round(self, state: ClusterState, network: FlowGraph, cold: bool) -> None:
         self._state_id = id(state)
         if self.verify_changes:
             self._verify_snapshot = network.copy()
@@ -567,13 +624,17 @@ class GraphManager:
         self._chaos_round += 1
         if (
             self.chaos is not None
-            and self.last_changes is not None
+            and not cold
             and self.chaos.fires("chain_break", round_index)
         ):
-            # Injected revision-chain break: consumers must fall back to
-            # warm rebuild / full-snapshot resync and stay correct.
-            self.last_changes = None
+            # Injected revision-chain break: the round's change record is
+            # lost -- its batch and the graph's pending patch -- so
+            # consumers must fall back to warm rebuild / full-snapshot
+            # resync and stay correct.
+            self._drop_changes()
+            network.residual.drop_patch()
             self.chain_breaks_injected += 1
+        self._journal_patches = network.residual.patches_applied
 
     def _drain_dirty(self, state: ClusterState):
         """Consume the state's dirty tracker.
@@ -833,7 +894,6 @@ class GraphManager:
             if alive[i] and supply[i] == 0 and residual.is_isolated(node_id):
                 residual.remove_node(node_id)
 
-        base_revision = self._revision
         self._revision += 1
         network.revision = self._revision
         stats = GraphUpdateStats(
@@ -844,12 +904,6 @@ class GraphManager:
             dirty_machines=len(dirty.machines_availability),
             tasks_examined=len(dirty_tasks) + ticked,
         )
-        if cold:
-            residual.take_journal()
-        else:
-            self.last_changes = ChangeBatch.from_journal(
-                residual, base_revision, self._revision
-            )
         if all_dirty:
             self._departed_tasks = None
         elif self._departed_tasks is not None:

@@ -14,8 +14,9 @@ its :class:`~repro.core.graph_manager.GraphManager`, its solver):
 1. ``manager.update(view, now)`` for every cell taking part (a sharded
    round leaves out the cells with nothing to place while another has:
    such a cell is not updated, solved, extracted or diffed);
-2. solve every cell that has tasks, handing over the round's change batch;
-   a cell whose solver raises
+2. solve every cell that has tasks -- an in-place solver repairs the
+   manager's graph, which carries its own chain; any other is handed the
+   change batch since its last solve -- and a cell whose solver raises
    :class:`~repro.solvers.base.RoundDeadlineExceeded` is *dead* for the
    round;
 3. merge per cell: bring the cell's maintained assignments up to the new
@@ -29,6 +30,12 @@ its :class:`~repro.core.graph_manager.GraphManager`, its solver):
    gather wall clock when the cells really ran concurrently, otherwise its
    slowest cell, i.e. the latency of the concurrent deployment being
    modeled.
+
+Step 1 may also run ahead of a round: :meth:`FlowScheduler.prepare` updates
+the cells the last round took part in with what changed since (``serve``
+calls it after each release, while nobody waits), and the round's own
+update then derives only what came after.  The graph a round solves, and
+so its decision, is the same either way.
 
 The scheduler keeps no per-round history: a round's counters travel on
 its decision (``decision.solver_result.statistics``), and a caller that
@@ -198,11 +205,28 @@ class FlowScheduler:
         decision.solver_result = self._round_result(state, decision, outcomes)
         return decision
 
+    def prepare(self, state: ClusterState, now: float = 0.0) -> None:
+        """Bring the graphs the last round solved up to date ahead of the
+        next round: the ordinary :meth:`GraphManager.update` on each of
+        :meth:`_prepared_cells`, so the next round's update derives only
+        what changed after this call.  The graph a round solves is the
+        same either way, and so is its decision; the work moves off the
+        next arrival's path (``serve`` calls this after each release).  An
+        update that raises leaves its graph to the next round, which then
+        starts from an empty one.
+        """
+        for cell in self._prepared_cells(state):
+            cell.manager.update(cell.view, now)
+
     # ------------------------------------------------------------------ #
     # Hooks
     # ------------------------------------------------------------------ #
     def _round_cells(self, state: ClusterState) -> Iterable[RoundCell]:
         """The cells taking part in this round, views ready for update."""
+        raise NotImplementedError
+
+    def _prepared_cells(self, state: ClusterState) -> Iterable[RoundCell]:
+        """The cells :meth:`prepare` updates, views ready for update."""
         raise NotImplementedError
 
     def _solve_cells(self, cells: List[RoundCell]) -> List[CellOutcome]:
@@ -230,14 +254,20 @@ class FlowScheduler:
         graph and leaves its flow in the graph's residual, where the
         placements are read.  Any other solver gets the manager's
         :class:`FlowNetwork` view (:meth:`GraphManager.network_view`), and
-        the flow it returns is loaded into the graph.  The round's change
-        batch is handed over when the solver can consume one.  ``result``
-        is ``None`` when the cell's round died at its deadline.
+        the flow it returns is loaded into the graph, and the round's
+        change batch is handed over when the solver can consume one.
+        ``result`` is ``None`` when the cell's round died at its deadline.
         """
         manager, solver = cell.manager, cell.solver
-        graph, changes = manager.network, manager.last_changes
-        in_place = getattr(solver, "solves_in_place", False)
-        network = graph if in_place else manager.network_view()
+        graph = manager.network
+        if getattr(solver, "solves_in_place", False):
+            # The graph carries its own chain (the residual the solver
+            # repaired last, and whether anything took its patch since):
+            # no batch is built.
+            network, changes = graph, None
+        else:
+            network = manager.network_view()
+            changes = manager.last_changes
         start = time.perf_counter()
         try:
             if changes is not None and solver.accepts_change_batches:
@@ -381,6 +411,8 @@ class FirmamentScheduler(FlowScheduler):
     def _round_cells(self, state: ClusterState) -> Iterable[RoundCell]:
         """One cell: the whole cluster, solved by the (dual) executor."""
         return (RoundCell(0, state, self.graph_manager, self.solver),)
+
+    _prepared_cells = _round_cells
 
     def _round_result(
         self,

@@ -495,6 +495,9 @@ class ShardedScheduler(FlowScheduler):
 
             self._client_class = WorkerClient
         self._fallback_rounds: List[int] = []
+        #: The cells the last round took part in: what :meth:`prepare`
+        #: updates.
+        self._took_part: List[RoundCell] = []
         #: Each cell's last solved ``total_cost``: a cell left out of a
         #: round keeps its network and flow, so its retained cost is exact.
         self._cell_cost: List[int] = []
@@ -761,6 +764,7 @@ class ShardedScheduler(FlowScheduler):
         placing = any(view.pending_task_ids() for view in self._views)
         self._cells_deferred = 0
         active: List[RoundCell] = []
+        self._took_part = active
         for cell in self._cells:
             view = cell.view
             if not (view.num_schedulable_tasks or cell.manager.task_nodes):
@@ -771,6 +775,18 @@ class ShardedScheduler(FlowScheduler):
             self._cell_cost[cell.index] = 0  # until its solve reports
             active.append(cell)
         return active
+
+    def _prepared_cells(self, state: ClusterState) -> List[RoundCell]:
+        """Route the marks made since the last round; return the cells
+        that took part in it.  A cell it left out keeps its marks waiting,
+        as the rule above wants (and one never bound has nothing to
+        prepare)."""
+        if self._state is not state:
+            return []
+        self._route_dirty(state)
+        if self._cells[0].manager.verify_changes:
+            self._check_buckets(state)
+        return self._took_part
 
     def _solve_cells(self, cells: List[RoundCell]) -> List[CellOutcome]:
         """Worker mode: ship every cell's round, then gather, so the wall
@@ -910,4 +926,5 @@ class ShardedScheduler(FlowScheduler):
                 close()
         self.clients = []
         self._cells = []
+        self._took_part = []
         self._state = None

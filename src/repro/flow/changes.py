@@ -39,6 +39,10 @@ from repro.flow.graph import FlowNetwork, NodeType
 ADDED = "added"
 REMOVED = "removed"
 
+#: A residual's change journal as :meth:`~repro.solvers.residual.
+#: ResidualNetwork.take_journal` hands it over: ``(nodes, arcs)``.
+Journal = Tuple[dict, dict]
+
 
 class ChangeEffect(enum.Enum):
     """Effect of a graph change on an existing optimal, feasible solution."""
@@ -277,22 +281,29 @@ class ChangeBatch:
 
     @classmethod
     def from_journal(
-        cls, residual, base_revision: Optional[int], target_revision: Optional[int]
+        cls,
+        residual,
+        base_revision: Optional[int],
+        target_revision: Optional[int],
+        earlier: Sequence[Journal] = (),
     ) -> "ChangeBatch":
         """Take a residual's change journal
         (:meth:`~repro.solvers.residual.ResidualNetwork.take_journal`) as
         the batch :meth:`diff` would read between the residual then and now.
 
-        The journal holds each touched entity's first-touch origin, so the
-        records coalesce: a patch carries only a final value that differs
-        from its origin, a supply change the net delta, an arc (or node)
-        added and removed in between leaves nothing, and one removed and
-        re-added stays a removal plus an addition with its final values.
-        Ordered as :meth:`diff` orders a batch -- arc removals, node
-        removals, node additions, supply changes, arc additions,
-        capacity/cost patches -- so applying it in order is always valid.
+        ``earlier`` are journals taken off the same residual before this
+        one, oldest first (one per graph update nobody read a batch of);
+        the batch then starts where the oldest was started.  The journals
+        hold each touched entity's first-touch origin, so the records
+        coalesce: a patch carries only a final value that differs from its
+        origin, a supply change the net delta, an arc (or node) added and
+        removed in between leaves nothing, and one removed and re-added
+        stays a removal plus an addition with its final values.  Ordered
+        as :meth:`diff` orders a batch -- arc removals, node removals, node
+        additions, supply changes, arc additions, capacity/cost patches --
+        so applying it in order is always valid.
         """
-        nodes, arcs = residual.take_journal()
+        nodes, arcs = _merge_journals((*earlier, residual.take_journal()))
         removed_arcs: List[GraphChange] = []
         removed_nodes: List[GraphChange] = []
         added_nodes: List[GraphChange] = []
@@ -301,12 +312,12 @@ class ChangeBatch:
         patches: List[GraphChange] = []
         index, alive, supply = residual.index, residual.node_alive, residual.supply
         for node_id, origin in nodes.items():
-            i = index[node_id]
             if origin is REMOVED:
                 removed_nodes.append(NodeRemoval(node_id))
-                if not alive[i]:
-                    continue
-            elif origin is not ADDED:
+            i = index.get(node_id)  # a compaction forgets dead nodes
+            if i is None or not alive[i]:
+                continue
+            if origin is not ADDED and origin is not REMOVED:
                 if supply[i] != origin:
                     supplies.append(SupplyChange(node_id, supply[i] - origin))
                 continue
@@ -323,22 +334,43 @@ class ChangeBatch:
         for key, origin in arcs.items():
             if origin is REMOVED:
                 removed_arcs.append(ArcRemoval(*key))
-                if key not in position_of:
-                    continue
-            forward = 2 * position_of[key]
+            position = position_of.get(key)
+            if position is None:
+                continue
+            forward = 2 * position
             capacity = flows[forward] + flows[forward + 1]
+            cost = costs[forward] // scale
             if origin is ADDED or origin is REMOVED:
-                added_arcs.append(ArcAddition(*key, capacity, costs[forward] // scale))
+                added_arcs.append(ArcAddition(*key, capacity, cost))
                 continue
             if capacity != origin[0]:
                 patches.append(ArcCapacityChange(*key, capacity))
-            if costs[forward] != origin[1]:
-                patches.append(ArcCostChange(*key, costs[forward] // scale))
+            if cost != origin[1]:
+                patches.append(ArcCostChange(*key, cost))
         return cls(
             removed_arcs + removed_nodes + added_nodes + supplies + added_arcs + patches,
             base_revision,
             target_revision,
         )
+
+
+def _merge_journals(journals: Sequence[Journal]) -> Journal:
+    """Consecutive journals, oldest first, as the one journal their
+    mutations would have written: an entity keeps its oldest origin,
+    except that a removal after an origin value is a removal (re-added or
+    not, the batch removes it first), and an addition stays an addition
+    (present or not at the end: :meth:`ChangeBatch.from_journal` reads
+    whether it survived)."""
+    if len(journals) == 1:
+        return journals[0]
+    nodes, arcs = (dict(part) for part in journals[0])
+    for later_nodes, later_arcs in journals[1:]:
+        for merged, later in ((nodes, later_nodes), (arcs, later_arcs)):
+            for key, origin in later.items():
+                kept = merged.get(key)
+                if kept is None or (origin is REMOVED and kept is not ADDED):
+                    merged[key] = origin
+    return nodes, arcs
 
 
 def classify_arc_change(

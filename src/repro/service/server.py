@@ -36,11 +36,18 @@ Everything runs on one asyncio event loop, the solver included:
   its O(|changes|) admission cost.  If tasks are pending the scheduler
   then runs inline, solve and apply back to back as in the paper's loop
   (a pure-Python solve holds the GIL: a thread would free nothing).  A
-  round yields once, at its top -- the connections write what is queued
-  -- and nothing else runs from its drain to its release: a request
-  arriving mid-round is read after it (with worker processes, after their
-  pipe too, bounded by the deadline), in the next round's yield but after
-  its drain when that round was due anyway.
+  round yields two loop turns at its top -- one that polls the sockets,
+  one that resumes after their callbacks -- so every request read before
+  its drain joins it, and nothing else runs from its drain to its
+  release: a request arriving mid-round is read after it (with worker
+  processes, after their pipe too, bounded by the deadline).  The round
+  then goes release → writers' turn → prepare → snapshot.  The release
+  queues the round's effects; the writers' turn sends them (and reads
+  what arrived mid-round); ``prepare`` (the scheduler's, if it has one)
+  brings the graphs the round solved up to date with what it applied,
+  while nobody waits -- the next arrival's round then updates only what
+  changed since, on the same graph; last, a snapshot if one is due.  A
+  completion-only drain is followed by a prepare too.
 * **Notifications** are encoded once, into a per-client list of lines
   that one ``call_soon`` per loop turn hands the transport in one
   ``write``; while the transport has paused writing (TCP backpressure)
@@ -98,7 +105,11 @@ a second job, which is what lets clients blindly resubmit across a crash.
 A duplicate changes no state and is logged nowhere: the ``ledger`` op's
 ``duplicates`` counts this process's, like ``evicted_clients``.
 Neither ``stats`` nor ``ledger`` can observe a round half-done, so both
-answer from a synced log.  With a state directory ``stats`` also carries
+answer from a synced log.  ``stats`` reports the pacing --
+``solver_rounds``, ``drains``, ``events_admitted``,
+``round_busy_seconds`` -- and the ``prepares`` with the
+``prepare_seconds`` they took (inside the busy seconds) and the
+``prepare_failures`` among them.  With a state directory it also carries
 what the log did: ``wal_records``, ``wal_syncs``, ``wal_bytes``,
 ``wal_snapshots``, and what the snapshots cost: ``wal_snapshot_bytes``
 (the last one's size) and ``wal_snapshot_seconds`` (all of them).
@@ -285,11 +296,18 @@ class ServiceStats:
     evicted_clients: int = 0
     #: Pacing: rounds that ran the solver, inbox drains that had records to
     #: apply and how many, and loop seconds inside rounds (drain through
-    #: release and snapshot) -- rounds/s, events/round and busy ratio follow.
+    #: release, then prepare and snapshot; not the writers' turn between)
+    #: -- rounds/s, events/round and busy ratio follow.
     solver_rounds: int = 0
     drains: int = 0
     events_admitted: int = 0
     round_busy_seconds: float = 0.0
+    #: The scheduler's ``prepare`` calls after releases and the loop
+    #: seconds they took (part of ``round_busy_seconds``): graph work moved
+    #: off the next arrival's path.  Those that raised are counted too.
+    prepares: int = 0
+    prepare_seconds: float = 0.0
+    prepare_failures: int = 0
 
 
 class _Client(asyncio.Protocol):
@@ -852,12 +870,14 @@ class SchedulerService:
                         if timer is not None:
                             timer.cancel()
                     continue
-            # The round's one yield, before its drain: queued lines are
-            # written (what connections read in this turn is dispatched
-            # after the drain).  Nothing awaits from here to the release,
-            # and a drain begun during the yield voids the queue instead of
-            # racing it into a round.
+            # Two loop turns before the drain: the first polls the sockets
+            # (what arrived while the loop was busy -- a round, a prepare, a
+            # snapshot), the second resumes after their callbacks, so every
+            # request read before the drain joins it.  Nothing awaits from
+            # here to the release, and a drain begun during the yield voids
+            # the queue instead of racing it into a round.
             look_by = None
+            await asyncio.sleep(0)
             await asyncio.sleep(0)
             if self._draining:
                 break
@@ -872,7 +892,8 @@ class SchedulerService:
         self._release()
 
     async def _run_round(self) -> None:
-        """Admit the inbox; schedule and apply, inline, if tasks are pending."""
+        """Admit the inbox; schedule and apply, inline, if tasks are pending;
+        release; give the writers a turn; prepare; snapshot if due."""
         busy_from = time.monotonic()
         self._drain_inbox(self.now())
         if self.state.num_pending_tasks:
@@ -897,14 +918,37 @@ class SchedulerService:
                     or (solved is not None and solved.statistics.cross_cell_migrations)
                 )
         self._release()
+        busy = time.monotonic() - busy_from
+        # The writers' turn: what was just released is sent before the
+        # prepare and the snapshot block the loop again (what arrived
+        # mid-round is read then too).  Only this loop starts rounds, so
+        # none runs in between, and neither the prepare nor the ledger sees
+        # what handlers queue.
+        await asyncio.sleep(0)
+        busy_from = time.monotonic()
+        self._prepare()
         if self._durability is not None and self._durability.should_snapshot():
-            # The snapshot blocks the loop for milliseconds: give the
-            # writers one turn to send what was just released first.  Only
-            # this loop starts rounds, so none runs in between, and the
-            # ledger excludes what handlers queue meanwhile.
-            await asyncio.sleep(0)
             self._write_snapshot()
-        self.stats.round_busy_seconds += time.monotonic() - busy_from
+        self.stats.round_busy_seconds += busy + time.monotonic() - busy_from
+
+    def _prepare(self) -> None:
+        """Let the scheduler bring its graphs up to date with what the round
+        changed, while nobody waits (``scheduler.prepare``, if it has one).
+
+        A prepare that raises is counted and dropped: nothing was decided,
+        and the graph it could not update is rebuilt by the next round's
+        own update.
+        """
+        prepare = getattr(self.scheduler, "prepare", None)
+        if prepare is None:
+            return
+        started = time.monotonic()
+        try:
+            prepare(self.state, self.now())
+        except Exception:
+            self.stats.prepare_failures += 1
+        self.stats.prepares += 1
+        self.stats.prepare_seconds += time.monotonic() - started
 
     def _drain_inbox(self, now: float) -> None:
         """Admit every queued event: one ``admit`` record, then its applier.
@@ -1068,6 +1112,9 @@ class SchedulerService:
             "drains": stats.drains,
             "events_admitted": stats.events_admitted,
             "round_busy_seconds": round(stats.round_busy_seconds, 6),
+            "prepares": stats.prepares,
+            "prepare_seconds": round(stats.prepare_seconds, 6),
+            "prepare_failures": stats.prepare_failures,
         }
         log = self._durability
         if log is not None:

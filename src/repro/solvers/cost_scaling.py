@@ -140,8 +140,8 @@ AUTO_SEED_MAX_VIOLATION_FLOOR = 32
 AUTO_SEED_NODE_DIVISOR = 8
 
 #: A delta repair routes its sources in waves while this many hold excess,
-#: if its first search walked this many adjacency entries (crossed a hub):
-#: the crossovers ``benchmarks/bench_wave_crossover.py`` measures.
+#: if its first search walked this many live adjacency entries (crossed a
+#: hub): the crossovers ``benchmarks/bench_wave_crossover.py`` measures.
 WAVE_MIN_SOURCES = 8
 WAVE_MIN_WALK = 256
 
@@ -948,9 +948,9 @@ class CostScalingSolver(Solver):
         """Send flow from ``source`` to the nearest deficit by reduced cost.
 
         Returns the amount routed (zero when no deficit is reachable) and
-        the adjacency entries walked.  Potentials are updated with the
-        Dijkstra distances so reduced costs stay non-negative for subsequent
-        augmentations.  One search, one path (:meth:`_route_wave`: many).
+        the live adjacency entries of the settled nodes (walked).
+        Potentials are updated with the Dijkstra distances so reduced costs
+        stay non-negative for subsequent augmentations.  One search, one path (:meth:`_route_wave`: many).
 
         The work is proportional to the searched region, not the graph:
         labels live in scratch columns validated by a per-search stamp
@@ -1048,7 +1048,11 @@ class CostScalingSolver(Solver):
         stats.iterations += len(settled) + (target >= 0)
         stats.arcs_scanned += arcs_scanned
         stats.searches += 1
-        walked = sum(map(len, map(adjacency.__getitem__, settled)))
+        # Live entries only: what a hub is does not depend on when its
+        # removed arcs' slots are compacted away.
+        walked = sum(map(len, map(adjacency.__getitem__, settled))) - sum(
+            map(residual.dead_entries.__getitem__, settled)
+        )
 
         if target < 0:
             return 0, walked

@@ -37,8 +37,12 @@ last solution's flow -- and supports two levels of reuse:
 Handed a graph manager's :class:`~repro.solvers.residual.FlowGraph` (by
 ``serve`` or the dual executor), the solver keeps the graph's own residual:
 the manager's mutations already patched it, so a chained round repairs what
-they touched -- no batch replayed, no residual built, no flow written -- and
-an unchained round's "rebuild" loads the stale flow into that residual.
+they touched -- no batch read or replayed, no residual built, no flow
+written -- and an unchained round's "rebuild" loads the stale flow into
+that residual.  The graph is the chain: it holds however many updates'
+mutations as one pending patch, and chains while nothing took that patch,
+loaded another flow or dropped a lost round's record
+(``patches_applied``), so no batch is handed over for it.
 
 Warm state is invalidated by :meth:`IncrementalCostScalingSolver.reset`;
 the persistent residual alone is dropped (falling back to warm rebuild)
@@ -202,32 +206,41 @@ class IncrementalCostScalingSolver(CostScalingSolver):
         self._solved_patches = residual.patches_applied
 
     def can_solve_delta(self, changes: Optional[ChangeBatch], network=None) -> bool:
-        """Whether the next solve of ``network`` with this batch is a delta.
+        """Whether the next solve of ``network`` (with this batch) is a delta.
 
-        True when a persistent residual exists and the batch's revision
-        chain connects to it, so the round's cost is O(|changes| + repair)
-        rather than O(graph).  The dual executor runs this solver alone
-        exactly when it holds: a from-scratch relaxation run rarely beats
-        the delta repair, whatever the batch's size.
+        True when a persistent residual exists and connects to ``network``
+        -- a graph's own residual nothing took the patch of since this
+        solver solved it, or a residual the batch's revision chain starts
+        at -- so the round's cost is O(|changes| + repair) rather than
+        O(graph).  The dual executor runs this solver alone exactly when it
+        holds: a from-scratch relaxation run rarely beats the delta repair,
+        whatever the batch's size.
         """
         return self._deltable_residual(network, changes) is not None
 
     def _deltable_residual(self, network, changes: Optional[ChangeBatch]):
-        """Return the persistent residual if the change batch applies to it."""
-        if changes is None or not self.has_state:
-            return None
+        """Return the persistent residual if the round can repair it.
+
+        In place, the graph's residual is the chain: the mutations since
+        this solver left it are its pending patch, however many updates
+        made them, so it chains iff it is the residual solved last and its
+        patch count has not moved (nobody took its patch, loaded another
+        flow or dropped a lost round's record since); a batch, if any, is
+        not read.  Otherwise the batch must connect the revision the
+        retained residual mirrors to the network being solved.  (Both
+        None -- hand-built networks -- is accepted; the caller vouches for
+        consistency.)
+        """
         residual = self.last_residual
-        if residual is None:
+        if residual is None or not self.has_state:
             return None
         graph = self._in_place(network)
         if self._solved_in_place != (graph is not None) or graph not in (None, residual):
             return None
-        # Revision guard: the batch must connect the snapshot the residual
-        # mirrors to the network being solved.  (Both None -- hand-built
-        # networks -- is accepted; the caller vouches for consistency.)
-        if (
-            self._solved_revision != changes.base_revision
-            or residual.patches_applied != self._solved_patches
+        if residual.patches_applied != self._solved_patches:
+            return None
+        if graph is None and (
+            changes is None or self._solved_revision != changes.base_revision
         ):
             return None
         return residual
@@ -244,10 +257,11 @@ class IncrementalCostScalingSolver(CostScalingSolver):
             network: The flow network to solve, or a graph manager's
                 :class:`FlowGraph`, whose residual is solved in place.
             changes: Optional typed batch transforming the previously solved
-                network into ``network`` (as emitted by
-                :meth:`repro.core.graph_manager.GraphManager.update`).  When
-                supplied and applicable, the solve runs on the persistent
-                residual without reconstructing it.
+                network into ``network`` (as read off
+                :attr:`repro.core.graph_manager.GraphManager.last_changes`).
+                When supplied and applicable, the solve runs on the
+                persistent residual without reconstructing it.  A graph
+                solved in place needs none: its residual is the chain.
             write_back: Write the flow onto ``network``'s arcs.  A dual
                 executor passes False and writes the round's winning flows
                 itself, once; no path writes the network otherwise.

@@ -23,9 +23,10 @@ The structure is *persistent* across scheduling rounds (paper, Section 5.2
 
 A graph manager keeps its network in one residual (:class:`FlowGraph`):
 a round's mutations go straight into it, journaled (first-touch origins),
-so the round's :class:`~repro.flow.changes.ChangeBatch` is read off the
-change journal, an in-place solver repairs exactly what they touched, and
-the placements are read off the flow journal.
+so a :class:`~repro.flow.changes.ChangeBatch` is read off the change
+journal where one is wanted, an in-place solver repairs exactly what they
+touched (however many updates made them), and the placements are read off
+the flow journal.
 A :class:`FlowNetwork` is built from it (:meth:`ResidualNetwork.to_network`)
 only where one is the interface: the oracles, DIMACS snapshots, and
 solvers that take one.
@@ -104,6 +105,10 @@ class ResidualNetwork:
         self.potential: List[int] = [0] * self.num_nodes
         self.node_alive: bytearray = bytearray(b"\x01" * self.num_nodes)
         self.current_arc: List[int] = [0] * self.num_nodes
+        #: Per node, the entries of its adjacency list that are dead slots
+        #: (removed arcs, until a compaction drops them): its live degree
+        #: is ``len(adjacency[i]) - dead_entries[i]``.
+        self.dead_entries: List[int] = [0] * self.num_nodes
 
         # Residual arcs: forward arc 2k pairs with backward arc 2k+1.
         self.arc_from: array = array("q")
@@ -150,8 +155,10 @@ class ResidualNetwork:
         self.flow_changes: Optional[set] = None
         #: The mutators' change journal since :meth:`take_journal`
         #: (``None``: nobody reads it): each touched node id's supply at
-        #: first touch, each touched arc key's ``(capacity, stored cost)``
-        #: at first touch -- or :data:`~repro.flow.changes.ADDED` /
+        #: first touch, each touched arc key's ``(capacity, cost)`` at
+        #: first touch, in original units (a solve may rescale the stored
+        #: costs before the journal is read) -- or
+        #: :data:`~repro.flow.changes.ADDED` /
         #: :data:`~repro.flow.changes.REMOVED`.  An entity
         #: added and removed in between leaves no entry.
         self.node_journal: Optional[Dict[int, object]] = None
@@ -335,6 +342,7 @@ class ResidualNetwork:
             self.potential.append(0)
             self.node_alive.append(1)
             self.current_arc.append(0)
+            self.dead_entries.append(0)
             self.adjacency.append([])
             self.node_types.append(node_type)
             self.node_refs.append(ref)
@@ -468,7 +476,7 @@ class ResidualNetwork:
             forward = 2 * position
             journal[key] = (
                 self.arc_residual[forward] + self.arc_residual[forward + 1],
-                self.arc_cost[forward],
+                self.arc_cost[forward] // self.cost_scale,
             )
         self._patch_capacity(position, capacity)
         self.pending_dirty.add(position)
@@ -483,7 +491,7 @@ class ResidualNetwork:
             if key not in journal:
                 journal[key] = (
                     self.arc_residual[forward] + self.arc_residual[forward + 1],
-                    self.arc_cost[forward],
+                    self.arc_cost[forward] // self.cost_scale,
                 )
         cost *= self.cost_scale
         if self._flows_cache is not None:
@@ -663,6 +671,8 @@ class ResidualNetwork:
         self.forward_arc_keys[position] = None
         del self.arc_position[key]
         self.dead_arc_pairs += 1
+        self.dead_entries[self.arc_from[forward]] += 1
+        self.dead_entries[self.arc_to[forward]] += 1
         journal = self.arc_journal
         if journal is not None:
             if journal.get(key) is ADDED:
@@ -708,6 +718,7 @@ class ResidualNetwork:
         self.node_alive = bytearray(b"\x01" * self.num_nodes)
         self.current_arc = [0] * self.num_nodes
         self.adjacency = [[] for _ in range(self.num_nodes)]
+        self.dead_entries = [0] * self.num_nodes
         self.dead_nodes = 0
 
         old_residual = self.arc_residual
@@ -907,8 +918,14 @@ class ResidualNetwork:
                 self.excess[self.arc_from[forward]] -= moved
                 self.excess[self.arc_to[forward]] += moved
                 self._flow_journal.add(position)
-        self.pending_dirty = set()
         self.last_excess_moved = set()
+        self.drop_patch()
+
+    def drop_patch(self) -> None:
+        """Forget the pending patch: nobody repairs it now (another
+        solver's flow was loaded, or the round's change record was lost),
+        so a solver that retained this residual must rebuild."""
+        self.pending_dirty = set()
         self.patches_applied += 1
 
     def total_cost(self) -> int:
@@ -1000,9 +1017,10 @@ class RetainedPotentials(MappingABC):
 class FlowGraph:
     """A graph manager's flow network, held in one :class:`ResidualNetwork`.
 
-    Its mutations patch :attr:`residual` in place and are journaled (the
-    round's batch is :meth:`~repro.flow.changes.ChangeBatch.from_journal`;
-    residuals that only replay batches keep no journal), a solver that
+    Its mutations patch :attr:`residual` in place and are journaled (a
+    batch is :meth:`~repro.flow.changes.ChangeBatch.from_journal`, built
+    only where one is read; residuals that only replay batches keep no
+    journal), a solver that
     :attr:`~repro.solvers.base.Solver.solves_in_place` repairs that same
     residual, and the placements are read off its flow journal.  Counts
     have a network's meaning (live nodes and arcs); the rest of the

@@ -340,6 +340,8 @@ class TestServeSignals:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
+            proc.stdout.close()
+            proc.stderr.close()
 
     def test_sigint_takes_the_same_drain_path(self):
         import signal
@@ -356,3 +358,5 @@ class TestServeSignals:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
+            proc.stdout.close()
+            proc.stderr.close()

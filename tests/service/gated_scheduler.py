@@ -15,14 +15,26 @@ from typing import Callable, Optional
 
 
 class GatedScheduler:
-    """Delegates to ``inner``; ``schedule`` first calls ``hook(call)``."""
+    """Delegates to ``inner``; ``schedule`` first calls ``hook(call)``.
 
-    def __init__(self, inner, hook: Optional[Callable[[int], None]] = None) -> None:
+    ``inner.prepare`` is passed through unless ``prepare=False``: the
+    service then runs without one, as it does for a scheduler that has
+    none.
+    """
+
+    def __init__(
+        self,
+        inner,
+        hook: Optional[Callable[[int], None]] = None,
+        prepare: bool = True,
+    ) -> None:
         self.inner = inner
         #: Called with the 1-based number of the ``schedule`` call, on the
         #: thread that runs the round, before the solve.
         self.hook = hook
         self.calls = 0
+        if prepare and hasattr(inner, "prepare"):
+            self.prepare = inner.prepare
 
     def schedule(self, state, now):
         self.calls += 1

@@ -65,13 +65,16 @@ class TestProtocolHardening:
             reader, writer = await asyncio.open_connection(
                 "127.0.0.1", service.port
             )
-            await send_raw(writer, b"x" * 8192 + b"\n")
-            reply = await recv(reader)
-            assert reply["event"] == "error"
-            assert "too long" in reply["error"]
-            assert await reader.read() == b""  # server hung up
-            await service_still_works(service)
-            await service.stop()
+            try:
+                await send_raw(writer, b"x" * 8192 + b"\n")
+                reply = await recv(reader)
+                assert reply["event"] == "error"
+                assert "too long" in reply["error"]
+                assert await reader.read() == b""  # server hung up
+                await service_still_works(service)
+                await service.stop()
+            finally:
+                writer.close()
 
         run(scenario())
 
@@ -82,13 +85,16 @@ class TestProtocolHardening:
             reader, writer = await asyncio.open_connection(
                 "127.0.0.1", service.port
             )
-            await send_raw(writer, b"\xff\xfe\x80garbage\x80\n")
-            reply = await recv(reader)
-            assert reply["event"] == "error"
-            assert "UTF-8" in reply["error"]
-            assert await reader.read() == b""
-            await service_still_works(service)
-            await service.stop()
+            try:
+                await send_raw(writer, b"\xff\xfe\x80garbage\x80\n")
+                reply = await recv(reader)
+                assert reply["event"] == "error"
+                assert "UTF-8" in reply["error"]
+                assert await reader.read() == b""
+                await service_still_works(service)
+                await service.stop()
+            finally:
+                writer.close()
 
         run(scenario())
 

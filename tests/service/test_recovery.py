@@ -75,6 +75,15 @@ def spawn_server(state_dir, extra=()):
             return proc, port, preamble
 
 
+def reap(proc) -> None:
+    """Kill the server if it still runs, wait for it, close its pipes."""
+    if proc.poll() is None:
+        proc.kill()
+    proc.wait()
+    proc.stdout.close()
+    proc.stderr.close()
+
+
 class Client:
     """Minimal blocking JSON-lines client for the harness."""
 
@@ -193,9 +202,7 @@ def oracle_ledger(tmp_path):
         assert proc.wait(timeout=30) == 0
         return ledger
     finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
+        reap(proc)
 
 
 def assert_equivalent(ledger, stats, oracle):
@@ -251,9 +258,7 @@ def test_sigkill_then_recover_matches_oracle(tmp_path, spec, expect_torn):
             "crash fired too late to interrupt the workload"
         )
     finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
+        reap(proc)
 
     # Restart against the same state dir and finish the workload.
     proc2, port2, preamble = spawn_server(state_dir, extra=["--recover"])
@@ -269,9 +274,7 @@ def test_sigkill_then_recover_matches_oracle(tmp_path, spec, expect_torn):
         assert_equivalent(ledger, stats, oracle)
         assert proc2.wait(timeout=30) == 0, proc2.stderr.read()
     finally:
-        if proc2.poll() is None:
-            proc2.kill()
-            proc2.wait()
+        reap(proc2)
 
 
 def test_external_sigkill_then_recover_matches_oracle(tmp_path):
@@ -294,9 +297,7 @@ def test_external_sigkill_then_recover_matches_oracle(tmp_path):
         proc.wait(timeout=30)
         client.close()
     finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
+        reap(proc)
 
     proc2, port2, preamble = spawn_server(state_dir, extra=["--recover"])
     assert port2 is not None, f"recovery failed: {preamble}"
@@ -305,9 +306,7 @@ def test_external_sigkill_then_recover_matches_oracle(tmp_path):
         assert_equivalent(ledger, stats, oracle)
         assert proc2.wait(timeout=30) == 0
     finally:
-        if proc2.poll() is None:
-            proc2.kill()
-            proc2.wait()
+        reap(proc2)
 
 
 def test_loadgen_drives_load_across_the_crash(tmp_path):
@@ -347,17 +346,13 @@ def test_loadgen_drives_load_across_the_crash(tmp_path):
         try:
             result = await asyncio.wait_for(loadgen_task, timeout=60)
         finally:
-            if proc2.poll() is None:
-                proc2.kill()
-                proc2.wait()
+            reap(proc2)
         return result
 
     try:
         result = asyncio.run(scenario())
     finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
+        reap(proc)
 
     assert result.errors == 0, result
     assert result.tasks_placed == 2 * 4 * 4

@@ -27,6 +27,9 @@ from repro.core.policies import QuincyPolicy
 from repro.service import DurabilityLayer, SchedulerService, ServiceConfig
 from repro.service.loadgen import run_loadgen
 from repro.service.server import _encode
+from repro.solvers.incremental import IncrementalCostScalingSolver
+from repro.solvers.residual import ResidualNetwork
+from tests.conftest import make_job
 from tests.service.gated_scheduler import GatedScheduler
 
 
@@ -684,6 +687,162 @@ class TestRoundRunsOnTheLoop:
         readings = asyncio.run(asyncio.wait_for(scenario(), 30))
         assert gated.calls == 3 and len(readings) >= 3
         assert all(synced == appended for synced, appended in readings)
+
+
+    @pytest.mark.parametrize(
+        "during", ["schedule", "schedule-no-prepare", "prepare"]
+    )
+    def test_a_request_read_before_a_drain_joins_it(self, during):
+        """Inside round 1's ``schedule`` (or its ``prepare``) one submit is
+        written to the socket (the kernel holds it until the loop is free)
+        and another is dispatched directly, so round 2 is due as soon as
+        round 1 ends.  The socket's is read before round 2's drain: that
+        drain holds both, and ``schedule`` runs twice, not three times.
+        With or without the scheduler's ``prepare``."""
+        prepare = during != "schedule-no-prepare"
+        gated = GatedScheduler(FirmamentScheduler(QuincyPolicy()), prepare=prepare)
+
+        async def scenario():
+            service = service_around(gated)
+            drained = []
+            drain_inbox = service._drain_inbox
+
+            def counting_drain(now):
+                drained.append(len(service._inbox))
+                drain_inbox(now)
+
+            service._drain_inbox = counting_drain
+            await service.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", service.port
+                )
+
+                def two_more(call):
+                    if call != 1:
+                        return
+                    writer.write(request_line(
+                        {"op": "submit", "tasks": 1, "id": "socket",
+                         "job_type": "service"}
+                    ))
+                    (client,) = service._clients.values()
+                    service._dispatch(client, {
+                        "op": "submit", "tasks": 1, "id": "direct",
+                        "job_type": "service",
+                    })
+
+                if during == "prepare":
+                    inner_prepare, prepares = gated.prepare, []
+
+                    def hooked_prepare(state, now):
+                        # The writers had their turn: the round's released
+                        # lines were handed to the transport first.
+                        prepares.append(
+                            sum(len(c.lines) for c in service._clients.values())
+                        )
+                        two_more(len(prepares))
+                        inner_prepare(state, now)
+
+                    gated.prepare = hooked_prepare
+                else:
+                    gated.hook = two_more
+                await send(writer, {"op": "submit", "tasks": 1, "id": 0,
+                                    "job_type": "service"})
+                await asyncio.wait_for(recv_events(reader, placement=3), 5.0)
+                writer.close()
+            finally:
+                await service.stop()
+            assert (service.stats.prepares > 0) == prepare
+            if during == "prepare":
+                assert prepares and not any(prepares)
+            return drained
+
+        drained = asyncio.run(asyncio.wait_for(scenario(), 30))
+        assert drained[:2] == [1, 2]
+        assert gated.calls == 2
+
+
+class TestPrepare:
+    """``serve`` hands the scheduler's ``prepare`` the state after every
+    release; what it costs shows in ``stats``, and one that raises costs
+    the next round an all-dirty update, nothing else."""
+
+    @staticmethod
+    def in_process(scheduler):
+        state = ClusterState(build_topology(8, machines_per_rack=4))
+        return SchedulerService(state, scheduler, ServiceConfig(time_scale=1e6))
+
+    def test_stats_report_the_prepares(self):
+        async def scenario():
+            service = self.in_process(
+                FirmamentScheduler(QuincyPolicy(), solver=IncrementalCostScalingSolver())
+            )
+            for job_id in range(1, 4):
+                service._enqueue("submit", (None, make_job(job_id=job_id, num_tasks=2)))
+                await service._run_round()
+            return service._stats_snapshot()
+
+        stats = asyncio.run(scenario())
+        assert (stats["prepares"], stats["prepare_failures"]) == (3, 0)
+        assert 0 < stats["prepare_seconds"] <= stats["round_busy_seconds"]
+        assert stats["conserved"]
+
+    def test_a_prepare_that_raises_leaves_the_next_round_correct(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("injected mid-update fault")
+
+        def run(fail_on):
+            scheduler = FirmamentScheduler(
+                QuincyPolicy(), solver=IncrementalCostScalingSolver()
+            )
+            manager = scheduler.graph_manager
+            prepare = scheduler.prepare
+            costs, modes = [], []
+
+            def faulty_prepare(state, now):
+                with monkeypatch.context() as patch:
+                    if service.stats.prepares == fail_on:
+                        patch.setattr(ResidualNetwork, "put_arc", boom)
+                    prepare(state, now)
+
+            scheduler.prepare = faulty_prepare
+            schedule = scheduler.schedule
+
+            def recording_schedule(state, now):
+                decision = schedule(state, now)
+                costs.append(decision.total_cost)
+                modes.append(
+                    (manager.last_update_stats.mode, manager.last_update_stats.dirty_tasks)
+                )
+                return decision
+
+            scheduler.schedule = recording_schedule
+            service = self.in_process(scheduler)
+
+            async def scenario():
+                for job_id in range(1, 6):
+                    service._enqueue(
+                        "submit", (None, make_job(job_id=job_id, num_tasks=3))
+                    )
+                    await service._run_round()
+
+            asyncio.run(scenario())
+            return service, costs, modes
+
+        service, costs, modes = run(fail_on=2)
+        twin, twin_costs, twin_modes = run(fail_on=None)
+        # The third prepare raised: the graph was dropped, so round 4's
+        # update starts from an empty one, every live task dirty.
+        assert (service.stats.prepares, service.stats.prepare_failures) == (5, 1)
+        assert [mode for mode, _ in modes] == [
+            "full", "incremental", "incremental", "full", "incremental"
+        ]
+        assert modes[3][1] == len(service.state.schedulable_tasks()) - 3
+        assert [mode for mode, _ in twin_modes] == ["full"] + ["incremental"] * 4
+        assert costs == twin_costs
+        stats = service._stats_snapshot()
+        assert stats["conserved"] and stats["placed"] == 15
+        assert service.ledger.degraded_rounds == 0
 
 
 class TestServiceChaos:
