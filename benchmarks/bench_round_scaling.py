@@ -20,11 +20,14 @@ a sub-millisecond stage's exponent swing from 0.28 to 0.51 between runs of
 the same code, as the host's load moved while one size ran.  The law is **asserted** for
 the stages above the solver -- graph update, extract + diff, apply, and the
 4-cell routing + merge -- which keep what they used to recompute as
-persistent state fed by the dirty sets.  The solve stays printed: what it
-still owes the law is the hub-adjacency scan inside the repair (a search
-relaxes a hub's whole adjacency whenever it crosses the cluster aggregator
-or the sink; the round's sources are routed in multi-source waves, so the
-count table prints the searches per round beside the augmentations).
+persistent state fed by the dirty sets.  The solve stays printed: a search
+walks only the open arcs (those with residual capacity) of the nodes it
+settles, so crossing the cluster aggregator or the sink costs their open
+arcs, not every task with an arc into them; what the solve still owes the
+law is the growth of the nodes a search settles.  The count table prints
+the searches per round beside the augmentations (a round's sources may be
+routed in multi-source waves), and the open-arc entries a search iterates
+beside the nodes it settles.
 
 Asserted as well are counts that repeat exactly on every host:
 
@@ -138,7 +141,7 @@ def steady_rounds(
     samples: Dict[str, List[float]] = {stage: [] for stage in STAGES}
     rounds_ms: List[float] = []
     examined = 0  # the most on a round with no tick due
-    settled = augmentations = searches = bunched = allowance = 0
+    settled = augmentations = searches = entries = bunched = allowance = 0
     try:
         for round_index in range(WARMUP_ROUNDS + timed_rounds):
             now += 0.1
@@ -206,6 +209,7 @@ def steady_rounds(
             settled += stats.iterations
             augmentations += stats.augmentations
             searches += stats.searches
+            entries += stats.entries_iterated
 
         # A null round: scheduled again with nothing mutated in between.
         scheduler.schedule(state, now)
@@ -231,6 +235,7 @@ def steady_rounds(
         "settled": settled,
         "augmentations": augmentations,
         "searches_per_round": searches / timed_rounds,
+        "entries_per_search": entries / max(searches, 1),
         "settled_per_augmentation": settled / max(augmentations, 1),
     }
 
@@ -313,12 +318,13 @@ def run_grid() -> Dict[int, Dict]:
     print(format_table(
         ["machines", "tasks examined, tick-free rounds", "bunched-tick rounds",
          "settled nodes", "augmentations", "settled / augmentation",
-         "searches / round"],
+         "searches / round", "entries / search"],
         [
             [m, results[m]["examined"], results[m]["bunched_rounds"],
              results[m]["settled"], results[m]["augmentations"],
              f"{results[m]['settled_per_augmentation']:.1f}",
-             f"{results[m]['searches_per_round']:.1f}"]
+             f"{results[m]['searches_per_round']:.1f}",
+             f"{results[m]['entries_per_search']:.1f}"]
             for m in MACHINE_GRID
         ],
     ))

@@ -1,6 +1,6 @@
 """Perf smoke job: guard the incremental hot paths against regression.
 
-Runs fifteen kernels at ``REPRO_BENCH_SCALE=1`` and compares against the
+Runs sixteen kernels at ``REPRO_BENCH_SCALE=1`` and compares against the
 committed baseline in ``perf_baseline.json``:
 
 * the Figure-11 kernel -- one realistic scheduling round solved from
@@ -87,7 +87,13 @@ committed baseline in ``perf_baseline.json``:
   machines at 10 %, load spreading, the default dual executor), which
   must stay at least ``ARRIVAL_MIN_AUGMENTATIONS_PER_SEARCH`` and at least
   the baseline's over ``ARRIVAL_COUNT_DROP`` (the multi-source waves read
-  64; one search per task reads 1).
+  64; one search per task reads 1), and
+* the search-entries kernel -- a count to close: the open-arc entries a
+  delta repair's single-source search iterates, per search, on a
+  ``steady_small``-shaped stream of 4-task jobs through ``serve``'s
+  scheduler, which must stay within ``SEARCH_ENTRIES_GROWTH`` times the
+  baseline's (a search that walks a hub's whole adjacency, every task with
+  an arc into the cluster aggregator included, reads ~13x).
 
 The gates are host-normalized: the from-scratch solve (resp. the full
 rebuild) acts as the calibration workload, so requiring each measured
@@ -164,6 +170,17 @@ GRAPH_CALLS_GROWTH = 1.25
 ARRIVAL_TASKS = 384
 ARRIVAL_MIN_AUGMENTATIONS_PER_SEARCH = 10
 ARRIVAL_COUNT_DROP = 1.25
+#: The search-entries count: ``steady_small``'s shape (128 machines x 4
+#: slots in racks of 40, 128 tasks that never finish, one 4-task job of 2 s
+#: tasks every 1/16 s) through ``serve``'s scheduler, prepared after each
+#: round as ``serve`` does; the arrivals measured, and how far above the
+#: baseline's count it may read (exact for one interpreter).
+SEARCH_MACHINES = 128
+SEARCH_JOBS_PER_S = 16.0
+SEARCH_TASKS_PER_JOB = 4
+SEARCH_TASK_SECONDS = 2.0
+SEARCH_ROUNDS = 200
+SEARCH_ENTRIES_GROWTH = 1.25
 RUNS = 5
 #: Fail when the host-normalized incremental solve regresses by more than
 #: 2x, i.e. the measured speedup falls below half the baseline's.
@@ -828,6 +845,54 @@ def measure_arrival_waves() -> float:
     return stats.augmentations / stats.searches
 
 
+def measure_search_entries() -> float:
+    """Search-entries kernel: open-arc entries a delta repair's
+    single-source search iterates, per search, on a ``serve``-shaped
+    stream of 4-task jobs (``statistics.entries_iterated / searches``).
+
+    A count: a search that walks a hub's whole adjacency again -- every
+    task with an arc into the cluster aggregator -- reads ~13x.
+    """
+    from collections import deque
+
+    from benchmarks.common import make_job
+
+    state = build_cluster_state(SEARCH_MACHINES, machines_per_rack=40)
+    scheduler = serve_scheduler()
+    state.submit_job(make_job(0, SEARCH_MACHINES, 0, duration=None))
+    scheduler.schedule_and_apply(state, 0.0)
+    finishing = deque()  # (finish time, task ids), in finish order
+    next_task = SEARCH_MACHINES
+    entries = searches = 0
+    try:
+        for job_id in range(1, SEARCH_ROUNDS + 1):
+            now = job_id / SEARCH_JOBS_PER_S
+            while finishing and finishing[0][0] <= now:
+                for task_id in finishing.popleft()[1]:
+                    state.complete_task(task_id, now)
+            job = make_job(
+                job_id, SEARCH_TASKS_PER_JOB, next_task, submit_time=now,
+                duration=SEARCH_TASK_SECONDS,
+            )
+            next_task += SEARCH_TASKS_PER_JOB
+            state.submit_job(job)
+            stats = scheduler.schedule_and_apply(state, now).solver_result.statistics
+            scheduler.prepare(state, now)
+            if stats.delta_solve != 1 or stats.searches != stats.augmentations:
+                raise AssertionError(
+                    "perf smoke: a stream round was not single-source searches "
+                    "in one delta repair"
+                )
+            entries += stats.entries_iterated
+            searches += stats.searches
+            finishing.append(
+                (now + SEARCH_TASK_SECONDS, [task.task_id for task in job.tasks])
+            )
+    finally:
+        scheduler.close()
+    return entries / searches
+
+
 def main() -> int:
     update = "--update" in sys.argv[1:]
     scratch_runs, incremental_runs = [], []
@@ -908,6 +973,7 @@ def main() -> int:
         "graph_bytes_per_arc": round(measure_graph_memory(), 1),
         "graph_calls_per_change": round(measure_graph_calls(), 3),
         "arrival_augmentations_per_search": round(measure_arrival_waves(), 3),
+        "search_entries_per_search": round(measure_search_entries(), 3),
     }
     measured["speedup"] = round(
         measured["scratch_s"] / max(measured["incremental_s"], 1e-9), 3
@@ -1155,6 +1221,18 @@ def main() -> int:
             f"{measured['arrival_augmentations_per_search']:.1f} augmentations "
             f"per search (floor {floor:.1f}): the repair searches once per "
             "task again"
+        )
+        failed = True
+    baseline_entries = baseline.get("search_entries_per_search")
+    if (
+        baseline_entries
+        and measured["search_entries_per_search"]
+        > SEARCH_ENTRIES_GROWTH * baseline_entries
+    ):
+        print(
+            "FAIL: a repair search iterates "
+            f"{measured['search_entries_per_search']:.1f} entries (baseline "
+            f"{baseline_entries:.1f}): it walks arcs that cannot carry flow again"
         )
         failed = True
     if failed:

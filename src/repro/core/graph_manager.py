@@ -288,6 +288,8 @@ class GraphManager:
         self._journal_patches = 0
         #: Observability record of the most recent update.
         self.last_update_stats = GraphUpdateStats()
+        # The record every null update reports (nothing touched), reused.
+        self._null_update_stats = GraphUpdateStats(mode="incremental")
         #: Rounds that patched the persistent network / started from an
         #: empty one (the first round, and the round after a failed update).
         self.incremental_updates = 0
@@ -591,7 +593,10 @@ class GraphManager:
             # it joins this update's, which starts a journal of its own.
             self._earlier_journals.append(self.network.residual.take_journal())
         try:
-            network = self._update_incremental(state, now, snapshot, cold)
+            if self._is_null_update(state, now, snapshot, cold):
+                network = self._null_update(now)
+            else:
+                network = self._update_incremental(state, now, snapshot, cold)
         except Exception:
             # The round died mid-mutation: the persistent network is
             # half-patched and this round's dirty events are consumed.
@@ -635,6 +640,37 @@ class GraphManager:
             network.residual.drop_patch()
             self.chain_breaks_injected += 1
         self._journal_patches = network.residual.patches_applied
+
+    def _is_null_update(self, state: ClusterState, now: float, snapshot, cold: bool) -> bool:
+        """Whether this update has nothing to do: a graph exists, the
+        tracker drained nothing on an intact chain (same state object), no
+        waiting-cost tick is due, time did not run backwards, and neither
+        the topology nor the policy's pricing moved."""
+        calendar = self._tick_calendar
+        return (
+            not cold
+            and snapshot is not None
+            and not snapshot
+            and bool(self._task_jobs)
+            and bool(state.num_schedulable_tasks)
+            and state.topology.version == self._topology_version
+            and self._calendar_now <= now
+            and not (calendar and calendar[0][0] <= now)
+            and self.policy.pricing_version() == self._pricing_version
+        )
+
+    def _null_update(self, now: float) -> FlowGraph:
+        """An update with nothing to do (:meth:`_is_null_update`): what
+        :meth:`_update_incremental` does with empty dirty sets -- a new
+        revision, the calendar's clock moved, a record of nothing touched
+        -- without deriving."""
+        network = self.network
+        network.residual.maybe_compact()
+        self._calendar_now = now
+        self._revision += 1
+        network.revision = self._revision
+        self.last_update_stats = self._null_update_stats
+        return network
 
     def _drain_dirty(self, state: ClusterState):
         """Consume the state's dirty tracker.

@@ -50,6 +50,9 @@ class SolverStatistics:
     potential_updates: int = 0
     negative_cycles_canceled: int = 0
     arcs_scanned: int = 0
+    #: Open-arc entries a delta repair's searches iterated (residual
+    #: out-arcs of the nodes they settled): what a hub costs them.
+    entries_iterated: int = 0
     epsilon_phases: int = 0
     warm_start: bool = field(default=False, metadata=_ANY)
     #: Change-application counters of the delta path: arcs and nodes the

@@ -49,6 +49,11 @@ every avoidable indirection:
   network from scratch.
 * ``max_cost`` / epsilon bounds read the residual network's **cached**
   maximum cost rather than rescanning every arc each phase.
+* The delta repair's shortest-path searches walk each node's **open arcs**
+  (:attr:`~repro.solvers.residual.ResidualNetwork.open_arcs`, its
+  adjacency entries with residual capacity, in order) instead of its whole
+  adjacency: a hub such as the cluster aggregator costs the few arcs that
+  can carry flow out of it, not one entry per task with an arc into it.
 
 Incremental (delta) solving
 ===========================
@@ -757,6 +762,7 @@ class CostScalingSolver(Solver):
         """
         # The saturation below writes arc_residual directly.
         residual.invalidate_flow_journal()
+        residual.invalidate_open_arcs()
         arc_residual = residual.arc_residual
         arc_cost = residual.arc_cost
         arc_from = residual.arc_from
@@ -783,8 +789,11 @@ class CostScalingSolver(Solver):
         """Route the excess of ``sources`` (ascending node indices covering
         every positive excess) to deficits along cheapest paths: one search
         for the last source; in waves if that first one crossed a hub
-        (:data:`WAVE_MIN_WALK`) while :data:`WAVE_MIN_SOURCES` hold excess."""
+        (:data:`WAVE_MIN_WALK`) while :data:`WAVE_MIN_SOURCES` hold excess.
+        The searches walk the residual's open-arc lists, rebuilt first if a
+        loop left them stale."""
         self._grow_search_columns(residual)
+        residual.refresh_open_arcs()
         excess, augment = residual.excess, self._augment_along_reduced_costs
         waves = None  # the first search's verdict
         while sources:
@@ -817,7 +826,7 @@ class CostScalingSolver(Solver):
         need; then a depth-first blocking flow along the label-setting arcs
         still tight, through settled nodes, with cursors in the pred column
         and range ends in the dist column.  Returns the amount routed."""
-        adjacency, arc_residual = residual.adjacency, residual.arc_residual
+        open_arcs, arc_residual = residual.open_arcs, residual.arc_residual
         arc_cost, arc_to = residual.arc_cost, residual.arc_to
         potential, excess = residual.potential, residual.excess
         mark, dist, cursor = self._search_mark, self._search_dist, self._search_pred
@@ -838,10 +847,8 @@ class CostScalingSolver(Solver):
                 mark[u], cursor[u] = settled_stamp, len(kept)
                 settled.append(u)
                 pot_u, cheapest = potential[u], math.inf
-                for arc_index in adjacency[u]:
+                for arc_index in open_arcs[u]:
                     r = arc_residual[arc_index]
-                    if r <= 0:
-                        continue
                     v = arc_to[arc_index]
                     mark_v = mark[v]
                     if mark_v == settled_stamp:
@@ -882,6 +889,7 @@ class CostScalingSolver(Solver):
             plateau.append(u)
         stats.iterations += len(settled) + (reach >= 0)
         stats.arcs_scanned += arcs_scanned
+        stats.entries_iterated += sum(map(len, map(open_arcs.__getitem__, settled)))
         stats.searches += 1
         if reach < 0:
             return 0
@@ -948,7 +956,9 @@ class CostScalingSolver(Solver):
         """Send flow from ``source`` to the nearest deficit by reduced cost.
 
         Returns the amount routed (zero when no deficit is reachable) and
-        the live adjacency entries of the settled nodes (walked).
+        the live adjacency entries of the settled nodes (walked).  The
+        search walks their open arcs (those with residual capacity), in
+        adjacency order.
         Potentials are updated with the Dijkstra distances so reduced costs
         stay non-negative for subsequent augmentations.  One search, one path (:meth:`_route_wave`: many).
 
@@ -985,7 +995,7 @@ class CostScalingSolver(Solver):
         keep their reduced cost), hence reduced costs stay >= 0 on every
         residual arc and only the choice among equally cheap paths differs.
         """
-        adjacency = residual.adjacency
+        open_arcs = residual.open_arcs
         arc_residual = residual.arc_residual
         arc_cost = residual.arc_cost
         arc_from = residual.arc_from
@@ -1021,9 +1031,7 @@ class CostScalingSolver(Solver):
                 mark[u] = settled_stamp
                 settled.append(u)
                 pot_u = potential[u]
-                for arc_index in adjacency[u]:
-                    if arc_residual[arc_index] <= 0:
-                        continue
+                for arc_index in open_arcs[u]:
                     v = arc_to[arc_index]
                     mark_v = mark[v]
                     if mark_v == settled_stamp:
@@ -1048,8 +1056,14 @@ class CostScalingSolver(Solver):
         stats.iterations += len(settled) + (target >= 0)
         stats.arcs_scanned += arcs_scanned
         stats.searches += 1
+        entries = sum(map(len, map(open_arcs.__getitem__, settled)))
+        if found:  # the last settled node's walk stopped at the deficit
+            arcs = open_arcs[settled[-1]]
+            entries -= len(arcs) - 1 - arcs.index(arc_index)
+        stats.entries_iterated += entries
         # Live entries only: what a hub is does not depend on when its
         # removed arcs' slots are compacted away.
+        adjacency = residual.adjacency
         walked = sum(map(len, map(adjacency.__getitem__, settled))) - sum(
             map(residual.dead_entries.__getitem__, settled)
         )
@@ -1480,8 +1494,10 @@ class CostScalingSolver(Solver):
         cursor is only reset on relabel.
         """
         # The loops below write arc_residual directly (inlined pushes), so
-        # any dirty-flow tracking on the residual is no longer sound.
+        # any dirty-flow tracking on the residual is no longer sound, nor
+        # are its open-arc lists.
         residual.invalidate_flow_journal()
+        residual.invalidate_open_arcs()
         arc_residual = residual.arc_residual
         arc_cost = residual.arc_cost
         arc_from = residual.arc_from

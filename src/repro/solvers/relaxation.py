@@ -488,6 +488,7 @@ class RelaxationSolver(Solver):
                 amount = r
             node = arc_from[a]
         journal = residual._flow_journal
+        residual.invalidate_open_arcs()  # the path pushes below are inlined
         node = target
         while node != source:
             a = pred_arc[node]

@@ -8,6 +8,19 @@ lists of boxed ints, and per-node adjacency is a flat list of arc indices
 with a *current-arc* cursor (:attr:`ResidualNetwork.current_arc`) that cost
 scaling's discharge loop resumes from.
 
+Beside its adjacency each node keeps its *open arcs*
+(:attr:`ResidualNetwork.open_arcs`): the entries of its adjacency whose
+residual capacity is positive, in adjacency order (ascending arc index), no
+duplicates.  The repair's shortest-path searches walk these, so a hub costs
+the arcs that can carry flow out of it, not every task that has an arc into
+it.  The mutators (:meth:`~ResidualNetwork.push`, the arc and node patches,
+:meth:`~ResidualNetwork.load_flows`, :meth:`~ResidualNetwork.compact`) keep
+the lists exact; a loop that writes ``arc_residual`` itself (the scaling
+ladder's discharge, a warm repair's saturation, relaxation's path pushes)
+marks them stale (:meth:`~ResidualNetwork.invalidate_open_arcs`), and
+:meth:`~ResidualNetwork.refresh_open_arcs` rebuilds them in one pass before
+the next search.
+
 The structure is *persistent* across scheduling rounds (paper, Section 5.2
 -- solver work proportional to the change, not the graph):
 
@@ -35,6 +48,7 @@ solvers that take one.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, insort
 from collections.abc import Mapping as MappingABC
 from types import MappingProxyType
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
@@ -56,6 +70,9 @@ class ResidualNetwork:
         arc_from / arc_to / arc_residual / arc_cost: parallel ``array('q')``
             columns indexed by residual arc.
         adjacency: per-node lists of outgoing residual arc indices.
+        open_arcs: per node, the entries of ``adjacency`` with positive
+            residual capacity, in the same order; not maintained while
+            ``open_arcs_stale`` is set.
         current_arc: per-node scan cursor into ``adjacency`` (the classic
             push/relabel current-arc heuristic; reset on relabel).
         excess / potential / supply: per-node integer columns.
@@ -116,6 +133,11 @@ class ResidualNetwork:
         self.arc_residual: array = array("q")
         self.arc_cost: array = array("q")
         self.adjacency: List[List[int]] = [[] for _ in range(self.num_nodes)]
+        self.open_arcs: List[List[int]] = [[] for _ in range(self.num_nodes)]
+        #: Set while the open-arc lists may disagree with ``arc_residual``
+        #: (a loop wrote it directly): the mutators stop maintaining them,
+        #: and :meth:`refresh_open_arcs` rebuilds them.
+        self.open_arcs_stale: bool = False
         # Original arc endpoints for forward arcs, used to write flow back.
         # ``None`` marks a dead (removed) arc pair slot.
         self.forward_arc_keys: List[Optional[Tuple[int, int]]] = []
@@ -223,7 +245,8 @@ class ResidualNetwork:
         """Push ``amount`` units of flow along a residual arc.
 
         Updates residual capacities of the arc and its reverse as well as the
-        excesses of the endpoints.
+        excesses of the endpoints, and the open-arc lists an arc leaves or
+        joins.
         """
         if amount < 0:
             raise ValueError("push amount must be non-negative")
@@ -232,14 +255,25 @@ class ResidualNetwork:
                 f"push of {amount} exceeds residual capacity "
                 f"{self.arc_residual[arc_index]} on arc {arc_index}"
             )
+        if not amount:
+            return
         u = self.arc_from[arc_index]
         v = self.arc_to[arc_index]
-        self.arc_residual[arc_index] -= amount
-        self.arc_residual[arc_index ^ 1] += amount
+        residual = self.arc_residual
+        left = residual[arc_index] - amount
+        residual[arc_index] = left
+        opened = not residual[arc_index ^ 1]
+        residual[arc_index ^ 1] += amount
         self.excess[u] -= amount
         self.excess[v] += amount
-        if self._flow_journal is not None and amount:
+        if self._flow_journal is not None:
             self._flow_journal.add(arc_index >> 1)
+        if not self.open_arcs_stale:
+            if not left:
+                arcs = self.open_arcs[u]
+                del arcs[bisect_left(arcs, arc_index)]
+            if opened:
+                insort(self.open_arcs[v], arc_index ^ 1)
 
     def total_excess(self) -> int:
         """Return the sum of positive node excesses (remaining supply)."""
@@ -344,6 +378,7 @@ class ResidualNetwork:
             self.current_arc.append(0)
             self.dead_entries.append(0)
             self.adjacency.append([])
+            self.open_arcs.append([])
             self.node_types.append(node_type)
             self.node_refs.append(ref)
             self.num_nodes += 1
@@ -444,6 +479,8 @@ class ResidualNetwork:
         self.arc_residual.append(capacity)
         self.arc_cost.append(cost)
         self.adjacency[u].append(forward)
+        if capacity and not self.open_arcs_stale:
+            self.open_arcs[u].append(forward)  # the highest index yet
         self.arc_from.append(v)
         self.arc_to.append(u)
         self.arc_residual.append(0)
@@ -635,7 +672,40 @@ class ResidualNetwork:
             self.arc_residual[forward + 1] = flow
             if self._flow_journal is not None:
                 self._flow_journal.add(position)
+            self._sync_open_arc(forward + 1)
         self.arc_residual[forward] = new_capacity - flow
+        self._sync_open_arc(forward)
+
+    def _sync_open_arc(self, arc_index: int) -> None:
+        """Make ``arc_index``'s entry in its tail's open-arc list match its
+        residual capacity (a no-op while the lists are stale)."""
+        if self.open_arcs_stale:
+            return
+        arcs = self.open_arcs[self.arc_from[arc_index]]
+        i = bisect_left(arcs, arc_index)
+        listed = i < len(arcs) and arcs[i] == arc_index
+        if self.arc_residual[arc_index] > 0:
+            if not listed:
+                arcs.insert(i, arc_index)
+        elif listed:
+            del arcs[i]
+
+    def invalidate_open_arcs(self) -> None:
+        """Mark the open-arc lists stale: called by any loop that writes
+        ``arc_residual`` without going through :meth:`push` or the
+        mutators.  The mutators then leave the lists alone until
+        :meth:`refresh_open_arcs` rebuilds them."""
+        self.open_arcs_stale = True
+
+    def refresh_open_arcs(self) -> None:
+        """Rebuild stale open-arc lists from ``arc_residual``: one pass over
+        the adjacency, before a search walks them."""
+        if self.open_arcs_stale:
+            residual = self.arc_residual
+            self.open_arcs = [
+                [arc for arc in arcs if residual[arc] > 0] for arcs in self.adjacency
+            ]
+            self.open_arcs_stale = False
 
     def _return_flow(self, forward: int, amount: int) -> None:
         """Hand ``amount`` units carried by a forward arc back to its endpoints."""
@@ -663,7 +733,16 @@ class ResidualNetwork:
         if self._flow_journal is not None:
             self._flow_journal.discard(position)
         # Dead slot: zero residual in both directions means no traversal ever
-        # touches it again; zero cost keeps the max-cost cache an upper bound.
+        # touches it again (it leaves the open-arc lists); zero cost keeps
+        # the max-cost cache an upper bound.
+        u, v = self.arc_from[forward], self.arc_to[forward]
+        if not self.open_arcs_stale:
+            if self.arc_residual[forward]:
+                arcs = self.open_arcs[u]
+                del arcs[bisect_left(arcs, forward)]
+            if flow:
+                arcs = self.open_arcs[v]
+                del arcs[bisect_left(arcs, forward + 1)]
         self.arc_residual[forward] = 0
         self.arc_residual[forward + 1] = 0
         self.arc_cost[forward] = 0
@@ -671,8 +750,8 @@ class ResidualNetwork:
         self.forward_arc_keys[position] = None
         del self.arc_position[key]
         self.dead_arc_pairs += 1
-        self.dead_entries[self.arc_from[forward]] += 1
-        self.dead_entries[self.arc_to[forward]] += 1
+        self.dead_entries[u] += 1
+        self.dead_entries[v] += 1
         journal = self.arc_journal
         if journal is not None:
             if journal.get(key) is ADDED:
@@ -718,6 +797,9 @@ class ResidualNetwork:
         self.node_alive = bytearray(b"\x01" * self.num_nodes)
         self.current_arc = [0] * self.num_nodes
         self.adjacency = [[] for _ in range(self.num_nodes)]
+        # Rebuilt exact from the residuals below, stale or not.
+        self.open_arcs = [[] for _ in range(self.num_nodes)]
+        self.open_arcs_stale = False
         self.dead_entries = [0] * self.num_nodes
         self.dead_nodes = 0
 
@@ -750,11 +832,15 @@ class ResidualNetwork:
             self.arc_residual.append(old_residual[forward])
             self.arc_cost.append(old_cost[forward])
             self.adjacency[u].append(2 * new_position)
+            if old_residual[forward]:
+                self.open_arcs[u].append(2 * new_position)
             self.arc_from.append(v)
             self.arc_to.append(u)
             self.arc_residual.append(old_residual[forward + 1])
             self.arc_cost.append(old_cost[forward + 1])
             self.adjacency[v].append(2 * new_position + 1)
+            if old_residual[forward + 1]:
+                self.open_arcs[v].append(2 * new_position + 1)
             self.forward_arc_keys.append(key)
             self.arc_position[key] = new_position
         arc_position = self.arc_position
@@ -918,6 +1004,8 @@ class ResidualNetwork:
                 self.excess[self.arc_from[forward]] -= moved
                 self.excess[self.arc_to[forward]] += moved
                 self._flow_journal.add(position)
+                self._sync_open_arc(forward)
+                self._sync_open_arc(forward + 1)
         self.last_excess_moved = set()
         self.drop_patch()
 
@@ -942,15 +1030,26 @@ class ResidualNetwork:
     # ------------------------------------------------------------------ #
     # Consistency checking (used by the delta-equivalence tests)
     # ------------------------------------------------------------------ #
-    def consistency_errors(self, network: FlowNetwork) -> List[str]:
+    def consistency_errors(self, network: Optional[FlowNetwork] = None) -> List[str]:
         """Return discrepancies between this residual and ``network``.
 
         A delta-patched residual must be arc-for-arc equivalent to one
         freshly built from the updated flow network: same live nodes and
         supplies, same arcs with the same capacities and (unscaled) costs,
-        and internally consistent cost/flow/excess bookkeeping.
+        and internally consistent cost/flow/excess bookkeeping -- open-arc
+        lists included, unless they are marked stale.  Without a network
+        only the internal bookkeeping is checked.
         """
-        problems = self.to_network().structurally_equal(network)
+        problems = [] if network is None else self.to_network().structurally_equal(network)
+        if not self.open_arcs_stale:
+            residual = self.arc_residual
+            for i, arcs in enumerate(self.adjacency):
+                expected = [arc for arc in arcs if residual[arc] > 0]
+                if self.open_arcs[i] != expected:
+                    problems.append(
+                        f"node {self.node_ids[i]} open arcs {self.open_arcs[i]} != "
+                        f"{expected}, its adjacency entries with residual capacity"
+                    )
         balance = list(self.supply)  # excess = supply - outflow + inflow
         for position, key in enumerate(self.forward_arc_keys):
             if key is None:

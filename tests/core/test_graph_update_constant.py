@@ -100,3 +100,93 @@ def test_a_graph_update_costs_its_changes_not_its_layers():
         f"{per_change:.2f} Python calls per changed arc or node "
         f"(allowed {MAX_CALLS_PER_CHANGE})"
     )
+
+
+class TestNullUpdate:
+    """An update with nothing marked, no waiting-cost tick due and the
+    pricing unchanged drains the tracker and returns: it derives nothing,
+    so it builds no round builder, no dirty view and no stats record, and
+    sorts nothing."""
+
+    def steady(self):
+        """The ``burst_large``-shaped scheduler after a few rounds, its
+        graph brought up to date with what the last round applied."""
+        state = ClusterState(build_topology(MACHINES, slots_per_machine=4))
+        scheduler = serve_command._build_scheduler(
+            build_parser(["serve"]).parse_args(["serve"])
+        )
+        next_task = 0
+        for job_id in range(4):
+            job = Job(job_id=job_id, job_type=JobType.BATCH, submit_time=0.1 * job_id)
+            for task_id in range(next_task, next_task + JOB_TASKS):
+                job.add_task(
+                    Task(task_id=task_id, job_id=job_id, duration=JOB_SECONDS,
+                         submit_time=0.1 * job_id)
+                )
+            next_task += JOB_TASKS
+            state.submit_job(job)
+            scheduler.schedule_and_apply(state, 0.1 * job_id)
+        scheduler.prepare(state, 0.3)
+        return state, scheduler
+
+    def count_builders(self, monkeypatch):
+        from repro.core import graph_manager
+
+        built = []
+
+        class Counted(graph_manager._IncrementalBuilder):
+            def __init__(self, *args):
+                built.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(graph_manager, "_IncrementalBuilder", Counted)
+        return built
+
+    def test_a_null_update_builds_no_builder_view_or_record(self, monkeypatch):
+        from repro.core import graph_manager
+
+        state, scheduler = self.steady()
+        manager = scheduler.graph_manager
+        revision = manager.network.revision
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a null update derived something")
+
+        for name in ("_IncrementalBuilder", "DirtyView", "GraphUpdateStats", "sorted"):
+            monkeypatch.setattr(graph_manager, name, forbidden, raising=False)
+        try:
+            for _ in range(3):
+                manager.update(state, 0.3)
+        finally:
+            monkeypatch.undo()
+            scheduler.close()
+        stats = manager.last_update_stats
+        assert (stats.mode, stats.tasks_examined, stats.arcs_patched) == (
+            "incremental", 0, 0
+        )
+        assert (stats.nodes_touched, stats.dirty_tasks, stats.dirty_machines) == (0, 0, 0)
+        assert manager.network.revision == revision + 3
+        assert manager.incremental_updates >= 3 and manager.full_updates == 1
+
+    def test_a_mark_a_due_tick_or_time_running_back_is_an_update(self, monkeypatch):
+        state, scheduler = self.steady()
+        manager = scheduler.graph_manager
+        built = self.count_builders(monkeypatch)
+        try:
+            due = manager._tick_calendar[0][0]
+            later = (0.3 + due) / 2
+            manager.update(state, later)  # null: the calendar's clock moves
+            assert built == []
+            # Back before that clock: every task is re-priced.
+            manager.update(state, 0.3)
+            assert built == [1] and manager.last_update_stats.tasks_examined > 0
+            task = state.running_tasks()[0]
+            state.complete_task(task.task_id, 0.3)
+            manager.update(state, 0.3)
+            assert built == [1, 1] and manager.last_update_stats.nodes_touched >= 1
+            due = manager._tick_calendar[0][0]
+            manager.update(state, due)
+            assert built == [1, 1, 1]
+            assert manager.last_update_stats.tasks_examined > 0
+        finally:
+            scheduler.close()
